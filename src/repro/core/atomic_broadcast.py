@@ -350,7 +350,9 @@ class AtomicBroadcast(Protocol):
         digest = batch_digest(message.batch)
         statement = proposal_statement(ctx.session, r, digest)
         key = ctx.public.verify_keys.get(sender)
-        if key is None or not key.verify(statement, message.signature):
+        if key is None or not key.verify(
+            statement, message.signature, ctx.verified
+        ):
             return
         if r > self.round + self._window():
             # Bounded buffering (a Byzantine sender can no longer stash
@@ -456,6 +458,7 @@ class AtomicBroadcast(Protocol):
         public = ctx.public
         quorum = ctx.quorum
         session = ctx.session
+        verified = ctx.verified
 
         def predicate(value: object) -> bool:
             if not isinstance(value, tuple) or not value:
@@ -470,7 +473,10 @@ class AtomicBroadcast(Protocol):
                 key = public.verify_keys.get(j)
                 if key is None:
                     return False
-                if not key.verify(proposal_statement(session, r, digest), sig):
+                # A proposal this party received itself is in the memo
+                # already; only entries it has not seen cost arithmetic.
+                statement = proposal_statement(session, r, digest)
+                if not key.verify(statement, sig, verified):
                     return False
                 senders.append(j)
             if len(set(senders)) != len(senders):

@@ -205,13 +205,13 @@ class CksBinaryAgreement(Protocol):
         if kind == "hard":
             statement = _prevote_statement(ctx.session, r - 1, message.value)
             return isinstance(cert, QuorumCertificate) and ctx.public.cert_quorum.verify(
-                statement, cert
+                statement, cert, ctx.verified
             )
         if kind == "coin":
             statement = _mainvote_statement(ctx.session, r - 1, ABSTAIN)
             if not (
                 isinstance(cert, QuorumCertificate)
-                and ctx.public.cert_quorum.verify(statement, cert)
+                and ctx.public.cert_quorum.verify(statement, cert, ctx.verified)
             ):
                 return False
             # The coin value itself is checked locally once known.
@@ -227,7 +227,7 @@ class CksBinaryAgreement(Protocol):
             cert = just[1]
             statement = _prevote_statement(ctx.session, r, message.value)
             return isinstance(cert, QuorumCertificate) and ctx.public.cert_quorum.verify(
-                statement, cert
+                statement, cert, ctx.verified
             )
         if message.value == ABSTAIN:
             if not (isinstance(just, tuple) and len(just) == 3 and just[0] == "conflict"):
@@ -253,7 +253,9 @@ class CksBinaryAgreement(Protocol):
         if not self._prevote_justified(ctx, r, message):
             return
         statement = _prevote_statement(ctx.session, r, message.value)
-        if not ctx.public.cert_quorum.verify_share(statement, (sender, message.share)):
+        if not ctx.public.cert_quorum.verify_share(
+            statement, (sender, message.share), ctx.verified
+        ):
             return
         state.prevotes[sender] = message
 
@@ -264,7 +266,9 @@ class CksBinaryAgreement(Protocol):
         if not self._mainvote_justified(ctx, r, message):
             return
         statement = _mainvote_statement(ctx.session, r, message.value)
-        if not ctx.public.cert_quorum.verify_share(statement, (sender, message.share)):
+        if not ctx.public.cert_quorum.verify_share(
+            statement, (sender, message.share), ctx.verified
+        ):
             return
         state.mainvotes[sender] = message
 
@@ -313,7 +317,7 @@ class CksBinaryAgreement(Protocol):
             shares = {
                 p: pv.share for p, pv in state.prevotes.items() if pv.value == value
             }
-            cert = ctx.public.cert_quorum.combine(statement, shares)
+            cert = ctx.public.cert_quorum.combine(statement, shares, ctx.verified)
             state.prevote_certs[value] = cert
             self._send_mainvote(ctx, r, value, ("cert", cert))
         else:
@@ -359,7 +363,9 @@ class CksBinaryAgreement(Protocol):
         shares = {
             p: mv.share for p, mv in state.mainvotes.items() if mv.value == ABSTAIN
         }
-        state.abstain_cert = ctx.public.cert_quorum.combine(statement, shares)
+        state.abstain_cert = ctx.public.cert_quorum.combine(
+            statement, shares, ctx.verified
+        )
         self._advance(ctx, r, state.coin_value, hard=False)
 
     def _advance(self, ctx: Context, r: int, value: int, hard: bool) -> None:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Callable, Hashable
 
 from ..crypto.dealer import PublicKeys
-from ..crypto.schnorr import Signature
+from ..crypto.schnorr import Signature, VerifiedMemo
 from ..crypto.threshold_sig import QuorumCertificate
 from .protocol import Context, Protocol, SessionId
 
@@ -83,9 +83,12 @@ def verify_commit_certificate(
     session: SessionId,
     value: Hashable,
     certificate: QuorumCertificate,
+    memo: VerifiedMemo | None = None,
 ) -> bool:
     """Check a transferred commit certificate (usable outside the instance)."""
-    return ctx_public.cert_quorum.verify(_statement(session, value), certificate)
+    return ctx_public.cert_quorum.verify(
+        _statement(session, value), certificate, memo
+    )
 
 
 class ConsistentBroadcast(Protocol):
@@ -163,19 +166,25 @@ class ConsistentBroadcast(Protocol):
         if ctx.party != self.sender or self.finalized or self.value is None:
             return
         statement = _statement(ctx.session, self.value)
-        if not ctx.public.cert_quorum.verify_share(statement, (sender, signature)):
+        if not ctx.public.cert_quorum.verify_share(
+            statement, (sender, signature), ctx.verified
+        ):
             return
         self.shares[sender] = signature
         if ctx.quorum.is_quorum(self.shares):
             self.finalized = True
-            certificate = ctx.public.cert_quorum.combine(statement, self.shares)
+            certificate = ctx.public.cert_quorum.combine(
+                statement, self.shares, ctx.verified
+            )
             ctx.broadcast(CbcFinal(self.value, certificate))
 
     def _on_final(self, ctx: Context, sender: int, message: CbcFinal) -> None:
         if self.delivered:
             return
         statement = _statement(ctx.session, message.value)
-        if not ctx.public.cert_quorum.verify(statement, message.certificate):
+        if not ctx.public.cert_quorum.verify(
+            statement, message.certificate, ctx.verified
+        ):
             return
         self.delivered = True
         ctx.output(

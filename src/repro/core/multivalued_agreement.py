@@ -230,7 +230,7 @@ class MultiValuedAgreement(Protocol):
             return
         session = cbc_session(candidate, ctx.session)
         if not verify_commit_certificate(
-            ctx.public, session, delivery.value, delivery.certificate
+            ctx.public, session, delivery.value, delivery.certificate, ctx.verified
         ):
             return
         self.deliveries.setdefault(candidate, delivery)

@@ -238,7 +238,9 @@ class OptimisticAtomicBroadcast(Protocol):
             return
         key = ctx.public.verify_keys[self.LEADER]
         if not key.verify(
-            _order_statement(ctx.session, seq, message.payload), message.signature
+            _order_statement(ctx.session, seq, message.payload),
+            message.signature,
+            ctx.verified,
         ):
             return
         self.orders[seq] = message.payload
@@ -269,7 +271,9 @@ class OptimisticAtomicBroadcast(Protocol):
         if not ctx.quorum.is_strong_quorum(set(known) | set(bucket)):
             return None
         if bucket:
-            screened = ctx.public.cert_strong.verify_shares(statement, bucket)
+            screened = ctx.public.cert_strong.verify_shares(
+                statement, bucket, ctx.verified
+            )
             culprits = bad.setdefault(key, set())
             for party in bucket:
                 if party not in screened:
@@ -300,7 +304,9 @@ class OptimisticAtomicBroadcast(Protocol):
             ctx, statement, key, self.acks, self.ack_valid, self.ack_bad
         )
         if shares is not None:
-            certificate = ctx.public.cert_strong.combine(statement, shares)
+            certificate = ctx.public.cert_strong.combine(
+                statement, shares, ctx.verified
+            )
             self.prepared[message.seq] = (payload, certificate)
             commit_share = ctx.keys.cert_strong.sign_share(
                 _commit_statement(ctx.session, message.seq, message.digest), ctx.rng
@@ -387,7 +393,9 @@ class OptimisticAtomicBroadcast(Protocol):
         if key is None or not isinstance(message.entries, tuple):
             return False
         if not key.verify(
-            _state_statement(ctx.session, message.entries), message.signature
+            _state_statement(ctx.session, message.entries),
+            message.signature,
+            ctx.verified,
         ):
             return False
         return self._entries_valid(ctx, message.entries)
@@ -402,7 +410,9 @@ class OptimisticAtomicBroadcast(Protocol):
             statement = _ack_statement(ctx.session, seq, _digest(payload))
             if not isinstance(certificate, QuorumCertificate):
                 return False
-            if not ctx.public.cert_strong.verify(statement, certificate):
+            if not ctx.public.cert_strong.verify(
+                statement, certificate, ctx.verified
+            ):
                 return False
         return True
 
@@ -446,7 +456,9 @@ class OptimisticAtomicBroadcast(Protocol):
                 key = verify_keys.get(sender)
                 if key is None or not isinstance(entries, tuple):
                     return False
-                if not key.verify(_state_statement(session, entries), signature):
+                if not key.verify(
+                    _state_statement(session, entries), signature, ctx.verified
+                ):
                     return False
                 if not entries_valid(ctx, entries):
                     return False

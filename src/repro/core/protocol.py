@@ -21,6 +21,7 @@ from typing import TYPE_CHECKING, Callable
 
 from ..adversary.quorums import QuorumSystem
 from ..crypto.dealer import PartyKeys, PublicKeys
+from ..crypto.schnorr import VerifiedMemo
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..net.tracing import Trace
@@ -52,6 +53,8 @@ class Context:
         keys: this server's private key bundle.
         quorum: the quorum system (Section 4.2 rules).
         rng: per-server deterministic randomness.
+        verified: this server's memo of signatures it already accepted,
+            passed to every signature check (verify once per party).
     """
 
     def __init__(self, runtime: "ProtocolRuntime", session: SessionId) -> None:
@@ -83,6 +86,10 @@ class Context:
     @property
     def rng(self) -> random.Random:
         return self._runtime.rng
+
+    @property
+    def verified(self) -> VerifiedMemo:
+        return self._runtime.verified
 
     @property
     def trace(self) -> "Trace":

@@ -16,6 +16,7 @@ import random
 from typing import Callable
 
 from ..crypto.dealer import PartyKeys, PublicKeys
+from ..crypto.schnorr import VerifiedMemo
 from ..net.base import NetworkBackend
 from ..net.simulator import Node
 from .protocol import Context, Protocol, SessionId
@@ -43,6 +44,9 @@ class ProtocolRuntime(Node):
         self.public = public
         self.keys = keys
         self.rng = random.Random((seed << 20) ^ (party + 1))
+        # Signatures this server already accepted; its own, so that n
+        # simulated servers in one process each pay for their checks.
+        self.verified = VerifiedMemo()
         self.instances: dict[SessionId, Protocol] = {}
         self.outputs: dict[SessionId, object] = {}
         self._callbacks: dict[SessionId, list[Callable[[object], None]]] = {}

@@ -13,7 +13,9 @@ This module concentrates the arithmetic tricks that cut that cost:
   generator, verification keys, a round's coin base) get a radix-``2^w``
   digit table; subsequent exponentiations are ~5x cheaper than ``pow``.
   Tables are built automatically once a base has been seen often enough
-  to amortize the build.
+  to amortize the build; the least recently used one makes room when
+  the budget is full, so one-shot bases (a coin's ``H(C)``) cannot
+  occupy it for good.
 * **Memoized subgroup membership** via the Jacobi symbol (for a safe
   prime the order-``q`` subgroup is exactly the quadratic residues),
   with a bounded cache so fixed bases are checked once, ever.
@@ -166,13 +168,34 @@ class GroupAccel:
 
     # -- exponentiation --------------------------------------------------
 
+    def _table(self, base: int) -> FixedBaseTable | None:
+        """The base's table, marked most recently used."""
+        tables = self._tables
+        table = tables.get(base)
+        if table is not None and base != self.g:
+            # Dicts iterate in insertion order: re-inserting on use keeps
+            # the least recently used table first (the generator is not
+            # rotated: it is pinned, see _evict).
+            del tables[base]
+            tables[base] = table
+        return table
+
+    def _evict(self) -> None:
+        """Drop the least recently used table; the generator stays."""
+        for base in self._tables:
+            if base != self.g:
+                del self._tables[base]
+                return
+
     def exp(self, base: int, exponent: int) -> int:
         """``base^exponent mod p``; auto-tables bases that recur."""
-        table = self._tables.get(base)
+        table = self._table(base)
         if table is not None:
             return table.pow(exponent)
         count = self._counts.get(base, 0) + 1
-        if count >= _TABLE_THRESHOLD and len(self._tables) < _MAX_TABLES:
+        if count >= _TABLE_THRESHOLD:
+            if len(self._tables) >= _MAX_TABLES:
+                self._evict()
             table = FixedBaseTable(base, self.p, self.q.bit_length())
             self._tables[base] = table
             self._counts.pop(base, None)
@@ -189,7 +212,7 @@ class GroupAccel:
         for base, exponent in pairs:
             if exponent <= 0:
                 continue
-            table = self._tables.get(base)
+            table = self._table(base)
             if table is not None:
                 acc = acc * table.pow(exponent) % self.p
             else:
@@ -252,6 +275,7 @@ def verify_product_equations(
     coefficients: Sequence[int],
     order: int | None = None,
     square: bool = False,
+    accel: GroupAccel | None = None,
 ) -> bool:
     """Check ``Π lhsᵢ == Π rhsᵢ`` for every equation via one multi-exp.
 
@@ -260,6 +284,13 @@ def verify_product_equations(
     equations are multiplied together; exponents of repeated bases are
     accumulated (mod ``order`` when the group order is known, over the
     integers otherwise — e.g. mod an RSA modulus of hidden order).
+
+    ``accel`` is the accelerator of the Schnorr group the equations live
+    in: both sides are then evaluated by :meth:`GroupAccel.multiexp`, so
+    the generator and every tabled verification key cost a table lookup
+    per digit and only the one-shot bases (commitments, share values)
+    share a squaring chain.  An RSA modulus has no accelerator and takes
+    the table-less :func:`multiexp`.
 
     ``square=True`` compares the squares of both sides, quotienting out
     the order-2 subgroup ``{±1}`` — required mod an RSA modulus where
@@ -280,8 +311,12 @@ def verify_product_equations(
     else:
         lhs_pairs = list(lhs_acc.items())
         rhs_pairs = list(rhs_acc.items())
-    left = multiexp(modulus, lhs_pairs)
-    right = multiexp(modulus, rhs_pairs)
+    if accel is not None:
+        left = accel.multiexp(lhs_pairs)
+        right = accel.multiexp(rhs_pairs)
+    else:
+        left = multiexp(modulus, lhs_pairs)
+        right = multiexp(modulus, rhs_pairs)
     if square:
         return left * left % modulus == right * right % modulus
     return left == right

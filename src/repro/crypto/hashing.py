@@ -16,6 +16,7 @@ from typing import Iterable
 from .groups import SchnorrGroup
 
 __all__ = [
+    "Encoded",
     "hash_bytes",
     "hash_to_int",
     "hash_to_exponent",
@@ -26,15 +27,49 @@ __all__ = [
 ]
 
 
+class Encoded(bytes):
+    """Output of :func:`encode` that is spliced verbatim as a part.
+
+    ``encode`` is concatenative — ``encode(a, *b) == encode(a) +
+    encode(*b)`` — so a statement that many hashes share (the message
+    under every signature of a certificate) is rendered once, wrapped
+    as ``Encoded(encode(statement))`` and handed to each of them: the
+    bytes hashed, and with them every challenge and signature, are
+    exactly those of encoding the statement in place.  Never decoded
+    from the wire, so a peer cannot supply one.
+    """
+
+    __slots__ = ()
+
+
+# Dataclass field names per type: reflecting on every instance
+# (``dataclasses.fields``) costs more than encoding a small one.
+_FIELD_NAMES: dict[type, tuple[str, ...]] = {}
+
+
+def _field_names(cls: type) -> tuple[str, ...] | None:
+    names = _FIELD_NAMES.get(cls)
+    if names is None and dataclasses.is_dataclass(cls):
+        names = _FIELD_NAMES[cls] = tuple(f.name for f in dataclasses.fields(cls))
+    return names
+
+
 def encode(*parts: object) -> bytes:
     """Deterministic, unambiguous encoding of heterogeneous values.
 
     Each part is rendered with an explicit type tag and length prefix so
     that no two distinct tuples collide (the usual concatenation pitfall).
     """
+    return bytes(_encode(parts))
+
+
+def _encode(parts: Iterable[object]) -> bytearray:
     out = bytearray()
     for part in parts:
         if isinstance(part, bytes):
+            if isinstance(part, Encoded):
+                out += part
+                continue
             tag, body = b"B", part
         elif isinstance(part, str):
             tag, body = b"S", part.encode("utf-8")
@@ -43,38 +78,50 @@ def encode(*parts: object) -> bytes:
         elif isinstance(part, int):
             tag, body = b"I", str(part).encode("ascii")
         elif isinstance(part, (tuple, list)):
-            tag, body = b"L", encode(*part)
+            tag, body = b"L", _encode(part)
         elif isinstance(part, (frozenset, set)):
-            tag, body = b"F", encode(*sorted(part, key=repr))
+            tag, body = b"F", _encode(sorted(part, key=repr))
         elif isinstance(part, dict):
             items = sorted(part.items(), key=lambda kv: repr(kv[0]))
-            tag, body = b"D", encode(*[item for pair in items for item in pair])
-        elif dataclasses.is_dataclass(part) and not isinstance(part, type):
-            fields = [getattr(part, f.name) for f in dataclasses.fields(part)]
-            tag, body = b"C", encode(type(part).__name__, fields)
+            tag, body = b"D", _encode(item for pair in items for item in pair)
         elif part is None:
             tag, body = b"N", b""
+        elif (names := _field_names(type(part))) is not None:
+            fields = [getattr(part, name) for name in names]
+            tag, body = b"C", _encode((type(part).__name__, fields))
         else:
             raise TypeError(f"cannot encode {type(part).__name__}")
-        out += tag + len(body).to_bytes(8, "big") + body
-    return bytes(out)
+        out += tag
+        out += len(body).to_bytes(8, "big")
+        out += body
+    return out
+
+
+def _digest(prefix: bytes, *bodies: bytes) -> bytes:
+    h = hashlib.sha256(prefix)
+    for body in bodies:
+        h.update(body)
+    return h.digest()
 
 
 def hash_bytes(domain: str, *parts: object) -> bytes:
     """SHA-256 under a domain-separation tag."""
-    h = hashlib.sha256()
-    h.update(domain.encode("utf-8") + b"\x00")
-    h.update(encode(*parts))
-    return h.digest()
+    return _digest(domain.encode("utf-8") + b"\x00", _encode(parts))
 
 
 def hash_to_int(domain: str, *parts: object, bits: int = 256) -> int:
-    """Hash to an integer of up to ``bits`` bits via counter-mode SHA-256."""
+    """Hash to an integer of up to ``bits`` bits via counter-mode SHA-256.
+
+    Block ``i`` is ``hash_bytes(domain, i, *parts)``; the parts are
+    encoded once and only the counter per block.
+    """
     needed = (bits + 7) // 8
+    prefix = domain.encode("utf-8") + b"\x00"
+    body = _encode(parts)
     out = bytearray()
     counter = 0
     while len(out) < needed:
-        out += hash_bytes(domain, counter, *parts)
+        out += _digest(prefix, _encode((counter,)), body)
         counter += 1
     return int.from_bytes(bytes(out[:needed]), "big") >> (8 * needed - bits)
 

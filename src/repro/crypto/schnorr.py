@@ -10,10 +10,18 @@ Signatures carry the commitment ``a = g^w`` instead of the challenge
 (the challenge is recomputed by hashing), so a quorum of signatures can
 be checked with one simultaneous multi-exponentiation
 (:func:`verify_batch`) — see docs/PERFORMANCE.md.
+
+The same signature reaches a party several times — an atomic-broadcast
+proposal arrives once on its own and then inside every agreement
+candidate list that cites it; a share checked on arrival is checked
+again when the certificate is combined, and the certificate again in
+every message that carries it.  A :class:`VerifiedMemo` lets a party
+pay for each of them once.
 """
 
 from __future__ import annotations
 
+import hashlib
 import random
 from dataclasses import dataclass
 from functools import cached_property
@@ -23,7 +31,14 @@ from .accel import accel_for, batch_coefficients, verify_product_equations
 from .groups import SchnorrGroup, default_group
 from .hashing import hash_to_exponent
 
-__all__ = ["SigningKey", "VerifyKey", "Signature", "keygen", "verify_batch"]
+__all__ = [
+    "SigningKey",
+    "VerifyKey",
+    "Signature",
+    "VerifiedMemo",
+    "keygen",
+    "verify_batch",
+]
 
 
 @dataclass(frozen=True)
@@ -48,6 +63,58 @@ def _sig_well_formed(grp: SchnorrGroup, signature: Signature) -> bool:
     return 0 < a < grp.p and 0 <= z < grp.q
 
 
+# Some twenty rounds of one party's signature traffic at n = 7 (a round
+# is about 40 checks it has not made before); 32-byte keys, ~100 KiB full.
+_MEMO_ENTRIES = 1024
+
+
+class VerifiedMemo:
+    """The signature checks one verifying party has already passed.
+
+    A Schnorr verification reads exactly ``(p, g, h, a, z, c)`` — the
+    group, the key, the signature and the challenge, which is where the
+    signed statement enters — so the digest of those six integers names
+    the check: a hit means this very equation held here before, and a
+    different signature on the same statement, the same signature on
+    another statement or under another key, all miss.  Rejections are
+    never remembered.  Bounded: the oldest entry makes room for a new
+    one.
+
+    One per party (``ProtocolRuntime.verified``, ``ServiceClient
+    .verified``), never per process: the simulator runs every replica
+    in one interpreter, and a shared memo would let ``n`` of them pay
+    for one verification — a saving no deployment has.
+    """
+
+    __slots__ = ("_accepted",)
+
+    def __init__(self) -> None:
+        self._accepted: dict[bytes, None] = {}
+
+    def __len__(self) -> int:
+        return len(self._accepted)
+
+    def __contains__(self, check: object) -> bool:
+        return check in self._accepted
+
+    def add(self, check: bytes) -> None:
+        accepted = self._accepted
+        if len(accepted) >= _MEMO_ENTRIES:
+            del accepted[next(iter(accepted))]  # insertion order: the oldest
+        accepted[check] = None
+
+
+def _check_digest(group: SchnorrGroup, h: int, a: int, z: int, c: int) -> bytes:
+    """Names one verification equation ``g^z = a·h^c`` (memo key).
+
+    A cache key over six integers, not a random oracle: plain SHA-256
+    of their hex rendering, no canonical encoding needed.
+    """
+    return hashlib.sha256(
+        b"%x,%x,%x,%x,%x,%x" % (group.p, group.g, h, a, z, c)
+    ).digest()
+
+
 @dataclass(frozen=True)
 class VerifyKey:
     """Public verification key ``h = g^x``."""
@@ -55,8 +122,15 @@ class VerifyKey:
     group: SchnorrGroup
     h: int
 
-    def verify(self, message: object, signature: Signature) -> bool:
-        """Check the signature; rejects malformed values outright."""
+    def verify(
+        self, message: object, signature: Signature, memo: VerifiedMemo | None = None
+    ) -> bool:
+        """Check the signature; rejects malformed values outright.
+
+        With the verifying party's ``memo``, a check it passed before
+        passes again without arithmetic, and one passed now is
+        remembered.
+        """
         grp = self.group
         accel = accel_for(grp)
         if not accel.is_member(self.h):
@@ -65,12 +139,20 @@ class VerifyKey:
             return False
         a, z = signature.commit, signature.response
         c = hash_to_exponent(grp, "schnorr-sig", self.h, a, message)
-        return accel.exp(grp.g, z) == a * accel.exp(self.h, c) % grp.p
+        if memo is not None:
+            check = _check_digest(grp, self.h, a, z, c)
+            if check in memo:
+                return True
+        ok = accel.exp(grp.g, z) == a * accel.exp(self.h, c) % grp.p
+        if ok and memo is not None:
+            memo.add(check)
+        return ok
 
 
 def verify_batch(
     group: SchnorrGroup,
     items: Sequence[tuple[VerifyKey, object, Signature]],
+    memo: VerifiedMemo | None = None,
 ) -> bool:
     """Batch-verify ``(key, message, signature)`` triples in one multi-exp.
 
@@ -78,27 +160,44 @@ def verify_batch(
     Fiat-Shamir coefficients; soundness error 2^-64 (docs/PERFORMANCE.md).
     Verdict matches per-item :meth:`VerifyKey.verify` up to that error;
     callers fall back to per-item checks to pinpoint culprits.
+
+    A statement the whole batch signed should be passed as one
+    :class:`~repro.crypto.hashing.Encoded`: it is then encoded once,
+    not once per signer.  Checks the party's ``memo`` already passed
+    drop out of the batch (an empty remainder is accepted); the rest
+    are remembered only if the batch passes.
     """
-    if not items:
-        return True
     accel = accel_for(group)
     equations = []
     transcript: list[object] = [group.p, group.g]
+    checks: list[bytes] = []
     for key, message, signature in items:
         if key.group != group or not accel.is_member(key.h):
             return False
         if not _sig_well_formed(group, signature):
             return False
         a, z = signature.commit, signature.response
+        c = hash_to_exponent(group, "schnorr-sig", key.h, a, message)
+        if memo is not None:
+            check = _check_digest(group, key.h, a, z, c)
+            if check in memo:
+                continue
+            checks.append(check)
         if not accel.is_member(a):
             return False
-        c = hash_to_exponent(group, "schnorr-sig", key.h, a, message)
         equations.append((((group.g, z),), ((a, 1), (key.h, c))))
         transcript.extend((key.h, a, z, c))
+    if not equations:
+        return True
     coefficients = batch_coefficients("schnorr-batch", transcript, len(equations))
-    return verify_product_equations(
-        group.p, equations, coefficients, order=group.q
-    )
+    if not verify_product_equations(
+        group.p, equations, coefficients, order=group.q, accel=accel
+    ):
+        return False
+    if memo is not None:
+        for check in checks:
+            memo.add(check)
+    return True
 
 
 @dataclass(frozen=True)

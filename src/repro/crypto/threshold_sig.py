@@ -41,11 +41,11 @@ from functools import cached_property
 from typing import Callable, Iterable, Mapping, Protocol
 
 from .accel import batch_coefficients, verify_product_equations
-from .hashing import hash_to_int
+from .hashing import Encoded, encode, hash_to_int
 from .numtheory import egcd, modinv
 from .rsa import RsaModulus, choose_public_exponent, generate_rsa_modulus
 from .schnorr import Signature as SchnorrSignature
-from .schnorr import SigningKey, VerifyKey, verify_batch
+from .schnorr import SigningKey, VerifiedMemo, VerifyKey, verify_batch
 
 __all__ = [
     "ThresholdScheme",
@@ -380,15 +380,39 @@ class QuorumCertScheme:
     qualifier: Callable[[frozenset[int]], bool]
     tag: str = "quorum-cert"
 
-    def verify_share(self, message: object, share: tuple[int, SchnorrSignature]) -> bool:
-        party, signature = share
+    # Every check takes the verifying party's ``memo`` (see
+    # :class:`~repro.crypto.schnorr.VerifiedMemo`): a share accepted on
+    # arrival costs no arithmetic when the certificate is combined, nor
+    # does the certificate in each later message that carries it.
+
+    def _statement(self, message: object) -> Encoded:
+        """What shareholders sign, encoded once for all its signatures."""
+        return Encoded(encode((self.tag, message)))
+
+    def _share_ok(
+        self,
+        statement: Encoded,
+        party: int,
+        signature: SchnorrSignature,
+        memo: VerifiedMemo | None,
+    ) -> bool:
         key = self.verify_keys.get(party)
-        if key is None:
-            return False
-        return key.verify((self.tag, message), signature)
+        return key is not None and key.verify(statement, signature, memo)
+
+    def verify_share(
+        self,
+        message: object,
+        share: tuple[int, SchnorrSignature],
+        memo: VerifiedMemo | None = None,
+    ) -> bool:
+        party, signature = share
+        return self._share_ok(self._statement(message), party, signature, memo)
 
     def _batch_ok(
-        self, message: object, signatures: Mapping[int, SchnorrSignature]
+        self,
+        statement: Encoded,
+        signatures: Mapping[int, SchnorrSignature],
+        memo: VerifiedMemo | None,
     ) -> bool:
         """One multi-exp over all signatures (soundness error 2^-64)."""
         items = []
@@ -396,48 +420,62 @@ class QuorumCertScheme:
             key = self.verify_keys.get(party)
             if key is None:
                 return False
-            items.append((key, (self.tag, message), signature))
+            items.append((key, statement, signature))
         if not items:
             return True
-        return verify_batch(items[0][0].group, items)
+        return verify_batch(items[0][0].group, items, memo)
 
     def verify_shares(
-        self, message: object, shares: Mapping[int, SchnorrSignature]
+        self,
+        message: object,
+        shares: Mapping[int, SchnorrSignature],
+        memo: VerifiedMemo | None = None,
     ) -> dict[int, SchnorrSignature]:
         """Batch-verify signature shares; returns the valid ones by party.
 
         Falls back to per-share verification when the batch fails so
         culprits are pinpointed exactly (docs/PERFORMANCE.md).
         """
-        if self._batch_ok(message, shares):
+        statement = self._statement(message)
+        if self._batch_ok(statement, shares, memo):
             return dict(shares)
         return {
             party: signature
             for party, signature in shares.items()
-            if self.verify_share(message, (party, signature))
+            if self._share_ok(statement, party, signature, memo)
         }
 
     def combine(
-        self, message: object, shares: dict[int, SchnorrSignature]
+        self,
+        message: object,
+        shares: dict[int, SchnorrSignature],
+        memo: VerifiedMemo | None = None,
     ) -> QuorumCertificate:
         signers = frozenset(shares)
         if not self.qualifier(signers):
             raise ValueError(f"signers {sorted(signers)} do not form a qualified set")
-        if not self._batch_ok(message, shares):
+        statement = self._statement(message)
+        if not self._batch_ok(statement, shares, memo):
             for party, signature in sorted(shares.items()):
-                if not self.verify_share(message, (party, signature)):
+                if not self._share_ok(statement, party, signature, memo):
                     raise ValueError(f"invalid signature share from party {party}")
             # The batch rejected but every share verifies individually: a
             # 2^-64 soundness fluke; per-share verdicts are authoritative.
         return QuorumCertificate(signatures=dict(shares))
 
-    def verify(self, message: object, certificate: QuorumCertificate) -> bool:
+    def verify(
+        self,
+        message: object,
+        certificate: QuorumCertificate,
+        memo: VerifiedMemo | None = None,
+    ) -> bool:
         if not self.qualifier(certificate.signers):
             return False
-        if self._batch_ok(message, certificate.signatures):
+        statement = self._statement(message)
+        if self._batch_ok(statement, certificate.signatures, memo):
             return True
         return all(
-            self.verify_share(message, (party, signature))
+            self._share_ok(statement, party, signature, memo)
             for party, signature in certificate.signatures.items()
         )
 

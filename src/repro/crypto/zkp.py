@@ -162,7 +162,7 @@ def verify_dleq_batch(
         transcript.extend((g, h1, u, h2, a1, a2, z, c))
     coefficients = batch_coefficients("dleq-batch", transcript, len(equations))
     return verify_product_equations(
-        group.p, equations, coefficients, order=group.q
+        group.p, equations, coefficients, order=group.q, accel=accel
     )
 
 

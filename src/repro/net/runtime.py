@@ -1417,15 +1417,23 @@ class _ReplicaProcess:
 
     async def _drain(self) -> None:
         assert self.proc.stdout is not None
+        pending = b""
         while True:
             # Terminates on child exit (EOF), not on a deadline — the
             # drain must outlive any pause/partition the child is under.
-            raw = await self.proc.stdout.readline()  # repro: noqa-RL005 EOF-bounded pipe drain
-            if not raw:
+            # Chunks, not readline(): that raises once a line passes
+            # asyncio's 64 KiB limit (``replica-final … snapshot=`` of a
+            # large store), which would end the drain for good.
+            chunk = await self.proc.stdout.read(1 << 16)  # repro: noqa-RL005 EOF-bounded pipe drain
+            *complete, pending = (pending + chunk).split(b"\n")
+            if not chunk and pending:
+                complete.append(pending)  # unterminated last line
+            for raw in complete:
+                line = raw.decode(errors="replace").rstrip()
+                self.lines.append(line)
+                print(f"  [replica {self.party}] {line}", flush=True)
+            if not chunk:
                 return
-            line = raw.decode(errors="replace").rstrip()
-            self.lines.append(line)
-            print(f"  [replica {self.party}] {line}", flush=True)
 
     async def wait_for_line(self, needle: str, timeout: float | None = None) -> str:
         """Block until a captured stdout line contains ``needle``.

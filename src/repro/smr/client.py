@@ -17,6 +17,7 @@ import random
 from dataclasses import dataclass
 
 from ..crypto.dealer import PublicKeys
+from ..crypto.schnorr import VerifiedMemo
 from ..crypto.threshold_sig import QuorumCertScheme, ShoupRsaScheme
 from ..net.base import NetworkBackend
 from ..net.simulator import Node
@@ -75,6 +76,9 @@ class ServiceClient(Node):
         self._operations: dict[int, tuple] = {}
         self._replies: dict[int, dict[int, Reply]] = {}
         self.completed: dict[int, CompletedRequest] = {}
+        # Reply shares are checked on arrival; combining them into the
+        # service signature must not pay for each of them again.
+        self.verified = VerifiedMemo()
         self.resubmissions = 0
         self.duplicate_replies = 0
         self.epoch_refreshes = 0
@@ -323,7 +327,7 @@ class ServiceClient(Node):
     def _share_valid(self, statement: tuple, sender: int, share: object) -> bool:
         scheme = self.public.service_signature
         if isinstance(scheme, QuorumCertScheme):
-            return scheme.verify_share(statement, (sender, share))
+            return scheme.verify_share(statement, (sender, share), self.verified)
         if isinstance(scheme, ShoupRsaScheme):
             # RSA shareholders are indexed 1..n for 0-based party i.
             return scheme.verify_share(statement, share) and share.party == sender + 1
@@ -361,7 +365,7 @@ class ServiceClient(Node):
         try:
             if isinstance(scheme, QuorumCertScheme):
                 shares = {s: r.signature_share for s, r in group.items()}
-                return scheme.combine(statement, shares)
+                return scheme.combine(statement, shares, self.verified)
             if isinstance(scheme, ShoupRsaScheme):
                 shares = {s + 1: r.signature_share for s, r in group.items()}
                 if len(shares) < scheme.k:

@@ -2,8 +2,10 @@
 
 import random
 
+from repro.crypto import accel as accel_module
 from repro.crypto.accel import (
     FixedBaseTable,
+    GroupAccel,
     accel_for,
     batch_coefficients,
     multiexp,
@@ -102,3 +104,66 @@ def test_verify_product_equations_true_and_false():
     lhs, rhs = equations[0]
     broken = [(lhs, ((rhs[0][0] * g % p, 1), rhs[1])), equations[1]]
     assert not verify_product_equations(p, broken, coefficients, order=q)
+
+
+def test_verify_product_equations_through_tables_equals_table_less():
+    """Routing a batch through the group's tables changes its cost, not
+    its verdict: tabled bases, untabled bases and zero exponents."""
+    rng = random.Random(6)
+    p, q, g = GROUP.p, GROUP.q, GROUP.g
+    accel = GroupAccel(p, q, g)
+    tabled = GROUP.random_element(rng)
+    for _ in range(accel_module._TABLE_THRESHOLD):
+        accel.exp(tabled, rng.randrange(q))
+    assert tabled in accel._tables
+    for trial in range(40):
+        x = rng.randrange(1, q)
+        equations = []
+        for _ in range(rng.randrange(1, 5)):
+            # g^z = a · h^c over a tabled or an untabled key h, with the
+            # occasional zero challenge or zero response.
+            base = tabled if rng.randrange(2) else GROUP.random_element(rng)
+            h = pow(base, x, p)
+            r = rng.randrange(1, q)
+            c = rng.choice((0, rng.randrange(1, q)))
+            z = 0 if rng.randrange(8) == 0 else (r + c * x) % q
+            a = pow(base, (z - c * x) % q, p)
+            equations.append((((base, z),), ((a, 1), (h, c))))
+        if trial % 2:  # break one equation
+            lhs, rhs = equations[0]
+            equations[0] = (lhs, ((rhs[0][0] * g % p, 1), rhs[1]))
+        coefficients = [rng.getrandbits(64) or 1 for _ in equations]
+        plain = verify_product_equations(p, equations, coefficients, order=q)
+        assert plain == (trial % 2 == 0)
+        assert (
+            verify_product_equations(p, equations, coefficients, order=q, accel=accel)
+            == plain
+        )
+
+
+def test_table_budget_is_not_eaten_by_one_shot_bases():
+    """A base first seen after 200 transient ones — a joiner's verify
+    key after hundreds of coins — still gets its table, and the number
+    of tables never passes the budget."""
+    rng = random.Random(7)
+    accel = GroupAccel(GROUP.p, GROUP.q, GROUP.g)
+    for _ in range(200):
+        transient = GROUP.random_element(rng)
+        for _ in range(accel_module._TABLE_THRESHOLD):
+            accel.exp(transient, rng.randrange(GROUP.q))
+        assert len(accel._tables) <= accel_module._MAX_TABLES
+    late = GROUP.random_element(rng)
+    for _ in range(accel_module._TABLE_THRESHOLD + 3):
+        e = rng.randrange(GROUP.q)
+        assert accel.exp(late, e) == pow(late, e, GROUP.p)
+    assert late in accel._tables
+    assert GROUP.g in accel._tables  # the generator is never the victim
+    assert len(accel._tables) <= accel_module._MAX_TABLES
+    # Least recently *used*, not oldest: a table still in use survives a
+    # further budget's worth of transients.
+    for _ in range(accel_module._MAX_TABLES):
+        accel.exp(late, 5)
+        transient = GROUP.random_element(rng)
+        for _ in range(accel_module._TABLE_THRESHOLD):
+            accel.exp(transient, rng.randrange(GROUP.q))
+    assert late in accel._tables

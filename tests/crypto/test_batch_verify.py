@@ -21,9 +21,18 @@ from repro.adversary.attributes import (
 from repro.crypto.coin import deal_coin
 from repro.crypto.groups import small_group
 from repro.crypto.lsss import LsssScheme, threshold_scheme
-from repro.crypto.schnorr import keygen
+from repro.crypto import schnorr
+from repro.crypto.accel import GroupAccel
+from repro.crypto.hashing import Encoded, encode
+from repro.crypto.schnorr import VerifiedMemo, keygen, verify_batch
 from repro.crypto.threshold_enc import deal_encryption
-from repro.crypto.threshold_sig import deal_quorum_certs, deal_shoup_rsa
+from repro.crypto.threshold_sig import (
+    QuorumCertificate,
+    deal_quorum_certs,
+    deal_shoup_rsa,
+)
+from repro.smr.service import build_service
+from repro.smr.state_machine import KeyValueStore
 
 GROUP = small_group()
 
@@ -258,27 +267,115 @@ def test_cert_batch_rejects_single_forgery():
     assert public.verify(message, cert)
 
 
+def _random_cert_shares(rng, holders, message):
+    """Five signers; each share honest, commit-forged or response-forged."""
+    shares = {}
+    for party in rng.sample(sorted(holders), k=5):
+        sig = holders[party].sign_share(message, rng)
+        kind = rng.randrange(3)
+        if kind == 0:
+            sig = replace(sig, commit=GROUP.mul(sig.commit, GROUP.g))
+        elif kind == 1:
+            sig = replace(sig, response=(sig.response + 1) % GROUP.q)
+        shares[party] = sig
+    return shares
+
+
 def test_cert_batched_equals_unbatched_randomized():
+    """Share for share, with no memo, a cold one and a warm one."""
     rng = random.Random(131)
     keys = {party: keygen(rng, GROUP) for party in range(6)}
     public, holders = deal_quorum_certs(
         keys, qualifier=lambda signers: len(signers) >= 4
     )
-    for trial in range(3):
+    warm = VerifiedMemo()
+    for trial in range(6):
         message = ("stmt", 10 + trial)
-        shares = {}
-        for party in rng.sample(sorted(holders), k=5):
-            sig = holders[party].sign_share(message, rng)
-            kind = rng.randrange(3)
-            if kind == 0:
-                sig = replace(sig, commit=GROUP.mul(sig.commit, GROUP.g))
-            elif kind == 1:
-                sig = replace(sig, response=(sig.response + 1) % GROUP.q)
-            shares[party] = sig
-        batched = public.verify_shares(message, shares)
+        shares = _random_cert_shares(rng, holders, message)
         unbatched = {
             party: sig
             for party, sig in shares.items()
             if public.verify_share(message, (party, sig))
         }
-        assert batched == unbatched
+        assert public.verify_shares(message, shares) == unbatched
+        assert public.verify_shares(message, shares, VerifiedMemo()) == unbatched
+        # Warm: some of the honest shares were accepted on arrival, as
+        # in consistent broadcast; the verdict on the rest is unmoved.
+        for party in sorted(unbatched)[::2]:
+            assert public.verify_share(message, (party, shares[party]), warm)
+        assert public.verify_shares(message, shares, warm) == unbatched
+        assert public.verify_shares(message, shares, warm) == unbatched
+        assert {
+            party: sig
+            for party, sig in shares.items()
+            if public.verify_share(message, (party, sig), warm)
+        } == unbatched
+
+
+def test_cert_failing_batch_leaves_the_memo_unchanged():
+    rng = random.Random(132)
+    keys = {party: keygen(rng, GROUP) for party in range(5)}
+    public, holders = deal_quorum_certs(
+        keys, qualifier=lambda signers: len(signers) >= 3
+    )
+    message = ("stmt", 2)
+    shares = {party: holders[party].sign_share(message, rng) for party in range(4)}
+    forged = dict(shares)
+    forged[2] = replace(shares[2], response=(shares[2].response + 1) % GROUP.q)
+    memo = VerifiedMemo()
+    statement = Encoded(encode((public.tag, message)))
+    items = [(public.verify_keys[p], statement, forged[p]) for p in sorted(forged)]
+    assert not verify_batch(GROUP, items, memo)
+    assert len(memo) == 0  # not even the three honest ones
+    # The per-share fallback then remembers exactly the shares it accepts.
+    assert set(public.verify_shares(message, forged, memo)) == {0, 1, 3}
+    assert len(memo) == 3
+    # A certificate over accepted shares costs nothing more; one that
+    # smuggles the forgery in is still refused.
+    assert public.verify(message, public.combine(message, shares, memo), memo)
+    assert len(memo) == 4
+    with pytest.raises(ValueError):
+        public.combine(message, forged, memo)
+    assert not public.verify(message, QuorumCertificate(signatures=forged), memo)
+    assert len(memo) == 4
+
+
+def test_cert_fully_remembered_batch_is_accepted_without_arithmetic(monkeypatch):
+    rng = random.Random(133)
+    keys = {party: keygen(rng, GROUP) for party in range(4)}
+    public, holders = deal_quorum_certs(
+        keys, qualifier=lambda signers: len(signers) >= 3
+    )
+    message = ("stmt", 3)
+    shares = {party: holders[party].sign_share(message, rng) for party in range(3)}
+    memo = VerifiedMemo()
+    for party, sig in shares.items():
+        assert public.verify_share(message, (party, sig), memo)
+
+    def no_arithmetic(*args, **kwargs):
+        raise AssertionError("a remembered batch reached the multi-exp")
+
+    monkeypatch.setattr(schnorr, "verify_product_equations", no_arithmetic)
+    monkeypatch.setattr(GroupAccel, "exp", no_arithmetic)
+    certificate = public.combine(message, shares, memo)
+    assert public.verify(message, certificate, memo)
+    # Another party has accepted nothing yet and must do the work itself.
+    with pytest.raises(AssertionError):
+        public.verify(message, certificate, VerifiedMemo())
+
+
+def test_simulated_parties_do_not_share_a_memo():
+    """All simulator nodes live in one process: a process-wide memo
+    would let n replicas pay for one verification."""
+    service = build_service(4, KeyValueStore, t=1, seed=5)
+    client = service.new_client()
+    memos = [runtime.verified for runtime in service.runtimes.values()]
+    memos.append(client.verified)
+    assert len({id(memo) for memo in memos}) == len(memos)
+    service.network.start()
+    nonce = client.submit(("set", "k", 1))
+    service.run_until_complete(client, [nonce])
+    assert all(len(memo) > 0 for memo in memos)
+    # What one replica accepted, another has not necessarily seen: the
+    # reply shares went to the client alone.
+    assert not set(client.verified._accepted) & set(memos[0]._accepted)

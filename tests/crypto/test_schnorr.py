@@ -5,8 +5,11 @@ from dataclasses import replace
 
 import pytest
 
-from repro.crypto.groups import small_group
-from repro.crypto.schnorr import Signature, keygen
+from repro.crypto import schnorr
+from repro.crypto.accel import GroupAccel
+from repro.crypto.groups import default_group, small_group
+from repro.crypto.hashing import Encoded, encode
+from repro.crypto.schnorr import Signature, VerifiedMemo, keygen
 
 
 @pytest.fixture()
@@ -61,3 +64,98 @@ def test_distinct_keys_distinct_verify_keys():
     rng = random.Random(11)
     keys = [keygen(rng, small_group()) for _ in range(10)]
     assert len({k.verify_key.h for k in keys}) == 10
+
+
+# -- byte-identical signatures -----------------------------------------------------
+
+
+def test_signature_bytes_are_pinned():
+    """Encoding a statement once instead of once per hash block must not
+    move a single bit of a challenge: same key, same rng, same signature
+    as before the change (no wire-version bump)."""
+    rng = random.Random(1301)
+    key = keygen(rng, default_group())
+    statement = ("abc-proposal", ("abc", ("service", 0)), 7, b"\x01" * 32)
+    sig = key.sign(statement, rng)
+    assert sig == Signature(
+        commit=36815777889025203329841255896585578427567717299268137751799234813404853034097,
+        response=38300919194853819161125974585245155428083298768029805527787021755650756746914,
+    )
+    assert key.verify_key.verify(statement, sig)
+    # A pre-encoded statement hashes to the same challenge.
+    assert key.verify_key.verify(Encoded(encode(statement)), sig)
+    assert key.sign(Encoded(encode(statement)), random.Random(5)) == key.sign(
+        statement, random.Random(5)
+    )
+
+
+# -- the verified memo -------------------------------------------------------------
+
+
+class _CountingAccel:
+    """Counts the exponentiations a verification performs."""
+
+    def __init__(self, monkeypatch):
+        self.exps = 0
+        inner = GroupAccel.exp
+
+        def counting(accel, base, exponent):
+            self.exps += 1
+            return inner(accel, base, exponent)
+
+        monkeypatch.setattr(GroupAccel, "exp", counting)
+
+
+def test_memo_skips_arithmetic_only_for_the_accepted_signature(key, monkeypatch):
+    counter = _CountingAccel(monkeypatch)
+    memo = VerifiedMemo()
+    sig = key.sign("msg", random.Random(12))
+    forged = replace(sig, response=(sig.response + 1) % key.group.q)
+    other_sig = key.sign("msg", random.Random(13))
+    other_key = keygen(random.Random(14), small_group()).verify_key
+
+    # Rejected before the genuine signature is known ...
+    assert not key.verify_key.verify("msg", forged, memo)
+    assert len(memo) == 0  # failures are never remembered
+    assert key.verify_key.verify("msg", sig, memo)
+    assert len(memo) == 1
+    # ... and after: the memo binds key, statement, commit and response.
+    assert not key.verify_key.verify("msg", forged, memo)
+    assert not key.verify_key.verify(
+        "msg", replace(sig, commit=key.group.mul(sig.commit, key.group.g)), memo
+    )
+    assert not key.verify_key.verify("other", sig, memo)
+    assert not other_key.verify("msg", sig, memo)
+    assert len(memo) == 1
+
+    before = counter.exps
+    assert key.verify_key.verify("msg", sig, memo)  # the accepted one: free
+    assert counter.exps == before
+    assert key.verify_key.verify("msg", other_sig, memo)  # a fresh one: paid
+    assert counter.exps == before + 2
+    assert key.verify_key.verify("msg", sig)  # no memo: paid
+    assert counter.exps == before + 4
+
+
+def test_memo_is_bounded_and_forgets_the_oldest(key):
+    memo = VerifiedMemo()
+    rng = random.Random(15)
+    signed = [(i, key.sign(i, rng)) for i in range(schnorr._MEMO_ENTRIES + 10)]
+    for message, sig in signed:
+        assert key.verify_key.verify(message, sig, memo)
+        assert len(memo) <= schnorr._MEMO_ENTRIES
+    assert len(memo) == schnorr._MEMO_ENTRIES
+    assert all(len(check) == 32 for check in memo._accepted)
+    # Forgetting costs a re-verification, never a wrong verdict.
+    message, sig = signed[0]
+    assert key.verify_key.verify(message, sig, memo)
+    assert not key.verify_key.verify(message + 1, sig, memo)
+
+
+def test_malformed_values_rejected_with_a_memo(key):
+    memo = VerifiedMemo()
+    grp = key.group
+    assert not key.verify_key.verify("msg", Signature(commit=0, response=5), memo)
+    assert not key.verify_key.verify("msg", Signature(commit=5, response=grp.q), memo)
+    assert not key.verify_key.verify("msg", "junk", memo)
+    assert len(memo) == 0
