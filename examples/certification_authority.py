@@ -83,9 +83,11 @@ def main() -> None:
     assert results[n_new_style].result[0] == "certificate"
 
     # 4. Revocation and status lookup.
+    # The lookup is submitted only once the revocation completed: atomic
+    # broadcast orders concurrent requests any way it likes.
     n_rev = admin.revoke(cert.serial, "key compromise")
-    n_look = alice.lookup("alice")
     results = deployment.run_until_complete(admin.client, [n_rev])
+    n_look = alice.lookup("alice")
     results.update(deployment.run_until_complete(alice.client, [n_look]))
     print("revocation             ->", results[n_rev].result)
     print("status after revocation->", results[n_look].result)

@@ -52,9 +52,12 @@ def main() -> None:
 
     directory = DirectoryClient(deployment.new_client())
     deployment.network.start()
+    # The resolve is submitted only once the bind completed: atomic
+    # broadcast orders concurrent requests any way it likes.
     n1 = directory.bind("hr/payroll", "db7.internal")
+    results = deployment.run_until_complete(directory.client, [n1])
     n2 = directory.resolve("hr/payroll")
-    results = deployment.run_until_complete(directory.client, [n1, n2])
+    results.update(deployment.run_until_complete(directory.client, [n2]))
     print("bind    ->", results[n1].result)
     print("resolve ->", results[n2].result)
     assert results[n2].result[2] == "db7.internal"

@@ -2,6 +2,7 @@
 # Full static + dynamic check gate, as run by CI.
 #
 #   scripts/check.sh          # repro lint (JSON) + ruff + mypy + pytest
+#                             # + bench/chaos/sweep smokes
 #   scripts/check.sh --fast   # skip pytest
 #
 # ruff and mypy are optional-dependency tools (pip install -e '.[lint]');
@@ -147,6 +148,22 @@ EOF
             --e2e-fresh /tmp/repro-bench-e2e-smoke.json; then
         echo "bench guard: FAILED (perf regression vs committed artifacts)"
         failures=$((failures + 1))
+    fi
+
+    step "benchmark harness (bench/tests + bench/run.py --quick, BENCHMARK.json)"
+    # bench/ wraps src/ from the outside (bench/trace.py rebinds
+    # TransportNetwork.send, Network.send and wire.dumps by signature),
+    # so a src/ change can break it without failing a tier-1 test.
+    if ! python -m pytest bench/tests -q; then
+        echo "bench tests: FAILED"
+        failures=$((failures + 1))
+    fi
+    if ! python3 bench/run.py --quick > /tmp/repro-bench-quick.log 2>&1; then
+        tail -40 /tmp/repro-bench-quick.log
+        echo "bench quick: FAILED (a workload was incorrect, or the tracer's wrappers broke)"
+        failures=$((failures + 1))
+    else
+        echo "bench quick: ok ($(grep -c ' samples ' /tmp/repro-bench-quick.log) workloads, traced)"
     fi
 
     step "chaos smoke (seeded fault injection, docs/CHAOS.md)"

@@ -50,6 +50,7 @@ from .threshold_sig import (
 
 __all__ = [
     "CLIENT_BASE",
+    "is_server",
     "PublicKeys",
     "PartyKeys",
     "SystemKeys",
@@ -61,6 +62,14 @@ __all__ = [
 # dealer provisions channel keys for client ids at deal time so a real
 # transport can authenticate client connections too.
 CLIENT_BASE = 1000
+
+
+def is_server(party: int) -> bool:
+    """Whether ``party`` is a member of the server group rather than a
+    client outside it (Section 2: clients talk to the group by request
+    and signed reply; they take no part in its protocols).  The one
+    place an id is compared with :data:`CLIENT_BASE`."""
+    return party < CLIENT_BASE
 
 
 @dataclass(frozen=True)

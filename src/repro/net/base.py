@@ -34,5 +34,14 @@ class NetworkBackend(Protocol):
         ...
 
     def broadcast(self, sender: int, payload: object) -> None:
-        """Send to every known party, including the sender itself."""
+        """Send to every known *server*, including the sender itself.
+
+        The paper's broadcasts are "to all servers": the recipients are
+        the members of :attr:`parties` for which
+        :func:`repro.crypto.dealer.is_server` holds — the servers this
+        backend knows of (a joiner once admitted, a leaver until
+        forgotten), never ``range(n)``.  A client is outside the group:
+        it is reached by ``send`` alone and receives only what a server
+        addresses to it.  Each recipient costs one ``send``.
+        """
         ...

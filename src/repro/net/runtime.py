@@ -42,7 +42,7 @@ from ..core.atomic_broadcast import AbcConfig
 from ..core.protocol import Context, SessionId
 from ..core.runtime import ProtocolRuntime
 from ..crypto import dkg, keystore
-from ..crypto.dealer import CLIENT_BASE, deal_channel_keys, deal_system
+from ..crypto.dealer import CLIENT_BASE, deal_channel_keys, deal_system, is_server
 from ..crypto.groups import SchnorrGroup, small_group
 from ..crypto.hashing import hash_bytes
 from ..crypto.lsss import threshold_scheme
@@ -1152,8 +1152,9 @@ class ReplicaHost:
         self._reshare_stalled = False
         # Members the missed epochs retired: drop their channels and
         # addresses so a later add may reuse the id with a clean slate.
+        # The clients in the address book are not members: they stay.
         for member in sorted(self.network.addresses):
-            if member >= new_public.n and member != self.party:
+            if is_server(member) and member >= new_public.n:
                 self.network.forget_peer(member)
         self.runtime.instances.pop(old_session, None)
         self.runtime.spawn(old_session, EpochTombstone(info))

@@ -27,6 +27,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable
 
+from ..crypto.dealer import is_server
 from .tracing import Trace
 
 __all__ = ["Envelope", "Node", "Network", "LivenessError"]
@@ -107,14 +108,16 @@ class Network:
         self.trace.record_send(sender, recipient, payload)
 
     def broadcast(self, sender: int, payload: object) -> None:
-        """Send to every attached party, including the sender itself.
+        """Send to every attached server, including the sender itself
+        (clients are outside the group: see ``NetworkBackend.broadcast``).
 
         Self-delivery goes through the pool too: a party's own message
         is just another asynchronous event (keeps protocols honest about
         not assuming instantaneous local delivery).
         """
         for recipient in self.parties:
-            self.send(sender, recipient, payload)
+            if is_server(recipient):
+                self.send(sender, recipient, payload)
 
     # -- fault injection -----------------------------------------------------
 

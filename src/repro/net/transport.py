@@ -24,6 +24,10 @@ scheduler; this module realizes them as real sockets:
   and the receiver deduplicates by (incarnation, sequence).  Together
   this gives the asynchronous model's eventual-delivery guarantee
   between honest, live parties without ever duplicating a delivery.
+* **Batches.**  A message costs a share of one write, one read and one
+  ack: the sender writes every frame queued for a peer at once, the
+  receiver takes every complete frame out of each chunk it reads and
+  then acknowledges the last of them.
 
 :class:`TransportNetwork` exposes the same ``attach``/``send``/
 ``broadcast``/``trace`` surface as the simulator's ``Network``
@@ -39,15 +43,16 @@ simulator.
 from __future__ import annotations
 
 import asyncio
-import hashlib
 import hmac
 import os
 import random
 import traceback
 from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable
 
+from ..crypto.dealer import is_server
 from . import wire
 from .simulator import Node
 from .tracing import Trace
@@ -145,7 +150,8 @@ class FaultPlan:
 # reflection) and replays across restarts land in a different
 # incarnation namespace.  Acks are cumulative ("I have delivered every
 # frame of your incarnation up to seq") and flow back on the same
-# connection the data arrived on.
+# connection the data arrived on: at least one per chunk the receiver
+# reads, after the last data frame in it — not one per frame.
 
 _KIND_HELLO = 0x01
 _KIND_DATA = 0x02
@@ -163,6 +169,9 @@ MAX_FRAME_BODY = _DATA_OVERHEAD + wire._MAX_LENGTH
 _BACKOFF_MIN = 0.05
 _BACKOFF_MAX = 2.0
 _PENDING_LIMIT = 65536
+# One socket read, and the most a batch of frames buffers before it is
+# written out (asyncio's own high-water mark for a stream).
+_CHUNK = 1 << 16
 
 
 def _tag(
@@ -180,7 +189,7 @@ def _tag(
             payload,
         )
     )
-    return hmac.new(key, material, hashlib.sha256).digest()
+    return hmac.digest(key, material, "sha256")
 
 
 def encode_hello(key: bytes, sender: int, recipient: int, incarnation: int) -> bytes:
@@ -275,6 +284,46 @@ def decode_ack(body: bytes, key: bytes, sender: int, recipient: int) -> tuple[in
     return incarnation, seq
 
 
+# -- frames off a stream -------------------------------------------------------------
+
+
+class _FrameReader:
+    """Length-prefixed frame bodies off a stream, a chunk at a time.
+
+    The length bound is checked on the header, before the body is
+    awaited: a peer can make us hold one frame of at most
+    ``MAX_FRAME_BODY`` bytes plus the chunk it ends in, never more.
+    """
+
+    def __init__(self, reader: asyncio.StreamReader) -> None:
+        self._reader = reader
+        self._buffer = bytearray()
+
+    async def read_frames(self) -> list[bytes]:
+        """Read until a frame is complete; return every complete frame
+        buffered by then, in order."""
+        buffer = self._buffer
+        frames: list[bytes] = []
+        while True:
+            offset = 0
+            while len(buffer) - offset >= 4:
+                length = int.from_bytes(buffer[offset : offset + 4], "big")
+                if length == 0 or length > MAX_FRAME_BODY:
+                    raise TransportError("frame length out of bounds")
+                end = offset + 4 + length
+                if end > len(buffer):
+                    break
+                frames.append(bytes(buffer[offset + 4 : end]))
+                offset = end
+            del buffer[:offset]
+            if frames:
+                return frames
+            chunk = await self._reader.read(_CHUNK)
+            if not chunk:
+                raise asyncio.IncompleteReadError(bytes(buffer), None)
+            buffer += chunk
+
+
 # -- per-peer outbound channel ------------------------------------------------------
 
 
@@ -296,6 +345,10 @@ class _PeerChannel:
     capped exponential backoff plus jitter, and every still-unacked
     frame is retransmitted in order; the receiver's sequence check
     discards any frame that did survive the broken connection.
+
+    ``pending`` is contiguous in sequence number — a number is assigned
+    only to a frame that is queued, and acks pop from the front — so
+    the frame with number ``seq`` sits at index ``seq - pending[0][0]``.
     """
 
     def __init__(self, net: "TransportNetwork", peer: int) -> None:
@@ -308,10 +361,18 @@ class _PeerChannel:
         task.add_done_callback(net._on_task_done)
         self._task = task
 
-    def enqueue(self, seq: int, frame: bytes) -> None:
+    def enqueue(self, payload: bytes) -> None:
+        """Sequence and frame one encoded payload."""
+        net = self.net
         if len(self.pending) >= _PENDING_LIMIT:
-            self.net.trace.bump("transport.dropped")
+            net.trace.bump("transport.dropped")
             return
+        seq = self.next_seq + 1
+        frame = encode_data(
+            net.channel_keys[self.peer], net.party, self.peer,
+            net.incarnation, seq, payload,
+        )
+        self.next_seq = seq
         self.pending.append((seq, frame))
         self._wake.set()
 
@@ -363,9 +424,11 @@ class _PeerChannel:
 
         ``written`` tracks the highest sequence sent on *this*
         connection; a fresh connection starts at 0 and therefore
-        retransmits the whole unacked backlog.
+        retransmits the whole unacked backlog.  Each turn takes every
+        frame queued beyond it as one batch.
         """
         written = 0
+        pending = self.pending
         while True:
             if self.net._closed:
                 return
@@ -374,64 +437,80 @@ class _PeerChannel:
                 # surface its verdict and let _run reconnect.
                 exc = ack_task.exception()
                 raise exc if exc is not None else ConnectionResetError()
-            frame = self._next_after(written)
-            if frame is None:
+            # An ack may cover frames an earlier connection delivered
+            # and this one never wrote: then the front is already past
+            # ``written`` and everything queued is still to write.
+            start = max(0, written + 1 - pending[0][0]) if pending else 0
+            if start >= len(pending):
                 self._wake.clear()
-                if self._next_after(written) is not None:
-                    continue  # raced with an enqueue before clear()
                 await self._wake.wait()
                 continue
-            seq, data = frame
-            written = await self._write_frame(writer, seq, data, written)
+            written = await self._write_batch(
+                writer, list(islice(pending, start, None))
+            )
 
-    async def _write_frame(
-        self, writer: asyncio.StreamWriter, seq: int, data: bytes, written: int
+    async def _write_batch(
+        self, writer: asyncio.StreamWriter, frames: list[tuple[int, bytes]]
     ) -> int:
-        """Write one frame, applying the chaos plan's frame fault (if any).
+        """Write ``frames`` with one ``write`` and one ``drain``; returns
+        the last sequence number written.
 
-        Loss and corruption are realized as connection resets so the
-        reconnect path retransmits the unacked backlog — a frame that
-        was simply skipped would be permanently jumped over by the
-        receiver's cumulative ack.
+        The chaos plan is consulted for each frame, in order, as if each
+        were written alone.  Loss and corruption are realized as
+        connection resets so the reconnect path retransmits the unacked
+        backlog — a frame that was simply skipped would be permanently
+        jumped over by the receiver's cumulative ack.  The frames ahead
+        of the faulted one still go out; the rest wait for the redial.
         """
-        if not self.net.faults.link_up(self.net.party, self.peer):
-            # A partition severing a *live* connection mid-stream.
-            self.net.trace.bump("chaos.partitioned")
-            raise ConnectionResetError("chaos: link severed")
-        fault = self.net.faults.frame_fault(self.net.party, self.peer)
-        if fault.delay > 0:
-            await asyncio.sleep(fault.delay)
-        if fault.action == "reset":
-            self.net.trace.bump("chaos.resets")
-            raise ConnectionResetError("chaos: frame dropped, connection reset")
-        if fault.action == "corrupt":
-            # Flip one payload byte: the receiver's HMAC check MUST
-            # reject the frame and drop the connection; we reset our
-            # side immediately and retransmit the intact frame.
-            corrupted = bytearray(data)
-            corrupted[-1] ^= 0x01
-            writer.write(bytes(corrupted))
-            await writer.drain()
-            self.net.trace.bump("chaos.corruptions")
-            raise ConnectionResetError("chaos: frame corrupted")
-        writer.write(data)
-        if fault.action == "duplicate":
-            self.net.trace.bump("chaos.duplicated")
-            writer.write(data)
+        net = self.net
+        faults = net.faults
+        chunks: list[bytes] = []
+        buffered = 0
+        try:
+            for _, data in frames:
+                if not faults.link_up(net.party, self.peer):
+                    # A partition severing a *live* connection mid-stream.
+                    net.trace.bump("chaos.partitioned")
+                    raise ConnectionResetError("chaos: link severed")
+                fault = faults.frame_fault(net.party, self.peer)
+                if fault.delay > 0:
+                    writer.writelines(chunks)
+                    chunks.clear()
+                    buffered = 0
+                    await asyncio.sleep(fault.delay)
+                if fault.action == "reset":
+                    net.trace.bump("chaos.resets")
+                    raise ConnectionResetError(
+                        "chaos: frame dropped, connection reset"
+                    )
+                if fault.action == "corrupt":
+                    # Flip one payload byte: the receiver's HMAC check
+                    # MUST reject the frame and drop the connection; we
+                    # reset our side immediately and retransmit the
+                    # intact frame.
+                    corrupted = bytearray(data)
+                    corrupted[-1] ^= 0x01
+                    chunks.append(bytes(corrupted))
+                    net.trace.bump("chaos.corruptions")
+                    raise ConnectionResetError("chaos: frame corrupted")
+                chunks.append(data)
+                if fault.action == "duplicate":
+                    net.trace.bump("chaos.duplicated")
+                    chunks.append(data)
+                buffered += len(data)
+                if buffered >= _CHUNK:
+                    # Bound what a long backlog copies into the socket
+                    # buffer at once.
+                    writer.writelines(chunks)
+                    chunks.clear()
+                    buffered = 0
+                    await writer.drain()
+        finally:
+            # Closing the writer flushes what is buffered, so this also
+            # delivers the frames a fault cut the batch short behind.
+            writer.writelines(chunks)
         await writer.drain()
-        return seq
-
-    def _next_after(self, written: int) -> tuple[int, bytes] | None:
-        """The oldest unacked frame not yet written on this connection.
-
-        Acked frames are popped from the front, so the deque is sorted
-        by sequence number and the scan skips only the written-but-
-        unacked prefix.
-        """
-        for entry in self.pending:
-            if entry[0] > written:
-                return entry
-        return None
+        return frames[-1][0]
 
     def _on_ack_done(self, task: asyncio.Task) -> None:
         if not task.cancelled():
@@ -440,16 +519,17 @@ class _PeerChannel:
 
     async def _read_acks(self, reader: asyncio.StreamReader) -> None:
         """Prune the unacked queue as the receiver's cumulative acks
-        arrive; the ack also wakes the pump so it can notice progress."""
+        arrive."""
         key = self.net.channel_keys[self.peer]
+        pending = self.pending
+        frames = _FrameReader(reader)
         while True:
-            body = await self.net._read_frame(reader)
-            incarnation, seq = decode_ack(body, key, self.peer, self.net.party)
-            if incarnation != self.net.incarnation:
-                continue  # ack for a previous life of this process
-            while self.pending and self.pending[0][0] <= seq:
-                self.pending.popleft()
-            self._wake.set()
+            for body in await frames.read_frames():
+                incarnation, seq = decode_ack(body, key, self.peer, self.net.party)
+                if incarnation != self.net.incarnation:
+                    continue  # ack for a previous life of this process
+                while pending and pending[0][0] <= seq:
+                    pending.popleft()
 
 
 # -- the network -------------------------------------------------------------------
@@ -496,6 +576,8 @@ class TransportNetwork:
         self._tasks: set[asyncio.Task] = set()
         self._closed = False
         self._delivery_event = asyncio.Event()
+        # The last payload encoded and its bytes: see _encode.
+        self._encoded: tuple[object, bytes] | None = None
 
     # -- topology ----------------------------------------------------------
 
@@ -594,15 +676,15 @@ class TransportNetwork:
                 self.trace.bump("transport.departed_drops")
                 return
             raise ValueError(f"unknown recipient {recipient}")
-        try:
-            encoded = wire.dumps(payload)
-        except wire.WireError as exc:
-            raise TransportError(f"unencodable payload: {exc}") from exc
+        encoded = self._encode(payload)
         self.trace.record_send(sender, recipient, payload, encoded=encoded)
         if recipient == self.party:
             # Self-delivery is still asynchronous (never inline), exactly
-            # like the simulator's self-messages through the pool.
-            asyncio.get_running_loop().call_soon(self._deliver_local, encoded)
+            # like the simulator's self-messages through the pool — and,
+            # like there, it hands over the object that was sent.
+            asyncio.get_running_loop().call_soon(
+                self._dispatch, self.party, payload
+            )
             return
         if self.channel_keys.get(recipient) is None:
             raise TransportError(f"no channel key for party {recipient}")
@@ -619,25 +701,42 @@ class TransportNetwork:
             return
         self._enqueue_payload(recipient, encoded)
 
+    def _encode(self, payload: object) -> bytes:
+        """``wire.dumps``, once per payload object however many peers it
+        goes to: a broadcast, and a client's fan-out of one request to n
+        servers, ``send`` the same object n times in a row.
+
+        The memo is one slot keyed on identity; it holds the payload so
+        the identity cannot be reused.  Payloads are values — tuples of
+        frozen dataclasses that the simulator, too, hands to n parties
+        as one object — and are not mutated once sent.
+        """
+        memo = self._encoded
+        if memo is not None and memo[0] is payload:
+            return memo[1]
+        try:
+            encoded = wire.dumps(payload)
+        except wire.WireError as exc:
+            raise TransportError(f"unencodable payload: {exc}") from exc
+        self._encoded = (payload, encoded)
+        return encoded
+
     def _enqueue_payload(self, recipient: int, encoded: bytes) -> None:
-        """Sequence and frame one encoded payload for a remote peer."""
+        """Hand one encoded payload to the recipient's outbound channel."""
         if self._closed:
             return
-        key = self.channel_keys[recipient]
         channel = self._channels.get(recipient)
         if channel is None:
             channel = _PeerChannel(self, recipient)
             self._channels[recipient] = channel
-        channel.next_seq += 1
-        frame = encode_data(
-            key, self.party, recipient, self.incarnation, channel.next_seq, encoded
-        )
-        channel.enqueue(channel.next_seq, frame)
+        channel.enqueue(encoded)
 
     def broadcast(self, sender: int, payload: object) -> None:
-        """Send to every known party, including the local one."""
+        """Send to every known server, including the local one (clients
+        are outside the group: see ``NetworkBackend.broadcast``)."""
         for recipient in self.parties:
-            self.send(sender, recipient, payload)
+            if is_server(recipient):
+                self.send(sender, recipient, payload)
 
     def _hello_frame(self, peer: int) -> bytes:
         return encode_hello(
@@ -653,6 +752,9 @@ class TransportNetwork:
             self._handle_connection(reader, writer)
         )
         task.add_done_callback(self._on_task_done)
+        # Closed here and not in the coroutine's ``finally``: a task
+        # cancelled before its first step never enters its body.
+        task.add_done_callback(lambda _: writer.close())
         self._tasks.add(task)
 
     async def _handle_connection(
@@ -664,11 +766,11 @@ class TransportNetwork:
         an undecodable payload — drops the connection on the spot; the
         honest peer's sender task will redial and retransmit.
         """
-        peer = None
         try:
-            body = await self._read_frame(reader)
+            frames = _FrameReader(reader)
+            batch = await frames.read_frames()
             peer, incarnation = decode_hello(
-                body, self.party, self.channel_keys.get
+                batch.pop(0), self.party, self.channel_keys.get
             )
             inbound = self._inbound.get(peer)
             if inbound is None or inbound.incarnation != incarnation:
@@ -676,59 +778,46 @@ class TransportNetwork:
                 inbound = _InboundChannel(incarnation=incarnation)
                 self._inbound[peer] = inbound
             while True:
-                body = await self._read_frame(reader)
-                if self._inbound.get(peer) is not inbound:
-                    # A newer connection from a restarted peer replaced
-                    # this channel while we were suspended in the read;
-                    # updating the orphaned object would silently drop
-                    # its replay bookkeeping.  Drop the old connection.
-                    raise ConnectionResetError("superseded inbound channel")
-                if self._closed:
-                    return
-                if not self.faults.link_up(peer, self.party):
-                    # Partition enforced on the receive side too, so a
-                    # cut holds even when only one endpoint has a plan.
-                    self.trace.bump("chaos.partitioned")
-                    raise ConnectionResetError("chaos: link severed")
-                incarnation, seq, payload_bytes = decode_data(
-                    body, self.channel_keys[peer], peer, self.party
-                )
-                if incarnation != inbound.incarnation:
-                    raise TransportError("stale incarnation")
-                if seq > inbound.last_seq:
-                    inbound.last_seq = seq
-                    payload = wire.loads(payload_bytes)
-                    self._dispatch(peer, payload)
-                else:
-                    self.trace.bump("transport.duplicates")
-                # Cumulative ack (sent even for duplicates: the sender
-                # only retransmitted because an earlier ack was lost).
-                writer.write(encode_ack(
-                    self.channel_keys[peer], self.party, peer,
-                    inbound.incarnation, inbound.last_seq,
-                ))
-                await writer.drain()
+                for body in batch:
+                    if self._inbound.get(peer) is not inbound:
+                        # A newer connection from a restarted peer
+                        # replaced this channel while we were suspended
+                        # in the read; updating the orphaned object
+                        # would silently drop its replay bookkeeping.
+                        # Drop the old connection.
+                        raise ConnectionResetError("superseded inbound channel")
+                    if self._closed:
+                        return
+                    if not self.faults.link_up(peer, self.party):
+                        # Partition enforced on the receive side too, so a
+                        # cut holds even when only one endpoint has a plan.
+                        self.trace.bump("chaos.partitioned")
+                        raise ConnectionResetError("chaos: link severed")
+                    incarnation, seq, payload_bytes = decode_data(
+                        body, self.channel_keys[peer], peer, self.party
+                    )
+                    if incarnation != inbound.incarnation:
+                        raise TransportError("stale incarnation")
+                    if seq > inbound.last_seq:
+                        inbound.last_seq = seq
+                        payload = wire.loads(payload_bytes)
+                        self._dispatch(peer, payload)
+                    else:
+                        self.trace.bump("transport.duplicates")
+                if batch:
+                    # One cumulative ack for the chunk (sent even when
+                    # every frame in it was a duplicate: the sender only
+                    # retransmitted because an earlier ack was lost).
+                    writer.write(encode_ack(
+                        self.channel_keys[peer], self.party, peer,
+                        inbound.incarnation, inbound.last_seq,
+                    ))
+                    await writer.drain()
+                batch = await frames.read_frames()
         except (TransportError, wire.WireError):
             self.trace.bump("transport.rejected")
         except (ConnectionError, OSError, asyncio.IncompleteReadError):
             self.trace.bump("transport.disconnects")
-        finally:
-            writer.close()
-
-    async def _read_frame(self, reader: asyncio.StreamReader) -> bytes:
-        header = await reader.readexactly(4)
-        length = int.from_bytes(header, "big")
-        if length == 0 or length > MAX_FRAME_BODY:
-            raise TransportError("frame length out of bounds")
-        return await reader.readexactly(length)
-
-    def _deliver_local(self, encoded: bytes) -> None:
-        try:
-            payload = wire.loads(encoded)
-        except wire.WireError:
-            self.trace.bump("transport.rejected")
-            return
-        self._dispatch(self.party, payload)
 
     def _dispatch(self, sender: int, payload: object) -> None:
         if self._closed or self.node is None:

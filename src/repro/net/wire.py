@@ -20,7 +20,8 @@ malformed or unregistered input raises at decode time.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable
+import struct
+from typing import Any, Callable
 
 __all__ = ["WireError", "register", "registered_types", "dumps", "loads"]
 
@@ -32,7 +33,19 @@ class WireError(ValueError):
     """Malformed, oversized, or unregistered wire data."""
 
 
-_REGISTRY: dict[str, type] = {}
+_length = struct.Struct(">I")
+_pack_length = _length.pack
+_unpack_length = _length.unpack_from
+_N, _T, _F, _I, _S, _B, _L, _E, _D, _C = b"NTFISBLEDC"
+
+# Registration compiles a codec per class.  The encoder finds a writer
+# by the value's exact type (the built-ins' writers are added below); a
+# dataclass's writer holds the bytes that open it (tag, name, field
+# count) and the attributes to walk.  The decoder finds the class, and
+# the field count it must read, by the raw name bytes.
+_Writer = Callable[[bytearray, Any, int], None]
+_WRITERS: dict[type, _Writer] = {}
+_BY_NAME: dict[bytes, tuple[type, int]] = {}
 _LOADED = False
 
 
@@ -40,16 +53,27 @@ def register(cls: type) -> type:
     """Register a (frozen) dataclass for wire transport."""
     if not dataclasses.is_dataclass(cls):
         raise TypeError(f"{cls.__name__} is not a dataclass")
-    name = cls.__name__
-    if _REGISTRY.get(name, cls) is not cls:
-        raise WireError(f"duplicate wire registration for {name}")
-    _REGISTRY[name] = cls
+    name = cls.__name__.encode("ascii")
+    if _BY_NAME.get(name, (cls,))[0] is not cls:
+        raise WireError(f"duplicate wire registration for {cls.__name__}")
+    attributes = tuple(field.name for field in dataclasses.fields(cls))
+    header = (
+        b"C" + _pack_length(len(name)) + name + _pack_length(len(attributes))
+    )
+
+    def write(out: bytearray, value: object, depth: int) -> None:
+        out += header
+        for attribute in attributes:
+            _write(out, getattr(value, attribute), depth)
+
+    _WRITERS[cls] = write
+    _BY_NAME[name] = (cls, len(attributes))
     return cls
 
 
 def registered_types() -> dict[str, type]:
     _ensure_registry()
-    return dict(_REGISTRY)
+    return {name.decode("ascii"): cls for name, (cls, _) in _BY_NAME.items()}
 
 
 def _ensure_registry() -> None:
@@ -142,68 +166,117 @@ def _ensure_registry() -> None:
 # ---------------------------------------------------------------------------
 # Encoding
 # ---------------------------------------------------------------------------
+#
+# value     = tag(1) || body
+# N T F     = no body
+# I S B     = length(4, big-endian) || decimal ASCII / UTF-8 / raw bytes
+# L         = count(4) || value*
+# E D       = count(4) || encoded members (key||value for D), sorted
+# C         = length(4) || class name || field count(4) || value*
 
 
 def dumps(value: object) -> bytes:
     """Encode a payload into canonical wire bytes."""
     _ensure_registry()
     out = bytearray()
-    _write(out, value, depth=0)
+    _write(out, value, 0)
     return bytes(out)
 
 
 def _write(out: bytearray, value: object, depth: int) -> None:
     if depth > _MAX_DEPTH:
         raise WireError("value too deeply nested")
-    if value is None:
-        out += b"N"
-    elif value is True:
-        out += b"T"
-    elif value is False:
-        out += b"F"
-    elif isinstance(value, int):
-        body = str(value).encode("ascii")
-        out += b"I" + len(body).to_bytes(4, "big") + body
-    elif isinstance(value, str):
-        body = value.encode("utf-8")
-        out += b"S" + len(body).to_bytes(4, "big") + body
-    elif isinstance(value, bytes):
-        out += b"B" + len(value).to_bytes(4, "big") + value
-    elif isinstance(value, tuple):
-        out += b"L" + len(value).to_bytes(4, "big")
-        for item in value:
-            _write(out, item, depth + 1)
-    elif isinstance(value, frozenset):
-        encoded = sorted(dumps_fragment(item, depth + 1) for item in value)
-        out += b"E" + len(encoded).to_bytes(4, "big")
-        for fragment in encoded:
-            out += fragment
-    elif isinstance(value, dict):
-        encoded = sorted(
-            dumps_fragment(key, depth + 1) + dumps_fragment(val, depth + 1)
-            for key, val in value.items()
-        )
-        out += b"D" + len(encoded).to_bytes(4, "big")
-        for fragment in encoded:
-            out += fragment
-    elif dataclasses.is_dataclass(value) and not isinstance(value, type):
-        name = type(value).__name__
-        if _REGISTRY.get(name) is not type(value):
-            raise WireError(f"unregistered dataclass {name}")
-        body = name.encode("ascii")
-        out += b"C" + len(body).to_bytes(4, "big") + body
-        fields = dataclasses.fields(value)
-        out += len(fields).to_bytes(4, "big")
-        for field in fields:
-            _write(out, getattr(value, field.name), depth + 1)
-    else:
-        raise WireError(f"cannot encode {type(value).__name__}")
+    writer = _WRITERS.get(type(value))
+    if writer is None:
+        writer = _inherited_writer(value)
+    writer(out, value, depth + 1)
 
 
-def dumps_fragment(value: object, depth: int) -> bytes:
+def _inherited_writer(value: object) -> _Writer:
+    """A subclass is written as the built-in it extends
+    (``hashing.Encoded`` is ``bytes``); nothing else has a writer."""
+    for base in _BUILTINS:
+        if isinstance(value, base):
+            return _WRITERS[base]
+    kind = type(value).__name__
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        raise WireError(f"unregistered dataclass {kind}")
+    raise WireError(f"cannot encode {kind}")
+
+
+def _write_none(out: bytearray, value: None, depth: int) -> None:
+    out += b"N"
+
+
+def _write_bool(out: bytearray, value: bool, depth: int) -> None:
+    out += b"T" if value else b"F"
+
+
+def _write_int(out: bytearray, value: int, depth: int) -> None:
+    body = b"%d" % value
+    out += b"I"
+    out += _pack_length(len(body))
+    out += body
+
+
+def _write_str(out: bytearray, value: str, depth: int) -> None:
+    body = value.encode("utf-8")
+    out += b"S"
+    out += _pack_length(len(body))
+    out += body
+
+
+def _write_bytes(out: bytearray, value: bytes, depth: int) -> None:
+    out += b"B"
+    out += _pack_length(len(value))
+    out += value
+
+
+def _write_tuple(out: bytearray, value: tuple, depth: int) -> None:
+    out += b"L"
+    out += _pack_length(len(value))
+    for item in value:
+        _write(out, item, depth)
+
+
+def _fragment(value: object, depth: int) -> bytes:
+    """One member of a set or dict, encoded apart so members can sort."""
     fragment = bytearray()
     _write(fragment, value, depth)
     return bytes(fragment)
+
+
+def _write_frozenset(out: bytearray, value: frozenset, depth: int) -> None:
+    members = sorted(_fragment(item, depth) for item in value)
+    out += b"E"
+    out += _pack_length(len(members))
+    out += b"".join(members)
+
+
+def _write_dict(out: bytearray, value: dict, depth: int) -> None:
+    members = sorted(
+        _fragment(key, depth) + _fragment(val, depth) for key, val in value.items()
+    )
+    out += b"D"
+    out += _pack_length(len(members))
+    out += b"".join(members)
+
+
+# In the order a subclass is matched against them; ``bool`` cannot be
+# subclassed and is found by exact type before ``int`` is tried.
+_BUILTINS = (int, str, bytes, tuple, frozenset, dict)
+_WRITERS.update(
+    {
+        type(None): _write_none,
+        bool: _write_bool,
+        int: _write_int,
+        str: _write_str,
+        bytes: _write_bytes,
+        tuple: _write_tuple,
+        frozenset: _write_frozenset,
+        dict: _write_dict,
+    }
+)
 
 
 # ---------------------------------------------------------------------------
@@ -214,102 +287,95 @@ def dumps_fragment(value: object, depth: int) -> bytes:
 def loads(data: bytes) -> object:
     """Decode wire bytes; raises :class:`WireError` on any malformation."""
     _ensure_registry()
-    value, offset = _read(data, 0, depth=0)
+    value, offset = _read(bytes(data), 0, 0)
     if offset != len(data):
         raise WireError("trailing bytes")
     return value
 
 
-def _read_length(data: bytes, offset: int) -> tuple[int, int]:
-    if offset + 4 > len(data):
-        raise WireError("truncated length")
-    length = int.from_bytes(data[offset : offset + 4], "big")
-    if length > _MAX_LENGTH:
-        raise WireError("length bound exceeded")
-    return length, offset + 4
-
-
 def _read(data: bytes, offset: int, depth: int) -> tuple[object, int]:
     if depth > _MAX_DEPTH:
         raise WireError("wire data too deeply nested")
-    if offset >= len(data):
-        raise WireError("truncated")
-    tag = data[offset : offset + 1]
+    try:
+        tag = data[offset]
+    except IndexError:
+        raise WireError("truncated") from None
     offset += 1
-    if tag == b"N":
+    if tag == _N:
         return None, offset
-    if tag == b"T":
+    if tag == _T:
         return True, offset
-    if tag == b"F":
+    if tag == _F:
         return False, offset
-    if tag in (b"I", b"S", b"B"):
-        length, offset = _read_length(data, offset)
-        if offset + length > len(data):
+    # Every other tag is followed by a 4-byte length or count.
+    try:
+        (length,) = _unpack_length(data, offset)
+    except struct.error:
+        raise WireError("truncated length") from None
+    if length > _MAX_LENGTH:
+        raise WireError("length bound exceeded")
+    offset += 4
+    if tag == _I or tag == _S or tag == _B:
+        end = offset + length
+        if end > len(data):
             raise WireError("truncated body")
-        body = data[offset : offset + length]
-        offset += length
-        if tag == b"B":
-            return bytes(body), offset
+        body = data[offset:end]
+        if tag == _B:
+            return body, end
         try:
-            text = body.decode("utf-8" if tag == b"S" else "ascii")
+            if tag == _S:
+                return body.decode("utf-8"), end
+            return int(body), end
         except UnicodeDecodeError as exc:
             raise WireError("bad text encoding") from exc
-        if tag == b"S":
-            return text, offset
-        try:
-            return int(text), offset
         except ValueError as exc:
             raise WireError("bad integer") from exc
-    if tag == b"L":
-        length, offset = _read_length(data, offset)
+    if tag == _L or tag == _E:
         items = []
+        depth += 1
         for _ in range(length):
-            item, offset = _read(data, offset, depth + 1)
+            item, offset = _read(data, offset, depth)
             items.append(item)
-        return tuple(items), offset
-    if tag == b"E":
-        length, offset = _read_length(data, offset)
-        items = []
-        for _ in range(length):
-            item, offset = _read(data, offset, depth + 1)
-            items.append(item)
+        if tag == _L:
+            return tuple(items), offset
         try:
             return frozenset(items), offset
         except TypeError as exc:
             raise WireError("unhashable frozenset member") from exc
-    if tag == b"D":
-        length, offset = _read_length(data, offset)
+    if tag == _D:
         out: dict = {}
+        depth += 1
         for _ in range(length):
-            key, offset = _read(data, offset, depth + 1)
-            val, offset = _read(data, offset, depth + 1)
+            key, offset = _read(data, offset, depth)
+            val, offset = _read(data, offset, depth)
             try:
                 out[key] = val
             except TypeError as exc:
                 raise WireError("unhashable dict key") from exc
         return out, offset
-    if tag == b"C":
-        length, offset = _read_length(data, offset)
-        if offset + length > len(data):
+    if tag == _C:
+        end = offset + length
+        if end > len(data):
             raise WireError("truncated class name")
-        try:
-            name = data[offset : offset + length].decode("ascii")
-        except UnicodeDecodeError as exc:
-            raise WireError("bad class name") from exc
-        offset += length
-        cls = _REGISTRY.get(name)
-        if cls is None:
+        name = data[offset:end]
+        entry = _BY_NAME.get(name)
+        if entry is None:
             raise WireError(f"unknown wire type {name!r}")
-        count, offset = _read_length(data, offset)
-        expected = dataclasses.fields(cls)
-        if count != len(expected):
-            raise WireError(f"field count mismatch for {name}")
+        cls, expected = entry
+        try:
+            (count,) = _unpack_length(data, end)
+        except struct.error:
+            raise WireError("truncated length") from None
+        if count != expected:
+            raise WireError(f"field count mismatch for {cls.__name__}")
+        offset = end + 4
         values = []
+        depth += 1
         for _ in range(count):
-            value, offset = _read(data, offset, depth + 1)
+            value, offset = _read(data, offset, depth)
             values.append(value)
         try:
             return cls(*values), offset
         except (TypeError, ValueError) as exc:
-            raise WireError(f"cannot reconstruct {name}") from exc
-    raise WireError(f"unknown tag {tag!r}")
+            raise WireError(f"cannot reconstruct {cls.__name__}") from exc
+    raise WireError(f"unknown tag {bytes((tag,))!r}")

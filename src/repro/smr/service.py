@@ -13,7 +13,7 @@ from typing import Callable
 
 from ..adversary.formulas import Formula
 from ..adversary.structures import AdversaryStructure
-from ..crypto.dealer import SystemKeys, deal_system
+from ..crypto.dealer import CLIENT_BASE, SystemKeys, deal_system
 from ..crypto.groups import SchnorrGroup, small_group
 from ..net.adversary import CorruptionController
 from ..net.scheduler import RandomScheduler, Scheduler
@@ -25,8 +25,6 @@ from .replica import Replica, service_session
 from .state_machine import StateMachine
 
 __all__ = ["ServiceDeployment", "build_service"]
-
-_CLIENT_BASE = 1000
 
 
 @dataclass
@@ -48,7 +46,7 @@ class ServiceDeployment:
 
     def new_client(self) -> ServiceClient:
         """Attach a fresh client to the network."""
-        client_id = _CLIENT_BASE + len(self.clients)
+        client_id = CLIENT_BASE + len(self.clients)
         client = ServiceClient(
             client_id,
             self.network,

@@ -405,3 +405,40 @@ def test_back_to_back_refreshes_converge(tmp_path):
                 await host.close()
 
     asyncio.run(scenario())
+
+
+# -- a rescued replica keeps its clients --------------------------------------------
+
+
+def test_stale_adoption_keeps_the_clients(tmp_path):
+    """Adopting a missed epoch forgets the servers it retired, not the
+    clients, which are no members and have ids above every ``n``: the
+    rescued replica must still be able to answer them."""
+    from repro.smr.state_machine import Reply
+
+    async def scenario():
+        _deployment(tmp_path)
+        host = ReplicaHost(tmp_path, 0)
+        await host.start()
+        try:
+            network = host.network
+            client_key = network.channel_keys[CLIENT_BASE]
+            # A server the missed epoch retired is in the address book
+            # too: it goes, the client stays.
+            network.admit_peer(4, ("127.0.0.1", 45004), bytes(32))
+            host._adopt_stale(1, host.public)
+            assert host.epoch == 1
+            assert 4 not in network.addresses
+            assert network.addresses[CLIENT_BASE]
+            assert network.channel_keys[CLIENT_BASE] == client_key
+            reply = Reply(
+                replica=0, client=CLIENT_BASE, nonce=1, result=("ok", 1),
+                signature_share=None,
+            )
+            network.send(0, CLIENT_BASE, (("service", 1), reply))
+            assert not network.trace.counters.get("transport.departed_drops")
+            assert len(network._channels[CLIENT_BASE].pending) == 1
+        finally:
+            await host.close()
+
+    asyncio.run(scenario())

@@ -670,3 +670,280 @@ def test_superseded_inbound_connection_is_dropped():
             await _close_all(nets)
 
     asyncio.run(scenario())
+
+
+# -- the message path: one encoding, frames and acks in batches ----------------------
+
+
+def _count_calls(monkeypatch, module, name):
+    """Count the calls of ``module.name`` (looked up per call, as the
+    transport does)."""
+    calls = []
+    original = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_broadcast_encodes_once_and_counts_per_recipient(monkeypatch):
+    """n recipients cost one ``wire.dumps``; ``sent`` and ``bytes_sent``
+    still count every recipient, and the sender's own copy is the object
+    it sent, delivered on a later turn of the loop."""
+
+    async def scenario():
+        nets, nodes = await _start_nets([0, 1, 2, 3])
+        nets[0].trace.enable_byte_accounting()
+        dumps = _count_calls(monkeypatch, wire, "dumps")
+        payload = (("session", 1), ("value", b"x" * 40))
+        try:
+            nets[0].broadcast(0, payload)
+            assert len(dumps) == 1
+            assert nodes[0].received == []  # never inline
+            assert nets[0].trace.sent == 4
+            assert nets[0].trace.bytes_sent == 4 * len(wire.dumps(payload))
+            for party in range(4):
+                await nets[party].wait_until(
+                    lambda p=party: nodes[p].received == [(0, payload)], timeout=15
+                )
+            assert nodes[0].received[0][1] is payload
+            assert nets[0].trace.delivered == 1
+            # A different object is a different encoding, equal or not.
+            del dumps[:]
+            twin = (payload[0], payload[1])
+            assert twin == payload and twin is not payload
+            nets[0].broadcast(0, twin)
+            nets[0].broadcast(0, payload)
+            assert len(dumps) == 2
+        finally:
+            await _close_all(nets)
+
+    asyncio.run(scenario())
+
+
+def test_unencodable_broadcast_raises_at_the_sender():
+    async def scenario():
+        nets, nodes = await _start_nets([0, 1])
+        try:
+            with pytest.raises(TransportError):
+                nets[0].broadcast(0, ("session", object()))
+            with pytest.raises(TransportError):
+                nets[0].send(0, 0, [1, 2])  # the local copy is encoded too
+            await asyncio.sleep(0.05)
+            assert nodes[0].received == [] and nodes[1].received == []
+        finally:
+            await _close_all(nets)
+
+    asyncio.run(scenario())
+
+
+def test_client_fanout_encodes_once(monkeypatch):
+    """``ServiceClient.submit`` sends one payload object to n servers."""
+    keys = deal_system(4, random.Random(77), t=1, clients=1, group=small_group())
+
+    async def scenario():
+        parties = [0, 1, 2, 3, CLIENT_BASE]
+        nets, nodes = await _start_nets(parties)
+        client = ServiceClient(
+            CLIENT_BASE, nets[CLIENT_BASE], keys.public, random.Random(5)
+        )
+        dumps = _count_calls(monkeypatch, wire, "dumps")
+        try:
+            client.submit(("set", "k", 1))
+            assert len(dumps) == 1
+            assert nets[CLIENT_BASE].trace.sent == 4
+            for party in range(4):
+                await nets[party].wait_until(
+                    lambda p=party: len(nodes[p].received) == 1, timeout=15
+                )
+            assert len({repr(nodes[p].received) for p in range(4)}) == 1
+        finally:
+            await _close_all(nets)
+
+    asyncio.run(scenario())
+
+
+def test_broadcast_addresses_the_known_servers_only():
+    """Clients are outside the group; a joiner is reached once admitted
+    and a leaver no longer once forgotten."""
+
+    async def scenario():
+        parties = [0, 1, 2, 3, 4, CLIENT_BASE]
+        nets, nodes = await _start_nets(parties)
+        joiner_address = nets[0].addresses.pop(4)
+        joiner_key = nets[0].channel_keys.pop(4)
+        try:
+            nets[0].broadcast(0, "epoch-0")
+            assert nets[0].trace.sent == 4
+            nets[0].admit_peer(4, joiner_address, joiner_key)
+            nets[0].broadcast(0, "epoch-1")
+            assert nets[0].trace.sent == 4 + 5
+            await nets[4].wait_until(
+                lambda: nodes[4].received == [(0, "epoch-1")], timeout=15
+            )
+            nets[0].forget_peer(1)
+            nets[0].broadcast(0, "epoch-2")
+            assert nets[0].trace.sent == 4 + 5 + 4
+            await nets[4].wait_until(
+                lambda: len(nodes[4].received) == 2, timeout=15
+            )
+            assert [p for _, p in nodes[1].received] == ["epoch-0", "epoch-1"]
+            assert nodes[CLIENT_BASE].received == []
+            assert CLIENT_BASE in nets[0].parties  # ``parties`` means all
+            # A client is still reached by ``send``.
+            nets[0].send(0, CLIENT_BASE, "reply")
+            await nets[CLIENT_BASE].wait_until(
+                lambda: nodes[CLIENT_BASE].received == [(0, "reply")], timeout=15
+            )
+        finally:
+            await _close_all(nets)
+
+    asyncio.run(scenario())
+
+
+def test_back_to_back_frames_share_writes_and_acks(monkeypatch):
+    """N frames queued in one turn arrive exactly once, in order, and
+    cost far fewer than N acks; the sender's queue still drains."""
+    from repro.net import transport
+
+    count = 200
+
+    async def scenario():
+        nets, nodes = await _start_nets([0, 1])
+        acks = _count_calls(monkeypatch, transport, "encode_ack")
+        try:
+            for i in range(count):
+                nets[0].send(0, 1, ("msg", i))
+            await nets[1].wait_until(
+                lambda: len(nodes[1].received) == count, timeout=15
+            )
+            assert nodes[1].received == [(0, ("msg", i)) for i in range(count)]
+            await _until(lambda: not nets[0]._channels[1].pending)
+            assert 1 <= len(acks) < count // 4
+            # The acks are cumulative and the last one covers the lot.
+            assert acks[-1][-1] == count
+            assert not nets[1].trace.counters.get("transport.duplicates")
+        finally:
+            await _close_all(nets)
+
+    asyncio.run(scenario())
+
+
+class _ScriptedPlan(SeededFaultPlan):
+    """A seeded plan that records each decision it hands out."""
+
+    def __init__(self, spec, seed):
+        super().__init__(spec, seed)
+        self.decisions: list[str] = []
+
+    def frame_fault(self, sender, recipient):
+        fault = super().frame_fault(sender, recipient)
+        self.decisions.append(fault.action)
+        return fault
+
+
+def test_frame_faults_are_sampled_once_per_frame_in_order():
+    """Batching writes does not batch the chaos plan: every data frame
+    draws one decision from the link's stream, in sequence order."""
+    count = 60
+    spec = FaultSpec(duplicate_rate=0.3)
+
+    async def scenario():
+        nets, nodes = await _start_nets([0, 1])
+        plan = _ScriptedPlan(spec, seed=21)
+        nets[0].faults = plan
+        try:
+            for i in range(count):
+                nets[0].send(0, 1, ("msg", i))
+            await nets[1].wait_until(
+                lambda: len(nodes[1].received) == count, timeout=15
+            )
+            await _until(lambda: not nets[0]._channels[1].pending)
+            twin = SeededFaultPlan(spec, seed=21)
+            expected = [twin.frame_fault(0, 1).action for _ in range(count)]
+            assert plan.decisions == expected
+            duplicated = expected.count("duplicate")
+            assert duplicated > 0
+            assert nets[0].trace.counters["chaos.duplicated"] == duplicated
+            await _until(
+                lambda: nets[1].trace.counters.get("transport.duplicates", 0)
+                == duplicated
+            )
+            assert nodes[1].received == [(0, ("msg", i)) for i in range(count)]
+        finally:
+            await _close_all(nets)
+
+    asyncio.run(scenario())
+
+
+@pytest.mark.parametrize("action", ["reset", "corrupt"])
+def test_fault_mid_batch_leaves_the_rest_to_retransmission(action):
+    """A reset or a corrupted frame in the middle of a batch: the frames
+    ahead of it went out, the rest are retransmitted on the redial, and
+    nothing is delivered twice or out of order."""
+    from repro.net.transport import FaultPlan, FrameFault
+
+    count, faulted = 40, 17
+
+    class OneFault(FaultPlan):
+        def __init__(self):
+            self.sampled = 0
+
+        def frame_fault(self, sender, recipient):
+            self.sampled += 1
+            return FrameFault(action if self.sampled == faulted else "pass")
+
+    async def scenario():
+        nets, nodes = await _start_nets([0, 1])
+        plan = OneFault()
+        nets[0].faults = plan
+        try:
+            for i in range(count):
+                nets[0].send(0, 1, ("msg", i))
+            await nets[1].wait_until(
+                lambda: len(nodes[1].received) == count, timeout=20
+            )
+            await _until(lambda: not nets[0]._channels[1].pending)
+            assert nodes[1].received == [(0, ("msg", i)) for i in range(count)]
+            assert nets[0].trace.counters["transport.reconnects"] >= 1
+            # Frames behind the fault were sampled again when rewritten.
+            assert plan.sampled > count
+            counter = {"reset": "chaos.resets", "corrupt": "chaos.corruptions"}
+            assert nets[0].trace.counters[counter[action]] == 1
+            assert not nets[0].errors and not nets[1].errors
+        finally:
+            await _close_all(nets)
+
+    asyncio.run(scenario())
+
+
+def test_frames_split_across_reads_are_reassembled():
+    """A frame is taken whole however the stream is chunked: byte by
+    byte, and with the next frame's header riding in the same chunk."""
+
+    async def scenario():
+        nets, nodes = await _start_nets([0, 1])
+        try:
+            key = nets[1].channel_keys[0]
+            stream = encode_hello(key, 1, 0, incarnation=7) + b"".join(
+                encode_data(key, 1, 0, 7, seq, wire.dumps(("part", seq)))
+                for seq in (1, 2, 3)
+            )
+            reader, writer = await _raw_connect(nets[0])
+            for cut in (1, 2, 3, 50, 51, 90, 200, len(stream) - 1):
+                writer.write(stream[:cut])
+                stream = stream[cut:]
+                await writer.drain()
+                await asyncio.sleep(0.01)
+            writer.write(stream)
+            await writer.drain()
+            await _until(lambda: len(nodes[0].received) == 3)
+            assert nodes[0].received == [(1, ("part", seq)) for seq in (1, 2, 3)]
+            writer.close()
+        finally:
+            await _close_all(nets)
+
+    asyncio.run(scenario())
