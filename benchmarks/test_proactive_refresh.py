@@ -2,40 +2,21 @@
 
 The paper's first extension: reshare key material between epochs so
 that everything a mobile adversary captured in past epochs becomes
-useless.  Measured: refresh cost per epoch across n, and the security
-property itself — after a refresh, the union of (t old shares + t new
-shares) still reveals nothing, while t+1 new shares reconstruct.
+useless.  Measured on the path the live system takes for an ordered
+``refresh`` — a dealerless key generation followed by verifiable
+resharing sessions onto the same membership, on the simulator — across
+n: three epochs each, the shared key invariant, every subshare rotating
+every epoch, and t old subshares + one new one missing the key while
+t+1 new ones open it.
 """
-
-import random
 
 from conftest import emit
 
-from repro.crypto.groups import small_group
-from repro.crypto.proactive import (
-    apply_refresh,
-    deal_zero_sharing,
-    verify_zero_sharing,
-)
-from repro.crypto.shamir import Share, lagrange_coefficients, reconstruct, share_secret
+from tests.crypto.test_dkg import _run_dkg, _spawn_reshare
+from tests.crypto.test_proactive import _opens_key
+from tests.helpers import run_until_outputs
 
-GROUP = small_group()
-
-
-def _epoch(n, t, shares, rng):
-    """One proactive epoch: t+1 parties deal zero-sharings; all verify
-    and apply.  Returns the refreshed shares."""
-    updates = [deal_zero_sharing(GROUP, n, t, dealer=d, rng=rng) for d in range(t + 1)]
-    for update in updates:
-        for point in range(1, n + 1):
-            assert verify_zero_sharing(GROUP, update, point)
-    return [apply_refresh(GROUP, s, updates) for s in shares]
-
-
-def _stale_mix_useless(secret, old, new, t):
-    """Interpolating t old + (t+1 - t) new shares misses the secret."""
-    mixed = old[:t] + new[t : t + 1]
-    return reconstruct(mixed, GROUP.q) != secret
+EPOCHS = 3
 
 
 def test_proactive_refresh(benchmark):
@@ -43,33 +24,41 @@ def test_proactive_refresh(benchmark):
 
     def run():
         rows.clear()
-        rng = random.Random(60)
         for n, t in ((4, 1), (7, 2), (16, 5)):
-            secret = rng.randrange(GROUP.q)
-            shares, _ = share_secret(secret, n, t, GROUP.q, rng)
-            epochs = 3
-            current = shares
-            history = [shares]
-            for _ in range(epochs):
-                current = _epoch(n, t, current, rng)
-                history.append(current)
-            # Secret invariant across epochs.
-            assert reconstruct(current[: t + 1], GROUP.q) == secret
+            members = list(range(n))
+            scheme, quorum, network, runtimes, session = _run_dkg(n, t, seed=60)
+            history = [
+                run_until_outputs(network, runtimes, session, max_steps=3_000_000)
+            ]
+            for epoch in range(EPOCHS):
+                network, runtimes, session, _ = _spawn_reshare(
+                    scheme, history[-1], quorum, scheme, quorum, members,
+                    61 + epoch, members,
+                )
+                history.append(
+                    run_until_outputs(network, runtimes, session, max_steps=3_000_000)
+                )
+            first, last = history[0], history[-1]
+            assert last[0].encryption_h == first[0].encryption_h
+            # Secret invariant across epochs: t+1 final subshares open it.
+            assert _opens_key(scheme, last, members[: t + 1])
             # Every share changed every epoch.
             changed = all(
-                a.value != b.value
+                after[p].enc_subshares[slot] != value
                 for before, after in zip(history, history[1:])
-                for a, b in zip(before, after)
+                for p in members
+                for slot, value in before[p].enc_subshares.items()
             )
-            # Mobile adversary: t shares from epoch 0 plus one from the
+            # Mobile adversary: t subshares from epoch 0 plus one from the
             # final epoch do not reconstruct.
-            stale = _stale_mix_useless(secret, history[0], current, t)
-            rows.append((n, t, epochs, changed, stale))
+            stale = {p: first[p] for p in members[:t]}
+            mixed_opens = _opens_key(scheme, last, members[: t + 1], stale=stale)
+            rows.append((n, t, EPOCHS, changed, not mixed_opens))
         return rows
 
     benchmark.pedantic(run, rounds=1, iterations=1)
     emit(
-        "Proactive refresh (Section 6): epochs of verifiable zero-resharing",
+        "Proactive refresh (Section 6): epochs of verifiable resharing",
         [f"{'n':>3} {'t':>3} {'epochs':>7} {'shares rotate':>14} "
          f"{'stale mix useless':>18}"]
         + [

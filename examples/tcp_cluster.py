@@ -22,16 +22,8 @@ import pathlib
 import random
 import tempfile
 
-from repro.crypto import deal_system, keystore, small_group
-from repro.crypto.dealer import CLIENT_BASE
-from repro.net.runtime import (
-    CLUSTER_FILE,
-    ClusterConfig,
-    ReplicaHost,
-    allocate_addresses,
-)
-from repro.net.transport import TransportNetwork
-from repro.smr.client import ServiceClient
+from repro.net.cluster import attach_client, deal_deployment
+from repro.net.runtime import ReplicaHost
 
 
 async def submit(net, client, operation):
@@ -47,10 +39,7 @@ async def submit(net, client, operation):
 
 async def main_async(directory) -> None:
     print("dealing keys for n=4, t=1 plus one client identity")
-    keys = deal_system(4, random.Random(42), t=1, clients=1, group=small_group())
-    keystore.write_deployment(keys, directory)
-    addresses = allocate_addresses(list(range(4)) + [CLIENT_BASE])
-    ClusterConfig(addresses).save(directory / CLUSTER_FILE)
+    deal_deployment(directory, 4, 1, random.Random(42))
 
     hosts = {party: ReplicaHost(directory, party) for party in range(4)}
     for host in hosts.values():
@@ -58,13 +47,9 @@ async def main_async(directory) -> None:
     print("4 replicas listening:",
           ", ".join(f"{p}@:{hosts[p].network.listen_address[1]}" for p in hosts))
 
-    public = keystore.load_public(directory / "public.json")
-    cid, channel_keys = keystore.load_client(directory / f"client-{CLIENT_BASE}.json")
-    net = TransportNetwork(cid, addresses, channel_keys)
-    client = ServiceClient(cid, net, public, random.Random(7))
-    net.attach(cid, client)
+    client = await attach_client(directory, random.Random(7))
+    net = client.network
     net.trace.enable_byte_accounting()
-    await net.start()
     try:
         print("writes with the full cluster:")
         assert await submit(net, client, ("set", "alpha", 1)) == ("ok", 1)

@@ -127,26 +127,10 @@ if [ "${1:-}" != "--fast" ]; then
         echo "bench smoke: ok"
     fi
 
-    step "bench e2e smoke (TCP cluster throughput wiring, docs/PERFORMANCE.md)"
-    if ! python -m repro bench e2e --smoke \
-            --out /tmp/repro-bench-e2e-smoke.json > /dev/null; then
-        echo "bench e2e smoke: FAILED (zero committed throughput?)"
-        failures=$((failures + 1))
-    else
-        python - <<'EOF'
-import json
-report = json.load(open("/tmp/repro-bench-e2e-smoke.json"))
-print(f"bench e2e smoke: ok "
-      f"(baseline {report['baseline']['committed_ops_per_s']:.1f} ops/s, "
-      f"batched {report['batched']['committed_ops_per_s']:.1f} ops/s)")
-EOF
-    fi
-
-    step "bench regression guard (fresh smoke vs committed artifacts)"
+    step "bench regression guard (fresh smoke vs committed BENCH_crypto.json)"
     if ! python -m repro bench guard \
-            --crypto-fresh /tmp/repro-bench-smoke.json \
-            --e2e-fresh /tmp/repro-bench-e2e-smoke.json; then
-        echo "bench guard: FAILED (perf regression vs committed artifacts)"
+            --crypto-fresh /tmp/repro-bench-smoke.json; then
+        echo "bench guard: FAILED (perf regression vs committed artifact)"
         failures=$((failures + 1))
     fi
 

@@ -1,8 +1,8 @@
 """RL005 — async hygiene in protocol handlers and the TCP transport.
 
 Five failure modes (``core/``, ``smr/``, and the asyncio transport
-modules ``net/transport.py`` / ``net/runtime.py`` / ``net/chaos.py`` /
-``net/checkers.py``):
+modules ``net/transport.py`` / ``net/runtime.py`` / ``net/cluster.py`` /
+``net/chaos.py`` / ``net/checkers.py``):
 
 1. **Un-awaited coroutines.**  A bare statement ``self.flush(ctx)``
    where ``flush`` is an ``async def`` creates a coroutine object and
@@ -33,7 +33,8 @@ modules ``net/transport.py`` / ``net/runtime.py`` / ``net/chaos.py`` /
    be flushed and backpressure is lost.
 
 5. **Unbounded waits in the chaos orchestration layer**
-   (``net/runtime.py`` / ``net/chaos.py`` only).  The chaos engine's
+   (``net/runtime.py`` / ``net/cluster.py`` / ``net/chaos.py`` only).
+   The chaos engine's
    whole purpose is to create the conditions — partitions, SIGSTOPped
    peers, crashed processes — under which a bare
    ``await reader.readline()`` / ``await event.wait()`` /
@@ -92,7 +93,7 @@ _UNBOUNDED_READ_CALLS = {
 # Where mode 5 applies: the chaos orchestration layer.  The transport
 # itself (net/transport.py) is deliberately excluded — its reader loops
 # are bounded by connection lifetime, which the chaos plan controls.
-_UNBOUNDED_READ_SCOPE = ("net/runtime.py", "net/chaos.py")
+_UNBOUNDED_READ_SCOPE = ("net/runtime.py", "net/cluster.py", "net/chaos.py")
 
 
 def _async_def_names(tree: ast.Module) -> set[str]:
@@ -183,6 +184,7 @@ class AsyncHygieneRule(Rule):
         "smr/",
         "net/transport.py",
         "net/runtime.py",
+        "net/cluster.py",
         "net/chaos.py",
         "net/checkers.py",
     )

@@ -392,250 +392,6 @@ def _bench_dkg(n: int, t: int, seed: int, repeats: int) -> dict:
     }
 
 
-# -- end-to-end replicated-service throughput (``bench e2e``) --------------------
-#
-# Spins up a real n=4 TCP cluster (the same replica subprocesses the
-# chaos engine drives) and measures committed client operations per
-# second under open-loop load, twice: once with batching and pipelining
-# disabled (max_batch=1, pipeline_depth=1 — the pre-batching protocol)
-# and once with them on.  The tracked artifact is BENCH_e2e.json.
-
-
-def _percentile(sorted_values: list[float], fraction: float) -> float:
-    if not sorted_values:
-        return 0.0
-    index = min(len(sorted_values) - 1, int(fraction * (len(sorted_values) - 1)))
-    return sorted_values[index]
-
-
-async def _e2e_cluster_run(
-    label: str,
-    workdir: "pathlib.Path",
-    seed: int,
-    n: int,
-    t: int,
-    num_clients: int,
-    ops_total: int,
-    window: int,
-    abc_max_batch: int,
-    abc_pipeline_depth: int,
-    deadline_s: float,
-) -> dict:
-    """One measured run against a fresh TCP cluster; returns the stats."""
-    import asyncio
-
-    from .crypto import keystore
-    from .crypto.dealer import CLIENT_BASE, deal_system
-    from .crypto.groups import small_group
-    from .net.runtime import (
-        CLUSTER_FILE,
-        ClusterConfig,
-        _spawn_replica,
-        allocate_addresses,
-    )
-    from .net.transport import TransportNetwork
-    from .smr.client import ServiceClient
-
-    rng = random.Random(seed)
-    keys = deal_system(n, rng, t=t, clients=num_clients, group=small_group())
-    keystore.write_deployment(keys, workdir)
-    client_ids = [CLIENT_BASE + c for c in range(num_clients)]
-    addresses = allocate_addresses(list(range(n)) + client_ids)
-    ClusterConfig(
-        addresses,
-        abc_max_batch=abc_max_batch,
-        abc_pipeline_depth=abc_pipeline_depth,
-    ).save(workdir / CLUSTER_FILE)
-
-    print(
-        f"bench e2e[{label}]: n={n} t={t} clients={num_clients} "
-        f"ops={ops_total} max_batch={abc_max_batch} "
-        f"pipeline_depth={abc_pipeline_depth}",
-        flush=True,
-    )
-    replicas = {
-        party: await _spawn_replica(workdir, party) for party in range(n)
-    }
-    networks: list[TransportNetwork] = []
-    clients: list[ServiceClient] = []
-    loop = asyncio.get_running_loop()
-    latencies: list[float] = []
-    committed = 0
-    try:
-        for party in range(n):
-            await replicas[party].wait_for_line("listening")
-        public = keystore.load_public(workdir / "public.json")
-        for cid_expected in client_ids:
-            cid, channel_keys = keystore.load_client(
-                workdir / f"client-{cid_expected}.json"
-            )
-            network = TransportNetwork(cid, addresses, channel_keys)
-            client = ServiceClient(cid, network, public, random.Random(seed + cid))
-            network.attach(cid, client)
-            await network.start()
-            networks.append(network)
-            clients.append(client)
-
-        deadline = loop.time() + deadline_s
-
-        async def drive(client: ServiceClient, count: int) -> int:
-            """Open-loop driver: keep up to ``window`` requests in
-            flight, no resubmission, record per-op commit latency."""
-            sent: dict[int, float] = {}
-            done = 0
-            next_op = 0
-            while done < count and loop.time() < deadline:
-                while len(sent) < window and next_op < count:
-                    operation = (
-                        "set", f"bench-{client.client_id}-{next_op}", next_op
-                    )
-                    sent[client.submit(operation)] = loop.time()
-                    next_op += 1
-                await asyncio.sleep(0.002)
-                finished = [nc for nc in sent if nc in client.completed]
-                for nonce in finished:
-                    latencies.append(loop.time() - sent.pop(nonce))
-                    done += 1
-            return done
-
-        share, spill = divmod(ops_total, num_clients)
-        started = loop.time()
-        counts = await asyncio.gather(
-            *(
-                drive(client, share + (1 if i < spill else 0))
-                for i, client in enumerate(clients)
-            )
-        )
-        elapsed = max(loop.time() - started, 1e-9)
-        committed = sum(counts)
-
-        for party in sorted(replicas):
-            await replicas[party].stop()
-    finally:
-        for process in replicas.values():
-            await process.kill()
-        for network in networks:
-            await network.close()
-
-    # SIGTERM made each replica print its atomic-broadcast counters.
-    abc_stats: list[dict[str, float]] = []
-    for party in sorted(replicas):
-        for line in replicas[party].lines:
-            if "replica-abc-stats" not in line:
-                continue
-            fields = dict(
-                part.split("=", 1) for part in line.split() if "=" in part
-            )
-            abc_stats.append({key: float(value) for key, value in fields.items()})
-    def mean(key: str) -> float:
-        if not abc_stats:
-            return 0.0
-        return sum(s[key] for s in abc_stats) / len(abc_stats)
-    lat_sorted = sorted(latencies)
-    result = {
-        "label": label,
-        "max_batch": abc_max_batch,
-        "pipeline_depth": abc_pipeline_depth,
-        "ops_total": ops_total,
-        "committed": committed,
-        "elapsed_s": elapsed,
-        "committed_ops_per_s": committed / elapsed,
-        "p50_ms": _percentile(lat_sorted, 0.50) * 1e3,
-        "p99_ms": _percentile(lat_sorted, 0.99) * 1e3,
-        "mean_batch": mean("mean_batch"),
-        "pipeline_occupancy": mean("occupancy"),
-        "rounds": mean("rounds"),
-    }
-    print(
-        f"bench e2e[{label}]: {committed}/{ops_total} committed in "
-        f"{elapsed:.2f}s = {result['committed_ops_per_s']:.1f} ops/s "
-        f"(p50 {result['p50_ms']:.0f}ms, p99 {result['p99_ms']:.0f}ms, "
-        f"mean batch {result['mean_batch']:.2f}, "
-        f"occupancy {result['pipeline_occupancy']:.2f})",
-        flush=True,
-    )
-    return result
-
-
-def run_e2e_benchmark(seed: int = 0, smoke: bool = False) -> dict:
-    """Baseline (unbatched, unpipelined) vs batched+pipelined atomic
-    broadcast on the same n=4 TCP cluster shape."""
-    import asyncio
-    import pathlib
-    import shutil
-    import tempfile
-
-    ops_total = 24 if smoke else 120
-    window = 8 if smoke else 24
-    deadline_s = 60.0 if smoke else 240.0
-
-    async def both() -> tuple[dict, dict]:
-        runs = []
-        for label, max_batch, depth in (
-            ("baseline", 1, 1),
-            ("batched", 64, 4),
-        ):
-            workdir = pathlib.Path(tempfile.mkdtemp(prefix=f"bench-e2e-{label}-"))
-            try:
-                runs.append(
-                    await _e2e_cluster_run(
-                        label,
-                        workdir,
-                        seed=seed,
-                        n=4,
-                        t=1,
-                        num_clients=2,
-                        ops_total=ops_total,
-                        window=window,
-                        abc_max_batch=max_batch,
-                        abc_pipeline_depth=depth,
-                        deadline_s=deadline_s,
-                    )
-                )
-            finally:
-                shutil.rmtree(workdir, ignore_errors=True)
-        return runs[0], runs[1]
-
-    baseline, batched = asyncio.run(both())
-    speedup = (
-        batched["committed_ops_per_s"] / baseline["committed_ops_per_s"]
-        if baseline["committed_ops_per_s"] > 0
-        else 0.0
-    )
-    return {
-        "config": {
-            "seed": seed,
-            "smoke": smoke,
-            "n": 4,
-            "t": 1,
-            "clients": 2,
-            "ops_total": ops_total,
-            "window": window,
-        },
-        "baseline": baseline,
-        "batched": batched,
-        "speedup_committed_ops_per_s": speedup,
-    }
-
-
-def main_e2e(seed: int, out: str, smoke: bool) -> int:
-    results = run_e2e_benchmark(seed=seed, smoke=smoke)
-    with open(out, "w", encoding="utf-8") as fh:
-        json.dump(results, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    baseline, batched = results["baseline"], results["batched"]
-    print(
-        f"e2e throughput: baseline {baseline['committed_ops_per_s']:.1f} ops/s "
-        f"-> batched {batched['committed_ops_per_s']:.1f} ops/s "
-        f"({results['speedup_committed_ops_per_s']:.1f}x)"
-    )
-    print(f"wrote {out}")
-    if baseline["committed"] == 0 or batched["committed"] == 0:
-        print("bench e2e: FAILED (a configuration committed zero operations)")
-        return 1
-    return 0
-
-
 # -- driver ----------------------------------------------------------------------
 
 
@@ -713,8 +469,8 @@ def main(seed: int, out: str, smoke: bool) -> int:
 #
 # where smoke_slack applies only when the fresh and committed runs used
 # different modes.  Primitives ratios are stable across modes (tight
-# slack); quorum and end-to-end ratios are timing-noise dominated in
-# smoke mode (loose slack) — the guard still catches the catastrophic
+# slack); quorum ratios are timing-noise dominated in smoke mode
+# (loose slack) — the guard still catches the catastrophic
 # regressions (an accidentally disabled fast path reads ~1.0x).
 
 # (path, smoke_slack) per artifact kind; paths are dotted keys.
@@ -726,9 +482,6 @@ GUARD_METRICS: dict[str, tuple[tuple[str, float], ...]] = {
         ("coin_quorum.speedup_batch_vs_legacy", 0.45),
         ("rsa_quorum.speedup_batch_vs_per_share", 0.45),
         ("dkg.n4t1.dealer_to_dkg_ratio", 0.45),
-    ),
-    "e2e": (
-        ("speedup_committed_ops_per_s", 0.60),
     ),
 }
 
@@ -784,43 +537,30 @@ def guard_compare(
 
 def main_guard(
     crypto_fresh: str | None,
-    e2e_fresh: str | None,
     crypto_committed: str = "BENCH_crypto.json",
-    e2e_committed: str = "BENCH_e2e.json",
     tolerance: float = 0.30,
 ) -> int:
     """CLI driver for ``python -m repro bench guard``."""
     import pathlib
 
-    pairs = []
-    if crypto_fresh is not None:
-        pairs.append(("crypto", crypto_fresh, crypto_committed))
-    if e2e_fresh is not None:
-        pairs.append(("e2e", e2e_fresh, e2e_committed))
-    if not pairs:
-        print("bench guard: nothing to compare "
-              "(pass --crypto-fresh and/or --e2e-fresh)")
+    if crypto_fresh is None:
+        print("bench guard: nothing to compare (pass --crypto-fresh)")
         return 2
-    all_failures: list[str] = []
-    for kind, fresh_path, committed_path in pairs:
-        for label, path in (("fresh", fresh_path), ("committed", committed_path)):
-            if not pathlib.Path(path).exists():
-                print(f"bench guard: {kind} {label} file {path} not found")
-                return 2
-        with open(fresh_path, encoding="utf-8") as fh:
-            fresh = json.load(fh)
-        with open(committed_path, encoding="utf-8") as fh:
-            committed = json.load(fh)
-        failures, notes = guard_compare(
-            kind, fresh, committed, tolerance=tolerance
-        )
-        for note in notes:
-            print(f"bench guard: {note}")
-        for failure in failures:
-            print(f"bench guard: REGRESSION {failure}")
-        all_failures.extend(failures)
-    if all_failures:
-        print(f"bench guard: FAILED ({len(all_failures)} regression(s))")
+    for label, path in (("fresh", crypto_fresh), ("committed", crypto_committed)):
+        if not pathlib.Path(path).exists():
+            print(f"bench guard: crypto {label} file {path} not found")
+            return 2
+    with open(crypto_fresh, encoding="utf-8") as fh:
+        fresh = json.load(fh)
+    with open(crypto_committed, encoding="utf-8") as fh:
+        committed = json.load(fh)
+    failures, notes = guard_compare("crypto", fresh, committed, tolerance=tolerance)
+    for note in notes:
+        print(f"bench guard: {note}")
+    for failure in failures:
+        print(f"bench guard: REGRESSION {failure}")
+    if failures:
+        print(f"bench guard: FAILED ({len(failures)} regression(s))")
         return 1
     print("bench guard: ok")
     return 0

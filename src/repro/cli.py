@@ -180,7 +180,7 @@ def _cmd_run_client(args: argparse.Namespace) -> int:
 
 
 def _cmd_demo_cluster(args: argparse.Namespace) -> int:
-    from .net.runtime import demo_cluster
+    from .net.cluster import demo_cluster
 
     return demo_cluster(
         n=args.n,
@@ -262,16 +262,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if args.mode == "guard":
         return bench.main_guard(
             crypto_fresh=args.crypto_fresh,
-            e2e_fresh=args.e2e_fresh,
             crypto_committed=args.crypto_committed,
-            e2e_committed=args.e2e_committed,
             tolerance=args.tolerance,
         )
-    if args.mode == "e2e":
-        out = args.out if args.out is not None else "BENCH_e2e.json"
-        return bench.main_e2e(seed=args.seed, out=out, smoke=args.smoke)
-    out = args.out if args.out is not None else "BENCH_crypto.json"
-    return bench.main(seed=args.seed, out=out, smoke=args.smoke)
+    return bench.main(seed=args.seed, out=args.out, smoke=args.smoke)
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -575,37 +569,29 @@ def main(argv: list[str] | None = None) -> int:
 
     bench = sub.add_parser(
         "bench",
-        help="run the tracked benchmarks (crypto microbenchmarks or e2e TCP)",
+        help="run the tracked crypto/agreement micro-benchmarks",
         description=(
             "'crypto' (default): microbenchmarks for multi-exponentiation, "
             "fixed-base tables and batched share verification, plus "
             "n in {4,7,16} binary-agreement end-to-end timings "
-            "(BENCH_crypto.json). 'e2e': committed ops/sec of a live n=4 TCP "
-            "cluster under open-loop client load, unbatched baseline vs "
-            "batched+pipelined atomic broadcast (BENCH_e2e.json). See "
-            "docs/PERFORMANCE.md."
+            "(BENCH_crypto.json). The end-to-end benchmark of the stack is "
+            "bench/run.py (BENCHMARK.json). See docs/PERFORMANCE.md."
         ),
     )
     bench.add_argument("mode", nargs="?", default="crypto",
-                       choices=["crypto", "e2e", "guard"],
-                       help="benchmark family to run, or 'guard' to compare "
-                            "fresh numbers against the committed artifacts "
+                       choices=["crypto", "guard"],
+                       help="'crypto' runs the benchmarks, 'guard' compares "
+                            "fresh numbers against the committed artifact "
                             "(default: crypto)")
-    bench.add_argument("--out", default=None,
-                       help="output JSON path (default: BENCH_crypto.json "
-                            "or BENCH_e2e.json by mode)")
+    bench.add_argument("--out", default="BENCH_crypto.json",
+                       help="output JSON path (default: BENCH_crypto.json)")
     bench.add_argument("--smoke", action="store_true",
                        help="minimal repeats/sizes; wiring check for CI")
     bench.add_argument("--crypto-fresh", default=None, dest="crypto_fresh",
                        help="guard: freshly produced crypto bench JSON")
-    bench.add_argument("--e2e-fresh", default=None, dest="e2e_fresh",
-                       help="guard: freshly produced e2e bench JSON")
     bench.add_argument("--crypto-committed", default="BENCH_crypto.json",
                        dest="crypto_committed",
                        help="guard: committed crypto artifact to compare to")
-    bench.add_argument("--e2e-committed", default="BENCH_e2e.json",
-                       dest="e2e_committed",
-                       help="guard: committed e2e artifact to compare to")
     bench.add_argument("--tolerance", type=float, default=0.30,
                        help="guard: max fractional regression before failing "
                             "(default 0.30)")

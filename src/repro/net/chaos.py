@@ -55,11 +55,8 @@ from dataclasses import dataclass, replace
 
 from ..core.atomic_broadcast import AbcProposal, batch_digest, proposal_statement
 from ..core.runtime import ProtocolRuntime
-from ..crypto import keystore
-from ..crypto.dealer import CLIENT_BASE, PartyKeys, PublicKeys, deal_system
-from ..crypto.groups import small_group
+from ..crypto.dealer import PartyKeys, PublicKeys
 from ..smr import reconfig
-from ..smr.client import ServiceClient
 from ..smr.replica import Replica, service_session
 from ..smr.state_machine import KeyValueStore, StateMachine
 from .adversary import MutatingNode, SilentNode, SpamNode
@@ -71,16 +68,10 @@ from .checkers import (
     read_journals,
     violation_kinds,
 )
-from .runtime import (
-    CLUSTER_FILE,
-    ClusterConfig,
-    _spawn_replica,
-    allocate_addresses,
-    checkpoint_path,
-    load_epoch,
-)
+from .cluster import attach_client, deal_deployment, spawn_replicas
+from .runtime import checkpoint_path, load_epoch
 from .simulator import Node
-from .transport import FaultPlan, FrameFault, TransportNetwork
+from .transport import FaultPlan, FrameFault
 
 __all__ = [
     "FAULTS_FILE",
@@ -968,17 +959,15 @@ async def _run_scenario(scenario: Scenario, workdir: pathlib.Path) -> dict:
         f"t={scenario.t}, seed={scenario.seed}",
         flush=True,
     )
-    keys = deal_system(
-        scenario.n, deal_rng, t=scenario.t, clients=1, group=small_group()
-    )
-    keystore.write_deployment(keys, workdir)
-    addresses = allocate_addresses(list(range(scenario.n)) + [CLIENT_BASE])
-    ClusterConfig(
-        addresses,
+    keys = deal_deployment(
+        workdir,
+        scenario.n,
+        scenario.t,
+        deal_rng,
         io_timeout=scenario.io_timeout,
         abc_max_batch=scenario.abc_max_batch,
         abc_pipeline_depth=scenario.abc_pipeline_depth,
-    ).save(workdir / CLUSTER_FILE)
+    )
     epoch = save_fault_plan(workdir, scenario.faults, scenario.seed)
     timeline = plan_timeline(scenario)
 
@@ -987,39 +976,27 @@ async def _run_scenario(scenario: Scenario, workdir: pathlib.Path) -> dict:
         f"(byzantine: {byzantine or 'none'})",
         flush=True,
     )
-    replicas = {}
-    for party in range(scenario.n):
-        replicas[party] = await _spawn_replica(
-            workdir,
-            party,
-            byzantine=byzantine.get(party),
-            journal=party not in byzantine,
-            checkpoint_every=scenario.checkpoint_every,
-            io_timeout=scenario.io_timeout,
-        )
-    for party in range(scenario.n):
-        await replicas[party].wait_for_line("listening")
 
-    public = keystore.load_public(workdir / "public.json")
-    cid, channel_keys = keystore.load_client(
-        workdir / f"client-{CLIENT_BASE}.json"
-    )
-    network = TransportNetwork(
-        cid, addresses, channel_keys,
+    def spawn(parties: list[int], *flags: str):
+        """First boot and ``--recover`` restarts run the same replica."""
+        return spawn_replicas(
+            workdir, parties, *flags,
+            "--checkpoint-every", str(scenario.checkpoint_every),
+            byzantine=byzantine, journal=True,
+        )
+
+    replicas = await spawn(list(range(scenario.n)))
+    client = await attach_client(
+        workdir,
+        random.Random(scenario.seed + 99),
         faults=SeededFaultPlan(scenario.faults, scenario.seed, epoch=epoch),
     )
-    client = ServiceClient(cid, network, public, random.Random(scenario.seed + 99))
-    network.attach(cid, client)
-    await network.start()
+    network = client.network
 
     # Reconfigure(refresh) ops are signed with party 0's identity key;
-    # identity keys persist across epochs, so one load at boot covers
+    # identity keys persist across epochs, so the dealt one covers
     # every epoch the run steps through.
-    reconfig_signer = (
-        keystore.load_party(workdir / "server-0.json", public).signing_key
-        if scenario.reconfigs
-        else None
-    )
+    reconfig_signer = keys.private[0].signing_key
     reconfig_rng = random.Random(scenario.seed ^ 0x5EC0)
 
     loop = asyncio.get_running_loop()
@@ -1148,16 +1125,7 @@ async def _run_scenario(scenario: Scenario, workdir: pathlib.Path) -> dict:
                     }
                 )
             elif kind == "restart":
-                replicas[party] = await _spawn_replica(
-                    workdir,
-                    party,
-                    recover=True,
-                    byzantine=byzantine.get(party),
-                    journal=party not in byzantine,
-                    checkpoint_every=scenario.checkpoint_every,
-                    io_timeout=scenario.io_timeout,
-                )
-                await replicas[party].wait_for_line("listening")
+                replicas.update(await spawn([party], "--recover"))
                 status = await replicas[party].wait_for_line("replica-checkpoint")
                 if party not in byzantine:
                     restarted.append(party)

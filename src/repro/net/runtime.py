@@ -1,23 +1,23 @@
-"""Process hosts for the TCP transport: replicas, clients, clusters.
+"""One process of a deployment over the TCP transport, and its files.
 
 Where :mod:`repro.net.transport` provides the authenticated links, this
 module provides the *deployment shape* around them:
 
+* the deployment directory's files besides the keystore: ``cluster.json``
+  (:class:`ClusterConfig`), checkpoints, ``epoch.json``, bootstrap bundles;
 * :class:`ReplicaHost` — one server process: keystore bundles from
   disk, a :class:`~repro.net.transport.TransportNetwork`, the
   :class:`~repro.core.runtime.ProtocolRuntime` and the service
-  :class:`~repro.smr.replica.Replica`, with graceful SIGTERM shutdown
-  and optional Section-6 crash recovery on startup.
+  :class:`~repro.smr.replica.Replica`, with graceful SIGTERM shutdown,
+  optional Section-6 crash recovery on startup, and the one transition
+  that moves it between epochs;
 * :func:`run_client_ops` — a client process: submits operations over
   TCP and awaits the threshold-signed answers.
-* :func:`demo_cluster` — spawns an ``n``-server cluster in
-  subprocesses, drives a client workload end-to-end, kills and restarts
-  one replica mid-run, and verifies the restarted replica recovered the
-  full history.
 
-Everything here is the operational counterpart of
-:func:`repro.smr.service.build_service`, which wires the same objects
-to the deterministic simulator instead.  See ``docs/DEPLOYMENT.md``.
+Standing up a whole cluster is :mod:`repro.net.cluster`.  Everything
+here is the operational counterpart of
+:func:`repro.smr.service.build_service`, which wires the same objects to
+the deterministic simulator instead.  See ``docs/DEPLOYMENT.md``.
 """
 
 from __future__ import annotations
@@ -26,14 +26,10 @@ import asyncio
 import hashlib
 import hmac
 import json
-import os
 import pathlib
 import random
-import shutil
 import signal
 import socket
-import sys
-import tempfile
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -42,17 +38,17 @@ from ..core.atomic_broadcast import AbcConfig
 from ..core.protocol import Context, SessionId
 from ..core.runtime import ProtocolRuntime
 from ..crypto import dkg, keystore
-from ..crypto.dealer import CLIENT_BASE, deal_channel_keys, deal_system, is_server
+from ..crypto.dealer import CLIENT_BASE, deal_channel_keys, is_server
 from ..crypto.groups import SchnorrGroup, small_group
 from ..crypto.hashing import hash_bytes
 from ..crypto.lsss import threshold_scheme
 from ..crypto.schnorr import SigningKey, keygen
 from ..smr import reconfig
-from ..smr.client import ServiceClient
 from ..smr.reconfig import EpochTombstone, epoch_service_session
-from ..smr.replica import Replica, service_session
+from ..smr.replica import Replica
 from ..smr.state_machine import KeyValueStore, StateMachine
-from .transport import FaultPlan, TransportError, TransportNetwork
+from . import wire
+from .transport import FaultPlan, TransportNetwork
 
 __all__ = [
     "CLUSTER_FILE",
@@ -60,10 +56,10 @@ __all__ = [
     "EPOCH_FILE",
     "BootstrapFile",
     "ClusterConfig",
+    "Phase",
     "ReplicaHost",
     "allocate_addresses",
     "checkpoint_path",
-    "demo_cluster",
     "dh_channel_key",
     "load_bootstrap",
     "load_checkpoint",
@@ -102,7 +98,6 @@ class ClusterConfig:
     # Atomic-broadcast throughput knobs (docs/PERFORMANCE.md).  ``None``
     # means the protocol default — older cluster.json files load fine.
     abc_max_batch: int | None = None
-    abc_max_batch_bytes: int | None = None
     abc_pipeline_depth: int | None = None
 
     def save(self, path: str | pathlib.Path) -> None:
@@ -113,7 +108,7 @@ class ClusterConfig:
             },
             "io_timeout": self.io_timeout,
         }
-        for knob in ("abc_max_batch", "abc_max_batch_bytes", "abc_pipeline_depth"):
+        for knob in ("abc_max_batch", "abc_pipeline_depth"):
             value = getattr(self, knob)
             if value is not None:
                 data[knob] = value
@@ -134,25 +129,18 @@ class ClusterConfig:
             },
             io_timeout=float(data.get("io_timeout", DEFAULT_IO_TIMEOUT)),
             abc_max_batch=knob("abc_max_batch"),
-            abc_max_batch_bytes=knob("abc_max_batch_bytes"),
             abc_pipeline_depth=knob("abc_pipeline_depth"),
         )
 
     def abc_config(self) -> "AbcConfig | None":
         """The :class:`AbcConfig` these knobs describe, or None for the
         protocol defaults."""
-        overrides = {
-            field_name: value
-            for field_name, value in (
-                ("max_batch", self.abc_max_batch),
-                ("max_batch_bytes", self.abc_max_batch_bytes),
-                ("pipeline_depth", self.abc_pipeline_depth),
-            )
-            if value is not None
+        knobs = {
+            "max_batch": self.abc_max_batch,
+            "pipeline_depth": self.abc_pipeline_depth,
         }
-        if not overrides:
-            return None
-        return AbcConfig(**overrides)
+        overrides = {name: value for name, value in knobs.items() if value is not None}
+        return AbcConfig(**overrides) if overrides else None
 
 
 def allocate_addresses(
@@ -210,18 +198,13 @@ def write_checkpoint(
 ) -> pathlib.Path:
     """Atomically persist the delivered log with an HMAC over its
     canonical wire encoding."""
-    from . import wire
-
     body = wire.dumps((tuple(entries), round_number))
     mac = hmac.new(_checkpoint_key(party, channel_keys), body, hashlib.sha256)
-    path = checkpoint_path(directory, party)
-    data = json.dumps(
-        {"party": party, "body": body.hex(), "mac": mac.hexdigest()}
+    # Atomic: a crash mid-write never half-updates.
+    return keystore.atomic_write_text(
+        checkpoint_path(directory, party),
+        json.dumps({"party": party, "body": body.hex(), "mac": mac.hexdigest()}),
     )
-    tmp = path.with_suffix(".tmp")
-    tmp.write_text(data)
-    tmp.replace(path)  # atomic: a crash mid-write never half-updates
-    return path
 
 
 def load_checkpoint(
@@ -230,8 +213,6 @@ def load_checkpoint(
     """Load and authenticate a checkpoint; ``None`` if it is missing,
     malformed, or fails the MAC — the caller must treat all three the
     same way (recover purely from peers)."""
-    from . import wire
-
     path = checkpoint_path(directory, party)
     try:
         data = json.loads(path.read_text())
@@ -263,21 +244,18 @@ def load_checkpoint(
 # `Reconfigure` generation the on-disk keystore belongs to.
 
 
-def epoch_file_path(directory: str | pathlib.Path) -> pathlib.Path:
-    return pathlib.Path(directory) / EPOCH_FILE
-
-
 def load_epoch(directory: str | pathlib.Path) -> int:
     """The keystore's epoch; 0 when absent (dealer-era deployments)."""
     try:
-        return int(json.loads(epoch_file_path(directory).read_text())["epoch"])
+        text = (pathlib.Path(directory) / EPOCH_FILE).read_text()
+        return int(json.loads(text)["epoch"])
     except (OSError, ValueError, TypeError, KeyError):
         return 0
 
 
 def save_epoch(directory: str | pathlib.Path, epoch: int) -> None:
     keystore.atomic_write_text(
-        epoch_file_path(directory), json.dumps({"epoch": epoch})
+        pathlib.Path(directory) / EPOCH_FILE, json.dumps({"epoch": epoch})
     )
 
 
@@ -297,7 +275,7 @@ def bootstrap_path(directory: str | pathlib.Path, party: int) -> pathlib.Path:
     return pathlib.Path(directory) / f"bootstrap-{party}.json"
 
 
-def save_bootstrap(directory: str | pathlib.Path, bundle: BootstrapFile) -> pathlib.Path:
+def save_bootstrap(directory: str | pathlib.Path, bundle: BootstrapFile) -> None:
     data = {
         "version": 1,
         "party": bundle.party,
@@ -313,9 +291,9 @@ def save_bootstrap(directory: str | pathlib.Path, bundle: BootstrapFile) -> path
             str(peer): key.hex() for peer, key in sorted(bundle.channel_keys.items())
         },
     }
-    path = bootstrap_path(directory, bundle.party)
-    keystore.atomic_write_text(path, json.dumps(data, indent=1))
-    return path
+    keystore.atomic_write_text(
+        bootstrap_path(directory, bundle.party), json.dumps(data, indent=1)
+    )
 
 
 def load_bootstrap(directory: str | pathlib.Path, party: int) -> BootstrapFile:
@@ -346,40 +324,44 @@ def provision_dkg_deployment(
     t: int,
     rng: random.Random,
     directory: str | pathlib.Path,
-    clients: int = 1,
-    group: SchnorrGroup | None = None,
-) -> list[pathlib.Path]:
+    io_timeout: float = DEFAULT_IO_TIMEOUT,
+) -> None:
     """Operator-side provisioning for a dealerless cluster.
 
-    Writes one ``bootstrap-<i>.json`` per server and the usual
-    ``client-<id>.json`` channel bundles.  Unlike :func:`deal_system`,
-    no threshold secret exists anywhere — compromising one bundle
-    corrupts exactly one party.
+    Writes one ``bootstrap-<i>.json`` per server, one client's
+    ``client-<id>.json`` channel bundle and ``cluster.json`` with a
+    free localhost port for each — all ``run-replica --dkg`` needs.
+    Unlike :func:`deal_system`, no threshold secret exists anywhere —
+    compromising one bundle corrupts exactly one party.
     """
     directory = pathlib.Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    grp = group or small_group()
-    parties = list(range(n))
-    client_ids = [CLIENT_BASE + i for i in range(clients)]
-    keyring = deal_channel_keys(parties + client_ids, rng)
-    written = []
-    for party in parties:
+    group = small_group()
+    identities = list(range(n)) + [CLIENT_BASE]
+    keyring = deal_channel_keys(identities, rng)
+    for party in range(n):
         bundle = BootstrapFile(
             party=party,
             n=n,
             t=t,
-            group=grp,
-            signing_key=keygen(rng, grp),
+            group=group,
+            signing_key=keygen(rng, group),
             channel_keys=keyring[party],
         )
-        written.append(save_bootstrap(directory, bundle))
-    for cid in client_ids:
-        path = directory / f"client-{cid}.json"
-        keystore.atomic_write_text(
-            path, json.dumps(keystore.client_to_dict(cid, keyring[cid]), indent=1)
-        )
-        written.append(path)
-    return written
+        save_bootstrap(directory, bundle)
+    _write_client(directory, CLIENT_BASE, keyring[CLIENT_BASE])
+    ClusterConfig(allocate_addresses(identities), io_timeout=io_timeout).save(
+        directory / CLUSTER_FILE
+    )
+
+
+def _write_client(
+    directory: pathlib.Path, cid: int, channel_keys: dict[int, bytes]
+) -> None:
+    keystore.atomic_write_text(
+        directory / f"client-{cid}.json",
+        json.dumps(keystore.client_to_dict(cid, channel_keys), indent=1),
+    )
 
 
 def provision_joiner(
@@ -406,9 +388,7 @@ def provision_joiner(
         key = bytes(rng.getrandbits(8) for _ in range(32))
         channel_keys[cid] = key
         existing[party] = key
-        keystore.atomic_write_text(
-            path, json.dumps(keystore.client_to_dict(cid, existing), indent=1)
-        )
+        _write_client(directory, cid, existing)
     bundle = BootstrapFile(
         party=party,
         n=public.n + 1,
@@ -432,6 +412,25 @@ def dh_channel_key(group: SchnorrGroup, secret_x: int, peer_h: int) -> bytes:
 
 
 # -- one server process -------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Phase:
+    """Where a host stands between epochs (docs/RECONFIGURATION.md):
+    ``booting`` (key generation or a join under way, no replica yet) →
+    ``serving`` → ``resharing`` (an ordered ``Reconfigure`` opened
+    ``target``; execution is paused) → ``stalled`` (the watchdog had to
+    retry, so the peers may have finished without us: their signed
+    membership votes are accepted) → ``serving`` at the new epoch, or
+    ``retired`` once a missed epoch turns out to have removed us.
+    ``target`` is the epoch being entered, ``None`` when none is."""
+
+    name: str
+    target: int | None = None
+
+
+SERVING = Phase("serving")
+RETIRED = Phase("retired")
 
 
 class ReplicaHost:
@@ -471,8 +470,7 @@ class ReplicaHost:
         directory = pathlib.Path(directory)
         self.directory = directory
         self.party = party
-        self.mode = "dkg" if dkg_boot else "join" if join else "serve"
-        if self.mode != "serve" and (byzantine is not None or causal):
+        if (dkg_boot or join) and (byzantine is not None or causal):
             raise ValueError("dkg/join hosts must be honest, non-causal replicas")
         cluster = ClusterConfig.load(directory / CLUSTER_FILE)
         self.io_timeout = cluster.io_timeout
@@ -480,56 +478,41 @@ class ReplicaHost:
         self._state_machine = state_machine or KeyValueStore()
         self._causal = causal
         self.epoch = 0
-        self._reshare_target: int | None = None
-        # Set by the flush watchdog when a resharing neither completes
-        # nor settles after retries: unlocks the stale-membership rescue
-        # path (peers may have finished the epoch without us).
-        self._reshare_stalled = False
+        self.phase = SERVING
         # The epoch as of this replica incarnation's *executed* history
         # (every replica replays from genesis, so this starts at 0 and
         # advances with each accepted Reconfigure, replayed or live).
         # During replay it lags self.epoch and selects the archived
         # configuration a historic op must be re-validated against.
         self._executed_epoch = 0
-        # Set once this replica learns it was removed by an epoch it
-        # missed: stops the resharing retry ladder from respawning.
-        self._retired = False
         self._bootstrap: BootstrapFile | None = None
         # Signed membership votes for an epoch newer than ours, keyed
         # like the client's: (epoch, canonical public json) -> voters.
         self._stale_votes: dict[tuple[int, str], set[int]] = {}
-        if self.mode == "serve":
+        if dkg_boot:
+            bundle = self._bootstrap = load_bootstrap(directory, party)
+            self.public = dkg.BootstrapPublic(
+                n=bundle.n, quorum=ThresholdQuorumSystem(n=bundle.n, t=bundle.t)
+            )
+            self.keys = dkg.BootstrapKeys(
+                party, bundle.signing_key, dict(bundle.channel_keys)
+            )
+            self.phase = Phase("booting", 0)
+        elif join:  # a live cluster: the previous epoch's public bundle
+            bundle = load_bootstrap(directory, party)
+            self.public = keystore.load_public(directory / "public.json")
+            self.epoch = load_epoch(directory)
+            self.keys = dkg.BootstrapKeys(
+                party, bundle.signing_key, dict(bundle.channel_keys)
+            )
+            self._derive_channel_keys(self.public)
+            self.phase = Phase("booting", self.epoch + 1)
+        else:
             self.public = keystore.load_public(directory / "public.json")
             self.keys = keystore.load_party(
                 directory / f"server-{party}.json", self.public
             )
             self.epoch = load_epoch(directory)
-        elif self.mode == "dkg":
-            bundle = load_bootstrap(directory, party)
-            self._bootstrap = bundle
-            self.public = dkg.BootstrapPublic(
-                n=bundle.n, quorum=ThresholdQuorumSystem(n=bundle.n, t=bundle.t)
-            )
-            self.keys = dkg.BootstrapKeys(
-                party=party,
-                signing_key=bundle.signing_key,
-                channel_keys=dict(bundle.channel_keys),
-            )
-        else:  # join a live cluster: previous epoch's public bundle
-            bundle = load_bootstrap(directory, party)
-            self._bootstrap = bundle
-            self.public = keystore.load_public(directory / "public.json")
-            self.epoch = load_epoch(directory)
-            channel_keys = dict(bundle.channel_keys)
-            for member, verify_key in self.public.verify_keys.items():
-                channel_keys[member] = dh_channel_key(
-                    self.public.group, bundle.signing_key.x, verify_key.h
-                )
-            self.keys = dkg.BootstrapKeys(
-                party=party,
-                signing_key=bundle.signing_key,
-                channel_keys=channel_keys,
-            )
         if faults is None:
             from .chaos import load_fault_plan  # lazy: chaos imports us
 
@@ -549,7 +532,7 @@ class ReplicaHost:
             )
             self.network.attach(party, self.runtime)
             self.replica: Replica | None = None
-            if self.mode == "serve":
+            if self.phase == SERVING:
                 self.replica = Replica(
                     self._state_machine,
                     causal=causal,
@@ -581,7 +564,6 @@ class ReplicaHost:
     def _install_replica_hooks(self) -> None:
         """Wire the host's observation and reconfiguration hooks into
         the (honest) replica instance."""
-        assert self.replica is not None
         self.replica.on_execute = self._on_execute
         if self._causal:
             return  # reconfiguration requires the ordered plaintext path
@@ -628,11 +610,12 @@ class ReplicaHost:
 
     async def start(self, recover: bool = False) -> None:
         await self.network.start()
-        if self.mode == "dkg":
-            self._start_dkg()
-            return
-        if self.mode == "join":
-            self._start_join()
+        if self.phase.name == "booting":
+            # No threshold keys anywhere yet?  Generate them; else join.
+            if isinstance(self.public, dkg.BootstrapPublic):
+                self._start_dkg()
+            else:
+                self._start_join()
             return
         if recover and self.replica is not None:
             ctx = Context(self.runtime, epoch_service_session(self.epoch))
@@ -651,134 +634,367 @@ class ReplicaHost:
                 self.network.trace.bump("chaos.checkpoint_rejected")
             self.replica.begin_recovery(ctx)
 
-    # -- dealerless bootstrap (DKG) ------------------------------------------------
+    # -- key-material sessions: boot, join, reshare --------------------------------
 
-    def _start_dkg(self, attempt: int = 0) -> None:
-        """Run the key-generation session; the replica spawns once the
-        cluster's threshold keys exist.
-
-        ``attempt`` indexes the retry ladder: a session that neither
-        completes nor settles after its flush (the conditional-agreement
-        stall of :mod:`repro.crypto.dkg`) is respawned under a fresh
-        tag.  Every host walks the same ladder on the same
-        ``io_timeout``-derived schedule, so attempts line up; earlier
-        attempts stay spawned so a session that completed at *any* party
-        can still complete late at the others.
-        """
+    def _start_dkg(self) -> None:
+        """Dealerless bootstrap: run the key-generation session; the
+        replica spawns once the cluster's threshold keys exist."""
         bundle = self._bootstrap
-        assert bundle is not None
-        self._dkg_scheme = threshold_scheme(bundle.n, bundle.t, bundle.group.q)
-        session = dkg.dkg_session("boot" if attempt == 0 else ("boot", attempt))
-        if attempt:
-            print(
-                f"replica-dkg-retry party={self.party} attempt={attempt}",
-                flush=True,
-            )
-        self.runtime.spawn(
-            session,
-            dkg.DistributedKeyGeneration(bundle.group, self._dkg_scheme),
-            on_output=self._finish_dkg,
-        )
-        self._watch_flush(
-            session,
-            settled=lambda: self.replica is not None,
-            retry=lambda: self._start_dkg(attempt + 1),
+        scheme = threshold_scheme(bundle.n, bundle.t, bundle.group.q)
+        self._run_ladder(
+            0,
+            f"replica-dkg-retry party={self.party}",
+            lambda: dkg.DistributedKeyGeneration(bundle.group, scheme),
+            self._complete_dkg,
         )
 
-    def _finish_dkg(self, output: object) -> None:
-        if not isinstance(output, dkg.DkgOutput) or self.replica is not None:
-            return  # malformed, or a slower retry attempt finishing late
-        bundle = self._bootstrap
-        assert bundle is not None
-        quorum = ThresholdQuorumSystem(n=bundle.n, t=bundle.t)
-        public = dkg.build_public_keys(
-            bundle.group, self._dkg_scheme, quorum, bundle.n, output
-        )
-        keys = dkg.build_party_keys(
-            self.party,
-            public,
-            bundle.signing_key,
-            output,
-            channel_keys=dict(bundle.channel_keys),
-        )
-        # Every qualified party writes the identical canonical public
-        # bundle (atomic replace makes the concurrent writes safe) and
-        # its own secret bundle; from here on the deployment directory
-        # is indistinguishable from a dealer-provisioned one.
-        keystore.atomic_write_text(
-            self.directory / "public.json",
-            json.dumps(keystore.public_to_dict(public), indent=1),
-        )
-        keystore.atomic_write_text(
-            self.directory / f"server-{self.party}.json",
-            json.dumps(keystore.party_to_dict(keys), indent=1),
-        )
-        save_epoch(self.directory, 0)
-        self.public = public
-        self.keys = keys
-        self.runtime.public = public
-        self.runtime.keys = keys
-        self.replica = Replica(self._state_machine, abc_config=self._abc_config)
-        self._install_replica_hooks()
-        self.runtime.spawn(epoch_service_session(0), self.replica)
-        qualified = ",".join(str(p) for p in output.qualified)
-        print(f"replica-dkg party={self.party} qualified={qualified}", flush=True)
-
-    # -- epoch-based reconfiguration -----------------------------------------------
-
-    def _reshare_tag(self, attempt: int) -> object:
-        """The session tag of one resharing attempt — identical at every
-        participant (members and joiner walk the same retry ladder)."""
-        return "reshare" if attempt == 0 else ("reshare", attempt)
-
-    def _start_join(self, attempt: int = 0) -> None:
+    def _start_join(self) -> None:
         """A joining replica participates in the resharing for the next
         epoch as a pure receiver; its replica spawns at the new epoch's
         session once the resharing completes."""
         public = self.public
-        tolerance = getattr(public.quorum, "t", None)
-        if tolerance is None:
+        if getattr(public.quorum, "t", None) is None:
             raise ValueError("joining requires a threshold quorum deployment")
         if self.party != public.n:
             raise ValueError(f"joiner must take the next free id {public.n}")
-        target = self.epoch + 1
-        new_n = public.n + 1
-        new_scheme = threshold_scheme(new_n, tolerance, public.group.q)
-        new_quorum = ThresholdQuorumSystem(n=new_n, t=tolerance)
-        new_verify_keys = {
+        joiner = {self.party: self.keys.signing_key.verify_key.h}
+        self._run_ladder(
+            self.epoch + 1,
+            f"replica-join-retry party={self.party}",
+            lambda: self._resharing(public.n + 1, joiner),
+            self._complete_reshare,
+        )
+
+    def _start_reshare(self, request: "reconfig.ReconfigureRequest") -> None:
+        """Open the epoch an accepted ``Reconfigure`` asks for: pause
+        ordered execution and run the resharing."""
+        public = self.public
+        if getattr(public.quorum, "t", None) is None:
+            print(
+                f"replica-reconfig-unsupported party={self.party} "
+                "(non-threshold quorum)",
+                flush=True,
+            )
+            return
+        target = request.epoch
+        joiner: dict[int, int] = {}
+        if request.action == "add":
+            joiner[request.party] = request.verify_key
+            # The joiner becomes reachable: address from the ordered op
+            # (authoritative — an add that reuses a previously removed
+            # id must not keep that id's stale address), channel key
+            # derived Diffie-Hellman style from identities.
+            joiner_key = dh_channel_key(
+                public.group, self.keys.signing_key.x, request.verify_key
+            )
+            self.network.admit_peer(
+                request.party, (request.host, request.port), joiner_key
+            )
+            # The reshare protocol masks the joiner's subshares with the
+            # same pairwise key, so the keystore bundle needs it too.
+            self.keys.channel_keys[request.party] = joiner_key
+        # We are being retired: deal our contribution so the others can
+        # reshare, but take no new keys.  We keep answering the old
+        # epoch's session until the operator stops us; after the switch
+        # our shares are useless against the re-randomized verification
+        # values (tests/crypto/test_dkg.py proves it).  A departed
+        # replica never enters ``target``: its ladder settles when the
+        # stale-membership probe tells it that it retired.
+        departing = request.action == "remove" and request.party == self.party
+        new_n = reconfig.new_member_count(public, request)
+        # Paused before the session is spawned: contributions buffered
+        # while this replica was down can complete it on the spot, and
+        # the resume of that entry must not be undone afterwards.
+        self.phase = Phase("resharing", target)
+        self._executed_epoch = target
+        self.replica.pause_execution()
+        self._run_ladder(
+            target,
+            f"replica-reshare-retry party={self.party} epoch={target}",
+            lambda: self._resharing(new_n, joiner),
+            None if departing else self._complete_reshare,
+        )
+        if departing:
+            print(f"replica-departed party={self.party} epoch={target}", flush=True)
+
+    def _resharing(
+        self, new_n: int, joiner: dict[int, int]
+    ) -> dkg.VerifiableResharing:
+        """The session that moves the current sharing onto members
+        ``0..new_n-1`` at the same tolerance; ``joiner`` maps a newly
+        admitted id to its identity key.  Members deal their old
+        subshares; a joiner holds none yet and only receives."""
+        public = self.public
+        tolerance = public.quorum.t
+        verify_keys = {
             member: key.h
             for member, key in public.verify_keys.items()
             if member < new_n
         }
-        new_verify_keys[self.party] = self.keys.signing_key.verify_key.h
-        protocol = dkg.VerifiableResharing(
+        verify_keys.update(joiner)
+        old_shares = ()
+        if not isinstance(self.keys, dkg.BootstrapKeys):
+            old_shares = (self.keys.coin.subshares, self.keys.decryption.subshares)
+        return dkg.VerifiableResharing(
             public.group,
             public.access_scheme,
-            new_scheme,
+            threshold_scheme(new_n, tolerance, public.group.q),
             public.coin.verification,
             public.encryption.verification,
             tuple(range(new_n)),
-            new_quorum,
-            new_verify_keys,
+            ThresholdQuorumSystem(n=new_n, t=tolerance),
+            verify_keys,
+            *old_shares,
         )
-        session = dkg.reshare_session(target, self._reshare_tag(attempt))
-        if attempt:
-            print(
-                f"replica-join-retry party={self.party} attempt={attempt}",
-                flush=True,
+
+    def _run_ladder(
+        self,
+        target: int,
+        retry_line: str,
+        make_protocol: Callable[[], object],
+        complete: Callable[[object, "dkg.DkgOutput"], None] | None,
+    ) -> None:
+        """Run the key-material session that opens epoch ``target`` —
+        the key generation for epoch 0, a resharing for any later one —
+        and walk the retry ladder until the host has moved on.
+
+        A session that neither completes nor settles after its flush
+        (the conditional-agreement stall of :mod:`repro.crypto.dkg`) is
+        respawned under the next attempt's tag.  Every host walks the
+        same ladder on the same ``io_timeout``-derived schedule, so
+        attempts line up; earlier attempts stay spawned so a session
+        that completed at *any* party can still complete late at the
+        others.  ``complete(protocol, output)`` turns the first output
+        into the new epoch (``None``: this host deals, takes no keys).
+        """
+        base = "reshare" if target else "boot"
+
+        def rung(attempt: int) -> None:
+            tag = (base, attempt) if attempt else base
+            session = (
+                dkg.reshare_session(target, tag) if target else dkg.dkg_session(tag)
             )
-        self.runtime.spawn(
-            session,
-            protocol,
-            on_output=lambda out: self._adopt_epoch(
-                out, target, new_n, new_scheme, new_quorum
+            if attempt:
+                print(f"{retry_line} attempt={attempt}", flush=True)
+                if self.phase.name != "booting":
+                    # Peers may have completed this epoch without us
+                    # (divergent flush): probe for their signed
+                    # membership record so the stale-adoption path can
+                    # rescue this replica if so.
+                    self.phase = Phase("stalled", target)
+                    Context(
+                        self.runtime, epoch_service_session(self.epoch)
+                    ).broadcast(reconfig.MembershipQuery(known_epoch=self.epoch))
+            protocol = make_protocol()
+
+            def deliver(output: object) -> None:
+                # Malformed, or a slower attempt finishing after the
+                # epoch was entered (or this replica retired).
+                if isinstance(output, dkg.DkgOutput) and self.phase.target == target:
+                    complete(protocol, output)
+
+            self.runtime.spawn(
+                session, protocol, on_output=deliver if complete else None
+            )
+            self._watch_flush(
+                session,
+                settled=lambda: self.phase.target != target,
+                retry=lambda: rung(attempt + 1),
+            )
+
+        rung(0)
+
+    # -- three ways to new keys, one way into the epoch ----------------------------
+
+    def _complete_dkg(
+        self, protocol: dkg.DistributedKeyGeneration, output: dkg.DkgOutput
+    ) -> None:
+        """Epoch 0 of a dealerless cluster: bootstrap keys become
+        threshold keys.  Every qualified party writes the identical
+        canonical public bundle (atomic replace makes the concurrent
+        writes safe) and its own secret bundle; from here on the
+        deployment directory is indistinguishable from a dealt one."""
+        public = dkg.build_public_keys(
+            protocol.group, protocol.scheme, self.public.quorum, self.public.n, output
+        )
+        qualified = ",".join(str(p) for p in output.qualified)
+        self._enter_epoch(
+            0, public, self._party_keys(public, output),
+            line=f"replica-dkg party={self.party} qualified={qualified}",
+        )
+
+    def _complete_reshare(
+        self, protocol: dkg.VerifiableResharing, output: dkg.DkgOutput
+    ) -> None:
+        """The resharing for ``phase.target`` yielded this party's new
+        shares (a joiner's first ones)."""
+        target = self.phase.target
+        new_public = dkg.build_public_keys(
+            protocol.group,
+            protocol.new_scheme,
+            protocol.new_quorum,
+            len(protocol.new_members),
+            output,
+        )
+        # Probe: a coin share from the *pre-switch* keys must fail under
+        # the freshly randomized verification values (this is what makes
+        # a departed replica's shares useless).
+        stale_note = ""
+        old_coin = getattr(self.keys, "coin", None)
+        if old_coin is not None:
+            try:
+                stale = old_coin.share_for(("epoch-probe", target), self.runtime.rng)
+                stale_note = (
+                    f" stale_shares_valid={new_public.coin.verify_share(stale)}"
+                )
+            except (KeyError, ValueError):
+                stale_note = " stale_shares_valid=False"
+        self._enter_epoch(
+            target, new_public, self._party_keys(new_public, output),
+            line=(
+                f"replica-epoch party={self.party} epoch={target} "
+                f"n={new_public.n}{stale_note}"
             ),
+            # A joiner has executed nothing yet: state transfer from the
+            # checkpointed history (Section 6) on the new session.
+            state_transfer=self.replica is None,
         )
-        self._watch_flush(
-            session,
-            settled=lambda: self.epoch >= target or self._retired,
-            retry=lambda: self._start_join(attempt + 1),
+
+    def _party_keys(self, public, output: dkg.DkgOutput):
+        """This party's bundle under a session's output: new shares,
+        the identity and channel keys it already has."""
+        return dkg.build_party_keys(
+            self.party,
+            public,
+            self.keys.signing_key,
+            output,
+            channel_keys=dict(self.keys.channel_keys),
         )
+
+    def _rejoin(self, target: int, new_public) -> None:
+        """Enter a newer epoch whose resharing we missed entirely, on
+        the word of an honest-containing set of members.
+
+        Our threshold share material predates the re-randomization, so
+        it stays useless until the next refresh epoch; identity and
+        channel keys persist, though, so the replica still
+        authenticates, orders, executes and state-transfers — degraded
+        but consistent rather than stalled at a dead session.
+        """
+        if self.party >= new_public.n:
+            # The epoch we missed removed us.  Stop the retry ladder —
+            # the peers will never spawn our resharing session.
+            self.phase = RETIRED
+            print(f"replica-retired party={self.party} epoch={target}", flush=True)
+            return
+        # Members admitted while we were down (same construction the
+        # resharing used).
+        self.network.channel_keys.update(self._derive_channel_keys(new_public))
+        new_keys = keystore.party_from_dict(
+            keystore.party_to_dict(self.keys), new_public
+        )
+        self._enter_epoch(
+            target, new_public, new_keys,
+            line=(
+                f"replica-stale-epoch party={self.party} epoch={target} "
+                f"n={new_public.n}"
+            ),
+            # Fills in everything ordered while we were away.
+            state_transfer=True,
+        )
+
+    def _derive_channel_keys(self, public) -> dict[int, bytes]:
+        """Add to our bundle, and return, a channel key for every member
+        of ``public`` we share none with yet: both ends derive it from
+        identity keys (:func:`dh_channel_key`), no provisioning."""
+        derived = {
+            member: dh_channel_key(
+                public.group, self.keys.signing_key.x, verify_key.h
+            )
+            for member, verify_key in public.verify_keys.items()
+            if member != self.party and member not in self.keys.channel_keys
+        }
+        self.keys.channel_keys.update(derived)
+        return derived
+
+    def _enter_epoch(
+        self,
+        target: int,
+        new_public,
+        new_keys,
+        *,
+        line: str,
+        state_transfer: bool = False,
+    ) -> None:
+        """The one way into an epoch.
+
+        Every entry — key generation, a completed resharing, a voted
+        configuration — persists keystore, party bundle and epoch file
+        *before* it swaps keys, so a replica killed at any instant
+        restarts into a directory that describes one epoch.  ``line`` is
+        the entry's stdout record; ``state_transfer`` asks for Section-6
+        recovery on the new session (we executed less than was ordered).
+        """
+        old_epoch = self.epoch
+        # Epoch 0 of a dealerless boot closes nothing: there is no
+        # earlier configuration to archive and no session to tombstone.
+        closing = not isinstance(self.public, dkg.BootstrapPublic)
+        if closing:
+            self._archive_epoch_public()
+        keystore.atomic_write_text(
+            self.directory / "public.json",
+            json.dumps(keystore.public_to_dict(new_public), indent=1),
+        )
+        keystore.atomic_write_text(
+            self.directory / f"server-{self.party}.json",
+            json.dumps(keystore.party_to_dict(new_keys), indent=1),
+        )
+        save_epoch(self.directory, target)
+        self.public = self.runtime.public = new_public
+        self.keys = self.runtime.keys = new_keys
+        self.epoch = target
+        self.phase = SERVING
+        # Members the closed epochs retired (an ordered remove is final
+        # and always takes the highest id): drop address, channel key
+        # and connection state so a later add reusing the id starts
+        # clean and broadcasts stop dialing a dead replica.  The clients
+        # in the address book are not members: they stay.
+        for member in sorted(self.network.addresses):
+            if is_server(member) and member >= new_public.n:
+                self.network.forget_peer(member)
+        had_replica = self.replica is not None
+        if not had_replica:
+            self.replica = Replica(self._state_machine, abc_config=self._abc_config)
+        self._install_replica_hooks()
+        if closing:
+            # Close every prior epoch: the old session's replica becomes
+            # a tombstone, and older tombstones learn the newest record.
+            info = self.replica.membership_info
+            old_session = epoch_service_session(old_epoch)
+            self.runtime.instances.pop(old_session, None)
+            self.runtime.spawn(old_session, EpochTombstone(info))
+            for epoch in range(old_epoch):
+                instance = self.runtime.instances.get(epoch_service_session(epoch))
+                if isinstance(instance, EpochTombstone):
+                    instance.info = info
+        ctx = Context(self.runtime, epoch_service_session(target))
+        self.runtime.spawn(ctx.session, self.replica)
+        if had_replica:
+            # Rounds in flight when the old session was tombstoned can
+            # never decide there; re-propose their payloads here so the
+            # broadcast does not wedge behind a dead round.
+            self.replica.rebase_broadcast(ctx)
+        # Release everything ordered behind the Reconfigure: it executes
+        # now, at the new epoch, in delivery order — the same point of
+        # the history at every replica.
+        self.replica.resume_execution(ctx)
+        print(line, flush=True)
+        if state_transfer:
+            self.replica.begin_recovery(ctx)
+            task = asyncio.get_running_loop().create_task(_announce_recovery(self))
+            task.add_done_callback(lambda t: t.cancelled() or t.exception())
+
+    # -- ordered reconfiguration and membership votes ------------------------------
 
     def _epoch_public(self, epoch: int):
         """The configuration of ``epoch``: the live one, or the archive
@@ -796,9 +1012,9 @@ class ReplicaHost:
     def _archive_epoch_public(self) -> None:
         """Persist the closing epoch's configuration before the keystore
         is overwritten, so a replay can re-validate that epoch's ordered
-        ``Reconfigure`` operations exactly as they were validated live."""
-        if isinstance(self.public, dkg.BootstrapPublic):
-            return
+        ``Reconfigure`` operations exactly as they were validated live.
+        (Epochs a rescued replica skipped have no archive; replay falls
+        back to ordinal checking for those.)"""
         keystore.atomic_write_text(
             self.directory / f"public-epoch-{self.epoch}.json",
             json.dumps(keystore.public_to_dict(self.public), indent=1),
@@ -857,211 +1073,8 @@ class ReplicaHost:
         # ordered execution until the switch.  Peer contributions sent
         # while we were down are retransmitted by the transport and
         # buffered by the runtime, so a late spawn still completes.
-        if self._start_reshare(validated):
-            self._executed_epoch = validated.epoch
-            self._reshare_target = validated.epoch
-            self.replica.pause_execution()
+        self._start_reshare(validated)
         return ("reconfig", "accepted", validated.epoch)
-
-    def _start_reshare(
-        self, request: "reconfig.ReconfigureRequest", attempt: int = 0
-    ) -> bool:
-        """Spawn one resharing attempt for an accepted ``Reconfigure``;
-        True when a session was actually started."""
-        public = self.public
-        group = public.group
-        tolerance = getattr(public.quorum, "t", None)
-        if tolerance is None:
-            print(
-                f"replica-reconfig-unsupported party={self.party} "
-                "(non-threshold quorum)",
-                flush=True,
-            )
-            return False
-        target = request.epoch
-        new_n = reconfig.new_member_count(public, request)
-        new_scheme = threshold_scheme(new_n, tolerance, group.q)
-        new_quorum = ThresholdQuorumSystem(n=new_n, t=tolerance)
-        new_verify_keys = {
-            member: key.h
-            for member, key in public.verify_keys.items()
-            if member < new_n
-        }
-        if request.action == "add":
-            new_verify_keys[request.party] = request.verify_key
-            # The joiner becomes reachable: address from the ordered op
-            # (authoritative — an add that reuses a previously removed
-            # id must not keep that id's stale address), channel key
-            # derived Diffie-Hellman style from identities.
-            joiner_key = dh_channel_key(
-                group, self.keys.signing_key.x, request.verify_key
-            )
-            self.network.admit_peer(
-                request.party, (request.host, request.port), joiner_key
-            )
-            # The reshare protocol masks the joiner's subshares with the
-            # same pairwise key, so the keystore bundle needs it too.
-            self.keys.channel_keys[request.party] = joiner_key
-        removed = request.party if request.action == "remove" else None
-        protocol = dkg.VerifiableResharing(
-            group,
-            public.access_scheme,
-            new_scheme,
-            public.coin.verification,
-            public.encryption.verification,
-            tuple(range(new_n)),
-            new_quorum,
-            new_verify_keys,
-            self.keys.coin.subshares,
-            self.keys.decryption.subshares,
-        )
-        session = dkg.reshare_session(target, self._reshare_tag(attempt))
-        if attempt:
-            print(
-                f"replica-reshare-retry party={self.party} epoch={target} "
-                f"attempt={attempt}",
-                flush=True,
-            )
-            # Peers may have completed this epoch without us (divergent
-            # flush): probe for their signed membership record so the
-            # stale-adoption path can rescue this replica if so.
-            self._reshare_stalled = True
-            Context(self.runtime, epoch_service_session(self.epoch)).broadcast(
-                reconfig.MembershipQuery(known_epoch=self.epoch)
-            )
-        if request.action == "remove" and request.party == self.party:
-            # We are being retired: deal our contribution so the others
-            # can reshare, but take no new keys.  We keep answering the
-            # old epoch's session until the operator stops us; after the
-            # switch our shares are useless against the re-randomized
-            # verification values (tests/crypto/test_dkg.py proves it).
-            self.runtime.spawn(session, protocol)
-            if attempt == 0:
-                print(
-                    f"replica-departed party={self.party} epoch={target}",
-                    flush=True,
-                )
-        else:
-            self.runtime.spawn(
-                session,
-                protocol,
-                on_output=lambda out: self._adopt_epoch(
-                    out, target, new_n, new_scheme, new_quorum, removed=removed
-                ),
-            )
-        self._watch_flush(
-            session,
-            # A departed replica never adopts ``target``; it settles by
-            # learning (via the stale-membership probe) that it retired.
-            settled=lambda: self.epoch >= target or self._retired,
-            retry=lambda: self._start_reshare(request, attempt + 1),
-        )
-        return True
-
-    def _adopt_epoch(
-        self,
-        output: object,
-        target: int,
-        new_n: int,
-        new_scheme,
-        new_quorum,
-        removed: int | None = None,
-    ) -> None:
-        """Switch this replica to the new epoch's keys and session."""
-        if not isinstance(output, dkg.DkgOutput) or self.epoch >= target:
-            return  # malformed, or a slower retry attempt finishing late
-        group = (
-            self.public.group
-            if not isinstance(self.public, dkg.BootstrapPublic)
-            else self._bootstrap.group
-        )
-        new_public = dkg.build_public_keys(group, new_scheme, new_quorum, new_n, output)
-        # Probe: a coin share from the *pre-switch* keys must fail under
-        # the freshly randomized verification values (this is what makes
-        # a departed replica's shares useless).
-        stale_note = ""
-        old_coin = getattr(self.keys, "coin", None)
-        if old_coin is not None:
-            try:
-                stale = old_coin.share_for(("epoch-probe", target), self.runtime.rng)
-                stale_note = (
-                    f" stale_shares_valid={new_public.coin.verify_share(stale)}"
-                )
-            except (KeyError, ValueError):
-                stale_note = " stale_shares_valid=False"
-        new_keys = dkg.build_party_keys(
-            self.party,
-            new_public,
-            self.keys.signing_key,
-            output,
-            channel_keys=dict(self.keys.channel_keys),
-        )
-        self._archive_epoch_public()
-        keystore.atomic_write_text(
-            self.directory / "public.json",
-            json.dumps(keystore.public_to_dict(new_public), indent=1),
-        )
-        keystore.atomic_write_text(
-            self.directory / f"server-{self.party}.json",
-            json.dumps(keystore.party_to_dict(new_keys), indent=1),
-        )
-        save_epoch(self.directory, target)
-        old_epoch = self.epoch
-        old_session = epoch_service_session(old_epoch)
-        info = reconfig.signed_membership_info(
-            self.party,
-            target,
-            keystore.public_to_dict(new_public),
-            self.keys.signing_key,
-            self.runtime.rng,
-        )
-        self.public = new_public
-        self.keys = new_keys
-        self.runtime.public = new_public
-        self.runtime.keys = new_keys
-        self.epoch = target
-        self._reshare_target = None
-        self._reshare_stalled = False
-        if removed is not None and removed != self.party:
-            # The ordered remove is final: drop the departed peer's
-            # address, channel key and connection state so a later add
-            # reusing the id starts clean (and broadcasts stop dialing
-            # a dead replica).
-            self.network.forget_peer(removed)
-        # Close every prior epoch: the current session's replica becomes
-        # a tombstone, and older tombstones learn the newest record.
-        joined = self.replica is None
-        self.runtime.instances.pop(old_session, None)
-        self.runtime.spawn(old_session, EpochTombstone(info))
-        for epoch in range(old_epoch):
-            stale_session = epoch_service_session(epoch)
-            instance = self.runtime.instances.get(stale_session)
-            if isinstance(instance, EpochTombstone):
-                instance.info = info
-        if joined:
-            self.replica = Replica(self._state_machine, abc_config=self._abc_config)
-        self._install_replica_hooks()
-        new_session = epoch_service_session(target)
-        self.runtime.spawn(new_session, self.replica)
-        if not joined:
-            # Rounds in flight when the old session was tombstoned can
-            # never decide there; re-propose their payloads here so the
-            # broadcast does not wedge behind a dead round.
-            self.replica.rebase_broadcast(Context(self.runtime, new_session))
-        # Release everything ordered behind the Reconfigure: it executes
-        # now, at the new epoch, in delivery order — the same point of
-        # the history at every replica.
-        self.replica.resume_execution(Context(self.runtime, new_session))
-        print(
-            f"replica-epoch party={self.party} epoch={target} n={new_n}{stale_note}",
-            flush=True,
-        )
-        if joined:
-            # State transfer from the checkpointed history (Section 6)
-            # on the new epoch's session.
-            self.replica.begin_recovery(Context(self.runtime, new_session))
-            task = asyncio.get_running_loop().create_task(_announce_recovery(self))
-            task.add_done_callback(lambda t: t.cancelled() or t.exception())
 
     def _on_stale_info(self, sender: int, info: object) -> None:
         """A RecoverQuery we sent came back with the signed membership
@@ -1074,9 +1087,7 @@ class ReplicaHost:
         the flush watchdog marked it stalled, in which case the peers
         may have completed the epoch without us and this is the way
         back in (degraded: our share material missed the refresh)."""
-        if self.replica is None:
-            return
-        if self._reshare_target is not None and not self._reshare_stalled:
+        if self.phase.name not in ("serving", "stalled"):
             return
         if not reconfig.verify_membership_info(info, self.public):
             return
@@ -1093,101 +1104,15 @@ class ReplicaHost:
         except (ValueError, KeyError, TypeError):
             return
         self._stale_votes.clear()
-        self._adopt_stale(info.epoch, new_public)
+        self._rejoin(info.epoch, new_public)
 
-    def _adopt_stale(self, target: int, new_public) -> None:
-        """Rejoin at a newer epoch whose resharing we missed entirely.
-
-        Our threshold share material predates the re-randomization, so
-        it stays useless until the next refresh epoch; identity and
-        channel keys persist, though, so the replica still
-        authenticates, orders, executes and state-transfers — degraded
-        but consistent rather than stalled at a dead session.
-        """
-        if self.party >= new_public.n:
-            # The epoch we missed removed us.  Stop the retry ladder —
-            # the peers will never spawn our resharing session.
-            self._retired = True
-            self._reshare_target = None
-            self._reshare_stalled = False
-            print(f"replica-retired party={self.party} epoch={target}", flush=True)
-            return
-        # Channel keys for members admitted while we were down derive
-        # from identity keys, Diffie-Hellman style (same construction
-        # the resharing used).
-        for member, verify_key in new_public.verify_keys.items():
-            if member not in self.keys.channel_keys and member != self.party:
-                key = dh_channel_key(
-                    new_public.group, self.keys.signing_key.x, verify_key.h
-                )
-                self.keys.channel_keys[member] = key
-                self.network.channel_keys[member] = key
-        new_keys = keystore.party_from_dict(
-            keystore.party_to_dict(self.keys), new_public
-        )
-        # Keep the superseded configuration for journal-replay
-        # re-validation (epochs we skipped have no archive; replay
-        # falls back to ordinal checking for those).
-        self._archive_epoch_public()
-        keystore.atomic_write_text(
-            self.directory / "public.json",
-            json.dumps(keystore.public_to_dict(new_public), indent=1),
-        )
-        save_epoch(self.directory, target)
-        old_epoch = self.epoch
-        old_session = epoch_service_session(old_epoch)
-        info = reconfig.signed_membership_info(
-            self.party,
-            target,
-            keystore.public_to_dict(new_public),
-            self.keys.signing_key,
-            self.runtime.rng,
-        )
-        self.public = new_public
-        self.keys = new_keys
-        self.runtime.public = new_public
-        self.runtime.keys = new_keys
-        self.epoch = target
-        self._reshare_target = None
-        self._reshare_stalled = False
-        # Members the missed epochs retired: drop their channels and
-        # addresses so a later add may reuse the id with a clean slate.
-        # The clients in the address book are not members: they stay.
-        for member in sorted(self.network.addresses):
-            if is_server(member) and member >= new_public.n:
-                self.network.forget_peer(member)
-        self.runtime.instances.pop(old_session, None)
-        self.runtime.spawn(old_session, EpochTombstone(info))
-        for epoch in range(old_epoch):
-            stale_session = epoch_service_session(epoch)
-            instance = self.runtime.instances.get(stale_session)
-            if isinstance(instance, EpochTombstone):
-                instance.info = info
-        self._install_replica_hooks()
-        new_session = epoch_service_session(target)
-        self.runtime.spawn(new_session, self.replica)
-        # Rounds in flight at the tombstoned session can never decide
-        # there; re-propose their payloads under the adopted session.
-        self.replica.rebase_broadcast(Context(self.runtime, new_session))
-        # Operations queued behind the stalled reshare execute now,
-        # under the epoch the cluster actually agreed on.
-        self.replica.resume_execution(Context(self.runtime, new_session))
-        print(
-            f"replica-stale-epoch party={self.party} epoch={target} "
-            f"n={new_public.n}",
-            flush=True,
-        )
-        # State transfer on the new session fills in everything ordered
-        # while we were away.
-        self.replica.begin_recovery(Context(self.runtime, new_session))
-        task = asyncio.get_running_loop().create_task(_announce_recovery(self))
-        task.add_done_callback(lambda t: t.cancelled() or t.exception())
+    # -- the flush watchdog ---------------------------------------------------------
 
     def _watch_flush(
         self,
         session: SessionId,
-        settled: Callable[[], bool] | None = None,
-        retry: Callable[[], None] | None = None,
+        settled: Callable[[], bool],
+        retry: Callable[[], None],
     ) -> None:
         """Liveness hatch for a bootstrap/resharing session.
 
@@ -1201,16 +1126,13 @@ class ReplicaHost:
         budget.  Uncoordinated flushes can still settle hosts on
         divergent qualified sets — conditional agreement then leaves
         the session with no ready quorum.  So once a full I/O budget
-        has passed in silence the `retry` callback respawns the
-        protocol under a fresh session tag, exactly as dkg.py
-        prescribes; every host runs the same clock so the ladders
-        stay aligned.  `settled` reports success recorded outside the
-        session result (e.g. the epoch already adopted)."""
+        has passed in silence ``retry`` respawns the protocol under a
+        fresh session tag, exactly as dkg.py prescribes.  ``settled``
+        reports success recorded outside the session result (the epoch
+        already entered)."""
 
         def is_settled() -> bool:
-            if self.runtime is None or self.runtime.result(session) is not None:
-                return True
-            return settled is not None and settled()
+            return self.runtime.result(session) is not None or settled()
 
         async def watch() -> None:
             await asyncio.sleep(self.io_timeout / 8)
@@ -1220,8 +1142,6 @@ class ReplicaHost:
             flush = getattr(instance, "flush", None)
             if flush is not None:
                 flush(Context(self.runtime, session))
-            if retry is None:
-                return
             await asyncio.sleep(self.io_timeout * 7 / 8)
             if is_settled():
                 return
@@ -1271,9 +1191,9 @@ async def serve_replica(
             f"replica-checkpoint party={party} status={host.checkpoint_status}",
             flush=True,
         )
-    if recover and host.replica is not None:
-        task = loop.create_task(_announce_recovery(host))
-        task.add_done_callback(lambda t: t.cancelled() or t.exception())
+        if host.replica is not None:
+            task = loop.create_task(_announce_recovery(host))
+            task.add_done_callback(lambda t: t.cancelled() or t.exception())
     # Bounded by SIGTERM from the operator, not by wall clock: a
     # replica serves until told to stop.
     await stop.wait()  # repro: noqa-RL005 runs-until-signalled by design
@@ -1323,27 +1243,13 @@ async def run_client_ops(
     timeout: float = 60.0,
 ) -> list[object]:
     """Submit operations over TCP, one at a time; returns their results."""
-    directory = pathlib.Path(directory)
-    public = keystore.load_public(directory / "public.json")
-    cid, channel_keys = keystore.load_client(directory / f"client-{client_id}.json")
-    cluster = ClusterConfig.load(directory / CLUSTER_FILE)
-    network = TransportNetwork(cid, cluster.addresses, channel_keys)
-    client = ServiceClient(
-        cid, network, public, random.Random(), epoch=load_epoch(directory)
-    )
-    network.attach(cid, client)
-    await network.start()
+    from .cluster import attach_client, submit_each  # lazy: cluster imports us
+
+    client = await attach_client(directory, random.Random(), client_id=client_id)
     try:
-        results: list[object] = []
-        for operation in operations:
-            nonce = client.submit(operation)
-            await network.wait_until(
-                lambda: nonce in client.completed, timeout=timeout
-            )
-            results.append(client.completed[nonce].result)
-        return results
+        return await submit_each(client, operations, timeout)
     finally:
-        await network.close()
+        await client.network.close()
 
 
 async def submit_reconfigure(
@@ -1385,402 +1291,3 @@ async def submit_reconfigure(
         directory, [operation], client_id=client_id, timeout=timeout
     )
     return results[0]
-
-
-# -- the demo cluster ---------------------------------------------------------------
-
-
-def _replica_env() -> dict[str, str]:
-    """Child processes must be able to ``import repro`` exactly like us."""
-    env = dict(os.environ)
-    src = str(pathlib.Path(__file__).resolve().parents[2])
-    existing = env.get("PYTHONPATH")
-    env["PYTHONPATH"] = src if not existing else src + os.pathsep + existing
-    return env
-
-
-class _ReplicaProcess:
-    """A spawned ``repro run-replica`` subprocess with captured output."""
-
-    def __init__(
-        self,
-        proc: asyncio.subprocess.Process,
-        party: int,
-        io_timeout: float = DEFAULT_IO_TIMEOUT,
-    ) -> None:
-        self.proc = proc
-        self.party = party
-        self.io_timeout = io_timeout
-        self.lines: list[str] = []
-        task = asyncio.get_running_loop().create_task(self._drain())
-        task.add_done_callback(lambda t: t.cancelled() or t.exception())
-        self._task = task
-
-    async def _drain(self) -> None:
-        assert self.proc.stdout is not None
-        pending = b""
-        while True:
-            # Terminates on child exit (EOF), not on a deadline — the
-            # drain must outlive any pause/partition the child is under.
-            # Chunks, not readline(): that raises once a line passes
-            # asyncio's 64 KiB limit (``replica-final … snapshot=`` of a
-            # large store), which would end the drain for good.
-            chunk = await self.proc.stdout.read(1 << 16)  # repro: noqa-RL005 EOF-bounded pipe drain
-            *complete, pending = (pending + chunk).split(b"\n")
-            if not chunk and pending:
-                complete.append(pending)  # unterminated last line
-            for raw in complete:
-                line = raw.decode(errors="replace").rstrip()
-                self.lines.append(line)
-                print(f"  [replica {self.party}] {line}", flush=True)
-            if not chunk:
-                return
-
-    async def wait_for_line(self, needle: str, timeout: float | None = None) -> str:
-        """Block until a captured stdout line contains ``needle``.
-
-        The deadline defaults to the deployment's configured
-        ``ClusterConfig.io_timeout`` (threaded through at spawn time)
-        rather than a hardcoded constant.
-        """
-        if timeout is None:
-            timeout = self.io_timeout
-        deadline = asyncio.get_running_loop().time() + timeout
-        while True:
-            for line in self.lines:
-                if needle in line:
-                    return line
-            if self.proc.returncode is not None:
-                raise TransportError(
-                    f"replica {self.party} exited before printing {needle!r}"
-                )
-            if asyncio.get_running_loop().time() > deadline:
-                raise TransportError(
-                    f"replica {self.party} never printed {needle!r}"
-                )
-            await asyncio.sleep(0.05)
-
-    async def stop(self, grace: float = 15.0) -> None:
-        if self.proc.returncode is None:
-            self.proc.terminate()
-            try:
-                await asyncio.wait_for(self.proc.wait(), grace)
-            except asyncio.TimeoutError:
-                self.proc.kill()
-                await self.proc.wait()  # repro: noqa-RL005 SIGKILL already sent; exit is certain
-        await self._task
-
-    async def kill(self) -> None:
-        """Crash the replica (no grace, no cleanup) — the fault model."""
-        if self.proc.returncode is None:
-            self.proc.kill()
-            await self.proc.wait()  # repro: noqa-RL005 SIGKILL already sent; exit is certain
-        await self._task
-
-    def suspend(self) -> None:
-        """SIGSTOP: the process freezes mid-whatever — from the cluster's
-        point of view, an arbitrarily slow (but not crashed) replica."""
-        if self.proc.returncode is None:
-            self.proc.send_signal(signal.SIGSTOP)
-
-    def resume(self) -> None:
-        """SIGCONT after :meth:`suspend`."""
-        if self.proc.returncode is None:
-            self.proc.send_signal(signal.SIGCONT)
-
-
-async def _spawn_replica(
-    directory: pathlib.Path,
-    party: int,
-    recover: bool = False,
-    byzantine: str | None = None,
-    journal: bool = False,
-    checkpoint_every: int = 0,
-    io_timeout: float = DEFAULT_IO_TIMEOUT,
-    dkg_boot: bool = False,
-    join: bool = False,
-) -> _ReplicaProcess:
-    command = [
-        sys.executable, "-m", "repro", "run-replica",
-        "--dir", str(directory), "--party", str(party),
-    ]
-    if recover:
-        command.append("--recover")
-    if dkg_boot:
-        command.append("--dkg")
-    if join:
-        command.append("--join")
-    if byzantine:
-        command.extend(["--byzantine", byzantine])
-    if journal:
-        command.append("--journal")
-    if checkpoint_every:
-        command.extend(["--checkpoint-every", str(checkpoint_every)])
-    proc = await asyncio.create_subprocess_exec(
-        *command,
-        stdout=asyncio.subprocess.PIPE,
-        stderr=asyncio.subprocess.STDOUT,
-        env=_replica_env(),
-    )
-    return _ReplicaProcess(proc, party, io_timeout=io_timeout)
-
-
-async def _submit_and_await(
-    network: TransportNetwork,
-    client: ServiceClient,
-    operations: list[tuple],
-    timeout: float,
-) -> list[object]:
-    results: list[object] = []
-    for operation in operations:
-        nonce = client.submit(operation)
-        await network.wait_until(lambda: nonce in client.completed, timeout=timeout)
-        result = client.completed[nonce].result
-        print(f"  client: {operation!r} -> {result!r}", flush=True)
-        results.append(result)
-    return results
-
-
-async def _demo_cluster(
-    n: int, t: int, seed: int, directory: pathlib.Path, timeout: float
-) -> int:
-    rng = random.Random(seed)
-    print(f"dealing keys for n={n}, t={t} (plus one client identity)", flush=True)
-    keys = deal_system(n, rng, t=t, clients=1, group=small_group())
-    keystore.write_deployment(keys, directory)
-    addresses = allocate_addresses(list(range(n)) + [CLIENT_BASE])
-    ClusterConfig(addresses, io_timeout=timeout).save(directory / CLUSTER_FILE)
-
-    print(f"spawning {n} replica processes", flush=True)
-    replicas = {
-        party: await _spawn_replica(directory, party, io_timeout=timeout)
-        for party in range(n)
-    }
-    public = keystore.load_public(directory / "public.json")
-    cid, channel_keys = keystore.load_client(
-        directory / f"client-{CLIENT_BASE}.json"
-    )
-    network = TransportNetwork(cid, addresses, channel_keys)
-    client = ServiceClient(cid, network, public, random.Random(seed + 99))
-    network.attach(cid, client)
-    await network.start()
-    victim = n - 1
-    try:
-        print("phase A: 3 writes with the full cluster", flush=True)
-        phase_a = [("set", f"key-{i}", i) for i in range(3)]
-        await _submit_and_await(network, client, phase_a, timeout)
-
-        print(f"killing replica {victim} (SIGKILL, no warning)", flush=True)
-        await replicas[victim].kill()
-
-        print(f"phase B: 2 writes with {n - 1} replicas", flush=True)
-        phase_b = [("set", f"key-{i}", i) for i in range(3, 5)]
-        await _submit_and_await(network, client, phase_b, timeout)
-
-        print(f"restarting replica {victim} with --recover", flush=True)
-        replicas[victim] = await _spawn_replica(
-            directory, victim, recover=True, io_timeout=timeout
-        )
-        await replicas[victim].wait_for_line("listening", timeout)
-
-        print("phase C: 1 write + 1 read with the recovered cluster", flush=True)
-        phase_c = [("set", "key-5", 5), ("get", "key-0")]
-        results = await _submit_and_await(network, client, phase_c, timeout)
-        if results[-1] != ("value", 0):
-            print("demo-cluster: FAILED (read returned the wrong value)")
-            return 1
-
-        # State transfer (Section 6) runs concurrently with phase C;
-        # wait for the restarted replica to announce it has caught up
-        # before asking everyone for their final snapshot.
-        await replicas[victim].wait_for_line("replica-recovered", timeout)
-
-        print("stopping the cluster (SIGTERM)", flush=True)
-        for party in sorted(replicas):
-            await replicas[party].stop()
-
-        # The restarted replica must have replayed the history it
-        # missed: every key from every phase in its final snapshot.
-        final = next(
-            (line for line in replicas[victim].lines if "replica-final" in line), ""
-        )
-        missing = [f"key-{i}" for i in range(6) if f"key-{i}" not in final]
-        if not final or missing:
-            print(f"demo-cluster: FAILED (replica {victim} did not recover "
-                  f"{missing or 'at all'})")
-            return 1
-        print(f"demo-cluster: ok (replica {victim} recovered the full history)")
-        return 0
-    finally:
-        for process in replicas.values():
-            await process.kill()
-        await network.close()
-
-
-async def _demo_cluster_dkg(
-    n: int, t: int, seed: int, directory: pathlib.Path, timeout: float
-) -> int:
-    """Dealerless demo: boot via DKG, then reconfigure the live cluster
-    n -> n+1 -> n (add a member, then remove it) without stopping."""
-    rng = random.Random(seed)
-    joiner = n
-    print(f"provisioning bootstrap identities for n={n}, t={t} (NO dealer)",
-          flush=True)
-    provision_dkg_deployment(n, t, rng, directory, clients=1, group=small_group())
-    addresses = allocate_addresses(list(range(n + 1)) + [CLIENT_BASE])
-    joiner_addr = addresses.pop(joiner)
-    ClusterConfig(dict(addresses), io_timeout=timeout).save(
-        directory / CLUSTER_FILE
-    )
-
-    print(f"spawning {n} replicas with --dkg (distributed key generation)",
-          flush=True)
-    replicas = {
-        party: await _spawn_replica(
-            directory, party, dkg_boot=True, io_timeout=timeout
-        )
-        for party in range(n)
-    }
-    for party in range(n):
-        line = await replicas[party].wait_for_line("replica-dkg", timeout)
-        print(f"  {line}", flush=True)
-
-    public = keystore.load_public(directory / "public.json")
-    cid, channel_keys = keystore.load_client(
-        directory / f"client-{CLIENT_BASE}.json"
-    )
-    network = TransportNetwork(cid, dict(addresses), channel_keys)
-    client = ServiceClient(cid, network, public, random.Random(seed + 99))
-    network.attach(cid, client)
-    await network.start()
-    operator_rng = random.Random(seed + 7)
-    try:
-        print("phase A: 3 writes against the DKG-generated keys", flush=True)
-        phase_a = [("set", f"key-{i}", i) for i in range(3)]
-        await _submit_and_await(network, client, phase_a, timeout)
-
-        print(f"provisioning joiner {joiner} and spawning it with --join",
-              flush=True)
-        bundle = provision_joiner(directory, joiner, operator_rng)
-        addresses[joiner] = joiner_addr
-        ClusterConfig(dict(addresses), io_timeout=timeout).save(
-            directory / CLUSTER_FILE
-        )
-        # The running client learns the joiner's address and its fresh
-        # channel key (provision_joiner rewrote the client bundle).
-        _, refreshed_keys = keystore.load_client(
-            directory / f"client-{CLIENT_BASE}.json"
-        )
-        network.addresses[joiner] = joiner_addr
-        network.channel_keys[joiner] = refreshed_keys[joiner]
-        replicas[joiner] = await _spawn_replica(
-            directory, joiner, join=True, io_timeout=timeout
-        )
-
-        print(f"submitting ordered Reconfigure(add, party={joiner}) -> epoch 1",
-              flush=True)
-        signer_keys = keystore.load_party(directory / "server-0.json", public)
-        add_op = reconfig.reconfigure_operation(
-            "add", 1, 0, signer_keys.signing_key, operator_rng,
-            party=joiner,
-            verify_key=bundle.signing_key.verify_key.h,
-            host=joiner_addr[0], port=joiner_addr[1],
-        )
-        results = await _submit_and_await(network, client, [add_op], timeout)
-        if results[0] != ("reconfig", "accepted", 1):
-            print("demo-cluster: FAILED (add operation rejected)")
-            return 1
-        for party in range(n + 1):
-            line = await replicas[party].wait_for_line("replica-epoch", timeout)
-            print(f"  {line}", flush=True)
-        await replicas[joiner].wait_for_line("replica-recovered", timeout)
-        print(f"  replica {joiner} joined epoch 1 and state-transferred",
-              flush=True)
-
-        print(f"phase B: 2 writes with n={n + 1} (client refetches membership)",
-              flush=True)
-        phase_b = [("set", f"key-{i}", i) for i in range(3, 5)]
-        await _submit_and_await(network, client, phase_b, timeout)
-        if client.epoch != 1:
-            print("demo-cluster: FAILED (client never adopted epoch 1)")
-            return 1
-
-        print(f"submitting ordered Reconfigure(remove, party={joiner}) -> epoch 2",
-              flush=True)
-        public = keystore.load_public(directory / "public.json")
-        signer_keys = keystore.load_party(directory / "server-0.json", public)
-        remove_op = reconfig.reconfigure_operation(
-            "remove", 2, 0, signer_keys.signing_key, operator_rng, party=joiner
-        )
-        results = await _submit_and_await(network, client, [remove_op], timeout)
-        if results[0] != ("reconfig", "accepted", 2):
-            print("demo-cluster: FAILED (remove operation rejected)")
-            return 1
-        stale_ok = True
-        for party in range(n):
-            line = await replicas[party].wait_for_line(
-                f"replica-epoch party={party} epoch=2", timeout
-            )
-            print(f"  {line}", flush=True)
-            stale_ok = stale_ok and "stale_shares_valid=False" in line
-        if not stale_ok:
-            print("demo-cluster: FAILED (departed replica's shares still "
-                  "verify in epoch 2)")
-            return 1
-        line = await replicas[joiner].wait_for_line("replica-departed", timeout)
-        print(f"  {line}", flush=True)
-        print(f"stopping departed replica {joiner}", flush=True)
-        await replicas[joiner].stop()
-
-        print(f"phase C: 1 write + 1 read back at n={n} (epoch 2)", flush=True)
-        phase_c = [("set", "key-5", 5), ("get", "key-0")]
-        results = await _submit_and_await(network, client, phase_c, timeout)
-        if results[-1] != ("value", 0):
-            print("demo-cluster: FAILED (read returned the wrong value)")
-            return 1
-        if client.epoch != 2 or client.epoch_refreshes < 2:
-            print("demo-cluster: FAILED (client did not follow both epochs)")
-            return 1
-
-        print("stopping the cluster (SIGTERM)", flush=True)
-        for party in range(n):
-            await replicas[party].stop()
-        for party in range(n):
-            final = next(
-                (l for l in replicas[party].lines if "replica-final" in l), ""
-            )
-            missing = [f"key-{i}" for i in range(6) if f"key-{i}" not in final]
-            if not final or missing:
-                print(f"demo-cluster: FAILED (replica {party} final state "
-                      f"missing {missing or 'everything'})")
-                return 1
-        print(f"demo-cluster: ok (dealerless boot, live {n}->{n + 1}->{n} "
-              f"reconfiguration, epochs 0..2)")
-        return 0
-    finally:
-        for process in replicas.values():
-            await process.kill()
-        await network.close()
-
-
-def demo_cluster(
-    n: int = 4,
-    t: int = 1,
-    seed: int = 0,
-    directory: str | pathlib.Path | None = None,
-    keep: bool = False,
-    timeout: float = 60.0,
-    dkg: bool = False,
-) -> int:
-    """Run the end-to-end TCP cluster demo; returns a process exit code."""
-    created = directory is None
-    workdir = pathlib.Path(directory or tempfile.mkdtemp(prefix="repro-cluster-"))
-    workdir.mkdir(parents=True, exist_ok=True)
-    runner = _demo_cluster_dkg if dkg else _demo_cluster
-    try:
-        return asyncio.run(runner(n, t, seed, workdir, timeout))
-    finally:
-        if created and not keep:
-            shutil.rmtree(workdir, ignore_errors=True)
-        elif keep:
-            print(f"cluster state kept in {workdir}")

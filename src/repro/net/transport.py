@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import asyncio
 import hmac
-import os
 import random
 import traceback
 from collections import deque
@@ -110,6 +109,9 @@ _PASS_FRAME = FrameFault()
 
 # How often a severed sender re-checks whether its link healed.
 _PARTITION_POLL = 0.05
+
+# Handler/task exceptions kept in ``TransportNetwork.errors`` and printed.
+MAX_KEPT_ERRORS = 8
 
 
 class FaultPlan:
@@ -826,10 +828,7 @@ class TransportNetwork:
         try:
             self.node.on_message(sender, payload)
         except Exception as exc:  # a handler bug must not kill the link
-            self.errors.append(exc)
-            self.trace.bump("transport.handler_errors")
-            if os.environ.get("REPRO_DEBUG"):
-                traceback.print_exception(exc)
+            self._record_error(exc, "transport.handler_errors")
         self._delivery_event.set()
 
     # -- waiting -----------------------------------------------------------
@@ -856,5 +855,13 @@ class TransportNetwork:
             return
         exc = task.exception()
         if exc is not None:
+            self._record_error(exc, "transport.task_errors")
+
+    def _record_error(self, exc: BaseException, counter: str) -> None:
+        """Count every handler/task failure; keep and print (stderr) the
+        first ``MAX_KEPT_ERRORS`` of this network — one per process in a
+        deployment — so a bug is visible without growing without bound."""
+        self.trace.bump(counter)
+        if len(self.errors) < MAX_KEPT_ERRORS:
             self.errors.append(exc)
-            self.trace.bump("transport.task_errors")
+            traceback.print_exception(exc)

@@ -1,5 +1,5 @@
 """RL005 mode-5 fixture: unbounded network/process reads (loaded with a
-net/runtime.py-style relpath so the chaos-layer scope applies)."""
+net/runtime.py- or net/cluster.py-style relpath so the chaos-layer scope applies)."""
 import asyncio
 
 
@@ -19,3 +19,7 @@ async def pull_queue(queue: asyncio.Queue):
 
 async def read_exact(reader: asyncio.StreamReader):
     return await reader.readexactly(4)  # line 21: no timeout
+
+
+async def reap(proc: asyncio.subprocess.Process):
+    await proc.wait()  # line 25: no timeout (net/cluster.py reaps processes)

@@ -156,13 +156,14 @@ def test_rl005_scope_excludes_the_simulator():
 
 
 def test_rl005_unbounded_reads_in_chaos_layer():
-    for relpath in ("net/runtime.py", "net/chaos.py"):
+    for relpath in ("net/runtime.py", "net/cluster.py", "net/chaos.py"):
         report = findings("rl005_reads_bad.py", "RL005", relpath=relpath)
         assert locations(report) == [
             ("RL005", 7),   # proc.stdout.readline()
             ("RL005", 12),  # event.wait()
             ("RL005", 16),  # queue.get()
             ("RL005", 21),  # reader.readexactly()
+            ("RL005", 25),  # proc.wait()
         ]
         assert all("no timeout" in d.message for d in report.diagnostics)
         assert all("noqa-RL005" in d.hint for d in report.diagnostics)

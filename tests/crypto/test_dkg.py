@@ -7,12 +7,13 @@ membership preserves the public keys while making every old share
 useless.
 """
 
+import functools
 import random
 from dataclasses import replace
 
 import pytest
 
-from repro.adversary.attributes import example1_access_formula
+from repro.adversary.attributes import example1_access_formula, example1_structure
 from repro.adversary.quorums import quorum_system_for
 from repro.core.protocol import Context
 from repro.core.runtime import ProtocolRuntime
@@ -48,9 +49,11 @@ from ..helpers import run_until_outputs
 
 GROUP = small_group()
 
-# One 5-party PKI for the whole module: the n=4 epochs simply use the
-# first four bundles, so signing keys stay stable across epochs.
-BUNDLES = provision_bootstrap(list(range(5)), random.Random(0xB007), GROUP)
+# One PKI for the whole module (and for the proactive-refresh tests and
+# benchmark E14, which reuse these drivers at up to n=16): smaller
+# memberships simply use the first bundles, so signing keys stay stable
+# across epochs.
+BUNDLES = provision_bootstrap(list(range(16)), random.Random(0xB007), GROUP)
 
 
 def _network(parties, quorum, seed):
@@ -64,9 +67,9 @@ def _network(parties, quorum, seed):
     return network, runtimes
 
 
-def _run_dkg(n=4, t=1, seed=7, factory=None, spawn_on=None):
-    scheme = threshold_scheme(n, t, GROUP.q)
-    quorum = quorum_system_for(n, t=t)
+def _run_dkg(n=4, t=1, seed=7, factory=None, spawn_on=None, scheme=None, quorum=None):
+    scheme = scheme or threshold_scheme(n, t, GROUP.q)
+    quorum = quorum or quorum_system_for(n, t=t)
     network, runtimes = _network(list(range(n)), quorum, seed)
     session = dkg_session("test")
     make = factory or (lambda party: DistributedKeyGeneration(GROUP, scheme))
@@ -352,6 +355,48 @@ def test_flush_drops_crashed_dealer():
 # ===========================================================================
 
 
+def _spawn_reshare(
+    old_scheme,
+    old_outputs,
+    old_quorum,
+    new_scheme,
+    new_quorum,
+    new_members,
+    seed,
+    all_parties,
+    spawn_on=None,
+):
+    """Spawn a resharing of ``old_outputs`` onto ``new_members`` at every
+    party of ``spawn_on`` (default: all).  Returns the network, the
+    runtimes, the session and the per-party protocol factory, so a test
+    can flush, or spawn a latecomer, before running to the outputs."""
+    new_verify_keys = {
+        p: BUNDLES[p].signing_key.verify_key.h for p in new_members
+    }
+    network, runtimes = _network(all_parties, old_quorum, seed)
+    session = reshare_session(1, "test")
+    reference = old_outputs[min(old_outputs)]
+
+    def make(party):
+        old_out = old_outputs.get(party)
+        return VerifiableResharing(
+            GROUP,
+            old_scheme,
+            new_scheme,
+            reference.coin_verification,
+            reference.enc_verification,
+            new_members=tuple(new_members),
+            new_quorum=new_quorum,
+            new_verify_keys=new_verify_keys,
+            old_coin_subshares=old_out.coin_subshares if old_out else None,
+            old_enc_subshares=old_out.enc_subshares if old_out else None,
+        )
+
+    for party in spawn_on if spawn_on is not None else all_parties:
+        runtimes[party].spawn(session, make(party))
+    return network, runtimes, session, make
+
+
 def _run_reshare(
     old_scheme,
     old_outputs,
@@ -363,31 +408,35 @@ def _run_reshare(
 ):
     new_scheme = threshold_scheme(len(new_members), new_t, GROUP.q)
     new_quorum = quorum_system_for(len(new_members), t=new_t)
-    new_verify_keys = {
-        p: BUNDLES[p].signing_key.verify_key.h for p in new_members
-    }
-    network, runtimes = _network(all_parties, old_quorum, seed)
-    session = reshare_session(1, "test")
-    reference = old_outputs[min(old_outputs)]
-    for party in all_parties:
-        old_out = old_outputs.get(party)
-        runtimes[party].spawn(
-            session,
-            VerifiableResharing(
-                GROUP,
-                old_scheme,
-                new_scheme,
-                reference.coin_verification,
-                reference.enc_verification,
-                new_members=tuple(new_members),
-                new_quorum=new_quorum,
-                new_verify_keys=new_verify_keys,
-                old_coin_subshares=old_out.coin_subshares if old_out else None,
-                old_enc_subshares=old_out.enc_subshares if old_out else None,
-            ),
-        )
+    network, runtimes, session, _ = _spawn_reshare(
+        old_scheme, old_outputs, old_quorum, new_scheme, new_quorum,
+        new_members, seed, all_parties,
+    )
     outputs = run_until_outputs(network, runtimes, session, parties=new_members)
     return new_scheme, new_quorum, outputs
+
+
+@functools.lru_cache(maxsize=None)
+def refreshed(example1=False):
+    """A dealerless sharing and its proactive refresh (Section 6): a
+    resharing onto the *same* membership and formula, which is what an
+    ordered ``refresh`` runs.  n=4/t=1, or the paper's Example 1
+    structure on 9 parties.  Returns ``(scheme, quorum, old, new)``."""
+    if example1:
+        n = 9
+        scheme = LsssScheme(formula=example1_access_formula(), modulus=GROUP.q)
+        quorum = quorum_system_for(n, structure=example1_structure())
+    else:
+        n = 4
+        scheme, quorum = threshold_scheme(n, 1, GROUP.q), quorum_system_for(n, t=1)
+    _, _, network, runtimes, session = _run_dkg(
+        n, seed=41, scheme=scheme, quorum=quorum
+    )
+    old = run_until_outputs(network, runtimes, session)
+    network, runtimes, session, _ = _spawn_reshare(
+        scheme, old, quorum, scheme, quorum, range(n), 42, list(range(n))
+    )
+    return scheme, quorum, old, run_until_outputs(network, runtimes, session)
 
 
 @pytest.fixture(scope="module")
@@ -493,29 +542,12 @@ def test_reshare_tolerates_crashed_old_dealer(dkg_4):
     """One old shareholder crashes mid-resharing: the rest form a
     qualified set and the new epoch still opens with the same key."""
     old_scheme, old_quorum, old_outputs, old_public, _ = dkg_4
-    new_scheme = threshold_scheme(5, 1, GROUP.q)
-    new_quorum = quorum_system_for(5, t=1)
-    new_verify_keys = {p: BUNDLES[p].signing_key.verify_key.h for p in range(5)}
-    network, runtimes = _network([0, 1, 2, 3, 4], old_quorum, seed=36)
-    session = reshare_session(1, "crash")
-    reference = old_outputs[0]
-    for party in (0, 1, 2, 4):  # party 3 never starts resharing
-        old_out = old_outputs.get(party) if party != 4 else None
-        runtimes[party].spawn(
-            session,
-            VerifiableResharing(
-                GROUP,
-                old_scheme,
-                new_scheme,
-                reference.coin_verification,
-                reference.enc_verification,
-                new_members=(0, 1, 2, 3, 4),
-                new_quorum=new_quorum,
-                new_verify_keys=new_verify_keys,
-                old_coin_subshares=old_out.coin_subshares if old_out else None,
-                old_enc_subshares=old_out.enc_subshares if old_out else None,
-            ),
-        )
+    network, runtimes, session, _ = _spawn_reshare(
+        old_scheme, old_outputs, old_quorum,
+        threshold_scheme(5, 1, GROUP.q), quorum_system_for(5, t=1),
+        new_members=(0, 1, 2, 3, 4), seed=36, all_parties=[0, 1, 2, 3, 4],
+        spawn_on=(0, 1, 2, 4),  # party 3 never starts resharing
+    )
     network.run()  # quiesce: dealer 3's resharing never arrives
     for party in (0, 1, 2, 4):
         runtimes[party].instances[session].flush(

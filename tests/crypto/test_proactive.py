@@ -1,98 +1,120 @@
-"""Proactive share refresh (Section 6 extension)."""
+"""Proactive share refresh (Section 6 extension), on the path that
+ships: an ordered ``refresh`` is a verifiable resharing onto the same
+membership (``crypto/dkg.py``), so every case here runs against that."""
 
 import random
-from dataclasses import replace
+from itertools import combinations
 
-import pytest
-
-from repro.adversary.attributes import example1_access_formula
-from repro.crypto.groups import small_group
-from repro.crypto.lsss import LsssScheme, threshold_scheme
-from repro.crypto.proactive import (
-    apply_refresh,
-    deal_zero_sharing,
-    refresh_lsss,
-    verify_zero_sharing,
+from repro.crypto.dkg import (
+    ReshareCommit,
+    VerifiableResharing,
+    deal_verifiable,
+    slot_commitment,
+    tree_commitments,
+    tree_consistent,
 )
-from repro.crypto.shamir import reconstruct, share_secret
+from repro.crypto.lsss import LsssSharing
 
-GROUP = small_group()
+from .test_dkg import GROUP, refreshed
+
+
+def _opens_key(scheme, outputs, parties, stale=None) -> bool:
+    """Do the parties' encryption-key subshares (``stale``: party ->
+    output of an older epoch to use in its place) interpolate the key?"""
+    held = {**outputs, **(stale or {})}
+    subshares = {p: dict(held[p].enc_subshares) for p in parties}
+    secret = scheme.reconstruct(LsssSharing(shares=subshares), set(parties))
+    return GROUP.power_of_g(secret) == outputs[min(outputs)].encryption_h
 
 
 def test_zero_sharing_verifies():
-    rng = random.Random(1)
-    sharing = deal_zero_sharing(GROUP, 5, 2, dealer=0, rng=rng)
-    for point in range(1, 6):
-        assert verify_zero_sharing(GROUP, sharing, point)
+    """Every refreshed subshare opens its public verification value."""
+    _, _, _, new = refreshed()
+    for out in new.values():
+        for slot, value in out.coin_subshares.items():
+            assert GROUP.power_of_g(value) == out.coin_verification[slot]
+        for slot, value in out.enc_subshares.items():
+            assert GROUP.power_of_g(value) == out.enc_verification[slot]
 
 
 def test_zero_sharing_with_nonzero_constant_rejected():
-    rng = random.Random(2)
-    sharing = deal_zero_sharing(GROUP, 4, 1, dealer=1, rng=rng)
-    forged = replace(sharing, commitments=[GROUP.g] + sharing.commitments[1:])
-    assert not verify_zero_sharing(GROUP, forged, 1)
+    """The refresh must add nothing to the secret: a dealer's resharing
+    tree is pinned to its old verification value, so it provably deals
+    the old subshare and nothing else."""
+    scheme, _, old, _ = refreshed()
+    slot, value = sorted(old[0].coin_subshares.items())[0]
+    root = old[0].coin_verification[slot]
+    _, honest = deal_verifiable(GROUP, scheme, value, random.Random(2))
+    _, shifted = deal_verifiable(GROUP, scheme, value + 1, random.Random(2))
+    assert tree_consistent(GROUP, scheme, honest, root=root)
+    assert not tree_consistent(GROUP, scheme, shifted, root=root)
 
 
 def test_tampered_subshare_rejected():
-    rng = random.Random(3)
-    sharing = deal_zero_sharing(GROUP, 4, 1, dealer=0, rng=rng)
-    bad_subshares = dict(sharing.subshares)
-    bad_subshares[2] = (bad_subshares[2] + 1) % GROUP.q
-    assert not verify_zero_sharing(GROUP, replace(sharing, subshares=bad_subshares), 2)
+    scheme, _, _, _ = refreshed()
+    sharing, tree = deal_verifiable(GROUP, scheme, 77, random.Random(3))
+    commitments = tree_commitments(tree)
+    slot, value = sorted(sharing.all_slots().items())[1]
+    assert GROUP.power_of_g(value) == slot_commitment(GROUP, commitments, slot)
+    assert GROUP.power_of_g(value + 1) != slot_commitment(GROUP, commitments, slot)
 
 
 def test_refresh_preserves_secret_and_rerandomizes():
-    rng = random.Random(4)
-    n, t, secret = 5, 2, 31337
-    shares, _ = share_secret(secret, n, t, GROUP.q, rng)
-    updates = [deal_zero_sharing(GROUP, n, t, dealer=d, rng=rng) for d in range(3)]
-    refreshed = [apply_refresh(GROUP, s, updates) for s in shares]
+    _, _, old, new = refreshed()
     # Secret unchanged...
-    assert reconstruct(refreshed[:3], GROUP.q) == secret
+    assert {out.encryption_h for out in new.values()} == {old[0].encryption_h}
     # ...but every share differs (old epoch's exposures are useless).
-    assert all(old.value != new.value for old, new in zip(shares, refreshed))
+    for party, out in new.items():
+        for slot, value in out.coin_subshares.items():
+            assert value != old[party].coin_subshares[slot]
+        for slot, value in out.enc_subshares.items():
+            assert value != old[party].enc_subshares[slot]
 
 
 def test_mixing_epochs_breaks_reconstruction():
     """Shares from different epochs must not interpolate to the secret —
     the property that invalidates a mobile adversary's stale captures."""
-    rng = random.Random(5)
-    secret = 777
-    shares, _ = share_secret(secret, 5, 2, GROUP.q, rng)
-    updates = [deal_zero_sharing(GROUP, 5, 2, dealer=0, rng=rng)]
-    refreshed = [apply_refresh(GROUP, s, updates) for s in shares]
-    mixed = [shares[0], refreshed[1], refreshed[2]]
-    assert reconstruct(mixed, GROUP.q) != secret
+    scheme, _, old, new = refreshed()
+    assert _opens_key(scheme, new, (0, 2))
+    assert not _opens_key(scheme, new, (0, 2), stale={0: old[0]})
 
 
 def test_apply_refresh_rejects_invalid_update():
-    rng = random.Random(6)
-    shares, _ = share_secret(1, 4, 1, GROUP.q, rng)
-    update = deal_zero_sharing(GROUP, 4, 1, dealer=0, rng=rng)
-    forged = replace(update, commitments=[GROUP.g] + update.commitments[1:])
-    with pytest.raises(ValueError):
-        apply_refresh(GROUP, shares[0], [forged])
+    """Receivers accept a dealer's commit only if every tree in it is
+    rooted at that dealer's old verification value."""
+    scheme, quorum, old, _ = refreshed()
+    protocol = VerifiableResharing(
+        GROUP, scheme, scheme, old[0].coin_verification, old[0].enc_verification,
+        tuple(range(4)), quorum, {},
+    )
+
+    def commit_of_party_0(shift):
+        rng = random.Random(6)
+        entries = []
+        for subshares in (old[0].coin_subshares, old[0].enc_subshares):
+            dealt = {
+                slot: deal_verifiable(GROUP, scheme, value + shift, rng)
+                for slot, value in sorted(subshares.items())
+            }
+            entries.append(tuple(
+                (slot, tree, tuple(sorted(sharing.all_slots().items())))
+                for slot, (sharing, tree) in dealt.items()
+            ))
+        return ReshareCommit(coin=entries[0], enc=entries[1])
+
+    assert protocol._commit_acceptable(commit_of_party_0(0))
+    assert not protocol._commit_acceptable(commit_of_party_0(1))
 
 
 def test_lsss_refresh_threshold_case():
-    rng = random.Random(7)
-    scheme = threshold_scheme(4, 1, GROUP.q)
-    sharing = scheme.deal(4242, rng)
-    refreshed = refresh_lsss(scheme, sharing, rng)
-    assert scheme.reconstruct(refreshed, {0, 2}) == 4242
-    assert sharing.all_slots() != refreshed.all_slots()
+    scheme, _, _, new = refreshed()
+    assert all(_opens_key(scheme, new, pair) for pair in combinations(range(4), 2))
 
 
 def test_lsss_refresh_generalized_case():
-    rng = random.Random(8)
-    scheme = LsssScheme(formula=example1_access_formula(), modulus=GROUP.q)
-    sharing = scheme.deal(99, rng)
-    refreshed = refresh_lsss(scheme, sharing, rng)
-    assert scheme.reconstruct(refreshed, {0, 4, 6}) == 99
-    assert scheme.reconstruct(refreshed, {5, 7, 8}) == 99
-    changed = sum(
-        1
-        for slot, value in sharing.all_slots().items()
-        if refreshed.all_slots()[slot] != value
-    )
-    assert changed > 0
+    """Refresh along the paper's Example 1 formula (9 parties)."""
+    scheme, _, old, new = refreshed(example1=True)
+    assert new[0].encryption_h == old[0].encryption_h
+    assert _opens_key(scheme, new, {0, 4, 6})
+    assert _opens_key(scheme, new, {5, 7, 8})
+    assert new[4].enc_subshares != old[4].enc_subshares

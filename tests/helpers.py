@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
+import contextlib
 import random
 
 from repro.core.protocol import Context, SessionId
 from repro.core.runtime import ProtocolRuntime
 from repro.crypto.dealer import SystemKeys
+from repro.net.cluster import attach_client
+from repro.net.runtime import ReplicaHost
 from repro.net.scheduler import RandomScheduler, Scheduler
 from repro.net.simulator import Network
 
-__all__ = ["make_network", "spawn_all", "run_until_outputs", "ctx_for"]
+__all__ = ["make_network", "spawn_all", "run_until_outputs", "ctx_for", "tcp_cluster"]
 
 
 def make_network(
@@ -55,3 +58,21 @@ def run_until_outputs(
 
 def ctx_for(runtime: ProtocolRuntime, session: SessionId) -> Context:
     return Context(runtime, session)
+
+
+@contextlib.asynccontextmanager
+async def tcp_cluster(directory, client_seed: int, parties=range(4), **host_options):
+    """In-process replica hosts over real sockets on a ready deployment
+    directory, and a client attached once they listen.  Yields ``(hosts,
+    client)``; on exit closes the client and every host then in the
+    ``hosts`` dict (a test may swap one for a restarted incarnation)."""
+    hosts = {p: ReplicaHost(directory, p, **host_options) for p in parties}
+    for host in hosts.values():
+        await host.start()
+    client = await attach_client(directory, random.Random(client_seed))
+    try:
+        yield hosts, client
+    finally:
+        await client.network.close()
+        for host in hosts.values():
+            await host.close()

@@ -14,21 +14,16 @@ import random
 
 import pytest
 
-from repro.crypto import deal_system, keystore, small_group
 from repro.crypto.dealer import CLIENT_BASE, is_server
-from repro.net.runtime import (
-    CLUSTER_FILE,
-    ClusterConfig,
-    ReplicaHost,
-    allocate_addresses,
-    provision_joiner,
-)
+from repro.net.cluster import admit_joiner, deal_deployment
+from repro.net.runtime import ReplicaHost
 from repro.net.scheduler import FifoScheduler
 from repro.net.simulator import Network
 from repro.net.tracing import _kind_of
-from repro.net.transport import TransportNetwork
 from repro.smr import KeyValueStore, build_service, reconfig
 from repro.smr.client import ServiceClient
+
+from ..helpers import tcp_cluster
 
 CLIENT_KINDS = {"Reply", "EpochError", "MembershipInfo"}
 
@@ -100,35 +95,17 @@ def test_simulator_client_receives_only_what_is_addressed_to_it(causal):
 
 
 def _deployment(tmp_path, seed):
-    keys = deal_system(4, random.Random(seed), t=1, clients=1, group=small_group())
-    keystore.write_deployment(keys, tmp_path)
-    addresses = allocate_addresses(list(range(4)) + [CLIENT_BASE])
-    ClusterConfig(addresses).save(tmp_path / CLUSTER_FILE)
-    return keys
-
-
-async def _tcp_client(tmp_path, seed):
-    cluster = ClusterConfig.load(tmp_path / CLUSTER_FILE)
-    public = keystore.load_public(tmp_path / "public.json")
-    cid, channel_keys = keystore.load_client(tmp_path / f"client-{CLIENT_BASE}.json")
-    net = TransportNetwork(cid, cluster.addresses, channel_keys)
-    client = ServiceClient(cid, net, public, random.Random(seed))
-    net.attach(cid, client)
-    await net.start()
-    return net, client
+    return deal_deployment(tmp_path, 4, 1, random.Random(seed))
 
 
 @pytest.mark.parametrize("causal", [False, True], ids=["plain", "secure-causal"])
 def test_tcp_client_receives_only_what_is_addressed_to_it(tmp_path, causal):
     async def scenario():
         _deployment(tmp_path, seed=41)
-        hosts = [ReplicaHost(tmp_path, party, causal=causal) for party in range(4)]
-        for host in hosts:
-            await host.start()
         # The client connects to a cluster that is already running.
-        net, client = await _tcp_client(tmp_path, seed=13)
-        kinds = _record_kinds(client)
-        try:
+        async with tcp_cluster(tmp_path, 13, causal=causal) as (by_party, client):
+            net, hosts = client.network, list(by_party.values())
+            kinds = _record_kinds(client)
             submit = client.submit_confidential if causal else client.submit
             for operation in (("set", "k", 1), ("get", "k")):
                 nonce = submit(operation)
@@ -146,10 +123,6 @@ def test_tcp_client_receives_only_what_is_addressed_to_it(tmp_path, causal):
             for host in hosts:
                 channel = host.network._channels[CLIENT_BASE]
                 assert channel.next_seq == host.network.trace.sent_by_kind["Reply"]
-        finally:
-            await net.close()
-            for host in hosts:
-                await host.close()
 
     asyncio.run(scenario())
 
@@ -162,26 +135,13 @@ def test_reshare_reaches_the_joiner(tmp_path):
     async def scenario():
         keys = _deployment(tmp_path, seed=51)
         joiner = 4
-        hosts = {party: ReplicaHost(tmp_path, party) for party in range(4)}
-        for host in hosts.values():
-            await host.start()
-        net, client = await _tcp_client(tmp_path, seed=17)
-        kinds = _record_kinds(client)
-        try:
+        async with tcp_cluster(tmp_path, client_seed=17) as (hosts, client):
+            kinds = _record_kinds(client)
             first = await client.call(("set", "before", 1), timeout=60.0)
             assert first.result == ("ok", 1)
 
             rng = random.Random(61)
-            bundle = provision_joiner(tmp_path, joiner, rng)
-            cluster = ClusterConfig.load(tmp_path / CLUSTER_FILE)
-            address = allocate_addresses([joiner])[joiner]
-            cluster.addresses[joiner] = address
-            cluster.save(tmp_path / CLUSTER_FILE)
-            _, refreshed = keystore.load_client(
-                tmp_path / f"client-{CLIENT_BASE}.json"
-            )
-            net.addresses[joiner] = address
-            net.channel_keys[joiner] = refreshed[joiner]
+            bundle, address = admit_joiner(tmp_path, joiner, rng, client)
             hosts[joiner] = ReplicaHost(tmp_path, joiner, join=True)
             await hosts[joiner].start()
 
@@ -205,9 +165,5 @@ def test_reshare_reaches_the_joiner(tmp_path):
             assert hosts[0].network._channels[joiner].next_seq > 0
             # ...and still not the client.
             assert kinds <= CLIENT_KINDS and "Reply" in kinds
-        finally:
-            await net.close()
-            for host in hosts.values():
-                await host.close()
 
     asyncio.run(scenario())

@@ -12,28 +12,33 @@ from __future__ import annotations
 import asyncio
 import random
 
+import pytest
+
 from repro.crypto import deal_system, keystore, small_group
 from repro.crypto.dealer import CLIENT_BASE
+from repro.crypto.dkg import reshare_session
 from repro.crypto.schnorr import keygen
+from repro.net.cluster import attach_client, deal_deployment
 from repro.net.runtime import (
-    CLUSTER_FILE,
-    ClusterConfig,
+    RETIRED,
+    SERVING,
+    Phase,
     ReplicaHost,
-    allocate_addresses,
+    dh_channel_key,
+    load_epoch,
+    provision_dkg_deployment,
 )
 from repro.net.transport import TransportNetwork
 from repro.smr import reconfig
-from repro.smr.client import ServiceClient
+from repro.smr.reconfig import EpochTombstone, epoch_service_session
 from repro.smr.replica import Replica
 from repro.smr.state_machine import KeyValueStore, Request
 
+from ..helpers import tcp_cluster
+
 
 def _deployment(tmp_path, n=4, seed=5):
-    keys = deal_system(n, random.Random(seed), t=1, clients=1, group=small_group())
-    keystore.write_deployment(keys, tmp_path)
-    addresses = allocate_addresses(list(range(n)) + [CLIENT_BASE])
-    ClusterConfig(addresses).save(tmp_path / CLUSTER_FILE)
-    return keys
+    return deal_deployment(tmp_path, n, 1, random.Random(seed))
 
 
 def _refresh_op(keys, epoch, signer=0, seed=9):
@@ -175,7 +180,7 @@ def test_live_rejection_is_pure(tmp_path):
     assert host._intercept(_req(900, 1, tampered), 0, False) == (
         "reconfig", "rejected", 0
     )
-    assert host._reshare_target is None
+    assert host.phase == SERVING
 
 
 # -- the flush watchdog: scaled deadline, retry ladder ------------------------------
@@ -197,91 +202,57 @@ class _StubRuntime:
         return None
 
 
-def _watchdog_host(tmp_path, io_timeout):
+def _run_watchdog(tmp_path, monkeypatch, io_timeout, settled):
+    """Arm the watchdog on a stub session under a fake clock; returns
+    the stub, the sleeps it asked for and the retries it made."""
     _deployment(tmp_path)
     host = ReplicaHost(tmp_path, 0)
     host.io_timeout = io_timeout
-    return host
-
-
-def test_watchdog_deadline_scales_with_io_timeout(tmp_path, monkeypatch):
-    """The flush fires at io_timeout/8 — scaled, no hidden 10s cap —
-    and a session still unsettled after a full I/O budget is retried."""
-    host = _watchdog_host(tmp_path, io_timeout=120.0)
     instance = _StubSession()
     host.runtime = _StubRuntime("s", instance)
     real_sleep = asyncio.sleep
-    delays = []
+    delays, retries = [], []
 
     async def fake_sleep(delay):
         delays.append(delay)
         await real_sleep(0)
 
-    retries = []
-
     async def scenario():
         monkeypatch.setattr(asyncio, "sleep", fake_sleep)
         host._watch_flush(
-            "s", settled=lambda: False, retry=lambda: retries.append(1)
+            "s", settled=lambda: settled(instance), retry=lambda: retries.append(1)
         )
         for _ in range(10):
             await real_sleep(0)
 
     asyncio.run(scenario())
+    return instance, delays, retries
+
+
+def test_watchdog_deadline_scales_with_io_timeout(tmp_path, monkeypatch):
+    """The flush fires at io_timeout/8 — scaled, no hidden 10s cap —
+    and a session still unsettled after a full I/O budget is retried."""
+    instance, delays, retries = _run_watchdog(
+        tmp_path, monkeypatch, 120.0, settled=lambda instance: False
+    )
     assert delays == [15.0, 105.0]
     assert instance.flushes == 1
     assert retries == [1]
 
 
 def test_watchdog_settled_session_is_left_alone(tmp_path, monkeypatch):
-    host = _watchdog_host(tmp_path, io_timeout=1.0)
-    instance = _StubSession()
-    host.runtime = _StubRuntime("s", instance)
-    real_sleep = asyncio.sleep
-
-    async def fake_sleep(delay):
-        await real_sleep(0)
-
-    retries = []
-
-    async def scenario():
-        monkeypatch.setattr(asyncio, "sleep", fake_sleep)
-        host._watch_flush(
-            "s", settled=lambda: True, retry=lambda: retries.append(1)
-        )
-        for _ in range(10):
-            await real_sleep(0)
-
-    asyncio.run(scenario())
+    instance, _, retries = _run_watchdog(
+        tmp_path, monkeypatch, 1.0, settled=lambda instance: True
+    )
     assert instance.flushes == 0
     assert retries == []
 
 
 def test_watchdog_settling_after_flush_stops_the_retry(tmp_path, monkeypatch):
-    host = _watchdog_host(tmp_path, io_timeout=1.0)
-    instance = _StubSession()
-    host.runtime = _StubRuntime("s", instance)
-    real_sleep = asyncio.sleep
-    state = {"settled": False}
-
-    async def fake_sleep(delay):
-        await real_sleep(0)
-        # The flush unwedged the session before the second check.
-        state["settled"] = instance.flushes > 0
-
-    retries = []
-
-    async def scenario():
-        monkeypatch.setattr(asyncio, "sleep", fake_sleep)
-        host._watch_flush(
-            "s",
-            settled=lambda: state["settled"],
-            retry=lambda: retries.append(1),
-        )
-        for _ in range(10):
-            await real_sleep(0)
-
-    asyncio.run(scenario())
+    # The flush unwedged the session before the second check.
+    instance, _, retries = _run_watchdog(
+        tmp_path, monkeypatch, 1.0, settled=lambda instance: instance.flushes > 0
+    )
     assert instance.flushes == 1
     assert retries == []
 
@@ -361,19 +332,7 @@ def test_back_to_back_refreshes_converge(tmp_path):
 
     async def scenario():
         keys = _deployment(tmp_path, seed=31)
-        hosts = {party: ReplicaHost(tmp_path, party) for party in range(4)}
-        for host in hosts.values():
-            await host.start()
-        cluster = ClusterConfig.load(tmp_path / CLUSTER_FILE)
-        public = keystore.load_public(tmp_path / "public.json")
-        cid, channel_keys = keystore.load_client(
-            tmp_path / f"client-{CLIENT_BASE}.json"
-        )
-        net = TransportNetwork(cid, cluster.addresses, channel_keys)
-        client = ServiceClient(cid, net, public, random.Random(13))
-        net.attach(cid, client)
-        await net.start()
-        try:
+        async with tcp_cluster(tmp_path, client_seed=13) as (hosts, client):
             op1 = _refresh_op(keys, 1, seed=41)
             op2 = _refresh_op(keys, 2, seed=42)
             first = await client.call(op1, timeout=60.0)
@@ -399,10 +358,6 @@ def test_back_to_back_refreshes_converge(tmp_path):
             # And the archives for both closed epochs exist for replay.
             for epoch in (0, 1):
                 assert (tmp_path / f"public-epoch-{epoch}.json").exists()
-        finally:
-            await net.close()
-            for host in hosts.values():
-                await host.close()
 
     asyncio.run(scenario())
 
@@ -426,7 +381,7 @@ def test_stale_adoption_keeps_the_clients(tmp_path):
             # A server the missed epoch retired is in the address book
             # too: it goes, the client stays.
             network.admit_peer(4, ("127.0.0.1", 45004), bytes(32))
-            host._adopt_stale(1, host.public)
+            host._rejoin(1, host.public)
             assert host.epoch == 1
             assert 4 not in network.addresses
             assert network.addresses[CLIENT_BASE]
@@ -438,7 +393,179 @@ def test_stale_adoption_keeps_the_clients(tmp_path):
             network.send(0, CLIENT_BASE, (("service", 1), reply))
             assert not network.trace.counters.get("transport.departed_drops")
             assert len(network._channels[CLIENT_BASE].pending) == 1
+            # The next epoch it misses admits a member.  The channel key
+            # it derives for that member must survive its own restart:
+            # every entry into an epoch rewrites server-<i>.json too.
+            wider = _with_a_fifth_member(host.public)
+            host._rejoin(2, wider)
+            key = dh_channel_key(
+                wider.group, host.keys.signing_key.x, wider.verify_keys[4].h
+            )
+            assert network.channel_keys[4] == key
+            restarted = ReplicaHost(tmp_path, 0)
+            assert restarted.epoch == 2 and restarted.public.n == 5
+            assert restarted.keys.channel_keys[4] == key
         finally:
+            await host.close()
+
+    asyncio.run(scenario())
+
+
+# -- one way into an epoch, one phase value ------------------------------------------
+
+
+def _assert_entered(host, directory, closed):
+    """What every entry into an epoch must leave behind: the three key
+    files agree with the host, the runtime serves under the new keys,
+    the replica sits at the new session with its hooks, execution runs,
+    and the epoch it closed (if any) is archived and tombstoned."""
+    public = keystore.load_public(directory / "public.json")
+    assert keystore.public_to_dict(public) == keystore.public_to_dict(host.public)
+    stored = keystore.load_party(directory / f"server-{host.party}.json", public)
+    assert keystore.party_to_dict(stored) == keystore.party_to_dict(host.keys)
+    assert load_epoch(directory) == host.epoch
+    assert host.runtime.public is host.public and host.runtime.keys is host.keys
+    assert host.phase == SERVING
+    replica = host.replica
+    assert host.runtime.instances[epoch_service_session(host.epoch)] is replica
+    assert replica.intercept == host._intercept
+    assert replica.on_membership_info == host._on_stale_info
+    info = replica.membership_info
+    assert info.epoch == host.epoch
+    assert reconfig.verify_membership_info(info, host.public)
+    assert not replica._paused
+    if closed is not None:
+        assert (directory / f"public-epoch-{closed}.json").exists()
+        tombstone = host.runtime.instances[epoch_service_session(closed)]
+        assert isinstance(tombstone, EpochTombstone) and tombstone.info == info
+
+
+def _with_a_fifth_member(public):
+    """The configuration of an epoch that admitted party 4 while the
+    members kept their identity keys (as a resharing would leave it)."""
+    wider = deal_system(5, random.Random(74), t=1, group=small_group()).public
+    data = keystore.public_to_dict(wider)
+    data["verify_keys"].update(keystore.public_to_dict(public)["verify_keys"])
+    return keystore.public_from_dict(data)
+
+
+@pytest.mark.parametrize("way", ["dkg", "reshare", "stale"])
+def test_every_way_into_an_epoch_leaves_the_same_invariants(tmp_path, way):
+    async def scenario():
+        hosts, client, closed = [], None, 0
+        try:
+            if way == "dkg":
+                provision_dkg_deployment(4, 1, random.Random(71), tmp_path)
+                hosts = [ReplicaHost(tmp_path, p, dkg_boot=True) for p in range(4)]
+                closed = None  # epoch 0 of a dealerless boot closes nothing
+            else:
+                keys = _deployment(tmp_path, seed=72)
+                hosts = [ReplicaHost(tmp_path, p) for p in range(4 if way == "reshare" else 1)]
+            for host in hosts:
+                await host.start()
+            if way == "reshare":
+                client = await attach_client(tmp_path, random.Random(73))
+                verdict = await client.call(_refresh_op(keys, 1), timeout=60.0)
+                assert verdict.result == ("reconfig", "accepted", 1)
+            elif way == "stale":
+                hosts[0]._rejoin(1, _with_a_fifth_member(keys.public))
+                assert 4 in hosts[0].keys.channel_keys
+            await _until(
+                lambda: all(
+                    h.replica is not None and h.epoch == (closed is not None)
+                    for h in hosts
+                ),
+                timeout=60,
+            )
+            for host in hosts:
+                _assert_entered(host, tmp_path, closed)
+        finally:
+            if client is not None:
+                await client.network.close()
+            for host in hosts:
+                await host.close()
+
+    asyncio.run(scenario())
+
+
+def _votes(keys, epoch, public, voters):
+    return [
+        (voter, reconfig.signed_membership_info(
+            voter, epoch, keystore.public_to_dict(public),
+            keys.private[voter].signing_key, random.Random(voter),
+        ))
+        for voter in voters
+    ]
+
+
+def test_membership_votes_count_only_when_serving_or_stalled(tmp_path):
+    """While a resharing is in flight the peers' votes for its epoch are
+    ignored — this replica is about to get there itself; once the
+    watchdog has marked it stalled they are the way back in."""
+
+    async def scenario():
+        keys = _deployment(tmp_path, seed=75)
+        host = ReplicaHost(tmp_path, 0)
+        await host.start()
+        try:
+            votes = _votes(keys, 1, host.public, (1, 2))
+            for phase in (Phase("resharing", 1), Phase("booting", 1), RETIRED):
+                host.phase = phase
+                for voter, info in votes:
+                    host._on_stale_info(voter, info)
+                assert host.epoch == 0 and host.phase == phase
+                assert host._stale_votes == {}
+            host.phase = Phase("stalled", 1)
+            for voter, info in votes:
+                host._on_stale_info(voter, info)
+            assert host.epoch == 1 and host.phase == SERVING
+        finally:
+            await host.close()
+
+    asyncio.run(scenario())
+
+
+class _StubProtocol(_StubSession):
+    def on_start(self, ctx):
+        pass
+
+    def on_message(self, ctx, sender, message):
+        pass
+
+
+@pytest.mark.parametrize("retires", [False, True])
+def test_ladder_respawns_until_the_phase_moves_on(tmp_path, monkeypatch, retires):
+    """An unsettled session is retried under the next attempt's tag and
+    marks the host stalled; a host that learned it was retired (or
+    entered the epoch) in the meantime is left alone."""
+    real_sleep = asyncio.sleep
+    first, second = reshare_session(1, "reshare"), reshare_session(1, ("reshare", 1))
+
+    async def scenario():
+        _deployment(tmp_path, seed=76)
+        host = ReplicaHost(tmp_path, 0)
+        await host.start()
+
+        async def fake_sleep(delay):
+            await real_sleep(0)
+            if retires:
+                host.phase = RETIRED
+
+        try:
+            monkeypatch.setattr(asyncio, "sleep", fake_sleep)
+            host.phase = Phase("resharing", 1)
+            host._run_ladder(1, "replica-test-retry", _StubProtocol, None)
+            for _ in range(10):
+                await real_sleep(0)
+            if retires:
+                assert host.runtime.instances[first].flushes == 0
+                assert second not in host.runtime.instances
+            else:
+                assert host.runtime.instances[first].flushes == 1
+                assert second in host.runtime.instances
+                assert host.phase == Phase("stalled", 1)
+        finally:
+            monkeypatch.setattr(asyncio, "sleep", real_sleep)
             await host.close()
 
     asyncio.run(scenario())

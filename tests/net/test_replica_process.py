@@ -5,7 +5,7 @@ from __future__ import annotations
 import asyncio
 import sys
 
-from repro.net.runtime import _ReplicaProcess
+from repro.net.cluster import _ReplicaProcess
 
 _LONG = 200_000  # well past asyncio's 64 KiB StreamReader line limit
 

@@ -14,16 +14,11 @@ import time
 import pytest
 
 from repro.crypto import deal_system, small_group
-from repro.crypto import keystore
 from repro.crypto.dealer import CLIENT_BASE, deal_channel_keys
 from repro.net import wire
 from repro.net.chaos import FaultSpec, PartitionSpec, SeededFaultPlan
-from repro.net.runtime import (
-    CLUSTER_FILE,
-    ClusterConfig,
-    ReplicaHost,
-    allocate_addresses,
-)
+from repro.net.cluster import deal_deployment
+from repro.net.runtime import ReplicaHost
 from repro.net.simulator import Network
 from repro.net.scheduler import FifoScheduler
 from repro.net.transport import (
@@ -36,6 +31,8 @@ from repro.net.transport import (
     encode_hello,
 )
 from repro.smr.client import ServiceClient
+
+from ..helpers import tcp_cluster
 
 KEY_A = bytes(range(32))
 KEY_B = bytes(range(32, 64))
@@ -464,23 +461,10 @@ def test_smr_crash_and_reconnect_mid_protocol(tmp_path):
     rebuilds the exact history it missed."""
 
     async def scenario():
-        keys = deal_system(4, random.Random(5), t=1, clients=1, group=small_group())
-        keystore.write_deployment(keys, tmp_path)
-        addresses = allocate_addresses(list(range(4)) + [CLIENT_BASE])
-        ClusterConfig(addresses).save(tmp_path / CLUSTER_FILE)
+        deal_deployment(tmp_path, 4, 1, random.Random(5))
 
-        hosts = {party: ReplicaHost(tmp_path, party) for party in range(4)}
-        for host in hosts.values():
-            await host.start()
-        public = keystore.load_public(tmp_path / "public.json")
-        cid, channel_keys = keystore.load_client(
-            tmp_path / f"client-{CLIENT_BASE}.json"
-        )
-        net = TransportNetwork(cid, addresses, channel_keys)
-        client = ServiceClient(cid, net, public, random.Random(9))
-        net.attach(cid, client)
-        await net.start()
-        try:
+        async with tcp_cluster(tmp_path, client_seed=9) as (hosts, client):
+            net = client.network
             assert await _submit(net, client, ("set", "a", 1)) == ("ok", 1)
             await hosts[3].close()  # crash mid-protocol
 
@@ -498,10 +482,6 @@ def test_smr_crash_and_reconnect_mid_protocol(tmp_path):
             assert dict(snapshot[1]) == {"a": 1, "b": 2, "c": 3}
             for host in hosts.values():
                 assert not host.network.errors
-        finally:
-            await net.close()
-            for host in hosts.values():
-                await host.close()
 
     asyncio.run(scenario())
 
@@ -513,23 +493,10 @@ def test_recovery_stalls_behind_partition_then_completes(tmp_path):
     and completes correctly once it does."""
 
     async def scenario():
-        keys = deal_system(4, random.Random(8), t=1, clients=1, group=small_group())
-        keystore.write_deployment(keys, tmp_path)
-        addresses = allocate_addresses(list(range(4)) + [CLIENT_BASE])
-        ClusterConfig(addresses).save(tmp_path / CLUSTER_FILE)
+        deal_deployment(tmp_path, 4, 1, random.Random(8))
 
-        hosts = {party: ReplicaHost(tmp_path, party) for party in range(4)}
-        for host in hosts.values():
-            await host.start()
-        public = keystore.load_public(tmp_path / "public.json")
-        cid, channel_keys = keystore.load_client(
-            tmp_path / f"client-{CLIENT_BASE}.json"
-        )
-        net = TransportNetwork(cid, addresses, channel_keys)
-        client = ServiceClient(cid, net, public, random.Random(4))
-        net.attach(cid, client)
-        await net.start()
-        try:
+        async with tcp_cluster(tmp_path, client_seed=4) as (hosts, client):
+            net = client.network
             assert await _submit(net, client, ("set", "a", 1)) == ("ok", 1)
             await hosts[3].close()
             assert await _submit(net, client, ("set", "b", 2)) == ("ok", 2)
@@ -560,10 +527,6 @@ def test_recovery_stalls_behind_partition_then_completes(tmp_path):
             )
             snapshot = hosts[3].replica.state_machine.snapshot()
             assert dict(snapshot[1]) == {"a": 1, "b": 2, "c": 3}
-        finally:
-            await net.close()
-            for host in hosts.values():
-                await host.close()
 
     asyncio.run(scenario())
 
@@ -575,27 +538,12 @@ def test_pipelined_recovery_over_tcp(tmp_path):
     anything."""
 
     async def scenario():
-        keys = deal_system(4, random.Random(11), t=1, clients=1, group=small_group())
-        keystore.write_deployment(keys, tmp_path)
-        addresses = allocate_addresses(list(range(4)) + [CLIENT_BASE])
-        ClusterConfig(
-            addresses, abc_max_batch=4, abc_pipeline_depth=3
-        ).save(tmp_path / CLUSTER_FILE)
+        deal_deployment(tmp_path, 4, 1, random.Random(11), abc_max_batch=4, abc_pipeline_depth=3)
 
-        hosts = {party: ReplicaHost(tmp_path, party) for party in range(4)}
-        for host in hosts.values():
-            await host.start()
-        assert hosts[0].replica.abc.config.max_batch == 4
-        assert hosts[0].replica.abc.config.pipeline_depth == 3
-        public = keystore.load_public(tmp_path / "public.json")
-        cid, channel_keys = keystore.load_client(
-            tmp_path / f"client-{CLIENT_BASE}.json"
-        )
-        net = TransportNetwork(cid, addresses, channel_keys)
-        client = ServiceClient(cid, net, public, random.Random(12))
-        net.attach(cid, client)
-        await net.start()
-        try:
+        async with tcp_cluster(tmp_path, client_seed=12) as (hosts, client):
+            net = client.network
+            assert hosts[0].replica.abc.config.max_batch == 4
+            assert hosts[0].replica.abc.config.pipeline_depth == 3
             assert await _submit(net, client, ("set", "pre", 0)) == ("ok", 1)
             await hosts[3].close()  # crash under load
 
@@ -618,10 +566,6 @@ def test_pipelined_recovery_over_tcp(tmp_path):
             for host in hosts.values():
                 payloads = [p for p, _r in host.replica.abc.delivered_log]
                 assert len(payloads) == len(set(payloads))
-        finally:
-            await net.close()
-            for host in hosts.values():
-                await host.close()
 
     asyncio.run(scenario())
 

@@ -20,13 +20,6 @@ def _crypto(multiexp=6.0, coin=5.4, smoke=False) -> dict:
     }
 
 
-def _e2e(speedup=9.0, smoke=False) -> dict:
-    return {
-        "config": {"smoke": smoke},
-        "speedup_committed_ops_per_s": speedup,
-    }
-
-
 def test_matching_numbers_pass():
     failures, notes = guard_compare("crypto", _crypto(), _crypto())
     assert failures == []
@@ -66,9 +59,9 @@ def test_smoke_slack_applies_only_across_modes():
 
 
 def test_disabled_fast_path_is_caught_even_in_smoke_mode():
-    # An accidentally disabled batch path reads ~1.0x; even the loosest
-    # floor (e2e: 1 - 0.30 - 0.60 = 0.10 of committed) catches it only
-    # if committed >> 1 — the crypto quorum floors certainly do.
+    # An accidentally disabled batch path reads ~1.0x; the loosest floor
+    # (1 - 0.30 - 0.45 = 0.25 of committed) catches it only if committed
+    # >> 1 — the crypto quorum floors certainly do.
     failures, _ = guard_compare(
         "crypto", _crypto(coin=1.0, smoke=True), _crypto(coin=5.4)
     )
@@ -84,16 +77,18 @@ def test_missing_committed_metric_skips_with_note():
 
 
 def test_missing_fresh_metric_is_a_failure():
-    fresh = _e2e()
-    del fresh["speedup_committed_ops_per_s"]
-    failures, _ = guard_compare("e2e", fresh, _e2e())
-    assert failures == ["e2e:speedup_committed_ops_per_s: missing from fresh results"]
+    fresh = _crypto()
+    del fresh["rsa_quorum"]
+    failures, _ = guard_compare("crypto", fresh, _crypto())
+    assert failures == [
+        "crypto:rsa_quorum.speedup_batch_vs_per_share: missing from fresh results"
+    ]
 
 
 def test_tolerance_is_configurable():
-    fresh, committed = _e2e(speedup=5.0), _e2e(speedup=9.0)
-    assert guard_compare("e2e", fresh, committed, tolerance=0.30)[0] != []
-    assert guard_compare("e2e", fresh, committed, tolerance=0.50)[0] == []
+    fresh, committed = _crypto(multiexp=3.3), _crypto(multiexp=6.0)
+    assert guard_compare("crypto", fresh, committed, tolerance=0.30)[0] != []
+    assert guard_compare("crypto", fresh, committed, tolerance=0.50)[0] == []
 
 
 def test_unknown_kind_compares_nothing():
@@ -112,14 +107,13 @@ def _write(path, data) -> str:
 def test_main_guard_exit_codes(tmp_path, capsys):
     ok_fresh = _write(tmp_path / "fresh.json", _crypto(smoke=True))
     committed = _write(tmp_path / "committed.json", _crypto())
-    assert main_guard(ok_fresh, None, crypto_committed=committed) == 0
+    assert main_guard(ok_fresh, crypto_committed=committed) == 0
     assert "bench guard: ok" in capsys.readouterr().out
 
     bad_fresh = _write(tmp_path / "bad.json", _crypto(multiexp=1.0, smoke=True))
-    assert main_guard(bad_fresh, None, crypto_committed=committed) == 1
+    assert main_guard(bad_fresh, crypto_committed=committed) == 1
     assert "REGRESSION" in capsys.readouterr().out
 
     # Nothing to compare, or files missing: exit 2 (not a regression).
-    assert main_guard(None, None) == 2
-    assert main_guard(ok_fresh, None,
-                      crypto_committed=str(tmp_path / "nope.json")) == 2
+    assert main_guard(None) == 2
+    assert main_guard(ok_fresh, crypto_committed=str(tmp_path / "nope.json")) == 2
