@@ -49,6 +49,7 @@ __all__ = [
     "FunctionInfo",
     "ModuleInfo",
     "ProjectGraph",
+    "decorator_names",
     "walk_function_body",
 ]
 
@@ -189,17 +190,17 @@ def _annotation_name(annotation: ast.expr | None) -> str | None:
     return None
 
 
-def _is_dataclass_decorated(node: ast.ClassDef) -> bool:
+def decorator_names(node: ast.ClassDef) -> set[str]:
+    """``dataclass`` for ``@dataclass(frozen=True)``, ``register`` for
+    ``@register`` / ``@codec.register``."""
+    names: set[str] = set()
     for deco in node.decorator_list:
         target = deco.func if isinstance(deco, ast.Call) else deco
-        name = None
         if isinstance(target, ast.Name):
-            name = target.id
+            names.add(target.id)
         elif isinstance(target, ast.Attribute):
-            name = target.attr
-        if name == "dataclass":
-            return True
-    return False
+            names.add(target.attr)
+    return names
 
 
 class ProjectGraph:
@@ -253,7 +254,7 @@ class ProjectGraph:
                         for b in node.bases
                         if isinstance(b, (ast.Name, ast.Attribute))
                     ),
-                    is_dataclass=_is_dataclass_decorated(node),
+                    is_dataclass="dataclass" in decorator_names(node),
                 )
                 for item in node.body:
                     if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):

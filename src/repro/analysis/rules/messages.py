@@ -1,19 +1,19 @@
 """RL004 — message dataclasses missing codec registration or a handler.
 
-The wire layer (``net/wire.py``) can only decode dataclasses that were
-explicitly registered — an unregistered message type works in the
-object-passing simulator and then fails the moment the stack runs over
-real bytes.  Symmetrically, a message that no protocol dispatches on
-(no ``isinstance`` check / ``match`` case anywhere) is dead weight that
-suggests a handler was forgotten.
+The codec (``codec.py``) can only read dataclasses that were
+registered with ``@register`` at their definition — an unregistered
+message type works in the object-passing simulator and then fails the
+moment the stack runs over real bytes.  Symmetrically, a message that
+no protocol dispatches on (no ``isinstance`` check / ``match`` case
+anywhere) is dead weight that suggests a handler was forgotten.
 
-This is a *project-wide* rule: it needs the registration list from
-``net/wire.py`` plus every definition and dispatch site.
+This is a *project-wide* rule: it needs every definition, send and
+dispatch site.
 
-A dataclass defined in ``core/`` (or ``net/wire.py``) counts as a
-*message* when it is sent — constructed inside a ``ctx.broadcast(...)``
-or ``ctx.send(...)`` call anywhere in the scanned tree — or when it is
-already registered with the codec.  For each message:
+A dataclass defined in ``core/`` counts as a *message* when it is sent
+— constructed inside a ``ctx.broadcast(...)`` or ``ctx.send(...)`` call
+anywhere in the scanned tree — or when it is already registered with
+the codec.  For each message:
 
 * sent but not registered      -> "not registered with the wire codec";
 * sent/registered but never matched by ``isinstance``/``match``
@@ -25,59 +25,24 @@ from __future__ import annotations
 import ast
 
 from ..diagnostics import Diagnostic
+from ..project import decorator_names
 from ..source import SourceFile
 from . import Rule
 
 __all__ = ["MessageRegistrationRule"]
 
-_WIRE_PATH = "net/wire.py"
 _SEND_METHODS = {"broadcast", "send"}
 
 
-def _is_dataclass_decorated(node: ast.ClassDef) -> bool:
-    for deco in node.decorator_list:
-        target = deco.func if isinstance(deco, ast.Call) else deco
-        name = None
-        if isinstance(target, ast.Name):
-            name = target.id
-        elif isinstance(target, ast.Attribute):
-            name = target.attr
-        if name == "dataclass":
-            return True
-    return False
-
-
 def _registered_names(sources: list[SourceFile]) -> set[str]:
-    """Class names registered with the wire codec.
-
-    Two registration styles are recognized: membership in the
-    ``classes = [...]`` list inside ``net/wire.py`` (the repo's idiom),
-    and a ``@register`` / ``@wire.register`` decorator anywhere.
-    """
-    registered: set[str] = set()
-    for source in sources:
-        if source.relpath == _WIRE_PATH:
-            for node in ast.walk(source.tree):
-                if not isinstance(node, ast.Assign):
-                    continue
-                targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
-                if "classes" not in targets or not isinstance(node.value, (ast.List, ast.Tuple)):
-                    continue
-                for element in node.value.elts:
-                    if isinstance(element, ast.Attribute):
-                        registered.add(element.attr)
-                    elif isinstance(element, ast.Name):
-                        registered.add(element.id)
-        for node in ast.walk(source.tree):
-            if isinstance(node, ast.ClassDef):
-                for deco in node.decorator_list:
-                    target = deco.func if isinstance(deco, ast.Call) else deco
-                    name = target.attr if isinstance(target, ast.Attribute) else (
-                        target.id if isinstance(target, ast.Name) else None
-                    )
-                    if name == "register":
-                        registered.add(node.name)
-    return registered
+    """Class names registered with the codec: those defined under a
+    ``@register`` decorator, anywhere."""
+    return {
+        node.name
+        for source in sources
+        for node in ast.walk(source.tree)
+        if isinstance(node, ast.ClassDef) and "register" in decorator_names(node)
+    }
 
 
 def _sent_names(sources: list[SourceFile]) -> set[str]:
@@ -129,10 +94,10 @@ class MessageRegistrationRule(Rule):
     rule_id = "RL004"
     summary = "message dataclass unregistered with codec or unhandled"
     hint = (
-        "add the class to the registration list in net/wire.py and dispatch on "
+        "decorate the class with @register (repro.codec) and dispatch on "
         "it with isinstance()/match in a handler"
     )
-    scope = ("core/", _WIRE_PATH)
+    scope = ("core/",)
     project_wide = True
 
     def check_project(self, sources: list[SourceFile]) -> list[Diagnostic]:
@@ -145,11 +110,11 @@ class MessageRegistrationRule(Rule):
             if not self.applies_to(source.relpath):
                 continue
             for node in source.tree.body:
-                if not isinstance(node, ast.ClassDef) or not _is_dataclass_decorated(node):
+                if not isinstance(node, ast.ClassDef):
                     continue
                 name = node.name
                 is_message = name in sent or name in registered
-                if not is_message:
+                if not is_message or "dataclass" not in decorator_names(node):
                     continue
                 if name in sent and name not in registered:
                     diagnostics.append(
@@ -158,7 +123,7 @@ class MessageRegistrationRule(Rule):
                             node.lineno,
                             node.col_offset,
                             f"message dataclass {name} is sent but never registered "
-                            "with the wire codec (net/wire.py)",
+                            "with the codec (@register)",
                         )
                     )
                 if name not in dispatched:

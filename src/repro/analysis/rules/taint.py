@@ -15,7 +15,8 @@ of RL004): a message type that is registered and sent must have a
 dispatch site *reachable* from a protocol entry point, and no reachable
 handler may dispatch on a project message type that was never
 registered — such a message can exist in the in-process simulator but
-can never arrive over real bytes (``net/wire.py``).
+can never arrive over real bytes (``codec.py`` reads only what is
+registered).
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ DEFAULT_CATALOG = TaintCatalog(
         "write_checkpoint": "checkpoint write",
     },
     sink_write_receivers=frozenset({"journal"}),
-    source_call_paths=frozenset({"net/wire.py", "smr/codec.py"}),
+    source_call_paths=frozenset({"net/wire.py", "codec.py"}),
     source_receivers=frozenset({"wire", "codec"}),
 )
 
@@ -180,7 +181,7 @@ class HandlerReachabilityRule(Rule):
     severity = Severity.ERROR
     summary = "wire-registered message without reachable handler, or vice versa"
     hint = (
-        "register the dispatched type in net/wire.py, or make the handler "
+        "decorate the dispatched type with @register, or make the handler "
         "reachable from an on_message/on_start entry point"
     )
     scope = ("core/", "smr/", "net/")
@@ -282,7 +283,7 @@ class HandlerReachabilityRule(Rule):
                         line,
                         col,
                         f"reachable handler dispatches on {name}, which is sent "
-                        "but never registered with the wire codec (net/wire.py)",
+                        "but never registered with the codec (@register)",
                     )
                 )
 

@@ -32,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Hashable
 
+from ..codec import register
 from ..core.protocol import Context, Protocol, SessionId
 
 __all__ = [
@@ -45,24 +46,28 @@ __all__ = [
 ]
 
 
+@register
 @dataclass(frozen=True)
 class PrePrepare:
     view: int
     value: Hashable
 
 
+@register
 @dataclass(frozen=True)
 class Prepare:
     view: int
     value: Hashable
 
 
+@register
 @dataclass(frozen=True)
 class Commit:
     view: int
     value: Hashable
 
 
+@register
 @dataclass(frozen=True)
 class ViewChange:
     new_view: int
@@ -70,6 +75,7 @@ class ViewChange:
     prepared_value: Hashable | None
 
 
+@register
 @dataclass(frozen=True)
 class NewView:
     view: int

@@ -54,6 +54,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Hashable
 
+from ..codec import register
 from ..crypto import hashing
 from ..crypto.schnorr import Signature
 from .multivalued_agreement import MultiValuedAgreement, MvbaDecision
@@ -97,6 +98,7 @@ class AbcConfig:
     buffer_slack: int = 8
 
 
+@register
 @dataclass(frozen=True)
 class AbcProposal:
     round: int
@@ -104,6 +106,7 @@ class AbcProposal:
     signature: Signature
 
 
+@register
 @dataclass(frozen=True)
 class AbcBatchRequest:
     """Ask peers for the batch behind a digest referenced by a round."""
@@ -112,6 +115,7 @@ class AbcBatchRequest:
     digest: bytes
 
 
+@register
 @dataclass(frozen=True)
 class AbcBatch:
     """Answer to :class:`AbcBatchRequest`; self-authenticating via the
@@ -121,6 +125,7 @@ class AbcBatch:
     batch: tuple
 
 
+@register
 @dataclass(frozen=True)
 class AbcRejoin:
     """A recovered party asks peers to re-send their in-flight

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..codec import register
 from ..crypto.coin import CoinShare
 from .protocol import Context, Protocol, SessionId
 
@@ -62,30 +63,35 @@ __all__ = [
 _ROUND_HORIZON = 64
 
 
+@register
 @dataclass(frozen=True)
 class AbaBval:
     round: int
     value: int
 
 
+@register
 @dataclass(frozen=True)
 class AbaAux:
     round: int
     value: int
 
 
+@register
 @dataclass(frozen=True)
 class AbaConf:
     round: int
     values: frozenset
 
 
+@register
 @dataclass(frozen=True)
 class AbaCoinShare:
     round: int
     share: CoinShare
 
 
+@register
 @dataclass(frozen=True)
 class AbaDone:
     value: int

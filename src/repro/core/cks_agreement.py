@@ -39,6 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..codec import register
 from ..crypto.coin import CoinShare
 from ..crypto.schnorr import Signature
 from ..crypto.threshold_sig import QuorumCertificate
@@ -52,6 +53,7 @@ _ROUND_HORIZON = 64
 ABSTAIN = "abstain"
 
 
+@register
 @dataclass(frozen=True)
 class CksPreVote:
     round: int
@@ -60,6 +62,7 @@ class CksPreVote:
     share: Signature  # signature share on (prevote, round, value)
 
 
+@register
 @dataclass(frozen=True)
 class CksMainVote:
     round: int
@@ -68,12 +71,14 @@ class CksMainVote:
     share: Signature  # signature share on (mainvote, round, value)
 
 
+@register
 @dataclass(frozen=True)
 class CksCoinShare:
     round: int
     share: CoinShare
 
 
+@register
 @dataclass(frozen=True)
 class CksDone:
     value: int

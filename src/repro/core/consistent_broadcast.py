@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Hashable
 
+from ..codec import register
 from ..crypto.dealer import PublicKeys
 from ..crypto.schnorr import Signature, VerifiedMemo
 from ..crypto.threshold_sig import QuorumCertificate
@@ -45,22 +46,26 @@ __all__ = [
 ]
 
 
+@register
 @dataclass(frozen=True)
 class CbcSend:
     value: Hashable
 
 
+@register
 @dataclass(frozen=True)
 class CbcEchoSignature:
     signature: Signature
 
 
+@register
 @dataclass(frozen=True)
 class CbcFinal:
     value: Hashable
     certificate: QuorumCertificate
 
 
+@register
 @dataclass(frozen=True)
 class CbcDelivery:
     """What consistent broadcast outputs: the value plus its proof."""

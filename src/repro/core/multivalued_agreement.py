@@ -31,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Hashable
 
+from ..codec import register
 from ..crypto.coin import CoinShare
 from .binary_agreement import BinaryAgreement
 from .consistent_broadcast import CbcDelivery, ConsistentBroadcast, cbc_session
@@ -42,6 +43,7 @@ __all__ = ["MvbaPermShare", "MvbaValue", "MvbaDecision", "MultiValuedAgreement",
 _MAX_PASSES = 3
 
 
+@register
 @dataclass(frozen=True)
 class MvbaPermShare:
     """A share of the candidate-permutation coin."""
@@ -49,6 +51,7 @@ class MvbaPermShare:
     share: CoinShare
 
 
+@register
 @dataclass(frozen=True)
 class MvbaValue:
     """A committed proposal forwarded after its agreement decided 1."""
@@ -57,6 +60,7 @@ class MvbaValue:
     delivery: CbcDelivery
 
 
+@register
 @dataclass(frozen=True)
 class MvbaDecision:
     """The agreement's output: the winning proposer and its value."""

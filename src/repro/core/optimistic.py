@@ -44,6 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Hashable
 
+from ..codec import register
 from ..crypto.hashing import hash_bytes
 from ..crypto.schnorr import Signature
 from ..crypto.threshold_sig import QuorumCertificate
@@ -63,11 +64,13 @@ __all__ = [
 ]
 
 
+@register
 @dataclass(frozen=True)
 class OptForward:
     payload: Hashable
 
 
+@register
 @dataclass(frozen=True)
 class OptOrder:
     seq: int
@@ -75,6 +78,7 @@ class OptOrder:
     signature: Signature
 
 
+@register
 @dataclass(frozen=True)
 class OptAck:
     seq: int
@@ -82,6 +86,7 @@ class OptAck:
     share: Signature
 
 
+@register
 @dataclass(frozen=True)
 class OptCommit:
     seq: int
@@ -89,11 +94,13 @@ class OptCommit:
     share: Signature
 
 
+@register
 @dataclass(frozen=True)
 class OptComplain:
     pass
 
 
+@register
 @dataclass(frozen=True)
 class OptState:
     entries: tuple  # ((seq, payload, prepare_cert), ...) contiguous from 1

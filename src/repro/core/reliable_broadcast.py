@@ -26,21 +26,25 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Hashable
 
+from ..codec import register
 from .protocol import Context, Protocol, SessionId
 
 __all__ = ["RbcSend", "RbcEcho", "RbcReady", "ReliableBroadcast", "rbc_session"]
 
 
+@register
 @dataclass(frozen=True)
 class RbcSend:
     value: Hashable
 
 
+@register
 @dataclass(frozen=True)
 class RbcEcho:
     value: Hashable
 
 
+@register
 @dataclass(frozen=True)
 class RbcReady:
     value: Hashable

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
+from ..codec import register
 from ..crypto.hashing import hash_bytes
 from ..crypto.threshold_enc import Ciphertext, DecryptionShare
 from .atomic_broadcast import AtomicBroadcast
@@ -28,6 +29,7 @@ from .protocol import Context, Protocol, SessionId
 __all__ = ["ScDecryptionShare", "SecureCausalBroadcast", "sc_abc_session"]
 
 
+@register
 @dataclass(frozen=True)
 class ScDecryptionShare:
     """A decryption share for the a-delivered ciphertext with ``digest``."""

@@ -263,7 +263,7 @@ def batch_coefficients(domain: str, transcript: object, count: int, bits: int = 
     """
     from .hashing import hash_bytes, hash_to_int  # local: hashing imports groups
 
-    seed = hash_bytes(domain + "-seed", transcript)
+    seed = hash_bytes(domain + "-seed", tuple(transcript))
     return [
         hash_to_int(domain + "-coeff", seed, i, bits=bits) or 1 for i in range(count)
     ]

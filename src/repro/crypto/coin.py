@@ -24,6 +24,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
+from ..codec import register
 from .groups import SchnorrGroup
 from .hashing import hash_to_group, hash_to_int
 from .lsss import LsssScheme, SlotId
@@ -32,6 +33,7 @@ from .zkp import DleqProof, prove_dleq, verify_dleq, verify_dleq_batch
 __all__ = ["CoinPublic", "CoinShareholder", "CoinShare", "deal_coin"]
 
 
+@register
 @dataclass(frozen=True)
 class CoinShare:
     """One party's contribution to a named coin: per-slot group elements

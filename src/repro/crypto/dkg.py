@@ -55,6 +55,7 @@ from dataclasses import dataclass, field
 
 from ..adversary.formulas import Formula, Leaf, Threshold
 from ..adversary.quorums import QuorumSystem
+from ..codec import register
 from ..core.protocol import Context, Protocol, SessionId
 from ..core.reliable_broadcast import ReliableBroadcast, rbc_session
 from .coin import CoinPublic, CoinShareholder
@@ -97,6 +98,7 @@ __all__ = [
 # ===========================================================================
 
 
+@register
 @dataclass(frozen=True)
 class FeldmanTree:
     """Per-gate Feldman coefficient commitments for an LSSS sharing.
@@ -338,6 +340,7 @@ def _pad(
 # ===========================================================================
 
 
+@register
 @dataclass(frozen=True)
 class DkgCommit:
     """One dealer's reliably-broadcast contribution.
@@ -354,6 +357,7 @@ class DkgCommit:
     masked_enc: tuple
 
 
+@register
 @dataclass(frozen=True)
 class ReshareCommit:
     """One old party's resharing of every old subshare it owns.
@@ -368,6 +372,7 @@ class ReshareCommit:
     enc: tuple
 
 
+@register
 @dataclass(frozen=True)
 class DkgStatus:
     """One receiver's complete complaint set — the complaint round.
@@ -383,6 +388,7 @@ class DkgStatus:
     complaints: tuple
 
 
+@register
 @dataclass(frozen=True)
 class DkgDefense:
     """The dealer's public answer: the accuser's subshares in the clear.
@@ -397,6 +403,7 @@ class DkgDefense:
     enc_values: tuple
 
 
+@register
 @dataclass(frozen=True)
 class DkgReady:
     """A signed transcript hash; a quorum of matching ones completes."""
@@ -676,7 +683,7 @@ class _VerifiableDealing(Protocol):
             "dkg-transcript",
             ctx.session,
             qualified,
-            [self.commits[d] for d in qualified],
+            tuple(self.commits[d] for d in qualified),
             self._transcript_extra(ctx),
         )
         signature = ctx.keys.signing_key.sign(

@@ -5,14 +5,17 @@ signatures are proved secure in the random oracle model; following common
 practice each distinct oracle is instantiated as SHA-256 with a unique
 domain-separation tag.  Helpers map hashes to integers, to exponents mod
 q and to group elements.
+
+What is hashed is ``domain || 0x00 || encode(*parts)``, and ``encode``
+is the writer of :mod:`repro.codec` — the bytes the wire carries for
+the same value (docs/PROTOCOLS.md, "Encoding").
 """
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
-from typing import Iterable
 
+from ..codec import Encoded, write
 from .groups import SchnorrGroup
 
 __all__ = [
@@ -27,86 +30,27 @@ __all__ = [
 ]
 
 
-class Encoded(bytes):
-    """Output of :func:`encode` that is spliced verbatim as a part.
-
-    ``encode`` is concatenative — ``encode(a, *b) == encode(a) +
-    encode(*b)`` — so a statement that many hashes share (the message
-    under every signature of a certificate) is rendered once, wrapped
-    as ``Encoded(encode(statement))`` and handed to each of them: the
-    bytes hashed, and with them every challenge and signature, are
-    exactly those of encoding the statement in place.  Never decoded
-    from the wire, so a peer cannot supply one.
-    """
-
-    __slots__ = ()
-
-
-# Dataclass field names per type: reflecting on every instance
-# (``dataclasses.fields``) costs more than encoding a small one.
-_FIELD_NAMES: dict[type, tuple[str, ...]] = {}
-
-
-def _field_names(cls: type) -> tuple[str, ...] | None:
-    names = _FIELD_NAMES.get(cls)
-    if names is None and dataclasses.is_dataclass(cls):
-        names = _FIELD_NAMES[cls] = tuple(f.name for f in dataclasses.fields(cls))
-    return names
-
-
 def encode(*parts: object) -> bytes:
-    """Deterministic, unambiguous encoding of heterogeneous values.
+    """The codec's encoding of each part, laid end to end.
 
-    Each part is rendered with an explicit type tag and length prefix so
-    that no two distinct tuples collide (the usual concatenation pitfall).
+    Every part carries its own tag and length, so no two distinct
+    argument lists collide (the usual concatenation pitfall) and
+    ``encode(a, *b) == encode(a) + encode(*b)``; ``encode(v)`` is
+    ``wire.dumps(v)`` for every value the wire carries.  A part that is
+    an :class:`~repro.codec.Encoded` is spliced verbatim.
     """
-    return bytes(_encode(parts))
-
-
-def _encode(parts: Iterable[object]) -> bytearray:
     out = bytearray()
     for part in parts:
-        if isinstance(part, bytes):
-            if isinstance(part, Encoded):
-                out += part
-                continue
-            tag, body = b"B", part
-        elif isinstance(part, str):
-            tag, body = b"S", part.encode("utf-8")
-        elif isinstance(part, bool):
-            tag, body = b"T", (b"\x01" if part else b"\x00")
-        elif isinstance(part, int):
-            tag, body = b"I", str(part).encode("ascii")
-        elif isinstance(part, (tuple, list)):
-            tag, body = b"L", _encode(part)
-        elif isinstance(part, (frozenset, set)):
-            tag, body = b"F", _encode(sorted(part, key=repr))
-        elif isinstance(part, dict):
-            items = sorted(part.items(), key=lambda kv: repr(kv[0]))
-            tag, body = b"D", _encode(item for pair in items for item in pair)
-        elif part is None:
-            tag, body = b"N", b""
-        elif (names := _field_names(type(part))) is not None:
-            fields = [getattr(part, name) for name in names]
-            tag, body = b"C", _encode((type(part).__name__, fields))
+        if type(part) is Encoded:
+            out += part
         else:
-            raise TypeError(f"cannot encode {type(part).__name__}")
-        out += tag
-        out += len(body).to_bytes(8, "big")
-        out += body
-    return out
-
-
-def _digest(prefix: bytes, *bodies: bytes) -> bytes:
-    h = hashlib.sha256(prefix)
-    for body in bodies:
-        h.update(body)
-    return h.digest()
+            write(out, part, 0)
+    return bytes(out)
 
 
 def hash_bytes(domain: str, *parts: object) -> bytes:
     """SHA-256 under a domain-separation tag."""
-    return _digest(domain.encode("utf-8") + b"\x00", _encode(parts))
+    return hashlib.sha256(domain.encode("utf-8") + b"\x00" + encode(*parts)).digest()
 
 
 def hash_to_int(domain: str, *parts: object, bits: int = 256) -> int:
@@ -117,11 +61,11 @@ def hash_to_int(domain: str, *parts: object, bits: int = 256) -> int:
     """
     needed = (bits + 7) // 8
     prefix = domain.encode("utf-8") + b"\x00"
-    body = _encode(parts)
+    body = encode(*parts)
     out = bytearray()
     counter = 0
     while len(out) < needed:
-        out += _digest(prefix, _encode((counter,)), body)
+        out += hashlib.sha256(prefix + encode(counter) + body).digest()
         counter += 1
     return int.from_bytes(bytes(out[:needed]), "big") >> (8 * needed - bits)
 
@@ -172,8 +116,3 @@ def mgf1(seed: bytes, length: int, domain: str = "mgf1") -> bytes:
         out += hash_bytes(domain, seed, counter)
         counter += 1
     return bytes(out[:length])
-
-
-def hash_transcript(domain: str, items: Iterable[object]) -> bytes:
-    """Hash an iterable of encodable items (order-sensitive)."""
-    return hash_bytes(domain, list(items))

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
+from ..codec import register
 from .accel import accel_for, batch_coefficients, verify_product_equations
 from .groups import SchnorrGroup, default_group
 from .hashing import hash_to_exponent
@@ -41,6 +42,7 @@ __all__ = [
 ]
 
 
+@register
 @dataclass(frozen=True)
 class Signature:
     """A Schnorr signature ``(a, z)`` on a message under some public key.

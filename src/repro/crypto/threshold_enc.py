@@ -29,8 +29,9 @@ import random
 from dataclasses import dataclass
 from typing import Iterable
 
+from ..codec import register
 from .groups import SchnorrGroup
-from .hashing import hash_to_exponent, hash_to_group, mgf1, xor_bytes
+from .hashing import encode, hash_to_exponent, hash_to_group, mgf1, xor_bytes
 from .lsss import LsssScheme, SlotId
 from .zkp import DleqProof, prove_dleq, verify_dleq, verify_dleq_batch
 
@@ -43,6 +44,7 @@ __all__ = [
 ]
 
 
+@register
 @dataclass(frozen=True)
 class Ciphertext:
     """A labelled TDH2 ciphertext ``(c, L, u, ū, e, f)``."""
@@ -55,6 +57,7 @@ class Ciphertext:
     f: int  # response  f = s + r·e
 
 
+@register
 @dataclass(frozen=True)
 class DecryptionShare:
     """One party's decryption shares ``u^{x_slot}`` with DLEQ proofs."""
@@ -81,7 +84,7 @@ class EncryptionPublic:
         grp = self.group
         r = grp.random_exponent(rng)
         s = grp.random_exponent(rng)
-        mask = mgf1(str(grp.exp(self.h, r)).encode("ascii"), len(message), "tdh2-dem")
+        mask = mgf1(encode(grp.exp(self.h, r)), len(message), "tdh2-dem")
         payload = xor_bytes(message, mask)
         u = grp.power_of_g(r)
         w = grp.power_of_g(s)
@@ -179,7 +182,7 @@ class EncryptionPublic:
             (shares[self.scheme.slot_owner(slot)].values[slot], coeff)
             for slot, coeff in lam.items()
         )
-        mask = mgf1(str(h_r).encode("ascii"), len(ct.payload), "tdh2-dem")
+        mask = mgf1(encode(h_r), len(ct.payload), "tdh2-dem")
         return xor_bytes(ct.payload, mask)
 
 

@@ -40,6 +40,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Mapping, Protocol
 
+from ..codec import register
 from .accel import batch_coefficients, verify_product_equations
 from .hashing import Encoded, encode, hash_to_int
 from .numtheory import egcd, modinv
@@ -76,6 +77,7 @@ class ThresholdScheme(Protocol):
 # ===========================================================================
 
 
+@register
 @dataclass(frozen=True)
 class RsaSignatureShare:
     """``x_i = H(M)^{2Δ s_i}`` with a Fiat-Shamir proof of correctness.
@@ -92,6 +94,7 @@ class RsaSignatureShare:
     response: int
 
 
+@register
 @dataclass(frozen=True)
 class RsaSignature:
     """An ordinary RSA signature ``y`` with ``y^e = H(M) mod N``."""
@@ -355,6 +358,7 @@ def deal_shoup_rsa(
 # ===========================================================================
 
 
+@register
 @dataclass(frozen=True)
 class QuorumCertificate:
     """A set of individual signatures from a qualified set of parties."""

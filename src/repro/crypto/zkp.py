@@ -30,6 +30,7 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
+from ..codec import register
 from .accel import accel_for, batch_coefficients, verify_product_equations
 from .groups import SchnorrGroup
 from .hashing import hash_to_exponent
@@ -45,6 +46,7 @@ __all__ = [
 ]
 
 
+@register
 @dataclass(frozen=True)
 class DleqProof:
     """Proof that log_g(h1) == log_u(h2) for public (g, h1, u, h2).
@@ -166,6 +168,7 @@ def verify_dleq_batch(
     )
 
 
+@register
 @dataclass(frozen=True)
 class SchnorrProof:
     """Proof of knowledge of ``x`` with ``h = g^x`` (Fiat-Shamir Schnorr)."""

@@ -182,7 +182,7 @@ def checkpoint_path(directory: str | pathlib.Path, party: int) -> pathlib.Path:
 
 
 def _checkpoint_key(party: int, channel_keys: dict[int, bytes]) -> bytes:
-    material = [b"repro-checkpoint-v1", party.to_bytes(8, "big")]
+    material = [b"repro-checkpoint-v2", party.to_bytes(8, "big")]
     for peer in sorted(channel_keys):
         material.append(peer.to_bytes(8, "big"))
         material.append(channel_keys[peer])

@@ -6,7 +6,7 @@ scheduler; this module realizes them as real sockets:
 
 * **Frames.**  Every message is one length-prefixed frame whose payload
   is the canonical :mod:`repro.net.wire` encoding — the transport never
-  invents a second serialization, and the codec's ``_MAX_LENGTH`` bound
+  invents a second serialization, and the codec's ``MAX_LENGTH`` bound
   is enforced per frame before any allocation.
 * **Authentication.**  Channels are keyed from the dealer setup
   (:func:`repro.crypto.dealer.deal_channel_keys`): each unordered pair
@@ -51,6 +51,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Callable
 
+from ..codec import MAX_LENGTH
 from ..crypto.dealer import is_server
 from . import wire
 from .simulator import Node
@@ -166,7 +167,7 @@ _DATA_OVERHEAD = 1 + 2 * _ID_BYTES + _MAC_BYTES
 
 # The wire codec's own length bound, enforced per frame *before* the
 # body is read: no peer can make us allocate more than this.
-MAX_FRAME_BODY = _DATA_OVERHEAD + wire._MAX_LENGTH
+MAX_FRAME_BODY = _DATA_OVERHEAD + MAX_LENGTH
 
 _BACKOFF_MIN = 0.05
 _BACKOFF_MAX = 2.0
@@ -230,7 +231,7 @@ def encode_data(
     incarnation: int, seq: int, payload: bytes,
 ) -> bytes:
     """Frame one wire-encoded payload for the (sender -> recipient) channel."""
-    if len(payload) > wire._MAX_LENGTH:
+    if len(payload) > MAX_LENGTH:
         raise TransportError("payload exceeds the wire length bound")
     mac = _tag(key, _KIND_DATA, sender, recipient, incarnation, seq, payload)
     body = (

@@ -16,12 +16,12 @@ import json
 import random
 from dataclasses import dataclass
 
+from .. import codec
 from ..crypto.dealer import PublicKeys
 from ..crypto.schnorr import VerifiedMemo
 from ..crypto.threshold_sig import QuorumCertScheme, ShoupRsaScheme
 from ..net.base import NetworkBackend
 from ..net.simulator import Node
-from . import codec
 from .reconfig import (
     EpochError,
     MembershipInfo,

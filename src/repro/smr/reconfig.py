@@ -38,6 +38,7 @@ import json
 import random
 from dataclasses import dataclass
 
+from ..codec import register
 from ..core.protocol import Context, Protocol, SessionId
 from ..crypto.dealer import PublicKeys
 from ..crypto.schnorr import Signature, SigningKey
@@ -76,6 +77,7 @@ ACTIONS = ("add", "remove", "refresh")
 # ===========================================================================
 
 
+@register
 @dataclass(frozen=True)
 class EpochError:
     """This session's epoch is closed; ask for the new membership."""
@@ -84,6 +86,7 @@ class EpochError:
     epoch: int
 
 
+@register
 @dataclass(frozen=True)
 class MembershipQuery:
     """Client request for the current (signed) membership record."""
@@ -93,6 +96,7 @@ class MembershipQuery:
     known_epoch: int
 
 
+@register
 @dataclass(frozen=True)
 class MembershipInfo:
     """One replica's signed statement of the current configuration.

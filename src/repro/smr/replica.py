@@ -23,11 +23,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
+from ..codec import register
 from ..core.atomic_broadcast import AbcConfig, AtomicBroadcast
 from ..core.protocol import Context, Protocol, SessionId
 from ..core.secure_causal import SecureCausalBroadcast
 from ..crypto.threshold_enc import Ciphertext
-from . import codec
+from ..net import wire
 from .reconfig import MembershipInfo, MembershipQuery
 from .state_machine import Reply, Request, StateMachine
 
@@ -35,6 +36,7 @@ __all__ = ["SubmitRequest", "SubmitEncrypted", "RecoverQuery", "RecoverLog",
            "Replica", "service_session", "reply_statement"]
 
 
+@register
 @dataclass(frozen=True)
 class SubmitRequest:
     """Client -> server: an ordinary (non-confidential) request."""
@@ -42,6 +44,7 @@ class SubmitRequest:
     request: tuple  # Request.encode()
 
 
+@register
 @dataclass(frozen=True)
 class SubmitEncrypted:
     """Client -> server: a confidential request (TDH2 ciphertext)."""
@@ -49,6 +52,7 @@ class SubmitEncrypted:
     ciphertext: Ciphertext
 
 
+@register
 @dataclass(frozen=True)
 class SubmitUnordered:
     """Client -> server: a commuting (read-only) request.
@@ -65,11 +69,13 @@ class SubmitUnordered:
     request: tuple  # Request.encode()
 
 
+@register
 @dataclass(frozen=True)
 class RecoverQuery:
     """A recovering replica asks its peers for the delivered history."""
 
 
+@register
 @dataclass(frozen=True)
 class RecoverLog:
     """A peer's answer: its full delivery log and current round.
@@ -249,9 +255,9 @@ class Replica(Protocol):
         if not isinstance(plaintext, bytes):
             return
         try:
-            decoded = codec.loads(plaintext)
-        except codec.CodecError:
-            return
+            decoded = wire.loads(plaintext)  # a client's bytes: wire policy
+        except wire.WireError:
+            return  # a corrupted client encrypted junk; skip deterministically
         request = Request.decode(decoded)
         if request is None:
             return

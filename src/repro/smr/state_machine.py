@@ -14,14 +14,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..codec import register
+
 __all__ = ["Request", "Reply", "StateMachine", "KeyValueStore"]
 
-# Operations and results are codec-encodable values (see smr.codec):
+# Operations and results are codec-encodable values (see repro.codec):
 # nested tuples of None/bool/int/str/bytes.
 Operation = tuple
 Result = object
 
 
+@register
 @dataclass(frozen=True)
 class Request:
     """A client request: globally unique via (client, nonce).
@@ -53,6 +56,7 @@ class Request:
         return None
 
 
+@register
 @dataclass(frozen=True)
 class Reply:
     """One replica's partial answer (Section 5: clients majority-vote).

@@ -1,15 +1,18 @@
 """RL004 fixture: message dataclasses (linted with relpath core/rl004_core.py).
 
 ``Registered`` is sent, registered and handled (clean).
-``SentUnregistered`` is sent and handled but missing from the codec list.
-``RegisteredUnhandled`` is in the codec list but nothing dispatches on it.
+``SentUnregistered`` is sent and handled but not decorated ``@register``.
+``RegisteredUnhandled`` is registered but nothing dispatches on it.
 ``PlainRecord`` is a dataclass that is never sent nor registered: not a
 message, so the rule ignores it entirely.
 """
 
 from dataclasses import dataclass
 
+from repro.codec import register
 
+
+@register
 @dataclass(frozen=True)
 class Registered:
     round: int
@@ -20,6 +23,7 @@ class SentUnregistered:
     round: int
 
 
+@register
 @dataclass(frozen=True)
 class RegisteredUnhandled:
     round: int

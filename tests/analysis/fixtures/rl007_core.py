@@ -1,4 +1,4 @@
-"""RL007 fixture: handler reachability vs the wire registry.
+"""RL007 fixture: handler reachability vs codec registration.
 
 ``Ghost`` is sent and dispatched by a *reachable* handler but never
 registered — works in the in-process simulator, undecodable over real
@@ -8,12 +8,15 @@ only dispatch site sits in a private method nothing calls (warning).
 
 from dataclasses import dataclass
 
+from repro.codec import register
+
 
 @dataclass(frozen=True)
 class Ghost:
     round: int
 
 
+@register
 @dataclass(frozen=True)
 class OrphanRegistered:
     round: int

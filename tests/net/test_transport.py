@@ -13,6 +13,7 @@ import time
 
 import pytest
 
+from repro.codec import MAX_LENGTH
 from repro.crypto import deal_system, small_group
 from repro.crypto.dealer import CLIENT_BASE, deal_channel_keys
 from repro.net import wire
@@ -94,7 +95,7 @@ def test_data_rejects_reflected_direction():
 
 def test_encode_rejects_oversized_payload():
     with pytest.raises(TransportError):
-        encode_data(KEY_A, 1, 2, 9, 5, b"x" * (wire._MAX_LENGTH + 1))
+        encode_data(KEY_A, 1, 2, 9, 5, b"x" * (MAX_LENGTH + 1))
 
 
 # -- in-process transport helpers --------------------------------------------------

@@ -170,3 +170,25 @@ def test_smr_over_serialized_network():
     n2 = client.submit_confidential(("get", "k"))
     results = dep.run_until_complete(client, [n2], max_steps=900_000)
     assert results[n2].result == ("value", 42)
+
+
+def test_wire_imports_every_module_that_registers_a_type():
+    """Types register where they are defined; the wire's part is to have
+    imported every such module before it reads a byte, so a replica
+    decodes with the whole type universe whatever it imported itself.
+    A fresh interpreter: first the wire alone, then every module."""
+    import subprocess
+    import sys
+
+    script = (
+        "import importlib, pkgutil, repro\n"
+        "from repro import codec\n"
+        "from repro.net import wire\n"
+        "known = set(wire.registered_types())\n"
+        "for module in pkgutil.walk_packages(repro.__path__, 'repro.'):\n"
+        "    if not module.name.endswith('__main__'):\n"
+        "        importlib.import_module(module.name)\n"
+        "late = set(codec.registered_types()) - known\n"
+        "assert known and not late, late\n"
+    )
+    subprocess.run([sys.executable, "-c", script], check=True)

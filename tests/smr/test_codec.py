@@ -1,10 +1,11 @@
-"""Canonical request codec."""
+"""Canonical request encoding: a confidential request's plaintext is
+the one codec's output (``repro.codec``), read back under wire policy."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.smr import codec
+from repro import codec
 
 atoms = st.one_of(
     st.none(),
@@ -52,11 +53,13 @@ def test_unsupported_types_rejected():
     with pytest.raises(codec.CodecError):
         codec.dumps([1, 2])  # lists are not canonical; tuples only
     with pytest.raises(codec.CodecError):
-        codec.dumps({"a": 1})
+        codec.dumps({1, 2})  # nor mutable sets; frozenset only
+    with pytest.raises(codec.CodecError):
+        codec.dumps(1.5)
 
 
 def test_malformed_inputs_rejected():
-    for data in (b"", b"Z", b"I\x00\x00\x00\x02x", b"S\x00\x00\x00\x05ab",
+    for data in (b"", b"Z", b"I\x00\x00\x00\x011", b"j\x00\x00\x00\x02x", b"S\x00\x00\x00\x05ab",
                  b"L\x00\x00\x00\x01", b"B\xff\xff\xff\xff", b"Nx"):
         with pytest.raises(codec.CodecError):
             codec.loads(data)
@@ -71,3 +74,12 @@ def test_non_utf8_string_rejected():
 def test_nested_structure():
     value = ("req", 1000, 7, ("register", b"\x00digest\xff", None, True))
     assert codec.loads(codec.dumps(value)) == value
+
+
+def test_nesting_beyond_the_bound_is_a_codec_error():
+    """1,000 nested tuples are 5 KB a client can put in a ciphertext: the
+    reader refuses them at depth 32 instead of riding the interpreter's
+    stack into ``RecursionError``."""
+    data = b"L\x00\x00\x00\x01" * 1000 + b"N"
+    with pytest.raises(codec.CodecError, match="too deeply nested"):
+        codec.loads(data)

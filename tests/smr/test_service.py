@@ -117,6 +117,38 @@ def test_causal_mode_end_to_end():
     assert results[n2].result == ("value", 42)
 
 
+def test_causal_mode_skips_a_plaintext_nested_past_the_codec_bound():
+    """A Byzantine client encrypts 1,000 nested tuples (5 KB).  The bytes
+    are ordered and decrypted like any request; the one reader refuses
+    them at its depth bound, so every replica skips the slot — where
+    the request codec this path once had recursed without a bound and
+    ``RecursionError`` left the handler on every honest replica — and
+    the next request commits."""
+    from repro import codec
+    from repro.smr.replica import SubmitEncrypted
+
+    dep = build_service(4, KeyValueStore, t=1, causal=True, seed=12)
+    client = dep.new_client()
+    dep.network.start()
+    bomb = b"L\x00\x00\x00\x01" * 1000 + b"N"
+    label = codec.dumps(("client", client.client_id, 0))
+    ciphertext = dep.keys.public.encryption.encrypt(bomb, label, client.rng)
+    for server in range(4):
+        dep.network.send(
+            client.client_id, server, (client.session, SubmitEncrypted(ciphertext))
+        )
+    dep.network.run(max_steps=400_000)  # no handler raises
+    replicas = dep.honest_replicas()
+    for replica in replicas:  # ordered and decrypted everywhere, executed nowhere
+        assert [p for p, _ in replica.sc_abc.s_delivered] == [bomb]
+        assert not replica.executed
+    nonce = client.submit_confidential(("set", "after", 1))
+    results = dep.run_until_complete(client, [nonce])
+    assert results[nonce].result == ("ok", 1)
+    dep.network.run(max_steps=400_000)
+    assert len({tuple(r.executed) for r in replicas}) == 1
+
+
 def test_causal_mode_refuses_plaintext():
     dep = build_service(4, KeyValueStore, t=1, causal=True, seed=11)
     client = dep.new_client()

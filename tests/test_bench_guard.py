@@ -14,7 +14,7 @@ def _crypto(multiexp=6.0, coin=5.4, smoke=False) -> dict:
             "fixed_base_speedup": 4.0,
             "membership_speedup": 3.0,
         },
-        "coin_quorum": {"speedup_batch_vs_legacy": coin},
+        "coin_quorum": {"speedup_batch_vs_per_share": coin},
         "rsa_quorum": {"speedup_batch_vs_per_share": 4.4},
         "dkg": {"n4t1": {"dealer_to_dkg_ratio": 0.015}},
     }
