@@ -10,11 +10,13 @@ where a BFT implementation silently stops being Byzantine-tolerant.
 Flagged: expression statements whose value is a call to a function or
 method named ``verify``, ``verify_share``, ``verify_shares``,
 ``verify_proof``, ``verify_batch``, ``verify_dleq``,
-``verify_dleq_batch``, ``combine`` or ``check`` inside ``core/``,
-``crypto/`` and ``smr/``.  The batch entry points return the set of
-valid shares (or the batch verdict) and are verified-gates exactly like
-their per-share counterparts: dropping their result silently un-gates a
-whole quorum at once.
+``verify_dleq_batch``, ``verify_dleq_shares``, ``combine`` or ``check``
+inside ``core/``, ``crypto/`` and ``smr/``.  The batch entry points
+return the set of valid shares (or the batch verdict) and are
+verified-gates exactly like their per-share counterparts: dropping
+their result silently un-gates a whole quorum at once — and a memo
+argument changes nothing: a share the party's own seeded memo admits
+is admitted by the *returned* set, nowhere else.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ _CHECKED_NAMES = {
     "verify_batch",
     "verify_dleq",
     "verify_dleq_batch",
+    "verify_dleq_shares",
     "combine",
     "check",
 }

@@ -43,6 +43,7 @@ _SANITIZERS = frozenset(
         "verify_batch",
         "verify_dleq",
         "verify_dleq_batch",
+        "verify_dleq_shares",
         "combine",
         "check",
         "is_quorum",

@@ -19,14 +19,18 @@ from __future__ import annotations
 import json
 import random
 import time
+from collections import Counter
+from contextlib import ExitStack
 from typing import Callable
+from unittest import mock
 
-from .crypto.accel import accel_for, multiexp
+from .crypto import accel as accel_module
+from .crypto.accel import FixedBaseTable, GroupAccel, accel_for, multiexp
 from .crypto.coin import deal_coin
 from .crypto.groups import SchnorrGroup, default_group
 from .crypto.lsss import threshold_scheme
 from .crypto.numtheory import jacobi
-from .crypto.schnorr import keygen, verify_batch
+from .crypto.schnorr import VerifiedMemo, keygen, verify_batch
 from .crypto.threshold_enc import deal_encryption
 from .crypto.threshold_sig import deal_quorum_certs, deal_shoup_rsa
 
@@ -47,6 +51,21 @@ def _time(fn: Callable[[], object], repeats: int) -> float:
         if elapsed < best:
             best = elapsed
     return best
+
+
+def _batch_vs_per_share(
+    per_share: Callable[[], None], batch: Callable[[], None], repeats: int, **shape
+) -> dict:
+    """Time per-share against batched verification of one quorum."""
+    batch()  # warm the accel tables and hash caches for both paths
+    t_per_share = _time(per_share, repeats) * 1e3
+    t_batch = _time(batch, repeats) * 1e3
+    return {
+        **shape,
+        "per_share_ms": t_per_share,
+        "batch_ms": t_batch,
+        "speedup_batch_vs_per_share": t_per_share / t_batch,
+    }
 
 
 # -- microbenchmarks -------------------------------------------------------------
@@ -96,17 +115,39 @@ def _bench_coin_quorum(group: SchnorrGroup, rng: random.Random, repeats: int) ->
     def batch() -> None:
         assert len(public.verify_shares(name, quorum)) == len(quorum)
 
-    batch()  # warm the accel tables and hash caches for both paths
-    t_per_share = _time(per_share, repeats) * 1e3
-    t_batch = _time(batch, repeats) * 1e3
-    return {
-        "n": _N,
-        "t": _T,
-        "quorum_shares": len(quorum),
-        "per_share_ms": t_per_share,
-        "batch_ms": t_batch,
-        "speedup_batch_vs_per_share": t_per_share / t_batch,
-    }
+    return _batch_vs_per_share(
+        per_share, batch, repeats, n=_N, t=_T, quorum_shares=len(quorum)
+    )
+
+
+def _bench_coin_round(group: SchnorrGroup, rng: random.Random, repeats: int) -> dict:
+    """What one party pays per coin flip at n = 4, t = 1 — make its share,
+    verify a quorum (its own share included) and combine — in time and
+    in counted fresh-base pows, table pows and squaring chains."""
+    public, holders = deal_coin(group, threshold_scheme(4, 1, group.q), rng)
+    names = [("bench-coin-round", index) for index in range(repeats + 2)]
+    peer = {name: holders[1].share_for(name, rng) for name in names}
+    memo, pending, counts = VerifiedMemo(), iter(names), Counter()
+
+    def one_round() -> None:
+        name = next(pending)
+        own = holders[0].share_for(name, rng, memo)
+        public.combine(name, public.verify_shares(name, [own, peer[name]], memo))
+
+    one_round()  # warm: the key's own g^x_slot, computed once
+    counted = (
+        (GroupAccel, "exp_once", "fresh_base_pows"),
+        (FixedBaseTable, "pow", "table_pows"),
+        (accel_module, "_straus", "chains"),
+    )
+    with ExitStack() as stack:
+        for owner, attr, label in counted:
+            def counting(*args, _fn=getattr(owner, attr), _label=label):
+                counts[_label] += 1
+                return _fn(*args)
+            stack.enter_context(mock.patch.object(owner, attr, counting))
+        one_round()
+    return {"n": 4, "t": 1, "ms": _time(one_round, repeats) * 1e3, **counts}
 
 
 def _bench_decryption_quorum(
@@ -126,17 +167,9 @@ def _bench_decryption_quorum(
     def batch() -> None:
         assert len(public.verify_shares(ct, quorum)) == len(quorum)
 
-    batch()
-    t_per_share = _time(per_share, repeats) * 1e3
-    t_batch = _time(batch, repeats) * 1e3
-    return {
-        "n": _N,
-        "t": _T,
-        "quorum_shares": len(quorum),
-        "per_share_ms": t_per_share,
-        "batch_ms": t_batch,
-        "speedup_batch_vs_per_share": t_per_share / t_batch,
-    }
+    return _batch_vs_per_share(
+        per_share, batch, repeats, n=_N, t=_T, quorum_shares=len(quorum)
+    )
 
 
 def _bench_rsa_quorum(rng: random.Random, repeats: int, bits: int) -> dict:
@@ -153,18 +186,10 @@ def _bench_rsa_quorum(rng: random.Random, repeats: int, bits: int) -> dict:
     def batch() -> None:
         assert len(public.verify_shares(message, quorum)) == len(quorum)
 
-    batch()
-    t_per_share = _time(per_share, repeats) * 1e3
-    t_batch = _time(batch, repeats) * 1e3
-    return {
-        "n": _N,
-        "k": _T + 1,
-        "modulus_bits": bits,
-        "quorum_shares": len(quorum),
-        "per_share_ms": t_per_share,
-        "batch_ms": t_batch,
-        "speedup_batch_vs_per_share": t_per_share / t_batch,
-    }
+    return _batch_vs_per_share(
+        per_share, batch, repeats,
+        n=_N, k=_T + 1, modulus_bits=bits, quorum_shares=len(quorum),
+    )
 
 
 def _bench_cert_quorum(group: SchnorrGroup, rng: random.Random, repeats: int) -> dict:
@@ -191,16 +216,7 @@ def _bench_cert_quorum(group: SchnorrGroup, rng: random.Random, repeats: int) ->
     def batch() -> None:
         assert verify_batch(group, items)
 
-    batch()
-    t_per_share = _time(per_share, repeats) * 1e3
-    t_batch = _time(batch, repeats) * 1e3
-    return {
-        "n": _N,
-        "quorum_shares": len(shares),
-        "per_share_ms": t_per_share,
-        "batch_ms": t_batch,
-        "speedup_batch_vs_per_share": t_per_share / t_batch,
-    }
+    return _batch_vs_per_share(per_share, batch, repeats, n=_N, quorum_shares=len(shares))
 
 
 # -- end-to-end agreement --------------------------------------------------------
@@ -359,6 +375,7 @@ def run_benchmarks(seed: int = 0, smoke: bool = False) -> dict:
         },
         "primitives": _bench_primitives(group, rng, repeats),
         "coin_quorum": _bench_coin_quorum(group, rng, repeats),
+        "coin_round": _bench_coin_round(group, rng, repeats),
         "decryption_quorum": _bench_decryption_quorum(group, rng, repeats),
         "rsa_quorum": _bench_rsa_quorum(rng, repeats, rsa_bits),
         "cert_quorum": _bench_cert_quorum(group, rng, repeats),

@@ -258,7 +258,7 @@ class AtomicBroadcast(Protocol):
             self.highest_started = nxt
             digest = batch_digest(batch)
             statement = proposal_statement(ctx.session, nxt, digest)
-            signature = ctx.keys.signing_key.sign(statement, ctx.rng)
+            signature = ctx.keys.signing_key.sign(statement, ctx.rng, ctx.verified)
             self.proposed[nxt] = (batch, digest, signature)
             self.batches.setdefault(digest, batch)
             self.in_flight.update(batch)

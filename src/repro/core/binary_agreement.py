@@ -253,7 +253,7 @@ class BinaryAgreement(Protocol):
         if state.coin_released or not self._conf_ready(ctx, state):
             return False
         state.coin_released = True
-        share = ctx.keys.coin.share_for(self._coin_name(ctx, r), ctx.rng)
+        share = ctx.keys.coin.share_for(self._coin_name(ctx, r), ctx.rng, ctx.verified)
         ctx.broadcast(AbaCoinShare(r, share))
         return True
 
@@ -297,7 +297,7 @@ class BinaryAgreement(Protocol):
         if not ctx.public.access_scheme.is_qualified(candidates):
             return
         name = self._coin_name(ctx, r)
-        valid = ctx.public.coin.verify_shares(name, state.coin_pending.values())
+        valid = ctx.public.coin.verify_shares(name, state.coin_pending.values(), ctx.verified)
         for party in state.coin_pending:
             if party not in valid:
                 state.coin_bad.add(party)

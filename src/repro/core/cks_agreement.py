@@ -162,7 +162,7 @@ class CksBinaryAgreement(Protocol):
             return
         state.prevote_sent = True
         share = ctx.keys.cert_quorum.sign_share(
-            _prevote_statement(ctx.session, r, value), ctx.rng
+            _prevote_statement(ctx.session, r, value), ctx.rng, ctx.verified
         )
         ctx.broadcast(CksPreVote(r, value, justification, share))
 
@@ -172,7 +172,7 @@ class CksBinaryAgreement(Protocol):
             return
         state.mainvote_sent = True
         share = ctx.keys.cert_quorum.sign_share(
-            _mainvote_statement(ctx.session, r, value), ctx.rng
+            _mainvote_statement(ctx.session, r, value), ctx.rng, ctx.verified
         )
         ctx.broadcast(CksMainVote(r, value, justification, share))
 
@@ -293,7 +293,7 @@ class CksBinaryAgreement(Protocol):
         candidates = set(state.coin_shares) | set(state.coin_pending)
         if not ctx.public.access_scheme.is_qualified(candidates):
             return
-        valid = ctx.public.coin.verify_shares(name, state.coin_pending.values())
+        valid = ctx.public.coin.verify_shares(name, state.coin_pending.values(), ctx.verified)
         for party in state.coin_pending:
             if party not in valid:
                 state.coin_bad.add(party)
@@ -342,7 +342,8 @@ class CksBinaryAgreement(Protocol):
         # is in (CKS release the round coin unconditionally).
         if not state.coin_released:
             state.coin_released = True
-            coin_share = ctx.keys.coin.share_for(("cks-coin", ctx.session, r), ctx.rng)
+            name = ("cks-coin", ctx.session, r)
+            coin_share = ctx.keys.coin.share_for(name, ctx.rng, ctx.verified)
             ctx.broadcast(CksCoinShare(r, coin_share))
         # Decide when a full quorum main-voted the same bit.
         for value in (0, 1):

@@ -151,7 +151,7 @@ class ConsistentBroadcast(Protocol):
         self._pending_send = None
         self.signed_value = value
         share = ctx.keys.cert_quorum.sign_share(
-            _statement(ctx.session, value), ctx.rng
+            _statement(ctx.session, value), ctx.rng, ctx.verified
         )
         ctx.send(self.sender, CbcEchoSignature(share))
 

@@ -130,7 +130,7 @@ class MultiValuedAgreement(Protocol):
         if self.perm_released or not ctx.quorum.is_quorum(self.deliveries):
             return
         self.perm_released = True
-        share = ctx.keys.coin.share_for(self._perm_coin_name(ctx), ctx.rng)
+        share = ctx.keys.coin.share_for(self._perm_coin_name(ctx), ctx.rng, ctx.verified)
         ctx.broadcast(MvbaPermShare(share))
 
     def _perm_coin_name(self, ctx: Context) -> tuple:
@@ -161,7 +161,7 @@ class MultiValuedAgreement(Protocol):
         candidates = set(self.perm_shares) | set(self.perm_pending)
         if not ctx.public.access_scheme.is_qualified(candidates):
             return
-        valid = ctx.public.coin.verify_shares(name, self.perm_pending.values())
+        valid = ctx.public.coin.verify_shares(name, self.perm_pending.values(), ctx.verified)
         for party in self.perm_pending:
             if party not in valid:
                 self.perm_bad.add(party)

@@ -233,7 +233,7 @@ class OptimisticAtomicBroadcast(Protocol):
         seq = self._next_seq
         self._next_seq += 1
         signature = ctx.keys.signing_key.sign(
-            _order_statement(ctx.session, seq, payload), ctx.rng
+            _order_statement(ctx.session, seq, payload), ctx.rng, ctx.verified
         )
         ctx.broadcast(OptOrder(seq, payload, signature))
 
@@ -253,7 +253,7 @@ class OptimisticAtomicBroadcast(Protocol):
         self.orders[seq] = message.payload
         digest = _digest(message.payload)
         share = ctx.keys.cert_strong.sign_share(
-            _ack_statement(ctx.session, seq, digest), ctx.rng
+            _ack_statement(ctx.session, seq, digest), ctx.rng, ctx.verified
         )
         ctx.broadcast(OptAck(seq, digest, share))
 
@@ -316,7 +316,7 @@ class OptimisticAtomicBroadcast(Protocol):
             )
             self.prepared[message.seq] = (payload, certificate)
             commit_share = ctx.keys.cert_strong.sign_share(
-                _commit_statement(ctx.session, message.seq, message.digest), ctx.rng
+                _commit_statement(ctx.session, message.seq, message.digest), ctx.rng, ctx.verified
             )
             self.commit_share_sent.add(message.seq)
             ctx.broadcast(OptCommit(message.seq, message.digest, commit_share))
@@ -391,7 +391,7 @@ class OptimisticAtomicBroadcast(Protocol):
             entries.append((seq, payload, certificate))
         entries_tuple = tuple(entries)
         signature = ctx.keys.signing_key.sign(
-            _state_statement(ctx.session, entries_tuple), ctx.rng
+            _state_statement(ctx.session, entries_tuple), ctx.rng, ctx.verified
         )
         ctx.broadcast(OptState(entries_tuple, signature))
 

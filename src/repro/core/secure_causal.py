@@ -108,7 +108,7 @@ class SecureCausalBroadcast(Protocol):
         self.pending.append((digest, ct, round_number))
         if digest not in self.shared:
             self.shared.add(digest)
-            share = ctx.keys.decryption.decryption_share(ct, ctx.rng)
+            share = ctx.keys.decryption.decryption_share(ct, ctx.rng, ctx.verified)
             if share is not None:
                 ctx.broadcast(ScDecryptionShare(digest, share))
         self._drain(ctx)
@@ -150,7 +150,7 @@ class SecureCausalBroadcast(Protocol):
                 set(verified) | set(unchecked)
             ):
                 return
-            valid = ctx.public.encryption.verify_shares(ct, unchecked.values())
+            valid = ctx.public.encryption.verify_shares(ct, unchecked.values(), ctx.verified)
             bad = self.bad.setdefault(digest, set())
             for party in unchecked:
                 if party not in valid:

@@ -10,12 +10,12 @@ This module concentrates the arithmetic tricks that cut that cost:
   ``k`` exponentiations costs one squaring chain plus a few
   multiplications per base instead of ``k`` full ``pow`` calls.
 * **Fixed-base windowed tables**: bases that recur (the group
-  generator, verification keys, a round's coin base) get a radix-``2^w``
-  digit table; subsequent exponentiations are ~5x cheaper than ``pow``.
-  Tables are built automatically once a base has been seen often enough
-  to amortize the build; the least recently used one makes room when
-  the budget is full, so one-shot bases (a coin's ``H(C)``) cannot
-  occupy it for good.
+  generator, verification keys) get a radix-``2^w`` digit table;
+  subsequent exponentiations are ~5x cheaper than ``pow``.  Tables are
+  built automatically once a base has been seen often enough to
+  amortize the build, and the least recently used one makes room when
+  the budget is full; per-name bases (a coin's ``H(C)``) never count
+  toward one (:meth:`GroupAccel.exp_once`).
 * **Memoized subgroup membership** via the Jacobi symbol (for a safe
   prime the order-``q`` subgroup is exactly the quadratic residues),
   with a bounded cache so fixed bases are checked once, ever.
@@ -189,6 +189,8 @@ class GroupAccel:
 
     def exp(self, base: int, exponent: int) -> int:
         """``base^exponent mod p``; auto-tables bases that recur."""
+        if exponent < 0:  # else the answer would depend on whether base is tabled
+            raise ValueError("negative exponent: reduce it mod q first")
         table = self._table(base)
         if table is not None:
             return table.pow(exponent)
@@ -205,8 +207,21 @@ class GroupAccel:
         self._counts[base] = count
         return pow(base, exponent, self.p)
 
+    def exp_once(self, base: int, exponent: int) -> int:
+        """``base^exponent mod p`` for a per-name base (a coin's ``H(C)``,
+        a ciphertext's ``u``): its few uses can never repay a table, so
+        they are not counted toward one."""
+        return pow(base, exponent, self.p)
+
     def multiexp(self, pairs: Iterable[tuple[int, int]]) -> int:
-        """Multi-exp that routes tabled bases through their tables."""
+        """Multi-exp that routes tabled bases through their tables.
+
+        Uses are deliberately *not* counted toward auto-tabling, and the
+        tables are not widened: at 1536 bits a table is ~16k
+        multiplications (~120 ms, 3 MB) and repays only after > 100 uses
+        of a coin verification key, and a wider generator table breaks
+        the benchmark's 10 % ``peak_rss_mb`` bound (docs/PERFORMANCE.md).
+        """
         acc = 1
         plain: list[tuple[int, int]] = []
         for base, exponent in pairs:
@@ -282,41 +297,40 @@ def verify_product_equations(
     Each equation is ``(lhs_pairs, rhs_pairs)`` of ``(base, exponent)``
     terms.  Equation ``i`` is raised to ``coefficients[i]`` and all
     equations are multiplied together; exponents of repeated bases are
-    accumulated (mod ``order`` when the group order is known, over the
-    integers otherwise — e.g. mod an RSA modulus of hidden order).
+    accumulated.
+
+    With the group ``order`` known the left side moves across, its
+    exponents negated mod ``order``, and **one** multi-exp is compared
+    with 1: one squaring chain instead of two.  Only the left side is
+    negated — the commitments sit on the right with nothing but their
+    64-bit coefficient, and negating those would turn every small
+    exponent into a full-size one.  Mod an RSA modulus the order is
+    hidden, nothing can be negated, and the two sides stay two products
+    over the integers.
 
     ``accel`` is the accelerator of the Schnorr group the equations live
-    in: both sides are then evaluated by :meth:`GroupAccel.multiexp`, so
+    in: the product is then evaluated by :meth:`GroupAccel.multiexp`, so
     the generator and every tabled verification key cost a table lookup
     per digit and only the one-shot bases (commitments, share values)
-    share a squaring chain.  An RSA modulus has no accelerator and takes
-    the table-less :func:`multiexp`.
+    share the squaring chain.  An RSA modulus has no accelerator and
+    takes the table-less :func:`multiexp`.
 
     ``square=True`` compares the squares of both sides, quotienting out
     the order-2 subgroup ``{±1}`` — required mod an RSA modulus where
     membership in the squares cannot be tested directly.
     """
-    lhs_acc: dict[int, int] = {}
     rhs_acc: dict[int, int] = {}
+    lhs_acc, sign = (rhs_acc, -1) if order is not None else ({}, 1)
     for (lhs, rhs), coeff in zip(equations, coefficients):
-        for acc, side in ((lhs_acc, lhs), (rhs_acc, rhs)):
-            for base, exponent in side:
-                weighted = exponent * coeff
-                if order is not None:
-                    weighted %= order
-                acc[base] = acc.get(base, 0) + weighted
+        for base, exponent in lhs:
+            lhs_acc[base] = lhs_acc.get(base, 0) + sign * exponent * coeff
+        for base, exponent in rhs:
+            rhs_acc[base] = rhs_acc.get(base, 0) + exponent * coeff
+    product = accel.multiexp if accel is not None else lambda pairs: multiexp(modulus, pairs)
     if order is not None:
-        lhs_pairs = [(b, e % order) for b, e in lhs_acc.items()]
-        rhs_pairs = [(b, e % order) for b, e in rhs_acc.items()]
+        left, right = 1, product([(b, e % order) for b, e in rhs_acc.items()])
     else:
-        lhs_pairs = list(lhs_acc.items())
-        rhs_pairs = list(rhs_acc.items())
-    if accel is not None:
-        left = accel.multiexp(lhs_pairs)
-        right = accel.multiexp(rhs_pairs)
-    else:
-        left = multiexp(modulus, lhs_pairs)
-        right = multiexp(modulus, rhs_pairs)
+        left, right = product(lhs_acc.items()), product(rhs_acc.items())
     if square:
         return left * left % modulus == right * right % modulus
     return left == right

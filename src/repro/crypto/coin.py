@@ -22,13 +22,15 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from ..codec import register
 from .groups import SchnorrGroup
 from .hashing import hash_to_group, hash_to_int
 from .lsss import LsssScheme, SlotId
-from .zkp import DleqProof, prove_dleq, verify_dleq, verify_dleq_batch
+from .schnorr import VerifiedMemo
+from .zkp import DleqProof, prove_dleq, verify_dleq, verify_dleq_shares
 
 __all__ = ["CoinPublic", "CoinShareholder", "CoinShare", "deal_coin"]
 
@@ -88,7 +90,10 @@ class CoinPublic:
         )
 
     def verify_shares(
-        self, name: object, shares: Iterable[CoinShare]
+        self,
+        name: object,
+        shares: Iterable[CoinShare],
+        memo: VerifiedMemo | None = None,
     ) -> dict[int, CoinShare]:
         """Batch-verify shares of the named coin; returns the valid ones.
 
@@ -98,7 +103,9 @@ class CoinPublic:
         re-verified individually so culprits are pinpointed exactly —
         the returned mapping ``party -> share`` contains precisely the
         shares that per-share verification accepts.  Shares naming a
-        different coin or duplicating a party are rejected outright.
+        different coin or duplicating a party are rejected outright; a
+        share the verifying party's ``memo`` vouches for (its own, see
+        :meth:`CoinShareholder.share_for`) costs no arithmetic.
         """
         base = self.coin_base(name)
         candidates: dict[int, tuple[CoinShare, list]] = {}
@@ -109,17 +116,7 @@ class CoinPublic:
             if items is None:
                 continue
             candidates[share.party] = (share, items)
-        batch = [item for _, items in candidates.values() for item in items]
-        if verify_dleq_batch(self.group, batch):
-            return {party: share for party, (share, _) in candidates.items()}
-        return {
-            party: share
-            for party, (share, items) in candidates.items()
-            if all(
-                verify_dleq(self.group, g, h1, u, h2, proof, context=ctx)
-                for g, h1, u, h2, proof, ctx in items
-            )
-        }
+        return verify_dleq_shares(self.group, candidates, memo)
 
     def _combined_element(self, shares: Mapping[int, CoinShare]) -> int | None:
         """``H(C)^x`` recombined from a qualified set, or None if unqualified."""
@@ -160,16 +157,31 @@ class CoinShareholder:
     public: CoinPublic
     subshares: dict[SlotId, int]
 
-    def share_for(self, name: object, rng: random.Random) -> CoinShare:
-        """Produce this party's share of the named coin, with proofs."""
+    @cached_property
+    def _images(self) -> dict[SlotId, int]:
+        """``g^{x_slot}`` of the subshares actually held — never read from
+        ``public.verification``: a key gone stale in a reshare must keep
+        proving (and vouching in a memo) for what it really is."""
+        grp = self.public.group
+        return {slot: grp.power_of_g(x) for slot, x in self.subshares.items()}
+
+    def share_for(
+        self, name: object, rng: random.Random, memo: VerifiedMemo | None = None
+    ) -> CoinShare:
+        """Produce this party's share of the named coin, with proofs.
+
+        Two fresh-base exponentiations per slot (the value, the proof's
+        second commitment); the party's ``memo`` learns its own proofs.
+        """
         grp = self.public.group
         base = self.public.coin_base(name)
         values: dict[SlotId, int] = {}
         proofs: dict[SlotId, DleqProof] = {}
         for slot, x_slot in self.subshares.items():
-            values[slot] = grp.exp(base, x_slot)
+            values[slot] = grp.exp_once(base, x_slot)
             proofs[slot] = prove_dleq(
-                grp, grp.g, base, x_slot, rng, context=("coin", name, slot)
+                grp, grp.g, base, x_slot, rng, ("coin", name, slot),
+                (self._images[slot], values[slot]), memo,
             )
         return CoinShare(party=self.party, name=name, values=values, proofs=proofs)
 

@@ -71,16 +71,17 @@ _MEMO_ENTRIES = 1024
 
 
 class VerifiedMemo:
-    """The signature checks one verifying party has already passed.
+    """The checks one party has already passed — or never owed.
 
-    A Schnorr verification reads exactly ``(p, g, h, a, z, c)`` — the
-    group, the key, the signature and the challenge, which is where the
-    signed statement enters — so the digest of those six integers names
-    the check: a hit means this very equation held here before, and a
-    different signature on the same statement, the same signature on
-    another statement or under another key, all miss.  Rejections are
-    never remembered.  Bounded: the oldest entry makes room for a new
-    one.
+    A verification is named by the digest of every integer it reads
+    (:meth:`digest`) — for a signature the group, the key, the signature
+    and the challenge, which is where the signed statement enters — so a
+    hit means this very equation held here before: a different
+    signature on the same statement, the same signature on another
+    statement or under another key, all miss.  A party does not pay to
+    verify what it produced: signing and proving add the equation the
+    new value satisfies by construction.  Rejections are never
+    remembered.  Bounded: the oldest entry makes room for a new one.
 
     One per party (``ProtocolRuntime.verified``, ``ServiceClient
     .verified``), never per process: the simulator runs every replica
@@ -99,22 +100,19 @@ class VerifiedMemo:
     def __contains__(self, check: object) -> bool:
         return check in self._accepted
 
+    @staticmethod
+    def digest(*equation: int) -> bytes:
+        """Names one check by every integer it reads: ``(p, g, h, a, z,
+        c)`` for a signature's ``g^z = a·h^c``, ``(p, g, h1, u, h2, a1,
+        a2, z, c)`` for a DLEQ proof's pair.  A cache key, not a random
+        oracle: plain SHA-256 of the hex rendering."""
+        return hashlib.sha256((b"%x," * len(equation)) % equation).digest()
+
     def add(self, check: bytes) -> None:
         accepted = self._accepted
         if len(accepted) >= _MEMO_ENTRIES:
             del accepted[next(iter(accepted))]  # insertion order: the oldest
         accepted[check] = None
-
-
-def _check_digest(group: SchnorrGroup, h: int, a: int, z: int, c: int) -> bytes:
-    """Names one verification equation ``g^z = a·h^c`` (memo key).
-
-    A cache key over six integers, not a random oracle: plain SHA-256
-    of their hex rendering, no canonical encoding needed.
-    """
-    return hashlib.sha256(
-        b"%x,%x,%x,%x,%x,%x" % (group.p, group.g, h, a, z, c)
-    ).digest()
 
 
 @dataclass(frozen=True)
@@ -142,7 +140,7 @@ class VerifyKey:
         a, z = signature.commit, signature.response
         c = hash_to_exponent(grp, "schnorr-sig", self.h, a, message)
         if memo is not None:
-            check = _check_digest(grp, self.h, a, z, c)
+            check = memo.digest(grp.p, grp.g, self.h, a, z, c)
             if check in memo:
                 return True
         ok = accel.exp(grp.g, z) == a * accel.exp(self.h, c) % grp.p
@@ -181,7 +179,7 @@ def verify_batch(
         a, z = signature.commit, signature.response
         c = hash_to_exponent(group, "schnorr-sig", key.h, a, message)
         if memo is not None:
-            check = _check_digest(group, key.h, a, z, c)
+            check = memo.digest(group.p, group.g, key.h, a, z, c)
             if check in memo:
                 continue
             checks.append(check)
@@ -213,13 +211,20 @@ class SigningKey:
     def verify_key(self) -> VerifyKey:
         return VerifyKey(group=self.group, h=self.group.power_of_g(self.x))
 
-    def sign(self, message: object, rng: random.Random) -> Signature:
+    def sign(
+        self, message: object, rng: random.Random, memo: VerifiedMemo | None = None
+    ) -> Signature:
+        """Sign; the signing party's ``memo`` learns the equation the new
+        signature satisfies by construction (``h`` is derived from ``x``
+        here and the digest names it, so no other key is vouched for)."""
         grp = self.group
         h = self.verify_key.h
         w = grp.random_exponent(rng)
         a = grp.power_of_g(w)
         c = hash_to_exponent(grp, "schnorr-sig", h, a, message)
         z = (w + c * self.x) % grp.q
+        if memo is not None:
+            memo.add(memo.digest(grp.p, grp.g, h, a, z, c))
         return Signature(commit=a, response=z)
 
 

@@ -27,13 +27,15 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 from ..codec import register
 from .groups import SchnorrGroup
 from .hashing import encode, hash_to_exponent, hash_to_group, mgf1, xor_bytes
 from .lsss import LsssScheme, SlotId
-from .zkp import DleqProof, prove_dleq, verify_dleq, verify_dleq_batch
+from .schnorr import VerifiedMemo
+from .zkp import DleqProof, prove_dleq, verify_dleq, verify_dleq_shares
 
 __all__ = [
     "Ciphertext",
@@ -103,8 +105,8 @@ class EncryptionPublic:
             return False
         if not (0 < ct.e < grp.q and 0 <= ct.f < grp.q):
             return False
-        w = grp.mul(grp.power_of_g(ct.f), grp.inv(grp.exp(ct.u, ct.e)))
-        w_bar = grp.mul(grp.exp(self.g_bar, ct.f), grp.inv(grp.exp(ct.u_bar, ct.e)))
+        w = grp.mul(grp.power_of_g(ct.f), grp.inv(grp.exp_once(ct.u, ct.e)))
+        w_bar = grp.mul(grp.exp(self.g_bar, ct.f), grp.inv(grp.exp_once(ct.u_bar, ct.e)))
         expected = hash_to_exponent(
             grp, "tdh2-e", ct.payload, ct.label, ct.u, w, ct.u_bar, w_bar
         )
@@ -139,7 +141,10 @@ class EncryptionPublic:
         )
 
     def verify_shares(
-        self, ct: Ciphertext, shares: Iterable[DecryptionShare]
+        self,
+        ct: Ciphertext,
+        shares: Iterable[DecryptionShare],
+        memo: VerifiedMemo | None = None,
     ) -> dict[int, DecryptionShare]:
         """Batch-verify decryption shares; returns the valid ones by party.
 
@@ -147,7 +152,8 @@ class EncryptionPublic:
         multi-exponentiation; on batch failure each share is re-checked
         individually to pinpoint culprits (verdict identical to
         per-share :meth:`verify_share`, up to soundness error 2^-64 —
-        docs/PERFORMANCE.md).  Duplicate parties are rejected.
+        docs/PERFORMANCE.md).  Duplicate parties are rejected; a share
+        the verifying party's ``memo`` vouches for costs no arithmetic.
         """
         candidates: dict[int, tuple[DecryptionShare, list]] = {}
         for share in shares:
@@ -157,17 +163,7 @@ class EncryptionPublic:
             if items is None:
                 continue
             candidates[share.party] = (share, items)
-        batch = [item for _, items in candidates.values() for item in items]
-        if verify_dleq_batch(self.group, batch):
-            return {party: share for party, (share, _) in candidates.items()}
-        return {
-            party: share
-            for party, (share, items) in candidates.items()
-            if all(
-                verify_dleq(self.group, g, h1, u, h2, proof, context=ctx)
-                for g, h1, u, h2, proof, ctx in items
-            )
-        }
+        return verify_dleq_shares(self.group, candidates, memo)
 
     # -- combination -------------------------------------------------------
 
@@ -194,14 +190,22 @@ class DecryptionShareholder:
     public: EncryptionPublic
     subshares: dict[SlotId, int]
 
+    @cached_property
+    def _images(self) -> dict[SlotId, int]:
+        """``g^{x_slot}`` of the subshares actually held (never the public
+        bundle's: see :class:`~repro.crypto.coin.CoinShareholder`)."""
+        grp = self.public.group
+        return {slot: grp.power_of_g(x) for slot, x in self.subshares.items()}
+
     def decryption_share(
-        self, ct: Ciphertext, rng: random.Random
+        self, ct: Ciphertext, rng: random.Random, memo: VerifiedMemo | None = None
     ) -> DecryptionShare | None:
         """Produce a decryption share, or ``None`` for invalid ciphertexts.
 
         Refusing invalid ciphertexts is the CCA2-critical step: a share
         is only ever computed for ciphertexts whose proof shows the
-        requester already knows the plaintext randomness.
+        requester already knows the plaintext randomness.  The party's
+        ``memo`` learns its own proofs.
         """
         if not self.public.check_ciphertext(ct):
             return None
@@ -209,14 +213,10 @@ class DecryptionShareholder:
         values: dict[SlotId, int] = {}
         proofs: dict[SlotId, DleqProof] = {}
         for slot, x_slot in self.subshares.items():
-            values[slot] = grp.exp(ct.u, x_slot)
+            values[slot] = grp.exp_once(ct.u, x_slot)
             proofs[slot] = prove_dleq(
-                grp,
-                grp.g,
-                ct.u,
-                x_slot,
-                rng,
-                context=("tdh2-share", ct.payload, ct.label, slot),
+                grp, grp.g, ct.u, x_slot, rng, ("tdh2-share", ct.payload, ct.label, slot),
+                (self._images[slot], values[slot]), memo,
             )
         return DecryptionShare(party=self.party, values=values, proofs=proofs)
 

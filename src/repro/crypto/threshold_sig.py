@@ -492,8 +492,10 @@ class QuorumCertShareholder:
     public: QuorumCertScheme
     key: SigningKey
 
-    def sign_share(self, message: object, rng: random.Random) -> SchnorrSignature:
-        return self.key.sign((self.public.tag, message), rng)
+    def sign_share(
+        self, message: object, rng: random.Random, memo: VerifiedMemo | None = None
+    ) -> SchnorrSignature:
+        return self.key.sign((self.public.tag, message), rng, memo)
 
 
 def deal_quorum_certs(

@@ -28,18 +28,22 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence, TypeVar
 
 from ..codec import register
 from .accel import accel_for, batch_coefficients, verify_product_equations
 from .groups import SchnorrGroup
 from .hashing import hash_to_exponent
+from .schnorr import VerifiedMemo
+
+T = TypeVar("T")
 
 __all__ = [
     "DleqProof",
     "prove_dleq",
     "verify_dleq",
     "verify_dleq_batch",
+    "verify_dleq_shares",
     "SchnorrProof",
     "prove_dlog",
     "verify_dlog",
@@ -74,19 +78,26 @@ def prove_dleq(
     secret: int,
     rng: random.Random,
     context: object = None,
+    images: tuple[int, int] | None = None,
+    memo: VerifiedMemo | None = None,
 ) -> DleqProof:
     """Prove knowledge of ``x`` with ``h1 = g^x`` and ``h2 = u^x``.
 
     ``context`` is bound into the Fiat-Shamir challenge to prevent proof
     replay across protocol sessions (e.g. the coin name or ciphertext).
+    A caller that already holds ``images = (h1, h2)`` — the share value
+    it just computed, ``g^x`` cached from its *own* key — hands them in
+    instead of paying for both again.  The proving party's ``memo``
+    learns the check the proof passes by construction.
     """
-    h1 = group.exp(g, secret)
-    h2 = group.exp(u, secret)
+    h1, h2 = images or (group.exp(g, secret), group.exp_once(u, secret))
     w = group.random_exponent(rng)
     a1 = group.exp(g, w)
-    a2 = group.exp(u, w)
+    a2 = group.exp_once(u, w)
     c = _dleq_challenge(group, g, h1, u, h2, a1, a2, context)
     z = (w + c * secret) % group.q
+    if memo is not None:
+        memo.add(memo.digest(group.p, g, h1, u, h2, a1, a2, z, c))
     return DleqProof(commit1=a1, commit2=a2, response=z)
 
 
@@ -129,6 +140,7 @@ def verify_dleq(
 def verify_dleq_batch(
     group: SchnorrGroup,
     items: Sequence[tuple[int, int, int, int, DleqProof, object]],
+    memo: VerifiedMemo | None = None,
 ) -> bool:
     """Batch-verify DLEQ proofs: ``items`` of ``(g, h1, u, h2, proof, context)``.
 
@@ -141,31 +153,68 @@ def verify_dleq_batch(
     callers that need to pinpoint a culprit in a failing batch fall
     back to per-item verification.
 
-    An empty batch is vacuously valid.
+    Checks the verifying party's ``memo`` already passed (or seeded when
+    it made the proof) drop out of the batch after the membership and
+    well-formedness checks; the rest are remembered only if the batch
+    passes.  An empty batch or remainder is vacuously valid.
     """
-    if not items:
-        return True
     accel = accel_for(group)
     equations = []
     transcript: list[object] = [group.p, group.g]
+    checks: list[bytes] = []
     for g, h1, u, h2, proof, context in items:
         if not all(accel.is_member(x) for x in (g, h1, u, h2)):
             return False
         if not _dleq_well_formed(group, proof):
             return False
         a1, a2, z = proof.commit1, proof.commit2, proof.response
+        c = _dleq_challenge(group, g, h1, u, h2, a1, a2, context)
+        if memo is not None:
+            check = memo.digest(group.p, g, h1, u, h2, a1, a2, z, c)
+            if check in memo:
+                continue
+            checks.append(check)
         # Commitments must be members too: the exact per-item equation
         # forces this implicitly, the weighted product does not.
         if not (accel.is_member(a1) and accel.is_member(a2)):
             return False
-        c = _dleq_challenge(group, g, h1, u, h2, a1, a2, context)
         equations.append((((g, z),), ((a1, 1), (h1, c))))
         equations.append((((u, z),), ((a2, 1), (h2, c))))
         transcript.extend((g, h1, u, h2, a1, a2, z, c))
+    if not equations:
+        return True
     coefficients = batch_coefficients("dleq-batch", transcript, len(equations))
-    return verify_product_equations(
+    if not verify_product_equations(
         group.p, equations, coefficients, order=group.q, accel=accel
-    )
+    ):
+        return False
+    for check in checks:  # empty without a memo
+        memo.add(check)
+    return True
+
+
+def verify_dleq_shares(
+    group: SchnorrGroup,
+    candidates: Mapping[int, tuple[T, Sequence[tuple]]],
+    memo: VerifiedMemo | None = None,
+) -> dict[int, T]:
+    """The valid shares among ``party -> (share, its DLEQ batch items)``.
+
+    One :func:`verify_dleq_batch` over the whole set; if it fails (at
+    least one forged share) each share is re-verified on its own, so the
+    result is exactly what per-share :func:`verify_dleq` accepts.
+    """
+    batch = [item for _, items in candidates.values() for item in items]
+    if verify_dleq_batch(group, batch, memo):
+        return {party: share for party, (share, _) in candidates.items()}
+    return {
+        party: share
+        for party, (share, items) in candidates.items()
+        if all(
+            verify_dleq(group, g, h1, u, h2, proof, context=ctx)
+            for g, h1, u, h2, proof, ctx in items
+        )
+    }
 
 
 @register

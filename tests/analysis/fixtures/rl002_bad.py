@@ -15,3 +15,10 @@ def screen(scheme, ct, name, group, items, shares):
     scheme.verify_shares(ct, shares)  # line 15: batch result discarded
     verify_dleq_batch(group, items)  # line 16: batch verdict discarded
     scheme.verify_batch(group, items)  # line 17: batch verdict discarded
+
+
+def release(holder, public, name, rng, memo, pending, group, candidates):
+    own = holder.share_for(name, rng, memo)  # seeds the memo with its own proofs
+    public.verify_shares(name, [own, *pending], memo)  # line 22: a seeded memo gates nothing
+    verify_dleq_shares(group, candidates, memo)  # line 23: valid set discarded
+    return pending

@@ -18,3 +18,10 @@ def screen(scheme, ct, group, items, shares):
     if not verify_dleq_batch(group, items):
         return None
     return valid
+
+
+def release(holder, public, name, rng, memo, pending, group, candidates):
+    # Own share admitted through a seeded memo: still only via the result.
+    own = holder.share_for(name, rng, memo)
+    valid = public.verify_shares(name, [own, *pending], memo)
+    return valid, verify_dleq_shares(group, candidates, memo)

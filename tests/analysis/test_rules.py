@@ -59,6 +59,8 @@ def test_rl002_fires_on_discarded_results():
         ("RL002", 15),  # batch verify_shares
         ("RL002", 16),  # verify_dleq_batch
         ("RL002", 17),  # verify_batch
+        ("RL002", 22),  # verify_shares with the party's seeded memo
+        ("RL002", 23),  # verify_dleq_shares
     ]
     assert "verify" in report.diagnostics[0].message
 

@@ -1,5 +1,6 @@
-"""Exact-count guard: each signature is verified once per party and each
-statement encoded once per hash.
+"""Exact-count guard: each signature is verified once per party — never
+by the party that made it — each statement encoded once per hash, and a
+coin costs the exponentiations it needs.
 
 One deterministic in-process run — n = 4, t = 1, FIFO delivery, the
 256-bit group (so a challenge is two SHA-256 blocks and re-encoding per
@@ -11,10 +12,13 @@ already checked, or re-encode a statement per hash block, moves them.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
-from repro.crypto import hashing, schnorr, threshold_sig
+from repro.crypto import accel, hashing, schnorr, threshold_sig, zkp
 from repro.crypto.accel import GroupAccel
+from repro.crypto.coin import CoinPublic, CoinShareholder
 from repro.crypto.groups import default_group
 from repro.crypto.schnorr import VerifyKey
 from repro.net.scheduler import FifoScheduler
@@ -22,30 +26,45 @@ from repro.smr.service import build_service
 from repro.smr.state_machine import KeyValueStore
 
 N = 4
+T = 1
 QUORUM = 3  # n - t
 ROUNDS = 3
 
-# Per round, signature equations that reach group arithmetic:
+# Per round, signature equations that reach group arithmetic — every one
+# of them made by *another* party; what the verifier signed itself is in
+# its memo from the moment it signed (DESIGN.md: a party does not pay to
+# verify what it produced):
 #
 # * one by one (``VerifyKey.verify``), at each of the 4 replicas:
-#   4 proposals on receipt (its own included — it arrives by broadcast),
-#   3 echo shares of the consistent broadcast it sends (the fourth
-#   arrives after the certificate is out and is ignored);
-#   at the client: 2 reply shares (t + 1 matching replies complete a
-#   request; later replies are dropped unverified)
-SINGLE_PER_ROUND = N * (N + QUORUM) + 2
+#   the 3 other replicas' proposals on receipt (own proposal: 4 per round
+#   that no longer reach arithmetic), 3 echo shares of the consistent
+#   broadcast it sends less its own where that is among the first three
+#   to arrive (own echo share: 3 of the 4 senders under this schedule;
+#   the fourth share arrives after the certificate is out and is
+#   ignored); at the client: 2 reply shares (t + 1 matching replies
+#   complete a request; later replies are dropped unverified)
+SINGLE_PER_ROUND = N * (N - 1) + (N * QUORUM - 3) + 2
 # * in batches (``verify_batch``), at each replica: one ``CbcFinal`` from
-#   each of the 3 other senders, 3 signatures each.
-BATCHED_PER_ROUND = N * (N - 1) * QUORUM
-# What no longer reaches arithmetic, all of it memo hits: the 4 × 3
-# proposal signatures inside the candidate list of every ``CbcSend`` (the
-# predicate), the 3 shares again in ``combine``, the sender's own
-# ``CbcFinal``, the certificate inside every ``MvbaValue``, and the
-# client's 2 shares again when it combines them.  78 + 74 before.
+#   each of the 3 other senders, 3 signatures each, less the verifier's
+#   own echo share inside it (own ``CbcFinal`` shares: in 9 of the 12).
+BATCHED_PER_ROUND = N * (N - 1) * QUORUM - 9
+# 30 and 36 before the memo was seeded; the difference is exactly the 4 +
+# 3 + 9 items the verifier produced.  What reached no arithmetic before
+# either, all of it memo hits: the 4 × 3 proposal signatures inside the
+# candidate list of every ``CbcSend`` (the predicate), the 3 shares again
+# in ``combine``, the sender's own ``CbcFinal``, the certificate inside
+# every ``MvbaValue``, and the client's 2 shares again when it combines
+# them.  78 + 74 before that.
+
+# Per coin (t + 1 = 2 shares open it; the counts per round are in
+# ``test_each_coin_exponentiates_exactly_this_much``):
+FRESH_POWS_PER_SHARE_SLOT = 2  # H(C)^x and the proof's H(C)^w; 3 before
+CHAINS_PER_COIN_CHECK = 1  # both sides of every equation on one; 2 before
+DLEQ_ITEMS_PER_COIN = (T + 1) - 1  # where the verifier's own share is one of them
 
 # Top-level encodings per round (one per hash evaluated or statement
 # rendered, not counting the per-block counter): 74 Schnorr challenges
-# in certificate batches and 78 single ones, 68 batch coefficients and
+# in certificate batches and 78 single ones, 51 batch coefficients and
 # their 20 seeds, 24 signatures made, 39 certificate statements
 # (rendered once per certificate operation and spliced into each
 # signer's challenge), 24 DLEQ challenges, 20 batch digests, 4 batch
@@ -57,8 +76,12 @@ BATCHED_PER_ROUND = N * (N - 1) * QUORUM
 # is gone with it.  The number did not move with the integer grammar;
 # the dealing seed did (7 -> 13): coin values are hashes, so they moved,
 # and under seed 7 the third round now loses its first coin flip and
-# pays a second voting round (398 = 361 + 37).
-ENCODINGS_PER_ROUND = 361
+# pays a second voting round (398 = 361 + 37).  361 -> 344 with the
+# seeded memo, one source: batch coefficients, one per equation that
+# drops out of a batch — 9 own echo shares in ``CbcFinal`` batches and
+# 4 own coin shares at 2 equations each (68 -> 51); every challenge is
+# still hashed (the memo key names it).
+ENCODINGS_PER_ROUND = 344
 SEED = 13
 
 
@@ -110,26 +133,104 @@ def counts(monkeypatch):
     return counts
 
 
-def test_each_round_verifies_and_encodes_exactly_this_much(counts):
-    service = build_service(
-        N, KeyValueStore, t=1, seed=SEED, scheduler=FifoScheduler(), group=default_group()
+def _service():
+    return build_service(
+        N, KeyValueStore, t=T, seed=SEED, scheduler=FifoScheduler(), group=default_group()
     )
+
+
+def _run_rounds(service, snapshot):
+    """Commit one operation per round; what ``snapshot()`` grew by in each."""
     client = service.new_client()
     service.network.start()
     per_round = []
     for index in range(ROUNDS):
-        before = counts.snapshot()
+        before = snapshot()
         nonce = client.submit(("set", "key", index))
         service.run_until_complete(client, [nonce])
         service.network.run()  # stragglers belong to this round
-        per_round.append(
-            tuple(after - b for after, b in zip(counts.snapshot(), before))
-        )
+        per_round.append(tuple(after - b for after, b in zip(snapshot(), before)))
     assert [replica.abc.round for replica in service.replicas.values()] == [ROUNDS] * N
+    return per_round
+
+
+def test_each_round_verifies_and_encodes_exactly_this_much(counts):
+    per_round = _run_rounds(_service(), counts.snapshot)
     assert per_round == [
         (
             SINGLE_PER_ROUND,
             BATCHED_PER_ROUND,
             ENCODINGS_PER_ROUND,
+        )
+    ] * ROUNDS
+
+
+def test_each_coin_exponentiates_exactly_this_much(monkeypatch):
+    tally = Counter()
+    doing = []  # "share" inside share_for, "check" inside verify_shares
+    share_for, verify_shares = CoinShareholder.share_for, CoinPublic.verify_shares
+    exp_once, straus, product = GroupAccel.exp_once, accel._straus, zkp.verify_product_equations
+
+    def counting_share_for(holder, name, rng, memo):
+        tally["slots"] += len(holder.subshares)
+        doing.append("share")
+        try:
+            return share_for(holder, name, rng, memo)
+        finally:
+            doing.pop()
+
+    def counting_verify_shares(public, name, shares, memo):
+        shares = list(shares)
+        verifier = next(party for party, theirs in memos.items() if theirs is memo)
+        own = any(share.party == verifier for share in shares)
+        tally["checks"] += 1
+        tally["checks_with_own_share"] += own
+        tally["shares_checked"] += len(shares)
+        doing.append("check")
+        try:
+            return verify_shares(public, name, shares, memo)
+        finally:
+            doing.pop()
+
+    def counting_exp_once(group_accel, base, exponent):
+        tally["fresh_pows"] += doing[-1:] == ["share"]
+        return exp_once(group_accel, base, exponent)
+
+    def counting_straus(modulus, pairs):
+        tally["chains"] += doing[-1:] == ["check"]
+        return straus(modulus, pairs)
+
+    def counting_product(modulus, equations, *args, **kwargs):
+        tally["dleq_items"] += len(equations) // 2  # two equations per proof
+        return product(modulus, equations, *args, **kwargs)
+
+    monkeypatch.setattr(CoinShareholder, "share_for", counting_share_for)
+    monkeypatch.setattr(CoinPublic, "verify_shares", counting_verify_shares)
+    monkeypatch.setattr(GroupAccel, "exp_once", counting_exp_once)
+    monkeypatch.setattr(accel, "_straus", counting_straus)
+    monkeypatch.setattr(zkp, "verify_product_equations", counting_product)
+    service = _service()
+    memos = {party: runtime.verified for party, runtime in service.runtimes.items()}
+    keys = (
+        "slots", "fresh_pows", "checks", "chains",
+        "shares_checked", "checks_with_own_share", "dleq_items",
+    )
+    per_round = _run_rounds(service, lambda: tuple(tally[key] for key in keys))
+    # Each replica releases two coin shares a round (the permutation
+    # coin and the first voting round's, one slot each) and opens both
+    # with the first t + 1 = 2 shares to arrive; under this schedule its
+    # own is one of the two in half of the checks (where it is not, it
+    # arrives after the coin is open and is dropped unverified).
+    slots = checks = 2 * N
+    with_own = checks // 2
+    assert per_round == [
+        (
+            slots,
+            slots * FRESH_POWS_PER_SHARE_SLOT,
+            checks,
+            checks * CHAINS_PER_COIN_CHECK,
+            checks * (T + 1),
+            with_own,
+            with_own * DLEQ_ITEMS_PER_COIN + (checks - with_own) * (T + 1),
         )
     ] * ROUNDS

@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from repro.crypto import accel as accel_module
 from repro.crypto.accel import (
     FixedBaseTable,
@@ -11,7 +13,10 @@ from repro.crypto.accel import (
     multiexp,
     verify_product_equations,
 )
-from repro.crypto.groups import small_group
+from repro.crypto.coin import deal_coin
+from repro.crypto.groups import default_group, small_group
+from repro.crypto.lsss import threshold_scheme
+from repro.crypto.threshold_enc import deal_encryption
 
 GROUP = small_group()
 
@@ -167,3 +172,127 @@ def test_table_budget_is_not_eaten_by_one_shot_bases():
         for _ in range(accel_module._TABLE_THRESHOLD):
             accel.exp(transient, rng.randrange(GROUP.q))
     assert late in accel._tables
+
+
+def test_negative_exponent_is_rejected_whether_or_not_the_base_is_tabled():
+    """The same input must not answer an inverse power for an untabled
+    base and an ``IndexError`` for a tabled one."""
+    rng = random.Random(8)
+    accel = GroupAccel(GROUP.p, GROUP.q, GROUP.g)
+    untabled = GROUP.random_element(rng)
+    for base in (GROUP.g, untabled):
+        assert (base in accel._tables) == (base == GROUP.g)
+        with pytest.raises(ValueError):
+            accel.exp(base, -1)
+    with pytest.raises(ValueError):
+        accel_for(default_group()).exp(default_group().g, -1)
+
+
+def _schnorr_equations(rng, count):
+    p, q, g = GROUP.p, GROUP.q, GROUP.g
+    equations = []
+    for _ in range(count):
+        x, r, c = (rng.randrange(1, q) for _ in range(3))
+        equations.append((((g, (r + c * x) % q),), ((pow(g, r, p), 1), (pow(g, x, p), c))))
+    return equations
+
+
+def test_known_order_takes_one_chain_hidden_order_two_products(monkeypatch):
+    rng = random.Random(9)
+    chains = []
+    straus = accel_module._straus
+
+    def counting_straus(modulus, pairs):
+        chains.append(list(pairs))
+        return straus(modulus, pairs)
+
+    monkeypatch.setattr(accel_module, "_straus", counting_straus)
+    equations = _schnorr_equations(rng, 3)
+    coefficients = [rng.getrandbits(64) or 1 for _ in equations]
+    assert verify_product_equations(GROUP.p, equations, coefficients, order=GROUP.q)
+    assert len(chains) == 1
+    # Every base of both sides rides that chain; the commitments keep
+    # the bare 64-bit coefficient (negating the right side instead would
+    # make each of them a full-size exponent).
+    exponents = dict(chains[0])
+    assert set(exponents) == {b for lhs, rhs in equations for b, _ in (*lhs, *rhs)}
+    for (_, ((commit, _), _)), coeff in zip(equations, coefficients):
+        assert exponents[commit] == coeff % GROUP.q  # a 63-bit toy group
+    # Hidden order (an RSA modulus, compared squared): nothing can be
+    # negated, so the two sides stay two products over the integers.
+    del chains[:]
+    assert verify_product_equations(GROUP.p, equations, coefficients, square=True)
+    assert len(chains) == 2
+    lhs_bases, rhs_bases = ({b for b, _ in chain} for chain in chains)
+    assert lhs_bases == {GROUP.g} and GROUP.g not in rhs_bases
+    lhs, rhs = equations[0]
+    broken = [(lhs, ((rhs[0][0] * GROUP.g % GROUP.p, 1), rhs[1])), *equations[1:]]
+    assert not verify_product_equations(GROUP.p, broken, coefficients, square=True)
+    assert not verify_product_equations(GROUP.p, broken, coefficients, order=GROUP.q)
+
+
+def test_a_base_on_both_sides_is_accumulated_once():
+    """``g`` on the left and as a key (x = 1) on the right: one entry,
+    the exponents netted mod q."""
+    p, q, g = GROUP.p, GROUP.q, GROUP.g
+    r, c = 12345, 678
+    equation = (((g, (r + c) % q),), ((pow(g, r, p), 1), (g, c)))
+    assert verify_product_equations(p, [equation], [7], order=q)
+    assert verify_product_equations(p, [equation], [7], order=q, accel=accel_for(GROUP))
+    off = (((g, (r + c + 1) % q),), equation[1])
+    assert not verify_product_equations(p, [off], [7], order=q)
+
+
+def test_a_dleq_batch_hands_commitments_to_the_chain_with_64_bit_exponents(monkeypatch):
+    """The trap in moving one side across: on the 256-bit group the
+    commitment bases must still carry at most their 64-bit coefficient,
+    and the whole quorum check is one chain."""
+    group = default_group()
+    rng = random.Random(10)
+    public, holders = deal_coin(group, threshold_scheme(4, 1, group.q), rng)
+    shares = [holders[party].share_for("trap", rng) for party in range(3)]
+    commitments = {
+        commit
+        for share in shares
+        for proof in share.proofs.values()
+        for commit in (proof.commit1, proof.commit2)
+    }
+    chains = []
+    straus = accel_module._straus
+
+    def counting_straus(modulus, pairs):
+        chains.append(dict(pairs))
+        return straus(modulus, pairs)
+
+    monkeypatch.setattr(accel_module, "_straus", counting_straus)
+    assert set(public.verify_shares("trap", shares)) == {0, 1, 2}
+    assert len(chains) == 1
+    assert commitments <= set(chains[0])
+    assert max(chains[0][commit].bit_length() for commit in commitments) <= 64
+    assert max(e.bit_length() for e in chains[0].values()) > 64  # the share values
+
+
+def test_per_name_bases_never_earn_a_table():
+    """A simulated n = 10 cluster shares one accelerator: ten parties
+    exponentiate each coin's ``H(C)`` twice, past the threshold of 16,
+    and a ciphertext's ``u`` likewise — neither may build (or evict) a
+    table; what is tabled stays the generator and the tabled keys."""
+    rng = random.Random(11)
+    accel = accel_for(GROUP)
+    scheme = threshold_scheme(10, 3, GROUP.q)
+    coin_public, coin_holders = deal_coin(GROUP, scheme, rng)
+    enc_public, enc_holders = deal_encryption(GROUP, scheme, rng)
+    tabled = set(accel._tables)
+    assert 2 * len(coin_holders) > accel_module._TABLE_THRESHOLD
+    per_name = set()
+    for flip in range(3):
+        name = ("aba-coin", flip)
+        shares = [holder.share_for(name, rng) for holder in coin_holders.values()]
+        coin_public.combine(name, coin_public.verify_shares(name, shares))
+        ct = enc_public.encrypt(b"payload", b"label", rng)
+        dec = [holder.decryption_share(ct, rng) for holder in enc_holders.values()]
+        assert enc_public.combine(ct, enc_public.verify_shares(ct, dec)) == b"payload"
+        per_name |= {coin_public.coin_base(name), ct.u, ct.u_bar}
+    assert not per_name & (set(accel._counts) | set(accel._tables))
+    # The service key and the second generator recur for good: they may.
+    assert set(accel._tables) - tabled <= {enc_public.h, enc_public.g_bar}

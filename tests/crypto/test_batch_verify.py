@@ -13,23 +13,31 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.adversary.attributes import (
     example1_access_formula,
     example2_access_formula,
 )
-from repro.crypto.coin import deal_coin
+from repro.crypto.coin import CoinShareholder, deal_coin
 from repro.crypto.groups import small_group
 from repro.crypto.lsss import LsssScheme, threshold_scheme
-from repro.crypto import schnorr
+from repro.crypto import schnorr, zkp
 from repro.crypto.accel import GroupAccel
 from repro.crypto.hashing import Encoded, encode
 from repro.crypto.schnorr import VerifiedMemo, keygen, verify_batch
-from repro.crypto.threshold_enc import deal_encryption
+from repro.crypto.threshold_enc import DecryptionShareholder, deal_encryption
 from repro.crypto.threshold_sig import (
     QuorumCertificate,
     deal_quorum_certs,
     deal_shoup_rsa,
+)
+from repro.crypto.zkp import (
+    prove_dleq,
+    verify_dleq,
+    verify_dleq_batch,
+    verify_dleq_shares,
 )
 from repro.smr.service import build_service
 from repro.smr.state_machine import KeyValueStore
@@ -53,6 +61,16 @@ def _forge_proof(group, share):
         proofs[slot], commit1=group.mul(proofs[slot].commit1, group.g)
     )
     return replace(share, proofs=proofs)
+
+
+def _no_arithmetic(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("reached group arithmetic")
+
+    monkeypatch.setattr(schnorr, "verify_product_equations", refuse)
+    monkeypatch.setattr(zkp, "verify_product_equations", refuse)
+    monkeypatch.setattr(GroupAccel, "exp", refuse)
+    monkeypatch.setattr(GroupAccel, "multiexp", refuse)
 
 
 # -- coin shares -----------------------------------------------------------------
@@ -352,11 +370,7 @@ def test_cert_fully_remembered_batch_is_accepted_without_arithmetic(monkeypatch)
     for party, sig in shares.items():
         assert public.verify_share(message, (party, sig), memo)
 
-    def no_arithmetic(*args, **kwargs):
-        raise AssertionError("a remembered batch reached the multi-exp")
-
-    monkeypatch.setattr(schnorr, "verify_product_equations", no_arithmetic)
-    monkeypatch.setattr(GroupAccel, "exp", no_arithmetic)
+    _no_arithmetic(monkeypatch)
     certificate = public.combine(message, shares, memo)
     assert public.verify(message, certificate, memo)
     # Another party has accepted nothing yet and must do the work itself.
@@ -379,3 +393,202 @@ def test_simulated_parties_do_not_share_a_memo():
     # What one replica accepted, another has not necessarily seen: the
     # reply shares went to the client alone.
     assert not set(client.verified._accepted) & set(memos[0]._accepted)
+
+
+# -- DLEQ: one chain, and what a party made itself -----------------------------------
+
+
+def _dleq_item(rng, secret=None, u=None, context="ctx"):
+    secret = secret or GROUP.random_exponent(rng)
+    u = u or GROUP.random_element(rng)
+    proof = prove_dleq(GROUP, GROUP.g, u, secret, rng, context)
+    return (GROUP.g, GROUP.power_of_g(secret), u, GROUP.exp(u, secret), proof, context)
+
+
+_MUTATIONS = ("none", "response", "commitment", "swapped", "non-member", "context")
+
+
+def _mutate(kind, item, other):
+    g, h1, u, h2, proof, context = item
+    if kind == "response":
+        proof = replace(proof, response=(proof.response + 1) % GROUP.q)
+    elif kind == "commitment":
+        proof = replace(proof, commit2=GROUP.mul(proof.commit2, GROUP.g))
+    elif kind == "swapped":
+        h2 = other[3]  # another prover's share value under this proof
+    elif kind == "non-member":
+        h2 = GROUP.p - h2  # -h2 is no quadratic residue mod a safe prime
+    elif kind == "context":
+        context = ("other", context)
+    return (g, h1, u, h2, proof, context)
+
+
+@given(
+    seed=st.integers(0, 2**32),
+    kinds=st.lists(st.sampled_from(_MUTATIONS), min_size=1, max_size=5),
+    shapes=st.lists(st.sampled_from(("fresh", "x=1", "u=g", "shared-u")), min_size=5, max_size=5),
+)
+@settings(max_examples=60, deadline=None)
+def test_dleq_one_chain_verdict_equals_per_item(seed, kinds, shapes):
+    """Honest, forged-response, forged-commitment, swapped-value,
+    non-member and wrong-context items, over bases that repeat on both
+    sides of the product (``h1 = g`` when x = 1, ``u = g``, one ``u``
+    for the whole batch): the one-chain verdict is the per-item one,
+    with or without a memo, and a memo only ever learns a passing batch."""
+    rng = random.Random(seed)
+    shared_u = GROUP.random_element(rng)
+    items = []
+    for kind, shape in zip(kinds, shapes):
+        item = _dleq_item(
+            rng,
+            secret=1 if shape == "x=1" else None,
+            u={"u=g": GROUP.g, "shared-u": shared_u}.get(shape),
+        )
+        items.append(_mutate(kind, item, _dleq_item(rng, u=item[2])))
+    per_item = [
+        verify_dleq(GROUP, g, h1, u, h2, proof, context=ctx)
+        for g, h1, u, h2, proof, ctx in items
+    ]
+    assert per_item == [kind == "none" for kind in kinds]
+    assert verify_dleq_batch(GROUP, items) == all(per_item)
+    memo = VerifiedMemo()
+    assert verify_dleq_batch(GROUP, items, memo) == all(per_item)
+    assert len(memo) == (len(items) if all(per_item) else 0)
+    candidates = {party: (party, [item]) for party, item in enumerate(items)}
+    accepted = {party for party, ok in enumerate(per_item) if ok}
+    assert set(verify_dleq_shares(GROUP, candidates)) == accepted
+    assert set(verify_dleq_shares(GROUP, candidates, memo)) == accepted
+
+
+def test_own_coin_share_costs_its_maker_nothing_and_everyone_else_the_check(
+    coin_7_2, monkeypatch
+):
+    public, holders = coin_7_2
+    rng = random.Random(140)
+    mine, theirs = VerifiedMemo(), VerifiedMemo()
+    own = holders[0].share_for("flip", rng, mine)
+    peer = holders[1].share_for("flip", rng, theirs)
+    assert len(mine) == len(own.proofs) == 1
+    # A peer's share is checked, and only then remembered.
+    assert set(public.verify_shares("flip", [own, peer], mine)) == {0, 1}
+    assert len(mine) == 2
+    with monkeypatch.context() as patch:
+        _no_arithmetic(patch)
+        assert set(public.verify_shares("flip", [own], mine)) == {0}
+        assert set(public.verify_shares("flip", [own, peer], mine)) == {0, 1}
+        # Structure, coin name and membership are still checked first.
+        assert public.verify_shares("flop", [own], mine) == {}
+        assert public.verify_shares("flip", [replace(own, party=1)], mine) == {}
+        with pytest.raises(AssertionError):
+            public.verify_shares("flip", [own], VerifiedMemo())
+        # The vouching is for the very equation: another value, another
+        # proof, another name under the same proof — all reach the check.
+        for forged in (_forge_value(GROUP, own), _forge_proof(GROUP, own)):
+            with pytest.raises(AssertionError):
+                public.verify_shares("flip", [forged], mine)
+        with pytest.raises(AssertionError):
+            public.verify_shares("flop", [replace(own, name="flop")], mine)
+    for forged in (_forge_value(GROUP, own), _forge_proof(GROUP, own)):
+        assert public.verify_shares("flip", [forged, peer], mine) == {1: peer}
+    assert public.verify_shares("flop", [replace(own, name="flop")], mine) == {}
+    assert len(mine) == 2  # failures are never remembered
+
+
+def test_memo_never_admits_a_proof_under_another_key_or_context():
+    rng = random.Random(141)
+    memo = VerifiedMemo()
+    x, u = GROUP.random_exponent(rng), GROUP.random_element(rng)
+    h1, h2 = GROUP.power_of_g(x), GROUP.exp(u, x)
+    proof = prove_dleq(GROUP, GROUP.g, u, x, rng, "ctx", (h1, h2), memo)
+    assert len(memo) == 1
+    assert verify_dleq(GROUP, GROUP.g, h1, u, h2, proof, context="ctx")
+    other = GROUP.power_of_g(x + 1)
+    for g, k1, base, k2, ctx in (
+        (GROUP.g, other, u, h2, "ctx"),  # another verification key
+        (GROUP.g, h1, u, GROUP.mul(h2, u), "ctx"),  # another share value
+        (GROUP.g, h1, GROUP.mul(u, GROUP.g), h2, "ctx"),  # another base
+        (GROUP.g, h1, u, h2, "other"),  # another context
+    ):
+        assert not verify_dleq_batch(GROUP, [(g, k1, base, k2, proof, ctx)], memo)
+    assert verify_dleq_batch(GROUP, [(GROUP.g, h1, u, h2, proof, "ctx")], memo)
+    assert len(memo) == 1
+
+
+def test_stale_shareholder_is_rejected_by_itself_and_by_peers():
+    """After a reshare a replica may still hold the old epoch's
+    subshares beside the new public bundle.  Its proofs (and what it
+    seeds its memo with) name ``g^x`` of what it really holds, never
+    ``public.verification`` — so nobody accepts its share, itself
+    included, memo or not."""
+    rng = random.Random(142)
+    scheme = threshold_scheme(4, 1, GROUP.q)
+    public, holders = deal_coin(GROUP, scheme, rng)
+    _, old_holders = deal_coin(GROUP, scheme, rng)
+    stale = CoinShareholder(party=2, public=public, subshares=old_holders[2].subshares)
+    assert stale._images != {s: public.verification[s] for s in stale.subshares}
+    for own_memo in (None, VerifiedMemo()):
+        share = stale.share_for("epoch-2", rng, own_memo)
+        honest = holders[0].share_for("epoch-2", rng)
+        assert not public.verify_share(share)
+        for memo in (None, own_memo, VerifiedMemo()):
+            assert public.verify_shares("epoch-2", [share], memo) == {}
+            assert public.verify_shares("epoch-2", [share, honest], memo) == {0: honest}
+    # Same bytes as the holder whose key it is: nothing in a share or a
+    # proof comes from the public bundle.
+    assert stale.share_for("n", random.Random(1)) == replace(
+        old_holders[2].share_for("n", random.Random(1)), party=2
+    )
+
+
+def test_own_decryption_share_is_vouched_for_and_a_stale_one_is_not(monkeypatch):
+    rng = random.Random(143)
+    scheme = threshold_scheme(4, 1, GROUP.q)
+    public, holders = deal_encryption(GROUP, scheme, rng)
+    _, old_holders = deal_encryption(GROUP, scheme, rng)
+    ct = public.encrypt(b"secret", b"label", rng)
+    memo = VerifiedMemo()
+    own = holders[0].decryption_share(ct, rng, memo)
+    peer = holders[1].decryption_share(ct, rng)
+    with monkeypatch.context() as patch:
+        _no_arithmetic(patch)
+        assert public.verify_shares(ct, [own], memo) == {0: own}
+        with pytest.raises(AssertionError):
+            public.verify_shares(ct, [own, peer], memo)
+    assert public.verify_shares(ct, [own, _forge_value(GROUP, peer)], memo) == {0: own}
+    assert public.combine(ct, public.verify_shares(ct, [own, peer], memo)) == b"secret"
+    stale = DecryptionShareholder(
+        party=2, public=public, subshares=old_holders[2].subshares
+    )
+    stale_memo = VerifiedMemo()
+    share = stale.decryption_share(ct, rng, stale_memo)
+    for used in (None, stale_memo, memo):
+        assert public.verify_shares(ct, [share, peer], used) == {1: peer}
+
+
+def test_signing_seeds_only_the_signers_memo_and_only_its_own_key(monkeypatch):
+    rng = random.Random(144)
+    keys = {party: keygen(rng, GROUP) for party in range(4)}
+    public, holders = deal_quorum_certs(keys, qualifier=lambda s: len(s) >= 3)
+    memo = VerifiedMemo()
+    share = holders[0].sign_share("stmt", rng, memo)
+    plain = keys[0].sign("proposal", rng, memo)
+    assert len(memo) == 2
+    with monkeypatch.context() as patch:
+        _no_arithmetic(patch)
+        assert public.verify_share("stmt", (0, share), memo)
+        assert keys[0].verify_key.verify("proposal", plain, memo)
+        # Claimed for another party, another statement, or by a verifier
+        # that did not make it: the arithmetic is owed.
+        for statement, claimed, used in (
+            ("stmt", (1, share), memo),
+            ("other", (0, share), memo),
+            ("stmt", (0, share), VerifiedMemo()),
+        ):
+            with pytest.raises(AssertionError):
+                public.verify_share(statement, claimed, used)
+    assert not public.verify_share("stmt", (1, share), memo)
+    assert not public.verify_share("other", (0, share), memo)
+    # A signing key whose public half in the bundle went stale vouches
+    # for g^x of the x it holds, which the bundle's key does not match.
+    stale = replace(holders[0], key=keygen(rng, GROUP))
+    assert not public.verify_share("stmt", (0, stale.sign_share("stmt", rng, memo)), memo)
