@@ -2,7 +2,7 @@
 # Full static + dynamic check gate, as run by CI.
 #
 #   scripts/check.sh          # repro lint (JSON) + ruff + mypy + pytest
-#                             # + bench/chaos/sweep smokes
+#                             # + bench/chaos/sweep smokes + src/ size
 #   scripts/check.sh --fast   # skip pytest
 #
 # ruff and mypy are optional-dependency tools (pip install -e '.[lint]');
@@ -182,6 +182,17 @@ print(f"sweep smoke: ok ({totals['runs']} runs: {totals['passed']} passed, "
 EOF
     fi
 fi
+
+step "size (not a gate: src/ lines, what each CHANGES.md entry reports)"
+find src/repro -name '*.py' -print0 | xargs -0 wc -l | awk '
+    $2 == "total" { next }  # xargs may run wc more than once
+    { n = split($2, part, "/"); pkg = n > 3 ? part[3] "/" : "(top level)"
+      lines[pkg] += $1; total += $1 }
+    END {
+        for (pkg in lines) printf "  %-14s %6d\n", pkg, lines[pkg] | "sort"
+        close("sort")
+        printf "  %-14s %6d\n", "src/ total", total
+    }'
 
 echo
 if [ "$failures" -ne 0 ]; then

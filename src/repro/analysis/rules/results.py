@@ -10,13 +10,17 @@ where a BFT implementation silently stops being Byzantine-tolerant.
 Flagged: expression statements whose value is a call to a function or
 method named ``verify``, ``verify_share``, ``verify_shares``,
 ``verify_proof``, ``verify_batch``, ``verify_dleq``,
-``verify_dleq_batch``, ``verify_dleq_shares``, ``combine`` or ``check``
-inside ``core/``, ``crypto/`` and ``smr/``.  The batch entry points
+``verify_dleq_batch``, ``verify_dleq_shares``, ``combine``, ``check``,
+``qualified_shares`` or ``offer_coin_share`` inside ``core/``,
+``crypto/`` and ``smr/``.  The batch entry points
 return the set of valid shares (or the batch verdict) and are
 verified-gates exactly like their per-share counterparts: dropping
 their result silently un-gates a whole quorum at once — and a memo
 argument changes nothing: a share the party's own seeded memo admits
-is admitted by the *returned* set, nowhere else.
+is admitted by the *returned* set, nowhere else.  The same holds one
+level up, at :class:`~repro.core.share_screen.ShareScreen`: offering a
+share, or holding it pending, gates nothing — only the set
+``qualified_shares`` (or ``offer_coin_share``) returns does.
 """
 
 from __future__ import annotations
@@ -40,6 +44,8 @@ _CHECKED_NAMES = {
     "verify_dleq_shares",
     "combine",
     "check",
+    "qualified_shares",
+    "offer_coin_share",
 }
 
 

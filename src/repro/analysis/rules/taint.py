@@ -33,7 +33,9 @@ from .messages import _registered_names, _sent_names
 __all__ = ["TaintFlowRule", "HandlerReachabilityRule", "DEFAULT_CATALOG"]
 
 # The RL002 verified-gate catalogue plus the quorum predicates and the
-# constant-time digest comparison used on the checkpoint path.
+# constant-time digest comparison used on the checkpoint path.  Of a
+# ShareScreen only ``qualified_shares`` is here (``offer_coin_share``
+# gates by calling it): ``offer`` holds a share unverified.
 _SANITIZERS = frozenset(
     {
         "verify",
@@ -46,6 +48,7 @@ _SANITIZERS = frozenset(
         "verify_dleq_shares",
         "combine",
         "check",
+        "qualified_shares",
         "is_quorum",
         "is_strong_quorum",
         "contains_honest",

@@ -46,6 +46,7 @@ from dataclasses import dataclass
 from ..codec import register
 from ..crypto.coin import CoinShare
 from .protocol import Context, Protocol, SessionId
+from .share_screen import ShareScreen, offer_coin_share
 
 __all__ = [
     "AbaBval",
@@ -113,9 +114,7 @@ class _RoundState:
         "conf_sent",
         "conf_from",
         "coin_released",
-        "coin_shares",
-        "coin_pending",
-        "coin_bad",
+        "coin",
         "coin_value",
         "finished",
     )
@@ -129,9 +128,7 @@ class _RoundState:
         self.conf_sent = False
         self.conf_from: dict[int, frozenset] = {}
         self.coin_released = False
-        self.coin_shares: dict[int, CoinShare] = {}
-        self.coin_pending: dict[int, CoinShare] = {}
-        self.coin_bad: set[int] = set()
+        self.coin: ShareScreen[CoinShare] = ShareScreen()
         self.coin_value: int | None = None
         self.finished = False
 
@@ -276,35 +273,11 @@ class BinaryAgreement(Protocol):
         return ("aba-coin", ctx.session, r)
 
     def _on_coin_share(self, ctx: Context, sender: int, r: int, share: CoinShare) -> None:
-        """Stash a structurally sound share; verification is batched.
-
-        Proofs are only checked once the pending set could open the
-        coin — then the whole set is verified with one multi-exp
-        (``CoinPublic.verify_shares``), which pinpoints and bans any
-        culprits on failure.
-        """
         state = self._state(r)
-        if state.coin_value is not None or sender in state.coin_bad:
-            return
-        if sender in state.coin_shares or sender in state.coin_pending:
-            return
-        if not isinstance(share, CoinShare) or share.party != sender:
-            return
-        if share.name != self._coin_name(ctx, r):
-            return
-        state.coin_pending[sender] = share
-        candidates = set(state.coin_shares) | set(state.coin_pending)
-        if not ctx.public.access_scheme.is_qualified(candidates):
-            return
         name = self._coin_name(ctx, r)
-        valid = ctx.public.coin.verify_shares(name, state.coin_pending.values(), ctx.verified)
-        for party in state.coin_pending:
-            if party not in valid:
-                state.coin_bad.add(party)
-        state.coin_shares.update(valid)
-        state.coin_pending.clear()
-        if ctx.public.access_scheme.is_qualified(set(state.coin_shares)):
-            state.coin_value = ctx.public.coin.combine(name, state.coin_shares)
+        shares = offer_coin_share(ctx, state.coin, name, sender, share)
+        if shares is not None:
+            state.coin_value = ctx.public.coin.combine(name, shares)
             ctx.trace.bump("aba.coin_flips")
 
     def _rule_advance(self, ctx: Context, r: int, state: _RoundState) -> bool:

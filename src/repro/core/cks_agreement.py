@@ -44,6 +44,7 @@ from ..crypto.coin import CoinShare
 from ..crypto.schnorr import Signature
 from ..crypto.threshold_sig import QuorumCertificate
 from .protocol import Context, Protocol, SessionId
+from .share_screen import ShareScreen, offer_coin_share
 
 __all__ = ["CksPreVote", "CksMainVote", "CksCoinShare", "CksDone",
            "CksBinaryAgreement", "cks_session"]
@@ -103,9 +104,7 @@ class _Round:
         "mainvotes",
         "mainvote_sent",
         "coin_released",
-        "coin_shares",
-        "coin_pending",
-        "coin_bad",
+        "coin",
         "coin_value",
         "closed",
         "prevote_certs",
@@ -118,9 +117,7 @@ class _Round:
         self.mainvotes: dict[int, CksMainVote] = {}
         self.mainvote_sent = False
         self.coin_released = False
-        self.coin_shares: dict[int, CoinShare] = {}
-        self.coin_pending: dict[int, CoinShare] = {}
-        self.coin_bad: set[int] = set()
+        self.coin: ShareScreen[CoinShare] = ShareScreen()
         self.coin_value: int | None = None
         self.closed = False
         self.prevote_certs: dict[int, QuorumCertificate] = {}
@@ -278,29 +275,11 @@ class CksBinaryAgreement(Protocol):
         state.mainvotes[sender] = message
 
     def _on_coin_share(self, ctx: Context, sender: int, r: int, share: CoinShare) -> None:
-        """Stash the share; batch-verify once the set could open the coin."""
         state = self._state(r)
-        if state.coin_value is not None or sender in state.coin_bad:
-            return
-        if sender in state.coin_shares or sender in state.coin_pending:
-            return
-        if not isinstance(share, CoinShare) or share.party != sender:
-            return
         name = ("cks-coin", ctx.session, r)
-        if share.name != name:
-            return
-        state.coin_pending[sender] = share
-        candidates = set(state.coin_shares) | set(state.coin_pending)
-        if not ctx.public.access_scheme.is_qualified(candidates):
-            return
-        valid = ctx.public.coin.verify_shares(name, state.coin_pending.values(), ctx.verified)
-        for party in state.coin_pending:
-            if party not in valid:
-                state.coin_bad.add(party)
-        state.coin_shares.update(valid)
-        state.coin_pending.clear()
-        if ctx.public.access_scheme.is_qualified(set(state.coin_shares)):
-            state.coin_value = ctx.public.coin.combine(name, state.coin_shares)
+        shares = offer_coin_share(ctx, state.coin, name, sender, share)
+        if shares is not None:
+            state.coin_value = ctx.public.coin.combine(name, shares)
             ctx.trace.bump("cks.coin_flips")
 
     # -- round machinery ----------------------------------------------------------

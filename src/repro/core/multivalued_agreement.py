@@ -36,6 +36,7 @@ from ..crypto.coin import CoinShare
 from .binary_agreement import BinaryAgreement
 from .consistent_broadcast import CbcDelivery, ConsistentBroadcast, cbc_session
 from .protocol import Context, Protocol, SessionId
+from .share_screen import ShareScreen, offer_coin_share
 
 __all__ = ["MvbaPermShare", "MvbaValue", "MvbaDecision", "MultiValuedAgreement",
            "mvba_session"]
@@ -84,9 +85,7 @@ class MultiValuedAgreement(Protocol):
         self.proposal = proposal
         self.predicate = predicate
         self.deliveries: dict[int, CbcDelivery] = {}
-        self.perm_shares: dict[int, CoinShare] = {}
-        self.perm_pending: dict[int, CoinShare] = {}
-        self.perm_bad: set[int] = set()
+        self.perm_coin: ShareScreen[CoinShare] = ShareScreen()
         self.perm_released = False
         self.permutation: list[int] | None = None
         self.cursor = 0  # index into the (wrapped) candidate sequence
@@ -147,30 +146,10 @@ class MultiValuedAgreement(Protocol):
             self._on_value(ctx, sender, message)
 
     def _on_perm_share(self, ctx: Context, sender: int, share: CoinShare) -> None:
-        """Stash the share; batch-verify once the set could open the coin."""
-        if self.permutation is not None or sender in self.perm_bad:
-            return
-        if sender in self.perm_shares or sender in self.perm_pending:
-            return
-        if not isinstance(share, CoinShare) or share.party != sender:
-            return
         name = self._perm_coin_name(ctx)
-        if share.name != name:
-            return
-        self.perm_pending[sender] = share
-        candidates = set(self.perm_shares) | set(self.perm_pending)
-        if not ctx.public.access_scheme.is_qualified(candidates):
-            return
-        valid = ctx.public.coin.verify_shares(name, self.perm_pending.values(), ctx.verified)
-        for party in self.perm_pending:
-            if party not in valid:
-                self.perm_bad.add(party)
-        self.perm_shares.update(valid)
-        self.perm_pending.clear()
-        if ctx.public.access_scheme.is_qualified(set(self.perm_shares)):
-            bits = ctx.public.coin.combine_many_bits(
-                name, self.perm_shares, bits=63
-            )
+        shares = offer_coin_share(ctx, self.perm_coin, name, sender, share)
+        if shares is not None:
+            bits = ctx.public.coin.combine_many_bits(name, shares, bits=63)
             self.permutation = self._permutation_from_bits(ctx.n, bits)
             self._start_next_vote(ctx)
 

@@ -51,6 +51,7 @@ from ..crypto.threshold_sig import QuorumCertificate
 from .atomic_broadcast import AtomicBroadcast
 from .multivalued_agreement import MultiValuedAgreement, MvbaDecision
 from .protocol import Context, Protocol, SessionId
+from .share_screen import ShareScreen
 
 __all__ = [
     "OptForward",
@@ -107,6 +108,12 @@ class OptState:
     signature: Signature
 
 
+# ACK/COMMIT shares may overtake their ORDER; they are kept only for
+# sequence numbers this close to the next delivery (an honest leader is
+# never further ahead of a replica that still receives its traffic).
+_SEQ_HORIZON = 4096
+
+
 def opt_abc_session(tag: object = 0) -> SessionId:
     return ("opt-abc", tag)
 
@@ -150,17 +157,14 @@ class OptimisticAtomicBroadcast(Protocol):
         # Leader bookkeeping.
         self._next_seq = 1
         self._ordered_payloads: set[Hashable] = set()
-        # Replica bookkeeping (fast path).  Signature shares are stashed
-        # unverified in acks/commits and batch-verified with one
-        # multi-exp when a strong quorum could form; culprits move to
-        # the *_bad sets, verified shares to *_valid.
+        # Replica bookkeeping (fast path).  One screen per phase (the
+        # message type) and *ordered* sequence number; a share that
+        # overtook its ORDER waits in ``early``, one slot per phase,
+        # sequence number within the horizon and sender — a peer cannot
+        # make this party remember keys of the peer's choosing.
         self.orders: dict[int, Hashable] = {}
-        self.acks: dict[tuple[int, bytes], dict[int, Signature]] = {}
-        self.ack_valid: dict[tuple[int, bytes], dict[int, Signature]] = {}
-        self.ack_bad: dict[tuple[int, bytes], set[int]] = {}
-        self.commits: dict[tuple[int, bytes], dict[int, Signature]] = {}
-        self.commit_valid: dict[tuple[int, bytes], dict[int, Signature]] = {}
-        self.commit_bad: dict[tuple[int, bytes], set[int]] = {}
+        self.screens: dict[tuple[type, int], ShareScreen[Signature]] = {}
+        self.early: dict[tuple[type, int], dict[int, OptAck | OptCommit]] = {}
         self.prepared: dict[int, tuple[Hashable, QuorumCertificate]] = {}
         self.committed: dict[int, Hashable] = {}
         self.commit_share_sent: set[int] = set()
@@ -252,96 +256,58 @@ class OptimisticAtomicBroadcast(Protocol):
             return
         self.orders[seq] = message.payload
         digest = _digest(message.payload)
+        for phase in (OptAck, OptCommit):
+            for peer, held in sorted(self.early.pop((phase, seq), {}).items()):
+                if held.digest == digest:
+                    self._screen(phase, seq).offer(peer, held.share)
         share = ctx.keys.cert_strong.sign_share(
             _ack_statement(ctx.session, seq, digest), ctx.rng, ctx.verified
         )
         ctx.broadcast(OptAck(seq, digest, share))
 
-    def _screen_shares(
-        self,
-        ctx: Context,
-        statement: tuple,
-        key: tuple[int, bytes],
-        unchecked: dict[tuple[int, bytes], dict[int, Signature]],
-        valid: dict[tuple[int, bytes], dict[int, Signature]],
-        bad: dict[tuple[int, bytes], set[int]],
-    ) -> dict[int, Signature] | None:
-        """Batch-verify a bucket once a strong quorum could form.
+    def _screen(self, phase: type, seq: int) -> ShareScreen[Signature]:
+        return self.screens.setdefault((phase, seq), ShareScreen())
 
-        Returns the verified shares when they form a strong quorum,
-        ``None`` otherwise.  Invalid shares are pinpointed (per-share
-        fallback inside ``verify_shares``) and their senders banned for
-        this ``(seq, digest)``.
-        """
-        bucket = unchecked.get(key, {})
-        known = valid.setdefault(key, {})
-        if not ctx.quorum.is_strong_quorum(set(known) | set(bucket)):
+    def _strong_quorum_of(
+        self, ctx: Context, sender: int, message: OptAck | OptCommit, statement: tuple
+    ) -> dict[int, Signature] | None:
+        """Take one ACK/COMMIT share on ``statement``; the verified
+        shares once they form a strong quorum.  Shares on anything but
+        the leader's ORDER are dropped."""
+        seq, digest = message.seq, message.digest
+        if self.mode != "fast" or not isinstance(seq, int) or not isinstance(digest, bytes):
             return None
-        if bucket:
-            screened = ctx.public.cert_strong.verify_shares(
-                statement, bucket, ctx.verified
-            )
-            culprits = bad.setdefault(key, set())
-            for party in bucket:
-                if party not in screened:
-                    culprits.add(party)
-            known.update(screened)
-            bucket.clear()
-        if ctx.quorum.is_strong_quorum(known):
-            return known
-        return None
+        payload = self.orders.get(seq)
+        if payload is None:
+            if self.next_delivery <= seq < self.next_delivery + _SEQ_HORIZON:
+                self.early.setdefault((type(message), seq), {}).setdefault(sender, message)
+            return None
+        if _digest(payload) != digest:
+            return None
+        screen = self._screen(type(message), seq)
+        screen.offer(sender, message.share)
+        return screen.qualified_shares(
+            ctx.quorum.is_strong_quorum,
+            lambda held: ctx.public.cert_strong.verify_shares(statement, held, ctx.verified),
+        )
 
     def _on_ack(self, ctx: Context, sender: int, message: OptAck) -> None:
-        if self.mode != "fast":
-            return
-        if not isinstance(message.seq, int) or not isinstance(message.digest, bytes):
-            return
-        key = (message.seq, message.digest)
-        if sender in self.ack_bad.get(key, ()):
-            return
-        if sender not in self.ack_valid.get(key, {}):
-            self.acks.setdefault(key, {}).setdefault(sender, message.share)
-        if message.seq in self.prepared:
-            return
-        payload = self.orders.get(message.seq)
-        if payload is None or _digest(payload) != message.digest:
-            return
-        statement = _ack_statement(ctx.session, message.seq, message.digest)
-        shares = self._screen_shares(
-            ctx, statement, key, self.acks, self.ack_valid, self.ack_bad
-        )
+        seq, digest = message.seq, message.digest
+        statement = _ack_statement(ctx.session, seq, digest)
+        shares = self._strong_quorum_of(ctx, sender, message, statement)
         if shares is not None:
-            certificate = ctx.public.cert_strong.combine(
-                statement, shares, ctx.verified
-            )
-            self.prepared[message.seq] = (payload, certificate)
+            certificate = ctx.public.cert_strong.combine(statement, shares, ctx.verified)
+            self.prepared[seq] = (self.orders[seq], certificate)
             commit_share = ctx.keys.cert_strong.sign_share(
-                _commit_statement(ctx.session, message.seq, message.digest), ctx.rng, ctx.verified
+                _commit_statement(ctx.session, seq, digest), ctx.rng, ctx.verified
             )
-            self.commit_share_sent.add(message.seq)
-            ctx.broadcast(OptCommit(message.seq, message.digest, commit_share))
+            self.commit_share_sent.add(seq)
+            ctx.broadcast(OptCommit(seq, digest, commit_share))
 
     def _on_commit(self, ctx: Context, sender: int, message: OptCommit) -> None:
-        if self.mode != "fast":
-            return
-        if not isinstance(message.seq, int) or not isinstance(message.digest, bytes):
-            return
-        key = (message.seq, message.digest)
-        if sender in self.commit_bad.get(key, ()):
-            return
-        if sender not in self.commit_valid.get(key, {}):
-            self.commits.setdefault(key, {}).setdefault(sender, message.share)
-        payload = self.orders.get(message.seq)
-        if payload is None or _digest(payload) != message.digest:
-            return
-        if message.seq in self.committed:
-            return
         statement = _commit_statement(ctx.session, message.seq, message.digest)
-        shares = self._screen_shares(
-            ctx, statement, key, self.commits, self.commit_valid, self.commit_bad
-        )
-        if shares is not None:
-            self.committed[message.seq] = payload
+        if self._strong_quorum_of(ctx, sender, message, statement) is not None:
+            self.committed[message.seq] = self.orders[message.seq]
             self._drain_fast(ctx)
 
     def _drain_fast(self, ctx: Context) -> None:
@@ -447,11 +413,6 @@ class OptimisticAtomicBroadcast(Protocol):
         )
 
     def _proposal_predicate(self, ctx: Context) -> Callable[[object], bool]:
-        quorum = ctx.quorum
-        verify_keys = ctx.public.verify_keys
-        session = ctx.session
-        entries_valid = self._entries_valid
-
         def predicate(value: object) -> bool:
             if not isinstance(value, tuple) or not value:
                 return False
@@ -460,19 +421,12 @@ class OptimisticAtomicBroadcast(Protocol):
                 if not (isinstance(item, tuple) and len(item) == 3):
                     return False
                 sender, entries, signature = item
-                key = verify_keys.get(sender)
-                if key is None or not isinstance(entries, tuple):
-                    return False
-                if not key.verify(
-                    _state_statement(session, entries), signature, ctx.verified
-                ):
-                    return False
-                if not entries_valid(ctx, entries):
+                if not self._state_valid(ctx, sender, OptState(entries, signature)):
                     return False
                 senders.append(sender)
             if len(set(senders)) != len(senders):
                 return False
-            return quorum.is_quorum(senders)
+            return ctx.quorum.is_quorum(senders)
 
         return predicate
 

@@ -25,6 +25,7 @@ from ..crypto.hashing import hash_bytes
 from ..crypto.threshold_enc import Ciphertext, DecryptionShare
 from .atomic_broadcast import AtomicBroadcast
 from .protocol import Context, Protocol, SessionId
+from .share_screen import ShareScreen
 
 __all__ = ["ScDecryptionShare", "SecureCausalBroadcast", "sc_abc_session"]
 
@@ -36,6 +37,12 @@ class ScDecryptionShare:
 
     digest: bytes
     share: DecryptionShare
+
+
+# Shares one sender may have waiting here for ciphertexts this party has
+# not a-delivered yet (of the order of the runtime's per-session buffer:
+# an honest sender is ahead by a few requests, a flood beyond is dropped).
+_EARLY_SHARE_LIMIT = 4096
 
 
 def sc_abc_session(tag: object = 0) -> SessionId:
@@ -60,16 +67,14 @@ class SecureCausalBroadcast(Protocol):
     ) -> None:
         self.on_deliver = on_deliver
         self.abc = AtomicBroadcast(on_deliver=None)  # wired in on_start
-        # Ciphertexts in a-delivery order, awaiting decryption.
-        self.pending: list[tuple[bytes, Ciphertext, int]] = []
+        # Digests in a-delivery order, awaiting decryption.
+        self.pending: list[tuple[bytes, int]] = []
         self.plaintexts: dict[bytes, bytes] = {}
-        # Unverified shares per digest; verification is batched once the
-        # set could decrypt (one multi-exp per ciphertext, culprits
-        # pinpointed and banned on batch failure).
-        self.shares: dict[bytes, dict[int, DecryptionShare]] = {}
-        self.verified: dict[bytes, dict[int, DecryptionShare]] = {}
-        self.bad: dict[bytes, set[int]] = {}
-        self.shared: set[bytes] = set()
+        # One screen per a-delivered ciphertext still to be decrypted —
+        # never per digest a peer merely names: a share that arrives
+        # before its ciphertext waits in its sender's bounded ``early``.
+        self.opening: dict[bytes, tuple[Ciphertext, ShareScreen[DecryptionShare]]] = {}
+        self.early: dict[int, dict[bytes, DecryptionShare]] = {}
         self.s_delivered: list[tuple[bytes, int]] = []
 
     def on_start(self, ctx: Context) -> None:
@@ -105,67 +110,52 @@ class SecureCausalBroadcast(Protocol):
         if not ctx.public.encryption.check_ciphertext(ct):
             return
         digest = _digest(ct)
-        self.pending.append((digest, ct, round_number))
-        if digest not in self.shared:
-            self.shared.add(digest)
+        self.pending.append((digest, round_number))
+        if digest not in self.opening and digest not in self.plaintexts:
+            screen: ShareScreen[DecryptionShare] = ShareScreen()
+            self.opening[digest] = (ct, screen)
+            for sender, held in sorted(self.early.items()):
+                if digest in held:
+                    screen.offer(sender, held.pop(digest))
             share = ctx.keys.decryption.decryption_share(ct, ctx.rng, ctx.verified)
             if share is not None:
                 ctx.broadcast(ScDecryptionShare(digest, share))
         self._drain(ctx)
 
     def _on_share(self, ctx: Context, sender: int, message: ScDecryptionShare) -> None:
-        if not isinstance(message.share, DecryptionShare):
+        share, digest = message.share, message.digest
+        if not isinstance(share, DecryptionShare) or share.party != sender:
             return
-        if message.share.party != sender:
+        if not isinstance(digest, bytes) or digest in self.plaintexts:
             return
-        digest = message.digest
-        if digest in self.plaintexts or sender in self.bad.get(digest, ()):
+        if digest not in self.opening:
+            held = self.early.setdefault(sender, {})
+            if len(held) < _EARLY_SHARE_LIMIT:
+                held.setdefault(digest, share)
             return
-        # Keep the share unverified until a qualified set accumulates
-        # (and until the ciphertext itself has a-delivered); the whole
-        # set is then checked with one batched multi-exp.  Bounded per
-        # digest so junk for unknown digests cannot balloon state.
-        bucket = self.shares.setdefault(digest, {})
-        if sender not in self.verified.get(digest, ()) and len(bucket) < 4 * ctx.n:
-            bucket.setdefault(sender, message.share)
-        ct = self._ciphertext_for(digest)
-        if ct is None:
-            return
-        self._try_decrypt(ctx, digest, ct)
+        self.opening[digest][1].offer(sender, share)
+        self._try_decrypt(ctx, digest)
         self._drain(ctx)
 
-    def _ciphertext_for(self, digest: bytes) -> Ciphertext | None:
-        for d, ct, _rnd in self.pending:
-            if d == digest:
-                return ct
-        return None
-
-    def _try_decrypt(self, ctx: Context, digest: bytes, ct: Ciphertext) -> None:
+    def _try_decrypt(self, ctx: Context, digest: bytes) -> None:
         if digest in self.plaintexts:
             return
-        verified = self.verified.setdefault(digest, {})
-        unchecked = self.shares.get(digest, {})
-        if unchecked:
-            if not ctx.public.access_scheme.is_qualified(
-                set(verified) | set(unchecked)
-            ):
-                return
-            valid = ctx.public.encryption.verify_shares(ct, unchecked.values(), ctx.verified)
-            bad = self.bad.setdefault(digest, set())
-            for party in unchecked:
-                if party not in valid:
-                    bad.add(party)
-            verified.update(valid)
-            unchecked.clear()
-        if not ctx.public.access_scheme.is_qualified(set(verified)):
-            return
-        self.plaintexts[digest] = ctx.public.encryption.combine(ct, verified)
+        ct, screen = self.opening[digest]
+        shares = screen.qualified_shares(
+            ctx.public.access_scheme.is_qualified,
+            lambda held: ctx.public.encryption.verify_shares(
+                ct, held.values(), ctx.verified
+            ),
+        )
+        if shares is not None:
+            self.plaintexts[digest] = ctx.public.encryption.combine(ct, shares)
+            del self.opening[digest]
 
     def _drain(self, ctx: Context) -> None:
         """s-deliver decrypted plaintexts strictly in a-delivery order."""
         while self.pending:
-            digest, ct, round_number = self.pending[0]
-            self._try_decrypt(ctx, digest, ct)
+            digest, round_number = self.pending[0]
+            self._try_decrypt(ctx, digest)
             if digest not in self.plaintexts:
                 return
             self.pending.pop(0)

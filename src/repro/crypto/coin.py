@@ -22,15 +22,19 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from ..codec import register
 from .groups import SchnorrGroup
 from .hashing import hash_to_group, hash_to_int
 from .lsss import LsssScheme, SlotId
 from .schnorr import VerifiedMemo
-from .zkp import DleqProof, prove_dleq, verify_dleq, verify_dleq_shares
+from .shared_exponent import (
+    SharedExponentHolder,
+    SharedExponentPublic,
+    deal_shared_exponent,
+)
+from .zkp import DleqProof
 
 __all__ = ["CoinPublic", "CoinShareholder", "CoinShare", "deal_coin"]
 
@@ -48,45 +52,17 @@ class CoinShare:
 
 
 @dataclass(frozen=True)
-class CoinPublic:
+class CoinPublic(SharedExponentPublic):
     """Public coin parameters: enough to verify shares and combine them."""
-
-    group: SchnorrGroup
-    scheme: LsssScheme
-    verification: dict[SlotId, int]  # slot -> g^{x_slot}
 
     def coin_base(self, name: object) -> int:
         """The group element ``H(C)`` for coin name ``C``."""
         return hash_to_group(self.group, "coin-name", name)
 
-    def _share_items(
-        self, base: int, share: CoinShare
-    ) -> list[tuple[int, int, int, int, DleqProof, object]] | None:
-        """The DLEQ batch items for one structurally well-formed share."""
-        expected_slots = set(self.scheme.slots_of_party(share.party))
-        if set(share.values) != expected_slots or set(share.proofs) != expected_slots:
-            return None
-        return [
-            (
-                self.group.g,
-                self.verification[slot],
-                base,
-                share.values[slot],
-                share.proofs[slot],
-                ("coin", share.name, slot),
-            )
-            for slot in sorted(expected_slots)
-        ]
-
     def verify_share(self, share: CoinShare) -> bool:
         """Check that every slot value is correct w.r.t. its proof."""
-        base = self.coin_base(share.name)
-        items = self._share_items(base, share)
-        if items is None:
-            return False
-        return all(
-            verify_dleq(self.group, g, h1, u, h2, proof, context=ctx)
-            for g, h1, u, h2, proof, ctx in items
+        return self._share_valid(
+            self.coin_base(share.name), ("coin", share.name), share
         )
 
     def verify_shares(
@@ -97,35 +73,18 @@ class CoinPublic:
     ) -> dict[int, CoinShare]:
         """Batch-verify shares of the named coin; returns the valid ones.
 
-        All proofs of the whole set are checked with a single
-        multi-exponentiation.  If the batch fails (at least one forged
-        share, probability of a false pass 2^-64), each share is
-        re-verified individually so culprits are pinpointed exactly —
-        the returned mapping ``party -> share`` contains precisely the
-        shares that per-share verification accepts.  Shares naming a
-        different coin or duplicating a party are rejected outright; a
-        share the verifying party's ``memo`` vouches for (its own, see
-        :meth:`CoinShareholder.share_for`) costs no arithmetic.
+        One multi-exponentiation for the whole set, per-share checks
+        only to pinpoint culprits — the returned mapping ``party ->
+        share`` contains precisely the shares :meth:`verify_share`
+        accepts.  Shares naming a different coin or duplicating a party
+        are rejected outright; a share ``memo`` vouches for (the
+        verifier's own) costs no arithmetic.
         """
-        base = self.coin_base(name)
-        candidates: dict[int, tuple[CoinShare, list]] = {}
-        for share in shares:
-            if share.name != name or share.party in candidates:
-                continue
-            items = self._share_items(base, share)
-            if items is None:
-                continue
-            candidates[share.party] = (share, items)
-        return verify_dleq_shares(self.group, candidates, memo)
-
-    def _combined_element(self, shares: Mapping[int, CoinShare]) -> int | None:
-        """``H(C)^x`` recombined from a qualified set, or None if unqualified."""
-        lam = self.scheme.recombination(set(shares))
-        if lam is None:
-            return None
-        return self.group.multiexp(
-            (shares[self.scheme.slot_owner(slot)].values[slot], coeff)
-            for slot, coeff in lam.items()
+        return self._valid_shares(
+            self.coin_base(name),
+            ("coin", name),
+            (share for share in shares if share.name == name),
+            memo,
         )
 
     def combine(self, name: object, shares: dict[int, CoinShare]) -> int:
@@ -134,55 +93,33 @@ class CoinPublic:
         Returns an unpredictable bit.  Raises if the share-holders do
         not form a qualified set of the access structure.
         """
-        value = self._combined_element(shares)
+        return self.combine_many_bits(name, shares, bits=1)
+
+    def combine_many_bits(self, name: object, shares: dict[int, CoinShare], bits: int) -> int:
+        """Like :meth:`combine` but extracts ``bits`` (1..64) unpredictable bits."""
+        if not 1 <= bits <= 64:
+            raise ValueError(f"a coin yields 1..64 bits, not {bits}")
+        value = self._recombine(shares)
         if value is None:
             raise ValueError(
                 f"parties {sorted(shares)} are not qualified to open the coin"
             )
-        return hash_to_int("coin-value", name, value, bits=64) & 1
-
-    def combine_many_bits(self, name: object, shares: dict[int, CoinShare], bits: int) -> int:
-        """Like :meth:`combine` but extracts up to 64 unpredictable bits."""
-        value = self._combined_element(shares)
-        if value is None:
-            raise ValueError("not a qualified set")
         return hash_to_int("coin-value", name, value, bits=64) & ((1 << bits) - 1)
 
 
 @dataclass(frozen=True)
-class CoinShareholder:
+class CoinShareholder(SharedExponentHolder):
     """A party's secret coin key: its LSSS subshares of ``x``."""
 
-    party: int
     public: CoinPublic
-    subshares: dict[SlotId, int]
-
-    @cached_property
-    def _images(self) -> dict[SlotId, int]:
-        """``g^{x_slot}`` of the subshares actually held — never read from
-        ``public.verification``: a key gone stale in a reshare must keep
-        proving (and vouching in a memo) for what it really is."""
-        grp = self.public.group
-        return {slot: grp.power_of_g(x) for slot, x in self.subshares.items()}
 
     def share_for(
         self, name: object, rng: random.Random, memo: VerifiedMemo | None = None
     ) -> CoinShare:
-        """Produce this party's share of the named coin, with proofs.
-
-        Two fresh-base exponentiations per slot (the value, the proof's
-        second commitment); the party's ``memo`` learns its own proofs.
-        """
-        grp = self.public.group
-        base = self.public.coin_base(name)
-        values: dict[SlotId, int] = {}
-        proofs: dict[SlotId, DleqProof] = {}
-        for slot, x_slot in self.subshares.items():
-            values[slot] = grp.exp_once(base, x_slot)
-            proofs[slot] = prove_dleq(
-                grp, grp.g, base, x_slot, rng, ("coin", name, slot),
-                (self._images[slot], values[slot]), memo,
-            )
+        """Produce this party's share of the named coin, with proofs."""
+        values, proofs = self._share(
+            self.public.coin_base(name), ("coin", name), rng, memo
+        )
         return CoinShare(party=self.party, name=name, values=values, proofs=proofs)
 
 
@@ -192,16 +129,10 @@ def deal_coin(
     rng: random.Random,
 ) -> tuple[CoinPublic, dict[int, CoinShareholder]]:
     """Trusted-dealer setup of the coin for a given access structure."""
-    if scheme.modulus != group.q:
-        raise ValueError("LSSS must be over Z_q of the group")
-    secret = group.random_exponent(rng)
-    sharing = scheme.deal(secret, rng)
-    verification = {
-        slot: group.power_of_g(value) for slot, value in sharing.all_slots().items()
-    }
+    _, verification, shares = deal_shared_exponent(group, scheme, rng)
     public = CoinPublic(group=group, scheme=scheme, verification=verification)
     holders = {
         party: CoinShareholder(party=party, public=public, subshares=dict(subshares))
-        for party, subshares in sharing.shares.items()
+        for party, subshares in shares.items()
     }
     return public, holders

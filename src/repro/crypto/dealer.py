@@ -34,17 +34,17 @@ from ..adversary.quorums import (
     quorum_system_for,
 )
 from ..adversary.structures import AdversaryStructure
-from .coin import CoinPublic, CoinShareholder, deal_coin
+from .coin import CoinPublic, CoinShareholder
 from .groups import SchnorrGroup, default_group
-from .lsss import LsssScheme
+from .lsss import LsssScheme, SlotId
 from .schnorr import SigningKey, VerifyKey, keygen
-from .threshold_enc import DecryptionShareholder, EncryptionPublic, deal_encryption
+from .shared_exponent import deal_shared_exponent
+from .threshold_enc import DecryptionShareholder, EncryptionPublic, second_generator
 from .threshold_sig import (
     QuorumCertScheme,
     QuorumCertShareholder,
     ShoupRsaScheme,
     ShoupRsaShareholder,
-    deal_quorum_certs,
     deal_shoup_rsa,
 )
 
@@ -54,6 +54,8 @@ __all__ = [
     "PublicKeys",
     "PartyKeys",
     "SystemKeys",
+    "assemble_public_keys",
+    "assemble_party_keys",
     "deal_channel_keys",
     "deal_system",
 ]
@@ -124,6 +126,85 @@ class SystemKeys:
     # each bundle goes to its client over a secure channel, like the
     # server bundles.
     client_channels: dict[int, dict[int, bytes]] = field(default_factory=dict)
+
+
+def assemble_public_keys(
+    n: int,
+    group: SchnorrGroup,
+    quorum: QuorumSystem,
+    scheme: LsssScheme,
+    verify_keys: dict[int, VerifyKey],
+    coin_verification: dict[SlotId, int],
+    enc_verification: dict[SlotId, int],
+    enc_h: int,
+    rsa: ShoupRsaScheme | None = None,
+) -> PublicKeys:
+    """The public bundle from its parts — the dealer's, a DKG or
+    resharing output's, or a keystore file's.
+
+    The one place that says which certificate counts to which set
+    (Section 4.2): ``cert-quorum`` to a quorum, ``cert-honest`` and the
+    service's signature (``rsa`` if given, else certificates) to a set
+    containing an honest party, ``cert-strong`` to a strong quorum.  A
+    party without a verify key is outside every certificate scheme.
+    """
+
+    def certs(tag: str, qualifier) -> QuorumCertScheme:
+        return QuorumCertScheme(verify_keys=verify_keys, qualifier=qualifier, tag=tag)
+
+    return PublicKeys(
+        n=n,
+        group=group,
+        quorum=quorum,
+        access_scheme=scheme,
+        coin=CoinPublic(group=group, scheme=scheme, verification=coin_verification),
+        encryption=EncryptionPublic(
+            group=group,
+            scheme=scheme,
+            h=enc_h,
+            g_bar=second_generator(group),
+            verification=enc_verification,
+        ),
+        verify_keys=verify_keys,
+        cert_quorum=certs("cert-quorum", quorum.is_quorum),
+        cert_honest=certs("cert-honest", quorum.contains_honest),
+        cert_strong=certs("cert-strong", quorum.is_strong_quorum),
+        service_signature=(
+            certs("service-signature", quorum.contains_honest) if rsa is None else rsa
+        ),
+    )
+
+
+def assemble_party_keys(
+    party: int,
+    public: PublicKeys,
+    signing_key: SigningKey,
+    coin_subshares: dict[SlotId, int],
+    enc_subshares: dict[SlotId, int],
+    channel_keys: dict[int, bytes],
+    rsa: ShoupRsaShareholder | None = None,
+) -> PartyKeys:
+    """One server's secret bundle against an assembled public bundle;
+    ``rsa`` is its Shoup share where the service signs with RSA."""
+    if isinstance(public.service_signature, ShoupRsaScheme) != (rsa is not None):
+        raise ValueError("service signer does not match the public bundle's backend")
+
+    def signer(scheme: QuorumCertScheme) -> QuorumCertShareholder:
+        return QuorumCertShareholder(party=party, public=scheme, key=signing_key)
+
+    return PartyKeys(
+        party=party,
+        signing_key=signing_key,
+        coin=CoinShareholder(party=party, public=public.coin, subshares=coin_subshares),
+        decryption=DecryptionShareholder(
+            party=party, public=public.encryption, subshares=enc_subshares
+        ),
+        cert_quorum=signer(public.cert_quorum),
+        cert_honest=signer(public.cert_honest),
+        cert_strong=signer(public.cert_strong),
+        service_signer=signer(public.service_signature) if rsa is None else rsa,
+        channel_keys=channel_keys,
+    )
 
 
 def deal_channel_keys(
@@ -223,74 +304,31 @@ def deal_system(
     signing_keys = {i: keygen(rng, grp) for i in range(n)}
     verify_keys = {i: key.verify_key for i, key in signing_keys.items()}
 
-    coin_public, coin_holders = deal_coin(grp, scheme, rng)
-    enc_public, enc_holders = deal_encryption(grp, scheme, rng)
+    _, coin_verification, coin_shares = deal_shared_exponent(grp, scheme, rng)
+    x, enc_verification, enc_shares = deal_shared_exponent(grp, scheme, rng)
 
-    cert_quorum_pub, cert_quorum_holders = deal_quorum_certs(
-        signing_keys, qualifier=quorum.is_quorum, tag="cert-quorum"
-    )
-    cert_honest_pub, cert_honest_holders = deal_quorum_certs(
-        signing_keys, qualifier=quorum.contains_honest, tag="cert-honest"
-    )
-    cert_strong_pub, cert_strong_holders = deal_quorum_certs(
-        signing_keys, qualifier=quorum.is_strong_quorum, tag="cert-strong"
-    )
-
-    service_public: ShoupRsaScheme | QuorumCertScheme
-    service_holders: dict[int, ShoupRsaShareholder | QuorumCertShareholder]
+    rsa_public, rsa_holders = None, {}
     if signature_backend == "rsa":
         if t is None:
             raise ValueError("the RSA backend requires a threshold system")
         rsa_public, rsa_holders = deal_shoup_rsa(n, t + 1, rng, bits=rsa_bits)
-        service_public = rsa_public
-        # Dealer indexes RSA shareholders 1..n; re-key to 0-based parties.
-        service_holders = {i: rsa_holders[i + 1] for i in range(n)}
-    elif signature_backend == "certs":
-        service_pub, holders = deal_quorum_certs(
-            signing_keys, qualifier=quorum.contains_honest, tag="service-signature"
-        )
-        service_public = service_pub
-        service_holders = dict(holders)
-    else:
+    elif signature_backend != "certs":
         raise ValueError(f"unknown signature backend {signature_backend!r}")
 
-    public = PublicKeys(
-        n=n,
-        group=grp,
-        quorum=quorum,
-        access_scheme=scheme,
-        coin=coin_public,
-        encryption=enc_public,
-        verify_keys=verify_keys,
-        cert_quorum=cert_quorum_pub,
-        cert_honest=cert_honest_pub,
-        cert_strong=cert_strong_pub,
-        service_signature=service_public,
+    public = assemble_public_keys(
+        n, grp, quorum, scheme, verify_keys,
+        coin_verification, enc_verification, grp.power_of_g(x), rsa_public,
     )
-    # A party the access formula never mentions still participates in the
-    # protocols; it simply holds no subshares.
-    for i in range(n):
-        coin_holders.setdefault(
-            i, CoinShareholder(party=i, public=coin_public, subshares={})
-        )
-        enc_holders.setdefault(
-            i, DecryptionShareholder(party=i, public=enc_public, subshares={})
-        )
-
     client_ids = [CLIENT_BASE + c for c in range(clients)]
     channel_keyring = deal_channel_keys(list(range(n)) + client_ids, rng)
-
+    # A party the access formula never mentions still participates in the
+    # protocols; it simply holds no subshares.  Shoup's dealer indexes
+    # its shareholders 1..n.
     private = {
-        i: PartyKeys(
-            party=i,
-            signing_key=signing_keys[i],
-            coin=coin_holders[i],
-            decryption=enc_holders[i],
-            cert_quorum=cert_quorum_holders[i],
-            cert_honest=cert_honest_holders[i],
-            cert_strong=cert_strong_holders[i],
-            service_signer=service_holders[i],
-            channel_keys=channel_keyring[i],
+        i: assemble_party_keys(
+            i, public, signing_keys[i],
+            dict(coin_shares.get(i, {})), dict(enc_shares.get(i, {})),
+            channel_keyring[i], rsa_holders.get(i + 1),
         )
         for i in range(n)
     }

@@ -58,15 +58,12 @@ from ..adversary.quorums import QuorumSystem
 from ..codec import register
 from ..core.protocol import Context, Protocol, SessionId
 from ..core.reliable_broadcast import ReliableBroadcast, rbc_session
-from .coin import CoinPublic, CoinShareholder
-from .dealer import PartyKeys, PublicKeys
+from .dealer import PartyKeys, PublicKeys, assemble_party_keys, assemble_public_keys
 from .groups import SchnorrGroup
-from .hashing import hash_bytes, hash_to_exponent, hash_to_group
+from .hashing import hash_bytes, hash_to_exponent
 from .lsss import LsssScheme, LsssSharing, SlotId
 from .schnorr import Signature, SigningKey, VerifyKey, keygen
 from .shamir import evaluate_polynomial
-from .threshold_enc import DecryptionShareholder, EncryptionPublic
-from .threshold_sig import QuorumCertScheme, QuorumCertShareholder
 
 __all__ = [
     "FeldmanTree",
@@ -918,43 +915,33 @@ class DistributedKeyGeneration(_VerifiableDealing):
         certificate: tuple,
     ) -> DkgOutput:
         group = self.group
-        coin_verification: dict[SlotId, int] = {}
-        enc_verification: dict[SlotId, int] = {}
-        for slot, _ in self.scheme.slots():
-            coin_verification[slot] = group.multiexp(
-                (
-                    slot_commitment(
-                        group,
-                        tree_commitments(self.commits[d].coin_tree),
-                        slot,
-                    ),
-                    1,
+        my_slots = sorted(self.scheme.slots_of_party(ctx.party))
+
+        def summed(tree_of, received: dict[int, dict[SlotId, int]]):
+            """One shared exponent — the sum of the qualified dealers'
+            contributions: its verification values and my subshares."""
+            trees = [tree_commitments(tree_of(self.commits[d])) for d in qualified]
+            verification = {
+                slot: group.multiexp(
+                    (slot_commitment(group, tree, slot), 1) for tree in trees
                 )
-                for d in qualified
-            )
-            enc_verification[slot] = group.multiexp(
-                (
-                    slot_commitment(
-                        group,
-                        tree_commitments(self.commits[d].enc_tree),
-                        slot,
-                    ),
-                    1,
-                )
-                for d in qualified
-            )
+                for slot, _ in self.scheme.slots()
+            }
+            subshares = {
+                slot: sum(received[d][slot] for d in qualified) % group.q
+                for slot in my_slots
+            }
+            return verification, subshares
+
+        coin_verification, coin_subshares = summed(
+            lambda commit: commit.coin_tree, self._coin_received
+        )
+        enc_verification, enc_subshares = summed(
+            lambda commit: commit.enc_tree, self._enc_received
+        )
         encryption_h = group.multiexp(
             (secret_commitment(self.commits[d].enc_tree), 1) for d in qualified
         )
-        my_slots = sorted(self.scheme.slots_of_party(ctx.party))
-        coin_subshares = {
-            slot: sum(self._coin_received[d][slot] for d in qualified) % group.q
-            for slot in my_slots
-        }
-        enc_subshares = {
-            slot: sum(self._enc_received[d][slot] for d in qualified) % group.q
-            for slot in my_slots
-        }
         return DkgOutput(
             qualified=qualified,
             digest=digest,
@@ -1250,53 +1237,44 @@ class VerifiableResharing(_VerifiableDealing):
     ) -> DkgOutput:
         group = self.group
         assert self._lambda is not None
-        lam = self._lambda
-
-        def trees_for(kind: str) -> dict[SlotId, dict[SlotId, tuple[int, ...]]]:
-            trees: dict[SlotId, dict[SlotId, tuple[int, ...]]] = {}
-            for dealer in qualified:
-                commit = self.commits[dealer]
-                assert isinstance(commit, ReshareCommit)
-                entries = commit.coin if kind == "coin" else commit.enc
-                for old_slot, tree, _ in entries:
-                    trees[old_slot] = tree_commitments(tree)
-            return trees
-
-        coin_trees = trees_for("coin")
-        enc_trees = trees_for("enc")
-        coin_verification: dict[SlotId, int] = {}
-        enc_verification: dict[SlotId, int] = {}
-        for new_slot, _ in self.new_scheme.slots():
-            coin_verification[new_slot] = group.multiexp(
-                (
-                    slot_commitment(group, coin_trees[old_slot], new_slot),
-                    coeff,
-                )
-                for old_slot, coeff in sorted(lam.items())
-            )
-            enc_verification[new_slot] = group.multiexp(
-                (slot_commitment(group, enc_trees[old_slot], new_slot), coeff)
-                for old_slot, coeff in sorted(lam.items())
-            )
-        encryption_h = group.multiexp(
-            (enc_trees[old_slot][()][0], coeff)
-            for old_slot, coeff in sorted(lam.items())
-        )
+        weights = sorted(self._lambda.items())
+        owner_of = dict(self.old_scheme.slots())
         my_slots = sorted(self.new_scheme.slots_of_party(ctx.party))
 
-        def combine(
-            received: dict[int, dict[SlotId, dict[SlotId, int]]],
-        ) -> dict[SlotId, int]:
-            owner_of = dict(self.old_scheme.slots())
-            out: dict[SlotId, int] = {}
-            for new_slot in my_slots:
-                total = 0
-                for old_slot, coeff in sorted(lam.items()):
-                    dealer = owner_of[old_slot]
-                    total += coeff * received[dealer][old_slot][new_slot]
-                out[new_slot] = total % group.q
-            return out
+        def reshared(entries_of, received: dict[int, dict[SlotId, dict[SlotId, int]]]):
+            """One shared exponent carried over — the λ-combination of the
+            old slots' resharings: the old slots' commitment trees, the
+            new verification values and my new subshares."""
+            trees = {
+                old_slot: tree_commitments(tree)
+                for dealer in qualified
+                for old_slot, tree, _ in entries_of(self.commits[dealer])
+            }
+            verification = {
+                new_slot: group.multiexp(
+                    (slot_commitment(group, trees[old_slot], new_slot), coeff)
+                    for old_slot, coeff in weights
+                )
+                for new_slot, _ in self.new_scheme.slots()
+            }
+            subshares = {
+                new_slot: sum(
+                    coeff * received[owner_of[old_slot]][old_slot][new_slot]
+                    for old_slot, coeff in weights
+                ) % group.q
+                for new_slot in my_slots
+            }
+            return trees, verification, subshares
 
+        _, coin_verification, coin_subshares = reshared(
+            lambda commit: commit.coin, self._coin_received
+        )
+        enc_trees, enc_verification, enc_subshares = reshared(
+            lambda commit: commit.enc, self._enc_received
+        )
+        encryption_h = group.multiexp(
+            (enc_trees[old_slot][()][0], coeff) for old_slot, coeff in weights
+        )
         return DkgOutput(
             qualified=qualified,
             digest=digest,
@@ -1305,8 +1283,8 @@ class VerifiableResharing(_VerifiableDealing):
             coin_verification=coin_verification,
             enc_verification=enc_verification,
             encryption_h=encryption_h,
-            coin_subshares=combine(self._coin_received),
-            enc_subshares=combine(self._enc_received),
+            coin_subshares=coin_subshares,
+            enc_subshares=enc_subshares,
         )
 
 
@@ -1334,42 +1312,10 @@ def build_public_keys(
         party: VerifyKey(group=group, h=h)
         for party, h in sorted(output.verify_keys.items())
     }
-    coin = CoinPublic(
-        group=group, scheme=scheme, verification=dict(output.coin_verification)
-    )
-    encryption = EncryptionPublic(
-        group=group,
-        scheme=scheme,
-        h=output.encryption_h,
-        g_bar=hash_to_group(group, "tdh2-gbar", "second generator"),
-        verification=dict(output.enc_verification),
-    )
-    return PublicKeys(
-        n=n,
-        group=group,
-        quorum=quorum,
-        access_scheme=scheme,
-        coin=coin,
-        encryption=encryption,
-        verify_keys=verify_keys,
-        cert_quorum=QuorumCertScheme(
-            verify_keys=verify_keys, qualifier=quorum.is_quorum, tag="cert-quorum"
-        ),
-        cert_honest=QuorumCertScheme(
-            verify_keys=verify_keys,
-            qualifier=quorum.contains_honest,
-            tag="cert-honest",
-        ),
-        cert_strong=QuorumCertScheme(
-            verify_keys=verify_keys,
-            qualifier=quorum.is_strong_quorum,
-            tag="cert-strong",
-        ),
-        service_signature=QuorumCertScheme(
-            verify_keys=verify_keys,
-            qualifier=quorum.contains_honest,
-            tag="service-signature",
-        ),
+    return assemble_public_keys(
+        n, group, quorum, scheme, verify_keys,
+        dict(output.coin_verification), dict(output.enc_verification),
+        output.encryption_h,
     )
 
 
@@ -1380,32 +1326,10 @@ def build_party_keys(
     output: DkgOutput,
     channel_keys: dict[int, bytes] | None = None,
 ) -> PartyKeys:
-    """Assemble this party's dealer-compatible :class:`PartyKeys`."""
-    service = public.service_signature
-    if not isinstance(service, QuorumCertScheme):
-        raise ValueError("dealerless setups use the certificate backend")
-    return PartyKeys(
-        party=party,
-        signing_key=signing_key,
-        coin=CoinShareholder(
-            party=party, public=public.coin, subshares=dict(output.coin_subshares)
-        ),
-        decryption=DecryptionShareholder(
-            party=party,
-            public=public.encryption,
-            subshares=dict(output.enc_subshares),
-        ),
-        cert_quorum=QuorumCertShareholder(
-            party=party, public=public.cert_quorum, key=signing_key
-        ),
-        cert_honest=QuorumCertShareholder(
-            party=party, public=public.cert_honest, key=signing_key
-        ),
-        cert_strong=QuorumCertShareholder(
-            party=party, public=public.cert_strong, key=signing_key
-        ),
-        service_signer=QuorumCertShareholder(
-            party=party, public=service, key=signing_key
-        ),
-        channel_keys=dict(channel_keys or {}),
+    """Assemble this party's dealer-compatible :class:`PartyKeys`
+    (dealerless setups use the certificate backend)."""
+    return assemble_party_keys(
+        party, public, signing_key,
+        dict(output.coin_subshares), dict(output.enc_subshares),
+        dict(channel_keys or {}),
     )

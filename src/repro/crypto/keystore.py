@@ -33,12 +33,16 @@ from ..adversary.quorums import (
     ThresholdQuorumSystem,
 )
 from ..adversary.structures import AdversaryStructure
-from .coin import CoinPublic, CoinShareholder
-from .dealer import PartyKeys, PublicKeys, SystemKeys
+from .dealer import (
+    PartyKeys,
+    PublicKeys,
+    SystemKeys,
+    assemble_party_keys,
+    assemble_public_keys,
+)
 from .groups import SchnorrGroup
-from .lsss import LsssScheme
+from .lsss import LsssScheme, SlotId
 from .schnorr import SigningKey, VerifyKey
-from .threshold_enc import DecryptionShareholder, EncryptionPublic
 from .threshold_sig import (
     QuorumCertScheme,
     QuorumCertShareholder,
@@ -71,14 +75,19 @@ class KeystoreError(ValueError):
 # -- low-level helpers -------------------------------------------------------
 
 
-def _slot_key(slot: tuple) -> str:
-    return ".".join(str(i) for i in slot) if slot else "-"
+def _slot_map(mapping: dict[SlotId, int]) -> dict[str, str]:
+    """``slot -> value`` as JSON: a slot is its dotted path, ``-`` the root."""
+    return {
+        ".".join(str(i) for i in slot) if slot else "-": str(value)
+        for slot, value in mapping.items()
+    }
 
 
-def _slot_from_key(key: str) -> tuple:
-    if key == "-":
-        return ()
-    return tuple(int(part) for part in key.split("."))
+def _slot_map_back(data: dict) -> dict[SlotId, int]:
+    return {
+        () if key == "-" else tuple(int(part) for part in key.split(".")): int(value)
+        for key, value in data.items()
+    }
 
 
 def _int_map(mapping: dict) -> dict:
@@ -172,17 +181,11 @@ def public_to_dict(public: PublicKeys) -> dict:
         },
         "quorum": _quorum_to_json(public.quorum),
         "access_formula": _formula_to_json(public.access_scheme.formula),
-        "coin_verification": {
-            _slot_key(slot): str(value)
-            for slot, value in public.coin.verification.items()
-        },
+        "coin_verification": _slot_map(public.coin.verification),
         "encryption": {
             "h": str(public.encryption.h),
             "g_bar": str(public.encryption.g_bar),
-            "verification": {
-                _slot_key(slot): str(value)
-                for slot, value in public.encryption.verification.items()
-            },
+            "verification": _slot_map(public.encryption.verification),
         },
         "verify_keys": _int_map({i: k.h for i, k in public.verify_keys.items()}),
         "service_signature": service_json,
@@ -198,43 +201,9 @@ def public_from_dict(data: dict) -> PublicKeys:
         q=int(data["group"]["q"]),
         g=int(data["group"]["g"]),
     )
-    quorum = _quorum_from_json(data["quorum"])
-    formula = _formula_from_json(data["access_formula"])
-    scheme = LsssScheme(formula=formula, modulus=group.q)
-    coin = CoinPublic(
-        group=group,
-        scheme=scheme,
-        verification={
-            _slot_from_key(k): int(v)
-            for k, v in data["coin_verification"].items()
-        },
-    )
-    encryption = EncryptionPublic(
-        group=group,
-        scheme=scheme,
-        h=int(data["encryption"]["h"]),
-        g_bar=int(data["encryption"]["g_bar"]),
-        verification={
-            _slot_from_key(k): int(v)
-            for k, v in data["encryption"]["verification"].items()
-        },
-    )
-    verify_keys = {
-        int(i): VerifyKey(group=group, h=int(h))
-        for i, h in data["verify_keys"].items()
-    }
-    cert_quorum = QuorumCertScheme(
-        verify_keys=verify_keys, qualifier=quorum.is_quorum, tag="cert-quorum"
-    )
-    cert_honest = QuorumCertScheme(
-        verify_keys=verify_keys, qualifier=quorum.contains_honest, tag="cert-honest"
-    )
-    cert_strong = QuorumCertScheme(
-        verify_keys=verify_keys, qualifier=quorum.is_strong_quorum, tag="cert-strong"
-    )
     service_json = data["service_signature"]
     if service_json["kind"] == "rsa":
-        service: ShoupRsaScheme | QuorumCertScheme = ShoupRsaScheme(
+        rsa = ShoupRsaScheme(
             n_parties=int(service_json["n_parties"]),
             k=int(service_json["k"]),
             n_modulus=int(service_json["n_modulus"]),
@@ -243,26 +212,27 @@ def public_from_dict(data: dict) -> PublicKeys:
             v_keys=_int_map_back(service_json["v_keys"]),
         )
     elif service_json["kind"] == "certs":
-        service = QuorumCertScheme(
-            verify_keys=verify_keys,
-            qualifier=quorum.contains_honest,
-            tag=service_json["tag"],
-        )
+        rsa = None
     else:
         raise KeystoreError("unknown service signature kind")
-    return PublicKeys(
-        n=int(data["n"]),
-        group=group,
-        quorum=quorum,
-        access_scheme=scheme,
-        coin=coin,
-        encryption=encryption,
-        verify_keys=verify_keys,
-        cert_quorum=cert_quorum,
-        cert_honest=cert_honest,
-        cert_strong=cert_strong,
-        service_signature=service,
+    public = assemble_public_keys(
+        int(data["n"]),
+        group,
+        _quorum_from_json(data["quorum"]),
+        LsssScheme(formula=_formula_from_json(data["access_formula"]), modulus=group.q),
+        {int(i): VerifyKey(group=group, h=int(h)) for i, h in data["verify_keys"].items()},
+        _slot_map_back(data["coin_verification"]),
+        _slot_map_back(data["encryption"]["verification"]),
+        int(data["encryption"]["h"]),
+        rsa,
     )
+    # Both are functions of the rest of the file; one that disagrees was
+    # not written by public_to_dict.
+    if int(data["encryption"]["g_bar"]) != public.encryption.g_bar:
+        raise KeystoreError("second generator does not belong to the group")
+    if rsa is None and service_json["tag"] != public.service_signature.tag:
+        raise KeystoreError("unknown service signature tag")
+    return public
 
 
 # -- private bundles -------------------------------------------------------------
@@ -282,14 +252,8 @@ def party_to_dict(party: PartyKeys) -> dict:
         "version": _VERSION,
         "party": party.party,
         "signing_key": str(party.signing_key.x),
-        "coin_subshares": {
-            _slot_key(slot): str(value)
-            for slot, value in party.coin.subshares.items()
-        },
-        "decryption_subshares": {
-            _slot_key(slot): str(value)
-            for slot, value in party.decryption.subshares.items()
-        },
+        "coin_subshares": _slot_map(party.coin.subshares),
+        "decryption_subshares": _slot_map(party.decryption.subshares),
         "service_signer": service_json,
         "channel_keys": _channel_keys_to_json(party.channel_keys),
     }
@@ -314,61 +278,29 @@ def party_from_dict(data: dict, public: PublicKeys) -> PartyKeys:
     """Rebuild a server's secret bundle against a loaded public bundle."""
     if data.get("version") != _VERSION:
         raise KeystoreError(f"unsupported keystore version {data.get('version')!r}")
-    party = int(data["party"])
-    signing_key = SigningKey(group=public.group, x=int(data["signing_key"]))
-    coin = CoinShareholder(
-        party=party,
-        public=public.coin,
-        subshares={
-            _slot_from_key(k): int(v)
-            for k, v in data["coin_subshares"].items()
-        },
-    )
-    decryption = DecryptionShareholder(
-        party=party,
-        public=public.encryption,
-        subshares={
-            _slot_from_key(k): int(v)
-            for k, v in data["decryption_subshares"].items()
-        },
-    )
-    cert_quorum = QuorumCertShareholder(
-        party=party, public=public.cert_quorum, key=signing_key
-    )
-    cert_honest = QuorumCertShareholder(
-        party=party, public=public.cert_honest, key=signing_key
-    )
-    cert_strong = QuorumCertShareholder(
-        party=party, public=public.cert_strong, key=signing_key
-    )
     service_json = data["service_signer"]
     if service_json["kind"] == "rsa":
-        if not isinstance(public.service_signature, ShoupRsaScheme):
-            raise KeystoreError("party bundle is RSA but public bundle is not")
-        signer: ShoupRsaShareholder | QuorumCertShareholder = ShoupRsaShareholder(
+        rsa = ShoupRsaShareholder(
             party=int(service_json["party"]),
             public=public.service_signature,
             s=int(service_json["s"]),
         )
     elif service_json["kind"] == "certs":
-        if not isinstance(public.service_signature, QuorumCertScheme):
-            raise KeystoreError("party bundle is certs but public bundle is not")
-        signer = QuorumCertShareholder(
-            party=party, public=public.service_signature, key=signing_key
-        )
+        rsa = None
     else:
         raise KeystoreError("unknown service signer kind")
-    return PartyKeys(
-        party=party,
-        signing_key=signing_key,
-        coin=coin,
-        decryption=decryption,
-        cert_quorum=cert_quorum,
-        cert_honest=cert_honest,
-        cert_strong=cert_strong,
-        service_signer=signer,
-        channel_keys=_channel_keys_from_json(data.get("channel_keys")),
-    )
+    try:
+        return assemble_party_keys(
+            int(data["party"]),
+            public,
+            SigningKey(group=public.group, x=int(data["signing_key"])),
+            _slot_map_back(data["coin_subshares"]),
+            _slot_map_back(data["decryption_subshares"]),
+            _channel_keys_from_json(data.get("channel_keys")),
+            rsa,
+        )
+    except ValueError as exc:  # an RSA share for a certificate bundle, or the reverse
+        raise KeystoreError(str(exc)) from exc
 
 
 # -- client channel bundles --------------------------------------------------------
@@ -446,28 +378,23 @@ def write_deployment(keys: SystemKeys, directory: str | pathlib.Path) -> list[pa
     return written
 
 
+def _read_bundle(path: str | pathlib.Path, what: str) -> dict:
+    try:
+        return json.loads(pathlib.Path(path).read_text())
+    except (OSError, json.JSONDecodeError) as exc:
+        raise KeystoreError(f"cannot read {what} bundle: {exc}") from exc
+
+
 def load_public(path: str | pathlib.Path) -> PublicKeys:
     """Load the public bundle from ``public.json``."""
-    try:
-        data = json.loads(pathlib.Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise KeystoreError(f"cannot read public bundle: {exc}") from exc
-    return public_from_dict(data)
+    return public_from_dict(_read_bundle(path, "public"))
 
 
 def load_party(path: str | pathlib.Path, public: PublicKeys) -> PartyKeys:
     """Load one server's secret bundle from ``server-<i>.json``."""
-    try:
-        data = json.loads(pathlib.Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise KeystoreError(f"cannot read party bundle: {exc}") from exc
-    return party_from_dict(data, public)
+    return party_from_dict(_read_bundle(path, "party"), public)
 
 
 def load_client(path: str | pathlib.Path) -> tuple[int, dict[int, bytes]]:
     """Load a client's channel-key bundle from ``client-<id>.json``."""
-    try:
-        data = json.loads(pathlib.Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise KeystoreError(f"cannot read client bundle: {exc}") from exc
-    return client_from_dict(data)
+    return client_from_dict(_read_bundle(path, "client"))

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable
 
 from ..codec import register
@@ -35,13 +34,19 @@ from .groups import SchnorrGroup
 from .hashing import encode, hash_to_exponent, hash_to_group, mgf1, xor_bytes
 from .lsss import LsssScheme, SlotId
 from .schnorr import VerifiedMemo
-from .zkp import DleqProof, prove_dleq, verify_dleq, verify_dleq_shares
+from .shared_exponent import (
+    SharedExponentHolder,
+    SharedExponentPublic,
+    deal_shared_exponent,
+)
+from .zkp import DleqProof
 
 __all__ = [
     "Ciphertext",
     "DecryptionShare",
     "EncryptionPublic",
     "DecryptionShareholder",
+    "second_generator",
     "deal_encryption",
 ]
 
@@ -69,16 +74,22 @@ class DecryptionShare:
     proofs: dict[SlotId, DleqProof]
 
 
+def second_generator(group: SchnorrGroup) -> int:
+    """TDH2's ``ĝ``: hashed into the group, so nobody knows its dlog."""
+    return hash_to_group(group, "tdh2-gbar", "second generator")
+
+
+def _share_context(ct: Ciphertext) -> tuple:
+    return ("tdh2-share", ct.payload, ct.label)
+
+
 @dataclass(frozen=True)
-class EncryptionPublic:
+class EncryptionPublic(SharedExponentPublic):
     """Public key material: encrypt, check ciphertexts, verify shares,
     and combine shares from a qualified set."""
 
-    group: SchnorrGroup
-    scheme: LsssScheme
     h: int  # g^x, the service encryption key
     g_bar: int  # second generator ĝ (hashed, so its dlog is unknown)
-    verification: dict[SlotId, int]  # slot -> g^{x_slot}
 
     # -- encryption (client side) ---------------------------------------
 
@@ -112,33 +123,8 @@ class EncryptionPublic:
         )
         return expected == ct.e
 
-    def _share_items(
-        self, ct: Ciphertext, share: DecryptionShare
-    ) -> list[tuple[int, int, int, int, DleqProof, object]] | None:
-        """DLEQ batch items for one structurally well-formed share."""
-        expected_slots = set(self.scheme.slots_of_party(share.party))
-        if set(share.values) != expected_slots or set(share.proofs) != expected_slots:
-            return None
-        return [
-            (
-                self.group.g,
-                self.verification[slot],
-                ct.u,
-                share.values[slot],
-                share.proofs[slot],
-                ("tdh2-share", ct.payload, ct.label, slot),
-            )
-            for slot in sorted(expected_slots)
-        ]
-
     def verify_share(self, ct: Ciphertext, share: DecryptionShare) -> bool:
-        items = self._share_items(ct, share)
-        if items is None:
-            return False
-        return all(
-            verify_dleq(self.group, g, h1, u, h2, proof, context=ctx)
-            for g, h1, u, h2, proof, ctx in items
-        )
+        return self._share_valid(ct.u, _share_context(ct), share)
 
     def verify_shares(
         self,
@@ -148,22 +134,13 @@ class EncryptionPublic:
     ) -> dict[int, DecryptionShare]:
         """Batch-verify decryption shares; returns the valid ones by party.
 
-        The whole set's DLEQ proofs collapse into one simultaneous
-        multi-exponentiation; on batch failure each share is re-checked
-        individually to pinpoint culprits (verdict identical to
-        per-share :meth:`verify_share`, up to soundness error 2^-64 —
+        One multi-exponentiation for the whole set, per-share checks
+        only to pinpoint culprits (verdict identical to per-share
+        :meth:`verify_share`, up to soundness error 2^-64 —
         docs/PERFORMANCE.md).  Duplicate parties are rejected; a share
         the verifying party's ``memo`` vouches for costs no arithmetic.
         """
-        candidates: dict[int, tuple[DecryptionShare, list]] = {}
-        for share in shares:
-            if share.party in candidates:
-                continue
-            items = self._share_items(ct, share)
-            if items is None:
-                continue
-            candidates[share.party] = (share, items)
-        return verify_dleq_shares(self.group, candidates, memo)
+        return self._valid_shares(ct.u, _share_context(ct), shares, memo)
 
     # -- combination -------------------------------------------------------
 
@@ -171,31 +148,18 @@ class EncryptionPublic:
         """Recover the plaintext from a qualified set of valid shares."""
         if not self.check_ciphertext(ct):
             raise ValueError("invalid ciphertext")
-        lam = self.scheme.recombination(set(shares))
-        if lam is None:
+        h_r = self._recombine(shares)
+        if h_r is None:
             raise ValueError(f"parties {sorted(shares)} are not qualified to decrypt")
-        h_r = self.group.multiexp(
-            (shares[self.scheme.slot_owner(slot)].values[slot], coeff)
-            for slot, coeff in lam.items()
-        )
         mask = mgf1(encode(h_r), len(ct.payload), "tdh2-dem")
         return xor_bytes(ct.payload, mask)
 
 
 @dataclass(frozen=True)
-class DecryptionShareholder:
+class DecryptionShareholder(SharedExponentHolder):
     """A party's secret decryption key: its LSSS subshares of ``x``."""
 
-    party: int
     public: EncryptionPublic
-    subshares: dict[SlotId, int]
-
-    @cached_property
-    def _images(self) -> dict[SlotId, int]:
-        """``g^{x_slot}`` of the subshares actually held (never the public
-        bundle's: see :class:`~repro.crypto.coin.CoinShareholder`)."""
-        grp = self.public.group
-        return {slot: grp.power_of_g(x) for slot, x in self.subshares.items()}
 
     def decryption_share(
         self, ct: Ciphertext, rng: random.Random, memo: VerifiedMemo | None = None
@@ -209,15 +173,7 @@ class DecryptionShareholder:
         """
         if not self.public.check_ciphertext(ct):
             return None
-        grp = self.public.group
-        values: dict[SlotId, int] = {}
-        proofs: dict[SlotId, DleqProof] = {}
-        for slot, x_slot in self.subshares.items():
-            values[slot] = grp.exp_once(ct.u, x_slot)
-            proofs[slot] = prove_dleq(
-                grp, grp.g, ct.u, x_slot, rng, ("tdh2-share", ct.payload, ct.label, slot),
-                (self._images[slot], values[slot]), memo,
-            )
+        values, proofs = self._share(ct.u, _share_context(ct), rng, memo)
         return DecryptionShare(party=self.party, values=values, proofs=proofs)
 
 
@@ -227,24 +183,18 @@ def deal_encryption(
     rng: random.Random,
 ) -> tuple[EncryptionPublic, dict[int, DecryptionShareholder]]:
     """Trusted-dealer setup of the threshold cryptosystem."""
-    if scheme.modulus != group.q:
-        raise ValueError("LSSS must be over Z_q of the group")
-    x = group.random_exponent(rng)
-    sharing = scheme.deal(x, rng)
-    verification = {
-        slot: group.power_of_g(value) for slot, value in sharing.all_slots().items()
-    }
+    x, verification, shares = deal_shared_exponent(group, scheme, rng)
     public = EncryptionPublic(
         group=group,
         scheme=scheme,
         h=group.power_of_g(x),
-        g_bar=hash_to_group(group, "tdh2-gbar", "second generator"),
+        g_bar=second_generator(group),
         verification=verification,
     )
     holders = {
         party: DecryptionShareholder(
             party=party, public=public, subshares=dict(subshares)
         )
-        for party, subshares in sharing.shares.items()
+        for party, subshares in shares.items()
     }
     return public, holders

@@ -22,3 +22,10 @@ def release(holder, public, name, rng, memo, pending, group, candidates):
     public.verify_shares(name, [own, *pending], memo)  # line 22: a seeded memo gates nothing
     verify_dleq_shares(group, candidates, memo)  # line 23: valid set discarded
     return pending
+
+
+def open_coin(ctx, screen, enough, verify, name, sender, share):
+    screen.offer(sender, share)  # holds the share unverified: nothing to discard
+    screen.qualified_shares(enough, verify)  # line 29: the screen's answer discarded
+    offer_coin_share(ctx, screen, name, sender, share)  # line 30: likewise
+    return screen.pending

@@ -25,3 +25,10 @@ def release(holder, public, name, rng, memo, pending, group, candidates):
     own = holder.share_for(name, rng, memo)
     valid = public.verify_shares(name, [own, *pending], memo)
     return valid, verify_dleq_shares(group, candidates, memo)
+
+
+def open_coin(ctx, screen, enough, verify, name, sender, share):
+    screen.offer(sender, share)
+    if screen.qualified_shares(enough, verify) is None:
+        return offer_coin_share(ctx, screen, name, sender, share)
+    return screen.valid

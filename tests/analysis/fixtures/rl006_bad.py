@@ -24,3 +24,15 @@ class Replica:
     def on_deliver(self, ctx, sender, wire, raw_bytes):
         request = wire.loads(raw_bytes)
         self.state_machine.apply(request.operation)
+
+
+class Opener:
+    """Counts on a share it has only *offered* to a ShareScreen."""
+
+    def __init__(self, state_machine, screen):
+        self.state_machine = state_machine
+        self.screen = screen
+
+    def on_message(self, ctx, sender, message):
+        self.screen.offer(sender, message.share)  # held unverified: gates nothing
+        self.state_machine.apply(message.opened)

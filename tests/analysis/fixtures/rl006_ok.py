@@ -28,3 +28,19 @@ class Replica:
         if not ctx.quorum.is_quorum(request.supporters):
             return
         self.state_machine.apply(request.operation)
+
+
+class Opener:
+    """Acts only on the set the ShareScreen returns."""
+
+    def __init__(self, state_machine, screen, enough, check_batch):
+        self.state_machine = state_machine
+        self.screen = screen
+        self.enough = enough
+        self.check_batch = check_batch
+
+    def on_message(self, ctx, sender, message):
+        self.screen.offer(sender, message.share)
+        if self.screen.qualified_shares(self.enough, self.check_batch) is None:
+            return
+        self.state_machine.apply(message.opened)

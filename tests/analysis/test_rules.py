@@ -61,6 +61,8 @@ def test_rl002_fires_on_discarded_results():
         ("RL002", 17),  # verify_batch
         ("RL002", 22),  # verify_shares with the party's seeded memo
         ("RL002", 23),  # verify_dleq_shares
+        ("RL002", 29),  # ShareScreen.qualified_shares (offer on line 28 is not a gate)
+        ("RL002", 30),  # offer_coin_share
     ]
     assert "verify" in report.diagnostics[0].message
 
@@ -219,6 +221,28 @@ def test_rl006_catches_seeded_verify_removal_on_deliver_path():
     assert report.diagnostics, "removing the verify() gate must be caught"
     assert {d.rule for d in report.diagnostics} == {"RL006"}
     assert any("apply" in d.message for d in report.diagnostics)
+
+
+def test_rl006_only_the_screens_returned_set_gates():
+    # Offering a share to a ShareScreen is not a gate ...
+    bad = load("rl006_bad.py", "smr/rl006_bad.py")
+    report = lint_sources([bad], rules=rules_by_id(["RL006"]))
+    opened = bad.text[: bad.text.index("self.state_machine.apply(message.opened")].count("\n") + 1
+    assert opened in [line for _, line in locations(report)]
+    # ... asking it for the qualified set is (the clean fixture is clean
+    # above), and taking that question away is caught.
+    gated_text = load("rl006_ok.py", "smr/rl006_ok.py").text
+    gate = (
+        "        if self.screen.qualified_shares(self.enough, self.check_batch) is None:\n"
+        "            return\n"
+    )
+    assert gate in gated_text
+    stripped = SourceFile.from_source(
+        gated_text.replace(gate, ""), relpath="smr/rl006_ok.py"
+    )
+    report = lint_sources([stripped], rules=rules_by_id(["RL006"]))
+    assert [d.rule for d in report.diagnostics] == ["RL006"]
+    assert "Opener.on_message" in report.diagnostics[0].message
 
 
 def test_rl006_chain_names_the_functions_on_the_path():

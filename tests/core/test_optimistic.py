@@ -4,6 +4,7 @@ from helpers import ctx_for, make_network
 
 from repro.core.optimistic import (
     OptAck,
+    OptCommit,
     OptimisticAtomicBroadcast,
     OptOrder,
     opt_abc_session,
@@ -135,6 +136,36 @@ class TestFastPath:
         net.run(max_steps=100_000)
         delivered = {m for p in rts for m, _ in logs[p]}
         assert len(delivered) <= 1
+
+
+    def test_flood_of_unordered_shares_is_bounded_and_harmless(self, keys_4_1):
+        """One corrupted server naming 10,000 distinct (seq, digest)
+        statements nobody ordered: an honest replica remembers at most
+        one share per phase and sequence number within the horizon, and
+        the next honest request still commits on the fast path."""
+        from repro.core.optimistic import _SEQ_HORIZON
+
+        net, rts = make_network(keys_4_1, FifoScheduler(), seed=10, parties=[0, 1, 2])
+        net.attach(3, SilentNode())
+        session = opt_abc_session("flood")
+        logs, insts = _spawn(rts, session, watchdog_limit=10**9)
+        net.start()
+        junk = Signature(commit=1, response=1)
+        for k in range(1, 10_001):
+            for message in (OptAck(k, b"%d" % k, junk), OptCommit(k, b"x%d" % k, junk)):
+                rts[1].on_message(3, (session, message))
+        # The same sender again, other digests: its slots are taken.
+        rts[1].on_message(3, (session, OptAck(1, b"again", junk)))
+        held = insts[1].early
+        assert sum(len(bucket) for bucket in held.values()) == 2 * _SEQ_HORIZON
+        assert set(seq for _, seq in held) == set(range(1, _SEQ_HORIZON + 1))
+        assert not insts[1].screens  # none for a statement without an ORDER
+        insts[0].submit(ctx_for(rts[0], session), ("req", "after the flood"))
+        net.run(until=lambda: all(len(logs[p]) >= 1 for p in rts), max_steps=200_000)
+        assert all(logs[p] == [(("req", "after the flood"), "fast-seq-1")] for p in rts)
+        # The ORDER for seq 1 claimed the slot; the junk share on another
+        # digest went with it instead of staying behind.
+        assert all(seq != 1 for _, seq in insts[1].early)
 
 
 class TestFallback:

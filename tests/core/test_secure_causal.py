@@ -147,3 +147,50 @@ def test_junk_decryption_shares_ignored(keys_4_1):
         _submit(rts, session, p, ct)
     net.run(until=lambda: all(len(logs[p]) >= 1 for p in rts), max_steps=400_000)
     assert all(logs[p] == [b"payload"] for p in rts)
+
+
+def test_flood_of_shares_for_unknown_digests_is_bounded_and_harmless(keys_4_1):
+    """One corrupted server sending well-formed shares under 10,000
+    digests nobody a-delivered: an honest replica holds a bounded number
+    for that sender, and the next honest request is still s-delivered —
+    whatever else that sender has waiting."""
+    from repro.core.secure_causal import _EARLY_SHARE_LIMIT
+
+    net, rts = make_network(keys_4_1, seed=13, parties=[0, 1, 2])
+    net.attach(3, SilentNode())
+    session = sc_abc_session("flood")
+    logs = _spawn(rts, session)
+    net.start()
+    decoy = _encrypt(keys_4_1.public, b"decoy", b"L", seed=14)
+    share = keys_4_1.private[3].decryption.decryption_share(decoy, random.Random(15))
+    for k in range(10_000):
+        rts[0].on_message(3, (session, ScDecryptionShare(b"digest-%d" % k, share)))
+    inst = rts[0].instances[session]
+    assert {s: len(held) for s, held in inst.early.items()} == {3: _EARLY_SHARE_LIMIT}
+    assert not inst.opening  # no screen for a ciphertext nobody ordered
+    ct = _encrypt(keys_4_1.public, b"after the flood", b"L", seed=16)
+    for p in rts:
+        _submit(rts, session, p, ct)
+    net.run(until=lambda: all(len(logs[p]) >= 1 for p in rts), max_steps=400_000)
+    assert all(logs[p] == [b"after the flood"] for p in rts)
+    assert not inst.opening and len(inst.early[3]) == _EARLY_SHARE_LIMIT
+
+
+def test_share_that_overtakes_its_ciphertext_is_used(keys_4_1):
+    """Asynchrony may deliver a peer's decryption share before the
+    ciphertext a-delivers here; it waits and counts once it does."""
+    from repro.core.secure_causal import _digest
+
+    net, rts = make_network(keys_4_1, seed=17, parties=[0])
+    session = sc_abc_session("early")
+    logs = _spawn(rts, session)
+    inst, ctx = rts[0].instances[session], ctx_for(rts[0], session)
+    ct = _encrypt(keys_4_1.public, b"early bird", b"L", seed=18)
+    share = keys_4_1.private[2].decryption.decryption_share(ct, random.Random(19))
+    rts[0].on_message(2, (session, ScDecryptionShare(_digest(ct), share)))
+    assert logs[0] == [] and inst.early == {2: {_digest(ct): share}}
+    inst._on_a_deliver(ctx, ("ct", ct), 1)
+    assert inst.early == {2: {}} and logs[0] == []  # one share is not enough
+    own = keys_4_1.private[0].decryption.decryption_share(ct, random.Random(20))
+    rts[0].on_message(0, (session, ScDecryptionShare(_digest(ct), own)))
+    assert logs[0] == [b"early bird"]

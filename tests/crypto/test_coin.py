@@ -131,6 +131,32 @@ def test_many_bits_extraction(coin_5_2):
     assert public.combine_many_bits("bits", other, bits=63) == v63
 
 
+@pytest.mark.parametrize("bits", [0, -1, 65, 128])
+def test_a_coin_yields_at_most_64_bits(coin_5_2, bits):
+    """The value is one 64-bit hash: asking for more must not silently
+    return fewer unpredictable bits than asked."""
+    public, holders = coin_5_2
+    rng = random.Random(33)
+    shares = {i: holders[i].share_for("wide", rng) for i in (0, 1, 2)}
+    with pytest.raises(ValueError, match="1..64 bits"):
+        public.combine_many_bits("wide", shares, bits=bits)
+    assert public.combine_many_bits("wide", shares, bits=64) & 1 == public.combine(
+        "wide", shares
+    )
+
+
+def test_unqualified_set_is_one_error_for_bit_and_bits(coin_5_2):
+    public, holders = coin_5_2
+    rng = random.Random(34)
+    shares = {i: holders[i].share_for("few", rng) for i in (0, 1)}
+    for open_coin in (
+        lambda: public.combine("few", shares),
+        lambda: public.combine_many_bits("few", shares, bits=63),
+    ):
+        with pytest.raises(ValueError, match=r"parties \[0, 1\] are not qualified"):
+            open_coin()
+
+
 def test_dealer_rejects_mismatched_modulus():
     rng = random.Random(32)
     scheme = threshold_scheme(4, 1, GROUP.q + 2)

@@ -1,5 +1,7 @@
 """The trusted dealer: completeness and admissibility checks."""
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -14,6 +16,7 @@ from repro.adversary import (
 )
 from repro.crypto import deal_system, small_group
 from repro.crypto.dealer import CLIENT_BASE, deal_channel_keys
+from repro.crypto.keystore import party_to_dict, public_to_dict
 from repro.crypto.threshold_sig import QuorumCertScheme, ShoupRsaScheme
 
 
@@ -172,3 +175,28 @@ def test_no_clients_means_no_client_channels(keys_4_1):
     # Servers still get pairwise keys among themselves.
     for i in range(4):
         assert set(keys_4_1.private[i].channel_keys) == set(range(4)) - {i}
+
+
+@pytest.mark.parametrize(
+    "backend, pinned",
+    [
+        ({}, "062e8b418f07a35656d5d12147a915afceb4ae9b934d52c33fcead48f6f2cf4a"),
+        (
+            {"signature_backend": "rsa"},
+            "696d5751cb0c011d648fe92973632ee539e28913e113ebe3f63b3b8b24f1a759",
+        ),
+    ],
+    ids=["certs", "rsa"],
+)
+def test_dealt_system_is_pinned(backend, pinned):
+    """The dealer draws from its rng in a fixed order and the keystore
+    writes what it dealt: the same seed gives these bytes, taken before
+    the bundle assembler existed (PR 18's parent).  A change here re-keys
+    every seeded deployment, test and benchmark."""
+    keys = deal_system(4, random.Random(2001), t=1, clients=1, **backend)
+    document = {
+        "public": public_to_dict(keys.public),
+        "parties": [party_to_dict(keys.private[i]) for i in sorted(keys.private)],
+    }
+    canonical = json.dumps(document, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(canonical.encode()).hexdigest() == pinned

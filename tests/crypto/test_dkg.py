@@ -231,6 +231,59 @@ def test_dkg_keys_roundtrip_through_keystore(dkg_4):
     assert reloaded.coin.verify_share(party.coin.share_for("again", rng))
 
 
+def test_every_way_to_a_bundle_counts_to_the_same_sets(dkg_4):
+    """Dealt, DKG-built, and either reloaded from the keystore: one
+    assembler, so the same certificate tags and the same verdict on the
+    same signer sets (n = 4, t = 1: a quorum is 3, honest-containing 2,
+    strong 3)."""
+    from repro.crypto.dealer import deal_system
+
+    _, _, _, dkg_public, dkg_keys = dkg_4
+    dealt = deal_system(4, random.Random(40), t=1, group=GROUP)
+
+    def reloaded(public, keys):
+        again = public_from_dict(public_to_dict(public))
+        return again, {
+            p: party_from_dict(party_to_dict(keys[p]), again) for p in keys
+        }
+
+    bundles = [
+        (dealt.public, dealt.private),
+        (dkg_public, dkg_keys),
+        reloaded(dealt.public, dealt.private),
+        reloaded(dkg_public, dkg_keys),
+    ]
+    schemes = ("cert_quorum", "cert_honest", "cert_strong", "service_signature")
+    signers = ("cert_quorum", "cert_honest", "cert_strong", "service_signer")
+    verdicts = []
+    for public, keys in bundles:
+        rng, row = random.Random(41), {}
+        for scheme_name, signer_name in zip(schemes, signers):
+            scheme = getattr(public, scheme_name)
+            for signer_set in ((0,), (1, 2), (0, 1, 3), (0, 1, 2, 3)):
+                shares = {
+                    p: getattr(keys[p], signer_name).sign_share("stmt", rng)
+                    for p in signer_set
+                }
+                assert scheme.verify_shares("stmt", shares) == shares
+                try:
+                    certificate = scheme.combine("stmt", shares)
+                except ValueError:
+                    row[scheme.tag, signer_set] = False
+                else:
+                    row[scheme.tag, signer_set] = scheme.verify("stmt", certificate)
+        verdicts.append(row)
+    assert all(row == verdicts[0] for row in verdicts)
+    by_tag = {tag: [s for (t, s), ok in verdicts[0].items() if t == tag and ok]
+              for tag, _ in verdicts[0]}
+    assert by_tag == {
+        "cert-quorum": [(0, 1, 3), (0, 1, 2, 3)],
+        "cert-honest": [(1, 2), (0, 1, 3), (0, 1, 2, 3)],
+        "cert-strong": [(0, 1, 3), (0, 1, 2, 3)],
+        "service-signature": [(1, 2), (0, 1, 3), (0, 1, 2, 3)],
+    }
+
+
 # ===========================================================================
 # Complaints, defenses, expulsion, crash-tolerance
 # ===========================================================================

@@ -67,7 +67,7 @@ def test_coin_replayer_cannot_bias_the_coin(keys_4_1):
     for p, rt in rts.items():
         inst = rt.instances[session]
         for state in inst.rounds.values():
-            assert 3 not in state.coin_shares
+            assert 3 not in state.coin.valid
 
 
 def test_divergent_abc_proposer_keeps_total_order(keys_4_1):
