@@ -2,7 +2,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 
-.PHONY: lint test check baseline bench
+.PHONY: lint test check baseline bench sweep
 
 lint:
 	$(PYTHON) -m repro lint src/repro
@@ -13,6 +13,11 @@ test:
 # Regenerate the tracked benchmark results (docs/PERFORMANCE.md).
 bench:
 	$(PYTHON) -m repro bench --out BENCH_crypto.json
+
+# Re-take the tracked sweep results (docs/CHAOS.md, "Sweeps");
+# scripts/check.sh fails once its simulator runs stop matching them.
+sweep:
+	$(PYTHON) -m repro sweep --smoke --out SWEEP.json --markdown docs/SWEEP.md
 
 check:
 	./scripts/check.sh

@@ -17,10 +17,7 @@ from repro.apps.timestamping import (
     TimestampingService,
     verify_chain_segment,
 )
-from repro.core.protocol import Context
-from repro.core.runtime import ProtocolRuntime
 from repro.smr import build_service
-from repro.smr.replica import Replica, service_session
 
 
 def main() -> None:
@@ -41,16 +38,8 @@ def main() -> None:
     deployment.network.run(max_steps=400_000)
 
     # Phase 3: a fresh replica rejoins and runs state transfer.
-    runtime = ProtocolRuntime(
-        3, deployment.network, deployment.keys.public,
-        deployment.keys.private[3], seed=123,
-    )
-    fresh = Replica(TimestampingService())
-    runtime.spawn(service_session("service"), fresh)
-    deployment.network.recover(3, runtime)
-    fresh.begin_recovery(Context(runtime, service_session("service")))
+    fresh = deployment.rejoin(3, seed=123)
     deployment.network.run(max_steps=400_000)
-    deployment.replicas[3] = fresh
     print("server 3 recovered; chain length:",
           fresh.state_machine.sequence)
 

@@ -171,15 +171,34 @@ if [ "${1:-}" != "--fast" ]; then
         tail -40 /tmp/repro-sweep.log
         echo "sweep smoke: FAILED (a cell mismatched its expectation)"
         failures=$((failures + 1))
-    else
-        python - <<'EOF'
-import json
+    elif ! python - <<'EOF'
+import json, sys
 report = json.load(open("/tmp/repro-sweep.json"))
 totals = report["totals"]
 assert totals["runs"] >= 20, f"sweep smoke ran only {totals['runs']} cells"
+# A simulator run is a pure function of its scenario, so the tracked
+# artifact must be reproduced exactly (all but the bundle path, which
+# follows --repro-dir); the TCP cell's wall-clock numbers are not compared.
+def sim_runs(payload):
+    return {run["cell"]: {**run, "repro": None}
+            for run in payload["runs"] if run["backend"] == "sim"}
+fresh, tracked = sim_runs(report), sim_runs(json.load(open("SWEEP.json")))
+stale = sorted(cell for cell in fresh.keys() | tracked.keys()
+               if fresh.get(cell) != tracked.get(cell))
+for cell in stale:
+    print(f"sweep smoke: {cell} differs from the tracked SWEEP.json")
+    print(f"  tracked: {(tracked.get(cell) or {}).get('summary')}")
+    print(f"  fresh:   {(fresh.get(cell) or {}).get('summary')}")
+if stale:
+    sys.exit(1)
 print(f"sweep smoke: ok ({totals['runs']} runs: {totals['passed']} passed, "
-      f"{totals['expected_violations']} expected violation(s) fired)")
+      f"{totals['expected_violations']} expected violation(s) fired, "
+      f"{len(fresh)} simulator runs equal the tracked SWEEP.json)")
 EOF
+    then
+        echo "sweep smoke: FAILED (SWEEP.json is stale: if the message" \
+             "schedule moved on purpose, 'make sweep' and commit the result)"
+        failures=$((failures + 1))
     fi
 fi
 

@@ -51,7 +51,9 @@ import random
 import shutil
 import tempfile
 import time
-from dataclasses import dataclass, replace
+from collections.abc import Callable
+from dataclasses import MISSING, dataclass, fields, replace
+from typing import Any, get_args, get_origin, get_type_hints
 
 from ..core.atomic_broadcast import AbcProposal, batch_digest, proposal_statement
 from ..core.runtime import ProtocolRuntime
@@ -96,6 +98,8 @@ __all__ = [
     "parameterize_scenario",
     "plan_timeline",
     "corrupt_checkpoint",
+    "run_timeline",
+    "TcpCluster",
     "run_scenario",
     "replay_journal",
 ]
@@ -110,65 +114,139 @@ class ScenarioError(ValueError):
     """A declarative spec (scenario, fault plan, sweep grid) is malformed."""
 
 
-def _reject_unknown_keys(data: dict, allowed: set[str], what: str) -> None:
-    """Specs gate CI runs, so a typo must fail loudly instead of
-    silently running a different scenario than the one written."""
-    unknown = sorted(set(data) - allowed)
-    if unknown:
-        raise ScenarioError(
-            f"{what}: unknown key(s) {', '.join(unknown)} "
-            f"(allowed: {', '.join(sorted(allowed))})"
-        )
-
-
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise ScenarioError(message)
+
+
+def _check_shape(
+    what: str, n: int, t: int, byzantine: tuple[tuple[int, str], ...]
+) -> None:
+    """The cluster-shape rules a scenario and a sweep shape share."""
+    _require(n >= 1, f"{what}: n={n} must be at least 1")
+    _require(0 <= t < n, f"{what}: t={t} must satisfy 0 <= t < n={n}")
+    seen: set[int] = set()
+    for party, kind in byzantine:
+        _require(
+            0 <= party < n, f"{what}: byzantine party {party} outside 0..{n - 1}"
+        )
+        _require(
+            kind in BYZANTINE_KINDS,
+            f"{what}: unknown byzantine kind {kind!r} "
+            f"(expected one of {', '.join(BYZANTINE_KINDS)})",
+        )
+        _require(party not in seen, f"{what}: party {party} corrupted twice")
+        seen.add(party)
+
+
+def _plain(value: object) -> object:
+    """A spec field as plain JSON types (tuples become lists)."""
+    if isinstance(value, _Spec):
+        return value.to_json()
+    if isinstance(value, tuple):
+        return [_plain(item) for item in value]
+    return value
+
+
+def _coerce(hint: Any, value: Any) -> Any:
+    """``value`` (plain JSON) as the field type ``hint`` says; raises
+    TypeError/ValueError on a value of the wrong shape."""
+    args = get_args(hint)
+    if get_origin(hint) is tuple:
+        if args[-1] is Ellipsis:
+            return tuple(_coerce(args[0], item) for item in value)
+        items = tuple(value)
+        if len(items) != len(args):
+            raise ValueError(f"expected {len(args)} values, got {len(items)}")
+        return tuple(_coerce(arg, item) for arg, item in zip(args, items))
+    if args:  # ``int | None``
+        return None if value is None else _coerce(args[0], value)
+    if issubclass(hint, _Spec):
+        return hint.from_json(value)
+    return hint(value)
+
+
+class _Spec:
+    """Base of the declarative spec dataclasses: the dataclass field
+    list is the only statement of a spec's keys, types and defaults.
+    ``to_json`` renders it, ``from_json`` parses it back and then runs
+    the class's ``validate`` (:class:`ScenarioError` on the first rule
+    broken)."""
+
+    what = "spec"  # how error messages name the class
+
+    def to_json(self) -> dict:
+        return {f.name: _plain(getattr(self, f.name)) for f in fields(self)}
+
+    @classmethod
+    def from_json(cls, data: dict):
+        """Strict: specs gate CI runs, so a typo must fail loudly
+        instead of silently running a different scenario than the one
+        written."""
+        hints = get_type_hints(cls)
+        defaults = {f.name: f.default for f in fields(cls)}
+        try:
+            unknown = sorted(set(data) - set(defaults))
+            _require(
+                not unknown,
+                f"{cls.what}: unknown key(s) {', '.join(unknown)} "
+                f"(allowed: {', '.join(sorted(defaults))})",
+            )
+            for name, default in defaults.items():
+                _require(
+                    name in data or default is not MISSING,
+                    f"{cls.what}: missing {name}",
+                )
+            spec = cls(**{
+                name: _coerce(hints[name], value) for name, value in data.items()
+            })
+        except ScenarioError:
+            raise
+        except (TypeError, ValueError) as exc:
+            raise ScenarioError(f"{cls.what}: {exc!r}") from exc
+        spec.validate()
+        return spec
 
 
 # -- declarative fault plans --------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class PartitionSpec:
+class PartitionSpec(_Spec):
     """A bidirectional cut between ``group`` and everyone else, active
     on ``[start, stop)`` seconds after the run epoch, healing itself."""
+
+    what = "partition"
 
     start: float
     stop: float
     group: tuple[int, ...]
 
-    def to_json(self) -> dict:
-        return {"start": self.start, "stop": self.stop, "group": list(self.group)}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "PartitionSpec":
-        _reject_unknown_keys(data, {"start", "stop", "group"}, "partition")
-        try:
-            cut = cls(
-                start=float(data["start"]),
-                stop=float(data["stop"]),
-                group=tuple(int(p) for p in data["group"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ScenarioError(f"partition: {exc!r}") from exc
-        _require(cut.start >= 0.0, f"partition: negative start {cut.start}")
+    def validate(self) -> None:
+        _require(self.start >= 0.0, f"partition: negative start {self.start}")
         _require(
-            cut.stop > cut.start,
-            f"partition: stop {cut.stop} must be after start {cut.start}",
+            self.stop > self.start,
+            f"partition: stop {self.stop} must be after start {self.start}",
         )
-        _require(bool(cut.group), "partition: empty group cuts nothing")
-        return cut
+        _require(bool(self.group), "partition: empty group cuts nothing")
+
+    def cuts(self, sender: int, recipient: int, now: float) -> bool:
+        """Whether the link is severed ``now`` seconds into the run."""
+        return self.start <= now < self.stop and (
+            (sender in self.group) != (recipient in self.group)
+        )
 
 
 @dataclass(frozen=True)
-class FaultSpec:
+class FaultSpec(_Spec):
     """Probabilistic per-frame faults plus scheduled partitions.
 
     Rates are per data-frame write and cascade in the order reset →
     corrupt → duplicate → delay; ``hold_rate`` applies per payload
     *before* sequencing (the reorder mechanism).
     """
+
+    what = "faults"
 
     reset_rate: float = 0.0
     corrupt_rate: float = 0.0
@@ -179,56 +257,16 @@ class FaultSpec:
     max_hold: float = 0.2
     partitions: tuple[PartitionSpec, ...] = ()
 
-    def to_json(self) -> dict:
-        return {
-            "reset_rate": self.reset_rate,
-            "corrupt_rate": self.corrupt_rate,
-            "duplicate_rate": self.duplicate_rate,
-            "delay_rate": self.delay_rate,
-            "max_delay": self.max_delay,
-            "hold_rate": self.hold_rate,
-            "max_hold": self.max_hold,
-            "partitions": [cut.to_json() for cut in self.partitions],
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "FaultSpec":
-        _reject_unknown_keys(
-            data,
-            {
-                "reset_rate", "corrupt_rate", "duplicate_rate", "delay_rate",
-                "max_delay", "hold_rate", "max_hold", "partitions",
-            },
-            "faults",
-        )
-        try:
-            spec = cls(
-                reset_rate=float(data.get("reset_rate", 0.0)),
-                corrupt_rate=float(data.get("corrupt_rate", 0.0)),
-                duplicate_rate=float(data.get("duplicate_rate", 0.0)),
-                delay_rate=float(data.get("delay_rate", 0.0)),
-                max_delay=float(data.get("max_delay", 0.05)),
-                hold_rate=float(data.get("hold_rate", 0.0)),
-                max_hold=float(data.get("max_hold", 0.2)),
-                partitions=tuple(
-                    PartitionSpec.from_json(cut)
-                    for cut in data.get("partitions", ())
-                ),
-            )
-        except ScenarioError:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise ScenarioError(f"faults: {exc!r}") from exc
+    def validate(self) -> None:
         for name in ("reset_rate", "corrupt_rate", "duplicate_rate",
                      "delay_rate", "hold_rate"):
-            rate = getattr(spec, name)
+            rate = getattr(self, name)
             _require(
                 0.0 <= rate <= 1.0,
                 f"faults: {name}={rate} must be a probability in [0, 1]",
             )
-        _require(spec.max_delay >= 0.0, f"faults: negative max_delay {spec.max_delay}")
-        _require(spec.max_hold >= 0.0, f"faults: negative max_hold {spec.max_hold}")
-        return spec
+        _require(self.max_delay >= 0.0, f"faults: negative max_delay {self.max_delay}")
+        _require(self.max_hold >= 0.0, f"faults: negative max_hold {self.max_hold}")
 
 
 class SeededFaultPlan(FaultPlan):
@@ -281,12 +319,9 @@ class SeededFaultPlan(FaultPlan):
 
     def link_up(self, sender: int, recipient: int) -> bool:
         now = self._elapsed()
-        for cut in self.spec.partitions:
-            if cut.start <= now < cut.stop and (
-                (sender in cut.group) != (recipient in cut.group)
-            ):
-                return False
-        return True
+        return not any(
+            cut.cuts(sender, recipient, now) for cut in self.spec.partitions
+        )
 
     def frame_fault(self, sender: int, recipient: int) -> FrameFault:
         spec = self.spec
@@ -426,45 +461,35 @@ def byzantine_node(
 
 
 @dataclass(frozen=True)
-class LifecycleEvent:
+class LifecycleEvent(_Spec):
     """One scheduled process fault, ``at`` seconds after the run epoch."""
 
+    what = "event"
+
     at: float
-    action: str  # kill | restart | suspend | resume | corrupt-checkpoint
+    action: str  # one of LIFECYCLE_ACTIONS
     party: int
 
-    def to_json(self) -> dict:
-        return {"at": self.at, "action": self.action, "party": self.party}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "LifecycleEvent":
-        _reject_unknown_keys(data, {"at", "action", "party"}, "event")
-        try:
-            event = cls(
-                at=float(data["at"]),
-                action=str(data["action"]),
-                party=int(data["party"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ScenarioError(f"event: {exc!r}") from exc
-        _require(event.at >= 0.0, f"event: negative time {event.at}")
+    def validate(self) -> None:
+        _require(self.at >= 0.0, f"event: negative time {self.at}")
         _require(
-            event.action in LIFECYCLE_ACTIONS,
-            f"event: unknown action {event.action!r} "
+            self.action in LIFECYCLE_ACTIONS,
+            f"event: unknown action {self.action!r} "
             f"(expected one of {', '.join(LIFECYCLE_ACTIONS)})",
         )
-        _require(event.party >= 0, f"event: negative party {event.party}")
-        return event
+        _require(self.party >= 0, f"event: negative party {self.party}")
 
 
 @dataclass(frozen=True)
-class Scenario:
+class Scenario(_Spec):
     """A complete declarative chaos run.
 
     All times are seconds after the run epoch (the moment the fault
     plan is saved, before replicas spawn) — schedule the first activity
     late enough (builtins use >= 2s) for the cluster to come up.
     """
+
+    what = "scenario"
 
     name: str
     n: int = 4
@@ -495,94 +520,10 @@ class Scenario:
     # into a configuration the crashed replica has never seen.
     reconfigs: tuple[float, ...] = ()
 
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "n": self.n,
-            "t": self.t,
-            "seed": self.seed,
-            "ops": self.ops,
-            "faults": self.faults.to_json(),
-            "events": [event.to_json() for event in self.events],
-            "byzantine": [[party, kind] for party, kind in self.byzantine],
-            "io_timeout": self.io_timeout,
-            "op_timeout": self.op_timeout,
-            "liveness_bound": self.liveness_bound,
-            "liveness_probes": self.liveness_probes,
-            "checkpoint_every": self.checkpoint_every,
-            "workload_start": self.workload_start,
-            "op_concurrency": self.op_concurrency,
-            "abc_max_batch": self.abc_max_batch,
-            "abc_pipeline_depth": self.abc_pipeline_depth,
-            "reconfigs": list(self.reconfigs),
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "Scenario":
-        _reject_unknown_keys(
-            data,
-            {
-                "name", "n", "t", "seed", "ops", "faults", "events",
-                "byzantine", "io_timeout", "op_timeout", "liveness_bound",
-                "liveness_probes", "checkpoint_every", "workload_start",
-                "op_concurrency", "abc_max_batch", "abc_pipeline_depth",
-                "reconfigs",
-            },
-            "scenario",
-        )
-        _require("name" in data, "scenario: missing name")
-        try:
-            scenario = cls(
-                name=str(data["name"]),
-                n=int(data.get("n", 4)),
-                t=int(data.get("t", 1)),
-                seed=int(data.get("seed", 0)),
-                ops=int(data.get("ops", 6)),
-                faults=FaultSpec.from_json(data.get("faults", {})),
-                events=tuple(
-                    LifecycleEvent.from_json(event)
-                    for event in data.get("events", ())
-                ),
-                byzantine=tuple(
-                    (int(party), str(kind))
-                    for party, kind in data.get("byzantine", ())
-                ),
-                io_timeout=float(data.get("io_timeout", 45.0)),
-                op_timeout=float(data.get("op_timeout", 30.0)),
-                liveness_bound=float(data.get("liveness_bound", 20.0)),
-                liveness_probes=int(data.get("liveness_probes", 2)),
-                checkpoint_every=int(data.get("checkpoint_every", 2)),
-                workload_start=float(data.get("workload_start", 2.0)),
-                op_concurrency=int(data.get("op_concurrency", 1)),
-                abc_max_batch=(
-                    int(data["abc_max_batch"])
-                    if data.get("abc_max_batch") is not None
-                    else None
-                ),
-                abc_pipeline_depth=(
-                    int(data["abc_pipeline_depth"])
-                    if data.get("abc_pipeline_depth") is not None
-                    else None
-                ),
-                reconfigs=tuple(
-                    float(at) for at in data.get("reconfigs", ())
-                ),
-            )
-        except ScenarioError:
-            raise
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ScenarioError(f"scenario: {exc!r}") from exc
-        scenario.validate()
-        return scenario
-
     def validate(self) -> None:
         """Structural sanity for specs that reach the run/sweep layer;
         raises :class:`ScenarioError` on the first violation."""
-        _require(self.n >= 1, f"scenario: n={self.n} must be at least 1")
-        _require(
-            0 <= self.t < self.n,
-            f"scenario: t={self.t} must satisfy 0 <= t < n={self.n}",
-        )
+        _check_shape("scenario", self.n, self.t, self.byzantine)
         _require(self.ops >= 0, f"scenario: negative ops {self.ops}")
         _require(
             self.op_concurrency >= 1,
@@ -614,22 +555,6 @@ class Scenario:
                 value is None or value >= 1,
                 f"scenario: {knob}={value} must be >= 1",
             )
-        seen: set[int] = set()
-        for party, kind in self.byzantine:
-            _require(
-                0 <= party < self.n,
-                f"scenario: byzantine party {party} outside 0..{self.n - 1}",
-            )
-            _require(
-                kind in BYZANTINE_KINDS,
-                f"scenario: unknown byzantine kind {kind!r} "
-                f"(expected one of {', '.join(BYZANTINE_KINDS)})",
-            )
-            _require(
-                party not in seen,
-                f"scenario: party {party} corrupted twice",
-            )
-            seen.add(party)
         for event in self.events:
             _require(
                 0 <= event.party < self.n,
@@ -950,264 +875,308 @@ def corrupt_checkpoint(directory: str | pathlib.Path, party: int) -> bool:
 # -- running a scenario -------------------------------------------------------------
 
 
-async def _run_scenario(scenario: Scenario, workdir: pathlib.Path) -> dict:
-    byzantine = dict(scenario.byzantine)
-    honest = [p for p in range(scenario.n) if p not in byzantine]
-    deal_rng = random.Random(scenario.seed ^ 0xDEA1)
-    print(
-        f"chaos[{scenario.name}]: dealing keys for n={scenario.n}, "
-        f"t={scenario.t}, seed={scenario.seed}",
-        flush=True,
-    )
-    keys = deal_deployment(
-        workdir,
-        scenario.n,
-        scenario.t,
-        deal_rng,
-        io_timeout=scenario.io_timeout,
-        abc_max_batch=scenario.abc_max_batch,
-        abc_pipeline_depth=scenario.abc_pipeline_depth,
-    )
-    epoch = save_fault_plan(workdir, scenario.faults, scenario.seed)
+async def run_timeline(
+    scenario: Scenario, cluster: Any, echo: Callable[[dict], None] | None = None
+) -> dict:
+    """Interpret ``scenario`` on ``cluster``; returns the run report.
+
+    The one interpreter of a timeline: every entry is dispatched to a
+    verb of ``cluster`` (a kind the cluster cannot perform raises — it
+    is never skipped), then come the quiescent window, the liveness
+    probes and the checkers' verdicts.  A cluster supplies only what
+    differs between a backend of real processes (:class:`TcpCluster`)
+    and the simulator (:class:`repro.net.sweep.SimCluster`); the verb
+    table is in docs/CHAOS.md.  ``echo`` sees each event as it is noted.
+    """
     timeline = plan_timeline(scenario)
+    events: list[dict] = []
+    open_calls = 0
 
-    print(
-        f"chaos[{scenario.name}]: spawning {scenario.n} replicas "
-        f"(byzantine: {byzantine or 'none'})",
-        flush=True,
-    )
+    def note(kind: str, at: float | None = None, **observed: object) -> None:
+        event = {"kind": kind, **observed, "at_actual": round(cluster.clock(), 3)}
+        if at is not None:
+            event = {"at": at, **event}
+        events.append(event)
+        if echo is not None:
+            echo(event)
 
-    def spawn(parties: list[int], *flags: str):
-        """First boot and ``--recover`` restarts run the same replica."""
-        return spawn_replicas(
-            workdir, parties, *flags,
-            "--checkpoint-every", str(scenario.checkpoint_every),
-            byzantine=byzantine, journal=True,
-        )
+    def track(at: float, kind: str, answer: Callable, **fields: object) -> Callable:
+        """The completion callback of one client call: takes it out of
+        the window and notes it — ``latency`` is None when the cluster
+        gave up on it.  A workload call may legitimately stall while
+        faults are active; that is not a liveness verdict (probes in
+        the quiescent window are), and the safety checker only requires
+        *committed* operations to survive."""
+        nonlocal open_calls
+        open_calls += 1
+        started = cluster.clock()
 
-    replicas = await spawn(list(range(scenario.n)))
-    client = await attach_client(
-        workdir,
-        random.Random(scenario.seed + 99),
-        faults=SeededFaultPlan(scenario.faults, scenario.seed, epoch=epoch),
-    )
-    network = client.network
+        def done(reply: Any) -> None:
+            nonlocal open_calls
+            open_calls -= 1
+            if reply is None:
+                note(kind, at, **fields, latency=None)
+            else:
+                latency = round(cluster.clock() - started, 3)
+                note(kind, at, **fields, **answer(reply), latency=latency)
 
-    # Reconfigure(refresh) ops are signed with party 0's identity key;
-    # identity keys persist across epochs, so the dealt one covers
-    # every epoch the run steps through.
-    reconfig_signer = keys.private[0].signing_key
-    reconfig_rng = random.Random(scenario.seed ^ 0x5EC0)
-
-    loop = asyncio.get_running_loop()
-    # Convert the shared wall-clock epoch into this loop's clock so the
-    # orchestrator and every replica process agree on event times.
-    t0 = loop.time() - (time.time() - epoch)
-    events_log: list[dict] = []
-    restarted: list[int] = []
-
-    def note(entry: dict) -> None:
-        entry["at_actual"] = round(loop.time() - t0, 3)
-        events_log.append(entry)
-        pretty = {k: v for k, v in entry.items() if k not in ("at", "at_actual")}
-        print(
-            f"chaos[{scenario.name}] t={entry['at_actual']:>6.2f}: {pretty}",
-            flush=True,
-        )
-
-    async def run_op(entry: dict) -> None:
-        operation = tuple(entry["op"])
-        started = loop.time()
-        try:
-            completed = await client.call(
-                operation,
-                timeout=scenario.op_timeout,
-                attempt_timeout=2.0,
-            )
-            note(
-                {
-                    "kind": "op",
-                    "op": entry["op"],
-                    "nonce": completed.nonce,
-                    "latency": round(loop.time() - started, 3),
-                }
-            )
-        except asyncio.TimeoutError:
-            # A workload op may legitimately stall while faults
-            # are active; it is not a liveness verdict (probes
-            # in the quiescent window are) and the safety
-            # checker only requires *committed* ops to survive.
-            note({"kind": "op", "op": entry["op"], "latency": None})
-
-    async def run_reconfig() -> None:
-        # The replicas persist epoch.json atomically at every switch, and
-        # the orchestrator shares their working directory — reading it
-        # here targets the *cluster's* current epoch even when the client
-        # has not yet tripped over a tombstone and caught up.
-        target = max(load_epoch(workdir), client.epoch) + 1
-        operation = reconfig.reconfigure_operation(
-            "refresh", target, 0, reconfig_signer, reconfig_rng
-        )
-        started = loop.time()
-        try:
-            completed = await client.call(
-                operation,
-                timeout=scenario.op_timeout,
-                attempt_timeout=2.0,
-            )
-            note(
-                {
-                    "kind": "reconfig",
-                    "epoch": target,
-                    "result": list(completed.result),
-                    "latency": round(loop.time() - started, 3),
-                }
-            )
-        except asyncio.TimeoutError:
-            note({"kind": "reconfig", "epoch": target, "latency": None})
-
-    pending_ops: list[asyncio.Task] = []
+        return done
 
     try:
         for entry in timeline:
-            delay = t0 + entry["at"] - loop.time()
-            if delay > 0:
-                await asyncio.sleep(delay)
-            kind = entry["kind"]
-            party = entry.get("party")
+            at, kind = entry["at"], entry["kind"]
+            await cluster.advance_to(at)
             if kind == "op":
-                if scenario.op_concurrency > 1:
-                    # Open-loop dispatch: up to op_concurrency calls in
-                    # flight at once, so the replicas actually see
-                    # batched, pipelined load.  Each call self-terminates
-                    # via its own op_timeout, so the waits are bounded.
-                    pending_ops = [t for t in pending_ops if not t.done()]
-                    if len(pending_ops) >= scenario.op_concurrency:
-                        await asyncio.wait(  # repro: noqa-RL005 bounded by the timeout= kwarg; ops self-terminate via op_timeout
-                            pending_ops,
-                            timeout=scenario.op_timeout + 5.0,
-                            return_when=asyncio.FIRST_COMPLETED,
-                        )
-                        pending_ops = [t for t in pending_ops if not t.done()]
-                    pending_ops.append(loop.create_task(run_op(entry)))
-                else:
-                    await run_op(entry)
+                # At most op_concurrency calls in flight (1 = a closed
+                # loop), so the replicas see batched, pipelined load.
+                # Only a workload op waits for a slot; the timeline
+                # itself never waits on a call.
+                while open_calls >= scenario.op_concurrency:
+                    await cluster.next_reply()
+                await cluster.submit(
+                    tuple(entry["op"]),
+                    track(at, "op", lambda r: {"nonce": r.nonce}, op=entry["op"]),
+                )
             elif kind == "reconfig":
-                # Submitted open-loop: the interesting failure modes are
-                # kills landing *during* the resharing the op triggers,
-                # so later timeline entries must not wait on the call.
-                pending_ops = [t for t in pending_ops if not t.done()]
-                pending_ops.append(loop.create_task(run_reconfig()))
+                # Not held back by the window: the interesting failures
+                # are kills landing *during* the resharing it triggers.
+                epoch, operation = await cluster.reconfigure()
+                await cluster.submit(
+                    operation,
+                    track(
+                        at, "reconfig", lambda r: {"result": list(r.result)},
+                        epoch=epoch,
+                    ),
+                )
             elif kind == "partition":
-                note(
-                    {
-                        "kind": "partition",
-                        "group": entry["group"],
-                        "heal_at": entry["stop"],
-                    }
-                )
-            elif kind == "kill":
-                await replicas[party].kill()
-                note({"kind": "kill", "party": party})
-            elif kind == "suspend":
-                replicas[party].suspend()
-                note({"kind": "suspend", "party": party})
-            elif kind == "resume":
-                replicas[party].resume()
-                note({"kind": "resume", "party": party})
-            elif kind == "corrupt-checkpoint":
-                corrupted = corrupt_checkpoint(workdir, party)
-                note(
-                    {
-                        "kind": "corrupt-checkpoint",
-                        "party": party,
-                        "corrupted": corrupted,
-                    }
-                )
-            elif kind == "restart":
-                replicas.update(await spawn([party], "--recover"))
-                status = await replicas[party].wait_for_line("replica-checkpoint")
-                if party not in byzantine:
-                    restarted.append(party)
-                note({"kind": "restart", "party": party, "checkpoint": status})
-
-        if pending_ops:
-            # Drain outstanding workload calls before judging liveness;
-            # bounded because each call enforces op_timeout internally.
-            await asyncio.wait(  # repro: noqa-RL005 bounded by the timeout= kwarg; ops self-terminate via op_timeout
-                pending_ops, timeout=scenario.op_timeout + 5.0
-            )
-            pending_ops = [t for t in pending_ops if not t.done()]
+                # Realized by the cluster's fault plan as its clock moves.
+                note(kind, at, group=entry["group"], heal_at=entry["stop"])
+            elif kind in LIFECYCLE_ACTIONS:
+                verb = getattr(cluster, kind.replace("-", "_"))
+                observed = await verb(entry["party"])
+                note(kind, at, party=entry["party"], **(observed or {}))
+            else:
+                raise ScenarioError(f"unknown timeline kind {kind!r}")
 
         # -- quiescent window: every partition healed, no pending fault --
         heal_at = max(
             (cut.stop for cut in scenario.faults.partitions), default=0.0
         )
-        settle = t0 + heal_at + 1.0 - loop.time()
-        if settle > 0:
-            await asyncio.sleep(settle)
-        for party in restarted:
-            await replicas[party].wait_for_line("replica-recovered")
-        note({"kind": "quiescent"})
+        await cluster.advance_to(heal_at + 1.0)
+        await cluster.settle()
+        while open_calls:
+            await cluster.next_reply()
+        note("quiescent")
 
         probes: list[dict] = []
         for i in range(scenario.liveness_probes):
             operation = ("set", f"probe-{i}", i)
-            started = loop.time()
-            try:
-                await client.call(
-                    operation,
-                    timeout=scenario.liveness_bound,
-                    attempt_timeout=2.0,
-                )
-                latency: float | None = round(loop.time() - started, 3)
-            except asyncio.TimeoutError:
-                latency = None
+            started = cluster.clock()
+            answered = await cluster.probe(operation)
+            latency = round(cluster.clock() - started, 3) if answered else None
             probes.append({"op": list(operation), "latency": latency})
-            note({"kind": "probe", "op": list(operation), "latency": latency})
-
-        committed = [
-            JournalEntry(
-                client=client.client_id,
-                nonce=nonce,
-                op=client.operation(nonce),
-            )
-            for nonce in sorted(client.completed)
-        ]
-
-        print(f"chaos[{scenario.name}]: stopping the cluster", flush=True)
-        for party in sorted(replicas):
-            await replicas[party].stop()
+            note("probe", op=list(operation), latency=latency)
     finally:
-        for task in pending_ops:
-            task.cancel()
-        for process in replicas.values():
-            await process.kill()
-        await network.close()
+        await cluster.close()
 
-    journals = read_journals(workdir, honest)
+    client = cluster.client
+    committed = [
+        JournalEntry(
+            client=client.client_id, nonce=nonce, op=tuple(client.operation(nonce))
+        )
+        for nonce in sorted(client.completed)
+    ]
+    journals = cluster.journals()
     safety = check_safety(journals, committed)
-    liveness = check_liveness(probes, scenario.liveness_bound)
-    counters = {
-        name: value
-        for name, value in sorted(network.trace.counters.items())
-        if name.startswith(("chaos.", "transport."))
-    }
+    liveness = check_liveness(probes, cluster.liveness_bound)
     return {
         "scenario": scenario.to_json(),
+        "backend": cluster.backend,
+        "latency_unit": cluster.latency_unit,
         "timeline": timeline,
-        "events": events_log,
+        "events": events,
         "journal_lengths": {
-            str(party): len(entries) for party, entries in journals.items()
+            str(party): len(journals[party]) for party in sorted(journals)
         },
         "committed": len(committed),
         "resubmissions": client.resubmissions,
         "duplicate_replies": client.duplicate_replies,
-        "client_counters": counters,
+        "client_counters": {
+            name: value
+            for name, value in sorted(client.network.trace.counters.items())
+            if name.startswith(("chaos.", "transport."))
+        },
         "safety": safety.to_json(),
         "liveness": liveness.to_json(),
         "ok": safety.ok and liveness.ok,
     }
+
+
+class TcpCluster:
+    """``run_timeline``'s cluster of replica subprocesses over TCP:
+    the wall clock, signals, checkpoint files, ``exec-*.jsonl``
+    journals."""
+
+    backend = "tcp"
+    latency_unit = "seconds"
+
+    def __init__(self, scenario, workdir, epoch, signer, replicas, client) -> None:
+        self.scenario = scenario
+        self.workdir = workdir
+        self.replicas = replicas
+        self.client = client
+        self.liveness_bound = scenario.liveness_bound
+        self.byzantine = dict(scenario.byzantine)
+        # Reconfigure(refresh) ops are signed with party 0's identity
+        # key; identity keys persist across epochs, so the dealt one
+        # covers every epoch the run steps through.
+        self.signer = signer
+        self.reconfig_rng = random.Random(scenario.seed ^ 0x5EC0)
+        self.loop = asyncio.get_running_loop()
+        # The shared wall-clock epoch in this loop's clock, so the
+        # orchestrator and every replica process agree on event times.
+        self.t0 = self.loop.time() - (time.time() - epoch)
+        self.calls: set[asyncio.Task] = set()
+        self.restarted: list[int] = []
+
+    @classmethod
+    async def boot(cls, scenario: Scenario, workdir: pathlib.Path) -> "TcpCluster":
+        """Deal keys, save the fault plan, spawn every replica and
+        attach the client."""
+        name, byzantine = scenario.name, dict(scenario.byzantine)
+        print(
+            f"chaos[{name}]: dealing keys for n={scenario.n}, "
+            f"t={scenario.t}, seed={scenario.seed}",
+            flush=True,
+        )
+        keys = deal_deployment(
+            workdir, scenario.n, scenario.t, random.Random(scenario.seed ^ 0xDEA1),
+            io_timeout=scenario.io_timeout,
+            abc_max_batch=scenario.abc_max_batch,
+            abc_pipeline_depth=scenario.abc_pipeline_depth,
+        )
+        epoch = save_fault_plan(workdir, scenario.faults, scenario.seed)
+        print(
+            f"chaos[{name}]: spawning {scenario.n} replicas "
+            f"(byzantine: {byzantine or 'none'})",
+            flush=True,
+        )
+        replicas = await _spawn(scenario, workdir, range(scenario.n))
+        try:
+            client = await attach_client(
+                workdir,
+                random.Random(scenario.seed + 99),
+                faults=SeededFaultPlan(scenario.faults, scenario.seed, epoch=epoch),
+            )
+        except BaseException:
+            for replica in replicas.values():
+                await replica.kill()
+            raise
+        return cls(
+            scenario, workdir, epoch, keys.private[0].signing_key, replicas, client
+        )
+
+    def clock(self) -> float:
+        return self.loop.time() - self.t0
+
+    async def advance_to(self, at: float) -> None:
+        delay = at - self.clock()
+        if delay > 0:
+            await asyncio.sleep(delay)
+
+    async def kill(self, party: int) -> None:
+        await self.replicas[party].kill()
+
+    async def suspend(self, party: int) -> None:
+        self.replicas[party].suspend()
+
+    async def resume(self, party: int) -> None:
+        self.replicas[party].resume()
+
+    async def corrupt_checkpoint(self, party: int) -> dict:
+        return {"corrupted": corrupt_checkpoint(self.workdir, party)}
+
+    async def restart(self, party: int) -> dict:
+        self.replicas.update(
+            await _spawn(self.scenario, self.workdir, [party], "--recover")
+        )
+        status = await self.replicas[party].wait_for_line("replica-checkpoint")
+        if party not in self.byzantine:
+            self.restarted.append(party)
+        return {"checkpoint": status}
+
+    async def reconfigure(self) -> tuple[int, tuple]:
+        # The replicas persist epoch.json atomically at every switch, and
+        # the orchestrator shares their working directory — reading it
+        # here targets the *cluster's* current epoch even when the client
+        # has not yet tripped over a tombstone and caught up.
+        target = max(load_epoch(self.workdir), self.client.epoch) + 1
+        return target, reconfig.reconfigure_operation(
+            "refresh", target, 0, self.signer, self.reconfig_rng
+        )
+
+    async def submit(self, operation: tuple, done: Callable) -> None:
+        self.calls.add(self.loop.create_task(self._call(operation, done)))
+
+    async def _call(self, operation: tuple, done: Callable) -> None:
+        try:
+            reply = await self.client.call(
+                operation, timeout=self.scenario.op_timeout, attempt_timeout=2.0
+            )
+        except asyncio.TimeoutError:
+            reply = None
+        done(reply)
+
+    async def next_reply(self) -> None:
+        """Until a call in flight has finished; each ends by its own
+        ``op_timeout``, and one that died of anything else fails the run."""
+        finished, self.calls = await asyncio.wait(  # repro: noqa-RL005 bounded by the timeout= kwarg; calls self-terminate via op_timeout
+            self.calls,
+            timeout=self.scenario.op_timeout + 5.0,
+            return_when=asyncio.FIRST_COMPLETED,
+        )
+        for task in finished:
+            task.result()
+
+    async def settle(self) -> None:
+        for party in self.restarted:
+            await self.replicas[party].wait_for_line("replica-recovered")
+
+    async def probe(self, operation: tuple) -> bool:
+        try:
+            await self.client.call(
+                operation, timeout=self.liveness_bound, attempt_timeout=2.0
+            )
+        except asyncio.TimeoutError:
+            return False
+        return True
+
+    async def close(self) -> None:
+        for task in self.calls:
+            task.cancel()
+        print(f"chaos[{self.scenario.name}]: stopping the cluster", flush=True)
+        try:
+            for party in sorted(self.replicas):
+                await self.replicas[party].stop()
+        finally:
+            for replica in self.replicas.values():
+                await replica.kill()
+            await self.client.network.close()
+
+    def journals(self) -> dict[int, list[JournalEntry]]:
+        return read_journals(
+            self.workdir,
+            [p for p in range(self.scenario.n) if p not in self.byzantine],
+        )
+
+
+def _spawn(scenario: Scenario, workdir: pathlib.Path, parties, *flags: str):
+    """First boot and ``--recover`` restarts run the same replica."""
+    return spawn_replicas(
+        workdir, parties, *flags,
+        "--checkpoint-every", str(scenario.checkpoint_every),
+        byzantine=dict(scenario.byzantine), journal=True,
+    )
 
 
 def resolve_scenario(name_or_path: str, seed: int | None = None) -> Scenario:
@@ -1273,7 +1242,18 @@ def run_scenario(
     workdir = pathlib.Path(directory or tempfile.mkdtemp(prefix="repro-chaos-"))
     workdir.mkdir(parents=True, exist_ok=True)
     try:
-        report = asyncio.run(_run_scenario(scenario, workdir))
+        def echo(event: dict) -> None:
+            seen = {k: v for k, v in event.items() if k not in ("at", "at_actual")}
+            print(
+                f"chaos[{scenario.name}] t={event['at_actual']:>6.2f}: {seen}",
+                flush=True,
+            )
+
+        async def run() -> dict:
+            cluster = await TcpCluster.boot(scenario, workdir)
+            return await run_timeline(scenario, cluster, echo)
+
+        report = asyncio.run(run())
         text = json.dumps(report, indent=1)
         (workdir / DEFAULT_JOURNAL).write_text(text)
         if journal_out is not None:

@@ -47,6 +47,7 @@ machinery is exercised by the TCP subset.
 
 from __future__ import annotations
 
+import asyncio
 import concurrent.futures
 import json
 import os
@@ -54,34 +55,27 @@ import pathlib
 import subprocess
 import sys
 import tempfile
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, replace
 
 from ..core.atomic_broadcast import AbcConfig
-from ..core.protocol import Context
-from ..core.runtime import ProtocolRuntime
-from ..smr.replica import Replica, service_session
 from ..smr.service import build_service
 from ..smr.state_machine import KeyValueStore
 from .chaos import (
-    BYZANTINE_KINDS,
     FAULT_TEMPLATES,
     LATENCY_TEMPLATES,
     LOAD_TEMPLATES,
     Scenario,
     ScenarioError,
-    _reject_unknown_keys,
+    _check_shape,
     _require,
+    _Spec,
     byzantine_node,
     parameterize_scenario,
     plan_timeline,
+    run_timeline,
 )
-from .checkers import (
-    JournalEntry,
-    check_liveness,
-    check_safety,
-    summarize_run,
-    violation_kinds,
-)
+from .checkers import JournalEntry, summarize_run, violation_kinds
 from .scheduler import Scheduler
 from .simulator import Envelope, LivenessError
 
@@ -91,6 +85,7 @@ __all__ = [
     "SweepSpec",
     "SweepCell",
     "SweepScheduler",
+    "SimCluster",
     "expand_cells",
     "run_scenario_sim",
     "run_sweep",
@@ -106,12 +101,18 @@ EXPECTATIONS = ("pass", "violation")
 # has no wall clock; steps are its only notion of "too long").
 PROBE_STEP_BOUND = 150_000
 
+# Why the simulator refuses a scenario's ``reconfigs``.
+NO_RESHARING = (
+    "scenario: the simulator backend cannot reconfigure — resharing runs "
+    "only in the TCP host until the ROADMAP's EpochMachine item lands"
+)
+
 
 # -- the grid spec ------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class ShapeSpec:
+class ShapeSpec(_Spec):
     """One cluster shape: size, threshold, and the corrupted coalition.
 
     ``expect`` states the verdict the oracles must reach for every cell
@@ -119,6 +120,8 @@ class ShapeSpec:
     ``"violation"`` for deliberately inadmissible ones (coalition
     exceeding ``t``) whose failure *proves the checkers can fire*.
     """
+
+    what = "shape"
 
     n: int = 4
     t: int = 1
@@ -136,56 +139,17 @@ class ShapeSpec:
                 tag += f"+{len(self.byzantine)}({'+'.join(kinds)})"
         return tag
 
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "t": self.t,
-            "byzantine": [[party, kind] for party, kind in self.byzantine],
-            "expect": self.expect,
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "ShapeSpec":
-        _reject_unknown_keys(data, {"n", "t", "byzantine", "expect"}, "shape")
-        try:
-            shape = cls(
-                n=int(data.get("n", 4)),
-                t=int(data.get("t", 1)),
-                byzantine=tuple(
-                    (int(party), str(kind))
-                    for party, kind in data.get("byzantine", ())
-                ),
-                expect=str(data.get("expect", "pass")),
-            )
-        except (TypeError, ValueError) as exc:
-            raise ScenarioError(f"shape: {exc!r}") from exc
-        shape.validate()
-        return shape
-
     def validate(self) -> None:
-        _require(self.n >= 1, f"shape: n={self.n} must be at least 1")
-        _require(
-            0 <= self.t < self.n,
-            f"shape: t={self.t} must satisfy 0 <= t < n={self.n}",
-        )
+        _check_shape("shape", self.n, self.t, self.byzantine)
         _require(
             self.expect in EXPECTATIONS,
             f"shape: expect={self.expect!r} must be one of "
             f"{', '.join(EXPECTATIONS)}",
         )
-        for party, kind in self.byzantine:
-            _require(
-                0 <= party < self.n,
-                f"shape: byzantine party {party} outside 0..{self.n - 1}",
-            )
-            _require(
-                kind in BYZANTINE_KINDS,
-                f"shape: unknown byzantine kind {kind!r}",
-            )
 
 
 @dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(_Spec):
     """A declarative campaign: the grid axes and the TCP sample size.
 
     Shapes with ``expect="pass"`` expand to the full cartesian product
@@ -196,6 +160,8 @@ class SweepSpec:
     nothing.
     """
 
+    what = "sweep"
+
     name: str
     shapes: tuple[ShapeSpec, ...]
     faults: tuple[str, ...] = ("clean",)
@@ -204,51 +170,8 @@ class SweepSpec:
     seeds: tuple[int, ...] = (1,)
     tcp_cells: int = 0
 
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "shapes": [shape.to_json() for shape in self.shapes],
-            "faults": list(self.faults),
-            "latencies": list(self.latencies),
-            "loads": list(self.loads),
-            "seeds": list(self.seeds),
-            "tcp_cells": self.tcp_cells,
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "SweepSpec":
-        _reject_unknown_keys(
-            data,
-            {
-                "name", "shapes", "faults", "latencies", "loads", "seeds",
-                "tcp_cells",
-            },
-            "sweep",
-        )
-        _require("name" in data, "sweep: missing name")
-        _require(bool(data.get("shapes")), "sweep: at least one shape required")
-        try:
-            spec = cls(
-                name=str(data["name"]),
-                shapes=tuple(
-                    ShapeSpec.from_json(shape) for shape in data["shapes"]
-                ),
-                faults=tuple(str(f) for f in data.get("faults", ("clean",))),
-                latencies=tuple(
-                    str(d) for d in data.get("latencies", ("none",))
-                ),
-                loads=tuple(str(w) for w in data.get("loads", ("serial",))),
-                seeds=tuple(int(s) for s in data.get("seeds", (1,))),
-                tcp_cells=int(data.get("tcp_cells", 0)),
-            )
-        except ScenarioError:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise ScenarioError(f"sweep: {exc!r}") from exc
-        spec.validate()
-        return spec
-
     def validate(self) -> None:
+        _require(bool(self.shapes), "sweep: at least one shape required")
         for axis, values, known in (
             ("faults", self.faults, FAULT_TEMPLATES),
             ("latencies", self.latencies, LATENCY_TEMPLATES),
@@ -370,11 +293,8 @@ class SweepScheduler(Scheduler):
     def __init__(self, scenario: Scenario) -> None:
         self.now = 0.0
         self.suspended: set[int] = set()
-        self.cuts = [
-            (cut.start, cut.stop, frozenset(cut.group))
-            for cut in scenario.faults.partitions
-        ]
         faults = scenario.faults
+        self.cuts = faults.partitions
         self.reorder = min(
             0.9,
             faults.reset_rate + faults.corrupt_rate + faults.duplicate_rate
@@ -382,15 +302,11 @@ class SweepScheduler(Scheduler):
         )
 
     def _blocked(self, envelope: Envelope) -> bool:
-        if (
-            envelope.sender in self.suspended
-            or envelope.recipient in self.suspended
-        ):
+        sender, recipient = envelope.sender, envelope.recipient
+        if sender in self.suspended or recipient in self.suspended:
             return True
-        for start, stop, group in self.cuts:
-            if start <= self.now < stop and (
-                (envelope.sender in group) != (envelope.recipient in group)
-            ):
+        for cut in self.cuts:  # a plain loop: this runs per pending envelope
+            if cut.cuts(sender, recipient, self.now):
                 return True
         return False
 
@@ -408,226 +324,150 @@ class SweepScheduler(Scheduler):
         return allowed[rng.randrange(len(allowed))]
 
 
+class SimCluster:
+    """``run_timeline``'s cluster on the in-process simulator: the
+    clock counts delivery steps, a crash is ``network.crash`` and a
+    fresh replica's rejoin, journals are ``on_execute`` hooks.  Nothing
+    here suspends — the verbs are coroutines only because the one
+    interpreter also drives real processes — and the network moves only
+    inside ``advance_to``, ``next_reply``, ``settle`` and ``probe``."""
+
+    backend = "sim"
+    latency_unit = "steps"
+    liveness_bound = float(PROBE_STEP_BOUND)
+
+    def __init__(self, scenario: Scenario) -> None:
+        self.scenario = scenario
+        self.scheduler = SweepScheduler(scenario)
+        abc_config = None
+        if scenario.abc_max_batch or scenario.abc_pipeline_depth:
+            abc_config = AbcConfig(
+                max_batch=scenario.abc_max_batch or 64,
+                pipeline_depth=scenario.abc_pipeline_depth or 1,
+            )
+        self.dep = dep = build_service(
+            scenario.n, KeyValueStore, t=scenario.t, seed=scenario.seed,
+            scheduler=self.scheduler, abc_config=abc_config,
+        )
+        self.network = dep.network
+        self.byzantine = dict(scenario.byzantine)
+        self.journal: dict[int, list[JournalEntry]] = {}
+        for party in range(scenario.n):
+            if party not in self.byzantine:
+                self._observe(party)
+        for party, kind in scenario.byzantine:
+            node, _runtime, _replica = byzantine_node(
+                kind, dep.network, party, dep.keys.public, dep.keys.private[party],
+                seed=scenario.seed,
+            )
+            # unchecked: violation shapes deliberately exceed the structure.
+            dep.controller.corrupt(dep.network, party, node, unchecked=True)
+        self.client = dep.new_client()
+        self.open: dict[int, Callable] = {}  # nonce -> completion callback
+        self.network.start()
+
+    def _observe(self, party: int) -> None:
+        """Journal what ``party``'s current replica executes, from empty."""
+        entries = self.journal[party] = []
+
+        def hook(request, result, rnd: int) -> None:
+            entries.append(
+                JournalEntry(
+                    request.client, request.nonce, tuple(request.operation), rnd
+                )
+            )
+
+        self.dep.replicas[party].on_execute = hook
+
+    def _run(self, max_steps: int, until: Callable | None = None) -> bool:
+        """Deliver up to ``max_steps`` messages, or until ``until`` holds
+        (False if it never did), then answer the calls that completed:
+        a call's latency is read when the run stops."""
+        try:
+            self.network.run(max_steps=max_steps, until=until)
+            reached = True
+        except LivenessError:
+            reached = False
+        for nonce in [n for n in self.open if n in self.client.completed]:
+            self.open.pop(nonce)(self.client.completed[nonce])
+        return reached
+
+    def clock(self) -> float:
+        return float(self.network.delivered_count)
+
+    async def advance_to(self, at: float) -> None:
+        """The cluster acts for the scenario time that passes — 4000
+        steps a second, at least 2000 — under the cuts in force before."""
+        self._run(max(2000, int((at - self.scheduler.now) * 4000)))
+        self.scheduler.now = max(at, self.scheduler.now)
+
+    async def kill(self, party: int) -> None:
+        self.network.crash(party)
+
+    async def restart(self, party: int) -> None:
+        # The journal restarts empty and is rebuilt by the replay
+        # (on_execute fires on replays too).
+        self.dep.rejoin(party, seed=self.scenario.seed + 7)
+        if party not in self.byzantine:
+            self._observe(party)
+
+    async def suspend(self, party: int) -> None:
+        self.scheduler.suspended.add(party)
+
+    async def resume(self, party: int) -> None:
+        self.scheduler.suspended.discard(party)
+
+    async def corrupt_checkpoint(self, party: int) -> dict:
+        # No checkpoint files in the simulator; recovery always replays
+        # from peers, which is the checkpoint-rejection fallback path by
+        # construction.
+        return {"corrupted": False}
+
+    async def reconfigure(self) -> tuple[int, tuple]:
+        raise ScenarioError(NO_RESHARING)
+
+    async def submit(self, operation: tuple, done: Callable) -> None:
+        self.open[self.client.submit(operation)] = done
+
+    async def next_reply(self) -> None:
+        """Until a call in flight is answered; one the network cannot
+        answer in ``op_timeout`` of steps is given up on, oldest first."""
+        completed = self.client.completed
+        if not self._run(
+            int(self.scenario.op_timeout * 4000),
+            lambda: any(nonce in completed for nonce in self.open),
+        ):
+            self.open.pop(min(self.open))(None)
+
+    async def settle(self) -> None:
+        """Nothing is held back any more: run to quiescence, so healed
+        traffic has drained and rejoined replicas have replayed."""
+        self.scheduler.suspended.clear()
+        self._run(300_000)
+
+    async def probe(self, operation: tuple) -> bool:
+        nonce = self.client.submit(operation)
+        return self._run(PROBE_STEP_BOUND, lambda: nonce in self.client.completed)
+
+    async def close(self) -> None:
+        pass
+
+    def journals(self) -> dict[int, list[JournalEntry]]:
+        return self.journal
+
+
 def run_scenario_sim(scenario: Scenario) -> dict:
     """Execute a scenario on the in-process simulator.
 
     Deterministic function of the scenario (all randomness is seeded
-    from it).  Returns a report dict with the same shape as the TCP
-    journal written by ``chaos run`` — same checker verdicts, same
-    summary extraction — with ``backend="sim"`` and latencies counted
-    in delivery steps rather than seconds.
+    from it).  Returns the same report as the TCP journal written by
+    ``chaos run`` — same interpreter, same checker verdicts, same
+    summary extraction — with latencies counted in delivery steps
+    rather than seconds.
     """
     scenario.validate()
-    scheduler = SweepScheduler(scenario)
-    abc_config = None
-    if scenario.abc_max_batch or scenario.abc_pipeline_depth:
-        abc_config = AbcConfig(
-            max_batch=scenario.abc_max_batch or 64,
-            pipeline_depth=scenario.abc_pipeline_depth or 1,
-        )
-    dep = build_service(
-        scenario.n,
-        KeyValueStore,
-        t=scenario.t,
-        seed=scenario.seed,
-        scheduler=scheduler,
-        abc_config=abc_config,
-    )
-    byzantine = dict(scenario.byzantine)
-    journals: dict[int, list[JournalEntry]] = {}
-
-    def observe(party: int):
-        def hook(request, result, rnd: int) -> None:
-            journals[party].append(
-                JournalEntry(
-                    client=request.client,
-                    nonce=request.nonce,
-                    op=tuple(request.operation),
-                    round=rnd,
-                )
-            )
-        return hook
-
-    for party in range(scenario.n):
-        if party in byzantine:
-            continue
-        journals[party] = []
-        dep.replicas[party].on_execute = observe(party)
-
-    for party, kind in scenario.byzantine:
-        node, _runtime, _replica = byzantine_node(
-            kind,
-            dep.network,
-            party,
-            dep.keys.public,
-            dep.keys.private[party],
-            seed=scenario.seed,
-        )
-        # unchecked: violation shapes deliberately exceed the structure.
-        dep.controller.corrupt(dep.network, party, node, unchecked=True)
-
-    client = dep.new_client()
-    network = dep.network
-    network.start()
-
-    timeline = plan_timeline(scenario)
-    events_log: list[dict] = []
-    open_ops: dict[int, dict] = {}
-
-    def reap() -> None:
-        for nonce in [n for n in open_ops if n in client.completed]:
-            info = open_ops.pop(nonce)
-            events_log.append(
-                {
-                    "at": info["at"],
-                    "kind": "op",
-                    "op": info["op"],
-                    "nonce": nonce,
-                    "latency": float(
-                        network.delivered_count - info["submitted"]
-                    ),
-                }
-            )
-
-    times = [entry["at"] for entry in timeline]
-    for index, entry in enumerate(timeline):
-        scheduler.now = entry["at"]
-        kind = entry["kind"]
-        party = entry.get("party")
-        if kind == "op":
-            nonce = client.submit(tuple(entry["op"]))
-            open_ops[nonce] = {
-                "at": entry["at"],
-                "op": entry["op"],
-                "submitted": network.delivered_count,
-            }
-        elif kind == "partition":
-            events_log.append(
-                {
-                    "at": entry["at"],
-                    "kind": "partition",
-                    "group": entry["group"],
-                    "heal_at": entry["stop"],
-                }
-            )
-        elif kind == "kill":
-            network.crash(party)
-            events_log.append({"at": entry["at"], "kind": "kill", "party": party})
-        elif kind == "restart":
-            # The simulator's crash-recovery idiom: a *fresh* runtime and
-            # replica (volatile state gone) rejoin and replay the agreed
-            # log via peer state transfer; the journal restarts empty and
-            # is rebuilt by the replay (on_execute fires on replays too).
-            runtime = ProtocolRuntime(
-                party,
-                network,
-                dep.keys.public,
-                dep.keys.private[party],
-                seed=scenario.seed + 7,
-            )
-            replica = Replica(KeyValueStore(), abc_config=abc_config)
-            runtime.spawn(service_session("service"), replica)
-            network.recover(party, runtime)
-            replica.begin_recovery(Context(runtime, service_session("service")))
-            dep.runtimes[party] = runtime
-            dep.replicas[party] = replica
-            if party not in byzantine:
-                journals[party] = []
-                replica.on_execute = observe(party)
-            events_log.append(
-                {"at": entry["at"], "kind": "restart", "party": party}
-            )
-        elif kind == "suspend":
-            scheduler.suspended.add(party)
-            events_log.append(
-                {"at": entry["at"], "kind": "suspend", "party": party}
-            )
-        elif kind == "resume":
-            scheduler.suspended.discard(party)
-            events_log.append(
-                {"at": entry["at"], "kind": "resume", "party": party}
-            )
-        elif kind == "corrupt-checkpoint":
-            # No checkpoint files in the simulator; recovery always
-            # replays from peers, which is the checkpoint-rejection
-            # fallback path by construction.
-            events_log.append(
-                {
-                    "at": entry["at"],
-                    "kind": "corrupt-checkpoint",
-                    "party": party,
-                    "corrupted": False,
-                }
-            )
-        gap = times[index + 1] - entry["at"] if index + 1 < len(times) else 0.5
-        network.run(max_steps=max(2000, int(gap * 4000)))
-        reap()
-
-    # -- quiescent window: every cut healed, nothing suspended --
-    heal_at = max(
-        (cut.stop for cut in scenario.faults.partitions), default=0.0
-    )
-    scheduler.now = max([heal_at] + times) + 1.0
-    scheduler.suspended.clear()
-    network.run(max_steps=300_000)
-    reap()
-    for nonce in sorted(open_ops):
-        info = open_ops[nonce]
-        events_log.append(
-            {
-                "at": info["at"],
-                "kind": "op",
-                "op": info["op"],
-                "nonce": nonce,
-                "latency": None,
-            }
-        )
-    open_ops.clear()
-
-    probes: list[dict] = []
-    for i in range(scenario.liveness_probes):
-        operation = ("set", f"probe-{i}", i)
-        nonce = client.submit(operation)
-        before = network.delivered_count
-        try:
-            network.run(
-                max_steps=PROBE_STEP_BOUND,
-                until=lambda nonce=nonce: nonce in client.completed,
-            )
-            latency: float | None = float(network.delivered_count - before)
-        except LivenessError:
-            latency = None
-        probes.append({"op": list(operation), "latency": latency})
-        events_log.append(
-            {"kind": "probe", "op": list(operation), "latency": latency}
-        )
-
-    committed = [
-        JournalEntry(
-            client=client.client_id,
-            nonce=nonce,
-            op=tuple(client.operation(nonce)),
-        )
-        for nonce in sorted(client.completed)
-    ]
-    safety = check_safety(journals, committed)
-    liveness = check_liveness(probes, bound=float(PROBE_STEP_BOUND))
-    return {
-        "scenario": scenario.to_json(),
-        "backend": "sim",
-        "latency_unit": "steps",
-        "timeline": timeline,
-        "events": events_log,
-        "journal_lengths": {
-            str(party): len(journals[party]) for party in sorted(journals)
-        },
-        "committed": len(committed),
-        "resubmissions": client.resubmissions,
-        "duplicate_replies": client.duplicate_replies,
-        "safety": safety.to_json(),
-        "liveness": liveness.to_json(),
-        "ok": safety.ok and liveness.ok,
-    }
+    _require(not scenario.reconfigs, NO_RESHARING)
+    return asyncio.run(run_timeline(scenario, SimCluster(scenario)))
 
 
 def _sim_cell_worker(scenario_json: str) -> dict:
@@ -668,10 +508,7 @@ def _run_tcp_cell(cell: SweepCell, workdir: pathlib.Path) -> dict:
         proc = None
         stderr_tail = f"timeout after {exc.timeout}s"
     if journal_path.exists():
-        report = json.loads(journal_path.read_text())
-        report["backend"] = "tcp"
-        report["latency_unit"] = "seconds"
-        return report
+        return json.loads(journal_path.read_text())
     # The run died before producing a journal: report it as a harness
     # error so the cell cannot silently count as covered.
     return {
@@ -884,15 +721,7 @@ def run_sweep(
     size (0 disables TCP entirely, e.g. in sandboxed environments).
     """
     if tcp_override is not None:
-        spec = SweepSpec(
-            name=spec.name,
-            shapes=spec.shapes,
-            faults=spec.faults,
-            latencies=spec.latencies,
-            loads=spec.loads,
-            seeds=spec.seeds,
-            tcp_cells=tcp_override,
-        )
+        spec = replace(spec, tcp_cells=tcp_override)
     cells = expand_cells(spec)
     sim_cells = [cell for cell in cells if cell.backend == "sim"]
     tcp_cells = [cell for cell in cells if cell.backend == "tcp"]

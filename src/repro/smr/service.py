@@ -19,6 +19,7 @@ from ..net.adversary import CorruptionController
 from ..net.scheduler import RandomScheduler, Scheduler
 from ..net.simulator import Network
 from ..core.atomic_broadcast import AbcConfig
+from ..core.protocol import Context
 from ..core.runtime import ProtocolRuntime
 from .client import ServiceClient
 from .replica import Replica, service_session
@@ -39,6 +40,10 @@ class ServiceDeployment:
     session_tag: object = "service"
     clients: list[ServiceClient] = field(default_factory=list)
     _client_rng: random.Random = field(default_factory=lambda: random.Random(777))
+    # What build_service made every replica from; rejoin makes the next.
+    state_machine_factory: Callable[[], StateMachine] | None = None
+    abc_config: AbcConfig | None = None
+    causal: bool = False
 
     @property
     def n(self) -> int:
@@ -67,6 +72,27 @@ class ServiceDeployment:
             until=lambda: all(nonce in client.completed for nonce in nonces),
         )
         return {nonce: client.completed[nonce] for nonce in nonces}
+
+    def rejoin(self, party: int, *, seed: int) -> Replica:
+        """Crash-recovery (Section 6): a *fresh* runtime and replica —
+        the volatile state is gone — take ``party``'s place on the
+        network and start the peer state transfer that replays the
+        agreed log.  Returns the new replica."""
+        runtime = ProtocolRuntime(
+            party, self.network, self.keys.public, self.keys.private[party],
+            seed=seed,
+        )
+        replica = Replica(
+            self.state_machine_factory(), causal=self.causal,
+            abc_config=self.abc_config,
+        )
+        session = service_session(self.session_tag)
+        runtime.spawn(session, replica)
+        self.network.recover(party, runtime)
+        replica.begin_recovery(Context(runtime, session))
+        self.runtimes[party] = runtime
+        self.replicas[party] = replica
+        return replica
 
     def honest_replicas(self) -> list[Replica]:
         return [
@@ -129,4 +155,7 @@ def build_service(
         replicas=replicas,
         controller=controller,
         session_tag=session_tag,
+        state_machine_factory=state_machine_factory,
+        abc_config=abc_config,
+        causal=causal,
     )

@@ -5,6 +5,7 @@ written would poison every downstream artifact (journals, sweep cells,
 repro bundles), so ``from_json`` must reject rather than coerce.
 """
 
+import dataclasses
 import json
 
 import pytest
@@ -25,6 +26,7 @@ from repro.net.chaos import (
     parameterize_scenario,
     plan_timeline,
 )
+from repro.net.sweep import ShapeSpec, SweepSpec
 
 
 def _valid() -> dict:
@@ -169,6 +171,67 @@ def test_roundtrip_of_every_builtin_survives_strict_parsing():
     for scenario in builtin_scenarios().values():
         again = Scenario.from_json(json.loads(json.dumps(scenario.to_json())))
         assert again == scenario
+
+
+_CUT = PartitionSpec(start=1.0, stop=2.5, group=(0, 3))
+_KILL = LifecycleEvent(at=2.0, action="kill", party=1)
+_SHAPE = ShapeSpec(n=7, t=2, byzantine=((6, "silent"),), expect="violation")
+
+
+@pytest.mark.parametrize(
+    "full, minimal, defaults",
+    [
+        (_CUT, _CUT.to_json(), _CUT),
+        (
+            FaultSpec(
+                reset_rate=0.1, corrupt_rate=0.2, duplicate_rate=0.3,
+                delay_rate=0.4, max_delay=0.5, hold_rate=0.6, max_hold=0.7,
+                partitions=(_CUT,),
+            ),
+            {},
+            FaultSpec(),
+        ),
+        (_KILL, _KILL.to_json(), _KILL),
+        (
+            Scenario(
+                name="full", n=7, t=2, seed=3, ops=9,
+                faults=FaultSpec(hold_rate=0.5, partitions=(_CUT,)),
+                events=(_KILL,), byzantine=((6, "spam"),), io_timeout=9.0,
+                op_timeout=8.0, liveness_bound=7.0, liveness_probes=5,
+                checkpoint_every=4, workload_start=1.5, op_concurrency=3,
+                abc_max_batch=16, abc_pipeline_depth=2, reconfigs=(3.0, 8.5),
+            ),
+            {"name": "bare"},
+            Scenario(name="bare"),
+        ),
+        (_SHAPE, {}, ShapeSpec()),
+        (
+            SweepSpec(
+                name="grid", shapes=(_SHAPE, ShapeSpec()),
+                faults=("lossy", "churn"), latencies=("heavy",),
+                loads=("pipelined",), seeds=(4, 5), tcp_cells=2,
+            ),
+            {"name": "bare", "shapes": [{}]},
+            SweepSpec(name="bare", shapes=(ShapeSpec(),)),
+        ),
+    ],
+    ids=lambda value: type(value).__name__,
+)
+def test_every_spec_round_trips_defaults_and_refuses_unknown_keys(
+    full, minimal, defaults
+):
+    cls = type(full)
+    # ``full`` sets every field off its default, so a field dropped by
+    # to_json or from_json cannot hide behind the default.
+    assert all(
+        getattr(full, f.name) != f.default for f in dataclasses.fields(cls)
+    )
+    data = json.loads(json.dumps(full.to_json()))
+    assert list(data) == [f.name for f in dataclasses.fields(cls)]
+    assert cls.from_json(data) == full
+    assert cls.from_json(minimal) == defaults
+    with pytest.raises(ScenarioError, match=f"{cls.what}: unknown key.*zzz"):
+        cls.from_json({**data, "zzz": 1})
 
 
 # -- plan_timeline edge cases -------------------------------------------------------

@@ -6,13 +6,20 @@ are exercised by the chaos tests and the CI smoke sweep; these tests
 keep tier-1 fast and hermetic.
 """
 
+import asyncio
 import json
 
 import pytest
 
-from repro.net.chaos import ScenarioError, replay_journal
+from repro.net.chaos import (
+    ScenarioError,
+    builtin_scenarios,
+    replay_journal,
+    run_timeline,
+)
 from repro.net.sweep import (
     ShapeSpec,
+    SimCluster,
     SweepCell,
     SweepSpec,
     aggregate,
@@ -169,6 +176,18 @@ def test_clean_cell_passes_and_is_deterministic(tmp_path):
     journal = tmp_path / "journal.json"
     journal.write_text(json.dumps(first))
     assert replay_journal(journal) == 0  # sim journals replay too
+
+
+def test_a_scenario_the_simulator_cannot_perform_is_refused_not_passed():
+    # At the parent this returned ok=True, committed=10 — the simulator's
+    # own interpreter had no reconfig branch, so both reconfigurations
+    # of the scenario were silently dropped.
+    scenario = builtin_scenarios()["reconfig-churn"]
+    with pytest.raises(ScenarioError, match="simulator backend cannot reconfigure"):
+        run_scenario_sim(scenario)
+    # The up-front check is a courtesy; the dispatch itself is total.
+    with pytest.raises(ScenarioError, match="simulator backend cannot reconfigure"):
+        asyncio.run(run_timeline(scenario, SimCluster(scenario)))
 
 
 def test_admissible_coalition_still_commits():

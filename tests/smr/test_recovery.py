@@ -4,10 +4,9 @@ import pytest
 
 from repro.core.atomic_broadcast import AbcConfig
 from repro.core.protocol import Context
-from repro.core.runtime import ProtocolRuntime
 from repro.net.scheduler import PartitionScheduler
 from repro.smr import KeyValueStore, build_service
-from repro.smr.replica import RecoverLog, Replica, service_session
+from repro.smr.replica import RecoverLog, service_session
 
 
 def _deploy(seed=51, abc_config=None):
@@ -21,19 +20,6 @@ def _drain(dep):
     dep.network.run(max_steps=600_000)
 
 
-def _fresh_rejoin(dep, party, seed=99, abc_config=None):
-    """Replace a crashed server with a fresh (state-less) replica."""
-    runtime = ProtocolRuntime(
-        party, dep.network, dep.keys.public, dep.keys.private[party], seed=seed
-    )
-    replica = Replica(KeyValueStore(), abc_config=abc_config)
-    runtime.spawn(service_session("service"), replica)
-    dep.network.recover(party, runtime)
-    replica.begin_recovery(Context(runtime, service_session("service")))
-    dep.replicas[party] = replica
-    return replica
-
-
 def test_recovered_replica_matches_peers():
     dep, client = _deploy()
     nonces = [client.submit(("set", f"k{i}", i)) for i in range(3)]
@@ -45,7 +31,7 @@ def test_recovered_replica_matches_peers():
     dep.run_until_complete(client, [n4])
     _drain(dep)
 
-    fresh = _fresh_rejoin(dep, 2)
+    fresh = dep.rejoin(2, seed=99)
     _drain(dep)
     assert fresh.state_machine.snapshot() == dep.replicas[0].state_machine.snapshot()
     assert fresh.abc.round == dep.replicas[0].abc.round
@@ -59,7 +45,7 @@ def test_recovered_replica_participates_again():
     dep.network.crash(1)
     dep.run_until_complete(client, [client.submit(("set", "b", 2))])
     _drain(dep)
-    fresh = _fresh_rejoin(dep, 1)
+    fresh = dep.rejoin(1, seed=99)
     _drain(dep)
     # New request processed by everyone, including the rejoined replica.
     dep.run_until_complete(client, [client.submit(("set", "c", 3))])
@@ -77,7 +63,7 @@ def test_recovery_does_not_resend_client_replies():
     dep.network.crash(3)
     _drain(dep)
     replies_before = dict(client.completed)
-    fresh = _fresh_rejoin(dep, 3)
+    fresh = dep.rejoin(3, seed=99)
     _drain(dep)
     assert fresh.executed  # replayed
     assert client.completed == replies_before  # no duplicate answers
@@ -91,7 +77,7 @@ def test_lying_peer_cannot_poison_recovery():
     _drain(dep)
     dep.network.crash(2)
     _drain(dep)
-    fresh = _fresh_rejoin(dep, 2)
+    fresh = dep.rejoin(2, seed=99)
     # Inject a forged log from a single (corrupt) sender alongside the
     # genuine responses.
     forged = RecoverLog(entries=((("req", 9999, 1, ("set", "fake", 666)), 1),), round=9)
@@ -119,7 +105,7 @@ def test_recovery_under_active_partition_completes_after_heal():
     # peers' RecoverLog answers until the cut heals (the scheduler's
     # eventual-delivery fallback only fires when *nothing else* exists).
     dep.network.scheduler = PartitionScheduler({2}, duration=50)
-    fresh = _fresh_rejoin(dep, 2)
+    fresh = dep.rejoin(2, seed=99)
     nonce = client.submit(("set", "c", 3))
     dep.run_until_complete(client, [nonce])
     _drain(dep)
@@ -148,7 +134,7 @@ def test_recovery_while_pipelined_rounds_in_flight():
     # rounds are genuinely still in flight when the replica rejoins.
     pending = [client.submit(("set", f"m{i}", i)) for i in range(6)]
     dep.network.run(max_steps=3_000)
-    fresh = _fresh_rejoin(dep, 2, abc_config=config)
+    fresh = dep.rejoin(2, seed=99)
     dep.run_until_complete(client, pending)
     _drain(dep)
     dep.run_until_complete(client, [client.submit(("set", "after", 1))])
@@ -173,7 +159,7 @@ def test_inflated_round_claim_cannot_stall_recovery():
     _drain(dep)
     dep.network.crash(2)
     _drain(dep)
-    fresh = _fresh_rejoin(dep, 2)
+    fresh = dep.rejoin(2, seed=99)
     forged = RecoverLog(entries=(), round=50)
     dep.network.send(0, 2, (service_session("service"), forged))
     _drain(dep)
