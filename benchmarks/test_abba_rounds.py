@@ -6,6 +6,15 @@ distribution of coin-flip rounds until all honest parties decide, over
 repeated adversarially-scheduled runs with split inputs, for
 n ∈ {4, 7, 10, 13}.  The paper's claim shows up as a mean round count
 that stays flat (well under a small constant) as n grows.
+
+The vote is biased toward 1: round 1 opens no coin (its coin is the
+constant 1) and real coins start in round 2, so with split inputs the
+count is one coin-free round — which decides when 1 alone gets bound —
+plus a geometric number of flipped ones.  Re-taken with that rule the
+means read 3.00 / 3.75 / 2.58 / 3.50 (max 7) against 3.25 / 3.00 / 3.17
+/ 3.08 (max 7) with a real first coin: flat in n either way, and within
+these twelve runs' noise of each other.  (The count is the highest round
+a party *entered*, so "2" is a decision in round 1.)
 """
 
 from conftest import dealt, emit, make_network

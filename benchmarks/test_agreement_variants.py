@@ -24,12 +24,18 @@ from repro.crypto.hashing import encode
 from repro.net.scheduler import RandomScheduler, ReorderScheduler
 
 # The run index names both the schedule seed and the session, and the
-# session names the coins.  ReorderScheduler ignores its seed, so under
-# it the coins alone decide how many rounds a run takes: over sessions
-# 0..29 the gate protocol averages 115 (n = 4) and 301 (n = 7) messages
-# against 96 and 280 for CKS, but any three of them are three coin
-# flips.  Runs 3..5 since the binary integer grammar re-drew every coin
-# (0..2 before it).
+# session names the coins.  Both realizations are biased toward 1 (round
+# 1's coin is the constant 1, CKS's own rule), so like is compared with
+# like.  Re-taken with that rule over sessions 0..29: under the random
+# schedule the gate protocol averages 179 (n = 4) and 694 (n = 7)
+# messages against 108 and 323 for CKS; ReorderScheduler ignores its
+# seed, so under it the coins alone decide how long a run takes — 448
+# against 245 at n = 7, and at n = 4 no coin is reached at all: LIFO
+# delivery lets the gate protocol bind 1 alone and decide on the
+# constant first coin in every session (72 messages), while CKS, whose
+# split pre-votes make round 1 abstain, pays a second round (84).  Any
+# three of the coin-dependent runs are three coin flips.  Runs 3..5
+# since the binary integer grammar re-drew every coin (0..2 before it).
 RUNS = range(3, 6)
 
 
@@ -79,12 +85,16 @@ def test_agreement_variants(benchmark):
             for n, sched, gate, cks in rows
         ],
     )
-    # The certificate-based variant needs fewer messages (two phases vs
-    # three, and justifications travel inside votes); under the most
-    # favorable schedule both can hit the single-round floor.
-    for n, _sched, gate, cks in rows:
-        assert cks <= gate
-    assert any(cks < gate for _n, _sched, gate, cks in rows)
+    # As measured: the certificate-based variant needs fewer messages
+    # (two phases vs three, and justifications travel inside votes)
+    # wherever split inputs cost a real coin; the one cell where the gate
+    # protocol decides in its coin-free first round is the exception, and
+    # is schedule-determined (see RUNS).
+    for n, sched, gate, cks in rows:
+        if (n, sched) == (4, "ReorderScheduler"):
+            assert (gate, cks) == (72, 84)
+        else:
+            assert cks < gate
 
 
 def test_cks_message_sizes(benchmark):

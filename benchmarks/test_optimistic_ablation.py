@@ -96,6 +96,12 @@ def test_optimistic_vs_randomized(benchmark):
             f"rounds, modes={modes}, orders consistent: {consistent}",
         ],
     )
-    assert fast * 2 < randomized  # the point of the optimization
+    # The point of the optimization, as measured: 40.0 against 70.4
+    # messages per payload (1.8x).  It read 89.6 (2.2x, and ``fast * 2 <
+    # randomized`` held) while the randomized protocol's vote flipped a
+    # real coin in round 1 and its holders waited for their own
+    # ``MvbaValue``; ROADMAP's keep-or-delete decision on the optimistic
+    # mode starts from the smaller gap.
+    assert fast * 1.5 < randomized
     assert consistent
     assert modes == {"pessimistic"}

@@ -32,7 +32,10 @@ from repro.core.secure_causal import SecureCausalBroadcast, sc_abc_session
 # The seed names the schedule and, through the session id, the coins.
 # 5..9 since the binary integer grammar re-drew every coin (0..4 before
 # it): on split inputs a binary agreement is a geometric number of coin
-# flips, and seeds 2 and 4 now cost it 432 and 500 messages.
+# flips, and seeds 2 and 4 then cost it 432 and 500 messages.  Kept
+# when the vote became biased toward 1 (round 1's coin is the constant
+# 1): a split-input vote now pays one coin-free round before its real
+# coins, an agreement whose votes are unanimous-1 pays no coin at all.
 SEEDS = range(5, 10)
 
 
@@ -153,16 +156,30 @@ def test_stack_layer_costs(benchmark):
     # Cheap primitives vs agreement (holds with wide margins).
     assert means["consistent broadcast"] < means["reliable broadcast"]
     assert means["binary agreement"] > means["reliable broadcast"]
-    assert means["multi-valued agreement"] > means["binary agreement"]
+    # As measured: 198 / 161 / 175 messages for the stand-alone vote, the
+    # multi-valued agreement and atomic broadcast (173 / 217 / 274 when
+    # round 1 flipped a real coin).  The stand-alone vote has *split*
+    # inputs — one coin-free round, then a geometric number of real
+    # coins — while the vote inside the other two is unanimous-1 and
+    # decides in its coin-free first round, so "agreement on a value
+    # costs more than agreement on a bit" is no longer a statement about
+    # these two rows; what holds by construction is that each layer
+    # costs more than what it embeds: n consistent broadcasts plus a
+    # vote, and that plus the proposal exchange.
+    assert means["multi-valued agreement"] > n * means["consistent broadcast"]
+    assert means["atomic broadcast"] > means["multi-valued agreement"]
 
     # Composition, structurally: the ABC runs contain the signed proposal
     # exchange (n per party) AND an embedded MVBA (consistent broadcasts,
-    # coin shares) — the stack figure in executable form.
+    # the permutation coin, a vote) — the stack figure in executable
+    # form.  The vote's own coin is not part of it: a unanimous-1 vote
+    # opens none.
     for trace in traces["atomic broadcast"]:
         kinds = trace.sent_by_kind
         assert kinds.get("AbcProposal", 0) >= n * n
         assert kinds.get("CbcSend", 0) >= n
-        assert kinds.get("AbaCoinShare", 0) >= n
+        assert kinds.get("MvbaPermShare", 0) >= n
+        assert kinds.get("AbaBval", 0) >= n * n
 
     # Secure causal ABC = atomic broadcast + exactly one decryption-share
     # exchange (n broadcasts of n messages) for the single payload.

@@ -23,7 +23,8 @@ Properties (tested under adversarial schedules and corruptions):
   constant number of rounds, for any scheduler; a Bracha-style DONE
   gadget then lets instances *halt* (stop sending) safely.
 
-Round structure (session ``("aba", tag)``, round ``r``):
+Round structure (session ``("aba", tag)``, round ``r >= 2``; round 1
+is steps 1-3 and 5 with the constant coin ``c = 1``, see below):
 
 1. ``BVAL(r, b)`` — broadcast own estimate; re-broadcast any value
    supported by an honest-containing set (generalized ``t+1``); a
@@ -37,6 +38,18 @@ Round structure (session ``("aba", tag)``, round ``r``):
    valid shares into the common coin ``c``.
 5. If the confirmed union is a single ``{b}``: adopt ``b``, and decide
    if ``b == c``.  Otherwise adopt ``c``.  Repeat.
+
+The vote is *biased toward 1*, as CKS00 run it and as CKPS01's
+validated agreement needs it: round 1 opens no coin, its ``c`` is the
+constant 1, so a vote that is unanimous-1 from the start — the case
+whenever every party already holds the candidate's certificate —
+decides after CONF.  Agreement never rested on the coin being
+unpredictable, only on its being common: if a party decides ``b`` in
+round ``r``, any other party's CONF quorum meets its in an honest
+``{b}``, so that party's union contains ``b`` and it adopts ``b`` by
+union or by ``c = b``.  Validity comes from the binding gate, and
+termination pays at most one coin-free round the adversary may spoil
+before the real coins of rounds ``r >= 2`` start.
 """
 
 from __future__ import annotations
@@ -62,6 +75,9 @@ __all__ = [
 # beyond the local round is discarded to bound state (honest parties
 # never diverge remotely this much).
 _ROUND_HORIZON = 64
+
+# Round 1's coin (see the module docstring): known to all, shared by none.
+_FIRST_COIN = 1
 
 
 @register
@@ -157,6 +173,9 @@ class BinaryAgreement(Protocol):
         state = self.rounds.get(r)
         if state is None:
             state = _RoundState()
+            if r == 1:
+                state.coin_released = True  # there is no share to release
+                state.coin_value = _FIRST_COIN
             self.rounds[r] = state
         return state
 
@@ -182,6 +201,8 @@ class BinaryAgreement(Protocol):
         r = getattr(message, "round", None)
         if not isinstance(r, int) or not 1 <= r <= self.round + _ROUND_HORIZON:
             return
+        if r == 1 and isinstance(message, AbaCoinShare):
+            return  # round 1 has no coin to open: nothing to hold or check
         state = self._state(r)
         if isinstance(message, AbaBval) and message.value in (0, 1):
             state.bval_from[message.value].add(sender)
@@ -247,23 +268,21 @@ class BinaryAgreement(Protocol):
         return True
 
     def _rule_coin(self, ctx: Context, r: int, state: _RoundState) -> bool:
-        if state.coin_released or not self._conf_ready(ctx, state):
+        if state.coin_released or self._confirmed(ctx, state) is None:
             return False
         state.coin_released = True
         share = ctx.keys.coin.share_for(self._coin_name(ctx, r), ctx.rng, ctx.verified)
         ctx.broadcast(AbaCoinShare(r, share))
         return True
 
-    def _conf_ready(self, ctx: Context, state: _RoundState) -> bool:
+    def _confirmed(self, ctx: Context, state: _RoundState) -> set[int] | None:
+        """The union of the CONF sets covered by ``bin_values``, once
+        their senders are a quorum; ``None`` until then."""
         backed = {
             p for p, vals in state.conf_from.items() if vals <= state.bin_values
         }
-        return ctx.quorum.is_quorum(backed)
-
-    def _confirmed_union(self, ctx: Context, state: _RoundState) -> set[int]:
-        backed = {
-            p for p, vals in state.conf_from.items() if vals <= state.bin_values
-        }
+        if not ctx.quorum.is_quorum(backed):
+            return None
         union: set[int] = set()
         for p in backed:
             union |= state.conf_from[p]
@@ -283,9 +302,7 @@ class BinaryAgreement(Protocol):
     def _rule_advance(self, ctx: Context, r: int, state: _RoundState) -> bool:
         if state.finished or state.coin_value is None:
             return False
-        if not self._conf_ready(ctx, state):
-            return False
-        union = self._confirmed_union(ctx, state)
+        union = self._confirmed(ctx, state)
         if not union:
             return False
         state.finished = True

@@ -17,7 +17,9 @@ certificates, plus the threshold coin:
   (justification: one justified pre-vote for each value);
 * a quorum of main-votes for ``b`` decides ``b``; otherwise the round
   closes with the threshold coin and the next round's pre-vote is
-  justified as above.
+  justified as above.  As in CKS the vote is biased toward 1: round 1
+  opens no coin, its value is the constant 1 (decisions never read the
+  coin, so only the all-abstain pre-vote of round 2 sees the bias).
 
 Where CKS combine shares into constant-size threshold signatures, this
 implementation uses quorum certificates (signature sets) — CKS note
@@ -148,6 +150,9 @@ class CksBinaryAgreement(Protocol):
         state = self.rounds.get(r)
         if state is None:
             state = _Round()
+            if r == 1:
+                state.coin_released = True  # there is no share to release
+                state.coin_value = 1
             self.rounds[r] = state
         return state
 
@@ -188,7 +193,7 @@ class CksBinaryAgreement(Protocol):
             self._on_prevote(ctx, sender, r, message)
         elif isinstance(message, CksMainVote):
             self._on_mainvote(ctx, sender, r, message)
-        elif isinstance(message, CksCoinShare):
+        elif isinstance(message, CksCoinShare) and r > 1:
             self._on_coin_share(ctx, sender, r, message.share)
         if r == self.round:
             self._progress(ctx, r)

@@ -18,8 +18,10 @@ Structure (following the companion paper [7], CKPS):
    candidate asks "did this proposal commit?"; parties vote 1 iff they
    hold the candidate's commit certificate;
 4. the first candidate whose agreement decides 1 wins; parties holding
-   its value re-broadcast it with the certificate so everyone can
-   output it (binary validity guarantees at least one honest holder).
+   its value output it there and then, and re-broadcast it with the
+   certificate so everyone else can (binary validity guarantees at
+   least one honest holder; consistent broadcast's uniqueness makes the
+   held value the only one a certificate can exist for).
 
 Expected number of binary agreements is constant; a wrap-around pass
 bounds the worst case (by then every honest sender's broadcast has
@@ -194,12 +196,13 @@ class MultiValuedAgreement(Protocol):
             return
         candidate = self._candidate(cursor)
         if bit == 1:
-            # Whoever holds the committed value re-broadcasts it; binary
-            # validity guarantees at least one honest holder exists.
+            # Whoever holds the committed value decides on it and
+            # re-broadcasts it; binary validity guarantees at least one
+            # honest holder exists.  The others decide in _on_value.
             delivery = self.deliveries.get(candidate)
             if delivery is not None:
                 ctx.broadcast(MvbaValue(candidate, delivery))
-            # Decision completes in _on_value (possibly via our own echo).
+                self._decide(ctx, delivery)
         else:
             self.cursor += 1
             self._start_next_vote(ctx)
@@ -224,5 +227,10 @@ class MultiValuedAgreement(Protocol):
             if self._candidate(self.cursor) == candidate:
                 vote_result = ctx.result(vote_session)
         if vote_result == 1:
-            self.decided = True
-            ctx.output(MvbaDecision(proposer=candidate, value=delivery.value))
+            self._decide(ctx, delivery)
+
+    def _decide(self, ctx: Context, delivery: CbcDelivery) -> None:
+        """Output a delivery this party verified (its own broadcast
+        instance's, or a checked :class:`MvbaValue`'s)."""
+        self.decided = True
+        ctx.output(MvbaDecision(proposer=delivery.sender, value=delivery.value))

@@ -3,7 +3,7 @@ termination — under benign and adversarial schedules and corruptions."""
 
 import pytest
 
-from helpers import make_network, run_until_outputs
+from helpers import make_network, record_sends, run_until_outputs
 
 from repro.core.binary_agreement import (
     AbaBval,
@@ -13,6 +13,7 @@ from repro.core.binary_agreement import (
     BinaryAgreement,
     aba_session,
 )
+from repro.crypto.coin import CoinPublic
 from repro.net.adversary import SilentNode, SpamNode
 from repro.net.scheduler import (
     DelayScheduler,
@@ -27,6 +28,19 @@ import random
 def _spawn(runtimes, session, proposals):
     for party, runtime in runtimes.items():
         runtime.spawn(session, BinaryAgreement(proposals[party]))
+
+
+@pytest.fixture()
+def coin_checks(monkeypatch):
+    """The names of the coins whose shares reached (DLEQ) verification."""
+    checks, verify_shares = [], CoinPublic.verify_shares
+
+    def counting(public, name, shares, memo=None):
+        checks.append(name)
+        return verify_shares(public, name, shares, memo)
+
+    monkeypatch.setattr(CoinPublic, "verify_shares", counting)
+    return checks
 
 
 class TestValidity:
@@ -58,6 +72,77 @@ class TestValidity:
             outputs = run_until_outputs(net, rts, session)
             assert len(set(outputs.values())) == 1
             assert outputs[0] in (0, 1)
+
+
+class TestFirstCoin:
+    """The vote is biased toward 1: round 1's coin is the constant 1,
+    rounds >= 2 open real coins."""
+
+    @pytest.mark.parametrize(
+        "scheduler", [FifoScheduler, RandomScheduler, ReorderScheduler]
+    )
+    @pytest.mark.parametrize("seed", range(6))
+    def test_unanimous_one_decides_in_round_one_without_a_coin(
+        self, keys_4_1, coin_checks, scheduler, seed
+    ):
+        net, rts = make_network(keys_4_1, scheduler(), seed=seed)
+        sent = record_sends(net)
+        session = aba_session(("first-coin", 1, seed))
+        _spawn(rts, session, {p: 1 for p in rts})
+        outputs = run_until_outputs(net, rts, session)
+        net.run()  # to quiescence: the later rounds' chatter too
+        assert all(v == 1 for v in outputs.values())
+        assert not any(isinstance(m, AbaCoinShare) for m in sent)
+        assert coin_checks == []
+        assert net.trace.counters["aba.coin_flips"] == 0
+
+    @pytest.mark.parametrize(
+        "scheduler", [FifoScheduler, RandomScheduler, ReorderScheduler]
+    )
+    @pytest.mark.parametrize("seed", range(6))
+    def test_unanimous_zero_decides_zero_on_a_real_coin(
+        self, keys_4_1, coin_checks, scheduler, seed
+    ):
+        net, rts = make_network(keys_4_1, scheduler(), seed=seed)
+        sent = record_sends(net)
+        session = aba_session(("first-coin", 0, seed))
+        flips_at_decision = []
+        for runtime in rts.values():
+            runtime.spawn(
+                session,
+                BinaryAgreement(0),
+                on_output=lambda bit: flips_at_decision.append(
+                    net.trace.counters["aba.coin_flips"]
+                ),
+            )
+        outputs = run_until_outputs(net, rts, session)
+        net.run()
+        assert all(v == 0 for v in outputs.values())  # validity
+        # Round 1's coin is 1, so nobody decides 0 there: a real coin
+        # was open before the first decision, and only rounds >= 2's.
+        assert min(flips_at_decision) >= 1
+        coin_rounds = {m.round for m in sent if isinstance(m, AbaCoinShare)}
+        assert coin_rounds and min(coin_rounds) >= 2
+        assert {name[:2] for name in coin_checks} == {("aba-coin", session)}
+        assert all(name[2] >= 2 for name in coin_checks)
+
+    def test_round_one_coin_share_is_dropped_unread(self, keys_4_1, coin_checks):
+        """Round 1 has no coin, so a Byzantine share of one — valid,
+        forged or garbage — reaches no arithmetic and leaves no state."""
+        net, rts = make_network(keys_4_1, seed=61, parties=[0])
+        session = aba_session("no-first-coin")
+        inst = rts[0].spawn(session, BinaryAgreement(1))
+        holder, rng = keys_4_1.private[3].coin, random.Random(62)
+        valid = holder.share_for(("aba-coin", session, 1), rng)
+        forged = holder.share_for(("aba-coin", session, 2), rng)
+        for share in (valid, forged, "garbage"):
+            rts[0].on_message(3, (session, AbaCoinShare(1, share)))
+        screen = inst.rounds[1].coin
+        assert not (screen.pending or screen.valid or screen.banned or screen.opened)
+        assert inst.rounds[1].coin_value == 1 and coin_checks == []
+        # The same sender's share of a real coin is held as before.
+        rts[0].on_message(3, (session, AbaCoinShare(2, forged)))
+        assert inst.rounds[2].coin.pending == {3: forged}
 
 
 class TestAgreement:
@@ -142,9 +227,16 @@ class TestByzantine:
                     net.broadcast(3, (session, msg))
 
         net.attach(3, CoinForger())
-        _spawn(rts, session, {0: 1, 1: 0, 2: 1})
+        # Unanimous 0 cannot decide on round 1's constant coin, so the
+        # run reaches round 2 and there is a real coin to forge.
+        _spawn(rts, session, {0: 0, 1: 0, 2: 0})
         outputs = run_until_outputs(net, rts, session)
-        assert len(set(outputs.values())) == 1
+        assert set(outputs.values()) == {0}
+        assert net.trace.counters["aba.coin_flips"] >= 1
+        assert net.nodes[3].done
+        for rt in rts.values():
+            for state in rt.instances[session].rounds.values():
+                assert 3 not in state.coin.valid
 
     def test_spam_does_not_block(self, keys_4_1):
         net, rts = make_network(keys_4_1, seed=31, parties=[0, 1, 2])

@@ -2,11 +2,12 @@
 
 import pytest
 
-from helpers import make_network, run_until_outputs
+from helpers import make_network, record_sends, run_until_outputs
 
 from repro.core.cks_agreement import (
     ABSTAIN,
     CksBinaryAgreement,
+    CksCoinShare,
     CksMainVote,
     CksPreVote,
     cks_session,
@@ -48,6 +49,22 @@ class TestValidityAndAgreement:
         outputs = run_until_outputs(net, rts, session)
         assert len(set(outputs.values())) == 1
         assert outputs[0] in (0, 1)
+
+    def test_round_one_opens_no_coin(self, keys_4_1):
+        """The first coin is the constant 1 (CKS's bias): split inputs
+        run past round 1 and only rounds >= 2 release shares."""
+        for seed in range(4):
+            net, rts = make_network(keys_4_1, ReorderScheduler(), seed=40 + seed)
+            sent = record_sends(net)
+            session = cks_session(("first-coin", seed))
+            _spawn(rts, session, {p: p % 2 for p in rts})
+            outputs = run_until_outputs(net, rts, session)
+            assert len(set(outputs.values())) == 1
+            coin_rounds = {m.round for m in sent if isinstance(m, CksCoinShare)}
+            assert coin_rounds and 1 not in coin_rounds
+            for rt in rts.values():
+                state = rt.instances[session]._state(1)
+                assert state.coin_value == 1 and not state.coin.opened
 
     def test_agreement_under_targeted_delay(self, keys_4_1):
         net, rts = make_network(keys_4_1, DelayScheduler({1}), seed=4)

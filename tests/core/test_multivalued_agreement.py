@@ -4,13 +4,21 @@ import pytest
 
 from helpers import make_network, run_until_outputs
 
+from repro.core.consistent_broadcast import CbcDelivery, CbcFinal
 from repro.core.multivalued_agreement import (
     MultiValuedAgreement,
     MvbaDecision,
+    MvbaValue,
     mvba_session,
 )
 from repro.net.adversary import SilentNode
-from repro.net.scheduler import DelayScheduler, RandomScheduler, ReorderScheduler
+from repro.net.scheduler import (
+    DelayScheduler,
+    FifoScheduler,
+    RandomScheduler,
+    ReorderScheduler,
+    Scheduler,
+)
 
 
 def _spawn(runtimes, session, proposals, predicate=None):
@@ -107,6 +115,62 @@ class TestFaultTolerance:
         decisions = {(d.proposer, d.value) for d in outputs.values()}
         assert len(decisions) == 1
         assert decisions.pop()[0] in honest
+
+
+class Withhold(Scheduler):
+    """Send order, except that envelopes ``held`` matches stay pending."""
+
+    def __init__(self, held):
+        self.held = held
+
+    def select(self, pending, rng):
+        return next((i for i, env in enumerate(pending) if not self.held(env)), None)
+
+
+class TestDecisionStep:
+    """Who holds the winning candidate's delivery decides when its vote
+    decides 1; who does not decides on a checked ``MvbaValue``."""
+
+    def test_holder_decides_in_the_step_its_vote_decides(self, keys_4_1):
+        net, rts = make_network(keys_4_1, FifoScheduler(), seed=17)
+        session = mvba_session("holder")
+        first_vote = ("aba", (session, 0))
+        _spawn(rts, session, {p: ("proposal", p) for p in rts}, predicate=_valid)
+        net.start()
+        while net.step():
+            for rt in rts.values():
+                assert (rt.result(first_vote) == 1) == (rt.result(session) is not None)
+        assert all(rt.result(session) is not None for rt in rts.values())
+
+    def test_party_without_the_delivery_waits_for_a_valid_value(self, keys_4_1):
+        """Party 3 never sees a ``CbcFinal``: it votes 0, the others'
+        three 1s bind the vote to 1, and it must be shown the value."""
+
+        def to_party_3(*kinds):
+            return lambda env: env.recipient == 3 and isinstance(env.payload[1], kinds)
+
+        scheduler = Withhold(to_party_3(CbcFinal, MvbaValue))
+        net, rts = make_network(keys_4_1, scheduler, seed=18)
+        session = mvba_session("lacking")
+        _spawn(rts, session, {p: ("proposal", p) for p in rts}, predicate=_valid)
+        net.run()
+        decisions = {rts[p].result(session) for p in (0, 1, 2)}
+        assert len(decisions) == 1 and None not in decisions
+        winner = decisions.pop()
+        assert rts[3].result(("aba", (session, 0))) == 1
+        assert rts[3].result(session) is None
+
+        # A certificate for another value does not make this one decided.
+        real = rts[0].instances[session].deliveries[winner.proposer]
+        forged = CbcDelivery(winner.proposer, ("proposal", "FORGED"), real.certificate)
+        rts[3].on_message(0, (session, MvbaValue(winner.proposer, forged)))
+        assert rts[3].result(session) is None
+
+        scheduler.held = to_party_3(CbcFinal)
+        net.run()
+        assert rts[3].result(session) == winner
+        # ... which it knows from the MvbaValue alone.
+        assert set(rts[3].instances[session].deliveries) == {winner.proposer}
 
 
 class TestDecisionShape:

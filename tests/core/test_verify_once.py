@@ -63,12 +63,12 @@ CHAINS_PER_COIN_CHECK = 1  # both sides of every equation on one; 2 before
 DLEQ_ITEMS_PER_COIN = (T + 1) - 1  # where the verifier's own share is one of them
 
 # Top-level encodings per round (one per hash evaluated or statement
-# rendered, not counting the per-block counter): 74 Schnorr challenges
-# in certificate batches and 78 single ones, 51 batch coefficients and
-# their 20 seeds, 24 signatures made, 39 certificate statements
+# rendered, not counting the per-block counter): 62 Schnorr challenges
+# in certificate batches and 78 single ones, 39 batch coefficients and
+# their 16 seeds, 24 signatures made, 35 certificate statements
 # (rendered once per certificate operation and spliced into each
-# signer's challenge), 24 DLEQ challenges, 20 batch digests, 4 batch
-# size estimates, 10 coin values and bases.  575 before: every
+# signer's challenge), 12 DLEQ challenges, 20 batch digests, 4 batch
+# size estimates, 5 coin values and bases.  575 before: every
 # challenge was one encoding per SHA-256 block.  Counted at the public
 # ``hashing.encode`` (what ``hash_bytes`` and ``hash_to_int`` call, and
 # the name ``threshold_sig`` imports for its statements); the count of
@@ -80,8 +80,14 @@ DLEQ_ITEMS_PER_COIN = (T + 1) - 1  # where the verifier's own share is one of th
 # seeded memo, one source: batch coefficients, one per equation that
 # drops out of a batch — 9 own echo shares in ``CbcFinal`` batches and
 # 4 own coin shares at 2 equations each (68 -> 51); every challenge is
-# still hashed (the memo key names it).
-ENCODINGS_PER_ROUND = 344
+# still hashed (the memo key names it).  344 -> 295 with the vote's
+# constant first coin and holders deciding at the vote's decision, two
+# sources: the vote's coin is gone (33: its 4 values and 1 base, 4 proof
+# and 8 check DLEQ challenges, 4 batch seeds and 12 coefficients), and
+# no replica reads an ``MvbaValue`` any more — all four hold the
+# delivery — whose certificate was a memo hit that still rendered 1
+# statement and hashed 3 challenges to name it (16).
+ENCODINGS_PER_ROUND = 295
 SEED = 13
 
 
@@ -216,12 +222,13 @@ def test_each_coin_exponentiates_exactly_this_much(monkeypatch):
         "shares_checked", "checks_with_own_share", "dleq_items",
     )
     per_round = _run_rounds(service, lambda: tuple(tally[key] for key in keys))
-    # Each replica releases two coin shares a round (the permutation
-    # coin and the first voting round's, one slot each) and opens both
-    # with the first t + 1 = 2 shares to arrive; under this schedule its
-    # own is one of the two in half of the checks (where it is not, it
-    # arrives after the coin is open and is dropped unverified).
-    slots = checks = 2 * N
+    # Each replica releases one coin share a round (the permutation
+    # coin's, one slot; the vote decides in its first round, whose coin
+    # is the constant 1 — 2 * N before that) and opens the coin with the
+    # first t + 1 = 2 shares to arrive; under this schedule its own is
+    # one of the two in half of the checks (where it is not, it arrives
+    # after the coin is open and is dropped unverified).
+    slots = checks = N
     with_own = checks // 2
     assert per_round == [
         (

@@ -13,7 +13,8 @@ from repro.net.runtime import ReplicaHost
 from repro.net.scheduler import RandomScheduler, Scheduler
 from repro.net.simulator import Network
 
-__all__ = ["make_network", "spawn_all", "run_until_outputs", "ctx_for", "tcp_cluster"]
+__all__ = ["make_network", "spawn_all", "run_until_outputs", "record_sends", "ctx_for",
+           "tcp_cluster"]
 
 
 def make_network(
@@ -54,6 +55,20 @@ def run_until_outputs(
         until=lambda: all(runtimes[p].result(session) is not None for p in waiting),
     )
     return {p: runtimes[p].result(session) for p in waiting}
+
+
+def record_sends(network: Network) -> list[object]:
+    """Every protocol message handed to ``network.send`` from now on
+    (``broadcast`` goes through ``send``), in send order."""
+    sent: list[object] = []
+    send = network.send
+
+    def recording(sender: int, recipient: int, payload: object) -> None:
+        sent.append(payload[1])
+        send(sender, recipient, payload)
+
+    network.send = recording
+    return sent
 
 
 def ctx_for(runtime: ProtocolRuntime, session: SessionId) -> Context:

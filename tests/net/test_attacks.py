@@ -58,11 +58,16 @@ def test_two_faced_voter_cannot_break_agreement(keys_4_1):
 def test_coin_replayer_cannot_bias_the_coin(keys_4_1):
     net, rts = make_network(keys_4_1, seed=31, parties=[0, 1, 2])
     session = aba_session("replay")
-    net.attach(3, CoinShareReplayer(net, 3, session))
+    replayer = CoinShareReplayer(net, 3, session)
+    net.attach(3, replayer)
+    # Unanimous 0 cannot decide on round 1's constant coin, so the run
+    # reaches round 2 and there are real coin shares to replay.
     for p, rt in rts.items():
-        rt.spawn(session, BinaryAgreement(p % 2))
+        rt.spawn(session, BinaryAgreement(0))
     outputs = run_until_outputs(net, rts, session)
-    assert len(set(outputs.values())) == 1
+    assert set(outputs.values()) == {0}
+    assert net.trace.counters["aba.coin_flips"] >= 1
+    assert replayer.budget < 5  # it did replay
     # The replayer's forged shares were never accepted into any coin.
     for p, rt in rts.items():
         inst = rt.instances[session]
