@@ -10,9 +10,9 @@ lint:
 test:
 	$(PYTHON) -m pytest -x -q
 
-# Regenerate the tracked benchmark results (docs/PERFORMANCE.md).
+# The repository's benchmark (BENCHMARK.json, docs/PERFORMANCE.md).
 bench:
-	$(PYTHON) -m repro bench --out BENCH_crypto.json
+	python3 bench/run.py
 
 # Re-take the tracked sweep results (docs/CHAOS.md, "Sweeps");
 # scripts/check.sh fails once its simulator runs stop matching them.

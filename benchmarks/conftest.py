@@ -13,6 +13,7 @@ from __future__ import annotations
 import pathlib
 import random
 import sys
+import time
 
 import pytest
 
@@ -77,6 +78,17 @@ def report():
     yield lines
     if lines:
         print("\n".join(lines))
+
+
+def best_of(fn, repeats: int) -> float:
+    """Best-of-``repeats`` wall time of ``fn()`` in seconds (the best
+    run is the least disturbed one)."""
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - start)
+    return best
 
 
 def emit(title: str, rows: list[str]) -> None:

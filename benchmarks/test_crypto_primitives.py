@@ -4,21 +4,24 @@ The paper argues the randomized protocols are "quite practical given
 current processor speed" (Section 2).  This benchmark measures the
 primitive operations everything else is built from, across group sizes
 and party counts: coin share/verify/combine, TDH2 encrypt/share/
-combine, Shoup RSA sign-share/verify/combine, and Schnorr signatures.
+combine, Shoup RSA sign-share/verify/combine, and Schnorr signatures —
+and what verifying one quorum of shares in a batch saves over checking
+them one by one (docs/PERFORMANCE.md, "Batched share verification").
 """
 
 import random
+import time
 
 import pytest
 
-from conftest import emit
+from conftest import best_of, emit
 
 from repro.crypto.coin import deal_coin
 from repro.crypto.groups import default_group, small_group
 from repro.crypto.lsss import threshold_scheme
-from repro.crypto.schnorr import keygen
+from repro.crypto.schnorr import keygen, verify_batch
 from repro.crypto.threshold_enc import deal_encryption
-from repro.crypto.threshold_sig import deal_shoup_rsa
+from repro.crypto.threshold_sig import deal_quorum_certs, deal_shoup_rsa
 
 _RSA_CACHE = {}
 _COIN_CACHE = {}
@@ -115,8 +118,6 @@ def test_schnorr_sign_verify(benchmark):
 def test_primitive_cost_summary(benchmark):
     """One-shot summary table (the per-op timings live in the
     pytest-benchmark output above)."""
-    import time
-
     group = default_group()
     rows = []
 
@@ -146,4 +147,72 @@ def test_primitive_cost_summary(benchmark):
     emit(
         "Threshold coin (256-bit group): per-op cost in ms",
         [f"{'n':>3} {'t':>3}   {'share':>8} {'verify':>8} {'combine':>8}"] + rows,
+    )
+
+
+def test_quorum_batch_vs_per_share(benchmark):
+    """One quorum at n = 16, t = 5, verified share by share and in one
+    batch: the four share kinds the protocols count to a quorum."""
+    n, t = 16, 5
+    group = default_group()
+    rng = random.Random(11)
+    cases = []  # (label, shares in the quorum, per-share check, batch check)
+
+    coin, coin_holders = _coin(n, t, group)
+    flips = [coin_holders[i].share_for("quorum", rng) for i in range(t + 1)]
+    cases.append((
+        "coin", len(flips),
+        lambda: all(coin.verify_share(s) for s in flips),
+        lambda: len(coin.verify_shares("quorum", flips)) == len(flips),
+    ))
+
+    enc, enc_holders = _enc(n, t, group)
+    ct = enc.encrypt(b"a confidential service request", b"label", rng)
+    dec = [enc_holders[i].decryption_share(ct, rng) for i in range(t + 1)]
+    cases.append((
+        "TDH2", len(dec),
+        lambda: all(enc.verify_share(ct, s) for s in dec),
+        lambda: len(enc.verify_shares(ct, dec)) == len(dec),
+    ))
+
+    keys = {party: keygen(rng, group) for party in range(n)}
+    cert, signers = deal_quorum_certs(
+        keys, qualifier=lambda parties: len(parties) >= n - t
+    )
+    sigs = {i: signers[i].sign_share("quorum", rng) for i in range(n - t)}
+    items = [
+        (cert.verify_keys[i], (cert.tag, "quorum"), sig)
+        for i, sig in sorted(sigs.items())
+    ]
+    cases.append((
+        "certificate", len(sigs),
+        lambda: all(cert.verify_share("quorum", pair) for pair in sigs.items()),
+        lambda: verify_batch(group, items),
+    ))
+
+    rsa, rsa_holders = _rsa(n, t + 1, 512)
+    parts = [rsa_holders[i].sign_share("quorum", rng) for i in sorted(rsa_holders)[: t + 1]]
+    cases.append((
+        "Shoup RSA 512", len(parts),
+        lambda: all(rsa.verify_share("quorum", s) for s in parts),
+        lambda: len(rsa.verify_shares("quorum", parts)) == len(parts),
+    ))
+
+    rows = []
+
+    def measure():
+        rows.clear()
+        for label, count, per_share, batch in cases:
+            assert per_share() and batch()  # also warms tables and caches
+            one_by_one, batched = 1e3 * best_of(per_share, 5), 1e3 * best_of(batch, 5)
+            rows.append(
+                f"{label:<14} {count:>6}   {one_by_one:>9.2f} {batched:>8.2f} "
+                f"{one_by_one / batched:>7.2f}x"
+            )
+
+    benchmark.pedantic(measure, rounds=1, iterations=1)
+    emit(
+        "One quorum of shares (n=16, t=5, 256-bit group): per-share vs batch, ms",
+        [f"{'share kind':<14} {'shares':>6}   {'per-share':>9} {'batch':>8} "
+         f"{'speed-up':>8}"] + rows,
     )

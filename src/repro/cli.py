@@ -256,18 +256,6 @@ def _cmd_attack(args: argparse.Namespace) -> int:
     return 1
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from . import bench
-
-    if args.mode == "guard":
-        return bench.main_guard(
-            crypto_fresh=args.crypto_fresh,
-            crypto_committed=args.crypto_committed,
-            tolerance=args.tolerance,
-        )
-    return bench.main(seed=args.seed, out=args.out, smoke=args.smoke)
-
-
 def _cmd_sweep(args: argparse.Namespace) -> int:
     import json
     import pathlib
@@ -566,36 +554,6 @@ def main(argv: list[str] | None = None) -> int:
     attack = sub.add_parser("attack", help="run a scheduling-attack demonstration")
     attack.add_argument("target", choices=["leader"])
     attack.set_defaults(func=_cmd_attack)
-
-    bench = sub.add_parser(
-        "bench",
-        help="run the tracked crypto/agreement micro-benchmarks",
-        description=(
-            "'crypto' (default): microbenchmarks for multi-exponentiation, "
-            "fixed-base tables and batched share verification, plus "
-            "n in {4,7,16} binary-agreement end-to-end timings "
-            "(BENCH_crypto.json). The end-to-end benchmark of the stack is "
-            "bench/run.py (BENCHMARK.json). See docs/PERFORMANCE.md."
-        ),
-    )
-    bench.add_argument("mode", nargs="?", default="crypto",
-                       choices=["crypto", "guard"],
-                       help="'crypto' runs the benchmarks, 'guard' compares "
-                            "fresh numbers against the committed artifact "
-                            "(default: crypto)")
-    bench.add_argument("--out", default="BENCH_crypto.json",
-                       help="output JSON path (default: BENCH_crypto.json)")
-    bench.add_argument("--smoke", action="store_true",
-                       help="minimal repeats/sizes; wiring check for CI")
-    bench.add_argument("--crypto-fresh", default=None, dest="crypto_fresh",
-                       help="guard: freshly produced crypto bench JSON")
-    bench.add_argument("--crypto-committed", default="BENCH_crypto.json",
-                       dest="crypto_committed",
-                       help="guard: committed crypto artifact to compare to")
-    bench.add_argument("--tolerance", type=float, default=0.30,
-                       help="guard: max fractional regression before failing "
-                            "(default 0.30)")
-    bench.set_defaults(func=_cmd_bench)
 
     sweep = sub.add_parser(
         "sweep",

@@ -1,13 +1,14 @@
 """Per-server protocol runtime: session routing and composition.
 
 One :class:`ProtocolRuntime` runs on every server.  It demultiplexes
-incoming ``(session, message)`` payloads to protocol instances,
-buffers messages that arrive before their instance exists (the
-asynchronous network may deliver a sub-protocol's messages before the
-local parent has spawned it), and auto-creates instances through
-registered factories — this is how a server starts participating in a
-reliable broadcast it has never heard of, or in round 7 of an agreement
-it has not reached yet.
+incoming ``(session, message)`` payloads to protocol instances and
+buffers, per session and up to a bound, messages that arrive before
+their instance exists: the asynchronous network may deliver a
+sub-protocol's messages — a reliable broadcast this server has not
+heard of, round 7 of an agreement it has not reached — before the local
+parent has spawned it, and :meth:`ProtocolRuntime.spawn` replays them
+to the instance when the parent does.  Nothing is created on a peer's
+say-so.
 """
 
 from __future__ import annotations
@@ -51,21 +52,8 @@ class ProtocolRuntime(Node):
         self.outputs: dict[SessionId, object] = {}
         self._callbacks: dict[SessionId, list[Callable[[object], None]]] = {}
         self._buffered: dict[SessionId, list[tuple[int, object]]] = {}
-        self._factories: list[tuple[str, Callable[[SessionId], Protocol | None]]] = []
-        self._start_queue: list[SessionId] = []
-        self._dispatching = False
 
     # -- composition ---------------------------------------------------------
-
-    def register_factory(
-        self, kind: str, factory: Callable[[SessionId], Protocol | None]
-    ) -> None:
-        """Auto-create instances for sessions whose first element is ``kind``.
-
-        The factory may return ``None`` to reject a session (e.g. a
-        malformed session id announced by a corrupted party).
-        """
-        self._factories.append((kind, factory))
 
     def spawn(
         self,
@@ -77,11 +65,11 @@ class ProtocolRuntime(Node):
         existing = self.instances.get(session)
         if existing is not None:
             if on_output is not None:
-                self._subscribe(session, on_output)
+                self.subscribe(session, on_output)
             return existing
         self.instances[session] = protocol
         if on_output is not None:
-            self._subscribe(session, on_output)
+            self.subscribe(session, on_output)
         ctx = Context(self, session)
         protocol.on_start(ctx)
         for sender, message in self._buffered.pop(session, []):
@@ -90,13 +78,10 @@ class ProtocolRuntime(Node):
 
     def subscribe(self, session: SessionId, on_output: Callable[[object], None]) -> None:
         """Await a session's output without owning the instance."""
-        self._subscribe(session, on_output)
-
-    def _subscribe(self, session: SessionId, callback: Callable[[object], None]) -> None:
         if session in self.outputs:
-            callback(self.outputs[session])
+            on_output(self.outputs[session])
             return
-        self._callbacks.setdefault(session, []).append(callback)
+        self._callbacks.setdefault(session, []).append(on_output)
 
     def deliver_output(self, session: SessionId, value: object) -> None:
         """First output wins; later calls are ignored (idempotence)."""
@@ -121,19 +106,8 @@ class ProtocolRuntime(Node):
             return
         instance = self.instances.get(session)
         if instance is None:
-            instance = self._try_factories(session)
-        if instance is None:
             queue = self._buffered.setdefault(session, [])
             if len(queue) < _BUFFER_LIMIT:
                 queue.append((sender, message))
             return
         instance.on_message(Context(self, session), sender, message)
-
-    def _try_factories(self, session: SessionId) -> Protocol | None:
-        kind = session[0]
-        for registered_kind, factory in self._factories:
-            if registered_kind == kind:
-                protocol = factory(session)
-                if protocol is not None:
-                    return self.spawn(session, protocol)
-        return None

@@ -54,7 +54,11 @@ def _digest(ct: Ciphertext) -> bytes:
 
 
 class SecureCausalBroadcast(Protocol):
-    """Wraps an :class:`AtomicBroadcast` with threshold decryption.
+    """Threshold decryption layered on an :class:`AtomicBroadcast`.
+
+    ``abc`` is the broadcast this layer sits on (the paper's stack
+    figure) — a replica hands in the one it owns and configured — and
+    whose ``on_deliver`` it takes over in ``on_start``.
 
     ``on_deliver(plaintext, round)`` fires in identical order at every
     honest party; plaintexts of later a-delivered ciphertexts are never
@@ -63,10 +67,12 @@ class SecureCausalBroadcast(Protocol):
     """
 
     def __init__(
-        self, on_deliver: Callable[[bytes, int], None] | None = None
+        self,
+        on_deliver: Callable[[bytes, int], None] | None = None,
+        abc: AtomicBroadcast | None = None,
     ) -> None:
         self.on_deliver = on_deliver
-        self.abc = AtomicBroadcast(on_deliver=None)  # wired in on_start
+        self.abc = abc if abc is not None else AtomicBroadcast()
         # Digests in a-delivery order, awaiting decryption.
         self.pending: list[tuple[bytes, int]] = []
         self.plaintexts: dict[bytes, bytes] = {}
@@ -78,9 +84,9 @@ class SecureCausalBroadcast(Protocol):
         self.s_delivered: list[tuple[bytes, int]] = []
 
     def on_start(self, ctx: Context) -> None:
-        # The inner atomic broadcast runs inside this same session: this
-        # instance demultiplexes decryption shares from ABC traffic, so
-        # the stack figure's layering stays explicit without a second
+        # The atomic broadcast underneath runs inside this same session:
+        # this instance demultiplexes decryption shares from ABC traffic,
+        # so the stack figure's layering stays explicit without a second
         # top-level session.
         self.abc.on_deliver = lambda payload, rnd: self._on_a_deliver(ctx, payload, rnd)
 

@@ -28,7 +28,7 @@ This module concentrates the arithmetic tricks that cut that cost:
   standard random-oracle soundness argument: the prover must commit to
   the batch before the coefficients are known.
 
-See docs/PERFORMANCE.md for the measured effect (``BENCH_crypto.json``).
+See docs/PERFORMANCE.md for the invariant each technique rests on.
 """
 
 from __future__ import annotations

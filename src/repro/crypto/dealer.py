@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 from ..adversary.formulas import Formula, majority
 from ..adversary.hybrid import HybridQuorumSystem
 from ..adversary.quorums import (
-    GeneralQuorumSystem,
     QuorumSystem,
     ThresholdQuorumSystem,
     access_formula_compatible,

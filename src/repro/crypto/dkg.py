@@ -474,9 +474,6 @@ class _VerifiableDealing(Protocol):
     def _dealers(self, ctx: Context) -> tuple[int, ...]:
         raise NotImplementedError
 
-    def _is_dealer(self, ctx: Context) -> bool:
-        return ctx.party in self._dealers(ctx)
-
     def _is_receiver(self, ctx: Context) -> bool:
         return ctx.party in self._receivers(ctx)
 

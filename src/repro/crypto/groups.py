@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass
 
 from .accel import accel_for
-from .numtheory import is_probable_prime, jacobi, random_safe_prime
+from .numtheory import jacobi, random_safe_prime
 
 __all__ = ["SchnorrGroup", "generate_group", "default_group", "small_group"]
 
@@ -127,10 +127,3 @@ def default_group() -> SchnorrGroup:
 def small_group() -> SchnorrGroup:
     """A 64-bit group for fast tests; NOT cryptographically strong."""
     return SchnorrGroup(p=_P_64, q=_Q_64, g=_G_64)
-
-
-def _selfcheck() -> None:  # pragma: no cover - development aid
-    for grp in (default_group(), small_group()):
-        assert is_probable_prime(grp.p)
-        assert is_probable_prime(grp.q)
-        assert grp.is_member(grp.g)

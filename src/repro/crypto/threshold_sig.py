@@ -1,7 +1,8 @@
 """Threshold signatures.
 
-Two interchangeable realizations sit behind one interface (see the
-substitution table in DESIGN.md):
+Two realizations (see the substitution table in DESIGN.md), each named
+where it is used — no common type: parties are 1-based in the first,
+0-based in the second, whose share is a ``(party, signature)`` pair:
 
 * :class:`ShoupRsaScheme` — the practical threshold signature scheme of
   Shoup [35] that the paper cites: non-interactive, robust (every
@@ -18,10 +19,10 @@ substitution table in DESIGN.md):
   adversary structures* work end-to-end, where no threshold signature
   scheme exists.
 
-Both schemes expose: ``sign_share``, ``verify_share``, ``combine``,
-``verify`` — the exact operations the broadcast/agreement layer uses —
-plus ``verify_shares`` batching a whole quorum's share proofs into one
-simultaneous multi-exponentiation (docs/PERFORMANCE.md).
+Both offer the same verbs — ``sign_share``, ``verify_share``,
+``combine``, ``verify``, the operations the broadcast/agreement layer
+uses — plus ``verify_shares`` batching a whole quorum's share proofs
+into one simultaneous multi-exponentiation (docs/PERFORMANCE.md).
 
 Shoup share proofs are carried in commitment form ``(v', x', z)`` with
 the challenge recomputed by hashing, which is what makes them
@@ -38,7 +39,7 @@ import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Mapping, Protocol
+from typing import Callable, Iterable, Mapping
 
 from ..codec import register
 from .accel import batch_coefficients, verify_product_equations
@@ -49,7 +50,6 @@ from .schnorr import Signature as SchnorrSignature
 from .schnorr import SigningKey, VerifiedMemo, VerifyKey, verify_batch
 
 __all__ = [
-    "ThresholdScheme",
     "ShoupRsaScheme",
     "ShoupRsaShareholder",
     "RsaSignatureShare",
@@ -60,16 +60,6 @@ __all__ = [
     "deal_shoup_rsa",
     "deal_quorum_certs",
 ]
-
-
-class ThresholdScheme(Protocol):
-    """What the protocol layer relies on from any threshold signature."""
-
-    def verify_share(self, message: object, share: object) -> bool: ...
-
-    def combine(self, message: object, shares: dict[int, object]) -> object: ...
-
-    def verify(self, message: object, signature: object) -> bool: ...
 
 
 # ===========================================================================

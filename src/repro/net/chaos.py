@@ -1100,10 +1100,10 @@ class TcpCluster:
         self.replicas.update(
             await _spawn(self.scenario, self.workdir, [party], "--recover")
         )
-        status = await self.replicas[party].wait_for_line("replica-checkpoint")
+        checkpoint = await self.replicas[party].wait_for("replica-checkpoint")
         if party not in self.byzantine:
             self.restarted.append(party)
-        return {"checkpoint": status}
+        return {"checkpoint": checkpoint["status"]}
 
     async def reconfigure(self) -> tuple[int, tuple]:
         # The replicas persist epoch.json atomically at every switch, and
@@ -1140,7 +1140,7 @@ class TcpCluster:
 
     async def settle(self) -> None:
         for party in self.restarted:
-            await self.replicas[party].wait_for_line("replica-recovered")
+            await self.replicas[party].wait_for("replica-recovered")
 
     async def probe(self, operation: tuple) -> bool:
         try:

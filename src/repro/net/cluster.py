@@ -39,6 +39,7 @@ from .runtime import (
     ClusterConfig,
     allocate_addresses,
     load_epoch,
+    parse,
     provision_dkg_deployment,
     provision_joiner,
 )
@@ -162,8 +163,13 @@ class _ReplicaProcess:
         self.party = party
         self.io_timeout = io_timeout
         self.lines: list[str] = []
+        # What the child said in the host's vocabulary (runtime.parse),
+        # in order; ``_news`` wakes the waiters on each and at the end.
+        self.events: list[tuple[str, dict[str, str]]] = []
+        self._news = asyncio.Event()
         task = asyncio.get_running_loop().create_task(self._drain())
-        task.add_done_callback(lambda t: t.cancelled() or t.exception())
+        # A failed drain wakes the waiters too; stop()/kill() re-raise it.
+        task.add_done_callback(lambda _: self._news.set())
         self._task = task
 
     async def _drain(self) -> None:
@@ -182,28 +188,36 @@ class _ReplicaProcess:
             for raw in complete:
                 line = raw.decode(errors="replace").rstrip()
                 self.lines.append(line)
+                event = parse(line)
+                if event is not None:
+                    self.events.append(event)
                 print(f"  [replica {self.party}] {line}", flush=True)
+            self._news.set()
             if not chunk:
                 return
 
-    async def wait_for_line(self, needle: str) -> str:
-        """Block until a captured stdout line contains ``needle``, at
-        most the deployment's ``ClusterConfig.io_timeout`` (threaded
-        through at spawn time)."""
-        deadline = asyncio.get_running_loop().time() + self.io_timeout
+    async def wait_for(self, kind: str, **match: object) -> dict[str, str]:
+        """The fields of the first ``kind`` event the child has printed
+        (or prints within the deployment's ``ClusterConfig.io_timeout``,
+        threaded through at spawn time) whose fields include ``match``."""
+        wanted = {name: str(value) for name, value in match.items()}
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + self.io_timeout
         while True:
-            for line in self.lines:
-                if needle in line:
-                    return line
-            if self.proc.returncode is not None:
+            self._news.clear()
+            for seen, fields in self.events:
+                if seen == kind and wanted.items() <= fields.items():
+                    return fields
+            if self._task.done():
                 raise TransportError(
-                    f"replica {self.party} exited before printing {needle!r}"
+                    f"replica {self.party} exited before printing {kind} {wanted}"
                 )
-            if asyncio.get_running_loop().time() > deadline:
+            try:
+                await asyncio.wait_for(self._news.wait(), deadline - loop.time())
+            except asyncio.TimeoutError:
                 raise TransportError(
-                    f"replica {self.party} never printed {needle!r}"
-                )
-            await asyncio.sleep(0.05)
+                    f"replica {self.party} never printed {kind} {wanted}"
+                ) from None
 
     async def stop(self, grace: float = 15.0) -> None:
         if self.proc.returncode is None:
@@ -270,7 +284,7 @@ async def spawn_replicas(
             )
             replicas[party] = _ReplicaProcess(proc, party, io_timeout)
         for replica in replicas.values():
-            await replica.wait_for_line("listening")
+            await replica.wait_for("listening")
     except BaseException:
         for replica in replicas.values():
             await replica.kill()
@@ -304,10 +318,10 @@ async def _phase(
 def _expect_full_history(replica: _ReplicaProcess) -> None:
     """Every key of every demo phase is in the stopped replica's final
     snapshot."""
-    final = next((line for line in replica.lines if "replica-final" in line), "")
-    missing = [f"key-{i}" for i in range(6) if f"key-{i}" not in final]
+    snapshot = dict(replica.events).get("replica-final", {}).get("snapshot", "")
+    missing = [f"key-{i}" for i in range(6) if f"key-{i}" not in snapshot]
     _expect(
-        bool(final) and not missing,
+        bool(snapshot) and not missing,
         f"replica {replica.party} final state missing {missing or 'everything'}",
     )
 
@@ -343,7 +357,7 @@ async def _demo_cluster(
         # State transfer (Section 6) runs concurrently with phase C;
         # wait for the restarted replica to announce it has caught up
         # before asking everyone for their final snapshot.
-        await replicas[victim].wait_for_line("replica-recovered")
+        await replicas[victim].wait_for("replica-recovered")
 
         print("stopping the cluster (SIGTERM)", flush=True)
         for party in sorted(replicas):
@@ -370,7 +384,8 @@ async def _demo_cluster_dkg(
           flush=True)
     replicas = await spawn_replicas(directory, range(n), "--dkg")
     for party in range(n):
-        print(f"  {await replicas[party].wait_for_line('replica-dkg')}", flush=True)
+        generated = await replicas[party].wait_for("replica-dkg")
+        print(f"  replica {party}: keys from dealers {generated['qualified']}", flush=True)
 
     client = await attach_client(directory, random.Random(seed + 99))
     operator_rng = random.Random(seed + 7)
@@ -395,14 +410,12 @@ async def _demo_cluster_dkg(
             f"{action} operation rejected",
         )
         for party in range(members):
-            line = await replicas[party].wait_for_line(
-                f"replica-epoch party={party} epoch={epoch}"
-            )
-            print(f"  {line}", flush=True)
+            entered = await replicas[party].wait_for("replica-epoch", epoch=epoch)
+            print(f"  replica {party}: epoch {epoch}, n={entered['n']}", flush=True)
             # A member's pre-switch shares must fail under the new epoch's
             # verification values (a joiner held none to probe).
             _expect(
-                party == joiner or "stale_shares_valid=False" in line,
+                party == joiner or entered.get("stale_shares_valid") == "False",
                 f"stale shares still verify in epoch {epoch}",
             )
 
@@ -422,7 +435,7 @@ async def _demo_cluster_dkg(
             verify_key=bundle.signing_key.verify_key.h,
             host=joiner_addr[0], port=joiner_addr[1],
         )
-        await replicas[joiner].wait_for_line("replica-recovered")
+        await replicas[joiner].wait_for("replica-recovered")
         print(f"  replica {joiner} joined epoch 1 and state-transferred",
               flush=True)
 
@@ -434,8 +447,7 @@ async def _demo_cluster_dkg(
         _expect(client.epoch == 1, "client never adopted epoch 1")
 
         await reconfigure("remove", 2, n)
-        line = await replicas[joiner].wait_for_line("replica-departed")
-        print(f"  {line}", flush=True)
+        await replicas[joiner].wait_for("replica-departed", epoch=2)
         print(f"stopping departed replica {joiner}", flush=True)
         await replicas[joiner].stop()
 

@@ -28,6 +28,7 @@ import hmac
 import json
 import pathlib
 import random
+import re
 import signal
 import socket
 from collections.abc import Callable
@@ -54,6 +55,7 @@ __all__ = [
     "CLUSTER_FILE",
     "DEFAULT_IO_TIMEOUT",
     "EPOCH_FILE",
+    "LINE_KINDS",
     "BootstrapFile",
     "ClusterConfig",
     "Phase",
@@ -64,8 +66,10 @@ __all__ = [
     "load_bootstrap",
     "load_checkpoint",
     "load_epoch",
+    "parse",
     "provision_dkg_deployment",
     "provision_joiner",
+    "render",
     "run_client_ops",
     "save_epoch",
     "serve_replica",
@@ -411,6 +415,77 @@ def dh_channel_key(group: SchnorrGroup, secret_x: int, peer_h: int) -> bytes:
     return hash_bytes("dh-channel", pow(peer_h, secret_x, group.p))
 
 
+# -- what a server process says on stdout -------------------------------------------
+#
+# One line per event, ``<kind> party=<p> <field>=<value> ...``: written
+# only by :meth:`ReplicaHost.emit` through :func:`render`, read only
+# through :func:`parse` (``net/cluster.py`` waits on kinds, not on
+# substrings).  The table is the whole vocabulary: kind -> the fields
+# after ``party=``, in print order; one left out is not printed.  Two
+# run to the end of their line: ``snapshot`` (a repr, spaces included)
+# and ``note`` (words for people, printed bare).
+
+LINE_KINDS: dict[str, tuple[str, ...]] = {
+    "listening": ("host", "port", "recovering"),  # its own, older shape
+    "replica-checkpoint": ("status",),
+    "replica-recovered": ("executed",),
+    "replica-abc-stats": ("rounds", "delivered", "mean_batch", "occupancy"),
+    "replica-final": ("executed", "byzantine", "snapshot"),
+    "replica-dkg": ("qualified",),
+    "replica-dkg-retry": ("attempt",),
+    "replica-join-retry": ("attempt",),
+    "replica-reshare-retry": ("epoch", "attempt"),
+    "replica-epoch": ("epoch", "n", "stale_shares_valid"),
+    "replica-stale-epoch": ("epoch", "n"),
+    "replica-departed": ("epoch",),
+    "replica-retired": ("epoch",),
+    "replica-reconfig-unsupported": ("note",),
+}
+_LISTENING = re.compile(
+    r"replica (?P<party>\d+) listening on (?P<host>\S+):(?P<port>\d+)"
+    r"(?: \((?P<recovering>recovering)\))?"
+)
+
+
+def render(kind: str, party: int, **fields: object) -> str:
+    """The stdout line for one event of ``kind`` at ``party``."""
+    names = LINE_KINDS[kind]
+    unknown = fields.keys() - set(names)
+    if unknown:
+        raise ValueError(f"{kind} has no field {sorted(unknown)}")
+    if kind == "listening":
+        suffix = " (recovering)" if fields.get("recovering") else ""
+        return f"replica {party} listening on {fields['host']}:{fields['port']}{suffix}"
+    words = [kind, f"party={party}"]
+    for name in names:
+        if name in fields:
+            words.append(str(fields[name]) if name == "note" else f"{name}={fields[name]}")
+    return " ".join(words)
+
+
+def parse(line: str) -> tuple[str, dict[str, str]] | None:
+    """``(kind, fields)`` of a line :func:`render` wrote — every value
+    as the text it was printed as, ``party`` among them — or ``None``
+    for anything else a process may print (tracebacks, warnings)."""
+    listening = _LISTENING.fullmatch(line)
+    if listening is not None:
+        return "listening", {k: v for k, v in listening.groupdict().items() if v}
+    kind, _, rest = line.partition(" ")
+    if kind == "listening" or kind not in LINE_KINDS:
+        return None
+    fields: dict[str, str] = {}
+    while rest:
+        name, _, value = rest.partition("=")
+        if name == "snapshot":
+            fields[name] = value
+            break
+        if name not in ("party", *LINE_KINDS[kind]):
+            fields["note"] = rest
+            break
+        fields[name], _, rest = value.partition(" ")
+    return kind, fields
+
+
 # -- one server process -------------------------------------------------------------
 
 
@@ -550,7 +625,7 @@ class ReplicaHost:
             )
             self.network.attach(party, node)
             if self.replica is not None:
-                self.replica.on_execute = self._on_execute
+                self._observe_replica()
         if journal and byzantine is None:
             journal_dir = directory / "journal"
             journal_dir.mkdir(exist_ok=True)
@@ -564,7 +639,7 @@ class ReplicaHost:
     def _install_replica_hooks(self) -> None:
         """Wire the host's observation and reconfiguration hooks into
         the (honest) replica instance."""
-        self.replica.on_execute = self._on_execute
+        self._observe_replica()
         if self._causal:
             return  # reconfiguration requires the ordered plaintext path
         self.replica.intercept = self._intercept
@@ -576,6 +651,17 @@ class ReplicaHost:
             self.keys.signing_key,
             self.runtime.rng,
         )
+
+    def _observe_replica(self) -> None:
+        """The hooks every hosted replica gets, a Byzantine one too."""
+        self.replica.on_execute = self._on_execute
+        self.replica.on_recovered = lambda: self.emit(
+            "replica-recovered", executed=len(self.replica.executed)
+        )
+
+    def emit(self, kind: str, **fields: object) -> None:
+        """Say one event on stdout — this process's only ``print``."""
+        print(render(kind, self.party, **fields), flush=True)
 
     def _on_execute(self, request, result, rnd) -> None:
         self._executions += 1
@@ -643,7 +729,7 @@ class ReplicaHost:
         scheme = threshold_scheme(bundle.n, bundle.t, bundle.group.q)
         self._run_ladder(
             0,
-            f"replica-dkg-retry party={self.party}",
+            "replica-dkg-retry",
             lambda: dkg.DistributedKeyGeneration(bundle.group, scheme),
             self._complete_dkg,
         )
@@ -660,7 +746,7 @@ class ReplicaHost:
         joiner = {self.party: self.keys.signing_key.verify_key.h}
         self._run_ladder(
             self.epoch + 1,
-            f"replica-join-retry party={self.party}",
+            "replica-join-retry",
             lambda: self._resharing(public.n + 1, joiner),
             self._complete_reshare,
         )
@@ -670,11 +756,7 @@ class ReplicaHost:
         ordered execution and run the resharing."""
         public = self.public
         if getattr(public.quorum, "t", None) is None:
-            print(
-                f"replica-reconfig-unsupported party={self.party} "
-                "(non-threshold quorum)",
-                flush=True,
-            )
+            self.emit("replica-reconfig-unsupported", note="(non-threshold quorum)")
             return
         target = request.epoch
         joiner: dict[int, int] = {}
@@ -710,12 +792,13 @@ class ReplicaHost:
         self.replica.pause_execution()
         self._run_ladder(
             target,
-            f"replica-reshare-retry party={self.party} epoch={target}",
+            "replica-reshare-retry",
             lambda: self._resharing(new_n, joiner),
             None if departing else self._complete_reshare,
+            epoch=target,
         )
         if departing:
-            print(f"replica-departed party={self.party} epoch={target}", flush=True)
+            self.emit("replica-departed", epoch=target)
 
     def _resharing(
         self, new_n: int, joiner: dict[int, int]
@@ -750,9 +833,10 @@ class ReplicaHost:
     def _run_ladder(
         self,
         target: int,
-        retry_line: str,
+        retry_kind: str,
         make_protocol: Callable[[], object],
         complete: Callable[[object, "dkg.DkgOutput"], None] | None,
+        **retry_fields: object,
     ) -> None:
         """Run the key-material session that opens epoch ``target`` —
         the key generation for epoch 0, a resharing for any later one —
@@ -775,7 +859,7 @@ class ReplicaHost:
                 dkg.reshare_session(target, tag) if target else dkg.dkg_session(tag)
             )
             if attempt:
-                print(f"{retry_line} attempt={attempt}", flush=True)
+                self.emit(retry_kind, **retry_fields, attempt=attempt)
                 if self.phase.name != "booting":
                     # Peers may have completed this epoch without us
                     # (divergent flush): probe for their signed
@@ -819,8 +903,8 @@ class ReplicaHost:
         )
         qualified = ",".join(str(p) for p in output.qualified)
         self._enter_epoch(
-            0, public, self._party_keys(public, output),
-            line=f"replica-dkg party={self.party} qualified={qualified}",
+            0, public, self._party_keys(public, output), "replica-dkg",
+            qualified=qualified,
         )
 
     def _complete_reshare(
@@ -839,25 +923,20 @@ class ReplicaHost:
         # Probe: a coin share from the *pre-switch* keys must fail under
         # the freshly randomized verification values (this is what makes
         # a departed replica's shares useless).
-        stale_note = ""
+        entered: dict[str, object] = {"epoch": target, "n": new_public.n}
         old_coin = getattr(self.keys, "coin", None)
         if old_coin is not None:
             try:
                 stale = old_coin.share_for(("epoch-probe", target), self.runtime.rng)
-                stale_note = (
-                    f" stale_shares_valid={new_public.coin.verify_share(stale)}"
-                )
+                entered["stale_shares_valid"] = new_public.coin.verify_share(stale)
             except (KeyError, ValueError):
-                stale_note = " stale_shares_valid=False"
+                entered["stale_shares_valid"] = False
         self._enter_epoch(
-            target, new_public, self._party_keys(new_public, output),
-            line=(
-                f"replica-epoch party={self.party} epoch={target} "
-                f"n={new_public.n}{stale_note}"
-            ),
+            target, new_public, self._party_keys(new_public, output), "replica-epoch",
             # A joiner has executed nothing yet: state transfer from the
             # checkpointed history (Section 6) on the new session.
             state_transfer=self.replica is None,
+            **entered,
         )
 
     def _party_keys(self, public, output: dkg.DkgOutput):
@@ -885,7 +964,7 @@ class ReplicaHost:
             # The epoch we missed removed us.  Stop the retry ladder —
             # the peers will never spawn our resharing session.
             self.phase = RETIRED
-            print(f"replica-retired party={self.party} epoch={target}", flush=True)
+            self.emit("replica-retired", epoch=target)
             return
         # Members admitted while we were down (same construction the
         # resharing used).
@@ -894,13 +973,10 @@ class ReplicaHost:
             keystore.party_to_dict(self.keys), new_public
         )
         self._enter_epoch(
-            target, new_public, new_keys,
-            line=(
-                f"replica-stale-epoch party={self.party} epoch={target} "
-                f"n={new_public.n}"
-            ),
+            target, new_public, new_keys, "replica-stale-epoch",
             # Fills in everything ordered while we were away.
             state_transfer=True,
+            epoch=target, n=new_public.n,
         )
 
     def _derive_channel_keys(self, public) -> dict[int, bytes]:
@@ -922,18 +998,20 @@ class ReplicaHost:
         target: int,
         new_public,
         new_keys,
+        kind: str,
         *,
-        line: str,
         state_transfer: bool = False,
+        **fields: object,
     ) -> None:
         """The one way into an epoch.
 
         Every entry — key generation, a completed resharing, a voted
         configuration — persists keystore, party bundle and epoch file
         *before* it swaps keys, so a replica killed at any instant
-        restarts into a directory that describes one epoch.  ``line`` is
-        the entry's stdout record; ``state_transfer`` asks for Section-6
-        recovery on the new session (we executed less than was ordered).
+        restarts into a directory that describes one epoch.  ``kind``
+        and ``fields`` are the entry's stdout record; ``state_transfer``
+        asks for Section-6 recovery on the new session (we executed less
+        than was ordered).
         """
         old_epoch = self.epoch
         # Epoch 0 of a dealerless boot closes nothing: there is no
@@ -983,16 +1061,14 @@ class ReplicaHost:
             # Rounds in flight when the old session was tombstoned can
             # never decide there; re-propose their payloads here so the
             # broadcast does not wedge behind a dead round.
-            self.replica.rebase_broadcast(ctx)
+            self.replica.abc.rebase(ctx)
         # Release everything ordered behind the Reconfigure: it executes
         # now, at the new epoch, in delivery order — the same point of
         # the history at every replica.
         self.replica.resume_execution(ctx)
-        print(line, flush=True)
+        self.emit(kind, **fields)
         if state_transfer:
             self.replica.begin_recovery(ctx)
-            task = asyncio.get_running_loop().create_task(_announce_recovery(self))
-            task.add_done_callback(lambda t: t.cancelled() or t.exception())
 
     # -- ordered reconfiguration and membership votes ------------------------------
 
@@ -1147,8 +1223,9 @@ class ReplicaHost:
                 return
             retry()
 
-        task = asyncio.get_running_loop().create_task(watch())
-        task.add_done_callback(lambda t: t.cancelled() or t.exception())
+        # A raise inside flush() or retry() is counted, kept in
+        # network.errors and printed, not a ladder ended without a trace.
+        self.network.spawn(watch(), "host.task_errors")
 
     async def close(self) -> None:
         await self.network.close()
@@ -1181,19 +1258,9 @@ async def serve_replica(
     for signum in (signal.SIGINT, signal.SIGTERM):
         loop.add_signal_handler(signum, stop.set)
     address = host.network.listen_address
-    print(
-        f"replica {party} listening on {address[0]}:{address[1]}"
-        + (" (recovering)" if recover else ""),
-        flush=True,
-    )
+    host.emit("listening", host=address[0], port=address[1], recovering=recover)
     if recover:
-        print(
-            f"replica-checkpoint party={party} status={host.checkpoint_status}",
-            flush=True,
-        )
-        if host.replica is not None:
-            task = loop.create_task(_announce_recovery(host))
-            task.add_done_callback(lambda t: t.cancelled() or t.exception())
+        host.emit("replica-checkpoint", status=host.checkpoint_status)
     # Bounded by SIGTERM from the operator, not by wall clock: a
     # replica serves until told to stop.
     await stop.wait()  # repro: noqa-RL005 runs-until-signalled by design
@@ -1202,35 +1269,21 @@ async def serve_replica(
             host.write_checkpoint()
         snapshot = host.replica.state_machine.snapshot()
         stats = host.replica.abc.stats()
-        print(
-            f"replica-abc-stats party={party} "
-            f"rounds={stats['rounds']:.0f} "
-            f"delivered={stats['delivered']:.0f} "
-            f"mean_batch={stats['mean_batch']:.3f} "
-            f"occupancy={stats['pipeline_occupancy']:.3f}",
-            flush=True,
+        host.emit(
+            "replica-abc-stats",
+            rounds=f"{stats['rounds']:.0f}",
+            delivered=f"{stats['delivered']:.0f}",
+            mean_batch=f"{stats['mean_batch']:.3f}",
+            occupancy=f"{stats['pipeline_occupancy']:.3f}",
         )
-        print(
-            f"replica-final party={party} executed={len(host.replica.executed)} "
-            f"snapshot={snapshot!r}",
-            flush=True,
+        host.emit(
+            "replica-final",
+            executed=len(host.replica.executed), snapshot=repr(snapshot),
         )
     else:
-        print(f"replica-final party={party} byzantine={byzantine}", flush=True)
+        host.emit("replica-final", byzantine=byzantine)
     await host.close()
     return 0
-
-
-async def _announce_recovery(host: ReplicaHost) -> None:
-    """Print a parseable line once Section-6 state transfer finishes
-    (the demo cluster waits for it before declaring success)."""
-    while host.replica.recovering:
-        await asyncio.sleep(0.05)
-    print(
-        f"replica-recovered party={host.party} "
-        f"executed={len(host.replica.executed)}",
-        flush=True,
-    )
 
 
 # -- a client process ---------------------------------------------------------------

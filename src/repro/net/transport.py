@@ -49,7 +49,7 @@ import traceback
 from collections import deque
 from dataclasses import dataclass
 from itertools import islice
-from typing import Callable
+from typing import Callable, Coroutine
 
 from ..codec import MAX_LENGTH
 from ..crypto.dealer import is_server
@@ -751,14 +751,10 @@ class TransportNetwork:
     def _on_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        task = asyncio.get_running_loop().create_task(
-            self._handle_connection(reader, writer)
-        )
-        task.add_done_callback(self._on_task_done)
+        task = self.spawn(self._handle_connection(reader, writer))
         # Closed here and not in the coroutine's ``finally``: a task
         # cancelled before its first step never enters its body.
         task.add_done_callback(lambda _: writer.close())
-        self._tasks.add(task)
 
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
@@ -850,13 +846,26 @@ class TransportNetwork:
 
     # -- task bookkeeping --------------------------------------------------
 
-    def _on_task_done(self, task: asyncio.Task) -> None:
+    def spawn(
+        self, coro: Coroutine, counter: str = "transport.task_errors"
+    ) -> asyncio.Task:
+        """Run ``coro`` as a task this network owns: :meth:`close`
+        cancels it, and a failure is recorded under ``counter`` (the
+        host's own tasks ride along as ``host.task_errors``)."""
+        task = asyncio.get_running_loop().create_task(coro)
+        task.add_done_callback(lambda done: self._on_task_done(done, counter))
+        self._tasks.add(task)
+        return task
+
+    def _on_task_done(
+        self, task: asyncio.Task, counter: str = "transport.task_errors"
+    ) -> None:
         self._tasks.discard(task)
         if task.cancelled():
             return
         exc = task.exception()
         if exc is not None:
-            self._record_error(exc, "transport.task_errors")
+            self._record_error(exc, counter)
 
     def _record_error(self, exc: BaseException, counter: str) -> None:
         """Count every handler/task failure; keep and print (stderr) the

@@ -42,7 +42,6 @@ from ..codec import register
 from ..core.protocol import Context, Protocol, SessionId
 from ..crypto.dealer import PublicKeys
 from ..crypto.schnorr import Signature, SigningKey
-from .state_machine import Request
 
 __all__ = [
     "RECONFIG_KIND",
@@ -357,15 +356,3 @@ class EpochTombstone(Protocol):
             )
         elif isinstance(message, (MembershipQuery, RecoverQuery)):
             ctx.send(sender, self.info)
-
-
-def request_client(message: object) -> int | None:
-    """The client id a submission claims (diagnostics only; routing
-    always answers the authenticated sender)."""
-    if not hasattr(message, "request"):
-        return None
-    try:
-        request = Request.decode(message.request)
-    except (TypeError, ValueError):
-        return None
-    return request.client

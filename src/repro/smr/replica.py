@@ -117,8 +117,10 @@ class Replica(Protocol):
     ) -> None:
         self.state_machine = state_machine
         self.causal = causal
+        # The one broadcast this replica orders through; a confidential
+        # service layers threshold decryption on that same instance.
         self.abc = AtomicBroadcast(config=abc_config)
-        self.sc_abc = SecureCausalBroadcast()
+        self.sc_abc = SecureCausalBroadcast(abc=self.abc) if causal else None
         self.executed: list[tuple[Request, object]] = []
         self._seen_nonces: set[tuple[int, int]] = set()
         # client -> (nonce, result) of its *latest* executed request, so
@@ -170,16 +172,21 @@ class Replica(Protocol):
         # behind while we were down) — the host verifies a quorum of
         # such votes and re-adopts.
         self.on_membership_info: Callable[[int, object], None] | None = None
+        # Observation hook: a state transfer begun by begin_recovery was
+        # adopted (the host announces it; the demos and chaos wait for it).
+        self.on_recovered: Callable[[], None] | None = None
 
     # -- lifecycle ------------------------------------------------------------
 
     def on_start(self, ctx: Context) -> None:
-        self.abc.on_deliver = lambda payload, rnd: self._on_ordered(ctx, payload, rnd)
         self.abc.on_lag = lambda: self._on_lag(ctx)
-        self.sc_abc.on_start(ctx)
-        self.sc_abc.on_deliver = lambda plaintext, rnd: self._on_ordered_plain(
-            ctx, plaintext, rnd
-        )
+        if not self.causal:
+            self.abc.on_deliver = lambda payload, rnd: self._on_ordered(ctx, payload, rnd)
+        else:
+            self.sc_abc.on_start(ctx)  # takes the broadcast's on_deliver
+            self.sc_abc.on_deliver = lambda plaintext, rnd: self._on_ordered_plain(
+                ctx, plaintext, rnd
+            )
 
     # -- message routing ----------------------------------------------------------
 
@@ -364,6 +371,8 @@ class Replica(Protocol):
         self._replay_entries(ctx, entries)
         self.abc.resume_at(ctx, round_number)
         ctx.trace.bump("replica.recoveries")
+        if self.on_recovered is not None:
+            self.on_recovered()
 
     def preload_log(self, ctx: Context, entries: tuple) -> None:
         """Replay a locally checkpointed delivery log before recovery.
@@ -412,17 +421,6 @@ class Replica(Protocol):
         keeps running; only the apply step waits.
         """
         self._paused = True
-
-    def rebase_broadcast(self, ctx: Context) -> None:
-        """Carry the atomic broadcast onto the new epoch's session.
-
-        The host calls this right after re-spawning the replica at the
-        new session: rounds that were in flight when the old session
-        was tombstoned can never decide there (their protocol traffic
-        now lands on the tombstone), so the broadcast abandons them and
-        re-proposes the undelivered payloads under ``ctx``.
-        """
-        (self.sc_abc.abc if self.causal else self.abc).rebase(ctx)
 
     def resume_execution(self, ctx: Context) -> None:
         """Drain the deferred queue (the epoch switch completed).

@@ -1,4 +1,4 @@
-"""Protocol runtime: session routing, buffering, factories, outputs."""
+"""Protocol runtime: session routing, buffering, outputs."""
 
 import pytest
 
@@ -61,31 +61,6 @@ def test_buffering_before_spawn(rig):
     net.run()
     inst = rts[1].spawn(("late",), Echo())
     assert inst.log == [(0, "early-bird")]  # replayed on spawn
-
-
-def test_factory_auto_creates(rig):
-    net, rts = rig
-    created = []
-
-    def factory(session):
-        created.append(session)
-        return Echo()
-
-    rts[2].register_factory("auto", factory)
-    net.send(0, 2, (("auto", 7), "hi"))
-    net.run()
-    assert created == [("auto", 7)]
-    assert rts[2].instances[("auto", 7)].log == [(0, "hi")]
-
-
-def test_factory_may_reject(rig):
-    net, rts = rig
-    rts[2].register_factory("picky", lambda s: Echo() if s[1] == "ok" else None)
-    net.send(0, 2, (("picky", "bad"), "x"))
-    net.send(0, 2, (("picky", "ok"), "y"))
-    net.run()
-    assert ("picky", "bad") not in rts[2].instances
-    assert rts[2].instances[("picky", "ok")].log == [(0, "y")]
 
 
 def test_output_callbacks_and_results(rig):

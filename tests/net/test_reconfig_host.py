@@ -257,6 +257,35 @@ def test_watchdog_settling_after_flush_stops_the_retry(tmp_path, monkeypatch):
     assert retries == []
 
 
+def test_watchdog_failure_is_counted_and_kept(tmp_path, monkeypatch, capsys):
+    """A raise inside ``flush()`` ends the ladder — the host records it
+    where the transport records its own task failures, and prints it,
+    instead of leaving a paused cluster with no trace of why."""
+    failure = RuntimeError("flush blew up")
+
+    def broken_flush(self, ctx):
+        raise failure
+
+    monkeypatch.setattr(_StubSession, "flush", broken_flush)
+    _deployment(tmp_path)
+    host = ReplicaHost(tmp_path, 0)
+    host.runtime = _StubRuntime("s", _StubSession())
+    real_sleep = asyncio.sleep
+    retries = []
+
+    async def scenario():
+        monkeypatch.setattr(asyncio, "sleep", lambda delay: real_sleep(0))
+        host._watch_flush("s", settled=lambda: False, retry=lambda: retries.append(1))
+        for _ in range(10):
+            await real_sleep(0)
+
+    asyncio.run(scenario())
+    assert retries == []
+    assert host.network.errors == [failure]
+    assert host.network.trace.counters["host.task_errors"] == 1
+    assert "flush blew up" in capsys.readouterr().err
+
+
 # -- peer lifecycle: forget on remove, authoritative address on add -----------------
 
 
@@ -554,7 +583,7 @@ def test_ladder_respawns_until_the_phase_moves_on(tmp_path, monkeypatch, retires
         try:
             monkeypatch.setattr(asyncio, "sleep", fake_sleep)
             host.phase = Phase("resharing", 1)
-            host._run_ladder(1, "replica-test-retry", _StubProtocol, None)
+            host._run_ladder(1, "replica-reshare-retry", _StubProtocol, None, epoch=1)
             for _ in range(10):
                 await real_sleep(0)
             if retires:

@@ -149,6 +149,30 @@ def test_causal_mode_skips_a_plaintext_nested_past_the_codec_bound():
     assert len({tuple(r.executed) for r in replicas}) == 1
 
 
+def test_causal_replica_orders_through_its_one_configured_broadcast():
+    """``abc_config`` reaches the broadcast a confidential service
+    orders through, and ``replica.abc`` is that broadcast: with
+    ``max_batch=1`` no proposal carries two ciphertexts, and the
+    statistics the host prints count the rounds that ordered them."""
+    from repro.core.atomic_broadcast import AbcConfig, AbcProposal
+
+    from ..helpers import record_sends
+
+    dep = build_service(
+        4, KeyValueStore, t=1, causal=True, seed=3, abc_config=AbcConfig(max_batch=1)
+    )
+    client = dep.new_client()
+    dep.network.start()
+    nonces = [client.submit_confidential(("set", f"k{i}", i)) for i in range(6)]
+    sent = record_sends(dep.network)
+    dep.run_until_complete(client, nonces)
+    proposals = [m for m in sent if isinstance(m, AbcProposal)]
+    assert proposals and max(len(m.batch) for m in proposals) == 1
+    for replica in dep.honest_replicas():
+        assert replica.abc.config.max_batch == 1
+        assert replica.abc.stats()["rounds"] > 0
+
+
 def test_causal_mode_refuses_plaintext():
     dep = build_service(4, KeyValueStore, t=1, causal=True, seed=11)
     client = dep.new_client()
