@@ -2,7 +2,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 
-.PHONY: lint test check baseline bench sweep
+.PHONY: lint test check baseline bench pairs sweep
 
 lint:
 	$(PYTHON) -m repro lint src/repro
@@ -13,6 +13,14 @@ test:
 # The repository's benchmark (BENCHMARK.json, docs/PERFORMANCE.md).
 bench:
 	python3 bench/run.py
+
+# Ten alternating pairs of PARENT and the working tree on one workload —
+# what a claimed gain is shown with (docs/PERFORMANCE.md).
+PARENT ?= HEAD
+WORKLOAD ?= sim_n4_modp1536
+PAIRS ?= 10
+pairs:
+	./scripts/pairs.sh $(PARENT) $(WORKLOAD) $(PAIRS)
 
 # Re-take the tracked sweep results (docs/CHAOS.md, "Sweeps");
 # scripts/check.sh fails once its simulator runs stop matching them.

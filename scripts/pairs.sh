@@ -1,0 +1,69 @@
+#!/usr/bin/env bash
+# Alternating pairs of parent and change on one benchmark workload —
+# the run docs/PERFORMANCE.md asks for before a gain is claimed.
+#
+#   scripts/pairs.sh <parent-ref> <workload> [pairs=10]
+#
+# Checks the parent out under a temp dir (`git archive`: nothing is left
+# in .git), then alternates one untraced pass of bench/run.py in each
+# tree — seeds 11, 12, …, the parent first on odd pairs and the change
+# (the working tree) first on even ones — and prints, per end-to-end
+# metric, both medians, the parent's inter-quartile range, change/parent
+# (of the medians, then of every pair) and in how many pairs the change
+# read ahead.  Reads bench/ and BENCHMARK.json; edits nothing.
+set -euo pipefail
+
+usage="usage: scripts/pairs.sh <parent-ref> <workload> [pairs=10]"
+parent_ref=${1:?$usage}
+workload=${2:?$usage}
+pairs=${3:-10}
+cd "$(dirname "$0")/.."
+change=$PWD
+
+work=$(mktemp -d)
+trap 'rm -rf "$work"' EXIT
+mkdir "$work/parent"
+git archive "$parent_ref" | tar -x -C "$work/parent"
+
+pass() {  # pass <tree> <seed> <out>: the last line of a pass is its JSON
+    (cd "$1" && python3 bench/run.py --workload "$workload" --seed "$2" \
+        --seconds 15 --trace 0) | tail -n 1 > "$3"
+}
+
+for ((i = 0; i < pairs; i++)); do
+    seed=$((11 + i))
+    if ((i % 2 == 0)); then order="parent change"; else order="change parent"; fi
+    for side in $order; do
+        tree=$change; [[ $side == parent ]] && tree=$work/parent
+        pass "$tree" "$seed" "$work/$side.$i.json"
+    done
+    echo "pair $((i + 1))/$pairs (seed $seed, $order) done" >&2
+done
+
+python3 - "$work" "$pairs" "$workload" "$parent_ref" <<'PY'
+import json, pathlib, statistics, sys
+
+work, pairs, workload, ref = pathlib.Path(sys.argv[1]), int(sys.argv[2]), *sys.argv[3:]
+better = {m["name"]: m["better"] for m in json.load(open("BENCHMARK.json"))["end_to_end"]}
+runs = {
+    side: [json.loads((work / f"{side}.{i}.json").read_text()) for i in range(pairs)]
+    for side in ("parent", "change")
+}
+print(f"{workload}: {pairs} alternating pairs, parent = {ref}, change = working tree")
+for side, passes in runs.items():
+    print(f"  {side}: failed {sum(p['failed'] for p in passes)} of "
+          f"{sum(p['attempted'] for p in passes)} attempted, "
+          f"{sum(not p['correct'] for p in passes)} incorrect passes")
+print(f"  {'metric':24} {'parent':>10} {'(IQR)':>9} {'change':>10} {'ratio':>7}  change ahead")
+for name, direction in better.items():
+    parent = [p["metrics"][name]["value"] for p in runs["parent"]]
+    change = [p["metrics"][name]["value"] for p in runs["change"]]
+    sign = 1 if direction == "higher" else -1
+    ahead = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+    mp, mc = statistics.median(parent), statistics.median(change)
+    q = statistics.quantiles(parent, n=4) if pairs > 1 else (mp, mp, mp)
+    ratio = f"{mc / mp:7.3f}" if mp else "    n/a"
+    print(f"  {name:24} {mp:10.3f} {q[2] - q[0]:9.3f} {mc:10.3f} {ratio}  {ahead} of {pairs}")
+    print("    per pair, change/parent:", " ".join(f"{c / p:.2f}" if p else "n/a"
+                                                    for p, c in zip(parent, change)))
+PY

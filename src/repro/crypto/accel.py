@@ -12,10 +12,12 @@ This module concentrates the arithmetic tricks that cut that cost:
 * **Fixed-base windowed tables**: bases that recur (the group
   generator, verification keys) get a radix-``2^w`` digit table;
   subsequent exponentiations are ~5x cheaper than ``pow``.  Tables are
-  built automatically once a base has been seen often enough to
-  amortize the build, and the least recently used one makes room when
-  the budget is full; per-name bases (a coin's ``H(C)``) never count
-  toward one (:meth:`GroupAccel.exp_once`).
+  started automatically once a base has been seen often enough to
+  amortize the build and grow only as tall as the exponents the base
+  meets (a verification key meets 128-bit challenges, not |q| bits);
+  the least recently used one makes room when the budget is full;
+  per-name bases (a coin's ``H(C)``) never count toward one
+  (:meth:`GroupAccel.exp_once`).
 * **Memoized subgroup membership** via the Jacobi symbol (for a safe
   prime the order-``q`` subgroup is exactly the quadratic residues),
   with a bounded cache so fixed bases are checked once, ever.
@@ -63,36 +65,51 @@ class FixedBaseTable:
 
     ``windows[i][j-1] = base^(j << (i*w)) mod p`` — an exponentiation is
     then a product of one table entry per nonzero digit: no squarings.
+
+    Rows are built when an exponent first reaches them, up to ``bits``:
+    the table is as tall as the largest exponent its base has met.  The
+    generator meets full-size responses at once; a verification key
+    meets 128-bit challenges and 192-bit batched terms and stops at a
+    fifth of the height (docs/PERFORMANCE.md).
     """
 
-    __slots__ = ("modulus", "width", "mask", "windows", "capacity")
+    __slots__ = ("base", "modulus", "width", "mask", "windows", "capacity", "_next")
 
     def __init__(self, base: int, modulus: int, bits: int, width: int = 6) -> None:
+        self.base = base % modulus
         self.modulus = modulus
         self.width = width
         self.mask = (1 << width) - 1
         self.capacity = bits
-        windows: list[list[int]] = []
-        cur = base % modulus
-        for _ in range((bits + width - 1) // width):
+        self.windows: list[list[int]] = []
+        self._next = self.base  # base^(2^(w * len(windows)))
+
+    def _grow(self, rows: int) -> None:
+        modulus = self.modulus
+        windows = self.windows
+        cur = self._next
+        while len(windows) < rows:
             row = [cur]
             entry = cur
-            for _ in range(2, 1 << width):
+            for _ in range(2, 1 << self.width):
                 entry = entry * cur % modulus
                 row.append(entry)
             windows.append(row)
             cur = entry * cur % modulus  # base^(2^w << shift)
-        self.windows = windows
+        self._next = cur
 
     def pow(self, exponent: int) -> int:
-        if exponent.bit_length() > self.capacity:  # caller failed to reduce
-            return pow(self.windows[0][0], exponent, self.modulus)
+        bits = exponent.bit_length()
+        if bits > self.capacity:  # caller failed to reduce
+            return pow(self.base, exponent, self.modulus)
+        width = self.width
+        windows = self.windows
+        if bits > width * len(windows):
+            self._grow((bits + width - 1) // width)
         acc = 1
         idx = 0
         mod = self.modulus
         mask = self.mask
-        width = self.width
-        windows = self.windows
         while exponent:
             digit = exponent & mask
             if digit:
@@ -163,7 +180,8 @@ class GroupAccel:
         self._tables: dict[int, FixedBaseTable] = {}
         self._counts: dict[int, int] = {}
         self._members: dict[int, bool] = {}
-        # The generator is exponentiated constantly; table it up front.
+        # The generator is exponentiated constantly: tabled from the
+        # start (full-height at its first full-size exponent), never evicted.
         self._tables[g] = FixedBaseTable(g, p, q.bit_length())
 
     # -- exponentiation --------------------------------------------------
@@ -216,11 +234,12 @@ class GroupAccel:
     def multiexp(self, pairs: Iterable[tuple[int, int]]) -> int:
         """Multi-exp that routes tabled bases through their tables.
 
-        Uses are deliberately *not* counted toward auto-tabling, and the
-        tables are not widened: at 1536 bits a table is ~16k
-        multiplications (~120 ms, 3 MB) and repays only after > 100 uses
-        of a coin verification key, and a wider generator table breaks
-        the benchmark's 10 % ``peak_rss_mb`` bound (docs/PERFORMANCE.md).
+        Uses are deliberately *not* counted toward auto-tabling (a
+        batch's terms do not say whether a base recurs; ``exp``'s uses
+        do), and the tables are not widened: the generator's full-height
+        table is ~16k multiplications (~150 ms, 3.7 MB) at 1536 bits, and
+        a wider one breaks the benchmark's 10 % ``peak_rss_mb`` bound
+        (docs/PERFORMANCE.md).
         """
         acc = 1
         plain: list[tuple[int, int]] = []

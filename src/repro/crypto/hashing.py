@@ -3,8 +3,8 @@
 The CKS agreement protocol, the TDH2 cryptosystem and Shoup's threshold
 signatures are proved secure in the random oracle model; following common
 practice each distinct oracle is instantiated as SHA-256 with a unique
-domain-separation tag.  Helpers map hashes to integers, to exponents mod
-q and to group elements.
+domain-separation tag.  Helpers map hashes to integers, to Fiat-Shamir
+challenges, to exponents mod q and to group elements.
 
 What is hashed is ``domain || 0x00 || encode(*parts)``, and ``encode``
 is the writer of :mod:`repro.codec` — the bytes the wire carries for
@@ -19,9 +19,12 @@ from ..codec import Encoded, write
 from .groups import SchnorrGroup
 
 __all__ = [
+    "CHALLENGE_BITS",
     "Encoded",
     "hash_bytes",
     "hash_to_int",
+    "hash_to_challenge",
+    "is_challenge",
     "hash_to_exponent",
     "hash_to_group",
     "encode",
@@ -70,8 +73,41 @@ def hash_to_int(domain: str, *parts: object, bits: int = 256) -> int:
     return int.from_bytes(bytes(out[:needed]), "big") >> (8 * needed - bits)
 
 
+# Width of every Fiat-Shamir challenge.  A cheating prover of a
+# commitment-form ``(a, z)`` proof or signature must hit the one
+# challenge its commitment can answer, so soundness is 2^-128 per
+# random-oracle query however large q is; the extractor needs two
+# challenges ``c != c'`` with ``c - c'`` invertible mod q, true of any
+# two distinct 128-bit values once q > 2^128.  The verifier pays an
+# exponentiation by ``c`` per key, so every further bit is cost without
+# security (batch coefficients are 64 bits: a batched key term is
+# <= 192 bits, not |q|).  A constant, not a setting: prover and verifier
+# must agree on it, and no deployment has a use for another value.
+CHALLENGE_BITS = 128
+
+
+def _challenge_bound(group: SchnorrGroup) -> int:
+    # The 64-bit test group is narrower than a challenge and wraps it.
+    return min(group.q, 1 << CHALLENGE_BITS)
+
+
+def hash_to_challenge(group: SchnorrGroup, domain: str, *parts: object) -> int:
+    """A Fiat-Shamir challenge ``1 <= c < min(q, 2^CHALLENGE_BITS)``."""
+    value = hash_to_int(domain, *parts, bits=CHALLENGE_BITS)
+    return value % (_challenge_bound(group) - 1) + 1
+
+
+def is_challenge(group: SchnorrGroup, value: int) -> bool:
+    """Whether :func:`hash_to_challenge` can have produced ``value`` —
+    the range check owed to a challenge that arrives instead of being
+    recomputed (a TDH2 ciphertext's ``e``)."""
+    return 0 < value < _challenge_bound(group)
+
+
 def hash_to_exponent(group: SchnorrGroup, domain: str, *parts: object) -> int:
-    """Hash into Z_q (never zero, so results are usable as challenges)."""
+    """Hash into Z_q, near-uniformly and never zero: a full-width mask
+    (the DKG's one-time pad over subshares).  Challenges are
+    :func:`hash_to_challenge`."""
     value = hash_to_int(domain, *parts, bits=group.q.bit_length() + 64)
     return value % (group.q - 1) + 1
 

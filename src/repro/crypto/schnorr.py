@@ -30,7 +30,7 @@ from typing import Sequence
 from ..codec import register
 from .accel import accel_for, batch_coefficients, verify_product_equations
 from .groups import SchnorrGroup, default_group
-from .hashing import hash_to_exponent
+from .hashing import hash_to_challenge
 
 __all__ = [
     "SigningKey",
@@ -138,7 +138,7 @@ class VerifyKey:
         if not _sig_well_formed(grp, signature):
             return False
         a, z = signature.commit, signature.response
-        c = hash_to_exponent(grp, "schnorr-sig", self.h, a, message)
+        c = hash_to_challenge(grp, "schnorr-sig", self.h, a, message)
         if memo is not None:
             check = memo.digest(grp.p, grp.g, self.h, a, z, c)
             if check in memo:
@@ -177,7 +177,7 @@ def verify_batch(
         if not _sig_well_formed(group, signature):
             return False
         a, z = signature.commit, signature.response
-        c = hash_to_exponent(group, "schnorr-sig", key.h, a, message)
+        c = hash_to_challenge(group, "schnorr-sig", key.h, a, message)
         if memo is not None:
             check = memo.digest(group.p, group.g, key.h, a, z, c)
             if check in memo:
@@ -221,7 +221,7 @@ class SigningKey:
         h = self.verify_key.h
         w = grp.random_exponent(rng)
         a = grp.power_of_g(w)
-        c = hash_to_exponent(grp, "schnorr-sig", h, a, message)
+        c = hash_to_challenge(grp, "schnorr-sig", h, a, message)
         z = (w + c * self.x) % grp.q
         if memo is not None:
             memo.add(memo.digest(grp.p, grp.g, h, a, z, c))

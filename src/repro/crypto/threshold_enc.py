@@ -31,7 +31,14 @@ from typing import Iterable
 
 from ..codec import register
 from .groups import SchnorrGroup
-from .hashing import encode, hash_to_exponent, hash_to_group, mgf1, xor_bytes
+from .hashing import (
+    encode,
+    hash_to_challenge,
+    hash_to_group,
+    is_challenge,
+    mgf1,
+    xor_bytes,
+)
 from .lsss import LsssScheme, SlotId
 from .schnorr import VerifiedMemo
 from .shared_exponent import (
@@ -103,7 +110,7 @@ class EncryptionPublic(SharedExponentPublic):
         w = grp.power_of_g(s)
         u_bar = grp.exp(self.g_bar, r)
         w_bar = grp.exp(self.g_bar, s)
-        e = hash_to_exponent(grp, "tdh2-e", payload, label, u, w, u_bar, w_bar)
+        e = hash_to_challenge(grp, "tdh2-e", payload, label, u, w, u_bar, w_bar)
         f = (s + r * e) % grp.q
         return Ciphertext(payload=payload, label=label, u=u, u_bar=u_bar, e=e, f=f)
 
@@ -114,11 +121,13 @@ class EncryptionPublic(SharedExponentPublic):
         grp = self.group
         if not (grp.is_member(ct.u) and grp.is_member(ct.u_bar)):
             return False
-        if not (0 < ct.e < grp.q and 0 <= ct.f < grp.q):
+        # ``e`` is the one challenge that travels: hold it to a
+        # challenge's range before exponentiating by it.
+        if not (is_challenge(grp, ct.e) and 0 <= ct.f < grp.q):
             return False
         w = grp.mul(grp.power_of_g(ct.f), grp.inv(grp.exp_once(ct.u, ct.e)))
         w_bar = grp.mul(grp.exp(self.g_bar, ct.f), grp.inv(grp.exp_once(ct.u_bar, ct.e)))
-        expected = hash_to_exponent(
+        expected = hash_to_challenge(
             grp, "tdh2-e", ct.payload, ct.label, ct.u, w, ct.u_bar, w_bar
         )
         return expected == ct.e

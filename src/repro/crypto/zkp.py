@@ -33,7 +33,7 @@ from typing import Mapping, Sequence, TypeVar
 from ..codec import register
 from .accel import accel_for, batch_coefficients, verify_product_equations
 from .groups import SchnorrGroup
-from .hashing import hash_to_exponent
+from .hashing import hash_to_challenge
 from .schnorr import VerifiedMemo
 
 T = TypeVar("T")
@@ -68,7 +68,7 @@ def _dleq_challenge(
     group: SchnorrGroup, g: int, h1: int, u: int, h2: int,
     a1: int, a2: int, context: object,
 ) -> int:
-    return hash_to_exponent(group, "dleq", g, h1, u, h2, a1, a2, context)
+    return hash_to_challenge(group, "dleq", g, h1, u, h2, a1, a2, context)
 
 
 def prove_dleq(
@@ -134,7 +134,9 @@ def verify_dleq(
     p = group.p
     if accel.exp(g, z) != a1 * accel.exp(h1, c) % p:
         return False
-    return accel.exp(u, z) == a2 * accel.exp(h2, c) % p
+    # ``u`` (a coin's H(C), a ciphertext's u) and the share value ``h2``
+    # are per-name bases: never counted toward a table.
+    return accel.exp_once(u, z) == a2 * accel.exp_once(h2, c) % p
 
 
 def verify_dleq_batch(
@@ -235,7 +237,7 @@ def prove_dlog(
     h = group.power_of_g(secret)
     w = group.random_exponent(rng)
     a = group.power_of_g(w)
-    c = hash_to_exponent(group, "dlog", group.g, h, a, context)
+    c = hash_to_challenge(group, "dlog", group.g, h, a, context)
     z = (w + c * secret) % group.q
     return SchnorrProof(commit=a, response=z)
 
@@ -256,5 +258,5 @@ def verify_dlog(
         return False
     if not (0 < a < group.p and 0 <= z < group.q):
         return False
-    c = hash_to_exponent(group, "dlog", group.g, h, a, context)
+    c = hash_to_challenge(group, "dlog", group.g, h, a, context)
     return accel.exp(group.g, z) == a * accel.exp(h, c) % group.p

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from bench.workloads import modp_1536_group
 
 from repro.crypto import accel as accel_module
 from repro.crypto.accel import (
@@ -13,10 +14,12 @@ from repro.crypto.accel import (
     multiexp,
     verify_product_equations,
 )
-from repro.crypto.coin import deal_coin
+from repro.crypto.coin import CoinShare, deal_coin
 from repro.crypto.groups import default_group, small_group
 from repro.crypto.lsss import threshold_scheme
+from repro.crypto.schnorr import keygen, verify_batch
 from repro.crypto.threshold_enc import deal_encryption
+from repro.crypto.zkp import prove_dleq
 
 GROUP = small_group()
 
@@ -55,6 +58,77 @@ def test_fixed_base_table_falls_back_beyond_capacity():
     table = FixedBaseTable(GROUP.g, GROUP.p, bits=16)
     huge = GROUP.q + 12345
     assert table.pow(huge) == pow(GROUP.g, huge, GROUP.p)
+
+
+def _rows(bits, width=6):
+    return (bits + width - 1) // width
+
+
+@pytest.mark.parametrize("group", [GROUP, default_group()], ids=["64", "256"])
+def test_fixed_base_table_grows_to_any_exponent_in_any_order(group):
+    """Rows are built when an exponent first reaches them: whatever the
+    order of sizes, every answer is ``pow``'s."""
+    rng = random.Random(12)
+    bits = group.q.bit_length()
+    base = group.random_element(rng)
+    sizes = [0, 1, 5, 6, 7, 12, 13, bits - 1, bits] + [rng.randrange(bits + 1) for _ in range(40)]
+    rng.shuffle(sizes)
+    table = FixedBaseTable(base, group.p, bits=bits)
+    for size in sizes:
+        e = rng.getrandbits(size) | (1 << size >> 1) if size else 0
+        assert e.bit_length() == size
+        assert table.pow(e) == pow(base, e, group.p)
+        assert len(table.windows) <= _rows(bits)
+
+
+def test_fixed_base_table_is_as_tall_as_the_exponents_it_has_met():
+    group = modp_1536_group()
+    bits = group.q.bit_length()
+    table = FixedBaseTable(group.g, group.p, bits=bits)
+    assert table.windows == []  # building a table costs nothing until used
+    challenge, batched = (1 << 128) - 1, (1 << 192) - 1
+    assert table.pow(challenge) == pow(group.g, challenge, group.p)
+    assert len(table.windows) == _rows(128) == 22
+    assert table.pow(batched) == pow(group.g, batched, group.p)
+    assert len(table.windows) == _rows(192) == 32
+    assert table.pow(challenge) == pow(group.g, challenge, group.p)  # never shrinks
+    assert len(table.windows) == 32
+    # An exponent over the ceiling is answered by pow and builds nothing.
+    assert table.pow(group.p) == pow(group.g, group.p, group.p)
+    assert len(table.windows) == 32
+    assert table.pow(group.q - 1) == pow(group.g, group.q - 1, group.p)
+    assert len(table.windows) == _rows(bits) == 256
+    assert all(len(row) == 63 for row in table.windows)
+
+
+def test_a_budget_of_key_tables_is_a_sixth_of_a_budget_of_full_ones(monkeypatch):
+    """What ``_MAX_TABLES`` bounds: verification keys meet 128-bit
+    challenges (``exp``) and 192-bit batched terms (``multiexp``), so a
+    full budget of their tables holds under a sixth of the entries the
+    same number of full-height tables would (1,536 bits: 32 of 256 rows)."""
+    monkeypatch.setattr(accel_module, "_MAX_TABLES", 4)  # the ratio, not 96 builds
+    group = modp_1536_group()
+    rng = random.Random(13)
+    accel = GroupAccel(group.p, group.q, group.g)
+    for _ in range(accel_module._MAX_TABLES + 2):  # past the budget: the oldest go
+        key = pow(group.g, rng.randrange(1, group.q), group.p)
+        for _ in range(accel_module._TABLE_THRESHOLD):
+            c = rng.getrandbits(128)
+            assert accel.exp(key, c) == pow(key, c, group.p)
+        term = rng.getrandbits(192)
+        assert accel.multiexp([(key, term)]) == pow(key, term, group.p)
+    assert len(accel._tables) == accel_module._MAX_TABLES
+    held = sum(
+        len(row)
+        for base, table in accel._tables.items()
+        if base != group.g
+        for row in table.windows
+    )
+    full = accel._tables[group.g]
+    assert full.windows == []  # this accelerator's generator was never used
+    full.pow(group.q - 1)
+    full_height = sum(len(row) for row in full.windows)
+    assert 0 < held < (accel_module._MAX_TABLES - 1) * full_height / 6
 
 
 def test_accel_exp_and_auto_tabling_match_pow():
@@ -270,6 +344,83 @@ def test_a_dleq_batch_hands_commitments_to_the_chain_with_64_bit_exponents(monke
     assert commitments <= set(chains[0])
     assert max(chains[0][commit].bit_length() for commit in commitments) <= 64
     assert max(e.bit_length() for e in chains[0].values()) > 64  # the share values
+
+
+def _recorded_multiexps(monkeypatch):
+    """Every ``GroupAccel.multiexp`` call's terms, tabled bases included
+    (``_straus`` sees only the untabled ones)."""
+    calls = []
+    multiexp_ = GroupAccel.multiexp
+
+    def recording(self, pairs):
+        pairs = list(pairs)
+        calls.append(dict(pairs))
+        return multiexp_(self, pairs)
+
+    monkeypatch.setattr(GroupAccel, "multiexp", recording)
+    return calls
+
+
+def test_batched_key_and_share_terms_are_192_bits_and_only_g_and_the_base_full_size(
+    monkeypatch,
+):
+    """A 128-bit challenge times a 64-bit coefficient: the verification
+    keys and share values of a batch carry at most 192 bits, commitments
+    64, and what stays full-size is what multiplies a response — the
+    generator and, for DLEQ, the coin's base."""
+    group = default_group()
+    full = group.q.bit_length()
+    assert full > 192
+    rng = random.Random(14)
+    calls = _recorded_multiexps(monkeypatch)
+
+    keys = [keygen(rng, group) for _ in range(5)]
+    items = [(key.verify_key, "statement", key.sign("statement", rng)) for key in keys]
+    assert verify_batch(group, items)
+    (terms,) = calls
+    assert set(terms) == {group.g} | {k.verify_key.h for k in keys} | {s.commit for *_, s in items}
+    assert max(terms[key.verify_key.h].bit_length() for key in keys) <= 192
+    assert min(terms[key.verify_key.h].bit_length() for key in keys) > 64 + 128 - 16
+    assert max(terms[sig.commit].bit_length() for *_, sig in items) <= 64
+    assert {b for b, e in terms.items() if e.bit_length() > 192} == {group.g}
+
+    del calls[:]
+    public, holders = deal_coin(group, threshold_scheme(4, 1, group.q), rng)
+    shares = [holders[party].share_for("width", rng) for party in range(3)]
+    assert set(public.verify_shares("width", shares)) == {0, 1, 2}
+    (terms,) = calls
+    narrow = set(public.verification.values()) & set(terms)
+    narrow |= {value for share in shares for value in share.values.values()}
+    assert len(narrow) == 6
+    assert max(terms[base].bit_length() for base in narrow) <= 192
+    assert {b for b, e in terms.items() if e.bit_length() > 192} == {
+        group.g, public.coin_base("width"),
+    }
+    assert min(terms[b].bit_length() for b in (group.g, public.coin_base("width"))) > full - 16
+
+
+def test_culprit_fallback_tables_neither_the_coin_base_nor_a_share_value():
+    """n = 16, one forged share per coin: the failed batch re-checks all
+    sixteen shares one by one, and sixteen is the auto-tabling threshold
+    — ``H(C)`` and the share values are per-name bases there too."""
+    rng = random.Random(15)
+    accel = accel_for(GROUP)
+    public, holders = deal_coin(GROUP, threshold_scheme(16, 5, GROUP.q), rng)
+    assert len(holders) >= accel_module._TABLE_THRESHOLD
+    name = ("aba-coin", "forged")
+    base = public.coin_base(name)
+    shares = [holders[party].share_for(name, rng) for party in range(15)]
+    # Party 15 proves knowledge of its key honestly (the first equation
+    # holds) and lies about the value (the second does not).
+    ((slot, x),) = holders[15].subshares.items()
+    wrong = GROUP.mul(GROUP.exp_once(base, x), GROUP.g)
+    proof = prove_dleq(
+        GROUP, GROUP.g, base, x, rng, ("coin", name, slot), (GROUP.power_of_g(x), wrong)
+    )
+    shares.append(CoinShare(party=15, name=name, values={slot: wrong}, proofs={slot: proof}))
+    assert set(public.verify_shares(name, shares)) == set(range(15))  # culprit named
+    per_name = {base, wrong} | {v for share in shares for v in share.values.values()}
+    assert not per_name & (set(accel._tables) | set(accel._counts))
 
 
 def test_per_name_bases_never_earn_a_table():

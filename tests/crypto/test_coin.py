@@ -10,7 +10,6 @@ from repro.crypto.coin import deal_coin
 from repro.crypto.dealer import deal_system
 from repro.crypto.groups import small_group
 from repro.crypto.lsss import LsssScheme, threshold_scheme
-from repro.crypto.zkp import DleqProof
 
 GROUP = small_group()
 
@@ -168,7 +167,10 @@ def test_coin_value_and_share_proof_are_pinned():
     """The coin is a function of the dealt keys and the hashing: the
     opened value and a share's Fiat-Shamir proof stay bit for bit as
     they are.  Re-taken once, with the hash input's grammar (the coin's
-    base, hence its value, and the proof's challenge are hashes)."""
+    base, hence its value, and the proof's challenge are hashes); when
+    challenges became 128 bits wide (``hash_to_challenge``) only the
+    proof's response followed — the coin's value and both commitments
+    are no function of the challenge and kept their literals."""
     keys = deal_system(4, random.Random(1302), t=1, group=GROUP)
     name = ("mvba-perm", ("mvba", ("abc", 3)))
     shares = {
@@ -177,11 +179,8 @@ def test_coin_value_and_share_proof_are_pinned():
     }
     assert keys.public.coin.combine_many_bits(name, shares, bits=63) == 4432518526945624511
     assert keys.public.coin.combine(name, shares) == 1
-    assert shares[0].proofs == {
-        (0,): DleqProof(
-            commit1=13704338972472476884,
-            commit2=14438736191025607714,
-            response=3995333904329248373,
-        )
-    }
+    (proof,) = shares[0].proofs.values()
+    assert (proof.commit1, proof.commit2) == (13704338972472476884, 14438736191025607714)
+    assert proof.response == 1148035598121928066  # re-taken with the challenge
+    assert set(shares[0].proofs) == {(0,)}
     assert set(keys.public.coin.verify_shares(name, shares.values())) == {0, 1}

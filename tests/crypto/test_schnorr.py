@@ -72,14 +72,20 @@ def test_distinct_keys_distinct_verify_keys():
 def test_signature_bytes_are_pinned():
     """Same key, same rng, same signature, commit after commit.  The
     commitment is ``g^r`` and never moves; the response follows the
-    challenge, which moved once with the hash input's grammar."""
+    challenge, which moved once with the hash input's grammar and once
+    more when challenges became 128 bits wide (``hash_to_challenge``):
+    the hash input is what it was, its width is not."""
     rng = random.Random(1301)
     key = keygen(rng, default_group())
     statement = ("abc-proposal", ("abc", ("service", 0)), 7, b"\x01" * 32)
     sig = key.sign(statement, rng)
-    assert sig == Signature(
-        commit=36815777889025203329841255896585578427567717299268137751799234813404853034097,
-        response=37929936196014782102401769461075897162432756948951890265538371119508812266089,
+    # The literal every earlier build produced: the nonce did not move.
+    assert sig.commit == (
+        36815777889025203329841255896585578427567717299268137751799234813404853034097
+    )
+    # Re-taken with the 128-bit challenge.
+    assert sig.response == (
+        26930808841302345113973601360639908942732328456719874532854313686216957131609
     )
     assert key.verify_key.verify(statement, sig)
     # A pre-encoded statement hashes to the same challenge.
