@@ -25,12 +25,7 @@ step() {
     echo "== $1"
 }
 
-# Lint wall-time budget (seconds).  The incremental cache
-# (.lint-cache.json) should keep warm runs far under this; blowing the
-# budget means the cache regressed or a rule got pathologically slow.
-LINT_BUDGET="${LINT_BUDGET:-30}"
-
-step "repro lint (protocol-invariant rules RL001-RL009)"
+step "repro lint (protocol-invariant rules RL001-RL005, RL008)"
 lint_start=$(date +%s.%N)
 if ! python -m repro lint src/repro --format json > /tmp/repro-lint.json; then
     cat /tmp/repro-lint.json
@@ -58,29 +53,15 @@ print(f"repro lint: ok ({report['files_scanned']} files, "
 EOF
 fi
 lint_wall=$(date +%s.%N | awk -v s="$lint_start" '{printf "%.2f", $1 - s}')
-python - "$lint_wall" "$LINT_BUDGET" <<'EOF'
+python - "$lint_wall" <<'EOF'
 import json, sys
-wall, budget = float(sys.argv[1]), float(sys.argv[2])
+wall = float(sys.argv[1])
 report = json.load(open("/tmp/repro-lint.json"))
 timings = report.get("timings", {})
 for rule, secs in sorted(timings.items(), key=lambda kv: -kv[1]):
     print(f"  {rule}: {secs:.3f}s")
-ruled = sum(timings.values())
-print(f"  wall: {wall:.2f}s, in-rule: {ruled:.2f}s (budget {budget:.0f}s)")
-if wall > budget:
-    print(f"::warning::repro lint took {wall:.2f}s, over the "
-          f"{budget:.0f}s budget — is .lint-cache.json being invalidated?")
+print(f"  wall: {wall:.2f}s, in-rule: {sum(timings.values()):.2f}s")
 EOF
-
-step "repro lint self-check (the analysis package lints itself)"
-if ! python -m repro lint src/repro/analysis --format json \
-        > /tmp/repro-lint-self.json; then
-    cat /tmp/repro-lint-self.json
-    echo "repro lint self-check: FAILED"
-    failures=$((failures + 1))
-else
-    echo "repro lint self-check: ok"
-fi
 
 step "repro lint SARIF report (artifact for code scanning)"
 python -m repro lint src/repro --format sarif > /tmp/repro-lint.sarif || true

@@ -12,15 +12,10 @@ cross-cutting invariants hold everywhere in the codebase:
 * every sent message dataclass is wire-registered and handled (RL004);
 * async handlers neither drop coroutines nor mutate shared state after
   an ``await`` without re-checking the round guard (RL005);
-* whole-program: no unverified Byzantine input reaches replica state —
-  taint from the deliver paths must pass a verify/combine/quorum gate
-  before a state-machine apply, checkpoint/journal write, outbound
-  threshold signing, or quorum-set insertion (RL006, Sections 3.3-5);
-* every wire-registered message has a reachable handler and no handler
-  consumes an unregistered type (RL007).
-
-RL006/RL007 run on the call graph + taint engine in
-:mod:`repro.analysis.project` and :mod:`repro.analysis.dataflow`.
+* shared state read before a suspension is not written back after it
+  without re-validation (RL008, over the call graph in
+  :mod:`repro.analysis.project` and the effect summaries in
+  :mod:`repro.analysis.effects`).
 
 Run it with ``python -m repro lint`` (see docs/STATIC_ANALYSIS.md), or
 programmatically::
@@ -41,7 +36,6 @@ from .engine import (
     run_lint,
     write_baseline,
 )
-from .dataflow import TaintAnalysis, TaintCatalog
 from .project import ProjectGraph
 from .rules import ALL_RULES, Rule, rules_by_id
 from .sarif import format_sarif
@@ -60,8 +54,6 @@ __all__ = [
     "Rule",
     "Severity",
     "SourceFile",
-    "TaintAnalysis",
-    "TaintCatalog",
     "discover_files",
     "format_json",
     "format_sarif",

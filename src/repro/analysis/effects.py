@@ -2,7 +2,7 @@
 
 PR 6 made the stack genuinely concurrent (pipelined atomic-broadcast
 rounds, an asyncio TCP transport, open-loop clients), which introduces
-the one failure mode the sequential rules RL001-RL007 cannot see: an
+the one failure mode the sequential rules RL001-RL005 cannot see: an
 ``await`` suspends the coroutine, other tasks run, and shared state —
 ``self.*`` attributes, typed-field attributes (``self.net._closed``),
 module globals — may change underneath a value that was read before the
@@ -26,7 +26,7 @@ This module computes, for every function in the
 * and, per async function, the read → await → dependent-write spans
   (:class:`StaleWriteHazard`) that RL008 reports.
 
-Like :mod:`repro.analysis.dataflow`, everything here is pure ``ast``
+Like :mod:`repro.analysis.project`, everything here is pure ``ast``
 over already-parsed sources; nothing is imported or executed.
 Interprocedural propagation follows only precisely-resolved edges
 (``local`` / ``import`` / ``method`` / ``constructor``) — duck-typed

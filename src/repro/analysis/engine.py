@@ -2,8 +2,8 @@
 
 Pipeline::
 
-    paths -> discover *.py -> parse (optionally multiprocess)
-          -> run scoped rules (per-file in workers, project-wide here)
+    paths -> discover *.py -> parse
+          -> run scoped rules (per-file, then project-wide)
           -> drop inline `# repro: noqa-RLxxx` suppressions
           -> split against the baseline -> report (text / JSON / SARIF)
 
@@ -11,8 +11,8 @@ The engine is import-light and dependency-free: it runs on the ``ast``
 module only, so CI can run it everywhere the package itself runs.
 
 Exit semantics are severity-aware: ``error`` findings fail the lint,
-``warning`` findings are reported but do not (RL007's unreachable-
-handler diagnosis can be test-only code; see docs/STATIC_ANALYSIS.md).
+``warning`` findings are reported but do not (a ``noqa`` marker naming
+an unknown rule, RL000; see docs/STATIC_ANALYSIS.md).
 """
 
 from __future__ import annotations
@@ -38,10 +38,6 @@ __all__ = [
 ]
 
 DEFAULT_BASELINE_NAME = "lint-baseline.json"
-
-# Below this many files the process-pool startup costs more than it saves.
-_PARALLEL_THRESHOLD = 8
-
 
 @dataclass
 class LintReport:
@@ -122,58 +118,42 @@ def discover_files(paths: list[Path]) -> list[Path]:
     return sorted(found)
 
 
-def _check_source(
-    source: SourceFile, rules: list[Rule]
-) -> tuple[list[Diagnostic], dict[str, float]]:
-    """Per-file rules over one source (runs in workers under --jobs)."""
-    raw: list[Diagnostic] = []
+def lint_sources(
+    sources: list[SourceFile],
+    rules: list[Rule] | None = None,
+    baseline: Baseline | None = None,
+) -> LintReport:
+    """Run rules over already-parsed sources (the testable core)."""
+    active = rules if rules is not None else rules_by_id(None)
+    # Each finding travels with the source whose noqa markers govern it.
+    found: list[tuple[SourceFile | None, Diagnostic]] = []
     timings: dict[str, float] = {}
-    for rule in rules:
-        if rule.project_wide or not rule.applies_to(source.relpath):
-            continue
-        start = time.perf_counter()
-        raw.extend(rule.check(source))
-        timings[rule.rule_id] = timings.get(rule.rule_id, 0.0) + (
-            time.perf_counter() - start
-        )
-    return raw, timings
-
-
-def _check_project(
-    sources: list[SourceFile], rules: list[Rule]
-) -> tuple[list[Diagnostic], dict[str, float]]:
-    """Project-wide rules (always run in the parent: they need it all)."""
-    raw: list[Diagnostic] = []
-    timings: dict[str, float] = {}
-    for rule in rules:
+    for source in sources:
+        for rule in active:
+            if rule.project_wide or not rule.applies_to(source.relpath):
+                continue
+            start = time.perf_counter()
+            found.extend((source, diag) for diag in rule.check(source))
+            timings[rule.rule_id] = timings.get(rule.rule_id, 0.0) + (
+                time.perf_counter() - start
+            )
+    by_relpath = {source.relpath: source for source in sources}
+    for rule in active:
         if not rule.project_wide:
             continue
         start = time.perf_counter()
-        raw.extend(rule.check_project(sources))
+        found.extend(
+            (by_relpath.get(diag.path), diag) for diag in rule.check_project(sources)
+        )
         timings[rule.rule_id] = time.perf_counter() - start
-    return raw, timings
 
-
-def _finish(
-    sources: list[SourceFile],
-    raw: list[Diagnostic],
-    baseline: Baseline | None,
-    timings: dict[str, float],
-) -> LintReport:
-    """Suppression + baseline split, shared by serial and parallel paths."""
-    noqa_warnings = [
-        diag for source in sources for diag in source.unknown_noqa_diagnostics()
-    ]
-    by_relpath = {source.relpath: source for source in sources}
-    kept: list[Diagnostic] = []
+    kept = [diag for source in sources for diag in source.unknown_noqa_diagnostics()]
     suppressed = 0
-    for diag in raw:
-        source = by_relpath.get(diag.path)
+    for source, diag in found:
         if source is not None and source.is_suppressed(diag.line, diag.rule):
             suppressed += 1
         else:
             kept.append(diag)
-    kept.extend(noqa_warnings)
     kept.sort(key=Diagnostic.sort_key)
 
     if baseline is None:
@@ -190,272 +170,33 @@ def _finish(
     )
 
 
-def lint_sources(
-    sources: list[SourceFile],
-    rules: list[Rule] | None = None,
-    baseline: Baseline | None = None,
-) -> LintReport:
-    """Run rules over already-parsed sources (the testable core)."""
-    active = rules if rules is not None else rules_by_id(None)
-    raw: list[Diagnostic] = []
-    timings: dict[str, float] = {}
-    for source in sources:
-        file_raw, file_timings = _check_source(source, active)
-        raw.extend(file_raw)
-        for rule_id, secs in file_timings.items():
-            timings[rule_id] = timings.get(rule_id, 0.0) + secs
-    project_raw, project_timings = _check_project(sources, active)
-    raw.extend(project_raw)
-    timings.update(project_timings)
-    return _finish(sources, raw, baseline, timings)
-
-
-def _scan_one(args: tuple[str, list[str] | None]) -> tuple[
-    SourceFile | None, list[Diagnostic], dict[str, float], str | None
-]:
-    """Worker: parse one file and run the per-file rules on it.
-
-    Module-level (picklable) so ProcessPoolExecutor can ship it; both
-    ``SourceFile`` (plain dataclass holding an ``ast`` tree) and
-    ``Diagnostic`` pickle cleanly back to the parent.
-    """
-    path_str, rule_ids = args
-    try:
-        source = SourceFile.from_path(Path(path_str))
-    except LintSyntaxError as exc:
-        return None, [], {}, str(exc)
-    except (OSError, UnicodeDecodeError) as exc:
-        return None, [], {}, f"{path_str}: {exc}"
-    raw, timings = _check_source(source, rules_by_id(rule_ids))
-    return source, raw, timings, None
-
-
-def _finish_file(
-    source: SourceFile, raw: list[Diagnostic]
-) -> tuple[list[Diagnostic], int, list[Diagnostic]]:
-    """One file's finished per-file outcome: the post-suppression
-    diagnostics, the suppression count, and the unknown-noqa warnings.
-    This is the unit the incremental cache stores — everything about a
-    file that does not depend on any other file."""
-    kept: list[Diagnostic] = []
-    suppressed = 0
-    for diag in raw:
-        if source.is_suppressed(diag.line, diag.rule):
-            suppressed += 1
-        else:
-            kept.append(diag)
-    return kept, suppressed, source.unknown_noqa_diagnostics()
-
-
-def _split_and_report(
-    kept: list[Diagnostic],
-    baseline: Baseline | None,
-    *,
-    suppressed: int,
-    files_scanned: int,
-    timings: dict[str, float],
-    errors: list[str],
-) -> LintReport:
-    kept = sorted(kept, key=Diagnostic.sort_key)
-    if baseline is None:
-        new, matched, stale = kept, [], []
-    else:
-        new, matched, stale = baseline.split(kept)
-    return LintReport(
-        diagnostics=new,
-        baselined=matched,
-        suppressed=suppressed,
-        stale_baseline=stale,
-        files_scanned=files_scanned,
-        errors=errors,
-        timings=timings,
-    )
-
-
 def run_lint(
     paths: list[Path],
     *,
     rule_ids: list[str] | None = None,
     baseline_path: Path | None = None,
-    jobs: int | None = None,
-    cache_path: Path | None = None,
 ) -> LintReport:
     """Discover, parse and lint ``paths``; the CLI entry point's core.
 
-    ``jobs`` > 1 parses and per-file-checks in a process pool; the
-    project-wide rules (which need every tree at once) and the baseline
-    split always run in the parent.  Falls back to serial on any pool
-    failure — sandboxes without working ``fork``/semaphores are real.
-
-    ``cache_path`` enables the incremental cache (``.lint-cache.json``):
-    per-file results are reused when the file's content digest is
-    unchanged, and the project-wide rules' results are reused when *no*
-    file changed.  On a fully-unchanged tree nothing is even parsed.
-    The baseline split always runs fresh, so results are byte-identical
-    with and without the cache.
+    A file that cannot be read or parsed is reported in the report's
+    ``errors`` (which fail the lint) and the rest are still checked.
     """
     files = discover_files(paths)
     baseline = None
     if baseline_path is not None and baseline_path.exists():
         baseline = Baseline.load(baseline_path)
-    active = rules_by_id(rule_ids)
-
-    cache = None
-    digests: dict[str, str] = {}
-    hits: dict[str, dict] = {}
-    if cache_path is not None:
-        from .cache import LintCache, compute_salt, content_digest, tree_key
-
-        cache = LintCache.load(cache_path, compute_salt(rule_ids))
-        for file in files:
-            key = str(file.resolve())
-            try:
-                digests[key] = content_digest(file.read_bytes())
-            except OSError:
-                continue  # unreadable: handled as a miss below
-            entry = cache.get_file(key, digests[key])
-            if entry is not None:
-                hits[key] = entry
-        project_key = tree_key(digests)
-        project_entry = (
-            cache.get_project(project_key) if len(hits) == len(files) else None
-        )
-
-        if project_entry is not None and len(hits) == len(files):
-            # Fully-unchanged tree: assemble the report from the cache
-            # without parsing a single file.
-            kept: list[Diagnostic] = []
-            suppressed = 0
-            errors: list[str] = []
-            timings: dict[str, float] = {}
-            files_scanned = 0
-            for file in files:
-                file_kept, file_supp, noqa, file_timings, error = (
-                    LintCache.file_result(hits[str(file.resolve())])
-                )
-                if error is not None:
-                    errors.append(error)
-                    continue
-                files_scanned += 1
-                kept.extend(file_kept)
-                kept.extend(noqa)
-                suppressed += file_supp
-                for rule_id, secs in file_timings.items():
-                    timings[rule_id] = timings.get(rule_id, 0.0) + secs
-            proj_kept, proj_supp, proj_timings = LintCache.project_result(
-                project_entry
-            )
-            kept.extend(proj_kept)
-            suppressed += proj_supp
-            timings.update(proj_timings)
-            return _split_and_report(
-                kept,
-                baseline,
-                suppressed=suppressed,
-                files_scanned=files_scanned,
-                timings=timings,
-                errors=errors,
-            )
-
-    miss_files = [
-        file for file in files if cache is None or str(file.resolve()) not in hits
-    ]
-    scanned: list[
-        tuple[SourceFile | None, list[Diagnostic], dict[str, float], str | None]
-    ] | None = None
-    if jobs is not None and jobs > 1 and len(miss_files) >= _PARALLEL_THRESHOLD:
-        try:
-            import concurrent.futures
-
-            with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-                scanned = list(
-                    pool.map(
-                        _scan_one,
-                        [(str(file), rule_ids) for file in miss_files],
-                        chunksize=max(1, len(miss_files) // (jobs * 4)),
-                    )
-                )
-        except (OSError, ImportError, concurrent.futures.process.BrokenProcessPool):
-            scanned = None
-    if scanned is None:
-        scanned = [_scan_one((str(file), rule_ids)) for file in miss_files]
-    miss_results = dict(zip((str(file) for file in miss_files), scanned))
-
     sources: list[SourceFile] = []
-    kept = []
-    suppressed = 0
-    errors = []
-    timings = {}
+    errors: list[str] = []
     for file in files:
-        key = str(file.resolve())
-        if cache is not None and key in hits:
-            # Unchanged file: reuse its finished per-file outcome, but
-            # re-parse it — the project-wide rules need every tree.
-            file_kept, file_supp, noqa, file_timings, error = (
-                LintCache.file_result(hits[key])
-            )
-            if error is not None:
-                errors.append(error)
-                continue
-            try:
-                sources.append(SourceFile.from_path(file))
-            except (LintSyntaxError, OSError, UnicodeDecodeError) as exc:
-                errors.append(str(exc))  # raced edit since the digest read
-                continue
-        else:
-            source, raw, file_timings, error = miss_results[str(file)]
-            if error is not None:
-                errors.append(error)
-                if cache is not None and key in digests:
-                    cache.put_file(
-                        key, digests[key], kept=[], suppressed=0, noqa=[],
-                        timings={}, error=error,
-                    )
-                continue
-            assert source is not None
-            sources.append(source)
-            file_kept, file_supp, noqa = _finish_file(source, raw)
-            if cache is not None and key in digests:
-                cache.put_file(
-                    key, digests[key], kept=file_kept, suppressed=file_supp,
-                    noqa=noqa, timings=file_timings, error=None,
-                )
-        kept.extend(file_kept)
-        kept.extend(noqa)
-        suppressed += file_supp
-        for rule_id, secs in file_timings.items():
-            timings[rule_id] = timings.get(rule_id, 0.0) + secs
-
-    project_raw, project_timings = _check_project(sources, active)
-    by_relpath = {source.relpath: source for source in sources}
-    proj_kept = []
-    proj_supp = 0
-    for diag in project_raw:
-        source = by_relpath.get(diag.path)
-        if source is not None and source.is_suppressed(diag.line, diag.rule):
-            proj_supp += 1
-        else:
-            proj_kept.append(diag)
-    kept.extend(proj_kept)
-    suppressed += proj_supp
-    timings.update(project_timings)
-
-    if cache is not None:
-        cache.put_project(
-            project_key, kept=proj_kept, suppressed=proj_supp,
-            timings=project_timings,
-        )
-        cache.prune(set(digests))
-        cache.save()
-
-    return _split_and_report(
-        kept,
-        baseline,
-        suppressed=suppressed,
-        files_scanned=len(sources),
-        timings=timings,
-        errors=errors,
-    )
+        try:
+            sources.append(SourceFile.from_path(file))
+        except LintSyntaxError as exc:
+            errors.append(str(exc))
+        except (OSError, UnicodeDecodeError) as exc:
+            errors.append(f"{file}: {exc}")
+    report = lint_sources(sources, rules_by_id(rule_ids), baseline)
+    report.errors = errors
+    return report
 
 
 def write_baseline(report: LintReport, path: Path) -> Baseline:

@@ -1,13 +1,12 @@
-"""Whole-program view: module import graph + call graph over ``src/repro``.
+"""Whole-program view: the call graph over ``src/repro``.
 
-The per-file rules (RL001-RL005) see one AST at a time; the taint rules
-(RL006/RL007) need to follow a value that is deserialized in
-``net/transport.py``, threaded through ``core/``, and executed in
-``smr/`` — which requires knowing, for every call expression, *which
-project function(s) it may invoke*.  :class:`ProjectGraph` builds that
-map from the already-parsed :class:`~repro.analysis.source.SourceFile`
-list, with no imports executed (pure ``ast``, like the rest of the
-linter).
+The per-file rules (RL001-RL003, RL005) see one AST at a time; RL008
+needs to follow a stale value out of a sync helper's return and into
+another helper's write — which requires knowing, for every call
+expression, *which project function(s) it may invoke*.
+:class:`ProjectGraph` builds that map from the already-parsed
+:class:`~repro.analysis.source.SourceFile` list, with no imports
+executed (pure ``ast``, like the rest of the linter).
 
 Resolution strategy, from precise to conservative:
 
@@ -27,8 +26,9 @@ Resolution strategy, from precise to conservative:
   lambda/function the project ever assigns to an attribute of that name
   (``self.abc.on_deliver = lambda ...``) or passes as a keyword of that
   name (``ctx.spawn(..., on_output=lambda ...)``).  Over-approximate by
-  design: a missed edge hides a taint path, a spurious edge merely adds
-  work.
+  design, and marked ``kind="duck"`` so a client can tell a guess from
+  a resolution: :mod:`~repro.analysis.effects` propagates effects along
+  the precisely-resolved kinds only.
 
 Lambdas and nested ``def``s are first-class graph nodes; *defining* one
 inside a function adds a containment edge (a closure that is created is
@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .source import SourceFile
 
@@ -81,13 +81,8 @@ class FunctionInfo:
     node: _FunctionNode
     cls: str | None = None  # enclosing class name, if a method
     params: tuple[str, ...] = ()
-    line: int = 0
     is_static: bool = False
     is_classmethod: bool = False
-
-    @property
-    def is_method(self) -> bool:
-        return self.cls is not None
 
     def arg_param_index(self, arg_index: int, bound: bool) -> int:
         """Map a call-site positional argument to a parameter index.
@@ -110,14 +105,13 @@ class FunctionInfo:
 
 @dataclass
 class ClassInfo:
-    """One project class: methods, bases, dataclass-ness, field types."""
+    """One project class: methods, bases, field types."""
 
     name: str
     relpath: str
     node: ast.ClassDef
     bases: tuple[str, ...] = ()
     methods: dict[str, str] = field(default_factory=dict)  # name -> qualname
-    is_dataclass: bool = False
     # field name -> project class name, from __init__ assignments.
     field_types: dict[str, str] = field(default_factory=dict)
 
@@ -213,7 +207,6 @@ class ProjectGraph:
         self.methods_by_name: dict[str, list[str]] = {}  # method name -> qualnames
         # attribute/keyword name -> function qualnames ever bound to it
         self.callback_targets: dict[str, list[str]] = {}
-        self.import_graph: dict[str, set[str]] = {}
         self.calls: dict[str, list[CallSite]] = {}  # caller qualname -> sites
         # caller qualname -> id(ast.Call) -> CallSite, for AST-walking clients
         self.call_sites_by_node: dict[str, dict[int, CallSite]] = {}
@@ -254,7 +247,6 @@ class ProjectGraph:
                         for b in node.bases
                         if isinstance(b, (ast.Name, ast.Attribute))
                     ),
-                    is_dataclass="dataclass" in decorator_names(node),
                 )
                 for item in node.body:
                     if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -292,7 +284,6 @@ class ProjectGraph:
             node=node,
             cls=cls,
             params=_positional_params(node),
-            line=node.lineno,
             is_static="staticmethod" in deco_names,
             is_classmethod="classmethod" in deco_names,
         )
@@ -312,8 +303,6 @@ class ProjectGraph:
         return info
 
     def _resolve_imports(self, module: ModuleInfo, by_dotted: dict[str, str]) -> None:
-        deps = self.import_graph.setdefault(module.relpath, set())
-
         def target_relpath(dotted: str) -> str | None:
             dotted = dotted.removeprefix("repro.").removeprefix("repro")
             if not dotted:
@@ -329,7 +318,6 @@ class ProjectGraph:
                     rel = target_relpath(alias.name)
                     if rel is not None:
                         module.module_aliases[alias.asname or alias.name.split(".")[-1]] = rel
-                        deps.add(rel)
             elif isinstance(node, ast.ImportFrom):
                 if node.level:
                     base = package_parts[: len(package_parts) - (node.level - 1)]
@@ -343,12 +331,10 @@ class ProjectGraph:
                     as_module = target_relpath(f"{dotted}.{alias.name}" if dotted else alias.name)
                     if as_module is not None:
                         module.module_aliases[local] = as_module
-                        deps.add(as_module)
                         continue
                     rel = target_relpath(dotted)
                     if rel is not None:
                         module.symbol_aliases[local] = (rel, alias.name)
-                        deps.add(rel)
 
     def _infer_field_types(self, module: ModuleInfo) -> None:
         for infos in self.classes.values():
@@ -589,25 +575,3 @@ class ProjectGraph:
                 by_node[id(node)] = site
         self.calls[qualname] = sites
         self.call_sites_by_node[qualname] = by_node
-
-    # -- queries -------------------------------------------------------------
-
-    def callees_of(self, qualname: str) -> set[str]:
-        """Direct successors: resolved call targets plus contained closures."""
-        out: set[str] = set()
-        for site in self.calls.get(qualname, []):
-            out.update(site.callees)
-        out.update(self.contains.get(qualname, []))
-        return out
-
-    def reachable_from(self, roots: Iterable[str]) -> set[str]:
-        """Transitive closure over calls + closure containment."""
-        seen: set[str] = set()
-        queue = [r for r in roots if r in self.functions]
-        while queue:
-            current = queue.pop()
-            if current in seen:
-                continue
-            seen.add(current)
-            queue.extend(q for q in self.callees_of(current) if q not in seen)
-        return seen

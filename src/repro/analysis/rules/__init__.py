@@ -55,7 +55,6 @@ class Rule:
         col: int,
         message: str,
         hint: str | None = None,
-        severity: str | None = None,
     ) -> Diagnostic:
         return Diagnostic(
             rule=self.rule_id,
@@ -63,7 +62,7 @@ class Rule:
             line=line,
             col=col,
             message=message,
-            severity=self.severity if severity is None else severity,
+            severity=self.severity,
             hint=self.hint if hint is None else hint,
             code=source.line_text(line),
         )
@@ -71,12 +70,11 @@ class Rule:
 
 def _build_registry() -> dict[str, Rule]:
     from .async_hygiene import AsyncHygieneRule
-    from .concurrency import StaleReadAcrossAwaitRule, UnownedMutableHandoffRule
+    from .concurrency import StaleReadAcrossAwaitRule
     from .determinism import DeterminismRule
     from .messages import MessageRegistrationRule
     from .quorum import QuorumArithmeticRule
     from .results import DiscardedResultRule
-    from .taint import HandlerReachabilityRule, TaintFlowRule
 
     rules = [
         QuorumArithmeticRule(),
@@ -84,10 +82,7 @@ def _build_registry() -> dict[str, Rule]:
         DeterminismRule(),
         MessageRegistrationRule(),
         AsyncHygieneRule(),
-        TaintFlowRule(),
-        HandlerReachabilityRule(),
         StaleReadAcrossAwaitRule(),
-        UnownedMutableHandoffRule(),
     ]
     return {rule.rule_id: rule for rule in rules}
 

@@ -1,4 +1,4 @@
-"""RL008/RL009 — async interleaving hazards over the effect summaries.
+"""RL008 — async interleaving hazards over the effect summaries.
 
 PR 6 made the deployment concurrent: ``pipeline_depth`` atomic-broadcast
 rounds in flight, an asyncio TCP transport with per-peer reconnect and
@@ -6,7 +6,7 @@ retransmit tasks, open-loop clients.  The model's safety argument
 (Section 2's asynchronous authenticated links feeding Section 3's
 protocols) survives arbitrary *network* interleavings — but only if an
 honest party never corrupts its own state across a suspension point.
-These two rules make that mechanical:
+This rule makes that mechanical:
 
 **RL008 (stale-read-across-await)** — an async function reads shared
 mutable state, suspends (``await`` / ``async for`` / ``async with``),
@@ -18,92 +18,17 @@ inside a sync helper that receives the stale value as an argument.  A
 fresh read of the cell in an ``if``/``while``/``assert`` test after the
 suspension (the ``if cached is not self.x: return`` re-check idiom)
 re-validates it.
-
-**RL009 (unowned mutable handoff)** — ownership of a mutable object
-must transfer at a concurrency seam.  Two shapes:
-
-* a mutable local (list/dict/set/bytearray/deque literal or
-  constructor) is passed into ``asyncio.create_task`` /
-  ``ensure_future`` / ``loop.run_in_executor`` / an executor's
-  ``submit``/``map`` and then mutated by the caller after the handoff —
-  the new task observes (or, across the process-pool pickling seam,
-  silently misses) the caller's later mutations;
-* round-scoped protocol state in a pipelined class (one that consults
-  ``pipeline_depth``) is stored in a plain, un-keyed attribute: with
-  more than one round in flight, concurrent rounds clobber each other.
-  Round-keyed containers (``self.proposals[r] = ...``) are the correct
-  shape and are not flagged.
 """
 
 from __future__ import annotations
 
-import ast
-
 from ..diagnostics import Diagnostic, Severity
 from ..effects import EffectAnalysis, format_cell
-from ..project import FunctionInfo, ProjectGraph, walk_function_body
+from ..project import ProjectGraph
 from ..source import SourceFile
 from . import Rule
 
-__all__ = ["StaleReadAcrossAwaitRule", "UnownedMutableHandoffRule"]
-
-# Concurrency seams that move a callable (and its captured arguments)
-# onto another task or process.
-_TASK_SPAWNERS = frozenset({"create_task", "ensure_future", "run_in_executor"})
-_POOL_METHODS = frozenset({"submit", "map"})
-_POOL_RECEIVER_FRAGMENTS = ("pool", "executor")
-
-# Constructors that produce a caller-owned mutable object.
-_MUTABLE_CONSTRUCTORS = frozenset(
-    {"list", "dict", "set", "bytearray", "deque", "defaultdict", "Counter"}
-)
-
-_CONTAINER_MUTATORS = frozenset(
-    {
-        "append", "extend", "insert", "remove", "discard", "add", "clear",
-        "update", "pop", "popitem", "setdefault", "popleft", "appendleft",
-        "sort", "reverse",
-    }
-)
-
-# Copying constructors: an object passed through one of these is a
-# fresh copy, so the caller keeps ownership of the original.
-_COPY_CALLS = frozenset({"list", "dict", "set", "tuple", "sorted", "frozenset", "bytes"})
-
-# Monotone round cursors a pipelined class legitimately keeps un-keyed.
-_ROUND_CURSORS = frozenset({"round", "highest_started"})
-
-_ROUND_PARAM_NAMES = frozenset({"r", "rnd", "round_number"})
-
-
-def _called_name(node: ast.Call) -> str:
-    if isinstance(node.func, ast.Attribute):
-        return node.func.attr
-    if isinstance(node.func, ast.Name):
-        return node.func.id
-    return ""
-
-
-def _handed_names(node: ast.AST) -> list[ast.Name]:
-    """Loaded names inside a handoff call, skipping copying calls —
-    ``create_task(f(list(work)))`` hands off a copy, not ``work``."""
-    out: list[ast.Name] = []
-    stack: list[ast.AST] = [node]
-    while stack:
-        current = stack.pop()
-        if (
-            current is not node
-            and isinstance(current, ast.Call)
-            and (_called_name(current) in _COPY_CALLS or (
-                isinstance(current.func, ast.Attribute)
-                and current.func.attr == "copy"
-            ))
-        ):
-            continue
-        if isinstance(current, ast.Name) and isinstance(current.ctx, ast.Load):
-            out.append(current)
-        stack.extend(ast.iter_child_nodes(current))
-    return out
+__all__ = ["StaleReadAcrossAwaitRule"]
 
 
 class StaleReadAcrossAwaitRule(Rule):
@@ -155,230 +80,3 @@ class StaleReadAcrossAwaitRule(Rule):
             )
         diagnostics.sort(key=Diagnostic.sort_key)
         return diagnostics
-
-
-class UnownedMutableHandoffRule(Rule):
-    rule_id = "RL009"
-    severity = Severity.ERROR
-    summary = "mutable object mutated after handoff, or un-keyed round state"
-    hint = (
-        "copy the object at the handoff (or stop mutating it afterwards); "
-        "key round-scoped state by round number while pipelining"
-    )
-    scope = ("core/", "smr/", "net/", "analysis/")
-    project_wide = True
-
-    def check_project(self, sources: list[SourceFile]) -> list[Diagnostic]:
-        graph = ProjectGraph.build(sources)
-        by_relpath = {source.relpath: source for source in sources}
-        diagnostics: list[Diagnostic] = []
-        for qualname, fn in graph.functions.items():
-            if isinstance(fn.node, ast.Lambda):
-                continue
-            source = by_relpath.get(fn.relpath)
-            if source is None or not self.applies_to(fn.relpath):
-                continue
-            diagnostics.extend(self._check_handoffs(source, fn))
-        diagnostics.extend(self._check_round_keying(graph, by_relpath))
-        diagnostics.sort(key=Diagnostic.sort_key)
-        return diagnostics
-
-    # -- shape 1: mutate-after-handoff --------------------------------------
-
-    def _check_handoffs(
-        self, source: SourceFile, fn: FunctionInfo
-    ) -> list[Diagnostic]:
-        out: list[Diagnostic] = []
-        mutable: set[str] = set()  # locals bound to caller-owned mutables
-        handed: dict[str, int] = {}  # local -> handoff line
-        reported: set[tuple[int, int, str]] = set()
-
-        def is_mutable_value(value: ast.expr) -> bool:
-            if isinstance(value, (ast.List, ast.Dict, ast.Set, ast.ListComp,
-                                  ast.SetComp, ast.DictComp)):
-                return True
-            if isinstance(value, ast.Call):
-                return _called_name(value) in _MUTABLE_CONSTRUCTORS
-            return False
-
-        def is_handoff(call: ast.Call) -> bool:
-            name = _called_name(call)
-            if name in _TASK_SPAWNERS:
-                return True
-            if name in _POOL_METHODS and isinstance(call.func, ast.Attribute):
-                receiver = call.func.value
-                text = ""
-                if isinstance(receiver, ast.Name):
-                    text = receiver.id
-                elif isinstance(receiver, ast.Attribute):
-                    text = receiver.attr
-                return any(f in text.lower() for f in _POOL_RECEIVER_FRAGMENTS)
-            return False
-
-        def flag(name: str, line: int, col: int, how: str) -> None:
-            key = (line, col, name)
-            if key in reported:
-                return
-            reported.add(key)
-            out.append(
-                self.diagnostic(
-                    source,
-                    line,
-                    col,
-                    f"{name} was handed to a concurrent task at line "
-                    f"{handed[name]} and is mutated by the caller afterwards "
-                    f"({how}); the task no longer owns a stable view of it",
-                )
-            )
-
-        def visit(stmts: list[ast.stmt]) -> None:
-            for stmt in stmts:
-                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                     ast.ClassDef)):
-                    continue
-                # Mutations of handed-off locals.
-                for node in ast.walk(stmt):
-                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                         ast.Lambda)):
-                        continue
-                    if isinstance(node, ast.Call):
-                        func = node.func
-                        if (
-                            isinstance(func, ast.Attribute)
-                            and func.attr in _CONTAINER_MUTATORS
-                            and isinstance(func.value, ast.Name)
-                            and func.value.id in handed
-                        ):
-                            flag(func.value.id, node.lineno, node.col_offset,
-                                 f"{func.attr}()")
-                        if is_handoff(node):
-                            for sub in _handed_names(node):
-                                if sub.id in mutable:
-                                    handed.setdefault(sub.id, node.lineno)
-                    elif isinstance(node, (ast.Subscript,)) and isinstance(
-                        node.ctx, (ast.Store, ast.Del)
-                    ):
-                        base = node.value
-                        if isinstance(base, ast.Name) and base.id in handed:
-                            flag(base.id, node.lineno, node.col_offset,
-                                 "item assignment")
-                # Rebinding a local releases the handed-off object.
-                if isinstance(stmt, ast.Assign):
-                    for target in stmt.targets:
-                        if isinstance(target, ast.Name):
-                            handed.pop(target.id, None)
-                            mutable.discard(target.id)
-                            if is_mutable_value(stmt.value):
-                                mutable.add(target.id)
-                elif isinstance(stmt, ast.AnnAssign) and isinstance(
-                    stmt.target, ast.Name
-                ):
-                    handed.pop(stmt.target.id, None)
-                    mutable.discard(stmt.target.id)
-                    if stmt.value is not None and is_mutable_value(stmt.value):
-                        mutable.add(stmt.target.id)
-                for attr in ("body", "orelse", "finalbody"):
-                    inner = getattr(stmt, attr, None)
-                    if isinstance(inner, list) and inner and isinstance(
-                        inner[0], ast.stmt
-                    ):
-                        visit(inner)
-                for handler in getattr(stmt, "handlers", []):
-                    visit(handler.body)
-
-        body = fn.node.body
-        # Two passes so a handoff late in a loop body meets a mutation
-        # earlier in the next iteration.
-        visit(body)
-        visit(body)
-        return out
-
-    # -- shape 2: un-keyed round state in a pipelined class -----------------
-
-    def _check_round_keying(
-        self, graph: ProjectGraph, by_relpath: dict[str, SourceFile]
-    ) -> list[Diagnostic]:
-        out: list[Diagnostic] = []
-        # Classes that consult pipeline_depth run rounds concurrently.
-        pipelined: set[str] = set()
-        for fn in graph.functions.values():
-            if fn.cls is None or isinstance(fn.node, ast.Lambda):
-                continue
-            for node in walk_function_body(fn.node):
-                if isinstance(node, ast.Attribute) and node.attr == "pipeline_depth":
-                    pipelined.add(fn.cls)
-                    break
-
-        for qualname, fn in graph.functions.items():
-            if fn.cls not in pipelined or isinstance(fn.node, ast.Lambda):
-                continue
-            source = by_relpath.get(fn.relpath)
-            if source is None or not self.applies_to(fn.relpath):
-                continue
-            data_params = {
-                p for p in fn.params if p not in {"self", "ctx", "cls"}
-            }
-            round_vars = set(fn.params) & _ROUND_PARAM_NAMES
-            derived: set[str] = set(data_params)
-            # Locals assigned from a data param or from `<param>.round`.
-            for _ in range(2):
-                for node in walk_function_body(fn.node):
-                    if not isinstance(node, ast.Assign):
-                        continue
-                    names = {
-                        sub.id
-                        for sub in ast.walk(node.value)
-                        if isinstance(sub, ast.Name)
-                        and isinstance(sub.ctx, ast.Load)
-                    }
-                    from_round_attr = any(
-                        isinstance(sub, ast.Attribute)
-                        and sub.attr == "round"
-                        and isinstance(sub.value, ast.Name)
-                        and sub.value.id in data_params
-                        for sub in ast.walk(node.value)
-                    )
-                    if names & derived or from_round_attr:
-                        for target in node.targets:
-                            if isinstance(target, ast.Name):
-                                derived.add(target.id)
-                                if from_round_attr:
-                                    round_vars.add(target.id)
-            if not round_vars:
-                continue  # not a per-round handler
-            for node in walk_function_body(fn.node):
-                if not isinstance(node, (ast.Assign, ast.AugAssign)):
-                    continue
-                targets = (
-                    node.targets if isinstance(node, ast.Assign) else [node.target]
-                )
-                value = node.value
-                value_names = {
-                    sub.id
-                    for sub in ast.walk(value)
-                    if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)
-                }
-                if not (value_names & (derived | round_vars)):
-                    continue  # not round-scoped data
-                for target in targets:
-                    if not (
-                        isinstance(target, ast.Attribute)
-                        and isinstance(target.value, ast.Name)
-                        and target.value.id == "self"
-                    ):
-                        continue
-                    if target.attr in _ROUND_CURSORS:
-                        continue
-                    out.append(
-                        self.diagnostic(
-                            source,
-                            node.lineno,
-                            node.col_offset,
-                            f"round-scoped value stored in un-keyed attribute "
-                            f"self.{target.attr} while "
-                            f"{fn.cls} pipelines rounds (pipeline_depth > 1 "
-                            "lets concurrent rounds clobber it); key the "
-                            "container by round number",
-                        )
-                    )
-        return out

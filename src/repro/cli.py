@@ -316,23 +316,9 @@ def _cmd_lint(args: argparse.Namespace) -> int:
                 baseline_path = candidate
                 break
 
-    if args.no_cache:
-        cache_path = None
-    else:
-        # The cache lives next to the baseline (i.e. at the repo root);
-        # with --no-baseline it sits in the current directory.
-        anchor_dir = (
-            baseline_path.parent if baseline_path is not None else pathlib.Path(".")
-        )
-        cache_path = anchor_dir / ".lint-cache.json"
-
     try:
         report = engine.run_lint(
-            paths,
-            rule_ids=rule_ids,
-            baseline_path=baseline_path,
-            jobs=args.jobs,
-            cache_path=cache_path,
+            paths, rule_ids=rule_ids, baseline_path=baseline_path
         )
     except FileNotFoundError as exc:
         print(f"repro lint: {exc}", file=sys.stderr)
@@ -588,28 +574,23 @@ def main(argv: list[str] | None = None) -> int:
 
     lint = sub.add_parser(
         "lint",
-        help="run the protocol-invariant static analysis (rules RL001-RL009)",
+        help="run the protocol-invariant static analysis (rules RL001-RL005, RL008)",
         description=(
             "AST-based checks for the invariants the protocol stack relies on: "
             "quorum abstraction (RL001), verified-result gating (RL002), "
             "determinism (RL003), wire registration/handling (RL004), async "
-            "hygiene (RL005), whole-program taint flow (RL006/RL007) and "
-            "async interleaving safety (RL008/RL009). "
+            "hygiene (RL005) and stale reads across an await (RL008). "
             "See docs/STATIC_ANALYSIS.md."
         ),
     )
     lint.add_argument("paths", nargs="*", help="files or directories (default: src/repro)")
     lint.add_argument("--format", choices=["text", "json", "sarif"], default="text")
-    lint.add_argument("--jobs", type=int, default=None,
-                      help="parse/check files in N worker processes")
     lint.add_argument("--rules", help="comma-separated rule ids, e.g. RL001,RL003")
     lint.add_argument("--baseline", help="baseline file (default: nearest lint-baseline.json)")
     lint.add_argument("--no-baseline", action="store_true",
                       help="report every finding, ignoring the baseline")
     lint.add_argument("--write-baseline", action="store_true",
                       help="snapshot current findings into the baseline file")
-    lint.add_argument("--no-cache", action="store_true",
-                      help="bypass the incremental result cache (.lint-cache.json)")
     lint.add_argument("-v", "--verbose", action="store_true",
                       help="also summarize baselined findings")
     lint.set_defaults(func=_cmd_lint)

@@ -150,7 +150,15 @@ def test_unknown_rule_id_rejected():
         rules_by_id(["RL999"])
 
 
-# -- severity, timings, parallelism ---------------------------------------------
+def test_retired_rule_ids_are_unknown():
+    # RL006, RL007 and RL009 are retired, not parked: no rule answers
+    # to the id any more.
+    for retired in ("RL006", "RL007", "RL009"):
+        with pytest.raises(KeyError):
+            rules_by_id([retired])
+
+
+# -- severity, timings ----------------------------------------------------------
 
 
 def _warning_report():
@@ -185,17 +193,6 @@ def test_per_rule_timings_recorded_and_shown_verbose():
     assert report.timings["RL001"] >= 0.0
     assert "timing: RL001" in report.format_text(verbose=True)
     assert "timing:" not in report.format_text(verbose=False)
-
-
-def test_parallel_jobs_report_matches_serial(tmp_path):
-    for index in range(10):
-        (tmp_path / f"mod{index}.py").write_text(VIOLATION)
-    serial = run_lint([tmp_path])
-    parallel = run_lint([tmp_path], jobs=2)
-    assert [d.fingerprint() for d in parallel.diagnostics] == [
-        d.fingerprint() for d in serial.diagnostics
-    ]
-    assert parallel.files_scanned == serial.files_scanned == 10
 
 
 # -- noqa suppression edge cases -------------------------------------------------
@@ -243,6 +240,16 @@ def test_noqa_naming_unknown_rule_warns_not_silently_passes():
     report = _warning_report()
     assert report.warning_count == 1
     assert "unknown rule RL998" in report.diagnostics[0].message
+
+
+def test_noqa_naming_a_retired_rule_is_reported_as_stale():
+    # A suppression left behind for a retired rule protects nothing.
+    source = SourceFile.from_source(
+        "x = 1  # repro: noqa-RL009\n", relpath="core/stale.py"
+    )
+    [diag] = lint_sources([source]).diagnostics
+    assert diag.rule == "RL000"
+    assert "unknown rule RL009" in diag.message
 
 
 def test_noqa_known_rule_produces_no_unknown_warning():
@@ -293,7 +300,7 @@ def test_sarif_output_shape_and_content():
     [run] = data["runs"]
     assert run["tool"]["driver"]["name"] == "repro-lint"
     rule_ids = [rule["id"] for rule in run["tool"]["driver"]["rules"]]
-    assert "RL001" in rule_ids and "RL006" in rule_ids and "RL007" in rule_ids
+    assert "RL001" in rule_ids and "RL008" in rule_ids
     [result] = run["results"]
     assert result["ruleId"] == "RL001"
     assert result["level"] == "error"
@@ -375,6 +382,15 @@ def test_cli_lint_rule_selection(tmp_path):
 def test_cli_lint_rejects_unknown_rule(tmp_path, capsys):
     assert main(["lint", str(tmp_path), "--rules", "RL999"]) == 2
     assert "unknown rule" in capsys.readouterr().err
+
+
+def test_cli_lint_rejects_the_retired_options(tmp_path, capsys):
+    # One cold run is the only mode: no process pool, no result cache.
+    for retired in (["--jobs", "2"], ["--no-cache"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["lint", str(tmp_path), "--no-baseline", *retired])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_cli_lint_missing_path(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Call-graph construction: the resolution forms RL006/RL007 rely on."""
+"""Call-graph construction: the resolution forms RL008 relies on."""
 
 from repro.analysis import SourceFile
 from repro.analysis.project import ProjectGraph
@@ -123,7 +123,7 @@ def test_duck_dispatch_is_conservative_but_denylists_builtins():
     assert all("append" not in callee for callee in names)  # builtin denylist
 
 
-def test_reachability_includes_closures_and_called_privates():
+def test_closures_are_graph_nodes_and_their_calls_resolve():
     graph = build(
         (
             "core/a.py",
@@ -138,9 +138,8 @@ def test_reachability_includes_closures_and_called_privates():
             "        return value\n",
         )
     )
-    reachable = graph.reachable_from(["core/a.py::Proto.on_start"])
-    assert "core/a.py::Proto._private" in reachable  # via the closure
-    assert "core/a.py::Proto._orphan" not in reachable
+    [closure] = graph.contains["core/a.py::Proto.on_start"]
+    assert callee_names(graph, closure) == {"core/a.py::Proto._private"}
 
 
 def test_nested_functions_do_not_leak_into_module_namespace():

@@ -184,100 +184,6 @@ def test_rl005_unbounded_reads_not_applied_to_transport():
     assert report.diagnostics == []
 
 
-# -- RL006: whole-program taint (project-wide) ----------------------------------
-
-
-def test_rl006_fires_on_unsanitized_source_to_sink_paths():
-    report = findings("rl006_bad.py", "RL006", relpath="smr/rl006_bad.py")
-    lines = [line for _, line in locations(report)]
-    text = load("rl006_bad.py", "smr/rl006_bad.py").text
-    apply_line = text[: text.index("self.state_machine.apply(message")].count("\n") + 1
-    deliver_apply = text[: text.index("self.state_machine.apply(request")].count("\n") + 1
-    assert apply_line in lines  # on_message param -> apply
-    assert deliver_apply in lines  # wire.loads result -> apply
-    assert all(rule == "RL006" for rule, _ in locations(report))
-    assert all(d.severity == "error" for d in report.diagnostics)
-    assert "unverified network input" in report.diagnostics[0].message
-
-
-def test_rl006_gated_fixture_is_clean():
-    report = findings("rl006_ok.py", "RL006", relpath="smr/rl006_ok.py")
-    assert report.diagnostics == []
-
-
-def test_rl006_catches_seeded_verify_removal_on_deliver_path():
-    # The acceptance regression: take the gated replica and strip one
-    # verify() gate from its deliver path — RL006 must start firing.
-    gated_text = load("rl006_ok.py", "smr/rl006_ok.py").text
-    gate = (
-        "        if not self.keys.verify(message.operation, message.signature):\n"
-        "            return\n"
-    )
-    assert gate in gated_text
-    stripped = SourceFile.from_source(
-        gated_text.replace(gate, ""), relpath="smr/rl006_ok.py"
-    )
-    report = lint_sources([stripped], rules=rules_by_id(["RL006"]))
-    assert report.diagnostics, "removing the verify() gate must be caught"
-    assert {d.rule for d in report.diagnostics} == {"RL006"}
-    assert any("apply" in d.message for d in report.diagnostics)
-
-
-def test_rl006_only_the_screens_returned_set_gates():
-    # Offering a share to a ShareScreen is not a gate ...
-    bad = load("rl006_bad.py", "smr/rl006_bad.py")
-    report = lint_sources([bad], rules=rules_by_id(["RL006"]))
-    opened = bad.text[: bad.text.index("self.state_machine.apply(message.opened")].count("\n") + 1
-    assert opened in [line for _, line in locations(report)]
-    # ... asking it for the qualified set is (the clean fixture is clean
-    # above), and taking that question away is caught.
-    gated_text = load("rl006_ok.py", "smr/rl006_ok.py").text
-    gate = (
-        "        if self.screen.qualified_shares(self.enough, self.check_batch) is None:\n"
-        "            return\n"
-    )
-    assert gate in gated_text
-    stripped = SourceFile.from_source(
-        gated_text.replace(gate, ""), relpath="smr/rl006_ok.py"
-    )
-    report = lint_sources([stripped], rules=rules_by_id(["RL006"]))
-    assert [d.rule for d in report.diagnostics] == ["RL006"]
-    assert "Opener.on_message" in report.diagnostics[0].message
-
-
-def test_rl006_chain_names_the_functions_on_the_path():
-    report = findings("rl006_bad.py", "RL006", relpath="smr/rl006_bad.py")
-    messages = " ".join(d.message for d in report.diagnostics)
-    assert "Replica.on_message" in messages
-    assert "Replica._on_submit" in messages
-
-
-# -- RL007: handler reachability vs wire registry (project-wide) -----------------
-
-
-def _rl007_report():
-    core = load("rl007_core.py", "core/rl007_core.py")
-    return lint_sources([core], rules=rules_by_id(["RL007"])), core.text
-
-
-def test_rl007_unregistered_dispatch_in_reachable_handler_is_error():
-    report, text = _rl007_report()
-    ghost_line = text[: text.index("isinstance(message, Ghost)")].count("\n") + 1
-    ghost = [d for d in report.diagnostics if "Ghost" in d.message]
-    assert [d.line for d in ghost] == [ghost_line]
-    assert ghost[0].severity == "error"
-    assert "never registered" in ghost[0].message
-
-
-def test_rl007_unreachable_handler_for_registered_message_is_warning():
-    report, text = _rl007_report()
-    orphan_line = text[: text.index("isinstance(message, OrphanRegistered)")].count("\n") + 1
-    orphan = [d for d in report.diagnostics if "OrphanRegistered" in d.message]
-    assert [d.line for d in orphan] == [orphan_line]
-    assert orphan[0].severity == "warning"
-    assert "unreachable" in orphan[0].message
-
-
 # -- inline suppression ---------------------------------------------------------
 
 
@@ -352,9 +258,9 @@ def test_rl008_baseline_round_trip():
 
 
 def test_rl008_catches_seeded_guard_removal_in_the_real_transport():
-    # The acceptance regression, mirroring the RL006 verify-removal
-    # test: strip the superseded-channel re-validation this PR added to
-    # _handle_connection and RL008 must start firing on the alias write.
+    # The acceptance regression: strip the superseded-channel
+    # re-validation from _handle_connection and RL008 must start firing
+    # on the alias write.
     real = (
         Path(__file__).parent.parent.parent
         / "src" / "repro" / "net" / "transport.py"
@@ -378,43 +284,3 @@ def test_rl008_catches_seeded_guard_removal_in_the_real_transport():
     fired = alias_findings(stripped_report)
     assert fired, "removing the re-validation guard must be caught"
     assert "_inbound" in fired[0].message
-
-
-# -- RL009: unowned mutable handoff (project-wide) -------------------------------
-
-
-def test_rl009_fires_on_handoffs_and_unkeyed_round_state():
-    report = findings("rl009_bad.py", "RL009", relpath="core/rl009_bad.py")
-    assert locations(report) == [
-        ("RL009", 10),  # create_task then append
-        ("RL009", 15),  # ensure_future then item assignment
-        ("RL009", 20),  # pool.submit then append
-        ("RL009", 40),  # un-keyed round-scoped attribute
-    ]
-    assert all(d.severity == "error" for d in report.diagnostics)
-    assert "handed to a concurrent task" in report.diagnostics[0].message
-    assert "pipeline_depth" in report.diagnostics[3].message
-
-
-def test_rl009_clean_fixture_is_clean():
-    report = findings("rl009_ok.py", "RL009", relpath="core/rl009_ok.py")
-    assert report.diagnostics == []
-
-
-def test_rl009_noqa_and_baseline_round_trip():
-    from repro.analysis.baseline import Baseline
-
-    text = load("rl009_bad.py", "core/rl009_bad.py").text
-    text = text.replace(
-        'work.append(4)  # RL009 here',
-        'work.append(4)  # repro: noqa-RL009 -- test justification',
-    )
-    source = SourceFile.from_source(text, relpath="core/rl009_bad.py")
-    report = lint_sources([source], rules=rules_by_id(["RL009"]))
-    assert report.suppressed == 1
-    baseline = Baseline.from_diagnostics(report.diagnostics, reason="known")
-    again = lint_sources(
-        [source], rules=rules_by_id(["RL009"]), baseline=baseline
-    )
-    assert again.diagnostics == []
-    assert again.stale_baseline == []
