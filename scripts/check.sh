@@ -160,9 +160,14 @@ for cell in stale:
     print(f"  fresh:   {(fresh.get(cell) or {}).get('summary')}")
 if stale:
     sys.exit(1)
+# Not compared (wall-clock schedule), but shown: agreement rounds per
+# committed op on real sockets — 1.0 is a round per request, more is
+# rounds that delivered nothing.
+tcp = ", ".join(f"{run['cell']} rounds_per_commit {run['summary']['rounds_per_commit']}"
+                for run in report["runs"] if run["backend"] == "tcp")
 print(f"sweep smoke: ok ({totals['runs']} runs: {totals['passed']} passed, "
       f"{totals['expected_violations']} expected violation(s) fired, "
-      f"{len(fresh)} simulator runs equal the tracked SWEEP.json)")
+      f"{len(fresh)} simulator runs equal the tracked SWEEP.json; {tcp})")
 EOF
     then
         echo "sweep smoke: FAILED (SWEEP.json is stale: if the message" \

@@ -10,7 +10,11 @@
 # (the working tree) first on even ones — and prints, per end-to-end
 # metric, both medians, the parent's inter-quartile range, change/parent
 # (of the medians, then of every pair) and in how many pairs the change
-# read ahead.  Reads bench/ and BENCHMARK.json; edits nothing.
+# read ahead — then one verdict line per metric by the rule a claim is
+# held to (docs/PERFORMANCE.md): ahead (or behind) in at least 9/10 of
+# the pairs and the medians further apart than the parent's IQR is
+# `resolved (better|worse)`, anything else `unresolved`.  Reads bench/
+# and BENCHMARK.json; edits nothing.
 set -euo pipefail
 
 usage="usage: scripts/pairs.sh <parent-ref> <workload> [pairs=10]"
@@ -55,15 +59,29 @@ for side, passes in runs.items():
           f"{sum(p['attempted'] for p in passes)} attempted, "
           f"{sum(not p['correct'] for p in passes)} incorrect passes")
 print(f"  {'metric':24} {'parent':>10} {'(IQR)':>9} {'change':>10} {'ratio':>7}  change ahead")
+verdicts = []
 for name, direction in better.items():
     parent = [p["metrics"][name]["value"] for p in runs["parent"]]
     change = [p["metrics"][name]["value"] for p in runs["change"]]
     sign = 1 if direction == "higher" else -1
     ahead = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+    behind = sum(sign * (c - p) < 0 for p, c in zip(parent, change))  # ties count for neither
     mp, mc = statistics.median(parent), statistics.median(change)
     q = statistics.quantiles(parent, n=4) if pairs > 1 else (mp, mp, mp)
+    iqr = q[2] - q[0]
     ratio = f"{mc / mp:7.3f}" if mp else "    n/a"
-    print(f"  {name:24} {mp:10.3f} {q[2] - q[0]:9.3f} {mc:10.3f} {ratio}  {ahead} of {pairs}")
+    print(f"  {name:24} {mp:10.3f} {iqr:9.3f} {mc:10.3f} {ratio}  {ahead} of {pairs}")
     print("    per pair, change/parent:", " ".join(f"{c / p:.2f}" if p else "n/a"
                                                     for p, c in zip(parent, change)))
+    gain = sign * (mc - mp)  # positive: the change's median is the better one
+    if gain > iqr and 10 * ahead >= 9 * pairs:
+        verdict = "resolved (better)"
+    elif -gain > iqr and 10 * behind >= 9 * pairs:
+        verdict = "resolved (worse)"
+    else:
+        verdict = "unresolved"
+    verdicts.append(f"  {name:24} {verdict:18} ahead {ahead}, behind {behind} of {pairs}; "
+                    f"|median gap| {abs(gain):.3f} vs parent IQR {iqr:.3f}")
+print("verdict (ahead >= 9/10 of pairs and |median gap| > parent IQR -> resolved, else unresolved):")
+print("\n".join(verdicts))
 PY

@@ -38,9 +38,33 @@ of honest parties appears in every candidate list of the next round
 so the adversary cannot delay it once it is that widely known — the
 paper's fairness claim, measured by experiment E6.
 
-A party with nothing to send still joins every round it sees evidence
-for (a valid proposal with a higher round number) with an empty batch,
-so idle parties never block the quorum.  Proposals further ahead than
+Adoption: a proposal this party *records* — signature verified, inside
+the window, the first from that sender for that round — is also a
+submission of its payloads.  Whatever in it is neither delivered nor
+queued joins this party's queue before it decides what to sign, so a
+party that learns a request from a peer's round-``r`` proposal ahead of
+the client's own copy proposes it in round ``r`` too, its own in-flight
+mask covers it, and the client's later copy is a no-op in
+:meth:`~AtomicBroadcast.submit`: a lone request rides one round on
+every schedule, not an empty batch now and the request one round later.
+This only strengthens the fairness argument (every honest party that
+learns ``m`` proposes ``m``, so every decidable list carries it).  The
+converse cut — leaving out of the own batch what a *peer's* undelivered
+proposal already carries — is not taken: an honest party that knows
+``m`` would be omitting it on a possibly Byzantine party's word.  What
+a Byzantine sender can have adopted is bounded: one recorded batch per
+round of the window, and those are payloads it could have had ordered
+anyway (its own proposal may be in the decided list).
+
+A batch is a tuple of *hashable* payloads (delivery deduplicates by
+set membership); anything else is refused where a batch would enter
+``self.batches``, so no honest party ever endorses a candidate list
+that references one.
+
+A party whose queue is still empty after that joins every round it
+sees evidence for (a valid proposal with a higher round number — one
+that carried nothing, or nothing new) with an empty batch, so idle
+parties never block the quorum.  Proposals further ahead than
 the pipeline window (depth plus a small slack) are *not* buffered —
 a Byzantine sender can no longer stash one signed proposal per round
 across the whole horizon — but a validly signed proposal that far
@@ -148,6 +172,17 @@ def proposal_statement(session: SessionId, r: int, digest: bytes) -> tuple:
     return ("abc-proposal", session, r, digest)
 
 
+def _well_formed(batch: object) -> bool:
+    """A batch is a tuple of hashable payloads."""
+    if not isinstance(batch, tuple):
+        return False
+    try:
+        hash(batch)
+    except TypeError:
+        return False
+    return True
+
+
 class AtomicBroadcast(Protocol):
     """Long-lived totally-ordered broadcast; delivers via a callback.
 
@@ -224,11 +259,15 @@ class AtomicBroadcast(Protocol):
 
     def submit(self, ctx: Context, payload: Hashable) -> None:
         """a-broadcast: enqueue a payload for total ordering (O(1))."""
+        if self._enqueue(payload):
+            self._maybe_start_rounds(ctx)
+
+    def _enqueue(self, payload: Hashable) -> bool:
         if payload in self.delivered or payload in self.queued:
-            return
+            return False
         self.queue.append(payload)
         self.queued.add(payload)
-        self._maybe_start_rounds(ctx)
+        return True
 
     # -- round lifecycle -----------------------------------------------------------
 
@@ -350,7 +389,7 @@ class AtomicBroadcast(Protocol):
         r = message.round
         if not isinstance(r, int) or not self.round < r <= self.round + _ROUND_HORIZON:
             return
-        if not isinstance(message.batch, tuple):
+        if not _well_formed(message.batch):
             return
         digest = batch_digest(message.batch)
         statement = proposal_statement(ctx.session, r, digest)
@@ -366,9 +405,13 @@ class AtomicBroadcast(Protocol):
             self.lag_reports[sender] = max(self.lag_reports.get(sender, 0), r)
             self._maybe_report_lag(ctx)
             return
-        self.proposals.setdefault(r, {}).setdefault(
-            sender, (digest, message.signature)
-        )
+        recorded = self.proposals.setdefault(r, {})
+        if sender not in recorded:
+            recorded[sender] = (digest, message.signature)
+            # Adoption (module docstring): what the proposal taught this
+            # party goes into its own batch for the round it now joins.
+            for payload in message.batch:
+                self._enqueue(payload)
         self.batches.setdefault(digest, message.batch)
         self._maybe_start_rounds(ctx)
         self._maybe_start_agreement(ctx, r)
@@ -385,7 +428,7 @@ class AtomicBroadcast(Protocol):
 
     def _on_batch(self, ctx: Context, sender: int, message: AbcBatch) -> None:
         digest = message.digest
-        if not isinstance(digest, bytes) or not isinstance(message.batch, tuple):
+        if not isinstance(digest, bytes) or not _well_formed(message.batch):
             return
         if digest not in self.requested:
             return  # only store what we asked for: bounded memory
@@ -450,6 +493,11 @@ class AtomicBroadcast(Protocol):
     def _list_predicate(self, ctx: Context, r: int) -> Callable[[object], bool]:
         """External validity: a quorum of distinct, properly signed digests.
 
+        An entry equal to the proposal recorded from that sender
+        (``self.proposals[r]``) was verified on arrival and is accepted
+        by comparison; only entries this party has not seen build the
+        statement, hash a challenge and cost arithmetic.
+
         Signatures cover the batch *digest*, so MVBA inputs stay O(n)
         regardless of batch bytes.  A party additionally refuses to
         endorse a candidate until it holds every referenced batch — a
@@ -464,10 +512,14 @@ class AtomicBroadcast(Protocol):
         quorum = ctx.quorum
         session = ctx.session
         verified = ctx.verified
+        generation = self.generation
 
         def predicate(value: object) -> bool:
             if not isinstance(value, tuple) or not value:
                 return False
+            # After rebase() round r holds proposals signed under the
+            # successor session, which say nothing to this predicate.
+            held = self.proposals.get(r, {}) if generation == self.generation else {}
             senders = []
             for entry in value:
                 if not (isinstance(entry, tuple) and len(entry) == 3):
@@ -475,14 +527,13 @@ class AtomicBroadcast(Protocol):
                 j, digest, sig = entry
                 if not isinstance(j, int) or not isinstance(digest, bytes):
                     return False
-                key = public.verify_keys.get(j)
-                if key is None:
-                    return False
-                # A proposal this party received itself is in the memo
-                # already; only entries it has not seen cost arithmetic.
-                statement = proposal_statement(session, r, digest)
-                if not key.verify(statement, sig, verified):
-                    return False
+                if held.get(j) != (digest, sig):
+                    key = public.verify_keys.get(j)
+                    if key is None:
+                        return False
+                    statement = proposal_statement(session, r, digest)
+                    if not key.verify(statement, sig, verified):
+                        return False
                 senders.append(j)
             if len(set(senders)) != len(senders):
                 return False

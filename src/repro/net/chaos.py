@@ -999,6 +999,11 @@ async def run_timeline(
             str(party): len(journals[party]) for party in sorted(journals)
         },
         "committed": len(committed),
+        # Highest atomic-broadcast round an honest replica executed in.
+        "last_round": max(
+            (entry.round for log in journals.values() for entry in log),
+            default=0,
+        ),
         "resubmissions": client.resubmissions,
         "duplicate_replies": client.duplicate_replies,
         "client_counters": {

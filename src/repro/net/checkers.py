@@ -266,7 +266,12 @@ def summarize_run(report: dict) -> dict:
     """Schema-stable summary of one chaos/sweep run report.
 
     Extracts what the sweep aggregates per grid cell: commit counts,
-    workload-op and probe latency percentiles, and committed ops/sec.
+    workload-op and probe latency percentiles, committed ops/sec, and
+    agreement rounds per committed operation (the report's
+    ``last_round`` — the highest round in an honest journal — over
+    ``committed``; 1.0 is a round per request, batching reads below it,
+    rounds that delivered nothing above; ``None`` for reports written
+    before the field existed).
     Latencies are in the report's ``latency_unit`` (``seconds`` for TCP
     runs, ``steps`` for simulator runs — ops/sec is only computed for
     wall-clock units).  Pure function over the report dict, so it works
@@ -289,9 +294,14 @@ def summarize_run(report: dict) -> dict:
         span = max(stamps) - min(stamps) if len(stamps) >= 2 else 0.0
         if committed and span > 0:
             ops_per_s = committed / span
+    last_round = report.get("last_round")
+    rounds_per_commit: float | None = None
+    if committed and last_round is not None:
+        rounds_per_commit = round(last_round / committed, 3)
     return {
         "ok": bool(report.get("ok")),
         "committed": committed,
+        "rounds_per_commit": rounds_per_commit,
         "ops": len(op_events),
         "probes": len(probes),
         "latency_unit": unit,

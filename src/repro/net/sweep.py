@@ -627,20 +627,22 @@ def write_markdown(payload: dict, path: str | pathlib.Path) -> None:
         + "; seeds " + ", ".join(str(s) for s in payload["axes"]["seeds"])
         + ".",
         "",
-        "| cell | backend | expected | outcome | committed | p50 | "
-        "violations |",
-        "|---|---|---|---|---|---|---|",
+        "| cell | backend | expected | outcome | committed | rounds/commit "
+        "| p50 | violations |",
+        "|---|---|---|---|---|---|---|---|",
     ]
     for record in payload["runs"]:
         summary = record["summary"]
         p50 = summary.get("latency_p50")
         unit = "s" if summary.get("latency_unit") == "seconds" else " steps"
         p50_text = "—" if p50 is None else f"{p50:g}{unit}"
+        rounds = summary.get("rounds_per_commit")
+        rounds_text = "—" if rounds is None else f"{rounds:.2f}"
         marker = "" if record["matched"] else " ⚠"
         lines.append(
             f"| `{record['cell']}` | {record['backend']} "
             f"| {record['expected']} | {record['outcome']}{marker} "
-            f"| {summary.get('committed', 0)} | {p50_text} "
+            f"| {summary.get('committed', 0)} | {rounds_text} | {p50_text} "
             f"| {', '.join(record['violations']) or '—'} |"
         )
     if totals["by_violation"]:

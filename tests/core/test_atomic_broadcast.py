@@ -16,8 +16,17 @@ from repro.core.atomic_broadcast import (
     proposal_statement,
 )
 from repro.core.multivalued_agreement import MvbaDecision
+from repro.crypto.dealer import CLIENT_BASE
+from repro.crypto.schnorr import Signature
+from repro.crypto.threshold_sig import QuorumCertificate
 from repro.net.adversary import SilentNode
-from repro.net.scheduler import DelayScheduler, RandomScheduler, ReorderScheduler
+from repro.net.scheduler import (
+    DelayScheduler,
+    FifoScheduler,
+    RandomScheduler,
+    ReorderScheduler,
+)
+from repro.net.simulator import Node
 
 
 def _spawn(runtimes, session, config=None):
@@ -128,8 +137,6 @@ def test_unsigned_proposals_rejected(keys_4_1):
     session = abc_session("forge")
     _spawn(rts, session)
     net.start()
-    from repro.crypto.schnorr import Signature
-
     fake = AbcProposal(1, (("req", "evil"),), Signature(commit=1, response=1))
     net.send(0, 1, (session, fake))
     net.run(max_steps=1000)
@@ -370,3 +377,195 @@ def test_rebase_discards_stale_generation_decision(keys_4_1):
     assert logs[0] == [] and not inst.decisions  # old generation: dropped
     inst._on_decision(ctx, 1, decision, inst.generation)
     assert logs[0] == [("req", "stale")]  # current generation: delivered
+
+
+# -- adoption: a recorded proposal is also a submission of its payloads -----------
+
+
+class _ClientFacing(Node):
+    """A party whose submissions arrive over the network, as a client's
+    do: what the client sends is a payload to a-broadcast, everything
+    else is the runtime's."""
+
+    def __init__(self, runtime, session):
+        self.runtime = runtime
+        self.session = session
+
+    def on_start(self):
+        self.runtime.on_start()
+
+    def on_message(self, sender, payload):
+        if sender == CLIENT_BASE:
+            inst = self.runtime.instances[self.session]
+            inst.submit(ctx_for(self.runtime, self.session), payload)
+        else:
+            self.runtime.on_message(sender, payload)
+
+
+@pytest.mark.parametrize("seed", [41, 42, 43])
+@pytest.mark.parametrize("n", [4, 7])
+@pytest.mark.parametrize(
+    "scheduler", [RandomScheduler, ReorderScheduler, FifoScheduler]
+)
+def test_lone_payload_rides_one_round(keys_4_1, keys_7_2, scheduler, n, seed):
+    """One payload at a time, sent to every party, the network quiescent
+    between payloads: each costs exactly one round, whichever of the
+    client's copy and a peer's proposal a party sees first.  (Without
+    adoption a party that saw the proposal first signed an empty batch
+    and opened a second round for the client's copy: through the service,
+    2.57 rounds per request at n = 4 and 3.70 at n = 7 under the random
+    schedule.)"""
+    keys = keys_4_1 if n == 4 else keys_7_2
+    net, rts = make_network(keys, scheduler(), seed=seed)
+    session = abc_session(("lone", scheduler.__name__, n, seed))
+    # The deployed shape (bench/, chaos): a pipeline with room to waste.
+    logs = _spawn(rts, session, config=AbcConfig(pipeline_depth=4))
+    for party, runtime in rts.items():
+        net.nodes[party] = _ClientFacing(runtime, session)
+    net.start()
+    payloads = 4
+    for k in range(payloads):
+        for party in rts:
+            net.send(CLIENT_BASE, party, ("req", k))
+        net.run(max_steps=400_000)  # to quiescence
+    for party, runtime in rts.items():
+        inst = runtime.instances[session]
+        assert logs[party] == [("req", k) for k in range(payloads)]
+        assert inst.rounds_delivered == inst.round == payloads
+
+
+def _signed(keys, session, signer, r, batch, seed=50):
+    statement = proposal_statement(session, r, batch_digest(batch))
+    signature = keys.private[signer].signing_key.sign(statement, random.Random(seed))
+    return AbcProposal(r, batch, signature)
+
+
+def _lone_party(keys, name, config=None):
+    net, rts = make_network(keys, seed=44, parties=[1])
+    session = abc_session(name)
+    _spawn(rts, session, config=config)
+    net.start()
+    return rts[1].instances[session], ctx_for(rts[1], session), session
+
+
+def test_clients_late_copy_starts_no_round(keys_4_1):
+    inst, ctx, session = _lone_party(
+        keys_4_1, "late-copy", AbcConfig(pipeline_depth=4)
+    )
+    m = ("req", "m")
+    inst.on_message(ctx, 0, _signed(keys_4_1, session, 0, 1, (m,)))
+    # The party joined round 1 with what the proposal taught it.
+    assert inst.proposed[1][0] == (m,) and m in inst.in_flight
+    assert inst.highest_started == 1
+    inst.submit(ctx, m)  # the client's own copy, late
+    assert inst.highest_started == 1 and inst.queue == [m]
+
+
+def test_delivered_payload_is_not_adopted(keys_4_1):
+    inst, ctx, session = _lone_party(keys_4_1, "adopt-delivered")
+    m = ("req", "old")
+    inst.delivered.add(m)
+    inst.on_message(ctx, 0, _signed(keys_4_1, session, 0, 1, (m,)))
+    assert inst.queue == []
+    # Evidence that taught nothing new: the idle party still joins, empty.
+    assert inst.proposed[1][0] == ()
+
+
+def test_only_a_recorded_proposal_is_adopted(keys_4_1):
+    inst, ctx, session = _lone_party(keys_4_1, "adopt-gate")
+    first, second = ("req", "first"), ("req", "second")
+    inst.on_message(ctx, 0, _signed(keys_4_1, session, 0, 1, (first,)))
+    assert inst.queue == [first]
+    # Equivocation: the same sender's second batch for the round.
+    inst.on_message(ctx, 0, _signed(keys_4_1, session, 0, 1, (second,)))
+    # Beyond the window: lag evidence, not a submission.
+    far = 1 + inst.config.pipeline_depth + inst.config.buffer_slack
+    inst.on_message(ctx, 2, _signed(keys_4_1, session, 2, far, (("req", "far"),)))
+    assert inst.lag_reports == {2: far}
+    # A bad signature: party 3's batch under party 2's key.
+    forged = _signed(keys_4_1, session, 2, 1, (("req", "forged"),))
+    inst.on_message(ctx, 3, forged)
+    assert inst.queue == [first] and inst.queued == {first}
+    assert set(inst.proposals[1]) == {0}
+
+
+def test_rebase_carries_adopted_payloads_to_new_session(keys_4_1):
+    net, rts = make_network(keys_4_1, seed=44, parties=[1])
+    old, new = abc_session("adopt-rebase-old"), abc_session("adopt-rebase-new")
+    _spawn(rts, old)
+    net.start()
+    inst = rts[1].instances.pop(old)
+    m = ("req", "adopted")
+    inst.on_message(ctx_for(rts[1], old), 0, _signed(keys_4_1, old, 0, 1, (m,)))
+    assert inst.proposed[1][0] == (m,)
+    rts[1].spawn(new, inst)
+    inst.rebase(ctx_for(rts[1], new))
+    batch, digest, signature = inst.proposed[1]
+    assert batch == (m,)  # re-proposed under the successor session
+    assert keys_4_1.public.verify_keys[1].verify(
+        proposal_statement(new, 1, digest), signature
+    )
+
+
+def test_predicate_of_a_closed_session_compares_nothing(keys_4_1):
+    """The list predicate accepts an entry equal to a recorded proposal
+    without verifying it again — but only one recorded under its own
+    session: after rebase() the same round number holds proposals signed
+    for the successor."""
+    net, rts = make_network(keys_4_1, seed=46, parties=[1])
+    old, new = abc_session("held-old"), abc_session("held-new")
+    _spawn(rts, old)
+    net.start()
+    inst = rts[1].instances.pop(old)
+    stale = inst._list_predicate(ctx_for(rts[1], old), 1)
+    rts[1].spawn(new, inst)
+    ctx = ctx_for(rts[1], new)
+    inst.rebase(ctx)
+    for signer in (0, 2, 3):
+        inst.on_message(ctx, signer, _signed(keys_4_1, new, signer, 1, ()))
+    value = tuple(
+        sorted((j, digest, sig) for j, (digest, sig) in inst.proposals[1].items())
+    )
+    assert inst._list_predicate(ctx, 1)(value)
+    assert not stale(value)
+
+
+# -- a batch is a tuple of hashable payloads -----------------------------------------
+
+_UNHASHABLE = [
+    {"a": 1},
+    QuorumCertificate(signatures={0: Signature(commit=1, response=1)}),
+]
+
+
+@pytest.mark.parametrize("payload", _UNHASHABLE, ids=["dict", "certificate"])
+def test_unhashable_payload_does_not_wedge_honest_parties(keys_4_1, payload):
+    """A Byzantine server's validly signed proposal carrying a payload
+    that cannot be hashed used to be stored, endorsed and decided, and
+    then raised ``TypeError`` at the delivered-set lookup at every
+    honest party, on every later message.  It is refused on arrival."""
+    net, rts = make_network(keys_4_1, FifoScheduler(), seed=45, parties=[0, 1, 2])
+    net.attach(3, SilentNode())
+    session = abc_session(("unhashable", type(payload).__name__))
+    logs = _spawn(rts, session)
+    net.start()
+    poison = _signed(keys_4_1, session, 3, 1, (payload,))
+    for party in rts:
+        net.send(3, party, (session, poison))
+    net.run(max_steps=400_000)  # first to arrive everywhere: in every list
+    for party, runtime in rts.items():
+        assert 3 not in runtime.instances[session].proposals.get(1, {})
+    for party in rts:
+        _submit(rts, session, party, ("req", party))
+    net.run(until=lambda: all(len(logs[p]) >= 3 for p in rts), max_steps=400_000)
+    assert all(logs[p] == logs[0] for p in rts)
+    assert set(logs[0]) == {("req", p) for p in rts}
+
+
+def test_unhashable_fetched_batch_refused(keys_4_1):
+    inst, ctx, _session = _lone_party(keys_4_1, "unhashable-fetch")
+    batch = ({"a": 1},)
+    digest = batch_digest(batch)
+    inst.requested.add(digest)  # a candidate list referenced it
+    inst.on_message(ctx, 3, AbcBatch(digest, batch))
+    assert digest not in inst.batches

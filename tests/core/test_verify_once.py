@@ -50,11 +50,12 @@ SINGLE_PER_ROUND = N * (N - 1) + (N * QUORUM - 3) + 2
 BATCHED_PER_ROUND = N * (N - 1) * QUORUM - 9
 # 30 and 36 before the memo was seeded; the difference is exactly the 4 +
 # 3 + 9 items the verifier produced.  What reached no arithmetic before
-# either, all of it memo hits: the 4 × 3 proposal signatures inside the
-# candidate list of every ``CbcSend`` (the predicate), the 3 shares again
-# in ``combine``, the sender's own ``CbcFinal``, the certificate inside
-# every ``MvbaValue``, and the client's 2 shares again when it combines
-# them.  78 + 74 before that.
+# either: the 4 × 3 proposal signatures inside the candidate list of
+# every ``CbcSend`` (accepted by comparison with the proposal recorded
+# on arrival; a memo hit, named by a challenge hash, before that), and
+# as memo hits the 3 shares again in ``combine``, the sender's own
+# ``CbcFinal``, the certificate inside every ``MvbaValue``, and the
+# client's 2 shares again when it combines them.  78 + 74 before that.
 
 # Per coin (t + 1 = 2 shares open it; the counts per round are in
 # ``test_each_coin_exponentiates_exactly_this_much``):
@@ -64,7 +65,7 @@ DLEQ_ITEMS_PER_COIN = (T + 1) - 1  # where the verifier's own share is one of th
 
 # Top-level encodings per round (one per hash evaluated or statement
 # rendered, not counting the per-block counter): 62 Schnorr challenges
-# in certificate batches and 78 single ones, 39 batch coefficients and
+# in certificate batches and 30 single ones, 39 batch coefficients and
 # their 16 seeds, 24 signatures made, 35 certificate statements
 # (rendered once per certificate operation and spliced into each
 # signer's challenge), 12 DLEQ challenges, 20 batch digests, 4 batch
@@ -86,8 +87,13 @@ DLEQ_ITEMS_PER_COIN = (T + 1) - 1  # where the verifier's own share is one of th
 # and 8 check DLEQ challenges, 4 batch seeds and 12 coefficients), and
 # no replica reads an ``MvbaValue`` any more — all four hold the
 # delivery — whose certificate was a memo hit that still rendered 1
-# statement and hashed 3 challenges to name it (16).
-ENCODINGS_PER_ROUND = 295
+# statement and hashed 3 challenges to name it (16).  295 -> 247 with
+# the list predicate comparing before it hashes, one source: the 4 × 4 ×
+# 3 proposal signatures inside candidate lists (each replica reads 4
+# ``CbcSend`` lists of 3 entries, every one equal to a proposal it
+# recorded and verified on arrival) no longer hash a challenge only to
+# name a memo hit — 48 single challenges, 78 -> 30.
+ENCODINGS_PER_ROUND = 247
 SEED = 13
 
 

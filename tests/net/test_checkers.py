@@ -201,6 +201,7 @@ def test_summarize_run_extracts_latencies_and_throughput():
     report = {
         "ok": True,
         "committed": 4,
+        "last_round": 6,
         "latency_unit": "seconds",
         "events": [
             {"kind": "op", "latency": 0.1, "at_actual": 0.0},
@@ -221,6 +222,7 @@ def test_summarize_run_extracts_latencies_and_throughput():
     assert summary["latency_p50"] == 0.1  # None latency excluded
     assert summary["probe_p50"] == 0.2
     assert summary["ops_per_s"] == 2.0  # 4 committed over a 2s span
+    assert summary["rounds_per_commit"] == 1.5  # 6 rounds for 4 commits
     assert summary["violations"] == []
 
 
@@ -238,5 +240,6 @@ def test_summarize_run_skips_throughput_for_step_latencies():
     }
     summary = summarize_run(report)
     assert summary["ops_per_s"] is None
+    assert summary["rounds_per_commit"] is None  # nothing committed
     assert summary["latency_p50"] is None
     assert summary["violations"] == ["liveness.stuck"]

@@ -170,6 +170,8 @@ def test_clean_cell_passes_and_is_deterministic(tmp_path):
     assert first["ok"] and second["ok"]
     assert first["committed"] == second["committed"] > 0
     assert first["journal_lengths"] == second["journal_lengths"]
+    # Serial load: every op rides its own round, none delivers nothing.
+    assert first["last_round"] == second["last_round"] == first["committed"]
     assert first["timeline"] == second["timeline"]
     assert first["backend"] == "sim"
     assert first["latency_unit"] == "steps"

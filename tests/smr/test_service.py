@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro.core.atomic_broadcast import AbcConfig
 from repro.net.adversary import SilentNode
-from repro.net.scheduler import DelayScheduler, ReorderScheduler
+from repro.net.scheduler import DelayScheduler, RandomScheduler, ReorderScheduler
 from repro.smr import KeyValueStore, build_service
 
 
@@ -206,3 +207,33 @@ def test_rsa_service_signature_backend(keys_4_1_rsa):
     completed = client.completed[nonce]
     assert completed.result == ("ok", 1)
     assert completed.verify(keys_4_1_rsa.public, 1000, ("set", "k", 1))
+
+
+# One agreement round at n = 4 under FIFO delivery, client traffic
+# included (4 requests in, 4 replies out): what a lone request costs.
+ONE_ROUND_MESSAGES = 184
+
+
+@pytest.mark.parametrize("seed", [11, 12, 13])
+@pytest.mark.parametrize("scheduler", [RandomScheduler, ReorderScheduler])
+def test_lone_request_rides_one_round(scheduler, seed):
+    """One request at a time through the whole service, the network
+    quiescent between requests: one round each, however the client's
+    copies and the replicas' proposals interleave.  The message budget
+    leaves room for a vote that was not unanimous (extra voting rounds),
+    not for a second agreement round (2.57 rounds and 561 messages per
+    request under the random schedule before a proposal was also a
+    submission)."""
+    dep = build_service(
+        4, KeyValueStore, t=1, seed=seed, scheduler=scheduler(),
+        abc_config=AbcConfig(pipeline_depth=4),
+    )
+    client = dep.new_client()
+    dep.network.start()
+    requests = 6
+    for i in range(requests):
+        nonce = client.submit(("set", "k", i))
+        dep.run_until_complete(client, [nonce])
+        dep.network.run(max_steps=400_000)  # to quiescence
+    assert [r.abc.rounds_delivered for r in dep.replicas.values()] == [requests] * 4
+    assert dep.network.delivered_count <= 1.5 * ONE_ROUND_MESSAGES * requests
