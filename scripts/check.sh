@@ -2,12 +2,15 @@
 # Full static + dynamic check gate, as run by CI.
 #
 #   scripts/check.sh          # repro lint (JSON) + ruff + mypy + pytest
+#                             # + experiments E1-E16 (benchmarks/)
 #                             # + benchmark-harness/chaos/sweep smokes
 #                             # + src/ and docs/ sizes
-#   scripts/check.sh --fast   # skip pytest and the smokes
+#   scripts/check.sh --fast   # skip pytest, the experiments and the smokes
 #
-# The one timing harness the gate exercises is bench/ (BENCHMARK.json);
-# there is no micro-benchmark step and no timing floor here.
+# The experiments step runs every paper-claim assertion of
+# EXPERIMENTS.md (pytest-benchmark, from the [test] extras); the one
+# timing harness the gate exercises is bench/ (BENCHMARK.json).  There
+# is no micro-benchmark step and no timing floor here.
 #
 # ruff and mypy are optional-dependency tools (pip install -e '.[lint]');
 # when absent they are skipped with a notice so the gate still runs in
@@ -100,6 +103,12 @@ if [ "${1:-}" != "--fast" ]; then
     step "pytest (tier-1)"
     if ! python -m pytest -x -q; then
         echo "pytest: FAILED"
+        failures=$((failures + 1))
+    fi
+
+    step "experiments (E1-E16: the paper-claim assertions, EXPERIMENTS.md)"
+    if ! python -m pytest benchmarks/ --benchmark-only -q; then
+        echo "experiments: FAILED"
         failures=$((failures + 1))
     fi
 

@@ -14,7 +14,8 @@ and controls the network.  The package provides, from scratch:
   (the paper's Examples 1 and 2), and generalized quorum systems;
 * :mod:`repro.net` — the asynchronous network simulator in which
   "the network is the adversary": adversarial schedulers, corruption
-  harness, authenticated channels;
+  harness — and the TCP transport that runs the same stack over
+  HMAC-authenticated sockets;
 * :mod:`repro.core` — the broadcast/agreement stack: reliable and
   consistent broadcast, randomized binary Byzantine agreement,
   multi-valued agreement with external validity, atomic broadcast,

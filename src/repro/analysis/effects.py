@@ -28,10 +28,9 @@ This module computes, for every function in the
 
 Like :mod:`repro.analysis.project`, everything here is pure ``ast``
 over already-parsed sources; nothing is imported or executed.
-Interprocedural propagation follows only precisely-resolved edges
-(``local`` / ``import`` / ``method`` / ``constructor``) — duck-typed
-fan-out would wire every ``send`` in the codebase together and drown
-the rules in noise.
+Interprocedural propagation follows the call graph's resolved edges
+only; a call whose target is not known statically (``backend.send``)
+has no callees and carries no effect.
 """
 
 from __future__ import annotations
@@ -54,9 +53,6 @@ __all__ = [
 Cell = tuple[str, str]
 
 _MAX_FIXPOINT_PASSES = 10
-
-# Effect propagation follows only precisely-resolved call edges.
-_PRECISE_KINDS = frozenset({"local", "import", "method", "constructor"})
 
 # Container methods that mutate their receiver in place.
 _MUTATORS = frozenset(
@@ -256,7 +252,7 @@ def _summarize(graph: ProjectGraph, fn: FunctionInfo) -> EffectSummary:
                 callees.update(local_calls.get(sub.id, ()))
             elif isinstance(sub, ast.Call):
                 site = sites.get(id(sub))
-                if site is not None and site.kind in _PRECISE_KINDS:
+                if site is not None:
                     callees.update(site.callees)
         for cell, _ in resolver.cells_in(expr):
             cells.add(cell)
@@ -328,9 +324,9 @@ def _summarize(graph: ProjectGraph, fn: FunctionInfo) -> EffectSummary:
                 cell = resolver.cell_of(sub.func.value)
                 if cell is not None:
                     record_write(cell, list(sub.args) + [kw.value for kw in sub.keywords])
-            # Forward our params into precisely-resolved callees.
+            # Forward our params into resolved callees.
             site = sites.get(id(sub))
-            if site is not None and site.kind in _PRECISE_KINDS:
+            if site is not None:
                 for callee_qual in site.callees:
                     callee = graph.functions.get(callee_qual)
                     if callee is None:
@@ -374,11 +370,10 @@ class EffectAnalysis:
         analysis._fixpoint()
         return analysis
 
-    def _precise_callees(self, qualname: str) -> set[str]:
+    def _callees(self, qualname: str) -> set[str]:
         out: set[str] = set()
         for site in self.graph.calls.get(qualname, []):
-            if site.kind in _PRECISE_KINDS:
-                out.update(site.callees)
+            out.update(site.callees)
         out.update(self.graph.contains.get(qualname, []))
         return out
 
@@ -386,7 +381,7 @@ class EffectAnalysis:
         for _ in range(_MAX_FIXPOINT_PASSES):
             changed = False
             for qualname, summary in self.summaries.items():
-                for callee_qual in self._precise_callees(qualname):
+                for callee_qual in self._callees(qualname):
                     callee = self.summaries.get(callee_qual)
                     if callee is None:
                         continue
@@ -588,7 +583,7 @@ class _StaleScanner:
                     put(copy)
             elif isinstance(node, ast.Call):
                 site = self.sites.get(id(node))
-                if site is None or site.kind not in _PRECISE_KINDS:
+                if site is None:
                     continue
                 for callee_qual in site.callees:
                     callee = self.analysis.summaries.get(callee_qual)
@@ -639,7 +634,7 @@ class _StaleScanner:
                             detail=f"{node.func.attr}()",
                         )
             site = self.sites.get(id(node))
-            if site is None or site.kind not in _PRECISE_KINDS:
+            if site is None:
                 continue
             for callee_qual in site.callees:
                 callee_fn = self.graph.functions.get(callee_qual)

@@ -8,7 +8,9 @@ expression, *which project function(s) it may invoke*.
 :class:`~repro.analysis.source.SourceFile` list, with no imports
 executed (pure ``ast``, like the rest of the linter).
 
-Resolution strategy, from precise to conservative:
+Resolution strategy — a call resolves only where its target is known;
+everything else (``backend.send``, ``node.on_message``) is
+``kind="external"`` with no callees:
 
 * **bare names** — nested ``def``s in the enclosing function, then
   module-level functions, then ``from X import f`` aliases, then class
@@ -19,16 +21,7 @@ Resolution strategy, from precise to conservative:
 * **typed fields** (``self.abc.submit``) — via light field-type
   inference: ``self.x = ClassName(...)`` in ``__init__``/class body, or
   ``self.x = param`` where the parameter is annotated with a project
-  class;
-* **everything else** (``backend.send``, ``node.on_message`` — the
-  ``NetworkBackend``/``Rule``-style dispatch) — *duck-typed*: the call
-  may invoke **every** project method of that name, plus every
-  lambda/function the project ever assigns to an attribute of that name
-  (``self.abc.on_deliver = lambda ...``) or passes as a keyword of that
-  name (``ctx.spawn(..., on_output=lambda ...)``).  Over-approximate by
-  design, and marked ``kind="duck"`` so a client can tell a guess from
-  a resolution: :mod:`~repro.analysis.effects` propagates effects along
-  the precisely-resolved kinds only.
+  class.
 
 Lambdas and nested ``def``s are first-class graph nodes; *defining* one
 inside a function adds a containment edge (a closure that is created is
@@ -52,21 +45,6 @@ __all__ = [
     "decorator_names",
     "walk_function_body",
 ]
-
-# Attribute names that are overwhelmingly builtin container/str methods;
-# duck-typed dispatch on these would wire huge spurious fan-out through
-# every dict in the codebase, so they never resolve by duck typing.
-# (They still resolve precisely when the receiver's type is known.)
-_DUCK_DENYLIST = frozenset(
-    {
-        "get", "items", "keys", "values", "pop", "popitem", "setdefault",
-        "update", "append", "extend", "insert", "remove", "discard", "add",
-        "clear", "copy", "sort", "reverse", "count", "index", "join",
-        "split", "rsplit", "strip", "lstrip", "rstrip", "startswith",
-        "endswith", "format", "replace", "encode", "lower", "upper",
-        "to_bytes", "from_bytes", "hexdigest", "digest", "bit_length",
-    }
-)
 
 _FunctionNode = ast.FunctionDef | ast.AsyncFunctionDef | ast.Lambda
 
@@ -139,7 +117,7 @@ class CallSite:
     col: int
     name: str  # the called name as written ("loads", "verify", ...)
     callees: tuple[str, ...]  # candidate qualnames (empty: external/unresolved)
-    kind: str  # "local" | "import" | "method" | "constructor" | "duck" | "external"
+    kind: str  # "local" | "import" | "method" | "constructor" | "external"
     bound: bool = False  # instance-style call: receiver fills the self slot
 
 
@@ -204,9 +182,6 @@ class ProjectGraph:
         self.modules: dict[str, ModuleInfo] = {}
         self.functions: dict[str, FunctionInfo] = {}
         self.classes: dict[str, list[ClassInfo]] = {}  # by class name
-        self.methods_by_name: dict[str, list[str]] = {}  # method name -> qualnames
-        # attribute/keyword name -> function qualnames ever bound to it
-        self.callback_targets: dict[str, list[str]] = {}
         self.calls: dict[str, list[CallSite]] = {}  # caller qualname -> sites
         # caller qualname -> id(ast.Call) -> CallSite, for AST-walking clients
         self.call_sites_by_node: dict[str, dict[int, CallSite]] = {}
@@ -227,7 +202,6 @@ class ProjectGraph:
             graph._resolve_imports(module, by_dotted)
         for module in graph.modules.values():
             graph._infer_field_types(module)
-            graph._collect_callbacks(module)
         for qualname in list(graph.functions):
             graph._build_calls(qualname)
         return graph
@@ -288,8 +262,6 @@ class ProjectGraph:
             is_classmethod="classmethod" in deco_names,
         )
         self.functions[qualname] = info
-        if cls is not None and name:
-            self.methods_by_name.setdefault(name, []).append(qualname)
         if cls is None and name and not prefix:
             module.functions.setdefault(name, qualname)
         # Register nested defs and lambdas as their own nodes.
@@ -385,49 +357,6 @@ class ProjectGraph:
                                 typename = candidate
                         if typename is not None:
                             info.field_types.setdefault(target.attr, typename)
-
-    def _collect_callbacks(self, module: ModuleInfo) -> None:
-        """Record ``<expr>.name = <callable>`` and ``f(..., name=<callable>)``."""
-
-        def callable_qualnames(value: ast.expr, scope: FunctionInfo | None) -> list[str]:
-            if isinstance(value, ast.Lambda):
-                found = [
-                    q
-                    for q, fn in self.functions.items()
-                    if fn.node is value
-                ]
-                return found
-            if (
-                isinstance(value, ast.Attribute)
-                and isinstance(value.value, ast.Name)
-                and value.value.id == "self"
-                and scope is not None
-                and scope.cls is not None
-            ):
-                resolved = self._lookup_method(scope.cls, value.attr)
-                return [resolved] if resolved else []
-            if isinstance(value, ast.Name):
-                qual = module.functions.get(value.id)
-                return [qual] if qual else []
-            return []
-
-        for qualname, fn in list(self.functions.items()):
-            if fn.relpath != module.relpath:
-                continue
-            for node in walk_function_body(fn.node):
-                if isinstance(node, ast.Assign):
-                    for target in node.targets:
-                        if isinstance(target, ast.Attribute):
-                            for qual in callable_qualnames(node.value, fn):
-                                self.callback_targets.setdefault(
-                                    target.attr, []
-                                ).append(qual)
-                elif isinstance(node, ast.Call):
-                    for kw in node.keywords:
-                        if kw.arg is None:
-                            continue
-                        for qual in callable_qualnames(kw.value, fn):
-                            self.callback_targets.setdefault(kw.arg, []).append(qual)
 
     # -- resolution ----------------------------------------------------------
 
@@ -538,14 +467,6 @@ class ProjectGraph:
                     resolved = self._lookup_method(field_cls, attr)
                     if resolved is not None:
                         return attr, (resolved,), "method", True
-            # Duck-typed dispatch: every project method of this name plus
-            # every callback ever bound to an attribute of this name.
-            if attr in _DUCK_DENYLIST:
-                return attr, (), "external", True
-            candidates = list(self.methods_by_name.get(attr, []))
-            candidates.extend(self.callback_targets.get(attr, []))
-            if candidates:
-                return attr, tuple(dict.fromkeys(candidates)), "duck", True
             return attr, (), "external", True
 
         return "", (), "external", False

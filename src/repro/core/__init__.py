@@ -14,7 +14,6 @@ from .consistent_broadcast import (
     cbc_session,
     verify_commit_certificate,
 )
-from .optimistic import OptimisticAtomicBroadcast, opt_abc_session
 from .multivalued_agreement import (
     MultiValuedAgreement,
     MvbaDecision,
@@ -37,8 +36,6 @@ __all__ = [
     "ConsistentBroadcast",
     "cbc_session",
     "verify_commit_certificate",
-    "OptimisticAtomicBroadcast",
-    "opt_abc_session",
     "MultiValuedAgreement",
     "MvbaDecision",
     "mvba_session",

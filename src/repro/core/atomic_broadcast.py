@@ -114,12 +114,33 @@ class AbcConfig:
     ``buffer_slack``: extra future rounds whose proposals are buffered
     beyond the pipeline window; anything further ahead is dropped and
     counted as lag evidence instead.
+
+    Out-of-range values raise :class:`ValueError` here rather than
+    wedging the protocol later (a zero-depth pipeline never proposes).
     """
 
     max_batch: int = 64
     max_batch_bytes: int = 1 << 16
     pipeline_depth: int = 1
     buffer_slack: int = 8
+
+    def __post_init__(self) -> None:
+        for name, least in (
+            ("max_batch", 1),
+            ("max_batch_bytes", 1),
+            ("pipeline_depth", 1),
+            ("buffer_slack", 0),
+        ):
+            value = getattr(self, name)
+            if value < least:
+                raise ValueError(f"AbcConfig: {name}={value} must be >= {least}")
+
+    @classmethod
+    def overriding(cls, **knobs: int | None) -> "AbcConfig | None":
+        """The config with each knob that is set (not None) in place of
+        its default, or None when none is — the protocol defaults."""
+        overrides = {name: value for name, value in knobs.items() if value is not None}
+        return cls(**overrides) if overrides else None
 
 
 @register

@@ -1,7 +1,7 @@
 """The life of the shares of one statement.
 
-Every protocol that opens something from threshold shares — a coin, a
-ciphertext, a strong-quorum certificate — treats them alike
+Every protocol that opens something from threshold shares — a coin or
+a ciphertext — treats them alike
 (docs/PROTOCOLS.md, "Shares"): a share is held *unverified* until the
 senders heard from could be enough; only then is the held set checked,
 with the scheme's one batched multi-exponentiation; what passes is

@@ -85,8 +85,6 @@ class PublicKeys:
     encryption: EncryptionPublic
     verify_keys: dict[int, VerifyKey]
     cert_quorum: QuorumCertScheme  # qualified = generalized n-t quorum
-    cert_honest: QuorumCertScheme  # qualified = generalized t+1 (contains honest)
-    cert_strong: QuorumCertScheme  # qualified = generalized 2t+1 (strong quorum)
     service_signature: ShoupRsaScheme | QuorumCertScheme
 
     def threshold(self) -> int | None:
@@ -105,8 +103,6 @@ class PartyKeys:
     coin: CoinShareholder
     decryption: DecryptionShareholder
     cert_quorum: QuorumCertShareholder
-    cert_honest: QuorumCertShareholder
-    cert_strong: QuorumCertShareholder
     service_signer: ShoupRsaShareholder | QuorumCertShareholder
     # Pairwise symmetric channel keys (peer id -> 32-byte key), the
     # deployment-time mechanism behind the model's authenticated links:
@@ -142,10 +138,10 @@ def assemble_public_keys(
     resharing output's, or a keystore file's.
 
     The one place that says which certificate counts to which set
-    (Section 4.2): ``cert-quorum`` to a quorum, ``cert-honest`` and the
-    service's signature (``rsa`` if given, else certificates) to a set
-    containing an honest party, ``cert-strong`` to a strong quorum.  A
-    party without a verify key is outside every certificate scheme.
+    (Section 4.2): ``cert-quorum`` to a quorum, the service's signature
+    (``rsa`` if given, else certificates) to a set containing an honest
+    party.  A party without a verify key is outside every certificate
+    scheme.
     """
 
     def certs(tag: str, qualifier) -> QuorumCertScheme:
@@ -166,8 +162,6 @@ def assemble_public_keys(
         ),
         verify_keys=verify_keys,
         cert_quorum=certs("cert-quorum", quorum.is_quorum),
-        cert_honest=certs("cert-honest", quorum.contains_honest),
-        cert_strong=certs("cert-strong", quorum.is_strong_quorum),
         service_signature=(
             certs("service-signature", quorum.contains_honest) if rsa is None else rsa
         ),
@@ -199,8 +193,6 @@ def assemble_party_keys(
             party=party, public=public.encryption, subshares=enc_subshares
         ),
         cert_quorum=signer(public.cert_quorum),
-        cert_honest=signer(public.cert_honest),
-        cert_strong=signer(public.cert_strong),
         service_signer=signer(public.service_signature) if rsa is None else rsa,
         channel_keys=channel_keys,
     )

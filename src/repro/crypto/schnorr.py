@@ -1,7 +1,7 @@
 """Schnorr digital signatures.
 
-Used for (a) authenticating the point-to-point channels between servers
-(Section 2 assumes authenticated links, bootstrapped from the dealer),
+Used for (a) the identity keys a joining server's channel keys are
+derived from (hashed Diffie-Hellman, ``net/runtime.dh_channel_key``),
 (b) the signed proposals inside the atomic broadcast protocol, and
 (c) quorum certificates that stand in for threshold signatures under
 generalized adversary structures (see DESIGN.md, substitution table).

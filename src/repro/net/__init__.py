@@ -1,8 +1,7 @@
 """Asynchronous network substrate: the simulator, adversarial
-schedulers, corruption harness, tracing, authenticated channels, and
-the asyncio TCP transport (``repro.net.transport`` /
-``repro.net.runtime``) that runs the same protocol stack over real
-sockets."""
+schedulers, corruption harness, tracing, and the asyncio TCP transport
+(``repro.net.transport`` / ``repro.net.runtime``) that runs the same
+protocol stack over real sockets on HMAC-authenticated channels."""
 
 from .adversary import (
     CorruptionController,
@@ -19,7 +18,6 @@ from .attacks import (
     TwoFacedVoter,
 )
 from .base import NetworkBackend
-from .channels import ChannelAuthenticator, SignedPayload
 from .scheduler import (
     DelayScheduler,
     FifoScheduler,
@@ -44,9 +42,7 @@ __all__ = [
     "EquivocatingCbcSender",
     "EquivocatingRbcSender",
     "TwoFacedVoter",
-    "ChannelAuthenticator",
     "NetworkBackend",
-    "SignedPayload",
     "DelayScheduler",
     "FifoScheduler",
     "PartitionScheduler",

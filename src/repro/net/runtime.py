@@ -138,13 +138,10 @@ class ClusterConfig:
 
     def abc_config(self) -> "AbcConfig | None":
         """The :class:`AbcConfig` these knobs describe, or None for the
-        protocol defaults."""
-        knobs = {
-            "max_batch": self.abc_max_batch,
-            "pipeline_depth": self.abc_pipeline_depth,
-        }
-        overrides = {name: value for name, value in knobs.items() if value is not None}
-        return AbcConfig(**overrides) if overrides else None
+        protocol defaults; raises ValueError on an out-of-range knob."""
+        return AbcConfig.overriding(
+            max_batch=self.abc_max_batch, pipeline_depth=self.abc_pipeline_depth
+        )
 
 
 def allocate_addresses(

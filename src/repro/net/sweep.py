@@ -339,12 +339,10 @@ class SimCluster:
     def __init__(self, scenario: Scenario) -> None:
         self.scenario = scenario
         self.scheduler = SweepScheduler(scenario)
-        abc_config = None
-        if scenario.abc_max_batch or scenario.abc_pipeline_depth:
-            abc_config = AbcConfig(
-                max_batch=scenario.abc_max_batch or 64,
-                pipeline_depth=scenario.abc_pipeline_depth or 1,
-            )
+        abc_config = AbcConfig.overriding(
+            max_batch=scenario.abc_max_batch,
+            pipeline_depth=scenario.abc_pipeline_depth,
+        )
         self.dep = dep = build_service(
             scenario.n, KeyValueStore, t=scenario.t, seed=scenario.seed,
             scheduler=self.scheduler, abc_config=abc_config,

@@ -39,7 +39,6 @@ def _ensure_registry() -> None:
         cks_agreement,
         consistent_broadcast,
         multivalued_agreement,
-        optimistic,
         reliable_broadcast,
         secure_causal,
     )

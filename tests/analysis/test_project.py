@@ -105,41 +105,20 @@ def test_field_type_inference_resolves_attribute_method_calls():
     )
 
 
-def test_duck_dispatch_is_conservative_but_denylists_builtins():
-    graph = build(
-        (
-            "core/a.py",
-            "class Backend:\n"
-            "    def deliver(self, payload):\n"
-            "        return payload\n"
-            "\n"
-            "def entry(backend, bag, payload):\n"
-            "    bag.append(payload)\n"
-            "    return backend.deliver(payload)\n",
-        )
-    )
-    names = callee_names(graph, "core/a.py::entry")
-    assert "core/a.py::Backend.deliver" in names  # duck-resolved
-    assert all("append" not in callee for callee in names)  # builtin denylist
-
-
 def test_closures_are_graph_nodes_and_their_calls_resolve():
     graph = build(
         (
             "core/a.py",
+            "def record(value):\n"
+            "    return value\n"
+            "\n"
             "class Proto:\n"
             "    def on_start(self, ctx):\n"
-            "        ctx.spawn(on_output=lambda value: self._private(value))\n"
-            "\n"
-            "    def _private(self, value):\n"
-            "        return value\n"
-            "\n"
-            "    def _orphan(self, value):\n"
-            "        return value\n",
+            "        ctx.spawn(on_output=lambda value: record(value))\n",
         )
     )
     [closure] = graph.contains["core/a.py::Proto.on_start"]
-    assert callee_names(graph, closure) == {"core/a.py::Proto._private"}
+    assert callee_names(graph, closure) == {"core/a.py::record"}
 
 
 def test_nested_functions_do_not_leak_into_module_namespace():

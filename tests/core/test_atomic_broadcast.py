@@ -191,6 +191,25 @@ def test_byte_budget_caps_batches(keys_4_1):
     assert inst.stats()["mean_batch"] == 1.0
 
 
+@pytest.mark.parametrize(
+    "knob",
+    [
+        {"pipeline_depth": 0},
+        {"max_batch": 0},
+        {"max_batch_bytes": -3},
+        {"buffer_slack": -1},
+    ],
+    ids=lambda knob: next(iter(knob)),
+)
+def test_out_of_range_config_is_refused(knob):
+    """A zero-depth pipeline never proposes and a cluster running it is
+    quiescent without committing; the config refuses it, naming the
+    field, before any replica starts."""
+    [name] = knob
+    with pytest.raises(ValueError, match=name):
+        AbcConfig(**knob)
+
+
 def test_submit_dedups_against_in_flight_rounds(keys_4_1):
     net, rts = make_network(keys_4_1, seed=22, parties=[0])
     session = abc_session("inflight")

@@ -3,7 +3,7 @@ from threshold shares — hold unverified, batch-verify once the set
 could be enough, ban culprits for that statement, hand the set out once.
 
 Table-driven over the three kinds of statement the stack screens: a
-coin, a TDH2 ciphertext and a ``cert_strong`` statement.
+coin, a TDH2 ciphertext and a ``cert_quorum`` statement.
 """
 
 import random
@@ -76,28 +76,28 @@ def _ciphertext(keys, plaintext=b"sealed bid", seed=2):
     )
 
 
-def _strong_cert(keys, statement=("opt-ack", ("opt-abc", 0), 1, b"digest"), seed=3):
+def _quorum_cert(keys, statement=("cbc-commit", ("cbc", 0), b"digest"), seed=3):
     public, rng = keys.public, random.Random(seed)
     return Case(
-        enough=public.quorum.is_strong_quorum,
+        enough=public.quorum.is_quorum,
         needed=3,
-        share=lambda party, memo=None: keys.private[party].cert_strong.sign_share(
+        share=lambda party, memo=None: keys.private[party].cert_quorum.sign_share(
             statement, rng, memo
         ),
-        forged=lambda party: keys.private[party].cert_strong.sign_share(
+        forged=lambda party: keys.private[party].cert_quorum.sign_share(
             ("not", statement), rng
         ),
-        verify=lambda held, memo=None: public.cert_strong.verify_shares(
+        verify=lambda held, memo=None: public.cert_quorum.verify_shares(
             statement, held, memo
         ),
-        opens=lambda shares: public.cert_strong.verify(
-            statement, public.cert_strong.combine(statement, shares)
+        opens=lambda shares: public.cert_quorum.verify(
+            statement, public.cert_quorum.combine(statement, shares)
         ),
-        other=lambda: _strong_cert(keys, ("opt-ack", ("opt-abc", 0), 2, b"other"), seed + 1),
+        other=lambda: _quorum_cert(keys, ("cbc-commit", ("cbc", 1), b"other"), seed + 1),
     )
 
 
-@pytest.fixture(params=[_coin, _ciphertext, _strong_cert], ids=lambda f: f.__name__[1:])
+@pytest.fixture(params=[_coin, _ciphertext, _quorum_cert], ids=lambda f: f.__name__[1:])
 def case(request, keys_4_1) -> Case:
     return request.param(keys_4_1)
 

@@ -1,11 +1,16 @@
 """The trusted dealer: completeness and admissibility checks."""
 
+import dataclasses
 import hashlib
 import json
+import pathlib
 import random
+import re
+import typing
 
 import pytest
 
+import repro
 from repro.adversary import (
     And,
     Leaf,
@@ -15,7 +20,7 @@ from repro.adversary import (
     threshold_structure,
 )
 from repro.crypto import deal_system, small_group
-from repro.crypto.dealer import CLIENT_BASE, deal_channel_keys
+from repro.crypto.dealer import CLIENT_BASE, PublicKeys, deal_channel_keys
 from repro.crypto.keystore import party_to_dict, public_to_dict
 from repro.crypto.threshold_sig import QuorumCertScheme, ShoupRsaScheme
 
@@ -93,6 +98,29 @@ def test_example1_system_deals(keys_example1):
 
 def test_certs_backend_default(keys_4_1):
     assert isinstance(keys_4_1.public.service_signature, QuorumCertScheme)
+
+
+def test_every_certificate_scheme_has_a_reader():
+    """A certificate scheme no protocol signs under is key material that
+    costs dealing, tests and reading and serves nothing: every field of
+    ``PublicKeys`` that may hold a ``QuorumCertScheme`` is read by some
+    module other than the dealer that assembles it."""
+    hints = typing.get_type_hints(PublicKeys)
+    schemes = [
+        f.name for f in dataclasses.fields(PublicKeys)
+        if QuorumCertScheme in (hints[f.name], *typing.get_args(hints[f.name]))
+    ]
+    assert {"cert_quorum", "service_signature"} <= set(schemes)
+    package = pathlib.Path(repro.__file__).parent
+    sources = [
+        path.read_text() for path in package.rglob("*.py")
+        if path != package / "crypto" / "dealer.py"
+    ]
+    unread = [
+        name for name in schemes
+        if not any(re.search(rf"\.{name}\b", text) for text in sources)
+    ]
+    assert unread == []
 
 
 def test_rsa_backend(keys_4_1_rsa):

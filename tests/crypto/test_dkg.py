@@ -234,8 +234,7 @@ def test_dkg_keys_roundtrip_through_keystore(dkg_4):
 def test_every_way_to_a_bundle_counts_to_the_same_sets(dkg_4):
     """Dealt, DKG-built, and either reloaded from the keystore: one
     assembler, so the same certificate tags and the same verdict on the
-    same signer sets (n = 4, t = 1: a quorum is 3, honest-containing 2,
-    strong 3)."""
+    same signer sets (n = 4, t = 1: a quorum is 3, honest-containing 2)."""
     from repro.crypto.dealer import deal_system
 
     _, _, _, dkg_public, dkg_keys = dkg_4
@@ -253,8 +252,8 @@ def test_every_way_to_a_bundle_counts_to_the_same_sets(dkg_4):
         reloaded(dealt.public, dealt.private),
         reloaded(dkg_public, dkg_keys),
     ]
-    schemes = ("cert_quorum", "cert_honest", "cert_strong", "service_signature")
-    signers = ("cert_quorum", "cert_honest", "cert_strong", "service_signer")
+    schemes = ("cert_quorum", "service_signature")
+    signers = ("cert_quorum", "service_signer")
     verdicts = []
     for public, keys in bundles:
         rng, row = random.Random(41), {}
@@ -278,8 +277,6 @@ def test_every_way_to_a_bundle_counts_to_the_same_sets(dkg_4):
               for tag, _ in verdicts[0]}
     assert by_tag == {
         "cert-quorum": [(0, 1, 3), (0, 1, 2, 3)],
-        "cert-honest": [(1, 2), (0, 1, 3), (0, 1, 2, 3)],
-        "cert-strong": [(0, 1, 3), (0, 1, 2, 3)],
         "service-signature": [(1, 2), (0, 1, 3), (0, 1, 2, 3)],
     }
 

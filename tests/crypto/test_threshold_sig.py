@@ -148,7 +148,8 @@ class TestQuorumCerts:
 
     def test_tag_separation(self):
         """Shares under one scheme tag must not validate under another —
-        the reason cert_quorum and cert_honest use distinct tags."""
+        the reason cert_quorum and the certificate-backed service
+        signature use distinct tags."""
         rng = random.Random(78)
         keys = {i: keygen(rng, small_group()) for i in range(4)}
         quorum = ThresholdQuorumSystem(n=4, t=1)

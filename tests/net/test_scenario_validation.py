@@ -26,6 +26,7 @@ from repro.net.chaos import (
     parameterize_scenario,
     plan_timeline,
 )
+from repro.net.runtime import ClusterConfig
 from repro.net.sweep import ShapeSpec, SweepSpec
 
 
@@ -80,6 +81,19 @@ def test_out_of_range_scenario_fields_rejected(patch):
     spec = {**_valid(), **patch}
     with pytest.raises(ScenarioError):
         Scenario.from_json(spec)
+
+
+def test_cluster_file_with_out_of_range_knob_rejected(tmp_path):
+    """``cluster.json`` knobs reach ``AbcConfig`` unchecked by the
+    loader; the config refuses a zero-depth pipeline, so ``run-replica``
+    fails at startup instead of wedging."""
+    path = tmp_path / "cluster.json"
+    path.write_text(json.dumps({
+        "addresses": {"0": ["127.0.0.1", 9000]},
+        "abc_pipeline_depth": 0,
+    }))
+    with pytest.raises(ValueError, match="pipeline_depth"):
+        ClusterConfig.load(path).abc_config()
 
 
 def test_bad_byzantine_kind_rejected():

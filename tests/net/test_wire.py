@@ -47,7 +47,7 @@ def test_dataclass_roundtrip():
 def test_registry_covers_every_message_kind():
     types = wire.registered_types()
     for name in ("RbcSend", "AbaBval", "CksPreVote", "MvbaValue", "AbcProposal",
-                 "ScDecryptionShare", "OptOrder", "PrePrepare", "SubmitRequest",
+                 "ScDecryptionShare", "PrePrepare", "SubmitRequest",
                  "QuorumCertificate", "Ciphertext", "CoinShare"):
         assert name in types, name
 
