@@ -2,9 +2,9 @@
 # Full static + dynamic check gate, as run by CI.
 #
 #   scripts/check.sh          # repro lint (JSON) + ruff + mypy + pytest
-#                             # + experiments E1-E16 (benchmarks/)
+#                             # + experiments (benchmarks/, EXPERIMENTS.md)
 #                             # + benchmark-harness/chaos/sweep smokes
-#                             # + src/ and docs/ sizes
+#                             # + src/, tests/, benchmarks/ and docs/ sizes
 #   scripts/check.sh --fast   # skip pytest, the experiments and the smokes
 #
 # The experiments step runs every paper-claim assertion of
@@ -106,7 +106,7 @@ if [ "${1:-}" != "--fast" ]; then
         failures=$((failures + 1))
     fi
 
-    step "experiments (E1-E16: the paper-claim assertions, EXPERIMENTS.md)"
+    step "experiments (benchmarks/, EXPERIMENTS.md)"
     if ! python -m pytest benchmarks/ --benchmark-only -q; then
         echo "experiments: FAILED"
         failures=$((failures + 1))
@@ -185,17 +185,21 @@ EOF
     fi
 fi
 
-step "size (not a gate: src/ and docs/ lines, what each CHANGES.md entry reports)"
+step "size (not a gate: the line counts each CHANGES.md entry reports)"
 find src/repro -name '*.py' -print0 | xargs -0 wc -l | awk '
     $2 == "total" { next }  # xargs may run wc more than once
     { n = split($2, part, "/"); pkg = n > 3 ? part[3] "/" : "(top level)"
       lines[pkg] += $1; total += $1 }
     END {
-        for (pkg in lines) printf "  %-14s %6d\n", pkg, lines[pkg] | "sort"
+        for (pkg in lines) printf "  %-17s %6d\n", pkg, lines[pkg] | "sort"
         close("sort")
-        printf "  %-14s %6d\n", "src/ total", total
+        printf "  %-17s %6d\n", "src/ total", total
     }'
-cat docs/*.md | wc -l | awk '{ printf "  %-14s %6d\n", "docs/ total", $1 }'
+for dir in tests benchmarks; do
+    find "$dir" -name '*.py' -exec cat {} + | wc -l |
+        awk -v dir="$dir" '{ printf "  %-17s %6d\n", dir "/ total", $1 }'
+done
+cat docs/*.md | wc -l | awk '{ printf "  %-17s %6d\n", "docs/ total", $1 }'
 
 echo
 if [ "$failures" -ne 0 ]; then

@@ -7,7 +7,6 @@ atomic broadcast; secure causal atomic broadcast.
 
 from .atomic_broadcast import AbcProposal, AtomicBroadcast, abc_session
 from .binary_agreement import BinaryAgreement, aba_session
-from .cks_agreement import CksBinaryAgreement, cks_session
 from .consistent_broadcast import (
     CbcDelivery,
     ConsistentBroadcast,
@@ -30,8 +29,6 @@ __all__ = [
     "abc_session",
     "BinaryAgreement",
     "aba_session",
-    "CksBinaryAgreement",
-    "cks_session",
     "CbcDelivery",
     "ConsistentBroadcast",
     "cbc_session",

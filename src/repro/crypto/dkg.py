@@ -463,7 +463,8 @@ class _VerifiableDealing(Protocol):
         self._my_complaints: set[int] = set()
         self._status_sent = False
         self._defended: set[int] = set()
-        self._buffered_defenses: dict[int, list[DkgDefense]] = {}
+        # dealer -> accuser -> the first defense that overtook its commit
+        self._buffered_defenses: dict[int, dict[int, DkgDefense]] = {}
         self._readies: dict[int, DkgReady] = {}
         self._digest: bytes | None = None
         self._qualified: tuple[int, ...] | None = None
@@ -570,7 +571,7 @@ class _VerifiableDealing(Protocol):
         self.commits[dealer] = commit
         if self._is_receiver(ctx) and not self._absorb_commit(ctx, dealer, commit):
             self._my_complaints.add(dealer)
-        for defense in self._buffered_defenses.pop(dealer, []):
+        for defense in self._buffered_defenses.pop(dealer, {}).values():
             self._process_defense(ctx, dealer, defense)
         self._maybe_ready(ctx)
 
@@ -605,7 +606,14 @@ class _VerifiableDealing(Protocol):
         if sender not in self._dealers(ctx) or sender in self.excluded:
             return
         if sender not in self.commits:
-            self._buffered_defenses.setdefault(sender, []).append(message)
+            # At most one per (dealer, accuser), and only for an accuser
+            # whose complaint could ever be pending: a dealer that never
+            # commits cannot grow this past |dealers| x |receivers|.
+            accuser = message.accuser
+            if isinstance(accuser, int) and accuser in self._receivers(ctx):
+                self._buffered_defenses.setdefault(sender, {}).setdefault(
+                    accuser, message
+                )
             return
         self._process_defense(ctx, sender, message)
 

@@ -14,7 +14,7 @@ channel that carries untrusted input:
 * depth (32) and length (2^24) are bounded on both sides.
 
 ``dumps`` is also the single source of byte accounting (``Trace``, the
-size experiments E12/E13, ``bench/``): hashing calls the codec's writer
+size experiment E12, ``bench/``): hashing calls the codec's writer
 directly, so only traffic passes through here.
 """
 
@@ -36,7 +36,6 @@ def _ensure_registry() -> None:
     from ..core import (
         atomic_broadcast,
         binary_agreement,
-        cks_agreement,
         consistent_broadcast,
         multivalued_agreement,
         reliable_broadcast,

@@ -13,7 +13,6 @@ from helpers import ctx_for, make_network
 
 from repro.core.atomic_broadcast import AtomicBroadcast, abc_session
 from repro.core.binary_agreement import BinaryAgreement, aba_session
-from repro.core.cks_agreement import CksBinaryAgreement, cks_session
 from repro.core.reliable_broadcast import ReliableBroadcast, rbc_session
 from repro.net.scheduler import FifoScheduler, RandomScheduler, ReorderScheduler
 
@@ -68,23 +67,6 @@ def test_aba_agreement_and_validity_property(keys_4_1, seed, proposals, schedule
         assert decision == proposals[0]
     else:
         assert decision in set(proposals)
-
-
-@given(seed=st.integers(0, 10_000), proposals=st.tuples(*[st.integers(0, 1)] * 4))
-@_settings
-def test_cks_agreement_property(keys_4_1, seed, proposals):
-    net, rts = make_network(keys_4_1, RandomScheduler(), seed=seed)
-    session = cks_session(("prop", seed, proposals))
-    for p, rt in rts.items():
-        rt.spawn(session, CksBinaryAgreement(proposals[p]))
-    net.run(
-        until=lambda: all(rt.result(session) is not None for rt in rts.values()),
-        max_steps=900_000,
-    )
-    decisions = {rt.result(session) for rt in rts.values()}
-    assert len(decisions) == 1
-    if len(set(proposals)) == 1:
-        assert decisions == {proposals[0]}
 
 
 @given(seed=st.integers(0, 10_000), payload_count=st.integers(1, 4))

@@ -1,7 +1,15 @@
 """Protocol runtime: session routing, buffering, outputs."""
 
+import importlib
+import inspect
+import pathlib
+import pkgutil
+import re
+
 import pytest
 
+import repro
+import repro.core
 from repro.core.protocol import Context, Protocol
 from repro.core.runtime import ProtocolRuntime
 from repro.net.scheduler import FifoScheduler
@@ -120,3 +128,26 @@ def test_context_exposes_identity_and_keys(rig):
     assert ctx.n == 4
     assert ctx.keys.party == 3
     assert ctx.quorum.is_quorum({0, 1, 2})
+
+
+def test_every_core_protocol_is_constructed_in_src():
+    """A protocol nothing runs costs tests, wire types and reading and
+    serves no deployment: every ``Protocol`` defined under ``core/`` is
+    constructed by some other module of the package (tests, benchmarks
+    and examples do not count)."""
+    protocols = {}
+    for info in pkgutil.iter_modules(repro.core.__path__, "repro.core."):
+        module = importlib.import_module(info.name)
+        for name, cls in vars(module).items():
+            if (inspect.isclass(cls) and issubclass(cls, Protocol)
+                    and cls is not Protocol and cls.__module__ == info.name):
+                protocols[name] = pathlib.Path(module.__file__)
+    assert {"BinaryAgreement", "MultiValuedAgreement", "AtomicBroadcast"} <= set(protocols)
+    package = pathlib.Path(repro.__file__).parent
+    sources = {path: path.read_text() for path in package.rglob("*.py")}
+    unbuilt = sorted(
+        name for name, home in protocols.items()
+        if not any(re.search(rf"\b{name}\(", text)
+                   for path, text in sources.items() if path != home)
+    )
+    assert unbuilt == []

@@ -16,11 +16,13 @@ import pytest
 from repro.adversary.attributes import example1_access_formula, example1_structure
 from repro.adversary.quorums import quorum_system_for
 from repro.core.protocol import Context
+from repro.core.reliable_broadcast import rbc_session
 from repro.core.runtime import ProtocolRuntime
 from repro.crypto.coin import CoinShareholder
 from repro.crypto.dkg import (
     BootstrapPublic,
     DistributedKeyGeneration,
+    DkgDefense,
     FeldmanTree,
     VerifiableResharing,
     build_party_keys,
@@ -42,7 +44,7 @@ from repro.crypto.keystore import (
     public_to_dict,
 )
 from repro.crypto.lsss import LsssScheme, threshold_scheme
-from repro.net.scheduler import RandomScheduler
+from repro.net.scheduler import FifoScheduler, RandomScheduler
 from repro.net.simulator import Network
 
 from ..helpers import run_until_outputs
@@ -381,6 +383,62 @@ def test_invalid_defense_expels_dealer():
         {p: party_keys[p].coin.share_for("expelled", rng) for p in (2, 3)},
     )
     assert a == b
+
+
+def test_defense_that_overtakes_its_commit_clears_the_complaint():
+    """Party 2 meets the honest dealer's defense before the dealer's
+    commit: it holds the defense, and the commit's arrival clears the
+    victim's complaint instead of stalling or expelling the dealer."""
+
+    class GarbledSend(DistributedKeyGeneration):
+        def _make_commit(self, ctx):
+            return _corrupt_victim_table(
+                super()._make_commit(ctx), self.scheme, victim=1
+            )
+
+    scheme, quorum, network, runtimes, session = _run_dkg(
+        seed=21,
+        factory=lambda p: (GarbledSend if p == 0 else DistributedKeyGeneration)(
+            GROUP, scheme_
+        ),
+    )
+    dealer_rbc = rbc_session(0, session)
+
+    class CommitAfterDefense(FifoScheduler):
+        """FIFO, except dealer 0's commit traffic to party 2 waits until
+        party 2 has received a defense."""
+
+        released = False
+
+        def select(self, pending, rng):
+            for index, env in enumerate(pending):
+                if env.recipient == 2 and isinstance(env.payload[1], DkgDefense):
+                    self.released = True
+                if self.released or env.recipient != 2 or env.payload[0] != dealer_rbc:
+                    return index
+            return None
+
+    network.scheduler = scheduler = CommitAfterDefense()
+    outputs = run_until_outputs(network, runtimes, session)
+    assert scheduler.released, "the defense never overtook the commit"
+    instance = runtimes[2].instances[session]
+    assert instance.pending.get(0, set()) == set()
+    assert {out.digest for out in outputs.values()} == {outputs[0].digest}
+    assert outputs[0].qualified == (0, 1, 2, 3)
+
+
+def test_defense_flood_from_uncommitted_dealer_is_bounded():
+    """A dealer whose commit has not arrived cannot grow an honest
+    party's memory with defenses: at most one is held per accuser, and
+    none for an accuser that is not a receiver."""
+    _, _, network, runtimes, session = _run_dkg(seed=25, spawn_on=(0, 1, 2))
+    network.run()  # quiesce: dealer 3 never commits
+    for i in range(20_000):
+        runtimes[0].on_message(
+            3, (session, DkgDefense(accuser=i, coin_values=(), enc_values=()))
+        )
+    held = runtimes[0].instances[session]._buffered_defenses
+    assert sum(len(defenses) for defenses in held.values()) <= 4
 
 
 def test_flush_drops_crashed_dealer():

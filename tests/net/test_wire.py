@@ -46,7 +46,7 @@ def test_dataclass_roundtrip():
 
 def test_registry_covers_every_message_kind():
     types = wire.registered_types()
-    for name in ("RbcSend", "AbaBval", "CksPreVote", "MvbaValue", "AbcProposal",
+    for name in ("RbcSend", "AbaBval", "MvbaValue", "AbcProposal",
                  "ScDecryptionShare", "PrePrepare", "SubmitRequest",
                  "QuorumCertificate", "Ciphertext", "CoinShare"):
         assert name in types, name
