@@ -24,10 +24,10 @@ from repro.core.runtime import ProtocolRuntime
 from repro.crypto.dealer import deal_system
 from repro.crypto.dkg import (
     BootstrapPublic,
-    DistributedKeyGeneration,
     build_party_keys,
     build_public_keys,
     dkg_session,
+    key_generation,
     provision_bootstrap,
 )
 from repro.crypto.groups import default_group
@@ -106,9 +106,13 @@ def _dkg_once(group, n, t, bundles, seed):
         )
         network.attach(party, runtimes[party])
     session = dkg_session(("e14", seed))
+    verify_keys = {p: bundles[p].signing_key.verify_key.h for p in range(n)}
     start = time.perf_counter()
-    for runtime in runtimes.values():
-        runtime.spawn(session, DistributedKeyGeneration(group, scheme))
+    for party, runtime in runtimes.items():
+        runtime.spawn(
+            session,
+            key_generation(group, scheme, quorum, verify_keys, party, runtime.rng),
+        )
     outputs = run_until_outputs(network, runtimes, session, max_steps=5_000_000)
     assembled = build_public_keys(group, scheme, quorum, n, outputs[0])
     build_party_keys(0, assembled, bundles[0].signing_key, outputs[0])

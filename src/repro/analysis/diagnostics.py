@@ -58,19 +58,5 @@ class Diagnostic:
             "code": self.code,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "Diagnostic":
-        """Inverse of :meth:`to_dict` (used by the lint result cache)."""
-        return cls(
-            rule=data["rule"],
-            path=data["path"],
-            line=data["line"],
-            col=data["col"],
-            message=data["message"],
-            severity=data["severity"],
-            hint=data["hint"],
-            code=data["code"],
-        )
-
     def sort_key(self) -> tuple:
         return (self.path, self.line, self.col, self.rule)

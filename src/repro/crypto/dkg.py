@@ -1,23 +1,28 @@
-"""Distributed key generation and verifiable resharing (dealerless setup).
+"""Dealerless key generation and verifiable resharing: one dealing protocol.
 
 The trusted dealer of Section 2 is the single point whose compromise
 breaks the whole point of distributing trust.  This module removes it
-for all *threshold* key material: every party acts as a dealer of a
-random contribution, shares it verifiably along the access formula, and
-the sum of the contributions from an agreed *qualified set* becomes the
-coin / encryption / signature keys — no party ever knows the joint
-secret.  What remains provisioned out-of-band is exactly the model's
-standing assumption: authenticated point-to-point channels (pairwise
-channel keys plus per-party identity signing keys), the same PKI every
-DKG in the literature presumes (Pedersen, Gennaro et al., FROST/ChillDKG).
+for all *threshold* key material.  What remains provisioned out-of-band
+is exactly the model's standing assumption: authenticated point-to-point
+channels (pairwise channel keys plus per-party identity signing keys,
+whose verify keys every party knows), the same PKI every DKG in the
+literature presumes (Pedersen, Gennaro et al., FROST/ChillDKG).
 
-Building blocks, all from this stack itself:
+There is one protocol, :class:`VerifiableResharing`: every old
+shareholder reshares each old subshare along a *new* access formula,
+and the new subshares are the λ-weighted sums over an agreed qualified
+set of old dealers.  :func:`key_generation` is that resharing where
+each party's "old subshare" is a fresh random secret nobody pins, and
+any honest-containing set of them sums (weight 1) to a joint secret no
+party knows.  Its building blocks, all from this stack itself:
 
 * **Feldman commitment trees** generalize Feldman's verifiable secret
   sharing to the Benaloh-Leichter LSSS: one coefficient-commitment
   vector per threshold gate of the formula.  A child's value commitment
   is derived publicly from its parent gate (``Π_j C_j^{(i+1)^j}``), so
-  a single tree makes every subshare of the sharing verifiable.
+  a single tree makes every subshare of the sharing verifiable.  A
+  resharing pins each tree's root to the old public verification value,
+  proving it deals the old subshare and nothing else.
 * **Reliable broadcast** (Bracha, keyless) carries each dealer's
   commitment so all honest parties agree on what every dealer dealt.
   Subshares ride *inside* the broadcast, masked by pads derived from
@@ -30,7 +35,7 @@ Building blocks, all from this stack itself:
   tree.  A dealer with an invalid defense is expelled; the protocol
   degrades gracefully instead of aborting.
 * **Transcript certification** (the ChillDKG session pattern, see
-  ROADMAP): each party signs the hash of its settled transcript —
+  ROADMAP): each new member signs the hash of its settled transcript —
   the qualified set and its commitments — and the run completes when a
   quorum of *matching* signed transcripts is collected.  The resulting
   certificate is transferable: it convinces anyone that a quorum agreed
@@ -38,14 +43,9 @@ Building blocks, all from this stack itself:
   flush boundary) no quorum forms and the session stalls; the host
   retries under a fresh tag — conditional agreement, not disagreement.
 
-:class:`VerifiableResharing` reuses the same machinery to move an
-existing sharing onto a *new* access structure/membership for
-epoch-based reconfiguration: each old party reshards every old subshare
-along the new formula with the commitment tree's root pinned to the old
-public verification value, and the new subshares are the λ-weighted
-sums over an agreed qualified set of old dealers.  The public key is
-preserved (checked, not trusted); the old shares become useless because
-the new verification values are freshly randomized.
+The public key is preserved across a resharing (checked, not trusted);
+the old shares become useless because the new verification values are
+freshly randomized.
 """
 
 from __future__ import annotations
@@ -75,7 +75,6 @@ __all__ = [
     "BootstrapPublic",
     "BootstrapKeys",
     "provision_bootstrap",
-    "DkgCommit",
     "ReshareCommit",
     "DkgStatus",
     "DkgDefense",
@@ -83,8 +82,8 @@ __all__ = [
     "DkgOutput",
     "dkg_session",
     "reshare_session",
-    "DistributedKeyGeneration",
     "VerifiableResharing",
+    "key_generation",
     "build_public_keys",
     "build_party_keys",
 ]
@@ -339,30 +338,17 @@ def _pad(
 
 @register
 @dataclass(frozen=True)
-class DkgCommit:
-    """One dealer's reliably-broadcast contribution.
-
-    The masked subshare tables are ``((slot, value + pad), ...)`` over
-    *all* slots; only each slot's owner can strip its pad, but everyone
-    can check the table covers the right slots.
-    """
-
-    verify_key: int  # h = g^x of the dealer's identity signing key
-    coin_tree: FeldmanTree
-    enc_tree: FeldmanTree
-    masked_coin: tuple
-    masked_enc: tuple
-
-
-@register
-@dataclass(frozen=True)
 class ReshareCommit:
     """One old party's resharing of every old subshare it owns.
 
     Entries are ``(old_slot, tree, masked_table)`` where the tree deals
     the old subshare along the NEW formula with its root commitment
     pinned to the old public verification value — publicly proving the
-    resharing preserves the secret.
+    resharing preserves the secret (key generation's fresh secrets have
+    no such value and are not pinned).  The masked tables are
+    ``((new_slot, value + pad), ...)`` over *all* new slots; only each
+    slot's owner can strip its pad, but everyone can check the table
+    covers the right slots.
     """
 
     coin: tuple
@@ -439,22 +425,89 @@ class DkgOutput:
 
 
 # ===========================================================================
-# The shared verifiable-dealing chassis
+# The dealing protocol: verifiable resharing
 # ===========================================================================
 
 
-class _VerifiableDealing(Protocol):
-    """Common machinery: RBC'd commits, complaints/defenses, certification.
+def _table_wellformed(table: object, slots: set[SlotId], modulus: int) -> bool:
+    """A masked table (or a defense's values) must cover exactly
+    ``slots`` with reduced values."""
+    if not isinstance(table, tuple) or len(table) != len(slots):
+        return False
+    seen = set()
+    for entry in table:
+        if not (isinstance(entry, tuple) and len(entry) == 2):
+            return False
+        slot, value = entry
+        if slot not in slots or slot in seen:
+            return False
+        if not isinstance(value, int) or not 0 <= value < modulus:
+            return False
+        seen.add(slot)
+    return True
 
-    Subclasses define who deals, what a commit looks like, and how the
-    output is assembled.  All decisions are functions of *sets* of
-    received messages (iterated in sorted order), never of arrival
-    order, so honest parties with the same message set reach the same
-    verdicts.
+
+class VerifiableResharing(Protocol):
+    """Move an existing sharing onto a new access structure/membership.
+
+    Every old shareholder reshares each of its old subshares along the
+    *new* formula, with the commitment tree's root pinned to the old
+    public verification value where one is given — so a resharing
+    provably deals the old subshare and nothing else.  New members
+    collect commits from a set ``U`` of old dealers that is qualified
+    under the OLD scheme and take ``Σ_s λ^U_s · reshare_s`` as their new
+    subshares, where λ are the old scheme's recombination coefficients
+    for ``U``.  Agreement on ``U`` is what the ready certification
+    settles: coefficients depend on ``U``, so parties mixing different
+    dealer sets would hold an inconsistent sharing.
+
+    The session runs on the OLD epoch's runtime (old quorum rules drive
+    reliable broadcast; :func:`key_generation` runs on a bootstrap
+    runtime); readies are signed under ``new_verify_keys`` by NEW
+    members and complete under the NEW quorum system, so the
+    certificate convinces the next epoch.  A joining member
+    participates with a bootstrap bundle; a departing member deals but
+    receives nothing, and its old subshares are useless against the
+    freshly randomized new verification values.
+
+    All decisions are functions of *sets* of received messages
+    (iterated in sorted order), never of arrival order, so honest
+    parties with the same message set reach the same verdicts.
     """
 
-    def __init__(self) -> None:
-        self.commits: dict[int, object] = {}
+    def __init__(
+        self,
+        group: SchnorrGroup,
+        old_scheme: LsssScheme,
+        new_scheme: LsssScheme,
+        old_coin_verification: dict[SlotId, int],
+        old_enc_verification: dict[SlotId, int],
+        new_members: tuple[int, ...],
+        new_quorum: QuorumSystem,
+        new_verify_keys: dict[int, int],
+        old_coin_subshares: dict[SlotId, int] | None = None,
+        old_enc_subshares: dict[SlotId, int] | None = None,
+    ) -> None:
+        if old_scheme.modulus != group.q or new_scheme.modulus != group.q:
+            raise ValueError("LSSS must be over Z_q of the group")
+        self.group = group
+        self.old_scheme = old_scheme
+        self.new_scheme = new_scheme
+        self.old_coin_verification = dict(old_coin_verification)
+        self.old_enc_verification = dict(old_enc_verification)
+        self.new_members = tuple(sorted(new_members))
+        self.new_quorum = new_quorum
+        self.new_verify_keys = dict(new_verify_keys)
+        self.old_coin_subshares = dict(old_coin_subshares or {})
+        self.old_enc_subshares = dict(old_enc_subshares or {})
+        self._old_owner = dict(old_scheme.slots())
+        self.dealers = tuple(sorted(set(self._old_owner.values())))
+        self._dealt: dict[tuple[str, SlotId], LsssSharing] = {}
+        # dealer -> old_slot -> my verified new subshares of that resharing
+        self._coin_received: dict[int, dict[SlotId, dict[SlotId, int]]] = {}
+        self._enc_received: dict[int, dict[SlotId, dict[SlotId, int]]] = {}
+        self._lambda: dict[SlotId, int] | None = None
+        self.commits: dict[int, ReshareCommit] = {}
         self.excluded: set[int] = set()
         # dealer -> accusers whose complaint awaits a (valid) defense
         self.pending: dict[int, set[int]] = {}
@@ -470,60 +523,10 @@ class _VerifiableDealing(Protocol):
         self._qualified: tuple[int, ...] | None = None
         self._done = False
 
-    # -- subclass surface --------------------------------------------------
-
-    def _dealers(self, ctx: Context) -> tuple[int, ...]:
-        raise NotImplementedError
-
-    def _is_receiver(self, ctx: Context) -> bool:
-        return ctx.party in self._receivers(ctx)
-
-    def _receivers(self, ctx: Context) -> tuple[int, ...]:
-        raise NotImplementedError
-
-    def _make_commit(self, ctx: Context) -> object:
-        raise NotImplementedError
-
-    def _commit_acceptable(self, value: object) -> bool:
-        raise NotImplementedError
-
-    def _absorb_commit(self, ctx: Context, dealer: int, commit: object) -> bool:
-        """Unmask and verify my subshares; False triggers a complaint."""
-        raise NotImplementedError
-
-    def _defense_payload(self, ctx: Context, accuser: int) -> DkgDefense:
-        raise NotImplementedError
-
-    def _check_defense(
-        self, ctx: Context, dealer: int, defense: DkgDefense
-    ) -> bool:
-        raise NotImplementedError
-
-    def _qualified_ok(self, ctx: Context, qualified: tuple[int, ...]) -> bool:
-        raise NotImplementedError
-
-    def _transcript_extra(self, ctx: Context) -> object:
-        return None
-
-    def _ready_verify_key(self, ctx: Context, party: int) -> VerifyKey | None:
-        raise NotImplementedError
-
-    def _ready_quorum(self, ctx: Context, parties: frozenset[int]) -> bool:
-        raise NotImplementedError
-
-    def _make_output(
-        self,
-        ctx: Context,
-        qualified: tuple[int, ...],
-        digest: bytes,
-        certificate: tuple,
-    ) -> object:
-        raise NotImplementedError
-
     # -- lifecycle ---------------------------------------------------------
 
     def on_start(self, ctx: Context) -> None:
-        for dealer in self._dealers(ctx):
+        for dealer in self.dealers:
             value = None
             if dealer == ctx.party:
                 value = self._make_commit(ctx)
@@ -552,8 +555,6 @@ class _VerifiableDealing(Protocol):
         self.flushed = True
         self._maybe_ready(ctx)
 
-    # -- message routing ---------------------------------------------------
-
     def on_message(self, ctx: Context, sender: int, message: object) -> None:
         if isinstance(message, DkgStatus):
             self._on_status(ctx, sender, message)
@@ -564,470 +565,6 @@ class _VerifiableDealing(Protocol):
         # anything else: Byzantine junk, ignored
 
     # -- commits -----------------------------------------------------------
-
-    def _on_commit(self, ctx: Context, dealer: int, commit: object) -> None:
-        if dealer in self.commits or dealer in self.excluded:
-            return
-        self.commits[dealer] = commit
-        if self._is_receiver(ctx) and not self._absorb_commit(ctx, dealer, commit):
-            self._my_complaints.add(dealer)
-        for defense in self._buffered_defenses.pop(dealer, {}).values():
-            self._process_defense(ctx, dealer, defense)
-        self._maybe_ready(ctx)
-
-    # -- complaint statuses and defenses -----------------------------------
-
-    def _on_status(self, ctx: Context, sender: int, message: DkgStatus) -> None:
-        if sender in self.statuses or sender not in self._receivers(ctx):
-            return
-        complaints = message.complaints
-        if not isinstance(complaints, tuple) or not all(
-            isinstance(d, int) for d in complaints
-        ):
-            return
-        self.statuses[sender] = complaints
-        for dealer in sorted(set(complaints)):
-            if dealer not in self._dealers(ctx):
-                continue
-            # Answering a complaint is a standing duty even after our
-            # own transcript froze: the defense never changes *our*
-            # qualified set, but it unblocks the accuser.
-            if dealer == ctx.party and sender not in self._defended:
-                self._defended.add(sender)
-                ctx.broadcast(self._defense_payload(ctx, sender))
-            if dealer in self.excluded or self._digest is not None:
-                continue
-            self.pending.setdefault(dealer, set()).add(sender)
-        self._maybe_ready(ctx)
-
-    def _on_defense(self, ctx: Context, sender: int, message: DkgDefense) -> None:
-        # The network authenticates the sender, so only the dealer
-        # itself can answer for its own sharing.
-        if sender not in self._dealers(ctx) or sender in self.excluded:
-            return
-        if sender not in self.commits:
-            # At most one per (dealer, accuser), and only for an accuser
-            # whose complaint could ever be pending: a dealer that never
-            # commits cannot grow this past |dealers| x |receivers|.
-            accuser = message.accuser
-            if isinstance(accuser, int) and accuser in self._receivers(ctx):
-                self._buffered_defenses.setdefault(sender, {}).setdefault(
-                    accuser, message
-                )
-            return
-        self._process_defense(ctx, sender, message)
-
-    def _process_defense(
-        self, ctx: Context, dealer: int, defense: DkgDefense
-    ) -> None:
-        if self._digest is not None or dealer in self.excluded:
-            return
-        if not isinstance(defense.accuser, int):
-            return
-        if self._check_defense(ctx, dealer, defense):
-            self.pending.get(dealer, set()).discard(defense.accuser)
-        else:
-            self._exclude(dealer)
-        self._maybe_ready(ctx)
-
-    def _exclude(self, dealer: int) -> None:
-        self.excluded.add(dealer)
-        self.pending.pop(dealer, None)
-
-    # -- settlement and certification --------------------------------------
-
-    def _maybe_ready(self, ctx: Context) -> None:
-        if self._digest is not None or self._done or not self._is_receiver(ctx):
-            return
-        dealers = self._dealers(ctx)
-        undelivered = [
-            d
-            for d in dealers
-            if d not in self.excluded and d not in self.commits
-        ]
-        if undelivered:
-            if not self.flushed:
-                return
-            for dealer in undelivered:
-                self._exclude(dealer)
-        # Commit phase settled locally: announce our complaint set, once.
-        if not self._status_sent:
-            self._status_sent = True
-            complaints = tuple(sorted(self._my_complaints - self.excluded))
-            self.statuses[ctx.party] = complaints
-            for dealer in complaints:
-                self.pending.setdefault(dealer, set()).add(ctx.party)
-            ctx.broadcast(DkgStatus(complaints=complaints))
-        # The complaint round: wait for every receiver's status (the
-        # flush hatch covers crashed receivers) ...
-        if not self.flushed and any(
-            r not in self.statuses for r in self._receivers(ctx)
-        ):
-            return
-        # ... and for every voiced complaint to be defended or fatal.
-        unresolved = [
-            d
-            for d in dealers
-            if d not in self.excluded and self.pending.get(d)
-        ]
-        if unresolved:
-            if not self.flushed:
-                return
-            for dealer in unresolved:
-                self._exclude(dealer)
-        qualified = tuple(
-            d for d in dealers if d not in self.excluded and d in self.commits
-        )
-        if not self._qualified_ok(ctx, qualified):
-            return  # unusable qualified set: stall, host retries fresh
-        self._qualified = qualified
-        self._digest = hash_bytes(
-            "dkg-transcript",
-            ctx.session,
-            qualified,
-            tuple(self.commits[d] for d in qualified),
-            self._transcript_extra(ctx),
-        )
-        signature = ctx.keys.signing_key.sign(
-            ("dkg-ready", ctx.session, self._digest), ctx.rng
-        )
-        ctx.broadcast(DkgReady(digest=self._digest, signature=signature))
-        self._maybe_complete(ctx)
-
-    def _on_ready(self, ctx: Context, sender: int, message: DkgReady) -> None:
-        if sender in self._readies or not isinstance(message.digest, bytes):
-            return
-        self._readies[sender] = message
-        self._maybe_complete(ctx)
-
-    def _maybe_complete(self, ctx: Context) -> None:
-        if self._done or self._digest is None or self._qualified is None:
-            return
-        matching: dict[int, Signature] = {}
-        for party in sorted(self._readies):
-            ready = self._readies[party]
-            if ready.digest != self._digest:
-                continue
-            key = self._ready_verify_key(ctx, party)
-            if key is None or not key.verify(
-                ("dkg-ready", ctx.session, self._digest), ready.signature
-            ):
-                continue
-            matching[party] = ready.signature
-        if not self._ready_quorum(ctx, frozenset(matching)):
-            return
-        self._done = True
-        certificate = tuple(
-            (party, matching[party]) for party in sorted(matching)
-        )
-        ctx.output(
-            self._make_output(ctx, self._qualified, self._digest, certificate)
-        )
-
-
-def _table_wellformed(table: object, slots: set[SlotId], modulus: int) -> bool:
-    """A masked table must cover exactly ``slots`` with reduced values."""
-    if not isinstance(table, tuple) or len(table) != len(slots):
-        return False
-    seen = set()
-    for entry in table:
-        if not (isinstance(entry, tuple) and len(entry) == 2):
-            return False
-        slot, value = entry
-        if slot not in slots or slot in seen:
-            return False
-        if not isinstance(value, int) or not 0 <= value < modulus:
-            return False
-        seen.add(slot)
-    return True
-
-
-def _values_wellformed(values: object, slots: list[SlotId], modulus: int) -> bool:
-    """Defense values must cover exactly the accuser's slots."""
-    return _table_wellformed(values, set(slots), modulus)
-
-
-# ===========================================================================
-# Distributed key generation
-# ===========================================================================
-
-
-class DistributedKeyGeneration(_VerifiableDealing):
-    """One dealerless key-generation session at ``("dkg", tag)``.
-
-    Runs on a *bootstrap* runtime (:class:`BootstrapPublic` /
-    :class:`BootstrapKeys`): no threshold keys exist yet.  Every party
-    deals a random coin contribution and a random encryption
-    contribution along ``scheme``; the output sums the qualified
-    contributions into key material assembled via
-    :func:`build_public_keys` / :func:`build_party_keys` — drop-in
-    compatible with the dealer's bundles and the keystore format.
-    """
-
-    def __init__(self, group: SchnorrGroup, scheme: LsssScheme) -> None:
-        super().__init__()
-        if scheme.modulus != group.q:
-            raise ValueError("LSSS must be over Z_q of the group")
-        self.group = group
-        self.scheme = scheme
-        self._coin_sharing: LsssSharing | None = None
-        self._enc_sharing: LsssSharing | None = None
-        # dealer -> my verified subshares of that dealer's contribution
-        self._coin_received: dict[int, dict[SlotId, int]] = {}
-        self._enc_received: dict[int, dict[SlotId, int]] = {}
-
-    # -- chassis hooks -----------------------------------------------------
-
-    def _dealers(self, ctx: Context) -> tuple[int, ...]:
-        return tuple(range(ctx.n))
-
-    def _receivers(self, ctx: Context) -> tuple[int, ...]:
-        return tuple(range(ctx.n))
-
-    def _make_commit(self, ctx: Context) -> DkgCommit:
-        group = self.group
-        self._coin_sharing, coin_tree = deal_verifiable(
-            group, self.scheme, group.random_exponent(ctx.rng), ctx.rng
-        )
-        self._enc_sharing, enc_tree = deal_verifiable(
-            group, self.scheme, group.random_exponent(ctx.rng), ctx.rng
-        )
-        return DkgCommit(
-            verify_key=ctx.keys.signing_key.verify_key.h,
-            coin_tree=coin_tree,
-            enc_tree=enc_tree,
-            masked_coin=self._mask_table(ctx, self._coin_sharing, "coin"),
-            masked_enc=self._mask_table(ctx, self._enc_sharing, "enc"),
-        )
-
-    def _mask_table(
-        self, ctx: Context, sharing: LsssSharing, kind: str
-    ) -> tuple:
-        entries = []
-        for slot, value in sorted(sharing.all_slots().items()):
-            owner = self.scheme.slot_owner(slot)
-            pad = _pad(
-                self.group,
-                _mask_key(ctx.keys, owner),
-                ctx.session,
-                ctx.party,
-                owner,
-                kind,
-                slot,
-            )
-            entries.append((slot, (value + pad) % self.group.q))
-        return tuple(entries)
-
-    def _commit_acceptable(self, value: object) -> bool:
-        if not isinstance(value, DkgCommit):
-            return False
-        if not isinstance(value.verify_key, int) or not self.group.is_member(
-            value.verify_key
-        ):
-            return False
-        if not tree_consistent(self.group, self.scheme, value.coin_tree):
-            return False
-        if not tree_consistent(self.group, self.scheme, value.enc_tree):
-            return False
-        slots = {slot for slot, _ in self.scheme.slots()}
-        return _table_wellformed(
-            value.masked_coin, slots, self.group.q
-        ) and _table_wellformed(value.masked_enc, slots, self.group.q)
-
-    def _absorb_commit(self, ctx: Context, dealer: int, commit: object) -> bool:
-        assert isinstance(commit, DkgCommit)
-        ok = True
-        for kind, table, tree, store in (
-            ("coin", commit.masked_coin, commit.coin_tree, self._coin_received),
-            ("enc", commit.masked_enc, commit.enc_tree, self._enc_received),
-        ):
-            masked = dict(table)
-            commitments = tree_commitments(tree)
-            mine: dict[SlotId, int] = {}
-            for slot in sorted(self.scheme.slots_of_party(ctx.party)):
-                pad = _pad(
-                    self.group,
-                    _mask_key(ctx.keys, dealer),
-                    ctx.session,
-                    dealer,
-                    ctx.party,
-                    kind,
-                    slot,
-                )
-                value = (masked[slot] - pad) % self.group.q
-                if self.group.power_of_g(value) == slot_commitment(
-                    self.group, commitments, slot
-                ):
-                    mine[slot] = value
-                else:
-                    ok = False
-            store[dealer] = mine
-        return ok
-
-    def _defense_payload(self, ctx: Context, accuser: int) -> DkgDefense:
-        assert self._coin_sharing is not None and self._enc_sharing is not None
-        return DkgDefense(
-            accuser=accuser,
-            coin_values=tuple(
-                sorted(self._coin_sharing.share_of(accuser).items())
-            ),
-            enc_values=tuple(sorted(self._enc_sharing.share_of(accuser).items())),
-        )
-
-    def _check_defense(
-        self, ctx: Context, dealer: int, defense: DkgDefense
-    ) -> bool:
-        commit = self.commits[dealer]
-        assert isinstance(commit, DkgCommit)
-        accuser_slots = sorted(self.scheme.slots_of_party(defense.accuser))
-        for values, tree in (
-            (defense.coin_values, commit.coin_tree),
-            (defense.enc_values, commit.enc_tree),
-        ):
-            if not _values_wellformed(values, accuser_slots, self.group.q):
-                return False
-            commitments = tree_commitments(tree)
-            for slot, value in values:
-                if self.group.power_of_g(value) != slot_commitment(
-                    self.group, commitments, slot
-                ):
-                    return False
-        if defense.accuser == ctx.party:
-            # The defense both clears the dealer and re-supplies us;
-            # the values just verified, so adopt them.
-            self._coin_received[dealer] = dict(defense.coin_values)
-            self._enc_received[dealer] = dict(defense.enc_values)
-        return True
-
-    def _qualified_ok(self, ctx: Context, qualified: tuple[int, ...]) -> bool:
-        # Secrecy needs at least one honest contribution in the sum.
-        return ctx.quorum.contains_honest(frozenset(qualified))
-
-    def _ready_verify_key(self, ctx: Context, party: int) -> VerifyKey | None:
-        commit = self.commits.get(party)
-        if not isinstance(commit, DkgCommit):
-            return None
-        return VerifyKey(group=self.group, h=commit.verify_key)
-
-    def _ready_quorum(self, ctx: Context, parties: frozenset[int]) -> bool:
-        return ctx.quorum.is_quorum(parties)
-
-    def _make_output(
-        self,
-        ctx: Context,
-        qualified: tuple[int, ...],
-        digest: bytes,
-        certificate: tuple,
-    ) -> DkgOutput:
-        group = self.group
-        my_slots = sorted(self.scheme.slots_of_party(ctx.party))
-
-        def summed(tree_of, received: dict[int, dict[SlotId, int]]):
-            """One shared exponent — the sum of the qualified dealers'
-            contributions: its verification values and my subshares."""
-            trees = [tree_commitments(tree_of(self.commits[d])) for d in qualified]
-            verification = {
-                slot: group.multiexp(
-                    (slot_commitment(group, tree, slot), 1) for tree in trees
-                )
-                for slot, _ in self.scheme.slots()
-            }
-            subshares = {
-                slot: sum(received[d][slot] for d in qualified) % group.q
-                for slot in my_slots
-            }
-            return verification, subshares
-
-        coin_verification, coin_subshares = summed(
-            lambda commit: commit.coin_tree, self._coin_received
-        )
-        enc_verification, enc_subshares = summed(
-            lambda commit: commit.enc_tree, self._enc_received
-        )
-        encryption_h = group.multiexp(
-            (secret_commitment(self.commits[d].enc_tree), 1) for d in qualified
-        )
-        return DkgOutput(
-            qualified=qualified,
-            digest=digest,
-            certificate=certificate,
-            verify_keys={d: self.commits[d].verify_key for d in qualified},
-            coin_verification=coin_verification,
-            enc_verification=enc_verification,
-            encryption_h=encryption_h,
-            coin_subshares=coin_subshares,
-            enc_subshares=enc_subshares,
-        )
-
-
-# ===========================================================================
-# Verifiable resharing (epoch reconfiguration)
-# ===========================================================================
-
-
-class VerifiableResharing(_VerifiableDealing):
-    """Move an existing sharing onto a new access structure/membership.
-
-    Every old shareholder reshares each of its old subshares along the
-    *new* formula, with the commitment tree's root pinned to the old
-    public verification value — so the resharing provably deals the old
-    subshare and nothing else.  New members collect commits from a set
-    ``U`` of old dealers that is qualified under the OLD scheme and
-    take ``Σ_s λ^U_s · reshare_s`` as their new subshares, where λ are
-    the old scheme's recombination coefficients for ``U``.  Agreement
-    on ``U`` is what the ready certification settles: coefficients
-    depend on ``U``, so parties mixing different dealer sets would hold
-    an inconsistent sharing.
-
-    The session runs on the OLD epoch's runtime (old quorum rules drive
-    reliable broadcast); readies are signed by NEW members and complete
-    under the NEW quorum system, so the certificate convinces the next
-    epoch.  A joining member participates with a bootstrap bundle; a
-    departing member deals but receives nothing, and its old subshares
-    are useless against the freshly randomized new verification values.
-    """
-
-    def __init__(
-        self,
-        group: SchnorrGroup,
-        old_scheme: LsssScheme,
-        new_scheme: LsssScheme,
-        old_coin_verification: dict[SlotId, int],
-        old_enc_verification: dict[SlotId, int],
-        new_members: tuple[int, ...],
-        new_quorum: QuorumSystem,
-        new_verify_keys: dict[int, int],
-        old_coin_subshares: dict[SlotId, int] | None = None,
-        old_enc_subshares: dict[SlotId, int] | None = None,
-    ) -> None:
-        super().__init__()
-        if old_scheme.modulus != group.q or new_scheme.modulus != group.q:
-            raise ValueError("LSSS must be over Z_q of the group")
-        self.group = group
-        self.old_scheme = old_scheme
-        self.new_scheme = new_scheme
-        self.old_coin_verification = dict(old_coin_verification)
-        self.old_enc_verification = dict(old_enc_verification)
-        self.new_members = tuple(sorted(new_members))
-        self.new_quorum = new_quorum
-        self.new_verify_keys = dict(new_verify_keys)
-        self.old_coin_subshares = dict(old_coin_subshares or {})
-        self.old_enc_subshares = dict(old_enc_subshares or {})
-        self._dealt: dict[tuple[str, SlotId], LsssSharing] = {}
-        # dealer -> old_slot -> my verified new subshares of that resharing
-        self._coin_received: dict[int, dict[SlotId, dict[SlotId, int]]] = {}
-        self._enc_received: dict[int, dict[SlotId, dict[SlotId, int]]] = {}
-        self._lambda: dict[SlotId, int] | None = None
-
-    # -- chassis hooks -----------------------------------------------------
-
-    def _dealers(self, ctx: Context) -> tuple[int, ...]:
-        return tuple(
-            sorted({party for _, party in self.old_scheme.slots()})
-        )
-
-    def _receivers(self, ctx: Context) -> tuple[int, ...]:
-        return self.new_members
 
     def _make_commit(self, ctx: Context) -> ReshareCommit:
         coin_entries = []
@@ -1069,7 +606,7 @@ class VerifiableResharing(_VerifiableDealing):
         return tuple(entries)
 
     def _entries_acceptable(
-        self, entries: object, verification: dict[SlotId, int]
+        self, entries: object, pins: dict[SlotId, int]
     ) -> set[SlotId] | None:
         """Structural check of one kind's entries; returns the old slots."""
         if not isinstance(entries, tuple):
@@ -1080,13 +617,10 @@ class VerifiableResharing(_VerifiableDealing):
             if not (isinstance(entry, tuple) and len(entry) == 3):
                 return None
             old_slot, tree, table = entry
-            if old_slot not in verification or old_slot in seen:
+            if old_slot not in self._old_owner or old_slot in seen:
                 return None
             if not tree_consistent(
-                self.group,
-                self.new_scheme,
-                tree,
-                root=verification[old_slot],
+                self.group, self.new_scheme, tree, root=pins.get(old_slot)
             ):
                 return None
             if not _table_wellformed(table, new_slots, self.group.q):
@@ -1105,17 +639,29 @@ class VerifiableResharing(_VerifiableDealing):
             return False
         # All reshared slots must belong to one old party, completely
         # (which party is checked against the RBC sender on delivery).
-        owners = {self.old_scheme.slot_owner(slot) for slot in coin_slots} | {
-            self.old_scheme.slot_owner(slot) for slot in enc_slots
-        }
+        owners = {self._old_owner[slot] for slot in coin_slots | enc_slots}
         if len(owners) != 1:
             return False
         owner = next(iter(owners))
         expected = set(self.old_scheme.slots_of_party(owner))
         return coin_slots == expected and enc_slots == expected
 
-    def _absorb_commit(self, ctx: Context, dealer: int, commit: object) -> bool:
-        assert isinstance(commit, ReshareCommit)
+    def _on_commit(self, ctx: Context, dealer: int, commit: ReshareCommit) -> None:
+        if dealer in self.commits or dealer in self.excluded:
+            return
+        self.commits[dealer] = commit
+        if ctx.party in self.new_members and not self._absorb_commit(
+            ctx, dealer, commit
+        ):
+            self._my_complaints.add(dealer)
+        for defense in self._buffered_defenses.pop(dealer, {}).values():
+            self._process_defense(ctx, dealer, defense)
+        self._maybe_ready(ctx)
+
+    def _absorb_commit(
+        self, ctx: Context, dealer: int, commit: ReshareCommit
+    ) -> bool:
+        """Unmask and verify my subshares; False triggers a complaint."""
         expected = set(self.old_scheme.slots_of_party(dealer))
         if {slot for slot, _, _ in commit.coin} != expected:
             # Consistent, pinned — but resharing someone ELSE's slots.
@@ -1155,6 +701,31 @@ class VerifiableResharing(_VerifiableDealing):
                 received[old_slot] = mine
         return ok
 
+    # -- complaint statuses and defenses -----------------------------------
+
+    def _on_status(self, ctx: Context, sender: int, message: DkgStatus) -> None:
+        if sender in self.statuses or sender not in self.new_members:
+            return
+        complaints = message.complaints
+        if not isinstance(complaints, tuple) or not all(
+            isinstance(d, int) for d in complaints
+        ):
+            return
+        self.statuses[sender] = complaints
+        for dealer in sorted(set(complaints)):
+            if dealer not in self.dealers:
+                continue
+            # Answering a complaint is a standing duty even after our
+            # own transcript froze: the defense never changes *our*
+            # qualified set, but it unblocks the accuser.
+            if dealer == ctx.party and sender not in self._defended:
+                self._defended.add(sender)
+                ctx.broadcast(self._defense_payload(ctx, sender))
+            if dealer in self.excluded or self._digest is not None:
+                continue
+            self.pending.setdefault(dealer, set()).add(sender)
+        self._maybe_ready(ctx)
+
     def _defense_payload(self, ctx: Context, accuser: int) -> DkgDefense:
         def values(kind: str) -> tuple:
             entries = []
@@ -1169,12 +740,41 @@ class VerifiableResharing(_VerifiableDealing):
             accuser=accuser, coin_values=values("coin"), enc_values=values("enc")
         )
 
+    def _on_defense(self, ctx: Context, sender: int, message: DkgDefense) -> None:
+        # The network authenticates the sender, so only the dealer
+        # itself can answer for its own sharing.
+        if sender not in self.dealers or sender in self.excluded:
+            return
+        if sender not in self.commits:
+            # At most one per (dealer, accuser), and only for an accuser
+            # whose complaint could ever be pending: a dealer that never
+            # commits cannot grow this past |dealers| x |receivers|.
+            accuser = message.accuser
+            if isinstance(accuser, int) and accuser in self.new_members:
+                self._buffered_defenses.setdefault(sender, {}).setdefault(
+                    accuser, message
+                )
+            return
+        self._process_defense(ctx, sender, message)
+
+    def _process_defense(
+        self, ctx: Context, dealer: int, defense: DkgDefense
+    ) -> None:
+        if self._digest is not None or dealer in self.excluded:
+            return
+        if not isinstance(defense.accuser, int):
+            return
+        if self._check_defense(ctx, dealer, defense):
+            self.pending.get(dealer, set()).discard(defense.accuser)
+        else:
+            self._exclude(dealer)
+        self._maybe_ready(ctx)
+
     def _check_defense(
         self, ctx: Context, dealer: int, defense: DkgDefense
     ) -> bool:
         commit = self.commits[dealer]
-        assert isinstance(commit, ReshareCommit)
-        accuser_slots = sorted(self.new_scheme.slots_of_party(defense.accuser))
+        accuser_slots = set(self.new_scheme.slots_of_party(defense.accuser))
         old_slots = sorted(self.old_scheme.slots_of_party(dealer))
         adopted: dict[str, dict[SlotId, dict[SlotId, int]]] = {
             "coin": {},
@@ -1195,9 +795,7 @@ class VerifiableResharing(_VerifiableDealing):
                 if old_slot not in trees or old_slot in seen:
                     return False
                 seen.add(old_slot)
-                if not _values_wellformed(
-                    slot_values, accuser_slots, self.group.q
-                ):
+                if not _table_wellformed(slot_values, accuser_slots, self.group.q):
                     return False
                 commitments = tree_commitments(trees[old_slot])
                 for new_slot, value in slot_values:
@@ -1207,31 +805,110 @@ class VerifiableResharing(_VerifiableDealing):
                         return False
                 adopted[kind][old_slot] = dict(slot_values)
         if defense.accuser == ctx.party:
+            # The defense both clears the dealer and re-supplies us;
+            # the values just verified, so adopt them.
             self._coin_received[dealer] = adopted["coin"]
             self._enc_received[dealer] = adopted["enc"]
         return True
 
-    def _qualified_ok(self, ctx: Context, qualified: tuple[int, ...]) -> bool:
+    def _exclude(self, dealer: int) -> None:
+        self.excluded.add(dealer)
+        self.pending.pop(dealer, None)
+
+    # -- settlement and certification --------------------------------------
+
+    def _maybe_ready(self, ctx: Context) -> None:
+        if (
+            self._digest is not None
+            or self._done
+            or ctx.party not in self.new_members
+        ):
+            return
+        undelivered = [
+            d
+            for d in self.dealers
+            if d not in self.excluded and d not in self.commits
+        ]
+        if undelivered:
+            if not self.flushed:
+                return
+            for dealer in undelivered:
+                self._exclude(dealer)
+        # Commit phase settled locally: announce our complaint set, once.
+        if not self._status_sent:
+            self._status_sent = True
+            complaints = tuple(sorted(self._my_complaints - self.excluded))
+            self.statuses[ctx.party] = complaints
+            for dealer in complaints:
+                self.pending.setdefault(dealer, set()).add(ctx.party)
+            ctx.broadcast(DkgStatus(complaints=complaints))
+        # The complaint round: wait for every receiver's status (the
+        # flush hatch covers crashed receivers) ...
+        if not self.flushed and any(
+            r not in self.statuses for r in self.new_members
+        ):
+            return
+        # ... and for every voiced complaint to be defended or fatal.
+        unresolved = [
+            d
+            for d in self.dealers
+            if d not in self.excluded and self.pending.get(d)
+        ]
+        if unresolved:
+            if not self.flushed:
+                return
+            for dealer in unresolved:
+                self._exclude(dealer)
+        qualified = tuple(
+            d for d in self.dealers if d not in self.excluded and d in self.commits
+        )
         lam = self.old_scheme.recombination(frozenset(qualified))
         if lam is None:
-            return False
+            return  # unusable qualified set: stall, host retries fresh
         self._lambda = lam
-        return True
-
-    def _transcript_extra(self, ctx: Context) -> object:
-        return (
-            self.new_members,
-            tuple(sorted(self.new_verify_keys.items())),
+        self._qualified = qualified
+        self._digest = hash_bytes(
+            "dkg-transcript",
+            ctx.session,
+            qualified,
+            tuple(self.commits[d] for d in qualified),
+            (self.new_members, tuple(sorted(self.new_verify_keys.items()))),
         )
+        signature = ctx.keys.signing_key.sign(
+            ("dkg-ready", ctx.session, self._digest), ctx.rng
+        )
+        ctx.broadcast(DkgReady(digest=self._digest, signature=signature))
+        self._maybe_complete(ctx)
 
-    def _ready_verify_key(self, ctx: Context, party: int) -> VerifyKey | None:
-        h = self.new_verify_keys.get(party)
-        if h is None:
-            return None
-        return VerifyKey(group=self.group, h=h)
+    def _on_ready(self, ctx: Context, sender: int, message: DkgReady) -> None:
+        if sender in self._readies or not isinstance(message.digest, bytes):
+            return
+        self._readies[sender] = message
+        self._maybe_complete(ctx)
 
-    def _ready_quorum(self, ctx: Context, parties: frozenset[int]) -> bool:
-        return self.new_quorum.is_quorum(parties)
+    def _maybe_complete(self, ctx: Context) -> None:
+        if self._done or self._digest is None or self._qualified is None:
+            return
+        matching: dict[int, Signature] = {}
+        for party in sorted(self._readies):
+            ready = self._readies[party]
+            h = self.new_verify_keys.get(party)
+            if ready.digest != self._digest or h is None:
+                continue
+            if not VerifyKey(group=self.group, h=h).verify(
+                ("dkg-ready", ctx.session, self._digest), ready.signature
+            ):
+                continue
+            matching[party] = ready.signature
+        if not self.new_quorum.is_quorum(frozenset(matching)):
+            return
+        self._done = True
+        certificate = tuple(
+            (party, matching[party]) for party in sorted(matching)
+        )
+        ctx.output(
+            self._make_output(ctx, self._qualified, self._digest, certificate)
+        )
 
     def _make_output(
         self,
@@ -1243,7 +920,6 @@ class VerifiableResharing(_VerifiableDealing):
         group = self.group
         assert self._lambda is not None
         weights = sorted(self._lambda.items())
-        owner_of = dict(self.old_scheme.slots())
         my_slots = sorted(self.new_scheme.slots_of_party(ctx.party))
 
         def reshared(entries_of, received: dict[int, dict[SlotId, dict[SlotId, int]]]):
@@ -1264,7 +940,7 @@ class VerifiableResharing(_VerifiableDealing):
             }
             subshares = {
                 new_slot: sum(
-                    coeff * received[owner_of[old_slot]][old_slot][new_slot]
+                    coeff * received[self._old_owner[old_slot]][old_slot][new_slot]
                     for old_slot, coeff in weights
                 ) % group.q
                 for new_slot in my_slots
@@ -1294,6 +970,63 @@ class VerifiableResharing(_VerifiableDealing):
 
 
 # ===========================================================================
+# Key generation: a resharing of fresh secrets
+# ===========================================================================
+
+
+@dataclass(frozen=True)
+class _Contributions:
+    """The "old scheme" of key generation: party ``p``'s fresh secret
+    is the one slot ``(p,)``, and the secrets of any honest-containing
+    set add up, each with weight 1, to a joint secret nobody knows."""
+
+    parties: tuple[int, ...]
+    quorum: QuorumSystem
+    modulus: int
+
+    def slots(self) -> list[tuple[SlotId, int]]:
+        return [((party,), party) for party in self.parties]
+
+    def slots_of_party(self, party: int) -> list[SlotId]:
+        return [(party,)] if party in self.parties else []
+
+    def recombination(self, present: frozenset[int]) -> dict[SlotId, int] | None:
+        if not self.quorum.contains_honest(present):
+            return None  # secrecy needs one honest contribution in the sum
+        return {(party,): 1 for party in sorted(present)}
+
+
+def key_generation(
+    group: SchnorrGroup,
+    scheme: LsssScheme,
+    quorum: QuorumSystem,
+    verify_keys: dict[int, int],
+    party: int,
+    rng: random.Random,
+) -> VerifiableResharing:
+    """One dealerless key-generation session for ``party``: every party
+    of the PKI ``verify_keys`` (party -> identity ``h``) reshares two
+    fresh random secrets — the coin and the encryption contribution —
+    onto ``scheme``, with no pin on either.  The output is assembled by
+    :func:`build_public_keys` / :func:`build_party_keys`, drop-in
+    compatible with the dealer's bundles and the keystore format; every
+    party keeps its PKI verify key, qualified or not."""
+    parties = tuple(sorted(verify_keys))
+    return VerifiableResharing(
+        group,
+        _Contributions(parties, quorum, group.q),
+        scheme,
+        {},
+        {},
+        parties,
+        quorum,
+        verify_keys,
+        {(party,): group.random_exponent(rng)},
+        {(party,): group.random_exponent(rng)},
+    )
+
+
+# ===========================================================================
 # Key assembly (dealer-compatible bundles)
 # ===========================================================================
 
@@ -1308,10 +1041,11 @@ def build_public_keys(
     """Assemble a dealer-compatible :class:`PublicKeys` from a DKG or
     resharing output.
 
-    Parties outside the qualified set hold no verify key here: an
-    expelled contributor is ejected from every certificate and
-    signature scheme, though it keeps its member id (graceful
-    degradation — the quorum rules already tolerate it as corrupted).
+    Verify keys are the session's PKI identity keys, so every member
+    keeps one: a dealer expelled from the qualified set (crashed, slow
+    or caught lying) contributed nothing to the threshold secrets but
+    still signs certificates, and the quorum rules already tolerate it
+    if it is in fact corrupted.
     """
     verify_keys = {
         party: VerifyKey(group=group, h=h)

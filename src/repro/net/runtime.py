@@ -239,10 +239,11 @@ def load_checkpoint(
 #
 # A DKG deployment has no dealer output to distribute.  The operator
 # instead provisions each party a *bootstrap* bundle — identity signing
-# key + pairwise channel keys, the authenticated-channel assumption of
-# the model and nothing more — and the cluster generates its threshold
-# keys itself (crypto/dkg.py).  The epoch file records which committed
-# `Reconfigure` generation the on-disk keystore belongs to.
+# key, every server's verify key, pairwise channel keys: the
+# authenticated-channel assumption of the model and nothing more — and
+# the cluster generates its threshold keys itself (crypto/dkg.py).  The
+# epoch file records which committed `Reconfigure` generation the
+# on-disk keystore belongs to.
 
 
 def load_epoch(directory: str | pathlib.Path) -> int:
@@ -262,7 +263,9 @@ def save_epoch(directory: str | pathlib.Path, epoch: int) -> None:
 
 @dataclass(frozen=True)
 class BootstrapFile:
-    """One party's on-disk pre-key identity (``bootstrap-<i>.json``)."""
+    """One party's on-disk pre-key identity (``bootstrap-<i>.json``):
+    ``verify_keys`` is the PKI (party -> identity ``h``) — every server
+    of a dealerless boot, only its own key for a joiner."""
 
     party: int
     n: int
@@ -270,6 +273,7 @@ class BootstrapFile:
     group: SchnorrGroup
     signing_key: SigningKey
     channel_keys: dict[int, bytes]
+    verify_keys: dict[int, int]
 
 
 def bootstrap_path(directory: str | pathlib.Path, party: int) -> pathlib.Path:
@@ -278,7 +282,7 @@ def bootstrap_path(directory: str | pathlib.Path, party: int) -> pathlib.Path:
 
 def save_bootstrap(directory: str | pathlib.Path, bundle: BootstrapFile) -> None:
     data = {
-        "version": 1,
+        "version": 2,
         "party": bundle.party,
         "n": bundle.n,
         "t": bundle.t,
@@ -290,6 +294,9 @@ def save_bootstrap(directory: str | pathlib.Path, bundle: BootstrapFile) -> None
         "signing_key": str(bundle.signing_key.x),
         "channel_keys": {
             str(peer): key.hex() for peer, key in sorted(bundle.channel_keys.items())
+        },
+        "verify_keys": {
+            str(peer): str(h) for peer, h in sorted(bundle.verify_keys.items())
         },
     }
     keystore.atomic_write_text(
@@ -317,6 +324,10 @@ def load_bootstrap(directory: str | pathlib.Path, party: int) -> BootstrapFile:
             int(peer): bytes.fromhex(key)
             for peer, key in data.get("channel_keys", {}).items()
         },
+        # A version-1 bundle has none: a dkg boot refuses it.
+        verify_keys={
+            int(peer): int(h) for peer, h in data.get("verify_keys", {}).items()
+        },
     )
 
 
@@ -329,7 +340,8 @@ def provision_dkg_deployment(
 ) -> None:
     """Operator-side provisioning for a dealerless cluster.
 
-    Writes one ``bootstrap-<i>.json`` per server, one client's
+    Writes one ``bootstrap-<i>.json`` per server (its identity key and
+    every server's verify key), one client's
     ``client-<id>.json`` channel bundle and ``cluster.json`` with a
     free localhost port for each — all ``run-replica --dkg`` needs.
     Unlike :func:`deal_system`, no threshold secret exists anywhere —
@@ -340,14 +352,17 @@ def provision_dkg_deployment(
     group = small_group()
     identities = list(range(n)) + [CLIENT_BASE]
     keyring = deal_channel_keys(identities, rng)
+    signing_keys = [keygen(rng, group) for _ in range(n)]
+    verify_keys = {party: key.verify_key.h for party, key in enumerate(signing_keys)}
     for party in range(n):
         bundle = BootstrapFile(
             party=party,
             n=n,
             t=t,
             group=group,
-            signing_key=keygen(rng, group),
+            signing_key=signing_keys[party],
             channel_keys=keyring[party],
+            verify_keys=verify_keys,
         )
         save_bootstrap(directory, bundle)
     _write_client(directory, CLIENT_BASE, keyring[CLIENT_BASE])
@@ -397,6 +412,7 @@ def provision_joiner(
         group=public.group,
         signing_key=signing_key,
         channel_keys=channel_keys,
+        verify_keys={party: signing_key.verify_key.h},
     )
     save_bootstrap(directory, bundle)
     return bundle
@@ -563,6 +579,16 @@ class ReplicaHost:
         self._stale_votes: dict[tuple[int, str], set[int]] = {}
         if dkg_boot:
             bundle = self._bootstrap = load_bootstrap(directory, party)
+            # The PKI is all a dealerless epoch 0 trusts: every server's
+            # identity key, ours among them.
+            pki = bundle.verify_keys
+            if sorted(pki) != list(range(bundle.n)) or (
+                pki.get(party) != bundle.signing_key.verify_key.h
+            ):
+                raise keystore.KeystoreError(
+                    f"bootstrap bundle of party {party} carries no valid PKI "
+                    "(version 2 lists every server's verify key)"
+                )
             self.public = dkg.BootstrapPublic(
                 n=bundle.n, quorum=ThresholdQuorumSystem(n=bundle.n, t=bundle.t)
             )
@@ -727,8 +753,11 @@ class ReplicaHost:
         self._run_ladder(
             0,
             "replica-dkg-retry",
-            lambda: dkg.DistributedKeyGeneration(bundle.group, scheme),
-            self._complete_dkg,
+            lambda: dkg.key_generation(
+                bundle.group, scheme, self.public.quorum, bundle.verify_keys,
+                self.party, self.runtime.rng,
+            ),
+            self._complete_reshare,
         )
 
     def _start_join(self) -> None:
@@ -885,30 +914,14 @@ class ReplicaHost:
 
         rung(0)
 
-    # -- three ways to new keys, one way into the epoch ----------------------------
-
-    def _complete_dkg(
-        self, protocol: dkg.DistributedKeyGeneration, output: dkg.DkgOutput
-    ) -> None:
-        """Epoch 0 of a dealerless cluster: bootstrap keys become
-        threshold keys.  Every qualified party writes the identical
-        canonical public bundle (atomic replace makes the concurrent
-        writes safe) and its own secret bundle; from here on the
-        deployment directory is indistinguishable from a dealt one."""
-        public = dkg.build_public_keys(
-            protocol.group, protocol.scheme, self.public.quorum, self.public.n, output
-        )
-        qualified = ",".join(str(p) for p in output.qualified)
-        self._enter_epoch(
-            0, public, self._party_keys(public, output), "replica-dkg",
-            qualified=qualified,
-        )
+    # -- two ways to new keys, one way into the epoch ------------------------------
 
     def _complete_reshare(
         self, protocol: dkg.VerifiableResharing, output: dkg.DkgOutput
     ) -> None:
-        """The resharing for ``phase.target`` yielded this party's new
-        shares (a joiner's first ones)."""
+        """The session for ``phase.target`` yielded this party's new
+        shares (a joiner's first ones, or at epoch 0 a dealerless
+        cluster's first ones)."""
         target = self.phase.target
         new_public = dkg.build_public_keys(
             protocol.group,
@@ -917,6 +930,16 @@ class ReplicaHost:
             len(protocol.new_members),
             output,
         )
+        if not target:
+            # Bootstrap keys become threshold keys.  Every member writes
+            # the identical canonical public bundle (atomic replace makes
+            # the concurrent writes safe) and its own secret bundle; from
+            # here on the directory is indistinguishable from a dealt one.
+            self._enter_epoch(
+                0, new_public, self._party_keys(new_public, output), "replica-dkg",
+                qualified=",".join(str(p) for p in output.qualified),
+            )
+            return
         # Probe: a coin share from the *pre-switch* keys must fail under
         # the freshly randomized verification values (this is what makes
         # a departed replica's shares useless).

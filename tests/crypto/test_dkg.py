@@ -21,7 +21,6 @@ from repro.core.runtime import ProtocolRuntime
 from repro.crypto.coin import CoinShareholder
 from repro.crypto.dkg import (
     BootstrapPublic,
-    DistributedKeyGeneration,
     DkgDefense,
     FeldmanTree,
     VerifiableResharing,
@@ -29,6 +28,7 @@ from repro.crypto.dkg import (
     build_public_keys,
     deal_verifiable,
     dkg_session,
+    key_generation,
     provision_bootstrap,
     reshare_session,
     secret_commitment,
@@ -44,6 +44,7 @@ from repro.crypto.keystore import (
     public_to_dict,
 )
 from repro.crypto.lsss import LsssScheme, threshold_scheme
+from repro.crypto.threshold_sig import QuorumCertShareholder
 from repro.net.scheduler import FifoScheduler, RandomScheduler
 from repro.net.simulator import Network
 
@@ -69,14 +70,26 @@ def _network(parties, quorum, seed):
     return network, runtimes
 
 
-def _run_dkg(n=4, t=1, seed=7, factory=None, spawn_on=None, scheme=None, quorum=None):
+def _pki(parties):
+    """The verify keys every party of a boot is provisioned with."""
+    return {p: BUNDLES[p].signing_key.verify_key.h for p in parties}
+
+
+def _run_dkg(n=4, t=1, seed=7, wrap=None, spawn_on=None, scheme=None, quorum=None):
+    """Spawn a key generation at every party of ``spawn_on`` (default:
+    all); ``wrap(party, protocol)`` may replace a party's methods to make
+    it misbehave."""
     scheme = scheme or threshold_scheme(n, t, GROUP.q)
     quorum = quorum or quorum_system_for(n, t=t)
     network, runtimes = _network(list(range(n)), quorum, seed)
     session = dkg_session("test")
-    make = factory or (lambda party: DistributedKeyGeneration(GROUP, scheme))
     for party in spawn_on if spawn_on is not None else range(n):
-        runtimes[party].spawn(session, make(party))
+        protocol = key_generation(
+            GROUP, scheme, quorum, _pki(range(n)), party, runtimes[party].rng
+        )
+        if wrap is not None:
+            wrap(party, protocol)
+        runtimes[party].spawn(session, protocol)
     return scheme, quorum, network, runtimes, session
 
 
@@ -288,31 +301,47 @@ def test_every_way_to_a_bundle_counts_to_the_same_sets(dkg_4):
 # ===========================================================================
 
 
-def _corrupt_victim_table(commit, scheme, victim):
-    """Corrupt the masked coin subshare destined for ``victim``."""
-    slot = next(s for s, owner in scheme.slots() if owner == victim)
-    masked = tuple(
-        (s, v if s != slot else (v + 1) % GROUP.q) for s, v in commit.masked_coin
-    )
-    return replace(commit, masked_coin=masked)
+def _garble(party, protocol, victim=1):
+    """Dealer 0's commit carries a corrupted coin subshare for
+    ``victim``; everyone else is honest."""
+    if party != 0:
+        return
+    make_commit = protocol._make_commit
+
+    def garbled(ctx):
+        commit = make_commit(ctx)
+        slot = next(s for s, owner in protocol.new_scheme.slots() if owner == victim)
+        ((old_slot, tree, table),) = commit.coin
+        masked = tuple((s, v if s != slot else (v + 1) % GROUP.q) for s, v in table)
+        return replace(commit, coin=((old_slot, tree, masked),))
+
+    protocol._make_commit = garbled
+
+
+def _garble_and_lie(party, protocol):
+    """Dealer 0 garbles a subshare, then defends it with wrong values."""
+    _garble(party, protocol)
+    if party != 0:
+        return
+    defense_payload = protocol._defense_payload
+
+    def lying(ctx, accuser):
+        honest = defense_payload(ctx, accuser)
+        return replace(
+            honest,
+            coin_values=tuple(
+                (old_slot, tuple((s, (v + 1) % GROUP.q) for s, v in values))
+                for old_slot, values in honest.coin_values
+            ),
+        )
+
+    protocol._defense_payload = lying
 
 
 def test_complaint_resolved_by_valid_defense():
     """A garbled subshare triggers a complaint; the (honest) dealer's
     public defense re-supplies the victim and nobody is expelled."""
-
-    class GarbledSend(DistributedKeyGeneration):
-        def _make_commit(self, ctx):
-            return _corrupt_victim_table(
-                super()._make_commit(ctx), self.scheme, victim=1
-            )
-
-    scheme, quorum, network, runtimes, session = _run_dkg(
-        seed=21,
-        factory=lambda p: (GarbledSend if p == 0 else DistributedKeyGeneration)(
-            GROUP, scheme_
-        ),
-    )
+    scheme, quorum, network, runtimes, session = _run_dkg(seed=21, wrap=_garble)
     outputs = run_until_outputs(network, runtimes, session)
     assert {out.digest for out in outputs.values()} == {outputs[0].digest}
     assert outputs[0].qualified == (0, 1, 2, 3)
@@ -334,41 +363,21 @@ def test_complaint_resolved_by_valid_defense():
     assert a == b
 
 
-# The factory closure needs the scheme before _run_dkg constructs it.
-scheme_ = threshold_scheme(4, 1, GROUP.q)
-
-
 def test_invalid_defense_expels_dealer():
     """A dealer whose defense also fails verification is expelled; the
     run completes with the remaining contributors (graceful
     degradation, not abort)."""
-
-    class LyingDealer(DistributedKeyGeneration):
-        def _make_commit(self, ctx):
-            return _corrupt_victim_table(
-                super()._make_commit(ctx), self.scheme, victim=1
-            )
-
-        def _defense_payload(self, ctx, accuser):
-            honest = super()._defense_payload(ctx, accuser)
-            return replace(
-                honest,
-                coin_values=tuple(
-                    (s, (v + 1) % GROUP.q) for s, v in honest.coin_values
-                ),
-            )
-
     scheme, quorum, network, runtimes, session = _run_dkg(
-        seed=23,
-        factory=lambda p: (LyingDealer if p == 0 else DistributedKeyGeneration)(
-            GROUP, scheme_
-        ),
+        seed=23, wrap=_garble_and_lie
     )
     outputs = run_until_outputs(network, runtimes, session)
     assert {out.digest for out in outputs.values()} == {outputs[0].digest}
     assert outputs[0].qualified == (1, 2, 3)
     public = build_public_keys(GROUP, scheme, quorum, 4, outputs[0])
-    assert 0 not in public.verify_keys
+    # Expelled from the threshold secrets, not from the PKI: verify keys
+    # come from the provisioned identities, so dealer 0 still signs
+    # certificates (the quorum rules tolerate it if it is corrupted).
+    assert public.verify_keys[0].h == BUNDLES[0].signing_key.verify_key.h
     party_keys = {
         p: build_party_keys(p, public, BUNDLES[p].signing_key, outputs[p])
         for p in (1, 2, 3)
@@ -389,19 +398,7 @@ def test_defense_that_overtakes_its_commit_clears_the_complaint():
     """Party 2 meets the honest dealer's defense before the dealer's
     commit: it holds the defense, and the commit's arrival clears the
     victim's complaint instead of stalling or expelling the dealer."""
-
-    class GarbledSend(DistributedKeyGeneration):
-        def _make_commit(self, ctx):
-            return _corrupt_victim_table(
-                super()._make_commit(ctx), self.scheme, victim=1
-            )
-
-    scheme, quorum, network, runtimes, session = _run_dkg(
-        seed=21,
-        factory=lambda p: (GarbledSend if p == 0 else DistributedKeyGeneration)(
-            GROUP, scheme_
-        ),
-    )
+    scheme, quorum, network, runtimes, session = _run_dkg(seed=21, wrap=_garble)
     dealer_rbc = rbc_session(0, session)
 
     class CommitAfterDefense(FifoScheduler):
@@ -441,9 +438,9 @@ def test_defense_flood_from_uncommitted_dealer_is_bounded():
     assert sum(len(defenses) for defenses in held.values()) <= 4
 
 
-def test_flush_drops_crashed_dealer():
-    """A dealer that never shows up stalls settlement only until the
-    hosts flush; then the session completes without it."""
+def _flushed_boot():
+    """A key generation dealer 3 never joins, settled by a flush at the
+    other three: ``(scheme, quorum, outputs)``."""
     scheme, quorum, network, runtimes, session = _run_dkg(
         seed=25, spawn_on=(0, 1, 2)
     )
@@ -454,8 +451,37 @@ def test_flush_drops_crashed_dealer():
             Context(runtimes[party], session)
         )
     outputs = run_until_outputs(network, runtimes, session, parties=(0, 1, 2))
+    return scheme, quorum, outputs
+
+
+def test_flush_drops_crashed_dealer():
+    """A dealer that never shows up stalls settlement only until the
+    hosts flush; then the session completes without it."""
+    _, _, outputs = _flushed_boot()
     assert outputs[0].qualified == (0, 1, 2)
     assert {out.digest for out in outputs.values()} == {outputs[0].digest}
+
+
+def test_flushed_dealer_keeps_signing_certificates():
+    """A slow party flushed out of the boot contributed no secret, yet
+    keeps its PKI identity: a certificate from {0, 2, 3} still reaches a
+    quorum, so one later crash among {0, 1, 2} does not silence the
+    cluster's certificates."""
+    scheme, quorum, outputs = _flushed_boot()
+    public = build_public_keys(GROUP, scheme, quorum, 4, outputs[0])
+    assert sorted(public.verify_keys) == [0, 1, 2, 3]
+    signers = {
+        p: build_party_keys(p, public, BUNDLES[p].signing_key, outputs[p]).cert_quorum
+        for p in (0, 2)
+    }
+    signers[3] = QuorumCertShareholder(
+        party=3, public=public.cert_quorum, key=BUNDLES[3].signing_key
+    )
+    rng = random.Random(26)
+    shares = {p: signer.sign_share("after-flush", rng) for p, signer in signers.items()}
+    assert public.cert_quorum.verify_shares("after-flush", shares) == shares
+    certificate = public.cert_quorum.combine("after-flush", shares)
+    assert public.cert_quorum.verify("after-flush", certificate)
 
 
 # ===========================================================================
@@ -478,9 +504,7 @@ def _spawn_reshare(
     party of ``spawn_on`` (default: all).  Returns the network, the
     runtimes, the session and the per-party protocol factory, so a test
     can flush, or spawn a latecomer, before running to the outputs."""
-    new_verify_keys = {
-        p: BUNDLES[p].signing_key.verify_key.h for p in new_members
-    }
+    new_verify_keys = _pki(new_members)
     network, runtimes = _network(all_parties, old_quorum, seed)
     session = reshare_session(1, "test")
     reference = old_outputs[min(old_outputs)]

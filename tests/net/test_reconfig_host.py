@@ -10,6 +10,7 @@ pytest function, mirroring tests/net/test_transport.py.
 from __future__ import annotations
 
 import asyncio
+import json
 import random
 
 import pytest
@@ -515,6 +516,28 @@ def test_every_way_into_an_epoch_leaves_the_same_invariants(tmp_path, way):
                 await host.close()
 
     asyncio.run(scenario())
+
+
+@pytest.mark.parametrize("defect", ["missing-server", "foreign-own-key", "version-1"])
+def test_dkg_boot_refuses_a_bundle_without_its_pki(tmp_path, defect):
+    """A dealerless boot trusts the provisioned verify keys and nothing
+    else, so a bundle that does not list exactly servers 0..n-1, that
+    lists another identity as ours, or that predates the list is
+    refused before anything listens."""
+    provision_dkg_deployment(4, 1, random.Random(76), tmp_path)
+    path = tmp_path / "bootstrap-0.json"
+    data = json.loads(path.read_text())
+    assert data["version"] == 2
+    if defect == "missing-server":
+        del data["verify_keys"]["3"]
+    elif defect == "foreign-own-key":
+        data["verify_keys"]["0"] = data["verify_keys"]["1"]
+    else:
+        data["version"] = 1
+        del data["verify_keys"]
+    path.write_text(json.dumps(data))
+    with pytest.raises(keystore.KeystoreError):
+        ReplicaHost(tmp_path, 0, dkg_boot=True)
 
 
 def _votes(keys, epoch, public, voters):
