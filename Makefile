@@ -14,8 +14,9 @@ test:
 bench:
 	python3 bench/run.py
 
-# Ten alternating pairs of PARENT and the working tree on one workload —
-# what a claimed gain is shown with (docs/PERFORMANCE.md).
+# Ten alternating pairs of PARENT and the working tree on one workload,
+# or on every one with WORKLOAD=all — what a claimed gain is shown with
+# (docs/PERFORMANCE.md).
 PARENT ?= HEAD
 WORKLOAD ?= sim_n4_modp1536
 PAIRS ?= 10

@@ -208,7 +208,9 @@ class AtomicBroadcast(Protocol):
     """Long-lived totally-ordered broadcast; delivers via a callback.
 
     ``on_deliver(payload, round)`` is invoked exactly once per payload,
-    in the same order at every honest party.  ``on_lag()`` (optional)
+    in the same order at every honest party; ``on_round_end(round)``
+    (optional) after a round's last one, so where a round's deliveries
+    end is ordered state too.  ``on_lag()`` (optional)
     fires when an honest-containing set of signers is provably far
     ahead of this party's round window.
     """
@@ -219,6 +221,7 @@ class AtomicBroadcast(Protocol):
         config: AbcConfig | None = None,
     ) -> None:
         self.on_deliver = on_deliver
+        self.on_round_end: Callable[[int], None] | None = None
         self.on_lag: Callable[[], None] | None = None
         self.config = config if config is not None else AbcConfig()
         self.queue: list[Hashable] = []
@@ -639,6 +642,8 @@ class AtomicBroadcast(Protocol):
             self._recent_digests[r] = frozenset(d for _j, d, _s in value)
             self._cleanup_after_round(r)
             ctx.trace.bump("abc.rounds")
+            if self.on_round_end is not None:
+                self.on_round_end(r)
             progressed = True
         if progressed:
             self._refresh_lag()

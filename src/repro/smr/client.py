@@ -29,7 +29,7 @@ from .reconfig import (
     epoch_service_session,
     verify_membership_info,
 )
-from .replica import SubmitEncrypted, SubmitRequest, reply_statement
+from .replica import SubmitEncrypted, SubmitRequest, reply_root, tree_statement
 from .state_machine import Reply, Request
 
 __all__ = ["CompletedRequest", "ServiceClient"]
@@ -37,20 +37,22 @@ __all__ = ["CompletedRequest", "ServiceClient"]
 
 @dataclass(frozen=True)
 class CompletedRequest:
-    """A finished request: the agreed result plus the service signature."""
+    """A finished request: the agreed result plus the service signature
+    on the root of the reply tree ``path`` leads to from the result."""
 
     nonce: int
     result: object
     signature: object
+    path: tuple = ()
 
     def verify(self, public: PublicKeys, client: int, operation: tuple) -> bool:
         """Re-verify the service's signature on this answer."""
-        digest = ("request", client, nonce := self.nonce, operation)
-        statement = reply_statement(digest, self.result)
+        digest = ("request", client, self.nonce, operation)
+        answer = reply_root(digest, self.result, self.path)
         scheme = public.service_signature
-        if isinstance(scheme, (QuorumCertScheme, ShoupRsaScheme)):
-            return scheme.verify(statement, self.signature)
-        return False
+        if answer is None or not isinstance(scheme, (QuorumCertScheme, ShoupRsaScheme)):
+            return False
+        return scheme.verify(tree_statement(answer[1]), self.signature)
 
 
 class ServiceClient(Node):
@@ -74,10 +76,13 @@ class ServiceClient(Node):
         self.session = epoch_service_session(epoch, session_tag)
         self._nonce = 0
         self._operations: dict[int, tuple] = {}
-        self._replies: dict[int, dict[int, Reply]] = {}
+        # nonce -> replica -> ((leaf, root), reply): each reply's tree
+        # root is computed once, on arrival.
+        self._replies: dict[int, dict[int, tuple[tuple[bytes, bytes], Reply]]] = {}
         self.completed: dict[int, CompletedRequest] = {}
         # Reply shares are checked on arrival; combining them into the
-        # service signature must not pay for each of them again.
+        # service signature must not pay for each of them again, nor
+        # must a later reply from the same replica under the same tree.
         self.verified = VerifiedMemo()
         self.resubmissions = 0
         self.duplicate_replies = 0
@@ -258,12 +263,16 @@ class ServiceClient(Node):
         if sender in bucket:
             self.duplicate_replies += 1
             return
-        # Verify the replica's signature share up front; junk shares from
-        # corrupted replicas are discarded here.
-        statement = self._statement(nonce, message.result)
-        if not self._share_valid(statement, sender, message.signature_share):
+        # Verify the replica's signature share up front, on the root this
+        # answer's path leads to; junk from corrupted replicas is
+        # discarded here.
+        digest = ("request", self.client_id, nonce, self._operations[nonce])
+        answer = reply_root(digest, message.result, message.path)
+        if answer is None or not self._share_valid(
+            tree_statement(answer[1]), sender, message.signature_share
+        ):
             return
-        bucket[sender] = message
+        bucket[sender] = (answer, message)
         self._maybe_complete(nonce)
 
     # -- epoch refresh (online reconfiguration) --------------------------------
@@ -319,11 +328,6 @@ class ServiceClient(Node):
         for nonce in sorted(self._operations):
             self.resubmit(nonce)
 
-    def _statement(self, nonce: int, result: object) -> tuple:
-        operation = self._operations[nonce]
-        digest = ("request", self.client_id, nonce, operation)
-        return reply_statement(digest, result)
-
     def _share_valid(self, statement: tuple, sender: int, share: object) -> bool:
         scheme = self.public.service_signature
         if isinstance(scheme, QuorumCertScheme):
@@ -334,24 +338,28 @@ class ServiceClient(Node):
         return False
 
     def _maybe_complete(self, nonce: int) -> None:
-        """Complete once matching replies form an honest-containing set."""
-        by_result: dict[object, dict[int, Reply]] = {}
+        """Complete once matching replies form an honest-containing set.
+
+        Replies match when they carry the same leaf — which binds the
+        result — under the same signed root; both are bytes, so no
+        result a replica sends can make the grouping fail.
+        """
+        by_answer: dict[tuple[bytes, bytes], dict[int, Reply]] = {}
         for sender in sorted(self._replies[nonce]):
-            reply = self._replies[nonce][sender]
-            by_result.setdefault(reply.result, {})[sender] = reply
-        # Results need not be orderable; examine candidates by their
-        # lowest supporting replica id so completion is a function of
-        # the reply set, not of arrival order.
-        candidates = sorted(by_result.items(), key=lambda kv: min(kv[1]))
-        for result, group in candidates:
+            answer, reply = self._replies[nonce][sender]
+            by_answer.setdefault(answer, {})[sender] = reply
+        # Examine candidates by their lowest supporting replica id so
+        # completion is a function of the reply set, not of arrival order.
+        candidates = sorted(by_answer.items(), key=lambda kv: min(kv[1]))
+        for (_leaf, root), group in candidates:
             if not self.public.quorum.contains_honest(group):
                 continue
-            statement = self._statement(nonce, result)
-            signature = self._combine(statement, group)
+            signature = self._combine(tree_statement(root), group)
             if signature is None:
                 continue
+            reply = group[min(group)]
             self.completed[nonce] = CompletedRequest(
-                nonce=nonce, result=result, signature=signature
+                nonce=nonce, result=reply.result, signature=signature, path=reply.path
             )
             # The share buffer served its purpose; dropping it keeps an
             # open-loop client's memory proportional to the requests in

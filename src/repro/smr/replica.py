@@ -10,7 +10,9 @@ Section 5's request flow, per server:
    after its position in the total order is fixed);
 3. on delivery, every replica applies the request to its deterministic
    state machine and returns a partial answer containing its share of
-   the service's threshold signature on the result;
+   the service's threshold signature on the result — here one share per
+   delivered round, on the root of a hash tree over the round's answers,
+   each answer carrying its leaf's audit path (:func:`reply_tree`);
 4. the client waits for matching answers from an honest-containing set
    and combines the shares into one service-signed reply.
 
@@ -27,13 +29,15 @@ from ..codec import register
 from ..core.atomic_broadcast import AbcConfig, AtomicBroadcast
 from ..core.protocol import Context, Protocol, SessionId
 from ..core.secure_causal import SecureCausalBroadcast
+from ..crypto.hashing import hash_bytes
 from ..crypto.threshold_enc import Ciphertext
 from ..net import wire
 from .reconfig import MembershipInfo, MembershipQuery
 from .state_machine import Reply, Request, StateMachine
 
 __all__ = ["SubmitRequest", "SubmitEncrypted", "RecoverQuery", "RecoverLog",
-           "Replica", "service_session", "reply_statement"]
+           "Replica", "service_session", "reply_statement", "reply_leaf",
+           "reply_tree", "reply_root", "tree_statement", "MAX_PATH"]
 
 
 @register
@@ -95,8 +99,60 @@ def service_session(tag: object = "service") -> SessionId:
 
 
 def reply_statement(request_digest: object, result: object) -> tuple:
-    """What the service's threshold signature covers in a reply."""
+    """One answer: what a leaf of a reply tree hashes."""
     return ("service-reply", request_digest, result)
+
+
+# A round's answers share one signature share over a binary SHA-256 hash
+# tree (a Merkle tree) in delivery order.  Leaves and inner nodes hash
+# under different domains, so a node never passes as a leaf.
+_LEAF, _NODE = "service-reply-leaf", "service-reply-node"
+MAX_PATH = 64  # audit path steps a client accepts: 2^64 answers a round
+
+
+def tree_statement(root: bytes) -> tuple:
+    """What the service's threshold signature covers: a tree's root."""
+    return ("service-replies", root)
+
+
+def reply_leaf(request_digest: object, result: object) -> bytes:
+    return hash_bytes(_LEAF, reply_statement(request_digest, result))
+
+
+def reply_tree(leaves: list[bytes]) -> tuple[bytes, list[tuple]]:
+    """The root over ``leaves`` and each leaf's audit path, from the
+    leaf up: ``(sibling_is_left, sibling)`` steps.  An odd node out
+    moves up a level unpaired; one leaf is its own root, path ``()``."""
+    paths: list[list] = [[] for _ in leaves]
+    level = [(leaf, [i]) for i, leaf in enumerate(leaves)]
+    while len(level) > 1:
+        paired = []
+        for (left, lows), (right, highs) in zip(level[::2], level[1::2]):
+            for i in lows:
+                paths[i].append((False, right))
+            for i in highs:
+                paths[i].append((True, left))
+            paired.append((hash_bytes(_NODE, left, right), lows + highs))
+        level = paired + level[2 * len(paired):]
+    return level[0][0], [tuple(path) for path in paths]
+
+
+def reply_root(
+    request_digest: object, result: object, path: object
+) -> tuple[bytes, bytes] | None:
+    """This answer's leaf and the root ``path`` leads to from it; None
+    for a malformed or over-long path, refused before anything is hashed."""
+    well_formed = isinstance(path, tuple) and len(path) <= MAX_PATH and all(
+        type(step) is tuple and len(step) == 2 and type(step[0]) is bool
+        and type(step[1]) is bytes and len(step[1]) == 32 for step in path
+    )
+    if not well_formed:
+        return None
+    leaf = node = reply_leaf(request_digest, result)
+    for sibling_is_left, sibling in path:
+        pair = (sibling, node) if sibling_is_left else (node, sibling)
+        node = hash_bytes(_NODE, *pair)
+    return leaf, node
 
 
 def _entry_round(item: object) -> int:
@@ -133,6 +189,11 @@ class Replica(Protocol):
         # their pending, monotonically-nonced request — and keeps memory
         # bounded by the client population, not the request volume.
         self._results: dict[int, tuple[int, object]] = {}
+        # Answers of the delivered round so far, signed as one tree when
+        # the round ends (_answer_round).  A tree is a function of ordered
+        # state, so every honest replica builds the same one; every other
+        # answer is a one-leaf tree.
+        self._round_answers: list[tuple[Request, object]] = []
         # Execution pause (epoch reconfiguration): while paused, ordered
         # requests queue here in delivery order instead of executing, so
         # every replica applies them at the same epoch no matter when
@@ -182,6 +243,7 @@ class Replica(Protocol):
         self.abc.on_lag = lambda: self._on_lag(ctx)
         if not self.causal:
             self.abc.on_deliver = lambda payload, rnd: self._on_ordered(ctx, payload, rnd)
+            self.abc.on_round_end = lambda rnd: self._answer_round(ctx)
         else:
             self.sc_abc.on_start(ctx)  # takes the broadcast's on_deliver
             self.sc_abc.on_deliver = lambda plaintext, rnd: self._on_ordered_plain(
@@ -223,7 +285,7 @@ class Replica(Protocol):
             return
         cached = self._results.get(request.client)
         if cached is not None and cached[0] == request.nonce:
-            self._reply(ctx, request, cached[1])
+            self._answer(ctx, [(request, cached[1])])
             return
         self.abc.submit(ctx, request.encode())
 
@@ -234,21 +296,7 @@ class Replica(Protocol):
             return
         if not self.state_machine.is_read_only(request.operation):
             return  # mutating requests must take the ordered path
-        result = self.state_machine.apply(request)
-        digest = ("request", request.client, request.nonce, request.operation)
-        share = ctx.keys.service_signer.sign_share(
-            reply_statement(digest, result), ctx.rng
-        )
-        ctx.send(
-            request.client,
-            Reply(
-                replica=ctx.party,
-                client=request.client,
-                nonce=request.nonce,
-                result=result,
-                signature_share=share,
-            ),
-        )
+        self._answer(ctx, [(request, self.state_machine.apply(request))])
 
     # -- ordered execution -----------------------------------------------------------
 
@@ -429,7 +477,8 @@ class Replica(Protocol):
         signature shares for the drained requests are produced under
         the new keys.  A drained request may itself re-pause (the next
         ``Reconfigure`` in the queue); the remainder then stays queued
-        for the following resume.
+        for the following resume.  The drained answers are signed a tree
+        per round, as if the rounds were being delivered now.
         """
         self._paused = False
         while self._pending_execution and not self._paused:
@@ -440,6 +489,8 @@ class Replica(Protocol):
                 self._execute(ctx, request, rnd)
             finally:
                 self._replaying = previous
+            if not self._pending_execution or self._pending_execution[0][1] != rnd:
+                self._answer_round(ctx)
 
     def _execute(self, ctx: Context, request: Request, rnd: int) -> None:
         if self._paused:
@@ -454,7 +505,8 @@ class Replica(Protocol):
         result = None
         if self.intercept is not None:
             result = self.intercept(request, rnd, self._replaying)
-        if result is None:
+        consumed = result is not None
+        if not consumed:
             result = self.state_machine.apply(request)
         self._results[request.client] = (request.nonce, result)
         self.executed.append((request, result))
@@ -462,18 +514,40 @@ class Replica(Protocol):
             self.on_execute(request, result, rnd)
         if self._replaying:
             return  # clients were answered before the crash
-        self._reply(ctx, request, result)
+        if self.causal:
+            # A confidential answer is a one-leaf tree: a shared tree
+            # would hand one client the leaf hashes of another client's
+            # (possibly low-entropy) confidential answers.
+            self._answer(ctx, [(request, result)])
+            return
+        self._round_answers.append((request, result))
+        if consumed:
+            # Execution pauses only here (an epoch change), and the
+            # resharing may complete on the spot: an intercepted request
+            # closes its tree, so what executed before it is answered
+            # under the keys it executed under, at every replica alike.
+            self._answer_round(ctx)
 
-    def _reply(self, ctx: Context, request: Request, result: object) -> None:
-        digest = ("request", request.client, request.nonce, request.operation)
-        share = ctx.keys.service_signer.sign_share(
-            reply_statement(digest, result), ctx.rng
-        )
-        reply = Reply(
-            replica=ctx.party,
-            client=request.client,
-            nonce=request.nonce,
-            result=result,
-            signature_share=share,
-        )
-        ctx.send(request.client, reply)
+    def _answer_round(self, ctx: Context) -> None:
+        answers, self._round_answers = self._round_answers, []
+        self._answer(ctx, answers)
+
+    def _answer(self, ctx: Context, answers: list[tuple[Request, object]]) -> None:
+        """Sign one hash tree over ``answers``; send each its reply."""
+        if not answers:
+            return
+        root, paths = reply_tree([
+            reply_leaf(("request", request.client, request.nonce, request.operation), result)
+            for request, result in answers
+        ])
+        share = ctx.keys.service_signer.sign_share(tree_statement(root), ctx.rng)
+        for (request, result), path in zip(answers, paths):
+            reply = Reply(
+                replica=ctx.party,
+                client=request.client,
+                nonce=request.nonce,
+                result=result,
+                signature_share=share,
+                path=path,
+            )
+            ctx.send(request.client, reply)

@@ -62,7 +62,10 @@ class Reply:
     """One replica's partial answer (Section 5: clients majority-vote).
 
     ``signature_share`` is the replica's share of the service's
-    threshold signature on ``(request digest, result)``; a client
+    threshold signature on the root of a hash tree over the answers of
+    one delivered round, and ``path`` the audit path from this answer's
+    leaf ``(request digest, result)`` to that root (``()`` for a
+    one-leaf tree; see :func:`repro.smr.replica.reply_tree`).  A client
     combines an honest-containing set of matching replies into a single
     service-signed answer.
     """
@@ -72,6 +75,7 @@ class Reply:
     nonce: int
     result: Result
     signature_share: object
+    path: tuple = ()
 
 
 class StateMachine:

@@ -92,8 +92,14 @@ DLEQ_ITEMS_PER_COIN = (T + 1) - 1  # where the verifier's own share is one of th
 # 3 proposal signatures inside candidate lists (each replica reads 4
 # ``CbcSend`` lists of 3 entries, every one equal to a proposal it
 # recorded and verified on arrival) no longer hash a challenge only to
-# name a memo hit — 48 single challenges, 78 -> 30.
-ENCODINGS_PER_ROUND = 247
+# name a memo hit — 48 single challenges, 78 -> 30.  247 -> 253 with
+# one service signature per round over a hash tree of its answers, one
+# source: leaf hashes.  This round's tree is one leaf (root = leaf, no
+# node hashed): each of the 4 replicas hashes it once before signing,
+# and the client hashes the leaf of each of the 2 replies it verifies,
+# once, on arrival (6).  The signed statement is still one statement
+# per signature made or checked, so nothing else moved.
+ENCODINGS_PER_ROUND = 253
 SEED = 13
 
 
@@ -247,3 +253,57 @@ def test_each_coin_exponentiates_exactly_this_much(monkeypatch):
             with_own * DLEQ_ITEMS_PER_COIN + (checks - with_own) * (T + 1),
         )
     ] * ROUNDS
+
+
+def test_a_round_of_answers_is_signed_once_per_replica(monkeypatch):
+    """k = 8 requests from two clients ride one round.  Each replica makes
+    one service-signature share for the round's answers — n in all,
+    where one share per answer made n·k = 32 — and each client's reply
+    checks that reach arithmetic are t + 1 = 2, one per replica whose
+    replies complete its requests (a later reply under the same tree is
+    a memo hit), where one per reply made 2 per request: 8 a client."""
+    made = Counter()
+    checked = Counter()  # id of the verifying party's memo -> checks
+    verifying = []
+    sign_share = threshold_sig.QuorumCertShareholder.sign_share
+    verify, exp = VerifyKey.verify, GroupAccel.exp
+    service = _service()
+    signers = [service.keys.private[party].service_signer for party in range(N)]
+
+    def counting_sign_share(holder, *args, **kwargs):
+        made["service"] += any(holder is signer for signer in signers)
+        return sign_share(holder, *args, **kwargs)
+
+    def counting_verify(key, message, signature, memo=None):
+        verifying.append(memo)
+        try:
+            return verify(key, message, signature, memo)
+        finally:
+            verifying.pop()
+
+    def counting_exp(accel, base, exponent):
+        if verifying and base != accel.g:  # h^c: one per check
+            checked[id(verifying[-1])] += 1
+        return exp(accel, base, exponent)
+
+    monkeypatch.setattr(threshold_sig.QuorumCertShareholder, "sign_share", counting_sign_share)
+    monkeypatch.setattr(VerifyKey, "verify", counting_verify)
+    monkeypatch.setattr(GroupAccel, "exp", counting_exp)
+    opener, *clients = (service.new_client() for _ in range(3))
+    service.network.start()
+    # The opener's request starts round 1; the eight sent behind it
+    # queue until round 1 delivers and then ride round 2 together.
+    opener.submit(("set", "opener", 0))
+    nonces = {
+        client: [client.submit(("set", f"key-{client.client_id}-{i}", i)) for i in range(4)]
+        for client in clients
+    }
+    replicas = list(service.replicas.values())
+    service.network.run(until=lambda: all(replica.abc.round == 1 for replica in replicas))
+    made.clear()
+    for client in clients:
+        service.run_until_complete(client, nonces[client])
+    service.network.run()  # stragglers belong to this round
+    assert [(replica.abc.round, len(replica.executed)) for replica in replicas] == [(2, 9)] * N
+    assert made["service"] == N
+    assert [checked[id(client.verified)] for client in clients] == [T + 1] * 2

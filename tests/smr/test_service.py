@@ -185,16 +185,17 @@ def test_causal_mode_refuses_plaintext():
 
 def test_rsa_service_signature_backend(keys_4_1_rsa):
     """Replies signed with Shoup RSA threshold signatures combine into a
-    standard RSA signature the client verifies."""
+    standard RSA signature the client verifies — also when a round's
+    answers share one tree, whose root every share of a group signs."""
     import random
 
     from repro.core.runtime import ProtocolRuntime
-    from repro.net.scheduler import RandomScheduler
+    from repro.net.scheduler import FifoScheduler
     from repro.net.simulator import Network
     from repro.smr.client import ServiceClient
     from repro.smr.replica import Replica, service_session
 
-    net = Network(RandomScheduler(), random.Random(1))
+    net = Network(FifoScheduler(), random.Random(1))
     for i in range(4):
         rt = ProtocolRuntime(i, net, keys_4_1_rsa.public, keys_4_1_rsa.private[i], seed=1)
         net.attach(i, rt)
@@ -202,11 +203,20 @@ def test_rsa_service_signature_backend(keys_4_1_rsa):
     client = ServiceClient(1000, net, keys_4_1_rsa.public, random.Random(2))
     net.attach(1000, client)
     net.start()
-    nonce = client.submit(("set", "k", 1))
-    net.run(until=lambda: nonce in client.completed, max_steps=400_000)
-    completed = client.completed[nonce]
-    assert completed.result == ("ok", 1)
-    assert completed.verify(keys_4_1_rsa.public, 1000, ("set", "k", 1))
+    # The first request opens round 1 (a one-leaf tree); the three sent
+    # behind it queue until it delivers and then ride round 2 together.
+    operations = [("set", "k", 1), ("set", "a", 2), ("set", "b", 3), ("get", "k")]
+    nonces = [client.submit(operation) for operation in operations]
+    net.run(until=lambda: all(n in client.completed for n in nonces), max_steps=400_000)
+    completed = [client.completed[nonce] for nonce in nonces]
+    assert [c.result for c in completed] == [("ok", 1), ("ok", 2), ("ok", 3), ("value", 1)]
+    for operation, answer in zip(operations, completed):
+        assert answer.verify(keys_4_1_rsa.public, 1000, operation)
+    shared = completed[1:]
+    assert completed[0].path == () and all(c.path for c in shared)
+    assert len({c.path for c in shared}) == 3
+    # One root, hence one RSA signature (it is unique per message).
+    assert len({c.signature for c in shared}) == 1
 
 
 # One agreement round at n = 4 under FIFO delivery, client traffic
