@@ -6,20 +6,25 @@ primitive operations everything else is built from, across group sizes
 and party counts: coin share/verify/combine, TDH2 encrypt/share/
 combine, Shoup RSA sign-share/verify/combine, and Schnorr signatures —
 and what verifying one quorum of shares in a batch saves over checking
-them one by one (docs/PERFORMANCE.md, "Batched share verification").
+them one by one (docs/PERFORMANCE.md, "Batched share verification"),
+and what one replica's coin costs with and without the coin base's
+squaring ladder and the opening by small integers.
 """
 
 import random
 import time
 
 import pytest
+from bench.workloads import modp_1536_group
 
 from conftest import best_of, emit
 
+from repro.crypto import accel
 from repro.crypto.coin import deal_coin
 from repro.crypto.groups import default_group, small_group
 from repro.crypto.lsss import threshold_scheme
-from repro.crypto.schnorr import keygen, verify_batch
+from repro.crypto.schnorr import VerifiedMemo, keygen, verify_batch
+from repro.crypto.shared_exponent import SharedExponentPublic
 from repro.crypto.threshold_enc import deal_encryption
 from repro.crypto.threshold_sig import deal_quorum_certs, deal_shoup_rsa
 
@@ -215,4 +220,101 @@ def test_quorum_batch_vs_per_share(benchmark):
         "One quorum of shares (n=16, t=5, 256-bit group): per-share vs batch, ms",
         [f"{'share kind':<14} {'shares':>6}   {'per-share':>9} {'batch':>8} "
          f"{'speed-up':>8}"] + rows,
+    )
+
+
+def _lagrange_recombine(public, shares):
+    """The opening a coin had before it opened by small integers:
+    ``Π value^λ`` over Lagrange coefficients mod q (full-size)."""
+    lam = public.scheme.recombination(set(shares))
+    return public.group.multiexp(
+        (shares[public.scheme.slot_owner(slot)].values[slot], coeff)
+        for slot, coeff in lam.items()
+    )
+
+
+def test_one_replicas_coin(benchmark, monkeypatch):
+    """One party's whole coin, n = 4, t = 1: make its share, check the
+    t shares of others, open the coin — with nothing shared with any
+    other replica (a TCP replica's view; the simulator's replicas share
+    one accelerator, so there ``H(C)``'s ladder is built once for all).
+    Beside it, the same party with the coin's base laddered off and the
+    opening by Lagrange coefficients mod q.  Caches that a running
+    replica has warm are warmed first.  Best of three, ms, and the
+    exponentiations of one run by kind: full-size built-in ``pow``s,
+    ladder builds and climbs, fixed-base table pows, and the squarings
+    of every Straus chain."""
+    n, t = 4, 1
+    kinds = {}
+    pow_, ladder_pow, table_pow, straus = (
+        pow, accel.Ladder.pow, accel.FixedBaseTable.pow, accel._straus,
+    )
+
+    def counting_pow(base, exponent, modulus=None):
+        kinds["pow"] += exponent.bit_length() > 192
+        return pow_(base, exponent, modulus)
+
+    def counting_ladder(ladder, exponent):
+        rungs = len(ladder.rungs)
+        result = ladder_pow(ladder, exponent)
+        kinds["ladder build" if len(ladder.rungs) > rungs + 1 else "ladder climb"] += 1
+        return result
+
+    def counting_table(table, exponent):
+        kinds["table"] += 1
+        return table_pow(table, exponent)
+
+    def counting_straus(modulus, pairs):
+        kinds["chain bits"] += max(e.bit_length() for _, e in pairs)
+        return straus(modulus, pairs)
+
+    rows = []
+
+    def measure():
+        rows.clear()
+        for group in (default_group(), modp_1536_group()):
+            for path in ("ladder, Δ-scaled opening", "no ladder, Lagrange opening"):
+                rows.append(_one_replicas_coin(group, path))
+
+    def _one_replicas_coin(group, path):
+        public, holders = _coin(n, t, group)
+        group_accel = accel.accel_for(group)
+        flips = iter(range(1_000))
+
+        def one_coin():
+            name = ("E8", path, next(flips))
+            others = [holders[i].share_for(name, random.Random(i)) for i in range(1, t + 1)]
+            group_accel._ladders.clear()  # the others' ladder is theirs
+            kinds.update(dict.fromkeys(kinds, 0))  # count this party alone
+            memo = VerifiedMemo()
+            start = time.perf_counter()
+            own = holders[0].share_for(name, random.Random(0), memo)
+            valid = public.verify_shares(name, [own, *others], memo)
+            public.combine(name, valid)
+            return time.perf_counter() - start
+
+        with monkeypatch.context() as patch:
+            if path.startswith("no ladder"):
+                patch.setattr(accel.GroupAccel, "add_ladder", lambda self, base: None)
+                patch.setattr(SharedExponentPublic, "_recombine", _lagrange_recombine)
+            one_coin()  # the holder's cached key images, as in a running cluster
+            best = min(one_coin() for _ in range(3))
+            kinds.update(dict.fromkeys(
+                ("pow", "ladder build", "ladder climb", "table", "chain bits"), 0
+            ))
+            patch.setattr(accel, "pow", counting_pow, raising=False)
+            patch.setattr(accel.Ladder, "pow", counting_ladder)
+            patch.setattr(accel.FixedBaseTable, "pow", counting_table)
+            patch.setattr(accel, "_straus", counting_straus)
+            one_coin()
+        return (
+            f"{group.p.bit_length():>5}  {path:<28} {1e3 * best:>8.2f} "
+            + " ".join(f"{count:>6}" for count in kinds.values())
+        )
+
+    benchmark.pedantic(measure, rounds=1, iterations=1)
+    emit(
+        "One replica's coin (n=4, t=1): make, check t shares, open — ms and exponentiations",
+        [f"{'bits':>5}  {'path':<28} {'ms':>8} {'pow':>6} {'build':>6} {'climb':>6} "
+         f"{'table':>6} {'chain':>6}"] + rows,
     )

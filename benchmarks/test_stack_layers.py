@@ -36,7 +36,12 @@ from repro.core.secure_causal import SecureCausalBroadcast, sc_abc_session
 # when the vote became biased toward 1 (round 1's coin is the constant
 # 1): a split-input vote now pays one coin-free round before its real
 # coins, an agreement whose votes are unanimous-1 pays no coin at all.
-SEEDS = range(5, 10)
+# Widened to 5..34 when coins began opening by small integers and drew
+# new values: a permutation coin that first names a candidate some
+# party lacks walks on to the next (the multi-valued agreement then sent
+# 700 messages on seed 8), so five schedules no longer ordered the
+# layers that embed one another; thirty take ≈ 2 s.
+SEEDS = range(5, 35)
 
 
 def _measure_rbc(keys, seed):
@@ -156,16 +161,18 @@ def test_stack_layer_costs(benchmark):
     # Cheap primitives vs agreement (holds with wide margins).
     assert means["consistent broadcast"] < means["reliable broadcast"]
     assert means["binary agreement"] > means["reliable broadcast"]
-    # As measured: 198 / 161 / 175 messages for the stand-alone vote, the
-    # multi-valued agreement and atomic broadcast (173 / 217 / 274 when
-    # round 1 flipped a real coin).  The stand-alone vote has *split*
-    # inputs — one coin-free round, then a geometric number of real
-    # coins — while the vote inside the other two is unanimous-1 and
-    # decides in its coin-free first round, so "agreement on a value
-    # costs more than agreement on a bit" is no longer a statement about
-    # these two rows; what holds by construction is that each layer
-    # costs more than what it embeds: n consistent broadcasts plus a
-    # vote, and that plus the proposal exchange.
+    # As measured: 192 / 216 / 229 messages for the stand-alone vote, the
+    # multi-valued agreement and atomic broadcast over seeds 5..34 (198 /
+    # 161 / 175 over 5..9 before the coin opened by small integers; 173 /
+    # 217 / 274 when round 1 flipped a real coin).  The stand-alone vote
+    # has *split* inputs — one coin-free round, then a geometric number
+    # of real coins — while the vote inside the other two is unanimous-1
+    # when the permutation coin's first candidate is delivered
+    # everywhere, so "agreement on a value costs more than agreement on
+    # a bit" is no longer a statement about these rows.  What holds by
+    # construction is that each layer costs more than what it embeds: n
+    # consistent broadcasts plus a vote, and that plus the proposal
+    # exchange.
     assert means["multi-valued agreement"] > n * means["consistent broadcast"]
     assert means["atomic broadcast"] > means["multi-valued agreement"]
 

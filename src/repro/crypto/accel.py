@@ -18,6 +18,9 @@ This module concentrates the arithmetic tricks that cut that cost:
   the least recently used one makes room when the budget is full;
   per-name bases (a coin's ``H(C)``) never count toward one
   (:meth:`GroupAccel.exp_once`).
+* **Squaring ladders** for a statement's base (a coin's ``H(C)``): built
+  for a ``pow``'s cost, each use a quarter of one — repaid on the second
+  use, where a table needs many (:meth:`GroupAccel.add_ladder`).
 * **Memoized subgroup membership** via the Jacobi symbol (for a safe
   prime the order-``q`` subgroup is exactly the quadratic residues),
   with a bounded cache so fixed bases are checked once, ever.
@@ -54,6 +57,19 @@ _TABLE_THRESHOLD = 16
 _MAX_TABLES = 96
 _MAX_TRACKED = 8192
 _MAX_MEMBERS = 8192
+
+# Ladders held at once.  A statement's base needs one from its first
+# share to its last checked one: per replica, one permutation coin per
+# agreement round in flight, the vote's current coin, and the ``u`` of
+# each confidential request a delivered round is decrypting (the
+# simulator's replicas share them: same names).  Eight covers the coins;
+# a round with more ciphertexts evicts the least recently added, and an
+# evicted base costs one ``pow`` to rebuild — what it cost without a
+# ladder (docs/PERFORMANCE.md measures twelve in flight).  A 1,536-bit
+# ladder is 308 rungs of 192 bytes, so the budget is ≈ 0.5 MB.
+_MAX_LADDERS = 8
+_LADDER_WIDTH = 5
+_LADDER_MASK = (1 << _LADDER_WIDTH) - 1
 
 # Window width for the interleaved (Straus) multi-exponentiation.
 _STRAUS_WIDTH = 4
@@ -120,6 +136,35 @@ class FixedBaseTable:
         return acc % mod
 
 
+class Ladder:
+    """``rungs[i] = base^(2^(w·i)) mod p``, as tall as the exponents met
+    (a ``pow``'s squarings); a power is then Yao's bucket method: one
+    multiplication per digit, ``2·2^w`` more, no squarings."""
+
+    __slots__ = ("modulus", "rungs")
+
+    def __init__(self, base: int, modulus: int) -> None:
+        self.modulus = modulus
+        self.rungs = [base % modulus]
+
+    def pow(self, exponent: int) -> int:
+        mod, rungs = self.modulus, self.rungs
+        while len(rungs) * _LADDER_WIDTH < exponent.bit_length():
+            rungs.append(pow(rungs[-1], 1 << _LADDER_WIDTH, mod))  # w squarings
+        buckets = [1] * (_LADDER_MASK + 1)
+        for rung in rungs:
+            if not exponent:
+                break
+            digit = exponent & _LADDER_MASK
+            buckets[digit] = buckets[digit] * rung % mod
+            exponent >>= _LADDER_WIDTH
+        acc = running = 1
+        for bucket in buckets[:0:-1]:  # running = Π of the buckets from d up
+            running = running * bucket % mod
+            acc = acc * running % mod
+        return acc
+
+
 def multiexp(modulus: int, pairs: Iterable[tuple[int, int]]) -> int:
     """``Π base^exp mod modulus`` in one interleaved-window pass.
 
@@ -171,7 +216,7 @@ class GroupAccel:
     keys tabled by the coin also speed up e.g. TDH2 share checks.
     """
 
-    __slots__ = ("p", "q", "g", "_tables", "_counts", "_members")
+    __slots__ = ("p", "q", "g", "_tables", "_counts", "_members", "_ladders")
 
     def __init__(self, p: int, q: int, g: int) -> None:
         self.p = p
@@ -180,6 +225,7 @@ class GroupAccel:
         self._tables: dict[int, FixedBaseTable] = {}
         self._counts: dict[int, int] = {}
         self._members: dict[int, bool] = {}
+        self._ladders: dict[int, Ladder] = {}
         # The generator is exponentiated constantly: tabled from the
         # start (full-height at its first full-size exponent), never evicted.
         self._tables[g] = FixedBaseTable(g, p, q.bit_length())
@@ -225,34 +271,52 @@ class GroupAccel:
         self._counts[base] = count
         return pow(base, exponent, self.p)
 
+    def add_ladder(self, base: int) -> None:
+        """Give a statement's base (a coin's ``H(C)``, a ciphertext's
+        ``u``) a :class:`Ladder` for :meth:`exp_once` and :meth:`multiexp`,
+        the least recently added making room.  A share value never gets
+        one, and no base is counted toward a table."""
+        ladder = self._ladders.pop(base, None) or Ladder(base, self.p)
+        if len(self._ladders) >= _MAX_LADDERS:
+            del self._ladders[next(iter(self._ladders))]
+        self._ladders[base] = ladder
+
     def exp_once(self, base: int, exponent: int) -> int:
         """``base^exponent mod p`` for a per-name base (a coin's ``H(C)``,
-        a ciphertext's ``u``): its few uses can never repay a table, so
-        they are not counted toward one."""
-        return pow(base, exponent, self.p)
+        a ciphertext's ``u``, a share value): its few uses can never
+        repay a table, so they are not counted toward one."""
+        if exponent < 0:  # else the answer would depend on the ladder
+            raise ValueError("negative exponent: reduce it mod q first")
+        ladder = self._ladders.get(base)
+        return pow(base, exponent, self.p) if ladder is None else ladder.pow(exponent)
 
     def multiexp(self, pairs: Iterable[tuple[int, int]]) -> int:
-        """Multi-exp that routes tabled bases through their tables.
+        """Multi-exp that routes tabled and laddered bases through them.
 
         Uses are deliberately *not* counted toward auto-tabling (a
         batch's terms do not say whether a base recurs; ``exp``'s uses
         do), and the tables are not widened: the generator's full-height
         table is ~16k multiplications (~150 ms, 3.7 MB) at 1536 bits, and
         a wider one breaks the benchmark's 10 % ``peak_rss_mb`` bound
-        (docs/PERFORMANCE.md).
+        (docs/PERFORMANCE.md).  Negative exponents (an opening's ``μ``):
+        their terms are multiplied up apart and inverted once.
         """
         acc = 1
         plain: list[tuple[int, int]] = []
+        negative: list[tuple[int, int]] = []
         for base, exponent in pairs:
-            if exponent <= 0:
-                continue
-            table = self._table(base)
-            if table is not None:
-                acc = acc * table.pow(exponent) % self.p
-            else:
-                plain.append((base % self.p, exponent))
+            if exponent < 0:
+                negative.append((base, -exponent))
+            elif exponent:
+                table = self._table(base) or self._ladders.get(base)
+                if table is None:
+                    plain.append((base % self.p, exponent))
+                else:
+                    acc = acc * table.pow(exponent) % self.p
         if plain:
             acc = acc * _straus(self.p, plain) % self.p
+        if negative:
+            acc = acc * pow(self.multiexp(negative), -1, self.p) % self.p
         return acc
 
     # -- membership ------------------------------------------------------

@@ -12,6 +12,10 @@ against the public verification value ``g^{x_slot}`` (robustness).
 The scheme is written against the generalized LSSS of Section 4.2, so
 the classical ``t+1``-threshold coin is the single-gate special case.
 
+The value hashes ``H(C)^{Δx}``, opened by integers (``Δ = n!`` for a
+threshold scheme, crypto/lsss.py): ``y ↦ y^Δ`` permutes the group, so
+predicting it is predicting the ``H(C)^x`` of [8].
+
 Verifying a quorum of shares is the dominant cost of every agreement
 round; :meth:`CoinPublic.verify_shares` batches the whole quorum's DLEQ
 proofs into one simultaneous multi-exponentiation and falls back to

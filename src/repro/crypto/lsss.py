@@ -17,7 +17,10 @@ Reconstruction is *linear*: for any qualified set there are public
 coefficients ``λ`` with ``secret = Σ λ_slot · subshare_slot`` — which is
 what lets the threshold coin, the TDH2 cryptosystem and the proactive
 resharing operate on shares *in the exponent* without ever
-reconstructing the secret (robustness, Section 2.1).
+reconstructing the secret (robustness, Section 2.1).  They are solved
+over the integers, as Shoup's RSA signatures need them (and take them
+from here): small ``μ`` with ``Δ·secret = Σ μ_slot · subshare_slot``,
+and ``λ = μ·Δ⁻¹ mod q``.
 
 The classical Shamir scheme is the special case of a single
 ``Θ_{t+1}^n`` gate.
@@ -25,11 +28,13 @@ The classical Shamir scheme is the special case of a single
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 from ..adversary.formulas import Formula, Leaf, Threshold, majority
-from .shamir import evaluate_polynomial, lagrange_coefficients
+from .shamir import evaluate_polynomial
 
 __all__ = ["SlotId", "LsssScheme", "LsssSharing", "threshold_scheme"]
 
@@ -125,24 +130,24 @@ class LsssScheme:
 
     # -- reconstruction ------------------------------------------------------
 
-    def recombination(
+    @cached_property
+    def delta(self) -> int:
+        """``Π m!`` over the formula's gates (``n!`` for a threshold scheme):
+        its prime factors are below any group order, so ``y ↦ y^Δ`` permutes it."""
+        return _delta(self.formula)
+
+    def integer_recombination(
         self, present: set[int] | frozenset[int]
     ) -> dict[SlotId, int] | None:
-        """Linear coefficients reconstructing the secret from a qualified set.
-
-        Returns ``slot -> λ_slot`` with
-        ``secret = Σ λ_slot · subshare_slot  (mod modulus)``, using only
-        slots owned by parties in ``present``; ``None`` if the set is
-        not qualified.  The choice among multiple qualified subsets is
-        deterministic (first ``k`` satisfied children at every gate).
-
-        Results are memoized per qualified set (the same quorum recurs
-        on every coin flip of a session); callers receive a copy.
+        """``slot -> μ_slot`` with ``Δ·secret = Σ μ_slot · subshare_slot``
+        over the integers (``Δ`` is :attr:`delta`; the ``μ`` are tens of
+        bits), using only slots of parties in ``present``; ``None`` if
+        the set is not qualified.  Deterministic: the first ``k``
+        satisfied children at every gate.  Memoized per set (the same
+        quorum recurs on every coin of a session); callers get a copy.
         """
         avail = frozenset(present)
-        cache: dict[frozenset[int], dict[SlotId, int] | None] = self.__dict__[
-            "_recomb_cache"
-        ]
+        cache = self.__dict__["_recomb_cache"]
         if avail in cache:
             cached = cache[avail]
             return dict(cached) if cached is not None else None
@@ -153,23 +158,28 @@ class LsssScheme:
                     return {path: 1}
                 return None
             assert isinstance(node, Threshold)
-            solved: list[tuple[int, dict[SlotId, int]]] = []
+            solved: list[tuple[int, Formula, dict[SlotId, int]]] = []
             for idx, child in enumerate(node.children):
                 solution = solve(child, (*path, idx))
                 if solution is not None:
-                    solved.append((idx + 1, solution))
+                    solved.append((idx + 1, child, solution))
                     if len(solved) == node.k:
                         break
             if len(solved) < node.k:
                 return None
-            lam = lagrange_coefficients([point for point, _ in solved], self.modulus)
+            # A child's solution opens Δ_child times its value; the Lagrange
+            # λ_i = Π_j j / (j - i) times Δ_gate / Δ_child is an integer.
+            delta = _delta(node)
             combined: dict[SlotId, int] = {}
-            for point, solution in solved:
-                factor = lam[point]
+            for point, child, solution in solved:
+                num, den = delta, _delta(child)
+                for other, _, _ in solved:
+                    if other != point:
+                        num *= other
+                        den *= other - point
+                factor = num // den
                 for slot, coeff in solution.items():
-                    combined[slot] = (
-                        combined.get(slot, 0) + factor * coeff
-                    ) % self.modulus
+                    combined[slot] = combined.get(slot, 0) + factor * coeff
             return combined
 
         result = solve(self.formula, ())
@@ -177,6 +187,15 @@ class LsssScheme:
             cache.clear()
         cache[avail] = dict(result) if result is not None else None
         return result
+
+    def recombination(self, present: set[int] | frozenset[int]) -> dict[SlotId, int] | None:
+        """``slot -> λ_slot`` with ``secret = Σ λ_slot · subshare_slot``
+        mod ``modulus``: the integer solution's ``μ·Δ⁻¹``."""
+        mu = self.integer_recombination(present)
+        if mu is None:
+            return None
+        inverse = pow(self.delta, -1, self.modulus)
+        return {slot: coeff * inverse % self.modulus for slot, coeff in mu.items()}
 
     def reconstruct(
         self, sharing: LsssSharing, present: set[int] | frozenset[int]
@@ -187,6 +206,13 @@ class LsssScheme:
             raise ValueError(f"set {sorted(present)} is not qualified")
         flat = sharing.all_slots()
         return sum(coeff * flat[slot] for slot, coeff in lam.items()) % self.modulus
+
+
+def _delta(node: Formula) -> int:
+    if isinstance(node, Leaf):
+        return 1
+    assert isinstance(node, Threshold)
+    return math.factorial(len(node.children)) * math.prod(map(_delta, node.children))
 
 
 def threshold_scheme(n: int, t: int, modulus: int) -> LsssScheme:

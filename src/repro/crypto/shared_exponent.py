@@ -6,8 +6,10 @@ object: an exponent ``x`` dealt through the generalized LSSS of Section
 ``u^{x_slot}`` of some base ``u`` (the hashed coin name, the
 ciphertext's ``g^r``) that each carry a Chaum-Pedersen DLEQ proof
 against the verification value.  A qualified set of valid shares
-recombines to ``u^x`` in the exponent; what is then done with ``u^x``
-is all that tells the two schemes apart.  This module is that object,
+recombines to ``u^{Δx}`` by small integers (``Δ`` and ``μ`` of the
+LSSS); what is then done with it is all that tells the two schemes
+apart.  ``u`` gets one squaring ladder, built by the first share made or
+batch checked in this process (crypto/accel.py).  This module is that object,
 once: :class:`~repro.crypto.coin.CoinPublic` and
 :class:`~repro.crypto.threshold_enc.EncryptionPublic` extend the public
 half, their shareholders the secret half, and supply only the base, the
@@ -25,6 +27,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Protocol, TypeVar
 
+from .accel import accel_for
 from .groups import SchnorrGroup
 from .lsss import LsssScheme, SlotId
 from .schnorr import VerifiedMemo
@@ -54,9 +57,13 @@ class SharedExponentPublic:
         self, base: int, context: tuple, share: _Share
     ) -> list[tuple[int, int, int, int, DleqProof, object]] | None:
         """The DLEQ batch items of one share of ``base``, or None unless
-        it holds exactly its party's slots."""
+        its values and proofs are dicts over exactly its party's slots,
+        the values integers (what the wire carries is any value)."""
         expected_slots = set(self.scheme.slots_of_party(share.party))
-        if set(share.values) != expected_slots or set(share.proofs) != expected_slots:
+        values, proofs = share.values, share.proofs
+        if not (isinstance(values, dict) and isinstance(proofs, dict)
+                and values.keys() == expected_slots == proofs.keys()
+                and all(isinstance(value, int) for value in values.values())):
             return None
         return [
             (
@@ -97,6 +104,7 @@ class SharedExponentPublic:
         (its own, see :meth:`SharedExponentHolder._share`) costs no
         arithmetic.
         """
+        accel_for(self.group).add_ladder(base)
         candidates: dict[int, tuple[S, list]] = {}
         for share in shares:
             if share.party in candidates:
@@ -107,13 +115,14 @@ class SharedExponentPublic:
         return verify_dleq_shares(self.group, candidates, memo)
 
     def _recombine(self, shares: Mapping[int, _Share]) -> int | None:
-        """``base^x`` from a qualified set of valid shares, else None."""
-        lam = self.scheme.recombination(set(shares))
-        if lam is None:
+        """``base^{Δx}`` from a qualified set of valid shares, else None:
+        ``Π value^μ`` over exponents of tens of bits, not ``|q|``."""
+        mu = self.scheme.integer_recombination(set(shares))
+        if mu is None:
             return None
-        return self.group.multiexp(
+        return accel_for(self.group).multiexp(
             (shares[self.scheme.slot_owner(slot)].values[slot], coeff)
-            for slot, coeff in lam.items()
+            for slot, coeff in mu.items()
         )
 
 
@@ -138,10 +147,11 @@ class SharedExponentHolder:
     ) -> tuple[dict[SlotId, int], dict[SlotId, DleqProof]]:
         """This party's per-slot values ``base^{x_slot}`` and their proofs.
 
-        Two fresh-base exponentiations per slot (the value, the proof's
-        second commitment); the party's ``memo`` learns its own proofs.
+        Two exponentiations of ``base`` per slot (the value, the proof's
+        second commitment) on its ladder; the ``memo`` learns the proofs.
         """
         grp = self.public.group
+        accel_for(grp).add_ladder(base)
         values: dict[SlotId, int] = {}
         proofs: dict[SlotId, DleqProof] = {}
         for slot, x_slot in self.subshares.items():

@@ -157,9 +157,10 @@ class EncryptionPublic(SharedExponentPublic):
         """Recover the plaintext from a qualified set of valid shares."""
         if not self.check_ciphertext(ct):
             raise ValueError("invalid ciphertext")
-        h_r = self._recombine(shares)
-        if h_r is None:
+        h_r_delta = self._recombine(shares)  # u^{Δx} = (h^r)^Δ
+        if h_r_delta is None:
             raise ValueError(f"parties {sorted(shares)} are not qualified to decrypt")
+        h_r = self.group.exp_once(h_r_delta, pow(self.scheme.delta, -1, self.group.q))
         mask = mgf1(encode(h_r), len(ct.payload), "tdh2-dem")
         return xor_bytes(ct.payload, mask)
 

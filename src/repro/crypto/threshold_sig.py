@@ -35,7 +35,6 @@ share values (``x_i^{2λ}``), making a sign flip information-free.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
@@ -44,6 +43,7 @@ from typing import Callable, Iterable, Mapping
 from ..codec import register
 from .accel import batch_coefficients, verify_product_equations
 from .hashing import Encoded, encode, hash_to_int
+from .lsss import LsssScheme, threshold_scheme
 from .numtheory import egcd, modinv
 from .rsa import RsaModulus, choose_public_exponent, generate_rsa_modulus
 from .schnorr import Signature as SchnorrSignature
@@ -112,13 +112,17 @@ class ShoupRsaScheme:
     v: int
     v_keys: dict[int, int]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_lagrange_cache", {})
+    @cached_property
+    def _sharing(self) -> LsssScheme:
+        """The ``k``-out-of-``n`` LSSS whose point ``i`` is party ``i``
+        (its leaf ``i - 1``): only its integer recombination is used, so
+        the modulus plays no part."""
+        return threshold_scheme(self.n_parties, self.k - 1, self.n_modulus)
 
     @cached_property
     def delta(self) -> int:
         """Δ = n! — clears all Lagrange denominators over the integers."""
-        return math.factorial(self.n_parties)
+        return self._sharing.delta
 
     # Adversarial responses larger than any honest one are rejected
     # outright (and keep batch exponents bounded): z = s·c + r with
@@ -217,29 +221,6 @@ class ShoupRsaScheme:
             if self.verify_share(message, share)
         }
 
-    def _integer_lagrange(self, indices: list[int], i: int) -> int:
-        """``λ^S_{0,i} = Δ · Π_{j≠i} j / (j - i)`` — an integer by design.
-
-        Memoized: the same quorum recombines on every certificate.
-        """
-        cache: dict = self.__dict__["_lagrange_cache"]
-        key = (tuple(indices), i)
-        cached = cache.get(key)
-        if cached is not None:
-            return cached
-        num = self.delta
-        den = 1
-        for j in indices:
-            if j == i:
-                continue
-            num *= j
-            den *= j - i
-        assert num % den == 0
-        if len(cache) >= 4096:
-            cache.clear()
-        cache[key] = num // den
-        return cache[key]
-
     def combine(self, message: object, shares: dict[int, RsaSignatureShare]) -> RsaSignature:
         """Combine ``k`` valid shares into a standard RSA signature."""
         if len(shares) < self.k:
@@ -247,15 +228,17 @@ class ShoupRsaScheme:
         chosen = dict(sorted(shares.items())[: self.k])
         N = self.n_modulus
         x = self.message_digest(message)
-        indices = sorted(chosen)
+        # λ^S_{0,i} = Δ · Π_{j≠i} j / (j - i), an integer by design.
+        mu = self._sharing.integer_recombination({i - 1 for i in chosen})
+        assert mu is not None
         w = 1
-        for i in indices:
-            lam = self._integer_lagrange(indices, i)
+        for slot, lam in mu.items():
+            value = chosen[self._sharing.slot_owner(slot) + 1].value
             exponent = 2 * lam
             if exponent >= 0:
-                w = (w * pow(chosen[i].value, exponent, N)) % N
+                w = (w * pow(value, exponent, N)) % N
             else:
-                w = (w * modinv(pow(chosen[i].value, -exponent, N), N)) % N
+                w = (w * modinv(pow(value, -exponent, N), N)) % N
         # w^e = x^{4Δ²}; since gcd(e, 4Δ²) = 1 extract y with y^e = x.
         g, a, b = egcd(self.e, 4 * self.delta * self.delta)
         if g != 1:

@@ -60,6 +60,8 @@ BATCHED_PER_ROUND = N * (N - 1) * QUORUM - 9
 # Per coin (t + 1 = 2 shares open it; the counts per round are in
 # ``test_each_coin_exponentiates_exactly_this_much``):
 FRESH_POWS_PER_SHARE_SLOT = 2  # H(C)^x and the proof's H(C)^w; 3 before
+LADDERS_PER_COIN = 1  # H(C)'s, built once in the process, shared by every party
+FULL_SIZE_POWS_PER_SHARE = 0  # both pows climb the ladder; 2 built-in pows before
 CHAINS_PER_COIN_CHECK = 1  # both sides of every equation on one; 2 before
 DLEQ_ITEMS_PER_COIN = (T + 1) - 1  # where the verifier's own share is one of them
 
@@ -188,6 +190,7 @@ def test_each_coin_exponentiates_exactly_this_much(monkeypatch):
     doing = []  # "share" inside share_for, "check" inside verify_shares
     share_for, verify_shares = CoinShareholder.share_for, CoinPublic.verify_shares
     exp_once, straus, product = GroupAccel.exp_once, accel._straus, zkp.verify_product_equations
+    add_ladder = GroupAccel.add_ladder
 
     def counting_share_for(holder, name, rng, memo):
         tally["slots"] += len(holder.subshares)
@@ -214,6 +217,16 @@ def test_each_coin_exponentiates_exactly_this_much(monkeypatch):
         tally["fresh_pows"] += doing[-1:] == ["share"]
         return exp_once(group_accel, base, exponent)
 
+    def counting_add_ladder(group_accel, base):
+        tally["ladders"] += base not in group_accel._ladders
+        return add_ladder(group_accel, base)
+
+    def counting_pow(base, exponent, modulus=None):
+        # The built-in, as crypto/accel.py calls it: a full-size exponent
+        # is a whole squaring chain.
+        tally["full_size_pows"] += doing[-1:] == ["share"] and exponent.bit_length() > 128
+        return pow(base, exponent, modulus)
+
     def counting_straus(modulus, pairs):
         tally["chains"] += doing[-1:] == ["check"]
         return straus(modulus, pairs)
@@ -225,12 +238,17 @@ def test_each_coin_exponentiates_exactly_this_much(monkeypatch):
     monkeypatch.setattr(CoinShareholder, "share_for", counting_share_for)
     monkeypatch.setattr(CoinPublic, "verify_shares", counting_verify_shares)
     monkeypatch.setattr(GroupAccel, "exp_once", counting_exp_once)
+    monkeypatch.setattr(GroupAccel, "add_ladder", counting_add_ladder)
+    monkeypatch.setattr(accel, "pow", counting_pow, raising=False)
     monkeypatch.setattr(accel, "_straus", counting_straus)
     monkeypatch.setattr(zkp, "verify_product_equations", counting_product)
+    # The accelerator lives as long as the process: forget the ladders an
+    # earlier run of this same service (same coin names) left behind.
+    accel.accel_for(default_group())._ladders.clear()
     service = _service()
     memos = {party: runtime.verified for party, runtime in service.runtimes.items()}
     keys = (
-        "slots", "fresh_pows", "checks", "chains",
+        "slots", "fresh_pows", "ladders", "full_size_pows", "checks", "chains",
         "shares_checked", "checks_with_own_share", "dleq_items",
     )
     per_round = _run_rounds(service, lambda: tuple(tally[key] for key in keys))
@@ -239,13 +257,17 @@ def test_each_coin_exponentiates_exactly_this_much(monkeypatch):
     # is the constant 1 — 2 * N before that) and opens the coin with the
     # first t + 1 = 2 shares to arrive; under this schedule its own is
     # one of the two in half of the checks (where it is not, it arrives
-    # after the coin is open and is dropped unverified).
+    # after the coin is open and is dropped unverified).  The simulated
+    # replicas share one accelerator, so the coin's base gets one ladder
+    # a round; a TCP replica builds its own.
     slots = checks = N
     with_own = checks // 2
     assert per_round == [
         (
             slots,
             slots * FRESH_POWS_PER_SHARE_SLOT,
+            LADDERS_PER_COIN,
+            slots * FULL_SIZE_POWS_PER_SHARE,
             checks,
             checks * CHAINS_PER_COIN_CHECK,
             checks * (T + 1),

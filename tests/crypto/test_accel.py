@@ -9,6 +9,7 @@ from repro.crypto import accel as accel_module
 from repro.crypto.accel import (
     FixedBaseTable,
     GroupAccel,
+    Ladder,
     accel_for,
     batch_coefficients,
     multiexp,
@@ -402,7 +403,9 @@ def test_batched_key_and_share_terms_are_192_bits_and_only_g_and_the_base_full_s
 def test_culprit_fallback_tables_neither_the_coin_base_nor_a_share_value():
     """n = 16, one forged share per coin: the failed batch re-checks all
     sixteen shares one by one, and sixteen is the auto-tabling threshold
-    — ``H(C)`` and the share values are per-name bases there too."""
+    — ``H(C)`` climbs its ladder there and the share values are
+    exponentiated by ``pow``: neither is counted toward a table, and no
+    share value gets a ladder."""
     rng = random.Random(15)
     accel = accel_for(GROUP)
     public, holders = deal_coin(GROUP, threshold_scheme(16, 5, GROUP.q), rng)
@@ -419,15 +422,18 @@ def test_culprit_fallback_tables_neither_the_coin_base_nor_a_share_value():
     )
     shares.append(CoinShare(party=15, name=name, values={slot: wrong}, proofs={slot: proof}))
     assert set(public.verify_shares(name, shares)) == set(range(15))  # culprit named
-    per_name = {base, wrong} | {v for share in shares for v in share.values.values()}
-    assert not per_name & (set(accel._tables) | set(accel._counts))
+    values = {wrong} | {v for share in shares for v in share.values.values()}
+    assert not ({base} | values) & (set(accel._tables) | set(accel._counts))
+    assert base in accel._ladders
+    assert not values & set(accel._ladders)
 
 
 def test_per_name_bases_never_earn_a_table():
     """A simulated n = 10 cluster shares one accelerator: ten parties
     exponentiate each coin's ``H(C)`` twice, past the threshold of 16,
-    and a ciphertext's ``u`` likewise — neither may build (or evict) a
-    table; what is tabled stays the generator and the tabled keys."""
+    and a ciphertext's ``u`` likewise — each gets a ladder, neither may
+    build (or evict) a table; what is tabled stays the generator and the
+    tabled keys, and a share value gets nothing."""
     rng = random.Random(11)
     accel = accel_for(GROUP)
     scheme = threshold_scheme(10, 3, GROUP.q)
@@ -435,7 +441,7 @@ def test_per_name_bases_never_earn_a_table():
     enc_public, enc_holders = deal_encryption(GROUP, scheme, rng)
     tabled = set(accel._tables)
     assert 2 * len(coin_holders) > accel_module._TABLE_THRESHOLD
-    per_name = set()
+    statement_bases, per_name, values = set(), set(), set()
     for flip in range(3):
         name = ("aba-coin", flip)
         shares = [holder.share_for(name, rng) for holder in coin_holders.values()]
@@ -443,7 +449,83 @@ def test_per_name_bases_never_earn_a_table():
         ct = enc_public.encrypt(b"payload", b"label", rng)
         dec = [holder.decryption_share(ct, rng) for holder in enc_holders.values()]
         assert enc_public.combine(ct, enc_public.verify_shares(ct, dec)) == b"payload"
-        per_name |= {coin_public.coin_base(name), ct.u, ct.u_bar}
-    assert not per_name & (set(accel._counts) | set(accel._tables))
+        statement_bases |= {coin_public.coin_base(name), ct.u}
+        per_name |= {ct.u_bar}
+        values |= {v for share in (*shares, *dec) for v in share.values.values()}
+    assert 2 * 3 <= accel_module._MAX_LADDERS
+    assert statement_bases <= set(accel._ladders)
+    assert not (per_name | values) & set(accel._ladders)
+    assert not (statement_bases | per_name | values) & (set(accel._counts) | set(accel._tables))
     # The service key and the second generator recur for good: they may.
     assert set(accel._tables) - tabled <= {enc_public.h, enc_public.g_bar}
+
+
+@pytest.mark.parametrize("group", [GROUP, default_group()], ids=["64", "256"])
+def test_ladder_matches_pow(group):
+    """0, 1, q − 1, random exponents in any order, and one above the
+    ladder's height (it grows): every answer is ``pow``'s."""
+    rng = random.Random(16)
+    base = group.random_element(rng)
+    ladder = Ladder(base, group.p)
+    exponents = [0, 1, group.q - 1] + [rng.randrange(group.q) for _ in range(30)]
+    exponents += [rng.getrandbits(size) for size in (3, 5, 6, 64, 128)]
+    for e in exponents:
+        assert ladder.pow(e) == pow(base, e, group.p)
+    height = len(ladder.rungs) * 5
+    assert height >= group.q.bit_length()
+    above = (1 << height) + 12345
+    assert ladder.pow(above) == pow(base, above, group.p)
+    assert len(ladder.rungs) * 5 > height
+    assert Ladder(1, group.p).pow(group.q - 1) == 1
+
+
+def test_a_laddered_base_answers_exp_once_and_multiexp_as_pow():
+    rng = random.Random(17)
+    accel = GroupAccel(GROUP.p, GROUP.q, GROUP.g)
+    base, other = GROUP.random_element(rng), GROUP.random_element(rng)
+    accel.add_ladder(base)
+    for _ in range(10):
+        e, f = rng.randrange(GROUP.q), rng.randrange(GROUP.q)
+        assert accel.exp_once(base, e) == pow(base, e, GROUP.p)
+        assert accel.multiexp([(base, e), (other, f), (GROUP.g, f)]) == (
+            pow(base, e, GROUP.p) * pow(other, f, GROUP.p) * pow(GROUP.g, f, GROUP.p) % GROUP.p
+        )
+    with pytest.raises(ValueError):
+        accel.exp_once(base, -1)
+    with pytest.raises(ValueError):
+        accel.exp_once(other, -1)
+
+
+def test_multiexp_takes_a_negative_exponent_as_an_inverse_power():
+    """An opening's integer coefficients are signed: ``Π value^μ`` with
+    the negative terms inverted once."""
+    rng = random.Random(18)
+    accel = GroupAccel(GROUP.p, GROUP.q, GROUP.g)
+    pairs = [(GROUP.random_element(rng), rng.randrange(-(1 << 60), 1 << 60)) for _ in range(6)]
+    pairs.append((GROUP.g, -3))
+    naive = 1
+    for base, e in pairs:
+        naive = naive * pow(base, e, GROUP.p) % GROUP.p
+    assert accel.multiexp(pairs) == naive
+    assert accel.multiexp([(GROUP.g, -1), (GROUP.g, 1)]) == 1
+
+
+def test_ten_thousand_coin_names_keep_the_ladders_at_their_budget():
+    """Every coin name's base gets a ladder; the least recently used
+    makes room, and the generator's and every key's table stay."""
+    rng = random.Random(19)
+    accel = accel_for(GROUP)
+    public, holders = deal_coin(GROUP, threshold_scheme(4, 1, GROUP.q), rng)
+    keys = set(public.verification.values())
+    for key in keys:  # table the verification keys, as a running cluster does
+        for _ in range(accel_module._TABLE_THRESHOLD):
+            accel.exp(key, rng.getrandbits(128))
+    holder = holders[0]
+    for flip in range(10_000):
+        share = holder.share_for(("aba-coin", flip), rng)
+        if flip % 1000 == 0:
+            assert public.verify_shares(("aba-coin", flip), [share]) == {0: share}
+        assert len(accel._ladders) <= accel_module._MAX_LADDERS
+    assert len(accel._ladders) == accel_module._MAX_LADDERS
+    assert public.coin_base(("aba-coin", 9_999)) in accel._ladders
+    assert {GROUP.g} | keys <= set(accel._tables)

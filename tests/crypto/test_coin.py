@@ -1,5 +1,6 @@
 """Threshold coin-tossing: consistency, robustness, unpredictability."""
 
+import itertools
 import random
 from dataclasses import replace
 
@@ -177,10 +178,54 @@ def test_coin_value_and_share_proof_are_pinned():
         party: keys.private[party].coin.share_for(name, random.Random(party))
         for party in range(2)
     }
-    assert keys.public.coin.combine_many_bits(name, shares, bits=63) == 4432518526945624511
+    assert keys.public.coin.combine_many_bits(name, shares, bits=63) == 4532353969471531207
     assert keys.public.coin.combine(name, shares) == 1
     (proof,) = shares[0].proofs.values()
     assert (proof.commit1, proof.commit2) == (13704338972472476884, 14438736191025607714)
     assert proof.response == 1148035598121928066  # re-taken with the challenge
     assert set(shares[0].proofs) == {(0,)}
     assert set(keys.public.coin.verify_shares(name, shares.values())) == {0, 1}
+
+
+def test_every_three_of_seven_open_the_same_coin():
+    """n = 7, t = 2: each of the 35 qualified 3-sets opens H(C)^{Δx} by
+    its own small integers — one coin."""
+    rng = random.Random(35)
+    public, holders = deal_coin(GROUP, threshold_scheme(7, 2, GROUP.q), rng)
+    shares = {i: holders[i].share_for("seven", rng) for i in range(7)}
+    values = {
+        public.combine_many_bits("seven", {i: shares[i] for i in subset}, bits=64)
+        for subset in itertools.combinations(range(7), 3)
+    }
+    assert len(values) == 1
+
+
+# A share that names its party and the coin correctly but whose values or
+# proofs are not dicts over exactly its slots with integer values — what
+# a Byzantine party can put on the wire.
+MALFORMED = {
+    "values-int": lambda share, slot: replace(share, values=5),
+    "proofs-int": lambda share, slot: replace(share, proofs=5),
+    "both-int": lambda share, slot: replace(share, values=5, proofs=5),
+    "values-list": lambda share, slot: replace(share, values=[share.values[slot]]),
+    "value-str": lambda share, slot: replace(share, values={slot: "5"}),
+    "value-none": lambda share, slot: replace(share, values={slot: None}),
+    "value-float": lambda share, slot: replace(share, values={slot: 5.0}),
+    "foreign-slot": lambda share, slot: replace(
+        share, values={(3,): share.values[slot]}, proofs={(3,): share.proofs[slot]}
+    ),
+    "extra-slot": lambda share, slot: replace(
+        share, values={**share.values, (3,): 4}, proofs={**share.proofs, (3,): share.proofs[slot]}
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MALFORMED))
+def test_a_malformed_share_is_refused_and_never_raises(coin_5_2, kind):
+    public, holders = coin_5_2
+    rng = random.Random(36)
+    honest = [holders[i].share_for("bad", rng) for i in (0, 1, 2)]
+    (slot,) = honest[2].values
+    bad = MALFORMED[kind](honest[2], slot)
+    assert not public.verify_share(bad)
+    assert set(public.verify_shares("bad", [*honest[:2], bad])) == {0, 1}

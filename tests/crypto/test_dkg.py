@@ -597,22 +597,25 @@ def test_reshare_preserves_public_keys(dkg_4, reshared_4_to_5):
     assert {out.digest for out in outputs.values()} == {outputs[0].digest}
     assert public.encryption.h == old_public.encryption.h
     rng = random.Random(32)
-    # Same coin secret: old epoch and new epoch toss identical coins.
-    old_value = old_public.coin.combine(
-        "cross-epoch",
-        {p: old_party_keys[p].coin.share_for("cross-epoch", rng) for p in (0, 1)},
+    # Same coin secret: each epoch opens H(C)^{Δx} under its own Δ (4!
+    # and 5!), so the coin *values* differ by design, and the opened
+    # elements agree once each is raised to the other epoch's Δ.
+    name = "cross-epoch"
+    old_opened = old_public.coin._recombine(
+        {p: old_party_keys[p].coin.share_for(name, rng) for p in (0, 1)}
     )
-    new_value = public.coin.combine(
-        "cross-epoch",
-        {p: party_keys[p].coin.share_for("cross-epoch", rng) for p in (3, 4)},
+    new_opened = public.coin._recombine(
+        {p: party_keys[p].coin.share_for(name, rng) for p in (3, 4)}
     )
-    assert old_value == new_value
-    # A ciphertext from the old epoch decrypts with new-epoch shares.
+    old_delta, new_delta = old_public.coin.scheme.delta, public.coin.scheme.delta
+    assert (old_delta, new_delta) == (24, 120)
+    assert pow(old_opened, new_delta, GROUP.p) == pow(new_opened, old_delta, GROUP.p)
+    # A ciphertext from the old epoch decrypts in both epochs.
     ct = old_public.encryption.encrypt(b"across the epoch", b"L", rng)
-    shares = {
-        p: party_keys[p].decryption.decryption_share(ct, rng) for p in (2, 4)
-    }
-    assert public.encryption.combine(ct, shares) == b"across the epoch"
+    epochs = ((old_public, old_party_keys, (0, 3)), (public, party_keys, (2, 4)))
+    for epoch, keys, parties in epochs:
+        shares = {p: keys[p].decryption.decryption_share(ct, rng) for p in parties}
+        assert epoch.encryption.combine(ct, shares) == b"across the epoch"
 
 
 def test_reshare_randomizes_verification(dkg_4, reshared_4_to_5):

@@ -1,5 +1,6 @@
 """Generalized linear secret sharing (Benaloh-Leichter)."""
 
+import itertools
 import random
 
 import pytest
@@ -163,3 +164,70 @@ def test_random_formula_access_semantics(data):
         assert scheme.reconstruct(sharing, present) == secret
     else:
         assert scheme.recombination(present) is None
+
+
+# -- opening by small integers ---------------------------------------------
+
+
+def _opening_sets(scheme, parties, sizes=None):
+    """Every qualified set of ``parties`` (of the listed sizes)."""
+    for size in sizes or range(1, len(parties) + 1):
+        for subset in itertools.combinations(parties, size):
+            if scheme.is_qualified(set(subset)):
+                yield set(subset)
+
+
+# Threshold schemes n ∈ {4, 7, 10}, every qualified set, and n = 16 every
+# 6-set (the solver takes the first six qualified parties, so these are
+# every opening there is); the paper's Examples 1 (9 parties, every set)
+# and 2 (16 parties: every qualified set of at most 5 — the narrowest
+# reach the widest μ — and each complement of a maximal corruptible set).
+_SCHEMES = {
+    "n4": (lambda: threshold_scheme(4, 1, Q), range(4), None, 4 * 3 * 2),
+    "n7": (lambda: threshold_scheme(7, 2, Q), range(7), None, 5040),
+    "n10": (lambda: threshold_scheme(10, 3, Q), range(10), None, 3628800),
+    "n16": (lambda: threshold_scheme(16, 5, Q), range(16), [6], 20922789888000),
+    "example1": (
+        lambda: LsssScheme(formula=example1_access_formula(), modulus=Q), range(9), None, None
+    ),
+    "example2": (
+        lambda: LsssScheme(formula=example2_access_formula(), modulus=Q),
+        range(16), range(1, 6), None,
+    ),
+}
+# Widest |μ| in bits over those sets: the opening exponents of a coin.
+_WIDEST_MU = {"n4": 7, "n7": 18, "n10": 31, "n16": 60, "example1": 38, "example2": 52}
+
+
+@pytest.mark.parametrize("name", sorted(_SCHEMES))
+def test_every_qualified_set_opens_delta_times_the_secret(name):
+    """Σ μ·x = Δ·x over the integers mod q, one Δ for every set, and the
+    mod-q recombination is μ·Δ⁻¹ of the same solution."""
+    make, parties, sizes, delta = _SCHEMES[name]
+    scheme = make()
+    if delta is not None:
+        assert scheme.delta == delta  # n!
+    secret = 987654321
+    flat = scheme.deal(secret, random.Random(10)).all_slots()
+    sets = list(_opening_sets(scheme, list(parties), sizes))
+    if name == "example2":
+        sets += [set(parties) - set(bad) for bad in example2_structure().maximal_sets]
+    assert sets
+    for present in sets:
+        mu = scheme.integer_recombination(present)
+        assert {scheme.slot_owner(slot) for slot in mu} <= present
+        assert sum(c * flat[slot] for slot, c in mu.items()) % Q == scheme.delta * secret % Q
+        lam = scheme.recombination(present)
+        assert lam == {slot: c * pow(scheme.delta, -1, Q) % Q for slot, c in mu.items()}
+
+
+@pytest.mark.parametrize("name", sorted(_SCHEMES))
+def test_opening_exponents_are_tens_of_bits_not_the_group_order(name):
+    make, parties, sizes, _ = _SCHEMES[name]
+    scheme = make()
+    widest = max(
+        abs(c).bit_length()
+        for present in _opening_sets(scheme, list(parties), sizes)
+        for c in scheme.integer_recombination(present).values()
+    )
+    assert widest == _WIDEST_MU[name] <= 64

@@ -1,5 +1,6 @@
 """TDH2 threshold encryption: robustness and CCA2-style rejection."""
 
+import itertools
 import random
 from dataclasses import replace
 
@@ -9,6 +10,8 @@ from repro.adversary.attributes import example1_access_formula
 from repro.crypto.groups import small_group
 from repro.crypto.lsss import LsssScheme, threshold_scheme
 from repro.crypto.threshold_enc import deal_encryption
+
+from .test_coin import MALFORMED
 
 GROUP = small_group()
 
@@ -141,3 +144,26 @@ def test_encryption_over_generalized_structure():
     shares_a = {i: holders[i].decryption_share(ct, rng) for i in (0, 1, 2, 3)}
     with pytest.raises(ValueError):
         public.combine(ct, shares_a)
+
+
+def test_every_three_of_seven_decrypt():
+    """n = 7, t = 2: each qualified 3-set opens u^{Δx} by small integers
+    and one pow by Δ⁻¹ recovers the plaintext."""
+    rng = random.Random(48)
+    public, holders = deal_encryption(GROUP, threshold_scheme(7, 2, GROUP.q), rng)
+    ct = public.encrypt(b"seven servers", b"L", rng)
+    shares = {i: holders[i].decryption_share(ct, rng) for i in range(7)}
+    for subset in itertools.combinations(range(7), 3):
+        assert public.combine(ct, {i: shares[i] for i in subset}) == b"seven servers"
+
+
+@pytest.mark.parametrize("kind", sorted(MALFORMED))
+def test_a_malformed_decryption_share_is_refused_and_never_raises(enc_4_1, kind):
+    public, holders = enc_4_1
+    rng = random.Random(49)
+    ct = public.encrypt(b"m", b"L", rng)
+    honest = [holders[i].decryption_share(ct, rng) for i in (0, 1, 2)]
+    (slot,) = honest[2].values
+    bad = MALFORMED[kind](honest[2], slot)
+    assert not public.verify_share(ct, bad)
+    assert set(public.verify_shares(ct, [*honest[:2], bad])) == {0, 1}

@@ -3,9 +3,10 @@
 from helpers import ctx_for, make_network, run_until_outputs
 
 from repro.core.atomic_broadcast import AtomicBroadcast, abc_session
-from repro.core.binary_agreement import BinaryAgreement, aba_session
+from repro.core.binary_agreement import AbaCoinShare, BinaryAgreement, aba_session
 from repro.core.consistent_broadcast import ConsistentBroadcast, cbc_session
 from repro.core.reliable_broadcast import ReliableBroadcast, rbc_session
+from repro.crypto.coin import CoinShare
 from repro.net.attacks import (
     CoinShareReplayer,
     DivergentAbcProposer,
@@ -73,6 +74,27 @@ def test_coin_replayer_cannot_bias_the_coin(keys_4_1):
         inst = rt.instances[session]
         for state in inst.rounds.values():
             assert 3 not in state.coin.valid
+
+
+def test_malformed_coin_share_cannot_stall_the_vote(keys_4_1):
+    """Party 3 sends, for rounds 2-4, a coin share that names itself and
+    the coin correctly but whose values and proofs are integers — what
+    the wire carries.  It is refused like any failed share: every honest
+    party decides and 3 is banned from the coin it was checked against."""
+    for seed in range(3):
+        net, rts = make_network(keys_4_1, seed=50 + seed, parties=[0, 1, 2])
+        session = aba_session(("malformed", seed))
+        for r in (2, 3, 4):
+            share = CoinShare(party=3, name=("aba-coin", session, r), values=5, proofs=5)
+            net.broadcast(3, (session, AbaCoinShare(r, share)))
+        for p, rt in rts.items():
+            rt.spawn(session, BinaryAgreement(0))
+        outputs = run_until_outputs(net, rts, session)
+        assert outputs == {0: 0, 1: 0, 2: 0}, f"seed {seed}"
+        assert net.trace.counters["aba.coin_flips"] >= 1
+        for rt in rts.values():
+            coin = rt.instances[session].rounds[2].coin
+            assert 3 in coin.banned and 3 not in coin.valid
 
 
 def test_divergent_abc_proposer_keeps_total_order(keys_4_1):
