@@ -318,3 +318,54 @@ def test_one_replicas_coin(benchmark, monkeypatch):
         [f"{'bits':>5}  {'path':<28} {'ms':>8} {'pow':>6} {'build':>6} {'climb':>6} "
          f"{'table':>6} {'chain':>6}"] + rows,
     )
+
+
+def test_single_versus_batch_crossover(benchmark):
+    """What one Schnorr signature costs to verify alone and inside a
+    batch of k, per signature, with every key tabled (as it is from the
+    moment the key bundle is assembled) and every commitment new to the
+    membership memo (as a fresh signature is): the number that decides
+    which checks are merged into a batch and which stay single.  A batch
+    pays a Jacobi membership test per commitment and its coefficients;
+    the single check pays a full-size ``g`` exponentiation per signature."""
+    sizes = (2, 3, 4, 8)
+    rows = []
+
+    def measure():
+        rows.clear()
+        for group in (default_group(), modp_1536_group()):
+            rng = random.Random(12)
+            group_accel = accel.accel_for(group)
+            signers = [keygen(rng, group) for _ in range(max(sizes))]
+            items = [
+                (key.verify_key, ("E8", i), key.sign(("E8", i), rng))
+                for i, key in enumerate(signers)
+            ]
+            for verify_key, _m, _s in items:
+                group_accel.add_table(verify_key.h)
+
+            def fresh(check):
+                for _k, _m, signature in items:
+                    group_accel._members.pop(signature.commit, None)
+                assert check()
+
+            def single():
+                fresh(lambda: all(key.verify(m, s) for key, m, s in items))
+
+            def batch(k):
+                fresh(lambda: verify_batch(group, items[:k]))
+
+            single()  # grows the key tables to the exponents they meet
+            batch(max(sizes))
+            costs = [best_of(single, 5) / len(items)]
+            costs += [best_of(lambda k=k: batch(k), 5) / k for k in sizes]
+            rows.append(
+                f"{group.p.bit_length():>5}  " + " ".join(f"{1e6 * c:>8.0f}" for c in costs)
+            )
+
+    benchmark.pedantic(measure, rounds=1, iterations=1)
+    emit(
+        "Schnorr verification per signature, single vs batch of k (keys tabled), µs",
+        [f"{'bits':>5}  {'single':>8} " + " ".join(f"{'k=' + str(k):>8}" for k in sizes)]
+        + rows,
+    )

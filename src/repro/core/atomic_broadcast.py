@@ -38,9 +38,17 @@ of honest parties appears in every candidate list of the next round
 so the adversary cannot delay it once it is that widely known — the
 paper's fairness claim, measured by experiment E6.
 
-Adoption: a proposal this party *records* — signature verified, inside
-the window, the first from that sender for that round — is also a
-submission of its payloads.  Whatever in it is neither delivered nor
+A proposal inside the window, the first from its sender for that round,
+is *recorded* on arrival (the channel authenticates the sender); its
+signature, which only makes it transferable, is checked before the first
+use that relies on it: it teaches this party a payload, starts a round
+this party had not started, enters this party's candidate list at the
+quorum, or lets the list predicate accept a peer's entry by comparison
+(lag evidence beyond the window is checked on arrival).  One that fails
+is dropped and its sender excluded from the round.
+
+Adoption: a recorded proposal is also a submission of its payloads.
+Whatever in it is neither delivered nor
 queued joins this party's queue before it decides what to sign, so a
 party that learns a request from a peer's round-``r`` proposal ahead of
 the client's own copy proposes it in round ``r`` too, its own in-flight
@@ -243,7 +251,9 @@ class AtomicBroadcast(Protocol):
         # Recently delivered rounds are retained (buffer_slack deep) so
         # rejoining parties can ask for an exact re-send.
         self.proposed: dict[int, tuple[tuple, bytes, Signature]] = {}
+        # Recorded proposals, and their signatures' verdicts (_checked).
         self.proposals: dict[int, dict[int, tuple[bytes, Signature]]] = {}
+        self.verdicts: dict[int, dict[int, bool]] = {}
         self.batches: dict[bytes, tuple] = {}
         self.requested: set[bytes] = set()
         self.agreement_started: set[int] = set()
@@ -316,7 +326,8 @@ class AtomicBroadcast(Protocol):
         while self.highest_started < self.round + self.config.pipeline_depth:
             nxt = self.highest_started + 1
             batch = self._select_batch()
-            if not batch and not self.proposals.get(nxt):
+            recorded = sorted(self.proposals.get(nxt, {}))
+            if not batch and not any(self._checked(ctx, nxt, j) for j in recorded):
                 return
             self.highest_started = nxt
             digest = batch_digest(batch)
@@ -342,8 +353,7 @@ class AtomicBroadcast(Protocol):
         self.round = max(self.round, round_number)
         if self.highest_started < self.round:
             self.highest_started = self.round
-        for stale in [r for r in self.proposals if r <= self.round]:
-            del self.proposals[stale]
+        self._drop_proposals(lambda r: r <= self.round)
         for stale in [r for r in self.decisions if r <= self.round]:
             del self.decisions[stale]
         self.agreement_started = {
@@ -381,8 +391,7 @@ class AtomicBroadcast(Protocol):
         base = self.round
         self.generation += 1
         self.highest_started = base
-        for stale in [r for r in self.proposals if r > base]:
-            del self.proposals[stale]
+        self._drop_proposals(lambda r: r > base)
         for stale in [r for r in self.decisions if r > base]:
             del self.decisions[stale]
         for stale in [r for r in self.proposed if r > base]:
@@ -416,31 +425,53 @@ class AtomicBroadcast(Protocol):
         if not _well_formed(message.batch):
             return
         digest = batch_digest(message.batch)
-        statement = proposal_statement(ctx.session, r, digest)
         key = ctx.public.verify_keys.get(sender)
-        if key is None or not key.verify(
-            statement, message.signature, ctx.verified
-        ):
+        if key is None:
             return
         if r > self.round + self._window():
             # Bounded buffering (a Byzantine sender can no longer stash
             # one proposal per round across the whole horizon) — but a
             # validly signed proposal this far ahead is lag evidence.
-            self.lag_reports[sender] = max(self.lag_reports.get(sender, 0), r)
-            self._maybe_report_lag(ctx)
+            statement = proposal_statement(ctx.session, r, digest)
+            if key.verify(statement, message.signature, ctx.verified):
+                self.lag_reports[sender] = max(self.lag_reports.get(sender, 0), r)
+                self._maybe_report_lag(ctx)
             return
+        if self.verdicts.get(r, {}).get(sender) is False:
+            return  # excluded from this round: its recorded one failed
         recorded = self.proposals.setdefault(r, {})
         if sender not in recorded:
             recorded[sender] = (digest, message.signature)
             # Adoption (module docstring): what the proposal taught this
             # party goes into its own batch for the round it now joins.
-            for payload in message.batch:
-                self._enqueue(payload)
+            taught = [p for p in message.batch if p not in self.delivered and p not in self.queued]
+            if taught and self._checked(ctx, r, sender):
+                for payload in taught:
+                    self._enqueue(payload)
         self.batches.setdefault(digest, message.batch)
         self._maybe_start_rounds(ctx)
         self._maybe_start_agreement(ctx, r)
         self._retry_predicates(ctx)
         self._try_deliver(ctx)
+
+    def _checked(self, ctx: Context, r: int, j: int) -> bool:
+        """Whether ``j``'s recorded round-``r`` proposal is signed, checked
+        once; a bad one is dropped and ``j`` excluded from round ``r`` (a
+        bad signature gains a sender nothing a good one would not)."""
+        verdicts = self.verdicts.setdefault(r, {})
+        if j not in verdicts:
+            digest, signature = self.proposals[r][j]
+            verdicts[j] = ctx.public.verify_keys[j].verify(
+                proposal_statement(ctx.session, r, digest), signature, ctx.verified
+            )
+            if not verdicts[j]:
+                del self.proposals[r][j]
+        return verdicts[j]
+
+    def _drop_proposals(self, stale: Callable[[int], bool]) -> None:
+        for book in (self.proposals, self.verdicts):
+            for r in [r for r in book if stale(r)]:
+                del book[r]
 
     def _on_batch_request(
         self, ctx: Context, sender: int, message: AbcBatchRequest
@@ -498,7 +529,9 @@ class AtomicBroadcast(Protocol):
         if r <= self.round or r > self.highest_started:
             return
         collected = self.proposals.get(r, {})
-        if not ctx.quorum.is_quorum(collected):
+        if not ctx.quorum.is_quorum(collected) or not ctx.quorum.is_quorum(
+            [j for j in sorted(collected) if self._checked(ctx, r, j)]  # the list's entries
+        ):
             return
         self.agreement_started.add(r)
         candidate = tuple(
@@ -518,9 +551,10 @@ class AtomicBroadcast(Protocol):
         """External validity: a quorum of distinct, properly signed digests.
 
         An entry equal to the proposal recorded from that sender
-        (``self.proposals[r]``) was verified on arrival and is accepted
-        by comparison; only entries this party has not seen build the
-        statement, hash a challenge and cost arithmetic.
+        (``self.proposals[r]``) is accepted by comparison once that
+        proposal is checked (:meth:`_checked`, at most once); only
+        entries this party has not recorded build the statement, hash a
+        challenge and cost arithmetic.
 
         Signatures cover the batch *digest*, so MVBA inputs stay O(n)
         regardless of batch bytes.  A party additionally refuses to
@@ -551,7 +585,10 @@ class AtomicBroadcast(Protocol):
                 j, digest, sig = entry
                 if not isinstance(j, int) or not isinstance(digest, bytes):
                     return False
-                if held.get(j) != (digest, sig):
+                if held.get(j) == (digest, sig):
+                    if not self._checked(ctx, r, j):
+                        return False
+                else:
                     key = public.verify_keys.get(j)
                     if key is None:
                         return False
@@ -650,8 +687,7 @@ class AtomicBroadcast(Protocol):
             self._maybe_start_rounds(ctx)
 
     def _cleanup_after_round(self, r: int) -> None:
-        for stale in [p for p in self.proposals if p <= r]:
-            del self.proposals[stale]
+        self._drop_proposals(lambda p: p <= r)
         self.agreement_started.discard(r)
         retain = r - self.config.buffer_slack
         for stale in [p for p in self.proposed if p <= retain]:

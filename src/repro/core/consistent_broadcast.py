@@ -22,6 +22,8 @@ Uniqueness holds because two quorums intersect in an honest party, and
 honest parties sign at most one value per session.  The certificate is
 transferable third-party evidence — any party can hand it to any other
 to prove the broadcast completed, which the agreement layer exploits.
+
+A ``FINAL`` is checked when its verdict is needed (:class:`FinalScreen`).
 """
 
 from __future__ import annotations
@@ -96,6 +98,52 @@ def verify_commit_certificate(
     )
 
 
+class FinalScreen:
+    """The ``FINAL`` messages of a set of broadcasts, held unverified, one
+    per (broadcast, network sender): anyone may forward one, and a forged
+    one that arrives first must not displace the genuine one.  When
+    ``due`` wants the broadcasts held, all held certificates are checked
+    in one batch (on failure each alone, its network sender banned from
+    that broadcast if it fails); otherwise they wait until :meth:`read`
+    asks; each delivery is also handed to ``delivered``.  A stand-alone
+    broadcast's screen is always due."""
+
+    __slots__ = ("due", "delivered", "held")
+
+    def __init__(
+        self,
+        due: Callable[[Context, set[int]], bool] = lambda _ctx, _b: True,
+        delivered: Callable[[CbcDelivery], object] = lambda _delivery: None,
+    ) -> None:
+        self.due, self.delivered = due, delivered
+        self.held: dict[tuple[int, int], tuple | None] = {}  # None: banned
+
+    def offer(self, inst: ConsistentBroadcast, ctx: Context, sender: int, final: CbcFinal) -> None:
+        key = (inst.sender, sender)
+        if key not in self.held:
+            self.held[key] = (inst, ctx.session, final)
+            if self.due(ctx, {key[0] for key, entry in self.held.items() if entry}):
+                self._check(ctx, lambda _broadcast: True)
+
+    def read(self, ctx: Context, broadcast: int) -> None:
+        """Check the held certificates of ``broadcast``: a vote reads it."""
+        self._check(ctx, lambda held_broadcast: held_broadcast == broadcast)
+
+    def _check(self, ctx: Context, wanted: Callable[[int], bool]) -> None:
+        checked = [(key, e) for key, e in sorted(self.held.items()) if e and wanted(key[0])]
+        self.held = {key: e for key, e in self.held.items() if not (e and wanted(key[0]))}
+        claims = [(_statement(s, f.value), f.certificate) for _k, (_i, s, f) in checked]
+        scheme, memo = ctx.public.cert_quorum, ctx.verified
+        batch_ok = scheme.verify_all(claims, memo)
+        for (key, (inst, session, final)), claim in zip(checked, claims):
+            if inst.delivered:
+                continue  # an earlier certificate of its broadcast passed
+            if batch_ok or scheme.verify(*claim, memo):
+                self.delivered(inst.deliver(ctx.at(session), final))
+            else:
+                self.held[key] = None  # banned from this broadcast
+
+
 class ConsistentBroadcast(Protocol):
     """One instance per (sender, tag); outputs a :class:`CbcDelivery`."""
 
@@ -104,10 +152,12 @@ class ConsistentBroadcast(Protocol):
         sender: int,
         value: Hashable | None = None,
         validate: Callable[[Hashable], bool] | None = None,
+        finals: FinalScreen | None = None,
     ) -> None:
         self.sender = sender
         self.value = value
         self.validate = validate
+        self.finals = finals if finals is not None else FinalScreen()  # or its agreement's
         self.signed_value: Hashable | None = None
         # A SEND whose validation failed is stashed (wrapped in a
         # 1-tuple so a literal None value is representable) rather than
@@ -184,18 +234,12 @@ class ConsistentBroadcast(Protocol):
             ctx.broadcast(CbcFinal(self.value, certificate))
 
     def _on_final(self, ctx: Context, sender: int, message: CbcFinal) -> None:
-        if self.delivered:
-            return
-        statement = _statement(ctx.session, message.value)
-        if not ctx.public.cert_quorum.verify(
-            statement, message.certificate, ctx.verified
-        ):
-            return
+        if not self.delivered:
+            self.finals.offer(self, ctx, sender, message)
+
+    def deliver(self, ctx: Context, final: CbcFinal) -> CbcDelivery:
+        """Output a ``FINAL`` whose certificate the screen verified."""
         self.delivered = True
-        ctx.output(
-            CbcDelivery(
-                sender=self.sender,
-                value=message.value,
-                certificate=message.certificate,
-            )
-        )
+        delivery = CbcDelivery(self.sender, final.value, final.certificate)
+        ctx.output(delivery)
+        return delivery

@@ -11,9 +11,9 @@ Structure (following the companion paper [7], CKPS):
 1. every party *consistent-broadcasts* its proposal; receivers sign
    only proposals satisfying the predicate, so a commit certificate
    exists only for externally valid values;
-2. once a quorum of proposal broadcasts completed locally, the parties
-   jointly flip a threshold coin to derive a random candidate
-   permutation (defeating adaptive candidate-targeting);
+2. once a quorum of proposal broadcasts completed locally (checked as
+   one batch), the parties jointly flip a threshold coin to derive a
+   random candidate permutation (defeating adaptive candidate-targeting);
 3. candidates are examined in that order: one binary agreement per
    candidate asks "did this proposal commit?"; parties vote 1 iff they
    hold the candidate's commit certificate;
@@ -36,7 +36,7 @@ from typing import Callable, Hashable
 from ..codec import register
 from ..crypto.coin import CoinShare
 from .binary_agreement import BinaryAgreement
-from .consistent_broadcast import CbcDelivery, ConsistentBroadcast, cbc_session
+from .consistent_broadcast import CbcDelivery, ConsistentBroadcast, FinalScreen, cbc_session
 from .protocol import Context, Protocol, SessionId
 from .share_screen import ShareScreen, offer_coin_share
 
@@ -87,6 +87,7 @@ class MultiValuedAgreement(Protocol):
         self.proposal = proposal
         self.predicate = predicate
         self.deliveries: dict[int, CbcDelivery] = {}
+        self.finals: FinalScreen  # on_start: its deliveries come to _on_delivery
         self.perm_coin: ShareScreen[CoinShare] = ShareScreen()
         self.perm_released = False
         self.permutation: list[int] | None = None
@@ -97,12 +98,12 @@ class MultiValuedAgreement(Protocol):
     # -- setup: proposal dissemination ----------------------------------------
 
     def on_start(self, ctx: Context) -> None:
+        self.finals = FinalScreen(self._finals_due, lambda d: self._on_delivery(ctx, d))
         for sender in range(ctx.n):
             value = self.proposal if sender == ctx.party else None
             ctx.spawn(
                 cbc_session(sender, ctx.session),
-                ConsistentBroadcast(sender, value=value, validate=self.predicate),
-                on_output=lambda d, s=sender: self._on_delivery(ctx, s, d),
+                ConsistentBroadcast(sender, value, self.predicate, self.finals),
             )
 
     def refresh_validation(self, ctx: Context) -> None:
@@ -121,10 +122,16 @@ class MultiValuedAgreement(Protocol):
             if isinstance(inst, ConsistentBroadcast):
                 inst.retry_pending(ctx.at(session))
 
-    def _on_delivery(self, ctx: Context, sender: int, delivery: CbcDelivery) -> None:
+    def _finals_due(self, ctx: Context, broadcasts: set[int]) -> bool:
+        """Whether held ``FINAL``s could complete the quorum the
+        permutation waits for; after it, a vote reads them (_delivery)."""
+        waiting = not (self.perm_released or self.decided)
+        return waiting and ctx.quorum.is_quorum(broadcasts.union(self.deliveries))
+
+    def _on_delivery(self, ctx: Context, delivery: CbcDelivery) -> None:
         if self.decided:
             return
-        self.deliveries[sender] = delivery
+        self.deliveries[delivery.sender] = delivery
         self._maybe_release_permutation(ctx)
 
     def _maybe_release_permutation(self, ctx: Context) -> None:
@@ -172,6 +179,12 @@ class MultiValuedAgreement(Protocol):
         assert self.permutation is not None
         return self.permutation[cursor % len(self.permutation)]
 
+    def _delivery(self, ctx: Context, candidate: int) -> CbcDelivery | None:
+        """The candidate's delivery, checking its held certificates first."""
+        if candidate not in self.deliveries:
+            self.finals.read(ctx, candidate)
+        return self.deliveries.get(candidate)
+
     def _start_next_vote(self, ctx: Context) -> None:
         if self.decided or self.permutation is None:
             return
@@ -182,7 +195,7 @@ class MultiValuedAgreement(Protocol):
             )
         cursor = self.cursor
         candidate = self._candidate(cursor)
-        vote = 1 if candidate in self.deliveries else 0
+        vote = 0 if self._delivery(ctx, candidate) is None else 1
         session: SessionId = ("aba", (ctx.session, cursor))
         self.current_vote_session = session
         ctx.spawn(
@@ -199,7 +212,7 @@ class MultiValuedAgreement(Protocol):
             # Whoever holds the committed value decides on it and
             # re-broadcasts it; binary validity guarantees at least one
             # honest holder exists.  The others decide in _on_value.
-            delivery = self.deliveries.get(candidate)
+            delivery = self._delivery(ctx, candidate)
             if delivery is not None:
                 ctx.broadcast(MvbaValue(candidate, delivery))
                 self._decide(ctx, delivery)

@@ -260,16 +260,21 @@ class GroupAccel:
             return table.pow(exponent)
         count = self._counts.get(base, 0) + 1
         if count >= _TABLE_THRESHOLD:
-            if len(self._tables) >= _MAX_TABLES:
-                self._evict()
-            table = FixedBaseTable(base, self.p, self.q.bit_length())
-            self._tables[base] = table
-            self._counts.pop(base, None)
-            return table.pow(exponent)
+            return self.add_table(base).pow(exponent)
         if len(self._counts) >= _MAX_TRACKED:
             self._counts.clear()
         self._counts[base] = count
         return pow(base, exponent, self.p)
+
+    def add_table(self, base: int) -> FixedBaseTable:
+        """The base's table, made now for a base known to recur; counts no use."""
+        table = self._table(base)
+        if table is None:
+            if len(self._tables) >= _MAX_TABLES:
+                self._evict()
+            table = self._tables[base] = FixedBaseTable(base, self.p, self.q.bit_length())
+        self._counts.pop(base, None)
+        return table
 
     def add_ladder(self, base: int) -> None:
         """Give a statement's base (a coin's ``H(C)``, a ciphertext's

@@ -33,6 +33,7 @@ from ..adversary.quorums import (
     quorum_system_for,
 )
 from ..adversary.structures import AdversaryStructure
+from .accel import accel_for
 from .coin import CoinPublic, CoinShareholder
 from .groups import SchnorrGroup, default_group
 from .lsss import LsssScheme, SlotId
@@ -141,8 +142,10 @@ def assemble_public_keys(
     (Section 4.2): ``cert-quorum`` to a quorum, the service's signature
     (``rsa`` if given, else certificates) to a set containing an honest
     party.  A party without a verify key is outside every certificate
-    scheme.
+    scheme.  Each verify key is tabled here: it recurs in every round.
     """
+    for key in verify_keys.values():
+        accel_for(key.group).add_table(key.h)
 
     def certs(tag: str, qualifier) -> QuorumCertScheme:
         return QuorumCertScheme(verify_keys=verify_keys, qualifier=qualifier, tag=tag)

@@ -376,6 +376,12 @@ class QuorumCertScheme:
         key = self.verify_keys.get(party)
         return key is not None and key.verify(statement, signature, memo)
 
+    def _qualified(self, certificate: object) -> bool:
+        """Signed by a qualified set; a malformed one (the wire checks no types) is not read."""
+        signers = getattr(certificate, "signatures", None)
+        ok = isinstance(signers, dict) and all(isinstance(j, int) for j in signers)
+        return ok and self.qualifier(frozenset(signers))
+
     def verify_share(
         self,
         message: object,
@@ -387,17 +393,17 @@ class QuorumCertScheme:
 
     def _batch_ok(
         self,
-        statement: Encoded,
-        signatures: Mapping[int, SchnorrSignature],
+        claims: Iterable[tuple[Encoded, Mapping[int, SchnorrSignature]]],
         memo: VerifiedMemo | None,
     ) -> bool:
-        """One multi-exp over all signatures (soundness error 2^-64)."""
+        """One multi-exp over every claim's signatures (soundness error 2^-64)."""
         items = []
-        for party, signature in sorted(signatures.items()):
-            key = self.verify_keys.get(party)
-            if key is None:
-                return False
-            items.append((key, statement, signature))
+        for statement, signatures in claims:
+            for party, signature in sorted(signatures.items()):
+                key = self.verify_keys.get(party)
+                if key is None:
+                    return False
+                items.append((key, statement, signature))
         if not items:
             return True
         return verify_batch(items[0][0].group, items, memo)
@@ -414,7 +420,7 @@ class QuorumCertScheme:
         culprits are pinpointed exactly (docs/PERFORMANCE.md).
         """
         statement = self._statement(message)
-        if self._batch_ok(statement, shares, memo):
+        if self._batch_ok([(statement, shares)], memo):
             return dict(shares)
         return {
             party: signature
@@ -432,7 +438,7 @@ class QuorumCertScheme:
         if not self.qualifier(signers):
             raise ValueError(f"signers {sorted(signers)} do not form a qualified set")
         statement = self._statement(message)
-        if not self._batch_ok(statement, shares, memo):
+        if not self._batch_ok([(statement, shares)], memo):
             for party, signature in sorted(shares.items()):
                 if not self._share_ok(statement, party, signature, memo):
                     raise ValueError(f"invalid signature share from party {party}")
@@ -446,14 +452,26 @@ class QuorumCertScheme:
         certificate: QuorumCertificate,
         memo: VerifiedMemo | None = None,
     ) -> bool:
-        if not self.qualifier(certificate.signers):
+        if not self._qualified(certificate):
             return False
         statement = self._statement(message)
-        if self._batch_ok(statement, certificate.signatures, memo):
+        if self._batch_ok([(statement, certificate.signatures)], memo):
             return True
         return all(
             self._share_ok(statement, party, signature, memo)
             for party, signature in certificate.signatures.items()
+        )
+
+    def verify_all(
+        self,
+        claims: Iterable[tuple[object, QuorumCertificate]],
+        memo: VerifiedMemo | None = None,
+    ) -> bool:
+        """Whether every ``(message, certificate)`` pair verifies, in one
+        batch; False says only that one fails (:meth:`verify` finds it)."""
+        claims = list(claims)
+        return all(self._qualified(cert) for _m, cert in claims) and self._batch_ok(
+            [(self._statement(message), cert.signatures) for message, cert in claims], memo
         )
 
 

@@ -1,6 +1,7 @@
 """Exact-count guard: each signature is verified once per party — never
-by the party that made it — each statement encoded once per hash, and a
-coin costs the exponentiations it needs.
+by the party that made it, never where no verdict is read — each
+statement encoded once per hash, and a coin costs the exponentiations it
+needs.
 
 One deterministic in-process run — n = 4, t = 1, FIFO delivery, the
 256-bit group (so a challenge is two SHA-256 blocks and re-encoding per
@@ -17,7 +18,7 @@ from collections import Counter
 import pytest
 
 from repro.crypto import accel, hashing, schnorr, threshold_sig, zkp
-from repro.crypto.accel import GroupAccel
+from repro.crypto.accel import FixedBaseTable, GroupAccel
 from repro.crypto.coin import CoinPublic, CoinShareholder
 from repro.crypto.groups import default_group
 from repro.crypto.schnorr import VerifyKey
@@ -36,18 +37,32 @@ ROUNDS = 3
 # verify what it produced):
 #
 # * one by one (``VerifyKey.verify``), at each of the 4 replicas:
-#   the 3 other replicas' proposals on receipt (own proposal: 4 per round
-#   that no longer reach arithmetic), 3 echo shares of the consistent
-#   broadcast it sends less its own where that is among the first three
-#   to arrive (own echo share: 3 of the 4 senders under this schedule;
-#   the fourth share arrives after the certificate is out and is
-#   ignored); at the client: 2 reply shares (t + 1 matching replies
-#   complete a request; later replies are dropped unverified)
-SINGLE_PER_ROUND = N * (N - 1) + (N * QUORUM - 3) + 2
-# * in batches (``verify_batch``), at each replica: one ``CbcFinal`` from
-#   each of the 3 other senders, 3 signatures each, less the verifier's
-#   own echo share inside it (own ``CbcFinal`` shares: in 9 of the 12).
-BATCHED_PER_ROUND = N * (N - 1) * QUORUM - 9
+#   the proposals that enter its candidate list, checked at the quorum —
+#   under this schedule every replica records 0's, 1's and 2's first, so
+#   that is 2 others' at replicas 0–2 and 3 at replica 3 (own proposal: a
+#   memo hit); 3 echo shares of the consistent broadcast it sends less
+#   its own where that is among the first three to arrive (own echo
+#   share: 3 of the 4 senders under this schedule; the fourth share
+#   arrives after the certificate is out and is ignored); at the client:
+#   2 reply shares (t + 1 matching replies complete a request; later
+#   replies are dropped unverified)
+PROPOSALS_PER_ROUND = 3 * 2 + 3
+SINGLE_PER_ROUND = PROPOSALS_PER_ROUND + (N * QUORUM - 3) + 2
+# * in one batch (``verify_batch``) at each replica, when the broadcasts
+#   held could be a quorum: the ``CbcFinal`` of broadcasts 0, 1 and 2, 3
+#   signatures each, less the verifier's own echo share inside them —
+#   at replicas 0–2 its own ``CbcFinal`` (every share a memo hit) and 2
+#   of the other two's 6 shares; at replica 3 none of the 9.
+FINAL_BATCHES_PER_ROUND = N
+BATCHED_PER_ROUND = 3 * (2 * QUORUM - 2) + QUORUM * QUORUM
+# 23 and 27 when every proposal and every ``CbcFinal`` was checked on
+# arrival.  Both differences are replica 3's round: its proposal arrives
+# fourth everywhere, enters no candidate list and teaches nobody a
+# payload, so its signature is never checked (3 single checks at
+# replicas 0–2); its ``CbcFinal`` arrives after the quorum and no vote
+# reads it (the first candidate's vote decides), so it stays held,
+# unchecked (its 3 shares less each verifier's own: 6 batched at
+# replicas 0–2; 12 batches a round became 4).
 # 30 and 36 before the memo was seeded; the difference is exactly the 4 +
 # 3 + 9 items the verifier produced.  What reached no arithmetic before
 # either: the 4 × 3 proposal signatures inside the candidate list of
@@ -100,8 +115,23 @@ DLEQ_ITEMS_PER_COIN = (T + 1) - 1  # where the verifier's own share is one of th
 # node hashed): each of the 4 replicas hashes it once before signing,
 # and the client hashes the leaf of each of the 2 replies it verifies,
 # once, on arrival (6).  The signed statement is still one statement
-# per signature made or checked, so nothing else moved.
-ENCODINGS_PER_ROUND = 253
+# per signature made or checked, so nothing else moved.  253 -> 219 with
+# checks made when their verdict is read, two sources: proposals, 16 ->
+# 12 challenges (the fourth recorded at each replica, replica 3's, is
+# never checked — a memo hit at replica 3 itself, which still hashed its
+# challenge) (4); and ``CbcFinal`` certificates, one batch a replica at
+# the quorum where each was checked on arrival — the held fourth one,
+# broadcast 3's, renders no statement and hashes no challenge (4 + 12),
+# batch seeds 12 -> 4 (8) and batch coefficients 27 -> 21 (6) (30).
+ENCODINGS_PER_ROUND = 219
+
+# Full-size exponentiations of ``g`` inside verification — what a check
+# costs most of at production key sizes — per round: one per single check (its
+# ``g^z``), one per batch (the merged ``g`` term) — the ``CbcFinal``
+# batches and one coin check per replica.  39 when every proposal and
+# ``CbcFinal`` was checked on arrival (12 + 9 + 2 single, 12 + 4 batches).
+COIN_CHECKS_PER_ROUND = N
+G_POWS_PER_ROUND = SINGLE_PER_ROUND + FINAL_BATCHES_PER_ROUND + COIN_CHECKS_PER_ROUND
 SEED = 13
 
 
@@ -110,24 +140,29 @@ class _Counts:
         self.single = 0
         self.batched = 0
         self.encodings = 0
+        self.g_pows = 0
 
-    def snapshot(self) -> tuple[int, int, int]:
-        return (self.single, self.batched, self.encodings)
+    def snapshot(self) -> tuple[int, int, int, int]:
+        return (self.single, self.batched, self.encodings, self.g_pows)
 
 
 @pytest.fixture()
 def counts(monkeypatch):
     counts = _Counts()
     verifying = [0]
-    verify, exp = VerifyKey.verify, GroupAccel.exp
+    verify, exp, table_pow = VerifyKey.verify, GroupAccel.exp, FixedBaseTable.pow
     batch, encode = schnorr.verify_product_equations, hashing.encode
+    dleq_batch = zkp.verify_product_equations
+    g = accel.accel_for(default_group()).g
 
-    def counting_verify(key, *args, **kwargs):
-        verifying[0] += 1
-        try:
-            return verify(key, *args, **kwargs)
-        finally:
-            verifying[0] -= 1
+    def checking(check):
+        def counted(*args, **kwargs):
+            verifying[0] += 1
+            try:
+                return check(*args, **kwargs)
+            finally:
+                verifying[0] -= 1
+        return counted
 
     def counting_exp(accel, base, exponent):
         # One per equation: h^c (g^z is the other exponentiation).
@@ -137,7 +172,14 @@ def counts(monkeypatch):
 
     def counting_batch(modulus, equations, *args, **kwargs):
         counts.batched += len(equations)
-        return batch(modulus, equations, *args, **kwargs)
+        return checking(batch)(modulus, equations, *args, **kwargs)
+
+    def counting_table_pow(table, exponent):
+        # g is always tabled: every g^z of a check and every batch's
+        # merged g term is one pow of its table.
+        if verifying[0] and table.base == g and exponent.bit_length() > 128:
+            counts.g_pows += 1
+        return table_pow(table, exponent)
 
     def counting_encode(*parts):
         block_counter = len(parts) == 1 and type(parts[0]) is int
@@ -145,9 +187,11 @@ def counts(monkeypatch):
             counts.encodings += 1
         return encode(*parts)
 
-    monkeypatch.setattr(VerifyKey, "verify", counting_verify)
+    monkeypatch.setattr(VerifyKey, "verify", checking(verify))
     monkeypatch.setattr(GroupAccel, "exp", counting_exp)
+    monkeypatch.setattr(FixedBaseTable, "pow", counting_table_pow)
     monkeypatch.setattr(schnorr, "verify_product_equations", counting_batch)
+    monkeypatch.setattr(zkp, "verify_product_equations", checking(dleq_batch))
     monkeypatch.setattr(hashing, "encode", counting_encode)
     monkeypatch.setattr(threshold_sig, "encode", counting_encode)
     return counts
@@ -181,6 +225,7 @@ def test_each_round_verifies_and_encodes_exactly_this_much(counts):
             SINGLE_PER_ROUND,
             BATCHED_PER_ROUND,
             ENCODINGS_PER_ROUND,
+            G_POWS_PER_ROUND,
         )
     ] * ROUNDS
 

@@ -16,11 +16,15 @@ from repro.crypto.accel import (
     verify_product_equations,
 )
 from repro.crypto.coin import CoinShare, deal_coin
+from repro.crypto.dealer import deal_system
 from repro.crypto.groups import default_group, small_group
 from repro.crypto.lsss import threshold_scheme
 from repro.crypto.schnorr import keygen, verify_batch
 from repro.crypto.threshold_enc import deal_encryption
 from repro.crypto.zkp import prove_dleq
+from repro.net.scheduler import FifoScheduler
+from repro.smr.service import build_service
+from repro.smr.state_machine import KeyValueStore
 
 GROUP = small_group()
 
@@ -130,6 +134,35 @@ def test_a_budget_of_key_tables_is_a_sixth_of_a_budget_of_full_ones(monkeypatch)
     full.pow(group.q - 1)
     full_height = sum(len(row) for row in full.windows)
     assert 0 < held < (accel_module._MAX_TABLES - 1) * full_height / 6
+
+
+def test_server_keys_are_tabled_when_the_bundle_is_assembled():
+    """Not after sixteen uses of ``exp``: a key met only inside batches
+    never reaches them.  Adding a table is not a use."""
+    keys = deal_system(4, random.Random(14), t=1, group=small_group())
+    accel = accel_for(small_group())
+    for key in keys.public.verify_keys.values():
+        assert key.h in accel._tables and key.h not in accel._counts
+    assert accel._tables[small_group().g] is accel.add_table(small_group().g)
+
+
+def test_key_tables_stay_short_after_a_production_size_round():
+    """A server key meets 128-bit challenges and batched terms of a
+    64-bit coefficient times a challenge, summed per key over a batch:
+    after one round at 1,536 bits its table is at most 33 rows of the
+    256 a full-size exponent would build (none, for a key whose
+    signatures no check read in this round)."""
+    group = modp_1536_group()
+    service = build_service(
+        4, KeyValueStore, t=1, seed=15, scheduler=FifoScheduler(), group=group
+    )
+    client = service.new_client()
+    service.network.start()
+    service.run_until_complete(client, [client.submit(("set", "key", 1))])
+    service.network.run()
+    tables = accel_for(group)._tables
+    rows = [len(tables[key.h].windows) for key in service.keys.public.verify_keys.values()]
+    assert 22 <= max(rows) <= 33
 
 
 def test_accel_exp_and_auto_tabling_match_pow():

@@ -1,15 +1,18 @@
-"""Number theory: primality, safe primes, egcd/modinv, CRT."""
+"""Number theory: primality, safe primes, egcd/modinv, CRT, Jacobi."""
 
 import random
 
 import pytest
+from bench.workloads import modp_1536_group
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.crypto.groups import default_group, small_group
 from repro.crypto.numtheory import (
     crt,
     egcd,
     is_probable_prime,
+    jacobi,
     modinv,
     random_prime,
     random_safe_prime,
@@ -98,3 +101,58 @@ def test_crt_reconstructs_value(x):
 def test_crt_length_mismatch():
     with pytest.raises(ValueError):
         crt([1, 2], [3])
+
+
+def _euler(a, p):
+    """The Legendre symbol by Euler's criterion: ``a^((p-1)/2) mod p``."""
+    r = pow(a, (p - 1) // 2, p)
+    return -1 if r == p - 1 else r
+
+
+@pytest.mark.parametrize(
+    "group", [small_group(), default_group(), modp_1536_group()], ids=["64", "256", "1536"]
+)
+def test_jacobi_is_the_legendre_symbol_of_the_group_primes(group):
+    """Euler's criterion on 2,000 random values.  At 1,536 bits one
+    criterion is a 13 ms ``pow``, so the values are checked together:
+    the symbol is multiplicative, so over a random subset the product of
+    the symbols is the criterion of the product, and a wrong symbol
+    escapes a subset with probability 1/2 — 2^-64 over 64 subsets."""
+    p = group.p
+    rng = random.Random(p.bit_length())
+    values = [rng.randrange(1, p) for _ in range(2000)]
+    symbols = [jacobi(a, p) for a in values]
+    for _ in range(64):
+        product, sign = 1, 1
+        for a, symbol in zip(values, symbols):
+            if rng.getrandbits(1):
+                product, sign = product * a % p, sign * symbol
+        assert _euler(product, p) == sign
+
+
+def test_jacobi_is_the_product_of_legendre_symbols_below_500():
+    odd_primes = [p for p in range(3, 500, 2) if is_probable_prime(p)]
+    for n in range(9, 500, 2):
+        if n in odd_primes:
+            continue
+        factors, rest = [], n
+        for p in odd_primes:
+            while rest % p == 0:
+                factors.append(p)
+                rest //= p
+        for a in range(-n, 2 * n):
+            expected = 1
+            for p in factors:
+                expected *= _euler(a % p, p)
+            assert jacobi(a, n) == expected, (a, n)
+
+
+def test_jacobi_edge_cases():
+    p = default_group().p
+    assert jacobi(0, p) == jacobi(p, p) == jacobi(-p, p) == 0
+    assert jacobi(0, 1) == jacobi(7, 1) == jacobi(-7, 1) == 1
+    assert jacobi(-1, p) == -1 and jacobi(-4, p) == -1  # p ≡ 3 (mod 4)
+    assert jacobi(-3, 7) == jacobi(4, 7) == 1
+    for n in (0, -3, 2, 10, 1 << 64):
+        with pytest.raises(ValueError):
+            jacobi(3, n)
