@@ -83,7 +83,7 @@ def _race(confidential: bool):
         spy=spy,
         inventor_id=inventor.client.client_id,
     )
-    tapped.spawn(service_session("service"), Replica(NotaryService(), causal=confidential))
+    tapped.spawn(service_session(), Replica(NotaryService(), causal=confidential))
     dep.controller.corrupt(network, CORRUPT, tapped)
 
     network.start()

@@ -109,7 +109,7 @@ def race(confidential: bool) -> tuple[str, int]:
         spy=spy,
         inventor_id=inventor.client.client_id,
     )
-    tapped.spawn(service_session("service"), Replica(NotaryService(), causal=confidential))
+    tapped.spawn(service_session(), Replica(NotaryService(), causal=confidential))
     deployment.controller.corrupt(network, CORRUPT, tapped)
 
     network.start()

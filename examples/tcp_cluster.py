@@ -10,9 +10,10 @@ operations over the wire.  Mid-run one replica is torn down, the
 cluster keeps serving with three, and a fresh replica rejoins on the
 same address and recovers the history it missed.
 
-(`python -m repro demo-cluster` runs the same lifecycle with one OS
-process per replica; here everything shares one event loop so the
-example stays fast and portable.)
+(`python -m repro chaos run --scenario kill-recover` runs the same
+lifecycle with one OS process per replica, judged by the chaos oracles;
+here everything shares one event loop so the example stays fast and
+portable.)
 
 Run:  python examples/tcp_cluster.py
 """

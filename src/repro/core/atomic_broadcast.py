@@ -105,6 +105,13 @@ __all__ = [
 ]
 
 _ROUND_HORIZON = 1024
+# Canonical-encoding byte budget per batch; the first payload always
+# fits, so an oversized payload still ships alone rather than starving.
+_MAX_BATCH_BYTES = 1 << 16
+# Future rounds beyond the pipeline window whose proposals are still
+# buffered; anything further ahead is dropped and counted as lag
+# evidence instead.  Recently delivered rounds are kept as deep.
+_BUFFER_SLACK = 8
 
 
 @dataclass(frozen=True)
@@ -113,35 +120,22 @@ class AbcConfig:
     pipelining").
 
     ``max_batch``: most payloads a single proposal may carry.
-    ``max_batch_bytes``: canonical-encoding byte budget per batch; the
-    first payload always fits, so an oversized payload still ships
-    alone rather than starving.
     ``pipeline_depth``: rounds allowed in flight beyond the last
     delivered one (1 reproduces the paper's one-round-at-a-time
     schedule).
-    ``buffer_slack``: extra future rounds whose proposals are buffered
-    beyond the pipeline window; anything further ahead is dropped and
-    counted as lag evidence instead.
 
     Out-of-range values raise :class:`ValueError` here rather than
     wedging the protocol later (a zero-depth pipeline never proposes).
     """
 
     max_batch: int = 64
-    max_batch_bytes: int = 1 << 16
     pipeline_depth: int = 1
-    buffer_slack: int = 8
 
     def __post_init__(self) -> None:
-        for name, least in (
-            ("max_batch", 1),
-            ("max_batch_bytes", 1),
-            ("pipeline_depth", 1),
-            ("buffer_slack", 0),
-        ):
+        for name in ("max_batch", "pipeline_depth"):
             value = getattr(self, name)
-            if value < least:
-                raise ValueError(f"AbcConfig: {name}={value} must be >= {least}")
+            if value < 1:
+                raise ValueError(f"AbcConfig: {name}={value} must be >= 1")
 
     @classmethod
     def overriding(cls, **knobs: int | None) -> "AbcConfig | None":
@@ -248,7 +242,7 @@ class AtomicBroadcast(Protocol):
         # the same number restarted under the successor session.
         self.generation = 0
         # Our own proposals by round: (batch, digest, signature).
-        # Recently delivered rounds are retained (buffer_slack deep) so
+        # Recently delivered rounds are retained (_BUFFER_SLACK deep) so
         # rejoining parties can ask for an exact re-send.
         self.proposed: dict[int, tuple[tuple, bytes, Signature]] = {}
         # Recorded proposals, and their signatures' verdicts (_checked).
@@ -287,7 +281,7 @@ class AtomicBroadcast(Protocol):
         }
 
     def _window(self) -> int:
-        return self.config.pipeline_depth + self.config.buffer_slack
+        return self.config.pipeline_depth + _BUFFER_SLACK
 
     # -- input ------------------------------------------------------------------
 
@@ -314,7 +308,7 @@ class AtomicBroadcast(Protocol):
             if payload in self.delivered or payload in self.in_flight:
                 continue
             cost = len(hashing.encode(payload))
-            if batch and size + cost > self.config.max_batch_bytes:
+            if batch and size + cost > _MAX_BATCH_BYTES:
                 break  # stop rather than skip ahead: keeps FIFO fairness
             batch.append(payload)
             size += cost
@@ -359,7 +353,7 @@ class AtomicBroadcast(Protocol):
         self.agreement_started = {
             r for r in self.agreement_started if r > self.round
         }
-        retain = self.round - self.config.buffer_slack
+        retain = self.round - _BUFFER_SLACK
         for stale in [r for r in self.proposed if r <= retain]:
             del self.proposed[stale]
         for stale in [r for r in self._recent_digests if r <= retain]:
@@ -689,7 +683,7 @@ class AtomicBroadcast(Protocol):
     def _cleanup_after_round(self, r: int) -> None:
         self._drop_proposals(lambda p: p <= r)
         self.agreement_started.discard(r)
-        retain = r - self.config.buffer_slack
+        retain = r - _BUFFER_SLACK
         for stale in [p for p in self.proposed if p <= retain]:
             del self.proposed[stale]
         for stale in [p for p in self._recent_digests if p <= retain]:

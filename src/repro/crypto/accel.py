@@ -10,14 +10,14 @@ This module concentrates the arithmetic tricks that cut that cost:
   ``k`` exponentiations costs one squaring chain plus a few
   multiplications per base instead of ``k`` full ``pow`` calls.
 * **Fixed-base windowed tables**: bases that recur (the group
-  generator, verification keys) get a radix-``2^w`` digit table;
-  subsequent exponentiations are ~5x cheaper than ``pow``.  Tables are
-  started automatically once a base has been seen often enough to
-  amortize the build and grow only as tall as the exponents the base
-  meets (a verification key meets 128-bit challenges, not |q| bits);
-  the least recently used one makes room when the budget is full;
-  per-name bases (a coin's ``H(C)``) never count toward one
-  (:meth:`GroupAccel.exp_once`).
+  generator, verification keys, TDH2's ``h`` and ``ḡ``, the PKI's
+  identity keys) get a radix-``2^w`` digit table; subsequent
+  exponentiations are ~5x cheaper than ``pow``.  A base gets one
+  because its owner declares it recurs (:meth:`GroupAccel.add_table`,
+  where the keys are assembled), never by counting uses; tables grow
+  only as tall as the exponents the base meets (a verification key
+  meets 128-bit challenges, not |q| bits), and the least recently used
+  one makes room when the budget is full.
 * **Squaring ladders** for a statement's base (a coin's ``H(C)``): built
   for a ``pow``'s cost, each use a quarter of one — repaid on the second
   use, where a table needs many (:meth:`GroupAccel.add_ladder`).
@@ -51,11 +51,8 @@ __all__ = [
     "verify_product_equations",
 ]
 
-# Build a fixed-base table once a base was exponentiated this often.
-_TABLE_THRESHOLD = 16
 # Bound every internal cache so adversarial traffic cannot balloon memory.
 _MAX_TABLES = 96
-_MAX_TRACKED = 8192
 _MAX_MEMBERS = 8192
 
 # Ladders held at once.  A statement's base needs one from its first
@@ -216,14 +213,13 @@ class GroupAccel:
     keys tabled by the coin also speed up e.g. TDH2 share checks.
     """
 
-    __slots__ = ("p", "q", "g", "_tables", "_counts", "_members", "_ladders")
+    __slots__ = ("p", "q", "g", "_tables", "_members", "_ladders")
 
     def __init__(self, p: int, q: int, g: int) -> None:
         self.p = p
         self.q = q
         self.g = g
         self._tables: dict[int, FixedBaseTable] = {}
-        self._counts: dict[int, int] = {}
         self._members: dict[int, bool] = {}
         self._ladders: dict[int, Ladder] = {}
         # The generator is exponentiated constantly: tabled from the
@@ -252,55 +248,36 @@ class GroupAccel:
                 return
 
     def exp(self, base: int, exponent: int) -> int:
-        """``base^exponent mod p``; auto-tables bases that recur."""
-        if exponent < 0:  # else the answer would depend on whether base is tabled
+        """``base^exponent mod p``: by the base's table if it was given
+        one, else by its ladder, else by ``pow``."""
+        if exponent < 0:  # else the answer would depend on how base is held
             raise ValueError("negative exponent: reduce it mod q first")
-        table = self._table(base)
-        if table is not None:
-            return table.pow(exponent)
-        count = self._counts.get(base, 0) + 1
-        if count >= _TABLE_THRESHOLD:
-            return self.add_table(base).pow(exponent)
-        if len(self._counts) >= _MAX_TRACKED:
-            self._counts.clear()
-        self._counts[base] = count
-        return pow(base, exponent, self.p)
+        table = self._table(base) or self._ladders.get(base)
+        return pow(base, exponent, self.p) if table is None else table.pow(exponent)
 
     def add_table(self, base: int) -> FixedBaseTable:
-        """The base's table, made now for a base known to recur; counts no use."""
+        """The base's table, made now for a base its owner knows recurs."""
         table = self._table(base)
         if table is None:
             if len(self._tables) >= _MAX_TABLES:
                 self._evict()
             table = self._tables[base] = FixedBaseTable(base, self.p, self.q.bit_length())
-        self._counts.pop(base, None)
         return table
 
     def add_ladder(self, base: int) -> None:
         """Give a statement's base (a coin's ``H(C)``, a ciphertext's
-        ``u``) a :class:`Ladder` for :meth:`exp_once` and :meth:`multiexp`,
+        ``u``) a :class:`Ladder` for :meth:`exp` and :meth:`multiexp`,
         the least recently added making room.  A share value never gets
-        one, and no base is counted toward a table."""
+        one."""
         ladder = self._ladders.pop(base, None) or Ladder(base, self.p)
         if len(self._ladders) >= _MAX_LADDERS:
             del self._ladders[next(iter(self._ladders))]
         self._ladders[base] = ladder
 
-    def exp_once(self, base: int, exponent: int) -> int:
-        """``base^exponent mod p`` for a per-name base (a coin's ``H(C)``,
-        a ciphertext's ``u``, a share value): its few uses can never
-        repay a table, so they are not counted toward one."""
-        if exponent < 0:  # else the answer would depend on the ladder
-            raise ValueError("negative exponent: reduce it mod q first")
-        ladder = self._ladders.get(base)
-        return pow(base, exponent, self.p) if ladder is None else ladder.pow(exponent)
-
     def multiexp(self, pairs: Iterable[tuple[int, int]]) -> int:
         """Multi-exp that routes tabled and laddered bases through them.
 
-        Uses are deliberately *not* counted toward auto-tabling (a
-        batch's terms do not say whether a base recurs; ``exp``'s uses
-        do), and the tables are not widened: the generator's full-height
+        The tables are not widened: the generator's full-height
         table is ~16k multiplications (~150 ms, 3.7 MB) at 1536 bits, and
         a wider one breaks the benchmark's 10 % ``peak_rss_mb`` bound
         (docs/PERFORMANCE.md).  Negative exponents (an opening's ``μ``):

@@ -142,10 +142,12 @@ def assemble_public_keys(
     (Section 4.2): ``cert-quorum`` to a quorum, the service's signature
     (``rsa`` if given, else certificates) to a set containing an honest
     party.  A party without a verify key is outside every certificate
-    scheme.  Each verify key is tabled here: it recurs in every round.
+    scheme.  Each verify key is tabled here, and TDH2's ``h`` and ``ḡ``:
+    they recur in every round and every confidential request.
     """
-    for key in verify_keys.values():
-        accel_for(key.group).add_table(key.h)
+    g_bar = second_generator(group)
+    for base in (*(key.h for key in verify_keys.values()), enc_h, g_bar):
+        accel_for(group).add_table(base)
 
     def certs(tag: str, qualifier) -> QuorumCertScheme:
         return QuorumCertScheme(verify_keys=verify_keys, qualifier=qualifier, tag=tag)
@@ -160,7 +162,7 @@ def assemble_public_keys(
             group=group,
             scheme=scheme,
             h=enc_h,
-            g_bar=second_generator(group),
+            g_bar=g_bar,
             verification=enc_verification,
         ),
         verify_keys=verify_keys,

@@ -58,6 +58,7 @@ from ..adversary.quorums import QuorumSystem
 from ..codec import register
 from ..core.protocol import Context, Protocol, SessionId
 from ..core.reliable_broadcast import ReliableBroadcast, rbc_session
+from .accel import accel_for
 from .dealer import PartyKeys, PublicKeys, assemble_party_keys, assemble_public_keys
 from .groups import SchnorrGroup
 from .hashing import hash_bytes, hash_to_exponent
@@ -498,6 +499,9 @@ class VerifiableResharing(Protocol):
         self.new_members = tuple(sorted(new_members))
         self.new_quorum = new_quorum
         self.new_verify_keys = dict(new_verify_keys)
+        # Every ready is checked under one of them.
+        for h in self.new_verify_keys.values():
+            accel_for(group).add_table(h)
         self.old_coin_subshares = dict(old_coin_subshares or {})
         self.old_enc_subshares = dict(old_enc_subshares or {})
         self._old_owner = dict(old_scheme.slots())

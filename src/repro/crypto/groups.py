@@ -50,10 +50,6 @@ class SchnorrGroup:
     def exp(self, base: int, e: int) -> int:
         return accel_for(self).exp(base, e % self.q)
 
-    def exp_once(self, base: int, e: int) -> int:
-        """``base^e`` for a per-name base (see :meth:`GroupAccel.exp_once`)."""
-        return accel_for(self).exp_once(base, e % self.q)
-
     def inv(self, a: int) -> int:
         return pow(a, -1, self.p)
 

@@ -155,7 +155,7 @@ class SharedExponentHolder:
         values: dict[SlotId, int] = {}
         proofs: dict[SlotId, DleqProof] = {}
         for slot, x_slot in self.subshares.items():
-            values[slot] = grp.exp_once(base, x_slot)
+            values[slot] = grp.exp(base, x_slot)
             proofs[slot] = prove_dleq(
                 grp, grp.g, base, x_slot, rng, (*context, slot),
                 (self._images[slot], values[slot]), memo,

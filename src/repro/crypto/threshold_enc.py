@@ -125,8 +125,8 @@ class EncryptionPublic(SharedExponentPublic):
         # challenge's range before exponentiating by it.
         if not (is_challenge(grp, ct.e) and 0 <= ct.f < grp.q):
             return False
-        w = grp.mul(grp.power_of_g(ct.f), grp.inv(grp.exp_once(ct.u, ct.e)))
-        w_bar = grp.mul(grp.exp(self.g_bar, ct.f), grp.inv(grp.exp_once(ct.u_bar, ct.e)))
+        w = grp.mul(grp.power_of_g(ct.f), grp.inv(grp.exp(ct.u, ct.e)))
+        w_bar = grp.mul(grp.exp(self.g_bar, ct.f), grp.inv(grp.exp(ct.u_bar, ct.e)))
         expected = hash_to_challenge(
             grp, "tdh2-e", ct.payload, ct.label, ct.u, w, ct.u_bar, w_bar
         )
@@ -160,7 +160,7 @@ class EncryptionPublic(SharedExponentPublic):
         h_r_delta = self._recombine(shares)  # u^{Δx} = (h^r)^Δ
         if h_r_delta is None:
             raise ValueError(f"parties {sorted(shares)} are not qualified to decrypt")
-        h_r = self.group.exp_once(h_r_delta, pow(self.scheme.delta, -1, self.group.q))
+        h_r = self.group.exp(h_r_delta, pow(self.scheme.delta, -1, self.group.q))
         mask = mgf1(encode(h_r), len(ct.payload), "tdh2-dem")
         return xor_bytes(ct.payload, mask)
 

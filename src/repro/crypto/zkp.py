@@ -90,10 +90,10 @@ def prove_dleq(
     instead of paying for both again.  The proving party's ``memo``
     learns the check the proof passes by construction.
     """
-    h1, h2 = images or (group.exp(g, secret), group.exp_once(u, secret))
+    h1, h2 = images or (group.exp(g, secret), group.exp(u, secret))
     w = group.random_exponent(rng)
     a1 = group.exp(g, w)
-    a2 = group.exp_once(u, w)
+    a2 = group.exp(u, w)
     c = _dleq_challenge(group, g, h1, u, h2, a1, a2, context)
     z = (w + c * secret) % group.q
     if memo is not None:
@@ -134,9 +134,7 @@ def verify_dleq(
     p = group.p
     if accel.exp(g, z) != a1 * accel.exp(h1, c) % p:
         return False
-    # ``u`` (a coin's H(C), a ciphertext's u) and the share value ``h2``
-    # are per-name bases: never counted toward a table.
-    return accel.exp_once(u, z) == a2 * accel.exp_once(h2, c) % p
+    return accel.exp(u, z) == a2 * accel.exp(h2, c) % p
 
 
 def verify_dleq_batch(

@@ -57,6 +57,7 @@ from typing import Any, get_args, get_origin, get_type_hints
 
 from ..core.atomic_broadcast import AbcProposal, batch_digest, proposal_statement
 from ..core.runtime import ProtocolRuntime
+from ..crypto import keystore
 from ..crypto.dealer import PartyKeys, PublicKeys
 from ..smr import reconfig
 from ..smr.replica import Replica, service_session
@@ -66,14 +67,16 @@ from .base import NetworkBackend
 from .checkers import (
     JournalEntry,
     check_liveness,
+    check_reconfigs,
     check_safety,
+    opened_epochs,
     read_journals,
     violation_kinds,
 )
-from .cluster import attach_client, deal_deployment, spawn_replicas
-from .runtime import checkpoint_path, load_epoch
+from .cluster import admit_joiner, attach_client, deal_deployment, spawn_replicas
+from .runtime import FAULTS_FILE, checkpoint_path, load_epoch, provision_dkg_deployment
 from .simulator import Node
-from .transport import FaultPlan, FrameFault
+from .transport import FaultPlan, FrameFault, TransportError
 
 __all__ = [
     "FAULTS_FILE",
@@ -104,7 +107,6 @@ __all__ = [
     "replay_journal",
 ]
 
-FAULTS_FILE = "faults.json"
 DEFAULT_JOURNAL = "chaos-journal.json"
 
 LIFECYCLE_ACTIONS = ("kill", "restart", "suspend", "resume", "corrupt-checkpoint")
@@ -185,25 +187,26 @@ class _Spec:
         written."""
         hints = get_type_hints(cls)
         defaults = {f.name: f.default for f in fields(cls)}
-        try:
-            unknown = sorted(set(data) - set(defaults))
+        unknown = sorted(set(data) - set(defaults))
+        _require(
+            not unknown,
+            f"{cls.what}: unknown key(s) {', '.join(unknown)} "
+            f"(allowed: {', '.join(sorted(defaults))})",
+        )
+        for name, default in defaults.items():
             _require(
-                not unknown,
-                f"{cls.what}: unknown key(s) {', '.join(unknown)} "
-                f"(allowed: {', '.join(sorted(defaults))})",
+                name in data or default is not MISSING, f"{cls.what}: missing {name}"
             )
-            for name, default in defaults.items():
-                _require(
-                    name in data or default is not MISSING,
-                    f"{cls.what}: missing {name}",
-                )
-            spec = cls(**{
-                name: _coerce(hints[name], value) for name, value in data.items()
-            })
-        except ScenarioError:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise ScenarioError(f"{cls.what}: {exc!r}") from exc
+        values = {}
+        for name, value in data.items():
+            try:
+                values[name] = _coerce(hints[name], value)
+            except ScenarioError:
+                raise
+            except (TypeError, ValueError) as exc:
+                # Names the field: a journal of an older build fails here.
+                raise ScenarioError(f"{cls.what}: {name}: {exc!r}") from exc
+        spec = cls(**values)
         spec.validate()
         return spec
 
@@ -513,12 +516,16 @@ class Scenario(_Spec):
     # defaults); see docs/PERFORMANCE.md.
     abc_max_batch: int | None = None
     abc_pipeline_depth: int | None = None
-    # Times at which a signed Reconfigure(refresh) is ordered through
-    # the live cluster: each one reshapes every threshold key and opens
-    # the next epoch mid-workload, so lifecycle events scheduled around
-    # these instants exercise kills *during* resharing and restarts
-    # into a configuration the crashed replica has never seen.
-    reconfigs: tuple[float, ...] = ()
+    # ``(at, action)``: a signed Reconfigure(action) — one of
+    # ``reconfig.ACTIONS`` — ordered through the live cluster at ``at``.
+    # Each reshares every threshold key and opens the next epoch
+    # mid-workload, so lifecycle events scheduled around these instants
+    # exercise kills *during* resharing and restarts into a
+    # configuration the crashed replica has never seen.  ``add`` admits
+    # the next id, ``remove`` retires the highest one.
+    reconfigs: tuple[tuple[float, str], ...] = ()
+    # Boot by distributed key generation instead of the trusted dealer.
+    dealerless: bool = False
 
     def validate(self) -> None:
         """Structural sanity for specs that reach the run/sweep layer;
@@ -560,11 +567,18 @@ class Scenario(_Spec):
                 0 <= event.party < self.n,
                 f"scenario: event party {event.party} outside 0..{self.n - 1}",
             )
-        for at in self.reconfigs:
+        for at, action in self.reconfigs:
+            _require(at >= 0.0, f"scenario: negative reconfig time {at}")
             _require(
-                at >= 0.0,
-                f"scenario: negative reconfig time {at}",
+                action in reconfig.ACTIONS,
+                f"scenario: unknown reconfig action {action!r} "
+                f"(expected one of {', '.join(reconfig.ACTIONS)})",
             )
+        # A corrupted party has no way to run the key generation.
+        _require(
+            not (self.dealerless and self.byzantine),
+            "scenario: a dealerless boot cannot have byzantine parties",
+        )
         for cut in self.faults.partitions:
             for party in cut.group:
                 _require(
@@ -669,17 +683,30 @@ def builtin_scenarios() -> dict[str, Scenario]:
         name="reconfig-churn",
         seed=7707,
         ops=8,
-        reconfigs=(3.0, 8.0),
+        reconfigs=((3.0, "refresh"), (8.0, "refresh")),
         events=(
             LifecycleEvent(at=3.2, action="kill", party=2),
             LifecycleEvent(at=4.6, action="restart", party=2),
         ),
     )
+    # No dealer, then a live membership change: the servers generate
+    # the keys at boot, a fifth replica joins by an ordered add (4 -> 5,
+    # state transfer on the new epoch) and leaves by a remove (5 -> 4).
+    # Every member must enter both epochs with its pre-switch shares
+    # dead, and the joiner's journal is checked with the others.
+    dealerless = Scenario(
+        name="dealerless",
+        seed=8808,
+        ops=8,
+        dealerless=True,
+        workload_start=3.0,
+        reconfigs=((4.0, "add"), (7.5, "remove")),
+    )
     return {
         scenario.name: scenario
         for scenario in (
             partition_heal, kill_recover, stall, torture, pipeline_load,
-            reconnect_churn, reconfig_churn,
+            reconnect_churn, reconfig_churn, dealerless,
         )
     }
 
@@ -840,8 +867,8 @@ def plan_timeline(scenario: Scenario) -> list[dict]:
         timeline.append(
             {"at": event.at, "kind": event.action, "party": event.party}
         )
-    for at in scenario.reconfigs:
-        timeline.append({"at": float(at), "kind": "reconfig"})
+    for at, action in scenario.reconfigs:
+        timeline.append({"at": float(at), "kind": "reconfig", "action": action})
     at = scenario.workload_start
     for i in range(scenario.ops):
         at += 0.15 + rng.random() * 0.35
@@ -940,12 +967,13 @@ async def run_timeline(
             elif kind == "reconfig":
                 # Not held back by the window: the interesting failures
                 # are kills landing *during* the resharing it triggers.
-                epoch, operation = await cluster.reconfigure()
+                action = entry["action"]
+                epoch, operation = await cluster.reconfigure(action)
                 await cluster.submit(
                     operation,
                     track(
                         at, "reconfig", lambda r: {"result": list(r.result)},
-                        epoch=epoch,
+                        action=action, epoch=epoch,
                     ),
                 )
             elif kind == "partition":
@@ -966,6 +994,10 @@ async def run_timeline(
         await cluster.settle()
         while open_calls:
             await cluster.next_reply()
+        # What the members said about the epochs accepted changes
+        # opened (only a cluster that performed one is asked).
+        epochs = opened_epochs(events, scenario.n)
+        entered = await cluster.entered(epochs) if epochs else {}
         note("quiescent")
 
         probes: list[dict] = []
@@ -989,6 +1021,7 @@ async def run_timeline(
     journals = cluster.journals()
     safety = check_safety(journals, committed)
     liveness = check_liveness(probes, cluster.liveness_bound)
+    reconfigs = check_reconfigs(events, entered, scenario.n)
     return {
         "scenario": scenario.to_json(),
         "backend": cluster.backend,
@@ -1013,7 +1046,8 @@ async def run_timeline(
         },
         "safety": safety.to_json(),
         "liveness": liveness.to_json(),
-        "ok": safety.ok and liveness.ok,
+        "reconfig": reconfigs.to_json(),
+        "ok": safety.ok and liveness.ok and reconfigs.ok,
     }
 
 
@@ -1025,61 +1059,83 @@ class TcpCluster:
     backend = "tcp"
     latency_unit = "seconds"
 
-    def __init__(self, scenario, workdir, epoch, signer, replicas, client) -> None:
+    def __init__(self, scenario, workdir, epoch, client) -> None:
         self.scenario = scenario
         self.workdir = workdir
-        self.replicas = replicas
         self.client = client
         self.liveness_bound = scenario.liveness_bound
         self.byzantine = dict(scenario.byzantine)
-        # Reconfigure(refresh) ops are signed with party 0's identity
-        # key; identity keys persist across epochs, so the dealt one
-        # covers every epoch the run steps through.
-        self.signer = signer
+        # party -> its running process; ``spawned`` keeps every process
+        # ever started (what each said outlives it), ``down`` the
+        # parties killed and not restarted.
+        self.replicas: dict[int, Any] = {}
+        self.spawned: list[Any] = []
+        self.down: set[int] = set()
+        # Reconfigure ops are signed with party 0's identity key, read
+        # from its keystore as an operator would; identity keys persist
+        # across epochs, so it covers every epoch the run steps through.
+        self.signer = keystore.load_party(
+            workdir / "server-0.json", client.public
+        ).signing_key
         self.reconfig_rng = random.Random(scenario.seed ^ 0x5EC0)
         self.loop = asyncio.get_running_loop()
         # The shared wall-clock epoch in this loop's clock, so the
         # orchestrator and every replica process agree on event times.
         self.t0 = self.loop.time() - (time.time() - epoch)
         self.calls: set[asyncio.Task] = set()
-        self.restarted: list[int] = []
+        # Restarted or joined parties, that must print
+        # ``replica-recovered``; (party, epoch) of each remove planned.
+        self.catching_up: list[int] = []
+        self.departing: list[tuple[int, int]] = []
 
     @classmethod
     async def boot(cls, scenario: Scenario, workdir: pathlib.Path) -> "TcpCluster":
-        """Deal keys, save the fault plan, spawn every replica and
+        """Deal keys (or provision identities and let the servers
+        generate them), save the fault plan, spawn every replica and
         attach the client."""
-        name, byzantine = scenario.name, dict(scenario.byzantine)
-        print(
-            f"chaos[{name}]: dealing keys for n={scenario.n}, "
-            f"t={scenario.t}, seed={scenario.seed}",
-            flush=True,
-        )
-        keys = deal_deployment(
-            workdir, scenario.n, scenario.t, random.Random(scenario.seed ^ 0xDEA1),
+        name, n, t = scenario.name, scenario.n, scenario.t
+        rng = random.Random(scenario.seed ^ 0xDEA1)
+        knobs = dict(
             io_timeout=scenario.io_timeout,
             abc_max_batch=scenario.abc_max_batch,
             abc_pipeline_depth=scenario.abc_pipeline_depth,
         )
+        how = "provisioning identities (no dealer)" if scenario.dealerless else "dealing keys"
+        print(f"chaos[{name}]: {how} for n={n}, t={t}, seed={scenario.seed}", flush=True)
+        if scenario.dealerless:
+            provision_dkg_deployment(n, t, rng, workdir, **knobs)
+        else:
+            deal_deployment(workdir, n, t, rng, **knobs)
         epoch = save_fault_plan(workdir, scenario.faults, scenario.seed)
         print(
-            f"chaos[{name}]: spawning {scenario.n} replicas "
-            f"(byzantine: {byzantine or 'none'})",
+            f"chaos[{name}]: spawning {n} replicas "
+            f"(byzantine: {dict(scenario.byzantine) or 'none'})",
             flush=True,
         )
-        replicas = await _spawn(scenario, workdir, range(scenario.n))
+        flags = ("--dkg",) if scenario.dealerless else ()
+        replicas = await _spawn(scenario, workdir, range(n), *flags)
         try:
+            if scenario.dealerless:
+                # public.json exists once the key generation is done.
+                for replica in replicas.values():
+                    await replica.wait_for("replica-dkg")
             client = await attach_client(
                 workdir,
                 random.Random(scenario.seed + 99),
                 faults=SeededFaultPlan(scenario.faults, scenario.seed, epoch=epoch),
             )
+            cluster = cls(scenario, workdir, epoch, client)
         except BaseException:
             for replica in replicas.values():
                 await replica.kill()
             raise
-        return cls(
-            scenario, workdir, epoch, keys.private[0].signing_key, replicas, client
-        )
+        cluster._started(replicas)
+        return cluster
+
+    def _started(self, replicas: dict[int, Any]) -> None:
+        self.replicas.update(replicas)
+        self.spawned.extend(replicas.values())
+        self.down.difference_update(replicas)
 
     def clock(self) -> float:
         return self.loop.time() - self.t0
@@ -1091,6 +1147,7 @@ class TcpCluster:
 
     async def kill(self, party: int) -> None:
         await self.replicas[party].kill()
+        self.down.add(party)
 
     async def suspend(self, party: int) -> None:
         self.replicas[party].suspend()
@@ -1102,22 +1159,40 @@ class TcpCluster:
         return {"corrupted": corrupt_checkpoint(self.workdir, party)}
 
     async def restart(self, party: int) -> dict:
-        self.replicas.update(
-            await _spawn(self.scenario, self.workdir, [party], "--recover")
-        )
+        self._started(await _spawn(self.scenario, self.workdir, [party], "--recover"))
         checkpoint = await self.replicas[party].wait_for("replica-checkpoint")
         if party not in self.byzantine:
-            self.restarted.append(party)
+            self.catching_up.append(party)
         return {"checkpoint": checkpoint["status"]}
 
-    async def reconfigure(self) -> tuple[int, tuple]:
-        # The replicas persist epoch.json atomically at every switch, and
-        # the orchestrator shares their working directory — reading it
-        # here targets the *cluster's* current epoch even when the client
-        # has not yet tripped over a tombstone and caught up.
+    async def reconfigure(self, action: str) -> tuple[int, tuple]:
+        # The replicas persist epoch.json and public.json atomically at
+        # every switch, and the orchestrator shares their working
+        # directory — reading them here targets the *cluster's* current
+        # epoch and membership even when the client has not yet tripped
+        # over a tombstone and caught up.
         target = max(load_epoch(self.workdir), self.client.epoch) + 1
+        members = keystore.load_public(self.workdir / "public.json").n
+        change: dict[str, Any] = {}
+        if action == "add":
+            # The joiner is provisioned and listening before the ordered
+            # op that admits it carries its identity key and address.
+            bundle, (host, port) = admit_joiner(
+                self.workdir, members, self.reconfig_rng, self.client
+            )
+            self._started(
+                await _spawn(self.scenario, self.workdir, [members], "--join")
+            )
+            self.catching_up.append(members)
+            change = dict(
+                party=members, verify_key=bundle.signing_key.verify_key.h,
+                host=host, port=port,
+            )
+        elif action == "remove":
+            self.departing.append((members - 1, target))
+            change = dict(party=members - 1)
         return target, reconfig.reconfigure_operation(
-            "refresh", target, 0, self.signer, self.reconfig_rng
+            action, target, 0, self.signer, self.reconfig_rng, **change
         )
 
     async def submit(self, operation: tuple, done: Callable) -> None:
@@ -1144,8 +1219,43 @@ class TcpCluster:
             task.result()
 
     async def settle(self) -> None:
-        for party in self.restarted:
+        """Restarted and joined replicas have caught up."""
+        for party in self.catching_up:
             await self.replicas[party].wait_for("replica-recovered")
+
+    def _entries(self, party: int) -> list[dict]:
+        """The fields of every epoch-entry line any process of
+        ``party`` printed: a restarted one may have entered before."""
+        return [
+            fields
+            for process in self.spawned if process.party == party
+            for kind, fields in process.events if kind in _ENTRY_KINDS
+        ]
+
+    async def entered(self, epochs: dict[int, int]) -> dict[int, list[dict]]:
+        """Each live honest party's epoch-entry lines, once it has said
+        it entered each of ``epochs`` (epoch -> members) it belongs to
+        or the deployment's ``io_timeout`` passed waiting for that line:
+        the reconfiguration checker judges a line that never came.  A
+        member an accepted remove retired is first stopped once it says
+        it departed, as its operator would (a rejected one keeps running)."""
+        for party, epoch in self.departing:
+            if epoch in epochs:
+                await self.replicas[party].wait_for("replica-departed", epoch=epoch)
+                await self.replicas[party].stop()
+        live = [
+            p for p in sorted(self.replicas)
+            if p not in self.byzantine and p not in self.down
+        ]
+        for party in live:
+            for epoch, members in sorted(epochs.items()):
+                said = {fields.get("epoch") for fields in self._entries(party)}
+                if party < members and str(epoch) not in said:
+                    try:
+                        await self.replicas[party].wait_for(_ENTRY_KINDS, epoch=epoch)
+                    except TransportError:
+                        pass  # exited or silent: reconfig.not-entered
+        return {party: self._entries(party) for party in live}
 
     async def probe(self, operation: tuple) -> bool:
         try:
@@ -1169,14 +1279,18 @@ class TcpCluster:
             await self.client.network.close()
 
     def journals(self) -> dict[int, list[JournalEntry]]:
-        return read_journals(
-            self.workdir,
-            [p for p in range(self.scenario.n) if p not in self.byzantine],
-        )
+        """Every honest party ever spawned, a departed one's too."""
+        spawned = {process.party for process in self.spawned}
+        return read_journals(self.workdir, sorted(spawned - set(self.byzantine)))
+
+
+# What a replica prints on entering an epoch a reconfiguration opened:
+# by the resharing, or on the members' word after missing it.
+_ENTRY_KINDS = ("replica-epoch", "replica-stale-epoch")
 
 
 def _spawn(scenario: Scenario, workdir: pathlib.Path, parties, *flags: str):
-    """First boot and ``--recover`` restarts run the same replica."""
+    """First boot, ``--recover`` restarts and ``--join`` run the same replica."""
     return spawn_replicas(
         workdir, parties, *flags,
         "--checkpoint-every", str(scenario.checkpoint_every),
@@ -1219,10 +1333,10 @@ def failure_record(
         "seed": scenario.get("seed"),
         "scenario_ref": scenario_ref,
         "violations": violation_kinds(report),
-        "issues": (
-            (report.get("safety") or {}).get("issues", [])
-            + (report.get("liveness") or {}).get("issues", [])
-        ),
+        "issues": [
+            issue for checker in ("safety", "liveness", "reconfig")
+            for issue in (report.get(checker) or {}).get("issues", [])
+        ],
     }
 
 
@@ -1264,10 +1378,9 @@ def run_scenario(
         if journal_out is not None:
             pathlib.Path(journal_out).write_text(text)
             print(f"chaos[{scenario.name}]: journal written to {journal_out}")
-        for issue in report["safety"]["issues"]:
-            print(f"chaos[{scenario.name}]: SAFETY: {issue}")
-        for issue in report["liveness"]["issues"]:
-            print(f"chaos[{scenario.name}]: LIVENESS: {issue}")
+        for checker in ("safety", "liveness", "reconfig"):
+            for issue in report[checker]["issues"]:
+                print(f"chaos[{scenario.name}]: {checker.upper()}: {issue}")
         if failure_out is not None and not report["ok"]:
             record = failure_record(report, scenario_ref=scenario_ref)
             record["journal"] = str(journal_out) if journal_out else None
@@ -1278,6 +1391,7 @@ def run_scenario(
             f"chaos[{scenario.name}]: {verdict} "
             f"(safety={report['safety']['ok']}, "
             f"liveness={report['liveness']['ok']}, "
+            f"reconfig={report['reconfig']['ok']}, "
             f"committed={report['committed']}, "
             f"resubmissions={report['resubmissions']})"
         )
@@ -1304,7 +1418,10 @@ def replay_journal(
     ``--execute`` re-runs the scenario for real.
     """
     data = json.loads(pathlib.Path(journal).read_text())
-    scenario = Scenario.from_json(data["scenario"])
+    try:
+        scenario = Scenario.from_json(data["scenario"])
+    except ScenarioError as exc:
+        raise SystemExit(f"chaos replay: invalid scenario in {journal}: {exc}") from exc
     if seed is not None and seed != scenario.seed:
         scenario = replace(scenario, seed=seed)
         print(f"chaos replay: seed overridden to {seed}; skipping equality check")

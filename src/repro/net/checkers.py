@@ -14,6 +14,10 @@ paper's guarantees:
   partition healed, no pending lifecycle fault) must complete within a
   stated bound.  During active faults only safety is checked: the
   asynchronous model promises nothing about timing there.
+* **Reconfiguration** — every planned membership change must be
+  accepted by the ordered history, and by the quiescent window every
+  live member of an epoch it opened must have entered that epoch with
+  its pre-switch shares dead (``stale_shares_valid=False``).
 
 Checkers are pure functions over plain data (journal entries as
 dictionaries, probe records), so they are trivially unit-testable and
@@ -25,15 +29,18 @@ from __future__ import annotations
 import json
 import math
 import pathlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 __all__ = [
     "JournalEntry",
     "SafetyReport",
     "LivenessReport",
+    "ReconfigReport",
     "read_journals",
     "check_safety",
     "check_liveness",
+    "check_reconfigs",
+    "opened_epochs",
     "percentile",
     "summarize_run",
     "violation_kinds",
@@ -92,8 +99,15 @@ def read_journals(
     return journals
 
 
+class _Verdict:
+    """A checker's verdict; ``to_json`` is its fields, in order."""
+
+    def to_json(self) -> dict:
+        return asdict(self)
+
+
 @dataclass
-class SafetyReport:
+class SafetyReport(_Verdict):
     """Verdict of the prefix-consistency / no-lost-commit check.
 
     ``kinds`` classifies each issue with a stable machine-readable tag
@@ -106,14 +120,6 @@ class SafetyReport:
     issues: list[str] = field(default_factory=list)
     longest: int = 0
     kinds: list[str] = field(default_factory=list)
-
-    def to_json(self) -> dict:
-        return {
-            "ok": self.ok,
-            "issues": self.issues,
-            "longest": self.longest,
-            "kinds": self.kinds,
-        }
 
 
 def check_safety(
@@ -186,7 +192,7 @@ def check_safety(
 
 
 @dataclass
-class LivenessReport:
+class LivenessReport(_Verdict):
     """Verdict of the quiescent-window completion check.
 
     ``kinds`` carries the machine-readable violation tags
@@ -199,15 +205,6 @@ class LivenessReport:
     probes: list[dict] = field(default_factory=list)
     issues: list[str] = field(default_factory=list)
     kinds: list[str] = field(default_factory=list)
-
-    def to_json(self) -> dict:
-        return {
-            "ok": self.ok,
-            "bound": self.bound,
-            "probes": self.probes,
-            "issues": self.issues,
-            "kinds": self.kinds,
-        }
 
 
 def check_liveness(probes: list[dict], bound: float) -> LivenessReport:
@@ -233,6 +230,80 @@ def check_liveness(probes: list[dict], bound: float) -> LivenessReport:
     )
 
 
+@dataclass
+class ReconfigReport(_Verdict):
+    """Verdict of the planned reconfigurations.
+
+    ``kinds``: ``reconfig.rejected`` for a change the ordered history
+    did not accept (or never answered), ``reconfig.not-entered`` for a
+    live member with no line saying it entered an epoch it belongs to,
+    ``reconfig.stale-shares`` for one whose pre-switch shares still
+    verify there.  ``epochs`` maps each opened epoch to its size.
+    """
+
+    ok: bool
+    epochs: dict[int, int] = field(default_factory=dict)
+    issues: list[str] = field(default_factory=list)
+    kinds: list[str] = field(default_factory=list)
+
+
+def _accepted(event: dict) -> bool:
+    return event.get("result") == ["reconfig", "accepted", event.get("epoch")]
+
+
+def opened_epochs(events: list[dict], n: int) -> dict[int, int]:
+    """Epoch -> member count, for each epoch an accepted reconfiguration
+    among the run's ``events`` opened, starting from ``n`` members."""
+    epochs: dict[int, int] = {}
+    accepted = [e for e in events if e.get("kind") == "reconfig" and _accepted(e)]
+    for event in sorted(accepted, key=lambda e: e["epoch"]):
+        n += {"add": 1, "remove": -1}.get(event.get("action"), 0)
+        epochs[event["epoch"]] = n
+    return epochs
+
+
+def check_reconfigs(
+    events: list[dict], entered: dict[int, list[dict]], n: int
+) -> ReconfigReport:
+    """Every reconfiguration event must read ``("reconfig", "accepted",
+    epoch)``, and every live member in ``entered`` (party -> the fields
+    of each epoch-entry line it printed, values as printed) must have
+    entered every opened epoch whose members include it, with
+    ``stale_shares_valid`` not ``True``.  A joiner's line has no such
+    field: it held no shares to probe."""
+    issues: list[str] = []
+    kinds: list[str] = []
+
+    def flag(kind: str, message: str) -> None:
+        kinds.append(kind)
+        issues.append(message)
+
+    for event in events:
+        if event.get("kind") == "reconfig" and not _accepted(event):
+            flag(
+                "reconfig.rejected",
+                f"{event.get('action')} for epoch {event.get('epoch')} "
+                f"answered {event.get('result')!r}",
+            )
+    epochs = opened_epochs(events, n)
+    for party in sorted(entered):
+        for epoch, members in sorted(epochs.items()):
+            if party >= members:
+                continue
+            lines = [f for f in entered[party] if f.get("epoch") == str(epoch)]
+            if not lines:
+                flag(
+                    "reconfig.not-entered",
+                    f"replica {party} never said it entered epoch {epoch}",
+                )
+            elif any(f.get("stale_shares_valid") == "True" for f in lines):
+                flag(
+                    "reconfig.stale-shares",
+                    f"replica {party}'s pre-switch shares verify in epoch {epoch}",
+                )
+    return ReconfigReport(ok=not issues, epochs=epochs, issues=issues, kinds=kinds)
+
+
 # -- per-run summary extraction ------------------------------------------------------
 
 
@@ -253,7 +324,7 @@ def violation_kinds(report: dict) -> list[str]:
     per-checker tag so old artifacts still aggregate.
     """
     kinds: list[str] = []
-    for checker in ("safety", "liveness"):
+    for checker in ("safety", "liveness", "reconfig"):
         verdict = report.get(checker) or {}
         tags = verdict.get("kinds")
         if tags is None:

@@ -1,10 +1,10 @@
-"""Standing up a cluster: deployment directories, replica processes,
-clients, and the ``demo-cluster`` walkthroughs (docs/DEPLOYMENT.md).
+"""Standing up a cluster: deployment directories, replica processes
+and clients (docs/DEPLOYMENT.md).
 
 :mod:`repro.net.runtime` is one process and its files; this module is
 the operator around n of them.  The bring-up sequence is written once,
-as three functions the demos, the chaos engine, the examples and the
-in-process test fixtures call:
+as three functions the chaos engine, the examples and the in-process
+test fixtures call:
 
 * :func:`deal_deployment` — a ready deployment directory from the
   trusted dealer (:func:`repro.net.runtime.provision_dkg_deployment`
@@ -21,17 +21,14 @@ import asyncio
 import os
 import pathlib
 import random
-import shutil
 import signal
 import sys
-import tempfile
 from collections.abc import Iterable
 from typing import Any
 
 from ..crypto import keystore
 from ..crypto.dealer import CLIENT_BASE, SystemKeys, deal_system
 from ..crypto.groups import small_group
-from ..smr import reconfig
 from ..smr.client import ServiceClient
 from .runtime import (
     CLUSTER_FILE,
@@ -40,7 +37,6 @@ from .runtime import (
     allocate_addresses,
     load_epoch,
     parse,
-    provision_dkg_deployment,
     provision_joiner,
 )
 from .transport import FaultPlan, TransportError, TransportNetwork
@@ -49,9 +45,7 @@ __all__ = [
     "admit_joiner",
     "attach_client",
     "deal_deployment",
-    "demo_cluster",
     "spawn_replicas",
-    "submit_each",
 ]
 
 
@@ -126,21 +120,6 @@ def admit_joiner(
     return bundle, address
 
 
-async def submit_each(
-    client: ServiceClient, operations: list[tuple], timeout: float
-) -> list[object]:
-    """Submit operations one at a time, awaiting each threshold-signed
-    answer (``timeout`` apiece); returns their results."""
-    results: list[object] = []
-    for operation in operations:
-        nonce = client.submit(operation)
-        await client.network.wait_until(
-            lambda: nonce in client.completed, timeout=timeout
-        )
-        results.append(client.completed[nonce].result)
-    return results
-
-
 # -- replica processes --------------------------------------------------------------
 
 
@@ -196,17 +175,21 @@ class _ReplicaProcess:
             if not chunk:
                 return
 
-    async def wait_for(self, kind: str, **match: object) -> dict[str, str]:
-        """The fields of the first ``kind`` event the child has printed
-        (or prints within the deployment's ``ClusterConfig.io_timeout``,
-        threaded through at spawn time) whose fields include ``match``."""
+    async def wait_for(
+        self, kind: str | tuple[str, ...], **match: object
+    ) -> dict[str, str]:
+        """The fields of the first ``kind`` event (or of any of a tuple
+        of kinds) the child has printed (or prints within the
+        deployment's ``ClusterConfig.io_timeout``, threaded through at
+        spawn time) whose fields include ``match``."""
+        kinds = (kind,) if isinstance(kind, str) else kind
         wanted = {name: str(value) for name, value in match.items()}
         loop = asyncio.get_running_loop()
         deadline = loop.time() + self.io_timeout
         while True:
             self._news.clear()
             for seen, fields in self.events:
-                if seen == kind and wanted.items() <= fields.items():
+                if seen in kinds and wanted.items() <= fields.items():
                     return fields
             if self._task.done():
                 raise TransportError(
@@ -290,212 +273,3 @@ async def spawn_replicas(
             await replica.kill()
         raise
     return replicas
-
-
-# -- the demo cluster ---------------------------------------------------------------
-
-
-class _DemoFailed(Exception):
-    """A demo expectation did not hold; the message says which."""
-
-
-def _expect(held: bool, otherwise: str) -> None:
-    if not held:
-        raise _DemoFailed(otherwise)
-
-
-async def _phase(
-    client: ServiceClient, title: str, operations: list[tuple], timeout: float
-) -> list[object]:
-    """One demo phase: announce it, run its operations, show the answers."""
-    print(title, flush=True)
-    results = await submit_each(client, operations, timeout)
-    for operation, result in zip(operations, results):
-        print(f"  client: {operation!r} -> {result!r}", flush=True)
-    return results
-
-
-def _expect_full_history(replica: _ReplicaProcess) -> None:
-    """Every key of every demo phase is in the stopped replica's final
-    snapshot."""
-    snapshot = dict(replica.events).get("replica-final", {}).get("snapshot", "")
-    missing = [f"key-{i}" for i in range(6) if f"key-{i}" not in snapshot]
-    _expect(
-        bool(snapshot) and not missing,
-        f"replica {replica.party} final state missing {missing or 'everything'}",
-    )
-
-
-async def _demo_cluster(
-    n: int, t: int, seed: int, directory: pathlib.Path, timeout: float
-) -> None:
-    print(f"dealing keys for n={n}, t={t} (plus one client identity)", flush=True)
-    deal_deployment(directory, n, t, random.Random(seed), io_timeout=timeout)
-    print(f"spawning {n} replica processes", flush=True)
-    replicas = await spawn_replicas(directory, range(n))
-    client = await attach_client(directory, random.Random(seed + 99))
-    victim = n - 1
-    try:
-        await _phase(
-            client, "phase A: 3 writes with the full cluster",
-            [("set", f"key-{i}", i) for i in range(3)], timeout,
-        )
-        print(f"killing replica {victim} (SIGKILL, no warning)", flush=True)
-        await replicas[victim].kill()
-        await _phase(
-            client, f"phase B: 2 writes with {n - 1} replicas",
-            [("set", f"key-{i}", i) for i in range(3, 5)], timeout,
-        )
-        print(f"restarting replica {victim} with --recover", flush=True)
-        replicas.update(await spawn_replicas(directory, [victim], "--recover"))
-        results = await _phase(
-            client, "phase C: 1 write + 1 read with the recovered cluster",
-            [("set", "key-5", 5), ("get", "key-0")], timeout,
-        )
-        _expect(results[-1] == ("value", 0), "read returned the wrong value")
-
-        # State transfer (Section 6) runs concurrently with phase C;
-        # wait for the restarted replica to announce it has caught up
-        # before asking everyone for their final snapshot.
-        await replicas[victim].wait_for("replica-recovered")
-
-        print("stopping the cluster (SIGTERM)", flush=True)
-        for party in sorted(replicas):
-            await replicas[party].stop()
-        # The restarted replica must have replayed the history it missed.
-        _expect_full_history(replicas[victim])
-        print(f"demo-cluster: ok (replica {victim} recovered the full history)")
-    finally:
-        for process in replicas.values():
-            await process.kill()
-        await client.network.close()
-
-
-async def _demo_cluster_dkg(
-    n: int, t: int, seed: int, directory: pathlib.Path, timeout: float
-) -> None:
-    """Dealerless demo: boot via DKG, then reconfigure the live cluster
-    n -> n+1 -> n (add a member, then remove it) without stopping."""
-    joiner = n
-    print(f"provisioning bootstrap identities for n={n}, t={t} (NO dealer)",
-          flush=True)
-    provision_dkg_deployment(n, t, random.Random(seed), directory, io_timeout=timeout)
-    print(f"spawning {n} replicas with --dkg (distributed key generation)",
-          flush=True)
-    replicas = await spawn_replicas(directory, range(n), "--dkg")
-    for party in range(n):
-        generated = await replicas[party].wait_for("replica-dkg")
-        print(f"  replica {party}: keys from dealers {generated['qualified']}", flush=True)
-
-    client = await attach_client(directory, random.Random(seed + 99))
-    operator_rng = random.Random(seed + 7)
-
-    async def reconfigure(action: str, epoch: int, members: int, **fields) -> None:
-        """Order the signed change of ``joiner``'s membership that opens
-        ``epoch``; returns once all ``members`` servers have entered it."""
-        # Identity keys persist across epochs: party 0 signs every change.
-        signer = keystore.load_party(
-            directory / "server-0.json", client.public
-        ).signing_key
-        operation = reconfig.reconfigure_operation(
-            action, epoch, 0, signer, operator_rng, party=joiner, **fields
-        )
-        results = await _phase(
-            client,
-            f"submitting ordered Reconfigure({action}, party={joiner}) -> epoch {epoch}",
-            [operation], timeout,
-        )
-        _expect(
-            results[0] == ("reconfig", "accepted", epoch),
-            f"{action} operation rejected",
-        )
-        for party in range(members):
-            entered = await replicas[party].wait_for("replica-epoch", epoch=epoch)
-            print(f"  replica {party}: epoch {epoch}, n={entered['n']}", flush=True)
-            # A member's pre-switch shares must fail under the new epoch's
-            # verification values (a joiner held none to probe).
-            _expect(
-                party == joiner or entered.get("stale_shares_valid") == "False",
-                f"stale shares still verify in epoch {epoch}",
-            )
-
-    try:
-        await _phase(
-            client, "phase A: 3 writes against the DKG-generated keys",
-            [("set", f"key-{i}", i) for i in range(3)], timeout,
-        )
-
-        print(f"provisioning joiner {joiner} and spawning it with --join",
-              flush=True)
-        bundle, joiner_addr = admit_joiner(directory, joiner, operator_rng, client)
-        replicas.update(await spawn_replicas(directory, [joiner], "--join"))
-
-        await reconfigure(
-            "add", 1, n + 1,
-            verify_key=bundle.signing_key.verify_key.h,
-            host=joiner_addr[0], port=joiner_addr[1],
-        )
-        await replicas[joiner].wait_for("replica-recovered")
-        print(f"  replica {joiner} joined epoch 1 and state-transferred",
-              flush=True)
-
-        await _phase(
-            client,
-            f"phase B: 2 writes with n={n + 1} (client refetches membership)",
-            [("set", f"key-{i}", i) for i in range(3, 5)], timeout,
-        )
-        _expect(client.epoch == 1, "client never adopted epoch 1")
-
-        await reconfigure("remove", 2, n)
-        await replicas[joiner].wait_for("replica-departed", epoch=2)
-        print(f"stopping departed replica {joiner}", flush=True)
-        await replicas[joiner].stop()
-
-        results = await _phase(
-            client, f"phase C: 1 write + 1 read back at n={n} (epoch 2)",
-            [("set", "key-5", 5), ("get", "key-0")], timeout,
-        )
-        _expect(results[-1] == ("value", 0), "read returned the wrong value")
-        _expect(
-            client.epoch == 2 and client.epoch_refreshes >= 2,
-            "client did not follow both epochs",
-        )
-
-        print("stopping the cluster (SIGTERM)", flush=True)
-        for party in range(n):
-            await replicas[party].stop()
-        for party in range(n):
-            _expect_full_history(replicas[party])
-        print(f"demo-cluster: ok (dealerless boot, live {n}->{n + 1}->{n} "
-              f"reconfiguration, epochs 0..2)")
-    finally:
-        for process in replicas.values():
-            await process.kill()
-        await client.network.close()
-
-
-def demo_cluster(
-    n: int = 4,
-    t: int = 1,
-    seed: int = 0,
-    directory: str | pathlib.Path | None = None,
-    keep: bool = False,
-    timeout: float = 60.0,
-    dkg: bool = False,
-) -> int:
-    """Run the end-to-end TCP cluster demo; returns a process exit code."""
-    created = directory is None
-    workdir = pathlib.Path(directory or tempfile.mkdtemp(prefix="repro-cluster-"))
-    workdir.mkdir(parents=True, exist_ok=True)
-    runner = _demo_cluster_dkg if dkg else _demo_cluster
-    try:
-        asyncio.run(runner(n, t, seed, workdir, timeout))
-        return 0
-    except _DemoFailed as failure:
-        print(f"demo-cluster: FAILED ({failure})")
-        return 1
-    finally:
-        if created and not keep:
-            shutil.rmtree(workdir, ignore_errors=True)
-        elif keep:
-            print(f"cluster state kept in {workdir}")

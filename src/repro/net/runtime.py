@@ -33,6 +33,7 @@ import signal
 import socket
 from collections.abc import Callable
 from dataclasses import dataclass
+from typing import Any
 
 from ..adversary.quorums import ThresholdQuorumSystem
 from ..core.atomic_broadcast import AbcConfig
@@ -79,10 +80,11 @@ __all__ = [
 
 CLUSTER_FILE = "cluster.json"
 EPOCH_FILE = "epoch.json"
+FAULTS_FILE = "faults.json"  # a chaos run's fault plan (net/chaos.py)
 
 # Default bound on every "wait for the cluster to say something" loop.
-# Configurable per deployment through ``ClusterConfig.io_timeout`` (and
-# ``demo-cluster --io-timeout`` / chaos scenarios), because 30s is
+# Configurable per deployment through ``ClusterConfig.io_timeout`` (a
+# chaos scenario's ``io_timeout``), because 30s is
 # plenty on a laptop but flaky on a loaded CI machine or under
 # injected faults.
 DEFAULT_IO_TIMEOUT = 30.0
@@ -336,7 +338,7 @@ def provision_dkg_deployment(
     t: int,
     rng: random.Random,
     directory: str | pathlib.Path,
-    io_timeout: float = DEFAULT_IO_TIMEOUT,
+    **cluster: Any,
 ) -> None:
     """Operator-side provisioning for a dealerless cluster.
 
@@ -344,6 +346,7 @@ def provision_dkg_deployment(
     every server's verify key), one client's
     ``client-<id>.json`` channel bundle and ``cluster.json`` with a
     free localhost port for each — all ``run-replica --dkg`` needs.
+    ``cluster`` are the other :class:`ClusterConfig` fields.
     Unlike :func:`deal_system`, no threshold secret exists anywhere —
     compromising one bundle corrupts exactly one party.
     """
@@ -366,7 +369,7 @@ def provision_dkg_deployment(
         )
         save_bootstrap(directory, bundle)
     _write_client(directory, CLIENT_BASE, keyring[CLIENT_BASE])
-    ClusterConfig(allocate_addresses(identities), io_timeout=io_timeout).save(
+    ClusterConfig(allocate_addresses(identities), **cluster).save(
         directory / CLUSTER_FILE
     )
 
@@ -611,7 +614,8 @@ class ReplicaHost:
                 directory / f"server-{party}.json", self.public
             )
             self.epoch = load_epoch(directory)
-        if faults is None:
+        if faults is None and (directory / FAULTS_FILE).exists():
+            # Only a chaos run loads the chaos engine.
             from .chaos import load_fault_plan  # lazy: chaos imports us
 
             faults = load_fault_plan(directory)
@@ -1175,9 +1179,8 @@ class ReplicaHost:
     def _on_stale_info(self, sender: int, info: object) -> None:
         """A RecoverQuery we sent came back with the signed membership
         record of a newer epoch: the cluster moved on while this replica
-        was down.  Adopt once an honest-containing set of *currently
-        trusted* members signed the identical record — the same trust
-        chain clients use (identity keys persist across epochs).
+        was down.  Adopted by the rule clients use,
+        :func:`reconfig.adopt_membership`.
 
         While a resharing is in flight the votes are ignored — unless
         the flush watchdog marked it stalled, in which case the peers
@@ -1185,22 +1188,11 @@ class ReplicaHost:
         back in (degraded: our share material missed the refresh)."""
         if self.phase.name not in ("serving", "stalled"):
             return
-        if not reconfig.verify_membership_info(info, self.public):
-            return
-        if info.epoch <= self.epoch:
-            return
-        votes = self._stale_votes.setdefault(
-            (info.epoch, info.public_json), set()
+        adopted = reconfig.adopt_membership(
+            self._stale_votes, self.public, self.epoch, sender, info
         )
-        votes.add(sender)
-        if not self.public.quorum.contains_honest(frozenset(votes)):
-            return
-        try:
-            new_public = keystore.public_from_dict(json.loads(info.public_json))
-        except (ValueError, KeyError, TypeError):
-            return
-        self._stale_votes.clear()
-        self._rejoin(info.epoch, new_public)
+        if adopted is not None:
+            self._rejoin(*adopted)
 
     # -- the flush watchdog ---------------------------------------------------------
 
@@ -1316,11 +1308,18 @@ async def run_client_ops(
     timeout: float = 60.0,
 ) -> list[object]:
     """Submit operations over TCP, one at a time; returns their results."""
-    from .cluster import attach_client, submit_each  # lazy: cluster imports us
+    from .cluster import attach_client  # lazy: cluster imports us
 
     client = await attach_client(directory, random.Random(), client_id=client_id)
+    results: list[object] = []
     try:
-        return await submit_each(client, operations, timeout)
+        for operation in operations:
+            nonce = client.submit(operation)
+            await client.network.wait_until(
+                lambda: nonce in client.completed, timeout=timeout
+            )
+            results.append(client.completed[nonce].result)
+        return results
     finally:
         await client.network.close()
 

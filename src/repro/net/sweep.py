@@ -101,10 +101,11 @@ EXPECTATIONS = ("pass", "violation")
 # has no wall clock; steps are its only notion of "too long").
 PROBE_STEP_BOUND = 150_000
 
-# Why the simulator refuses a scenario's ``reconfigs``.
+# Why the simulator refuses a scenario's ``reconfigs`` and a dealerless boot.
 NO_RESHARING = (
-    "scenario: the simulator backend cannot reconfigure — resharing runs "
-    "only in the TCP host until the ROADMAP's EpochMachine item lands"
+    "scenario: the simulator backend cannot reconfigure or boot without a "
+    "dealer — key generation and resharing run only in the TCP host until "
+    "the ROADMAP's EpochMachine item lands"
 )
 
 
@@ -421,7 +422,7 @@ class SimCluster:
         # construction.
         return {"corrupted": False}
 
-    async def reconfigure(self) -> tuple[int, tuple]:
+    async def reconfigure(self, action: str) -> tuple[int, tuple]:
         raise ScenarioError(NO_RESHARING)
 
     async def submit(self, operation: tuple, done: Callable) -> None:
@@ -464,7 +465,7 @@ def run_scenario_sim(scenario: Scenario) -> dict:
     rather than seconds.
     """
     scenario.validate()
-    _require(not scenario.reconfigs, NO_RESHARING)
+    _require(not (scenario.reconfigs or scenario.dealerless), NO_RESHARING)
     return asyncio.run(run_timeline(scenario, SimCluster(scenario)))
 
 

@@ -12,7 +12,6 @@ combines their signature shares into one service-signed reply.
 from __future__ import annotations
 
 import asyncio
-import json
 import random
 from dataclasses import dataclass
 
@@ -26,13 +25,16 @@ from .reconfig import (
     EpochError,
     MembershipInfo,
     MembershipQuery,
+    adopt_membership,
     epoch_service_session,
-    verify_membership_info,
 )
 from .replica import SubmitEncrypted, SubmitRequest, reply_root, tree_statement
 from .state_machine import Reply, Request
 
 __all__ = ["CompletedRequest", "ServiceClient"]
+
+# The longest a call waits for an answer before re-sending its request.
+_MAX_ATTEMPT_TIMEOUT = 15.0
 
 
 @dataclass(frozen=True)
@@ -64,16 +66,14 @@ class ServiceClient(Node):
         network: NetworkBackend,
         public: PublicKeys,
         rng: random.Random,
-        session_tag: object = "service",
         epoch: int = 0,
     ) -> None:
         self.client_id = client_id
         self.network = network
         self.public = public
         self.rng = rng
-        self.session_tag = session_tag
         self.epoch = epoch
-        self.session = epoch_service_session(epoch, session_tag)
+        self.session = epoch_service_session(epoch)
         self._nonce = 0
         self._operations: dict[int, tuple] = {}
         # nonce -> replica -> ((leaf, root), reply): each reply's tree
@@ -166,8 +166,6 @@ class ServiceClient(Node):
         *,
         timeout: float = 60.0,
         attempt_timeout: float = 3.0,
-        backoff: float = 2.0,
-        max_attempt_timeout: float = 15.0,
         servers: list[int] | None = None,
     ) -> CompletedRequest:
         """Submit an ordered request and await its signed answer,
@@ -179,7 +177,7 @@ class ServiceClient(Node):
         crashes, restarts, or sits behind a partition can swallow the
         first submission, so the request is re-sent — same nonce, so
         replicas execute it at most once — every ``attempt_timeout``
-        (growing by ``backoff`` up to ``max_attempt_timeout``) until
+        (doubling, up to ``_MAX_ATTEMPT_TIMEOUT``) until
         the overall per-op ``timeout`` expires, which raises
         ``asyncio.TimeoutError`` instead of hanging forever.
         """
@@ -210,7 +208,7 @@ class ServiceClient(Node):
                 return self.completed[nonce]
             except asyncio.TimeoutError:
                 self.resubmit(nonce, servers=servers)
-                wait = min(wait * backoff, max_attempt_timeout)
+                wait = min(wait * 2, _MAX_ATTEMPT_TIMEOUT)
 
     def operation(self, nonce: int) -> tuple:
         """The operation submitted under ``nonce`` (KeyError if unknown)."""
@@ -288,38 +286,15 @@ class ServiceClient(Node):
             self.network.send(self.client_id, server, query)
 
     def _on_membership_info(self, sender: int, message: MembershipInfo) -> None:
-        """Adopt a newer configuration once an honest-containing set of
-        *currently trusted* replicas signed the identical record.
-
-        Continuing members keep their identity keys across epochs, so
-        verifying against the current epoch's verify keys chains trust
-        from the configuration this client already believes to the new
-        one — no single replica (and no departed replica) can feed the
-        client a fake membership.
-        """
-        if message.replica != sender:
-            return
-        if not verify_membership_info(message, self.public):
-            return
-        if message.epoch <= self.epoch:
-            return
-        votes = self._membership_votes.setdefault(
-            (message.epoch, message.public_json), set()
+        """Adopt a newer configuration by :func:`adopt_membership`."""
+        adopted = adopt_membership(
+            self._membership_votes, self.public, self.epoch, sender, message
         )
-        votes.add(sender)
-        if not self.public.quorum.contains_honest(frozenset(votes)):
+        if adopted is None:
             return
-        try:
-            from ..crypto import keystore
-
-            public = keystore.public_from_dict(json.loads(message.public_json))
-        except (ValueError, KeyError, TypeError):
-            return
-        self.public = public
-        self.epoch = message.epoch
-        self.session = epoch_service_session(message.epoch, self.session_tag)
+        self.epoch, self.public = adopted
+        self.session = epoch_service_session(self.epoch)
         self.epoch_refreshes += 1
-        self._membership_votes.clear()
         # Replies collected under the old configuration mix signature
         # shares from two key generations; drop them and re-send every
         # pending request — same nonce, so execution stays at-most-once

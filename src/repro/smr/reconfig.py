@@ -40,6 +40,7 @@ from dataclasses import dataclass
 
 from ..codec import register
 from ..core.protocol import Context, Protocol, SessionId
+from ..crypto import keystore
 from ..crypto.dealer import PublicKeys
 from ..crypto.schnorr import Signature, SigningKey
 
@@ -55,6 +56,7 @@ __all__ = [
     "membership_statement",
     "signed_membership_info",
     "verify_membership_info",
+    "adopt_membership",
     "reconfigure_operation",
     "parse_reconfigure",
     "validate_reconfigure",
@@ -119,11 +121,11 @@ class MembershipInfo:
 # ===========================================================================
 
 
-def epoch_service_session(epoch: int, tag: object = "service") -> SessionId:
+def epoch_service_session(epoch: int) -> SessionId:
     """The service session of an epoch (epoch 0 keeps the legacy id)."""
     if epoch <= 0:
-        return ("service", tag)
-    return ("service", tag, epoch)
+        return ("service", "service")
+    return ("service", "service", epoch)
 
 
 def canonical_public_json(public_dict: dict) -> str:
@@ -170,6 +172,42 @@ def verify_membership_info(info: object, trusted: PublicKeys) -> bool:
     return key.verify(
         membership_statement(info.epoch, info.public_json), info.signature
     )
+
+
+def adopt_membership(
+    votes: dict[tuple[int, str], set[int]],
+    trusted: PublicKeys,
+    epoch: int,
+    sender: int,
+    info: object,
+) -> tuple[int, PublicKeys] | None:
+    """The one rule for believing a newer configuration, for a client
+    and a replica that missed an epoch alike: count ``info`` when its
+    signer sent it (a relayed record counts for no one), its signature
+    verifies under the ``trusted`` keys and it is newer than ``epoch``;
+    adopt once an honest-containing set signed the identical record.
+
+    ``votes`` groups the signers by ``(epoch, public_json)`` and is
+    cleared on adoption.  Returns the new ``(epoch, public keys)``, or
+    ``None`` while there is nothing to adopt.  Continuing members keep
+    their identity keys across epochs, so this chains trust from the
+    configuration already believed to the new one — no single replica
+    (and no departed one) can feed a fake membership.
+    """
+    if not verify_membership_info(info, trusted) or info.replica != sender:
+        return None
+    if info.epoch <= epoch:
+        return None
+    signers = votes.setdefault((info.epoch, info.public_json), set())
+    signers.add(sender)
+    if not trusted.quorum.contains_honest(frozenset(signers)):
+        return None
+    try:
+        public = keystore.public_from_dict(json.loads(info.public_json))
+    except (ValueError, KeyError, TypeError):
+        return None
+    votes.clear()
+    return info.epoch, public
 
 
 # ===========================================================================

@@ -94,8 +94,9 @@ class RecoverLog:
     round: int
 
 
-def service_session(tag: object = "service") -> SessionId:
-    return ("service", tag)
+def service_session() -> SessionId:
+    """The service session of a dealt deployment (its epoch 0)."""
+    return ("service", "service")
 
 
 def reply_statement(request_digest: object, result: object) -> tuple:

@@ -37,7 +37,6 @@ class ServiceDeployment:
     runtimes: dict[int, ProtocolRuntime]
     replicas: dict[int, Replica]
     controller: CorruptionController
-    session_tag: object = "service"
     clients: list[ServiceClient] = field(default_factory=list)
     _client_rng: random.Random = field(default_factory=lambda: random.Random(777))
     # What build_service made every replica from; rejoin makes the next.
@@ -57,7 +56,6 @@ class ServiceDeployment:
             self.network,
             self.keys.public,
             random.Random(self._client_rng.randrange(1 << 48)),
-            session_tag=self.session_tag,
         )
         self.network.attach(client_id, client)
         self.clients.append(client)
@@ -86,7 +84,7 @@ class ServiceDeployment:
             self.state_machine_factory(), causal=self.causal,
             abc_config=self.abc_config,
         )
-        session = service_session(self.session_tag)
+        session = service_session()
         runtime.spawn(session, replica)
         self.network.recover(party, runtime)
         replica.begin_recovery(Context(runtime, session))
@@ -114,7 +112,6 @@ def build_service(
     seed: int = 0,
     group: SchnorrGroup | None = None,
     signature_backend: str = "certs",
-    session_tag: object = "service",
     abc_config: AbcConfig | None = None,
 ) -> ServiceDeployment:
     """Deal keys, build the network, and start one replica per server.
@@ -145,7 +142,7 @@ def build_service(
         replica = Replica(
             state_machine_factory(), causal=causal, abc_config=abc_config
         )
-        runtime.spawn(service_session(session_tag), replica)
+        runtime.spawn(service_session(), replica)
         runtimes[party] = runtime
         replicas[party] = replica
     return ServiceDeployment(
@@ -154,7 +151,6 @@ def build_service(
         runtimes=runtimes,
         replicas=replicas,
         controller=controller,
-        session_tag=session_tag,
         state_machine_factory=state_machine_factory,
         abc_config=abc_config,
         causal=causal,

@@ -99,7 +99,7 @@ def test_generalized_structure_service_with_class_corruption(keys_example1):
     for i in range(4, 9):
         rt = ProtocolRuntime(i, net, keys_example1.public, keys_example1.private[i], seed=2)
         net.attach(i, rt)
-        rt.spawn(service_session("service"), Replica(DirectoryService()))
+        rt.spawn(service_session(), Replica(DirectoryService()))
     for bad in range(4):
         net.attach(bad, SilentNode())
     client = ServiceClient(1000, net, keys_example1.public, random.Random(6))

@@ -6,6 +6,7 @@ import pytest
 
 from helpers import ctx_for, make_network
 
+from repro.core import atomic_broadcast
 from repro.core.atomic_broadcast import (
     AbcBatch,
     AbcConfig,
@@ -171,8 +172,9 @@ def test_batching_delivers_many_payloads_in_few_rounds(keys_4_1):
     assert all(logs[p] == logs[0] for p in rts)
 
 
-def test_byte_budget_caps_batches(keys_4_1):
-    config = AbcConfig(max_batch=64, max_batch_bytes=1)
+def test_byte_budget_caps_batches(keys_4_1, monkeypatch):
+    monkeypatch.setattr(atomic_broadcast, "_MAX_BATCH_BYTES", 1)
+    config = AbcConfig(max_batch=64)
     # Seed 22 (21 before the binary integer grammar re-drew every coin:
     # under 21 round 1 now decides on no new payload and the three ship
     # in rounds 2..4, mean 0.75).
@@ -196,8 +198,6 @@ def test_byte_budget_caps_batches(keys_4_1):
     [
         {"pipeline_depth": 0},
         {"max_batch": 0},
-        {"max_batch_bytes": -3},
-        {"buffer_slack": -1},
     ],
     ids=lambda knob: next(iter(knob)),
 )
@@ -301,7 +301,7 @@ def test_far_future_proposals_dropped_as_lag_evidence(keys_4_1):
     fired = []
     inst.on_lag = lambda: fired.append(True)
     rng = random.Random(31)
-    far = 500  # far beyond pipeline_depth + buffer_slack
+    far = 500  # far beyond pipeline_depth + _BUFFER_SLACK
     for signer in (0, 2):
         statement = proposal_statement(session, far, batch_digest(()))
         signature = keys_4_1.private[signer].signing_key.sign(statement, rng)
@@ -498,7 +498,7 @@ def test_only_a_recorded_proposal_is_adopted(keys_4_1):
     # Equivocation: the same sender's second batch for the round.
     inst.on_message(ctx, 0, _signed(keys_4_1, session, 0, 1, (second,)))
     # Beyond the window: lag evidence, not a submission.
-    far = 1 + inst.config.pipeline_depth + inst.config.buffer_slack
+    far = 1 + inst.config.pipeline_depth + atomic_broadcast._BUFFER_SLACK
     inst.on_message(ctx, 2, _signed(keys_4_1, session, 2, far, (("req", "far"),)))
     assert inst.lag_reports == {2: far}
     # A bad signature: party 3's batch under party 2's key.

@@ -234,7 +234,7 @@ def test_each_coin_exponentiates_exactly_this_much(monkeypatch):
     tally = Counter()
     doing = []  # "share" inside share_for, "check" inside verify_shares
     share_for, verify_shares = CoinShareholder.share_for, CoinPublic.verify_shares
-    exp_once, straus, product = GroupAccel.exp_once, accel._straus, zkp.verify_product_equations
+    exp, straus, product = GroupAccel.exp, accel._straus, zkp.verify_product_equations
     add_ladder = GroupAccel.add_ladder
 
     def counting_share_for(holder, name, rng, memo):
@@ -258,9 +258,10 @@ def test_each_coin_exponentiates_exactly_this_much(monkeypatch):
         finally:
             doing.pop()
 
-    def counting_exp_once(group_accel, base, exponent):
-        tally["fresh_pows"] += doing[-1:] == ["share"]
-        return exp_once(group_accel, base, exponent)
+    def counting_exp(group_accel, base, exponent):
+        # The proof's g^w is the generator's table: not a fresh base.
+        tally["fresh_pows"] += doing[-1:] == ["share"] and base != group_accel.g
+        return exp(group_accel, base, exponent)
 
     def counting_add_ladder(group_accel, base):
         tally["ladders"] += base not in group_accel._ladders
@@ -282,7 +283,7 @@ def test_each_coin_exponentiates_exactly_this_much(monkeypatch):
 
     monkeypatch.setattr(CoinShareholder, "share_for", counting_share_for)
     monkeypatch.setattr(CoinPublic, "verify_shares", counting_verify_shares)
-    monkeypatch.setattr(GroupAccel, "exp_once", counting_exp_once)
+    monkeypatch.setattr(GroupAccel, "exp", counting_exp)
     monkeypatch.setattr(GroupAccel, "add_ladder", counting_add_ladder)
     monkeypatch.setattr(accel, "pow", counting_pow, raising=False)
     monkeypatch.setattr(accel, "_straus", counting_straus)

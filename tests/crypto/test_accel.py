@@ -20,7 +20,7 @@ from repro.crypto.dealer import deal_system
 from repro.crypto.groups import default_group, small_group
 from repro.crypto.lsss import threshold_scheme
 from repro.crypto.schnorr import keygen, verify_batch
-from repro.crypto.threshold_enc import deal_encryption
+from repro.crypto.threshold_enc import deal_encryption, second_generator
 from repro.crypto.zkp import prove_dleq
 from repro.net.scheduler import FifoScheduler
 from repro.smr.service import build_service
@@ -117,7 +117,8 @@ def test_a_budget_of_key_tables_is_a_sixth_of_a_budget_of_full_ones(monkeypatch)
     accel = GroupAccel(group.p, group.q, group.g)
     for _ in range(accel_module._MAX_TABLES + 2):  # past the budget: the oldest go
         key = pow(group.g, rng.randrange(1, group.q), group.p)
-        for _ in range(accel_module._TABLE_THRESHOLD):
+        accel.add_table(key)
+        for _ in range(16):
             c = rng.getrandbits(128)
             assert accel.exp(key, c) == pow(key, c, group.p)
         term = rng.getrandbits(192)
@@ -137,13 +138,17 @@ def test_a_budget_of_key_tables_is_a_sixth_of_a_budget_of_full_ones(monkeypatch)
 
 
 def test_server_keys_are_tabled_when_the_bundle_is_assembled():
-    """Not after sixteen uses of ``exp``: a key met only inside batches
-    never reaches them.  Adding a table is not a use."""
-    keys = deal_system(4, random.Random(14), t=1, group=small_group())
-    accel = accel_for(small_group())
-    for key in keys.public.verify_keys.values():
-        assert key.h in accel._tables and key.h not in accel._counts
-    assert accel._tables[small_group().g] is accel.add_table(small_group().g)
+    """Declared, not counted: every server key and TDH2's ``h`` and
+    ``ḡ`` have their table before any of them is used."""
+    group = small_group()
+    accel = accel_for(group)
+    accel._tables.pop(second_generator(group), None)
+    keys = deal_system(4, random.Random(14), t=1, group=group)
+    encryption = keys.public.encryption
+    for base in (*(key.h for key in keys.public.verify_keys.values()),
+                 encryption.h, encryption.g_bar):
+        assert accel._tables[base].windows == []  # tabled, never used
+    assert accel._tables[group.g] is accel.add_table(group.g)
 
 
 def test_key_tables_stay_short_after_a_production_size_round():
@@ -165,13 +170,20 @@ def test_key_tables_stay_short_after_a_production_size_round():
     assert 22 <= max(rows) <= 33
 
 
-def test_accel_exp_and_auto_tabling_match_pow():
+def test_accel_exp_matches_pow_for_tabled_laddered_and_plain_bases():
+    """However a base is held, ``exp`` answers ``pow``; and using a base,
+    however often, never gives it a table or a ladder."""
     rng = random.Random(3)
-    accel = accel_for(GROUP)
-    base = GROUP.random_element(rng)
-    for _ in range(40):  # crosses the auto-tabling threshold mid-loop
-        e = rng.randrange(GROUP.q)
-        assert accel.exp(base, e) == pow(base, e, GROUP.p)
+    accel = GroupAccel(GROUP.p, GROUP.q, GROUP.g)
+    tabled, laddered, plain = (GROUP.random_element(rng) for _ in range(3))
+    accel.add_table(tabled)
+    accel.add_ladder(laddered)
+    for _ in range(40):
+        for base in (GROUP.g, tabled, laddered, plain):
+            e = rng.randrange(GROUP.q)
+            assert accel.exp(base, e) == pow(base, e, GROUP.p)
+    assert set(accel._tables) == {GROUP.g, tabled}
+    assert set(accel._ladders) == {laddered}
 
 
 def test_accel_membership_matches_exponent_test():
@@ -226,9 +238,7 @@ def test_verify_product_equations_through_tables_equals_table_less():
     p, q, g = GROUP.p, GROUP.q, GROUP.g
     accel = GroupAccel(p, q, g)
     tabled = GROUP.random_element(rng)
-    for _ in range(accel_module._TABLE_THRESHOLD):
-        accel.exp(tabled, rng.randrange(q))
-    assert tabled in accel._tables
+    accel.add_table(tabled)
     for trial in range(40):
         x = rng.randrange(1, q)
         equations = []
@@ -255,31 +265,31 @@ def test_verify_product_equations_through_tables_equals_table_less():
 
 
 def test_table_budget_is_not_eaten_by_one_shot_bases():
-    """A base first seen after 200 transient ones — a joiner's verify
-    key after hundreds of coins — still gets its table, and the number
-    of tables never passes the budget."""
+    """200 transient bases used sixteen times each build no table; a
+    base declared after them — a joiner's verify key after hundreds of
+    coins — gets its table, and the number of tables never passes the
+    budget."""
     rng = random.Random(7)
     accel = GroupAccel(GROUP.p, GROUP.q, GROUP.g)
     for _ in range(200):
         transient = GROUP.random_element(rng)
-        for _ in range(accel_module._TABLE_THRESHOLD):
+        for _ in range(16):
             accel.exp(transient, rng.randrange(GROUP.q))
-        assert len(accel._tables) <= accel_module._MAX_TABLES
+    assert set(accel._tables) == {GROUP.g}
     late = GROUP.random_element(rng)
-    for _ in range(accel_module._TABLE_THRESHOLD + 3):
+    accel.add_table(late)
+    for _ in range(3):
         e = rng.randrange(GROUP.q)
         assert accel.exp(late, e) == pow(late, e, GROUP.p)
-    assert late in accel._tables
-    assert GROUP.g in accel._tables  # the generator is never the victim
-    assert len(accel._tables) <= accel_module._MAX_TABLES
     # Least recently *used*, not oldest: a table still in use survives a
-    # further budget's worth of transients.
+    # further budget's worth of declared ones, and the generator is
+    # never the victim.
     for _ in range(accel_module._MAX_TABLES):
         accel.exp(late, 5)
-        transient = GROUP.random_element(rng)
-        for _ in range(accel_module._TABLE_THRESHOLD):
-            accel.exp(transient, rng.randrange(GROUP.q))
+        accel.add_table(GROUP.random_element(rng))
+        assert len(accel._tables) <= accel_module._MAX_TABLES
     assert late in accel._tables
+    assert GROUP.g in accel._tables
 
 
 def test_negative_exponent_is_rejected_whether_or_not_the_base_is_tabled():
@@ -437,35 +447,34 @@ def test_culprit_fallback_tables_neither_the_coin_base_nor_a_share_value():
     """n = 16, one forged share per coin: the failed batch re-checks all
     sixteen shares one by one, and sixteen is the auto-tabling threshold
     — ``H(C)`` climbs its ladder there and the share values are
-    exponentiated by ``pow``: neither is counted toward a table, and no
-    share value gets a ladder."""
+    exponentiated by ``pow``: neither gets a table, and no share value
+    gets a ladder."""
     rng = random.Random(15)
     accel = accel_for(GROUP)
     public, holders = deal_coin(GROUP, threshold_scheme(16, 5, GROUP.q), rng)
-    assert len(holders) >= accel_module._TABLE_THRESHOLD
     name = ("aba-coin", "forged")
     base = public.coin_base(name)
     shares = [holders[party].share_for(name, rng) for party in range(15)]
     # Party 15 proves knowledge of its key honestly (the first equation
     # holds) and lies about the value (the second does not).
     ((slot, x),) = holders[15].subshares.items()
-    wrong = GROUP.mul(GROUP.exp_once(base, x), GROUP.g)
+    wrong = GROUP.mul(GROUP.exp(base, x), GROUP.g)
     proof = prove_dleq(
         GROUP, GROUP.g, base, x, rng, ("coin", name, slot), (GROUP.power_of_g(x), wrong)
     )
     shares.append(CoinShare(party=15, name=name, values={slot: wrong}, proofs={slot: proof}))
     assert set(public.verify_shares(name, shares)) == set(range(15))  # culprit named
     values = {wrong} | {v for share in shares for v in share.values.values()}
-    assert not ({base} | values) & (set(accel._tables) | set(accel._counts))
+    assert not ({base} | values) & set(accel._tables)
     assert base in accel._ladders
     assert not values & set(accel._ladders)
 
 
 def test_per_name_bases_never_earn_a_table():
     """A simulated n = 10 cluster shares one accelerator: ten parties
-    exponentiate each coin's ``H(C)`` twice, past the threshold of 16,
-    and a ciphertext's ``u`` likewise — each gets a ladder, neither may
-    build (or evict) a table; what is tabled stays the generator and the
+    exponentiate each coin's ``H(C)`` twice, twenty uses, and a
+    ciphertext's ``u`` likewise — each gets a ladder, neither may build
+    (or evict) a table; what is tabled stays the generator and the
     tabled keys, and a share value gets nothing."""
     rng = random.Random(11)
     accel = accel_for(GROUP)
@@ -473,7 +482,6 @@ def test_per_name_bases_never_earn_a_table():
     coin_public, coin_holders = deal_coin(GROUP, scheme, rng)
     enc_public, enc_holders = deal_encryption(GROUP, scheme, rng)
     tabled = set(accel._tables)
-    assert 2 * len(coin_holders) > accel_module._TABLE_THRESHOLD
     statement_bases, per_name, values = set(), set(), set()
     for flip in range(3):
         name = ("aba-coin", flip)
@@ -488,7 +496,7 @@ def test_per_name_bases_never_earn_a_table():
     assert 2 * 3 <= accel_module._MAX_LADDERS
     assert statement_bases <= set(accel._ladders)
     assert not (per_name | values) & set(accel._ladders)
-    assert not (statement_bases | per_name | values) & (set(accel._counts) | set(accel._tables))
+    assert not (statement_bases | per_name | values) & set(accel._tables)
     # The service key and the second generator recur for good: they may.
     assert set(accel._tables) - tabled <= {enc_public.h, enc_public.g_bar}
 
@@ -512,21 +520,21 @@ def test_ladder_matches_pow(group):
     assert Ladder(1, group.p).pow(group.q - 1) == 1
 
 
-def test_a_laddered_base_answers_exp_once_and_multiexp_as_pow():
+def test_a_laddered_base_answers_exp_and_multiexp_as_pow():
     rng = random.Random(17)
     accel = GroupAccel(GROUP.p, GROUP.q, GROUP.g)
     base, other = GROUP.random_element(rng), GROUP.random_element(rng)
     accel.add_ladder(base)
     for _ in range(10):
         e, f = rng.randrange(GROUP.q), rng.randrange(GROUP.q)
-        assert accel.exp_once(base, e) == pow(base, e, GROUP.p)
+        assert accel.exp(base, e) == pow(base, e, GROUP.p)
         assert accel.multiexp([(base, e), (other, f), (GROUP.g, f)]) == (
             pow(base, e, GROUP.p) * pow(other, f, GROUP.p) * pow(GROUP.g, f, GROUP.p) % GROUP.p
         )
     with pytest.raises(ValueError):
-        accel.exp_once(base, -1)
+        accel.exp(base, -1)
     with pytest.raises(ValueError):
-        accel.exp_once(other, -1)
+        accel.exp(other, -1)
 
 
 def test_multiexp_takes_a_negative_exponent_as_an_inverse_power():
@@ -551,8 +559,7 @@ def test_ten_thousand_coin_names_keep_the_ladders_at_their_budget():
     public, holders = deal_coin(GROUP, threshold_scheme(4, 1, GROUP.q), rng)
     keys = set(public.verification.values())
     for key in keys:  # table the verification keys, as a running cluster does
-        for _ in range(accel_module._TABLE_THRESHOLD):
-            accel.exp(key, rng.getrandbits(128))
+        accel.add_table(key)
     holder = holders[0]
     for flip in range(10_000):
         share = holder.share_for(("aba-coin", flip), rng)

@@ -122,7 +122,7 @@ def test_reloaded_system_runs_the_protocols(tmp_path):
         bundle = load_party(tmp_path / f"server-{i}.json", public)
         rt = ProtocolRuntime(i, net, public, bundle, seed=6)
         net.attach(i, rt)
-        rt.spawn(service_session("service"), Replica(KeyValueStore()))
+        rt.spawn(service_session(), Replica(KeyValueStore()))
     client = ServiceClient(1000, net, public, _r.Random(7))
     net.attach(1000, client)
     net.start()

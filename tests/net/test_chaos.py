@@ -24,6 +24,7 @@ from repro.net.chaos import (
     FaultSpec,
     PartitionSpec,
     Scenario,
+    ScenarioError,
     SeededFaultPlan,
     builtin_scenarios,
     byzantine_node,
@@ -195,6 +196,35 @@ def test_plan_timeline_covers_every_fault_and_op():
     assert kinds.count("restart") == 1
     ops = [entry for entry in timeline if entry["kind"] == "op"]
     assert all(entry["at"] >= scenario.workload_start for entry in ops)
+
+
+def test_dealerless_plan_adds_before_it_removes():
+    scenario = builtin_scenarios()["dealerless"]
+    assert scenario.dealerless and not scenario.byzantine
+    changes = [
+        (entry["at"], entry["action"])
+        for entry in plan_timeline(scenario) if entry["kind"] == "reconfig"
+    ]
+    assert [action for _, action in changes] == ["add", "remove"]
+    assert changes == sorted(changes)
+
+
+@pytest.mark.parametrize(
+    "fields, refusal",
+    [
+        ({"reconfigs": [[3.0, "grow"]]}, "unknown reconfig action 'grow'"),
+        (
+            {"dealerless": True, "byzantine": [[3, "silent"]]},
+            "dealerless boot cannot have byzantine parties",
+        ),
+        # What a journal of a build before (at, action) pairs recorded.
+        ({"reconfigs": [3.0, 8.0]}, "scenario: reconfigs: "),
+    ],
+    ids=["unknown-action", "dealerless-byzantine", "float-reconfigs"],
+)
+def test_from_json_refuses_a_reconfiguration_it_cannot_run(fields, refusal):
+    with pytest.raises(ScenarioError, match=refusal):
+        Scenario.from_json({"name": "refused", **fields})
 
 
 def test_plan_timeline_depends_on_seed():

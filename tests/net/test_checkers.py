@@ -7,7 +7,9 @@ import json
 from repro.net.checkers import (
     JournalEntry,
     check_liveness,
+    check_reconfigs,
     check_safety,
+    opened_epochs,
     percentile,
     read_journals,
     summarize_run,
@@ -187,6 +189,71 @@ def test_violation_kinds_falls_back_for_legacy_journals():
 
 
 # -- summaries ----------------------------------------------------------------------
+
+
+# -- reconfiguration ----------------------------------------------------------------
+
+
+def _change(action: str, epoch: int, result=None) -> dict:
+    return {
+        "kind": "reconfig", "action": action, "epoch": epoch,
+        "result": ["reconfig", "accepted", epoch] if result is None else result,
+    }
+
+
+def _entered(epoch: int, n: int, stale: str | None = "False") -> dict:
+    line = {"party": "0", "epoch": str(epoch), "n": str(n)}
+    if stale is not None:
+        line["stale_shares_valid"] = stale
+    return line
+
+
+# A dealerless run's walk: 4 -> 5 -> 4, party 4 joins for epoch 1 only.
+_WALK = [_change("add", 1), {"kind": "op", "latency": 0.1}, _change("remove", 2)]
+_CLEAN = {
+    **{p: [_entered(1, 5), _entered(2, 4)] for p in range(4)},
+    4: [_entered(1, 5, stale=None)],
+}
+
+
+def test_opened_epochs_follow_the_accepted_changes():
+    assert opened_epochs(_WALK, 4) == {1: 5, 2: 4}
+    rejected = [_change("add", 1, result=["reconfig", "rejected"]), _change("remove", 2)]
+    assert opened_epochs(rejected, 4) == {2: 3}
+
+
+def test_a_clean_walk_passes_the_reconfiguration_check():
+    report = check_reconfigs(_WALK, _CLEAN, 4)
+    assert report.ok and report.kinds == [] and report.issues == []
+    assert report.to_json()["epochs"] == {1: 5, 2: 4}
+    # No reconfiguration, nothing to say.
+    assert check_reconfigs([{"kind": "op"}], {0: []}, 4).ok
+
+
+def test_reconfiguration_check_tags_each_failure():
+    events = [
+        _change("add", 1),
+        _change("remove", 2, result=["reconfig", "rejected"]),
+        {"kind": "reconfig", "action": "refresh", "epoch": 3, "latency": None},
+    ]
+    entered = {
+        0: [_entered(1, 5)],
+        1: [_entered(1, 5, stale="True")],
+        2: [],
+        3: [_entered(1, 5)],
+        4: [_entered(1, 5, stale=None)],
+    }
+    report = check_reconfigs(events, entered, 4)
+    assert not report.ok
+    assert report.kinds == [
+        "reconfig.rejected",
+        "reconfig.rejected",
+        "reconfig.stale-shares",
+        "reconfig.not-entered",
+    ]
+    assert "replica 2 never said it entered epoch 1" in report.issues
+    kinds = violation_kinds({"reconfig": report.to_json()})
+    assert kinds == report.kinds
 
 
 def test_percentile_nearest_rank():

@@ -577,6 +577,29 @@ def test_membership_votes_count_only_when_serving_or_stalled(tmp_path):
     asyncio.run(scenario())
 
 
+def test_a_relayed_membership_record_counts_for_no_one(tmp_path):
+    """Party 1 forwards party 2's genuine record: that is one signer,
+    not two, so with t = 1 the replica waits for a second member's own
+    record, as a client does."""
+
+    async def scenario():
+        keys = _deployment(tmp_path, seed=77)
+        host = ReplicaHost(tmp_path, 0)
+        await host.start()
+        try:
+            [(_, signed_by_2)] = _votes(keys, 1, host.public, (2,))
+            host._on_stale_info(1, signed_by_2)  # relayed
+            host._on_stale_info(2, signed_by_2)
+            assert host.epoch == 0
+            [(_, signed_by_3)] = _votes(keys, 1, host.public, (3,))
+            host._on_stale_info(3, signed_by_3)
+            assert host.epoch == 1
+        finally:
+            await host.close()
+
+    asyncio.run(scenario())
+
+
 class _StubProtocol(_StubSession):
     def on_start(self, ctx):
         pass

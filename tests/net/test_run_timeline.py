@@ -39,7 +39,7 @@ SCENARIO = Scenario(
         LifecycleEvent(at=2.6, action="suspend", party=2),
         LifecycleEvent(at=2.7, action="resume", party=2),
     ),
-    reconfigs=(2.65,),
+    reconfigs=((2.65, "refresh"),),
 )
 
 
@@ -73,7 +73,8 @@ class FakeCluster:
     def _commit(self, operation: tuple) -> SimpleNamespace:
         nonce = len(self.executed) + 1
         self.executed.append(JournalEntry(client=1000, nonce=nonce, op=operation))
-        reply = SimpleNamespace(nonce=nonce, result=("ok",))
+        result = ("reconfig", "accepted", 1) if operation[0] == "reconfigure" else ("ok",)
+        reply = SimpleNamespace(nonce=nonce, result=result)
         self.client.completed[nonce] = reply
         return reply
 
@@ -97,9 +98,9 @@ class FakeCluster:
         self.calls.append(("corrupt_checkpoint", party))
         return {"corrupted": True}
 
-    async def reconfigure(self):
-        self.calls.append(("reconfigure",))
-        return 1, ("reconfigure", "refresh")
+    async def reconfigure(self, action):
+        self.calls.append(("reconfigure", action))
+        return 1, ("reconfigure", action)
 
     async def submit(self, operation, done):
         self.calls.append(("submit", operation))
@@ -114,6 +115,10 @@ class FakeCluster:
 
     async def settle(self):
         self.calls.append(("settle",))
+
+    async def entered(self, epochs):
+        self.calls.append(("entered", epochs))
+        return {0: [{"epoch": "1", "n": "4", "stale_shares_valid": "False"}]}
 
     async def probe(self, operation):
         self.calls.append(("probe", operation))
@@ -143,7 +148,10 @@ def test_every_entry_reaches_one_verb_in_timeline_order():
         if entry["kind"] == "op":
             expected.append(("submit", tuple(entry["op"])))
         elif entry["kind"] == "reconfig":
-            expected += [("reconfigure",), ("submit", ("reconfigure", "refresh"))]
+            expected += [
+                ("reconfigure", entry["action"]),
+                ("submit", ("reconfigure", entry["action"])),
+            ]
         elif entry["kind"] != "partition":  # the clock realizes a cut
             expected.append((entry["kind"].replace("-", "_"), entry["party"]))
     acted = [call for call in cluster.calls if call[0] != "next_reply"]
@@ -159,7 +167,8 @@ def test_every_entry_reaches_one_verb_in_timeline_order():
         "at_actual": by_kind["partition"]["at_actual"],
     }
     assert by_kind["reconfig"]["epoch"] == 1
-    assert by_kind["reconfig"]["result"] == ["ok"]
+    assert by_kind["reconfig"]["action"] == "refresh"
+    assert by_kind["reconfig"]["result"] == ["reconfig", "accepted", 1]
     assert all("at_actual" in event for event in report["events"])
     assert report["backend"] == "fake" and report["latency_unit"] == "ticks"
 
@@ -181,6 +190,10 @@ def test_op_window_quiescent_window_and_probes():
     settled = calls.index(("settle",))
     probes = [i for i, call in enumerate(calls) if call[0] == "probe"]
     assert last_entry < quiet < settled < probes[0]
+    # The accepted refresh opened epoch 1 of 4 members: the cluster is
+    # asked what its members said about it before the probes.
+    assert settled < calls.index(("entered", {1: 4})) < probes[0]
+    assert report["reconfig"] == {"ok": True, "epochs": {1: 4}, "issues": [], "kinds": []}
     assert calls.index(("restart", 1)) < settled
     # Calls still in flight are collected before the window opens.
     assert not cluster.in_flight

@@ -213,7 +213,8 @@ _SHAPE = ShapeSpec(n=7, t=2, byzantine=((6, "silent"),), expect="violation")
                 events=(_KILL,), byzantine=((6, "spam"),), io_timeout=9.0,
                 op_timeout=8.0, liveness_bound=7.0, liveness_probes=5,
                 checkpoint_every=4, workload_start=1.5, op_concurrency=3,
-                abc_max_batch=16, abc_pipeline_depth=2, reconfigs=(3.0, 8.5),
+                abc_max_batch=16, abc_pipeline_depth=2,
+                reconfigs=((3.0, "add"), (8.5, "remove")),
             ),
             {"name": "bare"},
             Scenario(name="bare"),
@@ -236,9 +237,13 @@ def test_every_spec_round_trips_defaults_and_refuses_unknown_keys(
 ):
     cls = type(full)
     # ``full`` sets every field off its default, so a field dropped by
-    # to_json or from_json cannot hide behind the default.
+    # to_json or from_json cannot hide behind the default — all but a
+    # dealerless boot, which refuses the byzantine parties ``full`` has
+    # (test_a_dealerless_boot_round_trips sets it).
     assert all(
-        getattr(full, f.name) != f.default for f in dataclasses.fields(cls)
+        getattr(full, f.name) != f.default
+        for f in dataclasses.fields(cls)
+        if (cls, f.name) != (Scenario, "dealerless")
     )
     data = json.loads(json.dumps(full.to_json()))
     assert list(data) == [f.name for f in dataclasses.fields(cls)]
@@ -246,6 +251,13 @@ def test_every_spec_round_trips_defaults_and_refuses_unknown_keys(
     assert cls.from_json(minimal) == defaults
     with pytest.raises(ScenarioError, match=f"{cls.what}: unknown key.*zzz"):
         cls.from_json({**data, "zzz": 1})
+
+
+def test_a_dealerless_boot_round_trips():
+    scenario = Scenario(name="keygen", dealerless=True, reconfigs=((3.0, "add"),))
+    data = json.loads(json.dumps(scenario.to_json()))
+    assert data["dealerless"] is True
+    assert Scenario.from_json(data) == scenario
 
 
 # -- plan_timeline edge cases -------------------------------------------------------

@@ -8,9 +8,11 @@ keep tier-1 fast and hermetic.
 
 import asyncio
 import json
+from dataclasses import replace
 
 import pytest
 
+from repro.net import sweep as sweep_module
 from repro.net.chaos import (
     ScenarioError,
     builtin_scenarios,
@@ -190,6 +192,16 @@ def test_a_scenario_the_simulator_cannot_perform_is_refused_not_passed():
     # The up-front check is a courtesy; the dispatch itself is total.
     with pytest.raises(ScenarioError, match="simulator backend cannot reconfigure"):
         asyncio.run(run_timeline(scenario, SimCluster(scenario)))
+
+
+def test_a_dealerless_scenario_is_refused_before_anything_runs(monkeypatch):
+    def boot(scenario):
+        raise AssertionError("the simulator was booted")
+
+    monkeypatch.setattr(sweep_module, "SimCluster", boot)
+    scenario = replace(builtin_scenarios()["dealerless"], reconfigs=())
+    with pytest.raises(ScenarioError, match="cannot reconfigure or boot without a dealer"):
+        run_scenario_sim(scenario)
 
 
 def test_admissible_coalition_still_commits():

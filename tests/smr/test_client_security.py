@@ -47,7 +47,7 @@ def _offer(dep, client, replica, nonce, result, share, path):
         signature_share=share,
         path=path,
     )
-    client.on_message(replica, (service_session("service"), reply))
+    client.on_message(replica, (service_session(), reply))
     return replica in client._replies.get(nonce, {})
 
 
@@ -64,7 +64,7 @@ def test_forged_result_from_single_replica_ignored():
         result=("value", "EVIL"),
         signature_share=Signature(commit=1, response=1),
     )
-    dep.network.send(3, client.client_id, (service_session("service"), forged))
+    dep.network.send(3, client.client_id, (service_session(), forged))
     results = dep.run_until_complete(client, [nonce])
     assert results[nonce].result == ("value", None)
 
@@ -83,7 +83,7 @@ def test_matching_lies_without_valid_shares_never_complete():
             signature_share=Signature(commit=1, response=1),
         )
         dep.network.send(replica, client.client_id,
-                         (service_session("service"), forged))
+                         (service_session(), forged))
     results = dep.run_until_complete(client, [nonce])
     assert results[nonce].result == ("value", None)
 
@@ -103,7 +103,7 @@ def test_reply_claiming_wrong_replica_id_ignored():
         result=("ok", 1),
         signature_share=share,
     )
-    dep.network.send(2, client.client_id, (service_session("service"), spoofed))
+    dep.network.send(2, client.client_id, (service_session(), spoofed))
     results = dep.run_until_complete(client, [nonce])
     # The genuine flow still completes; the spoof contributed nothing
     # (sender mismatch is rejected before share verification).
@@ -120,7 +120,7 @@ def test_replies_for_foreign_nonces_ignored():
         result=("ok", 1),
         signature_share=Signature(commit=1, response=1),
     )
-    dep.network.send(1, client.client_id, (service_session("service"), stray))
+    dep.network.send(1, client.client_id, (service_session(), stray))
     dep.network.run(max_steps=10_000)
     assert 999 not in client.completed
 

@@ -118,8 +118,8 @@ def test_validate_remove_respects_quorum_bound(keys_4_1):
 
 
 def test_epoch_zero_keeps_legacy_session():
-    assert reconfig.epoch_service_session(0) == service_session("service")
-    assert reconfig.epoch_service_session(1) != service_session("service")
+    assert reconfig.epoch_service_session(0) == service_session()
+    assert reconfig.epoch_service_session(1) != service_session()
     assert (reconfig.epoch_service_session(1)
             != reconfig.epoch_service_session(2))
 
@@ -176,8 +176,8 @@ def _switch_epoch(dep, epoch, seed=0):
     """Move every replica to the epoch's session, leaving a tombstone
     at the old one — the simulator's stand-in for a committed
     Reconfigure(refresh)."""
-    old = reconfig.epoch_service_session(epoch - 1, dep.session_tag)
-    new = reconfig.epoch_service_session(epoch, dep.session_tag)
+    old = reconfig.epoch_service_session(epoch - 1)
+    new = reconfig.epoch_service_session(epoch)
     public_dict = keystore.public_to_dict(dep.keys.public)
     for party, runtime in dep.runtimes.items():
         info = reconfig.signed_membership_info(
@@ -233,7 +233,7 @@ def test_stale_epoch_error_is_ignored():
     client = dep.new_client()
     dep.network.start()
     client.epoch = 2
-    client.session = reconfig.epoch_service_session(2, dep.session_tag)
+    client.session = reconfig.epoch_service_session(2)
     sent = []
     client.network = type("Net", (), {"send": lambda self, s, r, p: sent.append(p)})()
     client._on_epoch_error(0, reconfig.EpochError(replica=0, epoch=1))

@@ -81,7 +81,7 @@ def test_lying_peer_cannot_poison_recovery():
     # Inject a forged log from a single (corrupt) sender alongside the
     # genuine responses.
     forged = RecoverLog(entries=((("req", 9999, 1, ("set", "fake", 666)), 1),), round=9)
-    dep.network.send(0, 2, (service_session("service"), forged))
+    dep.network.send(0, 2, (service_session(), forged))
     _drain(dep)
     assert "fake" not in fresh.state_machine.data
     assert fresh.state_machine.data.get("real") == 1
@@ -161,7 +161,7 @@ def test_inflated_round_claim_cannot_stall_recovery():
     _drain(dep)
     fresh = dep.rejoin(2, seed=99)
     forged = RecoverLog(entries=(), round=50)
-    dep.network.send(0, 2, (service_session("service"), forged))
+    dep.network.send(0, 2, (service_session(), forged))
     _drain(dep)
     # The claim was ignored: the rejoiner sits at the peers' true round
     # and keeps executing new operations (no skipped-slot deadlock).
@@ -178,5 +178,5 @@ def test_causal_replica_refuses_recovery():
     replica = dep.replicas[0]
     with pytest.raises(ValueError):
         replica.begin_recovery(
-            Context(dep.runtimes[0], service_session("service"))
+            Context(dep.runtimes[0], service_session())
         )

@@ -199,7 +199,7 @@ def test_rsa_service_signature_backend(keys_4_1_rsa):
     for i in range(4):
         rt = ProtocolRuntime(i, net, keys_4_1_rsa.public, keys_4_1_rsa.private[i], seed=1)
         net.attach(i, rt)
-        rt.spawn(service_session("service"), Replica(KeyValueStore()))
+        rt.spawn(service_session(), Replica(KeyValueStore()))
     client = ServiceClient(1000, net, keys_4_1_rsa.public, random.Random(2))
     net.attach(1000, client)
     net.start()
