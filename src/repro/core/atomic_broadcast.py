@@ -347,19 +347,7 @@ class AtomicBroadcast(Protocol):
         self.round = max(self.round, round_number)
         if self.highest_started < self.round:
             self.highest_started = self.round
-        self._drop_proposals(lambda r: r <= self.round)
-        for stale in [r for r in self.decisions if r <= self.round]:
-            del self.decisions[stale]
-        self.agreement_started = {
-            r for r in self.agreement_started if r > self.round
-        }
-        retain = self.round - _BUFFER_SLACK
-        for stale in [r for r in self.proposed if r <= retain]:
-            del self.proposed[stale]
-        for stale in [r for r in self._recent_digests if r <= retain]:
-            del self._recent_digests[stale]
-        self._sync_in_flight()
-        self._gc_batches()
+        self._cleanup_after_round(self.round)
         self._refresh_lag()
         ctx.broadcast(AbcRejoin(self.round))
         self._maybe_start_rounds(ctx)
@@ -681,8 +669,14 @@ class AtomicBroadcast(Protocol):
             self._maybe_start_rounds(ctx)
 
     def _cleanup_after_round(self, r: int) -> None:
+        """Drop what rounds up to ``r`` kept — proposals, decisions,
+        agreements and, ``_BUFFER_SLACK`` rounds further back, our own
+        proposals and their digests.  Called after each delivered round
+        and by :meth:`resume_at`, whose fast-forward may skip many."""
         self._drop_proposals(lambda p: p <= r)
-        self.agreement_started.discard(r)
+        for stale in [p for p in self.decisions if p <= r]:
+            del self.decisions[stale]
+        self.agreement_started = {p for p in self.agreement_started if p > r}
         retain = r - _BUFFER_SLACK
         for stale in [p for p in self.proposed if p <= retain]:
             del self.proposed[stale]

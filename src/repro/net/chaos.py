@@ -109,6 +109,13 @@ __all__ = [
 
 DEFAULT_JOURNAL = "chaos-journal.json"
 
+# Seconds a client op may take before the run records it as timed out
+# (the simulator gives it OP_TIMEOUT * 4000 delivery steps); seconds a
+# liveness probe may take on TCP; how many probes follow the workload.
+OP_TIMEOUT = 30.0
+LIVENESS_BOUND = 20.0
+LIVENESS_PROBES = 2
+
 LIFECYCLE_ACTIONS = ("kill", "restart", "suspend", "resume", "corrupt-checkpoint")
 
 
@@ -503,9 +510,6 @@ class Scenario(_Spec):
     events: tuple[LifecycleEvent, ...] = ()
     byzantine: tuple[tuple[int, str], ...] = ()
     io_timeout: float = 45.0
-    op_timeout: float = 30.0
-    liveness_bound: float = 20.0
-    liveness_probes: int = 2
     checkpoint_every: int = 2
     workload_start: float = 2.0
     # Workload shape: how many client operations may be in flight at
@@ -536,15 +540,9 @@ class Scenario(_Spec):
             self.op_concurrency >= 1,
             f"scenario: op_concurrency={self.op_concurrency} must be >= 1",
         )
-        for label, value in (
-            ("io_timeout", self.io_timeout),
-            ("op_timeout", self.op_timeout),
-            ("liveness_bound", self.liveness_bound),
-        ):
-            _require(value > 0.0, f"scenario: {label}={value} must be positive")
         _require(
-            self.liveness_probes >= 0,
-            f"scenario: negative liveness_probes {self.liveness_probes}",
+            self.io_timeout > 0.0,
+            f"scenario: io_timeout={self.io_timeout} must be positive",
         )
         _require(
             self.checkpoint_every >= 1,
@@ -1001,7 +999,7 @@ async def run_timeline(
         note("quiescent")
 
         probes: list[dict] = []
-        for i in range(scenario.liveness_probes):
+        for i in range(LIVENESS_PROBES):
             operation = ("set", f"probe-{i}", i)
             started = cluster.clock()
             answered = await cluster.probe(operation)
@@ -1063,7 +1061,7 @@ class TcpCluster:
         self.scenario = scenario
         self.workdir = workdir
         self.client = client
-        self.liveness_bound = scenario.liveness_bound
+        self.liveness_bound = LIVENESS_BOUND
         self.byzantine = dict(scenario.byzantine)
         # party -> its running process; ``spawned`` keeps every process
         # ever started (what each said outlives it), ``down`` the
@@ -1201,7 +1199,7 @@ class TcpCluster:
     async def _call(self, operation: tuple, done: Callable) -> None:
         try:
             reply = await self.client.call(
-                operation, timeout=self.scenario.op_timeout, attempt_timeout=2.0
+                operation, timeout=OP_TIMEOUT, attempt_timeout=2.0
             )
         except asyncio.TimeoutError:
             reply = None
@@ -1209,10 +1207,10 @@ class TcpCluster:
 
     async def next_reply(self) -> None:
         """Until a call in flight has finished; each ends by its own
-        ``op_timeout``, and one that died of anything else fails the run."""
-        finished, self.calls = await asyncio.wait(  # repro: noqa-RL005 bounded by the timeout= kwarg; calls self-terminate via op_timeout
+        ``OP_TIMEOUT``, and one that died of anything else fails the run."""
+        finished, self.calls = await asyncio.wait(  # repro: noqa-RL005 bounded by the timeout= kwarg; calls self-terminate via OP_TIMEOUT
             self.calls,
-            timeout=self.scenario.op_timeout + 5.0,
+            timeout=OP_TIMEOUT + 5.0,
             return_when=asyncio.FIRST_COMPLETED,
         )
         for task in finished:

@@ -23,6 +23,7 @@ import pathlib
 import random
 import signal
 import sys
+import time
 from collections.abc import Iterable
 from typing import Any
 
@@ -82,13 +83,22 @@ async def attach_client(
 ) -> ServiceClient:
     """A started client of the cluster ``directory`` describes, at the
     epoch its keystore is in.  The transport is ``client.network``;
-    the caller closes it."""
+    the caller closes it.
+
+    Its nonces start at the current time in microseconds: every earlier
+    process of this client id started earlier and spent one nonce per
+    request, so none of its nonces comes back (a reused one would be
+    dropped by the replicas' at-most-once execution).
+    """
     directory = pathlib.Path(directory)
     public = keystore.load_public(directory / "public.json")
     cid, channel_keys = keystore.load_client(directory / f"client-{client_id}.json")
     cluster = ClusterConfig.load(directory / CLUSTER_FILE)
     network = TransportNetwork(cid, cluster.addresses, channel_keys, faults=faults)
-    client = ServiceClient(cid, network, public, rng, epoch=load_epoch(directory))
+    client = ServiceClient(
+        cid, network, public, rng, epoch=load_epoch(directory),
+        first_nonce=time.time_ns() // 1000,
+    )
     network.attach(cid, client)
     await network.start()
     return client

@@ -56,6 +56,7 @@ __all__ = [
     "CLUSTER_FILE",
     "DEFAULT_IO_TIMEOUT",
     "EPOCH_FILE",
+    "GENESIS_FILE",
     "LINE_KINDS",
     "BootstrapFile",
     "ClusterConfig",
@@ -67,12 +68,14 @@ __all__ = [
     "load_bootstrap",
     "load_checkpoint",
     "load_epoch",
+    "load_genesis",
     "parse",
     "provision_dkg_deployment",
     "provision_joiner",
     "render",
     "run_client_ops",
     "save_epoch",
+    "save_public",
     "serve_replica",
     "submit_reconfigure",
     "write_checkpoint",
@@ -80,6 +83,7 @@ __all__ = [
 
 CLUSTER_FILE = "cluster.json"
 EPOCH_FILE = "epoch.json"
+GENESIS_FILE = "public-epoch-0.json"  # epoch 0's public bundle, once left
 FAULTS_FILE = "faults.json"  # a chaos run's fault plan (net/chaos.py)
 
 # Default bound on every "wait for the cluster to say something" loop.
@@ -245,7 +249,8 @@ def load_checkpoint(
 # authenticated-channel assumption of the model and nothing more — and
 # the cluster generates its threshold keys itself (crypto/dkg.py).  The
 # epoch file records which committed `Reconfigure` generation the
-# on-disk keystore belongs to.
+# on-disk keystore belongs to; the genesis record is the configuration
+# every replay of the history starts from.
 
 
 def load_epoch(directory: str | pathlib.Path) -> int:
@@ -261,6 +266,30 @@ def save_epoch(directory: str | pathlib.Path, epoch: int) -> None:
     keystore.atomic_write_text(
         pathlib.Path(directory) / EPOCH_FILE, json.dumps({"epoch": epoch})
     )
+
+
+def save_public(path: pathlib.Path, public) -> None:
+    keystore.atomic_write_text(
+        path, json.dumps(keystore.public_to_dict(public), indent=1)
+    )
+
+
+def load_genesis(
+    directory: str | pathlib.Path, epoch: int, public
+) -> reconfig.Membership:
+    """The membership a replay of the history starts from: ``public``
+    itself while the keystore is at epoch 0, else the genesis record
+    (:data:`GENESIS_FILE`).  A keystore past epoch 0 without one cannot
+    replay its history, so it refuses to start."""
+    if epoch == 0:
+        return reconfig.Membership.of(0, public)
+    path = pathlib.Path(directory) / GENESIS_FILE
+    try:
+        return reconfig.Membership.of(0, keystore.load_public(path))
+    except keystore.KeystoreError as exc:
+        raise keystore.KeystoreError(
+            f"epoch {epoch} needs the genesis record {path}: {exc}"
+        ) from exc
 
 
 @dataclass(frozen=True)
@@ -393,10 +422,14 @@ def provision_joiner(
     client — the existing client bundles are updated in place.  Channel
     keys with the current *members* need no provisioning at all: both
     sides derive them Diffie-Hellman style from identity keys
-    (:func:`dh_channel_key`).
+    (:func:`dh_channel_key`).  At epoch 0 the live bundle is the
+    genesis record the joiner replays the history from, so it is saved
+    as such.
     """
     directory = pathlib.Path(directory)
     public = keystore.load_public(directory / "public.json")
+    if load_epoch(directory) == 0:
+        save_public(directory / GENESIS_FILE, public)
     signing_key = keygen(rng, public.group)
     channel_keys: dict[int, bytes] = {}
     for path in sorted(directory.glob("client-*.json")):
@@ -437,9 +470,8 @@ def dh_channel_key(group: SchnorrGroup, secret_x: int, peer_h: int) -> bytes:
 # only by :meth:`ReplicaHost.emit` through :func:`render`, read only
 # through :func:`parse` (``net/cluster.py`` waits on kinds, not on
 # substrings).  The table is the whole vocabulary: kind -> the fields
-# after ``party=``, in print order; one left out is not printed.  Two
-# run to the end of their line: ``snapshot`` (a repr, spaces included)
-# and ``note`` (words for people, printed bare).
+# after ``party=``, in print order; one left out is not printed.
+# ``snapshot`` (a repr, spaces included) runs to the end of its line.
 
 LINE_KINDS: dict[str, tuple[str, ...]] = {
     "listening": ("host", "port", "recovering"),  # its own, older shape
@@ -455,7 +487,6 @@ LINE_KINDS: dict[str, tuple[str, ...]] = {
     "replica-stale-epoch": ("epoch", "n"),
     "replica-departed": ("epoch",),
     "replica-retired": ("epoch",),
-    "replica-reconfig-unsupported": ("note",),
 }
 _LISTENING = re.compile(
     r"replica (?P<party>\d+) listening on (?P<host>\S+):(?P<port>\d+)"
@@ -475,7 +506,7 @@ def render(kind: str, party: int, **fields: object) -> str:
     words = [kind, f"party={party}"]
     for name in names:
         if name in fields:
-            words.append(str(fields[name]) if name == "note" else f"{name}={fields[name]}")
+            words.append(f"{name}={fields[name]}")
     return " ".join(words)
 
 
@@ -496,8 +527,7 @@ def parse(line: str) -> tuple[str, dict[str, str]] | None:
             fields[name] = value
             break
         if name not in ("party", *LINE_KINDS[kind]):
-            fields["note"] = rest
-            break
+            return None
         fields[name], _, rest = value.partition(" ")
     return kind, fields
 
@@ -570,12 +600,6 @@ class ReplicaHost:
         self._causal = causal
         self.epoch = 0
         self.phase = SERVING
-        # The epoch as of this replica incarnation's *executed* history
-        # (every replica replays from genesis, so this starts at 0 and
-        # advances with each accepted Reconfigure, replayed or live).
-        # During replay it lags self.epoch and selects the archived
-        # configuration a historic op must be re-validated against.
-        self._executed_epoch = 0
         self._bootstrap: BootstrapFile | None = None
         # Signed membership votes for an epoch newer than ours, keyed
         # like the client's: (epoch, canonical public json) -> voters.
@@ -594,6 +618,10 @@ class ReplicaHost:
                 )
             self.public = dkg.BootstrapPublic(
                 n=bundle.n, quorum=ThresholdQuorumSystem(n=bundle.n, t=bundle.t)
+            )
+            self.membership = reconfig.Membership(
+                0, bundle.group, self.public.quorum,
+                tuple(pki[member] for member in range(bundle.n)),
             )
             self.keys = dkg.BootstrapKeys(
                 party, bundle.signing_key, dict(bundle.channel_keys)
@@ -614,6 +642,11 @@ class ReplicaHost:
                 directory / f"server-{party}.json", self.public
             )
             self.epoch = load_epoch(directory)
+        if not dkg_boot:
+            # The configuration of this incarnation's *executed* history:
+            # genesis, advanced only by the Reconfigure operations it
+            # executes (_intercept), live and replayed alike.
+            self.membership = load_genesis(directory, self.epoch, self.public)
         if faults is None and (directory / FAULTS_FILE).exists():
             # Only a chaos run loads the chaos engine.
             from .chaos import load_fault_plan  # lazy: chaos imports us
@@ -773,25 +806,24 @@ class ReplicaHost:
             raise ValueError("joining requires a threshold quorum deployment")
         if self.party != public.n:
             raise ValueError(f"joiner must take the next free id {public.n}")
-        joiner = {self.party: self.keys.signing_key.verify_key.h}
+        current = reconfig.Membership.of(self.epoch, public)
+        joined = current.successor(
+            current.verify_keys + (self.keys.signing_key.verify_key.h,)
+        )
         self._run_ladder(
-            self.epoch + 1,
+            joined.epoch,
             "replica-join-retry",
-            lambda: self._resharing(public.n + 1, joiner),
+            lambda: self._resharing(joined),
             self._complete_reshare,
         )
 
     def _start_reshare(self, request: "reconfig.ReconfigureRequest") -> None:
-        """Open the epoch an accepted ``Reconfigure`` asks for: pause
-        ordered execution and run the resharing."""
-        public = self.public
-        if getattr(public.quorum, "t", None) is None:
-            self.emit("replica-reconfig-unsupported", note="(non-threshold quorum)")
-            return
+        """Open the epoch an accepted ``Reconfigure`` asks for (the one
+        ``self.membership`` now stands at): pause ordered execution and
+        run the resharing."""
+        public, membership = self.public, self.membership
         target = request.epoch
-        joiner: dict[int, int] = {}
         if request.action == "add":
-            joiner[request.party] = request.verify_key
             # The joiner becomes reachable: address from the ordered op
             # (authoritative — an add that reuses a previously removed
             # id must not keep that id's stale address), channel key
@@ -813,50 +845,38 @@ class ReplicaHost:
         # replica never enters ``target``: its ladder settles when the
         # stale-membership probe tells it that it retired.
         departing = request.action == "remove" and request.party == self.party
-        new_n = reconfig.new_member_count(public, request)
         # Paused before the session is spawned: contributions buffered
         # while this replica was down can complete it on the spot, and
         # the resume of that entry must not be undone afterwards.
         self.phase = Phase("resharing", target)
-        self._executed_epoch = target
         self.replica.pause_execution()
         self._run_ladder(
             target,
             "replica-reshare-retry",
-            lambda: self._resharing(new_n, joiner),
+            lambda: self._resharing(membership),
             None if departing else self._complete_reshare,
             epoch=target,
         )
         if departing:
             self.emit("replica-departed", epoch=target)
 
-    def _resharing(
-        self, new_n: int, joiner: dict[int, int]
-    ) -> dkg.VerifiableResharing:
-        """The session that moves the current sharing onto members
-        ``0..new_n-1`` at the same tolerance; ``joiner`` maps a newly
-        admitted id to its identity key.  Members deal their old
-        subshares; a joiner holds none yet and only receives."""
+    def _resharing(self, membership: reconfig.Membership) -> dkg.VerifiableResharing:
+        """The session that moves the current sharing onto the members
+        of ``membership``.  Members deal their old subshares; a joiner
+        holds none yet and only receives."""
         public = self.public
-        tolerance = public.quorum.t
-        verify_keys = {
-            member: key.h
-            for member, key in public.verify_keys.items()
-            if member < new_n
-        }
-        verify_keys.update(joiner)
         old_shares = ()
         if not isinstance(self.keys, dkg.BootstrapKeys):
             old_shares = (self.keys.coin.subshares, self.keys.decryption.subshares)
         return dkg.VerifiableResharing(
             public.group,
             public.access_scheme,
-            threshold_scheme(new_n, tolerance, public.group.q),
+            threshold_scheme(membership.n, membership.quorum.t, public.group.q),
             public.coin.verification,
             public.encryption.verification,
-            tuple(range(new_n)),
-            ThresholdQuorumSystem(n=new_n, t=tolerance),
-            verify_keys,
+            tuple(range(membership.n)),
+            membership.quorum,
+            dict(enumerate(membership.verify_keys)),
             *old_shares,
         )
 
@@ -1039,14 +1059,13 @@ class ReplicaHost:
         """
         old_epoch = self.epoch
         # Epoch 0 of a dealerless boot closes nothing: there is no
-        # earlier configuration to archive and no session to tombstone.
+        # earlier configuration to keep and no session to tombstone.
         closing = not isinstance(self.public, dkg.BootstrapPublic)
-        if closing:
-            self._archive_epoch_public()
-        keystore.atomic_write_text(
-            self.directory / "public.json",
-            json.dumps(keystore.public_to_dict(new_public), indent=1),
-        )
+        if closing and old_epoch == 0:
+            # Leaving epoch 0: its configuration becomes the genesis
+            # record every later replay of the history starts from.
+            save_public(self.directory / GENESIS_FILE, self.public)
+        save_public(self.directory / "public.json", new_public)
         keystore.atomic_write_text(
             self.directory / f"server-{self.party}.json",
             json.dumps(keystore.party_to_dict(new_keys), indent=1),
@@ -1096,85 +1115,30 @@ class ReplicaHost:
 
     # -- ordered reconfiguration and membership votes ------------------------------
 
-    def _epoch_public(self, epoch: int):
-        """The configuration of ``epoch``: the live one, or the archive
-        written at the switch (``public-epoch-<e>.json``); ``None`` when
-        the archive is unavailable (fresh disk / pre-archive history)."""
-        if epoch == self.epoch:
-            return self.public
-        try:
-            return keystore.load_public(
-                self.directory / f"public-epoch-{epoch}.json"
-            )
-        except (keystore.KeystoreError, OSError):
-            return None
-
-    def _archive_epoch_public(self) -> None:
-        """Persist the closing epoch's configuration before the keystore
-        is overwritten, so a replay can re-validate that epoch's ordered
-        ``Reconfigure`` operations exactly as they were validated live.
-        (Epochs a rescued replica skipped have no archive; replay falls
-        back to ordinal checking for those.)"""
-        keystore.atomic_write_text(
-            self.directory / f"public-epoch-{self.epoch}.json",
-            json.dumps(keystore.public_to_dict(self.public), indent=1),
-        )
-
-    def _intercept(self, request, rnd: int, replaying: bool) -> object | None:
+    def _intercept(self, request) -> object | None:
         """Replica hook: consume ``Reconfigure`` operations.
 
-        The verdict must be a pure function of the agreed history,
-        never of local timing, so that every honest replica records the
-        same accept/reject result for the same ordered operation:
-
-        * while a resharing is in flight, the replica's execution is
-          *paused* (ordered requests queue in delivery order), so every
-          operation behind an accepted ``Reconfigure`` executes at the
-          new epoch on every replica — no replica ever validates it
-          against an epoch another replica has already left;
-        * a historic operation replayed during recovery is re-validated
-          in full against the archived configuration of the epoch it
-          was originally executed in, so an op that was rejected (bad
-          signature, wrong party id, stale epoch) replays as rejected.
-
-        The application state machine never sees the operation.
+        One rule, live and replayed alike, so the verdict is a function
+        of the agreed history and never of timing or of this disk:
+        :func:`reconfig.next_membership` against ``self.membership``.
+        An accepted operation advances it, and starts the resharing if
+        it opens an epoch this host has not entered (live, or replayed
+        after a kill mid-resharing).  Execution pauses until the switch,
+        so what is ordered behind it executes at the new epoch on every
+        replica.  The application state machine never sees it.
         """
-        operation = request.operation
-        parsed = reconfig.parse_reconfigure(operation)
-        if parsed is None:
+        if reconfig.parse_reconfigure(request.operation) is None:
             return None  # an ordinary application operation
-        if replaying and self._executed_epoch < self.epoch:
-            # Historic change: recompute the original verdict against
-            # that epoch's configuration.  The on-disk keystore already
-            # reflects a later epoch, so accepting never re-triggers a
-            # resharing.
-            historic = self._epoch_public(self._executed_epoch)
-            if historic is not None:
-                accepted = (
-                    reconfig.validate_reconfigure(
-                        operation, historic, self._executed_epoch
-                    )
-                    is not None
-                )
-            else:
-                # Archive lost (fresh disk, pre-archive history): fall
-                # back to epoch ordinality — each accepted op opened
-                # exactly the next epoch.
-                accepted = parsed[0].epoch == self._executed_epoch + 1
-            if not accepted:
-                return ("reconfig", "rejected", self._executed_epoch)
-            self._executed_epoch += 1
-            return ("reconfig", "accepted", parsed[0].epoch)
-        validated = reconfig.validate_reconfigure(operation, self.public, self.epoch)
-        if validated is None:
-            return ("reconfig", "rejected", self.epoch)
-        # Valid for the *next* epoch — start (or, when replaying after a
-        # kill mid-resharing, rejoin) the resharing session, and pause
-        # ordered execution until the switch.  Peer contributions sent
-        # while we were down are retransmitted by the transport and
-        # buffered by the runtime, so a late spawn still completes.
-        self._start_reshare(validated)
-        return ("reconfig", "accepted", validated.epoch)
+        step = reconfig.next_membership(request.operation, self.membership)
+        if step is None:
+            return ("reconfig", "rejected", self.membership.epoch)
+        accepted, self.membership = step
+        if accepted.epoch > self.epoch:
+            # Peer contributions sent while we were down are
+            # retransmitted by the transport and buffered by the
+            # runtime, so a late spawn still completes.
+            self._start_reshare(accepted)
+        return ("reconfig", "accepted", accepted.epoch)
 
     def _on_stale_info(self, sender: int, info: object) -> None:
         """A RecoverQuery we sent came back with the signed membership
@@ -1250,17 +1214,18 @@ async def serve_replica(
     directory: str | pathlib.Path,
     party: int,
     recover: bool = False,
-    causal: bool = False,
     byzantine: str | None = None,
     journal: bool = False,
     checkpoint_every: int = 0,
     dkg_boot: bool = False,
     join: bool = False,
 ) -> int:
-    """Run one replica until SIGTERM/SIGINT; prints a parseable final
-    state line (the demo cluster checks it to verify recovery)."""
+    """Run one replica (``repro run-replica``) until SIGTERM/SIGINT,
+    then print its ``replica-abc-stats`` and ``replica-final`` lines:
+    rounds, batching, executed count and state snapshot, which the
+    benchmark's TCP harness reads."""
     host = ReplicaHost(
-        directory, party, causal=causal, byzantine=byzantine,
+        directory, party, byzantine=byzantine,
         journal=journal, checkpoint_every=checkpoint_every,
         dkg_boot=dkg_boot, join=join,
     )

@@ -65,6 +65,7 @@ from .chaos import (
     FAULT_TEMPLATES,
     LATENCY_TEMPLATES,
     LOAD_TEMPLATES,
+    OP_TIMEOUT,
     Scenario,
     ScenarioError,
     _check_shape,
@@ -430,10 +431,10 @@ class SimCluster:
 
     async def next_reply(self) -> None:
         """Until a call in flight is answered; one the network cannot
-        answer in ``op_timeout`` of steps is given up on, oldest first."""
+        answer in ``OP_TIMEOUT`` of steps is given up on, oldest first."""
         completed = self.client.completed
         if not self._run(
-            int(self.scenario.op_timeout * 4000),
+            int(OP_TIMEOUT * 4000),
             lambda: any(nonce in completed for nonce in self.open),
         ):
             self.open.pop(min(self.open))(None)

@@ -67,6 +67,7 @@ class ServiceClient(Node):
         public: PublicKeys,
         rng: random.Random,
         epoch: int = 0,
+        first_nonce: int = 1,
     ) -> None:
         self.client_id = client_id
         self.network = network
@@ -74,7 +75,10 @@ class ServiceClient(Node):
         self.rng = rng
         self.epoch = epoch
         self.session = epoch_service_session(epoch)
-        self._nonce = 0
+        # Replicas execute a (client, nonce) at most once, so a client
+        # that is not the first of its id must start above every nonce
+        # its predecessors used (net/cluster.attach_client does).
+        self._nonce = first_nonce - 1
         self._operations: dict[int, tuple] = {}
         # nonce -> replica -> ((leaf, root), reply): each reply's tree
         # root is computed once, on arrival.

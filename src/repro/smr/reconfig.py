@@ -26,7 +26,8 @@ Epoch numbering starts at 0 (the session id stays the classic
 committed ``Reconfigure`` opens epoch+1.
 
 This module holds the pure, host-independent pieces: the operation
-format and its validation, session naming, the membership statement
+format, the membership it moves (:class:`Membership`,
+:func:`next_membership`), session naming, the membership statement
 clients verify, and the tombstone protocol.  The orchestration — when
 to reshare, swapping runtime keys, persisting the new keystore — lives
 in :class:`repro.net.runtime.ReplicaHost`.
@@ -38,11 +39,13 @@ import json
 import random
 from dataclasses import dataclass
 
+from ..adversary.quorums import QuorumSystem, ThresholdQuorumSystem
 from ..codec import register
 from ..core.protocol import Context, Protocol, SessionId
 from ..crypto import keystore
 from ..crypto.dealer import PublicKeys
-from ..crypto.schnorr import Signature, SigningKey
+from ..crypto.groups import SchnorrGroup
+from ..crypto.schnorr import Signature, SigningKey, VerifyKey
 
 __all__ = [
     "RECONFIG_KIND",
@@ -59,8 +62,8 @@ __all__ = [
     "adopt_membership",
     "reconfigure_operation",
     "parse_reconfigure",
-    "validate_reconfigure",
-    "new_member_count",
+    "Membership",
+    "next_membership",
 ]
 
 RECONFIG_KIND = "reconfig"
@@ -299,62 +302,81 @@ def parse_reconfigure(operation: object) -> tuple[ReconfigureRequest, Signature]
     return request, Signature(commit=commit, response=response)
 
 
-def validate_reconfigure(
-    operation: object, public: PublicKeys, current_epoch: int
-) -> ReconfigureRequest | None:
-    """Full validation against the current configuration.
+@dataclass(frozen=True)
+class Membership:
+    """The configuration an executed history stands at: the epoch, the
+    group, the quorum system and member ``i``'s identity verify key
+    ``verify_keys[i]`` (members are the contiguous range ``0..n-1``).
+    Derived from the genesis record and the ordered ``Reconfigure``
+    operations alone (:func:`next_membership`), so the same history
+    gives every honest replica the same one, live or replayed."""
 
-    Runs identically at every replica when the operation is *executed*
-    (post-ordering), so accept/reject is part of the agreed history.
+    epoch: int
+    group: SchnorrGroup
+    quorum: QuorumSystem
+    verify_keys: tuple[int, ...]
+
+    @property
+    def n(self) -> int:
+        return len(self.verify_keys)
+
+    @classmethod
+    def of(cls, epoch: int, public: PublicKeys) -> "Membership":
+        """The membership a keystore's public bundle describes."""
+        keys = tuple(public.verify_keys[member].h for member in range(public.n))
+        return cls(epoch, public.group, public.quorum, keys)
+
+    def successor(self, verify_keys: tuple[int, ...]) -> "Membership":
+        """The next epoch's membership: these members, the same tolerance."""
+        quorum = ThresholdQuorumSystem(n=len(verify_keys), t=self.quorum.t)
+        return Membership(self.epoch + 1, self.group, quorum, verify_keys)
+
+
+def next_membership(
+    operation: object, membership: Membership
+) -> tuple[ReconfigureRequest, Membership] | None:
+    """The one verdict rule for a ``Reconfigure`` operation: the request
+    and the membership it opens, or ``None`` when ``membership`` rejects
+    it (malformed, wrong epoch, not signed by a member, a party id that
+    breaks the contiguous range, a remove below ``3t + 1``, or a quorum
+    system that is no threshold one — resharing needs a threshold).
+
+    Pure: the same operation against the same membership yields the
+    same answer at every replica, executed live or replayed.
     """
     parsed = parse_reconfigure(operation)
-    if parsed is None:
+    if parsed is None or not isinstance(membership.quorum, ThresholdQuorumSystem):
         return None
     request, signature = parsed
-    if request.action not in ACTIONS:
+    if request.action not in ACTIONS or request.epoch != membership.epoch + 1:
         return None
-    if request.epoch != current_epoch + 1:
+    if not 0 <= request.signer < membership.n:
         return None
-    key = public.verify_keys.get(request.signer)
-    if key is None or not key.verify(
-        _reconfigure_statement(
-            request.action,
-            request.party,
-            request.verify_key,
-            request.host,
-            request.port,
-            request.epoch,
-        ),
-        signature,
-    ):
+    key = VerifyKey(membership.group, membership.verify_keys[request.signer])
+    if not key.verify(_reconfigure_statement(*operation[1:7]), signature):
         return None
+    members = membership.verify_keys
     if request.action == "add":
-        if request.party != public.n:
+        if request.party != membership.n:
             return None  # membership stays the contiguous range 0..n
-        if not public.group.is_member(request.verify_key):
+        if not membership.group.is_member(request.verify_key):
             return None
         if not request.host or not 0 < request.port < 65536:
             return None
+        members += (request.verify_key,)
     elif request.action == "remove":
-        if request.party != public.n - 1:
-            return None
-        tolerance = getattr(public.quorum, "t", None)
-        if tolerance is not None and public.n - 1 < 3 * tolerance + 1:
-            return None  # would break the quorum assumptions
+        if request.party != membership.n - 1 or request.party <= membership.quorum.t:
+            return None  # not the highest id, or no threshold system is left
+        members = members[:-1]
     else:  # refresh
         if request.party != -1 or request.verify_key != 0:
             return None
         if request.host != "" or request.port != 0:
             return None
-    return request
-
-
-def new_member_count(public: PublicKeys, request: ReconfigureRequest) -> int:
-    if request.action == "add":
-        return public.n + 1
-    if request.action == "remove":
-        return public.n - 1
-    return public.n
+    successor = membership.successor(members)
+    if not successor.quorum.satisfies_q3:
+        return None  # a remove below 3t + 1 breaks the quorum assumptions
+    return request, successor
 
 
 # ===========================================================================

@@ -180,16 +180,17 @@ class Replica(Protocol):
         self.sc_abc = SecureCausalBroadcast(abc=self.abc) if causal else None
         self.executed: list[tuple[Request, object]] = []
         self._seen_nonces: set[tuple[int, int]] = set()
-        # client -> (nonce, result) of its *latest* executed request, so
-        # a duplicate submission can be re-answered instead of silently
-        # swallowed by the at-most-once dedup.  Matters across an epoch
+        # client -> (request, result) of its *latest* executed request,
+        # so a duplicate submission — the identical request, operation
+        # included — can be re-answered instead of silently swallowed
+        # by the at-most-once dedup.  Matters across an epoch
         # switch: a request ordered at the boundary may have been
         # answered on a session the client no longer listens on, and the
         # client's same-nonce resubmission must still produce a signed
         # reply.  One entry per client suffices — clients resubmit only
         # their pending, monotonically-nonced request — and keeps memory
         # bounded by the client population, not the request volume.
-        self._results: dict[int, tuple[int, object]] = {}
+        self._results: dict[int, tuple[Request, object]] = {}
         # Answers of the delivered round so far, signed as one tree when
         # the round ends (_answer_round).  A tree is a function of ordered
         # state, so every honest replica builds the same one; every other
@@ -218,11 +219,10 @@ class Replica(Protocol):
         # result and the state machine never sees the operation.  The
         # deployment host uses it for ``Reconfigure`` operations, which
         # are agreed through the same total order as writes but drive
-        # the key/membership layer instead of the application.  The
-        # callable receives ``(request, round, replaying)`` so a replay
-        # from a checkpoint can acknowledge historic reconfigurations
-        # without re-triggering a resharing.
-        self.intercept: Callable[[Request, int, bool], object | None] | None = None
+        # the key/membership layer instead of the application.  Its
+        # verdict may depend on the executed history only, so it is
+        # told nothing about how the request arrived (live or replayed).
+        self.intercept: Callable[[Request], object | None] | None = None
         # The host's signed statement of the current configuration
         # (see smr/reconfig.py); answered to MembershipQuery so clients
         # can refresh against the live session too, not only against
@@ -285,8 +285,8 @@ class Replica(Protocol):
             # would break input causality for everyone.
             return
         cached = self._results.get(request.client)
-        if cached is not None and cached[0] == request.nonce:
-            self._answer(ctx, [(request, cached[1])])
+        if cached is not None and cached[0] == request:
+            self._answer(ctx, [cached])
             return
         self.abc.submit(ctx, request.encode())
 
@@ -505,11 +505,11 @@ class Replica(Protocol):
         self._seen_nonces.add(key)
         result = None
         if self.intercept is not None:
-            result = self.intercept(request, rnd, self._replaying)
+            result = self.intercept(request)
         consumed = result is not None
         if not consumed:
             result = self.state_machine.apply(request)
-        self._results[request.client] = (request.nonce, result)
+        self._results[request.client] = (request, result)
         self.executed.append((request, result))
         if self.on_execute is not None:
             self.on_execute(request, result, rnd)

@@ -1,7 +1,7 @@
 """Host-side reconfiguration semantics: deterministic Reconfigure
-verdicts (pause/resume around an epoch switch), historically-faithful
-journal replay, the flush-watchdog retry ladder, and peer lifecycle on
-add-after-remove.
+verdicts (pause/resume around an epoch switch), one membership rule for
+live and replayed operations, the flush-watchdog retry ladder, and peer
+lifecycle on add-after-remove.
 
 Every asynchronous test runs under ``asyncio.run`` inside a plain
 pytest function, mirroring tests/net/test_transport.py.
@@ -20,7 +20,9 @@ from repro.crypto.dealer import CLIENT_BASE
 from repro.crypto.dkg import reshare_session
 from repro.crypto.schnorr import keygen
 from repro.net.cluster import attach_client, deal_deployment
+from repro.core.protocol import Context
 from repro.net.runtime import (
+    GENESIS_FILE,
     RETIRED,
     SERVING,
     Phase,
@@ -28,6 +30,8 @@ from repro.net.runtime import (
     dh_channel_key,
     load_epoch,
     provision_dkg_deployment,
+    save_epoch,
+    save_public,
 )
 from repro.net.transport import TransportNetwork
 from repro.smr import reconfig
@@ -92,7 +96,7 @@ def test_drained_reconfigure_repauses_the_remainder():
     switch must hold everything ordered after it for the *next* switch."""
     replica = Replica(KeyValueStore())
 
-    def intercept(request, rnd, replaying):
+    def intercept(request):
         if request.operation == ("reconfig-marker",):
             replica.pause_execution()
             return ("reconfig", "accepted", 2)
@@ -124,52 +128,76 @@ def test_results_bounded_per_client():
     for nonce in range(1, 21):
         replica._execute(None, _req(7, nonce, ("set", "x", nonce)), nonce)
     replica._execute(None, _req(8, 1, ("set", "y", 0)), 30)
-    # One cached (nonce, result) pair per client, not per request.
+    # One cached (request, result) pair per client, not per request.
     assert set(replica._results) == {7, 8}
-    nonce, result = replica._results[7]
-    assert nonce == 20 and result == ("ok", 20)
+    request, result = replica._results[7]
+    assert request.nonce == 20 and result == ("ok", 20)
 
 
-# -- journal replay re-validates against the historic configuration -----------------
+# -- one membership rule, live and replayed -----------------------------------------
+
+
+def _replay(host, *operations):
+    """Replay ``operations`` as a restart replays its checkpoint; returns
+    the result each one recorded."""
+    entries = tuple(
+        (_req(900, i + 1, op).encode(), i) for i, op in enumerate(operations)
+    )
+    ctx = Context(host.runtime, epoch_service_session(host.epoch))
+    host.replica.preload_log(ctx, entries)
+    return [result for _, result in host.replica.executed[-len(operations):]]
+
+
+def _outsider_refresh(keys, epoch):
+    outsider = keygen(random.Random(3), keys.public.group)
+    return reconfig.reconfigure_operation(
+        "refresh", epoch, 0, outsider, random.Random(4)
+    )
 
 
 def test_replayed_rejection_stays_rejected(tmp_path):
-    """An op that was originally rejected (tampered/forged) must replay
-    as rejected — not be waved through because its epoch is now old."""
+    """A restart at epoch 1 replays its history from the genesis record:
+    operations that were rejected live (tampered, wrong epoch) replay as
+    rejected, and the one that opened epoch 1 replays as accepted
+    without starting a second resharing."""
     keys = _deployment(tmp_path)
+    save_public(tmp_path / GENESIS_FILE, keys.public)
+    save_epoch(tmp_path, 1)  # the keystore has since moved on
     host = ReplicaHost(tmp_path, 0)
-    host._archive_epoch_public()  # the epoch-0 configuration
-    host.epoch = 1  # the keystore has since moved on
-
     good = _refresh_op(keys, 1)
     tampered = good[:1] + ("remove",) + good[2:]
-    outsider = keygen(random.Random(3), keys.public.group)
-    forged = reconfig.reconfigure_operation(
-        "refresh", 1, 0, outsider, random.Random(4)
-    )
-
-    assert host._intercept(_req(900, 1, tampered), 0, True) == (
-        "reconfig", "rejected", 0
-    )
-    assert host._intercept(_req(900, 2, forged), 1, True) == (
-        "reconfig", "rejected", 0
-    )
-    assert host._executed_epoch == 0  # rejections open no epoch
-    assert host._intercept(_req(900, 3, good), 2, True) == (
-        "reconfig", "accepted", 1
-    )
-    assert host._executed_epoch == 1
+    assert _replay(host, tampered, _refresh_op(keys, 3), good) == [
+        ("reconfig", "rejected", 0),
+        ("reconfig", "rejected", 0),
+        ("reconfig", "accepted", 1),
+    ]
+    assert host.membership.epoch == 1
+    assert host.phase == SERVING
 
 
-def test_replay_falls_back_to_ordinal_without_archive(tmp_path):
+def test_replay_without_archives_keeps_the_live_verdicts(tmp_path):
+    """Whatever the disk holds, a replayed Reconfigure gets the verdict
+    every live member recorded: with no per-epoch archive anywhere, an
+    outsider-signed refresh for epoch 1 is still rejected and the
+    genuine one accepted."""
     keys = _deployment(tmp_path)
     host = ReplicaHost(tmp_path, 0)
-    host.epoch = 1  # no public-epoch-0.json was ever written
-    assert host._intercept(_req(900, 1, _refresh_op(keys, 3)), 0, True) == (
-        "reconfig", "rejected", 0
-    )
-    assert host._intercept(_req(900, 2, _refresh_op(keys, 1)), 1, True) == (
-        "reconfig", "accepted", 1
+    host.epoch = 1  # a keystore at epoch 1; no archive was ever written
+    assert _replay(host, _outsider_refresh(keys, 1), _refresh_op(keys, 1)) == [
+        ("reconfig", "rejected", 0),
+        ("reconfig", "accepted", 1),
+    ]
+    assert not list(tmp_path.glob("public-epoch-*"))
+
+
+def test_a_keystore_past_epoch_0_needs_the_genesis_record(tmp_path):
+    keys = _deployment(tmp_path)
+    save_epoch(tmp_path, 2)
+    with pytest.raises(keystore.KeystoreError, match=GENESIS_FILE):
+        ReplicaHost(tmp_path, 0)
+    save_public(tmp_path / GENESIS_FILE, keys.public)
+    assert ReplicaHost(tmp_path, 0).membership == reconfig.Membership.of(
+        0, keys.public
     )
 
 
@@ -178,10 +206,9 @@ def test_live_rejection_is_pure(tmp_path):
     host = ReplicaHost(tmp_path, 0)
     good = _refresh_op(keys, 1)
     tampered = good[:1] + ("remove",) + good[2:]
-    assert host._intercept(_req(900, 1, tampered), 0, False) == (
-        "reconfig", "rejected", 0
-    )
+    assert host._intercept(_req(900, 1, tampered)) == ("reconfig", "rejected", 0)
     assert host.phase == SERVING
+    assert host.membership.epoch == 0
 
 
 # -- the flush watchdog: scaled deadline, retry ladder ------------------------------
@@ -385,9 +412,12 @@ def test_back_to_back_refreshes_converge(tmp_path):
                 for host in hosts.values()
             }
             assert len(histories) == 1
-            # And the archives for both closed epochs exist for replay.
-            for epoch in (0, 1):
-                assert (tmp_path / f"public-epoch-{epoch}.json").exists()
+            # Replay needs the genesis record and nothing per epoch.
+            assert [p.name for p in tmp_path.glob("public-epoch-*")] == [
+                GENESIS_FILE
+            ]
+            for host in hosts.values():
+                assert host.membership == reconfig.Membership.of(2, host.public)
 
     asyncio.run(scenario())
 
@@ -448,7 +478,8 @@ def _assert_entered(host, directory, closed):
     """What every entry into an epoch must leave behind: the three key
     files agree with the host, the runtime serves under the new keys,
     the replica sits at the new session with its hooks, execution runs,
-    and the epoch it closed (if any) is archived and tombstoned."""
+    and the epoch it closed (if any) is tombstoned — the genesis record
+    kept if that was epoch 0."""
     public = keystore.load_public(directory / "public.json")
     assert keystore.public_to_dict(public) == keystore.public_to_dict(host.public)
     stored = keystore.load_party(directory / f"server-{host.party}.json", public)
@@ -465,7 +496,7 @@ def _assert_entered(host, directory, closed):
     assert reconfig.verify_membership_info(info, host.public)
     assert not replica._paused
     if closed is not None:
-        assert (directory / f"public-epoch-{closed}.json").exists()
+        assert (directory / GENESIS_FILE).exists()
         tombstone = host.runtime.instances[epoch_service_session(closed)]
         assert isinstance(tombstone, EpochTombstone) and tombstone.info == info
 

@@ -63,7 +63,6 @@ _SAMPLES = [
     ("replica-stale-epoch", {"epoch": 2, "n": 4}),
     ("replica-departed", {"epoch": 2}),
     ("replica-retired", {"epoch": 2}),
-    ("replica-reconfig-unsupported", {"note": "(non-threshold quorum)"}),
 ]
 
 

@@ -30,7 +30,6 @@ SCENARIO = Scenario(
     seed=9,
     ops=7,
     op_concurrency=2,
-    liveness_probes=3,
     faults=FaultSpec(partitions=(PartitionSpec(start=2.5, stop=4.0, group=(3,)),)),
     events=(
         LifecycleEvent(at=2.2, action="kill", party=1),
@@ -179,7 +178,7 @@ def test_op_window_quiescent_window_and_probes():
     # Nothing answers until the interpreter waits, so the window binds
     # (workload ops only: a reconfig is submitted whatever is in flight).
     assert cluster.peak == SCENARIO.op_concurrency
-    assert report["ok"] and report["committed"] == 7 + 1 + 3
+    assert report["ok"] and report["committed"] == 7 + 1 + chaos.LIVENESS_PROBES
 
     calls = cluster.calls
     last_entry = max(
@@ -199,13 +198,15 @@ def test_op_window_quiescent_window_and_probes():
     assert not cluster.in_flight
     assert all(i < probes[0] for i, c in enumerate(calls) if c == ("next_reply",))
     assert [calls[i][1] for i in probes] == [
-        ("set", f"probe-{i}", i) for i in range(SCENARIO.liveness_probes)
+        ("set", f"probe-{i}", i) for i in range(chaos.LIVENESS_PROBES)
     ]
     assert calls[-1] == ("close",)
 
     kinds = [event["kind"] for event in report["events"]]
-    assert kinds[-4:] == ["quiescent", "probe", "probe", "probe"]
-    assert len(report["liveness"]["probes"]) == SCENARIO.liveness_probes
+    assert kinds[-1 - chaos.LIVENESS_PROBES:] == (
+        ["quiescent"] + ["probe"] * chaos.LIVENESS_PROBES
+    )
+    assert len(report["liveness"]["probes"]) == chaos.LIVENESS_PROBES
     ops = [event for event in report["events"] if event["kind"] == "op"]
     assert len(ops) == 7 and all(event["latency"] > 0 for event in ops)
 

@@ -65,9 +65,9 @@ def test_missing_name_rejected():
         {"ops": -1},
         {"op_concurrency": 0},
         {"io_timeout": 0.0},
-        {"op_timeout": -1.0},
-        {"liveness_bound": 0.0},
-        {"liveness_probes": -1},
+        {"reconfigs": [[-1.0, "add"]]},
+        {"reconfigs": [[1.0, "explode"]]},
+        {"dealerless": True, "byzantine": [[3, "silent"]]},
         {"checkpoint_every": 0},
         {"workload_start": -0.5},
         {"abc_max_batch": 0},
@@ -211,7 +211,6 @@ _SHAPE = ShapeSpec(n=7, t=2, byzantine=((6, "silent"),), expect="violation")
                 name="full", n=7, t=2, seed=3, ops=9,
                 faults=FaultSpec(hold_rate=0.5, partitions=(_CUT,)),
                 events=(_KILL,), byzantine=((6, "spam"),), io_timeout=9.0,
-                op_timeout=8.0, liveness_bound=7.0, liveness_probes=5,
                 checkpoint_every=4, workload_start=1.5, op_concurrency=3,
                 abc_max_batch=16, abc_pipeline_depth=2,
                 reconfigs=((3.0, "add"), (8.5, "remove")),

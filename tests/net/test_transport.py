@@ -18,7 +18,7 @@ from repro.crypto import deal_system, small_group
 from repro.crypto.dealer import CLIENT_BASE, deal_channel_keys
 from repro.net import wire
 from repro.net.chaos import FaultSpec, PartitionSpec, SeededFaultPlan
-from repro.net.cluster import deal_deployment
+from repro.net.cluster import attach_client, deal_deployment
 from repro.net.runtime import ReplicaHost
 from repro.net.simulator import Network
 from repro.net.scheduler import FifoScheduler
@@ -567,6 +567,69 @@ def test_pipelined_recovery_over_tcp(tmp_path):
             for host in hosts.values():
                 payloads = [p for p, _r in host.replica.abc.delivered_log]
                 assert len(payloads) == len(set(payloads))
+
+    asyncio.run(scenario())
+
+
+def test_a_second_client_process_never_reuses_a_nonce(tmp_path):
+    """A client process that starts after another one of the same id
+    exited draws nonces above every nonce the first one used: its write
+    commits, instead of being dropped by the replicas' at-most-once
+    execution as a duplicate of the first run's request."""
+
+    async def scenario():
+        deal_deployment(tmp_path, 4, 1, random.Random(14))
+        async with tcp_cluster(tmp_path, client_seed=15) as (hosts, first):
+            assert await _submit(first.network, first, ("set", "a", 1)) == ("ok", 1)
+            assert await _submit(first.network, first, ("set", "c", 3)) == ("ok", 2)
+            await first.network.close()  # the first process exits
+            second = await attach_client(tmp_path, random.Random(16))
+            try:
+                assert await _submit(
+                    second.network, second, ("set", "b", 2), timeout=15.0
+                ) == ("ok", 3)
+                assert min(second._operations) > max(first._operations)
+            finally:
+                await second.network.close()
+            await _until(lambda: all(
+                dict(host.replica.state_machine.snapshot()[1]).get("b") == 2
+                for host in hosts.values()
+            ))
+
+    asyncio.run(scenario())
+
+
+def test_a_total_restart_keeps_the_state(tmp_path):
+    """Every replica stops, then every one restarts with recovery from
+    its own checkpoint: the state survives, and a fresh client's write
+    commits on top of it."""
+
+    async def scenario():
+        deal_deployment(tmp_path, 4, 1, random.Random(17))
+        async with tcp_cluster(
+            tmp_path, client_seed=18, checkpoint_every=1
+        ) as (hosts, client):
+            for key, value in (("a", 1), ("b", 2)):
+                await _submit(client.network, client, ("set", key, value))
+            await client.network.close()
+            for party in list(hosts):
+                await hosts[party].close()
+            for party in list(hosts):
+                hosts[party] = ReplicaHost(tmp_path, party, checkpoint_every=1)
+                await hosts[party].start(recover=True)
+            fresh = await attach_client(tmp_path, random.Random(19))
+            try:
+                assert await _submit(fresh.network, fresh, ("set", "c", 3)) == ("ok", 3)
+                assert await _submit(fresh.network, fresh, ("get", "a")) == ("value", 1)
+            finally:
+                await fresh.network.close()
+            await _until(lambda: all(
+                dict(host.replica.state_machine.snapshot()[1])
+                == {"a": 1, "b": 2, "c": 3}
+                for host in hosts.values()
+            ))
+            for host in hosts.values():
+                assert host.checkpoint_status == "loaded"
 
     asyncio.run(scenario())
 

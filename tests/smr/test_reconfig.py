@@ -1,10 +1,13 @@
 """Epoch-based reconfiguration: the Reconfigure operation, the closed
 epoch's tombstone, and the client's membership refresh."""
 
+import dataclasses
 import random
 
 import pytest
 
+from repro.adversary.quorums import GeneralQuorumSystem, ThresholdQuorumSystem
+from repro.adversary.structures import threshold_structure
 from repro.crypto import keystore
 from repro.crypto.dealer import deal_system
 from repro.crypto.groups import small_group
@@ -56,62 +59,154 @@ def test_unknown_action_rejected(keys_4_1):
         _signed(keys_4_1, "merge", 1)
 
 
+@pytest.fixture(scope="module")
+def keys_5():
+    return deal_system(5, random.Random(12), t=1, group=small_group())
+
+
+def _membership(keys):
+    return reconfig.Membership.of(0, keys.public)
+
+
+def _add(keys, epoch, **overrides):
+    change = dict(party=keys.public.n, verify_key=_joiner_key(keys),
+                  host="127.0.0.1", port=9000)
+    return _signed(keys, "add", epoch, **{**change, **overrides})
+
+
+def _remove(keys, epoch, **overrides):
+    return _signed(keys, "remove", epoch, **{"party": keys.public.n - 1, **overrides})
+
+
+def _refresh(keys, epoch, **overrides):
+    return _signed(keys, "refresh", epoch, **overrides)
+
+
+_BUILD = {"add": _add, "remove": _remove, "refresh": _refresh}
+_WRONG_PARTY = {"add": 7, "remove": 2, "refresh": 0}
+
+
+def _forged(keys, action, epoch):
+    """The operation signed by a key outside the membership, claiming
+    to be member 0's."""
+    outsider = keygen(random.Random(3), keys.public.group)
+    honest = _BUILD[action](keys, epoch)
+    return reconfig.reconfigure_operation(
+        action, epoch, 0, outsider, random.Random(4),
+        party=honest[2], verify_key=honest[3], host=honest[4], port=honest[5],
+    )
+
+
+def _case(keys_4, keys_5, action, case):
+    """``(operation, membership, accepted)`` of one table row.  The base
+    membership is n = 5, t = 1 at epoch 0 (room to remove one); ``below
+    3t + 1`` starts from n = 4 = 3t + 1.  ``tampered`` alters the
+    signature of a valid operation (test_validate_rejects_tampered_fields
+    alters a signed field)."""
+    build = _BUILD[action]
+    if case == "valid":
+        return build(keys_5, 1), _membership(keys_5), True
+    if case == "forged":
+        return _forged(keys_5, action, 1), _membership(keys_5), False
+    if case == "tampered":
+        op = build(keys_5, 1)
+        return op[:-1] + (op[-1] + 1,), _membership(keys_5), False
+    if case == "wrong-epoch":
+        return build(keys_5, 2), _membership(keys_5), False
+    if case == "wrong-party":
+        return build(keys_5, 1, party=_WRONG_PARTY[action]), _membership(keys_5), False
+    assert case == "below-3t+1"
+    return build(keys_4, 1), _membership(keys_4), action != "remove"
+
+
+@pytest.mark.parametrize("case", [
+    "valid", "forged", "tampered", "wrong-epoch", "wrong-party", "below-3t+1",
+])
+@pytest.mark.parametrize("action", ["add", "remove", "refresh"])
+def test_next_membership(keys_4_1, keys_5, action, case):
+    operation, membership, accepted = _case(keys_4_1, keys_5, action, case)
+    step = reconfig.next_membership(operation, membership)
+    if not accepted:
+        assert step is None
+        return
+    request, successor = step
+    assert request.action == action and request.epoch == 1
+    keys = membership.verify_keys
+    assert successor == reconfig.Membership(
+        1, membership.group,
+        ThresholdQuorumSystem(n=successor.n, t=1),
+        {"add": keys + (request.verify_key,), "remove": keys[:-1],
+         "refresh": keys}[action],
+    )
+
+
 def test_validate_accepts_refresh(keys_4_1):
+    """A refresh keeps the members and their keys; only the epoch moves."""
     op = _signed(keys_4_1, "refresh", 1)
-    request = reconfig.validate_reconfigure(op, keys_4_1.public, 0)
-    assert request is not None
-    assert reconfig.new_member_count(keys_4_1.public, request) == 4
+    request, successor = reconfig.next_membership(op, _membership(keys_4_1))
+    assert request.party == -1
+    assert successor.n == 4 and successor.epoch == 1
+    assert successor.verify_keys == _membership(keys_4_1).verify_keys
 
 
 def test_validate_rejects_wrong_epoch(keys_4_1):
     op = _signed(keys_4_1, "refresh", 2)  # skips epoch 1
-    assert reconfig.validate_reconfigure(op, keys_4_1.public, 0) is None
+    assert reconfig.next_membership(op, _membership(keys_4_1)) is None
     # The same op becomes valid once epoch 1 has passed.
-    assert reconfig.validate_reconfigure(op, keys_4_1.public, 1) is not None
-
-
-def test_validate_rejects_non_member_signer(keys_4_1):
-    outsider = keygen(random.Random(3), keys_4_1.public.group)
-    op = reconfig.reconfigure_operation(
-        "refresh", 1, 0, outsider, random.Random(4)
+    _, at_1 = reconfig.next_membership(
+        _signed(keys_4_1, "refresh", 1), _membership(keys_4_1)
     )
-    assert reconfig.validate_reconfigure(op, keys_4_1.public, 0) is None
+    assert reconfig.next_membership(op, at_1) is not None
+
+
+def test_validate_rejects_non_member_signer(keys_5):
+    """Signers are the members of the membership the history stands at:
+    an id outside it, or a member an earlier epoch removed, is refused."""
+    beyond = reconfig.reconfigure_operation(
+        "refresh", 1, 9, keys_5.private[0].signing_key, random.Random(4)
+    )
+    assert reconfig.next_membership(beyond, _membership(keys_5)) is None
+    _, without_4 = reconfig.next_membership(_remove(keys_5, 1), _membership(keys_5))
+    removed = _signed(keys_5, "refresh", 2, signer=4)
+    assert reconfig.next_membership(removed, without_4) is None
+    assert reconfig.next_membership(_signed(keys_5, "refresh", 2), without_4)
 
 
 def test_validate_rejects_tampered_fields(keys_4_1):
-    op = _signed(keys_4_1, "refresh", 1)
-    tampered = op[:1] + ("remove",) + op[2:]
-    assert reconfig.validate_reconfigure(tampered, keys_4_1.public, 0) is None
+    """A signed add whose address was changed afterwards is refused,
+    though the changed one would be well-formed."""
+    op = _add(keys_4_1, 1)
+    moved = op[:5] + (op[5] + 1,) + op[6:]
+    assert reconfig.next_membership(moved, _membership(keys_4_1)) is None
 
 
 def test_validate_add(keys_4_1):
-    joiner = _joiner_key(keys_4_1)
-    good = _signed(keys_4_1, "add", 1, party=4, verify_key=joiner,
-                   host="127.0.0.1", port=9000)
-    assert reconfig.validate_reconfigure(good, keys_4_1.public, 0) is not None
-    # Membership must stay the contiguous range 0..n.
-    gap = _signed(keys_4_1, "add", 1, party=7, verify_key=joiner,
-                  host="127.0.0.1", port=9000)
-    assert reconfig.validate_reconfigure(gap, keys_4_1.public, 0) is None
-    # A joiner needs a dialable address.
-    unreachable = _signed(keys_4_1, "add", 1, party=4, verify_key=joiner)
-    assert reconfig.validate_reconfigure(unreachable, keys_4_1.public, 0) is None
+    good = _add(keys_4_1, 1)
+    _, successor = reconfig.next_membership(good, _membership(keys_4_1))
+    assert successor.n == 5 and successor.verify_keys[4] == _joiner_key(keys_4_1)
+    # A joiner needs a dialable address, and a key in the group.
+    unreachable = _add(keys_4_1, 1, host="", port=0)
+    assert reconfig.next_membership(unreachable, _membership(keys_4_1)) is None
+    foreign = _add(keys_4_1, 1, verify_key=keys_4_1.public.group.p + 1)
+    assert reconfig.next_membership(foreign, _membership(keys_4_1)) is None
 
 
-def test_validate_remove_respects_quorum_bound(keys_4_1):
-    # n=4, t=1: removing anyone would leave n < 3t+1.
-    op = _signed(keys_4_1, "remove", 1, party=3)
-    assert reconfig.validate_reconfigure(op, keys_4_1.public, 0) is None
-    # n=5, t=1 has slack; only the highest id may retire.
-    keys_5 = deal_system(5, random.Random(12), t=1, group=small_group())
-    ok = reconfig.reconfigure_operation(
-        "remove", 1, 0, keys_5.private[0].signing_key, random.Random(5), party=4
+def test_validate_remove_respects_quorum_bound(keys_5):
+    # n=5, t=1 has slack once: 5 -> 4, then 4 = 3t + 1 holds the line.
+    _, at_1 = reconfig.next_membership(_remove(keys_5, 1), _membership(keys_5))
+    assert at_1.n == 4 and at_1.quorum == ThresholdQuorumSystem(n=4, t=1)
+    again = _signed(keys_5, "remove", 2, party=3)
+    assert reconfig.next_membership(again, at_1) is None
+
+
+def test_a_non_threshold_membership_takes_no_reconfiguration(keys_4_1):
+    """Resharing needs a threshold quorum system; on any other the
+    operation is refused, refresh included."""
+    general = dataclasses.replace(
+        _membership(keys_4_1),
+        quorum=GeneralQuorumSystem(structure=threshold_structure(4, 1)),
     )
-    assert reconfig.validate_reconfigure(ok, keys_5.public, 0) is not None
-    middle = reconfig.reconfigure_operation(
-        "remove", 1, 0, keys_5.private[0].signing_key, random.Random(5), party=2
-    )
-    assert reconfig.validate_reconfigure(middle, keys_5.public, 0) is None
+    assert reconfig.next_membership(_signed(keys_4_1, "refresh", 1), general) is None
 
 
 # -- sessions and membership records ------------------------------------------

@@ -1,11 +1,14 @@
 """End-to-end state machine replication: clients, replicas, signatures."""
 
+import random
+
 import pytest
 
 from repro.core.atomic_broadcast import AbcConfig
 from repro.net.adversary import SilentNode
 from repro.net.scheduler import DelayScheduler, RandomScheduler, ReorderScheduler
 from repro.smr import KeyValueStore, build_service
+from repro.smr.client import ServiceClient
 
 
 def test_basic_request_reply():
@@ -90,6 +93,35 @@ def test_multiple_clients_interleave():
     dep.run_until_complete(c2, [n2])
     # Both writes applied in some agreed order; versions distinct.
     assert {c1.completed[n1].result[1], c2.completed[n2].result[1]} == {1, 2}
+
+
+def test_a_reused_nonce_gets_no_answer_for_another_operation():
+    """A new client process at the same id counting nonces from 1 again:
+    the replicas' answer cache re-answers only the identical request, so
+    a different operation under an executed nonce gets no service-signed
+    answer (and is not executed), while the original is re-answered."""
+    dep = build_service(4, KeyValueStore, t=1, seed=13)
+    first = dep.new_client()
+    dep.network.start()
+    nonce = first.submit(("set", "a", 1))
+    dep.run_until_complete(first, [nonce])
+    second = ServiceClient(
+        first.client_id, dep.network, dep.keys.public, random.Random(14)
+    )
+    dep.network.nodes[first.client_id] = second  # the new process
+    assert second.submit(("set", "b", 2)) == nonce
+    dep.network.run(max_steps=400_000)
+    assert nonce not in second.completed
+    for replica in dep.honest_replicas():
+        assert dict(replica.state_machine.snapshot()[1]) == {"a": 1}
+    third = ServiceClient(
+        first.client_id, dep.network, dep.keys.public, random.Random(15)
+    )
+    dep.network.nodes[first.client_id] = third
+    third.submit(("set", "a", 1))
+    results = dep.run_until_complete(third, [nonce])
+    assert results[nonce].result == ("ok", 1)
+    assert results[nonce].verify(dep.keys.public, first.client_id, ("set", "a", 1))
 
 
 def test_duplicate_nonce_executes_once():
