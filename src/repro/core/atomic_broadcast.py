@@ -32,6 +32,15 @@ collide.  Decisions arriving out of order are buffered and applied
 strictly in round order, which keeps delivery identical at every
 honest party.
 
+Closing: :meth:`~AtomicBroadcast.close`, called while a payload is being
+delivered (an accepted epoch change, docs/RECONFIGURATION.md), makes it
+the last one this session orders.  The rest of its round goes back to
+the queue undelivered — the same payloads at every honest party, since
+the decided batches are the same — the round still ends
+(``on_round_end``), and the instance starts, agrees on and delivers
+nothing more until :meth:`~AtomicBroadcast.rebase` reopens it in the
+successor session, where the queue rides the next round.
+
 Liveness and fairness: a payload submitted to an honest-containing set
 of honest parties appears in every candidate list of the next round
 (any quorum of proposers intersects the holders in an honest party),
@@ -241,6 +250,11 @@ class AtomicBroadcast(Protocol):
         # so an old-session round can never collide with the round of
         # the same number restarted under the successor session.
         self.generation = 0
+        # Set by close(), cleared by rebase(); _after_close is what
+        # close() runs once the round being delivered has ended.
+        self.closed = False
+        self._delivering = False
+        self._after_close: Callable[[], None] | None = None
         # Our own proposals by round: (batch, digest, signature).
         # Recently delivered rounds are retained (_BUFFER_SLACK deep) so
         # rejoining parties can ask for an exact re-send.
@@ -315,6 +329,8 @@ class AtomicBroadcast(Protocol):
         return tuple(batch)
 
     def _maybe_start_rounds(self, ctx: Context) -> None:
+        if self.closed:
+            return
         if self.highest_started < self.round:
             self.highest_started = self.round
         while self.highest_started < self.round + self.config.pipeline_depth:
@@ -352,8 +368,21 @@ class AtomicBroadcast(Protocol):
         ctx.broadcast(AbcRejoin(self.round))
         self._maybe_start_rounds(ctx)
 
+    def close(self, then: Callable[[], None]) -> None:
+        """End this session's ordering at the payload being delivered
+        (module docstring, "Closing").  ``then`` runs once that round's
+        delivery has returned — at once outside a delivery, as when a
+        replayed history closes the session — so whatever it does (enter
+        the next epoch) never runs inside :meth:`_try_deliver`."""
+        self.closed = True
+        if self._delivering:
+            self._after_close = then
+        else:
+            then()
+
     def rebase(self, ctx: Context) -> None:
-        """Carry this broadcast onto a successor session (epoch switch).
+        """Carry this broadcast onto a successor session (epoch switch),
+        reopening it if :meth:`close` ended the old one.
 
         The session that hosted it was closed and replaced by a
         tombstone, so protocol traffic for any round still in flight —
@@ -371,6 +400,7 @@ class AtomicBroadcast(Protocol):
         :meth:`_on_decision` rather than racing the restarted round.
         """
         base = self.round
+        self.closed = False
         self.generation += 1
         self.highest_started = base
         self._drop_proposals(lambda r: r > base)
@@ -506,7 +536,7 @@ class AtomicBroadcast(Protocol):
     # -- agreement ----------------------------------------------------------------
 
     def _maybe_start_agreement(self, ctx: Context, r: int) -> None:
-        if r in self.agreement_started:
+        if r in self.agreement_started or self.closed:
             return
         if r <= self.round or r > self.highest_started:
             return
@@ -631,9 +661,10 @@ class AtomicBroadcast(Protocol):
         self._try_deliver(ctx)
 
     def _try_deliver(self, ctx: Context) -> None:
-        """Apply buffered decisions strictly in round order."""
+        """Apply buffered decisions strictly in round order, until
+        :meth:`close`."""
         progressed = False
-        while True:
+        while not self.closed:
             r = self.round + 1
             value = self.decisions.get(r)
             if value is None:
@@ -646,15 +677,23 @@ class AtomicBroadcast(Protocol):
                 break
             self._occupancy_sum += max(self.highest_started, r) - self.round
             self._occupancy_samples += 1
+            tail: dict[Hashable, None] = {}  # what follows a close, in order
+            self._delivering = True
             for _j, digest, _sig in sorted(value):
                 for payload in self.batches[digest]:
                     if payload in self.delivered:
+                        continue
+                    if self.closed:
+                        tail[payload] = None
                         continue
                     self.delivered.add(payload)
                     self.delivered_log.append((payload, r))
                     self.payloads_delivered += 1
                     if self.on_deliver is not None:
                         self.on_deliver(payload, r)
+            self._delivering = False
+            if tail:
+                self.queue = [*tail, *(p for p in self.queue if p not in tail)]
             del self.decisions[r]
             self.round = r
             self.rounds_delivered += 1
@@ -667,6 +706,9 @@ class AtomicBroadcast(Protocol):
         if progressed:
             self._refresh_lag()
             self._maybe_start_rounds(ctx)
+        then, self._after_close = self._after_close, None
+        if then is not None:
+            then()
 
     def _cleanup_after_round(self, r: int) -> None:
         """Drop what rounds up to ``r`` kept — proposals, decisions,

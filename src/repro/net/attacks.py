@@ -19,10 +19,11 @@ experiments can compose them declaratively:
 Each behavior is a :class:`~repro.net.simulator.Node` that can be
 attached in place of an honest server (typically registered through the
 :class:`~repro.net.adversary.CorruptionController`).  They are written
-against the :class:`~repro.net.base.NetworkBackend` surface, so the
-same attack classes run over the deterministic simulator *and* over
-the TCP transport (``repro.net.chaos`` attaches them to live
-clusters).
+against the :class:`~repro.net.base.NetworkBackend` surface, so they
+would run over the TCP transport as well as over the deterministic
+simulator; today only the simulator tests and experiments mount them
+(``repro.net.chaos`` builds its ``equivocate`` behavior from
+:class:`~repro.net.adversary.MutatingNode` instead).
 """
 
 from __future__ import annotations

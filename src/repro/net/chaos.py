@@ -676,11 +676,16 @@ def builtin_scenarios() -> dict[str, Scenario]:
     # (recovery replays the committed reconfig op, which re-joins the
     # reshare), then a second refresh steps the cluster to epoch 2.
     # The client must follow both epoch hops by resubmitting pending
-    # ops under their original nonces.
+    # ops under their original nonces.  Pipelined, so rounds are in
+    # flight at both epoch boundaries and each closing round's tail is
+    # requeued onto the next session.
     reconfig_churn = Scenario(
         name="reconfig-churn",
         seed=7707,
-        ops=8,
+        ops=12,
+        op_concurrency=4,
+        abc_max_batch=8,
+        abc_pipeline_depth=3,
         reconfigs=((3.0, "refresh"), (8.0, "refresh")),
         events=(
             LifecycleEvent(at=3.2, action="kill", party=2),

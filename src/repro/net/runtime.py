@@ -540,10 +540,11 @@ class Phase:
     """Where a host stands between epochs (docs/RECONFIGURATION.md):
     ``booting`` (key generation or a join under way, no replica yet) →
     ``serving`` → ``resharing`` (an ordered ``Reconfigure`` opened
-    ``target``; execution is paused) → ``stalled`` (the watchdog had to
-    retry, so the peers may have finished without us: their signed
-    membership votes are accepted) → ``serving`` at the new epoch, or
-    ``retired`` once a missed epoch turns out to have removed us.
+    ``target``; the session's broadcast is closed) → ``stalled`` (the
+    watchdog had to retry, so the peers may have finished without us:
+    their signed membership votes are accepted) → ``serving`` at the
+    new epoch, or ``retired`` once a missed epoch turns out to have
+    removed us.
     ``target`` is the epoch being entered, ``None`` when none is."""
 
     name: str
@@ -819,8 +820,7 @@ class ReplicaHost:
 
     def _start_reshare(self, request: "reconfig.ReconfigureRequest") -> None:
         """Open the epoch an accepted ``Reconfigure`` asks for (the one
-        ``self.membership`` now stands at): pause ordered execution and
-        run the resharing."""
+        ``self.membership`` now stands at): run the resharing."""
         public, membership = self.public, self.membership
         target = request.epoch
         if request.action == "add":
@@ -845,11 +845,7 @@ class ReplicaHost:
         # replica never enters ``target``: its ladder settles when the
         # stale-membership probe tells it that it retired.
         departing = request.action == "remove" and request.party == self.party
-        # Paused before the session is spawned: contributions buffered
-        # while this replica was down can complete it on the spot, and
-        # the resume of that entry must not be undone afterwards.
         self.phase = Phase("resharing", target)
-        self.replica.pause_execution()
         self._run_ladder(
             target,
             "replica-reshare-retry",
@@ -1099,16 +1095,14 @@ class ReplicaHost:
                 if isinstance(instance, EpochTombstone):
                     instance.info = info
         ctx = Context(self.runtime, epoch_service_session(target))
-        self.runtime.spawn(ctx.session, self.replica)
         if had_replica:
-            # Rounds in flight when the old session was tombstoned can
-            # never decide there; re-propose their payloads here so the
-            # broadcast does not wedge behind a dead round.
+            # Reopen the broadcast here, at the round after the old
+            # session's last: its queue (the closing round's tail first)
+            # rides that round, and rounds a stale adoption abandoned in
+            # flight are re-proposed.  Before the spawn, which hands the
+            # replica what peers already sent on this session.
             self.replica.abc.rebase(ctx)
-        # Release everything ordered behind the Reconfigure: it executes
-        # now, at the new epoch, in delivery order — the same point of
-        # the history at every replica.
-        self.replica.resume_execution(ctx)
+        self.runtime.spawn(ctx.session, self.replica)
         self.emit(kind, **fields)
         if state_transfer:
             self.replica.begin_recovery(ctx)
@@ -1121,11 +1115,13 @@ class ReplicaHost:
         One rule, live and replayed alike, so the verdict is a function
         of the agreed history and never of timing or of this disk:
         :func:`reconfig.next_membership` against ``self.membership``.
-        An accepted operation advances it, and starts the resharing if
-        it opens an epoch this host has not entered (live, or replayed
-        after a kill mid-resharing).  Execution pauses until the switch,
-        so what is ordered behind it executes at the new epoch on every
-        replica.  The application state machine never sees it.
+        An accepted operation advances it; if it opens an epoch this
+        host has not entered (live, or replayed after a kill
+        mid-resharing) it is the last operation the session orders
+        (``AtomicBroadcast.close``), so every replica enters the new
+        session at the same round, and the resharing starts once the
+        round's delivery has returned.  The application state machine
+        never sees it.
         """
         if reconfig.parse_reconfigure(request.operation) is None:
             return None  # an ordinary application operation
@@ -1137,7 +1133,7 @@ class ReplicaHost:
             # Peer contributions sent while we were down are
             # retransmitted by the transport and buffered by the
             # runtime, so a late spawn still completes.
-            self._start_reshare(accepted)
+            self.replica.abc.close(lambda: self._start_reshare(accepted))
         return ("reconfig", "accepted", accepted.epoch)
 
     def _on_stale_info(self, sender: int, info: object) -> None:
@@ -1169,8 +1165,8 @@ class ReplicaHost:
         """Liveness hatch for a bootstrap/resharing session.
 
         Flushing is a one-shot, idempotent escape hatch — it only expels
-        contributors that never delivered — and execution is paused for
-        the whole reshare, so the service is unavailable until the
+        contributors that never delivered — and the broadcast is closed
+        for the whole reshare, so the service is unavailable until the
         session settles.  The flush therefore fires after an eighth of
         the deployment I/O budget (scaled, never capped: slow links and
         large n stretch it proportionally) so a crashed contributor

@@ -196,14 +196,6 @@ class Replica(Protocol):
         # state, so every honest replica builds the same one; every other
         # answer is a one-leaf tree.
         self._round_answers: list[tuple[Request, object]] = []
-        # Execution pause (epoch reconfiguration): while paused, ordered
-        # requests queue here in delivery order instead of executing, so
-        # every replica applies them at the same epoch no matter when
-        # its own resharing completes.  Each entry remembers whether it
-        # arrived during a replay (replies must not be re-sent for
-        # those when the queue drains).
-        self._paused = False
-        self._pending_execution: list[tuple[Request, int, bool]] = []
         self.recovering = False
         self._recovery_logs: dict[int, RecoverLog] = {}
         self._replaying = False
@@ -458,56 +450,13 @@ class Replica(Protocol):
         finally:
             self._replaying = False
 
-    def pause_execution(self) -> None:
-        """Defer ordered execution (epoch boundary).
-
-        The host calls this when a committed ``Reconfigure`` starts a
-        resharing: everything ordered *behind* that operation queues in
-        delivery order and executes only after :meth:`resume_execution`,
-        so its verdict/effect is a function of the agreed history — the
-        same at every replica — and never of how long this replica's
-        resharing happens to take.  Ordering itself (atomic broadcast)
-        keeps running; only the apply step waits.
-        """
-        self._paused = True
-
-    def resume_execution(self, ctx: Context) -> None:
-        """Drain the deferred queue (the epoch switch completed).
-
-        ``ctx`` is the new epoch's session context — replies and
-        signature shares for the drained requests are produced under
-        the new keys.  A drained request may itself re-pause (the next
-        ``Reconfigure`` in the queue); the remainder then stays queued
-        for the following resume.  The drained answers are signed a tree
-        per round, as if the rounds were being delivered now.
-        """
-        self._paused = False
-        while self._pending_execution and not self._paused:
-            request, rnd, was_replaying = self._pending_execution.pop(0)
-            previous = self._replaying
-            self._replaying = was_replaying or previous
-            try:
-                self._execute(ctx, request, rnd)
-            finally:
-                self._replaying = previous
-            if not self._pending_execution or self._pending_execution[0][1] != rnd:
-                self._answer_round(ctx)
-
     def _execute(self, ctx: Context, request: Request, rnd: int) -> None:
-        if self._paused:
-            # Mid-epoch-change: queue in delivery order (duplicates are
-            # deduplicated by _seen_nonces when the queue drains).
-            self._pending_execution.append((request, rnd, self._replaying))
-            return
         key = (request.client, request.nonce)
         if key in self._seen_nonces:
             return  # at-most-once semantics across duplicate submissions
         self._seen_nonces.add(key)
-        result = None
-        if self.intercept is not None:
-            result = self.intercept(request)
-        consumed = result is not None
-        if not consumed:
+        result = self.intercept(request) if self.intercept is not None else None
+        if result is None:
             result = self.state_machine.apply(request)
         self._results[request.client] = (request, result)
         self.executed.append((request, result))
@@ -522,12 +471,6 @@ class Replica(Protocol):
             self._answer(ctx, [(request, result)])
             return
         self._round_answers.append((request, result))
-        if consumed:
-            # Execution pauses only here (an epoch change), and the
-            # resharing may complete on the spot: an intercepted request
-            # closes its tree, so what executed before it is answered
-            # under the keys it executed under, at every replica alike.
-            self._answer_round(ctx)
 
     def _answer_round(self, ctx: Context) -> None:
         answers, self._round_answers = self._round_answers, []

@@ -588,3 +588,116 @@ def test_unhashable_fetched_batch_refused(keys_4_1):
     inst.requested.add(digest)  # a candidate list referenced it
     inst.on_message(ctx, 3, AbcBatch(digest, batch))
     assert digest not in inst.batches
+
+
+# -- close: an epoch's last operation ends its session's ordering -----------------
+
+
+def _closing_round(keys, name, batches, close_at, delivered_before=(), queued=()):
+    """A lone party whose round 1 decides ``batches`` (by proposer) and
+    whose delivery of ``close_at`` closes the broadcast; returns the
+    instance, its context and session, what it delivered, and the
+    rounds at which ``on_round_end`` and ``close``'s continuation ran."""
+    inst, ctx, session = _lone_party(keys, name)
+    inst.delivered.update(delivered_before)
+    for payload in queued:
+        inst._enqueue(payload)
+    delivered, ended, after = [], [], []
+
+    def on_deliver(payload, r):
+        delivered.append(payload)
+        if payload == close_at:
+            inst.close(lambda: after.append(inst.round))
+
+    inst.on_deliver = on_deliver
+    inst.on_round_end = ended.append
+    value = []
+    for j, batch in enumerate(batches):
+        digest = batch_digest(batch)
+        inst.batches[digest] = batch
+        value.append((j, digest, None))
+    inst._on_decision(ctx, 1, MvbaDecision(proposer=0, value=tuple(value)))
+    return inst, ctx, session, delivered, ended, after
+
+
+def test_close_requeues_only_the_undelivered_tail(keys_4_1):
+    """The payloads after the closing one go back to the queue once, in
+    delivery order, ahead of what was queued; one delivered in an
+    earlier round does not.  The round still counts as delivered and
+    ends once, and the continuation runs after it."""
+    a, x, b, c, old, waiting = (("req", k) for k in ("a", "x", "b", "c", "old", "w"))
+    inst, _ctx, _session, delivered, ended, after = _closing_round(
+        keys_4_1, "close-tail",
+        [(a, x, b), (old, b, c)],  # proposer 1's batch repeats b
+        close_at=x, delivered_before=[old], queued=[waiting],
+    )
+    assert delivered == [a, x]
+    assert inst.round == inst.rounds_delivered == 1
+    assert ended == [1] and after == [1]
+    assert inst.queue == [b, c, waiting] and inst.queued == {b, c, waiting}
+    assert inst.closed
+
+
+def test_close_outside_a_delivery_runs_its_continuation_at_once(keys_4_1):
+    inst, _ctx, _session = _lone_party(keys_4_1, "close-replay")
+    after = []
+    inst.close(lambda: after.append(inst.round))
+    assert inst.closed and after == [0]
+
+
+def test_closed_broadcast_starts_and_delivers_nothing(keys_4_1):
+    """After the close, a quorum of round-2 proposals starts no
+    agreement (and this party proposes nothing), and a decided round 2
+    is held, not delivered."""
+    x, b = ("req", "x"), ("req", "b")
+    inst, ctx, session, delivered, ended, _after = _closing_round(
+        keys_4_1, "close-quiet", [(x, b)], close_at=x
+    )
+    for signer in (0, 2, 3):
+        inst.on_message(ctx, signer, _signed(keys_4_1, session, signer, 2, (b,)))
+    assert set(inst.proposals[2]) == {0, 2, 3}
+    inst.submit(ctx, ("req", "later"))
+    assert 2 not in inst.agreement_started and not inst.proposed
+    digest = batch_digest((b,))
+    inst._on_decision(ctx, 2, MvbaDecision(proposer=0, value=((0, digest, None),)))
+    assert delivered == [x] and inst.round == 1 and ended == [1]
+
+
+def test_rebase_reopens_and_the_tail_rides_the_next_round(keys_4_1):
+    """Every party closes at the same payload of round 1; rebased onto
+    the successor session, the tail is delivered once, in its round 2,
+    at every party."""
+    net, rts = make_network(keys_4_1, FifoScheduler(), seed=47)
+    old, new = abc_session("close-old"), abc_session("close-new")
+    logs = _spawn(rts, old)
+    a, x, b, c = (("req", k) for k in "axbc")
+    for party, runtime in rts.items():
+        inst = runtime.instances[old]
+
+        def on_deliver(payload, r, inst=inst, party=party):
+            logs[party].append(payload)
+            if payload == x:
+                inst.close(lambda: None)
+
+        inst.on_deliver = on_deliver
+    net.start()
+    for party, runtime in rts.items():
+        inst = runtime.instances[old]
+        for payload in (a, x, b, c):
+            inst._enqueue(payload)
+        inst._maybe_start_rounds(ctx_for(runtime, old))
+    net.run(max_steps=400_000)  # to quiescence: nothing orders past x
+    for party, runtime in rts.items():
+        inst = runtime.instances[old]
+        assert logs[party] == [a, x] and inst.round == 1 and inst.queue == [b, c]
+    for runtime in rts.values():
+        inst = runtime.instances.pop(old)
+        inst.rebase(ctx_for(runtime, new))
+        runtime.spawn(new, inst)
+    net.run(until=lambda: all(len(logs[p]) >= 4 for p in rts), max_steps=400_000)
+    net.run(max_steps=400_000)
+    for party, runtime in rts.items():
+        inst = runtime.instances[new]
+        assert not inst.closed
+        assert logs[party] == [a, x, b, c]
+        assert inst.delivered_log == [(a, 1), (x, 1), (b, 2), (c, 2)]

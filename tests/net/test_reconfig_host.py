@@ -1,7 +1,7 @@
-"""Host-side reconfiguration semantics: deterministic Reconfigure
-verdicts (pause/resume around an epoch switch), one membership rule for
-live and replayed operations, the flush-watchdog retry ladder, and peer
-lifecycle on add-after-remove.
+"""Host-side reconfiguration semantics: an epoch ends at its
+Reconfigure (every host enters the next session at the same round), one
+membership rule for live and replayed operations, the flush-watchdog
+retry ladder, and peer lifecycle on add-after-remove.
 
 Every asynchronous test runs under ``asyncio.run`` inside a plain
 pytest function, mirroring tests/net/test_transport.py.
@@ -57,69 +57,7 @@ def _req(client, nonce, operation):
     return Request(client=client, nonce=nonce, operation=operation)
 
 
-# -- replica pause/resume (deterministic verdicts) ----------------------------------
-
-
-def test_paused_replica_queues_and_drains_in_delivery_order():
-    replica = Replica(KeyValueStore())
-    # Replaying entries need no reply context, which keeps this a pure
-    # unit test of the queue mechanics.
-    replica._replaying = True
-    replica.pause_execution()
-    for i in range(3):
-        replica._execute(None, _req(100, i + 1, ("set", f"k{i}", i)), i)
-    assert replica.executed == []
-    assert len(replica._pending_execution) == 3
-
-    replica._replaying = False  # the drain restores each entry's own flag
-    replica.resume_execution(None)
-    assert [r.operation for r, _ in replica.executed] == [
-        ("set", "k0", 0), ("set", "k1", 1), ("set", "k2", 2)
-    ]
-    assert replica._pending_execution == []
-    assert not replica._replaying
-
-
-def test_paused_duplicates_deduplicate_at_drain():
-    replica = Replica(KeyValueStore())
-    replica._replaying = True
-    replica.pause_execution()
-    replica._execute(None, _req(100, 1, ("set", "a", 1)), 0)
-    replica._execute(None, _req(100, 1, ("set", "a", 1)), 0)
-    replica._replaying = False
-    replica.resume_execution(None)
-    assert len(replica.executed) == 1
-
-
-def test_drained_reconfigure_repauses_the_remainder():
-    """A second Reconfigure sitting in the queue behind the first epoch
-    switch must hold everything ordered after it for the *next* switch."""
-    replica = Replica(KeyValueStore())
-
-    def intercept(request):
-        if request.operation == ("reconfig-marker",):
-            replica.pause_execution()
-            return ("reconfig", "accepted", 2)
-        return None
-
-    replica.intercept = intercept
-    replica._replaying = True
-    replica.pause_execution()
-    replica._execute(None, _req(100, 1, ("set", "a", 1)), 0)
-    replica._execute(None, _req(100, 2, ("reconfig-marker",)), 1)
-    replica._execute(None, _req(100, 3, ("set", "b", 2)), 2)
-
-    replica._replaying = False
-    replica.resume_execution(None)
-    # The marker executed (its verdict is part of the history) and
-    # re-paused; the tail stays queued for the next epoch's resume.
-    assert [r.operation for r, _ in replica.executed] == [
-        ("set", "a", 1), ("reconfig-marker",)
-    ]
-    assert len(replica._pending_execution) == 1
-
-    replica.resume_execution(None)
-    assert [r.operation for r, _ in replica.executed][-1] == ("set", "b", 2)
+# -- replica execution -------------------------------------------------------------
 
 
 def test_results_bounded_per_client():
@@ -383,9 +321,10 @@ async def _until(predicate, timeout=30.0):
 
 
 def test_back_to_back_refreshes_converge(tmp_path):
-    """Order a second Reconfigure right behind the first: replicas that
-    are still mid-resharing must queue it (not reject it), so every
-    honest replica records accepted for both and ends at epoch 2."""
+    """Order a second Reconfigure right behind the first: the session
+    the first one closed orders nothing more, so the second is ordered
+    in epoch 1's, every honest replica records accepted for both and
+    ends at epoch 2."""
 
     async def scenario():
         keys = _deployment(tmp_path, seed=31)
@@ -418,6 +357,119 @@ def test_back_to_back_refreshes_converge(tmp_path):
             ]
             for host in hosts.values():
                 assert host.membership == reconfig.Membership.of(2, host.public)
+
+    asyncio.run(scenario())
+
+
+# -- an epoch ends at its Reconfigure ------------------------------------------------
+
+
+def _operations(host):
+    return [request.operation for request, _result in host.replica.executed]
+
+
+@pytest.mark.parametrize("early", [(0,), (0, 1)], ids=["one-early", "two-early"])
+def test_staggered_epoch_switch_keeps_every_host_in_step(tmp_path, early):
+    """The ``early`` hosts enter epoch 1 while the others hold their
+    finished resharing; a write submitted in between, and one made on
+    epoch 1, must execute at all four in the same sequence.  (While the
+    closing session kept ordering, the late hosts ordered the first
+    write there without the early ones and opened epoch 1 a round
+    later, leaving them behind.  With two early hosts, a late host that
+    rebased after its replica met their round-2 proposals dropped them
+    and the round never gathered a quorum.)"""
+
+    async def scenario():
+        keys = _deployment(tmp_path, seed=81)
+        late = [p for p in range(4) if p not in early]
+        async with tcp_cluster(tmp_path, client_seed=82) as (hosts, client):
+            held = []
+            for party in late:
+                hosts[party]._complete_reshare = (
+                    lambda protocol, output, party=party: held.append(
+                        (party, protocol, output)
+                    )
+                )
+            verdict = await client.call(_refresh_op(keys, 1), timeout=60.0)
+            assert verdict.result == ("reconfig", "accepted", 1)
+            await _until(
+                lambda: all(hosts[p].epoch == 1 for p in early) and len(held) == len(late)
+            )
+            first = asyncio.ensure_future(client.call(("set", "a", 1), timeout=60.0))
+            # The write reached the late hosts (queued, or ordered).
+            await _until(lambda: all(
+                len(set(hosts[p].replica.abc.queue) | hosts[p].replica.abc.delivered) == 2
+                for p in late
+            ))
+            for party, protocol, output in held:
+                del hosts[party]._complete_reshare
+                hosts[party]._complete_reshare(protocol, output)
+            assert (await first).result[0] == "ok"
+            assert (await client.call(("set", "b", 2), timeout=60.0)).result[0] == "ok"
+            await _until(
+                lambda: all(len(h.replica.executed) == 3 for h in hosts.values()),
+                timeout=hosts[0].io_timeout,
+            )
+            assert {tuple(_operations(h)) for h in hosts.values()} == {
+                (_refresh_op(keys, 1), ("set", "a", 1), ("set", "b", 2))
+            }
+
+    asyncio.run(scenario())
+
+
+def test_a_resharing_done_on_the_spot_enters_after_the_round(tmp_path):
+    """A host whose resharing has already run when it delivers the
+    Reconfigure enters the epoch as soon as the round ends: at round 1,
+    with no handler error, and the write behind the Reconfigure in the
+    same batch is delivered once, in the new session's round 2.  (Entered
+    from inside the delivery, the host rebased onto round 0 and the
+    delivery loop then raised on the decision rebase had dropped.)"""
+
+    async def scenario():
+        keys = _deployment(tmp_path, seed=85)
+        async with tcp_cluster(tmp_path, client_seed=86) as (hosts, client):
+            late = hosts[0]
+            abc = late.replica.abc
+            held, entered = [], []
+            abc._on_decision = lambda *args: held.append(args)
+            enter = late._enter_epoch
+            late._enter_epoch = lambda *args, **fields: (
+                entered.append(abc.round), enter(*args, **fields)
+            )
+            op = _refresh_op(keys, 1)
+            write = _req(CLIENT_BASE, 2, ("set", "a", 1)).encode()
+            for host in hosts.values():
+                # One batch at every host: the write is the round's tail.
+                host.replica.abc._enqueue(_req(CLIENT_BASE, 1, op).encode())
+                host.replica.abc._enqueue(write)
+                host.replica.abc._maybe_start_rounds(
+                    Context(host.runtime, epoch_service_session(0))
+                )
+            # Round 1 decides without host 0 delivering it; host 0 runs
+            # the resharing the Reconfigure opens ahead of that delivery.
+            _accepted, successor = reconfig.next_membership(op, late.membership)
+            session = reshare_session(1, "reshare")
+            late.runtime.spawn(session, late._resharing(successor))
+            await _until(lambda: late.runtime.result(session) is not None and all(
+                hosts[p].epoch == 1 for p in (1, 2, 3)
+            ))
+            assert held and abc.round == 0
+            del abc._on_decision
+
+            async def release():
+                for args in held:
+                    abc._on_decision(*args)
+
+            late.network.spawn(release(), "host.task_errors")
+            await _until(lambda: all(
+                len(h.replica.executed) == 2 for h in hosts.values()
+            ))
+            assert entered == [1]
+            assert not any(h.network.errors for h in hosts.values())
+            for host in hosts.values():
+                assert _operations(host) == [op, ("set", "a", 1)]
+                log = host.replica.abc.delivered_log
+                assert [r for p, r in log if p == write] == [2]
 
     asyncio.run(scenario())
 
@@ -477,9 +529,9 @@ def test_stale_adoption_keeps_the_clients(tmp_path):
 def _assert_entered(host, directory, closed):
     """What every entry into an epoch must leave behind: the three key
     files agree with the host, the runtime serves under the new keys,
-    the replica sits at the new session with its hooks, execution runs,
-    and the epoch it closed (if any) is tombstoned — the genesis record
-    kept if that was epoch 0."""
+    the replica sits at the new session with its hooks, its broadcast is
+    open, and the epoch it closed (if any) is tombstoned — the genesis
+    record kept if that was epoch 0."""
     public = keystore.load_public(directory / "public.json")
     assert keystore.public_to_dict(public) == keystore.public_to_dict(host.public)
     stored = keystore.load_party(directory / f"server-{host.party}.json", public)
@@ -494,7 +546,7 @@ def _assert_entered(host, directory, closed):
     info = replica.membership_info
     assert info.epoch == host.epoch
     assert reconfig.verify_membership_info(info, host.public)
-    assert not replica._paused
+    assert not replica.abc.closed
     if closed is not None:
         assert (directory / GENESIS_FILE).exists()
         tombstone = host.runtime.instances[epoch_service_session(closed)]
