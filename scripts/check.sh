@@ -183,6 +183,17 @@ EOF
              "schedule moved on purpose, 'make sweep' and commit the result)"
         failures=$((failures + 1))
     fi
+
+    step "sweep nightly grid, simulator cells (docs/CHAOS.md)"
+    if ! python -m repro sweep --tcp 0 --out /tmp/repro-sweep-nightly.json \
+            --repro-dir /tmp/repro-sweep-nightly-repro > /tmp/repro-sweep-nightly.log 2>&1; then
+        grep MISMATCH /tmp/repro-sweep-nightly.log
+        tail -1 /tmp/repro-sweep-nightly.log
+        echo "sweep nightly grid: FAILED (a cell mismatched its expectation)"
+        failures=$((failures + 1))
+    else
+        echo "sweep nightly grid: ok ($(tail -1 /tmp/repro-sweep-nightly.log))"
+    fi
 fi
 
 step "size (not a gate: the line counts each CHANGES.md entry reports)"

@@ -74,9 +74,14 @@ round of the window, and those are payloads it could have had ordered
 anyway (its own proposal may be in the decided list).
 
 A batch is a tuple of *hashable* payloads (delivery deduplicates by
-set membership); anything else is refused where a batch would enter
-``self.batches``, so no honest party ever endorses a candidate list
-that references one.
+set membership); anything else is refused where a batch would enter a
+round's record, so no honest party ever endorses a candidate list that
+references one.
+
+Round records: all this party keeps about round ``r`` is one
+:class:`_Round` in ``rounds[r]``, dropped ``_BUFFER_SLACK`` rounds after
+delivery or by :meth:`~AtomicBroadcast.rebase`; an agreement holds the
+record it started on (docs/PROTOCOLS.md, "Round records", "Fetching").
 
 A party whose queue is still empty after that joins every round it
 sees evidence for (a valid proposal with a higher round number — one
@@ -92,6 +97,7 @@ fires so the host can trigger state transfer (Section 6).
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Hashable
 
@@ -215,6 +221,29 @@ def _well_formed(batch: object) -> bool:
     return True
 
 
+class _Round:
+    """Everything this party keeps about one round (module docstring,
+    "Round records")."""
+
+    __slots__ = (
+        "number", "proposal", "proposals", "verdicts", "batches", "requested",
+        "askers", "agreement_started", "decision", "__weakref__",
+    )
+
+    def __init__(self, number: int) -> None:
+        self.number = number
+        self.proposal: AbcProposal | None = None  # ours, signed
+        # Recorded proposals by sender, and their signatures' verdicts.
+        self.proposals: dict[int, tuple[bytes, Signature]] = {}
+        self.verdicts: dict[int, bool] = {}
+        self.batches: dict[bytes, tuple] = {}
+        self.requested: set[bytes] = set()
+        # Digests peers asked for before this party held them: who asked.
+        self.askers: dict[bytes, set[int]] = {}
+        self.agreement_started = False
+        self.decision: tuple | None = None
+
+
 class AtomicBroadcast(Protocol):
     """Long-lived totally-ordered broadcast; delivers via a callback.
 
@@ -245,30 +274,12 @@ class AtomicBroadcast(Protocol):
         # batches for the same round number, even across recovery.
         self.highest_started = 0
         self.in_flight: set[Hashable] = set()
-        # Bumped by rebase(): agreements spawned for an earlier
-        # generation (a closed session) are ignored when they complete,
-        # so an old-session round can never collide with the round of
-        # the same number restarted under the successor session.
-        self.generation = 0
         # Set by close(), cleared by rebase(); _after_close is what
         # close() runs once the round being delivered has ended.
         self.closed = False
         self._delivering = False
         self._after_close: Callable[[], None] | None = None
-        # Our own proposals by round: (batch, digest, signature).
-        # Recently delivered rounds are retained (_BUFFER_SLACK deep) so
-        # rejoining parties can ask for an exact re-send.
-        self.proposed: dict[int, tuple[tuple, bytes, Signature]] = {}
-        # Recorded proposals, and their signatures' verdicts (_checked).
-        self.proposals: dict[int, dict[int, tuple[bytes, Signature]]] = {}
-        self.verdicts: dict[int, dict[int, bool]] = {}
-        self.batches: dict[bytes, tuple] = {}
-        self.requested: set[bytes] = set()
-        self.agreement_started: set[int] = set()
-        self.decisions: dict[int, tuple] = {}
-        # Digests decided in recently delivered rounds, kept so lagging
-        # peers can still fetch the batches behind them.
-        self._recent_digests: dict[int, frozenset[bytes]] = {}
+        self.rounds: dict[int, _Round] = {}
         self.lag_reports: dict[int, int] = {}
         self._lag_notified = False
         self.payloads_delivered = 0
@@ -296,6 +307,12 @@ class AtomicBroadcast(Protocol):
 
     def _window(self) -> int:
         return self.config.pipeline_depth + _BUFFER_SLACK
+
+    def _round(self, r: int) -> _Round:
+        rec = self.rounds.get(r)
+        if rec is None:
+            rec = self.rounds[r] = _Round(r)
+        return rec
 
     # -- input ------------------------------------------------------------------
 
@@ -334,26 +351,25 @@ class AtomicBroadcast(Protocol):
         if self.highest_started < self.round:
             self.highest_started = self.round
         while self.highest_started < self.round + self.config.pipeline_depth:
-            nxt = self.highest_started + 1
+            rec = self._round(self.highest_started + 1)
             batch = self._select_batch()
-            recorded = sorted(self.proposals.get(nxt, {}))
-            if not batch and not any(self._checked(ctx, nxt, j) for j in recorded):
+            if not batch and not any(self._checked(ctx, rec, j) for j in sorted(rec.proposals)):
                 return
-            self.highest_started = nxt
+            self.highest_started = rec.number
             digest = batch_digest(batch)
-            statement = proposal_statement(ctx.session, nxt, digest)
+            statement = proposal_statement(ctx.session, rec.number, digest)
             signature = ctx.keys.signing_key.sign(statement, ctx.rng, ctx.verified)
-            self.proposed[nxt] = (batch, digest, signature)
-            self.batches.setdefault(digest, batch)
+            rec.proposal = AbcProposal(rec.number, batch, signature)
+            self._hold(ctx, rec, digest, batch)
             self.in_flight.update(batch)
-            ctx.broadcast(AbcProposal(nxt, batch, signature))
-            self._maybe_start_agreement(ctx, nxt)
+            ctx.broadcast(rec.proposal)
+            self._maybe_start_agreement(ctx, rec)
 
     def resume_at(self, ctx: Context, round_number: int) -> None:
         """Rejoin the round structure after recovery (Section 6).
 
         Fast-forward past everything the transferred log settled, drop
-        state for rounds at or below it, and ask the peers to re-send
+        the records that fall behind it, and ask the peers to re-send
         their still-in-flight proposals — bounded buffering means the
         ones that arrived while this party lagged were not kept.  Any
         round this party already signed a proposal for stays off-limits
@@ -363,7 +379,7 @@ class AtomicBroadcast(Protocol):
         self.round = max(self.round, round_number)
         if self.highest_started < self.round:
             self.highest_started = self.round
-        self._cleanup_after_round(self.round)
+        self._settle()
         self._refresh_lag()
         ctx.broadcast(AbcRejoin(self.round))
         self._maybe_start_rounds(ctx)
@@ -387,32 +403,24 @@ class AtomicBroadcast(Protocol):
         The session that hosted it was closed and replaced by a
         tombstone, so protocol traffic for any round still in flight —
         proposal exchange, agreement sub-protocols — now lands on the
-        tombstone and those rounds can never decide.  Abandon
-        everything above the last *delivered* round and re-propose the
-        undelivered payloads under ``ctx``'s (new) session.  Delivered
-        history is untouched and round numbering continues where it
-        left off, so journal rounds stay monotone across the switch.
-        Restarting a round number this party already signed for is not
+        tombstone and those rounds can never decide.  Drop the records
+        above the last *delivered* round and re-propose the undelivered
+        payloads under ``ctx``'s (new) session.  Delivered history is
+        untouched and round numbering continues where it left off, so
+        journal rounds stay monotone across the switch.  Restarting a
+        round number this party already signed for is not
         equivocation: proposal statements bind the session id, so the
         same round under a different session is a different statement.
         A straggler agreement from the closed session that completes
-        after the switch is discarded by the generation check in
-        :meth:`_on_decision` rather than racing the restarted round.
+        after the switch holds a dropped record, so :meth:`_on_decision`
+        ignores it rather than racing the restarted round.
         """
         base = self.round
         self.closed = False
-        self.generation += 1
         self.highest_started = base
-        self._drop_proposals(lambda r: r > base)
-        for stale in [r for r in self.decisions if r > base]:
-            del self.decisions[stale]
-        for stale in [r for r in self.proposed if r > base]:
-            del self.proposed[stale]
-        self.agreement_started = {
-            r for r in self.agreement_started if r <= base
-        }
+        for stale in [r for r in self.rounds if r > base]:
+            del self.rounds[stale]
         self._sync_in_flight()
-        self._gc_batches()
         self._refresh_lag()
         self._maybe_start_rounds(ctx)
 
@@ -449,59 +457,71 @@ class AtomicBroadcast(Protocol):
                 self.lag_reports[sender] = max(self.lag_reports.get(sender, 0), r)
                 self._maybe_report_lag(ctx)
             return
-        if self.verdicts.get(r, {}).get(sender) is False:
+        rec = self._round(r)
+        if rec.verdicts.get(sender) is False:
             return  # excluded from this round: its recorded one failed
-        recorded = self.proposals.setdefault(r, {})
-        if sender not in recorded:
-            recorded[sender] = (digest, message.signature)
+        if sender not in rec.proposals:
+            rec.proposals[sender] = (digest, message.signature)
             # Adoption (module docstring): what the proposal taught this
             # party goes into its own batch for the round it now joins.
             taught = [p for p in message.batch if p not in self.delivered and p not in self.queued]
-            if taught and self._checked(ctx, r, sender):
+            if taught and self._checked(ctx, rec, sender):
                 for payload in taught:
                     self._enqueue(payload)
-        self.batches.setdefault(digest, message.batch)
+            self._hold(ctx, rec, digest, message.batch)
         self._maybe_start_rounds(ctx)
-        self._maybe_start_agreement(ctx, r)
+        self._maybe_start_agreement(ctx, rec)
         self._retry_predicates(ctx)
         self._try_deliver(ctx)
 
-    def _checked(self, ctx: Context, r: int, j: int) -> bool:
-        """Whether ``j``'s recorded round-``r`` proposal is signed, checked
-        once; a bad one is dropped and ``j`` excluded from round ``r`` (a
+    def _checked(self, ctx: Context, rec: _Round, j: int) -> bool:
+        """Whether ``j``'s recorded proposal in ``rec`` is signed, checked
+        once; a bad one is dropped and ``j`` excluded from the round (a
         bad signature gains a sender nothing a good one would not)."""
-        verdicts = self.verdicts.setdefault(r, {})
+        verdicts = rec.verdicts
         if j not in verdicts:
-            digest, signature = self.proposals[r][j]
+            digest, signature = rec.proposals[j]
             verdicts[j] = ctx.public.verify_keys[j].verify(
-                proposal_statement(ctx.session, r, digest), signature, ctx.verified
+                proposal_statement(ctx.session, rec.number, digest), signature, ctx.verified
             )
             if not verdicts[j]:
-                del self.proposals[r][j]
+                del rec.proposals[j]
         return verdicts[j]
 
-    def _drop_proposals(self, stale: Callable[[int], bool]) -> None:
-        for book in (self.proposals, self.verdicts):
-            for r in [r for r in book if stale(r)]:
-                del book[r]
+    def _hold(self, ctx: Context, rec: _Round, digest: bytes, batch: tuple) -> None:
+        """Keep ``batch`` in ``rec``, and send it to whoever asked early."""
+        if digest not in rec.batches:
+            rec.batches[digest] = batch
+            for asker in sorted(rec.askers.pop(digest, ())):
+                ctx.send(asker, AbcBatch(digest, batch))
 
     def _on_batch_request(
         self, ctx: Context, sender: int, message: AbcBatchRequest
     ) -> None:
-        digest = message.digest
-        if not isinstance(digest, bytes) or digest not in self.batches:
+        r, digest = message.round, message.digest
+        if not isinstance(r, int) or not isinstance(digest, bytes):
             return
-        ctx.send(sender, AbcBatch(digest, self.batches[digest]))
+        if r > self.round + self._window():
+            return
+        rec = self._round(r) if r > self.round else self.rounds.get(r)
+        if rec is None:
+            return
+        if digest in rec.batches or self._copy(ctx, rec, digest):
+            ctx.send(sender, AbcBatch(digest, rec.batches[digest]))
+        elif r > self.round and (digest in rec.askers or len(rec.askers) < ctx.n * ctx.n):
+            rec.askers.setdefault(digest, set()).add(sender)
 
     def _on_batch(self, ctx: Context, sender: int, message: AbcBatch) -> None:
         digest = message.digest
         if not isinstance(digest, bytes) or not _well_formed(message.batch):
             return
-        if digest not in self.requested:
+        wanting = [rec for _r, rec in sorted(self.rounds.items()) if digest in rec.requested]
+        if not wanting:
             return  # only store what we asked for: bounded memory
         if batch_digest(message.batch) != digest:
             return
-        self.batches.setdefault(digest, message.batch)
+        for rec in wanting:
+            self._hold(ctx, rec, digest, message.batch)
         self._retry_predicates(ctx)
         self._try_deliver(ctx)
 
@@ -509,11 +529,10 @@ class AtomicBroadcast(Protocol):
         base = message.round
         if not isinstance(base, int):
             return
-        for r in sorted(self.proposed):
-            if r <= base:
-                continue
-            batch, _digest, signature = self.proposed[r]
-            ctx.send(sender, AbcProposal(r, batch, signature))
+        for r in sorted(self.rounds):
+            own = self.rounds[r].proposal
+            if r > base and own is not None:
+                ctx.send(sender, own)
 
     def _maybe_report_lag(self, ctx: Context) -> None:
         if self.on_lag is None or self._lag_notified:
@@ -535,38 +554,38 @@ class AtomicBroadcast(Protocol):
 
     # -- agreement ----------------------------------------------------------------
 
-    def _maybe_start_agreement(self, ctx: Context, r: int) -> None:
-        if r in self.agreement_started or self.closed:
+    def _maybe_start_agreement(self, ctx: Context, rec: _Round) -> None:
+        r = rec.number
+        if rec.agreement_started or self.closed:
             return
         if r <= self.round or r > self.highest_started:
             return
-        collected = self.proposals.get(r, {})
+        collected = rec.proposals
         if not ctx.quorum.is_quorum(collected) or not ctx.quorum.is_quorum(
-            [j for j in sorted(collected) if self._checked(ctx, r, j)]  # the list's entries
+            [j for j in sorted(collected) if self._checked(ctx, rec, j)]  # the list's entries
         ):
             return
-        self.agreement_started.add(r)
+        rec.agreement_started = True
         candidate = tuple(
             sorted((j, digest, sig) for j, (digest, sig) in collected.items())
         )
-        predicate = self._list_predicate(ctx, r)
-        generation = self.generation
         ctx.spawn(
             ("mvba", (ctx.session, r)),
-            MultiValuedAgreement(candidate, predicate=predicate),
-            on_output=lambda decision, rr=r, g=generation: self._on_decision(
-                ctx, rr, decision, g
-            ),
+            MultiValuedAgreement(candidate, predicate=self._list_predicate(ctx, rec)),
+            on_output=lambda decision: self._on_decision(ctx, rec, decision),
         )
 
-    def _list_predicate(self, ctx: Context, r: int) -> Callable[[object], bool]:
+    def _list_predicate(self, ctx: Context, rec: _Round) -> Callable[[object], bool]:
         """External validity: a quorum of distinct, properly signed digests.
 
-        An entry equal to the proposal recorded from that sender
-        (``self.proposals[r]``) is accepted by comparison once that
-        proposal is checked (:meth:`_checked`, at most once); only
-        entries this party has not recorded build the statement, hash a
-        challenge and cost arithmetic.
+        An entry equal to the proposal recorded from that sender in the
+        round's record is accepted by comparison once that proposal is
+        checked (:meth:`_checked`, at most once); only entries this
+        party has not recorded build the statement, hash a challenge and
+        cost arithmetic.  Once the record is gone — a closed session's
+        round after :meth:`rebase`, or one long delivered — nothing is
+        accepted (the predicate holds it weakly: an agreement outlives
+        its round, its batches must not).
 
         Signatures cover the batch *digest*, so MVBA inputs stay O(n)
         regardless of batch bytes.  A party additionally refuses to
@@ -582,14 +601,15 @@ class AtomicBroadcast(Protocol):
         quorum = ctx.quorum
         session = ctx.session
         verified = ctx.verified
-        generation = self.generation
+        r = rec.number
+        started_on = weakref.ref(rec)
 
         def predicate(value: object) -> bool:
+            rec = started_on()
+            if rec is None or self.rounds.get(r) is not rec:
+                return False
             if not isinstance(value, tuple) or not value:
                 return False
-            # After rebase() round r holds proposals signed under the
-            # successor session, which say nothing to this predicate.
-            held = self.proposals.get(r, {}) if generation == self.generation else {}
             senders = []
             for entry in value:
                 if not (isinstance(entry, tuple) and len(entry) == 3):
@@ -597,8 +617,8 @@ class AtomicBroadcast(Protocol):
                 j, digest, sig = entry
                 if not isinstance(j, int) or not isinstance(digest, bytes):
                     return False
-                if held.get(j) == (digest, sig):
-                    if not self._checked(ctx, r, j):
+                if rec.proposals.get(j) == (digest, sig):
+                    if not self._checked(ctx, rec, j):
                         return False
                 else:
                     key = public.verify_keys.get(j)
@@ -612,28 +632,35 @@ class AtomicBroadcast(Protocol):
                 return False
             if not quorum.is_quorum(senders):
                 return False
-            missing = [d for _j, d, _s in value if d not in self.batches]
-            if missing:
-                self._request_batches(ctx, r, missing)
-                return False
-            return True
+            missing = [d for _j, d, _s in value if d not in rec.batches]
+            return not missing or self._fetch(ctx, rec, missing)
 
         return predicate
 
-    def _request_batches(
-        self, ctx: Context, r: int, digests: list[bytes]
-    ) -> None:
-        for digest in digests:
-            if digest in self.requested:
-                continue
-            self.requested.add(digest)
-            ctx.broadcast(AbcBatchRequest(r, digest))
+    def _fetch(self, ctx: Context, rec: _Round, missing: list[bytes]) -> bool:
+        """Whether ``rec`` now holds every missing batch: one another
+        round holds is copied, the rest asked for once in this round."""
+        for digest in missing:
+            if not self._copy(ctx, rec, digest) and digest not in rec.requested:
+                rec.requested.add(digest)
+                ctx.broadcast(AbcBatchRequest(rec.number, digest))
+        return all(digest in rec.batches for digest in missing)
+
+    def _copy(self, ctx: Context, rec: _Round, digest: bytes) -> bool:
+        """Hold a batch another round's record holds (one proposed again,
+        the empty one) — searched only on a miss."""
+        for _r, other in sorted(self.rounds.items()):
+            if digest in other.batches:
+                self._hold(ctx, rec, digest, other.batches[digest])
+                return True
+        return False
 
     def _retry_predicates(self, ctx: Context) -> None:
         """Poke in-flight agreements whose CBC validations may pass now
         that a new batch arrived."""
-        for r in sorted(self.agreement_started):
-            if r <= self.round:
+        for r in range(self.round + 1, self.highest_started + 1):
+            rec = self.rounds.get(r)
+            if rec is None or not rec.agreement_started:
                 continue
             sid: SessionId = ("mvba", (ctx.session, r))
             inst = ctx.instance(sid)
@@ -642,45 +669,36 @@ class AtomicBroadcast(Protocol):
 
     # -- delivery ----------------------------------------------------------------
 
-    def _on_decision(
-        self,
-        ctx: Context,
-        r: int,
-        decision: object,
-        generation: int | None = None,
-    ) -> None:
-        if generation is not None and generation != self.generation:
-            return  # agreement of a closed session (see rebase())
-        if not isinstance(decision, MvbaDecision):
+    def _on_decision(self, ctx: Context, rec: _Round, decision: object) -> None:
+        if self.rounds.get(rec.number) is not rec:
+            return  # its record is gone: a closed session's agreement (rebase)
+        if not isinstance(decision, MvbaDecision) or not isinstance(decision.value, tuple):
             return
-        if r <= self.round or r in self.decisions:
+        if rec.number <= self.round or rec.decision is not None:
             return
-        if not isinstance(decision.value, tuple):
-            return
-        self.decisions[r] = decision.value
+        rec.decision = decision.value
         self._try_deliver(ctx)
 
     def _try_deliver(self, ctx: Context) -> None:
-        """Apply buffered decisions strictly in round order, until
-        :meth:`close`."""
+        """Apply decisions strictly in round order, until :meth:`close`."""
         progressed = False
         while not self.closed:
             r = self.round + 1
-            value = self.decisions.get(r)
-            if value is None:
+            rec = self.rounds.get(r)
+            if rec is None or rec.decision is None:
                 break
-            missing = [d for _j, d, _s in value if d not in self.batches]
-            if missing:
+            value = rec.decision
+            missing = [d for _j, d, _s in value if d not in rec.batches]
+            if missing and not self._fetch(ctx, rec, missing):
                 # In-order delivery must wait for the payload bytes;
                 # the deciding quorum stored them, so this terminates.
-                self._request_batches(ctx, r, missing)
                 break
             self._occupancy_sum += max(self.highest_started, r) - self.round
             self._occupancy_samples += 1
             tail: dict[Hashable, None] = {}  # what follows a close, in order
             self._delivering = True
             for _j, digest, _sig in sorted(value):
-                for payload in self.batches[digest]:
+                for payload in rec.batches[digest]:
                     if payload in self.delivered:
                         continue
                     if self.closed:
@@ -694,11 +712,11 @@ class AtomicBroadcast(Protocol):
             self._delivering = False
             if tail:
                 self.queue = [*tail, *(p for p in self.queue if p not in tail)]
-            del self.decisions[r]
             self.round = r
             self.rounds_delivered += 1
-            self._recent_digests[r] = frozenset(d for _j, d, _s in value)
-            self._cleanup_after_round(r)
+            rec.proposals.clear()  # unread once delivered; only the proposal
+            rec.verdicts.clear()  # and batches must stay fetchable
+            self._settle()
             ctx.trace.bump("abc.rounds")
             if self.on_round_end is not None:
                 self.on_round_end(r)
@@ -710,49 +728,23 @@ class AtomicBroadcast(Protocol):
         if then is not None:
             then()
 
-    def _cleanup_after_round(self, r: int) -> None:
-        """Drop what rounds up to ``r`` kept — proposals, decisions,
-        agreements and, ``_BUFFER_SLACK`` rounds further back, our own
-        proposals and their digests.  Called after each delivered round
-        and by :meth:`resume_at`, whose fast-forward may skip many."""
-        self._drop_proposals(lambda p: p <= r)
-        for stale in [p for p in self.decisions if p <= r]:
-            del self.decisions[stale]
-        self.agreement_started = {p for p in self.agreement_started if p > r}
-        retain = r - _BUFFER_SLACK
-        for stale in [p for p in self.proposed if p <= retain]:
-            del self.proposed[stale]
-        for stale in [p for p in self._recent_digests if p <= retain]:
-            del self._recent_digests[stale]
+    def _settle(self) -> None:
+        """Catch up with the delivered round (after each delivered round,
+        and :meth:`resume_at`'s fast-forward, which may skip many): drop
+        the records ``_BUFFER_SLACK`` rounds behind it and the delivered
+        payloads from the queue and the in-flight mask."""
+        for stale in [r for r in self.rounds if r <= self.round - _BUFFER_SLACK]:
+            del self.rounds[stale]
         self.queue = [p for p in self.queue if p not in self.delivered]
         self.queued = set(self.queue)
         self._sync_in_flight()
-        self._gc_batches()
 
     def _sync_in_flight(self) -> None:
         """Payloads masked from new batches: those in our own proposals
         for rounds that have not delivered yet."""
         masked: set[Hashable] = set()
-        for r in sorted(self.proposed):
-            if r > self.round:
-                masked.update(self.proposed[r][0])
+        for r in sorted(self.rounds):
+            own = self.rounds[r].proposal
+            if r > self.round and own is not None:
+                masked.update(own.batch)
         self.in_flight = masked
-
-    def _gc_batches(self) -> None:
-        """Drop batch bytes no live round references.  Recently
-        delivered rounds stay fetchable for lagging peers."""
-        live: set[bytes] = set()
-        for r in sorted(self.proposals):
-            for j in sorted(self.proposals[r]):
-                live.add(self.proposals[r][j][0])
-        for r in sorted(self.decisions):
-            for entry in self.decisions[r]:
-                live.add(entry[1])
-        for r in sorted(self.proposed):
-            live.add(self.proposed[r][1])
-        for r in sorted(self._recent_digests):
-            live.update(self._recent_digests[r])
-        self.batches = {
-            d: self.batches[d] for d in sorted(live) if d in self.batches
-        }
-        self.requested &= live

@@ -417,10 +417,10 @@ def byzantine_node(
       timeout-based detectors cannot distinguish from slowness);
     * ``spam`` — floods peers with well-formed junk on every delivery;
     * ``equivocate`` — runs the honest stack inside a
-      :class:`~repro.net.adversary.MutatingNode` but re-signs a
-      *different* (empty, validly signed) round-1 batch for half its
-      peers in atomic broadcast: allowed adversary behavior that the
-      agreement layer must neutralize.
+      :class:`~repro.net.adversary.MutatingNode` but re-signs every
+      round's proposal to an odd-numbered party as a *different* one
+      (an empty batch) in atomic broadcast: allowed adversary behavior
+      that the agreement layer must neutralize.
     """
     if kind == "silent":
         return SilentNode(), None, None

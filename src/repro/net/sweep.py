@@ -174,6 +174,11 @@ class SweepSpec(_Spec):
 
     def validate(self) -> None:
         _require(bool(self.shapes), "sweep: at least one shape required")
+        labels = [shape.label for shape in self.shapes]
+        for i, label in enumerate(labels):
+            first = labels.index(label)
+            _require(first == i, f"sweep: shapes {self.shapes[first]} and {self.shapes[i]} "
+                     f"share the label {label!r}, which keys their reports")
         for axis, values, known in (
             ("faults", self.faults, FAULT_TEMPLATES),
             ("latencies", self.latencies, LATENCY_TEMPLATES),

@@ -9,6 +9,7 @@ from helpers import ctx_for, make_network
 from repro.core import atomic_broadcast
 from repro.core.atomic_broadcast import (
     AbcBatch,
+    AbcBatchRequest,
     AbcConfig,
     AbcProposal,
     AtomicBroadcast,
@@ -17,10 +18,11 @@ from repro.core.atomic_broadcast import (
     proposal_statement,
 )
 from repro.core.multivalued_agreement import MvbaDecision
+from repro.core.runtime import ProtocolRuntime
 from repro.crypto.dealer import CLIENT_BASE
 from repro.crypto.schnorr import Signature
 from repro.crypto.threshold_sig import QuorumCertificate
-from repro.net.adversary import SilentNode
+from repro.net.adversary import MutatingNode, SilentNode
 from repro.net.scheduler import (
     DelayScheduler,
     FifoScheduler,
@@ -28,6 +30,8 @@ from repro.net.scheduler import (
     ReorderScheduler,
 )
 from repro.net.simulator import Node
+from repro.smr import KeyValueStore, build_service
+from repro.smr.replica import Replica, service_session
 
 
 def _spawn(runtimes, session, config=None):
@@ -47,6 +51,21 @@ def _spawn(runtimes, session, config=None):
 def _submit(runtimes, session, party, payload):
     inst = runtimes[party].instances[session]
     inst.submit(ctx_for(runtimes[party], session), payload)
+
+
+def _recorded(inst, r):
+    """The proposals ``inst`` recorded for round ``r``."""
+    return inst.rounds[r].proposals if r in inst.rounds else {}
+
+
+def _held(inst):
+    """Every digest whose batch ``inst`` holds, in any round."""
+    return {digest for rec in inst.rounds.values() for digest in rec.batches}
+
+
+def _pending(inst):
+    """Rounds decided but not yet delivered."""
+    return [r for r, rec in inst.rounds.items() if r > inst.round and rec.decision]
 
 
 @pytest.mark.parametrize("scheduler", [RandomScheduler, ReorderScheduler])
@@ -142,7 +161,7 @@ def test_unsigned_proposals_rejected(keys_4_1):
     net.send(0, 1, (session, fake))
     net.run(max_steps=1000)
     inst = rts[1].instances[session]
-    assert 1 not in inst.proposals or 0 not in inst.proposals.get(1, {})
+    assert 0 not in _recorded(inst, 1)
 
 
 def test_delivered_log_records_rounds(keys_4_1):
@@ -250,16 +269,18 @@ def test_out_of_order_decisions_buffered_until_gap_closes(keys_4_1):
     ctx = ctx_for(rts[0], session)
     batch2 = (("req", "second"),)
     digest2 = batch_digest(batch2)
-    inst.batches[digest2] = batch2
-    inst._on_decision(ctx, 2, MvbaDecision(proposer=0, value=((0, digest2, None),)))
+    inst._round(2).batches[digest2] = batch2
+    decision2 = MvbaDecision(proposer=0, value=((0, digest2, None),))
+    inst._on_decision(ctx, inst._round(2), decision2)
     assert inst.round == 0 and logs[0] == []  # round 2 waits for round 1
-    assert 2 in inst.decisions
+    assert _pending(inst) == [2]
     batch1 = (("req", "first"),)
     digest1 = batch_digest(batch1)
-    inst.batches[digest1] = batch1
-    inst._on_decision(ctx, 1, MvbaDecision(proposer=1, value=((1, digest1, None),)))
+    inst._round(1).batches[digest1] = batch1
+    decision1 = MvbaDecision(proposer=1, value=((1, digest1, None),))
+    inst._on_decision(ctx, inst._round(1), decision1)
     assert logs[0] == [("req", "first"), ("req", "second")]
-    assert inst.round == 2 and not inst.decisions
+    assert inst.round == 2 and not _pending(inst)
 
 
 def test_missing_batch_fetched_before_delivery(keys_4_1):
@@ -273,11 +294,26 @@ def test_missing_batch_fetched_before_delivery(keys_4_1):
     digest = batch_digest(batch)
     # A decision referencing bytes this party never saw: delivery must
     # stall on a fetch, not crash or skip.
-    inst._on_decision(ctx, 1, MvbaDecision(proposer=2, value=((2, digest, None),)))
+    decision = MvbaDecision(proposer=2, value=((2, digest, None),))
+    inst._on_decision(ctx, inst._round(1), decision)
     assert inst.round == 0 and logs[0] == []
-    assert digest in inst.requested  # AbcBatchRequest went out
+    assert digest in inst.rounds[1].requested  # AbcBatchRequest went out
     inst.on_message(ctx, 2, AbcBatch(digest, batch))
     assert logs[0] == [("req", "remote")] and inst.round == 1
+
+
+def test_a_batch_another_round_holds_is_copied_not_fetched(keys_4_1):
+    """A batch proposed again after its round decided without it (or the
+    empty one) is held by another round's record: a miss copies it from
+    there instead of asking the peers."""
+    inst, ctx, _session = _lone_party(keys_4_1, "copy")
+    batch = (("req", "again"),)
+    digest = batch_digest(batch)
+    inst._round(3).batches[digest] = batch
+    decision = MvbaDecision(proposer=0, value=((0, digest, None),))
+    inst._on_decision(ctx, inst._round(1), decision)
+    assert inst.delivered_log == [(("req", "again"), 1)]
+    assert not inst.rounds[1].requested
 
 
 def test_unsolicited_batches_ignored(keys_4_1):
@@ -289,7 +325,7 @@ def test_unsolicited_batches_ignored(keys_4_1):
     ctx = ctx_for(rts[0], session)
     batch = (("req", "spam"),)
     inst.on_message(ctx, 3, AbcBatch(batch_digest(batch), batch))
-    assert batch_digest(batch) not in inst.batches  # never asked for it
+    assert batch_digest(batch) not in _held(inst)  # never asked for it
 
 
 def test_far_future_proposals_dropped_as_lag_evidence(keys_4_1):
@@ -308,7 +344,7 @@ def test_far_future_proposals_dropped_as_lag_evidence(keys_4_1):
         net.send(signer, 1, (session, AbcProposal(far, (), signature)))
         net.run(max_steps=1000)
     # Bounded buffering: the proposals were NOT stored...
-    assert far not in inst.proposals
+    assert far not in inst.rounds
     # ...but each counted as lag evidence, and once an honest-containing
     # set (t+1 = 2 distinct signers) vouched, the lag hook fired once.
     assert inst.lag_reports == {0: far, 2: far}
@@ -328,7 +364,7 @@ def test_proposal_with_mismatched_batch_rejected(keys_4_1):
     net.send(0, 1, (session, AbcProposal(1, (("req", "b"),), signature)))
     net.run(max_steps=1000)
     inst = rts[1].instances[session]
-    assert 0 not in inst.proposals.get(1, {})
+    assert 0 not in _recorded(inst, 1)
 
 
 def test_seven_party_broadcast_with_mixed_inputs(keys_7_2):
@@ -376,26 +412,90 @@ def test_rebase_carries_in_flight_payloads_to_new_session(keys_4_1):
     assert all(logs[p] == logs[0] for p in rts)
 
 
-def test_rebase_discards_stale_generation_decision(keys_4_1):
+def test_rebase_discards_a_straggler_of_a_dropped_record(keys_4_1):
     """A straggler agreement of the closed session that completes after
-    the switch must not race the round restarted under the new one."""
+    the switch must not race the round restarted under the new one: it
+    holds the record rebase() dropped, not the one now in its place."""
     net, rts = make_network(keys_4_1, seed=34, parties=[0])
     session = abc_session("rebase-gen")
     logs = _spawn(rts, session)
     net.start()
     inst = rts[0].instances[session]
     ctx = ctx_for(rts[0], session)
-    generation = inst.generation
+    stale = inst._round(1)
     inst.rebase(ctx)
-    assert inst.generation == generation + 1
+    assert inst.rounds.get(1) is not stale
     batch = (("req", "stale"),)
     digest = batch_digest(batch)
-    inst.batches[digest] = batch
+    for rec in (stale, inst._round(1)):
+        rec.batches[digest] = batch
     decision = MvbaDecision(proposer=0, value=((0, digest, None),))
-    inst._on_decision(ctx, 1, decision, generation)
-    assert logs[0] == [] and not inst.decisions  # old generation: dropped
-    inst._on_decision(ctx, 1, decision, inst.generation)
-    assert logs[0] == [("req", "stale")]  # current generation: delivered
+    inst._on_decision(ctx, stale, decision)
+    assert logs[0] == [] and not _pending(inst)  # dropped record: ignored
+    inst._on_decision(ctx, inst.rounds[1], decision)
+    assert logs[0] == [("req", "stale")]  # the current record: delivered
+
+
+# -- fetching: a request that arrives before the batch is answered later ------------
+
+
+class _EarlyRequest(FifoScheduler):
+    """FIFO, except that party 3's proposal to party 1 waits until parties
+    0 and 2 have asked party 1 for a batch, and 0's and 2's proposals to
+    party 1 wait until 3's has been delivered."""
+
+    def __init__(self):
+        self.asked_1: set[int] = set()
+        self.proposal_3_to_1 = False
+
+    def _held(self, envelope):
+        if envelope.recipient != 1 or not isinstance(envelope.payload[1], AbcProposal):
+            return False
+        if envelope.sender == 3:
+            return self.asked_1 != {0, 2}
+        return envelope.sender in (0, 2) and not self.proposal_3_to_1
+
+    def select(self, pending, rng):
+        for index, envelope in enumerate(pending):
+            if self._held(envelope):
+                continue
+            message = envelope.payload[1]
+            if envelope.recipient == 1 and isinstance(message, AbcBatchRequest):
+                self.asked_1.add(envelope.sender)
+            if envelope.recipient == 1 and isinstance(message, AbcProposal):
+                self.proposal_3_to_1 |= envelope.sender == 3
+            return index
+        return None
+
+
+def test_a_batch_asked_for_before_it_arrived_is_sent_when_it_does():
+    """Party 3 (honest inside, but its round-1 proposal and every batch it
+    sends to parties 0 and 2 are dropped) alone holds write A; party 1's
+    list names A's digest.  Parties 0 and 2 asked party 1 for that batch
+    before party 1 had it; they never ask again, so party 1 must send it
+    once it arrives, or no third list completes and B never commits."""
+    dep = build_service(4, KeyValueStore, t=1, scheduler=_EarlyRequest(), seed=48)
+    keys = dep.keys
+
+    def inner(network):
+        runtime = ProtocolRuntime(3, network, keys.public, keys.private[3], seed=48)
+        runtime.spawn(service_session(), Replica(KeyValueStore()))
+        return runtime
+
+    def mutate(recipient, payload):
+        message = payload[1]
+        muted = isinstance(message, AbcBatch) or (
+            isinstance(message, AbcProposal) and message.round == 1
+        )
+        return None if muted and recipient in (0, 2) else payload
+
+    dep.controller.corrupt(dep.network, 3, MutatingNode(dep.network, 3, inner, mutate))
+    client = dep.new_client()
+    dep.network.start()
+    client.submit(("set", "a", 1), servers=[3])
+    b = client.submit(("set", "b", 2), servers=[0, 1, 2])
+    dep.network.run(max_steps=20_000)
+    assert b in client.completed
 
 
 # -- adoption: a recorded proposal is also a submission of its payloads -----------
@@ -474,7 +574,7 @@ def test_clients_late_copy_starts_no_round(keys_4_1):
     m = ("req", "m")
     inst.on_message(ctx, 0, _signed(keys_4_1, session, 0, 1, (m,)))
     # The party joined round 1 with what the proposal taught it.
-    assert inst.proposed[1][0] == (m,) and m in inst.in_flight
+    assert inst.rounds[1].proposal.batch == (m,) and m in inst.in_flight
     assert inst.highest_started == 1
     inst.submit(ctx, m)  # the client's own copy, late
     assert inst.highest_started == 1 and inst.queue == [m]
@@ -487,7 +587,7 @@ def test_delivered_payload_is_not_adopted(keys_4_1):
     inst.on_message(ctx, 0, _signed(keys_4_1, session, 0, 1, (m,)))
     assert inst.queue == []
     # Evidence that taught nothing new: the idle party still joins, empty.
-    assert inst.proposed[1][0] == ()
+    assert inst.rounds[1].proposal.batch == ()
 
 
 def test_only_a_recorded_proposal_is_adopted(keys_4_1):
@@ -505,7 +605,7 @@ def test_only_a_recorded_proposal_is_adopted(keys_4_1):
     forged = _signed(keys_4_1, session, 2, 1, (("req", "forged"),))
     inst.on_message(ctx, 3, forged)
     assert inst.queue == [first] and inst.queued == {first}
-    assert set(inst.proposals[1]) == {0}
+    assert set(inst.rounds[1].proposals) == {0}
 
 
 def test_rebase_carries_adopted_payloads_to_new_session(keys_4_1):
@@ -516,13 +616,13 @@ def test_rebase_carries_adopted_payloads_to_new_session(keys_4_1):
     inst = rts[1].instances.pop(old)
     m = ("req", "adopted")
     inst.on_message(ctx_for(rts[1], old), 0, _signed(keys_4_1, old, 0, 1, (m,)))
-    assert inst.proposed[1][0] == (m,)
+    assert inst.rounds[1].proposal.batch == (m,)
     rts[1].spawn(new, inst)
     inst.rebase(ctx_for(rts[1], new))
-    batch, digest, signature = inst.proposed[1]
-    assert batch == (m,)  # re-proposed under the successor session
+    own = inst.rounds[1].proposal
+    assert own.batch == (m,)  # re-proposed under the successor session
     assert keys_4_1.public.verify_keys[1].verify(
-        proposal_statement(new, 1, digest), signature
+        proposal_statement(new, 1, batch_digest(own.batch)), own.signature
     )
 
 
@@ -536,16 +636,16 @@ def test_predicate_of_a_closed_session_compares_nothing(keys_4_1):
     _spawn(rts, old)
     net.start()
     inst = rts[1].instances.pop(old)
-    stale = inst._list_predicate(ctx_for(rts[1], old), 1)
+    stale = inst._list_predicate(ctx_for(rts[1], old), inst._round(1))
     rts[1].spawn(new, inst)
     ctx = ctx_for(rts[1], new)
     inst.rebase(ctx)
     for signer in (0, 2, 3):
         inst.on_message(ctx, signer, _signed(keys_4_1, new, signer, 1, ()))
     value = tuple(
-        sorted((j, digest, sig) for j, (digest, sig) in inst.proposals[1].items())
+        sorted((j, digest, sig) for j, (digest, sig) in inst.rounds[1].proposals.items())
     )
-    assert inst._list_predicate(ctx, 1)(value)
+    assert inst._list_predicate(ctx, inst.rounds[1])(value)
     assert not stale(value)
 
 
@@ -573,7 +673,7 @@ def test_unhashable_payload_does_not_wedge_honest_parties(keys_4_1, payload):
         net.send(3, party, (session, poison))
     net.run(max_steps=400_000)  # first to arrive everywhere: in every list
     for party, runtime in rts.items():
-        assert 3 not in runtime.instances[session].proposals.get(1, {})
+        assert 3 not in _recorded(runtime.instances[session], 1)
     for party in rts:
         _submit(rts, session, party, ("req", party))
     net.run(until=lambda: all(len(logs[p]) >= 3 for p in rts), max_steps=400_000)
@@ -585,9 +685,9 @@ def test_unhashable_fetched_batch_refused(keys_4_1):
     inst, ctx, _session = _lone_party(keys_4_1, "unhashable-fetch")
     batch = ({"a": 1},)
     digest = batch_digest(batch)
-    inst.requested.add(digest)  # a candidate list referenced it
+    inst._round(1).requested.add(digest)  # a candidate list referenced it
     inst.on_message(ctx, 3, AbcBatch(digest, batch))
-    assert digest not in inst.batches
+    assert digest not in _held(inst)
 
 
 # -- close: an epoch's last operation ends its session's ordering -----------------
@@ -614,9 +714,9 @@ def _closing_round(keys, name, batches, close_at, delivered_before=(), queued=()
     value = []
     for j, batch in enumerate(batches):
         digest = batch_digest(batch)
-        inst.batches[digest] = batch
+        inst._round(1).batches[digest] = batch
         value.append((j, digest, None))
-    inst._on_decision(ctx, 1, MvbaDecision(proposer=0, value=tuple(value)))
+    inst._on_decision(ctx, inst._round(1), MvbaDecision(proposer=0, value=tuple(value)))
     return inst, ctx, session, delivered, ended, after
 
 
@@ -655,11 +755,13 @@ def test_closed_broadcast_starts_and_delivers_nothing(keys_4_1):
     )
     for signer in (0, 2, 3):
         inst.on_message(ctx, signer, _signed(keys_4_1, session, signer, 2, (b,)))
-    assert set(inst.proposals[2]) == {0, 2, 3}
+    assert set(inst.rounds[2].proposals) == {0, 2, 3}
     inst.submit(ctx, ("req", "later"))
-    assert 2 not in inst.agreement_started and not inst.proposed
+    assert not inst.rounds[2].agreement_started
+    assert all(rec.proposal is None for rec in inst.rounds.values())
     digest = batch_digest((b,))
-    inst._on_decision(ctx, 2, MvbaDecision(proposer=0, value=((0, digest, None),)))
+    decision = MvbaDecision(proposer=0, value=((0, digest, None),))
+    inst._on_decision(ctx, inst.rounds[2], decision)
     assert delivered == [x] and inst.round == 1 and ended == [1]
 
 

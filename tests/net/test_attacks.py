@@ -271,7 +271,7 @@ def test_unchecked_proposal_with_a_bad_signature_never_enters_a_list(keys_4_1):
     net.run(until=lambda: all(lists in rt.instances for rt in rts.values()))
     for rt in rts.values():
         inst = rt.instances[session]
-        assert 3 not in inst.proposals[1] and inst.verdicts[1][3] is False
+        assert 3 not in inst.rounds[1].proposals and inst.rounds[1].verdicts[3] is False
         assert 3 not in {j for j, _d, _s in rt.instances[lists].proposal}
     net.run(until=lambda: all(len(logs[p]) >= 3 for p in rts), max_steps=400_000)
     assert logs[0] == logs[1] == logs[2]

@@ -16,6 +16,7 @@ from repro.net import sweep as sweep_module
 from repro.net.chaos import (
     ScenarioError,
     builtin_scenarios,
+    parameterize_scenario,
     replay_journal,
     run_timeline,
 )
@@ -81,6 +82,17 @@ def test_malformed_sweep_spec_rejected(mutate, message):
     mutate(data)
     with pytest.raises(ScenarioError, match=message):
         SweepSpec.from_json(data)
+
+
+def test_shapes_sharing_a_label_are_refused():
+    """A label names the coalition's size and kind, not its parties, and
+    keys the reports: two such shapes would overwrite each other's."""
+    shapes = [
+        {"n": 4, "t": 1, "byzantine": [[3, "equivocate"]]},
+        {"n": 4, "t": 1, "byzantine": [[0, "equivocate"]]},
+    ]
+    with pytest.raises(ScenarioError, match=r"\(3, 'equivocate'\).*\(0, 'equivocate'\)"):
+        SweepSpec.from_json({"name": "clash", "shapes": shapes})
 
 
 # -- expansion ----------------------------------------------------------------------
@@ -234,6 +246,31 @@ def test_faulty_network_templates_still_pass():
     for cell in expand_cells(spec):
         report = run_scenario_sim(cell.scenario)
         assert report["ok"], (cell.label, report["safety"], report["liveness"])
+
+
+@pytest.mark.parametrize(
+    "latency, load, seed",
+    [
+        ("none", "serial", 14),
+        ("none", "serial", 16),
+        ("jitter", "pipelined", 13),
+        ("heavy", "serial", 11),
+        ("heavy", "serial", 16),
+        ("heavy", "pipelined", 11),
+    ],
+)
+def test_an_equivocator_behind_a_partition_does_not_stall_the_service(latency, load, seed):
+    """One equivocating server behind a partition: each of these cells
+    stalled while a digest asked for (and not answered) in one round was
+    never asked for again in a later one — the empty batch has one
+    digest in every round."""
+    scenario = parameterize_scenario(
+        f"eq-partition-{latency}-{load}-s{seed}",
+        n=4, t=1, seed=seed, fault="partition", latency=latency, load=load,
+        byzantine=((3, "equivocate"),),
+    )
+    report = run_scenario_sim(scenario)
+    assert report["ok"], (report["safety"], report["liveness"])
 
 
 # -- the campaign driver ------------------------------------------------------------

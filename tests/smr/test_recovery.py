@@ -119,6 +119,31 @@ def test_recovery_under_active_partition_completes_after_heal():
     assert dep.network.scheduler._delivered > 50
 
 
+def test_a_replica_left_behind_its_window_catches_up_by_state_transfer():
+    """Party 2 sits behind a partition for 14 serial commits, more than
+    its proposal window (pipeline depth 1 plus 8 rounds of slack): the
+    proposals beyond the window are not buffered but counted as lag
+    evidence, ``on_lag`` fires, and state transfer brings party 2 to the
+    others' round and state."""
+    dep, client = _deploy(seed=58)
+    scheduler = PartitionScheduler({2}, duration=1 << 30)
+    dep.network.scheduler = scheduler
+    lagging = dep.replicas[2]
+    fired = []
+    on_lag = lagging.abc.on_lag
+    lagging.abc.on_lag = lambda: (fired.append(lagging.abc.round), on_lag())
+    for i in range(14):
+        dep.run_until_complete(client, [client.submit(("set", f"k{i}", i))])
+    ahead = dep.replicas[0].abc.round
+    assert lagging.abc.round + lagging.abc._window() < ahead
+    scheduler.isolated.clear()  # heal
+    _drain(dep)
+    assert fired == [0] and not lagging.recovering
+    assert {replica.abc.round for replica in dep.replicas.values()} == {ahead}
+    assert lagging.state_machine.snapshot() == dep.replicas[0].state_machine.snapshot()
+    assert len(lagging.state_machine.data) == 14
+
+
 def test_recovery_while_pipelined_rounds_in_flight():
     """Crash and rejoin *mid-stream* under batching + pipelining: the
     rejoined replica must adopt a vouched prefix, resume at the right
