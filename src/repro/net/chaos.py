@@ -655,9 +655,9 @@ def builtin_scenarios() -> dict[str, Scenario]:
     # Regression scenario for superseded inbound channels: back-to-back
     # kill/restart cycles under a steady reset_rate force every peer to
     # accept a *new* connection from the restarted replica while the
-    # read on the old one may still be suspended.  The transport must
-    # drop the stale connection (not feed its frames through orphaned
-    # replay bookkeeping) for replies to keep flowing.
+    # old one may still be open.  The transport must drop the stale
+    # connection (not feed its frames through orphaned replay
+    # bookkeeping) for replies to keep flowing.
     reconnect_churn = Scenario(
         name="reconnect-churn",
         seed=6606,

@@ -11,23 +11,25 @@ scheduler; this module realizes them as real sockets:
 * **Authentication.**  Channels are keyed from the dealer setup
   (:func:`repro.crypto.dealer.deal_channel_keys`): each unordered pair
   of parties shares a 32-byte key and every frame carries an
-  HMAC-SHA256 tag over (direction, incarnation, sequence, payload).  A
-  bad tag, a malformed frame or an oversized length drops the
-  connection — the model's "authenticated links" assumption, made
-  mechanical.
-* **Eventual delivery.**  Each peer has its own outbound queue drained
-  by a connection task with reconnect, capped exponential backoff and
-  jitter.  A successful TCP write confirms nothing (the kernel buffers
-  bytes for dead peers), so the receiver returns authenticated
-  *cumulative acknowledgements* on the same connection; frames stay
-  queued and are retransmitted on every reconnect until acknowledged,
-  and the receiver deduplicates by (incarnation, sequence).  Together
-  this gives the asynchronous model's eventual-delivery guarantee
-  between honest, live parties without ever duplicating a delivery.
-* **Batches.**  A message costs a share of one write, one read and one
-  ack: the sender writes every frame queued for a peer at once, the
-  receiver takes every complete frame out of each chunk it reads and
-  then acknowledges the last of them.
+  HMAC-SHA256 tag over (direction, incarnation, sequence, the ack it
+  carries, payload).  A bad tag, a malformed frame or an oversized
+  length drops the connection — the model's "authenticated links"
+  assumption, made mechanical.
+* **Eventual delivery.**  Each peer has its own outbound queue and a
+  redial loop with capped exponential backoff and jitter.  A successful
+  TCP write confirms nothing (the kernel buffers bytes for dead peers),
+  so the receiver returns authenticated *cumulative acknowledgements*:
+  on the data it sends back, and in a standalone ack frame only when
+  none is going back soon enough.  Frames stay queued and are
+  retransmitted on every reconnect until acknowledged, and the receiver
+  deduplicates by (incarnation, sequence).  Together this gives the
+  asynchronous model's eventual-delivery guarantee between honest, live
+  parties without ever duplicating a delivery.
+* **Callbacks, not streams.**  A message costs a share of one write and
+  one read: a chunk is cut into frames, checked and dispatched in the
+  socket's ``data_received``, and every frame queued for a peer goes
+  out in one synchronous flush per loop turn.  Only the redial loop is
+  a coroutine.
 
 :class:`TransportNetwork` exposes the same ``attach``/``send``/
 ``broadcast``/``trace`` surface as the simulator's ``Network``
@@ -45,11 +47,12 @@ from __future__ import annotations
 import asyncio
 import hmac
 import random
+import struct
 import traceback
 from collections import deque
 from dataclasses import dataclass
 from itertools import islice
-from typing import Callable, Coroutine
+from typing import Callable, Coroutine, cast
 
 from ..codec import MAX_LENGTH
 from ..crypto.dealer import is_server
@@ -107,6 +110,10 @@ class FrameFault:
 
 
 _PASS_FRAME = FrameFault()
+# A partition cutting a live connection: realized like a reset, undrawn.
+_SEVERED = FrameFault("sever")
+# The decisions that end a connection, and the counter each bumps.
+_CLOSING = {"reset": "chaos.resets", "corrupt": "chaos.corruptions", "sever": "chaos.partitioned"}
 
 # How often a severed sender re-checks whether its link healed.
 _PARTITION_POLL = 0.05
@@ -132,7 +139,9 @@ class FaultPlan:
         return True
 
     def frame_fault(self, sender: int, recipient: int) -> FrameFault:
-        """Sampled once per data-frame write on the sender side."""
+        """Sampled once per data-frame write on the sender side.  A delay
+        holds the frame, and the link's later frames behind it, until
+        ``max(previous release, now + delay)``."""
         return _PASS_FRAME
 
     def send_hold(self, sender: int, recipient: int) -> float:
@@ -143,27 +152,31 @@ class FaultPlan:
 
 # -- frame codec -------------------------------------------------------------------
 #
-# frame     = length(4, big-endian) || body
+# frame      = length(4, big-endian) || body
 # hello body = 0x01 || sender(8) || incarnation(8) || mac(32)
-# data body  = 0x02 || incarnation(8) || seq(8) || mac(32) || payload
+# data body  = 0x02 || incarnation(8) || seq(8)
+#                   || ack_incarnation(8) || ack_seq(8) || mac(32) || payload
 # ack body   = 0x03 || incarnation(8) || seq(8) || mac(32)
 #
-# The mac covers (kind, sender, recipient, incarnation, seq, payload)
+# The mac covers (kind, sender, recipient, the fields before it, payload)
 # under the pairwise channel key, so direction is authenticated (no
 # reflection) and replays across restarts land in a different
 # incarnation namespace.  Acks are cumulative ("I have delivered every
-# frame of your incarnation up to seq") and flow back on the same
-# connection the data arrived on: at least one per chunk the receiver
-# reads, after the last data frame in it — not one per frame.
+# frame of your incarnation up to seq").  A data frame carries its
+# sender's ack of the reverse channel; a standalone ack goes back on the
+# connection the data arrived on only when _ACK_EVERY frames are owed,
+# when an owed ack has waited _ACK_DELAY with no data going back, or
+# when a chunk held nothing but duplicates (the sender retransmitted
+# them for want of an ack).
 
 _KIND_HELLO = 0x01
 _KIND_DATA = 0x02
 _KIND_ACK = 0x03
 _MAC_BYTES = 32
-_ID_BYTES = 8
-_HELLO_BODY = 1 + 2 * _ID_BYTES + _MAC_BYTES
-_ACK_BODY = 1 + 2 * _ID_BYTES + _MAC_BYTES
-_DATA_OVERHEAD = 1 + 2 * _ID_BYTES + _MAC_BYTES
+_PAIR = struct.Struct(">QQ")  # (sender, incarnation) or (incarnation, seq)
+_HELLO_BODY = _ACK_BODY = 1 + _PAIR.size + _MAC_BYTES
+_DATA_FIELDS = struct.Struct(">QQQQ")  # incarnation, seq, ack_incarnation, ack_seq
+_DATA_OVERHEAD = 1 + _DATA_FIELDS.size + _MAC_BYTES
 
 # The wire codec's own length bound, enforced per frame *before* the
 # body is read: no peer can make us allocate more than this.
@@ -172,25 +185,17 @@ MAX_FRAME_BODY = _DATA_OVERHEAD + MAX_LENGTH
 _BACKOFF_MIN = 0.05
 _BACKOFF_MAX = 2.0
 _PENDING_LIMIT = 65536
-# One socket read, and the most a batch of frames buffers before it is
-# written out (asyncio's own high-water mark for a stream).
+# The most one flush frames (asyncio's own high-water mark for a stream).
 _CHUNK = 1 << 16
+# A standalone ack goes out once this many frames are owed ...
+_ACK_EVERY = 64
+# ... or once an owed ack has waited this long (seconds).
+_ACK_DELAY = 0.2
 
 
-def _tag(
-    key: bytes, kind: int, sender: int, recipient: int,
-    incarnation: int, seq: int, payload: bytes,
-) -> bytes:
+def _tag(key: bytes, kind: int, sender: int, recipient: int, *fields: bytes) -> bytes:
     material = b"".join(
-        (
-            b"repro-channel-v1",
-            bytes([kind]),
-            sender.to_bytes(_ID_BYTES, "big"),
-            recipient.to_bytes(_ID_BYTES, "big"),
-            incarnation.to_bytes(_ID_BYTES, "big"),
-            seq.to_bytes(_ID_BYTES, "big"),
-            payload,
-        )
+        (b"repro-channel-v2", bytes([kind]), _PAIR.pack(sender, recipient), *fields)
     )
     return hmac.digest(key, material, "sha256")
 
@@ -198,13 +203,8 @@ def _tag(
 def encode_hello(key: bytes, sender: int, recipient: int, incarnation: int) -> bytes:
     """The first frame of every connection: who is dialing, and which
     process incarnation its sequence numbers belong to."""
-    mac = _tag(key, _KIND_HELLO, sender, recipient, incarnation, 0, b"")
-    body = (
-        bytes([_KIND_HELLO])
-        + sender.to_bytes(_ID_BYTES, "big")
-        + incarnation.to_bytes(_ID_BYTES, "big")
-        + mac
-    )
+    mac = _tag(key, _KIND_HELLO, sender, recipient, _PAIR.pack(incarnation, 0))
+    body = bytes([_KIND_HELLO]) + _PAIR.pack(sender, incarnation) + mac
     return len(body).to_bytes(4, "big") + body
 
 
@@ -214,63 +214,55 @@ def decode_hello(
     """Validate a hello body; returns ``(sender, incarnation)``."""
     if len(body) != _HELLO_BODY or body[0] != _KIND_HELLO:
         raise TransportError("malformed hello frame")
-    sender = int.from_bytes(body[1 : 1 + _ID_BYTES], "big")
-    incarnation = int.from_bytes(body[1 + _ID_BYTES : 1 + 2 * _ID_BYTES], "big")
-    mac = body[1 + 2 * _ID_BYTES :]
+    sender, incarnation = _PAIR.unpack(body[1 : 1 + _PAIR.size])
+    mac = body[1 + _PAIR.size :]
     key = key_for(sender)
     if key is None:
         raise TransportError(f"no channel key for party {sender}")
-    expected = _tag(key, _KIND_HELLO, sender, recipient, incarnation, 0, b"")
+    expected = _tag(key, _KIND_HELLO, sender, recipient, _PAIR.pack(incarnation, 0))
     if not hmac.compare_digest(mac, expected):
         raise TransportError("hello authentication failed")
     return sender, incarnation
 
 
 def encode_data(
-    key: bytes, sender: int, recipient: int,
-    incarnation: int, seq: int, payload: bytes,
+    key: bytes, sender: int, recipient: int, incarnation: int, seq: int,
+    payload: bytes, ack_incarnation: int = 0, ack_seq: int = 0,
 ) -> bytes:
-    """Frame one wire-encoded payload for the (sender -> recipient) channel."""
+    """Frame one wire-encoded payload for the (sender -> recipient)
+    channel, carrying the sender's cumulative ack of the reverse channel:
+    every frame up to ``ack_seq`` of the recipient's ``ack_incarnation``
+    (``0, 0`` acknowledges nothing)."""
     if len(payload) > MAX_LENGTH:
         raise TransportError("payload exceeds the wire length bound")
-    mac = _tag(key, _KIND_DATA, sender, recipient, incarnation, seq, payload)
-    body = (
-        bytes([_KIND_DATA])
-        + incarnation.to_bytes(_ID_BYTES, "big")
-        + seq.to_bytes(_ID_BYTES, "big")
-        + mac
-        + payload
-    )
-    return len(body).to_bytes(4, "big") + body
+    fields = _DATA_FIELDS.pack(incarnation, seq, ack_incarnation, ack_seq)
+    mac = _tag(key, _KIND_DATA, sender, recipient, fields, payload)
+    length = (_DATA_OVERHEAD + len(payload)).to_bytes(4, "big")
+    return b"".join((length, bytes([_KIND_DATA]), fields, mac, payload))
 
 
 def decode_data(
     body: bytes, key: bytes, sender: int, recipient: int
-) -> tuple[int, int, bytes]:
-    """Validate a data body; returns ``(incarnation, seq, payload bytes)``."""
+) -> tuple[int, int, int, int, bytes]:
+    """Validate a data body; returns ``(incarnation, seq, ack_incarnation,
+    ack_seq, payload bytes)``."""
     if len(body) < _DATA_OVERHEAD or body[0] != _KIND_DATA:
         raise TransportError("malformed data frame")
-    incarnation = int.from_bytes(body[1 : 1 + _ID_BYTES], "big")
-    seq = int.from_bytes(body[1 + _ID_BYTES : 1 + 2 * _ID_BYTES], "big")
-    mac = body[1 + 2 * _ID_BYTES : _DATA_OVERHEAD]
+    fields = body[1 : 1 + _DATA_FIELDS.size]
+    mac = body[1 + _DATA_FIELDS.size : _DATA_OVERHEAD]
     payload = body[_DATA_OVERHEAD:]
-    expected = _tag(key, _KIND_DATA, sender, recipient, incarnation, seq, payload)
+    expected = _tag(key, _KIND_DATA, sender, recipient, fields, payload)
     if not hmac.compare_digest(mac, expected):
         raise TransportError("frame authentication failed")
-    return incarnation, seq, payload
+    return (*_DATA_FIELDS.unpack(fields), payload)
 
 
 def encode_ack(key: bytes, sender: int, recipient: int,
                incarnation: int, seq: int) -> bytes:
     """Acknowledge delivery of every frame up to ``seq`` (cumulative) of
     the recipient's ``incarnation``; sent by the receiving party."""
-    mac = _tag(key, _KIND_ACK, sender, recipient, incarnation, seq, b"")
-    body = (
-        bytes([_KIND_ACK])
-        + incarnation.to_bytes(_ID_BYTES, "big")
-        + seq.to_bytes(_ID_BYTES, "big")
-        + mac
-    )
+    fields = _PAIR.pack(incarnation, seq)
+    body = bytes([_KIND_ACK]) + fields + _tag(key, _KIND_ACK, sender, recipient, fields)
     return len(body).to_bytes(4, "big") + body
 
 
@@ -278,68 +270,138 @@ def decode_ack(body: bytes, key: bytes, sender: int, recipient: int) -> tuple[in
     """Validate an ack body; returns ``(incarnation, seq)``."""
     if len(body) != _ACK_BODY or body[0] != _KIND_ACK:
         raise TransportError("malformed ack frame")
-    incarnation = int.from_bytes(body[1 : 1 + _ID_BYTES], "big")
-    seq = int.from_bytes(body[1 + _ID_BYTES : 1 + 2 * _ID_BYTES], "big")
-    mac = body[1 + 2 * _ID_BYTES :]
-    expected = _tag(key, _KIND_ACK, sender, recipient, incarnation, seq, b"")
-    if not hmac.compare_digest(mac, expected):
+    fields = body[1 : 1 + _PAIR.size]
+    expected = _tag(key, _KIND_ACK, sender, recipient, fields)
+    if not hmac.compare_digest(body[1 + _PAIR.size :], expected):
         raise TransportError("ack authentication failed")
-    return incarnation, seq
+    return _PAIR.unpack(fields)
 
 
-# -- frames off a stream -------------------------------------------------------------
+# -- connections ----------------------------------------------------------------------
 
 
-class _FrameReader:
-    """Length-prefixed frame bodies off a stream, a chunk at a time.
-
-    The length bound is checked on the header, before the body is
-    awaited: a peer can make us hold one frame of at most
-    ``MAX_FRAME_BODY`` bytes plus the chunk it ends in, never more.
+def _take_frames(buffer: bytearray, data: bytes) -> list[bytes]:
+    """Append a chunk to a connection's ``buffer`` and cut every complete
+    frame body off its front.  Each header's length bound is checked
+    before its body is buffered: a peer can make us hold one frame of at
+    most ``MAX_FRAME_BODY`` bytes plus the chunk it ends in, never more.
     """
+    buffer += data
+    frames: list[bytes] = []
+    offset = 0
+    while len(buffer) - offset >= 4:
+        length = int.from_bytes(buffer[offset : offset + 4], "big")
+        if length == 0 or length > MAX_FRAME_BODY:
+            raise TransportError("frame length out of bounds")
+        end = offset + 4 + length
+        if end > len(buffer):
+            break
+        frames.append(bytes(buffer[offset + 4 : end]))
+        offset = end
+    del buffer[:offset]
+    return frames
 
-    def __init__(self, reader: asyncio.StreamReader) -> None:
-        self._reader = reader
-        self._buffer = bytearray()
 
-    async def read_frames(self) -> list[bytes]:
-        """Read until a frame is complete; return every complete frame
-        buffered by then, in order."""
-        buffer = self._buffer
-        frames: list[bytes] = []
-        while True:
-            offset = 0
-            while len(buffer) - offset >= 4:
-                length = int.from_bytes(buffer[offset : offset + 4], "big")
-                if length == 0 or length > MAX_FRAME_BODY:
-                    raise TransportError("frame length out of bounds")
-                end = offset + 4 + length
-                if end > len(buffer):
-                    break
-                frames.append(bytes(buffer[offset + 4 : end]))
-                offset = end
-            del buffer[:offset]
-            if frames:
-                return frames
-            chunk = await self._reader.read(_CHUNK)
-            if not chunk:
-                raise asyncio.IncompleteReadError(bytes(buffer), None)
-            buffer += chunk
+@dataclass
+class _InboundChannel:
+    """Receive-side state for one peer incarnation: replay bookkeeping
+    and the ack owed to it."""
+
+    incarnation: int
+    last_seq: int = 0
+    acked: int = 0  # the highest seq an ack sent back has covered
+    timer: asyncio.TimerHandle | None = None  # the delayed standalone ack
+    link: "_Link | None" = None  # the connection that delivered last
+
+    def settle(self) -> tuple[int, int]:
+        """Count everything delivered as acknowledged; returns the ack."""
+        self.acked = self.last_seq
+        if self.timer is not None:
+            self.timer.cancel()
+            self.timer = None
+        return self.incarnation, self.last_seq
+
+
+class _Link(asyncio.Protocol):
+    """An accepted connection, as a thin adapter: its chunks go to
+    :meth:`TransportNetwork._serve`, which holds every rule.  A frame
+    refused there drops the connection; an honest peer redials and
+    retransmits."""
+
+    transport: asyncio.Transport  # set by connection_made
+
+    def __init__(self, net: "TransportNetwork") -> None:
+        self.net = net
+        self.buffer = bytearray()
+        self.peer = -1
+        self.inbound: _InboundChannel | None = None  # set by the hello
+        self.refused = False
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self.transport = cast(asyncio.Transport, transport)
+        self.net._links.add(self)
+
+    def data_received(self, data: bytes) -> None:
+        try:
+            self._received(data)
+        except (TransportError, wire.WireError):
+            self.net.trace.bump("transport.rejected")
+            self.refused = True
+            self.transport.abort()
+        except ConnectionError:  # superseded, or severed by the chaos plan
+            self.transport.abort()
+        except Exception as exc:  # a bug here must not die in the loop's log
+            self.net._record_error(exc, "transport.task_errors")
+            self.transport.abort()
+
+    def _received(self, data: bytes) -> None:
+        self.net._serve(self, data)
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        self.net._links.discard(self)
+        if not self.refused and not self.net._closed:
+            self.net.trace.bump("transport.disconnects")
+
+
+class _Dial(_Link):
+    """A connection dialed to send one peer its frames (the rules are
+    :class:`_PeerChannel`'s), with the state that dies with it."""
+
+    def __init__(self, channel: "_PeerChannel") -> None:
+        super().__init__(channel.net)
+        self.channel = channel
+        self.paused = False
+        self.written = 0  # the highest seq drawn onto this connection
+        self.doomed = False  # a fault ends it: draw nothing more on it
+        self.line: deque[tuple[float, str, bytes]] = deque()
+        self.release = 0.0
+        self.lost = asyncio.get_running_loop().create_future()
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self.transport = cast(asyncio.Transport, transport)
+        self.channel._connected(self)
+
+    def _received(self, data: bytes) -> None:
+        self.channel._on_acks(self, data)
+
+    def pause_writing(self) -> None:
+        self.paused = True
+
+    def resume_writing(self) -> None:
+        self.paused = False
+        self.channel._schedule_flush()
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        self.channel._lost(self)
+        if not self.lost.done():
+            self.lost.set_result(None)
 
 
 # -- per-peer outbound channel ------------------------------------------------------
 
 
-@dataclass
-class _InboundChannel:
-    """Receive-side replay state for one peer."""
-
-    incarnation: int
-    last_seq: int = 0
-
-
 class _PeerChannel:
-    """Outbound queue + connection task for one remote peer.
+    """Outbound queue, connection and redial loop for one remote peer.
 
     A successful TCP write proves nothing about delivery (the kernel
     happily buffers bytes for a peer that just died), so frames stay in
@@ -349,9 +411,10 @@ class _PeerChannel:
     frame is retransmitted in order; the receiver's sequence check
     discards any frame that did survive the broken connection.
 
-    ``pending`` is contiguous in sequence number — a number is assigned
-    only to a frame that is queued, and acks pop from the front — so
-    the frame with number ``seq`` sits at index ``seq - pending[0][0]``.
+    ``pending`` holds encoded payloads, contiguous in sequence number — a
+    number is assigned only to a payload that is queued, and acks pop
+    from the front.  A payload is framed (and MAC'd) when it is flushed,
+    so that it carries the ack of the reverse channel current then.
     """
 
     def __init__(self, net: "TransportNetwork", peer: int) -> None:
@@ -359,180 +422,169 @@ class _PeerChannel:
         self.peer = peer
         self.pending: deque[tuple[int, bytes]] = deque()
         self.next_seq = 0
-        self._wake = asyncio.Event()
-        task = asyncio.get_running_loop().create_task(self._run())
+        self.link: _Dial | None = None  # the connection, once greeted
+        self._flushing = False
+        self._timer: asyncio.TimerHandle | None = None  # the delay line's
+        self._loop = asyncio.get_running_loop()
+        task = self._loop.create_task(self._run())
         task.add_done_callback(net._on_task_done)
         self._task = task
 
     def enqueue(self, payload: bytes) -> None:
-        """Sequence and frame one encoded payload."""
-        net = self.net
+        """Sequence one encoded payload; the next flush frames it."""
         if len(self.pending) >= _PENDING_LIMIT:
-            net.trace.bump("transport.dropped")
+            self.net.trace.bump("transport.dropped")
             return
-        seq = self.next_seq + 1
-        frame = encode_data(
-            net.channel_keys[self.peer], net.party, self.peer,
-            net.incarnation, seq, payload,
-        )
-        self.next_seq = seq
-        self.pending.append((seq, frame))
-        self._wake.set()
+        self.next_seq += 1
+        self.pending.append((self.next_seq, payload))
+        self._schedule_flush()
+
+    def acked(self, seq: int) -> None:
+        """Drop every frame up to ``seq`` from the unacked queue."""
+        pending = self.pending
+        while pending and pending[0][0] <= seq:
+            pending.popleft()
 
     def stop(self) -> None:
         self._task.cancel()
+        if self.link is not None:
+            self.link.transport.abort()
+            self.link = None
 
     async def _run(self) -> None:
+        """Dial, then wait for the connection to end; redial with capped
+        exponential backoff plus jitter.  Everything else happens in the
+        connection's callbacks."""
         delay = _BACKOFF_MIN
-        while True:
-            if self.net._closed:
-                return
+        while not self.net._closed:
             if not self.net.faults.link_up(self.net.party, self.peer):
                 # The chaos plan severed this link: do not even dial.
                 self.net.trace.bump("chaos.partitioned")
                 await asyncio.sleep(_PARTITION_POLL)
                 continue
-            writer = None
-            ack_task = None
             try:
                 host, port = self.net.addresses[self.peer]
-                reader, writer = await asyncio.open_connection(host, port)
-                writer.write(self.net._hello_frame(self.peer))
-                await writer.drain()
+                _, link = await self._loop.create_connection(
+                    lambda: _Dial(self), host, port
+                )
+            except OSError:
+                self.net.trace.bump("transport.reconnects")
+            else:
                 delay = _BACKOFF_MIN  # connected: reset the backoff window
                 self.net.trace.bump("transport.connects")
-                loop = asyncio.get_running_loop()
-                ack_task = loop.create_task(self._read_acks(reader))
-                ack_task.add_done_callback(self._on_ack_done)
-                await self._pump(writer, ack_task)
-            except (ConnectionError, OSError, asyncio.IncompleteReadError):
+                try:
+                    await link.lost
+                finally:
+                    link.transport.abort()
                 self.net.trace.bump("transport.reconnects")
-            except TransportError:
-                self.net.trace.bump("transport.rejected")
-            finally:
-                if ack_task is not None:
-                    ack_task.cancel()
-                if writer is not None:
-                    writer.close()
             if self.net._closed:
                 return
-            # Capped exponential backoff with jitter before redialing.
             await asyncio.sleep(delay + self.net.rng.uniform(0, delay / 2))
             delay = min(delay * 2, _BACKOFF_MAX)
 
-    async def _pump(
-        self, writer: asyncio.StreamWriter, ack_task: asyncio.Task
-    ) -> None:
-        """Write every unacked frame, oldest first, then follow the queue.
+    def _connected(self, link: _Dial) -> None:
+        """Greet on a fresh connection, then retransmit every unacked
+        frame on it, oldest first."""
+        net = self.net
+        if net._closed or net._channels.get(self.peer) is not self:
+            link.transport.abort()  # stopped while dialing
+            return
+        link.transport.write(encode_hello(
+            net.channel_keys[self.peer], net.party, self.peer, net.incarnation
+        ))
+        self.link = link
+        self._schedule_flush()
 
-        ``written`` tracks the highest sequence sent on *this*
-        connection; a fresh connection starts at 0 and therefore
-        retransmits the whole unacked backlog.  Each turn takes every
-        frame queued beyond it as one batch.
+    def _lost(self, link: _Dial) -> None:
+        if link is self.link:
+            self.link = None
+
+    def _schedule_flush(self) -> None:
+        if not self._flushing and self.link is not None:
+            self._flushing = True
+            self._loop.call_soon(self._flush)
+
+    def _released(self) -> None:
+        self._timer = None
+        self._flush()
+
+    def _flush(self) -> None:
+        """Frame every queued payload beyond ``link.written`` (at most
+        ``_CHUNK`` bytes a turn, none while the transport is paused) and
+        write what is due with one ``write``.
+
+        Each frame carries the ack of the reverse channel current now and
+        draws one chaos decision, in sequence order.  A delay holds it in
+        the connection's delay line until ``max(previous release, now +
+        delay)``: later frames wait in order behind it, not for the sum of
+        the delays.  Loss and corruption are realized as connection resets
+        when the frame is due, so the redial retransmits the unacked
+        backlog (a skipped frame would be jumped over for good by the
+        cumulative ack); the frames ahead of it still go out.
         """
-        written = 0
-        pending = self.pending
-        while True:
-            if self.net._closed:
-                return
-            if ack_task.done():
-                # The read side died (connection lost or a bad ack);
-                # surface its verdict and let _run reconnect.
-                exc = ack_task.exception()
-                raise exc if exc is not None else ConnectionResetError()
-            # An ack may cover frames an earlier connection delivered
-            # and this one never wrote: then the front is already past
-            # ``written`` and everything queued is still to write.
-            start = max(0, written + 1 - pending[0][0]) if pending else 0
-            if start >= len(pending):
-                self._wake.clear()
-                await self._wake.wait()
-                continue
-            written = await self._write_batch(
-                writer, list(islice(pending, start, None))
-            )
-
-    async def _write_batch(
-        self, writer: asyncio.StreamWriter, frames: list[tuple[int, bytes]]
-    ) -> int:
-        """Write ``frames`` with one ``write`` and one ``drain``; returns
-        the last sequence number written.
-
-        The chaos plan is consulted for each frame, in order, as if each
-        were written alone.  Loss and corruption are realized as
-        connection resets so the reconnect path retransmits the unacked
-        backlog — a frame that was simply skipped would be permanently
-        jumped over by the receiver's cumulative ack.  The frames ahead
-        of the faulted one still go out; the rest wait for the redial.
-        """
+        self._flushing = False
+        link = self.link
+        if link is None or link.paused or link.transport.is_closing():
+            return
         net = self.net
         faults = net.faults
-        chunks: list[bytes] = []
-        buffered = 0
-        try:
-            for _, data in frames:
-                if not faults.link_up(net.party, self.peer):
-                    # A partition severing a *live* connection mid-stream.
-                    net.trace.bump("chaos.partitioned")
-                    raise ConnectionResetError("chaos: link severed")
-                fault = faults.frame_fault(net.party, self.peer)
-                if fault.delay > 0:
-                    writer.writelines(chunks)
-                    chunks.clear()
-                    buffered = 0
-                    await asyncio.sleep(fault.delay)
-                if fault.action == "reset":
-                    net.trace.bump("chaos.resets")
-                    raise ConnectionResetError(
-                        "chaos: frame dropped, connection reset"
-                    )
-                if fault.action == "corrupt":
-                    # Flip one payload byte: the receiver's HMAC check
-                    # MUST reject the frame and drop the connection; we
-                    # reset our side immediately and retransmit the
-                    # intact frame.
-                    corrupted = bytearray(data)
-                    corrupted[-1] ^= 0x01
-                    chunks.append(bytes(corrupted))
-                    net.trace.bump("chaos.corruptions")
-                    raise ConnectionResetError("chaos: frame corrupted")
-                chunks.append(data)
-                if fault.action == "duplicate":
-                    net.trace.bump("chaos.duplicated")
-                    chunks.append(data)
-                buffered += len(data)
-                if buffered >= _CHUNK:
-                    # Bound what a long backlog copies into the socket
-                    # buffer at once.
-                    writer.writelines(chunks)
-                    chunks.clear()
-                    buffered = 0
-                    await writer.drain()
-        finally:
-            # Closing the writer flushes what is buffered, so this also
-            # delivers the frames a fault cut the batch short behind.
-            writer.writelines(chunks)
-        await writer.drain()
-        return frames[-1][0]
-
-    def _on_ack_done(self, task: asyncio.Task) -> None:
-        if not task.cancelled():
-            task.exception()  # retrieved here; the pump re-raises it
-        self._wake.set()  # unblock a pump waiting with an empty queue
-
-    async def _read_acks(self, reader: asyncio.StreamReader) -> None:
-        """Prune the unacked queue as the receiver's cumulative acks
-        arrive."""
-        key = self.net.channel_keys[self.peer]
         pending = self.pending
-        frames = _FrameReader(reader)
-        while True:
-            for body in await frames.read_frames():
-                incarnation, seq = decode_ack(body, key, self.peer, self.net.party)
-                if incarnation != self.net.incarnation:
-                    continue  # ack for a previous life of this process
-                while pending and pending[0][0] <= seq:
-                    pending.popleft()
+        line = link.line
+        now = self._loop.time()
+        start = max(0, link.written + 1 - pending[0][0]) if pending else 0
+        if start < len(pending) and not link.doomed:
+            ack_incarnation, ack_seq = net._ack_for(self.peer)
+            key = net.channel_keys[self.peer]
+            framed = 0
+            for seq, payload in islice(pending, start, None):
+                if framed >= _CHUNK:
+                    self._schedule_flush()
+                    break
+                if faults.link_up(net.party, self.peer):
+                    fault = faults.frame_fault(net.party, self.peer)
+                else:
+                    fault = _SEVERED
+                frame = encode_data(
+                    key, net.party, self.peer, net.incarnation, seq, payload,
+                    ack_incarnation, ack_seq,
+                )
+                link.release = max(link.release, now + fault.delay)
+                line.append((link.release, fault.action, frame))
+                link.written = seq
+                framed += len(frame)
+                if fault.action in _CLOSING:
+                    link.doomed = True
+                    break
+        chunks: list[bytes] = []
+        while line and line[0][0] <= now:
+            _, action, frame = line.popleft()
+            if action in _CLOSING:
+                net.trace.bump(_CLOSING[action])
+                if action == "corrupt":
+                    # Flip one payload byte: the receiver's HMAC check
+                    # MUST reject it and drop the connection; the intact
+                    # frame is retransmitted on the redial.
+                    chunks.append(frame[:-1] + bytes([frame[-1] ^ 0x01]))
+                link.transport.write(b"".join(chunks))
+                link.transport.close()  # flushes what is written first
+                return
+            chunks.append(frame)
+            if action == "duplicate":
+                net.trace.bump("chaos.duplicated")
+                chunks.append(frame)
+        if chunks:
+            link.transport.write(b"".join(chunks))
+        if line and self._timer is None:
+            self._timer = self._loop.call_at(line[0][0], self._released)
+
+    def _on_acks(self, link: _Dial, data: bytes) -> None:
+        """Prune the unacked queue by the receiver's standalone acks."""
+        net = self.net
+        key = net.channel_keys[self.peer]
+        for body in _take_frames(link.buffer, data):
+            incarnation, seq = decode_ack(body, key, self.peer, net.party)
+            if incarnation == net.incarnation:  # else: for a previous life
+                self.acked(seq)
 
 
 # -- the network -------------------------------------------------------------------
@@ -574,6 +626,7 @@ class TransportNetwork:
         self.incarnation = self.rng.getrandbits(63)
         self._channels: dict[int, _PeerChannel] = {}
         self._inbound: dict[int, _InboundChannel] = {}
+        self._links: set[_Link] = set()  # accepted connections
         self._forgotten: set[int] = set()
         self._server: asyncio.Server | None = None
         self._tasks: set[asyncio.Task] = set()
@@ -639,7 +692,9 @@ class TransportNetwork:
         accepting authenticated peer connections."""
         self.faults.start()
         host, port = self.addresses.get(self.party, ("127.0.0.1", 0))
-        self._server = await asyncio.start_server(self._on_connection, host, port)
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: _Link(self), host, port
+        )
         if self._closed:
             self._server.close()
             return
@@ -654,6 +709,8 @@ class TransportNetwork:
         self._delivery_event.set()  # release any wait_until() waiters
         for channel in self._channels.values():
             channel.stop()
+        for link in list(self._links):
+            link.transport.abort()
         for task in list(self._tasks):
             task.cancel()
         if self._server is not None:
@@ -721,6 +778,8 @@ class TransportNetwork:
             encoded = wire.dumps(payload)
         except wire.WireError as exc:
             raise TransportError(f"unencodable payload: {exc}") from exc
+        if len(encoded) > MAX_LENGTH:
+            raise TransportError("payload exceeds the wire length bound")
         self._encoded = (payload, encoded)
         return encoded
 
@@ -741,82 +800,83 @@ class TransportNetwork:
             if is_server(recipient):
                 self.send(sender, recipient, payload)
 
-    def _hello_frame(self, peer: int) -> bytes:
-        return encode_hello(
-            self.channel_keys[peer], self.party, peer, self.incarnation
-        )
-
     # -- receiving ---------------------------------------------------------
 
-    def _on_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = self.spawn(self._handle_connection(reader, writer))
-        # Closed here and not in the coroutine's ``finally``: a task
-        # cancelled before its first step never enters its body.
-        task.add_done_callback(lambda _: writer.close())
+    def _serve(self, link: _Link, data: bytes) -> None:
+        """Deliver every frame an accepted connection's chunk completes —
+        the dialer's hello first, data after it — then apply the ack rule.
 
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        """Serve one inbound connection until it misbehaves or closes.
-
-        Any violation — oversized length, garbage framing, a bad HMAC,
-        an undecodable payload — drops the connection on the spot; the
-        honest peer's sender task will redial and retransmit.
+        Any violation (oversized length, garbage framing, a bad HMAC, an
+        undecodable payload, a stale incarnation) raises, and ``link``
+        drops the connection on the spot.
         """
-        try:
-            frames = _FrameReader(reader)
-            batch = await frames.read_frames()
+        frames = _take_frames(link.buffer, data)
+        if frames and link.inbound is None:
             peer, incarnation = decode_hello(
-                batch.pop(0), self.party, self.channel_keys.get
+                frames.pop(0), self.party, self.channel_keys.get
             )
             inbound = self._inbound.get(peer)
             if inbound is None or inbound.incarnation != incarnation:
                 # A restarted peer gets a fresh replay namespace.
                 inbound = _InboundChannel(incarnation=incarnation)
                 self._inbound[peer] = inbound
-            while True:
-                for body in batch:
-                    if self._inbound.get(peer) is not inbound:
-                        # A newer connection from a restarted peer
-                        # replaced this channel while we were suspended
-                        # in the read; updating the orphaned object
-                        # would silently drop its replay bookkeeping.
-                        # Drop the old connection.
-                        raise ConnectionResetError("superseded inbound channel")
-                    if self._closed:
-                        return
-                    if not self.faults.link_up(peer, self.party):
-                        # Partition enforced on the receive side too, so a
-                        # cut holds even when only one endpoint has a plan.
-                        self.trace.bump("chaos.partitioned")
-                        raise ConnectionResetError("chaos: link severed")
-                    incarnation, seq, payload_bytes = decode_data(
-                        body, self.channel_keys[peer], peer, self.party
-                    )
-                    if incarnation != inbound.incarnation:
-                        raise TransportError("stale incarnation")
-                    if seq > inbound.last_seq:
-                        inbound.last_seq = seq
-                        payload = wire.loads(payload_bytes)
-                        self._dispatch(peer, payload)
-                    else:
-                        self.trace.bump("transport.duplicates")
-                if batch:
-                    # One cumulative ack for the chunk (sent even when
-                    # every frame in it was a duplicate: the sender only
-                    # retransmitted because an earlier ack was lost).
-                    writer.write(encode_ack(
-                        self.channel_keys[peer], self.party, peer,
-                        inbound.incarnation, inbound.last_seq,
-                    ))
-                    await writer.drain()
-                batch = await frames.read_frames()
-        except (TransportError, wire.WireError):
-            self.trace.bump("transport.rejected")
-        except (ConnectionError, OSError, asyncio.IncompleteReadError):
-            self.trace.bump("transport.disconnects")
+            link.peer, link.inbound = peer, inbound
+        if not frames:
+            return
+        peer, inbound = link.peer, link.inbound
+        inbound.link = link
+        fresh = False
+        for body in frames:
+            if self._inbound.get(peer) is not inbound:
+                # A newer connection from a restarted peer replaced this
+                # channel (or the peer was forgotten); updating the
+                # orphaned object would silently drop its replay
+                # bookkeeping.  Drop the old connection.
+                raise ConnectionResetError("superseded inbound channel")
+            if self._closed:
+                return
+            if not self.faults.link_up(peer, self.party):
+                # Partition enforced on the receive side too, so a cut
+                # holds even when only one endpoint has a plan.
+                self.trace.bump("chaos.partitioned")
+                raise ConnectionResetError("chaos: link severed")
+            incarnation, seq, ack_incarnation, ack_seq, payload = decode_data(
+                body, self.channel_keys[peer], peer, self.party
+            )
+            if incarnation != inbound.incarnation:
+                raise TransportError("stale incarnation")
+            if ack_incarnation == self.incarnation and peer in self._channels:
+                self._channels[peer].acked(ack_seq)
+            if seq > inbound.last_seq:
+                inbound.last_seq = seq
+                fresh = True
+                self._dispatch(peer, wire.loads(payload))
+            else:
+                self.trace.bump("transport.duplicates")
+        if not fresh or inbound.last_seq - inbound.acked >= _ACK_EVERY:
+            self._send_ack(inbound)
+        elif inbound.timer is None:
+            inbound.timer = asyncio.get_running_loop().call_later(
+                _ACK_DELAY, self._send_ack, inbound
+            )
+
+    def _send_ack(self, inbound: _InboundChannel) -> None:
+        """Ack everything delivered from ``inbound``'s peer, back on the
+        connection that delivered last (if that one is closing, the peer
+        redials and retransmits, which draws the ack anew)."""
+        link = inbound.link
+        incarnation, seq = inbound.settle()
+        if self._inbound.get(link.peer) is inbound and not link.transport.is_closing():
+            link.transport.write(encode_ack(
+                self.channel_keys[link.peer], self.party, link.peer, incarnation, seq
+            ))
+
+    def _ack_for(self, peer: int) -> tuple[int, int]:
+        """The ack a data frame to ``peer`` carries: everything delivered
+        from its incarnation, which no standalone ack then needs to
+        repeat.  ``(0, 0)`` acknowledges nothing."""
+        inbound = self._inbound.get(peer)
+        return (0, 0) if inbound is None else inbound.settle()
 
     def _dispatch(self, sender: int, payload: object) -> None:
         if self._closed or self.node is None:

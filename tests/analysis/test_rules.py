@@ -257,30 +257,38 @@ def test_rl008_baseline_round_trip():
     assert second.stale_baseline == []
 
 
-def test_rl008_catches_seeded_guard_removal_in_the_real_transport():
-    # The acceptance regression: strip the superseded-channel
-    # re-validation from _handle_connection and RL008 must start firing
-    # on the alias write.
+def test_rl008_catches_a_seeded_stale_alias_in_the_real_redial_loop():
+    # The acceptance regression, on the transport's one await site left
+    # (frames are handled in socket callbacks, which never suspend): a
+    # redial loop that captured the peer's inbound channel before the
+    # dial and mutated it after would write to an orphaned object if a
+    # restarted peer replaced the channel meanwhile.  RL008 must fire on
+    # that seed, and stay quiet once the write re-validates the entry.
     real = (
         Path(__file__).parent.parent.parent
         / "src" / "repro" / "net" / "transport.py"
     )
     text = real.read_text(encoding="utf-8")
-    guard_start = text.index("if self._inbound.get(peer) is not inbound:")
-    guard_end = text.index('raise ConnectionResetError("superseded inbound channel")')
-    guard_end = text.index("\n", guard_end) + 1
-    line_start = text.rindex("\n", 0, guard_start) + 1
-    stripped_text = text[:line_start] + text[guard_end:]
+    dial = "                host, port = self.net.addresses[self.peer]\n"
+    connected = '                self.net.trace.bump("transport.connects")\n'
+    assert text.count(dial) == 1 and text.count(connected) == 1
+    capture = "                inbound = self.net._inbound.get(self.peer)\n"
+    write = "inbound.acked = inbound.last_seq\n"
+    revalidated = (
+        "                if self.net._inbound.get(self.peer) is inbound:\n"
+        "                    " + write
+    )
 
-    intact = SourceFile.from_source(text, relpath="net/transport.py")
-    stripped = SourceFile.from_source(stripped_text, relpath="net/transport.py")
-    intact_report = lint_sources([intact], rules=rules_by_id(["RL008"]))
-    stripped_report = lint_sources([stripped], rules=rules_by_id(["RL008"]))
-
-    def alias_findings(report):
+    def alias_findings(seeded_write):
+        seeded = text.replace(dial, capture + dial).replace(
+            connected, connected + seeded_write
+        )
+        source = SourceFile.from_source(seeded, relpath="net/transport.py")
+        report = lint_sources([source], rules=rules_by_id(["RL008"]))
         return [d for d in report.diagnostics if "orphaned object" in d.message]
 
-    assert alias_findings(intact_report) == []
-    fired = alias_findings(stripped_report)
-    assert fired, "removing the re-validation guard must be caught"
+    assert alias_findings("") == []  # the capture alone is harmless
+    fired = alias_findings("                " + write)
+    assert fired, "a stale alias written after the dial must be caught"
     assert "_inbound" in fired[0].message
+    assert alias_findings(revalidated) == []

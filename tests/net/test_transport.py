@@ -71,10 +71,17 @@ def test_hello_rejects_wrong_recipient():
 
 def test_data_roundtrip():
     payload = wire.dumps(("session", 42))
-    frame = encode_data(KEY_A, 1, 2, incarnation=9, seq=5, payload=payload)
-    incarnation, seq, decoded = decode_data(frame[4:], KEY_A, 1, 2)
-    assert (incarnation, seq) == (9, 5)
+    frame = encode_data(
+        KEY_A, 1, 2, incarnation=9, seq=5, payload=payload,
+        ack_incarnation=11, ack_seq=3,
+    )
+    incarnation, seq, ack_incarnation, ack_seq, decoded = decode_data(
+        frame[4:], KEY_A, 1, 2
+    )
+    assert (incarnation, seq, ack_incarnation, ack_seq) == (9, 5, 11, 3)
     assert wire.loads(decoded) == ("session", 42)
+    # Without an ack the frame acknowledges nothing.
+    assert decode_data(encode_data(KEY_A, 1, 2, 9, 5, payload)[4:], KEY_A, 1, 2)[2:4] == (0, 0)
 
 
 def test_data_rejects_tampered_payload():
@@ -190,6 +197,10 @@ def test_delivery_survives_connection_churn():
             await nets[1].wait_until(
                 lambda: len(nodes[1].received) == 5, timeout=15
             )
+            # Crash only once the five are acknowledged: a frame delivered
+            # but not yet acked is retransmitted to the restarted receiver,
+            # which cannot tell it from a new one (docs/DEPLOYMENT.md).
+            await _until(lambda: not nets[0]._channels[1].pending)
             address = nets[1].listen_address
             await nets[1].close()  # crash the receiver
 
@@ -834,6 +845,188 @@ def test_back_to_back_frames_share_writes_and_acks(monkeypatch):
             # The acks are cumulative and the last one covers the lot.
             assert acks[-1][-1] == count
             assert not nets[1].trace.counters.get("transport.duplicates")
+        finally:
+            await _close_all(nets)
+
+    asyncio.run(scenario())
+
+
+class _Echo(Collector):
+    """Answers each number below ``last`` from a peer with the next one."""
+
+    def __init__(self, net, last):
+        super().__init__()
+        self.net, self.last = net, last
+
+    def on_message(self, sender, payload):
+        super().on_message(sender, payload)
+        if payload < self.last:
+            self.net.send(self.net.party, sender, payload + 1)
+
+
+def test_two_way_traffic_sends_no_standalone_ack(monkeypatch):
+    """Acks ride on the data going back: a ping-pong needs no ack frame
+    of its own while it lasts, and both unacked queues drain — the last
+    frame, which nothing answers, by one ack after the delay."""
+    from repro.net import transport
+
+    last = 40
+
+    async def scenario():
+        nets, warm = await _start_nets([0, 1])
+        # Open both connections first, so that no dial delays an answer.
+        nets[0].send(0, 1, "hello")
+        nets[1].send(1, 0, "hello")
+        await _until(lambda: all(warm[p].received for p in (0, 1)) and not any(
+            net._channels[1 - p].pending for p, net in nets.items()
+        ))
+        nodes = {p: _Echo(nets[p], last) for p in (0, 1)}
+        for party, node in nodes.items():
+            nets[party].attach(party, node)
+        acks = _count_calls(monkeypatch, transport, "encode_ack")
+        try:
+            nets[0].send(0, 1, 0)
+            await nets[1].wait_until(
+                lambda: sum(len(n.received) for n in nodes.values()) == last + 1,
+                timeout=15,
+            )
+            assert acks == []
+            await _until(lambda: not any(net._channels[1 - p].pending for p, net in nets.items()))
+            assert len(acks) <= 1
+            assert not nets[0].errors and not nets[1].errors
+        finally:
+            await _close_all(nets)
+
+    asyncio.run(scenario())
+
+
+def test_a_one_way_flow_is_acked_after_64_frames_or_the_delay(monkeypatch):
+    """With no data going back, a receiver acks at once when 64 frames
+    are owed, and otherwise once an owed ack has waited the delay."""
+    from repro.net import transport
+
+    async def scenario():
+        nets, nodes = await _start_nets([0, 1])
+        acks = _count_calls(monkeypatch, transport, "encode_ack")
+        loop = asyncio.get_running_loop()
+        try:
+            for count in (transport._ACK_EVERY, transport._ACK_EVERY - 1):
+                del acks[:]
+                total = len(nodes[1].received) + count
+                started = loop.time()
+                for i in range(count):
+                    nets[0].send(0, 1, ("msg", i))
+                await _until(lambda: not nets[0]._channels[1].pending)
+                waited = loop.time() - started
+                assert len(nodes[1].received) == total
+                assert len(acks) == 1 and acks[0][-1] == total  # cumulative
+                if count == transport._ACK_EVERY:
+                    assert waited < transport._ACK_DELAY
+                else:
+                    assert waited >= transport._ACK_DELAY
+        finally:
+            await _close_all(nets)
+
+    asyncio.run(scenario())
+
+
+def test_a_flipped_ack_field_fails_the_mac():
+    """The ack a data frame carries is authenticated with it: one flipped
+    bit in its ack incarnation drops the connection, delivering nothing."""
+
+    async def scenario():
+        nets, nodes = await _start_nets([0, 1])
+        try:
+            key = nets[1].channel_keys[0]
+            frame = bytearray(encode_data(
+                key, 1, 0, 7, 1, wire.dumps("x"),
+                ack_incarnation=nets[0].incarnation, ack_seq=1,
+            ))
+            frame[4 + 1 + 16] ^= 0x01  # the first byte of ack_incarnation
+            reader, writer = await _raw_connect(nets[0])
+            writer.write(encode_hello(key, 1, 0, incarnation=7) + bytes(frame))
+            await writer.drain()
+            assert await reader.read() == b""
+            writer.close()
+            await _until(
+                lambda: nets[0].trace.counters.get("transport.rejected", 0) >= 1
+            )
+            assert nodes[0].received == []
+        finally:
+            await _close_all(nets)
+
+    asyncio.run(scenario())
+
+
+def test_an_ack_for_another_incarnation_prunes_nothing():
+    """A data frame's ack prunes the receiver's own unacked queue to its
+    sender only when it names the receiver's current incarnation."""
+
+    async def scenario():
+        nets, nodes = await _start_nets([0, 1])
+        try:
+            key = nets[1].channel_keys[0]
+            await nets[1].close()  # party 1 never acks: 0's queue stays
+            for i in range(3):
+                nets[0].send(0, 1, ("queued", i))
+            queue = nets[0]._channels[1].pending
+            assert [seq for seq, _ in queue] == [1, 2, 3]
+            other = nets[0].incarnation ^ 1
+            _, writer = await _raw_connect(nets[0])
+            writer.write(encode_hello(key, 1, 0, incarnation=7) + encode_data(
+                key, 1, 0, 7, 1, wire.dumps("a"), ack_incarnation=other, ack_seq=3
+            ))
+            await writer.drain()
+            await _until(lambda: len(nodes[0].received) == 1)
+            assert [seq for seq, _ in queue] == [1, 2, 3]
+            writer.write(encode_data(
+                key, 1, 0, 7, 2, wire.dumps("b"),
+                ack_incarnation=nets[0].incarnation, ack_seq=2,
+            ))
+            await writer.drain()
+            await _until(lambda: len(nodes[0].received) == 2)
+            assert [seq for seq, _ in queue] == [3]
+            writer.close()
+        finally:
+            await _close_all(nets)
+
+    asyncio.run(scenario())
+
+
+def test_a_frame_delay_adds_latency_instead_of_throttling():
+    """Two frames drawn a delay d each arrive about d after they were
+    sent, not 2d: a delay holds a frame in the link's delay line until
+    max(previous release, now + d)."""
+    from repro.net.transport import FaultPlan, FrameFault
+
+    delay = 0.25
+
+    class Delayed(FaultPlan):
+        def __init__(self):
+            self.armed = False
+            self.sampled = 0
+
+        def frame_fault(self, sender, recipient):
+            self.sampled += self.armed
+            return FrameFault(delay=delay if self.armed else 0.0)
+
+    async def scenario():
+        nets, nodes = await _start_nets([0, 1])
+        plan = Delayed()
+        nets[0].faults = plan
+        loop = asyncio.get_running_loop()
+        try:
+            nets[0].send(0, 1, "warm-up")  # open the connection undelayed
+            await nets[1].wait_until(lambda: len(nodes[1].received) == 1, timeout=15)
+            plan.armed = True
+            started = loop.time()
+            nets[0].send(0, 1, "first")
+            nets[0].send(0, 1, "second")
+            await nets[1].wait_until(lambda: len(nodes[1].received) == 3, timeout=15)
+            elapsed = loop.time() - started
+            assert delay <= elapsed < 1.8 * delay
+            assert plan.sampled == 2
+            assert [p for _, p in nodes[1].received] == ["warm-up", "first", "second"]
         finally:
             await _close_all(nets)
 
