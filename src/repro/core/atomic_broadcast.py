@@ -56,50 +56,44 @@ quorum, or lets the list predicate accept a peer's entry by comparison
 (lag evidence beyond the window is checked on arrival).  One that fails
 is dropped and its sender excluded from the round.
 
-Adoption: a recorded proposal is also a submission of its payloads.
-Whatever in it is neither delivered nor
-queued joins this party's queue before it decides what to sign, so a
-party that learns a request from a peer's round-``r`` proposal ahead of
-the client's own copy proposes it in round ``r`` too, its own in-flight
-mask covers it, and the client's later copy is a no-op in
-:meth:`~AtomicBroadcast.submit`: a lone request rides one round on
-every schedule, not an empty batch now and the request one round later.
-This only strengthens the fairness argument (every honest party that
-learns ``m`` proposes ``m``, so every decidable list carries it).  The
-converse cut — leaving out of the own batch what a *peer's* undelivered
-proposal already carries — is not taken: an honest party that knows
-``m`` would be omitting it on a possibly Byzantine party's word.  What
-a Byzantine sender can have adopted is bounded: one recorded batch per
-round of the window, and those are payloads it could have had ordered
-anyway (its own proposal may be in the decided list).
+Adoption (docs/PROTOCOLS.md): a recorded proposal is also a submission
+of its payloads.  Whatever in it is neither delivered nor queued joins
+this party's queue before it decides what to sign, so a request learnt
+from a peer's round-``r`` proposal ahead of the client's own copy rides
+round ``r`` here too, and the client's later copy is a no-op: a lone
+request rides one round on every schedule.  A party whose queue is
+still empty after that joins every round it sees evidence for (a valid
+proposal with a higher round number — one that carried nothing, or
+nothing new) with an empty batch, so idle parties never block the
+quorum.  Proposals further ahead than the pipeline window (depth plus a
+small slack) are *not* buffered — a Byzantine sender can no longer
+stash one signed proposal per round across the whole horizon — but a
+validly signed proposal that far ahead is evidence this party fell
+behind; once an honest-containing set of distinct signers provided
+such evidence, the ``on_lag`` hook fires so the host can trigger state
+transfer (Section 6).
 
-A batch is a tuple of *hashable* payloads (delivery deduplicates by
-set membership); anything else is refused where a batch would enter a
-round's record, so no honest party ever endorses a candidate list that
-references one.
+One digest: a payload is named by :func:`payload_digest`, taken when
+this party first sees it (a submission, a recorded proposal, a fetched
+batch) and kept while it is queued.  A batch's digest hashes its
+payloads' digests; decryption shares and reply leaves name a payload by
+the same digest.  A kept digest serves only a payload that encodes like
+the queued one (``True == 1``, yet they hash apart).
 
-Round records: all this party keeps about round ``r`` is one
-:class:`_Round` in ``rounds[r]``, dropped ``_BUFFER_SLACK`` rounds after
-delivery or by :meth:`~AtomicBroadcast.rebase`; an agreement holds the
-record it started on (docs/PROTOCOLS.md, "Round records", "Fetching").
-
-A party whose queue is still empty after that joins every round it
-sees evidence for (a valid proposal with a higher round number — one
-that carried nothing, or nothing new) with an empty batch, so idle
-parties never block the quorum.  Proposals further ahead than
-the pipeline window (depth plus a small slack) are *not* buffered —
-a Byzantine sender can no longer stash one signed proposal per round
-across the whole horizon — but a validly signed proposal that far
-ahead is evidence this party fell behind; once an honest-containing
-set of distinct signers provided such evidence, the ``on_lag`` hook
-fires so the host can trigger state transfer (Section 6).
+A batch is a tuple of at most ``max_batch`` (a cluster-wide constant)
+*hashable* payloads — delivery deduplicates by set membership; anything
+else is refused where a batch would enter a round's record, so no
+honest party endorses a candidate list that references one.  All this
+party keeps about round ``r`` is one :class:`_Round` in ``rounds[r]``
+(docs/PROTOCOLS.md, "Round records", "Fetching").
 """
 
 from __future__ import annotations
 
+import dataclasses
 import weakref
 from dataclasses import dataclass
-from typing import Callable, Hashable
+from typing import Callable, Hashable, Iterable
 
 from ..codec import register
 from ..crypto import hashing
@@ -116,6 +110,7 @@ __all__ = [
     "AtomicBroadcast",
     "abc_session",
     "batch_digest",
+    "payload_digest",
     "proposal_statement",
 ]
 
@@ -201,18 +196,52 @@ def abc_session(tag: object = 0) -> SessionId:
     return ("abc", tag)
 
 
+# A queue entry: the payload, its digest and its encoded size.
+_Entry = tuple[Hashable, bytes, int]
+_SCALARS = frozenset({type(None), bool, int, str, bytes})
+
+
+def payload_digest(payload: Hashable) -> bytes:
+    """A payload's one name (module docstring, "One digest")."""
+    return _first_sight(payload)[1]
+
+
+def _first_sight(payload: Hashable) -> _Entry:
+    encoded = hashing.Encoded(hashing.encode(payload))
+    return payload, hashing.hash_bytes("abc-payload", encoded), len(encoded)
+
+
 def batch_digest(batch: tuple) -> bytes:
-    """Collision-resistant digest over the canonical batch encoding."""
-    return hashing.hash_bytes("abc-batch", batch)
+    """One hash over the batch's payload digests."""
+    return _digest_over(map(_first_sight, batch))
+
+
+def _digest_over(entries: Iterable[_Entry]) -> bytes:
+    return hashing.hash_bytes("abc-batch", tuple(digest for _p, digest, _s in entries))
+
+
+def _same(a: object, b: object) -> bool:
+    """Whether ``a`` and ``b`` encode alike: equal values need not
+    (``(True,) == (1,)``); a value it does not walk counts as unlike."""
+    if a is b:
+        return True
+    kind = type(a)
+    if kind is not type(b):
+        return False
+    if isinstance(a, tuple) and isinstance(b, tuple):
+        return len(a) == len(b) and all(map(_same, a, b))
+    if dataclasses.is_dataclass(kind):
+        return all(_same(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(kind))
+    return kind in _SCALARS and a == b
 
 
 def proposal_statement(session: SessionId, r: int, digest: bytes) -> tuple:
     return ("abc-proposal", session, r, digest)
 
 
-def _well_formed(batch: object) -> bool:
-    """A batch is a tuple of hashable payloads."""
-    if not isinstance(batch, tuple):
+def _well_formed(batch: object, max_batch: int) -> bool:
+    """A batch is a tuple of at most ``max_batch`` hashable payloads."""
+    if not isinstance(batch, tuple) or len(batch) > max_batch:
         return False
     try:
         hash(batch)
@@ -264,8 +293,7 @@ class AtomicBroadcast(Protocol):
         self.on_round_end: Callable[[int], None] | None = None
         self.on_lag: Callable[[], None] | None = None
         self.config = config if config is not None else AbcConfig()
-        self.queue: list[Hashable] = []
-        self.queued: set[Hashable] = set()
+        self.queue: dict[Hashable, _Entry] = {}  # in arrival order
         self.delivered: set[Hashable] = set()
         self.delivered_log: list[tuple[Hashable, int]] = []
         self.round = 0  # last delivered round
@@ -291,18 +319,12 @@ class AtomicBroadcast(Protocol):
 
     def stats(self) -> dict[str, float]:
         """Throughput counters for the e2e bench (docs/PERFORMANCE.md)."""
-        rounds = self.rounds_delivered
-        mean_batch = self.payloads_delivered / rounds if rounds else 0.0
-        occupancy = (
-            self._occupancy_sum / self._occupancy_samples
-            if self._occupancy_samples
-            else 0.0
-        )
+        rounds, samples = self.rounds_delivered, self._occupancy_samples
         return {
             "rounds": float(rounds),
             "delivered": float(self.payloads_delivered),
-            "mean_batch": mean_batch,
-            "pipeline_occupancy": occupancy,
+            "mean_batch": self.payloads_delivered / rounds if rounds else 0.0,
+            "pipeline_occupancy": self._occupancy_sum / samples if samples else 0.0,
         }
 
     def _window(self) -> int:
@@ -321,29 +343,39 @@ class AtomicBroadcast(Protocol):
         if self._enqueue(payload):
             self._maybe_start_rounds(ctx)
 
-    def _enqueue(self, payload: Hashable) -> bool:
-        if payload in self.delivered or payload in self.queued:
+    def _enqueue(self, payload: Hashable, entry: _Entry | None = None) -> bool:
+        if payload in self.delivered or payload in self.queue:
             return False
-        self.queue.append(payload)
-        self.queued.add(payload)
+        self.queue[payload] = entry or _first_sight(payload)
         return True
+
+    def digest(self, payload: Hashable) -> bytes:
+        """:func:`payload_digest` of ``payload``, kept since first sight
+        while it is queued (until its round has ended)."""
+        return self._sight(payload)[1]
+
+    def _sight(self, payload: Hashable) -> _Entry:
+        entry = self.queue.get(payload)
+        if entry is not None and _same(entry[0], payload):
+            return entry
+        return _first_sight(payload)
 
     # -- round lifecycle -----------------------------------------------------------
 
-    def _select_batch(self) -> tuple:
-        batch: list[Hashable] = []
+    def _select_batch(self) -> list[_Entry]:
+        chosen: list[_Entry] = []
         size = 0
-        for payload in self.queue:
-            if len(batch) >= self.config.max_batch:
+        for entry in self.queue.values():  # repro: noqa-RL003 arrival order is FIFO fairness
+            if len(chosen) >= self.config.max_batch:
                 break
+            payload, _digest, cost = entry
             if payload in self.delivered or payload in self.in_flight:
                 continue
-            cost = len(hashing.encode(payload))
-            if batch and size + cost > _MAX_BATCH_BYTES:
+            if chosen and size + cost > _MAX_BATCH_BYTES:
                 break  # stop rather than skip ahead: keeps FIFO fairness
-            batch.append(payload)
+            chosen.append(entry)
             size += cost
-        return tuple(batch)
+        return chosen
 
     def _maybe_start_rounds(self, ctx: Context) -> None:
         if self.closed:
@@ -352,11 +384,12 @@ class AtomicBroadcast(Protocol):
             self.highest_started = self.round
         while self.highest_started < self.round + self.config.pipeline_depth:
             rec = self._round(self.highest_started + 1)
-            batch = self._select_batch()
-            if not batch and not any(self._checked(ctx, rec, j) for j in sorted(rec.proposals)):
+            chosen = self._select_batch()
+            if not chosen and not any(self._checked(ctx, rec, j) for j in sorted(rec.proposals)):
                 return
             self.highest_started = rec.number
-            digest = batch_digest(batch)
+            batch = tuple(payload for payload, _d, _s in chosen)
+            digest = _digest_over(chosen)
             statement = proposal_statement(ctx.session, rec.number, digest)
             signature = ctx.keys.signing_key.sign(statement, ctx.rng, ctx.verified)
             rec.proposal = AbcProposal(rec.number, batch, signature)
@@ -379,7 +412,7 @@ class AtomicBroadcast(Protocol):
         self.round = max(self.round, round_number)
         if self.highest_started < self.round:
             self.highest_started = self.round
-        self._settle()
+        self._settle([p for p in self.queue if p in self.delivered])
         self._refresh_lag()
         ctx.broadcast(AbcRejoin(self.round))
         self._maybe_start_rounds(ctx)
@@ -400,20 +433,13 @@ class AtomicBroadcast(Protocol):
         """Carry this broadcast onto a successor session (epoch switch),
         reopening it if :meth:`close` ended the old one.
 
-        The session that hosted it was closed and replaced by a
-        tombstone, so protocol traffic for any round still in flight —
-        proposal exchange, agreement sub-protocols — now lands on the
-        tombstone and those rounds can never decide.  Drop the records
-        above the last *delivered* round and re-propose the undelivered
-        payloads under ``ctx``'s (new) session.  Delivered history is
-        untouched and round numbering continues where it left off, so
-        journal rounds stay monotone across the switch.  Restarting a
-        round number this party already signed for is not
-        equivocation: proposal statements bind the session id, so the
-        same round under a different session is a different statement.
-        A straggler agreement from the closed session that completes
-        after the switch holds a dropped record, so :meth:`_on_decision`
-        ignores it rather than racing the restarted round.
+        Rounds still in flight on the closed session can never decide
+        (its traffic lands on a tombstone): drop the records above the
+        last *delivered* round and re-propose the undelivered payloads
+        under ``ctx``'s session, numbering on.  That is not
+        equivocation — proposal statements bind the session id — and a
+        straggler agreement of the closed session holds a dropped
+        record, which :meth:`_on_decision` ignores.
         """
         base = self.round
         self.closed = False
@@ -442,12 +468,11 @@ class AtomicBroadcast(Protocol):
         r = message.round
         if not isinstance(r, int) or not self.round < r <= self.round + _ROUND_HORIZON:
             return
-        if not _well_formed(message.batch):
-            return
-        digest = batch_digest(message.batch)
         key = ctx.public.verify_keys.get(sender)
-        if key is None:
+        if key is None or not _well_formed(message.batch, self.config.max_batch):
             return
+        entries = [self._sight(payload) for payload in message.batch]
+        digest = _digest_over(entries)
         if r > self.round + self._window():
             # Bounded buffering (a Byzantine sender can no longer stash
             # one proposal per round across the whole horizon) — but a
@@ -464,10 +489,10 @@ class AtomicBroadcast(Protocol):
             rec.proposals[sender] = (digest, message.signature)
             # Adoption (module docstring): what the proposal taught this
             # party goes into its own batch for the round it now joins.
-            taught = [p for p in message.batch if p not in self.delivered and p not in self.queued]
+            taught = [e for e in entries if e[0] not in self.delivered and e[0] not in self.queue]
             if taught and self._checked(ctx, rec, sender):
-                for payload in taught:
-                    self._enqueue(payload)
+                for entry in taught:
+                    self._enqueue(entry[0], entry)
             self._hold(ctx, rec, digest, message.batch)
         self._maybe_start_rounds(ctx)
         self._maybe_start_agreement(ctx, rec)
@@ -513,12 +538,12 @@ class AtomicBroadcast(Protocol):
 
     def _on_batch(self, ctx: Context, sender: int, message: AbcBatch) -> None:
         digest = message.digest
-        if not isinstance(digest, bytes) or not _well_formed(message.batch):
+        if not isinstance(digest, bytes) or not _well_formed(message.batch, self.config.max_batch):
             return
         wanting = [rec for _r, rec in sorted(self.rounds.items()) if digest in rec.requested]
         if not wanting:
             return  # only store what we asked for: bounded memory
-        if batch_digest(message.batch) != digest:
+        if _digest_over(map(self._sight, message.batch)) != digest:
             return
         for rec in wanting:
             self._hold(ctx, rec, digest, message.batch)
@@ -585,17 +610,10 @@ class AtomicBroadcast(Protocol):
         cost arithmetic.  Once the record is gone — a closed session's
         round after :meth:`rebase`, or one long delivered — nothing is
         accepted (the predicate holds it weakly: an agreement outlives
-        its round, its batches must not).
-
-        Signatures cover the batch *digest*, so MVBA inputs stay O(n)
-        regardless of batch bytes.  A party additionally refuses to
-        endorse a candidate until it holds every referenced batch — a
-        commit certificate therefore doubles as an availability proof
-        (a quorum, hence an honest-containing set, stored the bytes),
-        so the post-decision fetch in :meth:`_try_deliver` always
-        terminates.  Missing batches are requested as a side effect,
-        which also restores liveness when a Byzantine proposer withheld
-        its batch from some honest parties.
+        its round, its batches must not).  Nor is a candidate before
+        this party holds every referenced batch (module docstring, 3);
+        missing ones are fetched as a side effect, which also restores
+        liveness when a Byzantine proposer withheld its batch.
         """
         public = ctx.public
         quorum = ctx.quorum
@@ -696,6 +714,7 @@ class AtomicBroadcast(Protocol):
             self._occupancy_sum += max(self.highest_started, r) - self.round
             self._occupancy_samples += 1
             tail: dict[Hashable, None] = {}  # what follows a close, in order
+            done: list[Hashable] = []
             self._delivering = True
             for _j, digest, _sig in sorted(value):
                 for payload in rec.batches[digest]:
@@ -707,19 +726,21 @@ class AtomicBroadcast(Protocol):
                     self.delivered.add(payload)
                     self.delivered_log.append((payload, r))
                     self.payloads_delivered += 1
+                    done.append(payload)
                     if self.on_deliver is not None:
                         self.on_deliver(payload, r)
             self._delivering = False
             if tail:
-                self.queue = [*tail, *(p for p in self.queue if p not in tail)]
+                ahead = {p: self._sight(p) for p in tail}
+                self.queue = ahead | {p: e for p, e in self.queue.items() if p not in ahead}
             self.round = r
             self.rounds_delivered += 1
             rec.proposals.clear()  # unread once delivered; only the proposal
             rec.verdicts.clear()  # and batches must stay fetchable
-            self._settle()
             ctx.trace.bump("abc.rounds")
             if self.on_round_end is not None:
                 self.on_round_end(r)
+            self._settle(done)
             progressed = True
         if progressed:
             self._refresh_lag()
@@ -728,15 +749,15 @@ class AtomicBroadcast(Protocol):
         if then is not None:
             then()
 
-    def _settle(self) -> None:
-        """Catch up with the delivered round (after each delivered round,
-        and :meth:`resume_at`'s fast-forward, which may skip many): drop
-        the records ``_BUFFER_SLACK`` rounds behind it and the delivered
-        payloads from the queue and the in-flight mask."""
+    def _settle(self, delivered: list[Hashable]) -> None:
+        """Catch up with the delivered round (after each delivered round
+        has ended, and :meth:`resume_at`'s fast-forward, which may skip
+        many): drop the records ``_BUFFER_SLACK`` rounds behind it, and
+        ``delivered`` from the queue and the in-flight mask."""
         for stale in [r for r in self.rounds if r <= self.round - _BUFFER_SLACK]:
             del self.rounds[stale]
-        self.queue = [p for p in self.queue if p not in self.delivered]
-        self.queued = set(self.queue)
+        for payload in delivered:
+            self.queue.pop(payload, None)
         self._sync_in_flight()
 
     def _sync_in_flight(self) -> None:

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 from ..codec import register
-from ..crypto.hashing import hash_bytes
 from ..crypto.threshold_enc import Ciphertext, DecryptionShare
 from .atomic_broadcast import AtomicBroadcast
 from .protocol import Context, Protocol, SessionId
@@ -33,7 +32,7 @@ __all__ = ["ScDecryptionShare", "SecureCausalBroadcast", "sc_abc_session"]
 @register
 @dataclass(frozen=True)
 class ScDecryptionShare:
-    """A decryption share for the a-delivered ciphertext with ``digest``."""
+    """A decryption share for the a-delivered payload with ``digest``."""
 
     digest: bytes
     share: DecryptionShare
@@ -47,10 +46,6 @@ _EARLY_SHARE_LIMIT = 4096
 
 def sc_abc_session(tag: object = 0) -> SessionId:
     return ("sc-abc", tag)
-
-
-def _digest(ct: Ciphertext) -> bytes:
-    return hash_bytes("sc-abc-ct", ct.payload, ct.label, ct.u, ct.u_bar, ct.e, ct.f)
 
 
 class SecureCausalBroadcast(Protocol):
@@ -115,7 +110,7 @@ class SecureCausalBroadcast(Protocol):
         ct = payload[1]
         if not ctx.public.encryption.check_ciphertext(ct):
             return
-        digest = _digest(ct)
+        digest = self.abc.digest(payload)
         self.pending.append((digest, round_number))
         if digest not in self.opening and digest not in self.plaintexts:
             screen: ShareScreen[DecryptionShare] = ShareScreen()

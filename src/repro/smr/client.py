@@ -16,6 +16,7 @@ import random
 from dataclasses import dataclass
 
 from .. import codec
+from ..core.atomic_broadcast import payload_digest
 from ..crypto.dealer import PublicKeys
 from ..crypto.schnorr import VerifiedMemo
 from ..crypto.threshold_sig import QuorumCertScheme, ShoupRsaScheme
@@ -28,7 +29,7 @@ from .reconfig import (
     adopt_membership,
     epoch_service_session,
 )
-from .replica import SubmitEncrypted, SubmitRequest, reply_root, tree_statement
+from .replica import SubmitEncrypted, SubmitRequest, SubmitUnordered, reply_root, tree_statement
 from .state_machine import Reply, Request
 
 __all__ = ["CompletedRequest", "ServiceClient"]
@@ -49,7 +50,7 @@ class CompletedRequest:
 
     def verify(self, public: PublicKeys, client: int, operation: tuple) -> bool:
         """Re-verify the service's signature on this answer."""
-        digest = ("request", client, self.nonce, operation)
+        digest = payload_digest(Request(client, self.nonce, operation).encode())
         answer = reply_root(digest, self.result, self.path)
         scheme = public.service_signature
         if answer is None or not isinstance(scheme, (QuorumCertScheme, ShoupRsaScheme)):
@@ -80,6 +81,9 @@ class ServiceClient(Node):
         # its predecessors used (net/cluster.attach_client does).
         self._nonce = first_nonce - 1
         self._operations: dict[int, tuple] = {}
+        # nonce -> the request's digest, the name its reply leaves bind,
+        # taken once at submit and kept while the request is pending.
+        self._digests: dict[int, bytes] = {}
         # nonce -> replica -> ((leaf, root), reply): each reply's tree
         # root is computed once, on arrival.
         self._replies: dict[int, dict[int, tuple[tuple[bytes, bytes], Reply]]] = {}
@@ -99,12 +103,9 @@ class ServiceClient(Node):
 
     def submit(self, operation: tuple, servers: list[int] | None = None) -> int:
         """Send a plaintext request; returns the nonce to await."""
-        nonce = self._next_nonce(operation)
-        request = Request(client=self.client_id, nonce=nonce, operation=operation)
-        payload = (self.session, SubmitRequest(request.encode()))
-        for server in self._targets(servers):
-            self.network.send(self.client_id, server, payload)
-        return nonce
+        request = self._next_request(operation)
+        self._send(SubmitRequest(request.encode()), servers)
+        return request.nonce
 
     def submit_unordered(
         self, operation: tuple, servers: list[int] | None = None
@@ -117,14 +118,9 @@ class ServiceClient(Node):
         answers from an honest-containing set; if replicas are mid-write
         and their answers diverge, resubmit via :meth:`submit`.
         """
-        from .replica import SubmitUnordered
-
-        nonce = self._next_nonce(operation)
-        request = Request(client=self.client_id, nonce=nonce, operation=operation)
-        payload = (self.session, SubmitUnordered(request.encode()))
-        for server in self._targets(servers):
-            self.network.send(self.client_id, server, payload)
-        return nonce
+        request = self._next_request(operation)
+        self._send(SubmitUnordered(request.encode()), servers)
+        return request.nonce
 
     def submit_confidential(
         self, operation: tuple, servers: list[int] | None = None
@@ -134,15 +130,12 @@ class ServiceClient(Node):
         The request remains confidential until the secure causal atomic
         broadcast has fixed its position in the total order.
         """
-        nonce = self._next_nonce(operation)
-        request = Request(client=self.client_id, nonce=nonce, operation=operation)
+        request = self._next_request(operation)
         plaintext = codec.dumps(request.encode())
-        label = codec.dumps(("client", self.client_id, nonce))
+        label = codec.dumps(("client", self.client_id, request.nonce))
         ciphertext = self.public.encryption.encrypt(plaintext, label, self.rng)
-        payload = (self.session, SubmitEncrypted(ciphertext))
-        for server in self._targets(servers):
-            self.network.send(self.client_id, server, payload)
-        return nonce
+        self._send(SubmitEncrypted(ciphertext), servers)
+        return request.nonce
 
     def resubmit(self, nonce: int, servers: list[int] | None = None) -> bool:
         """Re-send a still-pending ordered request under its *original*
@@ -156,11 +149,8 @@ class ServiceClient(Node):
         """
         if nonce in self.completed or nonce not in self._operations:
             return False
-        operation = self._operations[nonce]
-        request = Request(client=self.client_id, nonce=nonce, operation=operation)
-        payload = (self.session, SubmitRequest(request.encode()))
-        for server in self._targets(servers):
-            self.network.send(self.client_id, server, payload)
+        request = Request(self.client_id, nonce, self._operations[nonce])
+        self._send(SubmitRequest(request.encode()), servers)
         self.resubmissions += 1
         return True
 
@@ -218,24 +208,23 @@ class ServiceClient(Node):
         """The operation submitted under ``nonce`` (KeyError if unknown)."""
         return self._operations[nonce]
 
-    def _next_nonce(self, operation: tuple) -> int:
+    def _next_request(self, operation: tuple) -> Request:
         self._nonce += 1
+        request = Request(client=self.client_id, nonce=self._nonce, operation=operation)
         self._operations[self._nonce] = operation
-        return self._nonce
+        self._digests[self._nonce] = payload_digest(request.encode())
+        return request
 
-    def _targets(self, servers: list[int] | None) -> list[int]:
-        if servers is not None:
-            return servers
-        targets = list(range(self.public.n))
-        # On an authenticated transport we can only reach replicas we
-        # share a channel key with; a joiner admitted after this client
-        # was provisioned stays out of the target set (the remaining
-        # members still form an honest-containing set).  The simulator
-        # backend has no channel keys and is unaffected.
-        known = getattr(self.network, "channel_keys", None)
-        if known is None:
-            return targets
-        return [server for server in targets if server in known]
+    def _send(self, message: object, servers: list[int] | None) -> None:
+        """Send ``message`` to ``servers``, by default to every replica this
+        client shares a channel key with (all, on the simulator): a joiner
+        admitted later stays out; the rest still form an honest-containing set."""
+        if servers is None:
+            known = getattr(self.network, "channel_keys", None)
+            servers = [s for s in range(self.public.n) if known is None or s in known]
+        payload = (self.session, message)
+        for server in servers:
+            self.network.send(self.client_id, server, payload)
 
     # -- replies ---------------------------------------------------------------------
 
@@ -268,8 +257,7 @@ class ServiceClient(Node):
         # Verify the replica's signature share up front, on the root this
         # answer's path leads to; junk from corrupted replicas is
         # discarded here.
-        digest = ("request", self.client_id, nonce, self._operations[nonce])
-        answer = reply_root(digest, message.result, message.path)
+        answer = reply_root(self._digests[nonce], message.result, message.path)
         if answer is None or not self._share_valid(
             tree_statement(answer[1]), sender, message.signature_share
         ):
@@ -285,9 +273,7 @@ class ServiceClient(Node):
         against a configuration that no longer exists."""
         if not isinstance(message.epoch, int) or message.epoch <= self.epoch:
             return
-        query = (self.session, MembershipQuery(known_epoch=self.epoch))
-        for server in self._targets(None):
-            self.network.send(self.client_id, server, query)
+        self._send(MembershipQuery(known_epoch=self.epoch), None)
 
     def _on_membership_info(self, sender: int, message: MembershipInfo) -> None:
         """Adopt a newer configuration by :func:`adopt_membership`."""
@@ -345,6 +331,7 @@ class ServiceClient(Node):
             # flight rather than its lifetime (late duplicate replies
             # are counted via `completed` instead).
             self._replies.pop(nonce, None)
+            del self._digests[nonce]
             return
 
     def _combine(self, statement: tuple, group: dict[int, Reply]) -> object | None:

@@ -36,7 +36,7 @@ from .reconfig import MembershipInfo, MembershipQuery
 from .state_machine import Reply, Request, StateMachine
 
 __all__ = ["SubmitRequest", "SubmitEncrypted", "RecoverQuery", "RecoverLog",
-           "Replica", "service_session", "reply_statement", "reply_leaf",
+           "Replica", "service_session", "reply_leaf",
            "reply_tree", "reply_root", "tree_statement", "MAX_PATH"]
 
 
@@ -99,11 +99,6 @@ def service_session() -> SessionId:
     return ("service", "service")
 
 
-def reply_statement(request_digest: object, result: object) -> tuple:
-    """One answer: what a leaf of a reply tree hashes."""
-    return ("service-reply", request_digest, result)
-
-
 # A round's answers share one signature share over a binary SHA-256 hash
 # tree (a Merkle tree) in delivery order.  Leaves and inner nodes hash
 # under different domains, so a node never passes as a leaf.
@@ -116,8 +111,9 @@ def tree_statement(root: bytes) -> tuple:
     return ("service-replies", root)
 
 
-def reply_leaf(request_digest: object, result: object) -> bytes:
-    return hash_bytes(_LEAF, reply_statement(request_digest, result))
+def reply_leaf(request_digest: bytes, result: object) -> bytes:
+    """One answer; the request is named by ``payload_digest(request.encode())``."""
+    return hash_bytes(_LEAF, ("service-reply", request_digest, result))
 
 
 def reply_tree(leaves: list[bytes]) -> tuple[bytes, list[tuple]]:
@@ -139,7 +135,7 @@ def reply_tree(leaves: list[bytes]) -> tuple[bytes, list[tuple]]:
 
 
 def reply_root(
-    request_digest: object, result: object, path: object
+    request_digest: bytes, result: object, path: object
 ) -> tuple[bytes, bytes] | None:
     """This answer's leaf and the root ``path`` leads to from it; None
     for a malformed or over-long path, refused before anything is hashed."""
@@ -477,12 +473,12 @@ class Replica(Protocol):
         self._answer(ctx, answers)
 
     def _answer(self, ctx: Context, answers: list[tuple[Request, object]]) -> None:
-        """Sign one hash tree over ``answers``; send each its reply."""
+        """Sign one hash tree over ``answers``; send each its reply.  A
+        leaf names its request by the digest its broadcast kept."""
         if not answers:
             return
         root, paths = reply_tree([
-            reply_leaf(("request", request.client, request.nonce, request.operation), result)
-            for request, result in answers
+            reply_leaf(self.abc.digest(request.encode()), result) for request, result in answers
         ])
         share = ctx.keys.service_signer.sign_share(tree_statement(root), ctx.rng)
         for (request, result), path in zip(answers, paths):

@@ -15,6 +15,7 @@ from repro.core.atomic_broadcast import (
     AtomicBroadcast,
     abc_session,
     batch_digest,
+    payload_digest,
     proposal_statement,
 )
 from repro.core.multivalued_agreement import MvbaDecision
@@ -239,8 +240,8 @@ def test_submit_dedups_against_in_flight_rounds(keys_4_1):
     inst.submit(ctx, ("req", "x"))
     assert ("req", "x") in inst.in_flight  # proposed in round 1 already
     inst.submit(ctx, ("req", "x"))
-    assert inst.queue == [("req", "x")]  # queued once, not twice
-    assert inst._select_batch() == ()  # and never re-proposed while in flight
+    assert list(inst.queue) == [("req", "x")]  # queued once, not twice
+    assert inst._select_batch() == []  # and never re-proposed while in flight
 
 
 def test_pipelined_rounds_deliver_in_order(keys_4_1):
@@ -577,7 +578,7 @@ def test_clients_late_copy_starts_no_round(keys_4_1):
     assert inst.rounds[1].proposal.batch == (m,) and m in inst.in_flight
     assert inst.highest_started == 1
     inst.submit(ctx, m)  # the client's own copy, late
-    assert inst.highest_started == 1 and inst.queue == [m]
+    assert inst.highest_started == 1 and list(inst.queue) == [m]
 
 
 def test_delivered_payload_is_not_adopted(keys_4_1):
@@ -585,7 +586,7 @@ def test_delivered_payload_is_not_adopted(keys_4_1):
     m = ("req", "old")
     inst.delivered.add(m)
     inst.on_message(ctx, 0, _signed(keys_4_1, session, 0, 1, (m,)))
-    assert inst.queue == []
+    assert list(inst.queue) == []
     # Evidence that taught nothing new: the idle party still joins, empty.
     assert inst.rounds[1].proposal.batch == ()
 
@@ -594,7 +595,7 @@ def test_only_a_recorded_proposal_is_adopted(keys_4_1):
     inst, ctx, session = _lone_party(keys_4_1, "adopt-gate")
     first, second = ("req", "first"), ("req", "second")
     inst.on_message(ctx, 0, _signed(keys_4_1, session, 0, 1, (first,)))
-    assert inst.queue == [first]
+    assert list(inst.queue) == [first]
     # Equivocation: the same sender's second batch for the round.
     inst.on_message(ctx, 0, _signed(keys_4_1, session, 0, 1, (second,)))
     # Beyond the window: lag evidence, not a submission.
@@ -604,7 +605,7 @@ def test_only_a_recorded_proposal_is_adopted(keys_4_1):
     # A bad signature: party 3's batch under party 2's key.
     forged = _signed(keys_4_1, session, 2, 1, (("req", "forged"),))
     inst.on_message(ctx, 3, forged)
-    assert inst.queue == [first] and inst.queued == {first}
+    assert list(inst.queue) == [first] and inst.queue[first][1] == payload_digest(first)
     assert set(inst.rounds[1].proposals) == {0}
 
 
@@ -690,6 +691,56 @@ def test_unhashable_fetched_batch_refused(keys_4_1):
     assert digest not in _held(inst)
 
 
+def test_oversized_proposal_teaches_nothing_and_enters_no_list(keys_4_1):
+    """A Byzantine server's validly signed round-1 proposal carrying
+    4 × ``max_batch`` fresh payloads used to be adopted whole: every
+    honest queue grew by what one party chose.  ``max_batch`` binds a
+    peer's batch as it binds the own: the proposal is refused on
+    arrival, so it teaches nobody and no candidate list names it."""
+    config = AbcConfig(max_batch=4)
+    net, rts = make_network(keys_4_1, FifoScheduler(), seed=45, parties=[0, 1, 2])
+    net.attach(3, SilentNode())
+    session = abc_session("oversized")
+    logs = _spawn(rts, session, config=config)
+    net.start()
+    flood = tuple(("flood", i) for i in range(4 * config.max_batch))
+    poison = _signed(keys_4_1, session, 3, 1, flood)
+    for party in rts:
+        net.send(3, party, (session, poison))
+    net.run(max_steps=400_000)
+    for runtime in rts.values():
+        inst = runtime.instances[session]
+        assert inst.queue == {} and 3 not in _recorded(inst, 1)
+    honest = ("req", "honest")
+    for party in rts:
+        _submit(rts, session, party, honest)
+    net.run(until=lambda: all(logs[p] for p in rts), max_steps=400_000)
+    net.run(max_steps=400_000)
+    for party, runtime in rts.items():
+        decided = runtime.instances[session].rounds[1].decision
+        assert logs[party] == [honest] and 3 not in {j for j, _d, _s in decided}
+
+
+def test_a_payload_equal_to_a_queued_one_is_digested_as_it_encodes(keys_4_1):
+    """``True == 1``, yet they encode apart.  A Byzantine server teaches
+    party 2 a request whose nonce is ``True`` while parties 0 and 1 queue
+    the client's ``1``: each must digest a peer's batch as that batch
+    encodes, not reuse its own queued payload's digest — or honest
+    parties refuse each other's signatures and no quorum forms."""
+    net, rts = make_network(keys_4_1, FifoScheduler(), seed=45, parties=[0, 1, 2])
+    net.attach(3, SilentNode())
+    session = abc_session("variant")
+    logs = _spawn(rts, session)
+    net.start()
+    request, variant = ("req", 7, 1, ("op",)), ("req", 7, True, ("op",))
+    net.send(3, 2, (session, _signed(keys_4_1, session, 3, 1, (variant,))))
+    for party in (0, 1):
+        _submit(rts, session, party, request)
+    net.run(until=lambda: all(logs[p] for p in rts), max_steps=400_000)
+    assert rts[2].instances[session].rounds[1].proposal.batch == (variant,)
+    assert all(logs[p] == [request] and type(logs[p][0][2]) is int for p in rts)
+
+
 # -- close: an epoch's last operation ends its session's ordering -----------------
 
 
@@ -734,7 +785,10 @@ def test_close_requeues_only_the_undelivered_tail(keys_4_1):
     assert delivered == [a, x]
     assert inst.round == inst.rounds_delivered == 1
     assert ended == [1] and after == [1]
-    assert inst.queue == [b, c, waiting] and inst.queued == {b, c, waiting}
+    assert list(inst.queue) == [b, c, waiting]
+    assert [digest for _p, digest, _s in inst.queue.values()] == [
+        payload_digest(p) for p in (b, c, waiting)
+    ]
     assert inst.closed
 
 
@@ -791,7 +845,7 @@ def test_rebase_reopens_and_the_tail_rides_the_next_round(keys_4_1):
     net.run(max_steps=400_000)  # to quiescence: nothing orders past x
     for party, runtime in rts.items():
         inst = runtime.instances[old]
-        assert logs[party] == [a, x] and inst.round == 1 and inst.queue == [b, c]
+        assert logs[party] == [a, x] and inst.round == 1 and list(inst.queue) == [b, c]
     for runtime in rts.values():
         inst = runtime.instances.pop(old)
         inst.rebase(ctx_for(runtime, new))

@@ -6,6 +6,7 @@ import pytest
 
 from helpers import ctx_for, make_network
 
+from repro.core.atomic_broadcast import payload_digest
 from repro.core.secure_causal import (
     ScDecryptionShare,
     SecureCausalBroadcast,
@@ -179,18 +180,17 @@ def test_flood_of_shares_for_unknown_digests_is_bounded_and_harmless(keys_4_1):
 def test_share_that_overtakes_its_ciphertext_is_used(keys_4_1):
     """Asynchrony may deliver a peer's decryption share before the
     ciphertext a-delivers here; it waits and counts once it does."""
-    from repro.core.secure_causal import _digest
-
     net, rts = make_network(keys_4_1, seed=17, parties=[0])
     session = sc_abc_session("early")
     logs = _spawn(rts, session)
     inst, ctx = rts[0].instances[session], ctx_for(rts[0], session)
     ct = _encrypt(keys_4_1.public, b"early bird", b"L", seed=18)
     share = keys_4_1.private[2].decryption.decryption_share(ct, random.Random(19))
-    rts[0].on_message(2, (session, ScDecryptionShare(_digest(ct), share)))
-    assert logs[0] == [] and inst.early == {2: {_digest(ct): share}}
+    digest = payload_digest(("ct", ct))
+    rts[0].on_message(2, (session, ScDecryptionShare(digest, share)))
+    assert logs[0] == [] and inst.early == {2: {digest: share}}
     inst._on_a_deliver(ctx, ("ct", ct), 1)
     assert inst.early == {2: {}} and logs[0] == []  # one share is not enough
     own = keys_4_1.private[0].decryption.decryption_share(ct, random.Random(20))
-    rts[0].on_message(0, (session, ScDecryptionShare(_digest(ct), own)))
+    rts[0].on_message(0, (session, ScDecryptionShare(digest, own)))
     assert logs[0] == [b"early bird"]

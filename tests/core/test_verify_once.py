@@ -1,19 +1,23 @@
 """Exact-count guard: each signature is verified once per party — never
 by the party that made it, never where no verdict is read — each
-statement encoded once per hash, and a coin costs the exponentiations it
-needs.
+statement encoded once per hash, a request encoded once per party, and
+a coin costs the exponentiations it needs.
 
 One deterministic in-process run — n = 4, t = 1, FIFO delivery, the
 256-bit group (so a challenge is two SHA-256 blocks and re-encoding per
 block would show), one operation per atomic-broadcast round — counted
 through wrappers local to this file.  The numbers are the same every
-round; a change that makes a layer re-check what the layer below it
-already checked, or re-encode a statement per hash block, moves them.
+round (but for the bytes of round 1's shorter operation); a change that
+makes a layer re-check what the layer below it already checked, or
+re-encode a statement per hash block, moves them.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
@@ -85,8 +89,10 @@ DLEQ_ITEMS_PER_COIN = (T + 1) - 1  # where the verifier's own share is one of th
 # in certificate batches and 30 single ones, 39 batch coefficients and
 # their 16 seeds, 24 signatures made, 35 certificate statements
 # (rendered once per certificate operation and spliced into each
-# signer's challenge), 12 DLEQ challenges, 20 batch digests, 4 batch
-# size estimates, 5 coin values and bases.  575 before: every
+# signer's challenge), 12 DLEQ challenges, 20 batch digests, 6 reply
+# leaves, 5 renderings of the request (its digest, taken once at each
+# replica and the client) and their 5 spliced hashes, 5 coin values and
+# bases.  575 before: every
 # challenge was one encoding per SHA-256 block.  Counted at the public
 # ``hashing.encode`` (what ``hash_bytes`` and ``hash_to_int`` call, and
 # the name ``threshold_sig`` imports for its statements); the count of
@@ -123,7 +129,26 @@ DLEQ_ITEMS_PER_COIN = (T + 1) - 1  # where the verifier's own share is one of th
 # the quorum where each was checked on arrival — the held fourth one,
 # broadcast 3's, renders no statement and hashes no challenge (4 + 12),
 # batch seeds 12 -> 4 (8) and batch coefficients 27 -> 21 (6) (30).
-ENCODINGS_PER_ROUND = 219
+# 219 -> 225 with one digest per request, taken where a party first sees
+# it and read everywhere else, two sources: the 4 batch size estimates
+# are gone (the size is kept with the digest), and the request is
+# rendered once and that rendering hashed, spliced, at each of the 4
+# replicas and the client (10).  The 20 batch digests now hash payload
+# digests and the 6 reply leaves name the request by its digest, one
+# encoding each as before.
+ENCODINGS_PER_ROUND = 219 - 4 + 2 * (N + 1)
+
+# Bytes fed to SHA-256 through ``crypto/hashing`` per round (prefix
+# included): 66,304 when every batch digest and reply leaf hashed the
+# request itself.  A batch digest hashes its payload's 37-byte digest
+# entry, not the request's 53 bytes (20 × 16 = 320 fewer), a reply leaf
+# names the request by that digest, not by a 57-byte tuple (6 × 20 =
+# 120 fewer), and each first sight hashes the request once (5 × 65 =
+# 325 more).  The request carries its index, and round 1's index, 0,
+# encodes one byte shorter: one byte less per hash that carries the
+# request — the N + 1 first sights (26 before).
+BYTES_HASHED_PER_ROUND = 66_304 - 320 - 120 + 325
+REQUEST_HASHES_PER_ROUND = N + 1
 
 # Full-size exponentiations of ``g`` inside verification — what a check
 # costs most of at production key sizes — per round: one per single check (its
@@ -141,9 +166,10 @@ class _Counts:
         self.batched = 0
         self.encodings = 0
         self.g_pows = 0
+        self.hashed = 0
 
-    def snapshot(self) -> tuple[int, int, int, int]:
-        return (self.single, self.batched, self.encodings, self.g_pows)
+    def snapshot(self) -> tuple[int, int, int, int, int]:
+        return (self.single, self.batched, self.encodings, self.g_pows, self.hashed)
 
 
 @pytest.fixture()
@@ -192,8 +218,13 @@ def counts(monkeypatch):
     monkeypatch.setattr(FixedBaseTable, "pow", counting_table_pow)
     monkeypatch.setattr(schnorr, "verify_product_equations", counting_batch)
     monkeypatch.setattr(zkp, "verify_product_equations", checking(dleq_batch))
+    def counting_sha256(data):
+        counts.hashed += len(data)
+        return hashlib.sha256(data)
+
     monkeypatch.setattr(hashing, "encode", counting_encode)
     monkeypatch.setattr(threshold_sig, "encode", counting_encode)
+    monkeypatch.setattr(hashing, "hashlib", SimpleNamespace(sha256=counting_sha256))
     return counts
 
 
@@ -220,14 +251,11 @@ def _run_rounds(service, snapshot):
 
 def test_each_round_verifies_and_encodes_exactly_this_much(counts):
     per_round = _run_rounds(_service(), counts.snapshot)
+    counted = (SINGLE_PER_ROUND, BATCHED_PER_ROUND, ENCODINGS_PER_ROUND, G_POWS_PER_ROUND)
     assert per_round == [
-        (
-            SINGLE_PER_ROUND,
-            BATCHED_PER_ROUND,
-            ENCODINGS_PER_ROUND,
-            G_POWS_PER_ROUND,
-        )
-    ] * ROUNDS
+        (*counted, BYTES_HASHED_PER_ROUND - REQUEST_HASHES_PER_ROUND),
+        *[(*counted, BYTES_HASHED_PER_ROUND)] * (ROUNDS - 1),
+    ]
 
 
 def test_each_coin_exponentiates_exactly_this_much(monkeypatch):
@@ -375,3 +403,50 @@ def test_a_round_of_answers_is_signed_once_per_replica(monkeypatch):
     assert [(replica.abc.round, len(replica.executed)) for replica in replicas] == [(2, 9)] * N
     assert made["service"] == N
     assert [checked[id(client.verified)] for client in clients] == [T + 1] * 2
+
+
+def _contains(value, target) -> bool:
+    """Whether ``target`` is ``value`` or sits anywhere inside it."""
+    if value == target:
+        return True
+    if isinstance(value, (tuple, frozenset)):
+        return any(_contains(item, target) for item in value)
+    if isinstance(value, dict):
+        return any(_contains(key, target) or _contains(v, target) for key, v in value.items())
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return any(_contains(getattr(value, f.name), target) for f in dataclasses.fields(value))
+    return False
+
+
+# Encodings of one lone request's value, from submit to the completed
+# reply: one at the client (its digest, which its reply leaves bind) and
+# one at each replica, where the request is first seen (the submission;
+# under this schedule every submission arrives before any proposal).
+# Every later use — its own batch's digest and the n - 1 peers', the
+# byte budget of every proposal, the reply leaf at each replica and the
+# client's check of t + 1 replies — reads that digest.  30 at n = 4 and
+# 73 at n = 7 when each of those encoded the request again: batch
+# digests n(n + 1) (20, 56), the byte budget n (4, 7) and reply leaves
+# n + t + 1 (6, 10); 134 at n = 10.
+@pytest.mark.parametrize("n, t", [(4, 1), (7, 2)])
+def test_a_lone_request_is_encoded_once_per_party(monkeypatch, n, t):
+    encoded = []
+    encode = hashing.encode
+
+    def recording_encode(*parts):
+        encoded.append(parts)
+        return encode(*parts)
+
+    monkeypatch.setattr(hashing, "encode", recording_encode)
+    monkeypatch.setattr(threshold_sig, "encode", recording_encode)
+    service = build_service(
+        n, KeyValueStore, t=t, seed=SEED, scheduler=FifoScheduler(), group=default_group()
+    )
+    client = service.new_client()
+    service.network.start()
+    operation = ("set", "lone", n)
+    nonce = client.submit(operation)
+    service.run_until_complete(client, [nonce])
+    service.network.run()
+    # The operation is the request's own: whatever carries it encodes it.
+    assert sum(_contains(parts, operation) for parts in encoded) == n + 1 <= 2 * n + 1

@@ -4,6 +4,7 @@ import random
 from dataclasses import replace
 from types import SimpleNamespace
 
+from repro.core.atomic_broadcast import payload_digest
 from repro.crypto import hashing
 from repro.crypto.schnorr import Signature
 from repro.net.scheduler import FifoScheduler
@@ -17,7 +18,7 @@ from repro.smr.replica import (
     service_session,
     tree_statement,
 )
-from repro.smr.state_machine import Reply
+from repro.smr.state_machine import Reply, Request
 
 
 def _deploy(seed):
@@ -28,7 +29,7 @@ def _deploy(seed):
 
 
 def _digest(client, nonce, operation):
-    return ("request", client.client_id, nonce, operation)
+    return payload_digest(Request(client.client_id, nonce, operation).encode())
 
 
 def _share(dep, replica, root):
