@@ -80,9 +80,9 @@ def test_coin_share_and_verify(benchmark, n, t):
     benchmark(share_and_verify)
 
 
-@pytest.mark.parametrize("n,t", [(4, 1), (16, 5)])
-def test_tdh2_roundtrip(benchmark, n, t):
-    group = default_group()
+@pytest.mark.parametrize("n,t,bits", [(4, 1, 256), (16, 5, 256), (4, 1, 1536)])
+def test_tdh2_roundtrip(benchmark, n, t, bits):
+    group = modp_1536_group() if bits == 1536 else default_group()
     public, holders = _enc(n, t, group)
     rng = random.Random(6)
     message = b"a confidential service request"
@@ -368,4 +368,37 @@ def test_single_versus_batch_crossover(benchmark):
         "Schnorr verification per signature, single vs batch of k (keys tabled), µs",
         [f"{'bits':>5}  {'single':>8} " + " ".join(f"{'k=' + str(k):>8}" for k in sizes)]
         + rows,
+    )
+
+
+def test_generator_table(benchmark):
+    """One full-size exponentiation of the generator ``g`` on a radix-2⁶
+    digit table and on the Lim–Lee comb that ``GroupAccel`` gives it from
+    1,024 bits of |q| on: µs per power (best of five, over the same
+    eight random exponents), entries held, and ms to build the table."""
+    rows = []
+
+    def measure():
+        rows.clear()
+        for group in (default_group(), modp_1536_group()):
+            bits = group.q.bit_length()
+            rng = random.Random(13)
+            exponents = [rng.randrange(group.q) for _ in range(8)]
+            for comb in (False, True):
+                table = accel.FixedBaseTable(group.g, group.p, bits, comb=comb)
+                start = time.perf_counter()
+                table.pow(group.q - 1)  # builds the whole table
+                build = time.perf_counter() - start
+                entries = sum(map(len, table.comb or table.windows))
+                power = best_of(lambda t=table: [t.pow(e) for e in exponents], 5) / 8
+                assert table.pow(exponents[0]) == pow(group.g, exponents[0], group.p)
+                rows.append(
+                    f"{group.p.bit_length():>5}  {'comb' if comb else 'radix':<6} "
+                    f"{1e6 * power:>8.0f} {entries:>8} {1e3 * build:>8.1f}"
+                )
+
+    benchmark.pedantic(measure, rounds=1, iterations=1)
+    emit(
+        "One full-size exponentiation of g: radix table vs comb",
+        [f"{'bits':>5}  {'table':<6} {'µs':>8} {'entries':>8} {'build ms':>8}"] + rows,
     )

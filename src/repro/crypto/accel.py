@@ -9,10 +9,12 @@ This module concentrates the arithmetic tricks that cut that cost:
   windows): ``Π bᵢ^eᵢ`` in one shared-squaring pass, so a product of
   ``k`` exponentiations costs one squaring chain plus a few
   multiplications per base instead of ``k`` full ``pow`` calls.
-* **Fixed-base windowed tables**: bases that recur (the group
-  generator, verification keys, TDH2's ``h`` and ``ḡ``, the PKI's
-  identity keys) get a radix-``2^w`` digit table; subsequent
-  exponentiations are ~5x cheaper than ``pow``.  A base gets one
+* **Fixed-base tables**: bases that recur (the group generator,
+  verification keys, TDH2's ``h`` and ``ḡ``, the PKI's identity keys)
+  get a radix-``2^w`` digit table, a power then one multiplication per
+  nonzero 6-bit digit and no squarings; at production sizes the
+  generator's is a Lim–Lee comb instead (a third fewer operations per
+  full-size power, from a smaller table).  A base gets one
   because its owner declares it recurs (:meth:`GroupAccel.add_table`,
   where the keys are assembled), never by counting uses; tables grow
   only as tall as the exponents the base meets (a verification key
@@ -68,27 +70,45 @@ _MAX_LADDERS = 8
 _LADDER_WIDTH = 5
 _LADDER_MASK = (1 << _LADDER_WIDTH) - 1
 
+# The generator's table at production sizes: a Lim–Lee comb of
+# _COMB_TABLES sub-tables of 2^_COMB_TEETH entries, each entry a product
+# of teeth ``a`` bits apart (``a = ⌈|q| / 55⌉``, 28 at 1,536 bits).  A
+# full-size power is a − 1 squarings and ≤ 5·a multiplications (167 at
+# 1,536 bits against the radix table's ≈ 252), from 10,240 entries
+# against 16,128.  From _COMB_MIN_BITS of |q| on the comb is also the
+# smaller table (10,773 radix entries at 1,023 bits); at 256 bits it is
+# four times larger and no faster beyond noise (docs/PERFORMANCE.md).
+_COMB_MIN_BITS = 1024
+_COMB_TEETH = 11
+_COMB_TABLES = 5
+
 # Window width for the interleaved (Straus) multi-exponentiation.
 _STRAUS_WIDTH = 4
 _STRAUS_MASK = (1 << _STRAUS_WIDTH) - 1
 
 
 class FixedBaseTable:
-    """Radix-``2^w`` digit table for repeated powers of one base.
+    """Fixed-base table for repeated powers of one base.
 
-    ``windows[i][j-1] = base^(j << (i*w)) mod p`` — an exponentiation is
-    then a product of one table entry per nonzero digit: no squarings.
+    Radix rows (the default): ``windows[i][j-1] = base^(j << (i*w)) mod
+    p`` — a power is one entry per nonzero digit: no squarings.  Rows
+    are built when an exponent first reaches them, up to ``bits``: a
+    verification key meets 128-bit challenges and 192-bit batched terms
+    and stops at a fifth of the height (docs/PERFORMANCE.md).
 
-    Rows are built when an exponent first reaches them, up to ``bits``:
-    the table is as tall as the largest exponent its base has met.  The
-    generator meets full-size responses at once; a verification key
-    meets 128-bit challenges and 192-bit batched terms and stops at a
-    fifth of the height (docs/PERFORMANCE.md).
+    ``comb=True`` (the generator from ``_COMB_MIN_BITS`` on): sub-table
+    ``comb[j][u] = Π base^(2^((j·h + i)·a))`` over the bits ``i`` of
+    ``u``, teeth ``a = spacing`` bits apart, built at the first power.
+    Bit ``d`` of every ``a``-bit block picks one entry per sub-table: a
+    power is ``a − 1`` squarings and a multiplication per nonzero index.
     """
 
-    __slots__ = ("base", "modulus", "width", "mask", "windows", "capacity", "_next")
+    __slots__ = ("base", "modulus", "width", "mask", "windows", "capacity", "_next",
+                 "comb", "spacing")
 
-    def __init__(self, base: int, modulus: int, bits: int, width: int = 6) -> None:
+    def __init__(
+        self, base: int, modulus: int, bits: int, width: int = 6, comb: bool = False
+    ) -> None:
         self.base = base % modulus
         self.modulus = modulus
         self.width = width
@@ -96,6 +116,8 @@ class FixedBaseTable:
         self.capacity = bits
         self.windows: list[list[int]] = []
         self._next = self.base  # base^(2^(w * len(windows)))
+        self.comb: list[list[int]] = []
+        self.spacing = -(-bits // (_COMB_TEETH * _COMB_TABLES)) if comb else 0
 
     def _grow(self, rows: int) -> None:
         modulus = self.modulus
@@ -111,10 +133,38 @@ class FixedBaseTable:
             cur = entry * cur % modulus  # base^(2^w << shift)
         self._next = cur
 
+    def _build_comb(self) -> None:
+        mod, tooth = self.modulus, self.base
+        for _ in range(_COMB_TABLES):
+            table = [1]
+            for _ in range(_COMB_TEETH):  # each tooth doubles the sub-table
+                table += [entry * tooth % mod for entry in table]
+                tooth = pow(tooth, 1 << self.spacing, mod)  # the next tooth
+            self.comb.append(table)
+
     def pow(self, exponent: int) -> int:
         bits = exponent.bit_length()
         if bits > self.capacity:  # caller failed to reduce
             return pow(self.base, exponent, self.modulus)
+        if self.spacing:  # inline, not a method: bench/trace.py spans each method
+            if not self.comb:
+                self._build_comb()
+            mod, spacing = self.modulus, self.spacing
+            span = spacing * _COMB_TEETH  # the exponent bits one sub-table covers
+            total = span * _COMB_TABLES
+            digits = format(exponent, f"0{total}b")  # digits[total - 1 - k] is bit k
+            # Sub-table j's top tooth ends at bit (j + 1)·span − 1; its
+            # column d (from the top) is every spacing-th digit from there.
+            tables = [(total - (j + 1) * span, table) for j, table in enumerate(self.comb)]
+            acc = 1
+            for d in range(spacing):
+                if acc != 1:
+                    acc = acc * acc % mod
+                for top, table in tables:
+                    index = int(digits[top + d : top + d + span : spacing], 2)
+                    if index:
+                        acc = table[index] if acc == 1 else acc * table[index] % mod
+            return acc
         width = self.width
         windows = self.windows
         if bits > width * len(windows):
@@ -223,8 +273,10 @@ class GroupAccel:
         self._members: dict[int, bool] = {}
         self._ladders: dict[int, Ladder] = {}
         # The generator is exponentiated constantly: tabled from the
-        # start (full-height at its first full-size exponent), never evicted.
-        self._tables[g] = FixedBaseTable(g, p, q.bit_length())
+        # start (built at its first power), never evicted; a comb from
+        # _COMB_MIN_BITS of |q| on.
+        bits = q.bit_length()
+        self._tables[g] = FixedBaseTable(g, p, bits, comb=bits >= _COMB_MIN_BITS)
 
     # -- exponentiation --------------------------------------------------
 
@@ -277,11 +329,12 @@ class GroupAccel:
     def multiexp(self, pairs: Iterable[tuple[int, int]]) -> int:
         """Multi-exp that routes tabled and laddered bases through them.
 
-        The tables are not widened: the generator's full-height
-        table is ~16k multiplications (~150 ms, 3.7 MB) at 1536 bits, and
-        a wider one breaks the benchmark's 10 % ``peak_rss_mb`` bound
-        (docs/PERFORMANCE.md).  Negative exponents (an opening's ``μ``):
-        their terms are multiplied up apart and inverted once.
+        Radix tables are not widened: a key's would take more uses to
+        repay, and the generator's comb (10,240 entries, ≈ 90 ms and
+        2.4 MB at 1536 bits) already costs a third fewer operations
+        than its full-height radix table (docs/PERFORMANCE.md).
+        Negative exponents (an opening's ``μ``): their terms are
+        multiplied up apart and inverted once.
         """
         acc = 1
         plain: list[tuple[int, int]] = []

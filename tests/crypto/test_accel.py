@@ -110,7 +110,7 @@ def test_a_budget_of_key_tables_is_a_sixth_of_a_budget_of_full_ones(monkeypatch)
     """What ``_MAX_TABLES`` bounds: verification keys meet 128-bit
     challenges (``exp``) and 192-bit batched terms (``multiexp``), so a
     full budget of their tables holds under a sixth of the entries the
-    same number of full-height tables would (1,536 bits: 32 of 256 rows)."""
+    same number of full-height radix tables would (1,536 bits: 32 of 256 rows)."""
     monkeypatch.setattr(accel_module, "_MAX_TABLES", 4)  # the ratio, not 96 builds
     group = modp_1536_group()
     rng = random.Random(13)
@@ -130,11 +130,84 @@ def test_a_budget_of_key_tables_is_a_sixth_of_a_budget_of_full_ones(monkeypatch)
         if base != group.g
         for row in table.windows
     )
-    full = accel._tables[group.g]
-    assert full.windows == []  # this accelerator's generator was never used
-    full.pow(group.q - 1)
-    full_height = sum(len(row) for row in full.windows)
+    # The radix full height (the generator's own table is a comb here).
+    full_height = _rows(group.q.bit_length()) * 63
+    assert full_height == 256 * 63
     assert 0 < held < (accel_module._MAX_TABLES - 1) * full_height / 6
+
+
+def _boundary_bits(bits, spacing):
+    """Each side of every tooth (the top and bottom bit of a column) and
+    of every sub-table: the single-bit exponents a comb can get wrong."""
+    span = spacing * accel_module._COMB_TEETH
+    edges = {*range(0, bits + spacing, spacing), *range(0, bits + span, span)}
+    return sorted({k for edge in edges for k in (edge - 1, edge, edge + 1) if 0 <= k < bits})
+
+
+@pytest.mark.parametrize(
+    "group", [GROUP, default_group(), modp_1536_group()], ids=["64", "256", "1536"]
+)
+def test_comb_matches_pow(group):
+    rng = random.Random(16)
+    bits = group.q.bit_length()
+    comb = FixedBaseTable(group.g, group.p, bits=bits, comb=True)
+    for e in [0, 1, group.q - 1, group.q, (1 << bits) - 1] + [
+        rng.randrange(group.q) for _ in range(5)
+    ]:
+        assert comb.pow(e) == pow(group.g, e, group.p)
+    powers_of_two = [group.g]  # g^(2^k), by the squaring chain pow would run
+    for _ in range(bits):
+        powers_of_two.append(powers_of_two[-1] ** 2 % group.p)
+    # Every single bit below production sizes; at 1,536 bits the boundaries.
+    singles = range(bits) if bits < 1024 else _boundary_bits(bits, comb.spacing)
+    for k in singles:
+        assert comb.pow(1 << k) == powers_of_two[k]
+    assert comb.windows == []  # a comb holds no radix rows
+
+
+def test_comb_falls_back_beyond_capacity_and_builds_nothing():
+    table = FixedBaseTable(GROUP.g, GROUP.p, bits=16, comb=True)
+    huge = GROUP.q + 12345
+    assert table.pow(huge) == pow(GROUP.g, huge, GROUP.p)
+    assert table.comb == []
+
+
+class _CountingModulus(int):
+    """A modulus that counts the reductions made by it: one per
+    multiplication or squaring of a table's ``pow``."""
+
+    reductions = 0
+
+    def __rmod__(self, other):
+        _CountingModulus.reductions += 1
+        return int(other) % int(self)
+
+
+def test_the_generator_gets_a_comb_only_at_production_sizes():
+    """At 1,536 bits the generator's comb holds fewer entries than the
+    radix table's 256 × 63 and takes at most two thirds of its
+    multiplications per full-size power; at 256 bits it keeps radix rows."""
+    small = default_group()
+    assert GroupAccel(small.p, small.q, small.g)._tables[small.g].spacing == 0
+    group = modp_1536_group()
+    generator = GroupAccel(group.p, group.q, group.g)._tables[group.g]
+    assert generator.spacing == 28 and generator.capacity == group.q.bit_length()
+    modulus = _CountingModulus(group.p)
+    comb = FixedBaseTable(group.g, modulus, bits=group.q.bit_length(), comb=True)
+    radix = FixedBaseTable(group.g, modulus, bits=group.q.bit_length())
+    comb.pow(1)  # builds the whole comb
+    radix.pow(group.q - 1)  # builds every row
+    entries = sum(len(table) for table in comb.comb)
+    assert entries == 5 * 2**11 <= sum(len(row) for row in radix.windows) == 256 * 63
+    rng = random.Random(17)
+    spent = {}
+    for table in (comb, radix):
+        _CountingModulus.reductions = 0
+        for e in [rng.randrange(group.q // 2, group.q) for _ in range(8)]:
+            assert table.pow(e) == pow(group.g, e, group.p)
+        spent[table] = _CountingModulus.reductions
+    assert spent[comb] <= 8 * (27 + 5 * 28)
+    assert spent[comb] <= 2 / 3 * spent[radix]
 
 
 def test_server_keys_are_tabled_when_the_bundle_is_assembled():
