@@ -120,7 +120,7 @@ _ROUND_HORIZON = 1024
 _MAX_BATCH_BYTES = 1 << 16
 # Future rounds beyond the pipeline window whose proposals are still
 # buffered; anything further ahead is dropped and counted as lag
-# evidence instead.  Recently delivered rounds are kept as deep.
+# evidence instead.  Delivered rounds and their agreements are kept as deep.
 _BUFFER_SLACK = 8
 
 
@@ -330,6 +330,14 @@ class AtomicBroadcast(Protocol):
     def _window(self) -> int:
         return self.config.pipeline_depth + _BUFFER_SLACK
 
+    def admits(self, ctx: Context, child: SessionId) -> bool:
+        """Only a round's agreement inside the window waits for its spawn:
+        a closed round's or a far-future one's traffic is discarded."""
+        match child:
+            case ("mvba", (session, int(r))) if session == ctx.session:
+                return self.round < r <= self.round + self._window()
+        return False
+
     def _round(self, r: int) -> _Round:
         rec = self.rounds.get(r)
         if rec is None:
@@ -407,12 +415,16 @@ class AtomicBroadcast(Protocol):
         ones that arrived while this party lagged were not kept.  Any
         round this party already signed a proposal for stays off-limits
         for re-proposal (``highest_started`` never regresses), so
-        recovery can never make an honest party equivocate.
+        recovery can never make an honest party equivocate.  What the
+        window let wait for a skipped round with no record is closed.
         """
+        for r in range(self.round + 1, min(round_number, self.round + self._window()) + 1):
+            if r not in self.rounds:
+                ctx.close(("mvba", (ctx.session, r)))
         self.round = max(self.round, round_number)
         if self.highest_started < self.round:
             self.highest_started = self.round
-        self._settle([p for p in self.queue if p in self.delivered])
+        self._settle(ctx, [p for p in self.queue if p in self.delivered])
         self._refresh_lag()
         ctx.broadcast(AbcRejoin(self.round))
         self._maybe_start_rounds(ctx)
@@ -608,9 +620,9 @@ class AtomicBroadcast(Protocol):
         checked (:meth:`_checked`, at most once); only entries this
         party has not recorded build the statement, hash a challenge and
         cost arithmetic.  Once the record is gone — a closed session's
-        round after :meth:`rebase`, or one long delivered — nothing is
-        accepted (the predicate holds it weakly: an agreement outlives
-        its round, its batches must not).  Nor is a candidate before
+        round after :meth:`rebase` — nothing is accepted (the predicate
+        holds it weakly: that agreement outlives its round, its batches
+        must not).  Nor is a candidate before
         this party holds every referenced batch (module docstring, 3);
         missing ones are fetched as a side effect, which also restores
         liveness when a Byzantine proposer withheld its batch.
@@ -740,7 +752,7 @@ class AtomicBroadcast(Protocol):
             ctx.trace.bump("abc.rounds")
             if self.on_round_end is not None:
                 self.on_round_end(r)
-            self._settle(done)
+            self._settle(ctx, done)
             progressed = True
         if progressed:
             self._refresh_lag()
@@ -749,13 +761,15 @@ class AtomicBroadcast(Protocol):
         if then is not None:
             then()
 
-    def _settle(self, delivered: list[Hashable]) -> None:
+    def _settle(self, ctx: Context, delivered: list[Hashable]) -> None:
         """Catch up with the delivered round (after each delivered round
         has ended, and :meth:`resume_at`'s fast-forward, which may skip
         many): drop the records ``_BUFFER_SLACK`` rounds behind it, and
-        ``delivered`` from the queue and the in-flight mask."""
+        close their agreements, and ``delivered`` from the queue and the
+        in-flight mask."""
         for stale in [r for r in self.rounds if r <= self.round - _BUFFER_SLACK]:
             del self.rounds[stale]
+            ctx.close(("mvba", (ctx.session, stale)))
         for payload in delivered:
             self.queue.pop(payload, None)
         self._sync_in_flight()

@@ -42,6 +42,11 @@ class Protocol:
         """Called for every message addressed to this session."""
         raise NotImplementedError
 
+    def admits(self, ctx: "Context", child: SessionId) -> bool:
+        """Whether traffic for ``child``, a session under this one that
+        nobody holds yet, may be buffered until it is spawned."""
+        return True
+
 
 class Context:
     """Everything a protocol instance may touch.
@@ -114,7 +119,11 @@ class Context:
         on_output: Callable[[object], None] | None = None,
     ) -> Protocol:
         """Create a sub-protocol instance (idempotent per session)."""
-        return self._runtime.spawn(session, protocol, on_output=on_output)
+        return self._runtime.spawn(session, protocol, on_output=on_output, parent=self.session)
+
+    def close(self, session: SessionId) -> None:
+        """Forget a sub-protocol instance and everything under it."""
+        self._runtime.close(session, parent=self.session)
 
     def instance(self, session: SessionId) -> Protocol | None:
         return self._runtime.instances.get(session)

@@ -8,7 +8,9 @@ sub-protocol's messages — a reliable broadcast this server has not
 heard of, round 7 of an agreement it has not reached — before the local
 parent has spawned it, and :meth:`ProtocolRuntime.spawn` replays them
 to the instance when the parent does.  Nothing is created on a peer's
-say-so.
+say-so, and a session nobody holds is buffered only if the nearest live
+session its id names admits it (:meth:`Protocol.admits`).  Closing a
+session forgets it and everything spawned under it.
 """
 
 from __future__ import annotations
@@ -52,6 +54,8 @@ class ProtocolRuntime(Node):
         self.outputs: dict[SessionId, object] = {}
         self._callbacks: dict[SessionId, list[Callable[[object], None]]] = {}
         self._buffered: dict[SessionId, list[tuple[int, object]]] = {}
+        # Sessions spawned (or buffered) under each one: what close drops.
+        self._children: dict[SessionId, dict[SessionId, None]] = {}
 
     # -- composition ---------------------------------------------------------
 
@@ -60,6 +64,7 @@ class ProtocolRuntime(Node):
         session: SessionId,
         protocol: Protocol,
         on_output: Callable[[object], None] | None = None,
+        parent: SessionId | None = None,
     ) -> Protocol:
         """Register an instance and replay any buffered messages to it."""
         existing = self.instances.get(session)
@@ -68,6 +73,8 @@ class ProtocolRuntime(Node):
                 self.subscribe(session, on_output)
             return existing
         self.instances[session] = protocol
+        if parent is not None:
+            self._children.setdefault(parent, {})[session] = None
         if on_output is not None:
             self.subscribe(session, on_output)
         ctx = Context(self, session)
@@ -75,6 +82,17 @@ class ProtocolRuntime(Node):
         for sender, message in self._buffered.pop(session, []):
             protocol.on_message(ctx, sender, message)
         return protocol
+
+    def close(self, session: SessionId, parent: SessionId | None = None) -> None:
+        """Forget ``session`` and every session under it: instances,
+        outputs, awaited callbacks and buffered traffic."""
+        self._children.get(parent, {}).pop(session, None)
+        doomed = [session]
+        while doomed:
+            gone = doomed.pop()
+            for table in (self.instances, self.outputs, self._callbacks, self._buffered):
+                table.pop(gone, None)
+            doomed.extend(self._children.pop(gone, ()))
 
     def subscribe(self, session: SessionId, on_output: Callable[[object], None]) -> None:
         """Await a session's output without owning the instance."""
@@ -104,10 +122,41 @@ class ProtocolRuntime(Node):
         session, message = payload
         if not (isinstance(session, tuple) and session):
             return
-        instance = self.instances.get(session)
+        try:
+            instance = self.instances.get(session)
+        except TypeError:
+            return  # an unhashable id names no session
         if instance is None:
-            queue = self._buffered.setdefault(session, [])
-            if len(queue) < _BUFFER_LIMIT:
-                queue.append((sender, message))
+            if self._admitted(session):
+                queue = self._buffered.setdefault(session, [])
+                if len(queue) < _BUFFER_LIMIT:
+                    queue.append((sender, message))
             return
         instance.on_message(Context(self, session), sender, message)
+
+    def _admitted(self, session: SessionId) -> bool:
+        """Whether traffic for ``session``, which nobody holds, may wait:
+        the nearest live session its id names decides (none: it may), and
+        the way down to it is recorded for :meth:`close`."""
+        path = [session]
+        while (named := _named(path[-1])) is not None:
+            holder = self.instances.get(named)
+            if holder is not None:
+                if not holder.admits(Context(self, named), path[-1]):
+                    return False
+                chain = [named, *reversed(path)]
+                for parent, child in zip(chain, chain[1:]):
+                    self._children.setdefault(parent, {})[child] = None
+                return True
+            path.append(named)
+        return True
+
+
+def _named(session: SessionId) -> SessionId | None:
+    """The session whose id ``session`` is built on: an element of it,
+    or of a tuple in it (``("cbc", j, mvba)``, ``("mvba", (abc, r))``)."""
+    for part in session[1:]:
+        for inner in (part, *part) if isinstance(part, tuple) else ():
+            if isinstance(inner, tuple) and inner and isinstance(inner[0], str):
+                return inner
+    return None

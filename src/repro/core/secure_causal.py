@@ -85,6 +85,9 @@ class SecureCausalBroadcast(Protocol):
         # top-level session.
         self.abc.on_deliver = lambda payload, rnd: self._on_a_deliver(ctx, payload, rnd)
 
+    def admits(self, ctx: Context, child: SessionId) -> bool:
+        return self.abc.admits(ctx, child)
+
     def submit(self, ctx: Context, ciphertext: Ciphertext) -> None:
         """s-broadcast: hand an encrypted request to the service."""
         if not ctx.public.encryption.check_ciphertext(ciphertext):

@@ -477,7 +477,7 @@ LINE_KINDS: dict[str, tuple[str, ...]] = {
     "listening": ("host", "port", "recovering"),  # its own, older shape
     "replica-checkpoint": ("status",),
     "replica-recovered": ("executed",),
-    "replica-abc-stats": ("rounds", "delivered", "mean_batch", "occupancy"),
+    "replica-abc-stats": ("rounds", "delivered", "mean_batch", "occupancy", "sessions"),
     "replica-final": ("executed", "byzantine", "snapshot"),
     "replica-dkg": ("qualified",),
     "replica-dkg-retry": ("attempt",),
@@ -1218,8 +1218,8 @@ async def serve_replica(
 ) -> int:
     """Run one replica (``repro run-replica``) until SIGTERM/SIGINT,
     then print its ``replica-abc-stats`` and ``replica-final`` lines:
-    rounds, batching, executed count and state snapshot, which the
-    benchmark's TCP harness reads."""
+    rounds, batching, live protocol sessions, executed count and state
+    snapshot, which the benchmark's TCP harness reads."""
     host = ReplicaHost(
         directory, party, byzantine=byzantine,
         journal=journal, checkpoint_every=checkpoint_every,
@@ -1237,7 +1237,7 @@ async def serve_replica(
     # Bounded by SIGTERM from the operator, not by wall clock: a
     # replica serves until told to stop.
     await stop.wait()  # repro: noqa-RL005 runs-until-signalled by design
-    if host.replica is not None:
+    if host.replica is not None and host.runtime is not None:
         if checkpoint_every:
             host.write_checkpoint()
         snapshot = host.replica.state_machine.snapshot()
@@ -1248,6 +1248,7 @@ async def serve_replica(
             delivered=f"{stats['delivered']:.0f}",
             mean_batch=f"{stats['mean_batch']:.3f}",
             occupancy=f"{stats['pipeline_occupancy']:.3f}",
+            sessions=len(host.runtime.instances),
         )
         host.emit(
             "replica-final",

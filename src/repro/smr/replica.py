@@ -241,6 +241,9 @@ class Replica(Protocol):
 
     # -- message routing ----------------------------------------------------------
 
+    def admits(self, ctx: Context, child: SessionId) -> bool:
+        return self.abc.admits(ctx, child)
+
     def on_message(self, ctx: Context, sender: int, message: object) -> None:
         if isinstance(message, SubmitRequest):
             self._on_submit(ctx, message.request)

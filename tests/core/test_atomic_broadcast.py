@@ -18,7 +18,9 @@ from repro.core.atomic_broadcast import (
     payload_digest,
     proposal_statement,
 )
-from repro.core.multivalued_agreement import MvbaDecision
+from repro.core.binary_agreement import AbaBval, AbaDone
+from repro.core.consistent_broadcast import CbcFinal
+from repro.core.multivalued_agreement import MvbaDecision, MvbaValue
 from repro.core.runtime import ProtocolRuntime
 from repro.crypto.dealer import CLIENT_BASE
 from repro.crypto.schnorr import Signature
@@ -857,3 +859,82 @@ def test_rebase_reopens_and_the_tail_rides_the_next_round(keys_4_1):
         assert not inst.closed
         assert logs[party] == [a, x, b, c]
         assert inst.delivered_log == [(a, 1), (x, 1), (b, 2), (c, 2)]
+
+
+# -- a delivered round's agreement leaves with its record ----------------------
+
+
+def _sessions_bounded(runtime, n, depth):
+    """What ``runtime`` keeps per protocol session fits the window: the
+    service session, plus per live round its agreement, the agreement's
+    n broadcasts and its one vote (every candidate committed: the first
+    vote decides 1) — and a round lives from its start, at most
+    ``depth`` ahead of delivery, until ``_BUFFER_SLACK`` rounds after."""
+    live_rounds = atomic_broadcast._BUFFER_SLACK + depth
+    bound = 1 + live_rounds * (n + 2)
+    assert len(runtime.instances) <= bound
+    assert set(runtime.outputs) <= set(runtime.instances)
+    assert set(runtime._callbacks) <= set(runtime.instances)
+    assert len(runtime._buffered) <= bound
+    assert len(runtime._children) <= 1 + live_rounds
+    return len(runtime.instances)
+
+
+@pytest.mark.parametrize("n,t", [(4, 1), (7, 2)])
+def test_live_sessions_stay_inside_the_window(n, t):
+    """Forty lock-step rounds (FIFO delivery is the lock-step order):
+    every party keeps O(window) sessions, not O(history)."""
+    depth, rounds = 2, 40
+    service = build_service(
+        n, KeyValueStore, t=t, seed=39, scheduler=FifoScheduler(),
+        abc_config=AbcConfig(pipeline_depth=depth),
+    )
+    client = service.new_client()
+    service.network.start()
+    abc = service.replicas[0].abc
+    live = []
+    while abc.round < rounds:
+        service.run_until_complete(client, [client.submit(("set", "k", abc.round))])
+        live.append(max(_sessions_bounded(rt, n, depth) for rt in service.runtimes.values()))
+    assert live[-1] == live[len(live) // 2]  # flat once the window filled
+    # A late message for a closed round is discarded and spawns nothing.
+    closed = ("mvba", (service_session(), 3))
+    late = [
+        (("cbc", 1, closed), CbcFinal("v", QuorumCertificate({}))),
+        (("aba", (closed, 0)), AbaBval(1, 1)),
+        (closed, MvbaValue(1, None)),
+    ]
+    runtime = service.runtimes[0]
+    before = set(runtime.instances)
+    for payload in late:
+        runtime.on_message(1, payload)
+    assert set(runtime.instances) == before
+    assert not any(session in runtime._buffered for session, _m in late)
+    assert closed not in runtime._children
+
+
+def test_only_traffic_inside_the_window_waits_for_its_agreement():
+    service = build_service(4, KeyValueStore, t=1, seed=40, scheduler=FifoScheduler())
+    runtime = service.runtimes[0]
+    for r in range(10_000, 11_000):  # far future: one peer, a thousand rounds
+        runtime.on_message(1, (("aba", (("mvba", (service_session(), r)), 0)), AbaDone(1)))
+    assert runtime._buffered == {}
+    # Early traffic inside the window still waits, and is replayed when
+    # the round's agreement is spawned.
+    early = ("cbc", 2, ("mvba", (service_session(), 1)))
+    runtime.on_message(2, (early, "early"))
+    assert early in runtime._buffered
+    client = service.new_client()
+    service.network.start()
+    service.run_until_complete(client, [client.submit(("set", "k", 1))])
+    assert early in runtime.instances and early not in runtime._buffered
+
+
+def test_a_fast_forward_closes_what_the_window_let_wait():
+    service = build_service(4, KeyValueStore, t=1, seed=41, scheduler=FifoScheduler())
+    runtime, replica = service.runtimes[0], service.replicas[0]
+    waiting = ("aba", (("mvba", (service_session(), 3)), 0))
+    runtime.on_message(1, (waiting, AbaDone(1)))
+    assert waiting in runtime._buffered
+    replica.abc.resume_at(ctx_for(runtime, service_session()), 50)
+    assert runtime._buffered == {} and runtime._children[service_session()] == {}

@@ -12,6 +12,7 @@ import repro
 import repro.core
 from repro.core.protocol import Context, Protocol
 from repro.core.runtime import ProtocolRuntime
+from repro.net import wire
 from repro.net.scheduler import FifoScheduler
 from repro.net.simulator import Network
 
@@ -119,6 +120,62 @@ def test_buffer_limit_bounds_memory(rig):
     for k in range(rt_mod._BUFFER_LIMIT + 50):
         rts[1].on_message(0, (("flood",), k))
     assert len(rts[1]._buffered[("flood",)]) == rt_mod._BUFFER_LIMIT
+
+
+def test_an_unhashable_session_id_is_discarded(rig):
+    """Any peer can send it (the wire carries a dict); it names no
+    session, and used to raise inside the runtime."""
+    _, rts = rig
+    payload = ((("x", {1: 2}),), "junk")
+    assert wire.loads(wire.dumps(payload)) == payload
+    rts[0].on_message(1, payload)
+    assert rts[0]._buffered == {}
+
+
+class Gate(Echo):
+    """Admits traffic for its unheld sub-sessions while ``open``."""
+
+    def __init__(self, open_):
+        super().__init__()
+        self.open = open_
+
+    def admits(self, ctx, child):
+        return self.open
+
+
+def test_a_session_nobody_holds_waits_only_if_its_nearest_live_ancestor_admits_it(rig):
+    _, rts = rig
+    rt = rts[1]
+    rt.spawn(("shut",), Gate(False))
+    rt.spawn(("open",), Gate(True))
+    refused = ("vote", (("sub", ("shut",)), 0))
+    waiting = ("vote", (("sub", ("open",)), 0))
+    orphan = ("vote", (("sub", ("nobody",)), 0))  # no live ancestor: as before
+    for session in (refused, waiting, orphan):
+        rt.on_message(0, (session, "early"))
+    assert set(rt._buffered) == {waiting, orphan}
+    # The way down from the live ancestor is recorded, so closing the
+    # never-spawned "sub" drops what waits beneath it.
+    Context(rt, ("open",)).close(("sub", ("open",)))
+    assert set(rt._buffered) == {orphan}
+    assert rt._children == {("open",): {}}
+
+
+def test_closing_a_session_forgets_everything_spawned_under_it(rig):
+    net, rts = rig
+    rt = rts[1]
+    rt.spawn(("root",), Echo())
+    Context(rt, ("root",)).spawn(("p",), Echo())
+    Context(rt, ("p",)).spawn(("c",), Echo(), on_output=lambda _v: None)
+    Context(rt, ("root",)).spawn(("q",), Echo())
+    net.send(0, 1, (("p",), "v"))
+    rt.on_message(0, (("late", ("c",)), "early"))  # buffered below ("c",)
+    net.run()
+    assert rt.result(("p",)) == "v" and ("late", ("c",)) in rt._buffered
+    Context(rt, ("root",)).close(("p",))
+    assert set(rt.instances) == {("root",), ("q",)}
+    assert rt.outputs == {} and rt._callbacks == {} and rt._buffered == {}
+    assert rt._children == {("root",): {("q",): None}}
 
 
 def test_context_exposes_identity_and_keys(rig):

@@ -51,7 +51,7 @@ _SAMPLES = [
     ("replica-checkpoint", {"status": "rejected"}),
     ("replica-recovered", {"executed": 6}),
     ("replica-abc-stats", {"rounds": "7", "delivered": "9", "mean_batch": "1.286",
-                           "occupancy": "1.000"}),
+                           "occupancy": "1.000", "sessions": 73}),
     ("replica-final", {"executed": 7, "snapshot": repr((6, (("key 0", "a=b c"),)))}),
     ("replica-final", {"byzantine": "silent"}),
     ("replica-dkg", {"qualified": "0,1,2,3"}),
@@ -96,6 +96,11 @@ def test_the_lines_the_benchmark_reads_keep_their_bytes():
         "replica-abc-stats", 3, rounds=f"{2.0:.0f}", delivered=f"{2.0:.0f}",
         mean_batch=f"{1.0:.3f}", occupancy=f"{1.0:.3f}",
     ) == "replica-abc-stats party=3 rounds=2 delivered=2 mean_batch=1.000 occupancy=1.000"
+    # A field added since is read the same way: each ``key=value`` a float.
+    assert render(
+        "replica-abc-stats", 3, rounds="2", delivered="2", mean_batch="1.000",
+        occupancy="1.000", sessions=37,
+    ).endswith(" occupancy=1.000 sessions=37")
     snapshot = (6, (("key-0", 0), ("key-1", 1)))
     assert render("replica-final", 3, executed=7, snapshot=repr(snapshot)) == (
         "replica-final party=3 executed=7 snapshot=(6, (('key-0', 0), ('key-1', 1)))"
