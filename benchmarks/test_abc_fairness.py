@@ -40,12 +40,12 @@ def _burst_total_order(keys, burst=8, seed=11):
     net.start()
     for k in range(burst):
         _submit(rts, session, k % keys.public.n, ("req", k))
-    n = keys.public.n
     net.run(
         until=lambda: all(len(logs[p]) >= burst for p in rts), max_steps=1_200_000
     )
     orders = [[m for m, _ in logs[p]] for p in rts]
-    return orders, net.delivered_count
+    rounds = max(r for _m, r in logs[0])  # the global round of the last delivery
+    return orders, rounds, net.delivered_count
 
 
 def _fairness_under_attack(keys, seed=12):
@@ -72,7 +72,7 @@ def _fairness_under_attack(keys, seed=12):
 
 def test_abc_order_and_fairness(benchmark):
     keys = dealt(4, 1)
-    (orders, delivered) = benchmark.pedantic(
+    (orders, rounds, delivered) = benchmark.pedantic(
         lambda: _burst_total_order(keys), rounds=1, iterations=1
     )
     fairness_round = _fairness_under_attack(keys)
@@ -83,7 +83,7 @@ def test_abc_order_and_fairness(benchmark):
             f"burst of 8 payloads, adversarial (LIFO) scheduling:",
             f"  identical order at all parties: {all(o == orders[0] for o in orders)}",
             f"  delivery order: {orders[0]}",
-            f"  messages delivered: {delivered}",
+            f"  global rounds: {rounds}, messages delivered: {delivered}",
             f"payload held by t+1 honest parties, one holder starved, "
             f"noise flooding:",
             f"  delivered in global round {fairness_round} "

@@ -2,12 +2,13 @@
 # Alternating pairs of parent and change on one benchmark workload, or on
 # every one — the run docs/PERFORMANCE.md asks for before a gain is claimed.
 #
-#   scripts/pairs.sh <parent-ref> <workload|all> [pairs=10]
+#   scripts/pairs.sh <parent-ref> <workload|all> [pairs=10] [change-ref]
 #
 # Checks the parent out under a temp dir (`git archive`: nothing is left
 # in .git), then alternates one untraced pass of bench/run.py in each
 # tree — seeds 11, 12, …, the parent first on odd pairs and the change
-# (the working tree) first on even ones — and prints, per end-to-end
+# (the working tree, or `change-ref` checked out the same way as the
+# parent when it is given) first on even ones — and prints, per end-to-end
 # metric, both medians, the parent's inter-quartile range, change/parent
 # (of the medians, then of every pair) and in how many pairs the change
 # read ahead — then one verdict line per metric by the rule a claim is
@@ -17,13 +18,17 @@
 # pairs on every workload BENCHMARK.json names, one after the other, and
 # ends with one verdict table across all of them and the line that sums
 # it up: a change passes when no metric anywhere is `resolved (worse)`.
+# `scripts/pairs.sh HEAD all 10 HEAD` is an A/A run: two trees made
+# alike from the same commit, so whatever resolves there is noise (or
+# the kind of tree), not code.
 # Reads bench/ and BENCHMARK.json; edits nothing.
 set -euo pipefail
 
-usage="usage: scripts/pairs.sh <parent-ref> <workload|all> [pairs=10]"
+usage="usage: scripts/pairs.sh <parent-ref> <workload|all> [pairs=10] [change-ref]"
 parent_ref=${1:?$usage}
 workload=${2:?$usage}
 pairs=${3:-10}
+change_ref=${4:-}
 cd "$(dirname "$0")/.."
 change=$PWD
 
@@ -38,6 +43,11 @@ work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
 mkdir "$work/parent"
 git archive "$parent_ref" | tar -x -C "$work/parent"
+if [[ -n $change_ref ]]; then
+    change=$work/change
+    mkdir "$change"
+    git archive "$change_ref" | tar -x -C "$change"
+fi
 
 pass() {  # pass <tree> <workload> <seed> <out>: the last line of a pass is its JSON
     (cd "$1" && python3 bench/run.py --workload "$2" --seed "$3" \
@@ -56,10 +66,10 @@ for name in $workloads; do
     done
 done
 
-python3 - "$work" "$pairs" "$parent_ref" $workloads <<'PY'
+python3 - "$work" "$pairs" "$parent_ref" "${change_ref:-working tree}" $workloads <<'PY'
 import json, pathlib, statistics, sys
 
-work, pairs, ref, *workloads = pathlib.Path(sys.argv[1]), int(sys.argv[2]), *sys.argv[3:]
+work, pairs, ref, change_ref, *workloads = pathlib.Path(sys.argv[1]), int(sys.argv[2]), *sys.argv[3:]
 better = {m["name"]: m["better"] for m in json.load(open("BENCHMARK.json"))["end_to_end"]}
 table = []  # (workload, metric, verdict)
 for workload in workloads:
@@ -68,7 +78,7 @@ for workload in workloads:
                for i in range(pairs)]
         for side in ("parent", "change")
     }
-    print(f"{workload}: {pairs} alternating pairs, parent = {ref}, change = working tree")
+    print(f"{workload}: {pairs} alternating pairs, parent = {ref}, change = {change_ref}")
     for side, passes in runs.items():
         print(f"  {side}: failed {sum(p['failed'] for p in passes)} of "
               f"{sum(p['attempted'] for p in passes)} attempted, "

@@ -32,6 +32,16 @@ collide.  Decisions arriving out of order are buffered and applied
 strictly in round order, which keeps delivery identical at every
 honest party.
 
+Opening a round: this party opens round ``k+1`` with what it has queued
+once its round ``k`` has its proposals (``k``'s agreement started, or
+``k`` was delivered), and at once when a checked proposal of a peer's
+for ``k+1`` is recorded (joining, below).  A request that arrives while
+the latest round still collects proposals waits, and rides the next
+round with all that queued meanwhile: a burst is one batch, not a round
+per free pipeline slot.  The wait ends: an honest party (this one)
+started the round it waits for, and honest parties join every round
+they see a proposal for, so its quorum forms (docs/PROTOCOLS.md).
+
 Closing: :meth:`~AtomicBroadcast.close`, called while a payload is being
 delivered (an accepted epoch change, docs/RECONFIGURATION.md), makes it
 the last one this session orders.  The rest of its round goes back to
@@ -391,9 +401,15 @@ class AtomicBroadcast(Protocol):
         if self.highest_started < self.round:
             self.highest_started = self.round
         while self.highest_started < self.round + self.config.pipeline_depth:
+            # The gate (module docstring, "Opening a round"): while our
+            # latest round collects proposals, only a peer's opens the next.
+            latest = self.rounds.get(self.highest_started)
+            held = latest is not None and latest.number > self.round and not latest.agreement_started
             rec = self._round(self.highest_started + 1)
             chosen = self._select_batch()
-            if not chosen and not any(self._checked(ctx, rec, j) for j in sorted(rec.proposals)):
+            if (held or not chosen) and not any(
+                self._checked(ctx, rec, j) for j in sorted(rec.proposals)
+            ):
                 return
             self.highest_started = rec.number
             batch = tuple(payload for payload, _d, _s in chosen)
@@ -506,8 +522,8 @@ class AtomicBroadcast(Protocol):
                 for entry in taught:
                     self._enqueue(entry[0], entry)
             self._hold(ctx, rec, digest, message.batch)
+        self._maybe_start_agreement(ctx, rec)  # first: starting it opens the gate
         self._maybe_start_rounds(ctx)
-        self._maybe_start_agreement(ctx, rec)
         self._retry_predicates(ctx)
         self._try_deliver(ctx)
 

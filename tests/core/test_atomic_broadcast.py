@@ -1,5 +1,6 @@
 """Atomic broadcast: total order, dedup, batching, pipelining, liveness."""
 
+import collections
 import random
 
 import pytest
@@ -178,20 +179,49 @@ def test_delivered_log_records_rounds(keys_4_1):
     assert entry[0] == ("req", "x") and entry[1] >= 1
 
 
-def test_batching_delivers_many_payloads_in_few_rounds(keys_4_1):
-    net, rts = make_network(keys_4_1, seed=20)
+def _round_sizes(inst):
+    """How many payloads each delivered round carried, in round order."""
+    sizes = collections.Counter(r for _payload, r in inst.delivered_log)
+    return [sizes[r] for r in sorted(sizes)]
+
+
+@pytest.mark.parametrize("depth", [1, 4])
+@pytest.mark.parametrize("n", [4, 7])
+def test_batching_delivers_many_payloads_in_few_rounds(keys_4_1, keys_7_2, n, depth):
+    keys = keys_4_1 if n == 4 else keys_7_2
+    net, rts = make_network(keys, seed=20)
     session = abc_session("batch")
-    logs = _spawn(rts, session)
+    logs = _spawn(rts, session, config=AbcConfig(pipeline_depth=depth))
     net.start()
     for i in range(10):
         _submit(rts, session, 0, ("req", i))
     net.run(until=lambda: all(len(logs[p]) >= 10 for p in rts), max_steps=600_000)
-    inst = rts[0].instances[session]
     # Round 1 starts on the first submit; everything else rides one
-    # follow-up batch — nowhere near ten rounds.
-    assert inst.round <= 3
-    assert inst.stats()["mean_batch"] >= 2.0
+    # follow-up batch, however deep the pipeline: round 2 opens only once
+    # round 1 has its proposals (a free slot alone opened a round per
+    # submit, [2, 2, 6] in five rounds at depth 4).
+    for p in rts:
+        inst = rts[p].instances[session]
+        assert _round_sizes(inst) == [1, 9] and inst.round == 2
     assert all(logs[p] == logs[0] for p in rts)
+
+
+def test_a_burst_through_the_service_rides_two_rounds():
+    """The benchmark's shape — a service, a pipeline of four, one client
+    submitting 60 operations at once — under FIFO delivery: the first
+    rides round 1, the other 59 wait for round 1's proposals and ride
+    round 2 together (a round per free slot first: [1, 1, 1, 1, 56])."""
+    dep = build_service(
+        4, KeyValueStore, t=1, scheduler=FifoScheduler(), seed=60,
+        abc_config=AbcConfig(pipeline_depth=4),
+    )
+    client = dep.new_client()
+    dep.network.start()
+    nonces = [client.submit(("set", f"k{i}", i)) for i in range(60)]
+    dep.run_until_complete(client, nonces)
+    dep.network.run(max_steps=400_000)
+    for replica in dep.replicas.values():
+        assert _round_sizes(replica.abc) == [1, 59] and replica.abc.round == 2
 
 
 def test_byte_budget_caps_batches(keys_4_1, monkeypatch):
@@ -741,6 +771,48 @@ def test_a_payload_equal_to_a_queued_one_is_digested_as_it_encodes(keys_4_1):
     net.run(until=lambda: all(logs[p] for p in rts), max_steps=400_000)
     assert rts[2].instances[session].rounds[1].proposal.batch == (variant,)
     assert all(logs[p] == [request] and type(logs[p][0][2]) is int for p in rts)
+
+
+# -- the gate: a round opens once the round before it has its proposals -----------
+
+
+def test_a_submission_waits_for_the_collecting_round_then_rides_the_next(keys_4_1):
+    inst, ctx, session = _lone_party(keys_4_1, "gate-hold", AbcConfig(pipeline_depth=4))
+    first, second, third = ("req", "first"), ("req", "second"), ("req", "third")
+    inst.submit(ctx, first)  # nothing is collecting: round 1 opens at once
+    inst.on_message(ctx, 1, inst.rounds[1].proposal)  # its own copy, delivered
+    inst.on_message(ctx, 0, _signed(keys_4_1, session, 0, 1, ()))
+    inst.submit(ctx, second)
+    inst.submit(ctx, third)
+    # Round 1 holds two of a quorum of three: the gate holds both
+    # submissions, with a free pipeline slot, and checks no signature.
+    assert inst.highest_started == 1 and list(inst.queue) == [first, second, third]
+    assert not any(rec.verdicts for rec in inst.rounds.values())
+    inst.on_message(ctx, 2, _signed(keys_4_1, session, 2, 1, ()))
+    # The quorum starts round 1's agreement, which opens the gate: what
+    # queued meanwhile rides round 2 together, and round 2 collects.
+    assert inst.rounds[1].agreement_started
+    assert inst.highest_started == 2 and inst.rounds[2].proposal.batch == (second, third)
+    inst.submit(ctx, ("req", "fourth"))
+    assert inst.highest_started == 2
+
+
+def test_a_peers_proposal_opens_the_next_round_past_the_gate(keys_4_1):
+    inst, ctx, session = _lone_party(keys_4_1, "gate-join", AbcConfig(pipeline_depth=4))
+    first, second = ("req", "first"), ("req", "second")
+    inst.submit(ctx, first)
+    inst.submit(ctx, second)
+    assert inst.highest_started == 1  # round 1 collects: the gate holds
+    # A forged round-2 proposal (party 2's key, sent by 3) is no evidence:
+    # checked because the gate would hold, refused, and the gate holds.
+    inst.on_message(ctx, 3, _signed(keys_4_1, session, 2, 2, ()))
+    assert inst.highest_started == 1 and inst.rounds[2].verdicts == {3: False}
+    # A valid one is: the party joins round 2 at once with its queue,
+    # round 1 still collecting — the gate never keeps a quorum waiting.
+    inst.on_message(ctx, 0, _signed(keys_4_1, session, 0, 2, ()))
+    assert not inst.rounds[1].agreement_started
+    assert inst.highest_started == 2 and inst.rounds[2].proposal.batch == (second,)
+    assert inst.rounds[2].verdicts == {3: False, 0: True}  # each checked once
 
 
 # -- close: an epoch's last operation ends its session's ordering -----------------
