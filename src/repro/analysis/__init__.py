@@ -13,9 +13,7 @@ cross-cutting invariants hold everywhere in the codebase:
 * async handlers neither drop coroutines nor mutate shared state after
   an ``await`` without re-checking the round guard (RL005);
 * shared state read before a suspension is not written back after it
-  without re-validation (RL008, over the call graph in
-  :mod:`repro.analysis.project` and the effect summaries in
-  :mod:`repro.analysis.effects`).
+  without re-validation (RL008, one async function at a time).
 
 Run it with ``python -m repro lint`` (see docs/STATIC_ANALYSIS.md), or
 programmatically::
@@ -36,7 +34,6 @@ from .engine import (
     run_lint,
     write_baseline,
 )
-from .project import ProjectGraph
 from .rules import ALL_RULES, Rule, rules_by_id
 from .sarif import format_sarif
 from .source import LintSyntaxError, SourceFile
@@ -50,7 +47,6 @@ __all__ = [
     "Diagnostic",
     "LintReport",
     "LintSyntaxError",
-    "ProjectGraph",
     "Rule",
     "Severity",
     "SourceFile",

@@ -108,7 +108,7 @@ class Baseline:
             ),
             "entries": [entry.to_dict() for entry in self.entries],
         }
-        path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+        path.write_text(json.dumps(payload, indent=2, ensure_ascii=False) + "\n", encoding="utf-8")
 
     def split(
         self, diagnostics: list[Diagnostic]

@@ -50,6 +50,9 @@ class LintReport:
     files_scanned: int
     errors: list[str] = field(default_factory=list)  # unparseable files etc.
     timings: dict[str, float] = field(default_factory=dict)  # rule id -> seconds
+    # (rule id, relpath) pairs this run checked; --write-baseline keeps
+    # every entry outside them.
+    checked: set[tuple[str, str]] = field(default_factory=set)
 
     @property
     def error_count(self) -> int:
@@ -167,6 +170,12 @@ def lint_sources(
         stale_baseline=stale,
         files_scanned=len(sources),
         timings=timings,
+        checked={
+            (rule.rule_id, source.relpath)
+            for rule in active
+            for source in sources
+            if rule.applies_to(source.relpath)
+        },
     )
 
 
@@ -202,22 +211,24 @@ def run_lint(
 def write_baseline(report: LintReport, path: Path) -> Baseline:
     """Snapshot the report's findings (new + already baselined) to ``path``.
 
-    Hand-written ``reason`` fields (and multi-occurrence ``count``s) of
-    entries already in the file are preserved; only genuinely new
-    entries get the add-a-justification placeholder.
+    Entries already in the file that the run did not check — their rule
+    was not run, or their file was not scanned or did not parse — are
+    kept as they are.  Hand-written ``reason`` fields of the re-found
+    entries are preserved; only genuinely new entries get the
+    add-a-justification placeholder.
     """
-    existing: dict[tuple[str, str, str], BaselineEntry] = {}
-    if path.exists():
-        for entry in Baseline.load(path).entries:
-            existing.setdefault(entry.fingerprint(), entry)
+    existing = Baseline.load(path).entries if path.exists() else []
+    reasons = {entry.fingerprint(): entry.reason for entry in reversed(existing) if entry.reason}
     baseline = Baseline.from_diagnostics(
         report.diagnostics + report.baselined,
         reason="baselined by --write-baseline; add a specific justification",
     )
     for entry in baseline.entries:
-        kept = existing.get(entry.fingerprint())
-        if kept is not None and kept.reason:
-            entry.reason = kept.reason
+        entry.reason = reasons.get(entry.fingerprint(), entry.reason)
+    baseline.entries += [
+        entry for entry in existing if (entry.rule, entry.path) not in report.checked
+    ]
+    baseline.entries.sort(key=lambda entry: (entry.path, entry.line, entry.rule))
     baseline.write(path)
     return baseline
 

@@ -25,13 +25,25 @@ from __future__ import annotations
 import ast
 
 from ..diagnostics import Diagnostic
-from ..project import decorator_names
 from ..source import SourceFile
 from . import Rule
 
 __all__ = ["MessageRegistrationRule"]
 
 _SEND_METHODS = {"broadcast", "send"}
+
+
+def decorator_names(node: ast.ClassDef) -> set[str]:
+    """``dataclass`` for ``@dataclass(frozen=True)``, ``register`` for
+    ``@register`` / ``@codec.register``."""
+    names: set[str] = set()
+    for deco in node.decorator_list:
+        target = deco.func if isinstance(deco, ast.Call) else deco
+        if isinstance(target, ast.Name):
+            names.add(target.id)
+        elif isinstance(target, ast.Attribute):
+            names.add(target.attr)
+    return names
 
 
 def _registered_names(sources: list[SourceFile]) -> set[str]:

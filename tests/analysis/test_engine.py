@@ -403,3 +403,52 @@ def test_cli_help_lists_lint(capsys):
         main(["--help"])
     assert exc.value.code == 0
     assert "lint" in capsys.readouterr().out
+
+
+# -- --write-baseline keeps what the run did not check ----------------------------
+
+NONDETERMINISM = "import random\n\ndef pick(items):\n    return random.choice(items)\n"
+
+
+def _justified_baseline(path, *reports):
+    baseline = Baseline.from_diagnostics(
+        [diag for report in reports for diag in report.diagnostics], reason="by hand"
+    )
+    baseline.write(path)
+    return baseline
+
+
+def test_write_baseline_keeps_entries_of_rules_not_run(tmp_path):
+    sources = [
+        SourceFile.from_source(VIOLATION, relpath="core/quorum.py"),
+        SourceFile.from_source(NONDETERMINISM, relpath="core/pick.py"),
+    ]
+    path = tmp_path / "baseline.json"
+    full = lint_sources(sources, rules=rules_by_id(["RL001", "RL003"]))
+    _justified_baseline(path, full)
+    assert {entry.rule for entry in Baseline.load(path).entries} == {"RL001", "RL003"}
+
+    subset = lint_sources(
+        sources, rules=rules_by_id(["RL001"]), baseline=Baseline.load(path)
+    )
+    write_baseline(subset, path)
+    entries = Baseline.load(path).entries
+    assert [(e.rule, e.path, e.reason) for e in entries] == [
+        ("RL003", "core/pick.py", "by hand"),
+        ("RL001", "core/quorum.py", "by hand"),
+    ]
+
+
+def test_write_baseline_keeps_entries_of_paths_not_checked(tmp_path):
+    path = tmp_path / "baseline.json"
+    _justified_baseline(
+        path, _report(relpath="core/a.py"), _report(relpath="smr/b.py")
+    )
+    # A run over core/ only: smr/b.py's entry is outside it and stays,
+    # while core/a.py's entry, now fixed, goes.
+    fixed = _report(text="def f(ctx):\n    return ctx.quorum\n", relpath="core/a.py")
+    write_baseline(fixed, path)
+    entries = Baseline.load(path).entries
+    assert [(e.rule, e.path, e.reason) for e in entries] == [
+        ("RL001", "smr/b.py", "by hand")
+    ]

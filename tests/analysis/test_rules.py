@@ -2,6 +2,8 @@
 
 from pathlib import Path
 
+import pytest
+
 from repro.analysis import SourceFile, lint_sources, rules_by_id
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -203,7 +205,7 @@ def test_noqa_for_other_rule_does_not_suppress():
     assert locations(report) == [("RL001", 2)]
 
 
-# -- RL008: stale read across await (project-wide) -------------------------------
+# -- RL008: stale read across await (per file) -----------------------------------
 
 
 def test_rl008_fires_on_each_hazard_kind():
@@ -292,3 +294,175 @@ def test_rl008_catches_a_seeded_stale_alias_in_the_real_redial_loop():
     assert fired, "a stale alias written after the dial must be caught"
     assert "_inbound" in fired[0].message
     assert alias_findings(revalidated) == []
+
+
+# Each scanner behaviour on a small module: every RL008 finding's line
+# and the message fragment naming its cell, read and suspension lines.
+SCANNER_CASES = [
+    pytest.param(
+        "import asyncio\n"
+        "counter = 0\n"
+        "async def bump():\n"
+        "    global counter\n"
+        "    v = counter\n"
+        "    await asyncio.sleep(0)\n"
+        "    counter = v + 1\n",
+        [(7, "core/mod.py::counter read at line 5 is written back after "
+             "the suspension at line 6")],
+        id="global-cell-is-module-scoped",
+    ),
+    pytest.param(
+        "import asyncio\n"
+        "class C:\n"
+        "    async def lost_update(self):\n"
+        "        v = self.count\n"
+        "        await asyncio.sleep(0)\n"
+        "        self.count = v + 1\n"
+        "    async def via_helper(self):\n"
+        "        v = self.count\n"
+        "        await asyncio.sleep(0)\n"
+        "        self.put(v)\n"
+        "    def put(self, value):\n"
+        "        self.count = value\n"
+        "    async def alias(self):\n"
+        "        entry = self.table.get('k')\n"
+        "        await asyncio.sleep(0)\n"
+        "        entry.field = 1\n",
+        [
+            (6, "C.count read at line 4 is written back after the suspension at line 5"),
+            (10, "C.count read at line 8 is written back via put() after the "
+                 "suspension at line 9"),
+            (16, "object obtained from C.table at line 14 is mutated after the "
+                 "suspension at line 15"),
+        ],
+        id="read-suspend-write-lines-of-each-kind",
+    ),
+    pytest.param(
+        "import asyncio\n"
+        "class C:\n"
+        "    async def guarded(self):\n"
+        "        v = self.count\n"
+        "        await asyncio.sleep(0)\n"
+        "        if v != self.count:\n"
+        "            return\n"
+        "        self.count = v + 1\n",
+        [],
+        id="revalidation-clears-the-hazard",
+    ),
+    pytest.param(
+        "import asyncio\n"
+        "class C:\n"
+        "    async def stale_again(self):\n"
+        "        v = self.count\n"
+        "        await asyncio.sleep(0)\n"
+        "        if v != self.count:\n"
+        "            return\n"
+        "        await asyncio.sleep(0)\n"
+        "        self.count = v + 1\n",
+        [(9, "C.count read at line 4 is written back after the suspension at line 8")],
+        id="validation-expires-at-the-next-suspension",
+    ),
+    pytest.param(
+        "import asyncio\n"
+        "class C:\n"
+        "    async def pump(self):\n"
+        "        v = self.count\n"
+        "        while True:\n"
+        "            await asyncio.sleep(0)\n"
+        "            self.count = v + 1\n",
+        [(7, "C.count read at line 4 is written back after the suspension at line 6")],
+        id="loop-carried-staleness",
+    ),
+    pytest.param(
+        # One branch suspends, the other does not: the merged state must
+        # still treat the capture as stale (the suspension may have run).
+        "import asyncio\n"
+        "class C:\n"
+        "    async def maybe(self, flag):\n"
+        "        v = self.count\n"
+        "        if flag:\n"
+        "            await asyncio.sleep(0)\n"
+        "        self.count = v + 1\n",
+        [(7, "C.count read at line 4 is written back after the suspension at line 6")],
+        id="branch-merge-keeps-the-stale-path",
+    ),
+    pytest.param(
+        "import asyncio\n"
+        "class C:\n"
+        "    async def run(self):\n"
+        "        v = self.slot\n"
+        "        await asyncio.sleep(0)\n"
+        "        self.forward(v)\n"
+        "    def forward(self, item):\n"
+        "        self.store(item)\n"
+        "    def store(self, value):\n"
+        "        self.slot = value\n",
+        [(6, "C.slot read at line 4 is written back via forward() after the "
+             "suspension at line 5")],
+        id="helper-chain-forward-to-store",
+    ),
+    pytest.param(
+        # A read, a suspension and a write in one coroutine fire; a sync
+        # method returning a cell passes it on; a caller that never
+        # suspends writes nothing stale.
+        "import asyncio\n"
+        "class C:\n"
+        "    async def bump(self):\n"
+        "        v = self.count\n"
+        "        await asyncio.sleep(0)\n"
+        "        self.count = v + 1\n"
+        "    def peek(self):\n"
+        "        return self.count\n"
+        "    def touch(self):\n"
+        "        v = self.peek()\n"
+        "        self.count = v + 1\n"
+        "    async def via_peek(self):\n"
+        "        v = self.peek()\n"
+        "        await asyncio.sleep(0)\n"
+        "        self.count = v\n",
+        [
+            (6, "C.count read at line 4 is written back after the suspension at line 5"),
+            (15, "C.count read at line 13 is written back after the suspension "
+                 "at line 14"),
+        ],
+        id="direct-reads-writes-and-suspension",
+    ),
+    pytest.param(
+        "import asyncio\n"
+        "class C:\n"
+        "    async def run(self):\n"
+        "        v = self.indirect()\n"
+        "        await asyncio.sleep(0)\n"
+        "        self.count = v + 1\n"
+        "    def snapshot(self):\n"
+        "        return self.count\n"
+        "    def indirect(self):\n"
+        "        return self.snapshot()\n",
+        [(6, "C.count read at line 4 is written back after the suspension at line 5")],
+        id="helper-returned-cell",
+    ),
+    pytest.param(
+        # `self.load()` calls a method: it reads no cell `C.load`, so
+        # nothing stale is written back to one.
+        "import asyncio\n"
+        "class C:\n"
+        "    async def refresh(self):\n"
+        "        v = self.load()\n"
+        "        await asyncio.sleep(0)\n"
+        "        self.load = v\n"
+        "    def load(self):\n"
+        "        return 1\n",
+        [],
+        id="a-called-method-is-not-a-cell-read",
+    ),
+]
+
+
+@pytest.mark.parametrize("text, expected", SCANNER_CASES)
+def test_rl008_scanner_behaviour(text, expected):
+    source = SourceFile.from_source(text, relpath="core/mod.py")
+    report = lint_sources([source], rules=rules_by_id(["RL008"]))
+    found = [(d.line, d.message) for d in report.diagnostics]
+    assert [line for line, _ in found] == [line for line, _ in expected]
+    for (_, message), (_, fragment) in zip(found, expected):
+        assert fragment in message
