@@ -20,6 +20,7 @@ it accepts) and able to construct only registered dataclasses.
 from __future__ import annotations
 
 import dataclasses
+import operator
 import struct
 from typing import Any, Callable
 
@@ -67,8 +68,15 @@ _N, _T, _F, _J, _K, _S, _B, _L, _E, _D, _C = b"NTFjkSBLEDC"
 # Registration compiles a codec per class.  The writer is found by the
 # value's exact type (the built-ins' writers are added below); a
 # dataclass's writer holds the bytes that open it (tag, name, field
-# count) and the attributes to walk.  The reader finds the class, and
-# the field count it must read, by the raw name bytes.
+# count) and reads its fields in one call.  The reader finds the class,
+# and the field count it must read, by the raw name bytes.
+#
+# Every writer is ``writer(out, value, depth)``, ``depth`` being the
+# value's own nesting level (0 at the top).  A container writes its
+# members at ``depth + 1`` through :func:`_write_items`, which checks the
+# bound once for all of them, writes ``int``, ``bytes`` and ``str``
+# members in place, without a writer call, and a ``tuple`` member by
+# calling itself.
 _Writer = Callable[[bytearray, Any, int], None]
 _WRITERS: dict[type, _Writer] = {}
 _BY_NAME: dict[bytes, tuple[type, int]] = {}
@@ -84,11 +92,15 @@ def register(cls: type) -> type:
         raise CodecError(f"duplicate registration for {cls.__name__}")
     attributes = tuple(field.name for field in dataclasses.fields(cls))
     header = b"C" + _pack_length(len(name)) + name + _pack_length(len(attributes))
+    # attrgetter reads every field in one call: a tuple for two names or
+    # more, the bare value for one.
+    read = operator.attrgetter(*attributes) if attributes else lambda value: ()
+    single = len(attributes) == 1
 
     def write_fields(out: bytearray, value: object, depth: int) -> None:
         out += header
-        for attribute in attributes:
-            write(out, getattr(value, attribute), depth)
+        fields = read(value)
+        _write_items(out, (fields,) if single else fields, depth + 1)
 
     _WRITERS[cls] = write_fields
     _BY_NAME[name] = (cls, len(attributes))
@@ -105,26 +117,68 @@ def registered_types() -> dict[str, type]:
 def dumps(value: object) -> bytes:
     """Encode one value into its canonical bytes."""
     out = bytearray()
-    write(out, value, 0)
+    _write_items(out, (value,), 0)
     return bytes(out)
 
 
 def write(out: bytearray, value: object, depth: int) -> None:
-    """Append the encoding of ``value`` to ``out``."""
-    if depth > MAX_DEPTH:
+    """Append the encoding of ``value``, nested ``depth`` levels deep, to
+    ``out``."""
+    _write_items(out, (value,), depth)
+
+
+# The tag and length that open a value, in one call.
+_pack_head = struct.Struct(">cI").pack
+# Party ids, indices and small counters, rendered whole at import: zero
+# has an empty body, the others one byte.
+_SMALL_INTS = (_pack_head(b"j", 0),) + tuple(
+    _pack_head(b"j", 1) + bytes([i]) for i in range(1, 64)
+)
+
+
+def _write_items(out: bytearray, items: tuple, depth: int) -> None:
+    """Append the encoding of each of ``items``, all nested ``depth``
+    levels deep."""
+    if depth > MAX_DEPTH and items:
         raise CodecError("value too deeply nested")
-    writer = _WRITERS.get(type(value))
-    if writer is None:
-        writer = _inherited_writer(value)
-    writer(out, value, depth + 1)
+    for item in items:
+        kind = type(item)
+        if kind is int:
+            if 0 <= item < 64:
+                out += _SMALL_INTS[item]
+                continue
+            if item < 0:
+                item = -item
+                tag = b"k"
+            else:
+                tag = b"j"
+            size = (item.bit_length() + 7) >> 3
+            out += _pack_head(tag, size)
+            out += item.to_bytes(size, "big")
+        elif kind is bytes:
+            out += _pack_head(b"B", len(item))
+            out += item
+        elif kind is str:
+            body = item.encode("utf-8")
+            out += _pack_head(b"S", len(body))
+            out += body
+        elif kind is tuple:
+            out += _pack_head(b"L", len(item))
+            _write_items(out, item, depth + 1)
+        else:
+            writer = _WRITERS.get(kind)
+            if writer is not None:
+                writer(out, item, depth)
+            else:
+                _write_items(out, (_as_builtin(item),), depth)
 
 
-def _inherited_writer(value: object) -> _Writer:
+def _as_builtin(value: object) -> object:
     """A subclass is written as the built-in it extends; nothing else
     has a writer."""
-    for base in _BUILTINS:
+    for base, convert in _BUILTINS:
         if isinstance(value, base):
-            return _WRITERS[base]
+            return convert(value)
     kind = type(value).__name__
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         raise CodecError(f"unregistered dataclass {kind}")
@@ -139,76 +193,46 @@ def _write_bool(out: bytearray, value: bool, depth: int) -> None:
     out += b"T" if value else b"F"
 
 
-def _write_int(out: bytearray, value: int, depth: int) -> None:
-    if value < 0:
-        value = -value
-        out += b"k"
-    else:
-        out += b"j"
-    body = value.to_bytes((value.bit_length() + 7) >> 3, "big")
-    out += _pack_length(len(body))
-    out += body
-
-
-def _write_str(out: bytearray, value: str, depth: int) -> None:
-    body = value.encode("utf-8")
-    out += b"S"
-    out += _pack_length(len(body))
-    out += body
-
-
-def _write_bytes(out: bytearray, value: bytes, depth: int) -> None:
-    out += b"B"
-    out += _pack_length(len(value))
-    out += value
-
-
 def _refuse_encoded(out: bytearray, value: Encoded, depth: int) -> None:
     raise CodecError("Encoded is part of a hash input, not a value")
 
 
-def _write_tuple(out: bytearray, value: tuple, depth: int) -> None:
-    out += b"L"
-    out += _pack_length(len(value))
-    for item in value:
-        write(out, item, depth)
-
-
-def _fragment(value: object, depth: int) -> bytes:
-    """One member of a set or dict, encoded apart so members can sort."""
+def _fragment(members: tuple, depth: int) -> bytes:
+    """One member of a set (or key and value of a dict), encoded apart
+    so members can sort."""
     fragment = bytearray()
-    write(fragment, value, depth)
+    _write_items(fragment, members, depth)
     return bytes(fragment)
 
 
 def _write_frozenset(out: bytearray, value: frozenset, depth: int) -> None:
-    members = sorted(_fragment(item, depth) for item in value)
-    out += b"E"
-    out += _pack_length(len(members))
+    members = sorted([_fragment((item,), depth + 1) for item in value])
+    out += _pack_head(b"E", len(members))
     out += b"".join(members)
 
 
 def _write_dict(out: bytearray, value: dict, depth: int) -> None:
-    members = sorted(
-        _fragment(key, depth) + _fragment(val, depth) for key, val in value.items()
-    )
-    out += b"D"
-    out += _pack_length(len(members))
+    members = sorted([_fragment(pair, depth + 1) for pair in value.items()])
+    out += _pack_head(b"D", len(members))
     out += b"".join(members)
 
 
-# In the order a subclass is matched against them; ``bool`` cannot be
-# subclassed and is found by exact type before ``int`` is tried.
-_BUILTINS = (int, str, bytes, tuple, frozenset, dict)
+# A subclass's base and how to make the plain built-in from it, in the
+# order they are tried; ``bool`` cannot be subclassed and is found by
+# exact type before ``int`` is tried.
+_BUILTINS = (
+    (int, int.__index__),
+    (str, str.__str__),
+    (bytes, bytes),
+    (tuple, tuple),
+    (frozenset, frozenset),
+    (dict, dict),
+)
 _WRITERS.update(
     {
         type(None): _write_none,
         bool: _write_bool,
-        int: _write_int,
-        str: _write_str,
-        bytes: _write_bytes,
         Encoded: _refuse_encoded,
-        tuple: _write_tuple,
         frozenset: _write_frozenset,
         dict: _write_dict,
     }

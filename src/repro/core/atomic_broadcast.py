@@ -318,6 +318,8 @@ class AtomicBroadcast(Protocol):
         self._delivering = False
         self._after_close: Callable[[], None] | None = None
         self.rounds: dict[int, _Round] = {}
+        # Whether a round record stored a batch since _retry_predicates ran.
+        self._unpoked = False
         self.lag_reports: dict[int, int] = {}
         self._lag_notified = False
         self.payloads_delivered = 0
@@ -494,7 +496,7 @@ class AtomicBroadcast(Protocol):
         self, ctx: Context, sender: int, message: AbcProposal
     ) -> None:
         r = message.round
-        if not isinstance(r, int) or not self.round < r <= self.round + _ROUND_HORIZON:
+        if type(r) is not int or not self.round < r <= self.round + _ROUND_HORIZON:
             return
         key = ctx.public.verify_keys.get(sender)
         if key is None or not _well_formed(message.batch, self.config.max_batch):
@@ -545,6 +547,7 @@ class AtomicBroadcast(Protocol):
         """Keep ``batch`` in ``rec``, and send it to whoever asked early."""
         if digest not in rec.batches:
             rec.batches[digest] = batch
+            self._unpoked = True
             for asker in sorted(rec.askers.pop(digest, ())):
                 ctx.send(asker, AbcBatch(digest, batch))
 
@@ -552,7 +555,7 @@ class AtomicBroadcast(Protocol):
         self, ctx: Context, sender: int, message: AbcBatchRequest
     ) -> None:
         r, digest = message.round, message.digest
-        if not isinstance(r, int) or not isinstance(digest, bytes):
+        if type(r) is not int or not isinstance(digest, bytes):
             return
         if r > self.round + self._window():
             return
@@ -580,7 +583,7 @@ class AtomicBroadcast(Protocol):
 
     def _on_rejoin(self, ctx: Context, sender: int, message: AbcRejoin) -> None:
         base = message.round
-        if not isinstance(base, int):
+        if type(base) is not int:
             return
         for r in sorted(self.rounds):
             own = self.rounds[r].proposal
@@ -661,7 +664,7 @@ class AtomicBroadcast(Protocol):
                 if not (isinstance(entry, tuple) and len(entry) == 3):
                     return False
                 j, digest, sig = entry
-                if not isinstance(j, int) or not isinstance(digest, bytes):
+                if type(j) is not int or not isinstance(digest, bytes):
                     return False
                 if rec.proposals.get(j) == (digest, sig):
                     if not self._checked(ctx, rec, j):
@@ -703,7 +706,12 @@ class AtomicBroadcast(Protocol):
 
     def _retry_predicates(self, ctx: Context) -> None:
         """Poke in-flight agreements whose CBC validations may pass now
-        that a new batch arrived."""
+        that a new batch arrived.  A validation reads no other state that
+        can turn it true, so with no batch held since the last poke there
+        is nothing to re-run."""
+        if not self._unpoked:
+            return
+        self._unpoked = False
         for r in range(self.round + 1, self.highest_started + 1):
             rec = self.rounds.get(r)
             if rec is None or not rec.agreement_started:

@@ -199,7 +199,7 @@ class BinaryAgreement(Protocol):
             self._on_done(ctx, sender, message.value)
             return
         r = getattr(message, "round", None)
-        if not isinstance(r, int) or not 1 <= r <= self.round + _ROUND_HORIZON:
+        if type(r) is not int or not 1 <= r <= self.round + _ROUND_HORIZON:
             return
         if r == 1 and isinstance(message, AbaCoinShare):
             return  # round 1 has no coin to open: nothing to hold or check

@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Hashable
 
-from ..codec import register
+from ..codec import Encoded, register
 from ..crypto.dealer import PublicKeys
 from ..crypto.schnorr import Signature, VerifiedMemo
 from ..crypto.threshold_sig import QuorumCertificate
@@ -166,6 +166,10 @@ class ConsistentBroadcast(Protocol):
         # the spawning layer re-pokes us via retry_pending.
         self._pending_send: tuple[Hashable] | None = None
         self.shares: dict[int, Signature] = {}
+        # The sender's certificate statement over its value, encoded at
+        # the first echo share and read by every later check and the
+        # combine; dropped once the certificate is out.
+        self.statement: Encoded | None = None
         self.finalized = False
         self.delivered = False
 
@@ -220,17 +224,16 @@ class ConsistentBroadcast(Protocol):
     def _on_share(self, ctx: Context, sender: int, signature: Signature) -> None:
         if ctx.party != self.sender or self.finalized or self.value is None:
             return
-        statement = _statement(ctx.session, self.value)
-        if not ctx.public.cert_quorum.verify_share(
-            statement, (sender, signature), ctx.verified
-        ):
+        scheme = ctx.public.cert_quorum
+        if self.statement is None:
+            self.statement = scheme.statement(_statement(ctx.session, self.value))
+        if not scheme.verify_share(self.statement, (sender, signature), ctx.verified):
             return
         self.shares[sender] = signature
         if ctx.quorum.is_quorum(self.shares):
             self.finalized = True
-            certificate = ctx.public.cert_quorum.combine(
-                statement, self.shares, ctx.verified
-            )
+            certificate = scheme.combine(self.statement, self.shares, ctx.verified)
+            self.statement = None
             ctx.broadcast(CbcFinal(self.value, certificate))
 
     def _on_final(self, ctx: Context, sender: int, message: CbcFinal) -> None:

@@ -33,7 +33,16 @@ SessionId = tuple
 
 
 class Protocol:
-    """A message-driven protocol instance bound to one session."""
+    """A message-driven protocol instance bound to one session.
+
+    ``session`` is the id the runtime spawned it under, set at spawn;
+    every message routed to it comes with a :class:`Context` for that
+    id, never for a received spelling that merely compares equal
+    (``("mvba", (s, True)) == ("mvba", (s, 1))``, yet they hash apart).
+    An instance is held under one session at a time.
+    """
+
+    session: SessionId
 
     def on_start(self, ctx: "Context") -> None:
         """Called once when the instance is spawned."""
@@ -61,6 +70,8 @@ class Context:
         verified: this server's memo of signatures it already accepted,
             passed to every signature check (verify once per party).
     """
+
+    __slots__ = ("_runtime", "session")
 
     def __init__(self, runtime: "ProtocolRuntime", session: SessionId) -> None:
         self._runtime = runtime

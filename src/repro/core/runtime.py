@@ -77,6 +77,7 @@ class ProtocolRuntime(Node):
             self._children.setdefault(parent, {})[session] = None
         if on_output is not None:
             self.subscribe(session, on_output)
+        protocol.session = session
         ctx = Context(self, session)
         protocol.on_start(ctx)
         for sender, message in self._buffered.pop(session, []):
@@ -132,7 +133,7 @@ class ProtocolRuntime(Node):
                 if len(queue) < _BUFFER_LIMIT:
                     queue.append((sender, message))
             return
-        instance.on_message(Context(self, session), sender, message)
+        instance.on_message(Context(self, instance.session), sender, message)
 
     def _admitted(self, session: SessionId) -> bool:
         """Whether traffic for ``session``, which nobody holds, may wait:
@@ -142,7 +143,7 @@ class ProtocolRuntime(Node):
         while (named := _named(path[-1])) is not None:
             holder = self.instances.get(named)
             if holder is not None:
-                if not holder.admits(Context(self, named), path[-1]):
+                if not holder.admits(Context(self, holder.session), path[-1]):
                     return False
                 chain = [named, *reversed(path)]
                 for parent, child in zip(chain, chain[1:]):

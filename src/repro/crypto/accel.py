@@ -393,13 +393,16 @@ def batch_coefficients(domain: str, transcript: object, count: int, bits: int = 
     Fiat-Shamir in the random-oracle model: the prover fixes every
     element of the batch before the coefficients exist, so a batch
     containing one bad equation survives with probability ``~2^-bits``.
+    The transcript is hashed once into a seed, and the coefficients are
+    consecutive ``bits``-wide words of one counter-mode stream over it:
+    each is still an oracle output of the whole transcript.
     """
     from .hashing import hash_bytes, hash_to_int  # local: hashing imports groups
 
     seed = hash_bytes(domain + "-seed", tuple(transcript))
-    return [
-        hash_to_int(domain + "-coeff", seed, i, bits=bits) or 1 for i in range(count)
-    ]
+    stream = hash_to_int(domain + "-coeff", seed, bits=bits * count)
+    mask = (1 << bits) - 1
+    return [(stream >> (bits * i)) & mask or 1 for i in range(count - 1, -1, -1)]
 
 
 def verify_product_equations(

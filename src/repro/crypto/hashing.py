@@ -60,17 +60,25 @@ def hash_to_int(domain: str, *parts: object, bits: int = 256) -> int:
     """Hash to an integer of up to ``bits`` bits via counter-mode SHA-256.
 
     Block ``i`` is ``hash_bytes(domain, i, *parts)``; the parts are
-    encoded once and only the counter per block.
+    encoded once, and each block's counter was rendered at import.
     """
-    needed = (bits + 7) // 8
+    return _stream_to_int(domain, encode(*parts), bits)
+
+
+# The block counters of a stream, rendered once: 16 blocks are 4,096 bits.
+_BLOCK_COUNTERS = tuple(encode(i) for i in range(16))
+
+
+def _stream_to_int(domain: str, body: bytes, bits: int) -> int:
+    needed = (bits + 7) >> 3
+    blocks = (needed + 31) >> 5
+    counters = (
+        _BLOCK_COUNTERS[:blocks] if blocks <= len(_BLOCK_COUNTERS)
+        else [encode(i) for i in range(blocks)]
+    )
     prefix = domain.encode("utf-8") + b"\x00"
-    body = encode(*parts)
-    out = bytearray()
-    counter = 0
-    while len(out) < needed:
-        out += hashlib.sha256(prefix + encode(counter) + body).digest()
-        counter += 1
-    return int.from_bytes(bytes(out[:needed]), "big") >> (8 * needed - bits)
+    stream = b"".join([hashlib.sha256(prefix + c + body).digest() for c in counters])
+    return int.from_bytes(stream[:needed], "big") >> (8 * needed - bits)
 
 
 # Width of every Fiat-Shamir challenge.  A cheating prover of a
@@ -113,28 +121,26 @@ def hash_to_exponent(group: SchnorrGroup, domain: str, *parts: object) -> int:
 
 
 # hash_to_group is a deterministic oracle and its hottest inputs recur
-# heavily (every share of a named coin re-derives H(C)); memoize hashable
-# inputs with a bounded cache.
+# heavily (every share of a named coin re-derives H(C)); memoize with a
+# bounded cache keyed by the bytes hashed, not by the parts: parts that
+# compare equal can encode apart (``True == 1``), and a key that
+# conflated them would answer for the other spelling.
 _TO_GROUP_CACHE: dict = {}
 _TO_GROUP_CACHE_MAX = 4096
 
 
 def hash_to_group(group: SchnorrGroup, domain: str, *parts: object) -> int:
     """Hash into the order-q subgroup (used e.g. to name coins in [8])."""
-    try:
-        key = (group.p, group.g, domain, parts)
-        cached = _TO_GROUP_CACHE.get(key)
-    except TypeError:  # unhashable parts: compute without memoizing
-        key = None
-        cached = None
+    body = encode(*parts)
+    key = (group.p, group.g, domain, body)
+    cached = _TO_GROUP_CACHE.get(key)
     if cached is not None:
         return cached
-    value = hash_to_int(domain, *parts, bits=group.p.bit_length() + 64)
+    value = _stream_to_int(domain, body, group.p.bit_length() + 64)
     element = group.element_from_bytes(value)
-    if key is not None:
-        if len(_TO_GROUP_CACHE) >= _TO_GROUP_CACHE_MAX:
-            _TO_GROUP_CACHE.clear()
-        _TO_GROUP_CACHE[key] = element
+    if len(_TO_GROUP_CACHE) >= _TO_GROUP_CACHE_MAX:
+        _TO_GROUP_CACHE.clear()
+    _TO_GROUP_CACHE[key] = element
     return element
 
 

@@ -361,9 +361,14 @@ class QuorumCertScheme:
     # :class:`~repro.crypto.schnorr.VerifiedMemo`): a share accepted on
     # arrival costs no arithmetic when the certificate is combined, nor
     # does the certificate in each later message that carries it.
+    # Every ``message`` below may also be given as its :meth:`statement`,
+    # so that a holder that checks many signatures on one message (a
+    # broadcast's sender, its echo shares) encodes it once.
 
-    def _statement(self, message: object) -> Encoded:
+    def statement(self, message: object) -> Encoded:
         """What shareholders sign, encoded once for all its signatures."""
+        if type(message) is Encoded:
+            return message  # already one: an Encoded is never a message
         return Encoded(encode((self.tag, message)))
 
     def _share_ok(
@@ -389,7 +394,7 @@ class QuorumCertScheme:
         memo: VerifiedMemo | None = None,
     ) -> bool:
         party, signature = share
-        return self._share_ok(self._statement(message), party, signature, memo)
+        return self._share_ok(self.statement(message), party, signature, memo)
 
     def _batch_ok(
         self,
@@ -419,7 +424,7 @@ class QuorumCertScheme:
         Falls back to per-share verification when the batch fails so
         culprits are pinpointed exactly (docs/PERFORMANCE.md).
         """
-        statement = self._statement(message)
+        statement = self.statement(message)
         if self._batch_ok([(statement, shares)], memo):
             return dict(shares)
         return {
@@ -437,7 +442,7 @@ class QuorumCertScheme:
         signers = frozenset(shares)
         if not self.qualifier(signers):
             raise ValueError(f"signers {sorted(signers)} do not form a qualified set")
-        statement = self._statement(message)
+        statement = self.statement(message)
         if not self._batch_ok([(statement, shares)], memo):
             for party, signature in sorted(shares.items()):
                 if not self._share_ok(statement, party, signature, memo):
@@ -454,7 +459,7 @@ class QuorumCertScheme:
     ) -> bool:
         if not self._qualified(certificate):
             return False
-        statement = self._statement(message)
+        statement = self.statement(message)
         if self._batch_ok([(statement, certificate.signatures)], memo):
             return True
         return all(
@@ -471,7 +476,7 @@ class QuorumCertScheme:
         batch; False says only that one fails (:meth:`verify` finds it)."""
         claims = list(claims)
         return all(self._qualified(cert) for _m, cert in claims) and self._batch_ok(
-            [(self._statement(message), cert.signatures) for message, cert in claims], memo
+            [(self.statement(message), cert.signatures) for message, cert in claims], memo
         )
 
 

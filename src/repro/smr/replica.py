@@ -346,7 +346,7 @@ class Replica(Protocol):
     def _on_recover_log(self, ctx: Context, sender: int, message: RecoverLog) -> None:
         if not self.recovering or not isinstance(message.entries, tuple):
             return
-        if not isinstance(message.round, int):
+        if type(message.round) is not int:
             return
         # Latest answer wins: peers keep progressing while recovery is
         # in flight, and a re-query must not stay pinned to a stale

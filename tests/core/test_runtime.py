@@ -178,6 +178,29 @@ def test_closing_a_session_forgets_everything_spawned_under_it(rig):
     assert rt._children == {("root",): {("q",): None}}
 
 
+class Sessions(Protocol):
+    """Records the session each message is handed with."""
+
+    def __init__(self):
+        self.seen = []
+
+    def on_message(self, ctx, sender, message):
+        self.seen.append(ctx.session)
+
+
+def test_a_message_sees_the_session_as_spawned(rig):
+    """``("s", True) == ("s", 1)`` routes to the instance spawned as
+    ``("s", 1)``, which sees its own id, not the spelling sent (one
+    that hashes apart)."""
+    net, rts = rig
+    inst = rts[1].spawn(("s", 1), Sessions())
+    net.send(0, 1, (("s", True), "spelled"))
+    net.send(0, 1, (("s", 1), "plain"))
+    net.run()
+    assert inst.seen == [("s", 1), ("s", 1)]
+    assert all(type(session[1]) is int for session in inst.seen)
+
+
 def test_context_exposes_identity_and_keys(rig):
     _, rts = rig
     ctx = Context(rts[3], ("s",))

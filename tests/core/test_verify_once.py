@@ -136,7 +136,17 @@ DLEQ_ITEMS_PER_COIN = (T + 1) - 1  # where the verifier's own share is one of th
 # replicas and the client (10).  The 20 batch digests now hash payload
 # digests and the 6 reply leaves name the request by its digest, one
 # encoding each as before.
-ENCODINGS_PER_ROUND = 219 - 4 + 2 * (N + 1)
+# 225 -> 195 with one hash stream per batch and each statement written
+# once per holder, three sources: the 8 batches of a round (4 ``CbcFinal``
+# batches of 4, 4, 4 and 9 signatures, 4 coin checks of 3 coefficients)
+# draw their 33 coefficients from 8 streams, one encoding each, where
+# every coefficient was one (25); the sender of each of the 4 consistent
+# broadcasts renders its statement once, at the first echo share, and
+# its 3 share checks and its ``combine`` read it, where each rendered it
+# (4 -> 1, 12); and the coin's base ``H(C)``, derived 8 times a round (4
+# shares made, 4 checks), is memoized by the encoding of its name, which
+# the 7 hits now render to look it up (7 more).
+ENCODINGS_PER_ROUND = 225 - (33 - 8) - 4 * (4 - 1) + 7
 
 # Bytes fed to SHA-256 through ``crypto/hashing`` per round (prefix
 # included): 66,304 when every batch digest and reply leaf hashed the
@@ -146,8 +156,15 @@ ENCODINGS_PER_ROUND = 219 - 4 + 2 * (N + 1)
 # 120 fewer), and each first sight hashes the request once (5 × 65 =
 # 325 more).  The request carries its index, and round 1's index, 0,
 # encodes one byte shorter: one byte less per hash that carries the
-# request — the N + 1 first sights (26 before).
-BYTES_HASHED_PER_ROUND = 66_304 - 320 - 120 + 325
+# request — the N + 1 first sights (26 before).  66,189 -> 64,599 with
+# one hash stream per batch: a coefficient was the hash of its domain's
+# prefix, a counter, the 37-byte seed and its index — 67 or 68 bytes
+# under ``schnorr-batch-coeff``, 64 or 65 under ``dleq-batch-coeff``:
+# 1,424 for the 21 signature coefficients and 776 for the 12 DLEQ ones
+# (2,200).  A stream hashes one block per 4 coefficients — 62, 63 and 63
+# bytes for the 9-signature batch, 62 for each 4-signature one, 59 for
+# each coin check — 610 in all: 1,590 fewer.
+BYTES_HASHED_PER_ROUND = 66_304 - 320 - 120 + 325 - (2_200 - 610)
 REQUEST_HASHES_PER_ROUND = N + 1
 
 # Full-size exponentiations of ``g`` inside verification — what a check

@@ -111,6 +111,17 @@ def test_hash_to_group_members():
     assert len(seen) == 30
 
 
+def test_hash_to_group_memo_keeps_equal_spellings_apart():
+    """``(1,) == (True,)``, but they encode apart, so they name different
+    elements, whichever the memo met first."""
+    grp = small_group()
+    for first, second in (((1,), (True,)), ((True, "b"), (1, "b"))):
+        one = hash_to_group(grp, "spelling", first)
+        other = hash_to_group(grp, "spelling", second)
+        assert one != other
+        assert hash_to_group(grp, "spelling", first) == one
+
+
 def test_xor_bytes():
     assert xor_bytes(b"\x0f\xf0", b"\xff\xff") == b"\xf0\x0f"
     with pytest.raises(ValueError):
