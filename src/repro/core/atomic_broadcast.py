@@ -35,12 +35,18 @@ honest party.
 Opening a round: this party opens round ``k+1`` with what it has queued
 once its round ``k`` has its proposals (``k``'s agreement started, or
 ``k`` was delivered), and at once when a checked proposal of a peer's
-for ``k+1`` is recorded (joining, below).  A request that arrives while
-the latest round still collects proposals waits, and rides the next
-round with all that queued meanwhile: a burst is one batch, not a round
-per free pipeline slot.  The wait ends: an honest party (this one)
-started the round it waits for, and honest parties join every round
-they see a proposal for, so its quorum forms (docs/PROTOCOLS.md).
+for ``k+1`` is recorded (joining, below).  A submission opens a round
+itself only when none of this party's is in flight; otherwise it waits
+in the queue for the next of those round events — an agreement that
+starts, a round delivered, a peer's proposal recorded — and rides that
+round with all that queued meanwhile: a burst is one batch, and so is a
+closed loop's returning wave, not a round per request.  The rule
+changes when this party signs, never what: a batch is still queued,
+undelivered and not in flight.  The wait ends: a fresh payload always
+has one of this party's rounds in flight to wait for, an honest party
+(this one) started it, and honest parties join every round they see a
+proposal for, so its quorum forms and it is delivered
+(docs/PROTOCOLS.md).
 
 Closing: :meth:`~AtomicBroadcast.close`, called while a payload is being
 delivered (an accepted epoch change, docs/RECONFIGURATION.md), makes it
@@ -359,8 +365,11 @@ class AtomicBroadcast(Protocol):
     # -- input ------------------------------------------------------------------
 
     def submit(self, ctx: Context, payload: Hashable) -> None:
-        """a-broadcast: enqueue a payload for total ordering (O(1))."""
-        if self._enqueue(payload):
+        """a-broadcast: enqueue a payload for total ordering (O(1)).  It
+        opens a round only when none of this party's is in flight; else
+        it rides the round the next round event opens (module docstring,
+        "Opening a round")."""
+        if self._enqueue(payload) and self.highest_started <= self.round:
             self._maybe_start_rounds(ctx)
 
     def _enqueue(self, payload: Hashable, entry: _Entry | None = None) -> bool:

@@ -4,6 +4,9 @@ import collections
 import random
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from helpers import ctx_for, make_network
 
@@ -23,6 +26,7 @@ from repro.core.binary_agreement import AbaBval, AbaDone
 from repro.core.consistent_broadcast import CbcFinal
 from repro.core.multivalued_agreement import MvbaDecision, MvbaValue
 from repro.core.runtime import ProtocolRuntime
+from repro.crypto import deal_system, small_group
 from repro.crypto.dealer import CLIENT_BASE
 from repro.crypto.schnorr import Signature
 from repro.crypto.threshold_sig import QuorumCertificate
@@ -1010,3 +1014,90 @@ def test_a_fast_forward_closes_what_the_window_let_wait():
     assert waiting in runtime._buffered
     replica.abc.resume_at(ctx_for(runtime, service_session()), 50)
     assert runtime._buffered == {} and runtime._children[service_session()] == {}
+
+
+# -- a submission waits for the round in flight: the invariant it relies on --------
+
+_KEYS_4_1 = deal_system(4, random.Random(1001), t=1, group=small_group())
+_POOL = [("req", k) for k in range(6)]
+_PEERS = [0, 2, 3]
+
+
+class _LonePartyRounds(RuleBasedStateMachine):
+    """Party 1 alone, fed submissions, signed peer proposals inside the
+    window, its own proposals' copies, decisions and fetched batches in
+    any order.  A submission opens a round only when none of the party's
+    is in flight; every other fresh payload waits for a round event.
+    The wait ends only if a fresh payload always has a round in flight
+    to wait for: that is the invariant."""
+
+    def __init__(self):
+        super().__init__()
+        self.inst, self.ctx, self.session = _lone_party(
+            _KEYS_4_1, "waits", AbcConfig(max_batch=3, pipeline_depth=2)
+        )
+        self.peer_batches = {}  # digest -> batch, for a fetch to answer
+
+    @rule(payload=st.sampled_from(_POOL))
+    def submit(self, payload):
+        self.inst.submit(self.ctx, payload)
+
+    @rule(
+        signers=st.lists(st.sampled_from(_PEERS), min_size=1, unique=True),
+        # Mostly the rounds in flight, so quorums form and rounds deliver.
+        ahead=st.one_of(st.just(1), st.just(2), st.integers(1, 2 + atomic_broadcast._BUFFER_SLACK)),
+        batch=st.lists(st.sampled_from(_POOL), unique=True, max_size=3),
+    )
+    def peer_proposals(self, signers, ahead, batch):
+        r = self.inst.round + ahead
+        for signer in signers:
+            proposal = _signed(_KEYS_4_1, self.session, signer, r, tuple(batch))
+            self.inst.on_message(self.ctx, signer, proposal)
+
+    @rule(ahead=st.integers(1, 2))
+    def own_copy(self, ahead):
+        rec = self.inst.rounds.get(self.inst.round + ahead)
+        if rec is not None and rec.proposal is not None:
+            self.inst.on_message(self.ctx, 1, rec.proposal)
+
+    def _undecided(self):
+        inst = self.inst
+        return [
+            rec for r, rec in sorted(inst.rounds.items())
+            if r > inst.round and rec.agreement_started and rec.decision is None
+        ]
+
+    @precondition(lambda self: self._undecided())
+    @rule(data=st.data())
+    def decide(self, data):
+        rec = data.draw(st.sampled_from(self._undecided()))
+        entries = sorted((j, digest, sig) for j, (digest, sig) in rec.proposals.items())
+        if data.draw(st.booleans()):
+            # An entry whose batch this party never saw: fetched first.
+            signer = data.draw(st.sampled_from(_PEERS))
+            batch = tuple(data.draw(st.lists(st.sampled_from(_POOL), unique=True, max_size=3)))
+            signed = _signed(_KEYS_4_1, self.session, signer, rec.number, batch)
+            digest = batch_digest(batch)
+            self.peer_batches[digest] = batch
+            entries = [e for e in entries if e[0] != signer] + [(signer, digest, signed.signature)]
+        value = data.draw(st.lists(st.sampled_from(entries), min_size=1, unique=True))
+        self.inst._on_decision(self.ctx, rec, MvbaDecision(proposer=0, value=tuple(sorted(value))))
+
+    @rule()
+    def answer_fetches(self):
+        for rec in list(self.inst.rounds.values()):
+            for digest in sorted(rec.requested - set(rec.batches)):
+                self.inst.on_message(self.ctx, 0, AbcBatch(digest, self.peer_batches[digest]))
+
+    @invariant()
+    def a_fresh_payload_has_a_round_in_flight(self):
+        inst = self.inst
+        assert not inst.closed
+        fresh = [p for p in inst.queue if p not in inst.delivered and p not in inst.in_flight]
+        assert not fresh or inst.highest_started > inst.round
+
+
+TestLonePartyRounds = _LonePartyRounds.TestCase
+TestLonePartyRounds.settings = settings(
+    max_examples=60, stateful_step_count=40, deadline=None, derandomize=True
+)
