@@ -4,7 +4,8 @@
 #   scripts/check.sh          # repro lint (JSON) + ruff + mypy + pytest
 #                             # + experiments (benchmarks/, EXPERIMENTS.md)
 #                             # + benchmark-harness/chaos/sweep smokes
-#                             # + src/, tests/, benchmarks/ and docs/ sizes
+#                             # + src/ (net/ orchestration too), tests/,
+#                             #   benchmarks/ and docs/ sizes
 #   scripts/check.sh --fast   # skip pytest, the experiments and the smokes
 #
 # The experiments step runs every paper-claim assertion of
@@ -206,6 +207,9 @@ find src/repro -name '*.py' -print0 | xargs -0 wc -l | awk '
         close("sort")
         printf "  %-17s %6d\n", "src/ total", total
     }'
+# The net/ orchestration ROADMAP aim 2 weighs against the paper's stack.
+(cd src/repro/net && cat runtime.py chaos.py transport.py sweep.py cluster.py checkers.py) |
+    wc -l | awk '{ printf "  %-17s %6d\n", "net/ orchestration", $1 }'
 for dir in tests benchmarks; do
     find "$dir" -name '*.py' -exec cat {} + | wc -l |
         awk -v dir="$dir" '{ printf "  %-17s %6d\n", dir "/ total", $1 }'

@@ -191,16 +191,11 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         return 0
     if args.chaos_command == "run":
         scenario = chaos.resolve_scenario(args.scenario, seed=args.chaos_seed)
-        return chaos.run_scenario(
-            scenario, directory=args.dir, keep=args.keep,
-            journal_out=args.journal,
-            failure_out=args.failure_json,
-            scenario_ref=args.scenario,
+        report = chaos.run_tcp(scenario, directory=args.dir, keep=args.keep)
+        return chaos.record_run(
+            report, args.journal, args.failure_json, scenario_ref=args.scenario
         )
-    return chaos.replay_journal(
-        args.journal, seed=args.chaos_seed, execute=args.execute,
-        directory=args.dir, keep=args.keep,
-    )
+    return chaos.replay_journal(args.journal)
 
 
 def _cmd_structure(args: argparse.Namespace) -> int:
@@ -439,8 +434,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     chaos_run.add_argument(
         "--scenario", default="torture",
-        help="builtin scenario name or path to a JSON spec "
-             "(see 'chaos list'; default: torture)",
+        help="builtin scenario name, or path to a JSON spec, a run journal "
+             "or a sweep repro bundle (see 'chaos list'; default: torture)",
     )
     chaos_run.add_argument("--seed", type=int, default=None, dest="chaos_seed",
                            help="override the scenario's seed")
@@ -458,17 +453,12 @@ def main(argv: list[str] | None = None) -> int:
     chaos_run.set_defaults(func=_cmd_chaos)
     chaos_replay = chaos_sub.add_parser(
         "replay",
-        help="re-derive a recorded run's fault schedule and verify it",
+        help="re-derive a recorded run's fault schedule and verify it "
+             "('chaos run --scenario <journal>' runs it again)",
     )
     chaos_replay.add_argument("--journal", default="chaos-journal.json",
-                              help="run journal written by 'chaos run'")
-    chaos_replay.add_argument("--seed", type=int, default=None,
-                              dest="chaos_seed",
-                              help="re-run under a different seed")
-    chaos_replay.add_argument("--execute", action="store_true",
-                              help="also re-run the scenario for real")
-    chaos_replay.add_argument("--dir", default=None)
-    chaos_replay.add_argument("--keep", action="store_true")
+                              help="run journal written by 'chaos run', "
+                                   "or a sweep repro bundle")
     chaos_replay.set_defaults(func=_cmd_chaos)
     chaos_list = chaos_sub.add_parser("list", help="list builtin scenarios")
     chaos_list.set_defaults(func=_cmd_chaos)

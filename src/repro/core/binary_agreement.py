@@ -118,6 +118,12 @@ def aba_session(tag: object) -> SessionId:
     return ("aba", tag)
 
 
+def _is_bit(value: object) -> bool:
+    """A received vote is exactly the ``int`` 0 or 1: ``True`` compares
+    equal to 1 but encodes apart, so an echo of it would split hashes."""
+    return type(value) is int and value in (0, 1)
+
+
 class _RoundState:
     """All mutable per-round bookkeeping."""
 
@@ -204,13 +210,13 @@ class BinaryAgreement(Protocol):
         if r == 1 and isinstance(message, AbaCoinShare):
             return  # round 1 has no coin to open: nothing to hold or check
         state = self._state(r)
-        if isinstance(message, AbaBval) and message.value in (0, 1):
+        if isinstance(message, AbaBval) and _is_bit(message.value):
             state.bval_from[message.value].add(sender)
-        elif isinstance(message, AbaAux) and message.value in (0, 1):
+        elif isinstance(message, AbaAux) and _is_bit(message.value):
             state.aux_from.setdefault(sender, message.value)
         elif isinstance(message, AbaConf):
             values = message.values
-            if isinstance(values, frozenset) and values and values <= {0, 1}:
+            if isinstance(values, frozenset) and values and all(map(_is_bit, values)):
                 state.conf_from.setdefault(sender, values)
         elif isinstance(message, AbaCoinShare):
             self._on_coin_share(ctx, sender, r, message.share)
@@ -330,7 +336,7 @@ class BinaryAgreement(Protocol):
             ctx.broadcast(AbaDone(value))
 
     def _on_done(self, ctx: Context, sender: int, value: int) -> None:
-        if value not in (0, 1):
+        if not _is_bit(value):
             return
         self.done_from[value].add(sender)
         supporters = self.done_from[value]

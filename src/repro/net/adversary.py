@@ -47,7 +47,7 @@ class CorruptionController:
 
         Requires the simulator backend (live node swap via ``nodes``);
         on the TCP backend a corrupted party is *started* byzantine
-        instead (``repro.net.chaos.byzantine_node`` /
+        instead (``repro.net.attacks.byzantine_node`` /
         ``run-replica --byzantine``) — the behavior classes themselves
         run on either backend.
         """

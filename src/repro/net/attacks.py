@@ -20,26 +20,32 @@ Each behavior is a :class:`~repro.net.simulator.Node` that can be
 attached in place of an honest server (typically registered through the
 :class:`~repro.net.adversary.CorruptionController`).  They are written
 against the :class:`~repro.net.base.NetworkBackend` surface, so they
-would run over the TCP transport as well as over the deterministic
-simulator; today only the simulator tests and experiments mount them
-(``repro.net.chaos`` builds its ``equivocate`` behavior from
-:class:`~repro.net.adversary.MutatingNode` instead).
+run over the TCP transport as well as over the deterministic simulator.
+
+:func:`byzantine_node` builds the kinds a chaos scenario or sweep shape
+names (:data:`BYZANTINE_KINDS`) for a whole party: ``equivocate`` is the
+party's own honest stack, built by its host, behind a
+:class:`~repro.net.adversary.MutatingNode`.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Hashable
+from typing import Callable, Hashable
 
 from ..core.atomic_broadcast import AbcProposal, batch_digest, proposal_statement
 from ..core.binary_agreement import AbaBval, AbaConf, AbaCoinShare, AbaDone
 from ..core.consistent_broadcast import CbcSend
 from ..core.reliable_broadcast import RbcSend
 from ..crypto.dealer import PartyKeys
+from .adversary import MutatingNode, SilentNode, SpamNode
 from .base import NetworkBackend
 from .simulator import Node
 
 __all__ = [
+    "BYZANTINE_KINDS",
+    "byzantine_node",
+    "signed_proposal",
     "EquivocatingRbcSender",
     "EquivocatingCbcSender",
     "TwoFacedVoter",
@@ -73,6 +79,8 @@ class EquivocatingRbcSender(_OneShot):
     delivered; with an even split, typically neither is.
     """
 
+    send = RbcSend  # the message each camp is sent, around its value
+
     def __init__(
         self,
         network: NetworkBackend,
@@ -90,43 +98,19 @@ class EquivocatingRbcSender(_OneShot):
 
     def on_start(self) -> None:
         self.fired = True
-        for target in self.camp_a:
-            self.network.send(self.party, target, (self.session, RbcSend(self.value_a)))
-        for target in self.camp_b:
-            self.network.send(self.party, target, (self.session, RbcSend(self.value_b)))
+        for camp, value in ((self.camp_a, self.value_a), (self.camp_b, self.value_b)):
+            for target in camp:
+                self.network.send(self.party, target, (self.session, self.send(value)))
 
     def attack(self, sender: int, payload: object) -> None:  # pragma: no cover
         pass
 
 
-class EquivocatingCbcSender(_OneShot):
+class EquivocatingCbcSender(EquivocatingRbcSender):
     """The same split against consistent broadcast: signature shares for
     conflicting values cannot both reach a quorum."""
 
-    def __init__(
-        self,
-        network: NetworkBackend,
-        party: int,
-        session: tuple,
-        value_a: Hashable,
-        value_b: Hashable,
-        camp_a: list[int],
-        camp_b: list[int],
-    ) -> None:
-        super().__init__(network, party)
-        self.session = session
-        self.value_a, self.value_b = value_a, value_b
-        self.camp_a, self.camp_b = camp_a, camp_b
-
-    def on_start(self) -> None:
-        self.fired = True
-        for target in self.camp_a:
-            self.network.send(self.party, target, (self.session, CbcSend(self.value_a)))
-        for target in self.camp_b:
-            self.network.send(self.party, target, (self.session, CbcSend(self.value_b)))
-
-    def attack(self, sender: int, payload: object) -> None:  # pragma: no cover
-        pass
+    send = CbcSend
 
 
 class TwoFacedVoter(_OneShot):
@@ -199,8 +183,68 @@ class DivergentAbcProposer(_OneShot):
 
     def attack(self, sender: int, payload: object) -> None:
         for target, batch in self.batches.items():
-            statement = proposal_statement(self.session, 1, batch_digest(batch))
-            signature = self.keys.signing_key.sign(statement, self.rng)
-            self.network.send(
-                self.party, target, (self.session, AbcProposal(1, batch, signature))
-            )
+            proposal = signed_proposal(self.keys, self.session, 1, batch, self.rng)
+            self.network.send(self.party, target, (self.session, proposal))
+
+
+def signed_proposal(
+    keys: PartyKeys, session: tuple, rnd: int, batch: tuple, rng: random.Random
+) -> AbcProposal:
+    """A validly signed proposal of ``batch`` for round ``rnd``: what a
+    corrupted party may send in place of the one it proposed."""
+    statement = proposal_statement(session, rnd, batch_digest(batch))
+    return AbcProposal(rnd, batch, keys.signing_key.sign(statement, rng))
+
+
+# -- whole corrupted parties ----------------------------------------------------------
+
+BYZANTINE_KINDS = ("silent", "spam", "equivocate")
+
+
+def byzantine_node(
+    kind: str,
+    network: NetworkBackend,
+    party: int,
+    keys: PartyKeys,
+    honest: Callable[[object], Node],
+    seed: int = 0,
+) -> Node:
+    """The node to attach in place of ``party``'s honest one.
+
+    ``honest(net)`` builds the party's honest stack on ``net`` the way
+    its host builds every other party's (runtime, replica, hooks) and
+    returns the node; only ``equivocate`` calls it.
+
+    * ``silent`` — receives everything, says nothing (the failure mode
+      timeout-based detectors cannot distinguish from slowness);
+    * ``spam`` — floods peers with well-formed junk on every delivery;
+    * ``equivocate`` — runs the honest stack inside a
+      :class:`~repro.net.adversary.MutatingNode` but re-signs every
+      round's proposal to an odd-numbered party as a *different* one
+      (an empty batch) in atomic broadcast: allowed adversary behavior
+      that the agreement layer must neutralize.
+    """
+    if kind == "silent":
+        return SilentNode()
+    if kind == "spam":
+        rng = random.Random(seed ^ 0x5FA17)
+        return SpamNode(
+            network, party, lambda r: ("chaos-junk", r.getrandbits(32)), rng
+        )
+    if kind == "equivocate":
+        sign_rng = random.Random(seed ^ 0xE041)
+
+        def mutate(recipient: int, payload: object):
+            if isinstance(payload, tuple) and len(payload) == 2:
+                session, message = payload
+                if isinstance(message, AbcProposal) and recipient % 2 == 1:
+                    return (
+                        session,
+                        signed_proposal(keys, session, message.round, (), sign_rng),
+                    )
+            return payload
+
+        return MutatingNode(network, party, honest, mutate)
+    raise ValueError(
+        f"unknown byzantine kind {kind!r} (expected one of {BYZANTINE_KINDS})"
+    )

@@ -30,16 +30,16 @@ Three fault layers compose:
    ``--recover``, and corrupted-snapshot restarts (the authenticated
    checkpoint must be *rejected* and recovery must fall back to peer
    state transfer).
-3. **Byzantine parties** — :func:`byzantine_node` ports the
-   simulator's adversary chassis (:class:`~repro.net.adversary
-   .MutatingNode` and friends) onto the :class:`~repro.net.base
-   .NetworkBackend` surface, so a replica process can be *started*
-   corrupted (``run-replica --byzantine equivocate``).
+3. **Byzantine parties** — a replica process is *started* corrupted
+   (``run-replica --byzantine equivocate``): its host builds the node
+   with :func:`repro.net.attacks.byzantine_node` over its own honest
+   stack.
 
-Entry points: ``python -m repro chaos run --scenario <name|file>`` and
-``python -m repro chaos replay --journal <file>`` (which re-derives the
-timeline from the recorded spec and checks it is identical — seed
-reproducibility is itself an invariant under test).
+Entry points: ``python -m repro chaos run --scenario <name|file>``
+(:func:`run_tcp` is the run, in this process) and ``python -m repro
+chaos replay --journal <file>`` (which re-derives the timeline from the
+recorded spec and checks it is identical — seed reproducibility is
+itself an invariant under test).
 """
 
 from __future__ import annotations
@@ -55,15 +55,9 @@ from collections.abc import Callable
 from dataclasses import MISSING, dataclass, fields, replace
 from typing import Any, get_args, get_origin, get_type_hints
 
-from ..core.atomic_broadcast import AbcProposal, batch_digest, proposal_statement
-from ..core.runtime import ProtocolRuntime
 from ..crypto import keystore
-from ..crypto.dealer import PartyKeys, PublicKeys
 from ..smr import reconfig
-from ..smr.replica import Replica, service_session
-from ..smr.state_machine import KeyValueStore, StateMachine
-from .adversary import MutatingNode, SilentNode, SpamNode
-from .base import NetworkBackend
+from .attacks import BYZANTINE_KINDS
 from .checkers import (
     JournalEntry,
     check_liveness,
@@ -75,7 +69,6 @@ from .checkers import (
 )
 from .cluster import admit_joiner, attach_client, deal_deployment, spawn_replicas
 from .runtime import FAULTS_FILE, checkpoint_path, load_epoch, provision_dkg_deployment
-from .simulator import Node
 from .transport import FaultPlan, FrameFault, TransportError
 
 __all__ = [
@@ -90,7 +83,6 @@ __all__ = [
     "SeededFaultPlan",
     "save_fault_plan",
     "load_fault_plan",
-    "byzantine_node",
     "LifecycleEvent",
     "Scenario",
     "builtin_scenarios",
@@ -103,7 +95,8 @@ __all__ = [
     "corrupt_checkpoint",
     "run_timeline",
     "TcpCluster",
-    "run_scenario",
+    "run_tcp",
+    "record_run",
     "replay_journal",
 ]
 
@@ -389,81 +382,6 @@ def load_fault_plan(directory: str | pathlib.Path) -> SeededFaultPlan | None:
         FaultSpec.from_json(data["spec"]),
         seed=int(data["seed"]),
         epoch=float(data["epoch"]),
-    )
-
-
-# -- Byzantine parties over TCP -----------------------------------------------------
-
-BYZANTINE_KINDS = ("silent", "spam", "equivocate")
-
-
-def byzantine_node(
-    kind: str,
-    network: NetworkBackend,
-    party: int,
-    public: PublicKeys,
-    keys: PartyKeys,
-    seed: int = 0,
-    state_machine: StateMachine | None = None,
-    causal: bool = False,
-) -> tuple[Node, ProtocolRuntime | None, Replica | None]:
-    """Build a corrupted party for a live transport.
-
-    Returns ``(node, runtime, replica)`` — the node to attach in place
-    of the honest runtime, plus the inner runtime/replica when the
-    behavior wraps one (``equivocate``), else ``None``.
-
-    * ``silent`` — receives everything, says nothing (the failure mode
-      timeout-based detectors cannot distinguish from slowness);
-    * ``spam`` — floods peers with well-formed junk on every delivery;
-    * ``equivocate`` — runs the honest stack inside a
-      :class:`~repro.net.adversary.MutatingNode` but re-signs every
-      round's proposal to an odd-numbered party as a *different* one
-      (an empty batch) in atomic broadcast: allowed adversary behavior
-      that the agreement layer must neutralize.
-    """
-    if kind == "silent":
-        return SilentNode(), None, None
-    if kind == "spam":
-        rng = random.Random(seed ^ 0x5FA17)
-        return (
-            SpamNode(
-                network, party,
-                lambda r: ("chaos-junk", r.getrandbits(32)),
-                rng,
-            ),
-            None,
-            None,
-        )
-    if kind == "equivocate":
-        built: dict[str, object] = {}
-
-        def inner_factory(intercepted) -> ProtocolRuntime:
-            runtime = ProtocolRuntime(party, intercepted, public, keys, seed=seed)
-            replica = Replica(state_machine or KeyValueStore(), causal=causal)
-            runtime.spawn(service_session(), replica)
-            built["runtime"] = runtime
-            built["replica"] = replica
-            return runtime
-
-        sign_rng = random.Random(seed ^ 0xE041)
-
-        def mutate(recipient: int, payload: object):
-            if isinstance(payload, tuple) and len(payload) == 2:
-                session, message = payload
-                if isinstance(message, AbcProposal) and recipient % 2 == 1:
-                    batch: tuple = ()
-                    statement = proposal_statement(
-                        session, message.round, batch_digest(batch)
-                    )
-                    signature = keys.signing_key.sign(statement, sign_rng)
-                    return (session, AbcProposal(message.round, batch, signature))
-            return payload
-
-        node = MutatingNode(network, party, inner_factory, mutate)
-        return node, built["runtime"], built["replica"]
-    raise ValueError(
-        f"unknown byzantine kind {kind!r} (expected one of {BYZANTINE_KINDS})"
     )
 
 
@@ -1302,8 +1220,9 @@ def _spawn(scenario: Scenario, workdir: pathlib.Path, parties, *flags: str):
 
 
 def resolve_scenario(name_or_path: str, seed: int | None = None) -> Scenario:
-    """A builtin scenario by name, or a JSON spec by path; ``seed``
-    overrides the spec's seed when given."""
+    """A builtin scenario by name, or by path a JSON spec, a run journal
+    or a sweep repro bundle (the last two by their ``scenario`` key);
+    ``seed`` overrides the spec's seed when given."""
     scenarios = builtin_scenarios()
     if name_or_path in scenarios:
         scenario = scenarios[name_or_path]
@@ -1314,8 +1233,9 @@ def resolve_scenario(name_or_path: str, seed: int | None = None) -> Scenario:
                 f"chaos: unknown scenario {name_or_path!r} "
                 f"(builtins: {', '.join(sorted(scenarios))})"
             )
+        data = json.loads(path.read_text())
         try:
-            scenario = Scenario.from_json(json.loads(path.read_text()))
+            scenario = Scenario.from_json(data.get("scenario", data))
         except ScenarioError as exc:
             raise SystemExit(f"chaos: invalid scenario {name_or_path}: {exc}") from exc
     if seed is not None:
@@ -1343,23 +1263,16 @@ def failure_record(
     }
 
 
-def run_scenario(
+def run_tcp(
     scenario: Scenario,
     directory: str | pathlib.Path | None = None,
     keep: bool = False,
-    journal_out: str | pathlib.Path | None = DEFAULT_JOURNAL,
-    failure_out: str | pathlib.Path | None = None,
-    scenario_ref: str | None = None,
-) -> int:
-    """Execute a scenario end to end; returns a process exit code.
-
-    Writes the run journal (scenario + derived timeline + observations
-    + verdicts) to ``journal_out`` and to ``chaos-journal.json`` inside
-    the working directory.  When a checker fires and ``failure_out`` is
-    given, a machine-readable failure record (violation kinds, seed,
-    scenario reference) is written there so CI jobs and the sweep
-    harness can gate uniformly without parsing logs.
-    """
+) -> dict:
+    """Execute a scenario on a cluster of replica processes over TCP,
+    orchestrated from this process; returns the run's report (scenario
+    + derived timeline + observations + verdicts), also written to
+    ``chaos-journal.json`` inside the working directory.  A temporary
+    working directory is removed afterwards unless ``keep``."""
     created = directory is None
     workdir = pathlib.Path(directory or tempfile.mkdtemp(prefix="repro-chaos-"))
     workdir.mkdir(parents=True, exist_ok=True)
@@ -1376,29 +1289,8 @@ def run_scenario(
             return await run_timeline(scenario, cluster, echo)
 
         report = asyncio.run(run())
-        text = json.dumps(report, indent=1)
-        (workdir / DEFAULT_JOURNAL).write_text(text)
-        if journal_out is not None:
-            pathlib.Path(journal_out).write_text(text)
-            print(f"chaos[{scenario.name}]: journal written to {journal_out}")
-        for checker in ("safety", "liveness", "reconfig"):
-            for issue in report[checker]["issues"]:
-                print(f"chaos[{scenario.name}]: {checker.upper()}: {issue}")
-        if failure_out is not None and not report["ok"]:
-            record = failure_record(report, scenario_ref=scenario_ref)
-            record["journal"] = str(journal_out) if journal_out else None
-            pathlib.Path(failure_out).write_text(json.dumps(record, indent=1))
-            print(f"chaos[{scenario.name}]: failure record written to {failure_out}")
-        verdict = "ok" if report["ok"] else "FAILED"
-        print(
-            f"chaos[{scenario.name}]: {verdict} "
-            f"(safety={report['safety']['ok']}, "
-            f"liveness={report['liveness']['ok']}, "
-            f"reconfig={report['reconfig']['ok']}, "
-            f"committed={report['committed']}, "
-            f"resubmissions={report['resubmissions']})"
-        )
-        return 0 if report["ok"] else 1
+        (workdir / DEFAULT_JOURNAL).write_text(json.dumps(report, indent=1))
+        return report
     finally:
         if created and not keep:
             shutil.rmtree(workdir, ignore_errors=True)
@@ -1406,44 +1298,63 @@ def run_scenario(
             print(f"chaos state kept in {workdir}")
 
 
-def replay_journal(
-    journal: str | pathlib.Path,
-    seed: int | None = None,
-    execute: bool = False,
-    directory: str | pathlib.Path | None = None,
-    keep: bool = False,
+def record_run(
+    report: dict,
+    journal_out: str | pathlib.Path,
+    failure_out: str | pathlib.Path,
+    scenario_ref: str | None = None,
 ) -> int:
-    """Re-derive the fault schedule from a recorded run journal.
+    """What ``chaos run`` makes of a report; returns a process exit code.
 
-    With the journal's own seed (the default) the derived timeline must
-    be *identical* to the recorded one — the reproducibility invariant.
-    ``--seed`` swaps in a different seed (equality is then skipped) and
-    ``--execute`` re-runs the scenario for real.
+    Writes the report to ``journal_out`` and, when a checker fired, a
+    machine-readable failure record (violation kinds, seed, scenario
+    reference) to ``failure_out``, so CI jobs gate uniformly without
+    parsing logs.
     """
+    name = report["scenario"]["name"]
+    pathlib.Path(journal_out).write_text(json.dumps(report, indent=1))
+    print(f"chaos[{name}]: journal written to {journal_out}")
+    for checker in ("safety", "liveness", "reconfig"):
+        for issue in report[checker]["issues"]:
+            print(f"chaos[{name}]: {checker.upper()}: {issue}")
+    if not report["ok"]:
+        record = failure_record(report, scenario_ref=scenario_ref)
+        record["journal"] = str(journal_out)
+        pathlib.Path(failure_out).write_text(json.dumps(record, indent=1))
+        print(f"chaos[{name}]: failure record written to {failure_out}")
+    verdict = "ok" if report["ok"] else "FAILED"
+    print(
+        f"chaos[{name}]: {verdict} "
+        f"(safety={report['safety']['ok']}, "
+        f"liveness={report['liveness']['ok']}, "
+        f"reconfig={report['reconfig']['ok']}, "
+        f"committed={report['committed']}, "
+        f"resubmissions={report['resubmissions']})"
+    )
+    return 0 if report["ok"] else 1
+
+
+def replay_journal(journal: str | pathlib.Path) -> int:
+    """Re-derive the fault schedule from a recorded run journal (or a
+    sweep repro bundle): it must be *identical* to the recorded one —
+    the reproducibility invariant.  To run a journal's scenario again,
+    ``chaos run --scenario <journal>`` (``--seed`` reseeds it)."""
     data = json.loads(pathlib.Path(journal).read_text())
     try:
         scenario = Scenario.from_json(data["scenario"])
     except ScenarioError as exc:
         raise SystemExit(f"chaos replay: invalid scenario in {journal}: {exc}") from exc
-    if seed is not None and seed != scenario.seed:
-        scenario = replace(scenario, seed=seed)
-        print(f"chaos replay: seed overridden to {seed}; skipping equality check")
-    else:
-        timeline = plan_timeline(scenario)
-        if timeline != data["timeline"]:
-            print("chaos replay: MISMATCH — derived timeline differs from journal")
-            for derived, recorded in zip(timeline, data["timeline"]):
-                if derived != recorded:
-                    print(f"  derived:  {derived}")
-                    print(f"  recorded: {recorded}")
-                    break
-            return 1
-        print(
-            f"chaos replay: timeline of {len(timeline)} events reproduced "
-            f"exactly (seed {scenario.seed})"
-        )
-    if execute:
-        return run_scenario(
-            scenario, directory=directory, keep=keep, journal_out=None
-        )
+    timeline = plan_timeline(scenario)
+    if timeline != data["timeline"]:
+        print("chaos replay: MISMATCH — derived timeline differs from journal")
+        for derived, recorded in zip(timeline, data["timeline"]):
+            if derived != recorded:
+                print(f"  derived:  {derived}")
+                print(f"  recorded: {recorded}")
+                break
+        return 1
+    print(
+        f"chaos replay: timeline of {len(timeline)} events reproduced "
+        f"exactly (seed {scenario.seed})"
+    )
     return 0

@@ -50,6 +50,8 @@ from ..smr.reconfig import EpochTombstone, epoch_service_session
 from ..smr.replica import Replica
 from ..smr.state_machine import KeyValueStore, StateMachine
 from . import wire
+from .attacks import byzantine_node
+from .base import NetworkBackend
 from .transport import FaultPlan, TransportNetwork
 
 __all__ = [
@@ -566,7 +568,8 @@ class ReplicaHost:
       automatically, so subprocess replicas pick up the scenario);
     * ``byzantine`` — host a corrupted party instead of an honest one
       (a behavior name understood by
-      :func:`repro.net.chaos.byzantine_node`);
+      :func:`repro.net.attacks.byzantine_node`, which ``equivocate``
+      builds over this host's own honest stack);
     * ``journal`` — append every executed operation to
       ``journal/exec-<party>.jsonl`` for the chaos safety checker;
     * checkpoints — when ``checkpoint_every > 0`` the delivered log is
@@ -661,32 +664,16 @@ class ReplicaHost:
         self._checkpoint_every = checkpoint_every
         self._executions = 0
         self._journal = None
-        seed = seed if seed is not None else party
+        self._seed = seed if seed is not None else party
+        self.runtime: ProtocolRuntime | None = None
+        self.replica: Replica | None = None
         if byzantine is None:
-            self.runtime: ProtocolRuntime | None = ProtocolRuntime(
-                party, self.network, self.public, self.keys, seed=seed
-            )
-            self.network.attach(party, self.runtime)
-            self.replica: Replica | None = None
-            if self.phase == SERVING:
-                self.replica = Replica(
-                    self._state_machine,
-                    causal=causal,
-                    abc_config=self._abc_config,
-                )
-                self._install_replica_hooks()
-                self.runtime.spawn(epoch_service_session(self.epoch), self.replica)
+            node = self._stack(self.network)
         else:
-            from .chaos import byzantine_node  # lazy: chaos imports us
-
-            node, self.runtime, self.replica = byzantine_node(
-                byzantine, self.network, party, self.public, self.keys,
-                seed=seed, state_machine=self._state_machine,
-                causal=causal,
+            node = byzantine_node(
+                byzantine, self.network, party, self.keys, self._stack, self._seed
             )
-            self.network.attach(party, node)
-            if self.replica is not None:
-                self._observe_replica()
+        self.network.attach(party, node)
         if journal and byzantine is None:
             journal_dir = directory / "journal"
             journal_dir.mkdir(exist_ok=True)
@@ -697,10 +684,29 @@ class ReplicaHost:
                 journal_dir / f"exec-{party}.jsonl", "w", encoding="utf-8"
             )
 
+    def _stack(self, network: NetworkBackend) -> ProtocolRuntime:
+        """This party's honest server on ``network``: the runtime and,
+        once the epoch has keys, the replica at the epoch's session with
+        the cluster's ``AbcConfig`` and every host hook.  A Byzantine
+        host builds the same stack behind its behaviour."""
+        self.runtime = ProtocolRuntime(
+            self.party, network, self.public, self.keys, seed=self._seed
+        )
+        if self.phase == SERVING:
+            self.replica = Replica(
+                self._state_machine, causal=self._causal, abc_config=self._abc_config
+            )
+            self._install_replica_hooks()
+            self.runtime.spawn(epoch_service_session(self.epoch), self.replica)
+        return self.runtime
+
     def _install_replica_hooks(self) -> None:
         """Wire the host's observation and reconfiguration hooks into
-        the (honest) replica instance."""
-        self._observe_replica()
+        the replica instance."""
+        self.replica.on_execute = self._on_execute
+        self.replica.on_recovered = lambda: self.emit(
+            "replica-recovered", executed=len(self.replica.executed)
+        )
         if self._causal:
             return  # reconfiguration requires the ordered plaintext path
         self.replica.intercept = self._intercept
@@ -711,13 +717,6 @@ class ReplicaHost:
             keystore.public_to_dict(self.public),
             self.keys.signing_key,
             self.runtime.rng,
-        )
-
-    def _observe_replica(self) -> None:
-        """The hooks every hosted replica gets, a Byzantine one too."""
-        self.replica.on_execute = self._on_execute
-        self.replica.on_recovered = lambda: self.emit(
-            "replica-recovered", executed=len(self.replica.executed)
         )
 
     def emit(self, kind: str, **fields: object) -> None:

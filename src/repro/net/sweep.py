@@ -26,15 +26,17 @@ backend** (:func:`run_scenario_sim`) is the breadth path: the grid runs
 in-process on the discrete-event network with a scheduler that realizes
 the scenario's partitions, suspensions and reorder pressure, at
 thousands of delivery steps per second.  A sampled subset re-runs on
-the **TCP backend** (real replica subprocesses via
-``python -m repro chaos run``) for depth.  Every run — both backends —
+the **TCP backend** (real replica subprocesses, orchestrated in this
+process by :func:`~repro.net.chaos.run_tcp`, the run ``chaos run``
+makes) for depth.  Every run — both backends —
 is judged by the same :mod:`repro.net.checkers` safety/liveness
 oracles.
 
 Results aggregate into a schema-stable ``SWEEP.json`` (pass/fail per
 cell, violation kinds, latency summaries) plus a markdown table, and
 any cell whose outcome is a violation emits a self-contained repro
-bundle that ``python -m repro chaos replay`` accepts verbatim.
+bundle that ``python -m repro chaos replay`` checks and ``chaos run
+--scenario`` runs again, verbatim.
 
 **Simulator fault-model note.**  Frame-level faults (reset / corrupt /
 duplicate) live *below* the channel abstraction the simulator models —
@@ -52,15 +54,15 @@ import concurrent.futures
 import json
 import os
 import pathlib
-import subprocess
-import sys
-import tempfile
+import traceback
 from collections.abc import Callable
 from dataclasses import dataclass, replace
+from functools import partial
 
 from ..core.atomic_broadcast import AbcConfig
 from ..smr.service import build_service
 from ..smr.state_machine import KeyValueStore
+from .attacks import byzantine_node
 from .chaos import (
     FAULT_TEMPLATES,
     LATENCY_TEMPLATES,
@@ -71,9 +73,9 @@ from .chaos import (
     _check_shape,
     _require,
     _Spec,
-    byzantine_node,
     parameterize_scenario,
     plan_timeline,
+    run_tcp,
     run_timeline,
 )
 from .checkers import JournalEntry, summarize_run, violation_kinds
@@ -361,8 +363,9 @@ class SimCluster:
             if party not in self.byzantine:
                 self._observe(party)
         for party, kind in scenario.byzantine:
-            node, _runtime, _replica = byzantine_node(
-                kind, dep.network, party, dep.keys.public, dep.keys.private[party],
+            node = byzantine_node(
+                kind, dep.network, party, dep.keys.private[party],
+                partial(dep.stack, party, seed=scenario.seed),
                 seed=scenario.seed,
             )
             # unchecked: violation shapes deliberately exceed the structure.
@@ -483,52 +486,28 @@ def _sim_cell_worker(scenario_json: str) -> dict:
 # -- the TCP depth path -------------------------------------------------------------
 
 
-def _run_tcp_cell(cell: SweepCell, workdir: pathlib.Path) -> dict:
-    """Run one cell on the real subprocess TCP cluster via the chaos
-    CLI — deliberately the same entry point CI uses, so the
-    failure-JSON gate is exercised uniformly."""
-    safe = _safe_name(cell.label)
-    scenario_path = workdir / f"{safe}.scenario.json"
-    journal_path = workdir / f"{safe}.journal.json"
-    failure_path = workdir / f"{safe}.failure.json"
-    scenario_path.write_text(json.dumps(cell.scenario.to_json(), indent=1))
-    src_root = pathlib.Path(__file__).resolve().parents[2]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(src_root)]
-        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-    )
-    command = [
-        sys.executable, "-m", "repro", "chaos", "run",
-        "--scenario", str(scenario_path),
-        "--journal", str(journal_path),
-        "--failure-json", str(failure_path),
-    ]
+def _run_tcp_cell(cell: SweepCell) -> dict:
+    """Run one cell on a TCP cluster of replica processes
+    (:func:`~repro.net.chaos.run_tcp`, the run ``chaos run`` makes).
+    A run that raises is reported as a harness error, so the cell
+    cannot silently count as covered."""
     try:
-        proc = subprocess.run(
-            command, capture_output=True, text=True, timeout=600, env=env
-        )
-        stderr_tail = proc.stderr[-2000:]
-    except subprocess.TimeoutExpired as exc:
-        proc = None
-        stderr_tail = f"timeout after {exc.timeout}s"
-    if journal_path.exists():
-        return json.loads(journal_path.read_text())
-    # The run died before producing a journal: report it as a harness
-    # error so the cell cannot silently count as covered.
-    return {
-        "scenario": cell.scenario.to_json(),
-        "backend": "tcp",
-        "latency_unit": "seconds",
-        "events": [],
-        "committed": 0,
-        "safety": {"ok": False, "issues": [
-            f"tcp run produced no journal: {stderr_tail}"
-        ], "kinds": ["harness.error"]},
-        "liveness": {"ok": True, "bound": 0.0, "probes": [], "issues": [],
-                     "kinds": []},
-        "ok": False,
-    }
+        return run_tcp(cell.scenario)
+    except Exception as exc:
+        traceback.print_exc()
+        return {
+            "scenario": cell.scenario.to_json(),
+            "backend": "tcp",
+            "latency_unit": "seconds",
+            "events": [],
+            "committed": 0,
+            "safety": {"ok": False, "issues": [
+                f"tcp run raised {type(exc).__name__}: {exc}"
+            ], "kinds": ["harness.error"]},
+            "liveness": {"ok": True, "bound": 0.0, "probes": [], "issues": [],
+                         "kinds": []},
+            "ok": False,
+        }
 
 
 # -- aggregation and reporting ------------------------------------------------------
@@ -759,11 +738,9 @@ def run_sweep(
                 reports[cell.label] = future.result()
                 print(_progress_line(spec, cell, reports[cell.label]))
 
-    if tcp_cells:
-        with tempfile.TemporaryDirectory(prefix="repro-sweep-tcp-") as tmp:
-            for cell in tcp_cells:  # serial: each spawns a full cluster
-                reports[cell.label] = _run_tcp_cell(cell, pathlib.Path(tmp))
-                print(_progress_line(spec, cell, reports[cell.label]))
+    for cell in tcp_cells:  # serial: each spawns a full cluster
+        reports[cell.label] = _run_tcp_cell(cell)
+        print(_progress_line(spec, cell, reports[cell.label]))
 
     repro_path = pathlib.Path(repro_dir) if repro_dir is not None else None
     records = [

@@ -400,6 +400,12 @@ class EpochTombstone(Protocol):
     def on_start(self, ctx: Context) -> None:  # pragma: no cover - trivial
         pass
 
+    def admits(self, ctx: Context, child: SessionId) -> bool:
+        # Nothing under a closed session is spawned again: the broadcast
+        # moved to the new session (``rebase``), so its traffic waits
+        # for nobody.
+        return False
+
     def on_message(self, ctx: Context, sender: int, message: object) -> None:
         from .replica import (
             RecoverQuery,

@@ -16,6 +16,7 @@ from ..adversary.structures import AdversaryStructure
 from ..crypto.dealer import CLIENT_BASE, SystemKeys, deal_system
 from ..crypto.groups import SchnorrGroup, small_group
 from ..net.adversary import CorruptionController
+from ..net.base import NetworkBackend
 from ..net.scheduler import RandomScheduler, Scheduler
 from ..net.simulator import Network
 from ..core.atomic_broadcast import AbcConfig
@@ -39,7 +40,7 @@ class ServiceDeployment:
     controller: CorruptionController
     clients: list[ServiceClient] = field(default_factory=list)
     _client_rng: random.Random = field(default_factory=lambda: random.Random(777))
-    # What build_service made every replica from; rejoin makes the next.
+    # What stack makes every replica from.
     state_machine_factory: Callable[[], StateMachine] | None = None
     abc_config: AbcConfig | None = None
     causal: bool = False
@@ -71,25 +72,31 @@ class ServiceDeployment:
         )
         return {nonce: client.completed[nonce] for nonce in nonces}
 
-    def rejoin(self, party: int, *, seed: int) -> Replica:
-        """Crash-recovery (Section 6): a *fresh* runtime and replica —
-        the volatile state is gone — take ``party``'s place on the
-        network and start the peer state transfer that replays the
-        agreed log.  Returns the new replica."""
+    def stack(self, party: int, network: NetworkBackend, seed: int) -> ProtocolRuntime:
+        """``party``'s honest server on ``network``: a runtime with a
+        replica of the deployment's service spawned on it, recorded as
+        the party's.  Returns the runtime, the node to attach."""
         runtime = ProtocolRuntime(
-            party, self.network, self.keys.public, self.keys.private[party],
-            seed=seed,
+            party, network, self.keys.public, self.keys.private[party], seed=seed
         )
         replica = Replica(
             self.state_machine_factory(), causal=self.causal,
             abc_config=self.abc_config,
         )
-        session = service_session()
-        runtime.spawn(session, replica)
-        self.network.recover(party, runtime)
-        replica.begin_recovery(Context(runtime, session))
+        runtime.spawn(service_session(), replica)
         self.runtimes[party] = runtime
         self.replicas[party] = replica
+        return runtime
+
+    def rejoin(self, party: int, *, seed: int) -> Replica:
+        """Crash-recovery (Section 6): a *fresh* runtime and replica —
+        the volatile state is gone — take ``party``'s place on the
+        network and start the peer state transfer that replays the
+        agreed log.  Returns the new replica."""
+        runtime = self.stack(party, self.network, seed)
+        self.network.recover(party, runtime)
+        replica = self.replicas[party]
+        replica.begin_recovery(Context(runtime, service_session()))
         return replica
 
     def honest_replicas(self) -> list[Replica]:
@@ -131,27 +138,16 @@ def build_service(
         signature_backend=signature_backend,
     )
     network = Network(scheduler or RandomScheduler(), random.Random(seed + 1))
-    controller = CorruptionController(keys.public.quorum)
-    runtimes: dict[int, ProtocolRuntime] = {}
-    replicas: dict[int, Replica] = {}
-    for party in range(n):
-        runtime = ProtocolRuntime(
-            party, network, keys.public, keys.private[party], seed=seed
-        )
-        network.attach(party, runtime)
-        replica = Replica(
-            state_machine_factory(), causal=causal, abc_config=abc_config
-        )
-        runtime.spawn(service_session(), replica)
-        runtimes[party] = runtime
-        replicas[party] = replica
-    return ServiceDeployment(
+    deployment = ServiceDeployment(
         keys=keys,
         network=network,
-        runtimes=runtimes,
-        replicas=replicas,
-        controller=controller,
+        runtimes={},
+        replicas={},
+        controller=CorruptionController(keys.public.quorum),
         state_machine_factory=state_machine_factory,
         abc_config=abc_config,
         causal=causal,
     )
+    for party in range(n):
+        network.attach(party, deployment.stack(party, network, seed))
+    return deployment

@@ -4,8 +4,9 @@ not ``j…``.
 Replicas match received round numbers and session ids by Python
 equality, but sign and hash them by their encoding.  A Byzantine
 replica that spells ``1`` as ``True`` must gain nothing by it: a round
-number must be an ``int`` to be read at all, and an instance always
-sees the id it was spawned under (docs/PROTOCOLS.md, "Sessions").
+number or an agreement vote must be an ``int`` to be read at all, and
+an instance always sees the id it was spawned under (docs/PROTOCOLS.md,
+"Sessions").
 """
 
 from __future__ import annotations
@@ -13,9 +14,20 @@ from __future__ import annotations
 import dataclasses
 import random
 
+from helpers import make_network, record_sends, run_until_outputs
+
 from repro.core.atomic_broadcast import AbcProposal, _digest_over, proposal_statement
+from repro.core.binary_agreement import (
+    AbaAux,
+    AbaBval,
+    AbaConf,
+    AbaDone,
+    BinaryAgreement,
+    aba_session,
+)
 from repro.core.multivalued_agreement import MultiValuedAgreement, MvbaPermShare
-from repro.net.scheduler import FifoScheduler
+from repro.net.adversary import SilentNode
+from repro.net.scheduler import FifoScheduler, RandomScheduler
 from repro.smr.replica import service_session
 from repro.smr.service import build_service
 from repro.smr.state_machine import KeyValueStore
@@ -113,3 +125,36 @@ def test_a_session_spelled_with_true_does_not_split_the_coin():
     assert None not in permutations
     assert all(p == permutations[0] for p in permutations)
     assert [service.replicas[p].abc.round for p in range(5)] == [1] * 5
+
+
+def _votes(message: object) -> tuple:
+    if isinstance(message, (AbaBval, AbaAux, AbaDone)):
+        return (message.value,)
+    if isinstance(message, AbaConf):
+        return tuple(message.values)
+    return ()
+
+
+def test_an_agreement_vote_spelled_true_is_not_echoed_or_decided(keys_4_1):
+    """Party 3 sends BVAL, AUX, CONF and DONE for ``True`` and falls
+    silent.  Counted as a vote for 1, ``True`` used to travel on: honest
+    parties put it in their own AUX and CONF, and one that adopted the
+    DONE output ``True``.  A vote must be exactly the ``int`` 0 or 1."""
+    echoed, decided = [], []
+    for seed in range(40):
+        network, runtimes = make_network(
+            keys_4_1, RandomScheduler(), seed=seed, parties=[0, 1, 2]
+        )
+        network.attach(3, SilentNode())
+        session = aba_session(("spelled", seed))
+        lies = (AbaBval(1, True), AbaAux(1, True), AbaConf(1, frozenset({True})),
+                AbaDone(True))
+        for lie in lies:
+            network.broadcast(3, (session, lie))
+        sent = record_sends(network)
+        for party, runtime in runtimes.items():
+            runtime.spawn(session, BinaryAgreement(party % 2))
+        outputs = run_until_outputs(network, runtimes, session)
+        echoed += [m for m in sent if any(type(v) is bool for v in _votes(m))]
+        decided += [v for v in outputs.values() if type(v) is not int]
+    assert (len(echoed), len(decided)) == (0, 0)

@@ -13,13 +13,16 @@ import hmac
 import json
 import random
 import time
+from dataclasses import replace
 
 import pytest
 
 from repro.core.atomic_broadcast import AbcProposal, batch_digest, proposal_statement
+from repro.core.runtime import ProtocolRuntime
 from repro.crypto import deal_system, small_group
 from repro.crypto.dealer import deal_channel_keys
 from repro.net.adversary import MutatingNode, SilentNode, SpamNode
+from repro.net.attacks import byzantine_node
 from repro.net.chaos import (
     FaultSpec,
     PartitionSpec,
@@ -27,7 +30,6 @@ from repro.net.chaos import (
     ScenarioError,
     SeededFaultPlan,
     builtin_scenarios,
-    byzantine_node,
     corrupt_checkpoint,
     load_fault_plan,
     plan_timeline,
@@ -37,7 +39,8 @@ from repro.net.chaos import (
 from repro.net.runtime import _checkpoint_key, load_checkpoint, write_checkpoint
 from repro.net.scheduler import FifoScheduler
 from repro.net.simulator import Network
-from repro.smr.replica import service_session
+from repro.smr.replica import Replica, service_session
+from repro.smr.state_machine import KeyValueStore
 
 LINKS = [(0, 1), (1, 0), (0, 2), (3, 0)]
 
@@ -247,6 +250,23 @@ def test_resolve_scenario_builtin_file_and_seed_override(tmp_path):
         resolve_scenario("no-such-scenario")
 
 
+def test_resolve_scenario_reads_journals_and_repro_bundles(tmp_path):
+    """``chaos run --scenario`` runs a recorded run again: a journal or
+    a sweep bundle names its scenario under the ``scenario`` key."""
+    scenario = builtin_scenarios()["stall"]
+    recorded = {"scenario": scenario.to_json(), "timeline": plan_timeline(scenario)}
+    journal = tmp_path / "journal.json"
+    journal.write_text(json.dumps({**recorded, "events": [], "ok": True}))
+    bundle = tmp_path / "bundle.json"
+    bundle.write_text(json.dumps(
+        {"cell": "n4t1/stall", "backend": "tcp", "expected": "pass",
+         "violations": ["liveness.stuck"], **recorded}
+    ))
+    for path in (journal, bundle):
+        assert resolve_scenario(str(path)) == scenario
+        assert resolve_scenario(str(path), seed=9) == replace(scenario, seed=9)
+
+
 # -- checkpoint corruption ----------------------------------------------------------
 
 
@@ -308,26 +328,42 @@ def _system(seed=7):
     return keys.public, keys.private
 
 
+def _honest(public, keys):
+    """A host's honest builder for party 3, and what it built."""
+    built = {"runtime": None, "replica": None}
+
+    def honest(net):
+        built["runtime"] = runtime = ProtocolRuntime(3, net, public, keys)
+        built["replica"] = replica = Replica(KeyValueStore())
+        runtime.spawn(service_session(), replica)
+        return runtime
+
+    return honest, built
+
+
 def test_byzantine_node_kinds():
     public, private = _system()
     network = Network(FifoScheduler(), random.Random(0))
-    node, runtime, replica = byzantine_node("silent", network, 3, public, private[3])
+    honest, built = _honest(public, private[3])
+    node = byzantine_node("silent", network, 3, private[3], honest)
+    runtime, replica = built["runtime"], built["replica"]
     assert isinstance(node, SilentNode) and runtime is None and replica is None
-    node, runtime, replica = byzantine_node("spam", network, 3, public, private[3])
+    node = byzantine_node("spam", network, 3, private[3], honest)
+    runtime, replica = built["runtime"], built["replica"]
     assert isinstance(node, SpamNode) and runtime is None and replica is None
-    node, runtime, replica = byzantine_node(
-        "equivocate", network, 3, public, private[3]
-    )
+    node = byzantine_node("equivocate", network, 3, private[3], honest)
+    runtime, replica = built["runtime"], built["replica"]
     assert isinstance(node, MutatingNode)
     assert runtime is not None and replica is not None
     with pytest.raises(ValueError):
-        byzantine_node("helpful", network, 3, public, private[3])
+        byzantine_node("helpful", network, 3, private[3], honest)
 
 
 def test_equivocator_resigns_empty_batches_for_odd_peers():
     public, private = _system()
     network = Network(FifoScheduler(), random.Random(0))
-    node, _, _ = byzantine_node("equivocate", network, 3, public, private[3])
+    honest, _ = _honest(public, private[3])
+    node = byzantine_node("equivocate", network, 3, private[3], honest)
     session = service_session()
     honest = (session, AbcProposal(2, (("payload", 1),), None))
 

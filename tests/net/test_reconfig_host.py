@@ -15,10 +15,12 @@ import random
 
 import pytest
 
+from repro.core.atomic_broadcast import AbcConfig
 from repro.crypto import deal_system, keystore, small_group
 from repro.crypto.dealer import CLIENT_BASE
 from repro.crypto.dkg import reshare_session
 from repro.crypto.schnorr import keygen
+from repro.net.adversary import MutatingNode
 from repro.net.cluster import attach_client, deal_deployment
 from repro.core.protocol import Context
 from repro.net.runtime import (
@@ -147,6 +149,23 @@ def test_live_rejection_is_pure(tmp_path):
     assert host._intercept(_req(900, 1, tampered)) == ("reconfig", "rejected", 0)
     assert host.phase == SERVING
     assert host.membership.epoch == 0
+
+
+def test_an_equivocating_host_is_its_own_replica_behind_a_mutator(tmp_path):
+    """A Byzantine host builds the honest stack every host builds: its
+    replica sits at the epoch's session with the cluster's batching and
+    every host hook, so it orders, and reconfigures, with its peers."""
+    keys = deal_deployment(
+        tmp_path, 4, 1, random.Random(5), abc_max_batch=8, abc_pipeline_depth=3
+    )
+    save_public(tmp_path / GENESIS_FILE, keys.public)
+    save_epoch(tmp_path, 2)
+    host = ReplicaHost(tmp_path, 3, byzantine="equivocate")
+    assert isinstance(host.network.node, MutatingNode)
+    assert host.network.node.inner is host.runtime
+    assert host.runtime.instances[epoch_service_session(2)] is host.replica
+    assert host.replica.abc.config == AbcConfig(8, 3)
+    assert host.replica.intercept == host._intercept
 
 
 # -- the flush watchdog: scaled deadline, retry ladder ------------------------------

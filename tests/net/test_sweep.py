@@ -12,7 +12,9 @@ from dataclasses import replace
 
 import pytest
 
+from repro.core.atomic_broadcast import AbcConfig
 from repro.net import sweep as sweep_module
+from repro.net.adversary import MutatingNode
 from repro.net.chaos import (
     ScenarioError,
     builtin_scenarios,
@@ -33,6 +35,7 @@ from repro.net.sweep import (
     smoke_spec,
     write_markdown,
 )
+from repro.smr.replica import service_session
 
 # -- spec parsing and labels --------------------------------------------------------
 
@@ -273,6 +276,22 @@ def test_an_equivocator_behind_a_partition_does_not_stall_the_service(latency, l
     assert report["ok"], (report["safety"], report["liveness"])
 
 
+def test_an_equivocator_runs_the_scenarios_abc_config():
+    """The corrupted party is the deployment's own stack behind a
+    mutator: under the pipelined load it batches and pipelines like its
+    peers, not at the protocol defaults."""
+    scenario = parameterize_scenario(
+        "eq-pipelined", n=4, t=1, seed=7, fault="clean", latency="none",
+        load="pipelined", byzantine=((3, "equivocate"),),
+    )
+    cluster = SimCluster(scenario)
+    node = cluster.network.nodes[3]
+    assert isinstance(node, MutatingNode)
+    replica = node.inner.instances[service_session()]
+    assert replica is cluster.dep.replicas[3]
+    assert replica.abc.config == AbcConfig(8, 3)
+
+
 # -- the campaign driver ------------------------------------------------------------
 
 
@@ -361,6 +380,25 @@ def test_run_sweep_flags_expected_violation_that_passes(tmp_path):
     assert payload["totals"]["mismatched"] == 1
     assert payload["runs"][0]["outcome"] == "pass"
     assert payload["runs"][0]["repro"] is None
+
+
+def test_a_tcp_run_that_raises_is_a_harness_error(tmp_path, monkeypatch):
+    """A TCP cell runs in this process; one whose run raises is a
+    violation the sweep counts as mismatched, never a covered cell."""
+
+    def unreachable(scenario):
+        raise OSError("no free port")
+
+    monkeypatch.setattr(sweep_module, "run_tcp", unreachable)
+    spec = SweepSpec(
+        name="tcp-error", shapes=(ShapeSpec(n=4, t=1),), seeds=(51,), tcp_cells=1
+    )
+    assert run_sweep(spec, out=tmp_path / "s.json", workers=1) == 1
+    payload = json.loads((tmp_path / "s.json").read_text())
+    (record,) = [r for r in payload["runs"] if r["backend"] == "tcp"]
+    assert record["violations"] == ["harness.error"]
+    assert not record["matched"]
+    assert payload["totals"]["mismatched"] == 1
 
 
 def test_aggregate_and_markdown_handle_empty_violations(tmp_path):

@@ -8,10 +8,13 @@ import pytest
 
 from repro.adversary.quorums import GeneralQuorumSystem, ThresholdQuorumSystem
 from repro.adversary.structures import threshold_structure
+from repro.core.runtime import ProtocolRuntime
 from repro.crypto import keystore
 from repro.crypto.dealer import deal_system
 from repro.crypto.groups import small_group
 from repro.crypto.schnorr import keygen
+from repro.net.scheduler import FifoScheduler
+from repro.net.simulator import Network
 from repro.smr import KeyValueStore, build_service, reconfig
 from repro.smr.replica import SubmitRequest, service_session
 from repro.smr.state_machine import Request
@@ -262,6 +265,23 @@ def test_tombstone_redirects_submissions(keys_4_1):
     # Byzantine junk is ignored, not answered.
     stone.on_message(ctx, 1000, ("garbage",))
     assert len(ctx.sent) == 2
+
+
+def test_a_closed_epoch_buffers_nothing(keys_4_1):
+    """Nothing under a closed epoch's session is spawned again (the
+    broadcast moved to the new session), so traffic for its unspawned
+    sub-sessions is dropped, not held one buffer per session id."""
+    network = Network(FifoScheduler(), random.Random(0))
+    runtime = ProtocolRuntime(0, network, keys_4_1.public, keys_4_1.private[0])
+    old = reconfig.epoch_service_session(0)
+    info = reconfig.signed_membership_info(
+        0, 1, keystore.public_to_dict(keys_4_1.public),
+        keys_4_1.private[0].signing_key, random.Random(7),
+    )
+    runtime.spawn(old, reconfig.EpochTombstone(info))
+    for r in range(100):
+        runtime.on_message(1, (("mvba", (old, r)), ("vote", r)))
+    assert runtime._buffered == {}
 
 
 # -- client epoch refresh (simulator, end to end) -----------------------------
