@@ -320,6 +320,56 @@ def test_one_replicas_coin(benchmark, monkeypatch):
     )
 
 
+def test_consistency_versus_proofs(benchmark):
+    """What a coin check costs by consistency in the exponent against its
+    DLEQ proofs, n = 4, t = 1, shares new to the membership memo (as a
+    fresh coin's are): the robust set of 2t + 1 = 3 shares checked by
+    ``consistent`` (a Jacobi test per value and one relation of small
+    exponents), beside the proof batch of the t + 1 = 2 shares a coin
+    opened with before and of the same 3 shares.  Best of five, ms."""
+    n, t = 4, 1
+    rows = []
+
+    def measure():
+        rows.clear()
+        for group in (default_group(), modp_1536_group()):
+            public, holders = _coin(n, t, group)
+            group_accel = accel.accel_for(group)
+            name = ("E8", "consistency")
+            shares = {i: holders[i].share_for(name, random.Random(i)) for i in range(2 * t + 1)}
+            fresh_values = [
+                value
+                for share in shares.values()
+                for proof_and_value in zip(share.proofs.values(), share.values.values())
+                for value in (proof_and_value[0].commit1, proof_and_value[0].commit2,
+                              proof_and_value[1])
+            ]
+
+            def fresh(check):
+                for value in fresh_values:
+                    group_accel._members.pop(value, None)
+                assert check()
+
+            def proofs(k):
+                fresh(lambda: len(public.verify_shares(name, list(shares.values())[:k])) == k)
+
+            proofs(2 * t + 1)  # the keys' tables grown to the exponents they meet
+            costs = [
+                best_of(lambda: fresh(lambda: public.consistent(shares)), 5),
+                best_of(lambda: proofs(t + 1), 5),
+                best_of(lambda: proofs(2 * t + 1), 5),
+            ]
+            rows.append(
+                f"{group.p.bit_length():>5}  " + " ".join(f"{1e3 * c:>12.2f}" for c in costs)
+            )
+
+    benchmark.pedantic(measure, rounds=1, iterations=1)
+    emit(
+        "A coin check (n=4, t=1): consistency of 2t+1 shares vs DLEQ proof batches, ms",
+        [f"{'bits':>5}  {'consistent 3':>12} {'proofs 2':>12} {'proofs 3':>12}"] + rows,
+    )
+
+
 def test_single_versus_batch_crossover(benchmark):
     """What one Schnorr signature costs to verify alone and inside a
     batch of k, per signature, with every key tabled (as it is from the

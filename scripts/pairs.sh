@@ -5,10 +5,13 @@
 #   scripts/pairs.sh <parent-ref> <workload|all> [pairs=10] [change-ref]
 #
 # Checks the parent out under a temp dir (`git archive`: nothing is left
-# in .git), then alternates one untraced pass of bench/run.py in each
-# tree — seeds 11, 12, …, the parent first on odd pairs and the change
-# (the working tree, or `change-ref` checked out the same way as the
-# parent when it is given) first on even ones — and prints, per end-to-end
+# in .git), compiles `src` and `bench` to bytecode in both trees (imports
+# read the compiled files even where PYTHONDONTWRITEBYTECODE is set, so
+# no pass pays for, or holds the memory of, compiling), then alternates
+# one untraced pass of bench/run.py in each tree — seeds 11, 12, …, each
+# pass under PYTHONHASHSEED = its seed, the parent first on odd pairs and
+# the change (the working tree, or `change-ref` checked out the same way
+# as the parent when it is given) first on even ones — and prints, per end-to-end
 # metric, both medians, the parent's inter-quartile range, change/parent
 # (of the medians, then of every pair) and in how many pairs the change
 # read ahead — then one verdict line per metric by the rule a claim is
@@ -21,7 +24,10 @@
 # `scripts/pairs.sh HEAD all 10 HEAD` is an A/A run: two trees made
 # alike from the same commit, so whatever resolves there is noise (or
 # the kind of tree), not code.
-# Reads bench/ and BENCHMARK.json; edits nothing.
+# Reads bench/ and BENCHMARK.json; appends one JSON line per workload to
+# BENCH_pairs.jsonl (refs, workload, pairs, and per metric both medians,
+# the parent's IQR, pairs ahead and behind, and the verdict) — the
+# tracked record of every such run — and edits nothing else.
 set -euo pipefail
 
 usage="usage: scripts/pairs.sh <parent-ref> <workload|all> [pairs=10] [change-ref]"
@@ -31,6 +37,15 @@ pairs=${3:-10}
 change_ref=${4:-}
 cd "$(dirname "$0")/.."
 change=$PWD
+record=$PWD/BENCH_pairs.jsonl
+# The record names commits, not refs that move: `HEAD` is the parent
+# only until the change is committed.
+parent_id=$(git rev-parse --short "$parent_ref^{commit}")
+if [[ -n $change_ref ]]; then
+    change_id=$(git rev-parse --short "$change_ref^{commit}")
+else
+    change_id="working tree on $(git rev-parse --short HEAD)"
+fi
 
 if [[ $workload == all ]]; then
     workloads=$(python3 -c 'import json
@@ -49,8 +64,12 @@ if [[ -n $change_ref ]]; then
     git archive "$change_ref" | tar -x -C "$change"
 fi
 
+for tree in "$work/parent" "$change"; do
+    (cd "$tree" && python3 -m compileall -q src bench)
+done
+
 pass() {  # pass <tree> <workload> <seed> <out>: the last line of a pass is its JSON
-    (cd "$1" && python3 bench/run.py --workload "$2" --seed "$3" \
+    (cd "$1" && PYTHONHASHSEED=$3 python3 bench/run.py --workload "$2" --seed "$3" \
         --seconds 15 --trace 0) | tail -n 1 > "$4"
 }
 
@@ -66,10 +85,12 @@ for name in $workloads; do
     done
 done
 
-python3 - "$work" "$pairs" "$parent_ref" "${change_ref:-working tree}" $workloads <<'PY'
+python3 - "$work" "$pairs" "$record" "$parent_id" "$change_id" \
+    "$parent_ref" "${change_ref:-working tree}" $workloads <<'PY'
 import json, pathlib, statistics, sys
 
-work, pairs, ref, change_ref, *workloads = pathlib.Path(sys.argv[1]), int(sys.argv[2]), *sys.argv[3:]
+work, pairs, record = pathlib.Path(sys.argv[1]), int(sys.argv[2]), pathlib.Path(sys.argv[3])
+parent_id, change_id, ref, change_ref, *workloads = sys.argv[4:]
 better = {m["name"]: m["better"] for m in json.load(open("BENCHMARK.json"))["end_to_end"]}
 table = []  # (workload, metric, verdict)
 for workload in workloads:
@@ -85,6 +106,8 @@ for workload in workloads:
               f"{sum(not p['correct'] for p in passes)} incorrect passes")
     print(f"  {'metric':24} {'parent':>10} {'(IQR)':>9} {'change':>10} {'ratio':>7}  change ahead")
     verdicts = []
+    line = {"parent": parent_id, "change": change_id, "workload": workload,
+            "pairs": pairs, "metrics": {}}
     for name, direction in better.items():
         parent = [p["metrics"][name]["value"] for p in runs["parent"]]
         change = [p["metrics"][name]["value"] for p in runs["change"]]
@@ -106,10 +129,14 @@ for workload in workloads:
         else:
             verdict = "unresolved"
         table.append((workload, name, verdict))
+        line["metrics"][name] = {"parent": mp, "parent_iqr": iqr, "change": mc,
+                                 "ahead": ahead, "behind": behind, "verdict": verdict}
         verdicts.append(f"  {name:24} {verdict:18} ahead {ahead}, behind {behind} of {pairs}; "
                         f"|median gap| {abs(gain):.3f} vs parent IQR {iqr:.3f}")
     print("verdict (ahead >= 9/10 of pairs and |median gap| > parent IQR -> resolved, else unresolved):")
     print("\n".join(verdicts))
+    with record.open("a") as out:
+        out.write(json.dumps(line) + "\n")
 if len(workloads) > 1:
     metrics = list(better)
     width = max(len(w) for w in workloads)

@@ -38,6 +38,7 @@ kind; or n=9 with b=0, c=4: four crashed servers).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable
 
 from .quorums import QuorumSystem
@@ -81,6 +82,9 @@ class HybridQuorumSystem(QuorumSystem):
 
     def sample_quorum(self) -> frozenset[int]:
         return frozenset(range(self.n - self.b - self.c))
+
+    def corruptible_within(self, parties: frozenset[int]) -> Iterable[frozenset[int]]:
+        return map(frozenset, combinations(sorted(parties), min(self.b, len(parties))))
 
     # -- fault-injection accounting ----------------------------------------
 

@@ -33,7 +33,8 @@ checks; :class:`GeneralQuorumSystem` works for any structure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from itertools import combinations
+from typing import Callable, Iterable
 
 from .formulas import Formula
 from .structures import AdversaryStructure, threshold_structure
@@ -72,6 +73,22 @@ class QuorumSystem:
         """Some quorum (used by clients to pick how many servers to contact)."""
         raise NotImplementedError
 
+    def corruptible_within(self, parties: frozenset[int]) -> Iterable[frozenset[int]]:
+        """The largest corruptible subsets of ``parties`` (every corruptible
+        subset lies in one of them)."""
+        raise NotImplementedError
+
+    def is_robust(
+        self, parties: Iterable[int], qualified: Callable[[frozenset[int]], bool]
+    ) -> bool:
+        """Whether removing any corruptible set from ``parties`` still
+        leaves a set ``qualified`` accepts: the honest members alone are
+        qualified, whoever lies (docs/PROTOCOLS.md, "Shares")."""
+        present = frozenset(parties)
+        return all(
+            qualified(present - corrupt) for corrupt in self.corruptible_within(present)
+        )
+
     def describe(self) -> str:
         raise NotImplementedError
 
@@ -105,6 +122,9 @@ class ThresholdQuorumSystem(QuorumSystem):
 
     def sample_quorum(self) -> frozenset[int]:
         return frozenset(range(self.n - self.t))
+
+    def corruptible_within(self, parties: frozenset[int]) -> Iterable[frozenset[int]]:
+        return map(frozenset, combinations(sorted(parties), min(self.t, len(parties))))
 
     def to_structure(self) -> AdversaryStructure:
         return threshold_structure(self.n, self.t)
@@ -149,6 +169,9 @@ class GeneralQuorumSystem(QuorumSystem):
     def sample_quorum(self) -> frozenset[int]:
         biggest = max(self.structure.maximal_sets, key=len, default=frozenset())
         return self.structure.all_parties - biggest
+
+    def corruptible_within(self, parties: frozenset[int]) -> Iterable[frozenset[int]]:
+        return (parties & corrupt for corrupt in self.structure.maximal_sets)
 
     def describe(self) -> str:
         return f"general({self.structure.describe()})"

@@ -10,9 +10,9 @@ where a BFT implementation silently stops being Byzantine-tolerant.
 Flagged: expression statements whose value is a call to a function or
 method named ``verify``, ``verify_share``, ``verify_shares``,
 ``verify_proof``, ``verify_batch``, ``verify_dleq``,
-``verify_dleq_batch``, ``verify_dleq_shares``, ``combine``, ``check``,
-``qualified_shares`` or ``offer_coin_share`` inside ``core/``,
-``crypto/`` and ``smr/``.  The batch entry points
+``verify_dleq_batch``, ``verify_dleq_shares``, ``consistent``,
+``combine``, ``check``, ``qualified_shares``, ``open_shares`` or
+``offer_coin_share`` inside ``core/``, ``crypto/`` and ``smr/``.  The batch entry points
 return the set of valid shares (or the batch verdict) and are
 verified-gates exactly like their per-share counterparts: dropping
 their result silently un-gates a whole quorum at once — and a memo
@@ -20,7 +20,9 @@ argument changes nothing: a share the party's own seeded memo admits
 is admitted by the *returned* set, nowhere else.  The same holds one
 level up, at :class:`~repro.core.share_screen.ShareScreen`: offering a
 share, or holding it pending, gates nothing — only the set
-``qualified_shares`` (or ``offer_coin_share``) returns does.
+``qualified_shares`` (or ``open_shares``, ``offer_coin_share``)
+returns does; and a robust set's ``consistent`` verdict gates it as the
+proofs' would.
 """
 
 from __future__ import annotations
@@ -42,9 +44,11 @@ _CHECKED_NAMES = {
     "verify_dleq",
     "verify_dleq_batch",
     "verify_dleq_shares",
+    "consistent",
     "combine",
     "check",
     "qualified_shares",
+    "open_shares",
     "offer_coin_share",
 }
 

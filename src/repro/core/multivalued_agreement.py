@@ -38,7 +38,7 @@ from ..crypto.coin import CoinShare
 from .binary_agreement import BinaryAgreement
 from .consistent_broadcast import CbcDelivery, ConsistentBroadcast, FinalScreen, cbc_session
 from .protocol import Context, Protocol, SessionId
-from .share_screen import ShareScreen, offer_coin_share
+from .share_screen import ShareScreen, offer_coin_share, open_coin
 
 __all__ = ["MvbaPermShare", "MvbaValue", "MvbaDecision", "MultiValuedAgreement",
            "mvba_session"]
@@ -90,6 +90,9 @@ class MultiValuedAgreement(Protocol):
         self.finals: FinalScreen  # on_start: its deliveries come to _on_delivery
         self.perm_coin: ShareScreen[CoinShare] = ShareScreen()
         self.perm_released = False
+        # A peer decided, so it held the permutation: the coin's missing
+        # shares may never come, and a qualified set is checked by proofs.
+        self.perm_settled = False
         self.permutation: list[int] | None = None
         self.cursor = 0  # index into the (wrapped) candidate sequence
         self.current_vote_session: SessionId | None = None
@@ -135,8 +138,10 @@ class MultiValuedAgreement(Protocol):
         self._maybe_release_permutation(ctx)
 
     def _maybe_release_permutation(self, ctx: Context) -> None:
-        if self.perm_released or not ctx.quorum.is_quorum(self.deliveries):
-            return
+        if not self.perm_released and ctx.quorum.is_quorum(self.deliveries):
+            self._release_permutation(ctx)
+
+    def _release_permutation(self, ctx: Context) -> None:
         self.perm_released = True
         share = ctx.keys.coin.share_for(self._perm_coin_name(ctx), ctx.rng, ctx.verified)
         ctx.broadcast(MvbaPermShare(share))
@@ -156,11 +161,22 @@ class MultiValuedAgreement(Protocol):
 
     def _on_perm_share(self, ctx: Context, sender: int, share: CoinShare) -> None:
         name = self._perm_coin_name(ctx)
-        shares = offer_coin_share(ctx, self.perm_coin, name, sender, share)
-        if shares is not None:
-            bits = ctx.public.coin.combine_many_bits(name, shares, bits=63)
-            self.permutation = self._permutation_from_bits(ctx.n, bits)
-            self._start_next_vote(ctx)
+        self._open_permutation(
+            ctx, offer_coin_share(ctx, self.perm_coin, name, sender, share, self.perm_settled)
+        )
+
+    def _open_permutation(self, ctx: Context, shares: dict[int, CoinShare] | None) -> None:
+        if shares is None:
+            return
+        if not self.perm_released:
+            # Opened before this party's deliveries were a quorum: it
+            # releases its share all the same, since it may decide and
+            # stop, and a laggard's robust set needs every honest share
+            # (docs/PROTOCOLS.md, "Shares": liveness).
+            self._release_permutation(ctx)
+        bits = ctx.public.coin.combine_many_bits(self._perm_coin_name(ctx), shares, bits=63)
+        self.permutation = self._permutation_from_bits(ctx.n, bits)
+        self._start_next_vote(ctx)
 
     @staticmethod
     def _permutation_from_bits(n: int, bits: int) -> list[int]:
@@ -233,6 +249,13 @@ class MultiValuedAgreement(Protocol):
         ):
             return
         self.deliveries.setdefault(candidate, delivery)
+        if self.permutation is None and not self.perm_settled:
+            # A peer decided: shares lost on the way to this party (it was
+            # down, or not yet admitting the round) would never come.
+            self.perm_settled = True
+            self._open_permutation(
+                ctx, open_coin(ctx, self.perm_coin, self._perm_coin_name(ctx), settled=True)
+            )
         # Accept the value as the decision only if its agreement decided 1.
         vote_result = None
         if self.permutation is not None:

@@ -24,7 +24,7 @@ from ..codec import register
 from ..crypto.threshold_enc import Ciphertext, DecryptionShare
 from .atomic_broadcast import AtomicBroadcast
 from .protocol import Context, Protocol, SessionId
-from .share_screen import ShareScreen
+from .share_screen import ShareScreen, open_shares
 
 __all__ = ["ScDecryptionShare", "SecureCausalBroadcast", "sc_abc_session"]
 
@@ -145,11 +145,10 @@ class SecureCausalBroadcast(Protocol):
         if digest in self.plaintexts:
             return
         ct, screen = self.opening[digest]
-        shares = screen.qualified_shares(
-            ctx.public.access_scheme.is_qualified,
-            lambda held: ctx.public.encryption.verify_shares(
-                ct, held.values(), ctx.verified
-            ),
+        encryption = ctx.public.encryption
+        shares = open_shares(
+            ctx, screen, encryption.consistent,
+            lambda held: encryption.verify_shares(ct, held.values(), ctx.verified),
         )
         if shares is not None:
             self.plaintexts[digest] = ctx.public.encryption.combine(ct, shares)

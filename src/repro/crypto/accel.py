@@ -334,7 +334,10 @@ class GroupAccel:
         2.4 MB at 1536 bits) already costs a third fewer operations
         than its full-height radix table (docs/PERFORMANCE.md).
         Negative exponents (an opening's ``μ``): their terms are
-        multiplied up apart and inverted once.
+        multiplied up apart and inverted once.  An exponent below one
+        window (a consistency relation's, crypto/lsss.py) is a built-in
+        ``pow`` of a few squarings, where a Straus row costs
+        ``2^w − 2`` multiplications before its one digit is read.
         """
         acc = 1
         plain: list[tuple[int, int]] = []
@@ -344,10 +347,12 @@ class GroupAccel:
                 negative.append((base, -exponent))
             elif exponent:
                 table = self._table(base) or self._ladders.get(base)
-                if table is None:
-                    plain.append((base % self.p, exponent))
-                else:
+                if table is not None:
                     acc = acc * table.pow(exponent) % self.p
+                elif exponent <= _STRAUS_MASK:
+                    acc = acc * pow(base, exponent, self.p) % self.p
+                else:
+                    plain.append((base % self.p, exponent))
         if plain:
             acc = acc * _straus(self.p, plain) % self.p
         if negative:

@@ -16,10 +16,12 @@ The value hashes ``H(C)^{Δx}``, opened by integers (``Δ = n!`` for a
 threshold scheme, crypto/lsss.py): ``y ↦ y^Δ`` permutes the group, so
 predicting it is predicting the ``H(C)^x`` of [8].
 
-Verifying a quorum of shares is the dominant cost of every agreement
-round; :meth:`CoinPublic.verify_shares` batches the whole quorum's DLEQ
+A party opens a coin from a robust set of shares (2t + 1 of a
+threshold scheme) that lie on one sharing in the exponent, reading no
+proof (``consistent``, docs/PROTOCOLS.md "Shares"); only when they do
+not, :meth:`CoinPublic.verify_shares` batches the held shares' DLEQ
 proofs into one simultaneous multi-exponentiation and falls back to
-per-share checks only to pinpoint culprits (docs/PERFORMANCE.md).
+per-share checks to pinpoint culprits (docs/PERFORMANCE.md).
 """
 
 from __future__ import annotations

@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Iterable
 
 from ..adversary.formulas import Formula, majority
 from ..adversary.hybrid import HybridQuorumSystem
@@ -93,6 +95,26 @@ class PublicKeys:
         if isinstance(self.quorum, ThresholdQuorumSystem):
             return self.quorum.t
         return None
+
+    def is_robust(self, parties: Iterable[int]) -> bool:
+        """Whether shares from ``parties`` that agree fix the opened value:
+        the access scheme qualifies them less any corruptible set (``2t +
+        1`` of a threshold scheme, ``2b + 1`` under hybrid faults).
+        Memoized per set: the same senders recur on every coin."""
+        present = frozenset(parties)
+        memo = self._robust_memo
+        verdict = memo.get(present)
+        if verdict is None:
+            if len(memo) >= 1024:
+                memo.clear()
+            verdict = memo[present] = self.quorum.is_robust(
+                present, self.access_scheme.is_qualified
+            )
+        return verdict
+
+    @cached_property
+    def _robust_memo(self) -> dict[frozenset[int], bool]:
+        return {}
 
 
 @dataclass(frozen=True)

@@ -146,11 +146,34 @@ class LsssScheme:
         satisfied children at every gate.  Memoized per set (the same
         quorum recurs on every coin of a session); callers get a copy.
         """
+        mu = self._walk(present)[0]
+        return dict(mu) if mu is not None else None
+
+    def consistency_relations(
+        self, present: set[int] | frozenset[int]
+    ) -> tuple[tuple[tuple[SlotId, int], ...], ...]:
+        """The integer relations ``Σ k_slot · subshare_slot = 0`` that
+        every dealing satisfies on the slots of ``present``, each as
+        ``((slot, k), ...)``, and that together say a vector over those
+        slots *is* some dealing's: at every gate with more than ``k``
+        resolved children, each further child's value is the Lagrange
+        interpolation of the first ``k`` at its point.  Scaled to
+        integers and divided by their gcd (n = 4, parties 0–2:
+        ``s₁ − 2·s₂ + s₃``).  Memoized with :meth:`integer_recombination`.
+        """
+        return self._walk(present)[1]
+
+    def _walk(self, present: set[int] | frozenset[int]) -> tuple[
+        dict[SlotId, int] | None, tuple[tuple[tuple[SlotId, int], ...], ...]
+    ]:
+        """One walk of the formula over ``present``: the opening ``μ``
+        (``None`` unless qualified) and the consistency relations."""
         avail = frozenset(present)
         cache = self.__dict__["_recomb_cache"]
-        if avail in cache:
-            cached = cache[avail]
-            return dict(cached) if cached is not None else None
+        cached = cache.get(avail)
+        if cached is not None:
+            return cached
+        relations: list[tuple[tuple[SlotId, int], ...]] = []
 
         def solve(node: Formula, path: SlotId) -> dict[SlotId, int] | None:
             if isinstance(node, Leaf):
@@ -158,22 +181,24 @@ class LsssScheme:
                     return {path: 1}
                 return None
             assert isinstance(node, Threshold)
-            solved: list[tuple[int, Formula, dict[SlotId, int]]] = []
+            # Every child is walked: one the opening does not use may
+            # still resolve (a further relation) or hold a gate that does.
+            solved: list[tuple[int, int, dict[SlotId, int]]] = []
             for idx, child in enumerate(node.children):
                 solution = solve(child, (*path, idx))
                 if solution is not None:
-                    solved.append((idx + 1, child, solution))
-                    if len(solved) == node.k:
-                        break
+                    solved.append((idx + 1, _delta(child), solution))
             if len(solved) < node.k:
                 return None
+            basis = solved[: node.k]
+            relations.extend(_relation(basis, extra) for extra in solved[node.k :])
             # A child's solution opens Δ_child times its value; the Lagrange
             # λ_i = Π_j j / (j - i) times Δ_gate / Δ_child is an integer.
             delta = _delta(node)
             combined: dict[SlotId, int] = {}
-            for point, child, solution in solved:
-                num, den = delta, _delta(child)
-                for other, _, _ in solved:
+            for point, child_delta, solution in basis:
+                num, den = delta, child_delta
+                for other, _, _ in basis:
                     if other != point:
                         num *= other
                         den *= other - point
@@ -182,11 +207,11 @@ class LsssScheme:
                     combined[slot] = combined.get(slot, 0) + factor * coeff
             return combined
 
-        result = solve(self.formula, ())
+        walked = (solve(self.formula, ()), tuple(relations))
         if len(cache) >= self._RECOMB_CACHE_MAX:
             cache.clear()
-        cache[avail] = dict(result) if result is not None else None
-        return result
+        cache[avail] = walked
+        return walked
 
     def recombination(self, present: set[int] | frozenset[int]) -> dict[SlotId, int] | None:
         """``slot -> λ_slot`` with ``secret = Σ λ_slot · subshare_slot``
@@ -206,6 +231,33 @@ class LsssScheme:
             raise ValueError(f"set {sorted(present)} is not qualified")
         flat = sharing.all_slots()
         return sum(coeff * flat[slot] for slot, coeff in lam.items()) % self.modulus
+
+
+def _relation(
+    basis: list[tuple[int, int, dict[SlotId, int]]],
+    extra: tuple[int, int, dict[SlotId, int]],
+) -> tuple[tuple[SlotId, int], ...]:
+    """``v_e − Σ_i L_i(x_e)·v_i = 0`` for the child ``extra`` against the
+    gate's ``basis`` children, over the integers: child ``c``'s value is
+    ``v_c = Σ μ_c·s / Δ_c``, ``L_i(x) = Π_{j≠i} (x − x_j) / (x_i − x_j)``;
+    every term is brought to one denominator and the gcd divided out."""
+    point, extra_delta, extra_mu = extra
+    terms: list[tuple[int, int, dict[SlotId, int]]] = [(1, extra_delta, extra_mu)]
+    for x_i, delta_i, mu_i in basis:
+        num = den = 1
+        for x_j, _, _ in basis:
+            if x_j != x_i:
+                num *= point - x_j
+                den *= x_i - x_j
+        terms.append((-num, den * delta_i, mu_i))
+    common = math.lcm(*(abs(den) for _, den, _ in terms))
+    coeffs: dict[SlotId, int] = {}
+    for num, den, mu in terms:
+        scale = num * (common // den)
+        for slot, coeff in mu.items():
+            coeffs[slot] = coeffs.get(slot, 0) + scale * coeff
+    divisor = math.gcd(*coeffs.values())
+    return tuple((slot, k // divisor) for slot, k in coeffs.items() if k)
 
 
 def _delta(node: Formula) -> int:

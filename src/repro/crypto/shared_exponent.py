@@ -8,7 +8,9 @@ ciphertext's ``g^r``) that each carry a Chaum-Pedersen DLEQ proof
 against the verification value.  A qualified set of valid shares
 recombines to ``u^{Δx}`` by small integers (``Δ`` and ``μ`` of the
 LSSS); what is then done with it is all that tells the two schemes
-apart.  ``u`` gets one squaring ladder, built by the first share made or
+apart.  A robust set of shares needs no proof read: that its values lie
+on one sharing in the exponent (:meth:`SharedExponentPublic.consistent`)
+fixes the opened value, and the proofs are for finding culprits.  ``u`` gets one squaring ladder, built by the first share made or
 batch checked in this process (crypto/accel.py).  This module is that object,
 once: :class:`~repro.crypto.coin.CoinPublic` and
 :class:`~repro.crypto.threshold_enc.EncryptionPublic` extend the public
@@ -53,17 +55,24 @@ class SharedExponentPublic:
     scheme: LsssScheme
     verification: dict[SlotId, int]  # slot -> g^{x_slot}
 
+    def _well_shaped(self, share: _Share) -> bool:
+        """Whether a share's values and proofs are dicts over exactly its
+        party's slots, the values integers (what the wire carries is any
+        value)."""
+        values, proofs = share.values, share.proofs
+        return (
+            isinstance(values, dict) and isinstance(proofs, dict)
+            and values.keys() == set(self.scheme.slots_of_party(share.party))
+            == proofs.keys()
+            and all(isinstance(value, int) for value in values.values())
+        )
+
     def _share_items(
         self, base: int, context: tuple, share: _Share
     ) -> list[tuple[int, int, int, int, DleqProof, object]] | None:
         """The DLEQ batch items of one share of ``base``, or None unless
-        its values and proofs are dicts over exactly its party's slots,
-        the values integers (what the wire carries is any value)."""
-        expected_slots = set(self.scheme.slots_of_party(share.party))
-        values, proofs = share.values, share.proofs
-        if not (isinstance(values, dict) and isinstance(proofs, dict)
-                and values.keys() == expected_slots == proofs.keys()
-                and all(isinstance(value, int) for value in values.values())):
+        it is well shaped."""
+        if not self._well_shaped(share):
             return None
         return [
             (
@@ -74,7 +83,7 @@ class SharedExponentPublic:
                 share.proofs[slot],
                 (*context, slot),
             )
-            for slot in sorted(expected_slots)
+            for slot in sorted(share.values)
         ]
 
     def _share_valid(self, base: int, context: tuple, share: _Share) -> bool:
@@ -113,6 +122,33 @@ class SharedExponentPublic:
             if items is not None:
                 candidates[share.party] = (share, items)
         return verify_dleq_shares(self.group, candidates, memo)
+
+    def consistent(self, shares: Mapping[int, _Share]) -> bool:
+        """Whether the shares by party lie on one sharing in the exponent:
+        each well shaped, each value a subgroup member, and every
+        consistency relation of the LSSS on their parties
+        (:meth:`~repro.crypto.lsss.LsssScheme.consistency_relations`)
+        ``Π value^k = 1``.  No proof is read.  On a robust set this fixes
+        the opened value as the proofs would (docs/PROTOCOLS.md,
+        "Shares"): the honest members are qualified, and every dealing
+        agreeing with them has their secret.  Membership is what makes
+        it hold — without it ``p − s₂`` passes ``s₂² = s₁·s₃``.  Each
+        relation is checked as ``Π_{k>0} value^k = Π_{k<0} value^{−k}``:
+        one inversion at |p| bits costs more than both sides' powers.
+        """
+        accel = accel_for(self.group)
+        values: dict[SlotId, int] = {}
+        for party, share in shares.items():
+            if share.party != party or not self._well_shaped(share):
+                return False
+            values.update(share.values)
+        if not all(map(accel.is_member, values.values())):
+            return False
+        return all(
+            accel.multiexp((values[slot], k) for slot, k in relation if k > 0)
+            == accel.multiexp((values[slot], -k) for slot, k in relation if k < 0)
+            for relation in self.scheme.consistency_relations(shares.keys())
+        )
 
     def _recombine(self, shares: Mapping[int, _Share]) -> int | None:
         """``base^{Δx}`` from a qualified set of valid shares, else None:

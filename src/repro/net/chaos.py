@@ -960,10 +960,12 @@ async def run_timeline(
         ),
         "resubmissions": client.resubmissions,
         "duplicate_replies": client.duplicate_replies,
+        # On the simulator the client shares the replicas' trace, so how
+        # their shares were checked (``shares.*``) shows here too.
         "client_counters": {
             name: value
             for name, value in sorted(client.network.trace.counters.items())
-            if name.startswith(("chaos.", "transport."))
+            if name.startswith(("chaos.", "transport.", "shares."))
         },
         "safety": safety.to_json(),
         "liveness": liveness.to_json(),

@@ -60,6 +60,8 @@ from dataclasses import dataclass, replace
 from functools import partial
 
 from ..core.atomic_broadcast import AbcConfig
+from ..core.protocol import Context
+from ..smr.replica import service_session
 from ..smr.service import build_service
 from ..smr.state_machine import KeyValueStore
 from .attacks import byzantine_node
@@ -363,16 +365,21 @@ class SimCluster:
             if party not in self.byzantine:
                 self._observe(party)
         for party, kind in scenario.byzantine:
-            node = byzantine_node(
-                kind, dep.network, party, dep.keys.private[party],
-                partial(dep.stack, party, seed=scenario.seed),
-                seed=scenario.seed,
-            )
+            node = self._byzantine_node(party, kind, scenario.seed)
             # unchecked: violation shapes deliberately exceed the structure.
             dep.controller.corrupt(dep.network, party, node, unchecked=True)
         self.client = dep.new_client()
         self.open: dict[int, Callable] = {}  # nonce -> completion callback
         self.network.start()
+
+    def _byzantine_node(self, party: int, kind: str, seed: int):
+        """``party``'s corrupted node of ``kind``, around the deployment's
+        own stack where the kind runs one."""
+        dep = self.dep
+        return byzantine_node(
+            kind, dep.network, party, dep.keys.private[party],
+            partial(dep.stack, party, seed=seed), seed=seed,
+        )
 
     def _observe(self, party: int) -> None:
         """Journal what ``party``'s current replica executes, from empty."""
@@ -413,11 +420,22 @@ class SimCluster:
         self.network.crash(party)
 
     async def restart(self, party: int) -> None:
-        # The journal restarts empty and is rebuilt by the replay
-        # (on_execute fires on replays too).
-        self.dep.rejoin(party, seed=self.scenario.seed + 7)
-        if party not in self.byzantine:
+        seed = self.scenario.seed + 7
+        kind = self.byzantine.get(party)
+        if kind is None:
+            # The journal restarts empty and is rebuilt by the replay
+            # (on_execute fires on replays too).
+            self.dep.rejoin(party, seed=seed)
             self._observe(party)
+            return
+        # A corrupted party comes back corrupted, as a TCP one restarts
+        # with ``--byzantine``: the same kind, and a stack it runs replays
+        # the log as an honest rejoin does.
+        before = self.dep.runtimes.get(party)
+        self.network.recover(party, self._byzantine_node(party, kind, seed))
+        runtime = self.dep.runtimes.get(party)
+        if runtime is not before:
+            self.dep.replicas[party].begin_recovery(Context(runtime, service_session()))
 
     async def suspend(self, party: int) -> None:
         self.scheduler.suspended.add(party)

@@ -466,3 +466,8 @@ def test_rl008_scanner_behaviour(text, expected):
     assert [line for line, _ in found] == [line for line, _ in expected]
     for (_, message), (_, fragment) in zip(found, expected):
         assert fragment in message
+
+
+def test_rl002_fires_on_a_discarded_consistency_verdict():
+    report = findings("rl002_consistency_bad.py", "RL002")
+    assert locations(report) == [("RL002", 5), ("RL002", 6)]

@@ -32,14 +32,21 @@ def _spawn(runtimes, session, proposals):
 
 @pytest.fixture()
 def coin_checks(monkeypatch):
-    """The names of the coins whose shares reached (DLEQ) verification."""
-    checks, verify_shares = [], CoinPublic.verify_shares
+    """The names of the coins whose shares reached a check: the
+    consistency check of a robust set, or the DLEQ proofs."""
+    checks = []
+    verify_shares, consistent = CoinPublic.verify_shares, CoinPublic.consistent
 
     def counting(public, name, shares, memo=None):
         checks.append(name)
         return verify_shares(public, name, shares, memo)
 
+    def counting_consistent(public, shares):
+        checks.extend({share.name for share in shares.values()})
+        return consistent(public, shares)
+
     monkeypatch.setattr(CoinPublic, "verify_shares", counting)
+    monkeypatch.setattr(CoinPublic, "consistent", counting_consistent)
     return checks
 
 

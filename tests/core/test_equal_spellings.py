@@ -77,14 +77,15 @@ class _HoldShares(FifoScheduler):
 
 def test_a_session_spelled_with_true_does_not_split_the_coin():
     """n = 7, t = 2; replicas 5 and 6 are Byzantine.  Replica 0 holds its
-    own permutation share and replica 1's when 5's forged share makes it
-    check them (5 is banned); 6 then sends a share for the coin named
-    under the agreement's id spelled ``("mvba", (service, True))``.  That
-    spelling reached the instance as ``ctx.session``: replica 0 checked
-    the share against it and opened the coin with it — a permutation of
-    its own, apart from replicas 1–4.  Now the share is checked against
-    the id as spawned, fails, and replica 0 opens the coin the others
-    open."""
+    own permutation share and replica 1's, then 5's forged share and 6's
+    share for the coin named under the agreement's id spelled
+    ``("mvba", (service, True))``; replica 2's share makes the held set
+    robust (2t + 1), its consistency check fails, and the proofs ban 5
+    and 6.  That spelling once reached the instance as ``ctx.session``:
+    replica 0 checked the shares against it and opened the coin with it
+    — a permutation of its own, apart from replicas 1–4.  Now the share
+    is checked against the id as spawned, fails, and replica 0 opens the
+    coin the others open."""
     scheduler = _HoldShares({2, 3, 4})
     service = build_service(7, KeyValueStore, t=2, scheduler=scheduler, seed=3)
     network, keys = service.network, service.keys
@@ -111,12 +112,13 @@ def test_a_session_spelled_with_true_does_not_split_the_coin():
                         for slot, value in forged.values.items()},
     )
     network.send(5, 0, (agreement, MvbaPermShare(forged)))
-    run_until(lambda: 5 in replica_0_agreement().perm_coin.banned)
-    assert set(replica_0_agreement().perm_coin.valid) == {0, 1}
     share = keys.private[6].coin.share_for(("mvba-perm", spelled), rng)
     network.send(6, 0, (spelled, MvbaPermShare(share)))
-    network.run(until=lambda: 6 in replica_0_agreement().perm_coin.banned
-                or replica_0_agreement().permutation is not None)
+    run_until(lambda: set(replica_0_agreement().perm_coin.pending) == {0, 1, 5, 6})
+    scheduler.senders = {3, 4}  # replica 2's share completes a robust set
+    network.run(until=lambda: replica_0_agreement().permutation is not None)
+    assert replica_0_agreement().perm_coin.banned == {5, 6}
+    assert set(replica_0_agreement().perm_coin.valid) == {0, 1, 2}
     scheduler.holding = False
     network.run()
     permutations = [

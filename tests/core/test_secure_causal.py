@@ -193,4 +193,7 @@ def test_share_that_overtakes_its_ciphertext_is_used(keys_4_1):
     assert inst.early == {2: {}} and logs[0] == []  # one share is not enough
     own = keys_4_1.private[0].decryption.decryption_share(ct, random.Random(20))
     rts[0].on_message(0, (session, ScDecryptionShare(digest, own)))
-    assert logs[0] == [b"early bird"]
+    assert logs[0] == []  # qualified, not yet robust (2t + 1 = 3)
+    third = keys_4_1.private[1].decryption.decryption_share(ct, random.Random(21))
+    rts[0].on_message(1, (session, ScDecryptionShare(digest, third)))
+    assert logs[0] == [b"early bird"]  # the early share is one of the three

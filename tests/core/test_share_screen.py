@@ -14,9 +14,14 @@ import pytest
 
 from helpers import ctx_for, make_network
 
+from repro.core.multivalued_agreement import MvbaPermShare
 from repro.core.share_screen import ShareScreen, offer_coin_share
 from repro.crypto import schnorr, zkp
 from repro.crypto.schnorr import VerifiedMemo
+from repro.net.scheduler import FifoScheduler
+from repro.smr.replica import service_session
+from repro.smr.service import build_service
+from repro.smr.state_machine import KeyValueStore
 
 
 @dataclass
@@ -200,5 +205,63 @@ def test_coin_shares_are_screened_for_shape_before_they_are_held(keys_4_1):
     assert not screen.pending
     assert offer_coin_share(ctx, screen, name, 1, theirs) is None
     mine = keys_4_1.private[0].coin.share_for(name, rng, ctx.verified)
-    shares = offer_coin_share(ctx, screen, name, 0, mine)
-    assert sorted(shares) == [0, 1]
+    # Qualified but not robust (2t + 1 = 3): held, not yet checked.
+    assert offer_coin_share(ctx, screen, name, 0, mine) is None
+    assert sorted(screen.pending) == [0, 1]
+    shares = offer_coin_share(ctx, screen, name, 2, keys_4_1.private[2].coin.share_for(name, rng))
+    assert sorted(shares) == [0, 1, 2]
+
+
+class _HoldPermShares(FifoScheduler):
+    """FIFO, but replica 2's permutation-coin shares wait while ``holding``."""
+
+    holding = True
+
+    def select(self, pending, rng):
+        for index, envelope in enumerate(pending):
+            if not (
+                self.holding
+                and envelope.sender == 2
+                and isinstance(envelope.payload[1], MvbaPermShare)
+            ):
+                return index
+        return None
+
+
+def test_a_bad_share_in_a_robust_set_falls_back_to_proofs():
+    """n = 4, t = 1; replica 3 is Byzantine and sends each honest replica
+    a permutation-coin share with its values squared — members of the
+    group, but off the sharing.  With replica 2's share held back, every
+    honest replica's first robust set (2t + 1 = 3) is 0's, 1's and 3's:
+    the consistency check fails, the proofs ban 3, and 0's and 1's
+    shares open the coin — the same coin at every honest replica."""
+    scheduler = _HoldPermShares()
+    service = build_service(4, KeyValueStore, t=1, scheduler=scheduler, seed=5)
+    network, keys = service.network, service.keys
+    agreement = ("mvba", (service_session(), 1))
+    network.crash(3)
+    forged = keys.private[3].coin.share_for(("mvba-perm", agreement), random.Random(6))
+    forged = replace(forged, values={
+        slot: value * value % keys.public.group.p for slot, value in forged.values.items()
+    })
+    for honest in range(3):
+        network.send(3, honest, (agreement, MvbaPermShare(forged)))
+    client = service.new_client()
+    nonce = client.submit(("set", "key", 1))
+    network.start()
+    agreements = [service.runtimes[p].instances.get for p in range(3)]
+    network.run(until=lambda: all(
+        (inst := get(agreement)) is not None and inst.permutation is not None
+        for get in agreements
+    ))
+    screens = [get(agreement).perm_coin for get in agreements]
+    assert [(s.banned, sorted(s.valid)) for s in screens] == [({3}, [0, 1])] * 3
+    assert network.trace.counters["shares.proof_fallback"] == 3
+    permutations = [get(agreement).permutation for get in agreements]
+    assert all(p == permutations[0] for p in permutations)
+    scheduler.holding = False
+    service.run_until_complete(client, [nonce])
+    # The next round's coin, 3 silent, opens by consistency everywhere.
+    service.run_until_complete(client, [client.submit(("set", "key", 2))])
+    assert network.trace.counters["shares.proof_fallback"] == 3
+    assert network.trace.counters["shares.opened_by_consistency"] == 3

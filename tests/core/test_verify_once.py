@@ -76,13 +76,18 @@ BATCHED_PER_ROUND = 3 * (2 * QUORUM - 2) + QUORUM * QUORUM
 # ``CbcFinal``, the certificate inside every ``MvbaValue``, and the
 # client's 2 shares again when it combines them.  78 + 74 before that.
 
-# Per coin (t + 1 = 2 shares open it; the counts per round are in
+# Per coin (the first 2t + 1 = 3 shares to arrive are a robust set and
+# open it by one consistency check; the counts per round are in
 # ``test_each_coin_exponentiates_exactly_this_much``):
 FRESH_POWS_PER_SHARE_SLOT = 2  # H(C)^x and the proof's H(C)^w; 3 before
 LADDERS_PER_COIN = 1  # H(C)'s, built once in the process, shared by every party
 FULL_SIZE_POWS_PER_SHARE = 0  # both pows climb the ladder; 2 built-in pows before
-CHAINS_PER_COIN_CHECK = 1  # both sides of every equation on one; 2 before
-DLEQ_ITEMS_PER_COIN = (T + 1) - 1  # where the verifier's own share is one of them
+ROBUST_SET = 2 * T + 1  # shares in a coin's check; t + 1 = 2 when proofs checked them
+# One relation on 3 held slots (s₁·s₃ = s₂²), its exponents below one
+# window: built-in pows, no Straus chain; the proof batch's one chain of
+# 64-bit and |q|-bit exponents before.
+CHAINS_PER_COIN_CHECK = 0
+DLEQ_ITEMS_PER_COIN = 0  # no proof is read; 1 or 2 (t + 1, less the verifier's own) before
 
 # Top-level encodings per round (one per hash evaluated or statement
 # rendered, not counting the per-block counter): 62 Schnorr challenges
@@ -146,7 +151,11 @@ DLEQ_ITEMS_PER_COIN = (T + 1) - 1  # where the verifier's own share is one of th
 # (4 -> 1, 12); and the coin's base ``H(C)``, derived 8 times a round (4
 # shares made, 4 checks), is memoized by the encoding of its name, which
 # the 7 hits now render to look it up (7 more).
-ENCODINGS_PER_ROUND = 225 - (33 - 8) - 4 * (4 - 1) + 7
+# 195 -> 175 with coins opened by consistency, one source: no coin
+# check reads a proof or a base — its 2 DLEQ challenges, its batch seed
+# and coefficient stream, and its lookup of ``H(C)``, 5 a check, 4
+# checks a round (20).
+ENCODINGS_PER_ROUND = 225 - (33 - 8) - 4 * (4 - 1) + 7 - 4 * 5
 
 # Bytes fed to SHA-256 through ``crypto/hashing`` per round (prefix
 # included): 66,304 when every batch digest and reply leaf hashed the
@@ -163,17 +172,21 @@ ENCODINGS_PER_ROUND = 225 - (33 - 8) - 4 * (4 - 1) + 7
 # 1,424 for the 21 signature coefficients and 776 for the 12 DLEQ ones
 # (2,200).  A stream hashes one block per 4 coefficients — 62, 63 and 63
 # bytes for the 9-signature batch, 62 for each 4-signature one, 59 for
-# each coin check — 610 in all: 1,590 fewer.
-BYTES_HASHED_PER_ROUND = 66_304 - 320 - 120 + 325 - (2_200 - 610)
+# each coin check — 610 in all: 1,590 fewer.  64,599 -> 59,667 with
+# coins opened by consistency: the 4 coin checks' 8 DLEQ challenges, 4
+# batch seeds and 4 coefficient streams (236 of it) are not hashed.
+BYTES_HASHED_PER_ROUND = 66_304 - 320 - 120 + 325 - (2_200 - 610) - 4_932
 REQUEST_HASHES_PER_ROUND = N + 1
 
 # Full-size exponentiations of ``g`` inside verification — what a check
 # costs most of at production key sizes — per round: one per single check (its
 # ``g^z``), one per batch (the merged ``g`` term) — the ``CbcFinal``
-# batches and one coin check per replica.  39 when every proposal and
-# ``CbcFinal`` was checked on arrival (12 + 9 + 2 single, 12 + 4 batches).
-COIN_CHECKS_PER_ROUND = N
-G_POWS_PER_ROUND = SINGLE_PER_ROUND + FINAL_BATCHES_PER_ROUND + COIN_CHECKS_PER_ROUND
+# batches; the coin's check, by consistency, raises no ``g``.  39 when
+# every proposal and ``CbcFinal`` was checked on arrival (12 + 9 + 2
+# single, 12 + 4 batches); 28 while each replica's coin check was a
+# DLEQ batch, one merged ``g`` term each.
+COIN_PROOF_CHECKS_PER_ROUND = 0
+G_POWS_PER_ROUND = SINGLE_PER_ROUND + FINAL_BATCHES_PER_ROUND + COIN_PROOF_CHECKS_PER_ROUND
 SEED = 13
 
 
@@ -277,8 +290,9 @@ def test_each_round_verifies_and_encodes_exactly_this_much(counts):
 
 def test_each_coin_exponentiates_exactly_this_much(monkeypatch):
     tally = Counter()
-    doing = []  # "share" inside share_for, "check" inside verify_shares
+    doing = []  # "share" inside share_for, "check" inside a coin check
     share_for, verify_shares = CoinShareholder.share_for, CoinPublic.verify_shares
+    consistent = CoinPublic.consistent
     exp, straus, product = GroupAccel.exp, accel._straus, zkp.verify_product_equations
     add_ladder = GroupAccel.add_ladder
 
@@ -290,13 +304,18 @@ def test_each_coin_exponentiates_exactly_this_much(monkeypatch):
         finally:
             doing.pop()
 
-    def counting_verify_shares(public, name, shares, memo):
-        shares = list(shares)
-        verifier = next(party for party, theirs in memos.items() if theirs is memo)
-        own = any(share.party == verifier for share in shares)
+    def counting_consistent(public, shares):
+        # No memo is read: the verifier's own share costs what any does.
         tally["checks"] += 1
-        tally["checks_with_own_share"] += own
         tally["shares_checked"] += len(shares)
+        doing.append("check")
+        try:
+            return consistent(public, shares)
+        finally:
+            doing.pop()
+
+    def counting_verify_shares(public, name, shares, memo):
+        tally["proof_checks"] += 1
         doing.append("check")
         try:
             return verify_shares(public, name, shares, memo)
@@ -327,6 +346,7 @@ def test_each_coin_exponentiates_exactly_this_much(monkeypatch):
         return product(modulus, equations, *args, **kwargs)
 
     monkeypatch.setattr(CoinShareholder, "share_for", counting_share_for)
+    monkeypatch.setattr(CoinPublic, "consistent", counting_consistent)
     monkeypatch.setattr(CoinPublic, "verify_shares", counting_verify_shares)
     monkeypatch.setattr(GroupAccel, "exp", counting_exp)
     monkeypatch.setattr(GroupAccel, "add_ladder", counting_add_ladder)
@@ -337,22 +357,23 @@ def test_each_coin_exponentiates_exactly_this_much(monkeypatch):
     # earlier run of this same service (same coin names) left behind.
     accel.accel_for(default_group())._ladders.clear()
     service = _service()
-    memos = {party: runtime.verified for party, runtime in service.runtimes.items()}
     keys = (
         "slots", "fresh_pows", "ladders", "full_size_pows", "checks", "chains",
-        "shares_checked", "checks_with_own_share", "dleq_items",
+        "shares_checked", "proof_checks", "dleq_items",
     )
     per_round = _run_rounds(service, lambda: tuple(tally[key] for key in keys))
     # Each replica releases one coin share a round (the permutation
     # coin's, one slot; the vote decides in its first round, whose coin
     # is the constant 1 — 2 * N before that) and opens the coin with the
-    # first t + 1 = 2 shares to arrive; under this schedule its own is
-    # one of the two in half of the checks (where it is not, it arrives
-    # after the coin is open and is dropped unverified).  The simulated
-    # replicas share one accelerator, so the coin's base gets one ladder
-    # a round; a TCP replica builds its own.
+    # first 2t + 1 = 3 shares to arrive, a robust set, by one consistency
+    # check; no proof is read (the fourth share arrives after the coin is
+    # open and is dropped unchecked).  The simulated replicas share one
+    # accelerator, so the coin's base gets one ladder a round; a TCP
+    # replica builds its own.  Before, t + 1 = 2 shares opened it after a
+    # DLEQ batch: (4, 8, 1, 0, 4, 4, 8, 4, 6) with the proof checks
+    # counted as checks — 6 DLEQ items, the verifier's own share a memo
+    # hit in half of them.
     slots = checks = N
-    with_own = checks // 2
     assert per_round == [
         (
             slots,
@@ -361,13 +382,11 @@ def test_each_coin_exponentiates_exactly_this_much(monkeypatch):
             slots * FULL_SIZE_POWS_PER_SHARE,
             checks,
             checks * CHAINS_PER_COIN_CHECK,
-            checks * (T + 1),
-            with_own,
-            with_own * DLEQ_ITEMS_PER_COIN + (checks - with_own) * (T + 1),
+            checks * ROBUST_SET,
+            COIN_PROOF_CHECKS_PER_ROUND,
+            checks * DLEQ_ITEMS_PER_COIN,
         )
     ] * ROUNDS
-
-
 def test_a_round_of_answers_is_signed_once_per_replica(monkeypatch):
     """k = 8 requests from two clients ride one round.  Each replica makes
     one service-signature share for the round's answers — n in all,

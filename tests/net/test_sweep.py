@@ -14,7 +14,7 @@ import pytest
 
 from repro.core.atomic_broadcast import AbcConfig
 from repro.net import sweep as sweep_module
-from repro.net.adversary import MutatingNode
+from repro.net.adversary import MutatingNode, SilentNode, SpamNode
 from repro.net.chaos import (
     ScenarioError,
     builtin_scenarios,
@@ -290,6 +290,29 @@ def test_an_equivocator_runs_the_scenarios_abc_config():
     replica = node.inner.instances[service_session()]
     assert replica is cluster.dep.replicas[3]
     assert replica.abc.config == AbcConfig(8, 3)
+
+
+@pytest.mark.parametrize(
+    "kind, node_type",
+    [("silent", SilentNode), ("spam", SpamNode), ("equivocate", MutatingNode)],
+)
+def test_a_restarted_byzantine_party_stays_byzantine(kind, node_type):
+    """A kill and restart gives a corrupted party back its behaviour, as
+    ``TcpCluster.restart`` respawns it with ``--byzantine``; an
+    equivocator's fresh stack replays the log like an honest rejoin."""
+    scenario = parameterize_scenario(
+        f"restart-{kind}", n=4, t=1, seed=7, fault="clean", latency="none",
+        load="serial", byzantine=((3, kind),),
+    )
+    cluster = SimCluster(scenario)
+    asyncio.run(cluster.kill(3))
+    asyncio.run(cluster.restart(3))
+    node = cluster.network.nodes[3]
+    assert isinstance(node, node_type)
+    assert 3 not in cluster.network.crashed and 3 not in cluster.journals()
+    if kind == "equivocate":
+        replica = node.inner.instances[service_session()]
+        assert replica is cluster.dep.replicas[3] and replica.recovering
 
 
 # -- the campaign driver ------------------------------------------------------------
