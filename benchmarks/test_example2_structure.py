@@ -43,9 +43,12 @@ def _service_survives_seven_corruptions():
         dep.controller.corrupt(dep.network, server, SilentNode())
     client = dep.new_client()
     dep.network.start()
+    # The resolve goes out once the bind has committed: two requests in
+    # flight together may be ordered either way.
     n1 = client.submit(("bind", "payroll", "db7"))
+    dep.run_until_complete(client, [n1], max_steps=1_500_000)
     n2 = client.submit(("resolve", "payroll"))
-    results = dep.run_until_complete(client, [n1, n2], max_steps=1_500_000)
+    results = dep.run_until_complete(client, [n2], max_steps=1_500_000)
     dep.network.run(max_steps=2_000_000)  # drain so every replica executed
     consistent = len({r.state_machine.snapshot() for r in dep.honest_replicas()}) == 1
     return len(doomed), results[n2].result, consistent, dep.network.delivered_count

@@ -35,17 +35,22 @@ honest party.
 Opening a round: this party opens round ``k+1`` with what it has queued
 once its round ``k`` has its proposals (``k``'s agreement started, or
 ``k`` was delivered), and at once when a checked proposal of a peer's
-for ``k+1`` is recorded (joining, below).  A submission opens a round
-itself only when none of this party's is in flight; otherwise it waits
-in the queue for the next of those round events — an agreement that
-starts, a round delivered, a peer's proposal recorded — and rides that
-round with all that queued meanwhile: a burst is one batch, and so is a
-closed loop's returning wave, not a round per request.  The rule
-changes when this party signs, never what: a batch is still queued,
-undelivered and not in flight.  The wait ends: a fresh payload always
-has one of this party's rounds in flight to wait for, an honest party
-(this one) started it, and honest parties join every round they see a
-proposal for, so its quorum forms and it is delivered
+for ``k+1`` is recorded (joining, below).  A submission opens nothing
+by itself: it waits for the end of the party's *turn*
+(``Context.after_turn``; on TCP the event-loop iteration that read it,
+in the simulator until the party has read what its submitter had sent
+it when the turn began), and the turn tries the opening once.  So what
+a client sent in one go — a burst, a closed loop's returning wave — is
+one batch, not a first request alone and the rest behind it.  What the
+gate (or a full pipeline) holds waits in the queue for the next round
+event — an agreement that starts, a round delivered, a peer's proposal
+recorded — and rides that round with all that queued meanwhile.  The
+rule changes when this party signs, never what: a batch is still
+queued, undelivered and not in flight.  The wait ends: a turn never waits on traffic sent after it
+began, so under eventual delivery every turn ends; after it, a fresh
+payload always has one of this party's rounds in flight to wait for,
+an honest party (this one) started it, and honest parties join every
+round they see a proposal for, so its quorum forms and it is delivered
 (docs/PROTOCOLS.md).
 
 Closing: :meth:`~AtomicBroadcast.close`, called while a payload is being
@@ -318,6 +323,8 @@ class AtomicBroadcast(Protocol):
         # batches for the same round number, even across recovery.
         self.highest_started = 0
         self.in_flight: set[Hashable] = set()
+        # The context of the submissions whose turn has not ended yet.
+        self._turn: Context | None = None
         # Set by close(), cleared by rebase(); _after_close is what
         # close() runs once the round being delivered has ended.
         self.closed = False
@@ -365,11 +372,17 @@ class AtomicBroadcast(Protocol):
     # -- input ------------------------------------------------------------------
 
     def submit(self, ctx: Context, payload: Hashable) -> None:
-        """a-broadcast: enqueue a payload for total ordering (O(1)).  It
-        opens a round only when none of this party's is in flight; else
-        it rides the round the next round event opens (module docstring,
-        "Opening a round")."""
-        if self._enqueue(payload) and self.highest_started <= self.round:
+        """a-broadcast: enqueue a payload for total ordering (O(1)).  The
+        first one of a turn asks for one try at opening a round when the
+        turn ends, so the whole turn's submissions ride that round (module
+        docstring, "Opening a round")."""
+        if self._enqueue(payload) and self._turn is None:
+            self._turn = ctx
+            ctx.after_turn(self._end_turn)
+
+    def _end_turn(self) -> None:
+        ctx, self._turn = self._turn, None
+        if ctx is not None:
             self._maybe_start_rounds(ctx)
 
     def _enqueue(self, payload: Hashable, entry: _Entry | None = None) -> bool:
@@ -483,6 +496,8 @@ class AtomicBroadcast(Protocol):
         base = self.round
         self.closed = False
         self.highest_started = base
+        if self._turn is not None:
+            self._turn = ctx  # a turn that ends after the switch opens here
         for stale in [r for r in self.rounds if r > base]:
             del self.rounds[stale]
         self._sync_in_flight()

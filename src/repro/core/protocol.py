@@ -121,6 +121,12 @@ class Context:
         """Send to all parties (including self) within this session."""
         self._runtime.network.broadcast(self.party, (self.session, message))
 
+    def after_turn(self, callback: Callable[[], None]) -> None:
+        """Run ``callback`` when this party's current turn ends, once it
+        has read what its senders had already sent it
+        (``NetworkBackend.defer``)."""
+        self._runtime.network.defer(self.party, callback)
+
     # -- composition -------------------------------------------------------------
 
     def spawn(

@@ -176,3 +176,6 @@ class _InterceptNetwork:
     def broadcast(self, sender: int, payload: object) -> None:
         for recipient in self.parties:
             self.owner._deliver_out(recipient, payload)
+
+    def defer(self, party: int, callback: Callable[[], None]) -> None:
+        self.owner.network.defer(self.owner.party, callback)

@@ -1,8 +1,8 @@
 """The send/deliver contract every network backend satisfies.
 
 The protocol stack (``core/``, ``smr/``) talks to the network through
-exactly three things: ``send``, ``broadcast`` and the ``trace``
-statistics object.  Both the deterministic simulator
+exactly four things: ``send``, ``broadcast``, ``defer`` and the
+``trace`` statistics object.  Both the deterministic simulator
 (:class:`repro.net.simulator.Network`) and the asyncio TCP transport
 (:class:`repro.net.transport.TransportNetwork`) satisfy this structural
 interface, which is what lets replicas and clients run unmodified on
@@ -11,7 +11,7 @@ either backend.
 
 from __future__ import annotations
 
-from typing import Protocol
+from typing import Callable, Protocol
 
 from .tracing import Trace
 
@@ -43,5 +43,18 @@ class NetworkBackend(Protocol):
         forgotten), never ``range(n)``.  A client is outside the group:
         it is reached by ``send`` alone and receives only what a server
         addresses to it.  Each recipient costs one ``send``.
+        """
+        ...
+
+    def defer(self, party: int, callback: Callable[[], None]) -> None:
+        """Run ``callback`` when ``party``'s current *turn* ends: once it
+        has read what was already sent to it when the turn began.
+
+        On TCP a turn is one event-loop iteration (``loop.call_soon``:
+        after every frame the iteration dispatched); in the simulator it
+        ends once every message the delivering sender had sent that
+        party before the delivery began is delivered (docs/PROTOCOLS.md,
+        "Opening a round").  Either way a turn never waits on traffic
+        sent after it began, so under eventual delivery every turn ends.
         """
         ...

@@ -779,6 +779,26 @@ class ReplicaHost:
                 self.checkpoint_status = "rejected"  # repro: noqa-RL005 single-owner startup state
                 self.network.trace.bump("chaos.checkpoint_rejected")
             self.replica.begin_recovery(ctx)
+            if self.epoch:
+                self._say_recovered_epoch()
+
+    def _say_recovered_epoch(self) -> None:
+        """A restart into an epoch a reconfiguration opened says so, as the
+        entry did: the last entry line may never have been printed (killed
+        between persisting the epoch and saying it), and where members
+        share a directory a party killed mid-resharing restarts at the
+        epoch its peers recorded.  ``replica-epoch`` when this party's
+        shares are the epoch's, ``replica-stale-epoch`` when they are
+        older (no fresh shares, as after a missed resharing)."""
+        coin, fresh = getattr(self.keys, "coin", None), False
+        if coin is not None:
+            try:
+                probe = coin.share_for(("epoch-probe", self.epoch), self.runtime.rng)
+                fresh = self.public.coin.verify_share(probe)
+            except (KeyError, ValueError):
+                pass
+        kind = "replica-epoch" if fresh else "replica-stale-epoch"
+        self.emit(kind, epoch=self.epoch, n=self.public.n)
 
     # -- key-material sessions: boot, join, reshare --------------------------------
 

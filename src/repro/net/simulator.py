@@ -19,11 +19,25 @@ This module is that model, executable:
 
 Time in an asynchronous system is not wall-clock; the simulator counts
 *delivery steps*, and protocols report their own round numbers.
+
+Turns: a party may put work off to the end of its *turn*
+(:meth:`Network.defer`, which protocols reach as
+``Context.after_turn``), as a TCP replica puts it off to the end of its
+event-loop iteration.  Delivering a message from ``s`` begins a turn of
+its recipient ``p``; that turn ends once every message ``s`` had sent
+``p`` before the delivery began has been delivered, so what a submitter
+sent in one go is read before ``p`` acts on it.  A turn never waits on
+traffic sent after it began, so under eventual delivery every turn
+ends.  A call made outside any delivery (by the code that runs the
+network) is a turn of its own that ends before the next delivery (or
+at quiescence).  Deferred work runs right after the delivery that ends
+its turn; a crashed or replaced node's never runs.
 """
 
 from __future__ import annotations
 
 import random
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
@@ -66,6 +80,10 @@ class Node:
         raise NotImplementedError
 
 
+# Deferred work: the party, its node when it deferred, the callback.
+_Deferred = tuple[int, Node | None, Callable[[], None]]
+
+
 class LivenessError(AssertionError):
     """The protocol failed to make progress under the chosen schedule."""
 
@@ -83,6 +101,17 @@ class Network:
         self.crashed: set[int] = set()
         self._seq = 0
         self._started: set[int] = set()
+        # Turns (module docstring).  Per link (sender, recipient): the
+        # seqs not yet delivered, in send order, and the deferred work
+        # waiting on them as (mark, deferred) — due once no seq up to
+        # ``mark`` is left.  Seqs delivered out of send order
+        # wait in ``_early`` until they reach the head of their link.
+        self._undelivered: dict[tuple[int, int], deque[int]] = {}
+        self._early: set[int] = set()
+        self._waiting: dict[tuple[int, int], deque[tuple[int, _Deferred]]] = {}
+        self._due: deque[_Deferred] = deque()
+        # The delivery under way: (sender, recipient, mark), or None.
+        self._turn: tuple[int, int, int] | None = None
 
     # -- topology ----------------------------------------------------------
 
@@ -105,6 +134,11 @@ class Network:
         self.pending.append(
             Envelope(seq=self._seq, sender=sender, recipient=recipient, payload=payload)
         )
+        link = (sender, recipient)
+        undelivered = self._undelivered.get(link)
+        if undelivered is None:
+            undelivered = self._undelivered[link] = deque()
+        undelivered.append(self._seq)
         self.trace.record_send(sender, recipient, payload)
 
     def broadcast(self, sender: int, payload: object) -> None:
@@ -119,12 +153,46 @@ class Network:
             if is_server(recipient):
                 self.send(sender, recipient, payload)
 
+    # -- turns -----------------------------------------------------------------
+
+    def defer(self, party: int, callback: Callable[[], None]) -> None:
+        """Run ``callback`` when ``party``'s current turn ends (module
+        docstring, "Turns"): after the delivery that leaves no message
+        its sender had sent ``party`` before the turn began, or — called
+        outside a delivery to ``party`` — before the next delivery."""
+        node = self.nodes.get(party)
+        turn = self._turn
+        if turn is not None and turn[1] == party:
+            sender, _recipient, mark = turn
+            link = (sender, party)
+            waiting = self._waiting.get(link)
+            if waiting is None:
+                waiting = self._waiting[link] = deque()
+            waiting.append((mark, (party, node, callback)))
+        else:
+            self._due.append((party, node, callback))
+
+    def end_turns(self) -> None:
+        """Run every callback whose turn has ended, in deferral order —
+        those deferred outside any delivery included; one a callback
+        defers runs too.  A crashed or replaced node's callbacks are dropped."""
+        due = self._due
+        nodes = self.nodes
+        while due:
+            party, node, callback = due.popleft()
+            if nodes.get(party) is node:
+                callback()
+
     # -- fault injection -----------------------------------------------------
 
     def crash(self, party: int) -> None:
         """Crash a party: it stops receiving (its outbound in-flight
-        messages may still be delivered, as in the crash model)."""
+        messages may still be delivered, as in the crash model), and
+        what it deferred never runs."""
         self.crashed.add(party)
+        self._due = deque(entry for entry in self._due if entry[0] != party)
+        for link in [link for link in self._waiting if link[1] == party]:
+            del self._waiting[link]
 
     def recover(self, party: int, node: Node | None = None) -> None:
         """Crash-recovery (Section 6): the party comes back — typically
@@ -144,18 +212,44 @@ class Network:
                 self.nodes[party].on_start()
 
     def step(self) -> bool:
-        """Deliver one message chosen by the adversary; False if none left."""
+        """Deliver one message chosen by the adversary; False if none left.
+
+        The turns that ended before it (calls made outside any delivery)
+        are run first, the one it ends right after it."""
+        if self._due:
+            self.end_turns()
         while True:
             index = self.scheduler.select(self.pending, self.rng)
             if index is None:
                 return False
             envelope = self.pending.pop(index)
+            link = (envelope.sender, envelope.recipient)
+            undelivered = self._undelivered[link]
+            seq = envelope.seq
+            if undelivered[0] == seq:
+                undelivered.popleft()
+                early = self._early
+                while undelivered and undelivered[0] in early:
+                    early.remove(undelivered.popleft())
+            else:
+                self._early.add(seq)
             if envelope.recipient in self.crashed:
                 continue  # dropped silently
             break
         self.delivered_count += 1
         self.trace.record_delivery(envelope)
-        self.nodes[envelope.recipient].on_message(envelope.sender, envelope.payload)
+        self._turn = (envelope.sender, envelope.recipient, self._seq)
+        try:
+            self.nodes[envelope.recipient].on_message(envelope.sender, envelope.payload)
+        finally:
+            self._turn = None
+        waiting = self._waiting.get(link)
+        if waiting:
+            head = undelivered[0] if undelivered else self._seq + 1
+            while waiting and waiting[0][0] < head:
+                self._due.append(waiting.popleft()[1])
+        if self._due:
+            self.end_turns()
         return True
 
     def run(

@@ -888,6 +888,22 @@ class TransportNetwork:
             self._record_error(exc, "transport.handler_errors")
         self._delivery_event.set()
 
+    def defer(self, party: int, callback: Callable[[], None]) -> None:
+        """Run ``callback`` after every frame this loop iteration
+        dispatched (``NetworkBackend.defer``): a turn is one iteration.
+        A failure counts as a handler error; a closed network's or a
+        replaced node's callback never runs."""
+        asyncio.get_running_loop().call_soon(self._end_turn, self.node, callback)
+
+    def _end_turn(self, node: Node | None, callback: Callable[[], None]) -> None:
+        if self._closed or self.node is not node:
+            return
+        try:
+            callback()
+        except Exception as exc:
+            self._record_error(exc, "transport.handler_errors")
+        self._delivery_event.set()
+
     # -- waiting -----------------------------------------------------------
 
     async def wait_until(

@@ -76,6 +76,12 @@ def _pending(inst):
     return [r for r, rec in inst.rounds.items() if r > inst.round and rec.decision]
 
 
+def _end_turn(ctx):
+    """End the caller's own turn on ``ctx``'s network: what its calls
+    deferred (a submission's round opening) runs now."""
+    ctx._runtime.network.end_turns()
+
+
 @pytest.mark.parametrize("scheduler", [RandomScheduler, ReorderScheduler])
 def test_total_order_identical_at_all_parties(keys_4_1, scheduler):
     net, rts = make_network(keys_4_1, scheduler(), seed=1)
@@ -200,21 +206,22 @@ def test_batching_delivers_many_payloads_in_few_rounds(keys_4_1, keys_7_2, n, de
     for i in range(10):
         _submit(rts, session, 0, ("req", i))
     net.run(until=lambda: all(len(logs[p]) >= 10 for p in rts), max_steps=600_000)
-    # Round 1 starts on the first submit; everything else rides one
-    # follow-up batch, however deep the pipeline: round 2 opens only once
-    # round 1 has its proposals (a free slot alone opened a round per
-    # submit, [2, 2, 6] in five rounds at depth 4).
+    # The ten submissions are one turn of party 0's: round 1 opens when
+    # it ends and carries all of them, however deep the pipeline (when a
+    # submission opened a round at once: [1, 9] behind the gate, and
+    # [2, 2, 6] in five rounds at depth 4 without it).
     for p in rts:
         inst = rts[p].instances[session]
-        assert _round_sizes(inst) == [1, 9] and inst.round == 2
+        assert _round_sizes(inst) == [10] and inst.round == 1
     assert all(logs[p] == logs[0] for p in rts)
 
 
-def test_a_burst_through_the_service_rides_two_rounds():
+def test_a_burst_through_the_service_rides_one_round():
     """The benchmark's shape — a service, a pipeline of four, one client
-    submitting 60 operations at once — under FIFO delivery: the first
-    rides round 1, the other 59 wait for round 1's proposals and ride
-    round 2 together (a round per free slot first: [1, 1, 1, 1, 56])."""
+    submitting 60 operations at once — under FIFO delivery: a replica's
+    turn ends once it has read all 60, so they ride round 1 together
+    (when the first submission opened a round at once: [1, 59] behind
+    the gate, [1, 1, 1, 1, 56] before it)."""
     dep = build_service(
         4, KeyValueStore, t=1, scheduler=FifoScheduler(), seed=60,
         abc_config=AbcConfig(pipeline_depth=4),
@@ -225,7 +232,7 @@ def test_a_burst_through_the_service_rides_two_rounds():
     dep.run_until_complete(client, nonces)
     dep.network.run(max_steps=400_000)
     for replica in dep.replicas.values():
-        assert _round_sizes(replica.abc) == [1, 59] and replica.abc.round == 2
+        assert _round_sizes(replica.abc) == [60] and replica.abc.round == 1
 
 
 def test_byte_budget_caps_batches(keys_4_1, monkeypatch):
@@ -274,6 +281,7 @@ def test_submit_dedups_against_in_flight_rounds(keys_4_1):
     inst = rts[0].instances[session]
     ctx = ctx_for(rts[0], session)
     inst.submit(ctx, ("req", "x"))
+    _end_turn(ctx)
     assert ("req", "x") in inst.in_flight  # proposed in round 1 already
     inst.submit(ctx, ("req", "x"))
     assert list(inst.queue) == [("req", "x")]  # queued once, not twice
@@ -783,11 +791,13 @@ def test_a_payload_equal_to_a_queued_one_is_digested_as_it_encodes(keys_4_1):
 def test_a_submission_waits_for_the_collecting_round_then_rides_the_next(keys_4_1):
     inst, ctx, session = _lone_party(keys_4_1, "gate-hold", AbcConfig(pipeline_depth=4))
     first, second, third = ("req", "first"), ("req", "second"), ("req", "third")
-    inst.submit(ctx, first)  # nothing is collecting: round 1 opens at once
+    inst.submit(ctx, first)
+    _end_turn(ctx)  # nothing is collecting: round 1 opens as the turn ends
     inst.on_message(ctx, 1, inst.rounds[1].proposal)  # its own copy, delivered
     inst.on_message(ctx, 0, _signed(keys_4_1, session, 0, 1, ()))
     inst.submit(ctx, second)
     inst.submit(ctx, third)
+    _end_turn(ctx)
     # Round 1 holds two of a quorum of three: the gate holds both
     # submissions, with a free pipeline slot, and checks no signature.
     assert inst.highest_started == 1 and list(inst.queue) == [first, second, third]
@@ -798,6 +808,7 @@ def test_a_submission_waits_for_the_collecting_round_then_rides_the_next(keys_4_
     assert inst.rounds[1].agreement_started
     assert inst.highest_started == 2 and inst.rounds[2].proposal.batch == (second, third)
     inst.submit(ctx, ("req", "fourth"))
+    _end_turn(ctx)
     assert inst.highest_started == 2
 
 
@@ -805,7 +816,9 @@ def test_a_peers_proposal_opens_the_next_round_past_the_gate(keys_4_1):
     inst, ctx, session = _lone_party(keys_4_1, "gate-join", AbcConfig(pipeline_depth=4))
     first, second = ("req", "first"), ("req", "second")
     inst.submit(ctx, first)
+    _end_turn(ctx)
     inst.submit(ctx, second)
+    _end_turn(ctx)
     assert inst.highest_started == 1  # round 1 collects: the gate holds
     # A forged round-2 proposal (party 2's key, sent by 3) is no evidence:
     # checked because the gate would hold, refused, and the gate holds.
@@ -1024,12 +1037,13 @@ _PEERS = [0, 2, 3]
 
 
 class _LonePartyRounds(RuleBasedStateMachine):
-    """Party 1 alone, fed submissions, signed peer proposals inside the
-    window, its own proposals' copies, decisions and fetched batches in
-    any order.  A submission opens a round only when none of the party's
-    is in flight; every other fresh payload waits for a round event.
-    The wait ends only if a fresh payload always has a round in flight
-    to wait for: that is the invariant."""
+    """Party 1 alone, fed submissions, ends of its turn, signed peer
+    proposals inside the window, its own proposals' copies, decisions
+    and fetched batches in any order.  A turn that submitted tries to
+    open a round as it ends; a fresh payload the gate holds then waits
+    for a round event.  The wait ends only if, once the turn has ended,
+    a fresh payload always has a round in flight to wait for: that is
+    the invariant."""
 
     def __init__(self):
         super().__init__()
@@ -1041,6 +1055,10 @@ class _LonePartyRounds(RuleBasedStateMachine):
     @rule(payload=st.sampled_from(_POOL))
     def submit(self, payload):
         self.inst.submit(self.ctx, payload)
+
+    @rule()
+    def end_turn(self):
+        _end_turn(self.ctx)
 
     @rule(
         signers=st.lists(st.sampled_from(_PEERS), min_size=1, unique=True),
@@ -1093,6 +1111,8 @@ class _LonePartyRounds(RuleBasedStateMachine):
     def a_fresh_payload_has_a_round_in_flight(self):
         inst = self.inst
         assert not inst.closed
+        if inst._turn is not None:
+            return  # checked once the turn has ended
         fresh = [p for p in inst.queue if p not in inst.delivered and p not in inst.in_flight]
         assert not fresh or inst.highest_started > inst.round
 

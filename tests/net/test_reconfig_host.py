@@ -380,6 +380,34 @@ def test_back_to_back_refreshes_converge(tmp_path):
     asyncio.run(scenario())
 
 
+@pytest.mark.parametrize("shares", ["fresh", "stale"])
+def test_a_host_restarted_in_an_epoch_says_it_entered(tmp_path, capsys, shares):
+    """A host restarted with recovery into an epoch past 0 prints the
+    entry line it may never have printed (killed between persisting the
+    epoch and saying so): ``replica-epoch`` when its shares are the
+    epoch's, ``replica-stale-epoch`` when its bundle predates the
+    resharing (killed mid-resharing in a directory its peers moved on)."""
+
+    async def scenario():
+        keys = _deployment(tmp_path, seed=33)
+        before = (tmp_path / "server-3.json").read_text()
+        async with tcp_cluster(tmp_path, client_seed=14) as (hosts, client):
+            verdict = await client.call(_refresh_op(keys, 1), timeout=60.0)
+            assert verdict.result == ("reconfig", "accepted", 1)
+            await _until(lambda: all(h.epoch == 1 for h in hosts.values()), timeout=60)
+            await hosts[3].close()
+            if shares == "stale":
+                (tmp_path / "server-3.json").write_text(before)
+            capsys.readouterr()
+            hosts[3] = ReplicaHost(tmp_path, 3)
+            await hosts[3].start(recover=True)
+            return capsys.readouterr().out.splitlines()
+
+    said = asyncio.run(scenario())
+    kind = "replica-epoch" if shares == "fresh" else "replica-stale-epoch"
+    assert f"{kind} party=3 epoch=1 n=4" in said
+
+
 # -- an epoch ends at its Reconfigure ------------------------------------------------
 
 

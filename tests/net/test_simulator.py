@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.net.scheduler import FifoScheduler, RandomScheduler
+from repro.net.scheduler import FifoScheduler, RandomScheduler, ReorderScheduler
 from repro.net.simulator import LivenessError, Network, Node
 
 
@@ -169,3 +169,107 @@ def test_duplicate_attach_rejected():
     net, _ = _network()
     with pytest.raises(ValueError):
         net.attach(0, Recorder())
+
+
+# -- turns: work a party defers until it has read what it was sent ------------------
+
+
+class Deferring(Node):
+    """Logs each delivery and, on the first one from ``sender``, defers a
+    log entry to the end of the turn; ``during`` runs inside that first
+    delivery (a send made after the turn began)."""
+
+    def __init__(self, network, party, log, sender=0, during=lambda: None):
+        self.network = network
+        self.party = party
+        self.log = log
+        self.sender = sender
+        self.during = during
+        self.deferred = False
+
+    def on_message(self, sender, payload):
+        self.log.append(payload)
+        if sender == self.sender and not self.deferred:
+            self.deferred = True
+            self.network.defer(self.party, lambda: self.log.append("turn-end"))
+            self.during()
+
+
+@pytest.mark.parametrize("scheduler", [FifoScheduler, RandomScheduler, ReorderScheduler])
+def test_a_turn_ends_once_what_its_sender_had_sent_is_delivered(scheduler):
+    """Three messages from 0 to 1, delivered in any order amid traffic
+    from 2: the turn the first delivery began ends right after the last
+    of the three, never before."""
+    log = []
+    net = Network(scheduler(), random.Random(3))
+    net.attach(0, Recorder())
+    net.attach(1, Deferring(net, 1, log))
+    net.attach(2, Recorder())
+    for k in range(3):
+        net.send(0, 1, ("from-0", k))
+        net.send(2, 1, ("from-2", k))
+    while net.step():
+        if "turn-end" in log:
+            break
+    ended = log.index("turn-end")
+    assert sorted(p for p in log[:ended] if p[0] == "from-0") == [("from-0", k) for k in range(3)]
+    assert log[ended - 1][0] == "from-0"
+
+
+def test_a_turn_does_not_wait_on_a_message_sent_after_it_began():
+    """Party 1's turn begins with 0's only message; 0 sends another while
+    it is under way (and 2 sends one too): the turn ends right after the
+    delivery that began it, before either later message arrives."""
+    log = []
+    net = Network(FifoScheduler(), random.Random(0))
+
+    def later():
+        net.send(0, 1, "later-from-0")
+        net.send(2, 1, "later-from-2")
+
+    net.attach(0, Recorder())
+    net.attach(1, Deferring(net, 1, log, during=later))
+    net.attach(2, Recorder())
+    net.send(0, 1, "first")
+    net.run()
+    assert log == ["first", "turn-end", "later-from-0", "later-from-2"]
+
+
+def test_a_call_outside_any_delivery_ends_its_turn_before_the_next_delivery():
+    """Work deferred outside any delivery runs before the next delivery —
+    and, with nothing pending, when the network runs to quiescence; what
+    it sends is delivered in that same run."""
+    net, nodes = _network()
+    order = []
+    net.defer(1, lambda: order.append("deferred"))
+    net.send(0, 2, "x")
+    nodes[2].on_message = lambda sender, payload: order.append(payload)
+    net.step()
+    assert order == ["deferred", "x"]
+    net.defer(1, lambda: net.send(1, 2, "sent-at-quiescence"))
+    assert net.run() == 1
+    assert order == ["deferred", "x", "sent-at-quiescence"]
+
+
+@pytest.mark.parametrize("fate", ["crashed", "crashed-and-recovered", "replaced"])
+def test_a_crashed_or_restarted_partys_deferred_work_never_runs(fate):
+    """Deferred in a turn that waits on a message still in flight, and
+    outside any turn: neither runs once the party crashed (even if it
+    then recovers) or its node was replaced."""
+    log = []
+    net = Network(FifoScheduler(), random.Random(0))
+    net.attach(0, Recorder())
+    net.attach(1, Deferring(net, 1, log))
+    net.send(0, 1, "first")
+    net.send(0, 1, "second")
+    net.step()  # the turn began and waits on "second"
+    net.defer(1, lambda: log.append("outside"))
+    assert log == ["first"]
+    if fate == "replaced":
+        net.nodes[1] = Recorder()
+    else:
+        net.crash(1)
+        if fate == "crashed-and-recovered":
+            net.recover(1)
+    net.run()
+    assert "turn-end" not in log and "outside" not in log

@@ -170,6 +170,42 @@ def test_point_to_point_delivery_in_order():
     asyncio.run(scenario())
 
 
+def test_deferred_work_runs_after_the_iterations_frames_and_counts_its_failures(capsys):
+    """``defer`` runs after every frame the loop iteration dispatched
+    (the whole write of ten frames is one read here), counts a raising
+    callback as a handler error, and runs nothing once closed."""
+
+    class Deferring(Collector):
+        def on_message(self, sender, payload):
+            super().on_message(sender, payload)
+            if len(self.received) == 1:
+                net.defer(1, lambda: seen.append(len(self.received)))
+                net.defer(1, lambda: 1 / 0)
+
+    async def scenario():
+        nets, _nodes = await _start_nets([0, 1])
+        try:
+            nets[1].attach(1, Deferring())
+            nonlocal net
+            net = nets[1]
+            for i in range(10):
+                nets[0].send(0, 1, ("msg", i))
+            await _until(lambda: seen)
+            assert seen == [10]
+            assert net.trace.counters["transport.handler_errors"] == 1
+            await net.close()
+            net.defer(1, lambda: seen.append("after close"))
+            await asyncio.sleep(0)
+            assert seen == [10]
+        finally:
+            await _close_all(nets)
+
+    net = None
+    seen = []
+    asyncio.run(scenario())
+    assert "ZeroDivisionError" in capsys.readouterr().err
+
+
 def test_broadcast_reaches_every_party_including_self():
     async def scenario():
         nets, nodes = await _start_nets([0, 1, 2])
@@ -641,6 +677,28 @@ def test_a_total_restart_keeps_the_state(tmp_path):
             ))
             for host in hosts.values():
                 assert host.checkpoint_status == "loaded"
+
+    asyncio.run(scenario())
+
+
+def test_one_reads_worth_of_submissions_opens_one_round(tmp_path):
+    """A client's burst leaves in one write per replica and arrives in
+    one read: the replica's turn (its loop iteration) ends after it
+    dispatched every submission, so they ride one round together — not
+    the first alone and the rest behind it."""
+
+    async def scenario():
+        deal_deployment(tmp_path, 4, 1, random.Random(23), abc_pipeline_depth=4)
+        async with tcp_cluster(tmp_path, client_seed=24) as (hosts, client):
+            net = client.network
+            await _submit(net, client, ("set", "warm", 0))
+            await _until(lambda: all(h.replica.abc.round == 1 for h in hosts.values()))
+            nonces = [client.submit(("set", f"k{i}", i)) for i in range(8)]
+            await net.wait_until(lambda: all(n in client.completed for n in nonces), timeout=30)
+            await _until(lambda: all(h.replica.abc.round >= 2 for h in hosts.values()))
+            for host in hosts.values():
+                rounds = [r for _payload, r in host.replica.abc.delivered_log]
+                assert rounds == [1] + [2] * 8
 
     asyncio.run(scenario())
 

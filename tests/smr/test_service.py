@@ -235,18 +235,23 @@ def test_rsa_service_signature_backend(keys_4_1_rsa):
     client = ServiceClient(1000, net, keys_4_1_rsa.public, random.Random(2))
     net.attach(1000, client)
     net.start()
-    # The first request opens round 1 (a one-leaf tree); the three sent
-    # behind it queue until it delivers and then ride round 2 together.
-    operations = [("set", "k", 1), ("set", "a", 2), ("set", "b", 3), ("get", "k")]
-    nonces = [client.submit(operation) for operation in operations]
+    # The four requests are one turn of each replica's: they ride round 1
+    # together and share its tree; a fifth, sent alone, gets a one-leaf
+    # tree of its own.
+    operations = [("set", "k", 1), ("set", "a", 2), ("set", "b", 3), ("get", "k"), ("get", "a")]
+    nonces = [client.submit(operation) for operation in operations[:4]]
     net.run(until=lambda: all(n in client.completed for n in nonces), max_steps=400_000)
+    nonces.append(client.submit(operations[4]))
+    net.run(until=lambda: nonces[4] in client.completed, max_steps=400_000)
     completed = [client.completed[nonce] for nonce in nonces]
-    assert [c.result for c in completed] == [("ok", 1), ("ok", 2), ("ok", 3), ("value", 1)]
+    assert [c.result for c in completed] == [
+        ("ok", 1), ("ok", 2), ("ok", 3), ("value", 1), ("value", 2)
+    ]
     for operation, answer in zip(operations, completed):
         assert answer.verify(keys_4_1_rsa.public, 1000, operation)
-    shared = completed[1:]
-    assert completed[0].path == () and all(c.path for c in shared)
-    assert len({c.path for c in shared}) == 3
+    shared, alone = completed[:4], completed[4]
+    assert all(c.path for c in shared) and alone.path == ()
+    assert len({c.path for c in shared}) == 4
     # One root, hence one RSA signature (it is unique per message).
     assert len({c.signature for c in shared}) == 1
 
