@@ -2,7 +2,8 @@
 
 The protocol stack (``core/``, ``smr/``) talks to the network through
 exactly four things: ``send``, ``broadcast``, ``defer`` and the
-``trace`` statistics object.  Both the deterministic simulator
+``trace`` statistics object (a replica host also keeps one timer on it
+and tells it of members that join or leave).  Both the deterministic simulator
 (:class:`repro.net.simulator.Network`) and the asyncio TCP transport
 (:class:`repro.net.transport.TransportNetwork`) satisfy this structural
 interface, which is what lets replicas and clients run unmodified on
@@ -57,4 +58,18 @@ class NetworkBackend(Protocol):
         "Opening a round").  Either way a turn never waits on traffic
         sent after it began, so under eventual delivery every turn ends.
         """
+        ...
+
+    def call_later(self, party: int, delay: float, callback: Callable[[], None]) -> None:
+        """Run ``callback`` as ``party``'s ``delay`` seconds from now: by the
+        event loop's clock on TCP, at a delivery count (or quiescence) in
+        the simulator; a closed network's or replaced node's never runs."""
+        ...
+
+    def admit_peer(self, party: int, address: tuple[str, int] | None, channel_key: bytes) -> None:
+        """Reach member ``party`` at ``address`` (``None``: the known one)."""
+        ...
+
+    def forget_peer(self, party: int) -> None:
+        """Stop reaching ``party``, a member a reconfiguration retired."""
         ...

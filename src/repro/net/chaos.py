@@ -1,45 +1,27 @@
-"""Seeded chaos engine for the TCP replica stack.
+"""Seeded chaos engine: scenarios, their one interpreter, two clusters.
 
-The simulator already subjects the protocol stack to an adversarial
-scheduler; this module does the same to the *deployed* stack — real
-processes, real sockets — while keeping the one property that makes
-chaos testing usable: **the fault schedule is a deterministic function
-of a seed**.  A scenario is a declarative spec (``Scenario``): cluster
-shape, seed, a fault plan for the transport, a process-lifecycle event
-schedule, which parties run Byzantine, and a client workload.  Running
-it produces a *journal* (the planned timeline plus observed results)
-and a verdict from the continuously applicable checkers in
-:mod:`repro.net.checkers`:
-
-* safety — honest replicas' executed-op logs stay prefix-consistent
-  and no client-committed operation is lost, even across SIGKILL,
-  restart-with-recovery and corrupted-checkpoint restarts;
-* liveness — operations submitted in quiescent windows (all partitions
-  healed, no pending lifecycle fault) complete within a bound.
-
-Three fault layers compose:
-
-1. **Network** — :class:`SeededFaultPlan` plugs into the transport's
-   :class:`~repro.net.transport.FaultPlan` hook surface: partitions
-   with scheduled heal, per-link loss/corruption (realized as
-   connection resets so the retransmit machinery is exercised),
-   duplication, and reordering via pre-sequencing holds.  Per-link
-   decision streams are seeded from ``(seed, salt, sender, recipient)``
-   so every process derives the same plan from ``faults.json``.
-2. **Process lifecycle** — SIGKILL, SIGSTOP/SIGCONT, restart with
-   ``--recover``, and corrupted-snapshot restarts (the authenticated
-   checkpoint must be *rejected* and recovery must fall back to peer
-   state transfer).
-3. **Byzantine parties** — a replica process is *started* corrupted
-   (``run-replica --byzantine equivocate``): its host builds the node
-   with :func:`repro.net.attacks.byzantine_node` over its own honest
-   stack.
-
-Entry points: ``python -m repro chaos run --scenario <name|file>``
-(:func:`run_tcp` is the run, in this process) and ``python -m repro
-chaos replay --journal <file>`` (which re-derives the timeline from the
-recorded spec and checks it is identical — seed reproducibility is
-itself an invariant under test).
+A scenario (:class:`Scenario`) is a declarative spec — cluster shape,
+seed, a fault plan, a process-lifecycle schedule, which parties run
+Byzantine, a client workload, reconfigurations — whose whole fault
+schedule is a deterministic function of its seed.
+:func:`run_timeline` interprets it on a cluster of replica hosts, on
+TCP (:class:`TcpCluster`, ``run-replica`` processes; :func:`run_tcp`)
+or on the simulator (:class:`repro.net.sweep.SimCluster`), and judges
+the run by the checkers of :mod:`repro.net.checkers`: safety (honest
+executed logs stay prefix-consistent and no committed operation is
+lost, across kills, restarts and corrupted checkpoints), liveness
+(probes in the quiescent window complete within a bound) and the
+reconfigurations' verdicts.  Faults compose in three layers: the
+network (:class:`SeededFaultPlan`: partitions that heal, per-link
+resets, corruption, duplication, delays and reordering holds, each
+link's stream seeded from ``(seed, salt, sender, recipient)`` so every
+process derives the same plan from ``faults.json``), the process
+lifecycle (kill, suspend, restart with ``--recover``, a corrupted
+checkpoint that the restart must reject), and Byzantine parties, each
+started corrupted (:func:`repro.net.attacks.byzantine_node` over its
+host's own stack).  ``python -m repro chaos run --scenario <name|file>``
+runs one on TCP; ``chaos replay --journal <file>`` re-derives a
+recorded timeline and checks it is identical.
 """
 
 from __future__ import annotations
@@ -103,7 +85,7 @@ __all__ = [
 DEFAULT_JOURNAL = "chaos-journal.json"
 
 # Seconds a client op may take before the run records it as timed out
-# (the simulator gives it OP_TIMEOUT * 4000 delivery steps); seconds a
+# (the simulator gives it OP_TIMEOUT * STEPS_PER_SECOND delivery steps); seconds a
 # liveness probe may take on TCP; how many probes follow the workload.
 OP_TIMEOUT = 30.0
 LIVENESS_BOUND = 20.0
@@ -831,10 +813,11 @@ async def run_timeline(
     The one interpreter of a timeline: every entry is dispatched to a
     verb of ``cluster`` (a kind the cluster cannot perform raises — it
     is never skipped), then come the quiescent window, the liveness
-    probes and the checkers' verdicts.  A cluster supplies only what
-    differs between a backend of real processes (:class:`TcpCluster`)
-    and the simulator (:class:`repro.net.sweep.SimCluster`); the verb
-    table is in docs/CHAOS.md.  ``echo`` sees each event as it is noted.
+    probes and the checkers' verdicts.  Both clusters run the same
+    replica hosts; what a verb means alike on both is ``_Cluster``'s,
+    what differs between real processes (:class:`TcpCluster`) and the
+    simulator (:class:`repro.net.sweep.SimCluster`) is each one's; the
+    verb table is in docs/CHAOS.md.  ``echo`` sees each event as it is noted.
     """
     timeline = plan_timeline(scenario)
     events: list[dict] = []
@@ -974,85 +957,60 @@ async def run_timeline(
     }
 
 
-class TcpCluster:
-    """``run_timeline``'s cluster of replica subprocesses over TCP:
-    the wall clock, signals, checkpoint files, ``exec-*.jsonl``
-    journals."""
+class _Cluster:
+    """``run_timeline``'s cluster: n replica hosts on one deployment
+    directory, with every verb that means the same on both networks.
+    A subclass supplies ``_spawn`` (replicas with the host's ``(kind,
+    fields)`` records in ``events``, and ``wait_for``, ``stop`` and
+    ``kill`` as :mod:`repro.net.cluster`'s processes have them),
+    ``_attach`` (the client), the clock and the client verbs."""
 
-    backend = "tcp"
-    latency_unit = "seconds"
-
-    def __init__(self, scenario, workdir, epoch, client) -> None:
+    def __init__(self, scenario: Scenario, workdir: pathlib.Path) -> None:
         self.scenario = scenario
         self.workdir = workdir
-        self.client = client
-        self.liveness_bound = LIVENESS_BOUND
         self.byzantine = dict(scenario.byzantine)
-        # party -> its running process; ``spawned`` keeps every process
+        # party -> its running replica; ``spawned`` keeps every replica
         # ever started (what each said outlives it), ``down`` the
         # parties killed and not restarted.
         self.replicas: dict[int, Any] = {}
         self.spawned: list[Any] = []
         self.down: set[int] = set()
-        # Reconfigure ops are signed with party 0's identity key, read
-        # from its keystore as an operator would; identity keys persist
-        # across epochs, so it covers every epoch the run steps through.
-        self.signer = keystore.load_party(
-            workdir / "server-0.json", client.public
-        ).signing_key
         self.reconfig_rng = random.Random(scenario.seed ^ 0x5EC0)
-        self.loop = asyncio.get_running_loop()
-        # The shared wall-clock epoch in this loop's clock, so the
-        # orchestrator and every replica process agree on event times.
-        self.t0 = self.loop.time() - (time.time() - epoch)
-        self.calls: set[asyncio.Task] = set()
-        # Restarted or joined parties, that must print
-        # ``replica-recovered``; (party, epoch) of each remove planned.
+        # Parties that must say ``replica-recovered``; (party, epoch) of
+        # each remove planned.
         self.catching_up: list[int] = []
         self.departing: list[tuple[int, int]] = []
 
     @classmethod
-    async def boot(cls, scenario: Scenario, workdir: pathlib.Path) -> "TcpCluster":
+    async def boot(cls, scenario: Scenario, workdir: pathlib.Path) -> "_Cluster":
         """Deal keys (or provision identities and let the servers
-        generate them), save the fault plan, spawn every replica and
-        attach the client."""
-        name, n, t = scenario.name, scenario.n, scenario.t
+        generate them), start every replica and attach the client."""
         rng = random.Random(scenario.seed ^ 0xDEA1)
-        knobs = dict(
-            io_timeout=scenario.io_timeout,
-            abc_max_batch=scenario.abc_max_batch,
-            abc_pipeline_depth=scenario.abc_pipeline_depth,
-        )
-        how = "provisioning identities (no dealer)" if scenario.dealerless else "dealing keys"
-        print(f"chaos[{name}]: {how} for n={n}, t={t}, seed={scenario.seed}", flush=True)
+        knobs = {name: getattr(scenario, name)
+                 for name in ("io_timeout", "abc_max_batch", "abc_pipeline_depth")}
         if scenario.dealerless:
-            provision_dkg_deployment(n, t, rng, workdir, **knobs)
+            provision_dkg_deployment(scenario.n, scenario.t, rng, workdir, **knobs)
         else:
-            deal_deployment(workdir, n, t, rng, **knobs)
-        epoch = save_fault_plan(workdir, scenario.faults, scenario.seed)
-        print(
-            f"chaos[{name}]: spawning {n} replicas "
-            f"(byzantine: {dict(scenario.byzantine) or 'none'})",
-            flush=True,
-        )
-        flags = ("--dkg",) if scenario.dealerless else ()
-        replicas = await _spawn(scenario, workdir, range(n), *flags)
+            deal_deployment(workdir, scenario.n, scenario.t, rng, **knobs)
+        cluster = cls(scenario, workdir)
         try:
+            flags = ("--dkg",) if scenario.dealerless else ()
+            cluster._started(await cluster._spawn(range(scenario.n), *flags))
             if scenario.dealerless:
                 # public.json exists once the key generation is done.
-                for replica in replicas.values():
+                for replica in cluster.replicas.values():
                     await replica.wait_for("replica-dkg")
-            client = await attach_client(
-                workdir,
-                random.Random(scenario.seed + 99),
-                faults=SeededFaultPlan(scenario.faults, scenario.seed, epoch=epoch),
-            )
-            cluster = cls(scenario, workdir, epoch, client)
+            cluster.client = await cluster._attach()
         except BaseException:
-            for replica in replicas.values():
+            for replica in cluster.replicas.values():
                 await replica.kill()
             raise
-        cluster._started(replicas)
+        # Reconfigure ops are signed with party 0's identity key, read
+        # from its keystore as an operator would; identity keys persist
+        # across epochs, so it covers every epoch the run steps through.
+        cluster.signer = keystore.load_party(
+            workdir / "server-0.json", cluster.client.public
+        ).signing_key
         return cluster
 
     def _started(self, replicas: dict[int, Any]) -> None:
@@ -1060,40 +1018,24 @@ class TcpCluster:
         self.spawned.extend(replicas.values())
         self.down.difference_update(replicas)
 
-    def clock(self) -> float:
-        return self.loop.time() - self.t0
-
-    async def advance_to(self, at: float) -> None:
-        delay = at - self.clock()
-        if delay > 0:
-            await asyncio.sleep(delay)
-
     async def kill(self, party: int) -> None:
         await self.replicas[party].kill()
         self.down.add(party)
-
-    async def suspend(self, party: int) -> None:
-        self.replicas[party].suspend()
-
-    async def resume(self, party: int) -> None:
-        self.replicas[party].resume()
 
     async def corrupt_checkpoint(self, party: int) -> dict:
         return {"corrupted": corrupt_checkpoint(self.workdir, party)}
 
     async def restart(self, party: int) -> dict:
-        self._started(await _spawn(self.scenario, self.workdir, [party], "--recover"))
+        self._started(await self._spawn([party], "--recover"))
         checkpoint = await self.replicas[party].wait_for("replica-checkpoint")
         if party not in self.byzantine:
             self.catching_up.append(party)
         return {"checkpoint": checkpoint["status"]}
 
     async def reconfigure(self, action: str) -> tuple[int, tuple]:
-        # The replicas persist epoch.json and public.json atomically at
-        # every switch, and the orchestrator shares their working
-        # directory — reading them here targets the *cluster's* current
-        # epoch and membership even when the client has not yet tripped
-        # over a tombstone and caught up.
+        # The replicas persist epoch.json and public.json at every switch
+        # in the shared directory: the *cluster's* epoch and membership,
+        # even before the client has tripped over a tombstone.
         target = max(load_epoch(self.workdir), self.client.epoch) + 1
         members = keystore.load_public(self.workdir / "public.json").n
         change: dict[str, Any] = {}
@@ -1103,9 +1045,7 @@ class TcpCluster:
             bundle, (host, port) = admit_joiner(
                 self.workdir, members, self.reconfig_rng, self.client
             )
-            self._started(
-                await _spawn(self.scenario, self.workdir, [members], "--join")
-            )
+            self._started(await self._spawn([members], "--join"))
             self.catching_up.append(members)
             change = dict(
                 party=members, verify_key=bundle.signing_key.verify_key.h,
@@ -1117,6 +1057,96 @@ class TcpCluster:
         return target, reconfig.reconfigure_operation(
             action, target, 0, self.signer, self.reconfig_rng, **change
         )
+
+    def _entries(self, party: int) -> list[dict]:
+        """The fields of every epoch-entry record any replica of
+        ``party`` made: a restarted one may have entered before."""
+        return [
+            fields
+            for replica in self.spawned if replica.party == party
+            for kind, fields in replica.events if kind in _ENTRY_KINDS
+        ]
+
+    async def entered(self, epochs: dict[int, int]) -> dict[int, list[dict]]:
+        """Each live honest party's epoch-entry records, once it has
+        said it entered each of ``epochs`` (epoch -> members) it belongs
+        to or the deployment's ``io_timeout`` passed waiting for that
+        record: the reconfiguration checker judges one that never came.
+        A member an accepted remove retired is first stopped once it
+        says it departed, as its operator would (a rejected one keeps
+        running)."""
+        for party, epoch in self.departing:
+            if epoch in epochs:
+                await self.replicas[party].wait_for("replica-departed", epoch=epoch)
+                await self.replicas[party].stop()
+        live = [
+            p for p in sorted(self.replicas)
+            if p not in self.byzantine and p not in self.down
+        ]
+        for party in live:
+            for epoch, members in sorted(epochs.items()):
+                said = {fields.get("epoch") for fields in self._entries(party)}
+                if party < members and str(epoch) not in said:
+                    try:
+                        await self.replicas[party].wait_for(_ENTRY_KINDS, epoch=epoch)
+                    except TransportError:
+                        pass  # exited or silent: reconfig.not-entered
+        return {party: self._entries(party) for party in live}
+
+    def journals(self) -> dict[int, list[JournalEntry]]:
+        """Every honest party ever spawned, a departed one's too."""
+        spawned = {replica.party for replica in self.spawned}
+        return read_journals(self.workdir, sorted(spawned - set(self.byzantine)))
+
+
+# What a replica says on entering an epoch a reconfiguration opened:
+# by the resharing, or on the members' word after missing it.
+_ENTRY_KINDS = ("replica-epoch", "replica-stale-epoch")
+
+
+class TcpCluster(_Cluster):
+    """The cluster of replica subprocesses over TCP: the wall clock,
+    signals, and what each process printed."""
+
+    backend = "tcp"
+    latency_unit = "seconds"
+    liveness_bound = LIVENESS_BOUND
+
+    def __init__(self, scenario: Scenario, workdir: pathlib.Path) -> None:
+        super().__init__(scenario, workdir)
+        self.loop = asyncio.get_running_loop()
+        self.epoch = save_fault_plan(workdir, scenario.faults, scenario.seed)
+        # The shared wall-clock epoch in this loop's clock, so the
+        # orchestrator and every replica process agree on event times.
+        self.t0 = self.loop.time() - (time.time() - self.epoch)
+        self.calls: set[asyncio.Task] = set()
+        print(f"chaos[{scenario.name}]: spawning {scenario.n} replicas "
+              f"(byzantine: {self.byzantine or 'none'})", flush=True)
+
+    def _spawn(self, parties, *flags: str):
+        return spawn_replicas(
+            self.workdir, parties, *flags,
+            "--checkpoint-every", str(self.scenario.checkpoint_every),
+            byzantine=self.byzantine, journal=True,
+        )
+
+    def _attach(self):
+        faults = SeededFaultPlan(self.scenario.faults, self.scenario.seed, epoch=self.epoch)
+        return attach_client(self.workdir, random.Random(self.scenario.seed + 99), faults=faults)
+
+    def clock(self) -> float:
+        return self.loop.time() - self.t0
+
+    async def advance_to(self, at: float) -> None:
+        delay = at - self.clock()
+        if delay > 0:
+            await asyncio.sleep(delay)
+
+    async def suspend(self, party: int) -> None:
+        self.replicas[party].suspend()
+
+    async def resume(self, party: int) -> None:
+        self.replicas[party].resume()
 
     async def submit(self, operation: tuple, done: Callable) -> None:
         self.calls.add(self.loop.create_task(self._call(operation, done)))
@@ -1146,40 +1176,6 @@ class TcpCluster:
         for party in self.catching_up:
             await self.replicas[party].wait_for("replica-recovered")
 
-    def _entries(self, party: int) -> list[dict]:
-        """The fields of every epoch-entry line any process of
-        ``party`` printed: a restarted one may have entered before."""
-        return [
-            fields
-            for process in self.spawned if process.party == party
-            for kind, fields in process.events if kind in _ENTRY_KINDS
-        ]
-
-    async def entered(self, epochs: dict[int, int]) -> dict[int, list[dict]]:
-        """Each live honest party's epoch-entry lines, once it has said
-        it entered each of ``epochs`` (epoch -> members) it belongs to
-        or the deployment's ``io_timeout`` passed waiting for that line:
-        the reconfiguration checker judges a line that never came.  A
-        member an accepted remove retired is first stopped once it says
-        it departed, as its operator would (a rejected one keeps running)."""
-        for party, epoch in self.departing:
-            if epoch in epochs:
-                await self.replicas[party].wait_for("replica-departed", epoch=epoch)
-                await self.replicas[party].stop()
-        live = [
-            p for p in sorted(self.replicas)
-            if p not in self.byzantine and p not in self.down
-        ]
-        for party in live:
-            for epoch, members in sorted(epochs.items()):
-                said = {fields.get("epoch") for fields in self._entries(party)}
-                if party < members and str(epoch) not in said:
-                    try:
-                        await self.replicas[party].wait_for(_ENTRY_KINDS, epoch=epoch)
-                    except TransportError:
-                        pass  # exited or silent: reconfig.not-entered
-        return {party: self._entries(party) for party in live}
-
     async def probe(self, operation: tuple) -> bool:
         try:
             await self.client.call(
@@ -1200,25 +1196,6 @@ class TcpCluster:
             for replica in self.replicas.values():
                 await replica.kill()
             await self.client.network.close()
-
-    def journals(self) -> dict[int, list[JournalEntry]]:
-        """Every honest party ever spawned, a departed one's too."""
-        spawned = {process.party for process in self.spawned}
-        return read_journals(self.workdir, sorted(spawned - set(self.byzantine)))
-
-
-# What a replica prints on entering an epoch a reconfiguration opened:
-# by the resharing, or on the members' word after missing it.
-_ENTRY_KINDS = ("replica-epoch", "replica-stale-epoch")
-
-
-def _spawn(scenario: Scenario, workdir: pathlib.Path, parties, *flags: str):
-    """First boot, ``--recover`` restarts and ``--join`` run the same replica."""
-    return spawn_replicas(
-        workdir, parties, *flags,
-        "--checkpoint-every", str(scenario.checkpoint_every),
-        byzantine=dict(scenario.byzantine), journal=True,
-    )
 
 
 def resolve_scenario(name_or_path: str, seed: int | None = None) -> Scenario:

@@ -36,6 +36,7 @@ from .runtime import (
     BootstrapFile,
     ClusterConfig,
     allocate_addresses,
+    find_event,
     load_epoch,
     parse,
     provision_joiner,
@@ -125,8 +126,7 @@ def admit_joiner(
     _, client_keys = keystore.load_client(
         directory / f"client-{client.client_id}.json"
     )
-    client.network.addresses[party] = address
-    client.network.channel_keys[party] = client_keys[party]
+    client.network.admit_peer(party, address, client_keys[party])
     return bundle, address
 
 
@@ -192,24 +192,22 @@ class _ReplicaProcess:
         of kinds) the child has printed (or prints within the
         deployment's ``ClusterConfig.io_timeout``, threaded through at
         spawn time) whose fields include ``match``."""
-        kinds = (kind,) if isinstance(kind, str) else kind
-        wanted = {name: str(value) for name, value in match.items()}
         loop = asyncio.get_running_loop()
         deadline = loop.time() + self.io_timeout
         while True:
             self._news.clear()
-            for seen, fields in self.events:
-                if seen in kinds and wanted.items() <= fields.items():
-                    return fields
+            fields = find_event(self.events, kind, **match)
+            if fields is not None:
+                return fields
             if self._task.done():
                 raise TransportError(
-                    f"replica {self.party} exited before printing {kind} {wanted}"
+                    f"replica {self.party} exited before printing {kind} {match}"
                 )
             try:
                 await asyncio.wait_for(self._news.wait(), deadline - loop.time())
             except asyncio.TimeoutError:
                 raise TransportError(
-                    f"replica {self.party} never printed {kind} {wanted}"
+                    f"replica {self.party} never printed {kind} {match}"
                 ) from None
 
     async def stop(self, grace: float = 15.0) -> None:

@@ -1,23 +1,17 @@
-"""One process of a deployment over the TCP transport, and its files.
-
-Where :mod:`repro.net.transport` provides the authenticated links, this
-module provides the *deployment shape* around them:
+"""One server of a deployment, and its files.
 
 * the deployment directory's files besides the keystore: ``cluster.json``
   (:class:`ClusterConfig`), checkpoints, ``epoch.json``, bootstrap bundles;
-* :class:`ReplicaHost` — one server process: keystore bundles from
-  disk, a :class:`~repro.net.transport.TransportNetwork`, the
-  :class:`~repro.core.runtime.ProtocolRuntime` and the service
-  :class:`~repro.smr.replica.Replica`, with graceful SIGTERM shutdown,
-  optional Section-6 crash recovery on startup, and the one transition
-  that moves it between epochs;
-* :func:`run_client_ops` — a client process: submits operations over
-  TCP and awaits the threshold-signed answers.
+* :class:`ReplicaHost` — one server: keystore bundles from disk, the
+  network it serves on (its own TCP transport, or a sweep cell's
+  simulator), the protocol runtime and the service replica, Section-6
+  recovery on startup and the one transition between epochs;
+  :func:`serve_replica` runs one as a process until SIGTERM;
+* :func:`run_client_ops` — a client process over TCP.
 
-Standing up a whole cluster is :mod:`repro.net.cluster`.  Everything
-here is the operational counterpart of
-:func:`repro.smr.service.build_service`, which wires the same objects to
-the deterministic simulator instead.  See ``docs/DEPLOYMENT.md``.
+Standing up a whole cluster is :mod:`repro.net.cluster`; n hosts on the
+simulator are :class:`repro.net.sweep.SimCluster`.  See
+``docs/DEPLOYMENT.md``.
 """
 
 from __future__ import annotations
@@ -52,7 +46,7 @@ from ..smr.state_machine import KeyValueStore, StateMachine
 from . import wire
 from .attacks import byzantine_node
 from .base import NetworkBackend
-from .transport import FaultPlan, TransportNetwork
+from .transport import TransportNetwork
 
 __all__ = [
     "CLUSTER_FILE",
@@ -67,6 +61,7 @@ __all__ = [
     "allocate_addresses",
     "checkpoint_path",
     "dh_channel_key",
+    "find_event",
     "load_bootstrap",
     "load_checkpoint",
     "load_epoch",
@@ -471,7 +466,8 @@ def dh_channel_key(group: SchnorrGroup, secret_x: int, peer_h: int) -> bytes:
 # One line per event, ``<kind> party=<p> <field>=<value> ...``: written
 # only by :meth:`ReplicaHost.emit` through :func:`render`, read only
 # through :func:`parse` (``net/cluster.py`` waits on kinds, not on
-# substrings).  The table is the whole vocabulary: kind -> the fields
+# substrings; a host keeps the ``(kind, fields)`` records itself).  The
+# table is the whole vocabulary: kind -> the fields
 # after ``party=``, in print order; one left out is not printed.
 # ``snapshot`` (a repr, spaces included) runs to the end of its line.
 
@@ -534,6 +530,14 @@ def parse(line: str) -> tuple[str, dict[str, str]] | None:
     return kind, fields
 
 
+def find_event(events: list, kind: str | tuple[str, ...], **match: object) -> dict | None:
+    """The fields of the first ``(kind, fields)`` of ``events`` of
+    ``kind`` (or of a tuple of kinds) whose fields include ``match``."""
+    kinds = (kind,) if isinstance(kind, str) else kind
+    wanted = {name: str(value) for name, value in match.items()}
+    return next((f for k, f in events if k in kinds and wanted.items() <= f.items()), None)
+
+
 # -- one server process -------------------------------------------------------------
 
 
@@ -558,14 +562,15 @@ RETIRED = Phase("retired")
 
 
 class ReplicaHost:
-    """One server: keystore + transport + protocol runtime + replica.
+    """One server: keystore + network + protocol runtime + replica.
+
+    ``network`` is the one it serves on: a sweep cell's simulator, which
+    the cell runs; by default its own TCP transport (with the fault plan
+    of a chaos run's ``faults.json``), which it starts and closes, and
+    then it also says every event (:meth:`emit`) on stdout.
 
     Optional chaos surface:
 
-    * ``faults`` — a :class:`~repro.net.transport.FaultPlan` injected
-      into the transport (when ``None``, a plan serialized by the chaos
-      engine as ``faults.json`` in the deployment directory is loaded
-      automatically, so subprocess replicas pick up the scenario);
     * ``byzantine`` — host a corrupted party instead of an honest one
       (a behavior name understood by
       :func:`repro.net.attacks.byzantine_node`, which ``equivocate``
@@ -585,7 +590,7 @@ class ReplicaHost:
         state_machine: StateMachine | None = None,
         causal: bool = False,
         seed: int | None = None,
-        faults: FaultPlan | None = None,
+        network: NetworkBackend | None = None,
         byzantine: str | None = None,
         journal: bool = False,
         checkpoint_every: int = 0,
@@ -651,14 +656,19 @@ class ReplicaHost:
             # genesis, advanced only by the Reconfigure operations it
             # executes (_intercept), live and replayed alike.
             self.membership = load_genesis(directory, self.epoch, self.public)
-        if faults is None and (directory / FAULTS_FILE).exists():
-            # Only a chaos run loads the chaos engine.
-            from .chaos import load_fault_plan  # lazy: chaos imports us
+        self._owns_network = network is None
+        if network is None:
+            faults = None
+            if (directory / FAULTS_FILE).exists():
+                # Only a chaos run loads the chaos engine.
+                from .chaos import load_fault_plan  # lazy: chaos imports us
 
-            faults = load_fault_plan(directory)
-        self.network = TransportNetwork(
-            party, cluster.addresses, self.keys.channel_keys, faults=faults
-        )
+                faults = load_fault_plan(directory)
+            network = TransportNetwork(
+                party, cluster.addresses, self.keys.channel_keys, faults=faults
+            )
+        self.network = network
+        self.events: list[tuple[str, dict[str, str]]] = []
         self.byzantine = byzantine
         self.checkpoint_status = "absent"
         self._checkpoint_every = checkpoint_every
@@ -720,8 +730,12 @@ class ReplicaHost:
         )
 
     def emit(self, kind: str, **fields: object) -> None:
-        """Say one event on stdout — this process's only ``print``."""
-        print(render(kind, self.party, **fields), flush=True)
+        """Record one event as :func:`parse` reads its line; on its own
+        transport, also say it on stdout — this process's only ``print``."""
+        line = render(kind, self.party, **fields)
+        self.events.append(parse(line))
+        if self._owns_network:
+            print(line, flush=True)
 
     def _on_execute(self, request, result, rnd) -> None:
         self._executions += 1
@@ -755,7 +769,8 @@ class ReplicaHost:
         )
 
     async def start(self, recover: bool = False) -> None:
-        await self.network.start()
+        if self._owns_network:
+            await self.network.start()
         if self.phase.name == "booting":
             # No threshold keys anywhere yet?  Generate them; else join.
             if isinstance(self.public, dkg.BootstrapPublic):
@@ -1027,7 +1042,8 @@ class ReplicaHost:
             return
         # Members admitted while we were down (same construction the
         # resharing used).
-        self.network.channel_keys.update(self._derive_channel_keys(new_public))
+        for member, key in self._derive_channel_keys(new_public).items():
+            self.network.admit_peer(member, None, key)
         new_keys = keystore.party_from_dict(
             keystore.party_to_dict(self.keys), new_public
         )
@@ -1095,7 +1111,7 @@ class ReplicaHost:
         # and connection state so a later add reusing the id starts
         # clean and broadcasts stop dialing a dead replica.  The clients
         # in the address book are not members: they stay.
-        for member in sorted(self.network.addresses):
+        for member in self.network.parties:
             if is_server(member) and member >= new_public.n:
                 self.network.forget_peer(member)
         had_replica = self.replica is not None
@@ -1201,25 +1217,26 @@ class ReplicaHost:
         def is_settled() -> bool:
             return self.runtime.result(session) is not None or settled()
 
-        async def watch() -> None:
-            await asyncio.sleep(self.io_timeout / 8)
+        def flush_once() -> None:
             if is_settled():
                 return
             instance = self.runtime.instances.get(session)
             flush = getattr(instance, "flush", None)
             if flush is not None:
                 flush(Context(self.runtime, session))
-            await asyncio.sleep(self.io_timeout * 7 / 8)
-            if is_settled():
-                return
-            retry()
+            self.network.call_later(self.party, self.io_timeout * 7 / 8, give_up)
 
-        # A raise inside flush() or retry() is counted, kept in
-        # network.errors and printed, not a ladder ended without a trace.
-        self.network.spawn(watch(), "host.task_errors")
+        def give_up() -> None:
+            if not is_settled():
+                retry()
+
+        # On the network's clock; on TCP a raise inside flush() or retry()
+        # is counted, kept in network.errors and printed, not lost.
+        self.network.call_later(self.party, self.io_timeout / 8, flush_once)
 
     async def close(self) -> None:
-        await self.network.close()
+        if self._owns_network:
+            await self.network.close()
         if self._journal is not None:
             self._journal.close()
             self._journal = None  # repro: noqa-RL005 idempotent shutdown, single owner

@@ -32,6 +32,10 @@ ends.  A call made outside any delivery (by the code that runs the
 network) is a turn of its own that ends before the next delivery (or
 at quiescence).  Deferred work runs right after the delivery that ends
 its turn; a crashed or replaced node's never runs.
+
+Timers (:meth:`Network.call_later`): a second is
+:data:`STEPS_PER_SECOND` deliveries, so a timer is due at a delivery
+count; it rings then, or at quiescence if that comes first.
 """
 
 from __future__ import annotations
@@ -44,7 +48,10 @@ from typing import Callable
 from ..crypto.dealer import is_server
 from .tracing import Trace
 
-__all__ = ["Envelope", "Node", "Network", "LivenessError"]
+__all__ = ["STEPS_PER_SECOND", "Envelope", "Node", "Network", "LivenessError"]
+
+STEPS_PER_SECOND = 4000  # delivery steps that stand for a second
+_NEVER = 1 << 62  # the due count while no timer is pending
 
 
 @dataclass(frozen=True)
@@ -112,13 +119,24 @@ class Network:
         self._due: deque[_Deferred] = deque()
         # The delivery under way: (sender, recipient, mark), or None.
         self._turn: tuple[int, int, int] | None = None
+        # Timers as (due count, party, node, callback) by count, in the
+        # order set; ``_next_due`` is the first's, checked per delivery.
+        self._timers: list[tuple] = []
+        self._next_due = _NEVER
 
     # -- topology ----------------------------------------------------------
 
     def attach(self, party: int, node: Node) -> None:
-        if party in self.nodes:
+        """Attach ``party``'s node; a fresh one replaces a crashed one."""
+        if party in self.nodes and party not in self.crashed:
             raise ValueError(f"party {party} already attached")
-        self.nodes[party] = node
+        self.recover(party, node)
+
+    def admit_peer(self, party: int, address: object, channel_key: bytes) -> None:
+        """Every attached party is reachable already."""
+
+    def forget_peer(self, party: int) -> None:
+        """A departed party is crashed by its cell, not forgotten."""
 
     @property
     def parties(self) -> list[int]:
@@ -183,6 +201,27 @@ class Network:
             if nodes.get(party) is node:
                 callback()
 
+    def call_later(self, party: int, delay: float, callback: Callable[[], None]) -> None:
+        """Ring ``callback`` ``delay`` seconds of deliveries from now, or at
+        quiescence first (module docstring); a crashed or replaced node's
+        never runs."""
+        due = self.delivered_count + max(1, int(delay * STEPS_PER_SECOND))
+        self._timers.append((due, party, self.nodes.get(party), callback))
+        self._timers.sort(key=lambda timer: timer[0])  # stable
+        self._next_due = self._timers[0][0]
+
+    def _ring(self, quiescent: bool) -> bool:
+        """Run the timers that are due — at quiescence, the earliest
+        pending one as well — and say whether one ran."""
+        timers, ran = self._timers, False
+        while timers and (timers[0][0] <= self.delivered_count or (quiescent and not ran)):
+            _due, party, node, callback = timers.pop(0)
+            if self.nodes.get(party) is node and party not in self.crashed:
+                callback()
+                ran = True
+        self._next_due = timers[0][0] if timers else _NEVER
+        return ran
+
     # -- fault injection -----------------------------------------------------
 
     def crash(self, party: int) -> None:
@@ -212,7 +251,8 @@ class Network:
                 self.nodes[party].on_start()
 
     def step(self) -> bool:
-        """Deliver one message chosen by the adversary; False if none left.
+        """Deliver one message chosen by the adversary — at quiescence,
+        ring the earliest timer instead; False if neither is left.
 
         The turns that ended before it (calls made outside any delivery)
         are run first, the one it ends right after it."""
@@ -221,7 +261,7 @@ class Network:
         while True:
             index = self.scheduler.select(self.pending, self.rng)
             if index is None:
-                return False
+                return self._ring(quiescent=True)
             envelope = self.pending.pop(index)
             link = (envelope.sender, envelope.recipient)
             undelivered = self._undelivered[link]
@@ -250,6 +290,8 @@ class Network:
                 self._due.append(waiting.popleft()[1])
         if self._due:
             self.end_turns()
+        if self.delivered_count >= self._next_due:
+            self._ring(quiescent=False)
         return True
 
     def run(

@@ -1,50 +1,29 @@
 """Grid-driven chaos campaigns: the scenario-coverage engine.
 
 One chaos scenario probes one point of the fault space; the paper's
-claims are quantified over *all* admissible adversaries.  This module
-closes some of that gap by sweeping a declarative grid
-(:class:`SweepSpec`) over the axes that change protocol behavior
-qualitatively:
+claims are quantified over *all* admissible adversaries.  A sweep runs a
+declarative grid (:class:`SweepSpec`): cluster shapes (:class:`ShapeSpec`,
+``n``/``t`` and a corrupted coalition — an inadmissible one is expected
+to trip an oracle, so the sweep self-tests the checkers) × the named
+fault, latency and load templates of :mod:`repro.net.chaos` × seeds.
+Each cell is a :class:`~repro.net.chaos.Scenario`
+(:func:`~repro.net.chaos.parameterize_scenario`) and every run is a
+deterministic function of it.
 
-* **cluster shape** — ``n``/``t`` and the corrupted coalition
-  (:class:`ShapeSpec`), including deliberately inadmissible coalitions
-  (``expect="violation"``) that must make a checker fire — the sweep
-  doubles as a self-test of the oracles;
-* **fault mix** — named :func:`~repro.net.chaos.fault_template` mixes
-  (clean, lossy, duplicating, partition, churn);
-* **latency distribution** — :func:`~repro.net.chaos.latency_template`
-  overlays (none, jitter, heavy);
-* **client load** — :func:`~repro.net.chaos.load_template` workloads
-  (serial, pipelined, heavy) carrying the atomic-broadcast
-  batching/pipelining knobs;
-* **seeds** — every cell is run per seed, and every run is a
-  deterministic function of its scenario (seed included).
-
-Each cell expands to a concrete :class:`~repro.net.chaos.Scenario` via
-:func:`~repro.net.chaos.parameterize_scenario`.  The **simulator
-backend** (:func:`run_scenario_sim`) is the breadth path: the grid runs
-in-process on the discrete-event network with a scheduler that realizes
-the scenario's partitions, suspensions and reorder pressure, at
-thousands of delivery steps per second.  A sampled subset re-runs on
-the **TCP backend** (real replica subprocesses, orchestrated in this
-process by :func:`~repro.net.chaos.run_tcp`, the run ``chaos run``
-makes) for depth.  Every run — both backends —
-is judged by the same :mod:`repro.net.checkers` safety/liveness
-oracles.
-
-Results aggregate into a schema-stable ``SWEEP.json`` (pass/fail per
-cell, violation kinds, latency summaries) plus a markdown table, and
-any cell whose outcome is a violation emits a self-contained repro
-bundle that ``python -m repro chaos replay`` checks and ``chaos run
---scenario`` runs again, verbatim.
-
-**Simulator fault-model note.**  Frame-level faults (reset / corrupt /
-duplicate) live *below* the channel abstraction the simulator models —
-the simulated channels are reliable and authenticated by construction.
-The scheduler therefore maps the scenario's frame-fault rates onto
-*reorder pressure* (adversarial LIFO preference), which is the
-observable consequence the protocols must tolerate; the byte-level
-machinery is exercised by the TCP subset.
+The **simulator** (:func:`run_scenario_sim`) is the breadth path: n
+hosts (:class:`~repro.net.runtime.ReplicaHost`, the deployed server,
+its files in one temporary directory per cell) on the discrete-event
+network, under a scheduler that realizes the scenario's partitions,
+suspensions and reorder pressure.  Frame-level faults live below the
+simulated channels (reliable and authenticated by construction), so
+their rates become *reorder pressure* (adversarial LIFO preference),
+the consequence the protocols must tolerate.  A sampled subset re-runs
+on **TCP** (:func:`~repro.net.chaos.run_tcp`, the run ``chaos run``
+makes) for the byte-level machinery.  Both are judged by the same
+:mod:`repro.net.checkers` oracles; results aggregate into a
+schema-stable ``SWEEP.json`` and a markdown table, and a violating
+cell leaves a repro bundle that ``chaos replay`` checks and ``chaos run
+--scenario`` runs again.
 """
 
 from __future__ import annotations
@@ -54,25 +33,23 @@ import concurrent.futures
 import json
 import os
 import pathlib
+import random
+import tempfile
 import traceback
 from collections.abc import Callable
 from dataclasses import dataclass, replace
-from functools import partial
 
-from ..core.atomic_broadcast import AbcConfig
-from ..core.protocol import Context
-from ..smr.replica import service_session
-from ..smr.service import build_service
-from ..smr.state_machine import KeyValueStore
-from .attacks import byzantine_node
+from ..crypto import keystore
+from ..crypto.dealer import CLIENT_BASE
+from ..smr.client import ServiceClient
 from .chaos import (
     FAULT_TEMPLATES,
     LATENCY_TEMPLATES,
     LOAD_TEMPLATES,
     OP_TIMEOUT,
     Scenario,
-    ScenarioError,
     _check_shape,
+    _Cluster,
     _require,
     _Spec,
     parameterize_scenario,
@@ -80,9 +57,11 @@ from .chaos import (
     run_tcp,
     run_timeline,
 )
-from .checkers import JournalEntry, summarize_run, violation_kinds
+from .checkers import summarize_run, violation_kinds
+from .runtime import ReplicaHost, find_event, load_epoch
 from .scheduler import Scheduler
-from .simulator import Envelope, LivenessError
+from .simulator import STEPS_PER_SECOND, Envelope, LivenessError, Network
+from .transport import TransportError
 
 __all__ = [
     "EXPECTATIONS",
@@ -105,13 +84,6 @@ EXPECTATIONS = ("pass", "violation")
 # has not completed within this budget is declared stuck (the simulator
 # has no wall clock; steps are its only notion of "too long").
 PROBE_STEP_BOUND = 150_000
-
-# Why the simulator refuses a scenario's ``reconfigs`` and a dealerless boot.
-NO_RESHARING = (
-    "scenario: the simulator backend cannot reconfigure or boot without a "
-    "dealer — key generation and resharing run only in the TCP host until "
-    "the ROADMAP's EpochMachine item lands"
-)
 
 
 # -- the grid spec ------------------------------------------------------------------
@@ -335,64 +307,70 @@ class SweepScheduler(Scheduler):
         return allowed[rng.randrange(len(allowed))]
 
 
-class SimCluster:
-    """``run_timeline``'s cluster on the in-process simulator: the
-    clock counts delivery steps, a crash is ``network.crash`` and a
-    fresh replica's rejoin, journals are ``on_execute`` hooks.  Nothing
-    here suspends — the verbs are coroutines only because the one
-    interpreter also drives real processes — and the network moves only
-    inside ``advance_to``, ``next_reply``, ``settle`` and ``probe``."""
+class _SimReplica:
+    """A host on the cell's network, as the cluster waits on, stops and
+    kills a replica process."""
+
+    def __init__(self, cluster: "SimCluster", host: ReplicaHost) -> None:
+        self.cluster = cluster
+        self.host = host
+        self.party = host.party
+        self.events = host.events
+
+    async def wait_for(self, kind: str | tuple[str, ...], **match: object) -> dict:
+        """Run the network until the host has said ``kind`` with ``match``,
+        for at most ``io_timeout`` of steps (else TransportError)."""
+        steps = int(self.host.io_timeout * STEPS_PER_SECOND)
+        if not self.cluster._run(steps, lambda: find_event(self.events, kind, **match)):
+            raise TransportError(f"replica {self.party} never said {kind} {match}")
+        return find_event(self.events, kind, **match)
+
+    async def kill(self) -> None:
+        self.cluster.network.crash(self.party)
+        await self.host.close()
+
+    stop = kill  # only a departed member is stopped, and nothing reads it again
+
+
+class SimCluster(_Cluster):
+    """``run_timeline``'s cluster on the in-process simulator: n hosts on
+    one simulated network whose clock counts delivery steps.  Nothing
+    here suspends (the verbs are coroutines for the one interpreter);
+    the network moves only inside ``advance_to``, ``next_reply``,
+    ``settle``, ``probe`` and a replica's ``wait_for``."""
 
     backend = "sim"
     latency_unit = "steps"
     liveness_bound = float(PROBE_STEP_BOUND)
 
-    def __init__(self, scenario: Scenario) -> None:
-        self.scenario = scenario
+    def __init__(self, scenario: Scenario, workdir: pathlib.Path) -> None:
+        super().__init__(scenario, workdir)
         self.scheduler = SweepScheduler(scenario)
-        abc_config = AbcConfig.overriding(
-            max_batch=scenario.abc_max_batch,
-            pipeline_depth=scenario.abc_pipeline_depth,
-        )
-        self.dep = dep = build_service(
-            scenario.n, KeyValueStore, t=scenario.t, seed=scenario.seed,
-            scheduler=self.scheduler, abc_config=abc_config,
-        )
-        self.network = dep.network
-        self.byzantine = dict(scenario.byzantine)
-        self.journal: dict[int, list[JournalEntry]] = {}
-        for party in range(scenario.n):
-            if party not in self.byzantine:
-                self._observe(party)
-        for party, kind in scenario.byzantine:
-            node = self._byzantine_node(party, kind, scenario.seed)
-            # unchecked: violation shapes deliberately exceed the structure.
-            dep.controller.corrupt(dep.network, party, node, unchecked=True)
-        self.client = dep.new_client()
+        self.network = Network(self.scheduler, random.Random(scenario.seed + 1))
         self.open: dict[int, Callable] = {}  # nonce -> completion callback
-        self.network.start()
 
-    def _byzantine_node(self, party: int, kind: str, seed: int):
-        """``party``'s corrupted node of ``kind``, around the deployment's
-        own stack where the kind runs one."""
-        dep = self.dep
-        return byzantine_node(
-            kind, dep.network, party, dep.keys.private[party],
-            partial(dep.stack, party, seed=seed), seed=seed,
-        )
-
-    def _observe(self, party: int) -> None:
-        """Journal what ``party``'s current replica executes, from empty."""
-        entries = self.journal[party] = []
-
-        def hook(request, result, rnd: int) -> None:
-            entries.append(
-                JournalEntry(
-                    request.client, request.nonce, tuple(request.operation), rnd
-                )
+    async def _spawn(self, parties, *flags: str) -> dict[int, _SimReplica]:
+        """What ``run-replica`` does with these flags, as hosts here."""
+        replicas, recover = {}, "--recover" in flags
+        for party in parties:
+            host = ReplicaHost(
+                self.workdir, party, network=self.network,
+                byzantine=self.byzantine.get(party), journal=True,
+                checkpoint_every=self.scenario.checkpoint_every,
+                dkg_boot="--dkg" in flags, join="--join" in flags,
             )
+            await host.start(recover=recover)
+            if recover:
+                host.emit("replica-checkpoint", status=host.checkpoint_status)
+            replicas[party] = _SimReplica(self, host)
+        return replicas
 
-        self.dep.replicas[party].on_execute = hook
+    async def _attach(self) -> ServiceClient:
+        public = keystore.load_public(self.workdir / "public.json")
+        rng = random.Random(self.scenario.seed + 99)
+        client = ServiceClient(CLIENT_BASE, self.network, public, rng, load_epoch(self.workdir))
+        self.network.attach(CLIENT_BASE, client)
+        return client
 
     def _run(self, max_steps: int, until: Callable | None = None) -> bool:
         """Deliver up to ``max_steps`` messages, or until ``until`` holds
@@ -411,46 +389,17 @@ class SimCluster:
         return float(self.network.delivered_count)
 
     async def advance_to(self, at: float) -> None:
-        """The cluster acts for the scenario time that passes — 4000
-        steps a second, at least 2000 — under the cuts in force before."""
-        self._run(max(2000, int((at - self.scheduler.now) * 4000)))
+        """The cluster acts for the scenario time that passes — at least
+        half a second's steps — under the cuts in force before."""
+        steps = (at - self.scheduler.now) * STEPS_PER_SECOND
+        self._run(int(max(STEPS_PER_SECOND / 2, steps)))
         self.scheduler.now = max(at, self.scheduler.now)
-
-    async def kill(self, party: int) -> None:
-        self.network.crash(party)
-
-    async def restart(self, party: int) -> None:
-        seed = self.scenario.seed + 7
-        kind = self.byzantine.get(party)
-        if kind is None:
-            # The journal restarts empty and is rebuilt by the replay
-            # (on_execute fires on replays too).
-            self.dep.rejoin(party, seed=seed)
-            self._observe(party)
-            return
-        # A corrupted party comes back corrupted, as a TCP one restarts
-        # with ``--byzantine``: the same kind, and a stack it runs replays
-        # the log as an honest rejoin does.
-        before = self.dep.runtimes.get(party)
-        self.network.recover(party, self._byzantine_node(party, kind, seed))
-        runtime = self.dep.runtimes.get(party)
-        if runtime is not before:
-            self.dep.replicas[party].begin_recovery(Context(runtime, service_session()))
 
     async def suspend(self, party: int) -> None:
         self.scheduler.suspended.add(party)
 
     async def resume(self, party: int) -> None:
         self.scheduler.suspended.discard(party)
-
-    async def corrupt_checkpoint(self, party: int) -> dict:
-        # No checkpoint files in the simulator; recovery always replays
-        # from peers, which is the checkpoint-rejection fallback path by
-        # construction.
-        return {"corrupted": False}
-
-    async def reconfigure(self, action: str) -> tuple[int, tuple]:
-        raise ScenarioError(NO_RESHARING)
 
     async def submit(self, operation: tuple, done: Callable) -> None:
         self.open[self.client.submit(operation)] = done
@@ -460,14 +409,14 @@ class SimCluster:
         answer in ``OP_TIMEOUT`` of steps is given up on, oldest first."""
         completed = self.client.completed
         if not self._run(
-            int(OP_TIMEOUT * 4000),
+            int(OP_TIMEOUT * STEPS_PER_SECOND),
             lambda: any(nonce in completed for nonce in self.open),
         ):
             self.open.pop(min(self.open))(None)
 
     async def settle(self) -> None:
         """Nothing is held back any more: run to quiescence, so healed
-        traffic has drained and rejoined replicas have replayed."""
+        traffic has drained and restarted replicas have replayed."""
         self.scheduler.suspended.clear()
         self._run(300_000)
 
@@ -476,10 +425,8 @@ class SimCluster:
         return self._run(PROBE_STEP_BOUND, lambda: nonce in self.client.completed)
 
     async def close(self) -> None:
-        pass
-
-    def journals(self) -> dict[int, list[JournalEntry]]:
-        return self.journal
+        for replica in self.replicas.values():
+            await replica.kill()
 
 
 def run_scenario_sim(scenario: Scenario) -> dict:
@@ -489,11 +436,16 @@ def run_scenario_sim(scenario: Scenario) -> dict:
     from it).  Returns the same report as the TCP journal written by
     ``chaos run`` — same interpreter, same checker verdicts, same
     summary extraction — with latencies counted in delivery steps
-    rather than seconds.
+    rather than seconds.  The cell's files live in a temporary
+    directory, removed afterwards.
     """
     scenario.validate()
-    _require(not (scenario.reconfigs or scenario.dealerless), NO_RESHARING)
-    return asyncio.run(run_timeline(scenario, SimCluster(scenario)))
+
+    async def run(workdir: pathlib.Path) -> dict:
+        return await run_timeline(scenario, await SimCluster.boot(scenario, workdir))
+
+    with tempfile.TemporaryDirectory(prefix="repro-sim-") as workdir:
+        return asyncio.run(run(pathlib.Path(workdir)))
 
 
 def _sim_cell_worker(scenario_json: str) -> dict:

@@ -52,7 +52,7 @@ import traceback
 from collections import deque
 from dataclasses import dataclass
 from itertools import islice
-from typing import Callable, Coroutine, cast
+from typing import Callable, cast
 
 from ..codec import MAX_LENGTH
 from ..crypto.dealer import is_server
@@ -629,7 +629,6 @@ class TransportNetwork:
         self._links: set[_Link] = set()  # accepted connections
         self._forgotten: set[int] = set()
         self._server: asyncio.Server | None = None
-        self._tasks: set[asyncio.Task] = set()
         self._closed = False
         self._delivery_event = asyncio.Event()
         # The last payload encoded and its bytes: see _encode.
@@ -666,15 +665,15 @@ class TransportNetwork:
         self.channel_keys.pop(party, None)
         self._forgotten.add(party)
 
-    def admit_peer(
-        self, party: int, address: tuple[str, int], channel_key: bytes
-    ) -> None:
+    def admit_peer(self, party: int, address: tuple[str, int] | None, channel_key: bytes) -> None:
         """(Re-)admit a peer with the address carried by the ordered
         ``Reconfigure(add)`` and the identity-derived channel key — the
         ordered op is authoritative, so any stale entry for a previously
-        removed holder of the same id is overwritten, not kept."""
+        removed holder of the same id is overwritten, not kept.
+        ``address`` ``None`` keeps the address already known."""
         self._forgotten.discard(party)
-        self.addresses[party] = address
+        if address is not None:
+            self.addresses[party] = address
         self.channel_keys[party] = channel_key
 
     @property
@@ -711,11 +710,9 @@ class TransportNetwork:
             channel.stop()
         for link in list(self._links):
             link.transport.abort()
-        for task in list(self._tasks):
-            task.cancel()
         if self._server is not None:
             self._server.close()
-        pending = [c._task for c in self._channels.values()] + list(self._tasks)
+        pending = [c._task for c in self._channels.values()]
         if pending:
             await asyncio.gather(*pending, return_exceptions=True)
         if self._server is not None:
@@ -895,6 +892,11 @@ class TransportNetwork:
         replaced node's callback never runs."""
         asyncio.get_running_loop().call_soon(self._end_turn, self.node, callback)
 
+    def call_later(self, party: int, delay: float, callback: Callable[[], None]) -> None:
+        """Run ``callback`` ``delay`` seconds from now by the event loop's
+        clock (``NetworkBackend.call_later``), as a turn's end is run."""
+        asyncio.get_running_loop().call_later(delay, self._end_turn, self.node, callback)
+
     def _end_turn(self, node: Node | None, callback: Callable[[], None]) -> None:
         if self._closed or self.node is not node:
             return
@@ -922,26 +924,12 @@ class TransportNetwork:
 
     # -- task bookkeeping --------------------------------------------------
 
-    def spawn(
-        self, coro: Coroutine, counter: str = "transport.task_errors"
-    ) -> asyncio.Task:
-        """Run ``coro`` as a task this network owns: :meth:`close`
-        cancels it, and a failure is recorded under ``counter`` (the
-        host's own tasks ride along as ``host.task_errors``)."""
-        task = asyncio.get_running_loop().create_task(coro)
-        task.add_done_callback(lambda done: self._on_task_done(done, counter))
-        self._tasks.add(task)
-        return task
-
-    def _on_task_done(
-        self, task: asyncio.Task, counter: str = "transport.task_errors"
-    ) -> None:
-        self._tasks.discard(task)
+    def _on_task_done(self, task: asyncio.Task) -> None:
         if task.cancelled():
             return
         exc = task.exception()
         if exc is not None:
-            self._record_error(exc, counter)
+            self._record_error(exc, "transport.task_errors")
 
     def _record_error(self, exc: BaseException, counter: str) -> None:
         """Count every handler/task failure; keep and print (stderr) the

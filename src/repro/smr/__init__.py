@@ -2,7 +2,6 @@
 
 from .client import CompletedRequest, ServiceClient
 from .replica import Replica, SubmitEncrypted, SubmitRequest, service_session
-from .service import ServiceDeployment, build_service
 from .state_machine import KeyValueStore, Reply, Request, StateMachine
 
 __all__ = [
@@ -19,3 +18,9 @@ __all__ = [
     "Request",
     "StateMachine",
 ]
+
+
+def __getattr__(name: str) -> object:  # the simulated assembly, not in replicas
+    from importlib import import_module
+
+    return getattr(import_module(".service", __name__), name)

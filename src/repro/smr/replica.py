@@ -152,11 +152,12 @@ def reply_root(
     return leaf, node
 
 
-def _entry_round(item: object) -> int:
-    """The round recorded in a log entry; 0 for malformed entries."""
-    if isinstance(item, tuple) and len(item) == 2 and isinstance(item[1], int):
+def _entry_round(item: object) -> int | None:
+    """The round recorded in a log entry, exactly an ``int`` (``True ==
+    1``, yet it encodes apart); ``None`` for a malformed entry."""
+    if isinstance(item, tuple) and len(item) == 2 and type(item[1]) is int:
         return item[1]
-    return 0
+    return None
 
 
 class Replica(Protocol):
@@ -378,22 +379,28 @@ class Replica(Protocol):
         inflate the resume point past undecided rounds nor roll it
         below history the log itself contains.  Resuming low merely
         revisits rounds the agreement layer already treats as settled.
+        A log with a malformed entry (a round spelled ``True`` matches
+        honest logs by equality) is never adopted.
         """
         best: tuple[tuple[int, int], tuple, set[int], int] | None = None
         for peer in sorted(self._recovery_logs):
             cand = self._recovery_logs[peer]
+            rounds = [_entry_round(e) for e in cand.entries]
+            if None in rounds:
+                continue
             k = len(cand.entries)
             supporters: set[int] = set()
             for q in sorted(self._recovery_logs):
                 log = self._recovery_logs[q]
                 if len(log.entries) < k or log.entries[:k] != cand.entries:
                     continue
-                if any(_entry_round(e) <= cand.round for e in log.entries[k:]):
+                extra = (_entry_round(e) for e in log.entries[k:])
+                if any(r is None or r <= cand.round for r in extra):
                     continue
                 supporters.add(q)
             if not ctx.quorum.contains_honest(supporters):
                 continue
-            floor = max((_entry_round(e) for e in cand.entries), default=0)
+            floor = max(rounds, default=0)
             round_number = max(
                 floor,
                 min(self._recovery_logs[q].round for q in supporters),

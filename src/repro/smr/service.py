@@ -16,7 +16,6 @@ from ..adversary.structures import AdversaryStructure
 from ..crypto.dealer import CLIENT_BASE, SystemKeys, deal_system
 from ..crypto.groups import SchnorrGroup, small_group
 from ..net.adversary import CorruptionController
-from ..net.base import NetworkBackend
 from ..net.scheduler import RandomScheduler, Scheduler
 from ..net.simulator import Network
 from ..core.atomic_broadcast import AbcConfig
@@ -72,12 +71,11 @@ class ServiceDeployment:
         )
         return {nonce: client.completed[nonce] for nonce in nonces}
 
-    def stack(self, party: int, network: NetworkBackend, seed: int) -> ProtocolRuntime:
-        """``party``'s honest server on ``network``: a runtime with a
-        replica of the deployment's service spawned on it, recorded as
-        the party's.  Returns the runtime, the node to attach."""
+    def stack(self, party: int, seed: int) -> ProtocolRuntime:
+        """``party``'s honest server: a runtime with a replica of the
+        service spawned on it, recorded as the party's; the node to attach."""
         runtime = ProtocolRuntime(
-            party, network, self.keys.public, self.keys.private[party], seed=seed
+            party, self.network, self.keys.public, self.keys.private[party], seed=seed
         )
         replica = Replica(
             self.state_machine_factory(), causal=self.causal,
@@ -93,7 +91,7 @@ class ServiceDeployment:
         the volatile state is gone — take ``party``'s place on the
         network and start the peer state transfer that replays the
         agreed log.  Returns the new replica."""
-        runtime = self.stack(party, self.network, seed)
+        runtime = self.stack(party, seed)
         self.network.recover(party, runtime)
         replica = self.replicas[party]
         replica.begin_recovery(Context(runtime, service_session()))
@@ -149,5 +147,5 @@ def build_service(
         causal=causal,
     )
     for party in range(n):
-        network.attach(party, deployment.stack(party, network, seed))
+        network.attach(party, deployment.stack(party, seed))
     return deployment

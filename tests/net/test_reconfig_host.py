@@ -187,65 +187,64 @@ class _StubRuntime:
         return None
 
 
-def _run_watchdog(tmp_path, monkeypatch, io_timeout, settled):
-    """Arm the watchdog on a stub session under a fake clock; returns
-    the stub, the sleeps it asked for and the retries it made."""
+def _run_watchdog(tmp_path, io_timeout, settled):
+    """Arm the watchdog on a stub session under a fake clock: each timer
+    the host sets on its network fires in turn; returns the stub, the
+    delays it asked for and the retries it made."""
     _deployment(tmp_path)
     host = ReplicaHost(tmp_path, 0)
     host.io_timeout = io_timeout
     instance = _StubSession()
     host.runtime = _StubRuntime("s", instance)
-    real_sleep = asyncio.sleep
-    delays, retries = [], []
+    delays, retries, timers = [], [], []
 
-    async def fake_sleep(delay):
+    def call_later(party, delay, callback):
+        assert party == 0
         delays.append(delay)
-        await real_sleep(0)
+        timers.append(callback)
 
-    async def scenario():
-        monkeypatch.setattr(asyncio, "sleep", fake_sleep)
-        host._watch_flush(
-            "s", settled=lambda: settled(instance), retry=lambda: retries.append(1)
-        )
-        for _ in range(10):
-            await real_sleep(0)
-
-    asyncio.run(scenario())
+    host.network.call_later = call_later
+    host._watch_flush(
+        "s", settled=lambda: settled(instance), retry=lambda: retries.append(1)
+    )
+    while timers:
+        timers.pop(0)()
     return instance, delays, retries
 
 
-def test_watchdog_deadline_scales_with_io_timeout(tmp_path, monkeypatch):
+def test_watchdog_deadline_scales_with_io_timeout(tmp_path):
     """The flush fires at io_timeout/8 — scaled, no hidden 10s cap —
     and a session still unsettled after a full I/O budget is retried."""
     instance, delays, retries = _run_watchdog(
-        tmp_path, monkeypatch, 120.0, settled=lambda instance: False
+        tmp_path, 120.0, settled=lambda instance: False
     )
     assert delays == [15.0, 105.0]
     assert instance.flushes == 1
     assert retries == [1]
 
 
-def test_watchdog_settled_session_is_left_alone(tmp_path, monkeypatch):
+def test_watchdog_settled_session_is_left_alone(tmp_path):
     instance, _, retries = _run_watchdog(
-        tmp_path, monkeypatch, 1.0, settled=lambda instance: True
+        tmp_path, 1.0, settled=lambda instance: True
     )
     assert instance.flushes == 0
     assert retries == []
 
 
-def test_watchdog_settling_after_flush_stops_the_retry(tmp_path, monkeypatch):
+def test_watchdog_settling_after_flush_stops_the_retry(tmp_path):
     # The flush unwedged the session before the second check.
     instance, _, retries = _run_watchdog(
-        tmp_path, monkeypatch, 1.0, settled=lambda instance: instance.flushes > 0
+        tmp_path, 1.0, settled=lambda instance: instance.flushes > 0
     )
     assert instance.flushes == 1
     assert retries == []
 
 
 def test_watchdog_failure_is_counted_and_kept(tmp_path, monkeypatch, capsys):
-    """A raise inside ``flush()`` ends the ladder — the host records it
-    where the transport records its own task failures, and prints it,
-    instead of leaving a paused cluster with no trace of why."""
+    """A raise inside ``flush()`` ends the ladder — on the event loop's
+    clock the transport records it as it records a handler's failure,
+    and prints it, instead of leaving a paused cluster with no trace of
+    why."""
     failure = RuntimeError("flush blew up")
 
     def broken_flush(self, ctx):
@@ -254,20 +253,18 @@ def test_watchdog_failure_is_counted_and_kept(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(_StubSession, "flush", broken_flush)
     _deployment(tmp_path)
     host = ReplicaHost(tmp_path, 0)
+    host.io_timeout = 0.08  # the flush 10 ms in, the retry 70 ms later
     host.runtime = _StubRuntime("s", _StubSession())
-    real_sleep = asyncio.sleep
     retries = []
 
     async def scenario():
-        monkeypatch.setattr(asyncio, "sleep", lambda delay: real_sleep(0))
         host._watch_flush("s", settled=lambda: False, retry=lambda: retries.append(1))
-        for _ in range(10):
-            await real_sleep(0)
+        await asyncio.sleep(0.2)
 
     asyncio.run(scenario())
     assert retries == []
     assert host.network.errors == [failure]
-    assert host.network.trace.counters["host.task_errors"] == 1
+    assert host.network.trace.counters["transport.handler_errors"] == 1
     assert "flush blew up" in capsys.readouterr().err
 
 
@@ -503,11 +500,11 @@ def test_a_resharing_done_on_the_spot_enters_after_the_round(tmp_path):
             assert held and abc.round == 0
             del abc._on_decision
 
-            async def release():
+            def release():
                 for args in held:
                     abc._on_decision(*args)
 
-            late.network.spawn(release(), "host.task_errors")
+            late.network.call_later(0, 0.0, release)
             await _until(lambda: all(
                 len(h.replica.executed) == 2 for h in hosts.values()
             ))
@@ -739,29 +736,26 @@ class _StubProtocol(_StubSession):
 
 
 @pytest.mark.parametrize("retires", [False, True])
-def test_ladder_respawns_until_the_phase_moves_on(tmp_path, monkeypatch, retires):
+def test_ladder_respawns_until_the_phase_moves_on(tmp_path, retires):
     """An unsettled session is retried under the next attempt's tag and
     marks the host stalled; a host that learned it was retired (or
     entered the epoch) in the meantime is left alone."""
-    real_sleep = asyncio.sleep
     first, second = reshare_session(1, "reshare"), reshare_session(1, ("reshare", 1))
 
     async def scenario():
         _deployment(tmp_path, seed=76)
         host = ReplicaHost(tmp_path, 0)
+        timers = []  # a fake clock: the host's timers, run in turn
+        host.network.call_later = lambda party, delay, callback: timers.append(callback)
         await host.start()
-
-        async def fake_sleep(delay):
-            await real_sleep(0)
-            if retires:
-                host.phase = RETIRED
-
         try:
-            monkeypatch.setattr(asyncio, "sleep", fake_sleep)
             host.phase = Phase("resharing", 1)
             host._run_ladder(1, "replica-reshare-retry", _StubProtocol, None, epoch=1)
-            for _ in range(10):
-                await real_sleep(0)
+            if retires:
+                host.phase = RETIRED
+            for _ in range(2):  # the first attempt's flush, then its retry
+                if timers:
+                    timers.pop(0)()
             if retires:
                 assert host.runtime.instances[first].flushes == 0
                 assert second not in host.runtime.instances
@@ -770,7 +764,6 @@ def test_ladder_respawns_until_the_phase_moves_on(tmp_path, monkeypatch, retires
                 assert second in host.runtime.instances
                 assert host.phase == Phase("stalled", 1)
         finally:
-            monkeypatch.setattr(asyncio, "sleep", real_sleep)
             await host.close()
 
     asyncio.run(scenario())

@@ -6,6 +6,7 @@ from __future__ import annotations
 import asyncio
 import pathlib
 import re
+import subprocess
 import sys
 
 import pytest
@@ -141,3 +142,24 @@ def test_wait_for_matches_fields_and_fails_once_the_process_is_gone():
         assert replica.lines[1] == "some warning"
 
     asyncio.run(scenario())
+
+
+def test_a_replica_process_loads_no_orchestration():
+    """``import repro.net.runtime`` — what a replica process imports —
+    loads none of the chaos engine, the sweep, the checkers, the cluster
+    operator or the simulated service assembly: each module a replica
+    compiles and holds costs its memory (the chaos engine alone was
+    +0.8 MB of peak RSS on both TCP workloads)."""
+    src = pathlib.Path(__file__).resolve().parents[2] / "src"
+    script = (
+        "import sys, repro.net.runtime; "
+        "print(' '.join(sorted(m for m in sys.modules if m.startswith('repro.'))))"
+    )
+    loaded = subprocess.run(
+        [sys.executable, "-c", script], check=True, capture_output=True, text=True,
+        env={"PYTHONPATH": str(src)},
+    ).stdout.split()
+    assert "repro.net.runtime" in loaded
+    for module in ("repro.net.chaos", "repro.net.sweep", "repro.net.checkers",
+                   "repro.net.cluster", "repro.smr.service"):
+        assert module not in loaded

@@ -17,7 +17,7 @@ from repro.codec import MAX_LENGTH
 from repro.crypto import deal_system, small_group
 from repro.crypto.dealer import CLIENT_BASE, deal_channel_keys
 from repro.net import wire
-from repro.net.chaos import FaultSpec, PartitionSpec, SeededFaultPlan
+from repro.net.chaos import FaultSpec, PartitionSpec, SeededFaultPlan, save_fault_plan
 from repro.net.cluster import attach_client, deal_deployment
 from repro.net.runtime import ReplicaHost
 from repro.net.simulator import Network
@@ -553,14 +553,15 @@ def test_recovery_stalls_behind_partition_then_completes(tmp_path):
             # heals itself 1.2s in.  Only the rejoining host carries the
             # plan: it enforces the cut on its own writes *and* on every
             # connection it accepts, so no recovery frame crosses.
-            plan = SeededFaultPlan(
+            # It loads the plan as a chaos run's replica does.
+            save_fault_plan(
+                tmp_path,
                 FaultSpec(
                     partitions=(PartitionSpec(start=0.0, stop=1.2, group=(3,)),)
                 ),
                 seed=17,
-                epoch=time.time(),
             )
-            hosts[3] = ReplicaHost(tmp_path, 3, faults=plan)
+            hosts[3] = ReplicaHost(tmp_path, 3)
             await hosts[3].start(recover=True)
 
             await asyncio.sleep(0.6)  # well inside the partition window
