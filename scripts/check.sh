@@ -5,7 +5,8 @@
 #                             # + experiments (benchmarks/, EXPERIMENTS.md)
 #                             # + benchmark-harness/chaos/sweep smokes
 #                             # + src/ (net/ orchestration too), tests/,
-#                             #   benchmarks/ and docs/ sizes
+#                             #   benchmarks/ and docs/ sizes, and the
+#                             #   ad-hoc type checks left in src/
 #   scripts/check.sh --fast   # skip pytest, the experiments and the smokes
 #
 # The experiments step runs every paper-claim assertion of
@@ -210,6 +211,12 @@ find src/repro -name '*.py' -print0 | xargs -0 wc -l | awk '
 # The net/ orchestration ROADMAP aim 2 weighs against the paper's stack.
 (cd src/repro/net && cat runtime.py chaos.py transport.py sweep.py cluster.py checkers.py) |
     wc -l | awk '{ printf "  %-17s %6d\n", "net/ orchestration", $1 }'
+# Hand-written type checks left in the protocol packages: a received
+# field's type is the codec's admission check (docs/PROTOCOLS.md,
+# "Admission"); what remains guards values inside loose fields.
+grep -rEn "type\([A-Za-z_.0-9\[\]]*\) is (not )?(int|bytes|str|tuple|bool)|isinstance\([^)]*, \(?(int|bytes|str|tuple|bool|frozenset|dict)" \
+    src/repro/core src/repro/smr src/repro/crypto --include=*.py | wc -l |
+    awk '{ printf "  %-17s %6d\n", "ad-hoc type checks", $1 }'
 for dir in tests benchmarks; do
     find "$dir" -name '*.py' -exec cat {} + | wc -l |
         awk -v dir="$dir" '{ printf "  %-17s %6d\n", dir "/ total", $1 }'

@@ -15,18 +15,26 @@ Values: ``None``, ``bool``, ``int``, ``str``, ``bytes``, ``tuple``,
 always be written).  The reader is safe on untrusted input: bounded
 depth and length, canonical (``dumps(loads(x)) == x`` for every ``x``
 it accepts) and able to construct only registered dataclasses.
+
+A registered dataclass also declares what a *received* one may hold:
+:func:`admits` holds every field to its annotation (docs/PROTOCOLS.md,
+"Admission"), once, where a value enters a node.
 """
 
 from __future__ import annotations
 
+import collections.abc
 import dataclasses
 import operator
 import struct
+import sys
+import typing
 from typing import Any, Callable
 
 __all__ = [
     "CodecError",
     "Encoded",
+    "admits",
     "MAX_DEPTH",
     "MAX_LENGTH",
     "register",
@@ -83,14 +91,16 @@ _BY_NAME: dict[bytes, tuple[type, int]] = {}
 
 
 def register(cls: type) -> type:
-    """Class decorator: give a (frozen) dataclass a writer and let the
-    reader construct it."""
+    """Class decorator: give a (frozen) dataclass a writer, let the
+    reader construct it, and compile the check :func:`admits` holds a
+    received one to."""
     if not dataclasses.is_dataclass(cls):
         raise TypeError(f"{cls.__name__} is not a dataclass")
     name = cls.__name__.encode("ascii")
     if _BY_NAME.get(name, (cls,))[0] is not cls:
         raise CodecError(f"duplicate registration for {cls.__name__}")
-    attributes = tuple(field.name for field in dataclasses.fields(cls))
+    fields = dataclasses.fields(cls)
+    attributes = tuple(field.name for field in fields)
     header = b"C" + _pack_length(len(name)) + name + _pack_length(len(attributes))
     # attrgetter reads every field in one call: a tuple for two names or
     # more, the bare value for one.
@@ -104,6 +114,14 @@ def register(cls: type) -> type:
 
     _WRITERS[cls] = write_fields
     _BY_NAME[name] = (cls, len(attributes))
+    # An annotation is source text (``from __future__ import annotations``)
+    # read where the class was written: ``get_type_hints`` costs twice as much.
+    scope, env = vars(sys.modules[cls.__module__]), dict[str, Any]()
+    hints = [(f.name, eval(f.type, scope) if isinstance(f.type, str) else f.type) for f in fields]
+    lines = [line for a, hint in hints for line in _check_lines(hint, f"v.{a}", env, "    ")]
+    if lines:
+        exec("def check(v):\n" + "\n".join(lines) + "\n    return True\n", env)
+        _CHECKS[cls] = env["check"]
     return cls
 
 
@@ -348,3 +366,55 @@ def _read(data: bytes, offset: int, depth: int) -> tuple[object, int]:
         except (TypeError, ValueError) as exc:
             raise CodecError(f"cannot reconstruct {cls.__name__}") from exc
     raise CodecError(f"unknown tag {bytes((tag,))!r}")
+
+
+# -- admission -----------------------------------------------------------
+#
+# A received registered value has the types its class declares
+# (docs/PROTOCOLS.md, "Admission"): ``register`` writes one function per
+# class out, as ``dataclasses`` writes an ``__init__`` (three times as
+# fast as a loop over (getter, type) pairs).
+_CHECKS: dict[type, Callable[[Any], bool]] = {}
+
+
+def admits(payload: object) -> bool:
+    """Whether a received payload's registered values have their
+    declared types: the payload itself, or each member of a payload
+    tuple (a session id is matched by equality, never read or walked)."""
+    for value in payload if type(payload) is tuple else (payload,):
+        check = _CHECKS.get(type(value))
+        if check is not None and not check(value):
+            return False
+    return True
+
+
+def _check_lines(hint: object, member: str, env: dict[str, Any], indent: str) -> list[str]:
+    """Python lines (over names put in ``env``) returning False unless
+    ``member`` is a ``hint``: ``int``, ``bytes``, ``str`` exactly (no
+    ``bool``), a registered class, a ``tuple``, ``dict`` or ``frozenset``
+    with its members' hints if given; none for ``object`` or ``Hashable``."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if hint is object or hint is Any or origin is collections.abc.Hashable:
+        return []
+    if origin is typing.Union and [] in (_check_lines(arg, member, {}, indent) for arg in args):
+        return []  # ``Optional[Hashable]``
+    top = hint if origin is None else origin
+    if not isinstance(top, type) or origin not in (None, tuple, dict, frozenset):
+        raise TypeError(f"no admission check for a field annotated {hint!r}")
+    name, item, inner = f"t{len(env)}", f"m{len(env)}", indent + "    "
+    env[name], nested = top, _CHECKS.get(top)
+    lines = [f"{indent}if type({member}) is not {name}: return False"]
+    if nested is not None:
+        env[f"c{name}"] = nested
+        lines.append(f"{indent}if not c{name}({member}): return False")
+    elif origin is tuple and args[1:] != (Ellipsis,):
+        lines.append(f"{indent}if len({member}) != {len(args)}: return False")
+        for i, arg in enumerate(args):
+            lines += _check_lines(arg, f"{member}[{i}]", env, indent)
+    elif origin is dict:
+        body = _check_lines(args[0], f"{item}[0]", env, inner)
+        body += _check_lines(args[1], f"{item}[1]", env, inner)
+        lines += [f"{indent}for {item} in {member}.items():", *body] if body else []
+    elif origin is not None and (body := _check_lines(args[0], item, env, inner)):
+        lines += [f"{indent}for {item} in {member}:", *body]
+    return lines

@@ -260,9 +260,9 @@ def proposal_statement(session: SessionId, r: int, digest: bytes) -> tuple:
     return ("abc-proposal", session, r, digest)
 
 
-def _well_formed(batch: object, max_batch: int) -> bool:
-    """A batch is a tuple of at most ``max_batch`` hashable payloads."""
-    if not isinstance(batch, tuple) or len(batch) > max_batch:
+def _well_formed(batch: tuple, max_batch: int) -> bool:
+    """A batch holds at most ``max_batch`` hashable payloads."""
+    if len(batch) > max_batch:
         return False
     try:
         hash(batch)
@@ -520,7 +520,7 @@ class AtomicBroadcast(Protocol):
         self, ctx: Context, sender: int, message: AbcProposal
     ) -> None:
         r = message.round
-        if type(r) is not int or not self.round < r <= self.round + _ROUND_HORIZON:
+        if not self.round < r <= self.round + _ROUND_HORIZON:
             return
         key = ctx.public.verify_keys.get(sender)
         if key is None or not _well_formed(message.batch, self.config.max_batch):
@@ -579,8 +579,6 @@ class AtomicBroadcast(Protocol):
         self, ctx: Context, sender: int, message: AbcBatchRequest
     ) -> None:
         r, digest = message.round, message.digest
-        if type(r) is not int or not isinstance(digest, bytes):
-            return
         if r > self.round + self._window():
             return
         rec = self._round(r) if r > self.round else self.rounds.get(r)
@@ -593,7 +591,7 @@ class AtomicBroadcast(Protocol):
 
     def _on_batch(self, ctx: Context, sender: int, message: AbcBatch) -> None:
         digest = message.digest
-        if not isinstance(digest, bytes) or not _well_formed(message.batch, self.config.max_batch):
+        if not _well_formed(message.batch, self.config.max_batch):
             return
         wanting = [rec for _r, rec in sorted(self.rounds.items()) if digest in rec.requested]
         if not wanting:
@@ -606,12 +604,9 @@ class AtomicBroadcast(Protocol):
         self._try_deliver(ctx)
 
     def _on_rejoin(self, ctx: Context, sender: int, message: AbcRejoin) -> None:
-        base = message.round
-        if type(base) is not int:
-            return
         for r in sorted(self.rounds):
             own = self.rounds[r].proposal
-            if r > base and own is not None:
+            if r > message.round and own is not None:
                 ctx.send(sender, own)
 
     def _maybe_report_lag(self, ctx: Context) -> None:

@@ -98,7 +98,7 @@ class AbaAux:
 @dataclass(frozen=True)
 class AbaConf:
     round: int
-    values: frozenset
+    values: frozenset[int]
 
 
 @register
@@ -118,10 +118,10 @@ def aba_session(tag: object) -> SessionId:
     return ("aba", tag)
 
 
-def _is_bit(value: object) -> bool:
-    """A received vote is exactly the ``int`` 0 or 1: ``True`` compares
-    equal to 1 but encodes apart, so an echo of it would split hashes."""
-    return type(value) is int and value in (0, 1)
+def _is_bit(value: int) -> bool:
+    """A received vote is 0 or 1 (admission made it exactly an ``int``:
+    ``True`` compares equal to 1 but encodes apart)."""
+    return value in (0, 1)
 
 
 class _RoundState:
@@ -204,8 +204,8 @@ class BinaryAgreement(Protocol):
         if isinstance(message, AbaDone):
             self._on_done(ctx, sender, message.value)
             return
-        r = getattr(message, "round", None)
-        if type(r) is not int or not 1 <= r <= self.round + _ROUND_HORIZON:
+        r = getattr(message, "round", 0)
+        if not 1 <= r <= self.round + _ROUND_HORIZON:
             return
         if r == 1 and isinstance(message, AbaCoinShare):
             return  # round 1 has no coin to open: nothing to hold or check
@@ -216,7 +216,7 @@ class BinaryAgreement(Protocol):
             state.aux_from.setdefault(sender, message.value)
         elif isinstance(message, AbaConf):
             values = message.values
-            if isinstance(values, frozenset) and values and all(map(_is_bit, values)):
+            if values and all(map(_is_bit, values)):
                 state.conf_from.setdefault(sender, values)
         elif isinstance(message, AbaCoinShare):
             self._on_coin_share(ctx, sender, r, message.share)

@@ -128,9 +128,7 @@ class SecureCausalBroadcast(Protocol):
 
     def _on_share(self, ctx: Context, sender: int, message: ScDecryptionShare) -> None:
         share, digest = message.share, message.digest
-        if not isinstance(share, DecryptionShare) or share.party != sender:
-            return
-        if not isinstance(digest, bytes) or digest in self.plaintexts:
+        if share.party != sender or digest in self.plaintexts:
             return
         if digest not in self.opening:
             held = self.early.setdefault(sender, {})

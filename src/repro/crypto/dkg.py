@@ -55,7 +55,7 @@ from dataclasses import dataclass, field
 
 from ..adversary.formulas import Formula, Leaf, Threshold
 from ..adversary.quorums import QuorumSystem
-from ..codec import register
+from ..codec import admits, register
 from ..core.protocol import Context, Protocol, SessionId
 from ..core.reliable_broadcast import ReliableBroadcast, rbc_session
 from .accel import accel_for
@@ -190,27 +190,13 @@ def tree_consistent(
     ``root`` given, additionally pins the root secret commitment to it
     (used by resharing to prove the dealt secret IS the old subshare).
     """
-    if not isinstance(tree, FeldmanTree) or not isinstance(tree.nodes, tuple):
+    if not isinstance(tree, FeldmanTree):
         return False
     gates = _gate_map(scheme.formula)
     if () not in gates:
         return False  # a bare-leaf formula has nothing to commit to
-    seen: dict[SlotId, tuple[int, ...]] = {}
-    for entry in tree.nodes:
-        if not (isinstance(entry, tuple) and len(entry) == 2):
-            return False
-        path, commitments = entry
-        if not (
-            isinstance(path, tuple)
-            and all(isinstance(i, int) for i in path)
-            and isinstance(commitments, tuple)
-            and all(isinstance(c, int) for c in commitments)
-        ):
-            return False
-        if path in seen:
-            return False
-        seen[path] = commitments
-    if set(seen) != set(gates):
+    seen = dict(tree.nodes)
+    if len(seen) != len(tree.nodes) or set(seen) != set(gates):
         return False
     for path in sorted(gates):
         commitments = seen[path]
@@ -352,8 +338,8 @@ class ReshareCommit:
     covers the right slots.
     """
 
-    coin: tuple
-    enc: tuple
+    coin: tuple[tuple[SlotId, FeldmanTree, tuple[tuple[SlotId, int], ...]], ...]
+    enc: tuple[tuple[SlotId, FeldmanTree, tuple[tuple[SlotId, int], ...]], ...]
 
 
 @register
@@ -369,7 +355,7 @@ class DkgStatus:
     otherwise split the qualified set on every expulsion.
     """
 
-    complaints: tuple
+    complaints: tuple[int, ...]
 
 
 @register
@@ -383,8 +369,8 @@ class DkgDefense:
     """
 
     accuser: int
-    coin_values: tuple
-    enc_values: tuple
+    coin_values: tuple[tuple[SlotId, tuple[tuple[SlotId, int], ...]], ...]
+    enc_values: tuple[tuple[SlotId, tuple[tuple[SlotId, int], ...]], ...]
 
 
 @register
@@ -430,22 +416,14 @@ class DkgOutput:
 # ===========================================================================
 
 
-def _table_wellformed(table: object, slots: set[SlotId], modulus: int) -> bool:
+def _table_wellformed(table: tuple, slots: set[SlotId], modulus: int) -> bool:
     """A masked table (or a defense's values) must cover exactly
     ``slots`` with reduced values."""
-    if not isinstance(table, tuple) or len(table) != len(slots):
-        return False
-    seen = set()
-    for entry in table:
-        if not (isinstance(entry, tuple) and len(entry) == 2):
-            return False
-        slot, value = entry
-        if slot not in slots or slot in seen:
-            return False
-        if not isinstance(value, int) or not 0 <= value < modulus:
-            return False
-        seen.add(slot)
-    return True
+    seen = {slot for slot, _value in table}
+    return (
+        len(table) == len(slots) == len(seen & slots)
+        and all(0 <= value < modulus for _slot, value in table)
+    )
 
 
 class VerifiableResharing(Protocol):
@@ -610,17 +588,12 @@ class VerifiableResharing(Protocol):
         return tuple(entries)
 
     def _entries_acceptable(
-        self, entries: object, pins: dict[SlotId, int]
+        self, entries: tuple, pins: dict[SlotId, int]
     ) -> set[SlotId] | None:
         """Structural check of one kind's entries; returns the old slots."""
-        if not isinstance(entries, tuple):
-            return None
         new_slots = {slot for slot, _ in self.new_scheme.slots()}
         seen: set[SlotId] = set()
-        for entry in entries:
-            if not (isinstance(entry, tuple) and len(entry) == 3):
-                return None
-            old_slot, tree, table = entry
+        for old_slot, tree, table in entries:
             if old_slot not in self._old_owner or old_slot in seen:
                 return None
             if not tree_consistent(
@@ -633,7 +606,8 @@ class VerifiableResharing(Protocol):
         return seen
 
     def _commit_acceptable(self, value: object) -> bool:
-        if not isinstance(value, ReshareCommit):
+        # Reliable broadcast carries any value: admission is checked here.
+        if type(value) is not ReshareCommit or not admits(value):
             return False
         coin_slots = self._entries_acceptable(
             value.coin, self.old_coin_verification
@@ -711,10 +685,6 @@ class VerifiableResharing(Protocol):
         if sender in self.statuses or sender not in self.new_members:
             return
         complaints = message.complaints
-        if not isinstance(complaints, tuple) or not all(
-            isinstance(d, int) for d in complaints
-        ):
-            return
         self.statuses[sender] = complaints
         for dealer in sorted(set(complaints)):
             if dealer not in self.dealers:
@@ -754,7 +724,7 @@ class VerifiableResharing(Protocol):
             # whose complaint could ever be pending: a dealer that never
             # commits cannot grow this past |dealers| x |receivers|.
             accuser = message.accuser
-            if isinstance(accuser, int) and accuser in self.new_members:
+            if accuser in self.new_members:
                 self._buffered_defenses.setdefault(sender, {}).setdefault(
                     accuser, message
                 )
@@ -765,8 +735,6 @@ class VerifiableResharing(Protocol):
         self, ctx: Context, dealer: int, defense: DkgDefense
     ) -> None:
         if self._digest is not None or dealer in self.excluded:
-            return
-        if not isinstance(defense.accuser, int):
             return
         if self._check_defense(ctx, dealer, defense):
             self.pending.get(dealer, set()).discard(defense.accuser)
@@ -788,14 +756,11 @@ class VerifiableResharing(Protocol):
             ("coin", defense.coin_values, commit.coin),
             ("enc", defense.enc_values, commit.enc),
         ):
-            if not isinstance(values, tuple) or len(values) != len(old_slots):
+            if len(values) != len(old_slots):
                 return False
             trees = {old_slot: tree for old_slot, tree, _ in entries}
             seen: set[SlotId] = set()
-            for entry in values:
-                if not (isinstance(entry, tuple) and len(entry) == 2):
-                    return False
-                old_slot, slot_values = entry
+            for old_slot, slot_values in values:
                 if old_slot not in trees or old_slot in seen:
                     return False
                 seen.add(old_slot)
@@ -885,7 +850,7 @@ class VerifiableResharing(Protocol):
         self._maybe_complete(ctx)
 
     def _on_ready(self, ctx: Context, sender: int, message: DkgReady) -> None:
-        if sender in self._readies or not isinstance(message.digest, bytes):
+        if sender in self._readies:
             return
         self._readies[sender] = message
         self._maybe_complete(ctx)

@@ -56,16 +56,10 @@ class SharedExponentPublic:
     verification: dict[SlotId, int]  # slot -> g^{x_slot}
 
     def _well_shaped(self, share: _Share) -> bool:
-        """Whether a share's values and proofs are dicts over exactly its
-        party's slots, the values integers (what the wire carries is any
-        value)."""
-        values, proofs = share.values, share.proofs
-        return (
-            isinstance(values, dict) and isinstance(proofs, dict)
-            and values.keys() == set(self.scheme.slots_of_party(share.party))
-            == proofs.keys()
-            and all(isinstance(value, int) for value in values.values())
-        )
+        """Whether a share's values and proofs cover exactly its party's
+        slots (their types are declared: admission)."""
+        slots = set(self.scheme.slots_of_party(share.party))
+        return share.values.keys() == slots == share.proofs.keys()
 
     def _share_items(
         self, base: int, context: tuple, share: _Share

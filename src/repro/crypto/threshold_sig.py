@@ -382,10 +382,8 @@ class QuorumCertScheme:
         return key is not None and key.verify(statement, signature, memo)
 
     def _qualified(self, certificate: object) -> bool:
-        """Signed by a qualified set; a malformed one (the wire checks no types) is not read."""
-        signers = getattr(certificate, "signatures", None)
-        ok = isinstance(signers, dict) and all(isinstance(j, int) for j in signers)
-        return ok and self.qualifier(frozenset(signers))
+        """A certificate (admitted: its signers are integers) signed by a qualified set."""
+        return isinstance(certificate, QuorumCertificate) and self.qualifier(certificate.signers)
 
     def verify_share(
         self,

@@ -102,12 +102,8 @@ def prove_dleq(
 
 
 def _dleq_well_formed(group: SchnorrGroup, proof: DleqProof) -> bool:
-    if not isinstance(proof, DleqProof):
-        return False
     return (
-        isinstance(proof.commit1, int)
-        and isinstance(proof.commit2, int)
-        and isinstance(proof.response, int)
+        isinstance(proof, DleqProof)
         and 0 < proof.commit1 < group.p
         and 0 < proof.commit2 < group.p
         and 0 <= proof.response < group.q
@@ -252,8 +248,6 @@ def verify_dlog(
     if not isinstance(proof, SchnorrProof):
         return False
     a, z = proof.commit, proof.response
-    if not (isinstance(a, int) and isinstance(z, int)):
-        return False
     if not (0 < a < group.p and 0 <= z < group.q):
         return False
     c = hash_to_challenge(group, "dlog", group.g, h, a, context)

@@ -38,6 +38,7 @@ from dataclasses import MISSING, dataclass, fields, replace
 from typing import Any, get_args, get_origin, get_type_hints
 
 from ..crypto import keystore
+from ..crypto.dealer import CLIENT_BASE
 from ..smr import reconfig
 from .attacks import BYZANTINE_KINDS
 from .checkers import (
@@ -50,7 +51,13 @@ from .checkers import (
     violation_kinds,
 )
 from .cluster import admit_joiner, attach_client, deal_deployment, spawn_replicas
-from .runtime import FAULTS_FILE, checkpoint_path, load_epoch, provision_dkg_deployment
+from .runtime import (
+    FAULTS_FILE,
+    allocate_addresses,
+    checkpoint_path,
+    load_epoch,
+    provision_dkg_deployment,
+)
 from .transport import FaultPlan, FrameFault, TransportError
 
 __all__ = [
@@ -960,7 +967,8 @@ async def run_timeline(
 class _Cluster:
     """``run_timeline``'s cluster: n replica hosts on one deployment
     directory, with every verb that means the same on both networks.
-    A subclass supplies ``_spawn`` (replicas with the host's ``(kind,
+    A subclass supplies ``_addresses`` (what ``cluster.json`` records
+    for each party), ``_spawn`` (replicas with the host's ``(kind,
     fields)`` records in ``events``, and ``wait_for``, ``stop`` and
     ``kill`` as :mod:`repro.net.cluster`'s processes have them),
     ``_attach`` (the client), the clock and the client verbs."""
@@ -988,6 +996,7 @@ class _Cluster:
         rng = random.Random(scenario.seed ^ 0xDEA1)
         knobs = {name: getattr(scenario, name)
                  for name in ("io_timeout", "abc_max_batch", "abc_pipeline_depth")}
+        knobs["addresses"] = cls._addresses([*range(scenario.n), CLIENT_BASE])
         if scenario.dealerless:
             provision_dkg_deployment(scenario.n, scenario.t, rng, workdir, **knobs)
         else:
@@ -1042,9 +1051,8 @@ class _Cluster:
         if action == "add":
             # The joiner is provisioned and listening before the ordered
             # op that admits it carries its identity key and address.
-            bundle, (host, port) = admit_joiner(
-                self.workdir, members, self.reconfig_rng, self.client
-            )
+            host, port = address = self._addresses([members])[members]
+            bundle = admit_joiner(self.workdir, members, address, self.reconfig_rng, self.client)
             self._started(await self._spawn([members], "--join"))
             self.catching_up.append(members)
             change = dict(
@@ -1111,6 +1119,8 @@ class TcpCluster(_Cluster):
     backend = "tcp"
     latency_unit = "seconds"
     liveness_bound = LIVENESS_BOUND
+
+    _addresses = staticmethod(allocate_addresses)
 
     def __init__(self, scenario: Scenario, workdir: pathlib.Path) -> None:
         super().__init__(scenario, workdir)

@@ -64,15 +64,16 @@ def deal_deployment(
     """Run the trusted dealer for ``n`` servers tolerating ``t`` plus
     one client identity, and write everything ``run-replica`` and
     :func:`attach_client` read: the keystore files, and ``cluster.json``
-    with a free localhost port per identity.  ``cluster`` are the other
-    :class:`ClusterConfig` fields (``io_timeout``, the ``abc_*`` knobs).
+    with a free localhost port per identity (unless ``addresses`` is one
+    of ``cluster``, the other :class:`ClusterConfig` fields).
     Returns the dealt keys, for callers that sign with a member's key.
     """
     directory = pathlib.Path(directory)
     keys = deal_system(n, rng, t=t, clients=1, group=small_group())
     keystore.write_deployment(keys, directory)
-    addresses = allocate_addresses(list(range(n)) + [CLIENT_BASE])
-    ClusterConfig(addresses, **cluster).save(directory / CLUSTER_FILE)
+    if "addresses" not in cluster:
+        cluster["addresses"] = allocate_addresses(list(range(n)) + [CLIENT_BASE])
+    ClusterConfig(**cluster).save(directory / CLUSTER_FILE)
     return keys
 
 
@@ -108,18 +109,18 @@ async def attach_client(
 def admit_joiner(
     directory: str | pathlib.Path,
     party: int,
+    address: tuple[str, int],
     rng: random.Random,
     client: ServiceClient,
-) -> tuple[BootstrapFile, tuple[str, int]]:
+) -> BootstrapFile:
     """The operator's side of an ``add``: provision ``party``'s bootstrap
-    identity, give it a free port in ``cluster.json``, and teach the
+    identity, record its ``address`` in ``cluster.json``, and teach the
     running ``client`` that address and the channel key just dealt to
     it (:func:`provision_joiner` rewrote the client bundle).  Returns
-    the bundle and the address — what the ordered ``Reconfigure`` has
+    the bundle — with the address, what the ordered ``Reconfigure`` has
     to carry; the joiner itself is started with ``--join``."""
     directory = pathlib.Path(directory)
     bundle = provision_joiner(directory, party, rng)
-    address = allocate_addresses([party])[party]
     cluster = ClusterConfig.load(directory / CLUSTER_FILE)
     cluster.addresses[party] = address
     cluster.save(directory / CLUSTER_FILE)
@@ -127,7 +128,7 @@ def admit_joiner(
         directory / f"client-{client.client_id}.json"
     )
     client.network.admit_peer(party, address, client_keys[party])
-    return bundle, address
+    return bundle
 
 
 # -- replica processes --------------------------------------------------------------

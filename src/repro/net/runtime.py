@@ -371,8 +371,8 @@ def provision_dkg_deployment(
     Writes one ``bootstrap-<i>.json`` per server (its identity key and
     every server's verify key), one client's
     ``client-<id>.json`` channel bundle and ``cluster.json`` with a
-    free localhost port for each — all ``run-replica --dkg`` needs.
-    ``cluster`` are the other :class:`ClusterConfig` fields.
+    free localhost port for each (unless ``cluster``, the other
+    :class:`ClusterConfig` fields, has ``addresses``): all ``--dkg`` needs.
     Unlike :func:`deal_system`, no threshold secret exists anywhere —
     compromising one bundle corrupts exactly one party.
     """
@@ -395,9 +395,9 @@ def provision_dkg_deployment(
         )
         save_bootstrap(directory, bundle)
     _write_client(directory, CLIENT_BASE, keyring[CLIENT_BASE])
-    ClusterConfig(allocate_addresses(identities), **cluster).save(
-        directory / CLUSTER_FILE
-    )
+    if "addresses" not in cluster:
+        cluster["addresses"] = allocate_addresses(identities)
+    ClusterConfig(**cluster).save(directory / CLUSTER_FILE)
 
 
 def _write_client(

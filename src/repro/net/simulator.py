@@ -33,6 +33,9 @@ network) is a turn of its own that ends before the next delivery (or
 at quiescence).  Deferred work runs right after the delivery that ends
 its turn; a crashed or replaced node's never runs.
 
+Admission: a payload whose registered values lack their declared types
+(:func:`repro.codec.admits`) reaches no node, as on TCP; it is counted.
+
 Timers (:meth:`Network.call_later`): a second is
 :data:`STEPS_PER_SECOND` deliveries, so a timer is due at a delivery
 count; it rings then, or at quiescence if that comes first.
@@ -45,6 +48,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
+from ..codec import admits
 from ..crypto.dealer import is_server
 from .tracing import Trace
 
@@ -280,7 +284,10 @@ class Network:
         self.trace.record_delivery(envelope)
         self._turn = (envelope.sender, envelope.recipient, self._seq)
         try:
-            self.nodes[envelope.recipient].on_message(envelope.sender, envelope.payload)
+            if admits(envelope.payload):
+                self.nodes[envelope.recipient].on_message(envelope.sender, envelope.payload)
+            else:
+                self.trace.bump("admission.dropped")
         finally:
             self._turn = None
         waiting = self._waiting.get(link)

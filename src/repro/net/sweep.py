@@ -343,6 +343,11 @@ class SimCluster(_Cluster):
     latency_unit = "steps"
     liveness_bound = float(PROBE_STEP_BOUND)
 
+    @staticmethod
+    def _addresses(parties: list[int]) -> dict[int, tuple[str, int]]:
+        """Fixed ports: no socket is bound, and an ``add`` says the same each run."""
+        return {party: ("127.0.0.1", 20_000 + party) for party in parties}
+
     def __init__(self, scenario: Scenario, workdir: pathlib.Path) -> None:
         super().__init__(scenario, workdir)
         self.scheduler = SweepScheduler(scenario)

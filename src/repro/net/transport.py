@@ -54,7 +54,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Callable, cast
 
-from ..codec import MAX_LENGTH
+from ..codec import MAX_LENGTH, admits
 from ..crypto.dealer import is_server
 from . import wire
 from .simulator import Node
@@ -879,6 +879,9 @@ class TransportNetwork:
         if self._closed or self.node is None:
             return
         self.trace.record_delivery(None)
+        if not admits(payload):
+            self.trace.bump("admission.dropped")
+            return
         try:
             self.node.on_message(sender, payload)
         except Exception as exc:  # a handler bug must not kill the link

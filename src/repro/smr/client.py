@@ -271,7 +271,7 @@ class ServiceClient(Node):
         """A replica told us our session's epoch is closed: fetch the
         signed membership record instead of burning the retry budget
         against a configuration that no longer exists."""
-        if not isinstance(message.epoch, int) or message.epoch <= self.epoch:
+        if message.epoch <= self.epoch:
             return
         self._send(MembershipQuery(known_epoch=self.epoch), None)
 

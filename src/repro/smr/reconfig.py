@@ -40,7 +40,7 @@ import random
 from dataclasses import dataclass
 
 from ..adversary.quorums import QuorumSystem, ThresholdQuorumSystem
-from ..codec import register
+from ..codec import admits, register
 from ..core.protocol import Context, Protocol, SessionId
 from ..crypto import keystore
 from ..crypto.dealer import PublicKeys
@@ -159,15 +159,9 @@ def signed_membership_info(
 
 def verify_membership_info(info: object, trusted: PublicKeys) -> bool:
     """Check one replica's membership signature against keys the
-    verifier already trusts (its current epoch's verify keys)."""
-    if not isinstance(info, MembershipInfo):
-        return False
-    if not (
-        isinstance(info.replica, int)
-        and isinstance(info.epoch, int)
-        and isinstance(info.public_json, str)
-        and isinstance(info.signature, Signature)
-    ):
+    verifier already trusts (its current epoch's verify keys); a record
+    whose fields do not have their declared types is refused."""
+    if type(info) is not MembershipInfo or not admits(info):
         return False
     key = trusted.verify_keys.get(info.replica)
     if key is None:
@@ -268,38 +262,20 @@ def reconfigure_operation(
     )
 
 
+# What ``reconfigure_operation`` builds, as exact types: no admission
+# check reaches an ordered operation, and ``True == 1`` encodes apart.
+_OPERATION_TYPES = (str, str, int, int, str, int, int, int, int, int)
+
+
 def parse_reconfigure(operation: object) -> tuple[ReconfigureRequest, Signature] | None:
     """Structural parse; ``None`` for anything that is not a well-formed
     reconfigure operation (then it is just an application op)."""
-    if not (isinstance(operation, tuple) and len(operation) == 10):
+    if type(operation) is not tuple or operation[:1] != (RECONFIG_KIND,):
         return None
-    kind, action, party, verify_key, host, port, epoch, signer, commit, response = (
-        operation
-    )
-    if kind != RECONFIG_KIND:
+    if tuple(map(type, operation)) != _OPERATION_TYPES:
         return None
-    if not (
-        isinstance(action, str)
-        and isinstance(party, int)
-        and isinstance(verify_key, int)
-        and isinstance(host, str)
-        and isinstance(port, int)
-        and isinstance(epoch, int)
-        and isinstance(signer, int)
-        and isinstance(commit, int)
-        and isinstance(response, int)
-    ):
-        return None
-    request = ReconfigureRequest(
-        action=action,
-        party=party,
-        verify_key=verify_key,
-        host=host,
-        port=port,
-        epoch=epoch,
-        signer=signer,
-    )
-    return request, Signature(commit=commit, response=response)
+    # The fields in ReconfigureRequest's order, then the signature's.
+    return ReconfigureRequest(*operation[1:8]), Signature(*operation[8:])
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ inside the server's :class:`~repro.core.runtime.ProtocolRuntime`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Hashable
 
 from ..codec import register
 from ..core.atomic_broadcast import AbcConfig, AtomicBroadcast
@@ -90,7 +90,7 @@ class RecoverLog:
     the exact pre-crash service state.
     """
 
-    entries: tuple  # ((payload, round), ...) in delivery order
+    entries: tuple[tuple[Hashable, int], ...]  # in delivery order
     round: int
 
 
@@ -135,29 +135,17 @@ def reply_tree(leaves: list[bytes]) -> tuple[bytes, list[tuple]]:
 
 
 def reply_root(
-    request_digest: bytes, result: object, path: object
+    request_digest: bytes, result: object, path: tuple[tuple[bool, bytes], ...]
 ) -> tuple[bytes, bytes] | None:
     """This answer's leaf and the root ``path`` leads to from it; None
     for a malformed or over-long path, refused before anything is hashed."""
-    well_formed = isinstance(path, tuple) and len(path) <= MAX_PATH and all(
-        type(step) is tuple and len(step) == 2 and type(step[0]) is bool
-        and type(step[1]) is bytes and len(step[1]) == 32 for step in path
-    )
-    if not well_formed:
+    if len(path) > MAX_PATH or any(len(sibling) != 32 for _left, sibling in path):
         return None
     leaf = node = reply_leaf(request_digest, result)
     for sibling_is_left, sibling in path:
         pair = (sibling, node) if sibling_is_left else (node, sibling)
         node = hash_bytes(_NODE, *pair)
     return leaf, node
-
-
-def _entry_round(item: object) -> int | None:
-    """The round recorded in a log entry, exactly an ``int`` (``True ==
-    1``, yet it encodes apart); ``None`` for a malformed entry."""
-    if isinstance(item, tuple) and len(item) == 2 and type(item[1]) is int:
-        return item[1]
-    return None
 
 
 class Replica(Protocol):
@@ -251,7 +239,7 @@ class Replica(Protocol):
         elif isinstance(message, SubmitUnordered):
             self._on_submit_unordered(ctx, message.request)
         elif isinstance(message, SubmitEncrypted):
-            if self.causal and isinstance(message.ciphertext, Ciphertext):
+            if self.causal:
                 self.sc_abc.submit(ctx, message.ciphertext)
         elif isinstance(message, MembershipQuery):
             if self.membership_info is not None:
@@ -345,9 +333,7 @@ class Replica(Protocol):
         )
 
     def _on_recover_log(self, ctx: Context, sender: int, message: RecoverLog) -> None:
-        if not self.recovering or not isinstance(message.entries, tuple):
-            return
-        if type(message.round) is not int:
+        if not self.recovering:
             return
         # Latest answer wins: peers keep progressing while recovery is
         # in flight, and a re-query must not stay pinned to a stale
@@ -379,23 +365,18 @@ class Replica(Protocol):
         inflate the resume point past undecided rounds nor roll it
         below history the log itself contains.  Resuming low merely
         revisits rounds the agreement layer already treats as settled.
-        A log with a malformed entry (a round spelled ``True`` matches
-        honest logs by equality) is never adopted.
         """
         best: tuple[tuple[int, int], tuple, set[int], int] | None = None
         for peer in sorted(self._recovery_logs):
             cand = self._recovery_logs[peer]
-            rounds = [_entry_round(e) for e in cand.entries]
-            if None in rounds:
-                continue
+            rounds = [r for _payload, r in cand.entries]
             k = len(cand.entries)
             supporters: set[int] = set()
             for q in sorted(self._recovery_logs):
                 log = self._recovery_logs[q]
                 if len(log.entries) < k or log.entries[:k] != cand.entries:
                     continue
-                extra = (_entry_round(e) for e in log.entries[k:])
-                if any(r is None or r <= cand.round for r in extra):
+                if any(r <= cand.round for _payload, r in log.entries[k:]):
                     continue
                 supporters.add(q)
             if not ctx.quorum.contains_honest(supporters):
@@ -440,19 +421,14 @@ class Replica(Protocol):
     def _replay_entries(self, ctx: Context, entries: tuple) -> None:
         self._replaying = True
         try:
-            for item in entries:
-                if not (isinstance(item, tuple) and len(item) == 2):
-                    continue
-                payload, rnd = item
+            for payload, rnd in entries:
                 if payload in self.abc.delivered:
                     continue
                 self.abc.delivered.add(payload)
                 self.abc.delivered_log.append((payload, rnd))
                 request = Request.decode(payload)
                 if request is not None:
-                    self._execute(
-                        ctx, request, rnd if isinstance(rnd, int) else -1
-                    )
+                    self._execute(ctx, request, rnd)
         finally:
             self._replaying = False
 

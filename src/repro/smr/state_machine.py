@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..codec import register
+from ..codec import admits, register
 
 __all__ = ["Request", "Reply", "StateMachine", "KeyValueStore"]
 
@@ -44,16 +44,12 @@ class Request:
 
     @staticmethod
     def decode(value: object) -> "Request | None":
-        if (
-            isinstance(value, tuple)
-            and len(value) == 4
-            and value[0] == "req"
-            and isinstance(value[1], int)
-            and isinstance(value[2], int)
-            and isinstance(value[3], tuple)
-        ):
-            return Request(client=value[1], nonce=value[2], operation=value[3])
-        return None
+        """An ordered payload is a value no admission check reached: it is
+        a request only if its fields have the declared types."""
+        if type(value) is not tuple or len(value) != 4 or value[0] != "req":
+            return None
+        request = Request(*value[1:])
+        return request if admits(request) else None
 
 
 @register
@@ -75,7 +71,7 @@ class Reply:
     nonce: int
     result: Result
     signature_share: object
-    path: tuple = ()
+    path: tuple[tuple[bool, bytes], ...] = ()
 
 
 class StateMachine:

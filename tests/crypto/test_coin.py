@@ -7,6 +7,7 @@ from dataclasses import replace
 import pytest
 
 from repro.adversary.attributes import example1_access_formula
+from repro.codec import admits
 from repro.crypto.coin import deal_coin
 from repro.crypto.dealer import deal_system
 from repro.crypto.groups import small_group
@@ -202,7 +203,8 @@ def test_every_three_of_seven_open_the_same_coin():
 
 # A share that names its party and the coin correctly but whose values or
 # proofs are not dicts over exactly its slots with integer values — what
-# a Byzantine party can put on the wire.
+# a Byzantine party can put on the wire.  Those of the wrong types are
+# dropped where they are received (admission); the coin refuses the rest.
 MALFORMED = {
     "values-int": lambda share, slot: replace(share, values=5),
     "proofs-int": lambda share, slot: replace(share, proofs=5),
@@ -218,6 +220,7 @@ MALFORMED = {
         share, values={**share.values, (3,): 4}, proofs={**share.proofs, (3,): share.proofs[slot]}
     ),
 }
+WELL_TYPED = ("foreign-slot", "extra-slot")
 
 
 @pytest.mark.parametrize("kind", sorted(MALFORMED))
@@ -227,5 +230,9 @@ def test_a_malformed_share_is_refused_and_never_raises(coin_5_2, kind):
     honest = [holders[i].share_for("bad", rng) for i in (0, 1, 2)]
     (slot,) = honest[2].values
     bad = MALFORMED[kind](honest[2], slot)
+    if kind not in WELL_TYPED:
+        assert not admits(bad)
+        return
+    assert admits(bad)
     assert not public.verify_share(bad)
     assert set(public.verify_shares("bad", [*honest[:2], bad])) == {0, 1}

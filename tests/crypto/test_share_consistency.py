@@ -28,6 +28,7 @@ from repro.adversary.attributes import (
 from repro.adversary.formulas import Formula, majority
 from repro.adversary.hybrid import HybridQuorumSystem
 from repro.adversary.quorums import GeneralQuorumSystem, QuorumSystem, ThresholdQuorumSystem
+from repro.codec import admits
 from repro.crypto.coin import CoinPublic, CoinShare, CoinShareholder, deal_coin
 from repro.crypto.groups import small_group
 from repro.crypto.lsss import LsssScheme, threshold_scheme
@@ -185,10 +186,11 @@ def test_a_share_of_the_wrong_shape_fails_the_check():
     for bad in (
         replace(share, values={**share.values, (9,): 1}),
         replace(share, proofs={}),
-        replace(share, values={slot: str(v) for slot, v in share.values.items()}),
         replace(share, party=2),
     ):
         assert not public.consistent({**shares, 1: bad})
+    # Values of the wrong type never reach the check: admission drops them.
+    assert not admits(replace(share, values={slot: str(v) for slot, v in share.values.items()}))
 
 
 def test_membership_is_what_makes_the_check_sound():

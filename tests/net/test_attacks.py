@@ -96,8 +96,8 @@ def test_coin_replayer_cannot_bias_the_coin(keys_4_1):
 def test_malformed_coin_share_cannot_stall_the_vote(keys_4_1):
     """Party 3 sends, for rounds 2-4, a coin share that names itself and
     the coin correctly but whose values and proofs are integers — what
-    the wire carries.  It is refused like any failed share: every honest
-    party decides and 3 is banned from the coin it was checked against."""
+    the wire carries.  Admission drops every copy, so no coin ever holds
+    one, and every honest party decides."""
     for seed in range(3):
         net, rts = make_network(keys_4_1, seed=50 + seed, parties=[0, 1, 2])
         session = aba_session(("malformed", seed))
@@ -109,9 +109,10 @@ def test_malformed_coin_share_cannot_stall_the_vote(keys_4_1):
         outputs = run_until_outputs(net, rts, session)
         assert outputs == {0: 0, 1: 0, 2: 0}, f"seed {seed}"
         assert net.trace.counters["aba.coin_flips"] >= 1
+        assert net.trace.counters["admission.dropped"] == 3 * len(rts)
         for rt in rts.values():
             coin = rt.instances[session].rounds[2].coin
-            assert 3 in coin.banned and 3 not in coin.valid
+            assert 3 not in coin.pending and 3 not in coin.valid
 
 
 def test_divergent_abc_proposer_keeps_total_order(keys_4_1):

@@ -16,7 +16,7 @@ import pytest
 
 from repro.crypto.dealer import CLIENT_BASE, is_server
 from repro.net.cluster import admit_joiner, deal_deployment
-from repro.net.runtime import ReplicaHost
+from repro.net.runtime import ReplicaHost, allocate_addresses
 from repro.net.scheduler import FifoScheduler
 from repro.net.simulator import Network
 from repro.net.tracing import _kind_of
@@ -141,7 +141,8 @@ def test_reshare_reaches_the_joiner(tmp_path):
             assert first.result == ("ok", 1)
 
             rng = random.Random(61)
-            bundle, address = admit_joiner(tmp_path, joiner, rng, client)
+            address = allocate_addresses([joiner])[joiner]
+            bundle = admit_joiner(tmp_path, joiner, address, rng, client)
             hosts[joiner] = ReplicaHost(tmp_path, joiner, join=True)
             await hosts[joiner].start()
 

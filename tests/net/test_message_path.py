@@ -96,6 +96,8 @@ async def _tcp_commits(directory, counts: MessagePathCounts, n: int) -> int:
             timeout=30,
         )
         counts.armed = False
+        # Every honest message has its declared types.
+        assert sum(net.trace.counters["admission.dropped"] for net in networks) == 0
         return sum(net.trace.sent for net in networks) - sent
     finally:
         counts.armed = False

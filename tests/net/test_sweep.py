@@ -8,17 +8,20 @@ keep tier-1 fast and hermetic.
 
 import asyncio
 import json
+import socket
 
 import pytest
 
 from repro.core.atomic_broadcast import AbcConfig
 from repro.net import sweep as sweep_module
+from repro.net import wire
 from repro.net.adversary import MutatingNode, SilentNode, SpamNode
 from repro.net.chaos import (
     ScenarioError,
     builtin_scenarios,
     parameterize_scenario,
     replay_journal,
+    run_timeline,
 )
 from repro.net.sweep import (
     ShapeSpec,
@@ -193,6 +196,52 @@ def test_clean_cell_passes_and_is_deterministic(tmp_path):
     journal = tmp_path / "journal.json"
     journal.write_text(json.dumps(first))
     assert replay_journal(journal) == 0  # sim journals replay too
+
+
+def test_a_clean_smoke_cell_drops_nothing_at_admission(tmp_path):
+    """Every message an honest cell sends has its declared types."""
+    scenario = expand_cells(smoke_spec())[0].scenario
+    assert not scenario.byzantine
+
+    async def run() -> dict:
+        cluster = await SimCluster.boot(scenario, tmp_path)
+        report = await run_timeline(scenario, cluster)
+        assert report["ok"] and cluster.network.delivered_count > 0
+        return cluster.network.trace.counters
+
+    assert asyncio.run(run())["admission.dropped"] == 0
+
+
+@pytest.mark.parametrize("name", ["reconfig-churn", "dealerless"])
+def test_a_seeded_simulator_run_orders_the_same_reconfigure_bytes(name, monkeypatch):
+    """The cell's addresses are fixed, so an ``add`` carries the same
+    joiner address, and the signed operation the same bytes, every run."""
+    recorded: list[bytes] = []
+    real = SimCluster.reconfigure
+
+    async def recording(self, action):
+        target, operation = await real(self, action)
+        recorded.append(wire.dumps(operation))
+        return target, operation
+
+    monkeypatch.setattr(SimCluster, "reconfigure", recording)
+    scenario = builtin_scenarios()[name]
+    run_scenario_sim(scenario)
+    first, recorded[:] = list(recorded), []
+    run_scenario_sim(scenario)
+    assert len(first) == len(scenario.reconfigs) and recorded == first
+
+
+def test_a_simulator_cell_binds_no_socket(monkeypatch):
+    """Booting, dealing and an ``add`` on the simulator look for no free
+    port: nothing there listens."""
+
+    def refuse(self, address):
+        raise OSError(f"a simulator cell bound {address}")
+
+    monkeypatch.setattr(socket.socket, "bind", refuse)
+    report = run_scenario_sim(builtin_scenarios()["dealerless"])
+    assert report["ok"]
 
 
 @pytest.mark.parametrize("name", ["reconfig-churn", "dealerless"])

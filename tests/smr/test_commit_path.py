@@ -78,3 +78,4 @@ def test_a_lone_commit_is_ten_message_steps(n, t, seed):
         assert clock.generation - submitted == COMMIT_STEPS
         # No AbaCoinShare among the kinds: the vote opened no coin.
         assert {kind: at - submitted for kind, at in clock.sent.items()} == FIRST_SENT_AT
+    assert service.network.trace.counters["admission.dropped"] == 0

@@ -57,6 +57,22 @@ def test_parse_ignores_application_ops(keys_4_1):
     assert reconfig.parse_reconfigure((reconfig.RECONFIG_KIND, "add")) is None
 
 
+@pytest.mark.parametrize("field", ["party", "port", "epoch", "signer"])
+def test_a_field_spelled_true_makes_a_plain_application_op(keys_4_1, field):
+    """An ordered operation is an application value no admission check
+    reaches: its fields are exactly ``int`` or it is no ``Reconfigure``
+    (``True == 1``, yet it encodes apart).  The state machine then sees
+    it as any unknown op."""
+    joiner = dict(party=4, verify_key=_joiner_key(keys_4_1), host="h", port=1)
+    op = _signed(keys_4_1, "add", 1, **joiner)
+    index = {"party": 2, "port": 5, "epoch": 6, "signer": 7}[field]
+    assert reconfig.parse_reconfigure(op) is not None
+    spelled = op[:index] + (True,) + op[index + 1:]
+    assert spelled == op[:index] + (1,) + op[index + 1:]
+    assert reconfig.parse_reconfigure(spelled) is None
+    assert KeyValueStore().apply(Request(1000, 1, spelled))[0] == "error"
+
+
 def test_unknown_action_rejected(keys_4_1):
     with pytest.raises(ValueError):
         _signed(keys_4_1, "merge", 1)

@@ -90,26 +90,25 @@ def test_lying_peer_cannot_poison_recovery():
 def test_a_round_spelled_true_in_a_recovery_log_is_never_adopted():
     """A liar (the lowest id) answers with the honest log but for one
     round spelled ``True``: equal to the honest logs (``True == 1``), so
-    honest answers vouch for it, yet it encodes apart.  Adopted, its
-    ``True`` would land in the delivered log and could become the
-    resume round; the rejoiner adopts the honest log instead."""
+    honest answers would vouch for it, yet it encodes apart.  Adopted,
+    its ``True`` would land in the delivered log and could become the
+    resume round; admission drops it, and the rejoiner adopts the
+    honest log."""
     dep, client = _deploy(seed=59)
     dep.run_until_complete(client, [client.submit(("set", "real", 1))])
     _drain(dep)
     dep.network.crash(2)
     _drain(dep)
     fresh = dep.rejoin(2, seed=99)
-    ctx = Context(dep.runtimes[2], service_session())
     honest = dep.replicas[1].abc
     assert [r for _p, r in honest.delivered_log] == [1]
     lie = tuple((payload, True) for payload, _r in honest.delivered_log)
-    fresh._on_recover_log(ctx, 0, RecoverLog(entries=lie, round=honest.round))
-    truth = tuple(honest.delivered_log)
-    fresh._on_recover_log(ctx, 1, RecoverLog(entries=truth, round=honest.round))
+    dep.network.send(0, 2, (service_session(), RecoverLog(entries=lie, round=honest.round)))
+    _drain(dep)
+    assert dep.network.trace.counters["admission.dropped"] == 1
     assert not fresh.recovering
     assert [type(r) for _p, r in fresh.abc.delivered_log] == [int]
     assert type(fresh.abc.round) is int
-    _drain(dep)
     assert fresh.state_machine.data == {"real": 1}
 
 

@@ -18,6 +18,9 @@ class TestRequestCodec:
         assert Request.decode(("req", "x", 2, ())) is None
         assert Request.decode(("req", 1, 2, "not-a-tuple")) is None
         assert Request.decode(("other", 1, 2, ())) is None
+        # ``True == 1`` yet encodes apart: no client 1, nonce 1 spelled True.
+        assert Request.decode(("req", True, 2, ())) is None
+        assert Request.decode(("req", 1, True, ())) is None
 
 
 class TestKeyValueStore:
