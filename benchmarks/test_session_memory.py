@@ -14,7 +14,18 @@ delivery, which is the lock-step order: every message pending when a
 generation starts goes before any sent during it.  Every 50 delivered
 rounds the table reads, per party (the largest of the n): live
 sessions (``instances``), stored outputs and buffered messages.
+
+What does grow is the ordered history.  The second table reads it in
+bytes: ``tracemalloc``, on from the first commit, compares the memory
+still allocated (after a full garbage collection) at commit ``WARM``
+with that at commit ``WARM + window``, per replica per commit — all of
+it, and the history share allocated in ``smr/replica.py`` and
+``core/atomic_broadcast.py`` (the delivered record and the at-most-once
+index).
 """
+
+import gc
+import tracemalloc
 
 from conftest import emit
 
@@ -26,6 +37,12 @@ from repro.smr import KeyValueStore, build_service
 ROUNDS = 200
 EVERY = 50
 DEPTH = 4
+# Commits before the byte count's first snapshot (past the round records'
+# turnover) and in its window, per n: tracing costs ~5x, so E19 keeps
+# them short.
+WARM = 10
+WINDOW = {4: 40, 7: 12}
+HISTORY = ("smr/replica.py", "core/atomic_broadcast.py")
 
 
 def _grow(n: int, t: int) -> list[tuple[int, int, int, int]]:
@@ -49,6 +66,37 @@ def _grow(n: int, t: int) -> list[tuple[int, int, int, int]]:
                 max(sum(map(len, rt._buffered.values())) for rt in runtimes),
             ))
     return rows
+
+
+def _bytes_per_commit(n: int, t: int, window: int) -> tuple[float, float]:
+    """``(all, history share)`` of the bytes retained per replica per
+    commit over ``window`` lone commits after ``WARM``."""
+    service = build_service(
+        n, KeyValueStore, t=t, seed=19, scheduler=FifoScheduler(),
+        abc_config=AbcConfig(pipeline_depth=DEPTH),
+    )
+    client = service.new_client()
+    service.network.start()
+
+    def snapshot_after(commits: int) -> tracemalloc.Snapshot:
+        for _ in range(commits):
+            service.run_until_complete(client, [client.submit(("set", "k", 0))])
+        gc.collect()
+        return tracemalloc.take_snapshot()
+
+    tracemalloc.start()
+    try:
+        before = snapshot_after(WARM)
+        after = snapshot_after(window)
+    finally:
+        tracemalloc.stop()
+    grown = after.compare_to(before, "filename")
+    history = [d for d in grown if d.traceback[0].filename.endswith(HISTORY)]
+    per = n * window
+    return (
+        sum(d.size_diff for d in grown) / per,
+        sum(d.size_diff for d in history) / per,
+    )
 
 
 def test_live_sessions_per_party_are_flat_in_history(benchmark):
@@ -75,3 +123,26 @@ def test_live_sessions_per_party_are_flat_in_history(benchmark):
         bound = 1 + (atomic_broadcast._BUFFER_SLACK + DEPTH) * (n + 2)
         assert all(outputs <= sessions <= bound for _r, sessions, outputs, _b in rows)
         assert rows[-1][1] == rows[1][1]  # flat from round 100 to 200
+
+
+def test_history_bytes_per_replica_per_commit(benchmark):
+    results: dict[int, tuple[float, float]] = {}
+
+    def run():
+        for n, t in ((4, 1), (7, 2)):
+            results[n] = _bytes_per_commit(n, t, WINDOW[n])
+
+    benchmark.pedantic(run, rounds=1, iterations=1)
+    emit(
+        "E19: bytes retained per replica per commit (tracemalloc, after "
+        f"commit {WARM}, lone commits, lock-step)",
+        [f"{'n':>3} {'window':>7} {'all':>7} {'history':>8}"]
+        + [
+            f"{n:>3} {WINDOW[n]:>7} {total:>7.0f} {history:>8.0f}"
+            for n, (total, history) in results.items()
+        ],
+    )
+    # One dict entry per delivered payload and one (client, nonce) key
+    # per executed request.  A 40-commit window reads 130-240 B here,
+    # with what ran before it in the process (EXPERIMENTS.md, E19).
+    assert 0 < results[4][1] <= 300

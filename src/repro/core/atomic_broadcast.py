@@ -315,8 +315,9 @@ class AtomicBroadcast(Protocol):
         self.on_lag: Callable[[], None] | None = None
         self.config = config if config is not None else AbcConfig()
         self.queue: dict[Hashable, _Entry] = {}  # in arrival order
-        self.delivered: set[Hashable] = set()
-        self.delivered_log: list[tuple[Hashable, int]] = []
+        # The ordered history: every delivered payload, in delivery
+        # order, with the round that delivered it.
+        self.delivered: dict[Hashable, int] = {}
         self.round = 0  # last delivered round
         # Highest round this party signed a proposal for.  Never
         # regresses — an honest party must not sign two different
@@ -384,6 +385,14 @@ class AtomicBroadcast(Protocol):
         ctx, self._turn = self._turn, None
         if ctx is not None:
             self._maybe_start_rounds(ctx)
+
+    def record(self, payload: Hashable, round_number: int) -> bool:
+        """Enter a delivery replayed from a transferred log or a
+        checkpoint in :attr:`delivered`; False if it holds ``payload``."""
+        if payload in self.delivered:
+            return False
+        self.delivered[payload] = round_number
+        return True
 
     def _enqueue(self, payload: Hashable, entry: _Entry | None = None) -> bool:
         if payload in self.delivered or payload in self.queue:
@@ -778,8 +787,7 @@ class AtomicBroadcast(Protocol):
                     if self.closed:
                         tail[payload] = None
                         continue
-                    self.delivered.add(payload)
-                    self.delivered_log.append((payload, r))
+                    self.delivered[payload] = r
                     self.payloads_delivered += 1
                     done.append(payload)
                     if self.on_deliver is not None:

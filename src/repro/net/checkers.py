@@ -52,10 +52,9 @@ class JournalEntry:
     """One executed operation as recorded by a replica host.
 
     ``round`` is the atomic-broadcast round the operation was ordered
-    in (-1 for records predating the batched protocol, or for
-    client-side commit records where the round is unknown).  With
-    batching, several entries share a round; rounds must never decrease
-    along a journal.
+    in (-1 for the client's commit records, where the round is
+    unknown).  With batching, several entries share a round; rounds must
+    never decrease along a journal.
     """
 
     client: int
@@ -149,8 +148,6 @@ def check_safety(
     for party in parties:
         last_round = -1
         for position, entry in enumerate(journals[party]):
-            if entry.round < 0:
-                continue  # legacy record without round information
             if entry.round < last_round:
                 flag(
                     "safety.round-regression",
@@ -318,19 +315,13 @@ def percentile(values: list[float], q: float) -> float | None:
 
 def violation_kinds(report: dict) -> list[str]:
     """The machine-readable violation tags of a run report (journal
-    dict as written by ``chaos run`` or the sweep's simulator path).
-
-    Journals written before ``kinds`` existed fall back to a generic
-    per-checker tag so old artifacts still aggregate.
-    """
-    kinds: list[str] = []
-    for checker in ("safety", "liveness", "reconfig"):
-        verdict = report.get(checker) or {}
-        tags = verdict.get("kinds")
-        if tags is None:
-            tags = [f"{checker}.violation"] if verdict.get("issues") else []
-        kinds.extend(tags)
-    return kinds
+    dict as written by ``chaos run`` or the sweep); a checker the report
+    lacks has none."""
+    return [
+        kind
+        for checker in ("safety", "liveness", "reconfig")
+        for kind in report.get(checker, {}).get("kinds", [])
+    ]
 
 
 def summarize_run(report: dict) -> dict:

@@ -672,7 +672,6 @@ class ReplicaHost:
         self.byzantine = byzantine
         self.checkpoint_status = "absent"
         self._checkpoint_every = checkpoint_every
-        self._executions = 0
         self._journal = None
         self._seed = seed if seed is not None else party
         self.runtime: ProtocolRuntime | None = None
@@ -738,12 +737,12 @@ class ReplicaHost:
             print(line, flush=True)
 
     def _on_execute(self, request, result, rnd) -> None:
-        self._executions += 1
+        executions = len(self.replica.executed)
         if self._journal is not None:
             self._journal.write(
                 json.dumps(
                     {
-                        "i": self._executions,
+                        "i": executions,
                         "client": request.client,
                         "nonce": request.nonce,
                         "op": list(request.operation),
@@ -753,7 +752,7 @@ class ReplicaHost:
                 + "\n"
             )
             self._journal.flush()
-        if self._checkpoint_every and self._executions % self._checkpoint_every == 0:
+        if self._checkpoint_every and executions % self._checkpoint_every == 0:
             self.write_checkpoint()
 
     def write_checkpoint(self) -> pathlib.Path | None:
@@ -764,7 +763,7 @@ class ReplicaHost:
             self.directory,
             self.party,
             self.keys.channel_keys,
-            tuple(self.replica.abc.delivered_log),
+            tuple(self.replica.abc.delivered.items()),
             self.replica.abc.round,
         )
 

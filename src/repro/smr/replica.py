@@ -163,8 +163,9 @@ class Replica(Protocol):
         # service layers threshold decryption on that same instance.
         self.abc = AtomicBroadcast(config=abc_config)
         self.sc_abc = SecureCausalBroadcast(abc=self.abc) if causal else None
-        self.executed: list[tuple[Request, object]] = []
-        self._seen_nonces: set[tuple[int, int]] = set()
+        # The at-most-once index: the (client, nonce) of every executed
+        # request.  The ordered history itself is ``abc.delivered``.
+        self.executed: set[tuple[int, int]] = set()
         # client -> (request, result) of its *latest* executed request,
         # so a duplicate submission — the identical request, operation
         # included — can be re-answered instead of silently swallowed
@@ -329,7 +330,7 @@ class Replica(Protocol):
             return  # cannot help while recovering ourselves
         ctx.send(
             sender,
-            RecoverLog(entries=tuple(self.abc.delivered_log), round=self.abc.round),
+            RecoverLog(entries=tuple(self.abc.delivered.items()), round=self.abc.round),
         )
 
     def _on_recover_log(self, ctx: Context, sender: int, message: RecoverLog) -> None:
@@ -422,10 +423,8 @@ class Replica(Protocol):
         self._replaying = True
         try:
             for payload, rnd in entries:
-                if payload in self.abc.delivered:
+                if not self.abc.record(payload, rnd):
                     continue
-                self.abc.delivered.add(payload)
-                self.abc.delivered_log.append((payload, rnd))
                 request = Request.decode(payload)
                 if request is not None:
                     self._execute(ctx, request, rnd)
@@ -434,14 +433,13 @@ class Replica(Protocol):
 
     def _execute(self, ctx: Context, request: Request, rnd: int) -> None:
         key = (request.client, request.nonce)
-        if key in self._seen_nonces:
+        if key in self.executed:
             return  # at-most-once semantics across duplicate submissions
-        self._seen_nonces.add(key)
+        self.executed.add(key)
         result = self.intercept(request) if self.intercept is not None else None
         if result is None:
             result = self.state_machine.apply(request)
         self._results[request.client] = (request, result)
-        self.executed.append((request, result))
         if self.on_execute is not None:
             self.on_execute(request, result, rnd)
         if self._replaying:

@@ -185,13 +185,13 @@ def test_delivered_log_records_rounds(keys_4_1):
     net.start()
     _submit(rts, session, 2, ("req", "x"))
     net.run(until=lambda: all(len(logs[p]) >= 1 for p in rts), max_steps=400_000)
-    entry = rts[0].instances[session].delivered_log[0]
+    entry = next(iter(rts[0].instances[session].delivered.items()))
     assert entry[0] == ("req", "x") and entry[1] >= 1
 
 
 def _round_sizes(inst):
     """How many payloads each delivered round carried, in round order."""
-    sizes = collections.Counter(r for _payload, r in inst.delivered_log)
+    sizes = collections.Counter(inst.delivered.values())
     return [sizes[r] for r in sorted(sizes)]
 
 
@@ -251,7 +251,7 @@ def test_byte_budget_caps_batches(keys_4_1, monkeypatch):
     inst = rts[0].instances[session]
     # Every payload overflows a 1-byte budget, so each ships alone
     # (the first payload always fits) — one payload per round.
-    rounds = [r for _payload, r in inst.delivered_log]
+    rounds = list(inst.delivered.values())
     assert len(set(rounds)) == 3
     assert inst.stats()["mean_batch"] == 1.0
 
@@ -300,7 +300,7 @@ def test_pipelined_rounds_deliver_in_order(keys_4_1):
     assert all(logs[p] == logs[0] for p in rts)
     assert set(logs[0]) == {("req", i) for i in range(6)}
     inst = rts[0].instances[session]
-    rounds = [r for _payload, r in inst.delivered_log]
+    rounds = list(inst.delivered.values())
     assert rounds == sorted(rounds)  # strictly in round order
     assert inst.stats()["pipeline_occupancy"] >= 1.0
 
@@ -357,7 +357,7 @@ def test_a_batch_another_round_holds_is_copied_not_fetched(keys_4_1):
     inst._round(3).batches[digest] = batch
     decision = MvbaDecision(proposer=0, value=((0, digest, None),))
     inst._on_decision(ctx, inst._round(1), decision)
-    assert inst.delivered_log == [(("req", "again"), 1)]
+    assert list(inst.delivered.items()) == [(("req", "again"), 1)]
     assert not inst.rounds[1].requested
 
 
@@ -449,7 +449,7 @@ def test_rebase_carries_in_flight_payloads_to_new_session(keys_4_1):
     assert all(logs[p] == [("req", "before"), ("req", "racing")] for p in rts)
     # Round numbering continued across the switch (journal monotone).
     inst = rts[0].instances[new]
-    rounds = [r for _payload, r in inst.delivered_log]
+    rounds = list(inst.delivered.values())
     assert rounds == sorted(rounds)
     # And fresh traffic on the new session still orders.
     _submit(rts, new, 1, ("req", "after"))
@@ -628,7 +628,7 @@ def test_clients_late_copy_starts_no_round(keys_4_1):
 def test_delivered_payload_is_not_adopted(keys_4_1):
     inst, ctx, session = _lone_party(keys_4_1, "adopt-delivered")
     m = ("req", "old")
-    inst.delivered.add(m)
+    inst.record(m, 0)
     inst.on_message(ctx, 0, _signed(keys_4_1, session, 0, 1, (m,)))
     assert list(inst.queue) == []
     # Evidence that taught nothing new: the idle party still joins, empty.
@@ -841,7 +841,8 @@ def _closing_round(keys, name, batches, close_at, delivered_before=(), queued=()
     instance, its context and session, what it delivered, and the
     rounds at which ``on_round_end`` and ``close``'s continuation ran."""
     inst, ctx, session = _lone_party(keys, name)
-    inst.delivered.update(delivered_before)
+    for payload in delivered_before:
+        inst.record(payload, 0)
     for payload in queued:
         inst._enqueue(payload)
     delivered, ended, after = [], [], []
@@ -947,7 +948,7 @@ def test_rebase_reopens_and_the_tail_rides_the_next_round(keys_4_1):
         inst = runtime.instances[new]
         assert not inst.closed
         assert logs[party] == [a, x, b, c]
-        assert inst.delivered_log == [(a, 1), (x, 1), (b, 2), (c, 2)]
+        assert list(inst.delivered.items()) == [(a, 1), (x, 1), (b, 2), (c, 2)]
 
 
 # -- a delivered round's agreement leaves with its record ----------------------

@@ -13,8 +13,8 @@ from repro.net.runtime import ReplicaHost
 from repro.net.scheduler import RandomScheduler, Scheduler
 from repro.net.simulator import Network
 
-__all__ = ["make_network", "spawn_all", "run_until_outputs", "record_sends", "ctx_for",
-           "tcp_cluster"]
+__all__ = ["make_network", "spawn_all", "run_until_outputs", "record_sends",
+           "record_executions", "ctx_for", "tcp_cluster"]
 
 
 def make_network(
@@ -69,6 +69,26 @@ def record_sends(network: Network) -> list[object]:
 
     network.send = recording
     return sent
+
+
+def record_executions(target) -> list[tuple[object, object]]:
+    """The ``(request, result)`` of every request executed from now on
+    (replays included), in order, by ``target``: a ``Replica``, or a
+    ``ReplicaHost``, whose hook the recorder then replaces too, so an
+    epoch switch that reinstalls the hook keeps it."""
+    executed: list[tuple[object, object]] = []
+    replica = getattr(target, "replica", target)
+    hook = replica.on_execute
+
+    def recording(request, result, rnd) -> None:
+        executed.append((request, result))
+        if hook is not None:
+            hook(request, result, rnd)
+
+    replica.on_execute = recording
+    if replica is not target:
+        target._on_execute = recording
+    return executed
 
 
 def ctx_for(runtime: ProtocolRuntime, session: SessionId) -> Context:

@@ -84,12 +84,6 @@ def test_round_regression_is_a_safety_violation():
     assert "position 1" in report.issues[0]
 
 
-def test_legacy_entries_without_rounds_skip_the_round_check():
-    log = [entry(1, round=3), entry(2), entry(3, round=4)]
-    report = check_safety({0: log})
-    assert report.ok
-
-
 def test_round_regression_reported_once_per_journal():
     log = [entry(1, round=3), entry(2, round=2), entry(3, round=1)]
     report = check_safety({0: log})
@@ -177,15 +171,6 @@ def test_violation_kinds_collects_both_checkers():
     }
     assert violation_kinds(report) == ["safety.divergence", "liveness.stuck"]
     assert violation_kinds({"safety": {"issues": [], "kinds": []}}) == []
-
-
-def test_violation_kinds_falls_back_for_legacy_journals():
-    # Journals written before `kinds` existed carry only prose issues.
-    legacy = {
-        "safety": {"issues": ["divergence at position 0: ..."]},
-        "liveness": {"issues": []},
-    }
-    assert violation_kinds(legacy) == ["safety.violation"]
 
 
 # -- summaries ----------------------------------------------------------------------

@@ -1,0 +1,107 @@
+"""A replica holds its ordered history once.
+
+``AtomicBroadcast.delivered`` (payload -> round, in delivery order) is
+the history; ``Replica.executed`` (the executed ``(client, nonce)``
+keys) is the at-most-once index.  Nothing else a replica holds grows
+with the number of commits, and what a replica sends or persists of its
+history — a ``RecoverLog``, a checkpoint body — keeps its bytes, so
+replicas of either layout recover from each other.
+"""
+
+import asyncio
+import hashlib
+import json
+import random
+from collections.abc import Sized
+
+from repro.core.atomic_broadcast import AbcConfig
+from repro.core.protocol import Context
+from repro.crypto.dealer import CLIENT_BASE
+from repro.net import wire
+from repro.net.cluster import deal_deployment
+from repro.net.runtime import ReplicaHost
+from repro.net.scheduler import FifoScheduler, RandomScheduler
+from repro.net.simulator import Network
+from repro.smr import KeyValueStore, build_service
+from repro.smr.client import ServiceClient
+from repro.smr.reconfig import epoch_service_session
+from repro.smr.replica import RecoverLog, RecoverQuery
+
+from ..helpers import record_sends
+
+
+def _sizes(replica) -> dict[str, int]:
+    """The length of every sized attribute of ``replica`` and its broadcast."""
+    return {
+        prefix + name: len(value)
+        for holder, prefix in ((replica, ""), (replica.abc, "abc."))
+        for name, value in vars(holder).items()
+        if isinstance(value, Sized)
+    }
+
+
+def test_only_the_history_grows_with_commits():
+    """Over lone commits past a warm-up, the delivered record and the
+    at-most-once index are the only sized state that grows."""
+    dep = build_service(
+        4, KeyValueStore, t=1, seed=7, scheduler=FifoScheduler(),
+        abc_config=AbcConfig(pipeline_depth=4),
+    )
+    client = dep.new_client()
+    dep.network.start()
+    before = {}
+    for i in range(1, 101):
+        dep.run_until_complete(client, [client.submit(("set", "k", i))])
+        dep.network.run()
+        if i == 50:
+            before = {p: _sizes(r) for p, r in dep.replicas.items()}
+    for party, replica in dep.replicas.items():
+        after = _sizes(replica)
+        grown = sorted(name for name, size in after.items() if size > before[party][name])
+        assert grown == ["abc.delivered", "executed"]
+        assert after["abc.delivered"] == after["executed"] == 100
+
+
+# sha256 of the bytes below after 120 lone commits of the seeded run.
+RECOVER_LOG_SHA256 = "110396cf9f0c72be5ec9d33b17dab500b013253cfd19169e3a6d399ebee82295"
+CHECKPOINT_BODY_SHA256 = "12c5818efe13cf251579a114a00ee9aac0a30abc088743cc0f200ba950c87bc7"
+
+
+def test_history_encodings_keep_their_bytes(tmp_path):
+    """A replica's ``RecoverLog`` and checkpoint body hash to pinned
+    digests, the same as when the history was held as a payload set and
+    a separate (payload, round) list: a cluster can change layouts one
+    replica at a time."""
+
+    async def scenario():
+        addresses = {p: ("127.0.0.1", 20_000 + p) for p in (*range(4), CLIENT_BASE)}
+        deal_deployment(
+            tmp_path, 4, 1, random.Random(3), addresses=addresses, abc_pipeline_depth=4
+        )
+        network = Network(RandomScheduler(), random.Random(3))
+        hosts = [ReplicaHost(tmp_path, p, network=network) for p in range(4)]
+        for host in hosts:
+            await host.start()
+        public = hosts[0].public
+        client = ServiceClient(CLIENT_BASE, network, public, random.Random(4))
+        network.attach(CLIENT_BASE, client)
+        try:
+            for i in range(120):
+                nonce = client.submit(("set", f"k{i % 7}", i))
+                network.run(until=lambda: nonce in client.completed)
+            network.run()
+            host = hosts[0]
+            sent = record_sends(network)
+            ctx = Context(host.runtime, epoch_service_session(host.epoch))
+            host.replica.on_message(ctx, 1, RecoverQuery())
+            (log,) = [m for m in sent if isinstance(m, RecoverLog)]
+            body = json.loads(host.write_checkpoint().read_text())["body"]
+            return len(log.entries), wire.dumps(log), bytes.fromhex(body)
+        finally:
+            for host in hosts:
+                await host.close()
+
+    entries, recover_log, checkpoint_body = asyncio.run(scenario())
+    assert entries == 120
+    assert hashlib.sha256(recover_log).hexdigest() == RECOVER_LOG_SHA256
+    assert hashlib.sha256(checkpoint_body).hexdigest() == CHECKPOINT_BODY_SHA256

@@ -41,7 +41,7 @@ from repro.smr.reconfig import EpochTombstone, epoch_service_session
 from repro.smr.replica import Replica
 from repro.smr.state_machine import KeyValueStore, Request
 
-from ..helpers import tcp_cluster
+from ..helpers import record_executions, tcp_cluster
 
 
 def _deployment(tmp_path, n=4, seed=5):
@@ -84,8 +84,9 @@ def _replay(host, *operations):
         (_req(900, i + 1, op).encode(), i) for i, op in enumerate(operations)
     )
     ctx = Context(host.runtime, epoch_service_session(host.epoch))
+    executed = record_executions(host)
     host.replica.preload_log(ctx, entries)
-    return [result for _, result in host.replica.executed[-len(operations):]]
+    return [result for _, result in executed]
 
 
 def _outsider_refresh(keys, epoch):
@@ -345,6 +346,7 @@ def test_back_to_back_refreshes_converge(tmp_path):
     async def scenario():
         keys = _deployment(tmp_path, seed=31)
         async with tcp_cluster(tmp_path, client_seed=13) as (hosts, client):
+            executed = {p: record_executions(h) for p, h in hosts.items()}
             op1 = _refresh_op(keys, 1, seed=41)
             op2 = _refresh_op(keys, 2, seed=42)
             first = await client.call(op1, timeout=60.0)
@@ -360,11 +362,8 @@ def test_back_to_back_refreshes_converge(tmp_path):
             )
             # Every replica recorded the same verdict sequence.
             histories = {
-                tuple(
-                    (request.operation, result)
-                    for request, result in host.replica.executed
-                )
-                for host in hosts.values()
+                tuple((request.operation, result) for request, result in log)
+                for log in executed.values()
             }
             assert len(histories) == 1
             # Replay needs the genesis record and nothing per epoch.
@@ -408,8 +407,8 @@ def test_a_host_restarted_in_an_epoch_says_it_entered(tmp_path, capsys, shares):
 # -- an epoch ends at its Reconfigure ------------------------------------------------
 
 
-def _operations(host):
-    return [request.operation for request, _result in host.replica.executed]
+def _operations(executed):
+    return [request.operation for request, _result in executed]
 
 
 @pytest.mark.parametrize("early", [(0,), (0, 1)], ids=["one-early", "two-early"])
@@ -427,6 +426,7 @@ def test_staggered_epoch_switch_keeps_every_host_in_step(tmp_path, early):
         keys = _deployment(tmp_path, seed=81)
         late = [p for p in range(4) if p not in early]
         async with tcp_cluster(tmp_path, client_seed=82) as (hosts, client):
+            executed = {p: record_executions(h) for p, h in hosts.items()}
             held = []
             for party in late:
                 hosts[party]._complete_reshare = (
@@ -442,7 +442,7 @@ def test_staggered_epoch_switch_keeps_every_host_in_step(tmp_path, early):
             first = asyncio.ensure_future(client.call(("set", "a", 1), timeout=60.0))
             # The write reached the late hosts (queued, or ordered).
             await _until(lambda: all(
-                len(set(hosts[p].replica.abc.queue) | hosts[p].replica.abc.delivered) == 2
+                len({*hosts[p].replica.abc.queue, *hosts[p].replica.abc.delivered}) == 2
                 for p in late
             ))
             for party, protocol, output in held:
@@ -454,7 +454,7 @@ def test_staggered_epoch_switch_keeps_every_host_in_step(tmp_path, early):
                 lambda: all(len(h.replica.executed) == 3 for h in hosts.values()),
                 timeout=hosts[0].io_timeout,
             )
-            assert {tuple(_operations(h)) for h in hosts.values()} == {
+            assert {tuple(_operations(log)) for log in executed.values()} == {
                 (_refresh_op(keys, 1), ("set", "a", 1), ("set", "b", 2))
             }
 
@@ -472,6 +472,7 @@ def test_a_resharing_done_on_the_spot_enters_after_the_round(tmp_path):
     async def scenario():
         keys = _deployment(tmp_path, seed=85)
         async with tcp_cluster(tmp_path, client_seed=86) as (hosts, client):
+            executed = {p: record_executions(h) for p, h in hosts.items()}
             late = hosts[0]
             abc = late.replica.abc
             held, entered = [], []
@@ -510,10 +511,9 @@ def test_a_resharing_done_on_the_spot_enters_after_the_round(tmp_path):
             ))
             assert entered == [1]
             assert not any(h.network.errors for h in hosts.values())
-            for host in hosts.values():
-                assert _operations(host) == [op, ("set", "a", 1)]
-                log = host.replica.abc.delivered_log
-                assert [r for p, r in log if p == write] == [2]
+            for party, host in hosts.items():
+                assert _operations(executed[party]) == [op, ("set", "a", 1)]
+                assert host.replica.abc.delivered[write] == 2
 
     asyncio.run(scenario())
 

@@ -566,7 +566,7 @@ def test_recovery_stalls_behind_partition_then_completes(tmp_path):
 
             await asyncio.sleep(0.6)  # well inside the partition window
             assert hosts[3].replica.recovering
-            assert hosts[3].replica.executed == []
+            assert hosts[3].replica.executed == set()
             assert hosts[3].network.trace.counters.get("chaos.partitioned", 0) >= 1
 
             await _until(lambda: not hosts[3].replica.recovering, timeout=30)
@@ -611,10 +611,10 @@ def test_pipelined_recovery_over_tcp(tmp_path):
             snapshot = hosts[3].replica.state_machine.snapshot()
             expected = {f"k{i}": i for i in range(8)} | {"pre": 0, "post": 9}
             assert dict(snapshot[1]) == expected
-            # Exactly-once delivery survived the crash/recovery.
+            # Exactly-once delivery survived the crash/recovery: one
+            # delivered payload per executed request.
             for host in hosts.values():
-                payloads = [p for p, _r in host.replica.abc.delivered_log]
-                assert len(payloads) == len(set(payloads))
+                assert len(host.replica.abc.delivered) == len(host.replica.executed) == 10
 
     asyncio.run(scenario())
 
@@ -698,8 +698,7 @@ def test_one_reads_worth_of_submissions_opens_one_round(tmp_path):
             await net.wait_until(lambda: all(n in client.completed for n in nonces), timeout=30)
             await _until(lambda: all(h.replica.abc.round >= 2 for h in hosts.values()))
             for host in hosts.values():
-                rounds = [r for _payload, r in host.replica.abc.delivered_log]
-                assert rounds == [1] + [2] * 8
+                assert list(host.replica.abc.delivered.values()) == [1] + [2] * 8
 
     asyncio.run(scenario())
 

@@ -38,7 +38,7 @@ def run_closed_loop(service, client, operations, window, clock=lambda: 0):
 
 def round_sizes(abc):
     """How many payloads each delivered round carried, in round order."""
-    sizes = collections.Counter(r for _payload, r in abc.delivered_log)
+    sizes = collections.Counter(abc.delivered.values())
     return [sizes[r] for r in sorted(sizes)]
 
 

@@ -101,13 +101,13 @@ def test_a_round_spelled_true_in_a_recovery_log_is_never_adopted():
     _drain(dep)
     fresh = dep.rejoin(2, seed=99)
     honest = dep.replicas[1].abc
-    assert [r for _p, r in honest.delivered_log] == [1]
-    lie = tuple((payload, True) for payload, _r in honest.delivered_log)
+    assert list(honest.delivered.values()) == [1]
+    lie = tuple((payload, True) for payload in honest.delivered)
     dep.network.send(0, 2, (service_session(), RecoverLog(entries=lie, round=honest.round)))
     _drain(dep)
     assert dep.network.trace.counters["admission.dropped"] == 1
     assert not fresh.recovering
-    assert [type(r) for _p, r in fresh.abc.delivered_log] == [int]
+    assert [type(r) for r in fresh.abc.delivered.values()] == [int]
     assert type(fresh.abc.round) is int
     assert fresh.state_machine.data == {"real": 1}
 
@@ -194,9 +194,8 @@ def test_recovery_while_pipelined_rounds_in_flight():
     snapshots = {r.state_machine.snapshot() for r in dep.replicas.values()}
     assert len(snapshots) == 1
     assert fresh.state_machine.data.get("after") == 1
-    for replica in dep.replicas.values():
-        payloads = [p for p, _r in replica.abc.delivered_log]
-        assert len(payloads) == len(set(payloads))  # delivered exactly once
+    for replica in dep.replicas.values():  # delivered exactly once
+        assert len(replica.abc.delivered) == len(replica.executed)
     assert fresh.abc.round == dep.replicas[0].abc.round
 
 

@@ -10,6 +10,8 @@ from repro.net.scheduler import DelayScheduler, RandomScheduler, ReorderSchedule
 from repro.smr import KeyValueStore, build_service
 from repro.smr.client import ServiceClient
 
+from ..helpers import record_executions
+
 
 def test_basic_request_reply():
     dep = build_service(4, KeyValueStore, t=1, seed=1)
@@ -128,13 +130,13 @@ def test_duplicate_nonce_executes_once():
     """A request submitted to all servers is delivered exactly once
     despite reaching the queue at four places."""
     dep = build_service(4, KeyValueStore, t=1, seed=9)
+    executed = record_executions(dep.honest_replicas()[0])
     client = dep.new_client()
     dep.network.start()
     nonce = client.submit(("set", "ctr", 1))
     dep.run_until_complete(client, [nonce])
     dep.network.run(max_steps=400_000)
-    replica = dep.honest_replicas()[0]
-    executions = [r for r, _ in replica.executed if r.nonce == nonce]
+    executions = [r for r, _ in executed if r.nonce == nonce]
     assert len(executions) == 1
 
 
@@ -161,6 +163,7 @@ def test_causal_mode_skips_a_plaintext_nested_past_the_codec_bound():
     from repro.smr.replica import SubmitEncrypted
 
     dep = build_service(4, KeyValueStore, t=1, causal=True, seed=12)
+    executed = [record_executions(r) for r in dep.honest_replicas()]
     client = dep.new_client()
     dep.network.start()
     bomb = b"L\x00\x00\x00\x01" * 1000 + b"N"
@@ -179,7 +182,7 @@ def test_causal_mode_skips_a_plaintext_nested_past_the_codec_bound():
     results = dep.run_until_complete(client, [nonce])
     assert results[nonce].result == ("ok", 1)
     dep.network.run(max_steps=400_000)
-    assert len({tuple(r.executed) for r in replicas}) == 1
+    assert len({tuple(log) for log in executed}) == 1
 
 
 def test_causal_replica_orders_through_its_one_configured_broadcast():
