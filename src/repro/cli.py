@@ -143,7 +143,7 @@ def _cmd_run_replica(args: argparse.Namespace) -> int:
 def _cmd_reconfig(args: argparse.Namespace) -> int:
     import asyncio
 
-    from .net.runtime import submit_reconfigure
+    from .net.cluster import submit_reconfigure
 
     result = asyncio.run(
         submit_reconfigure(
@@ -160,7 +160,7 @@ def _cmd_run_client(args: argparse.Namespace) -> int:
     import asyncio
 
     from .crypto.dealer import CLIENT_BASE
-    from .net.runtime import run_client_ops
+    from .net.cluster import run_client_ops
 
     if args.op:
         operations = [_parse_operation(op) for op in args.op]
@@ -344,9 +344,11 @@ def main(argv: list[str] | None = None) -> int:
         "run-replica",
         help="serve one replica over TCP from a dealt deployment",
         description=(
-            "Load public.json, server-<party>.json and cluster.json from --dir, "
-            "then serve the replica until SIGTERM/SIGINT. With --recover, run "
-            "Section-6 crash recovery (state transfer from peers) on startup."
+            "Load the party's own record host-<party>/state.json from --dir "
+            "(without one: public.json and server-<party>.json as dealt) and "
+            "cluster.json, then serve the replica until SIGTERM/SIGINT; after "
+            "boot it writes only that record. With --recover, run Section-6 "
+            "crash recovery (state transfer from peers) on startup."
         ),
     )
     run_replica.add_argument("--dir", required=True, help="deployment directory")
@@ -383,7 +385,8 @@ def main(argv: list[str] | None = None) -> int:
         help="submit a signed membership change to a live cluster",
         description=(
             "Sign a Reconfigure operation with a current member's identity "
-            "key (server-<signer>.json) and order it through the running "
+            "key (server-<signer>.json, or bootstrap-<signer>.json when "
+            "dealerless) and order it through the running "
             "cluster's atomic broadcast. On commit the cluster reshares to "
             "the new membership and opens the next epoch."
         ),

@@ -329,18 +329,18 @@ def client_from_dict(data: dict) -> tuple[int, dict[int, bytes]]:
 def atomic_write_text(path: str | pathlib.Path, text: str) -> pathlib.Path:
     """Crash-safe file write: temp file + fsync + atomic rename.
 
-    Key files are rewritten at every epoch change, and the chaos engine
-    kills replicas at arbitrary instants — a plain ``write_text`` could
-    leave a truncated ``server-i.json`` that bricks the replica on
-    restart.  Writing to a sibling temp file, fsyncing it, and
-    ``os.replace``-ing over the target means any observer (including a
-    post-kill restart) sees either the complete old file or the
+    A host's record is rewritten at every epoch change and checkpoint,
+    and the chaos engine kills replicas at arbitrary instants — a plain
+    ``write_text`` could leave a truncated record that bricks the
+    replica on restart.  Writing to a sibling temp file, fsyncing it,
+    and ``os.replace``-ing over the target means any observer (including
+    a post-kill restart) sees either the complete old file or the
     complete new one, never a prefix.
     """
     path = pathlib.Path(path)
-    # Per-process temp name: cluster-mates legitimately write the same
-    # public.json/epoch.json concurrently and must not clobber each
-    # other's half-written temp file.
+    # Per-process temp name: each file has one writer (a host writes only
+    # its own record), but two processes started on one party by mistake
+    # must not clobber each other's half-written temp file.
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)
     try:

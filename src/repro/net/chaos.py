@@ -37,7 +37,6 @@ from collections.abc import Callable
 from dataclasses import MISSING, dataclass, fields, replace
 from typing import Any, get_args, get_origin, get_type_hints
 
-from ..crypto import keystore
 from ..crypto.dealer import CLIENT_BASE
 from ..smr import reconfig
 from .attacks import BYZANTINE_KINDS
@@ -54,9 +53,10 @@ from .cluster import admit_joiner, attach_client, deal_deployment, spawn_replica
 from .runtime import (
     FAULTS_FILE,
     allocate_addresses,
-    checkpoint_path,
-    load_epoch,
+    current_membership,
+    identity_key,
     provision_dkg_deployment,
+    state_path,
 )
 from .transport import FaultPlan, FrameFault, TransportError
 
@@ -794,17 +794,19 @@ def plan_timeline(scenario: Scenario) -> list[dict]:
 
 
 def corrupt_checkpoint(directory: str | pathlib.Path, party: int) -> bool:
-    """Flip a byte inside the checkpoint body (keeping the recorded MAC)
-    so the next ``--recover`` must reject it; False if none exists yet."""
-    path = checkpoint_path(directory, party)
+    """Flip a byte inside the checkpoint body of the party's record
+    (keeping the recorded MAC and the keys beside it) so the next
+    ``--recover`` must reject it; False if none exists yet."""
+    path = state_path(directory, party)
     if not path.exists():
         return False
     data = json.loads(path.read_text())
-    body = bytearray(bytes.fromhex(data["body"]))
-    if not body:
+    sealed = data["checkpoint"]
+    if not sealed or not sealed["body"]:
         return False
+    body = bytearray.fromhex(sealed["body"])
     body[len(body) // 2] ^= 0xFF
-    data["body"] = bytes(body).hex()
+    sealed["body"] = bytes(body).hex()
     path.write_text(json.dumps(data))
     return True
 
@@ -1006,7 +1008,7 @@ class _Cluster:
             flags = ("--dkg",) if scenario.dealerless else ()
             cluster._started(await cluster._spawn(range(scenario.n), *flags))
             if scenario.dealerless:
-                # public.json exists once the key generation is done.
+                # The cluster's keys exist once the key generation is done.
                 for replica in cluster.replicas.values():
                     await replica.wait_for("replica-dkg")
             cluster.client = await cluster._attach()
@@ -1015,11 +1017,9 @@ class _Cluster:
                 await replica.kill()
             raise
         # Reconfigure ops are signed with party 0's identity key, read
-        # from its keystore as an operator would; identity keys persist
-        # across epochs, so it covers every epoch the run steps through.
-        cluster.signer = keystore.load_party(
-            workdir / "server-0.json", cluster.client.public
-        ).signing_key
+        # as an operator would; identity keys persist across epochs, so
+        # it covers every epoch the run steps through.
+        cluster.signer = identity_key(workdir, 0)
         return cluster
 
     def _started(self, replicas: dict[int, Any]) -> None:
@@ -1042,11 +1042,10 @@ class _Cluster:
         return {"checkpoint": checkpoint["status"]}
 
     async def reconfigure(self, action: str) -> tuple[int, tuple]:
-        # The replicas persist epoch.json and public.json at every switch
-        # in the shared directory: the *cluster's* epoch and membership,
-        # even before the client has tripped over a tombstone.
-        target = max(load_epoch(self.workdir), self.client.epoch) + 1
-        members = keystore.load_public(self.workdir / "public.json").n
+        # The newest host record holds the *cluster's* epoch and
+        # membership, even before the client has tripped over a tombstone.
+        epoch, public = current_membership(self.workdir)
+        target, members = max(epoch, self.client.epoch) + 1, public.n
         change: dict[str, Any] = {}
         if action == "add":
             # The joiner is provisioned and listening before the ordered

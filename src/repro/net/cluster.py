@@ -12,7 +12,9 @@ test fixtures call:
 * :func:`spawn_replicas` — one subprocess per party, first boot or
   ``--recover``, returned once each is listening;
 * :func:`attach_client` — a started client of whatever the directory
-  describes; the caller closes its network.
+  describes; the caller closes its network (:func:`run_client_ops` and
+  :func:`submit_reconfigure` are the ``run-client`` and ``reconfig``
+  processes over it).
 """
 
 from __future__ import annotations
@@ -30,14 +32,16 @@ from typing import Any
 from ..crypto import keystore
 from ..crypto.dealer import CLIENT_BASE, SystemKeys, deal_system
 from ..crypto.groups import small_group
+from ..smr import reconfig
 from ..smr.client import ServiceClient
 from .runtime import (
     CLUSTER_FILE,
     BootstrapFile,
     ClusterConfig,
     allocate_addresses,
+    current_membership,
     find_event,
-    load_epoch,
+    identity_key,
     parse,
     provision_joiner,
 )
@@ -47,7 +51,9 @@ __all__ = [
     "admit_joiner",
     "attach_client",
     "deal_deployment",
+    "run_client_ops",
     "spawn_replicas",
+    "submit_reconfigure",
 ]
 
 
@@ -84,8 +90,8 @@ async def attach_client(
     faults: FaultPlan | None = None,
 ) -> ServiceClient:
     """A started client of the cluster ``directory`` describes, at the
-    epoch its keystore is in.  The transport is ``client.network``;
-    the caller closes it.
+    newest epoch a host recorded (:func:`current_membership`).  The
+    transport is ``client.network``; the caller closes it.
 
     Its nonces start at the current time in microseconds: every earlier
     process of this client id started earlier and spent one nonce per
@@ -93,12 +99,12 @@ async def attach_client(
     dropped by the replicas' at-most-once execution).
     """
     directory = pathlib.Path(directory)
-    public = keystore.load_public(directory / "public.json")
+    epoch, public = current_membership(directory)
     cid, channel_keys = keystore.load_client(directory / f"client-{client_id}.json")
     cluster = ClusterConfig.load(directory / CLUSTER_FILE)
     network = TransportNetwork(cid, cluster.addresses, channel_keys, faults=faults)
     client = ServiceClient(
-        cid, network, public, rng, epoch=load_epoch(directory),
+        cid, network, public, rng, epoch=epoch,
         first_nonce=time.time_ns() // 1000,
     )
     network.attach(cid, client)
@@ -129,6 +135,59 @@ def admit_joiner(
     )
     client.network.admit_peer(party, address, client_keys[party])
     return bundle
+
+
+# -- a client process ---------------------------------------------------------------
+
+
+async def run_client_ops(
+    directory: str | pathlib.Path,
+    operations: list[tuple],
+    client_id: int = CLIENT_BASE,
+    timeout: float = 60.0,
+) -> list[object]:
+    """Submit operations over TCP, one at a time; returns their results."""
+    client = await attach_client(directory, random.Random(), client_id=client_id)
+    results: list[object] = []
+    try:
+        for operation in operations:
+            nonce = client.submit(operation)
+            await client.network.wait_until(
+                lambda: nonce in client.completed, timeout=timeout
+            )
+            results.append(client.completed[nonce].result)
+        return results
+    finally:
+        await client.network.close()
+
+
+async def submit_reconfigure(
+    directory: str | pathlib.Path,
+    action: str,
+    signer: int = 0,
+    party: int = -1,
+    verify_key: int = 0,
+    host: str = "",
+    port: int = 0,
+    client_id: int = CLIENT_BASE,
+    timeout: float = 60.0,
+    rng: random.Random | None = None,
+) -> object:
+    """Operator entry point: sign a ``Reconfigure`` op with a member's
+    identity key from the deployment directory and order it through the
+    live cluster.  Returns the agreed result tuple."""
+    epoch, public = current_membership(directory)
+    if action == "remove" and party < 0:
+        party = public.n - 1
+    operation = reconfig.reconfigure_operation(
+        action, epoch + 1, signer, identity_key(directory, signer),
+        rng or random.Random(),
+        party=party, verify_key=verify_key, host=host, port=port,
+    )
+    results = await run_client_ops(
+        directory, [operation], client_id=client_id, timeout=timeout
+    )
+    return results[0]
 
 
 # -- replica processes --------------------------------------------------------------

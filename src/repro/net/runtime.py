@@ -1,14 +1,14 @@
 """One server of a deployment, and its files.
 
 * the deployment directory's files besides the keystore: ``cluster.json``
-  (:class:`ClusterConfig`), checkpoints, ``epoch.json``, bootstrap bundles;
-* :class:`ReplicaHost` — one server: keystore bundles from disk, the
-  network it serves on (its own TCP transport, or a sweep cell's
+  (:class:`ClusterConfig`), bootstrap bundles; provisioning writes them;
+* a host's own record (:class:`HostState`), the one file it writes after
+  boot; :func:`current_membership` is the operator's read of the newest;
+* :class:`ReplicaHost` — one server: its record (else the provisioned
+  bundles), the network it serves on (its own TCP transport, or a sweep cell's
   simulator), the protocol runtime and the service replica, Section-6
   recovery on startup and the one transition between epochs;
   :func:`serve_replica` runs one as a process until SIGTERM;
-* :func:`run_client_ops` — a client process over TCP.
-
 Standing up a whole cluster is :mod:`repro.net.cluster`; n hosts on the
 simulator are :class:`repro.net.sweep.SimCluster`.  See
 ``docs/DEPLOYMENT.md``.
@@ -51,36 +51,29 @@ from .transport import TransportNetwork
 __all__ = [
     "CLUSTER_FILE",
     "DEFAULT_IO_TIMEOUT",
-    "EPOCH_FILE",
-    "GENESIS_FILE",
     "LINE_KINDS",
     "BootstrapFile",
     "ClusterConfig",
+    "HostState",
     "Phase",
     "ReplicaHost",
     "allocate_addresses",
-    "checkpoint_path",
+    "current_membership",
     "dh_channel_key",
     "find_event",
+    "identity_key",
     "load_bootstrap",
-    "load_checkpoint",
-    "load_epoch",
-    "load_genesis",
+    "open_checkpoint",
     "parse",
     "provision_dkg_deployment",
     "provision_joiner",
     "render",
-    "run_client_ops",
-    "save_epoch",
-    "save_public",
+    "seal_checkpoint",
     "serve_replica",
-    "submit_reconfigure",
-    "write_checkpoint",
+    "state_path",
 ]
 
 CLUSTER_FILE = "cluster.json"
-EPOCH_FILE = "epoch.json"
-GENESIS_FILE = "public-epoch-0.json"  # epoch 0's public bundle, once left
 FAULTS_FILE = "faults.json"  # a chaos run's fault plan (net/chaos.py)
 
 # Default bound on every "wait for the cluster to say something" loop.
@@ -166,127 +159,149 @@ def allocate_addresses(
     return addresses
 
 
-# -- authenticated local checkpoints ------------------------------------------------
+# -- a host's own record ------------------------------------------------------------
 #
-# A replica's delivered log is periodically persisted so a restart can
-# replay most of its history from disk and only fetch the tail from
-# peers (Section 6 recovery stays the source of truth).  The file is
-# *authenticated*: the paper's adversary may control the machine
-# between crash and restart, so an unauthenticated snapshot would let
-# it rewrite history.  The MAC key is derived from the party's full
-# channel keyring — forging a checkpoint requires compromising the
-# party's entire key material, at which point it is simply corrupted.
-# A checkpoint that fails authentication (or fails to parse) is
-# REJECTED and recovery falls back to pure peer state transfer; the
-# chaos engine's corrupted-snapshot fault asserts exactly this.
+# After boot a host writes one file, its record, and reads back nothing
+# another host wrote: the deployment directory keeps what dealing or
+# provisioning put there (``public.json`` is always epoch 0's bundle).
+# The record is written whole and atomically on entering an epoch, before
+# the keys swap, and at each checkpoint, so a host killed at any instant
+# restarts into one epoch with its keys.
+#
+# The checkpoint is the delivered log, so a restart replays most of its
+# history from disk and fetches only the tail from peers (Section 6
+# recovery stays the source of truth).  It carries its own MAC: the
+# paper's adversary may control the machine between crash and restart.
+# The MAC key is derived from the party id and its identity signing key,
+# which no epoch changes; forging a checkpoint takes that key, at which
+# point the party is simply corrupted.  A checkpoint that fails the MAC
+# or does not parse is REJECTED (the keys beside it still load) and
+# recovery falls back to pure peer state transfer.
 
 
-def checkpoint_path(directory: str | pathlib.Path, party: int) -> pathlib.Path:
-    return pathlib.Path(directory) / f"checkpoint-{party}.json"
+def state_path(directory: str | pathlib.Path, party: int) -> pathlib.Path:
+    return pathlib.Path(directory) / f"host-{party}" / "state.json"
 
 
-def _checkpoint_key(party: int, channel_keys: dict[int, bytes]) -> bytes:
-    material = [b"repro-checkpoint-v2", party.to_bytes(8, "big")]
-    for peer in sorted(channel_keys):
-        material.append(peer.to_bytes(8, "big"))
-        material.append(channel_keys[peer])
-    return hashlib.sha256(b"".join(material)).digest()
+@dataclass(frozen=True)
+class HostState:
+    """One host's record: the epoch it stands in and the entry kind it
+    said there (``None`` before any entry), the genesis and current
+    public bundles, its own party bundle (``None`` in a joiner's seed)
+    and its sealed checkpoint (``{body, mac}`` or ``None``)."""
+
+    epoch: int
+    kind: str | None
+    genesis: Any
+    public: Any
+    keys: Any
+    checkpoint: dict | None = None
+
+    def save(self, directory: str | pathlib.Path, party: int) -> pathlib.Path:
+        path = state_path(directory, party)
+        path.parent.mkdir(exist_ok=True)
+        data = dict(
+            epoch=self.epoch, kind=self.kind,
+            genesis=keystore.public_to_dict(self.genesis),
+            public=keystore.public_to_dict(self.public),
+            keys=None if self.keys is None else keystore.party_to_dict(self.keys),
+            checkpoint=self.checkpoint,
+        )
+        return keystore.atomic_write_text(path, json.dumps(data, indent=1))
+
+    @classmethod
+    def load(cls, path: pathlib.Path) -> "HostState":
+        try:
+            data = json.loads(path.read_text())
+            public, keys = keystore.public_from_dict(data["public"]), data["keys"]
+            return cls(
+                int(data["epoch"]), data["kind"],
+                keystore.public_from_dict(data["genesis"]), public,
+                None if keys is None else keystore.party_from_dict(keys, public),
+                data["checkpoint"],
+            )
+        except (OSError, KeyError, TypeError, ValueError) as exc:
+            raise keystore.KeystoreError(f"cannot read host record {path}: {exc}") from exc
 
 
-def write_checkpoint(
-    directory: str | pathlib.Path,
-    party: int,
-    channel_keys: dict[int, bytes],
-    entries: tuple,
-    round_number: int,
-) -> pathlib.Path:
-    """Atomically persist the delivered log with an HMAC over its
-    canonical wire encoding."""
+def _provisioned_public(directory: pathlib.Path):
+    """The dealt ``public.json``.  A directory the older shared layout
+    took through an epoch switch has an ``epoch.json`` and no host
+    records: refused, rather than booted silently at epoch 0."""
+    if (directory / "epoch.json").exists():
+        raise keystore.KeystoreError(
+            f"{directory / 'epoch.json'}: the older shared layout (docs/DEPLOYMENT.md, "
+            "\"Upgrading across one record per host\")"
+        )
+    return keystore.load_public(directory / "public.json")
+
+
+def _newest_state(directory: pathlib.Path) -> HostState:
+    """The newest host record, else the provisioned bundle at epoch 0."""
+    records = [HostState.load(path) for path in sorted(directory.glob("host-*/state.json"))]
+    if not records:
+        public = _provisioned_public(directory)
+        return HostState(0, None, public, public, None)
+    return max(records, key=lambda state: state.epoch)
+
+
+def current_membership(directory: str | pathlib.Path) -> tuple[int, Any]:
+    """The operator's view of the cluster, ``(epoch, public bundle)``:
+    what clients attach to and reconfigurations are signed for."""
+    state = _newest_state(pathlib.Path(directory))
+    return state.epoch, state.public
+
+
+def identity_key(directory: str | pathlib.Path, party: int) -> SigningKey:
+    """A server's identity signing key as provisioning wrote it (its
+    bootstrap bundle, else its dealt ``server-<i>.json``): no epoch
+    changes it, so an operator signs with it at any epoch."""
+    directory = pathlib.Path(directory)
+    if bootstrap_path(directory, party).exists():
+        return load_bootstrap(directory, party).signing_key
+    return keystore.load_party(
+        directory / f"server-{party}.json", _provisioned_public(directory)
+    ).signing_key
+
+
+def _checkpoint_key(party: int, signing_key: SigningKey) -> bytes:
+    return hashlib.sha256(b"repro-checkpoint-v3:%d:%d" % (party, signing_key.x)).digest()
+
+
+def seal_checkpoint(
+    party: int, signing_key: SigningKey, entries: tuple, round_number: int
+) -> dict:
+    """The delivered log as a record's checkpoint: its canonical wire
+    encoding and an HMAC over it."""
     body = wire.dumps((tuple(entries), round_number))
-    mac = hmac.new(_checkpoint_key(party, channel_keys), body, hashlib.sha256)
-    # Atomic: a crash mid-write never half-updates.
-    return keystore.atomic_write_text(
-        checkpoint_path(directory, party),
-        json.dumps({"party": party, "body": body.hex(), "mac": mac.hexdigest()}),
-    )
+    mac = hmac.new(_checkpoint_key(party, signing_key), body, hashlib.sha256)
+    return {"body": body.hex(), "mac": mac.hexdigest()}
 
 
-def load_checkpoint(
-    directory: str | pathlib.Path, party: int, channel_keys: dict[int, bytes]
-) -> tuple[tuple, int] | None:
-    """Load and authenticate a checkpoint; ``None`` if it is missing,
-    malformed, or fails the MAC — the caller must treat all three the
-    same way (recover purely from peers)."""
-    path = checkpoint_path(directory, party)
+def open_checkpoint(party: int, signing_key: SigningKey, sealed: dict) -> tuple[tuple, int] | None:
+    """The ``(entries, round)`` of a sealed checkpoint; ``None`` if it is
+    malformed or fails the MAC — the caller treats both alike (recover
+    purely from peers)."""
+    key = _checkpoint_key(party, signing_key)
     try:
-        data = json.loads(path.read_text())
-        body = bytes.fromhex(data["body"])
-        tag = bytes.fromhex(data["mac"])
-    except (OSError, ValueError, TypeError, KeyError):
-        return None
-    expected = hmac.new(
-        _checkpoint_key(party, channel_keys), body, hashlib.sha256
-    ).digest()
-    if not hmac.compare_digest(tag, expected):
-        return None
-    try:
-        entries, round_number = wire.loads(body)
-    except (wire.WireError, ValueError):
-        return None
-    if not isinstance(entries, tuple) or not isinstance(round_number, int):
-        return None
-    return entries, round_number
+        body = bytes.fromhex(sealed["body"])
+        mac = hmac.new(key, body, hashlib.sha256).digest()
+        if hmac.compare_digest(bytes.fromhex(sealed["mac"]), mac):
+            entries, round_number = wire.loads(body)
+            if isinstance(entries, tuple) and isinstance(round_number, int):
+                return entries, round_number
+    except (KeyError, TypeError, ValueError):
+        pass
+    return None
 
 
-# -- dealerless bootstrap and epochs ------------------------------------------------
+# -- dealerless bootstrap -----------------------------------------------------------
 #
 # A DKG deployment has no dealer output to distribute.  The operator
 # instead provisions each party a *bootstrap* bundle — identity signing
 # key, every server's verify key, pairwise channel keys: the
 # authenticated-channel assumption of the model and nothing more — and
-# the cluster generates its threshold keys itself (crypto/dkg.py).  The
-# epoch file records which committed `Reconfigure` generation the
-# on-disk keystore belongs to; the genesis record is the configuration
-# every replay of the history starts from.
-
-
-def load_epoch(directory: str | pathlib.Path) -> int:
-    """The keystore's epoch; 0 when absent (dealer-era deployments)."""
-    try:
-        text = (pathlib.Path(directory) / EPOCH_FILE).read_text()
-        return int(json.loads(text)["epoch"])
-    except (OSError, ValueError, TypeError, KeyError):
-        return 0
-
-
-def save_epoch(directory: str | pathlib.Path, epoch: int) -> None:
-    keystore.atomic_write_text(
-        pathlib.Path(directory) / EPOCH_FILE, json.dumps({"epoch": epoch})
-    )
-
-
-def save_public(path: pathlib.Path, public) -> None:
-    keystore.atomic_write_text(
-        path, json.dumps(keystore.public_to_dict(public), indent=1)
-    )
-
-
-def load_genesis(
-    directory: str | pathlib.Path, epoch: int, public
-) -> reconfig.Membership:
-    """The membership a replay of the history starts from: ``public``
-    itself while the keystore is at epoch 0, else the genesis record
-    (:data:`GENESIS_FILE`).  A keystore past epoch 0 without one cannot
-    replay its history, so it refuses to start."""
-    if epoch == 0:
-        return reconfig.Membership.of(0, public)
-    path = pathlib.Path(directory) / GENESIS_FILE
-    try:
-        return reconfig.Membership.of(0, keystore.load_public(path))
-    except keystore.KeystoreError as exc:
-        raise keystore.KeystoreError(
-            f"epoch {epoch} needs the genesis record {path}: {exc}"
-        ) from exc
+# the cluster generates its threshold keys itself (crypto/dkg.py).
 
 
 @dataclass(frozen=True)
@@ -419,14 +434,13 @@ def provision_joiner(
     client — the existing client bundles are updated in place.  Channel
     keys with the current *members* need no provisioning at all: both
     sides derive them Diffie-Hellman style from identity keys
-    (:func:`dh_channel_key`).  At epoch 0 the live bundle is the
-    genesis record the joiner replays the history from, so it is saved
-    as such.
+    (:func:`dh_channel_key`).  Its seed, in its own ``host-<i>/``, is the
+    bootstrap bundle and a record without keys: the current epoch and
+    bundle, and the genesis it replays the history from.
     """
     directory = pathlib.Path(directory)
-    public = keystore.load_public(directory / "public.json")
-    if load_epoch(directory) == 0:
-        save_public(directory / GENESIS_FILE, public)
+    newest = _newest_state(directory)
+    public = newest.public
     signing_key = keygen(rng, public.group)
     channel_keys: dict[int, bytes] = {}
     for path in sorted(directory.glob("client-*.json")):
@@ -447,7 +461,8 @@ def provision_joiner(
         channel_keys=channel_keys,
         verify_keys={party: signing_key.verify_key.h},
     )
-    save_bootstrap(directory, bundle)
+    seed = HostState(newest.epoch, None, newest.genesis, public, None)
+    save_bootstrap(seed.save(directory, party).parent, bundle)
     return bundle
 
 
@@ -581,6 +596,9 @@ class ReplicaHost:
       persisted (authenticated) every that-many executions and on
       graceful shutdown, and a restart with ``recover=True`` preloads
       it before asking peers for the tail.
+
+    Its durable state is its own record (:class:`HostState`), read once
+    here, rewritten whole on entering an epoch and at each checkpoint.
     """
 
     def __init__(
@@ -613,7 +631,23 @@ class ReplicaHost:
         # Signed membership votes for an epoch newer than ours, keyed
         # like the client's: (epoch, canonical public json) -> voters.
         self._stale_votes: dict[tuple[int, str], set[int]] = {}
-        if dkg_boot:
+        # Read once, here: a record with keys is this host's own state and
+        # wins over the boot flags; without one, what provisioning wrote.
+        path = state_path(directory, party)
+        record = HostState.load(path) if path.exists() else None
+        self._kind = self._genesis = self._checkpoint = self._preload = None
+        self.checkpoint_status = "absent"
+        if record is not None:  # its own, or a joiner's seed
+            self.epoch, self._kind, self._genesis = record.epoch, record.kind, record.genesis
+            self.public, self.keys = record.public, record.keys
+        if record is not None and record.keys is not None:
+            sealed = record.checkpoint
+            if sealed is not None:
+                self._preload = open_checkpoint(party, self.keys.signing_key, sealed)
+                # A rejected log is dropped; the keys beside it stand.
+                self._checkpoint = sealed if self._preload else None
+                self.checkpoint_status = "loaded" if self._preload else "rejected"
+        elif dkg_boot:
             bundle = self._bootstrap = load_bootstrap(directory, party)
             # The PKI is all a dealerless epoch 0 trusts: every server's
             # identity key, ours among them.
@@ -636,26 +670,25 @@ class ReplicaHost:
                 party, bundle.signing_key, dict(bundle.channel_keys)
             )
             self.phase = Phase("booting", 0)
-        elif join:  # a live cluster: the previous epoch's public bundle
-            bundle = load_bootstrap(directory, party)
-            self.public = keystore.load_public(directory / "public.json")
-            self.epoch = load_epoch(directory)
+        elif join:  # a live cluster: the seed provision_joiner wrote
+            if record is None:
+                raise keystore.KeystoreError(f"party {party} has no joiner seed")
+            bundle = load_bootstrap(path.parent, party)
             self.keys = dkg.BootstrapKeys(
                 party, bundle.signing_key, dict(bundle.channel_keys)
             )
             self._derive_channel_keys(self.public)
             self.phase = Phase("booting", self.epoch + 1)
         else:
-            self.public = keystore.load_public(directory / "public.json")
+            self.public = self._genesis = _provisioned_public(directory)
             self.keys = keystore.load_party(
                 directory / f"server-{party}.json", self.public
             )
-            self.epoch = load_epoch(directory)
-        if not dkg_boot:
+        if self._genesis is not None:
             # The configuration of this incarnation's *executed* history:
             # genesis, advanced only by the Reconfigure operations it
             # executes (_intercept), live and replayed alike.
-            self.membership = load_genesis(directory, self.epoch, self.public)
+            self.membership = reconfig.Membership.of(0, self._genesis)
         self._owns_network = network is None
         if network is None:
             faults = None
@@ -670,7 +703,6 @@ class ReplicaHost:
         self.network = network
         self.events: list[tuple[str, dict[str, str]]] = []
         self.byzantine = byzantine
-        self.checkpoint_status = "absent"
         self._checkpoint_every = checkpoint_every
         self._journal = None
         self._seed = seed if seed is not None else party
@@ -756,16 +788,23 @@ class ReplicaHost:
             self.write_checkpoint()
 
     def write_checkpoint(self) -> pathlib.Path | None:
-        """Persist the authenticated delivered log (honest hosts only)."""
+        """Persist the authenticated delivered log in this host's record
+        (honest hosts only)."""
         if self.replica is None or self.replica.causal or self.byzantine:
             return None
-        return write_checkpoint(
-            self.directory,
+        self._checkpoint = seal_checkpoint(
             self.party,
-            self.keys.channel_keys,
+            self.keys.signing_key,
             tuple(self.replica.abc.delivered.items()),
             self.replica.abc.round,
         )
+        return self._save_state(self.epoch, self._kind, self.public, self.keys)
+
+    def _save_state(self, epoch: int, kind: str | None, public, keys) -> pathlib.Path:
+        """Write this host's whole record: the only file it writes after boot."""
+        return HostState(
+            epoch, kind, self._genesis, public, keys, self._checkpoint
+        ).save(self.directory, self.party)
 
     async def start(self, recover: bool = False) -> None:
         if self._owns_network:
@@ -779,40 +818,16 @@ class ReplicaHost:
             return
         if recover and self.replica is not None:
             ctx = Context(self.runtime, epoch_service_session(self.epoch))
-            loaded = load_checkpoint(
-                self.directory, self.party, self.keys.channel_keys
-            )
-            # Host-owned startup state, written once before any handler
-            # runs — not round/epoch-guarded protocol state.
-            if loaded is not None:
-                self.replica.preload_log(ctx, loaded[0])
-                self.checkpoint_status = "loaded"  # repro: noqa-RL005 single-owner startup state
-            elif checkpoint_path(self.directory, self.party).exists():
-                # Present but unauthenticated/corrupted: reject it and
-                # recover purely from peers.
-                self.checkpoint_status = "rejected"  # repro: noqa-RL005 single-owner startup state
+            if self._preload is not None:
+                self.replica.preload_log(ctx, self._preload[0])
+            elif self.checkpoint_status == "rejected":
+                # Unauthenticated or corrupted: recover purely from peers.
                 self.network.trace.bump("chaos.checkpoint_rejected")
             self.replica.begin_recovery(ctx)
             if self.epoch:
-                self._say_recovered_epoch()
-
-    def _say_recovered_epoch(self) -> None:
-        """A restart into an epoch a reconfiguration opened says so, as the
-        entry did: the last entry line may never have been printed (killed
-        between persisting the epoch and saying it), and where members
-        share a directory a party killed mid-resharing restarts at the
-        epoch its peers recorded.  ``replica-epoch`` when this party's
-        shares are the epoch's, ``replica-stale-epoch`` when they are
-        older (no fresh shares, as after a missed resharing)."""
-        coin, fresh = getattr(self.keys, "coin", None), False
-        if coin is not None:
-            try:
-                probe = coin.share_for(("epoch-probe", self.epoch), self.runtime.rng)
-                fresh = self.public.coin.verify_share(probe)
-            except (KeyError, ValueError):
-                pass
-        kind = "replica-epoch" if fresh else "replica-stale-epoch"
-        self.emit(kind, epoch=self.epoch, n=self.public.n)
+                # Say the entry again: killed between the record write
+                # and the line, it may never have been said.
+                self.emit(self._kind, epoch=self.epoch, n=self.public.n)
 
     # -- key-material sessions: boot, join, reshare --------------------------------
 
@@ -984,10 +999,8 @@ class ReplicaHost:
             output,
         )
         if not target:
-            # Bootstrap keys become threshold keys.  Every member writes
-            # the identical canonical public bundle (atomic replace makes
-            # the concurrent writes safe) and its own secret bundle; from
-            # here on the directory is indistinguishable from a dealt one.
+            # Bootstrap keys become threshold keys, and the first public
+            # bundle the genesis of every replay.
             self._enter_epoch(
                 0, new_public, self._party_keys(new_public, output), "replica-dkg",
                 qualified=",".join(str(p) for p in output.qualified),
@@ -1080,9 +1093,9 @@ class ReplicaHost:
         """The one way into an epoch.
 
         Every entry — key generation, a completed resharing, a voted
-        configuration — persists keystore, party bundle and epoch file
-        *before* it swaps keys, so a replica killed at any instant
-        restarts into a directory that describes one epoch.  ``kind``
+        configuration — writes the host's record (epoch, kind, public
+        and party bundles) *before* it swaps keys, so a replica killed at
+        any instant restarts into one epoch with its keys.  ``kind``
         and ``fields`` are the entry's stdout record; ``state_transfer``
         asks for Section-6 recovery on the new session (we executed less
         than was ordered).
@@ -1091,16 +1104,10 @@ class ReplicaHost:
         # Epoch 0 of a dealerless boot closes nothing: there is no
         # earlier configuration to keep and no session to tombstone.
         closing = not isinstance(self.public, dkg.BootstrapPublic)
-        if closing and old_epoch == 0:
-            # Leaving epoch 0: its configuration becomes the genesis
-            # record every later replay of the history starts from.
-            save_public(self.directory / GENESIS_FILE, self.public)
-        save_public(self.directory / "public.json", new_public)
-        keystore.atomic_write_text(
-            self.directory / f"server-{self.party}.json",
-            json.dumps(keystore.party_to_dict(new_keys), indent=1),
-        )
-        save_epoch(self.directory, target)
+        # A dealerless boot's first keys are its genesis.
+        self._genesis = self._genesis or new_public
+        self._save_state(target, kind, new_public, new_keys)
+        self._kind = kind
         self.public = self.runtime.public = new_public
         self.keys = self.runtime.keys = new_keys
         self.epoch = target
@@ -1293,70 +1300,3 @@ async def serve_replica(
         host.emit("replica-final", byzantine=byzantine)
     await host.close()
     return 0
-
-
-# -- a client process ---------------------------------------------------------------
-
-
-async def run_client_ops(
-    directory: str | pathlib.Path,
-    operations: list[tuple],
-    client_id: int = CLIENT_BASE,
-    timeout: float = 60.0,
-) -> list[object]:
-    """Submit operations over TCP, one at a time; returns their results."""
-    from .cluster import attach_client  # lazy: cluster imports us
-
-    client = await attach_client(directory, random.Random(), client_id=client_id)
-    results: list[object] = []
-    try:
-        for operation in operations:
-            nonce = client.submit(operation)
-            await client.network.wait_until(
-                lambda: nonce in client.completed, timeout=timeout
-            )
-            results.append(client.completed[nonce].result)
-        return results
-    finally:
-        await client.network.close()
-
-
-async def submit_reconfigure(
-    directory: str | pathlib.Path,
-    action: str,
-    signer: int = 0,
-    party: int = -1,
-    verify_key: int = 0,
-    host: str = "",
-    port: int = 0,
-    client_id: int = CLIENT_BASE,
-    timeout: float = 60.0,
-    rng: random.Random | None = None,
-) -> object:
-    """Operator entry point: sign a ``Reconfigure`` op with a member's
-    identity key from the deployment directory and order it through the
-    live cluster.  Returns the agreed result tuple."""
-    directory = pathlib.Path(directory)
-    rng = rng or random.Random()
-    public = keystore.load_public(directory / "public.json")
-    signing_key = keystore.load_party(
-        directory / f"server-{signer}.json", public
-    ).signing_key
-    epoch = load_epoch(directory) + 1
-    if action == "remove" and party < 0:
-        party = public.n - 1
-    operation = reconfig.reconfigure_operation(
-        action,
-        epoch,
-        signer,
-        signing_key,
-        rng,
-        party=party,
-        verify_key=verify_key,
-        host=host,
-        port=port,
-    )
-    results = await run_client_ops(
-        directory, [operation], client_id=client_id, timeout=timeout
-    )
-    return results[0]

@@ -39,7 +39,6 @@ import traceback
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 
-from ..crypto import keystore
 from ..crypto.dealer import CLIENT_BASE
 from ..smr.client import ServiceClient
 from .chaos import (
@@ -58,7 +57,7 @@ from .chaos import (
     run_timeline,
 )
 from .checkers import summarize_run, violation_kinds
-from .runtime import ReplicaHost, find_event, load_epoch
+from .runtime import ReplicaHost, current_membership, find_event
 from .scheduler import Scheduler
 from .simulator import STEPS_PER_SECOND, Envelope, LivenessError, Network
 from .transport import TransportError
@@ -371,9 +370,9 @@ class SimCluster(_Cluster):
         return replicas
 
     async def _attach(self) -> ServiceClient:
-        public = keystore.load_public(self.workdir / "public.json")
+        epoch, public = current_membership(self.workdir)
         rng = random.Random(self.scenario.seed + 99)
-        client = ServiceClient(CLIENT_BASE, self.network, public, rng, load_epoch(self.workdir))
+        client = ServiceClient(CLIENT_BASE, self.network, public, rng, epoch)
         self.network.attach(CLIENT_BASE, client)
         return client
 

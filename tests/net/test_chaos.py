@@ -19,7 +19,7 @@ import pytest
 
 from repro.core.atomic_broadcast import AbcProposal, batch_digest, proposal_statement
 from repro.core.runtime import ProtocolRuntime
-from repro.crypto import deal_system, small_group
+from repro.crypto import deal_system, keystore, small_group
 from repro.crypto.dealer import deal_channel_keys
 from repro.net.adversary import MutatingNode, SilentNode, SpamNode
 from repro.net.attacks import byzantine_node
@@ -36,7 +36,13 @@ from repro.net.chaos import (
     resolve_scenario,
     save_fault_plan,
 )
-from repro.net.runtime import _checkpoint_key, load_checkpoint, write_checkpoint
+from repro.net.runtime import (
+    HostState,
+    _checkpoint_key,
+    open_checkpoint,
+    seal_checkpoint,
+    state_path,
+)
 from repro.net.scheduler import FifoScheduler
 from repro.net.simulator import Network
 from repro.smr.replica import Replica, service_session
@@ -270,38 +276,53 @@ def test_resolve_scenario_reads_journals_and_repro_bundles(tmp_path):
 # -- checkpoint corruption ----------------------------------------------------------
 
 
+def _record(directory, party, entries=None):
+    """``party``'s record at epoch 0 of a dealt system, with its log
+    ``entries`` checkpointed (none: no checkpoint); returns its keys."""
+    keys = deal_system(4, random.Random(5), t=1, group=small_group())
+    mine = keys.private[party]
+    sealed = entries and seal_checkpoint(party, mine.signing_key, entries, 1)
+    HostState(0, None, keys.public, keys.public, mine, sealed).save(directory, party)
+    return mine
+
+
 def test_corrupt_checkpoint_forces_rejection(tmp_path):
-    keys = deal_channel_keys([0, 1, 2, 3], random.Random(5))
+    """The corrupted log is rejected; the keys beside it still load."""
     entries = ((("req", 7, 1, ("set", "a", 1)), 1),)
-    write_checkpoint(tmp_path, 2, keys[2], entries, round_number=1)
-    assert load_checkpoint(tmp_path, 2, keys[2]) == (entries, 1)
+    mine = _record(tmp_path, 2, entries)
+    path = state_path(tmp_path, 2)
+    assert open_checkpoint(2, mine.signing_key, HostState.load(path).checkpoint) == (
+        entries, 1,
+    )
     assert corrupt_checkpoint(tmp_path, 2)
-    assert load_checkpoint(tmp_path, 2, keys[2]) is None
+    stored = HostState.load(path)
+    assert open_checkpoint(2, mine.signing_key, stored.checkpoint) is None
+    assert keystore.party_to_dict(stored.keys) == keystore.party_to_dict(mine)
 
 
 def test_corrupt_checkpoint_without_checkpoint_is_a_noop(tmp_path):
+    assert not corrupt_checkpoint(tmp_path, 0)
+    _record(tmp_path, 0)  # a record, but no checkpoint in it
     assert not corrupt_checkpoint(tmp_path, 0)
 
 
 def test_checkpoint_is_bound_to_its_party(tmp_path):
     """Party 1 cannot load (or be fed) party 0's checkpoint: the MAC
-    key is derived from the party id and its full channel keyring."""
-    keys = deal_channel_keys([0, 1], random.Random(6))
-    write_checkpoint(tmp_path, 0, keys[0], (), round_number=0)
-    source = (tmp_path / "checkpoint-0.json").read_text()
-    (tmp_path / "checkpoint-1.json").write_text(
-        source.replace('"party": 0', '"party": 1')
-    )
-    assert load_checkpoint(tmp_path, 0, keys[0]) is not None
-    assert load_checkpoint(tmp_path, 1, keys[1]) is None
+    key is derived from the party id and its identity signing key."""
+    private = deal_system(2, random.Random(6), t=0, group=small_group()).private
+    sealed = seal_checkpoint(0, private[0].signing_key, (), round_number=0)
+    assert open_checkpoint(0, private[0].signing_key, sealed) is not None
+    assert open_checkpoint(1, private[1].signing_key, sealed) is None
+    assert open_checkpoint(1, private[0].signing_key, sealed) is None
 
 
-def test_a_checkpoint_of_the_previous_grammar_is_rejected(tmp_path):
+def test_a_checkpoint_of_the_previous_grammar_is_rejected():
     """What the release before binary integers wrote — decimal ``I``
     bodies, MAC keyed under ``repro-checkpoint-v1`` — fails
     authentication, and its body would not parse under a valid MAC
     either: recovery falls through to peer state transfer."""
     keys = deal_channel_keys([0, 1, 2, 3], random.Random(5))
+    signing_key = deal_system(4, random.Random(5), t=1, group=small_group()).private[2].signing_key
     old_body = bytes.fromhex(
         "4c000000024c000000014c000000024c0000000453000000037265714900000001374900"
         "000001314c0000000353000000037365745300000001614900000001314900000001314900"
@@ -311,13 +332,12 @@ def test_a_checkpoint_of_the_previous_grammar_is_rejected(tmp_path):
     for peer in sorted(keys[2]):
         material += [peer.to_bytes(8, "big"), keys[2][peer]]
     old_key = hashlib.sha256(b"".join(material)).digest()
-    path = write_checkpoint(tmp_path, 2, keys[2], (), round_number=0)
-    new_key = _checkpoint_key(2, keys[2])
+    new_key = _checkpoint_key(2, signing_key)
     assert new_key != old_key
     for key in (old_key, new_key):
         mac = hmac.new(key, old_body, hashlib.sha256).hexdigest()
-        path.write_text(json.dumps({"party": 2, "body": old_body.hex(), "mac": mac}))
-        assert load_checkpoint(tmp_path, 2, keys[2]) is None
+        sealed = {"body": old_body.hex(), "mac": mac}
+        assert open_checkpoint(2, signing_key, sealed) is None
 
 
 # -- byzantine parties --------------------------------------------------------------

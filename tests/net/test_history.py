@@ -95,7 +95,7 @@ def test_history_encodings_keep_their_bytes(tmp_path):
             ctx = Context(host.runtime, epoch_service_session(host.epoch))
             host.replica.on_message(ctx, 1, RecoverQuery())
             (log,) = [m for m in sent if isinstance(m, RecoverLog)]
-            body = json.loads(host.write_checkpoint().read_text())["body"]
+            body = json.loads(host.write_checkpoint().read_text())["checkpoint"]["body"]
             return len(log.entries), wire.dumps(log), bytes.fromhex(body)
         finally:
             for host in hosts:

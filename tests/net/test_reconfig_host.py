@@ -24,16 +24,15 @@ from repro.net.adversary import MutatingNode
 from repro.net.cluster import attach_client, deal_deployment
 from repro.core.protocol import Context
 from repro.net.runtime import (
-    GENESIS_FILE,
     RETIRED,
     SERVING,
+    HostState,
     Phase,
     ReplicaHost,
+    current_membership,
     dh_channel_key,
-    load_epoch,
     provision_dkg_deployment,
-    save_epoch,
-    save_public,
+    state_path,
 )
 from repro.net.transport import TransportNetwork
 from repro.smr import reconfig
@@ -57,6 +56,14 @@ def _refresh_op(keys, epoch, signer=0, seed=9):
 
 def _req(client, nonce, operation):
     return Request(client=client, nonce=nonce, operation=operation)
+
+
+def _at_epoch(directory, keys, party, epoch, public=None):
+    """``party``'s record at ``epoch`` (``public`` its bundle, the dealt
+    one by default), as after entering it; epoch 0's is the genesis."""
+    public = public or keys.public
+    mine = keystore.party_from_dict(keystore.party_to_dict(keys.private[party]), public)
+    HostState(epoch, "replica-epoch", keys.public, public, mine).save(directory, party)
 
 
 # -- replica execution -------------------------------------------------------------
@@ -102,8 +109,7 @@ def test_replayed_rejection_stays_rejected(tmp_path):
     rejected, and the one that opened epoch 1 replays as accepted
     without starting a second resharing."""
     keys = _deployment(tmp_path)
-    save_public(tmp_path / GENESIS_FILE, keys.public)
-    save_epoch(tmp_path, 1)  # the keystore has since moved on
+    _at_epoch(tmp_path, keys, 0, 1)  # the host has since moved on
     host = ReplicaHost(tmp_path, 0)
     good = _refresh_op(keys, 1)
     tampered = good[:1] + ("remove",) + good[2:]
@@ -131,15 +137,27 @@ def test_replay_without_archives_keeps_the_live_verdicts(tmp_path):
     assert not list(tmp_path.glob("public-epoch-*"))
 
 
-def test_a_keystore_past_epoch_0_needs_the_genesis_record(tmp_path):
+def test_a_record_past_epoch_0_replays_from_its_genesis(tmp_path):
+    """A host's record carries the genesis bundle beside its epoch's:
+    the history it replays starts there, whatever the epoch's members."""
     keys = _deployment(tmp_path)
-    save_epoch(tmp_path, 2)
-    with pytest.raises(keystore.KeystoreError, match=GENESIS_FILE):
+    _at_epoch(tmp_path, keys, 0, 2, public=_with_a_fifth_member(keys.public))
+    host = ReplicaHost(tmp_path, 0)
+    assert host.epoch == 2 and host.public.n == 5
+    assert host.membership == reconfig.Membership.of(0, keys.public)
+    assert current_membership(tmp_path)[0] == 2
+
+
+def test_a_directory_of_the_shared_layout_is_refused(tmp_path):
+    """A directory the older shared layout took past epoch 0 has an
+    ``epoch.json`` and no host record: a host (and the operator's read)
+    refuses it, naming the file, rather than start at epoch 0."""
+    _deployment(tmp_path)
+    (tmp_path / "epoch.json").write_text('{"epoch": 2}')
+    with pytest.raises(keystore.KeystoreError, match="epoch.json"):
         ReplicaHost(tmp_path, 0)
-    save_public(tmp_path / GENESIS_FILE, keys.public)
-    assert ReplicaHost(tmp_path, 0).membership == reconfig.Membership.of(
-        0, keys.public
-    )
+    with pytest.raises(keystore.KeystoreError, match="epoch.json"):
+        current_membership(tmp_path)
 
 
 def test_live_rejection_is_pure(tmp_path):
@@ -159,8 +177,7 @@ def test_an_equivocating_host_is_its_own_replica_behind_a_mutator(tmp_path):
     keys = deal_deployment(
         tmp_path, 4, 1, random.Random(5), abc_max_batch=8, abc_pipeline_depth=3
     )
-    save_public(tmp_path / GENESIS_FILE, keys.public)
-    save_epoch(tmp_path, 2)
+    _at_epoch(tmp_path, keys, 3, 2)
     host = ReplicaHost(tmp_path, 3, byzantine="equivocate")
     assert isinstance(host.network.node, MutatingNode)
     assert host.network.node.inner is host.runtime
@@ -366,12 +383,12 @@ def test_back_to_back_refreshes_converge(tmp_path):
                 for log in executed.values()
             }
             assert len(histories) == 1
-            # Replay needs the genesis record and nothing per epoch.
-            assert [p.name for p in tmp_path.glob("public-epoch-*")] == [
-                GENESIS_FILE
-            ]
-            for host in hosts.values():
+            # Replay needs the genesis each record holds, nothing per epoch.
+            assert not list(tmp_path.glob("public-epoch-*"))
+            for party, host in hosts.items():
                 assert host.membership == reconfig.Membership.of(2, host.public)
+                genesis = HostState.load(state_path(tmp_path, party)).genesis
+                assert keystore.public_to_dict(genesis) == keystore.public_to_dict(keys.public)
 
     asyncio.run(scenario())
 
@@ -379,29 +396,35 @@ def test_back_to_back_refreshes_converge(tmp_path):
 @pytest.mark.parametrize("shares", ["fresh", "stale"])
 def test_a_host_restarted_in_an_epoch_says_it_entered(tmp_path, capsys, shares):
     """A host restarted with recovery into an epoch past 0 prints the
-    entry line it may never have printed (killed between persisting the
-    epoch and saying so): ``replica-epoch`` when its shares are the
-    epoch's, ``replica-stale-epoch`` when its bundle predates the
-    resharing (killed mid-resharing in a directory its peers moved on)."""
+    entry line it may never have printed (killed between its record
+    write and saying so), of the kind its record holds:
+    ``replica-epoch`` after the resharing, ``replica-stale-epoch`` after
+    entering on the members' word with shares that missed it."""
 
     async def scenario():
         keys = _deployment(tmp_path, seed=33)
-        before = (tmp_path / "server-3.json").read_text()
-        async with tcp_cluster(tmp_path, client_seed=14) as (hosts, client):
-            verdict = await client.call(_refresh_op(keys, 1), timeout=60.0)
-            assert verdict.result == ("reconfig", "accepted", 1)
-            await _until(lambda: all(h.epoch == 1 for h in hosts.values()), timeout=60)
-            await hosts[3].close()
-            if shares == "stale":
-                (tmp_path / "server-3.json").write_text(before)
-            capsys.readouterr()
-            hosts[3] = ReplicaHost(tmp_path, 3)
-            await hosts[3].start(recover=True)
-            return capsys.readouterr().out.splitlines()
+        if shares == "stale":  # a resharing it missed admitted party 4
+            host = ReplicaHost(tmp_path, 3)
+            host._rejoin(1, _with_a_fifth_member(keys.public))
+            await host.close()
+        else:
+            async with tcp_cluster(tmp_path, client_seed=14) as (hosts, client):
+                verdict = await client.call(_refresh_op(keys, 1), timeout=60.0)
+                assert verdict.result == ("reconfig", "accepted", 1)
+                await _until(lambda: all(h.epoch == 1 for h in hosts.values()), timeout=60)
+        capsys.readouterr()
+        host = ReplicaHost(tmp_path, 3)
+        try:
+            await host.start(recover=True)
+        finally:
+            await host.close()
+        return capsys.readouterr().out.splitlines()
 
     said = asyncio.run(scenario())
-    kind = "replica-epoch" if shares == "fresh" else "replica-stale-epoch"
-    assert f"{kind} party=3 epoch=1 n=4" in said
+    if shares == "fresh":
+        assert "replica-epoch party=3 epoch=1 n=4" in said
+    else:
+        assert "replica-stale-epoch party=3 epoch=1 n=5" in said
 
 
 # -- an epoch ends at its Reconfigure ------------------------------------------------
@@ -551,7 +574,7 @@ def test_stale_adoption_keeps_the_clients(tmp_path):
             assert len(network._channels[CLIENT_BASE].pending) == 1
             # The next epoch it misses admits a member.  The channel key
             # it derives for that member must survive its own restart:
-            # every entry into an epoch rewrites server-<i>.json too.
+            # every entry into an epoch rewrites the host's record.
             wider = _with_a_fifth_member(host.public)
             host._rejoin(2, wider)
             key = dh_channel_key(
@@ -571,16 +594,18 @@ def test_stale_adoption_keeps_the_clients(tmp_path):
 
 
 def _assert_entered(host, directory, closed):
-    """What every entry into an epoch must leave behind: the three key
-    files agree with the host, the runtime serves under the new keys,
+    """What every entry into an epoch must leave behind: the host's
+    record agrees with it and keeps the genesis (the dealt bundle, or a
+    dealerless boot's first), the runtime serves under the new keys,
     the replica sits at the new session with its hooks, its broadcast is
-    open, and the epoch it closed (if any) is tombstoned — the genesis
-    record kept if that was epoch 0."""
-    public = keystore.load_public(directory / "public.json")
-    assert keystore.public_to_dict(public) == keystore.public_to_dict(host.public)
-    stored = keystore.load_party(directory / f"server-{host.party}.json", public)
-    assert keystore.party_to_dict(stored) == keystore.party_to_dict(host.keys)
-    assert load_epoch(directory) == host.epoch
+    open, and the epoch it closed (if any) is tombstoned."""
+    record = HostState.load(state_path(directory, host.party))
+    assert record.epoch == host.epoch
+    assert keystore.public_to_dict(record.public) == keystore.public_to_dict(host.public)
+    assert keystore.party_to_dict(record.keys) == keystore.party_to_dict(host.keys)
+    dealt = directory / "public.json"
+    genesis = keystore.load_public(dealt) if dealt.exists() else host.public
+    assert keystore.public_to_dict(record.genesis) == keystore.public_to_dict(genesis)
     assert host.runtime.public is host.public and host.runtime.keys is host.keys
     assert host.phase == SERVING
     replica = host.replica
@@ -592,7 +617,6 @@ def _assert_entered(host, directory, closed):
     assert reconfig.verify_membership_info(info, host.public)
     assert not replica.abc.closed
     if closed is not None:
-        assert (directory / GENESIS_FILE).exists()
         tombstone = host.runtime.instances[epoch_service_session(closed)]
         assert isinstance(tombstone, EpochTombstone) and tombstone.info == info
 
