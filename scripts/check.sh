@@ -217,6 +217,14 @@ find src/repro -name '*.py' -print0 | xargs -0 wc -l | awk '
 grep -rEn "type\([A-Za-z_.0-9\[\]]*\) is (not )?(int|bytes|str|tuple|bool)|isinstance\([^)]*, \(?(int|bytes|str|tuple|bool|frozenset|dict)" \
     src/repro/core src/repro/smr src/repro/crypto --include=*.py | wc -l |
     awk '{ printf "  %-17s %6d\n", "ad-hoc type checks", $1 }'
+# Options a deployment sets by hand (ROADMAP aim 2: an option the code
+# can work out from its inputs should go): ReplicaHost's parameters and
+# the CLI's add_argument sites.
+python -c "import inspect; from repro.net.runtime import ReplicaHost; \
+print(len(inspect.signature(ReplicaHost).parameters))" |
+    awk '{ printf "  %-17s %6d\n", "ReplicaHost args", $1 }'
+grep -c "add_argument(" src/repro/cli.py |
+    awk '{ printf "  %-17s %6d\n", "cli add_argument", $1 }'
 for dir in tests benchmarks; do
     find "$dir" -name '*.py' -exec cat {} + | wc -l |
         awk -v dir="$dir" '{ printf "  %-17s %6d\n", dir "/ total", $1 }'

@@ -135,7 +135,6 @@ def _cmd_run_replica(args: argparse.Namespace) -> int:
             args.dir, args.party, recover=args.recover,
             byzantine=args.byzantine, journal=args.journal,
             checkpoint_every=args.checkpoint_every,
-            dkg_boot=args.dkg, join=args.join,
         )
     )
 
@@ -342,12 +341,16 @@ def main(argv: list[str] | None = None) -> int:
 
     run_replica = sub.add_parser(
         "run-replica",
-        help="serve one replica over TCP from a dealt deployment",
+        help="serve one replica over TCP from a deployment directory",
         description=(
-            "Load the party's own record host-<party>/state.json from --dir "
-            "(without one: public.json and server-<party>.json as dealt) and "
+            "Boot the party from what its own directory host-<party>/ in --dir "
+            "holds: its record state.json if that has keys; else its seed "
+            "bootstrap-<party>.json, running key generation with the other "
+            "servers (dealerless), or joining the live cluster at the next "
+            "epoch when a keyless record sits beside it (provisioned for an "
+            "add); else public.json and server-<party>.json as dealt. Read "
             "cluster.json, then serve the replica until SIGTERM/SIGINT; after "
-            "boot it writes only that record. With --recover, run Section-6 "
+            "boot it writes only its record. With --recover, run Section-6 "
             "crash recovery (state transfer from peers) on startup."
         ),
     )
@@ -368,16 +371,6 @@ def main(argv: list[str] | None = None) -> int:
         "--checkpoint-every", type=int, default=0,
         help="persist an authenticated checkpoint every N executions",
     )
-    run_replica.add_argument(
-        "--dkg", action="store_true",
-        help="boot dealerless: run distributed key generation from "
-             "bootstrap-<party>.json, then serve",
-    )
-    run_replica.add_argument(
-        "--join", action="store_true",
-        help="join a live cluster as a new member: wait for the ordered "
-             "Reconfigure(add) and the verifiable resharing",
-    )
     run_replica.set_defaults(func=_cmd_run_replica)
 
     reconfig_cmd = sub.add_parser(
@@ -385,8 +378,8 @@ def main(argv: list[str] | None = None) -> int:
         help="submit a signed membership change to a live cluster",
         description=(
             "Sign a Reconfigure operation with a current member's identity "
-            "key (server-<signer>.json, or bootstrap-<signer>.json when "
-            "dealerless) and order it through the running "
+            "key (its seed host-<signer>/bootstrap-<signer>.json, else its "
+            "dealt server-<signer>.json) and order it through the running "
             "cluster's atomic broadcast. On commit the cluster reshares to "
             "the new membership and opens the next epoch."
         ),

@@ -52,6 +52,7 @@ from .checkers import (
 from .cluster import admit_joiner, attach_client, deal_deployment, spawn_replicas
 from .runtime import (
     FAULTS_FILE,
+    HostState,
     allocate_addresses,
     current_membership,
     identity_key,
@@ -800,14 +801,13 @@ def corrupt_checkpoint(directory: str | pathlib.Path, party: int) -> bool:
     path = state_path(directory, party)
     if not path.exists():
         return False
-    data = json.loads(path.read_text())
-    sealed = data["checkpoint"]
+    record = HostState.load(path)
+    sealed = record.checkpoint
     if not sealed or not sealed["body"]:
         return False
     body = bytearray.fromhex(sealed["body"])
     body[len(body) // 2] ^= 0xFF
-    sealed["body"] = bytes(body).hex()
-    path.write_text(json.dumps(data))
+    replace(record, checkpoint={**sealed, "body": body.hex()}).save(directory, party)
     return True
 
 
@@ -970,8 +970,9 @@ class _Cluster:
     """``run_timeline``'s cluster: n replica hosts on one deployment
     directory, with every verb that means the same on both networks.
     A subclass supplies ``_addresses`` (what ``cluster.json`` records
-    for each party), ``_spawn`` (replicas with the host's ``(kind,
-    fields)`` records in ``events``, and ``wait_for``, ``stop`` and
+    for each party), ``_spawn`` (replicas, each booting from what its
+    own directory holds and recovering if asked, with the host's
+    ``(kind, fields)`` records in ``events``, and ``wait_for``, ``stop`` and
     ``kill`` as :mod:`repro.net.cluster`'s processes have them),
     ``_attach`` (the client), the clock and the client verbs."""
 
@@ -1005,8 +1006,7 @@ class _Cluster:
             deal_deployment(workdir, scenario.n, scenario.t, rng, **knobs)
         cluster = cls(scenario, workdir)
         try:
-            flags = ("--dkg",) if scenario.dealerless else ()
-            cluster._started(await cluster._spawn(range(scenario.n), *flags))
+            cluster._started(await cluster._spawn(range(scenario.n)))
             if scenario.dealerless:
                 # The cluster's keys exist once the key generation is done.
                 for replica in cluster.replicas.values():
@@ -1035,7 +1035,7 @@ class _Cluster:
         return {"corrupted": corrupt_checkpoint(self.workdir, party)}
 
     async def restart(self, party: int) -> dict:
-        self._started(await self._spawn([party], "--recover"))
+        self._started(await self._spawn([party], recover=True))
         checkpoint = await self.replicas[party].wait_for("replica-checkpoint")
         if party not in self.byzantine:
             self.catching_up.append(party)
@@ -1052,7 +1052,7 @@ class _Cluster:
             # op that admits it carries its identity key and address.
             host, port = address = self._addresses([members])[members]
             bundle = admit_joiner(self.workdir, members, address, self.reconfig_rng, self.client)
-            self._started(await self._spawn([members], "--join"))
+            self._started(await self._spawn([members]))
             self.catching_up.append(members)
             change = dict(
                 party=members, verify_key=bundle.signing_key.verify_key.h,
@@ -1132,9 +1132,9 @@ class TcpCluster(_Cluster):
         print(f"chaos[{scenario.name}]: spawning {scenario.n} replicas "
               f"(byzantine: {self.byzantine or 'none'})", flush=True)
 
-    def _spawn(self, parties, *flags: str):
+    def _spawn(self, parties, recover: bool = False):
         return spawn_replicas(
-            self.workdir, parties, *flags,
+            self.workdir, parties, *(["--recover"] if recover else []),
             "--checkpoint-every", str(self.scenario.checkpoint_every),
             byzantine=self.byzantine, journal=True,
         )

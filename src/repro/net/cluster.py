@@ -124,7 +124,8 @@ def admit_joiner(
     running ``client`` that address and the channel key just dealt to
     it (:func:`provision_joiner` rewrote the client bundle).  Returns
     the bundle — with the address, what the ordered ``Reconfigure`` has
-    to carry; the joiner itself is started with ``--join``."""
+    to carry; the joiner itself is started as any replica is, and joins
+    from the seed in its own directory."""
     directory = pathlib.Path(directory)
     bundle = provision_joiner(directory, party, rng)
     cluster = ClusterConfig.load(directory / CLUSTER_FILE)
@@ -310,7 +311,7 @@ async def spawn_replicas(
     deployment directory; returns once every one is listening (bounded
     by the directory's ``io_timeout``), and kills those already started
     if one does not come up.  ``flags`` go to every process verbatim
-    (``"--recover"``, ``"--dkg"``, ``"--checkpoint-every", "8"``);
+    (``"--recover"``, ``"--checkpoint-every", "8"``);
     ``byzantine`` maps a party to the behaviour it runs instead of an
     honest replica; ``journal`` makes the honest ones keep a journal."""
     directory = pathlib.Path(directory)

@@ -1,13 +1,16 @@
 """One server of a deployment, and its files.
 
 * the deployment directory's files besides the keystore: ``cluster.json``
-  (:class:`ClusterConfig`), bootstrap bundles; provisioning writes them;
-* a host's own record (:class:`HostState`), the one file it writes after
-  boot; :func:`current_membership` is the operator's read of the newest;
-* :class:`ReplicaHost` — one server: its record (else the provisioned
-  bundles), the network it serves on (its own TCP transport, or a sweep cell's
-  simulator), the protocol runtime and the service replica, Section-6
-  recovery on startup and the one transition between epochs;
+  (:class:`ClusterConfig`); provisioning writes it;
+* a host's own directory ``host-<i>/``: its seed (a bootstrap bundle,
+  beside a keyless record for a joiner), which provisioning writes, and
+  its record (:class:`HostState`), the one file it writes after boot;
+  :func:`current_membership` is the operator's read of the newest;
+* :class:`ReplicaHost` — one server: what its own directory holds (else
+  the dealt bundles) decides how it boots; the network it serves on (its
+  own TCP transport, or a sweep cell's simulator), the protocol runtime
+  and the service replica, Section-6 recovery on startup and the one
+  transition between epochs;
   :func:`serve_replica` runs one as a process until SIGTERM;
 Standing up a whole cluster is :mod:`repro.net.cluster`; n hosts on the
 simulator are :class:`repro.net.sweep.SimCluster`.  See
@@ -254,7 +257,7 @@ def current_membership(directory: str | pathlib.Path) -> tuple[int, Any]:
 
 def identity_key(directory: str | pathlib.Path, party: int) -> SigningKey:
     """A server's identity signing key as provisioning wrote it (its
-    bootstrap bundle, else its dealt ``server-<i>.json``): no epoch
+    seed in ``host-<i>/``, else its dealt ``server-<i>.json``): no epoch
     changes it, so an operator signs with it at any epoch."""
     directory = pathlib.Path(directory)
     if bootstrap_path(directory, party).exists():
@@ -306,7 +309,8 @@ def open_checkpoint(party: int, signing_key: SigningKey, sealed: dict) -> tuple[
 
 @dataclass(frozen=True)
 class BootstrapFile:
-    """One party's on-disk pre-key identity (``bootstrap-<i>.json``):
+    """One party's on-disk pre-key identity, its seed
+    (``host-<i>/bootstrap-<i>.json``):
     ``verify_keys`` is the PKI (party -> identity ``h``) — every server
     of a dealerless boot, only its own key for a joiner."""
 
@@ -320,7 +324,7 @@ class BootstrapFile:
 
 
 def bootstrap_path(directory: str | pathlib.Path, party: int) -> pathlib.Path:
-    return pathlib.Path(directory) / f"bootstrap-{party}.json"
+    return state_path(directory, party).with_name(f"bootstrap-{party}.json")
 
 
 def save_bootstrap(directory: str | pathlib.Path, bundle: BootstrapFile) -> None:
@@ -342,9 +346,9 @@ def save_bootstrap(directory: str | pathlib.Path, bundle: BootstrapFile) -> None
             str(peer): str(h) for peer, h in sorted(bundle.verify_keys.items())
         },
     }
-    keystore.atomic_write_text(
-        bootstrap_path(directory, bundle.party), json.dumps(data, indent=1)
-    )
+    path = bootstrap_path(directory, bundle.party)
+    path.parent.mkdir(exist_ok=True)
+    keystore.atomic_write_text(path, json.dumps(data, indent=1))
 
 
 def load_bootstrap(directory: str | pathlib.Path, party: int) -> BootstrapFile:
@@ -367,7 +371,7 @@ def load_bootstrap(directory: str | pathlib.Path, party: int) -> BootstrapFile:
             int(peer): bytes.fromhex(key)
             for peer, key in data.get("channel_keys", {}).items()
         },
-        # A version-1 bundle has none: a dkg boot refuses it.
+        # A version-1 bundle has none: key generation refuses it.
         verify_keys={
             int(peer): int(h) for peer, h in data.get("verify_keys", {}).items()
         },
@@ -383,11 +387,12 @@ def provision_dkg_deployment(
 ) -> None:
     """Operator-side provisioning for a dealerless cluster.
 
-    Writes one ``bootstrap-<i>.json`` per server (its identity key and
-    every server's verify key), one client's
+    Writes each server's seed ``host-<i>/bootstrap-<i>.json`` (its
+    identity key and every server's verify key), one client's
     ``client-<id>.json`` channel bundle and ``cluster.json`` with a
     free localhost port for each (unless ``cluster``, the other
-    :class:`ClusterConfig` fields, has ``addresses``): all ``--dkg`` needs.
+    :class:`ClusterConfig` fields, has ``addresses``): all a host needs
+    to run key generation at boot.
     Unlike :func:`deal_system`, no threshold secret exists anywhere —
     compromising one bundle corrupts exactly one party.
     """
@@ -461,8 +466,8 @@ def provision_joiner(
         channel_keys=channel_keys,
         verify_keys={party: signing_key.verify_key.h},
     )
-    seed = HostState(newest.epoch, None, newest.genesis, public, None)
-    save_bootstrap(seed.save(directory, party).parent, bundle)
+    HostState(newest.epoch, None, newest.genesis, public, None).save(directory, party)
+    save_bootstrap(directory, bundle)
     return bundle
 
 
@@ -597,8 +602,12 @@ class ReplicaHost:
       graceful shutdown, and a restart with ``recover=True`` preloads
       it before asking peers for the tail.
 
-    Its durable state is its own record (:class:`HostState`), read once
-    here, rewritten whole on entering an epoch and at each checkpoint.
+    It boots from what its own directory ``host-<i>/`` holds: a record
+    with keys is its own state; else a seed (``bootstrap-<i>.json``)
+    runs key generation at epoch 0, or joins at the next epoch when a
+    keyless record sits beside it; else it reads the dealt bundles.
+    Its record (:class:`HostState`) is read once here and rewritten
+    whole on entering an epoch and at each checkpoint.
     """
 
     def __init__(
@@ -612,14 +621,10 @@ class ReplicaHost:
         byzantine: str | None = None,
         journal: bool = False,
         checkpoint_every: int = 0,
-        dkg_boot: bool = False,
-        join: bool = False,
     ) -> None:
         directory = pathlib.Path(directory)
         self.directory = directory
         self.party = party
-        if (dkg_boot or join) and (byzantine is not None or causal):
-            raise ValueError("dkg/join hosts must be honest, non-causal replicas")
         cluster = ClusterConfig.load(directory / CLUSTER_FILE)
         self.io_timeout = cluster.io_timeout
         self._abc_config = cluster.abc_config()
@@ -627,58 +632,55 @@ class ReplicaHost:
         self._causal = causal
         self.epoch = 0
         self.phase = SERVING
-        self._bootstrap: BootstrapFile | None = None
         # Signed membership votes for an epoch newer than ours, keyed
         # like the client's: (epoch, canonical public json) -> voters.
         self._stale_votes: dict[tuple[int, str], set[int]] = {}
-        # Read once, here: a record with keys is this host's own state and
-        # wins over the boot flags; without one, what provisioning wrote.
         path = state_path(directory, party)
         record = HostState.load(path) if path.exists() else None
         self._kind = self._genesis = self._checkpoint = self._preload = None
         self.checkpoint_status = "absent"
-        if record is not None:  # its own, or a joiner's seed
+        if record is not None and record.keys is not None:  # its own state
             self.epoch, self._kind, self._genesis = record.epoch, record.kind, record.genesis
             self.public, self.keys = record.public, record.keys
-        if record is not None and record.keys is not None:
             sealed = record.checkpoint
             if sealed is not None:
                 self._preload = open_checkpoint(party, self.keys.signing_key, sealed)
                 # A rejected log is dropped; the keys beside it stand.
                 self._checkpoint = sealed if self._preload else None
                 self.checkpoint_status = "loaded" if self._preload else "rejected"
-        elif dkg_boot:
-            bundle = self._bootstrap = load_bootstrap(directory, party)
-            # The PKI is all a dealerless epoch 0 trusts: every server's
-            # identity key, ours among them.
-            pki = bundle.verify_keys
-            if sorted(pki) != list(range(bundle.n)) or (
-                pki.get(party) != bundle.signing_key.verify_key.h
-            ):
-                raise keystore.KeystoreError(
-                    f"bootstrap bundle of party {party} carries no valid PKI "
-                    "(version 2 lists every server's verify key)"
+        elif bootstrap_path(directory, party).exists():
+            if byzantine is not None or causal:
+                raise ValueError("a seeded host must be an honest, non-causal replica")
+            bundle = load_bootstrap(directory, party)
+            self.keys = dkg.BootstrapKeys(
+                party, bundle.signing_key, dict(bundle.channel_keys)
+            )
+            if record is not None:
+                # A keyless record beside the seed (provision_joiner's):
+                # join the live cluster at the epoch after its own.
+                self.epoch, self._genesis, self.public = (
+                    record.epoch, record.genesis, record.public
                 )
-            self.public = dkg.BootstrapPublic(
-                n=bundle.n, quorum=ThresholdQuorumSystem(n=bundle.n, t=bundle.t)
-            )
-            self.membership = reconfig.Membership(
-                0, bundle.group, self.public.quorum,
-                tuple(pki[member] for member in range(bundle.n)),
-            )
-            self.keys = dkg.BootstrapKeys(
-                party, bundle.signing_key, dict(bundle.channel_keys)
-            )
-            self.phase = Phase("booting", 0)
-        elif join:  # a live cluster: the seed provision_joiner wrote
-            if record is None:
-                raise keystore.KeystoreError(f"party {party} has no joiner seed")
-            bundle = load_bootstrap(path.parent, party)
-            self.keys = dkg.BootstrapKeys(
-                party, bundle.signing_key, dict(bundle.channel_keys)
-            )
-            self._derive_channel_keys(self.public)
-            self.phase = Phase("booting", self.epoch + 1)
+                self._derive_channel_keys(self.public)
+            else:
+                # Key generation at epoch 0.  The PKI is all it trusts:
+                # every server's identity key, ours among them.
+                pki = bundle.verify_keys
+                if sorted(pki) != list(range(bundle.n)) or (
+                    pki.get(party) != bundle.signing_key.verify_key.h
+                ):
+                    raise keystore.KeystoreError(
+                        f"bootstrap bundle of party {party} carries no valid PKI "
+                        "(version 2 lists every server's verify key)"
+                    )
+                self.public = dkg.BootstrapPublic(
+                    n=bundle.n, quorum=ThresholdQuorumSystem(n=bundle.n, t=bundle.t)
+                )
+                self.membership = reconfig.Membership(
+                    0, bundle.group, self.public.quorum,
+                    tuple(pki[member] for member in range(bundle.n)),
+                )
+            self.phase = Phase("booting", 0 if record is None else self.epoch + 1)
         else:
             self.public = self._genesis = _provisioned_public(directory)
             self.keys = keystore.load_party(
@@ -809,6 +811,8 @@ class ReplicaHost:
     async def start(self, recover: bool = False) -> None:
         if self._owns_network:
             await self.network.start()
+        if recover:  # what a restart found on disk (``absent`` for a seed)
+            self.emit("replica-checkpoint", status=self.checkpoint_status)
         if self.phase.name == "booting":
             # No threshold keys anywhere yet?  Generate them; else join.
             if isinstance(self.public, dkg.BootstrapPublic):
@@ -834,13 +838,13 @@ class ReplicaHost:
     def _start_dkg(self) -> None:
         """Dealerless bootstrap: run the key-generation session; the
         replica spawns once the cluster's threshold keys exist."""
-        bundle = self._bootstrap
-        scheme = threshold_scheme(bundle.n, bundle.t, bundle.group.q)
+        pki = self.membership  # the seed's: every server's identity key
+        scheme = threshold_scheme(pki.n, pki.quorum.t, pki.group.q)
         self._run_ladder(
             0,
             "replica-dkg-retry",
             lambda: dkg.key_generation(
-                bundle.group, scheme, self.public.quorum, bundle.verify_keys,
+                pki.group, scheme, pki.quorum, dict(enumerate(pki.verify_keys)),
                 self.party, self.runtime.rng,
             ),
             self._complete_reshare,
@@ -1255,8 +1259,6 @@ async def serve_replica(
     byzantine: str | None = None,
     journal: bool = False,
     checkpoint_every: int = 0,
-    dkg_boot: bool = False,
-    join: bool = False,
 ) -> int:
     """Run one replica (``repro run-replica``) until SIGTERM/SIGINT,
     then print its ``replica-abc-stats`` and ``replica-final`` lines:
@@ -1265,7 +1267,6 @@ async def serve_replica(
     host = ReplicaHost(
         directory, party, byzantine=byzantine,
         journal=journal, checkpoint_every=checkpoint_every,
-        dkg_boot=dkg_boot, join=join,
     )
     await host.start(recover=recover)
     stop = asyncio.Event()
@@ -1274,8 +1275,6 @@ async def serve_replica(
         loop.add_signal_handler(signum, stop.set)
     address = host.network.listen_address
     host.emit("listening", host=address[0], port=address[1], recovering=recover)
-    if recover:
-        host.emit("replica-checkpoint", status=host.checkpoint_status)
     # Bounded by SIGTERM from the operator, not by wall clock: a
     # replica serves until told to stop.
     await stop.wait()  # repro: noqa-RL005 runs-until-signalled by design

@@ -353,19 +353,16 @@ class SimCluster(_Cluster):
         self.network = Network(self.scheduler, random.Random(scenario.seed + 1))
         self.open: dict[int, Callable] = {}  # nonce -> completion callback
 
-    async def _spawn(self, parties, *flags: str) -> dict[int, _SimReplica]:
-        """What ``run-replica`` does with these flags, as hosts here."""
-        replicas, recover = {}, "--recover" in flags
+    async def _spawn(self, parties, recover: bool = False) -> dict[int, _SimReplica]:
+        """What ``run-replica`` does, as hosts here."""
+        replicas = {}
         for party in parties:
             host = ReplicaHost(
                 self.workdir, party, network=self.network,
                 byzantine=self.byzantine.get(party), journal=True,
                 checkpoint_every=self.scenario.checkpoint_every,
-                dkg_boot="--dkg" in flags, join="--join" in flags,
             )
             await host.start(recover=recover)
-            if recover:
-                host.emit("replica-checkpoint", status=host.checkpoint_status)
             replicas[party] = _SimReplica(self, host)
         return replicas
 

@@ -143,7 +143,7 @@ def test_reshare_reaches_the_joiner(tmp_path):
             rng = random.Random(61)
             address = allocate_addresses([joiner])[joiner]
             bundle = admit_joiner(tmp_path, joiner, address, rng, client)
-            hosts[joiner] = ReplicaHost(tmp_path, joiner, join=True)
+            hosts[joiner] = ReplicaHost(tmp_path, joiner)
             await hosts[joiner].start()
 
             add = reconfig.reconfigure_operation(

@@ -17,7 +17,8 @@ import pytest
 from repro.crypto import keystore
 from repro.crypto.dealer import CLIENT_BASE
 from repro.net.chaos import LifecycleEvent, Scenario, parameterize_scenario, run_timeline
-from repro.net.runtime import ReplicaHost
+from repro.net.cluster import deal_deployment
+from repro.net.runtime import ReplicaHost, identity_key, provision_joiner
 from repro.net.sweep import SimCluster
 
 _ENTRY_KINDS = ("replica-epoch", "replica-stale-epoch")
@@ -51,6 +52,45 @@ def test_a_checkpoint_written_before_an_add_loads_after_it(tmp_path):
         return said
 
     assert asyncio.run(run()) == {"checkpoint": "loaded"}
+
+
+def test_a_joiner_killed_before_the_add_restarts_from_its_seed(tmp_path):
+    """Joiner 4 boots from the seed the operator's ``add`` put in its own
+    directory.  Killed before the add is ordered, it restarts as any
+    member does — no checkpoint yet — and joins from that seed again:
+    every member, it included, enters epoch 1, and it holds the writes
+    ordered before and after the add."""
+    scenario = parameterize_scenario("total-restart", n=4, t=1, seed=7)
+
+    async def run():
+        cluster = await SimCluster.boot(scenario, tmp_path)
+        await _order(cluster, ("set", "k0", 0))
+        _, add = await cluster.reconfigure("add")
+        await cluster.kill(4)
+        said = await cluster.restart(4)
+        assert await _order(cluster, add) == ("reconfig", "accepted", 1)
+        entries = await cluster.entered({1: 5})
+        assert await _order(cluster, ("set", "after", 1)) == ("ok", 2)
+        await cluster.settle()
+        joiner = cluster.replicas[4].host
+        await cluster.close()
+        return said, entries, joiner
+
+    said, entries, joiner = asyncio.run(run())
+    assert said == {"checkpoint": "absent"}
+    assert sorted(entries) == [0, 1, 2, 3, 4]
+    for party, said_entries in entries.items():
+        assert [fields["epoch"] for fields in said_entries] == ["1"], party
+    assert joiner.epoch == 1 and joiner.public.n == 5
+    assert joiner.replica.state_machine.data == {"k0": 0, "after": 1}
+
+
+def test_an_operator_signs_with_a_joiners_identity_key(tmp_path):
+    """``identity_key`` reads a joiner's seed in ``host-<i>/``: the key
+    an operator signs a ``reconfig --signer`` with once it is a member."""
+    deal_deployment(tmp_path, 4, 1, random.Random(3))
+    bundle = provision_joiner(tmp_path, 4, random.Random(4))
+    assert identity_key(tmp_path, 4) == bundle.signing_key
 
 
 def _outside_the_hosts(directory: pathlib.Path) -> dict[str, str]:

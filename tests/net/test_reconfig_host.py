@@ -637,7 +637,7 @@ def test_every_way_into_an_epoch_leaves_the_same_invariants(tmp_path, way):
         try:
             if way == "dkg":
                 provision_dkg_deployment(4, 1, random.Random(71), tmp_path)
-                hosts = [ReplicaHost(tmp_path, p, dkg_boot=True) for p in range(4)]
+                hosts = [ReplicaHost(tmp_path, p) for p in range(4)]
                 closed = None  # epoch 0 of a dealerless boot closes nothing
             else:
                 keys = _deployment(tmp_path, seed=72)
@@ -676,7 +676,7 @@ def test_dkg_boot_refuses_a_bundle_without_its_pki(tmp_path, defect):
     lists another identity as ours, or that predates the list is
     refused before anything listens."""
     provision_dkg_deployment(4, 1, random.Random(76), tmp_path)
-    path = tmp_path / "bootstrap-0.json"
+    path = tmp_path / "host-0" / "bootstrap-0.json"
     data = json.loads(path.read_text())
     assert data["version"] == 2
     if defect == "missing-server":
@@ -688,7 +688,16 @@ def test_dkg_boot_refuses_a_bundle_without_its_pki(tmp_path, defect):
         del data["verify_keys"]
     path.write_text(json.dumps(data))
     with pytest.raises(keystore.KeystoreError):
-        ReplicaHost(tmp_path, 0, dkg_boot=True)
+        ReplicaHost(tmp_path, 0)
+
+
+@pytest.mark.parametrize("kind", [{"byzantine": "silent"}, {"causal": True}])
+def test_a_seeded_host_must_be_honest_and_ordered(tmp_path, kind):
+    """Key generation and a join run only on an honest, non-causal
+    host: one asked to boot from a seed as anything else is refused."""
+    provision_dkg_deployment(4, 1, random.Random(77), tmp_path)
+    with pytest.raises(ValueError, match="seeded host"):
+        ReplicaHost(tmp_path, 0, **kind)
 
 
 def _votes(keys, epoch, public, voters):
