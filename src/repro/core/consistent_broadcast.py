@@ -23,13 +23,14 @@ honest parties sign at most one value per session.  The certificate is
 transferable third-party evidence — any party can hand it to any other
 to prove the broadcast completed, which the agreement layer exploits.
 
-A ``FINAL`` is checked when its verdict is needed (:class:`FinalScreen`).
+A stand-alone broadcast checks a ``FINAL`` on arrival; an agreement holds
+its broadcasts' ``FINAL``s (:class:`FinalScreen`) until a verdict is needed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Hashable
+from typing import Callable, Container, Hashable
 
 from ..codec import Encoded, register
 from ..crypto.dealer import PublicKeys
@@ -93,53 +94,45 @@ def verify_commit_certificate(
     memo: VerifiedMemo | None = None,
 ) -> bool:
     """Check a transferred commit certificate (usable outside the instance)."""
-    return ctx_public.cert_quorum.verify(
-        _statement(session, value), certificate, memo
-    )
+    return ctx_public.cert_quorum.verify(_statement(session, value), certificate, memo)
 
 
 class FinalScreen:
-    """The ``FINAL`` messages of a set of broadcasts, held unverified, one
-    per (broadcast, network sender): anyone may forward one, and a forged
-    one that arrives first must not displace the genuine one.  When
-    ``due`` wants the broadcasts held, all held certificates are checked
-    in one batch (on failure each alone, its network sender banned from
-    that broadcast if it fails); otherwise they wait until :meth:`read`
-    asks; each delivery is also handed to ``delivered``.  A stand-alone
-    broadcast's screen is always due."""
+    """The ``FINAL`` messages of an agreement's broadcasts, held unverified,
+    one per (broadcast, network sender): anyone may forward one, and a
+    forged one that arrives first must not displace the genuine one.  The
+    agreement decides when they are checked (:meth:`read`); an entry is
+    data, no broadcast, so a closed round holds no cycle."""
 
-    __slots__ = ("due", "delivered", "held")
+    __slots__ = ("held",)
 
-    def __init__(
-        self,
-        due: Callable[[Context, set[int]], bool] = lambda _ctx, _b: True,
-        delivered: Callable[[CbcDelivery], object] = lambda _delivery: None,
-    ) -> None:
-        self.due, self.delivered = due, delivered
-        self.held: dict[tuple[int, int], tuple | None] = {}  # None: banned
+    def __init__(self) -> None:
+        self.held: dict[tuple[int, int], tuple[SessionId, CbcFinal] | None] = {}  # None: banned
 
-    def offer(self, inst: ConsistentBroadcast, ctx: Context, sender: int, final: CbcFinal) -> None:
-        key = (inst.sender, sender)
-        if key not in self.held:
-            self.held[key] = (inst, ctx.session, final)
-            if self.due(ctx, {key[0] for key, entry in self.held.items() if entry}):
-                self._check(ctx, lambda _broadcast: True)
+    def offer(self, ctx: Context, sender: int, final: CbcFinal) -> set[int] | None:
+        """Hold the ``FINAL`` that ``ctx``'s broadcast got from ``sender``,
+        if it is the first; then the broadcasts with one held."""
+        key = (ctx.session[1], sender)
+        if key in self.held:
+            return None
+        self.held[key] = (ctx.session, final)
+        return {key[0] for key, entry in self.held.items() if entry}
 
-    def read(self, ctx: Context, broadcast: int) -> None:
-        """Check the held certificates of ``broadcast``: a vote reads it."""
-        self._check(ctx, lambda held_broadcast: held_broadcast == broadcast)
-
-    def _check(self, ctx: Context, wanted: Callable[[int], bool]) -> None:
-        checked = [(key, e) for key, e in sorted(self.held.items()) if e and wanted(key[0])]
-        self.held = {key: e for key, e in self.held.items() if not (e and wanted(key[0]))}
-        claims = [(_statement(s, f.value), f.certificate) for _k, (_i, s, f) in checked]
+    def read(self, ctx: Context, broadcasts: Container[int]) -> None:
+        """Check the held certificates of ``broadcasts`` in one batch (on
+        failure each alone, its network sender banned from that broadcast
+        if it fails); one that passes delivers its broadcast."""
+        checked = [(key, e) for key, e in sorted(self.held.items()) if e and key[0] in broadcasts]
+        self.held = {key: e for key, e in self.held.items() if not (e and key[0] in broadcasts)}
+        claims = [(_statement(s, f.value), f.certificate) for _k, (s, f) in checked]
         scheme, memo = ctx.public.cert_quorum, ctx.verified
         batch_ok = scheme.verify_all(claims, memo)
-        for (key, (inst, session, final)), claim in zip(checked, claims):
-            if inst.delivered:
+        for (key, (session, final)), claim in zip(checked, claims):
+            inst = ctx.instance(session)
+            if not isinstance(inst, ConsistentBroadcast) or inst.delivered:
                 continue  # an earlier certificate of its broadcast passed
             if batch_ok or scheme.verify(*claim, memo):
-                self.delivered(inst.deliver(ctx.at(session), final))
+                inst.deliver(ctx.at(session), final)
             else:
                 self.held[key] = None  # banned from this broadcast
 
@@ -152,12 +145,10 @@ class ConsistentBroadcast(Protocol):
         sender: int,
         value: Hashable | None = None,
         validate: Callable[[Hashable], bool] | None = None,
-        finals: FinalScreen | None = None,
     ) -> None:
         self.sender = sender
         self.value = value
         self.validate = validate
-        self.finals = finals if finals is not None else FinalScreen()  # or its agreement's
         self.signed_value: Hashable | None = None
         # A SEND whose validation failed is stashed (wrapped in a
         # 1-tuple so a literal None value is representable) rather than
@@ -237,12 +228,21 @@ class ConsistentBroadcast(Protocol):
             ctx.broadcast(CbcFinal(self.value, certificate))
 
     def _on_final(self, ctx: Context, sender: int, message: CbcFinal) -> None:
-        if not self.delivered:
-            self.finals.offer(self, ctx, sender, message)
+        """The agreement this broadcast's id names screens its ``FINAL``s;
+        a stand-alone broadcast checks each on arrival."""
+        from .multivalued_agreement import MultiValuedAgreement
 
-    def deliver(self, ctx: Context, final: CbcFinal) -> CbcDelivery:
-        """Output a ``FINAL`` whose certificate the screen verified."""
+        if self.delivered:
+            return
+        agreement = ctx.instance(ctx.session[2])
+        if isinstance(agreement, MultiValuedAgreement):
+            agreement.offer_final(ctx, sender, message)
+        elif verify_commit_certificate(
+            ctx.public, ctx.session, message.value, message.certificate, ctx.verified
+        ):
+            self.deliver(ctx, message)
+
+    def deliver(self, ctx: Context, final: CbcFinal) -> None:
+        """Output a ``FINAL`` whose certificate was verified."""
         self.delivered = True
-        delivery = CbcDelivery(self.sender, final.value, final.certificate)
-        ctx.output(delivery)
-        return delivery
+        ctx.output(CbcDelivery(self.sender, final.value, final.certificate))

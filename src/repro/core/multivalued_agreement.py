@@ -36,7 +36,8 @@ from typing import Callable, Hashable
 from ..codec import register
 from ..crypto.coin import CoinShare
 from .binary_agreement import BinaryAgreement
-from .consistent_broadcast import CbcDelivery, ConsistentBroadcast, FinalScreen, cbc_session
+from .consistent_broadcast import (CbcDelivery, CbcFinal, ConsistentBroadcast, FinalScreen,
+                                   cbc_session, verify_commit_certificate)
 from .protocol import Context, Protocol, SessionId
 from .share_screen import ShareScreen, offer_coin_share, open_coin
 
@@ -87,7 +88,7 @@ class MultiValuedAgreement(Protocol):
         self.proposal = proposal
         self.predicate = predicate
         self.deliveries: dict[int, CbcDelivery] = {}
-        self.finals: FinalScreen  # on_start: its deliveries come to _on_delivery
+        self.finals = FinalScreen()
         self.perm_coin: ShareScreen[CoinShare] = ShareScreen()
         self.perm_released = False
         # A peer decided, so it held the permutation: the coin's missing
@@ -101,12 +102,12 @@ class MultiValuedAgreement(Protocol):
     # -- setup: proposal dissemination ----------------------------------------
 
     def on_start(self, ctx: Context) -> None:
-        self.finals = FinalScreen(self._finals_due, lambda d: self._on_delivery(ctx, d))
         for sender in range(ctx.n):
             value = self.proposal if sender == ctx.party else None
             ctx.spawn(
                 cbc_session(sender, ctx.session),
-                ConsistentBroadcast(sender, value, self.predicate, self.finals),
+                ConsistentBroadcast(sender, value, self.predicate),
+                on_output=lambda delivery: self._on_delivery(ctx, delivery),
             )
 
     def refresh_validation(self, ctx: Context) -> None:
@@ -125,19 +126,19 @@ class MultiValuedAgreement(Protocol):
             if isinstance(inst, ConsistentBroadcast):
                 inst.retry_pending(ctx.at(session))
 
-    def _finals_due(self, ctx: Context, broadcasts: set[int]) -> bool:
-        """Whether held ``FINAL``s could complete the quorum the
-        permutation waits for; after it, a vote reads them (_delivery)."""
+    def offer_final(self, ctx: Context, sender: int, final: CbcFinal) -> None:
+        """Hold a ``FINAL`` broadcast ``ctx.session`` got from ``sender``;
+        read all held ones when they could complete the quorum the
+        permutation waits for (after it, a vote reads them: _delivery)."""
+        held = self.finals.offer(ctx, sender, final)
         waiting = not (self.perm_released or self.decided)
-        return waiting and ctx.quorum.is_quorum(broadcasts.union(self.deliveries))
+        if held and waiting and ctx.quorum.is_quorum(held.union(self.deliveries)):
+            self.finals.read(ctx, held)
 
-    def _on_delivery(self, ctx: Context, delivery: CbcDelivery) -> None:
-        if self.decided:
+    def _on_delivery(self, ctx: Context, delivery: object) -> None:
+        if self.decided or not isinstance(delivery, CbcDelivery):
             return
         self.deliveries[delivery.sender] = delivery
-        self._maybe_release_permutation(ctx)
-
-    def _maybe_release_permutation(self, ctx: Context) -> None:
         if not self.perm_released and ctx.quorum.is_quorum(self.deliveries):
             self._release_permutation(ctx)
 
@@ -198,7 +199,7 @@ class MultiValuedAgreement(Protocol):
     def _delivery(self, ctx: Context, candidate: int) -> CbcDelivery | None:
         """The candidate's delivery, checking its held certificates first."""
         if candidate not in self.deliveries:
-            self.finals.read(ctx, candidate)
+            self.finals.read(ctx, {candidate})
         return self.deliveries.get(candidate)
 
     def _start_next_vote(self, ctx: Context) -> None:
@@ -237,8 +238,6 @@ class MultiValuedAgreement(Protocol):
             self._start_next_vote(ctx)
 
     def _on_value(self, ctx: Context, sender: int, message: MvbaValue) -> None:
-        from .consistent_broadcast import verify_commit_certificate
-
         candidate = message.candidate
         delivery = message.delivery
         if not isinstance(delivery, CbcDelivery) or delivery.sender != candidate:

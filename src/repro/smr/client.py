@@ -290,7 +290,7 @@ class ServiceClient(Node):
         # pending request — same nonce, so execution stays at-most-once
         # even if the old epoch already ordered it.
         self._replies.clear()
-        for nonce in sorted(self._operations):
+        for nonce in sorted(self._digests):  # the pending ones
             self.resubmit(nonce)
 
     def _share_valid(self, statement: tuple, sender: int, share: object) -> bool:

@@ -3,16 +3,21 @@
 ``AtomicBroadcast.delivered`` (payload -> round, in delivery order) is
 the history; ``Replica.executed`` (the executed ``(client, nonce)``
 keys) is the at-most-once index.  Nothing else a replica holds grows
-with the number of commits, and what a replica sends or persists of its
-history — a ``RecoverLog``, a checkpoint body — keeps its bytes, so
-replicas of either layout recover from each other.
+with the number of commits, a closed round is freed by reference
+counting (the collector stays off here), and what a replica sends or
+persists of its history — a ``RecoverLog``, a checkpoint body — keeps
+its bytes, so replicas of either layout recover from each other.
 """
 
 import asyncio
+import gc
 import hashlib
 import json
 import random
-from collections.abc import Sized
+from collections.abc import Iterator, Sized
+from contextlib import contextmanager
+
+import pytest
 
 from repro.core.atomic_broadcast import AbcConfig
 from repro.core.protocol import Context
@@ -40,21 +45,59 @@ def _sizes(replica) -> dict[str, int]:
     }
 
 
+@contextmanager
+def _collector_off() -> Iterator[None]:
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+def _service(confidential: bool = False):
+    """A FIFO n = 4 service, and a function that commits one request on
+    it alone."""
+    dep = build_service(
+        4, KeyValueStore, t=1, seed=7, scheduler=FifoScheduler(),
+        abc_config=AbcConfig(pipeline_depth=4), causal=confidential,
+    )
+    client = dep.new_client()
+    submit = client.submit_confidential if confidential else client.submit
+    dep.network.start()
+
+    def commit(i: int) -> None:
+        dep.run_until_complete(client, [submit(("set", "k", i))])
+        dep.network.run()
+
+    return dep, commit
+
+
+@pytest.mark.parametrize("confidential", [False, True])
+def test_a_closed_round_leaves_no_cyclic_garbage(confidential):
+    """A round's agreement, broadcasts, votes and coin screen are freed
+    by reference counting at the close that drops them: with the
+    collector off, lone commits past a warm-up leave nothing for it to
+    find."""
+    _dep, commit = _service(confidential)
+    for i in range(10):
+        commit(i)
+    with _collector_off():
+        for i in range(10, 50):
+            commit(i)
+        assert gc.collect() == 0
+
+
 def test_only_the_history_grows_with_commits():
     """Over lone commits past a warm-up, the delivered record and the
     at-most-once index are the only sized state that grows."""
-    dep = build_service(
-        4, KeyValueStore, t=1, seed=7, scheduler=FifoScheduler(),
-        abc_config=AbcConfig(pipeline_depth=4),
-    )
-    client = dep.new_client()
-    dep.network.start()
+    dep, commit = _service()
     before = {}
-    for i in range(1, 101):
-        dep.run_until_complete(client, [client.submit(("set", "k", i))])
-        dep.network.run()
-        if i == 50:
-            before = {p: _sizes(r) for p, r in dep.replicas.items()}
+    with _collector_off():
+        for i in range(1, 101):
+            commit(i)
+            if i == 50:
+                before = {p: _sizes(r) for p, r in dep.replicas.items()}
     for party, replica in dep.replicas.items():
         after = _sizes(replica)
         grown = sorted(name for name, size in after.items() if size > before[party][name])

@@ -344,6 +344,26 @@ def test_client_follows_epoch_change():
     assert len(snapshots) == 1
 
 
+def test_a_refresh_resubmits_only_the_pending_requests():
+    """An epoch refresh re-sends what is pending, not every request the
+    client ever made."""
+    dep = build_service(4, KeyValueStore, t=1, seed=26)
+    client = dep.new_client()
+    dep.network.start()
+    dep.run_until_complete(client, [client.submit(("set", "k", i)) for i in range(20)])
+    pending = client.submit(("set", "k", 20))
+    resubmitted = []
+    resubmit = client.resubmit
+    client.resubmit = lambda nonce, servers=None: resubmitted.append(nonce) or resubmit(nonce)
+    public_dict = keystore.public_to_dict(dep.keys.public)
+    for party in range(4):
+        client._on_membership_info(party, reconfig.signed_membership_info(
+            party, 1, public_dict, dep.keys.private[party].signing_key, random.Random(party),
+        ))
+    assert client.epoch_refreshes == 1
+    assert resubmitted == [pending]
+
+
 def test_client_steps_through_two_epochs():
     dep = build_service(4, KeyValueStore, t=1, seed=22)
     client = dep.new_client()
