@@ -76,7 +76,6 @@ class SecureCausalBroadcast(Protocol):
         # before its ciphertext waits in its sender's bounded ``early``.
         self.opening: dict[bytes, tuple[Ciphertext, ShareScreen[DecryptionShare]]] = {}
         self.early: dict[int, dict[bytes, DecryptionShare]] = {}
-        self.s_delivered: list[tuple[bytes, int]] = []
 
     def on_start(self, ctx: Context) -> None:
         # The atomic broadcast underneath runs inside this same session:
@@ -160,7 +159,5 @@ class SecureCausalBroadcast(Protocol):
             if digest not in self.plaintexts:
                 return
             self.pending.pop(0)
-            plaintext = self.plaintexts[digest]
-            self.s_delivered.append((plaintext, round_number))
             if self.on_deliver is not None:
-                self.on_deliver(plaintext, round_number)
+                self.on_deliver(self.plaintexts[digest], round_number)

@@ -40,6 +40,8 @@ __all__ = ["SlotId", "LsssScheme", "LsssSharing", "threshold_scheme"]
 
 # A slot is the path of a leaf occurrence in the formula tree.
 SlotId = tuple[int, ...]
+# A consistency relation ``Σ k_slot · subshare_slot = 0``, as ((slot, k), ...).
+_Relation = tuple[tuple[SlotId, int], ...]
 
 
 @dataclass(frozen=True)
@@ -149,9 +151,7 @@ class LsssScheme:
         mu = self._walk(present)[0]
         return dict(mu) if mu is not None else None
 
-    def consistency_relations(
-        self, present: set[int] | frozenset[int]
-    ) -> tuple[tuple[tuple[SlotId, int], ...], ...]:
+    def consistency_relations(self, present: set[int] | frozenset[int]) -> tuple[_Relation, ...]:
         """The integer relations ``Σ k_slot · subshare_slot = 0`` that
         every dealing satisfies on the slots of ``present``, each as
         ``((slot, k), ...)``, and that together say a vector over those
@@ -163,9 +163,9 @@ class LsssScheme:
         """
         return self._walk(present)[1]
 
-    def _walk(self, present: set[int] | frozenset[int]) -> tuple[
-        dict[SlotId, int] | None, tuple[tuple[tuple[SlotId, int], ...], ...]
-    ]:
+    def _walk(
+        self, present: set[int] | frozenset[int]
+    ) -> tuple[dict[SlotId, int] | None, tuple[_Relation, ...]]:
         """One walk of the formula over ``present``: the opening ``μ``
         (``None`` unless qualified) and the consistency relations."""
         avail = frozenset(present)
@@ -173,41 +173,8 @@ class LsssScheme:
         cached = cache.get(avail)
         if cached is not None:
             return cached
-        relations: list[tuple[tuple[SlotId, int], ...]] = []
-
-        def solve(node: Formula, path: SlotId) -> dict[SlotId, int] | None:
-            if isinstance(node, Leaf):
-                if node.party in avail:
-                    return {path: 1}
-                return None
-            assert isinstance(node, Threshold)
-            # Every child is walked: one the opening does not use may
-            # still resolve (a further relation) or hold a gate that does.
-            solved: list[tuple[int, int, dict[SlotId, int]]] = []
-            for idx, child in enumerate(node.children):
-                solution = solve(child, (*path, idx))
-                if solution is not None:
-                    solved.append((idx + 1, _delta(child), solution))
-            if len(solved) < node.k:
-                return None
-            basis = solved[: node.k]
-            relations.extend(_relation(basis, extra) for extra in solved[node.k :])
-            # A child's solution opens Δ_child times its value; the Lagrange
-            # λ_i = Π_j j / (j - i) times Δ_gate / Δ_child is an integer.
-            delta = _delta(node)
-            combined: dict[SlotId, int] = {}
-            for point, child_delta, solution in basis:
-                num, den = delta, child_delta
-                for other, _, _ in basis:
-                    if other != point:
-                        num *= other
-                        den *= other - point
-                factor = num // den
-                for slot, coeff in solution.items():
-                    combined[slot] = combined.get(slot, 0) + factor * coeff
-            return combined
-
-        walked = (solve(self.formula, ()), tuple(relations))
+        relations: list[_Relation] = []
+        walked = (_solve(self.formula, (), avail, relations), tuple(relations))
         if len(cache) >= self._RECOMB_CACHE_MAX:
             cache.clear()
         cache[avail] = walked
@@ -233,10 +200,47 @@ class LsssScheme:
         return sum(coeff * flat[slot] for slot, coeff in lam.items()) % self.modulus
 
 
+def _solve(
+    node: Formula, path: SlotId, avail: frozenset[int], relations: list[_Relation]
+) -> dict[SlotId, int] | None:
+    """The opening ``μ`` of the subtree at ``path`` over ``avail`` (``None``
+    unless qualified); appends the subtree's relations to ``relations``."""
+    if isinstance(node, Leaf):
+        if node.party in avail:
+            return {path: 1}
+        return None
+    assert isinstance(node, Threshold)
+    # Every child is walked: one the opening does not use may still
+    # resolve (a further relation) or hold a gate that does.
+    solved: list[tuple[int, int, dict[SlotId, int]]] = []
+    for idx, child in enumerate(node.children):
+        solution = _solve(child, (*path, idx), avail, relations)
+        if solution is not None:
+            solved.append((idx + 1, _delta(child), solution))
+    if len(solved) < node.k:
+        return None
+    basis = solved[: node.k]
+    relations.extend(_relation(basis, extra) for extra in solved[node.k :])
+    # A child's solution opens Δ_child times its value; the Lagrange
+    # λ_i = Π_j j / (j - i) times Δ_gate / Δ_child is an integer.
+    delta = _delta(node)
+    combined: dict[SlotId, int] = {}
+    for point, child_delta, solution in basis:
+        num, den = delta, child_delta
+        for other, _, _ in basis:
+            if other != point:
+                num *= other
+                den *= other - point
+        factor = num // den
+        for slot, coeff in solution.items():
+            combined[slot] = combined.get(slot, 0) + factor * coeff
+    return combined
+
+
 def _relation(
     basis: list[tuple[int, int, dict[SlotId, int]]],
     extra: tuple[int, int, dict[SlotId, int]],
-) -> tuple[tuple[SlotId, int], ...]:
+) -> _Relation:
     """``v_e − Σ_i L_i(x_e)·v_i = 0`` for the child ``extra`` against the
     gate's ``basis`` children, over the integers: child ``c``'s value is
     ``v_c = Σ μ_c·s / Δ_c``, ``L_i(x) = Π_{j≠i} (x − x_j) / (x_i − x_j)``;

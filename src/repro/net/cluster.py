@@ -147,17 +147,12 @@ async def run_client_ops(
     client_id: int = CLIENT_BASE,
     timeout: float = 60.0,
 ) -> list[object]:
-    """Submit operations over TCP, one at a time; returns their results."""
+    """Submit operations over TCP, one at a time, each re-sent until it is
+    answered or ``timeout`` passes (:meth:`ServiceClient.call`); returns
+    their results."""
     client = await attach_client(directory, random.Random(), client_id=client_id)
-    results: list[object] = []
     try:
-        for operation in operations:
-            nonce = client.submit(operation)
-            await client.network.wait_until(
-                lambda: nonce in client.completed, timeout=timeout
-            )
-            results.append(client.completed[nonce].result)
-        return results
+        return [(await client.call(op, timeout=timeout)).result for op in operations]
     finally:
         await client.network.close()
 

@@ -6,14 +6,17 @@ to authenticate channels.  It submits a request to more than ``t``
 servers (we default to all, the simplest way to also get the fairness
 guarantee of atomic broadcast), then collects partial answers until the
 repliers with a matching result form an honest-containing set, and
-combines their signature shares into one service-signed reply.
+combines their signature shares into one service-signed reply.  A
+pending request is one record, which holds the message that orders it:
+a resubmission re-sends the request as it first went out, so a
+confidential one stays encrypted.
 """
 
 from __future__ import annotations
 
 import asyncio
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .. import codec
 from ..core.atomic_broadcast import payload_digest
@@ -36,6 +39,7 @@ __all__ = ["CompletedRequest", "ServiceClient"]
 
 # The longest a call waits for an answer before re-sending its request.
 _MAX_ATTEMPT_TIMEOUT = 15.0
+_Ordered = SubmitRequest | SubmitEncrypted
 
 
 @dataclass(frozen=True)
@@ -56,6 +60,17 @@ class CompletedRequest:
         if answer is None or not isinstance(scheme, (QuorumCertScheme, ShoupRsaScheme)):
             return False
         return scheme.verify(tree_statement(answer[1]), self.signature)
+
+
+@dataclass
+class _Pending:
+    """A request awaiting its answer: the message that orders it (as it
+    went out; an unordered read's is a SubmitRequest), the digest its
+    reply leaves bind, and replica -> ((leaf, root), reply) so far."""
+
+    ordered: _Ordered
+    digest: bytes
+    replies: dict[int, tuple[tuple[bytes, bytes], Reply]] = field(default_factory=dict)
 
 
 class ServiceClient(Node):
@@ -80,13 +95,8 @@ class ServiceClient(Node):
         # that is not the first of its id must start above every nonce
         # its predecessors used (net/cluster.attach_client does).
         self._nonce = first_nonce - 1
-        self._operations: dict[int, tuple] = {}
-        # nonce -> the request's digest, the name its reply leaves bind,
-        # taken once at submit and kept while the request is pending.
-        self._digests: dict[int, bytes] = {}
-        # nonce -> replica -> ((leaf, root), reply): each reply's tree
-        # root is computed once, on arrival.
-        self._replies: dict[int, dict[int, tuple[tuple[bytes, bytes], Reply]]] = {}
+        self._operations: dict[int, tuple] = {}  # every nonce's, for operation()
+        self._pending: dict[int, _Pending] = {}
         self.completed: dict[int, CompletedRequest] = {}
         # Reply shares are checked on arrival; combining them into the
         # service signature must not pay for each of them again, nor
@@ -103,54 +113,49 @@ class ServiceClient(Node):
 
     def submit(self, operation: tuple, servers: list[int] | None = None) -> int:
         """Send a plaintext request; returns the nonce to await."""
-        request = self._next_request(operation)
-        self._send(SubmitRequest(request.encode()), servers)
-        return request.nonce
+        nonce, request = self._next_request(operation)
+        self._send(self._hold(nonce, request, SubmitRequest(request)), servers)
+        return nonce
 
-    def submit_unordered(
-        self, operation: tuple, servers: list[int] | None = None
-    ) -> int:
+    def submit_unordered(self, operation: tuple, servers: list[int] | None = None) -> int:
         """Send a commuting (read-only) request — no total ordering.
 
         Section 5: commuting requests only need reliable delivery, so
         replicas answer directly and the round-trip skips the agreement
         machinery entirely.  Completion still requires matching signed
         answers from an honest-containing set; if replicas are mid-write
-        and their answers diverge, resubmit via :meth:`submit`.
+        and their answers diverge, :meth:`resubmit` orders it.
         """
-        request = self._next_request(operation)
-        self._send(SubmitUnordered(request.encode()), servers)
-        return request.nonce
+        nonce, request = self._next_request(operation)
+        self._hold(nonce, request, SubmitRequest(request))
+        self._send(SubmitUnordered(request), servers)
+        return nonce
 
-    def submit_confidential(
-        self, operation: tuple, servers: list[int] | None = None
-    ) -> int:
+    def submit_confidential(self, operation: tuple, servers: list[int] | None = None) -> int:
         """Encrypt the request under the service key and submit it.
 
         The request remains confidential until the secure causal atomic
         broadcast has fixed its position in the total order.
         """
-        request = self._next_request(operation)
-        plaintext = codec.dumps(request.encode())
-        label = codec.dumps(("client", self.client_id, request.nonce))
-        ciphertext = self.public.encryption.encrypt(plaintext, label, self.rng)
-        self._send(SubmitEncrypted(ciphertext), servers)
-        return request.nonce
+        nonce, request = self._next_request(operation)
+        label = codec.dumps(("client", self.client_id, nonce))
+        ciphertext = self.public.encryption.encrypt(codec.dumps(request), label, self.rng)
+        self._send(self._hold(nonce, request, SubmitEncrypted(ciphertext)), servers)
+        return nonce
 
     def resubmit(self, nonce: int, servers: list[int] | None = None) -> bool:
-        """Re-send a still-pending ordered request under its *original*
-        nonce.
+        """Re-send a still-pending request, to be ordered, as it first went
+        out: under its *original* nonce, and as the same ciphertext if
+        confidential (a resharing keeps the encryption key).
 
-        Safe to call any number of times: replicas deduplicate by
-        ``(client, nonce)`` (at-most-once execution), and this client
-        ignores replies for nonces already completed, so a resubmission
-        can never double-count an operation.  Returns False once the
-        request has completed (nothing was sent).
+        Safe to call any number of times: replicas execute a ``(client,
+        nonce)`` at most once, and this client ignores replies to a
+        completed request.  Returns False once it has (nothing is sent).
         """
-        if nonce in self.completed or nonce not in self._operations:
+        pending = self._pending.get(nonce)
+        if pending is None or nonce in self.completed:
             return False
-        request = Request(self.client_id, nonce, self._operations[nonce])
-        self._send(SubmitRequest(request.encode()), servers)
+        self._send(pending.ordered, servers)
         self.resubmissions += 1
         return True
 
@@ -208,12 +213,16 @@ class ServiceClient(Node):
         """The operation submitted under ``nonce`` (KeyError if unknown)."""
         return self._operations[nonce]
 
-    def _next_request(self, operation: tuple) -> Request:
+    def _next_request(self, operation: tuple) -> tuple[int, tuple]:
+        """The next nonce, and ``operation``'s encoded request under it."""
         self._nonce += 1
-        request = Request(client=self.client_id, nonce=self._nonce, operation=operation)
         self._operations[self._nonce] = operation
-        self._digests[self._nonce] = payload_digest(request.encode())
-        return request
+        return self._nonce, Request(self.client_id, self._nonce, operation).encode()
+
+    def _hold(self, nonce: int, request: tuple, ordered: _Ordered) -> _Ordered:
+        """Keep ``request`` pending until answered; returns ``ordered``."""
+        self._pending[nonce] = _Pending(ordered, payload_digest(request))
+        return ordered
 
     def _send(self, message: object, servers: list[int] | None) -> None:
         """Send ``message`` to ``servers``, by default to every replica this
@@ -245,25 +254,21 @@ class ServiceClient(Node):
         if message.replica != sender or message.client != self.client_id:
             return
         nonce = message.nonce
-        if nonce in self.completed or nonce not in self._operations:
-            # Late or repeated answers for a finished request (normal
-            # under resubmission) change nothing: dedup, don't recount.
+        pending = self._pending.get(nonce)
+        # Late or repeated answers for a finished request (normal under
+        # resubmission) change nothing: dedup, don't recount.
+        if pending is None or sender in pending.replies:
             self.duplicate_replies += 1
             return
-        bucket = self._replies.setdefault(nonce, {})
-        if sender in bucket:
-            self.duplicate_replies += 1
-            return
-        # Verify the replica's signature share up front, on the root this
-        # answer's path leads to; junk from corrupted replicas is
-        # discarded here.
-        answer = reply_root(self._digests[nonce], message.result, message.path)
+        # Verify the share up front, on the root this answer's path leads
+        # to: junk from corrupted replicas is discarded here.
+        answer = reply_root(pending.digest, message.result, message.path)
         if answer is None or not self._share_valid(
             tree_statement(answer[1]), sender, message.signature_share
         ):
             return
-        bucket[sender] = (answer, message)
-        self._maybe_complete(nonce)
+        pending.replies[sender] = (answer, message)
+        self._maybe_complete(nonce, pending)
 
     # -- epoch refresh (online reconfiguration) --------------------------------
 
@@ -277,9 +282,7 @@ class ServiceClient(Node):
 
     def _on_membership_info(self, sender: int, message: MembershipInfo) -> None:
         """Adopt a newer configuration by :func:`adopt_membership`."""
-        adopted = adopt_membership(
-            self._membership_votes, self.public, self.epoch, sender, message
-        )
+        adopted = adopt_membership(self._membership_votes, self.public, self.epoch, sender, message)
         if adopted is None:
             return
         self.epoch, self.public = adopted
@@ -289,8 +292,8 @@ class ServiceClient(Node):
         # shares from two key generations; drop them and re-send every
         # pending request — same nonce, so execution stays at-most-once
         # even if the old epoch already ordered it.
-        self._replies.clear()
-        for nonce in sorted(self._digests):  # the pending ones
+        for nonce in sorted(self._pending):
+            self._pending[nonce].replies.clear()
             self.resubmit(nonce)
 
     def _share_valid(self, statement: tuple, sender: int, share: object) -> bool:
@@ -302,7 +305,7 @@ class ServiceClient(Node):
             return scheme.verify_share(statement, share) and share.party == sender + 1
         return False
 
-    def _maybe_complete(self, nonce: int) -> None:
+    def _maybe_complete(self, nonce: int, pending: _Pending) -> None:
         """Complete once matching replies form an honest-containing set.
 
         Replies match when they carry the same leaf — which binds the
@@ -310,8 +313,7 @@ class ServiceClient(Node):
         result a replica sends can make the grouping fail.
         """
         by_answer: dict[tuple[bytes, bytes], dict[int, Reply]] = {}
-        for sender in sorted(self._replies[nonce]):
-            answer, reply = self._replies[nonce][sender]
+        for sender, (answer, reply) in sorted(pending.replies.items()):
             by_answer.setdefault(answer, {})[sender] = reply
         # Examine candidates by their lowest supporting replica id so
         # completion is a function of the reply set, not of arrival order.
@@ -326,12 +328,10 @@ class ServiceClient(Node):
             self.completed[nonce] = CompletedRequest(
                 nonce=nonce, result=reply.result, signature=signature, path=reply.path
             )
-            # The share buffer served its purpose; dropping it keeps an
-            # open-loop client's memory proportional to the requests in
-            # flight rather than its lifetime (late duplicate replies
-            # are counted via `completed` instead).
-            self._replies.pop(nonce, None)
-            del self._digests[nonce]
+            # Dropping the record keeps an open-loop client's memory
+            # proportional to the requests in flight, not its lifetime
+            # (late replies are counted as duplicates instead).
+            del self._pending[nonce]
             return
 
     def _combine(self, statement: tuple, group: dict[int, Reply]) -> object | None:

@@ -1,5 +1,6 @@
 """Generalized linear secret sharing (Benaloh-Leichter)."""
 
+import gc
 import itertools
 import random
 
@@ -231,3 +232,19 @@ def test_opening_exponents_are_tens_of_bits_not_the_group_order(name):
         for c in scheme.integer_recombination(present).values()
     )
     assert widest == _WIDEST_MU[name] <= 64
+
+
+def test_a_walk_of_a_new_set_leaves_no_cyclic_garbage():
+    """Walking the formula over a set not yet seen builds its opening
+    and relations without a reference cycle: with the collector off,
+    nothing is left for it to find."""
+    formula = Threshold(k=2, children=(Leaf(0), Or(Leaf(1), Leaf(2)), Leaf(3)))
+    scheme = LsssScheme(formula=formula, modulus=Q)
+    gc.collect()
+    gc.disable()
+    try:
+        assert scheme.integer_recombination({0, 1, 3}) is not None
+        assert scheme.consistency_relations({0, 1, 3})  # three children resolve
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

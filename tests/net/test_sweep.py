@@ -8,6 +8,7 @@ keep tier-1 fast and hermetic.
 
 import asyncio
 import json
+import pathlib
 import socket
 
 import pytest
@@ -547,3 +548,13 @@ def test_aggregate_and_markdown_handle_empty_violations(tmp_path):
     text = md.read_text()
     assert "120 steps" in text
     assert "⚠" not in text
+
+
+def test_the_tracked_markdown_renders_the_tracked_report(tmp_path):
+    """``make sweep`` writes docs/SWEEP.md beside SWEEP.json; the smoke
+    step compares only the JSON, so the markdown is checked here: it is
+    the JSON rendered, byte for byte."""
+    root = pathlib.Path(__file__).resolve().parents[2]
+    rendered = tmp_path / "SWEEP.md"
+    write_markdown(json.loads((root / "SWEEP.json").read_text()), rendered)
+    assert rendered.read_bytes() == (root / "docs" / "SWEEP.md").read_bytes()

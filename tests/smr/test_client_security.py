@@ -12,6 +12,9 @@ from repro.smr import KeyValueStore, build_service
 from repro.smr.client import CompletedRequest
 from repro.smr.replica import (
     MAX_PATH,
+    SubmitEncrypted,
+    SubmitRequest,
+    SubmitUnordered,
     reply_leaf,
     reply_root,
     reply_tree,
@@ -20,12 +23,20 @@ from repro.smr.replica import (
 )
 from repro.smr.state_machine import Reply, Request
 
+from ..helpers import record_sends
+
 
 def _deploy(seed):
     dep = build_service(4, KeyValueStore, t=1, seed=seed)
     client = dep.new_client()
     dep.network.start()
     return dep, client
+
+
+def _replies(client, nonce):
+    """The replies ``client`` holds for ``nonce`` while it is pending."""
+    pending = client._pending.get(nonce)
+    return pending.replies if pending is not None else {}
 
 
 def _digest(client, nonce, operation):
@@ -49,7 +60,7 @@ def _offer(dep, client, replica, nonce, result, share, path):
         path=path,
     )
     client.on_message(replica, (service_session(), reply))
-    return replica in client._replies.get(nonce, {})
+    return replica in _replies(client, nonce)
 
 
 def test_forged_result_from_single_replica_ignored():
@@ -109,7 +120,7 @@ def test_reply_claiming_wrong_replica_id_ignored():
     # The genuine flow still completes; the spoof contributed nothing
     # (sender mismatch is rejected before share verification).
     assert results[nonce].result == ("ok", 1)
-    assert 2 not in client._replies.get(nonce, {})
+    assert 2 not in _replies(client, nonce)
 
 
 def test_replies_for_foreign_nonces_ignored():
@@ -166,7 +177,7 @@ def test_unhashable_result_cannot_stall_the_client():
     # Replica 3 answers the read at once, before anything is ordered.
     nonce = client.submit_unordered(("get", "k"), servers=[3])
     dep.network.run()
-    assert 3 in client._replies[nonce]
+    assert 3 in client._pending[nonce].replies
     client.resubmit(nonce)  # now every replica orders and answers it
     results = dep.run_until_complete(client, [nonce])
     assert results[nonce].result == ("value", None)
@@ -272,3 +283,23 @@ def test_swapped_path_fails_verification():
     assert first.verify(public, cid, operations[1])
     assert second.verify(public, cid, operations[2])
     assert not replace(first, path=second.path).verify(public, cid, operations[1])
+
+
+def test_a_resubmitted_confidential_request_stays_encrypted():
+    """A resubmission re-sends the ciphertext the request first went out
+    as.  Rebuilt from the operation, it went out as a plain request,
+    readable by every replica, corrupted ones included."""
+    dep = build_service(4, KeyValueStore, t=1, causal=True, seed=72)
+    client = dep.new_client()
+    sent = record_sends(dep.network)
+    dep.network.start()
+    nonce = client.submit_confidential(("set", "sealed", 1))
+    assert client.resubmit(nonce)
+    results = dep.run_until_complete(client, [nonce])
+    submits = (SubmitRequest, SubmitEncrypted, SubmitUnordered)
+    submitted = [m for m in sent if isinstance(m, submits)]
+    assert len(submitted) == 8  # four replicas, twice
+    assert all(isinstance(m, SubmitEncrypted) for m in submitted)
+    assert {m.ciphertext for m in submitted} == {submitted[0].ciphertext}
+    assert results[nonce].result == ("ok", 1)
+    assert results[nonce].verify(dep.keys.public, client.client_id, ("set", "sealed", 1))
