@@ -218,11 +218,14 @@ grep -rEn "type\([A-Za-z_.0-9\[\]]*\) is (not )?(int|bytes|str|tuple|bool)|isins
     src/repro/core src/repro/smr src/repro/crypto --include=*.py | wc -l |
     awk '{ printf "  %-17s %6d\n", "ad-hoc type checks", $1 }'
 # Options a deployment sets by hand (ROADMAP aim 2: an option the code
-# can work out from its inputs should go): ReplicaHost's parameters and
-# the CLI's add_argument sites.
-python -c "import inspect; from repro.net.runtime import ReplicaHost; \
-print(len(inspect.signature(ReplicaHost).parameters))" |
-    awk '{ printf "  %-17s %6d\n", "ReplicaHost args", $1 }'
+# can work out from its inputs should go): the parameters of the
+# dealer, of the simulated service and of ReplicaHost, and the CLI's
+# add_argument sites.
+python -c "import inspect; from repro.crypto.dealer import deal_system; \
+from repro.smr.service import build_service; from repro.net.runtime import ReplicaHost; \
+[print(name, len(inspect.signature(f).parameters)) for name, f in \
+(('deal_system', deal_system), ('build_service', build_service), ('ReplicaHost', ReplicaHost))]" |
+    awk '{ printf "  %-17s %6d\n", $1 " args", $2 }'
 grep -c "add_argument(" src/repro/cli.py |
     awk '{ printf "  %-17s %6d\n", "cli add_argument", $1 }'
 for dir in tests benchmarks; do

@@ -10,8 +10,9 @@ adversary structure with a compatible access formula, it produces
 * per-party Schnorr keys for authenticated channels and certificates,
 * the threshold coin of the Byzantine agreement protocol [8],
 * the TDH2 threshold cryptosystem for secure causal broadcast [36],
-* a threshold signature facility: Shoup RSA [35] (threshold case) or
-  quorum certificates (any Q^3 structure) — see DESIGN.md.
+* the service's signature: quorum certificates, sets of ordinary
+  signatures that work for any Q^3 structure (the paper's alternative to
+  a threshold signature; messages just grow) — see DESIGN.md.
 
 The output is split into a :class:`PublicKeys` bundle known to
 everyone (including clients) and one :class:`PartyKeys` bundle per
@@ -42,13 +43,7 @@ from .lsss import LsssScheme, SlotId
 from .schnorr import SigningKey, VerifyKey, keygen
 from .shared_exponent import deal_shared_exponent
 from .threshold_enc import DecryptionShareholder, EncryptionPublic, second_generator
-from .threshold_sig import (
-    QuorumCertScheme,
-    QuorumCertShareholder,
-    ShoupRsaScheme,
-    ShoupRsaShareholder,
-    deal_shoup_rsa,
-)
+from .threshold_sig import QuorumCertScheme, QuorumCertShareholder
 
 __all__ = [
     "CLIENT_BASE",
@@ -88,7 +83,7 @@ class PublicKeys:
     encryption: EncryptionPublic
     verify_keys: dict[int, VerifyKey]
     cert_quorum: QuorumCertScheme  # qualified = generalized n-t quorum
-    service_signature: ShoupRsaScheme | QuorumCertScheme
+    service_signature: QuorumCertScheme  # qualified = contains an honest party
 
     def threshold(self) -> int | None:
         """The classical ``t`` if this is a threshold system, else None."""
@@ -126,7 +121,7 @@ class PartyKeys:
     coin: CoinShareholder
     decryption: DecryptionShareholder
     cert_quorum: QuorumCertShareholder
-    service_signer: ShoupRsaShareholder | QuorumCertShareholder
+    service_signer: QuorumCertShareholder
     # Pairwise symmetric channel keys (peer id -> 32-byte key), the
     # deployment-time mechanism behind the model's authenticated links:
     # a TCP transport HMACs every frame under the key it shares with the
@@ -155,16 +150,15 @@ def assemble_public_keys(
     coin_verification: dict[SlotId, int],
     enc_verification: dict[SlotId, int],
     enc_h: int,
-    rsa: ShoupRsaScheme | None = None,
 ) -> PublicKeys:
     """The public bundle from its parts — the dealer's, a DKG or
     resharing output's, or a keystore file's.
 
     The one place that says which certificate counts to which set
-    (Section 4.2): ``cert-quorum`` to a quorum, the service's signature
-    (``rsa`` if given, else certificates) to a set containing an honest
-    party.  A party without a verify key is outside every certificate
-    scheme.  Each verify key is tabled here, and TDH2's ``h`` and ``ḡ``:
+    (Section 4.2): ``cert-quorum`` to a quorum, ``service-signature`` —
+    the service's one signature scheme — to a set containing an honest
+    party.  A party without a verify key is outside both.  Each verify
+    key is tabled here, and TDH2's ``h`` and ``ḡ``:
     they recur in every round and every confidential request.
     """
     g_bar = second_generator(group)
@@ -189,9 +183,7 @@ def assemble_public_keys(
         ),
         verify_keys=verify_keys,
         cert_quorum=certs("cert-quorum", quorum.is_quorum),
-        service_signature=(
-            certs("service-signature", quorum.contains_honest) if rsa is None else rsa
-        ),
+        service_signature=certs("service-signature", quorum.contains_honest),
     )
 
 
@@ -202,12 +194,9 @@ def assemble_party_keys(
     coin_subshares: dict[SlotId, int],
     enc_subshares: dict[SlotId, int],
     channel_keys: dict[int, bytes],
-    rsa: ShoupRsaShareholder | None = None,
 ) -> PartyKeys:
     """One server's secret bundle against an assembled public bundle;
-    ``rsa`` is its Shoup share where the service signs with RSA."""
-    if isinstance(public.service_signature, ShoupRsaScheme) != (rsa is not None):
-        raise ValueError("service signer does not match the public bundle's backend")
+    its signing key signs its shares under both certificate schemes."""
 
     def signer(scheme: QuorumCertScheme) -> QuorumCertShareholder:
         return QuorumCertShareholder(party=party, public=scheme, key=signing_key)
@@ -220,7 +209,7 @@ def assemble_party_keys(
             party=party, public=public.encryption, subshares=enc_subshares
         ),
         cert_quorum=signer(public.cert_quorum),
-        service_signer=signer(public.service_signature) if rsa is None else rsa,
+        service_signer=signer(public.service_signature),
         channel_keys=channel_keys,
     )
 
@@ -252,12 +241,11 @@ def deal_system(
     hybrid: tuple[int, int] | None = None,
     access_formula: Formula | None = None,
     group: SchnorrGroup | None = None,
-    signature_backend: str = "certs",
-    rsa_bits: int = 512,
     require_q3: bool = True,
     clients: int = 0,
 ) -> SystemKeys:
-    """Run the trusted dealer.
+    """Run the trusted dealer.  The service's signature is a quorum
+    certificate over the servers' Schnorr keys, for any structure.
 
     Args:
         n: number of servers.
@@ -272,10 +260,6 @@ def deal_system(
             ``t+1``-majority formula in the threshold case and is
             mandatory (and checked for compatibility) otherwise.
         group: discrete-log group; defaults to the 256-bit group.
-        signature_backend: ``"rsa"`` for Shoup threshold signatures
-            (threshold systems only) or ``"certs"`` for quorum
-            certificates (any structure; also much faster to set up).
-        rsa_bits: RSA modulus size when ``signature_backend == "rsa"``.
         require_q3: refuse structures violating the Q^3 condition.
         clients: how many client identities (ids ``CLIENT_BASE`` and up)
             to provision with pairwise channel keys for a deployed
@@ -325,28 +309,19 @@ def deal_system(
     _, coin_verification, coin_shares = deal_shared_exponent(grp, scheme, rng)
     x, enc_verification, enc_shares = deal_shared_exponent(grp, scheme, rng)
 
-    rsa_public, rsa_holders = None, {}
-    if signature_backend == "rsa":
-        if t is None:
-            raise ValueError("the RSA backend requires a threshold system")
-        rsa_public, rsa_holders = deal_shoup_rsa(n, t + 1, rng, bits=rsa_bits)
-    elif signature_backend != "certs":
-        raise ValueError(f"unknown signature backend {signature_backend!r}")
-
     public = assemble_public_keys(
         n, grp, quorum, scheme, verify_keys,
-        coin_verification, enc_verification, grp.power_of_g(x), rsa_public,
+        coin_verification, enc_verification, grp.power_of_g(x),
     )
     client_ids = [CLIENT_BASE + c for c in range(clients)]
     channel_keyring = deal_channel_keys(list(range(n)) + client_ids, rng)
     # A party the access formula never mentions still participates in the
-    # protocols; it simply holds no subshares.  Shoup's dealer indexes
-    # its shareholders 1..n.
+    # protocols; it simply holds no subshares.
     private = {
         i: assemble_party_keys(
             i, public, signing_keys[i],
             dict(coin_shares.get(i, {})), dict(enc_shares.get(i, {})),
-            channel_keyring[i], rsa_holders.get(i + 1),
+            channel_keyring[i],
         )
         for i in range(n)
     }

@@ -1034,8 +1034,9 @@ def build_party_keys(
     output: DkgOutput,
     channel_keys: dict[int, bytes] | None = None,
 ) -> PartyKeys:
-    """Assemble this party's dealer-compatible :class:`PartyKeys`
-    (dealerless setups use the certificate backend)."""
+    """Assemble this party's dealer-compatible :class:`PartyKeys`: its
+    identity key signs its shares of the service's quorum certificates,
+    as a dealt party's does."""
     return assemble_party_keys(
         party, public, signing_key,
         dict(output.coin_subshares), dict(output.enc_subshares),

@@ -43,12 +43,6 @@ from .dealer import (
 from .groups import SchnorrGroup
 from .lsss import LsssScheme, SlotId
 from .schnorr import SigningKey, VerifyKey
-from .threshold_sig import (
-    QuorumCertScheme,
-    QuorumCertShareholder,
-    ShoupRsaScheme,
-    ShoupRsaShareholder,
-)
 
 __all__ = [
     "KeystoreError",
@@ -92,10 +86,6 @@ def _slot_map_back(data: dict) -> dict[SlotId, int]:
 
 def _int_map(mapping: dict) -> dict:
     return {str(k): str(v) for k, v in mapping.items()}
-
-
-def _int_map_back(data: dict) -> dict[int, int]:
-    return {int(k): int(v) for k, v in data.items()}
 
 
 def _formula_to_json(formula: Formula) -> object:
@@ -151,26 +141,18 @@ def _quorum_from_json(data: dict) -> QuorumSystem:
     raise KeystoreError(f"unknown quorum kind {kind!r}")
 
 
+def _certs_only(service_json: object) -> dict:
+    """A bundle's service entry, which names the one scheme there is."""
+    if not isinstance(service_json, dict) or service_json.get("kind") != "certs":
+        raise KeystoreError("the service signs with quorum certificates only")
+    return service_json
+
+
 # -- public bundle -------------------------------------------------------------
 
 
 def public_to_dict(public: PublicKeys) -> dict:
     """Serialize the public bundle (safe to hand to anyone)."""
-    service = public.service_signature
-    if isinstance(service, ShoupRsaScheme):
-        service_json: dict = {
-            "kind": "rsa",
-            "n_parties": service.n_parties,
-            "k": service.k,
-            "n_modulus": str(service.n_modulus),
-            "e": str(service.e),
-            "v": str(service.v),
-            "v_keys": _int_map(service.v_keys),
-        }
-    elif isinstance(service, QuorumCertScheme):
-        service_json = {"kind": "certs", "tag": service.tag}
-    else:
-        raise KeystoreError("unknown service signature scheme")
     return {
         "version": _VERSION,
         "n": public.n,
@@ -188,7 +170,7 @@ def public_to_dict(public: PublicKeys) -> dict:
             "verification": _slot_map(public.encryption.verification),
         },
         "verify_keys": _int_map({i: k.h for i, k in public.verify_keys.items()}),
-        "service_signature": service_json,
+        "service_signature": {"kind": "certs", "tag": public.service_signature.tag},
     }
 
 
@@ -201,20 +183,7 @@ def public_from_dict(data: dict) -> PublicKeys:
         q=int(data["group"]["q"]),
         g=int(data["group"]["g"]),
     )
-    service_json = data["service_signature"]
-    if service_json["kind"] == "rsa":
-        rsa = ShoupRsaScheme(
-            n_parties=int(service_json["n_parties"]),
-            k=int(service_json["k"]),
-            n_modulus=int(service_json["n_modulus"]),
-            e=int(service_json["e"]),
-            v=int(service_json["v"]),
-            v_keys=_int_map_back(service_json["v_keys"]),
-        )
-    elif service_json["kind"] == "certs":
-        rsa = None
-    else:
-        raise KeystoreError("unknown service signature kind")
+    service_json = _certs_only(data["service_signature"])
     public = assemble_public_keys(
         int(data["n"]),
         group,
@@ -224,13 +193,12 @@ def public_from_dict(data: dict) -> PublicKeys:
         _slot_map_back(data["coin_verification"]),
         _slot_map_back(data["encryption"]["verification"]),
         int(data["encryption"]["h"]),
-        rsa,
     )
     # Both are functions of the rest of the file; one that disagrees was
     # not written by public_to_dict.
     if int(data["encryption"]["g_bar"]) != public.encryption.g_bar:
         raise KeystoreError("second generator does not belong to the group")
-    if rsa is None and service_json["tag"] != public.service_signature.tag:
+    if service_json.get("tag") != public.service_signature.tag:
         raise KeystoreError("unknown service signature tag")
     return public
 
@@ -241,20 +209,13 @@ def public_from_dict(data: dict) -> PublicKeys:
 def party_to_dict(party: PartyKeys) -> dict:
     """Serialize one server's secret bundle (distribute over a secure
     channel; possession of this file IS the server identity)."""
-    signer = party.service_signer
-    if isinstance(signer, ShoupRsaShareholder):
-        service_json: dict = {"kind": "rsa", "party": signer.party, "s": str(signer.s)}
-    elif isinstance(signer, QuorumCertShareholder):
-        service_json = {"kind": "certs"}
-    else:
-        raise KeystoreError("unknown service signer")
     return {
         "version": _VERSION,
         "party": party.party,
         "signing_key": str(party.signing_key.x),
         "coin_subshares": _slot_map(party.coin.subshares),
         "decryption_subshares": _slot_map(party.decryption.subshares),
-        "service_signer": service_json,
+        "service_signer": {"kind": "certs"},
         "channel_keys": _channel_keys_to_json(party.channel_keys),
     }
 
@@ -278,29 +239,15 @@ def party_from_dict(data: dict, public: PublicKeys) -> PartyKeys:
     """Rebuild a server's secret bundle against a loaded public bundle."""
     if data.get("version") != _VERSION:
         raise KeystoreError(f"unsupported keystore version {data.get('version')!r}")
-    service_json = data["service_signer"]
-    if service_json["kind"] == "rsa":
-        rsa = ShoupRsaShareholder(
-            party=int(service_json["party"]),
-            public=public.service_signature,
-            s=int(service_json["s"]),
-        )
-    elif service_json["kind"] == "certs":
-        rsa = None
-    else:
-        raise KeystoreError("unknown service signer kind")
-    try:
-        return assemble_party_keys(
-            int(data["party"]),
-            public,
-            SigningKey(group=public.group, x=int(data["signing_key"])),
-            _slot_map_back(data["coin_subshares"]),
-            _slot_map_back(data["decryption_subshares"]),
-            _channel_keys_from_json(data.get("channel_keys")),
-            rsa,
-        )
-    except ValueError as exc:  # an RSA share for a certificate bundle, or the reverse
-        raise KeystoreError(str(exc)) from exc
+    _certs_only(data["service_signer"])
+    return assemble_party_keys(
+        int(data["party"]),
+        public,
+        SigningKey(group=public.group, x=int(data["signing_key"])),
+        _slot_map_back(data["coin_subshares"]),
+        _slot_map_back(data["decryption_subshares"]),
+        _channel_keys_from_json(data.get("channel_keys")),
+    )
 
 
 # -- client channel bundles --------------------------------------------------------

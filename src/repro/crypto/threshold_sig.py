@@ -8,8 +8,8 @@ where it is used — no common type: parties are 1-based in the first,
   Shoup [35] that the paper cites: non-interactive, robust (every
   signature share carries a proof of correctness), combinable into a
   single constant-size RSA signature.  It inherently realizes a
-  ``k``-out-of-``n`` threshold and is used for the classical threshold
-  adversary model.
+  ``k``-out-of-``n`` threshold; the experiments E8 and E12 measure it
+  against certificates.
 
 * :class:`QuorumCertScheme` — a certificate of individual Schnorr
   signatures from a qualified set of an arbitrary access structure.
@@ -17,7 +17,7 @@ where it is used — no common type: parties are 1-based in the first,
   signatures are replaced by sets of ordinary signatures (messages just
   grow); this realization is what makes the Section 4 *generalized
   adversary structures* work end-to-end, where no threshold signature
-  scheme exists.
+  scheme exists, and the one the service signs with (crypto/dealer.py).
 
 Both offer the same verbs — ``sign_share``, ``verify_share``,
 ``combine``, ``verify``, the operations the broadcast/agreement layer

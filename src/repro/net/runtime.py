@@ -45,7 +45,7 @@ from ..crypto.schnorr import SigningKey, keygen
 from ..smr import reconfig
 from ..smr.reconfig import EpochTombstone, epoch_service_session
 from ..smr.replica import Replica
-from ..smr.state_machine import KeyValueStore, StateMachine
+from ..smr.state_machine import KeyValueStore
 from . import wire
 from .attacks import byzantine_node
 from .base import NetworkBackend
@@ -614,9 +614,7 @@ class ReplicaHost:
         self,
         directory: str | pathlib.Path,
         party: int,
-        state_machine: StateMachine | None = None,
         causal: bool = False,
-        seed: int | None = None,
         network: NetworkBackend | None = None,
         byzantine: str | None = None,
         journal: bool = False,
@@ -628,7 +626,7 @@ class ReplicaHost:
         cluster = ClusterConfig.load(directory / CLUSTER_FILE)
         self.io_timeout = cluster.io_timeout
         self._abc_config = cluster.abc_config()
-        self._state_machine = state_machine or KeyValueStore()
+        self._state_machine = KeyValueStore()
         self._causal = causal
         self.epoch = 0
         self.phase = SERVING
@@ -707,14 +705,13 @@ class ReplicaHost:
         self.byzantine = byzantine
         self._checkpoint_every = checkpoint_every
         self._journal = None
-        self._seed = seed if seed is not None else party
         self.runtime: ProtocolRuntime | None = None
         self.replica: Replica | None = None
         if byzantine is None:
             node = self._stack(self.network)
         else:
             node = byzantine_node(
-                byzantine, self.network, party, self.keys, self._stack, self._seed
+                byzantine, self.network, party, self.keys, self._stack, party
             )
         self.network.attach(party, node)
         if journal and byzantine is None:
@@ -733,7 +730,7 @@ class ReplicaHost:
         the cluster's ``AbcConfig`` and every host hook.  A Byzantine
         host builds the same stack behind its behaviour."""
         self.runtime = ProtocolRuntime(
-            self.party, network, self.public, self.keys, seed=self._seed
+            self.party, network, self.public, self.keys, seed=self.party
         )
         if self.phase == SERVING:
             self.replica = Replica(

@@ -22,7 +22,7 @@ from .. import codec
 from ..core.atomic_broadcast import payload_digest
 from ..crypto.dealer import PublicKeys
 from ..crypto.schnorr import VerifiedMemo
-from ..crypto.threshold_sig import QuorumCertScheme, ShoupRsaScheme
+from ..crypto.threshold_sig import QuorumCertificate
 from ..net.base import NetworkBackend
 from ..net.simulator import Node
 from .reconfig import (
@@ -49,17 +49,16 @@ class CompletedRequest:
 
     nonce: int
     result: object
-    signature: object
+    signature: QuorumCertificate
     path: tuple = ()
 
     def verify(self, public: PublicKeys, client: int, operation: tuple) -> bool:
         """Re-verify the service's signature on this answer."""
         digest = payload_digest(Request(client, self.nonce, operation).encode())
         answer = reply_root(digest, self.result, self.path)
-        scheme = public.service_signature
-        if answer is None or not isinstance(scheme, (QuorumCertScheme, ShoupRsaScheme)):
-            return False
-        return scheme.verify(tree_statement(answer[1]), self.signature)
+        return answer is not None and public.service_signature.verify(
+            tree_statement(answer[1]), self.signature
+        )
 
 
 @dataclass
@@ -177,8 +176,8 @@ class ServiceClient(Node):
         first submission, so the request is re-sent — same nonce, so
         replicas execute it at most once — every ``attempt_timeout``
         (doubling, up to ``_MAX_ATTEMPT_TIMEOUT``) until
-        the overall per-op ``timeout`` expires, which raises
-        ``asyncio.TimeoutError`` instead of hanging forever.
+        the overall per-op ``timeout`` expires, which forgets the request
+        and raises ``asyncio.TimeoutError`` instead of hanging forever.
         """
         nonce = self.submit(operation, servers=servers)
         loop = asyncio.get_running_loop()
@@ -195,6 +194,8 @@ class ServiceClient(Node):
                 # would make the caller retry it under a *new* nonce.
                 if nonce in self.completed:
                     return self.completed[nonce]
+                # Given up: a late answer is counted as a duplicate.
+                del self._pending[nonce]
                 raise asyncio.TimeoutError(
                     f"operation {operation!r} (nonce {nonce}) did not complete "
                     f"within {timeout}s after {self.resubmissions} resubmission(s)"
@@ -263,8 +264,8 @@ class ServiceClient(Node):
         # Verify the share up front, on the root this answer's path leads
         # to: junk from corrupted replicas is discarded here.
         answer = reply_root(pending.digest, message.result, message.path)
-        if answer is None or not self._share_valid(
-            tree_statement(answer[1]), sender, message.signature_share
+        if answer is None or not self.public.service_signature.verify_share(
+            tree_statement(answer[1]), (sender, message.signature_share), self.verified
         ):
             return
         pending.replies[sender] = (answer, message)
@@ -296,15 +297,6 @@ class ServiceClient(Node):
             self._pending[nonce].replies.clear()
             self.resubmit(nonce)
 
-    def _share_valid(self, statement: tuple, sender: int, share: object) -> bool:
-        scheme = self.public.service_signature
-        if isinstance(scheme, QuorumCertScheme):
-            return scheme.verify_share(statement, (sender, share), self.verified)
-        if isinstance(scheme, ShoupRsaScheme):
-            # RSA shareholders are indexed 1..n for 0-based party i.
-            return scheme.verify_share(statement, share) and share.party == sender + 1
-        return False
-
     def _maybe_complete(self, nonce: int, pending: _Pending) -> None:
         """Complete once matching replies form an honest-containing set.
 
@@ -321,8 +313,12 @@ class ServiceClient(Node):
         for (_leaf, root), group in candidates:
             if not self.public.quorum.contains_honest(group):
                 continue
-            signature = self._combine(tree_statement(root), group)
-            if signature is None:
+            shares = {s: r.signature_share for s, r in group.items()}
+            try:
+                signature = self.public.service_signature.combine(
+                    tree_statement(root), shares, self.verified
+                )
+            except ValueError:
                 continue
             reply = group[min(group)]
             self.completed[nonce] = CompletedRequest(
@@ -333,18 +329,3 @@ class ServiceClient(Node):
             # (late replies are counted as duplicates instead).
             del self._pending[nonce]
             return
-
-    def _combine(self, statement: tuple, group: dict[int, Reply]) -> object | None:
-        scheme = self.public.service_signature
-        try:
-            if isinstance(scheme, QuorumCertScheme):
-                shares = {s: r.signature_share for s, r in group.items()}
-                return scheme.combine(statement, shares, self.verified)
-            if isinstance(scheme, ShoupRsaScheme):
-                shares = {s + 1: r.signature_share for s, r in group.items()}
-                if len(shares) < scheme.k:
-                    return None
-                return scheme.combine(statement, shares)
-        except (ValueError, ArithmeticError):
-            return None
-        return None

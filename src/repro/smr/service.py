@@ -116,7 +116,6 @@ def build_service(
     scheduler: Scheduler | None = None,
     seed: int = 0,
     group: SchnorrGroup | None = None,
-    signature_backend: str = "certs",
     abc_config: AbcConfig | None = None,
 ) -> ServiceDeployment:
     """Deal keys, build the network, and start one replica per server.
@@ -133,7 +132,6 @@ def build_service(
         hybrid=hybrid,
         access_formula=access_formula,
         group=group or small_group(),
-        signature_backend=signature_backend,
     )
     network = Network(scheduler or RandomScheduler(), random.Random(seed + 1))
     deployment = ServiceDeployment(

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..codec import admits, register
+from ..crypto.schnorr import Signature
 
 __all__ = ["Request", "Reply", "StateMachine", "KeyValueStore"]
 
@@ -58,11 +59,12 @@ class Reply:
     """One replica's partial answer (Section 5: clients majority-vote).
 
     ``signature_share`` is the replica's share of the service's
-    threshold signature on the root of a hash tree over the answers of
-    one delivered round, and ``path`` the audit path from this answer's
-    leaf ``(request digest, result)`` to that root (``()`` for a
-    one-leaf tree; see :func:`repro.smr.replica.reply_tree`).  A client
-    combines an honest-containing set of matching replies into a single
+    signature (its Schnorr signature, one entry of a quorum certificate)
+    on the root of a hash tree over the answers of one delivered round,
+    and ``path`` the audit path from this answer's leaf ``(request
+    digest, result)`` to that root (``()`` for a one-leaf tree; see
+    :func:`repro.smr.replica.reply_tree`).  A client combines an
+    honest-containing set of matching replies into a single
     service-signed answer.
     """
 
@@ -70,7 +72,7 @@ class Reply:
     client: int
     nonce: int
     result: Result
-    signature_share: object
+    signature_share: Signature
     path: tuple[tuple[bool, bytes], ...] = ()
 
 

@@ -41,15 +41,3 @@ def keys_example1() -> SystemKeys:
         access_formula=example1_access_formula(),
         group=small_group(),
     )
-
-
-@pytest.fixture(scope="session")
-def keys_4_1_rsa() -> SystemKeys:
-    return deal_system(
-        4,
-        random.Random(1004),
-        t=1,
-        group=small_group(),
-        signature_backend="rsa",
-        rsa_bits=256,
-    )

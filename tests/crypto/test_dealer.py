@@ -14,7 +14,6 @@ import repro
 from repro.adversary import (
     And,
     Leaf,
-    example1_access_formula,
     example1_structure,
     majority,
     threshold_structure,
@@ -22,7 +21,7 @@ from repro.adversary import (
 from repro.crypto import deal_system, small_group
 from repro.crypto.dealer import CLIENT_BASE, PublicKeys, deal_channel_keys
 from repro.crypto.keystore import party_to_dict, public_to_dict
-from repro.crypto.threshold_sig import QuorumCertScheme, ShoupRsaScheme
+from repro.crypto.threshold_sig import QuorumCertScheme
 
 
 def test_bundles_complete(keys_4_1):
@@ -123,36 +122,15 @@ def test_every_certificate_scheme_has_a_reader():
     assert unread == []
 
 
-def test_rsa_backend(keys_4_1_rsa):
-    public = keys_4_1_rsa.public
-    assert isinstance(public.service_signature, ShoupRsaScheme)
-    assert public.service_signature.k == 2  # t + 1
-    rng = random.Random(7)
-    shares = {}
-    for i in (0, 2):
-        holder = keys_4_1_rsa.private[i].service_signer
-        shares[holder.party] = holder.sign_share("answer", rng)
-    sig = public.service_signature.combine("answer", shares)
-    assert public.service_signature.verify("answer", sig)
-
-
-def test_rsa_backend_requires_threshold():
-    with pytest.raises(ValueError):
-        deal_system(
-            9,
-            random.Random(8),
-            structure=example1_structure(),
-            access_formula=example1_access_formula(),
-            group=small_group(),
-            signature_backend="rsa",
-        )
-
-
 def test_unknown_backend_rejected():
-    with pytest.raises(ValueError):
-        deal_system(
-            4, random.Random(9), t=1, group=small_group(), signature_backend="pq"
-        )
+    """The service signs with quorum certificates only: a deployment
+    that still names a backend fails loudly instead of being dealt
+    certificates it did not ask for."""
+    for backend in ("rsa", "pq", "certs"):
+        with pytest.raises(TypeError):
+            deal_system(
+                4, random.Random(9), t=1, group=small_group(), signature_backend=backend
+            )
 
 
 def test_structure_mismatched_n_rejected():
@@ -206,22 +184,16 @@ def test_no_clients_means_no_client_channels(keys_4_1):
 
 
 @pytest.mark.parametrize(
-    "backend, pinned",
-    [
-        ({}, "062e8b418f07a35656d5d12147a915afceb4ae9b934d52c33fcead48f6f2cf4a"),
-        (
-            {"signature_backend": "rsa"},
-            "696d5751cb0c011d648fe92973632ee539e28913e113ebe3f63b3b8b24f1a759",
-        ),
-    ],
-    ids=["certs", "rsa"],
+    "pinned",
+    ["062e8b418f07a35656d5d12147a915afceb4ae9b934d52c33fcead48f6f2cf4a"],
+    ids=["certs"],
 )
-def test_dealt_system_is_pinned(backend, pinned):
+def test_dealt_system_is_pinned(pinned):
     """The dealer draws from its rng in a fixed order and the keystore
     writes what it dealt: the same seed gives these bytes, taken before
     the bundle assembler existed (PR 18's parent).  A change here re-keys
     every seeded deployment, test and benchmark."""
-    keys = deal_system(4, random.Random(2001), t=1, clients=1, **backend)
+    keys = deal_system(4, random.Random(2001), t=1, clients=1)
     document = {
         "public": public_to_dict(keys.public),
         "parties": [party_to_dict(keys.private[i]) for i in sorted(keys.private)],

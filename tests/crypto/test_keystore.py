@@ -88,21 +88,6 @@ def test_hybrid_deployment_roundtrip(tmp_path):
     assert public.quorum.describe() == keys.public.quorum.describe()
 
 
-def test_rsa_backend_roundtrip(tmp_path, keys_4_1_rsa):
-    write_deployment(keys_4_1_rsa, tmp_path)
-    public = load_public(tmp_path / "public.json")
-    rng = random.Random(4)
-    holders = {
-        i: load_party(tmp_path / f"server-{i}.json", public).service_signer
-        for i in (0, 1)
-    }
-    shares = {h.party: h.sign_share("msg", rng) for h in holders.values()}
-    signature = public.service_signature.combine("msg", shares)
-    assert public.service_signature.verify("msg", signature)
-    # ...and verifies under the ORIGINAL public bundle too.
-    assert keys_4_1_rsa.public.service_signature.verify("msg", signature)
-
-
 def test_reloaded_system_runs_the_protocols(tmp_path):
     """End-to-end: a service built entirely from reloaded key files."""
     import random as _r
@@ -146,11 +131,27 @@ class TestValidation:
         with pytest.raises(KeystoreError):
             party_from_dict(data, keys.public)
 
-    def test_backend_mismatch_detected(self, keys_4_1_rsa):
-        certs_keys = deal_system(4, random.Random(9), t=1, group=small_group())
-        rsa_party = party_to_dict(keys_4_1_rsa.private[0])
-        with pytest.raises(KeystoreError):
-            party_from_dict(rsa_party, certs_keys.public)
+    def test_rsa_dealt_bundles_rejected(self):
+        """The service signs with quorum certificates only: a public
+        bundle in the shape a Shoup RSA dealer wrote is refused, not
+        half-loaded."""
+        keys = deal_system(4, random.Random(9), t=1, group=small_group())
+        public = public_to_dict(keys.public)
+        public["service_signature"] = {
+            "kind": "rsa", "n_parties": 4, "k": 2, "n_modulus": "3233",
+            "e": "17", "v": "4", "v_keys": {str(i): "16" for i in range(1, 5)},
+        }
+        with pytest.raises(KeystoreError, match="quorum certificates only"):
+            public_from_dict(public)
+
+    def test_backend_mismatch_detected(self):
+        """A party bundle holding a Shoup RSA key share is refused
+        against a certificate public bundle."""
+        keys = deal_system(4, random.Random(9), t=1, group=small_group())
+        party = party_to_dict(keys.private[0])
+        party["service_signer"] = {"kind": "rsa", "party": 1, "s": "1234"}
+        with pytest.raises(KeystoreError, match="quorum certificates only"):
+            party_from_dict(party, keys.public)
 
     def test_corrupt_file_rejected(self, tmp_path):
         path = tmp_path / "public.json"

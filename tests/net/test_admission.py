@@ -29,6 +29,7 @@ from repro.crypto.dkg import DkgDefense, DkgReady, DkgStatus, FeldmanTree, Resha
 from repro.crypto.groups import small_group
 from repro.crypto.schnorr import Signature
 from repro.crypto.threshold_enc import DecryptionShare
+from repro.crypto.threshold_sig import RsaSignatureShare
 from repro.crypto.zkp import DleqProof
 from repro.net import wire
 from repro.net.adversary import SilentNode
@@ -40,13 +41,14 @@ from repro.net.transport import TransportNetwork
 from repro.smr import KeyValueStore, build_service
 from repro.smr.reconfig import EpochError, adopt_membership, signed_membership_info
 from repro.smr.replica import RecoverLog, service_session
+from repro.smr.state_machine import Reply
 
 # Every field the contract checks at most at its top type.  Tightening
 # one removes it here; a new loose field fails the test until it is
 # listed (prefer declaring its shape).
 LOOSE = {
     # object
-    "CoinShare.name", "Reply.result", "Reply.signature_share",
+    "CoinShare.name", "Reply.result",
     # Hashable (a protocol value the layer above interprets)
     "CbcDelivery.value", "CbcFinal.value", "CbcSend.value", "MvbaDecision.value",
     "RbcEcho.value", "RbcReady.value", "RbcSend.value",
@@ -109,6 +111,7 @@ SPELLED = {
     "coin-proof-commitment": AbaCoinShare(2, _share(CoinShare, proofs={(1,): DleqProof(True, 3, 4)})),
     "coin-share-value": AbaCoinShare(2, _share(CoinShare, values={(1,): True})),
     "decryption-share-digest": ScDecryptionShare("digest", _share(DecryptionShare)),
+    "reply-signature-commitment": Reply(1, 1000, 1, ("ok", 1), Signature(commit=True, response=7)),
 }
 
 
@@ -146,8 +149,18 @@ def test_well_typed_spellings_of_the_same_messages_are_admitted():
         RecoverLog(entries=((("req", 1000, 1, ()), 1),), round=1),
         DkgStatus((1, 2)), ReshareCommit(coin=(((0,), _tree(4), (((1,), 5),)),), enc=()),
         AbaCoinShare(2, _share(CoinShare)), ScDecryptionShare(_DIGEST, _share(DecryptionShare)),
+        Reply(1, 1000, 1, ("ok", 1), _SIG),
     ]
     assert all(codec.admits((("s",), message)) for message in well_typed)
+
+
+def test_a_reply_share_that_is_no_signature_is_dropped_at_admission():
+    """The service signs with quorum certificates only: a reply's share
+    is one Schnorr signature, so a Shoup RSA share, which still parses,
+    and a bare value are refused before the client weighs them."""
+    rsa = RsaSignatureShare(party=2, value=5, commit_v=6, commit_x=7, response=8)
+    for share in (rsa, b"share", 5, None):
+        assert not codec.admits((("s",), Reply(1, 1000, 1, ("ok", 1), share)))
 
 
 # -- a membership record for epoch True ----------------------------------------------

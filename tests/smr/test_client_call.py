@@ -13,7 +13,9 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.crypto.schnorr import Signature
 from repro.smr.client import CompletedRequest, ServiceClient
+from repro.smr.state_machine import Reply
 
 
 def _client(network):
@@ -73,6 +75,37 @@ def test_genuine_timeout_still_raises():
             await client.call(
                 ("put", "k", "v"), timeout=0.05, attempt_timeout=0.02, servers=[1]
             )
+
+    asyncio.run(scenario())
+
+
+def test_a_call_that_gives_up_forgets_its_request():
+    """A timed-out call leaves no pending record behind: an answer that
+    lands later is a duplicate, not a completion nobody awaits."""
+    async def scenario():
+        client = _client(_DeadNetwork())
+        for key in ("a", "b", "c"):
+            with pytest.raises(asyncio.TimeoutError):
+                await client.call(
+                    ("put", key, "v"), timeout=0.03, attempt_timeout=0.01, servers=[1]
+                )
+        assert client._pending == {}
+
+    asyncio.run(scenario())
+
+
+def test_an_answer_after_giving_up_is_a_duplicate():
+    """A reply for a call that timed out completes nothing: the caller
+    was told it failed, so no completion may appear behind its back."""
+    async def scenario():
+        client = _client(_DeadNetwork())
+        with pytest.raises(asyncio.TimeoutError):
+            await client.call(("put", "k", "v"), timeout=0.03, attempt_timeout=0.01, servers=[1])
+        nonce = next(iter(client._operations))
+        late = Reply(1, client.client_id, nonce, ("ok", 1), Signature(commit=5, response=7))
+        client.on_message(1, (client.session, late))
+        assert client.duplicate_replies == 1
+        assert nonce not in client.completed
 
     asyncio.run(scenario())
 

@@ -101,26 +101,26 @@ def test_matching_lies_without_valid_shares_never_complete():
 
 
 def test_reply_claiming_wrong_replica_id_ignored():
-    """A reply whose channel sender and claimed replica differ is junk."""
+    """A reply whose channel sender and claimed replica differ is junk,
+    even when its share is the sender's own valid one."""
     dep, client = _deploy(63)
     nonce = client.submit(("set", "k", 1))
-    # Build a *valid* share from replica 0 (a one-leaf tree: the root is
-    # the leaf) but deliver it as if from 2.
+    # Replica 2's genuine share on its answer (a one-leaf tree: the root
+    # is the leaf), in a reply that claims to come from replica 0.
     leaf = reply_leaf(_digest(client, nonce, ("set", "k", 1)), ("ok", 1))
-    share = _share(dep, 0, leaf)
     spoofed = Reply(
         replica=0,
         client=client.client_id,
         nonce=nonce,
         result=("ok", 1),
-        signature_share=share,
+        signature_share=_share(dep, 2, leaf),
     )
-    dep.network.send(2, client.client_id, (service_session(), spoofed))
-    results = dep.run_until_complete(client, [nonce])
-    # The genuine flow still completes; the spoof contributed nothing
-    # (sender mismatch is rejected before share verification).
-    assert results[nonce].result == ("ok", 1)
+    client.on_message(2, (service_session(), spoofed))
+    # Only the sender check stands between this reply and the pending
+    # record: the share would verify under sender 2.
     assert 2 not in _replies(client, nonce)
+    results = dep.run_until_complete(client, [nonce])
+    assert results[nonce].result == ("ok", 1)
 
 
 def test_replies_for_foreign_nonces_ignored():

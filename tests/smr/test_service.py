@@ -4,11 +4,13 @@ import random
 
 import pytest
 
-from repro.core.atomic_broadcast import AbcConfig
+from repro.core.atomic_broadcast import AbcConfig, payload_digest
 from repro.net.adversary import SilentNode
-from repro.net.scheduler import DelayScheduler, RandomScheduler, ReorderScheduler
+from repro.net.scheduler import DelayScheduler, FifoScheduler, RandomScheduler, ReorderScheduler
 from repro.smr import KeyValueStore, build_service
 from repro.smr.client import ServiceClient
+from repro.smr.replica import reply_root
+from repro.smr.state_machine import Request
 
 from ..helpers import record_executions
 
@@ -232,45 +234,37 @@ def test_causal_mode_refuses_plaintext():
     assert all(not r.executed for r in dep.honest_replicas())
 
 
-def test_rsa_service_signature_backend(keys_4_1_rsa):
-    """Replies signed with Shoup RSA threshold signatures combine into a
-    standard RSA signature the client verifies — also when a round's
-    answers share one tree, whose root every share of a group signs."""
-    import random
-
-    from repro.core.runtime import ProtocolRuntime
-    from repro.net.scheduler import FifoScheduler
-    from repro.net.simulator import Network
-    from repro.smr.client import ServiceClient
-    from repro.smr.replica import Replica, service_session
-
-    net = Network(FifoScheduler(), random.Random(1))
-    for i in range(4):
-        rt = ProtocolRuntime(i, net, keys_4_1_rsa.public, keys_4_1_rsa.private[i], seed=1)
-        net.attach(i, rt)
-        rt.spawn(service_session(), Replica(KeyValueStore()))
-    client = ServiceClient(1000, net, keys_4_1_rsa.public, random.Random(2))
-    net.attach(1000, client)
-    net.start()
-    # The four requests are one turn of each replica's: they ride round 1
-    # together and share its tree; a fifth, sent alone, gets a one-leaf
-    # tree of its own.
-    operations = [("set", "k", 1), ("set", "a", 2), ("set", "b", 3), ("get", "k"), ("get", "a")]
-    nonces = [client.submit(operation) for operation in operations[:4]]
-    net.run(until=lambda: all(n in client.completed for n in nonces), max_steps=400_000)
-    nonces.append(client.submit(operations[4]))
-    net.run(until=lambda: nonces[4] in client.completed, max_steps=400_000)
-    completed = [client.completed[nonce] for nonce in nonces]
+def test_answers_of_one_round_share_one_certified_root():
+    """Replies are certified by quorum certificates on the root of a
+    round's answer tree: requests that ride one round each get their own
+    path to that one root, and a request sent alone gets a one-leaf
+    tree whose root is its leaf."""
+    dep = build_service(4, KeyValueStore, t=1, seed=5, scheduler=FifoScheduler())
+    client = dep.new_client()
+    dep.network.start()
+    operations = [("set", "w", 0), ("set", "k", 1), ("set", "a", 2), ("set", "b", 3), ("get", "k")]
+    nonces = [client.submit(operation) for operation in operations]
+    results = dep.run_until_complete(client, nonces)
+    alone = client.submit(("get", "a"))
+    results.update(dep.run_until_complete(client, [alone]))
+    operations.append(("get", "a"))
+    nonces.append(alone)
+    completed = [results[nonce] for nonce in nonces]
     assert [c.result for c in completed] == [
-        ("ok", 1), ("ok", 2), ("ok", 3), ("value", 1), ("value", 2)
+        ("ok", 1), ("ok", 2), ("ok", 3), ("ok", 4), ("value", 1), ("value", 2)
     ]
-    for operation, answer in zip(operations, completed):
-        assert answer.verify(keys_4_1_rsa.public, 1000, operation)
-    shared, alone = completed[:4], completed[4]
-    assert all(c.path for c in shared) and alone.path == ()
-    assert len({c.path for c in shared}) == 4
-    # One root, hence one RSA signature (it is unique per message).
-    assert len({c.signature for c in shared}) == 1
+    public, cid = dep.keys.public, client.client_id
+    roots = []
+    for nonce, operation, answer in zip(nonces, operations, completed):
+        assert answer.verify(public, cid, operation)
+        digest = payload_digest(Request(cid, nonce, operation).encode())
+        leaf, root = reply_root(digest, answer.result, answer.path)
+        roots.append(root)
+        assert public.quorum.contains_honest(answer.signature.signers)
+    shared = completed[:5]
+    assert all(c.path for c in shared) and len({c.path for c in shared}) == 5
+    assert len(set(roots[:5])) == 1
+    assert completed[5].path == () and roots[5] == leaf
 
 
 # One agreement round at n = 4 under FIFO delivery, client traffic
