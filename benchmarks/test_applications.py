@@ -49,7 +49,7 @@ def _run_directory():
 
 
 def _run_notary():
-    dep = build_service(4, NotaryService, t=1, causal=True, seed=9402)
+    dep = build_service(4, NotaryService, t=1, seed=9402)
     dep.controller.corrupt(dep.network, 3, SilentNode())
     notary = NotaryClient(dep.new_client(), confidential=True)
     dep.network.start()

@@ -2,10 +2,11 @@
 
 A corrupted server observes pending notary submissions and front-runs
 them for a competitor while the adversary starves the victim's traffic.
-Measured across both configurations:
+One kind of deployment, which orders both kinds of request; what
+differs is how the inventor files:
 
-* plain atomic broadcast  -> digests leak, the competitor wins;
-* secure causal broadcast -> nothing leaks, the inventor wins.
+* in the clear (``submit``)   -> digests leak, the competitor wins;
+* encrypted (secure causal)   -> nothing leaks, the inventor wins.
 
 This is the paper's argument for combining atomic broadcast with a
 CCA2-secure threshold cryptosystem, executed.
@@ -65,9 +66,7 @@ class _WithholdingRuntime(ProtocolRuntime):
 
 
 def _race(confidential: bool):
-    dep = build_service(
-        4, NotaryService, t=1, causal=confidential, seed=9300 + int(confidential)
-    )
+    dep = build_service(4, NotaryService, t=1, seed=9300 + int(confidential))
     network = dep.network
     spy: list[bytes] = []
     inventor = NotaryClient(dep.new_client(), confidential=confidential)
@@ -83,7 +82,7 @@ def _race(confidential: bool):
         spy=spy,
         inventor_id=inventor.client.client_id,
     )
-    tapped.spawn(service_session(), Replica(NotaryService(), causal=confidential))
+    tapped.spawn(service_session(), Replica(NotaryService()))
     dep.controller.corrupt(network, CORRUPT, tapped)
 
     network.start()

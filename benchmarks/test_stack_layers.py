@@ -27,7 +27,7 @@ from repro.core.consistent_broadcast import ConsistentBroadcast, cbc_session
 from repro.core.multivalued_agreement import MultiValuedAgreement, mvba_session
 from repro.core.protocol import Context
 from repro.core.reliable_broadcast import ReliableBroadcast, rbc_session
-from repro.core.secure_causal import SecureCausalBroadcast, sc_abc_session
+from repro.smr import KeyValueStore, Replica
 
 # The seed names the schedule and, through the session id, the coins.
 # 5..9 since the binary integer grammar re-drew every coin (0..4 before
@@ -107,20 +107,23 @@ def _measure_abc(keys, seed):
 
 
 def _measure_sc_abc(keys, seed):
+    """The layer as a replica runs it: its broadcast and the stage on
+    its delivery path.  The plaintext is no request, so the replica
+    opens it and executes nothing: no reply joins the count."""
     net, rts = make_network(keys, seed=seed)
     net.trace.enable_byte_accounting()
-    session = sc_abc_session(("bench", seed))
-    delivered = {p: [] for p in rts}
-    for p, rt in rts.items():
-        rt.spawn(session, SecureCausalBroadcast(
-            on_deliver=lambda m, r, pp=p: delivered[pp].append(m)))
+    session = ("sc-abc", ("bench", seed))
+    stages = []
+    for rt in rts.values():
+        replica = Replica(KeyValueStore())
+        rt.spawn(session, replica)
+        stages.append(replica.stage)
     net.start()
     rng = random.Random(700 + seed)
     ct = keys.public.encryption.encrypt(b"confidential request", b"bench", rng)
-    for p, rt in rts.items():
-        rt.instances[session].submit(Context(rt, session), ct)
-    net.run(until=lambda: all(len(delivered[p]) >= 1 for p in rts),
-            max_steps=900_000)
+    for stage, rt in zip(stages, rts.values()):
+        stage.submit(Context(rt, session), ct)
+    net.run(until=lambda: all(stage.opened for stage in stages), max_steps=900_000)
     return net.trace
 
 

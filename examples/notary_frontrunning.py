@@ -14,12 +14,16 @@ the network.  The attack:
    ordered first;
 4. only then does the network release the inventor's copies.
 
-* On **plain atomic broadcast** the submission travels in the clear:
-  the digest leaks in step 1 and the competitor wins the registration.
-* On **secure causal atomic broadcast** the submission is a TDH2
-  ciphertext until its position in the total order is fixed: nothing
-  leaks, and CCA2 security means even replaying/mauling the ciphertext
-  cannot produce a *related* filing in the competitor's name.
+The service is the same in both runs: it orders plain and encrypted
+requests alike, and confidentiality is what the client chose.
+
+* Filed in the clear (``submit``), the digest leaks in step 1 and the
+  competitor wins the registration.
+* Filed encrypted (``submit_confidential``), the submission is a TDH2
+  ciphertext until secure causal atomic broadcast has fixed its
+  position in the total order: nothing leaks, and CCA2 security means
+  even replaying/mauling the ciphertext cannot produce a *related*
+  filing in the competitor's name.
 
 Run:  python examples/notary_frontrunning.py
 """
@@ -88,9 +92,7 @@ class WithholdingRuntime(ProtocolRuntime):
 
 
 def race(confidential: bool) -> tuple[str, int]:
-    deployment = build_service(
-        n=4, state_machine_factory=NotaryService, t=1, causal=confidential, seed=42
-    )
+    deployment = build_service(n=4, state_machine_factory=NotaryService, t=1, seed=42)
     network = deployment.network
     spy: list[bytes] = []
 
@@ -109,7 +111,7 @@ def race(confidential: bool) -> tuple[str, int]:
         spy=spy,
         inventor_id=inventor.client.client_id,
     )
-    tapped.spawn(service_session(), Replica(NotaryService(), causal=confidential))
+    tapped.spawn(service_session(), Replica(NotaryService()))
     deployment.controller.corrupt(network, CORRUPT, tapped)
 
     network.start()

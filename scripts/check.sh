@@ -219,12 +219,14 @@ grep -rEn "type\([A-Za-z_.0-9\[\]]*\) is (not )?(int|bytes|str|tuple|bool)|isins
     awk '{ printf "  %-17s %6d\n", "ad-hoc type checks", $1 }'
 # Options a deployment sets by hand (ROADMAP aim 2: an option the code
 # can work out from its inputs should go): the parameters of the
-# dealer, of the simulated service and of ReplicaHost, and the CLI's
-# add_argument sites.
+# dealer, of the simulated service, of ReplicaHost and of Replica, and
+# the CLI's add_argument sites.
 python -c "import inspect; from repro.crypto.dealer import deal_system; \
 from repro.smr.service import build_service; from repro.net.runtime import ReplicaHost; \
+from repro.smr.replica import Replica; \
 [print(name, len(inspect.signature(f).parameters)) for name, f in \
-(('deal_system', deal_system), ('build_service', build_service), ('ReplicaHost', ReplicaHost))]" |
+(('deal_system', deal_system), ('build_service', build_service), ('ReplicaHost', ReplicaHost), \
+('Replica', Replica))]" |
     awk '{ printf "  %-17s %6d\n", $1 " args", $2 }'
 grep -c "add_argument(" src/repro/cli.py |
     awk '{ printf "  %-17s %6d\n", "cli add_argument", $1 }'

@@ -6,9 +6,11 @@ domain-name assignment or patent registration.  It must process
 requests *sequentially and atomically*, and — the paper's central point
 — request contents must stay confidential until processed: otherwise a
 corrupted server could observe a pending patent filing and front-run it
-with a related filing of its own.  Clients therefore submit through
-secure causal atomic broadcast (``submit_confidential``); experiment E7
-mounts the front-running attack against both configurations.
+with a related filing of its own.  Clients therefore submit their
+requests encrypted (``submit_confidential``), which the service opens
+only once their order is fixed (secure causal atomic broadcast);
+experiment E7 mounts the front-running attack against a filing sent
+that way and one sent in the clear.
 
 First registration wins: re-registering a digest returns the original
 sequence number marked ``first=False``.
@@ -85,9 +87,10 @@ class NotaryService(StateMachine):
 class NotaryClient:
     """Typed wrapper.
 
-    A notary deployed with ``causal=True`` (the secure configuration)
-    only accepts encrypted submissions, so the client mirrors the
-    deployment mode for every operation.
+    Confidentiality is the client's choice per request: with
+    ``confidential`` (the default, and the secure way to file) every
+    operation goes out encrypted; without it, in the clear, where a
+    corrupted server can read a filing before it is ordered.
     """
 
     def __init__(self, client: ServiceClient, confidential: bool = True) -> None:

@@ -70,15 +70,9 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     from .net import SilentNode
     from .smr import build_service
 
-    factories = {
-        "directory": (DirectoryService, False),
-        "ca": (CertificationAuthority, False),
-        "notary": (NotaryService, True),
-    }
-    factory, causal = factories[args.service]
-    deployment = build_service(
-        args.n, factory, t=args.t, causal=causal, seed=args.seed
-    )
+    factory = {"directory": DirectoryService, "ca": CertificationAuthority,
+               "notary": NotaryService}[args.service]
+    deployment = build_service(args.n, factory, t=args.t, seed=args.seed)
     for server in range(args.corrupt):
         victim = args.n - 1 - server
         deployment.controller.corrupt(deployment.network, victim, SilentNode())
@@ -103,7 +97,6 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     for nonce in nonces:
         print(f"request {nonce} ->", results[nonce].result)
     print(f"messages delivered: {deployment.network.delivered_count}")
-    snapshots = {r.state_machine.snapshot() for r in deployment.honest_replicas()}
     deployment.network.run(max_steps=1_500_000)
     snapshots = {r.state_machine.snapshot() for r in deployment.honest_replicas()}
     print(f"honest replicas consistent: {len(snapshots) == 1}")

@@ -28,6 +28,7 @@ import dataclasses
 import operator
 import struct
 import sys
+import types
 import typing
 from typing import Any, Callable
 
@@ -392,12 +393,19 @@ def _check_lines(hint: object, member: str, env: dict[str, Any], indent: str) ->
     """Python lines (over names put in ``env``) returning False unless
     ``member`` is a ``hint``: ``int``, ``bytes``, ``str`` exactly (no
     ``bool``), a registered class, a ``tuple``, ``dict`` or ``frozenset``
-    with its members' hints if given; none for ``object`` or ``Hashable``."""
+    with its members' hints if given, or one of a union's; none for
+    ``object`` or ``Hashable``."""
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if hint is object or hint is Any or origin is collections.abc.Hashable:
         return []
-    if origin is typing.Union and [] in (_check_lines(arg, member, {}, indent) for arg in args):
-        return []  # ``Optional[Hashable]``
+    if origin is typing.Union or origin is types.UnionType:
+        arms = [_check_lines(arg, "a", env, "    ") for arg in args]
+        if [] in arms:
+            return []  # ``Optional[Hashable]``
+        names = [f"u{len(env)}_{i}" for i in range(len(arms))]
+        for name, arm in zip(names, arms):  # one function per arm, held in env
+            exec(f"def {name}(a):\n" + "\n".join(arm) + "\n    return True\n", env)
+        return [f"{indent}if not ({' or '.join(f'{n}({member})' for n in names)}): return False"]
     top = hint if origin is None else origin
     if not isinstance(top, type) or origin not in (None, tuple, dict, frozenset):
         raise TypeError(f"no admission check for a field annotated {hint!r}")

@@ -21,7 +21,7 @@ from .multivalued_agreement import (
 from .protocol import Context, Protocol, SessionId
 from .reliable_broadcast import ReliableBroadcast, rbc_session
 from .runtime import ProtocolRuntime
-from .secure_causal import SecureCausalBroadcast, sc_abc_session
+from .secure_causal import SecureCausalBroadcast
 
 __all__ = [
     "AbcProposal",
@@ -43,5 +43,4 @@ __all__ = [
     "rbc_session",
     "ProtocolRuntime",
     "SecureCausalBroadcast",
-    "sc_abc_session",
 ]

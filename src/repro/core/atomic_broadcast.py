@@ -300,7 +300,9 @@ class AtomicBroadcast(Protocol):
     ``on_deliver(payload, round)`` is invoked exactly once per payload,
     in the same order at every honest party; ``on_round_end(round)``
     (optional) after a round's last one, so where a round's deliveries
-    end is ordered state too.  ``on_lag()`` (optional)
+    end is ordered state too; ``hold(payloads)`` (optional), shown the
+    next round's, keeps it waiting until :meth:`deliver` is called again.
+    ``on_lag()`` (optional)
     fires when an honest-containing set of signers is provably far
     ahead of this party's round window.
     """
@@ -313,6 +315,7 @@ class AtomicBroadcast(Protocol):
         self.on_deliver = on_deliver
         self.on_round_end: Callable[[int], None] | None = None
         self.on_lag: Callable[[], None] | None = None
+        self.hold: Callable[[Iterable[Hashable]], bool] | None = None
         self.config = config if config is not None else AbcConfig()
         self.queue: dict[Hashable, _Entry] = {}  # in arrival order
         # The ordered history: every delivered payload, in delivery
@@ -483,7 +486,7 @@ class AtomicBroadcast(Protocol):
         (module docstring, "Closing").  ``then`` runs once that round's
         delivery has returned — at once outside a delivery, as when a
         replayed history closes the session — so whatever it does (enter
-        the next epoch) never runs inside :meth:`_try_deliver`."""
+        the next epoch) never runs inside :meth:`deliver`."""
         self.closed = True
         if self._delivering:
             self._after_close = then
@@ -560,7 +563,7 @@ class AtomicBroadcast(Protocol):
         self._maybe_start_agreement(ctx, rec)  # first: starting it opens the gate
         self._maybe_start_rounds(ctx)
         self._retry_predicates(ctx)
-        self._try_deliver(ctx)
+        self.deliver(ctx)
 
     def _checked(self, ctx: Context, rec: _Round, j: int) -> bool:
         """Whether ``j``'s recorded proposal in ``rec`` is signed, checked
@@ -610,7 +613,7 @@ class AtomicBroadcast(Protocol):
         for rec in wanting:
             self._hold(ctx, rec, digest, message.batch)
         self._retry_predicates(ctx)
-        self._try_deliver(ctx)
+        self.deliver(ctx)
 
     def _on_rejoin(self, ctx: Context, sender: int, message: AbcRejoin) -> None:
         for r in sorted(self.rounds):
@@ -759,10 +762,11 @@ class AtomicBroadcast(Protocol):
         if rec.number <= self.round or rec.decision is not None:
             return
         rec.decision = decision.value
-        self._try_deliver(ctx)
+        self.deliver(ctx)
 
-    def _try_deliver(self, ctx: Context) -> None:
-        """Apply decisions strictly in round order, until :meth:`close`."""
+    def deliver(self, ctx: Context) -> None:
+        """Apply decisions strictly in round order, until :meth:`close` or
+        until ``hold`` holds one (call again once it would not)."""
         progressed = False
         while not self.closed:
             r = self.round + 1
@@ -775,23 +779,26 @@ class AtomicBroadcast(Protocol):
                 # In-order delivery must wait for the payload bytes;
                 # the deciding quorum stored them, so this terminates.
                 break
+            payloads = dict.fromkeys(
+                p for _j, digest, _sig in sorted(value) for p in rec.batches[digest]
+                if p not in self.delivered
+            )
+            if self.hold is not None and self.hold(payloads):
+                break
             self._occupancy_sum += max(self.highest_started, r) - self.round
             self._occupancy_samples += 1
             tail: dict[Hashable, None] = {}  # what follows a close, in order
             done: list[Hashable] = []
             self._delivering = True
-            for _j, digest, _sig in sorted(value):
-                for payload in rec.batches[digest]:
-                    if payload in self.delivered:
-                        continue
-                    if self.closed:
-                        tail[payload] = None
-                        continue
-                    self.delivered[payload] = r
-                    self.payloads_delivered += 1
-                    done.append(payload)
-                    if self.on_deliver is not None:
-                        self.on_deliver(payload, r)
+            for payload in payloads:
+                if self.closed:
+                    tail[payload] = None
+                    continue
+                self.delivered[payload] = r
+                self.payloads_delivered += 1
+                done.append(payload)
+                if self.on_deliver is not None:
+                    self.on_deliver(payload, r)
             self._delivering = False
             if tail:
                 ahead = {p: self._sight(p) for p in tail}

@@ -1,32 +1,40 @@
 """Secure causal atomic broadcast (Section 3, after Reiter-Birman [33]).
 
-Atomic broadcast plus *input causality*: client requests stay
-confidential until the moment their position in the total order is
-fixed.  Clients encrypt requests under the service's TDH2 public key;
-the ciphertext is atomically broadcast; only once a ciphertext is
-a-delivered do the servers release decryption shares, combine them,
-and s-deliver the plaintext — in exactly the a-delivery order.
+Atomic broadcast plus *input causality*: a request its client encrypted
+under the service's TDH2 key stays confidential until its position in
+the total order is fixed.  The service orders plain requests and
+ciphertexts through its one :class:`AtomicBroadcast`; this module is the
+*stage* between a-delivery and execution.  It holds a delivered
+ciphertext's place until the servers' decryption shares open it, and
+passes every entry and round end on in a-delivery order.
+
+A round's shares leave when it is the next to deliver.  A round that
+holds a *barrier* (a plain request that may end the session: an epoch
+change) delivers only once the stage is empty and every ciphertext
+ahead of its last barrier has opened, so the barrier executes inside
+the delivery and what :meth:`AtomicBroadcast.close` requeues leaves
+still encrypted (docs/PROTOCOLS.md, "Secure causal atomic broadcast").
 
 CCA2 security of the threshold cryptosystem is essential (Section 5.2):
 a corrupted server that observes a pending ciphertext can neither
-decrypt it alone nor maul it into a *related* request that the service
-might schedule first.  Experiment E7 mounts precisely that front-running
-attack against the notary and shows it fails here while succeeding
-against plain (unencrypted) atomic broadcast.
+decrypt it alone nor maul it into a *related* request scheduled first.
+Experiment E7's front-running attack on the notary fails here and
+succeeds against a request its client sent in the clear.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Hashable, Iterable
 
 from ..codec import register
 from ..crypto.threshold_enc import Ciphertext, DecryptionShare
 from .atomic_broadcast import AtomicBroadcast
-from .protocol import Context, Protocol, SessionId
+from .protocol import Context
 from .share_screen import ShareScreen, open_shares
 
-__all__ = ["ScDecryptionShare", "SecureCausalBroadcast", "sc_abc_session"]
+__all__ = ["ScDecryptionShare", "SecureCausalBroadcast"]
 
 
 @register
@@ -43,91 +51,94 @@ class ScDecryptionShare:
 # an honest sender is ahead by a few requests, a flood beyond is dropped).
 _EARLY_SHARE_LIMIT = 4096
 
-
-def sc_abc_session(tag: object = 0) -> SessionId:
-    return ("sc-abc", tag)
+_END = object()  # a round's end, in the stage's queue
 
 
-class SecureCausalBroadcast(Protocol):
-    """Threshold decryption layered on an :class:`AtomicBroadcast`.
+def _ciphertext(payload: object) -> Ciphertext | None:
+    """The ciphertext an ordered ``("ct", ciphertext)`` payload carries."""
+    shaped = type(payload) is tuple and len(payload) == 2 and payload[0] == "ct"
+    return payload[1] if shaped and isinstance(payload[1], Ciphertext) else None
 
-    ``abc`` is the broadcast this layer sits on (the paper's stack
-    figure) — a replica hands in the one it owns and configured — and
-    whose ``on_deliver`` it takes over in ``on_start``.
 
-    ``on_deliver(plaintext, round)`` fires in identical order at every
-    honest party; plaintexts of later a-delivered ciphertexts are never
-    released before earlier ones (the pending queue is drained in
-    order).
-    """
+class SecureCausalBroadcast:
+    """The stage on ``abc``'s delivery path, whose owner routes the
+    broadcast's ``on_deliver``, ``on_round_end`` and ``hold`` here.  It
+    calls ``on_deliver(ctx, payload, round, plaintext)`` (``plaintext``
+    None unless ``payload`` is a valid ciphertext) and, after a round's
+    last entry, ``on_round_end(ctx)``; ``barrier(payload)`` names the
+    plain payloads that may end the session."""
 
     def __init__(
         self,
-        on_deliver: Callable[[bytes, int], None] | None = None,
-        abc: AtomicBroadcast | None = None,
+        abc: AtomicBroadcast,
+        on_deliver: Callable[[Context, Hashable, int, bytes | None], None],
+        on_round_end: Callable[[Context], None],
+        barrier: Callable[[Hashable], bool],
     ) -> None:
+        self.abc = abc
         self.on_deliver = on_deliver
-        self.abc = abc if abc is not None else AtomicBroadcast()
-        # Digests in a-delivery order, awaiting decryption.
-        self.pending: list[tuple[bytes, int]] = []
-        self.plaintexts: dict[bytes, bytes] = {}
-        # One screen per a-delivered ciphertext still to be decrypted —
+        self.on_round_end = on_round_end
+        self.barrier = barrier
+        # Delivered entries not yet passed on: (payload, round, digest of
+        # a ciphertext or None); a round's end is (_END, round, None).
+        self.waiting: deque[tuple[Hashable, int, bytes | None]] = deque()
+        # The opened ciphertexts, for good: digest -> (payload, plaintext).
+        self.opened: dict[bytes, tuple[Hashable, bytes]] = {}
+        # One screen per a-delivered ciphertext still to be opened —
         # never per digest a peer merely names: a share that arrives
         # before its ciphertext waits in its sender's bounded ``early``.
-        self.opening: dict[bytes, tuple[Ciphertext, ShareScreen[DecryptionShare]]] = {}
+        self.opening: dict[bytes, tuple[Hashable, ShareScreen[DecryptionShare]]] = {}
         self.early: dict[int, dict[bytes, DecryptionShare]] = {}
 
-    def on_start(self, ctx: Context) -> None:
-        # The atomic broadcast underneath runs inside this same session:
-        # this instance demultiplexes decryption shares from ABC traffic,
-        # so the stack figure's layering stays explicit without a second
-        # top-level session.
-        self.abc.on_deliver = lambda payload, rnd: self._on_a_deliver(ctx, payload, rnd)
-
-    def admits(self, ctx: Context, child: SessionId) -> bool:
-        return self.abc.admits(ctx, child)
-
     def submit(self, ctx: Context, ciphertext: Ciphertext) -> None:
-        """s-broadcast: hand an encrypted request to the service."""
-        if not ctx.public.encryption.check_ciphertext(ciphertext):
-            return
-        self.abc.submit(ctx, ("ct", ciphertext))
+        """s-broadcast: hand an encrypted request to the broadcast."""
+        if ctx.public.encryption.check_ciphertext(ciphertext):
+            self.abc.submit(ctx, ("ct", ciphertext))
 
-    def on_message(self, ctx: Context, sender: int, message: object) -> None:
-        if isinstance(message, ScDecryptionShare):
-            self._on_share(ctx, sender, message)
-        else:
-            self.abc.on_message(ctx, sender, message)
+    # -- the broadcast's hooks ---------------------------------------------------
 
-    # -- a-delivery -> decryption -------------------------------------------------
+    def hold(self, ctx: Context, payloads: Iterable[Hashable]) -> bool:
+        """Whether the round about to deliver ``payloads`` waits: it holds
+        a barrier, and the stage is not empty or a ciphertext ahead of the
+        last barrier has not opened.  Those ciphertexts' shares leave now."""
+        payloads = list(payloads)
+        if not self.waiting and not any(map(_ciphertext, payloads)):
+            return False  # the plain path
+        barriers = [i for i, p in enumerate(payloads) if self.barrier(p)]
+        ahead = [self._open(ctx, p) for p in payloads[: barriers[-1]]] if barriers else []
+        return bool(barriers) and (bool(self.waiting) or any(d in self.opening for d in ahead))
 
-    def _on_a_deliver(self, ctx: Context, payload: object, round_number: int) -> None:
-        if not (
-            isinstance(payload, tuple)
-            and len(payload) == 2
-            and payload[0] == "ct"
-            and isinstance(payload[1], Ciphertext)
-        ):
-            return  # junk a corrupted party smuggled into the order
-        ct = payload[1]
-        if not ctx.public.encryption.check_ciphertext(ct):
-            return
-        digest = self.abc.digest(payload)
-        self.pending.append((digest, round_number))
-        if digest not in self.opening and digest not in self.plaintexts:
-            screen: ShareScreen[DecryptionShare] = ShareScreen()
-            self.opening[digest] = (ct, screen)
-            for sender, held in sorted(self.early.items()):
-                if digest in held:
-                    screen.offer(sender, held.pop(digest))
-            share = ctx.keys.decryption.decryption_share(ct, ctx.rng, ctx.verified)
-            if share is not None:
-                ctx.broadcast(ScDecryptionShare(digest, share))
+    def deliver(self, ctx: Context, payload: Hashable, round_number: int) -> None:
+        self.waiting.append((payload, round_number, self._open(ctx, payload)))
         self._drain(ctx)
 
-    def _on_share(self, ctx: Context, sender: int, message: ScDecryptionShare) -> None:
+    def round_end(self, ctx: Context, round_number: int) -> None:
+        self.deliver(ctx, _END, round_number)
+
+    # -- opening ---------------------------------------------------------------
+
+    def _open(self, ctx: Context, payload: Hashable) -> bytes | None:
+        """The digest of ``payload`` if it is a valid ciphertext, sending
+        this party's share at its first call; None otherwise."""
+        ct = _ciphertext(payload)
+        digest = None if ct is None else self.abc.digest(payload)
+        if digest is None or digest in self.opening or digest in self.opened:
+            return digest
+        if not ctx.public.encryption.check_ciphertext(ct):
+            return None
+        screen: ShareScreen[DecryptionShare] = ShareScreen()
+        self.opening[digest] = (payload, screen)
+        for sender, held in sorted(self.early.items()):
+            if digest in held:
+                screen.offer(sender, held.pop(digest))
+        share = ctx.keys.decryption.decryption_share(ct, ctx.rng, ctx.verified)
+        if share is not None:
+            ctx.broadcast(ScDecryptionShare(digest, share))
+        return digest
+
+    def on_share(self, ctx: Context, sender: int, message: ScDecryptionShare) -> None:
         share, digest = message.share, message.digest
-        if share.party != sender or digest in self.plaintexts:
+        if share.party != sender or digest in self.opened:
             return
         if digest not in self.opening:
             held = self.early.setdefault(sender, {})
@@ -135,29 +146,48 @@ class SecureCausalBroadcast(Protocol):
                 held.setdefault(digest, share)
             return
         self.opening[digest][1].offer(sender, share)
-        self._try_decrypt(ctx, digest)
+        self._try_open(ctx, digest)
         self._drain(ctx)
+        self.abc.deliver(ctx)  # a round ``hold`` held may deliver now
 
-    def _try_decrypt(self, ctx: Context, digest: bytes) -> None:
-        if digest in self.plaintexts:
-            return
-        ct, screen = self.opening[digest]
-        encryption = ctx.public.encryption
+    def _try_open(self, ctx: Context, digest: bytes) -> None:
+        payload, screen = self.opening[digest]
+        ct, encryption = payload[1], ctx.public.encryption
         shares = open_shares(
             ctx, screen, encryption.consistent,
             lambda held: encryption.verify_shares(ct, held.values(), ctx.verified),
         )
         if shares is not None:
-            self.plaintexts[digest] = ctx.public.encryption.combine(ct, shares)
             del self.opening[digest]
+            self.opened[digest] = (payload, encryption.combine(ct, shares))
+
+    def held(self) -> list[int]:
+        """The rounds of the a-delivered entries not passed on yet."""
+        return [rnd for payload, rnd, _digest in self.waiting if payload is not _END]
+
+    def learn(self, ctx: Context, entries: tuple) -> None:
+        """Open what the stage holds from an agreed log's plaintexts
+        (recovery), and pass on what that frees."""
+        plaintexts = {entry[0]: entry[2] for entry in entries if len(entry) == 3}
+        for digest, (payload, _screen) in list(self.opening.items()):
+            if payload in plaintexts:
+                del self.opening[digest]
+                self.opened[digest] = (payload, plaintexts[payload])
+        self._drain(ctx)
+        self.abc.deliver(ctx)
 
     def _drain(self, ctx: Context) -> None:
-        """s-deliver decrypted plaintexts strictly in a-delivery order."""
-        while self.pending:
-            digest, round_number = self.pending[0]
-            self._try_decrypt(ctx, digest)
-            if digest not in self.plaintexts:
-                return
-            self.pending.pop(0)
-            if self.on_deliver is not None:
-                self.on_deliver(self.plaintexts[digest], round_number)
+        """Pass entries on strictly in a-delivery order, up to the first
+        ciphertext still to open."""
+        while self.waiting:
+            payload, round_number, digest = self.waiting[0]
+            if digest in self.opening:
+                self._try_open(ctx, digest)
+                if digest in self.opening:
+                    return
+            self.waiting.popleft()
+            if payload is _END:
+                self.on_round_end(ctx)
+            else:
+                opened = None if digest is None else self.opened[digest][1]
+                self.on_deliver(ctx, payload, round_number, opened)

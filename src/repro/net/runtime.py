@@ -614,7 +614,6 @@ class ReplicaHost:
         self,
         directory: str | pathlib.Path,
         party: int,
-        causal: bool = False,
         network: NetworkBackend | None = None,
         byzantine: str | None = None,
         journal: bool = False,
@@ -627,7 +626,6 @@ class ReplicaHost:
         self.io_timeout = cluster.io_timeout
         self._abc_config = cluster.abc_config()
         self._state_machine = KeyValueStore()
-        self._causal = causal
         self.epoch = 0
         self.phase = SERVING
         # Signed membership votes for an epoch newer than ours, keyed
@@ -647,8 +645,8 @@ class ReplicaHost:
                 self._checkpoint = sealed if self._preload else None
                 self.checkpoint_status = "loaded" if self._preload else "rejected"
         elif bootstrap_path(directory, party).exists():
-            if byzantine is not None or causal:
-                raise ValueError("a seeded host must be an honest, non-causal replica")
+            if byzantine is not None:
+                raise ValueError("a seeded host must be an honest replica")
             bundle = load_bootstrap(directory, party)
             self.keys = dkg.BootstrapKeys(
                 party, bundle.signing_key, dict(bundle.channel_keys)
@@ -733,9 +731,7 @@ class ReplicaHost:
             self.party, network, self.public, self.keys, seed=self.party
         )
         if self.phase == SERVING:
-            self.replica = Replica(
-                self._state_machine, causal=self._causal, abc_config=self._abc_config
-            )
+            self.replica = Replica(self._state_machine, abc_config=self._abc_config)
             self._install_replica_hooks()
             self.runtime.spawn(epoch_service_session(self.epoch), self.replica)
         return self.runtime
@@ -747,8 +743,6 @@ class ReplicaHost:
         self.replica.on_recovered = lambda: self.emit(
             "replica-recovered", executed=len(self.replica.executed)
         )
-        if self._causal:
-            return  # reconfiguration requires the ordered plaintext path
         self.replica.intercept = self._intercept
         self.replica.on_membership_info = self._on_stale_info
         self.replica.membership_info = reconfig.signed_membership_info(
@@ -789,13 +783,10 @@ class ReplicaHost:
     def write_checkpoint(self) -> pathlib.Path | None:
         """Persist the authenticated delivered log in this host's record
         (honest hosts only)."""
-        if self.replica is None or self.replica.causal or self.byzantine:
+        if self.replica is None or self.byzantine:
             return None
         self._checkpoint = seal_checkpoint(
-            self.party,
-            self.keys.signing_key,
-            tuple(self.replica.abc.delivered.items()),
-            self.replica.abc.round,
+            self.party, self.keys.signing_key, *self.replica.history()
         )
         return self._save_state(self.epoch, self._kind, self.public, self.keys)
 
@@ -1151,7 +1142,7 @@ class ReplicaHost:
 
     # -- ordered reconfiguration and membership votes ------------------------------
 
-    def _intercept(self, request) -> object | None:
+    def _intercept(self, request, confidential: bool = False) -> object | None:
         """Replica hook: consume ``Reconfigure`` operations.
 
         One rule, live and replayed alike, so the verdict is a function
@@ -1163,12 +1154,13 @@ class ReplicaHost:
         (``AtomicBroadcast.close``), so every replica enters the new
         session at the same round, and the resharing starts once the
         round's delivery has returned.  The application state machine
-        never sees it.
+        never sees it.  One that arrived encrypted is rejected: a
+        reconfiguration is public.
         """
         if reconfig.parse_reconfigure(request.operation) is None:
             return None  # an ordinary application operation
-        step = reconfig.next_membership(request.operation, self.membership)
-        if step is None:
+        step = not confidential and reconfig.next_membership(request.operation, self.membership)
+        if not step:
             return ("reconfig", "rejected", self.membership.epoch)
         accepted, self.membership = step
         if accepted.epoch > self.epoch:

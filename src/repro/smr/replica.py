@@ -4,15 +4,14 @@ Section 5's request flow, per server:
 
 1. a client sends its request to more than ``t`` servers (otherwise
    corrupted servers could simply ignore it);
-2. each server *a-broadcasts* the request — via plain atomic broadcast,
-   or secure causal atomic broadcast when requests are confidential
-   (the request then arrives as a TDH2 ciphertext and is decrypted only
-   after its position in the total order is fixed);
-3. on delivery, every replica applies the request to its deterministic
-   state machine and returns a partial answer containing its share of
-   the service's threshold signature on the result — here one share per
-   delivered round, on the root of a hash tree over the round's answers,
-   each answer carrying its leaf's audit path (:func:`reply_tree`);
+2. each server *a-broadcasts* the request — as it came or, if its
+   client chose confidentiality, as a TDH2 ciphertext that secure causal
+   atomic broadcast opens once its position in the order is fixed;
+3. in delivery order, every replica applies the request to its
+   deterministic state machine and returns a partial answer with its
+   share of the service's threshold signature on the result — one share
+   per round for the plain answers, on the root of a hash tree over
+   them, each answer carrying its audit path (:func:`reply_tree`);
 4. the client waits for matching answers from an honest-containing set
    and combines the shares into one service-signed reply.
 
@@ -28,11 +27,11 @@ from typing import Callable, Hashable
 from ..codec import register
 from ..core.atomic_broadcast import AbcConfig, AtomicBroadcast
 from ..core.protocol import Context, Protocol, SessionId
-from ..core.secure_causal import SecureCausalBroadcast
+from ..core.secure_causal import ScDecryptionShare, SecureCausalBroadcast
 from ..crypto.hashing import hash_bytes
 from ..crypto.threshold_enc import Ciphertext
 from ..net import wire
-from .reconfig import MembershipInfo, MembershipQuery
+from .reconfig import MembershipInfo, MembershipQuery, parse_reconfigure
 from .state_machine import Reply, Request, StateMachine
 
 __all__ = ["SubmitRequest", "SubmitEncrypted", "RecoverQuery", "RecoverLog",
@@ -82,15 +81,16 @@ class RecoverQuery:
 @register
 @dataclass(frozen=True)
 class RecoverLog:
-    """A peer's answer: its full delivery log and current round.
+    """A peer's answer: its executed history (:meth:`Replica.history`).
 
     The recovering replica accepts a log once an honest-containing set
-    of peers reported the identical one (Section 6, crash-recovery):
-    replaying it through the deterministic state machine reconstructs
-    the exact pre-crash service state.
+    of peers vouched for it (Section 6, crash-recovery), an opened
+    ciphertext's plaintext included: replaying it through the
+    deterministic state machine reconstructs the pre-crash state.
     """
 
-    entries: tuple[tuple[Hashable, int], ...]  # in delivery order
+    # In delivery order: (payload, round), or (payload, round, plaintext).
+    entries: tuple[tuple[Hashable, int] | tuple[Hashable, int, bytes], ...]
     round: int
 
 
@@ -148,86 +148,68 @@ def reply_root(
     return leaf, node
 
 
+def _may_close(payload: object) -> bool:
+    """A plain request that may end the session: a reconfiguration."""
+    request = Request.decode(payload)
+    return request is not None and parse_reconfigure(request.operation) is not None
+
+
 class Replica(Protocol):
     """One server's replica of a trusted application."""
 
     def __init__(
-        self,
-        state_machine: StateMachine,
-        causal: bool = False,
-        abc_config: AbcConfig | None = None,
+        self, state_machine: StateMachine, abc_config: AbcConfig | None = None
     ) -> None:
         self.state_machine = state_machine
-        self.causal = causal
-        # The one broadcast this replica orders through; a confidential
-        # service layers threshold decryption on that same instance.
+        # The one broadcast this replica orders every request through, and
+        # the stage on its delivery path that opens the ciphertexts.
         self.abc = AtomicBroadcast(config=abc_config)
-        self.sc_abc = SecureCausalBroadcast(abc=self.abc) if causal else None
+        self.stage = SecureCausalBroadcast(
+            self.abc, self._on_ordered, self._answer_round, _may_close
+        )
         # The at-most-once index: the (client, nonce) of every executed
         # request.  The ordered history itself is ``abc.delivered``.
         self.executed: set[tuple[int, int]] = set()
         # client -> (request, result) of its *latest* executed request,
-        # so a duplicate submission — the identical request, operation
-        # included — can be re-answered instead of silently swallowed
-        # by the at-most-once dedup.  Matters across an epoch
-        # switch: a request ordered at the boundary may have been
-        # answered on a session the client no longer listens on, and the
-        # client's same-nonce resubmission must still produce a signed
-        # reply.  One entry per client suffices — clients resubmit only
-        # their pending, monotonically-nonced request — and keeps memory
-        # bounded by the client population, not the request volume.
+        # so an identical resubmission is re-answered, not swallowed by
+        # the dedup (across an epoch switch the first answer may have
+        # gone out on a session the client left).  Clients resubmit only
+        # their pending request: one entry per client bounds it.
         self._results: dict[int, tuple[Request, object]] = {}
-        # Answers of the delivered round so far, signed as one tree when
-        # the round ends (_answer_round).  A tree is a function of ordered
-        # state, so every honest replica builds the same one; every other
-        # answer is a one-leaf tree.
+        # Plain answers of the delivered round so far, signed as one tree
+        # once its last entry has executed (_answer_round): ordered state,
+        # the same tree at every honest replica.  Others are one-leaf trees.
         self._round_answers: list[tuple[Request, object]] = []
         self.recovering = False
         self._recovery_logs: dict[int, RecoverLog] = {}
         self._replaying = False
-        # Observation hook: called after every executed request (replays
-        # included) with the round the request was ordered in — the
-        # deployment host uses it for the execution journal the chaos
-        # safety checker reads, and for periodic checkpointing.  Never
-        # part of the protocol itself.
+        # The host's hooks, none part of the protocol.  After every
+        # executed request (replays too), with its round: the chaos
+        # journal and periodic checkpoints.
         self.on_execute: Callable[[Request, object, int], None] | None = None
-        # Interception hook: called for every ordered request *before*
-        # the application state machine.  Returning a non-None result
-        # consumes the request — the replica signs and replies with that
-        # result and the state machine never sees the operation.  The
-        # deployment host uses it for ``Reconfigure`` operations, which
-        # are agreed through the same total order as writes but drive
-        # the key/membership layer instead of the application.  Its
-        # verdict may depend on the executed history only, so it is
-        # told nothing about how the request arrived (live or replayed).
-        self.intercept: Callable[[Request], object | None] | None = None
-        # The host's signed statement of the current configuration
-        # (see smr/reconfig.py); answered to MembershipQuery so clients
-        # can refresh against the live session too, not only against
-        # tombstones of closed epochs.
+        # Before the state machine, for every ordered request: a non-None
+        # result consumes it (``Reconfigure``: the same total order drives
+        # the key/membership layer).  Its verdict may depend on ordered
+        # state only — whether the request was confidential — never on
+        # how it arrived (live or replayed).
+        self.intercept: Callable[[Request, bool], object | None] | None = None
+        # The signed statement of the current configuration
+        # (smr/reconfig.py), answered to MembershipQuery, and what to do
+        # with a received one (a RecoverQuery answered by peers that left
+        # our epoch behind while we were down).
         self.membership_info: object | None = None
-        # Host callback for a *received* MembershipInfo: a RecoverQuery
-        # we sent to peers can come back with the signed record of a
-        # newer epoch instead of log entries (the peers left our epoch
-        # behind while we were down) — the host verifies a quorum of
-        # such votes and re-adopts.
         self.on_membership_info: Callable[[int, object], None] | None = None
-        # Observation hook: a state transfer begun by begin_recovery was
-        # adopted (the host announces it; the demos and chaos wait for it).
+        # A state transfer begun by begin_recovery was adopted.
         self.on_recovered: Callable[[], None] | None = None
 
     # -- lifecycle ------------------------------------------------------------
 
     def on_start(self, ctx: Context) -> None:
-        self.abc.on_lag = lambda: self._on_lag(ctx)
-        if not self.causal:
-            self.abc.on_deliver = lambda payload, rnd: self._on_ordered(ctx, payload, rnd)
-            self.abc.on_round_end = lambda rnd: self._answer_round(ctx)
-        else:
-            self.sc_abc.on_start(ctx)  # takes the broadcast's on_deliver
-            self.sc_abc.on_deliver = lambda plaintext, rnd: self._on_ordered_plain(
-                ctx, plaintext, rnd
-            )
+        abc, stage = self.abc, self.stage
+        abc.on_lag = lambda: self._on_lag(ctx)
+        abc.hold = lambda payloads: stage.hold(ctx, payloads)
+        abc.on_deliver = lambda payload, rnd: stage.deliver(ctx, payload, rnd)
+        abc.on_round_end = lambda rnd: stage.round_end(ctx, rnd)
 
     # -- message routing ----------------------------------------------------------
 
@@ -240,8 +222,7 @@ class Replica(Protocol):
         elif isinstance(message, SubmitUnordered):
             self._on_submit_unordered(ctx, message.request)
         elif isinstance(message, SubmitEncrypted):
-            if self.causal:
-                self.sc_abc.submit(ctx, message.ciphertext)
+            self.stage.submit(ctx, message.ciphertext)
         elif isinstance(message, MembershipQuery):
             if self.membership_info is not None:
                 ctx.send(sender, self.membership_info)
@@ -252,18 +233,14 @@ class Replica(Protocol):
             self._on_recover_query(ctx, sender)
         elif isinstance(message, RecoverLog):
             self._on_recover_log(ctx, sender, message)
-        elif self.causal:
-            self.sc_abc.on_message(ctx, sender, message)
+        elif isinstance(message, ScDecryptionShare):
+            self.stage.on_share(ctx, sender, message)
         else:
             self.abc.on_message(ctx, sender, message)
 
     def _on_submit(self, ctx: Context, encoded: object) -> None:
         request = Request.decode(encoded)
         if request is None:
-            return
-        if self.causal:
-            # A confidential service refuses plaintext submissions: they
-            # would break input causality for everyone.
             return
         cached = self._results.get(request.client)
         if cached is not None and cached[0] == request:
@@ -274,7 +251,7 @@ class Replica(Protocol):
     def _on_submit_unordered(self, ctx: Context, encoded: object) -> None:
         """Answer a commuting request from current state (no ordering)."""
         request = Request.decode(encoded)
-        if request is None or self.causal or self.recovering:
+        if request is None or self.recovering:
             return
         if not self.state_machine.is_read_only(request.operation):
             return  # mutating requests must take the ordered path
@@ -282,56 +259,55 @@ class Replica(Protocol):
 
     # -- ordered execution -----------------------------------------------------------
 
-    def _on_ordered(self, ctx: Context, payload: object, rnd: int) -> None:
+    def _on_ordered(
+        self, ctx: Context, payload: object, rnd: int, plaintext: bytes | None
+    ) -> None:
+        """Execute an ordered request, or the one an ordered ciphertext
+        opened to (``plaintext``); junk is skipped alike everywhere."""
+        if plaintext is not None:
+            try:
+                payload = wire.loads(plaintext)  # a client's bytes: wire policy
+            except wire.WireError:
+                return
         request = Request.decode(payload)
-        if request is None:
-            return  # a corrupted server ordered junk; skip deterministically
-        self._execute(ctx, request, rnd)
-
-    def _on_ordered_plain(self, ctx: Context, plaintext: object, rnd: int) -> None:
-        if not isinstance(plaintext, bytes):
-            return
-        try:
-            decoded = wire.loads(plaintext)  # a client's bytes: wire policy
-        except wire.WireError:
-            return  # a corrupted client encrypted junk; skip deterministically
-        request = Request.decode(decoded)
-        if request is None:
-            return
-        self._execute(ctx, request, rnd)
+        if request is not None:
+            self._execute(ctx, request, rnd, confidential=plaintext is not None)
 
     def _on_lag(self, ctx: Context) -> None:
         """An honest-containing set of signers is provably rounds ahead
         of our bounded proposal window: the proposals we missed were
         dropped rather than buffered, so the only way back into the
         round structure is Section 6 state transfer."""
-        if self.causal or self.recovering or self._replaying:
+        if self.recovering or self._replaying:
             return
         self.begin_recovery(ctx)
 
     # -- crash recovery (Section 6) ---------------------------------------------
 
     def begin_recovery(self, ctx: Context) -> None:
-        """Ask peers for the delivered history after a crash restart.
-
-        Meant for a *fresh* replica instance attached in place of the
-        crashed one: its volatile state is empty, and replaying the
-        agreed log through the deterministic state machine rebuilds it
-        exactly.  Confidential (causal) services do not support log
-        transfer here — their history exists only as ciphertexts.
-        """
-        if self.causal:
-            raise ValueError("recovery is not supported for causal replicas")
+        """Ask peers for the executed history after a crash restart: a
+        *fresh* replica replays the agreed log to rebuild its state."""
         self.recovering = True
         ctx.broadcast(RecoverQuery())
 
     def _on_recover_query(self, ctx: Context, sender: int) -> None:
         if self.recovering:
             return  # cannot help while recovering ourselves
-        ctx.send(
-            sender,
-            RecoverLog(entries=tuple(self.abc.delivered.items()), round=self.abc.round),
-        )
+        ctx.send(sender, RecoverLog(*self.history()))
+
+    def history(self) -> tuple[tuple, int]:
+        """The executed history as a log and the round it is settled to:
+        ``(payload, round)`` per a-delivered entry, ``(payload, round,
+        plaintext)`` for an opened ciphertext.  What the stage still
+        holds is left out, and the round stops short of it."""
+        held, delivered = self.stage.held(), self.abc.delivered
+        entries = tuple(delivered.items())[: len(delivered) - len(held)]
+        plaintexts = dict(self.stage.opened.values())
+        if plaintexts:
+            entries = tuple(
+                (p, r, plaintexts[p]) if p in plaintexts else (p, r) for p, r in entries
+            )
+        return entries, min(self.abc.round, held[0] - 1) if held else self.abc.round
 
     def _on_recover_log(self, ctx: Context, sender: int, message: RecoverLog) -> None:
         if not self.recovering:
@@ -370,14 +346,14 @@ class Replica(Protocol):
         best: tuple[tuple[int, int], tuple, set[int], int] | None = None
         for peer in sorted(self._recovery_logs):
             cand = self._recovery_logs[peer]
-            rounds = [r for _payload, r in cand.entries]
+            rounds = [entry[1] for entry in cand.entries]
             k = len(cand.entries)
             supporters: set[int] = set()
             for q in sorted(self._recovery_logs):
                 log = self._recovery_logs[q]
                 if len(log.entries) < k or log.entries[:k] != cand.entries:
                     continue
-                if any(r <= cand.round for _payload, r in log.entries[k:]):
+                if any(entry[1] <= cand.round for entry in log.entries[k:]):
                     continue
                 supporters.add(q)
             if not ctx.quorum.contains_honest(supporters):
@@ -397,6 +373,7 @@ class Replica(Protocol):
     def _adopt_log(self, ctx: Context, entries: tuple, round_number: int) -> None:
         self.recovering = False
         self._recovery_logs.clear()
+        self.stage.learn(ctx, entries)  # what it holds of the log goes first
         self._replay_entries(ctx, entries)
         self.abc.resume_at(ctx, round_number)
         ctx.trace.bump("replica.recoveries")
@@ -404,39 +381,35 @@ class Replica(Protocol):
             self.on_recovered()
 
     def preload_log(self, ctx: Context, entries: tuple) -> None:
-        """Replay a locally checkpointed delivery log before recovery.
+        """Replay a locally checkpointed log before recovery.
 
-        The host calls this with an *authenticated* checkpoint (HMAC
-        verified against the party's own key material) before
-        :meth:`begin_recovery`: peers then only need to supply the tail
-        the checkpoint missed — ``_adopt_log`` skips everything already
-        delivered here.  An unauthenticated or corrupted checkpoint
-        must never reach this method; the host rejects it and falls
-        back to pure peer recovery.
+        Only an *authenticated* checkpoint (HMAC under the party's own
+        key) may reach this, before :meth:`begin_recovery`: peers then
+        supply the tail it missed (``_adopt_log`` skips the rest).
         """
-        if self.causal:
-            raise ValueError("checkpoints are not supported for causal replicas")
         self._replay_entries(ctx, entries)
         ctx.trace.bump("replica.checkpoint_preloads")
 
     def _replay_entries(self, ctx: Context, entries: tuple) -> None:
         self._replaying = True
         try:
-            for payload, rnd in entries:
+            for payload, rnd, *opened in entries:
                 if not self.abc.record(payload, rnd):
                     continue
-                request = Request.decode(payload)
-                if request is not None:
-                    self._execute(ctx, request, rnd)
+                if opened:
+                    self.stage.opened[self.abc.digest(payload)] = (payload, opened[0])
+                self._on_ordered(ctx, payload, rnd, opened[0] if opened else None)
         finally:
             self._replaying = False
 
-    def _execute(self, ctx: Context, request: Request, rnd: int) -> None:
+    def _execute(
+        self, ctx: Context, request: Request, rnd: int, confidential: bool = False
+    ) -> None:
         key = (request.client, request.nonce)
         if key in self.executed:
             return  # at-most-once semantics across duplicate submissions
         self.executed.add(key)
-        result = self.intercept(request) if self.intercept is not None else None
+        result = self.intercept(request, confidential) if self.intercept is not None else None
         if result is None:
             result = self.state_machine.apply(request)
         self._results[request.client] = (request, result)
@@ -444,7 +417,7 @@ class Replica(Protocol):
             self.on_execute(request, result, rnd)
         if self._replaying:
             return  # clients were answered before the crash
-        if self.causal:
+        if confidential:
             # A confidential answer is a one-leaf tree: a shared tree
             # would hand one client the leaf hashes of another client's
             # (possibly low-entropy) confidential answers.

@@ -42,7 +42,6 @@ class ServiceDeployment:
     # What stack makes every replica from.
     state_machine_factory: Callable[[], StateMachine] | None = None
     abc_config: AbcConfig | None = None
-    causal: bool = False
 
     @property
     def n(self) -> int:
@@ -77,10 +76,7 @@ class ServiceDeployment:
         runtime = ProtocolRuntime(
             party, self.network, self.keys.public, self.keys.private[party], seed=seed
         )
-        replica = Replica(
-            self.state_machine_factory(), causal=self.causal,
-            abc_config=self.abc_config,
-        )
+        replica = Replica(self.state_machine_factory(), abc_config=self.abc_config)
         runtime.spawn(service_session(), replica)
         self.runtimes[party] = runtime
         self.replicas[party] = replica
@@ -112,7 +108,6 @@ def build_service(
     structure: AdversaryStructure | None = None,
     hybrid: tuple[int, int] | None = None,
     access_formula: Formula | None = None,
-    causal: bool = False,
     scheduler: Scheduler | None = None,
     seed: int = 0,
     group: SchnorrGroup | None = None,
@@ -142,7 +137,6 @@ def build_service(
         controller=CorruptionController(keys.public.quorum),
         state_machine_factory=state_machine_factory,
         abc_config=abc_config,
-        causal=causal,
     )
     for party in range(n):
         network.attach(party, deployment.stack(party, seed))

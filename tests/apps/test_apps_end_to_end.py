@@ -45,7 +45,7 @@ def test_directory_ownership_enforced_across_clients():
 
 
 def test_notary_confidential_registration_end_to_end():
-    dep = build_service(4, NotaryService, t=1, causal=True, seed=23)
+    dep = build_service(4, NotaryService, t=1, seed=23)
     notary = NotaryClient(dep.new_client(), confidential=True)
     dep.network.start()
     nonce = notary.register(b"the great invention")

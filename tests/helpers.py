@@ -57,14 +57,15 @@ def run_until_outputs(
     return {p: runtimes[p].result(session) for p in waiting}
 
 
-def record_sends(network: Network) -> list[object]:
+def record_sends(network: Network, sessions: bool = False) -> list[object]:
     """Every protocol message handed to ``network.send`` from now on
-    (``broadcast`` goes through ``send``), in send order."""
+    (``broadcast`` goes through ``send``), in send order; with
+    ``sessions``, each as its ``(session, message)`` pair."""
     sent: list[object] = []
     send = network.send
 
     def recording(sender: int, recipient: int, payload: object) -> None:
-        sent.append(payload[1])
+        sent.append(payload if sessions else payload[1])
         send(sender, recipient, payload)
 
     network.send = recording

@@ -71,10 +71,10 @@ def test_simulator_broadcast_skips_clients_but_parties_lists_them():
     assert nodes[CLIENT_BASE].received == ["to-the-client"]
 
 
-@pytest.mark.parametrize("causal", [False, True], ids=["plain", "secure-causal"])
-def test_simulator_client_receives_only_what_is_addressed_to_it(causal):
-    deployment = build_service(4, KeyValueStore, t=1, causal=causal, seed=3)
-    submit = "submit_confidential" if causal else "submit"
+@pytest.mark.parametrize("confidential", [False, True], ids=["plain", "secure-causal"])
+def test_simulator_client_receives_only_what_is_addressed_to_it(confidential):
+    deployment = build_service(4, KeyValueStore, t=1, seed=3)
+    submit = "submit_confidential" if confidential else "submit"
     first = deployment.new_client()
     seen = {first.client_id: _record_kinds(first)}
     deployment.network.start()
@@ -91,22 +91,22 @@ def test_simulator_client_receives_only_what_is_addressed_to_it(causal):
     assert seen[first.client_id] == {"Reply"}
     assert seen[second.client_id] == {"Reply"}
     by_kind = deployment.network.trace.sent_by_kind
-    assert by_kind["AbcProposal"] and (not causal or by_kind["ScDecryptionShare"])
+    assert by_kind["AbcProposal"] and (not confidential or by_kind["ScDecryptionShare"])
 
 
 def _deployment(tmp_path, seed):
     return deal_deployment(tmp_path, 4, 1, random.Random(seed))
 
 
-@pytest.mark.parametrize("causal", [False, True], ids=["plain", "secure-causal"])
-def test_tcp_client_receives_only_what_is_addressed_to_it(tmp_path, causal):
+@pytest.mark.parametrize("confidential", [False, True], ids=["plain", "secure-causal"])
+def test_tcp_client_receives_only_what_is_addressed_to_it(tmp_path, confidential):
     async def scenario():
         _deployment(tmp_path, seed=41)
         # The client connects to a cluster that is already running.
-        async with tcp_cluster(tmp_path, 13, causal=causal) as (by_party, client):
+        async with tcp_cluster(tmp_path, 13) as (by_party, client):
             net, hosts = client.network, list(by_party.values())
             kinds = _record_kinds(client)
-            submit = client.submit_confidential if causal else client.submit
+            submit = client.submit_confidential if confidential else client.submit
             for operation in (("set", "k", 1), ("get", "k")):
                 nonce = submit(operation)
                 await net.wait_until(lambda: nonce in client.completed, timeout=60)
@@ -117,7 +117,7 @@ def test_tcp_client_receives_only_what_is_addressed_to_it(tmp_path, causal):
                 host.network.trace.sent_by_kind["Reply"] for host in hosts
             )
             sent = hosts[0].network.trace.sent_by_kind
-            assert sent["AbcProposal"] and (not causal or sent["ScDecryptionShare"])
+            assert sent["AbcProposal"] and (not confidential or sent["ScDecryptionShare"])
             # No server ever opened a channel to the client for anything
             # but replies: one frame per reply on it.
             for host in hosts:

@@ -36,13 +36,12 @@ from ..helpers import record_sends
 
 
 def _sizes(replica) -> dict[str, int]:
-    """The length of every sized attribute of ``replica`` and its
-    broadcasts."""
-    holders = ((replica, ""), (replica.abc, "abc."), (replica.sc_abc, "sc_abc."))
+    """The length of every sized attribute of ``replica``, its
+    broadcast and its stage."""
+    holders = ((replica, ""), (replica.abc, "abc."), (replica.stage, "stage."))
     return {
         prefix + name: len(value)
         for holder, prefix in holders
-        if holder is not None
         for name, value in vars(holder).items()
         if isinstance(value, Sized)
     }
@@ -63,7 +62,7 @@ def _service(confidential: bool = False):
     it alone."""
     dep = build_service(
         4, KeyValueStore, t=1, seed=7, scheduler=FifoScheduler(),
-        abc_config=AbcConfig(pipeline_depth=4), causal=confidential,
+        abc_config=AbcConfig(pipeline_depth=4),
     )
     client = dep.new_client()
     submit = client.submit_confidential if confidential else client.submit
@@ -92,10 +91,11 @@ def test_a_closed_round_leaves_no_cyclic_garbage(confidential):
 @pytest.mark.parametrize("confidential", [False, True])
 def test_only_the_history_grows_with_commits(confidential):
     """Over lone commits past a warm-up, the delivered record and the
-    at-most-once index are the only sized state that grows — and, on a
-    confidential service, the plaintexts by digest, which are what drop
-    a decryption share arriving late."""
-    history = ["abc.delivered", "executed"] + ["sc_abc.plaintexts"] * confidential
+    at-most-once index are the only sized state that grows — and, with
+    confidential requests, the opened plaintexts by digest, which are
+    what drop a decryption share arriving late and what recovery
+    carries."""
+    history = ["abc.delivered", "executed"] + ["stage.opened"] * confidential
     dep, commit = _service(confidential)
     before = {}
     with _collector_off():

@@ -691,13 +691,12 @@ def test_dkg_boot_refuses_a_bundle_without_its_pki(tmp_path, defect):
         ReplicaHost(tmp_path, 0)
 
 
-@pytest.mark.parametrize("kind", [{"byzantine": "silent"}, {"causal": True}])
-def test_a_seeded_host_must_be_honest_and_ordered(tmp_path, kind):
-    """Key generation and a join run only on an honest, non-causal
-    host: one asked to boot from a seed as anything else is refused."""
+def test_a_seeded_host_must_be_honest(tmp_path):
+    """Key generation and a join run only on an honest host: one asked
+    to boot from a seed as a Byzantine party is refused."""
     provision_dkg_deployment(4, 1, random.Random(77), tmp_path)
     with pytest.raises(ValueError, match="seeded host"):
-        ReplicaHost(tmp_path, 0, **kind)
+        ReplicaHost(tmp_path, 0, byzantine="silent")
 
 
 def _votes(keys, epoch, public, voters):

@@ -161,7 +161,7 @@ def test_smr_over_serialized_network():
     client's encrypted confidential submissions."""
     from repro.smr import KeyValueStore, build_service
 
-    dep = build_service(4, KeyValueStore, t=1, causal=True, seed=9)
+    dep = build_service(4, KeyValueStore, t=1, seed=9)
     dep.network.__class__ = SerializingNetwork  # swap in the codec path
     client = dep.new_client()
     dep.network.start()

@@ -289,7 +289,7 @@ def test_a_resubmitted_confidential_request_stays_encrypted():
     """A resubmission re-sends the ciphertext the request first went out
     as.  Rebuilt from the operation, it went out as a plain request,
     readable by every replica, corrupted ones included."""
-    dep = build_service(4, KeyValueStore, t=1, causal=True, seed=72)
+    dep = build_service(4, KeyValueStore, t=1, seed=72)
     client = dep.new_client()
     sent = record_sends(dep.network)
     dep.network.start()

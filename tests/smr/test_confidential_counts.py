@@ -87,8 +87,7 @@ def _measure(monkeypatch, requests: int, confidential: bool) -> dict[str, int]:
     monkeypatch.setattr(EncryptionPublic, "verify_shares",
                         counted("verify_shares", EncryptionPublic.verify_shares))
     clock = LockStep()
-    service = build_service(N, KeyValueStore, t=T, seed=SEED, scheduler=clock,
-                            causal=confidential)
+    service = build_service(N, KeyValueStore, t=T, seed=SEED, scheduler=clock)
     network = service.network
     send = network.send
 

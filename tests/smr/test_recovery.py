@@ -1,12 +1,11 @@
 """Crash-recovery (Section 6): a restarted replica rebuilds its state."""
 
-import pytest
-
+from repro import codec
 from repro.core.atomic_broadcast import AbcConfig
-from repro.core.protocol import Context
 from repro.net.scheduler import PartitionScheduler
 from repro.smr import KeyValueStore, build_service
 from repro.smr.replica import RecoverLog, service_session
+from repro.smr.state_machine import Request
 
 
 def _deploy(seed=51, abc_config=None):
@@ -222,10 +221,47 @@ def test_inflated_round_claim_cannot_stall_recovery():
     assert fresh.state_machine.data == {"real": 1, "post": 2}
 
 
-def test_causal_replica_refuses_recovery():
-    dep = build_service(4, KeyValueStore, t=1, causal=True, seed=55)
-    replica = dep.replicas[0]
-    with pytest.raises(ValueError):
-        replica.begin_recovery(
-            Context(dep.runtimes[0], service_session())
-        )
+def test_a_rejoined_replica_recovers_confidential_history():
+    """Recovery carries an opened ciphertext's plaintext beside it: a
+    replica that was down while plain and confidential requests were
+    ordered replays both from its peers' logs, executes them, and then
+    takes part in opening the next confidential request."""
+    dep, client = _deploy(seed=55)
+    dep.run_until_complete(client, [client.submit_confidential(("set", "a", 1))])
+    _drain(dep)
+    dep.network.crash(2)
+    dep.run_until_complete(client, [
+        client.submit(("set", "b", 2)), client.submit_confidential(("set", "c", 3)),
+    ])
+    _drain(dep)
+    fresh = dep.rejoin(2, seed=99)
+    _drain(dep)
+    assert not fresh.recovering
+    assert fresh.state_machine.data == {"a": 1, "b": 2, "c": 3}
+    assert len(fresh.stage.opened) == 2
+    dep.run_until_complete(client, [client.submit_confidential(("set", "d", 4))])
+    _drain(dep)
+    assert len({r.state_machine.snapshot() for r in dep.replicas.values()}) == 1
+
+
+def test_a_liar_changing_a_plaintext_is_never_adopted():
+    """One peer answers recovery with the honest log but for the
+    plaintext beside a ciphertext entry.  The plaintext is inside what
+    the peers vouch for, so no honest answer supports the lie, and the
+    rejoiner adopts the honest log."""
+    dep, client = _deploy(seed=56)
+    nonce = client.submit_confidential(("set", "real", 1))
+    dep.run_until_complete(client, [nonce])
+    _drain(dep)
+    dep.network.crash(2)
+    _drain(dep)
+    liar = dep.replicas[0]
+    entries, round_number = liar.history()
+    forged = codec.dumps(Request(client.client_id, nonce, ("set", "fake", 666)).encode())
+    lie = tuple((e[0], e[1], forged) if len(e) == 3 else e for e in entries)
+    assert lie != entries
+    liar._on_recover_query = lambda ctx, sender: ctx.send(sender, RecoverLog(lie, round_number))
+    fresh = dep.rejoin(2, seed=99)
+    _drain(dep)
+    assert not fresh.recovering
+    assert fresh.state_machine.data == {"real": 1}

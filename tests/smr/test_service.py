@@ -142,8 +142,8 @@ def test_duplicate_nonce_executes_once():
     assert len(executions) == 1
 
 
-def test_causal_mode_end_to_end():
-    dep = build_service(4, KeyValueStore, t=1, causal=True, seed=10)
+def test_confidential_requests_end_to_end():
+    dep = build_service(4, KeyValueStore, t=1, seed=10)
     client = dep.new_client()
     dep.network.start()
     n1 = client.submit_confidential(("set", "secret", 42))
@@ -155,20 +155,21 @@ def test_causal_mode_end_to_end():
 
 
 def _record_s_deliveries(replica) -> list[bytes]:
-    """Every plaintext ``replica``'s secure causal broadcast s-delivers
-    from now on, in order."""
+    """Every plaintext ``replica``'s stage opens and passes on from now
+    on, in order."""
     seen: list[bytes] = []
-    deliver = replica.sc_abc.on_deliver
+    deliver = replica.stage.on_deliver
 
-    def recording(plaintext: bytes, rnd: int) -> None:
-        seen.append(plaintext)
-        deliver(plaintext, rnd)
+    def recording(ctx, payload, rnd, plaintext) -> None:
+        if plaintext is not None:
+            seen.append(plaintext)
+        deliver(ctx, payload, rnd, plaintext)
 
-    replica.sc_abc.on_deliver = recording
+    replica.stage.on_deliver = recording
     return seen
 
 
-def test_causal_mode_skips_a_plaintext_nested_past_the_codec_bound():
+def test_a_confidential_request_skips_a_plaintext_nested_past_the_codec_bound():
     """A Byzantine client encrypts 1,000 nested tuples (5 KB).  The bytes
     are ordered and decrypted like any request; the one reader refuses
     them at its depth bound, so every replica skips the slot — where
@@ -178,7 +179,7 @@ def test_causal_mode_skips_a_plaintext_nested_past_the_codec_bound():
     from repro import codec
     from repro.smr.replica import SubmitEncrypted
 
-    dep = build_service(4, KeyValueStore, t=1, causal=True, seed=12)
+    dep = build_service(4, KeyValueStore, t=1, seed=12)
     executed = [record_executions(r) for r in dep.honest_replicas()]
     client = dep.new_client()
     dep.network.start()
@@ -201,37 +202,28 @@ def test_causal_mode_skips_a_plaintext_nested_past_the_codec_bound():
     assert len({tuple(log) for log in executed}) == 1
 
 
-def test_causal_replica_orders_through_its_one_configured_broadcast():
-    """``abc_config`` reaches the broadcast a confidential service
-    orders through, and ``replica.abc`` is that broadcast: with
-    ``max_batch=1`` no proposal carries two ciphertexts, and the
-    statistics the host prints count the rounds that ordered them."""
-    from repro.core.atomic_broadcast import AbcConfig, AbcProposal
-
-    from ..helpers import record_sends
-
-    dep = build_service(
-        4, KeyValueStore, t=1, causal=True, seed=3, abc_config=AbcConfig(max_batch=1)
-    )
+@pytest.mark.parametrize("scheduler", [FifoScheduler, RandomScheduler])
+def test_one_service_orders_a_mixed_burst_alike_everywhere(scheduler):
+    """Plain and confidential requests ride one broadcast: a burst that
+    interleaves them executes in the same order at every honest replica,
+    each confidential one opened in its place, and every reply verifies
+    — a plain round's shared tree and a confidential one-leaf tree."""
+    dep = build_service(4, KeyValueStore, t=1, seed=11, scheduler=scheduler())
+    executed = [record_executions(r) for r in dep.honest_replicas()]
     client = dep.new_client()
     dep.network.start()
-    nonces = [client.submit_confidential(("set", f"k{i}", i)) for i in range(6)]
-    sent = record_sends(dep.network)
-    dep.run_until_complete(client, nonces)
-    proposals = [m for m in sent if isinstance(m, AbcProposal)]
-    assert proposals and max(len(m.batch) for m in proposals) == 1
-    for replica in dep.honest_replicas():
-        assert replica.abc.config.max_batch == 1
-        assert replica.abc.stats()["rounds"] > 0
-
-
-def test_causal_mode_refuses_plaintext():
-    dep = build_service(4, KeyValueStore, t=1, causal=True, seed=11)
-    client = dep.new_client()
-    dep.network.start()
-    client.submit(("set", "leak", 1))
-    dep.network.run(max_steps=200_000)
-    assert all(not r.executed for r in dep.honest_replicas())
+    operations = [("set", f"k{i % 3}", i) for i in range(8)]
+    nonces = [
+        (client.submit_confidential if i % 2 else client.submit)(operation)
+        for i, operation in enumerate(operations)
+    ]
+    results = dep.run_until_complete(client, nonces)
+    dep.network.run()
+    assert len({tuple(log) for log in executed}) == 1
+    assert sorted(request.nonce for request, _result in executed[0]) == sorted(nonces)
+    for nonce, operation in zip(nonces, operations):
+        assert results[nonce].verify(dep.keys.public, client.client_id, operation)
+    assert len({r.state_machine.snapshot() for r in dep.honest_replicas()}) == 1
 
 
 def test_answers_of_one_round_share_one_certified_root():
