@@ -787,19 +787,17 @@ class AtomicBroadcast(Protocol):
                 break
             self._occupancy_sum += max(self.highest_started, r) - self.round
             self._occupancy_samples += 1
-            tail: dict[Hashable, None] = {}  # what follows a close, in order
-            done: list[Hashable] = []
             self._delivering = True
             for payload in payloads:
                 if self.closed:
-                    tail[payload] = None
-                    continue
+                    break
                 self.delivered[payload] = r
                 self.payloads_delivered += 1
-                done.append(payload)
                 if self.on_deliver is not None:
                     self.on_deliver(payload, r)
             self._delivering = False
+            done = [p for p in payloads if p in self.delivered]
+            tail = [p for p in payloads if p not in self.delivered]  # after a close
             if tail:
                 ahead = {p: self._sight(p) for p in tail}
                 self.queue = ahead | {p: e for p, e in self.queue.items() if p not in ahead}

@@ -24,7 +24,6 @@ succeeds against a request its client sent in the clear.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable
 
@@ -61,12 +60,12 @@ def _ciphertext(payload: object) -> Ciphertext | None:
 
 
 class SecureCausalBroadcast:
-    """The stage on ``abc``'s delivery path, whose owner routes the
-    broadcast's ``on_deliver``, ``on_round_end`` and ``hold`` here.  It
-    calls ``on_deliver(ctx, payload, round, plaintext)`` (``plaintext``
-    None unless ``payload`` is a valid ciphertext) and, after a round's
-    last entry, ``on_round_end(ctx)``; ``barrier(payload)`` names the
-    plain payloads that may end the session."""
+    """The stage on ``abc``'s delivery path (its owner routes the
+    broadcast's ``on_deliver``, ``on_round_end`` and ``hold`` here).  It
+    calls ``on_deliver(ctx, payload, round, plaintext)``, ``plaintext``
+    None unless ``payload`` is a valid ciphertext, and ``on_round_end(ctx)``
+    after a round's last entry; ``barrier(payload)`` names the plain
+    payloads that may end the session."""
 
     def __init__(
         self,
@@ -81,7 +80,7 @@ class SecureCausalBroadcast:
         self.barrier = barrier
         # Delivered entries not yet passed on: (payload, round, digest of
         # a ciphertext or None); a round's end is (_END, round, None).
-        self.waiting: deque[tuple[Hashable, int, bytes | None]] = deque()
+        self.waiting: list[tuple[Hashable, int, bytes | None]] = []
         # The opened ciphertexts, for good: digest -> (payload, plaintext).
         self.opened: dict[bytes, tuple[Hashable, bytes]] = {}
         # One screen per a-delivered ciphertext still to be opened —
@@ -118,8 +117,7 @@ class SecureCausalBroadcast:
     # -- opening ---------------------------------------------------------------
 
     def _open(self, ctx: Context, payload: Hashable) -> bytes | None:
-        """The digest of ``payload`` if it is a valid ciphertext, sending
-        this party's share at its first call; None otherwise."""
+        """A valid ciphertext ``payload``'s digest (our share sent once); else None."""
         ct = _ciphertext(payload)
         digest = None if ct is None else self.abc.digest(payload)
         if digest is None or digest in self.opening or digest in self.opened:
@@ -165,27 +163,32 @@ class SecureCausalBroadcast:
         """The rounds of the a-delivered entries not passed on yet."""
         return [rnd for payload, rnd, _digest in self.waiting if payload is not _END]
 
+    def record(self, payload: Hashable, plaintext: bytes) -> None:
+        """A ciphertext opened in an agreed log: nothing waits for it."""
+        digest = self.abc.digest(payload)
+        self.opened[digest] = (payload, plaintext)
+        self.opening.pop(digest, None)
+        for _sender, held in sorted(self.early.items()):
+            held.pop(digest, None)
+
     def learn(self, ctx: Context, entries: tuple) -> None:
-        """Open what the stage holds from an agreed log's plaintexts
-        (recovery), and pass on what that frees."""
+        """Open what the stage holds from an agreed log; pass on what that frees."""
         plaintexts = {entry[0]: entry[2] for entry in entries if len(entry) == 3}
-        for digest, (payload, _screen) in list(self.opening.items()):
+        for payload, _screen in list(self.opening.values()):
             if payload in plaintexts:
-                del self.opening[digest]
-                self.opened[digest] = (payload, plaintexts[payload])
+                self.record(payload, plaintexts[payload])
         self._drain(ctx)
         self.abc.deliver(ctx)
 
     def _drain(self, ctx: Context) -> None:
-        """Pass entries on strictly in a-delivery order, up to the first
-        ciphertext still to open."""
+        """Pass entries on in a-delivery order, up to a ciphertext still to open."""
         while self.waiting:
             payload, round_number, digest = self.waiting[0]
             if digest in self.opening:
                 self._try_open(ctx, digest)
                 if digest in self.opening:
                     return
-            self.waiting.popleft()
+            self.waiting.pop(0)
             if payload is _END:
                 self.on_round_end(ctx)
             else:

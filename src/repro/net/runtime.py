@@ -1142,7 +1142,7 @@ class ReplicaHost:
 
     # -- ordered reconfiguration and membership votes ------------------------------
 
-    def _intercept(self, request, confidential: bool = False) -> object | None:
+    def _intercept(self, request, confidential: bool) -> object | None:
         """Replica hook: consume ``Reconfigure`` operations.
 
         One rule, live and replayed alike, so the verdict is a function

@@ -271,13 +271,11 @@ class Replica(Protocol):
                 return
         request = Request.decode(payload)
         if request is not None:
-            self._execute(ctx, request, rnd, confidential=plaintext is not None)
+            self._execute(ctx, request, rnd, plaintext is not None)
 
     def _on_lag(self, ctx: Context) -> None:
-        """An honest-containing set of signers is provably rounds ahead
-        of our bounded proposal window: the proposals we missed were
-        dropped rather than buffered, so the only way back into the
-        round structure is Section 6 state transfer."""
+        """Signers that include an honest one are past our proposal
+        window (what we missed was dropped): Section 6 state transfer."""
         if self.recovering or self._replaying:
             return
         self.begin_recovery(ctx)
@@ -296,10 +294,9 @@ class Replica(Protocol):
         ctx.send(sender, RecoverLog(*self.history()))
 
     def history(self) -> tuple[tuple, int]:
-        """The executed history as a log and the round it is settled to:
-        ``(payload, round)`` per a-delivered entry, ``(payload, round,
-        plaintext)`` for an opened ciphertext.  What the stage still
-        holds is left out, and the round stops short of it."""
+        """The executed history as a log, ``(payload, round)`` per entry
+        and ``(payload, round, plaintext)`` per opened ciphertext, and the
+        round it is settled to: short of what the stage still holds."""
         held, delivered = self.stage.held(), self.abc.delivered
         entries = tuple(delivered.items())[: len(delivered) - len(held)]
         plaintexts = dict(self.stage.opened.values())
@@ -312,9 +309,8 @@ class Replica(Protocol):
     def _on_recover_log(self, ctx: Context, sender: int, message: RecoverLog) -> None:
         if not self.recovering:
             return
-        # Latest answer wins: peers keep progressing while recovery is
-        # in flight, and a re-query must not stay pinned to a stale
-        # (or forged, then corrected) earlier reply.
+        # Latest answer wins: peers progress while recovery is in flight,
+        # and a stale (or forged, then corrected) answer must not pin it.
         self._recovery_logs[sender] = message
         adopted = self._vouched_candidate(ctx)
         if adopted is None:
@@ -397,14 +393,12 @@ class Replica(Protocol):
                 if not self.abc.record(payload, rnd):
                     continue
                 if opened:
-                    self.stage.opened[self.abc.digest(payload)] = (payload, opened[0])
+                    self.stage.record(payload, opened[0])
                 self._on_ordered(ctx, payload, rnd, opened[0] if opened else None)
         finally:
             self._replaying = False
 
-    def _execute(
-        self, ctx: Context, request: Request, rnd: int, confidential: bool = False
-    ) -> None:
+    def _execute(self, ctx: Context, request: Request, rnd: int, confidential: bool) -> None:
         key = (request.client, request.nonce)
         if key in self.executed:
             return  # at-most-once semantics across duplicate submissions

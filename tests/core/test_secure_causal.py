@@ -177,3 +177,20 @@ def test_share_that_overtakes_its_ciphertext_is_used():
     assert logs[0] == []  # qualified, not yet robust (2t + 1 = 3)
     share_from(1, 21)
     assert logs[0] == [b"early bird"]  # the early share is one of the three
+
+
+def test_a_ciphertext_opened_in_an_agreed_log_drops_its_early_shares():
+    """Shares waiting for a ciphertext that this replica then replays,
+    opened, from an agreed log go: nothing will a-deliver it here, and
+    they would hold the sender's bounded ``early`` for good."""
+    dep, _logs = _service(19)
+    runtime, replica = dep.runtimes[0], dep.replicas[0]
+    ct = _encrypt(dep.keys.public, b"opened elsewhere", b"L", seed=20)
+    payload = ("ct", ct)
+    digest = payload_digest(payload)
+    share = dep.keys.private[2].decryption.decryption_share(ct, random.Random(21))
+    runtime.on_message(2, (SESSION, ScDecryptionShare(digest, share)))
+    assert replica.stage.early == {2: {digest: share}}
+    replica.preload_log(ctx_for(runtime, SESSION), ((payload, 1, b"opened elsewhere"),))
+    assert replica.stage.early == {2: {}}
+    assert replica.stage.opened[digest] == (payload, b"opened elsewhere")

@@ -73,8 +73,8 @@ def test_results_bounded_per_client():
     replica = Replica(KeyValueStore())
     replica._replaying = True
     for nonce in range(1, 21):
-        replica._execute(None, _req(7, nonce, ("set", "x", nonce)), nonce)
-    replica._execute(None, _req(8, 1, ("set", "y", 0)), 30)
+        replica._execute(None, _req(7, nonce, ("set", "x", nonce)), nonce, False)
+    replica._execute(None, _req(8, 1, ("set", "y", 0)), 30, False)
     # One cached (request, result) pair per client, not per request.
     assert set(replica._results) == {7, 8}
     request, result = replica._results[7]
@@ -165,7 +165,7 @@ def test_live_rejection_is_pure(tmp_path):
     host = ReplicaHost(tmp_path, 0)
     good = _refresh_op(keys, 1)
     tampered = good[:1] + ("remove",) + good[2:]
-    assert host._intercept(_req(900, 1, tampered)) == ("reconfig", "rejected", 0)
+    assert host._intercept(_req(900, 1, tampered), False) == ("reconfig", "rejected", 0)
     assert host.phase == SERVING
     assert host.membership.epoch == 0
 

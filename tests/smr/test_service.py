@@ -202,6 +202,28 @@ def test_a_confidential_request_skips_a_plaintext_nested_past_the_codec_bound():
     assert len({tuple(log) for log in executed}) == 1
 
 
+def test_confidential_requests_ride_the_configured_broadcast():
+    """``abc_config`` reaches the one broadcast a replica orders every
+    request through, ciphertexts included: with ``max_batch=1`` no
+    proposal carries two ciphertexts, and the statistics the host
+    prints count the rounds that ordered them."""
+    from repro.core.atomic_broadcast import AbcProposal
+
+    from ..helpers import record_sends
+
+    dep = build_service(4, KeyValueStore, t=1, seed=3, abc_config=AbcConfig(max_batch=1))
+    client = dep.new_client()
+    dep.network.start()
+    nonces = [client.submit_confidential(("set", f"k{i}", i)) for i in range(6)]
+    sent = record_sends(dep.network)
+    dep.run_until_complete(client, nonces)
+    proposals = [m for m in sent if isinstance(m, AbcProposal)]
+    assert proposals and max(len(m.batch) for m in proposals) == 1
+    for replica in dep.honest_replicas():
+        assert replica.abc.config.max_batch == 1
+        assert replica.abc.stats()["rounds"] > 0
+
+
 @pytest.mark.parametrize("scheduler", [FifoScheduler, RandomScheduler])
 def test_one_service_orders_a_mixed_burst_alike_everywhere(scheduler):
     """Plain and confidential requests ride one broadcast: a burst that
