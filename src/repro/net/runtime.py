@@ -171,7 +171,8 @@ def allocate_addresses(
 # the keys swap, and at each checkpoint, so a host killed at any instant
 # restarts into one epoch with its keys.
 #
-# The checkpoint is the delivered log, so a restart replays most of its
+# The checkpoint is the executed log (opened plaintexts beside their
+# ciphertexts, ``Replica.history``), so a restart replays most of its
 # history from disk and fetches only the tail from peers (Section 6
 # recovery stays the source of truth).  It carries its own MAC: the
 # paper's adversary may control the machine between crash and restart.
@@ -274,7 +275,7 @@ def _checkpoint_key(party: int, signing_key: SigningKey) -> bytes:
 def seal_checkpoint(
     party: int, signing_key: SigningKey, entries: tuple, round_number: int
 ) -> dict:
-    """The delivered log as a record's checkpoint: its canonical wire
+    """The executed log as a record's checkpoint: its canonical wire
     encoding and an HMAC over it."""
     body = wire.dumps((tuple(entries), round_number))
     mac = hmac.new(_checkpoint_key(party, signing_key), body, hashlib.sha256)
