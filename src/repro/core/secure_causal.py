@@ -9,11 +9,12 @@ ciphertext's place until the servers' decryption shares open it, and
 passes every entry and round end on in a-delivery order.
 
 A round's shares leave when it is the next to deliver.  A round that
-holds a *barrier* (a plain request that may end the session: an epoch
-change) delivers only once the stage is empty and every ciphertext
-ahead of its last barrier has opened, so the barrier executes inside
-the delivery and what :meth:`AtomicBroadcast.close` requeues leaves
-still encrypted (docs/PROTOCOLS.md, "Secure causal atomic broadcast").
+holds a *barrier* (a plain request that, executed now, ends the session:
+an accepted epoch change) delivers only once the stage is empty and
+every ciphertext ahead of its first barrier has opened, so that barrier
+executes inside the delivery and what :meth:`AtomicBroadcast.close`
+requeues leaves still encrypted (docs/PROTOCOLS.md, "Secure causal
+atomic broadcast").
 
 CCA2 security of the threshold cryptosystem is essential (Section 5.2):
 a corrupted server that observes a pending ciphertext can neither
@@ -65,7 +66,8 @@ class SecureCausalBroadcast:
     calls ``on_deliver(ctx, payload, round, plaintext)``, ``plaintext``
     None unless ``payload`` is a valid ciphertext, and ``on_round_end(ctx)``
     after a round's last entry; ``barrier(payload)`` names the plain
-    payloads that may end the session."""
+    payloads that, executed now, end the session — a verdict on ordered
+    state that no entry changes short of the one that ends it."""
 
     def __init__(
         self,
@@ -88,6 +90,9 @@ class SecureCausalBroadcast:
         # before its ciphertext waits in its sender's bounded ``early``.
         self.opening: dict[bytes, tuple[Hashable, ShareScreen[DecryptionShare]]] = {}
         self.early: dict[int, dict[bytes, DecryptionShare]] = {}
+        # The round ``hold`` was last shown and the index of its first
+        # barrier: a held round is shown again at every share.
+        self._shown: tuple[tuple, int | None] = ((), None)
 
     def submit(self, ctx: Context, ciphertext: Ciphertext) -> None:
         """s-broadcast: hand an encrypted request to the broadcast."""
@@ -99,13 +104,19 @@ class SecureCausalBroadcast:
     def hold(self, ctx: Context, payloads: Iterable[Hashable]) -> bool:
         """Whether the round about to deliver ``payloads`` waits: it holds
         a barrier, and the stage is not empty or a ciphertext ahead of the
-        last barrier has not opened.  Those ciphertexts' shares leave now."""
-        payloads = list(payloads)
+        first barrier has not opened.  Those ciphertexts' shares leave
+        now; none behind it, which the barrier may requeue."""
+        payloads = tuple(payloads)
         if not self.waiting and not any(map(_ciphertext, payloads)):
             return False  # the plain path
-        barriers = [i for i, p in enumerate(payloads) if self.barrier(p)]
-        ahead = [self._open(ctx, p) for p in payloads[: barriers[-1]]] if barriers else []
-        return bool(barriers) and (bool(self.waiting) or any(d in self.opening for d in ahead))
+        if self._shown[0] != payloads:
+            first = next((i for i, p in enumerate(payloads) if self.barrier(p)), None)
+            self._shown = (payloads, first)
+        first = self._shown[1]
+        if first is None:
+            return False
+        ahead = [self._open(ctx, p) for p in payloads[:first]]
+        return bool(self.waiting) or any(d in self.opening for d in ahead)
 
     def deliver(self, ctx: Context, payload: Hashable, round_number: int) -> None:
         self.waiting.append((payload, round_number, self._open(ctx, payload)))
@@ -159,9 +170,9 @@ class SecureCausalBroadcast:
             del self.opening[digest]
             self.opened[digest] = (payload, encryption.combine(ct, shares))
 
-    def held(self) -> list[int]:
-        """The rounds of the a-delivered entries not passed on yet."""
-        return [rnd for payload, rnd, _digest in self.waiting if payload is not _END]
+    def held(self) -> list[tuple[Hashable, int]]:
+        """The a-delivered entries not passed on yet, as ``(payload, round)``."""
+        return [(payload, rnd) for payload, rnd, _digest in self.waiting if payload is not _END]
 
     def record(self, payload: Hashable, plaintext: bytes) -> None:
         """A ciphertext opened in an agreed log: nothing waits for it."""

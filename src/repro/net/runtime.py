@@ -745,6 +745,7 @@ class ReplicaHost:
             "replica-recovered", executed=len(self.replica.executed)
         )
         self.replica.intercept = self._intercept
+        self.replica.closes = self._closes
         self.replica.on_membership_info = self._on_stale_info
         self.replica.membership_info = reconfig.signed_membership_info(
             self.party,
@@ -1170,6 +1171,14 @@ class ReplicaHost:
             # runtime, so a late spawn still completes.
             self.replica.abc.close(lambda: self._start_reshare(accepted))
         return ("reconfig", "accepted", accepted.epoch)
+
+    def _closes(self, request) -> bool:
+        """Replica hook: whether ``_intercept`` would accept the plain
+        ``request`` now, and so close the session (unless it replays an
+        epoch this host has entered).  Only an accepted operation changes
+        ``self.membership``, so up to a round's first accepted one every
+        verdict is the one its execution meets."""
+        return reconfig.next_membership(request.operation, self.membership) is not None
 
     def _on_stale_info(self, sender: int, info: object) -> None:
         """A RecoverQuery we sent came back with the signed membership

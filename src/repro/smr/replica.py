@@ -28,10 +28,11 @@ from ..codec import register
 from ..core.atomic_broadcast import AbcConfig, AtomicBroadcast
 from ..core.protocol import Context, Protocol, SessionId
 from ..core.secure_causal import ScDecryptionShare, SecureCausalBroadcast
+from ..crypto.dealer import is_server
 from ..crypto.hashing import hash_bytes
 from ..crypto.threshold_enc import Ciphertext
 from ..net import wire
-from .reconfig import MembershipInfo, MembershipQuery, parse_reconfigure
+from .reconfig import MembershipInfo, MembershipQuery
 from .state_machine import Reply, Request, StateMachine
 
 __all__ = ["SubmitRequest", "SubmitEncrypted", "RecoverQuery", "RecoverLog",
@@ -148,12 +149,6 @@ def reply_root(
     return leaf, node
 
 
-def _may_close(payload: object) -> bool:
-    """A plain request that may end the session: a reconfiguration."""
-    request = Request.decode(payload)
-    return request is not None and parse_reconfigure(request.operation) is not None
-
-
 class Replica(Protocol):
     """One server's replica of a trusted application."""
 
@@ -165,41 +160,65 @@ class Replica(Protocol):
         # the stage on its delivery path that opens the ciphertexts.
         self.abc = AtomicBroadcast(config=abc_config)
         self.stage = SecureCausalBroadcast(
-            self.abc, self._on_ordered, self._answer_round, _may_close
+            self.abc, self._on_ordered, self._answer_round, self._closes
         )
         # The at-most-once index: the (client, nonce) of every executed
         # request.  The ordered history itself is ``abc.delivered``.
         self.executed: set[tuple[int, int]] = set()
         # client -> (request, result) of its *latest* executed request,
-        # so an identical resubmission is re-answered, not swallowed by
-        # the dedup (across an epoch switch the first answer may have
-        # gone out on a session the client left).  Clients resubmit only
-        # their pending request: one entry per client bounds it.
+        # so a duplicate submission — the identical request, operation
+        # included — can be re-answered instead of silently swallowed
+        # by the at-most-once dedup.  Matters across an epoch
+        # switch: a request ordered at the boundary may have been
+        # answered on a session the client no longer listens on, and the
+        # client's same-nonce resubmission must still produce a signed
+        # reply.  One entry per client suffices — clients resubmit only
+        # their pending, monotonically-nonced request — and keeps memory
+        # bounded by the client population, not the request volume.
         self._results: dict[int, tuple[Request, object]] = {}
         # Plain answers of the delivered round so far, signed as one tree
-        # once its last entry has executed (_answer_round): ordered state,
-        # the same tree at every honest replica.  Others are one-leaf trees.
+        # when the round ends (_answer_round), once its last entry has
+        # executed.  A tree is a function of ordered state, so every
+        # honest replica builds the same one; every other answer is a
+        # one-leaf tree.
         self._round_answers: list[tuple[Request, object]] = []
         self.recovering = False
         self._recovery_logs: dict[int, RecoverLog] = {}
         self._replaying = False
-        # The host's hooks, none part of the protocol.  After every
-        # executed request (replays too), with its round: the chaos
-        # journal and periodic checkpoints.
+        # Observation hook: called after every executed request (replays
+        # included) with the round the request was ordered in — the
+        # deployment host uses it for the execution journal the chaos
+        # safety checker reads, and for periodic checkpointing.  Never
+        # part of the protocol itself.
         self.on_execute: Callable[[Request, object, int], None] | None = None
-        # Before the state machine, for every ordered request: a non-None
-        # result consumes it (``Reconfigure``: the same total order drives
-        # the key/membership layer).  Its verdict may depend on ordered
-        # state only — whether the request was confidential — never on
-        # how it arrived (live or replayed).
+        # Interception hook: called for every ordered request *before*
+        # the application state machine.  Returning a non-None result
+        # consumes the request — the replica signs and replies with that
+        # result and the state machine never sees the operation.  The
+        # deployment host uses it for ``Reconfigure`` operations, which
+        # are agreed through the same total order as writes but drive
+        # the key/membership layer instead of the application.  Its
+        # verdict may depend on the executed history only (whether the
+        # request arrived encrypted is part of it), so it is told
+        # nothing about how the request arrived (live or replayed).
         self.intercept: Callable[[Request, bool], object | None] | None = None
-        # The signed statement of the current configuration
-        # (smr/reconfig.py), answered to MembershipQuery, and what to do
-        # with a received one (a RecoverQuery answered by peers that left
-        # our epoch behind while we were down).
+        # Whether a plain request, executed now, ends the session (an
+        # accepted ``Reconfigure``): the stage releases no decryption
+        # share behind it.  Without the hook nothing ends it.
+        self.closes: Callable[[Request], bool] | None = None
+        # The host's signed statement of the current configuration
+        # (see smr/reconfig.py); answered to MembershipQuery so clients
+        # can refresh against the live session too, not only against
+        # tombstones of closed epochs.
         self.membership_info: object | None = None
+        # Host callback for a *received* MembershipInfo: a RecoverQuery
+        # we sent to peers can come back with the signed record of a
+        # newer epoch instead of log entries (the peers left our epoch
+        # behind while we were down) — the host verifies a quorum of
+        # such votes and re-adopts.
         self.on_membership_info: Callable[[int, object], None] | None = None
-        # A state transfer begun by begin_recovery was adopted.
+        # Observation hook: a state transfer begun by begin_recovery was
+        # adopted (the host announces it; the demos and chaos wait for it).
         self.on_recovered: Callable[[], None] | None = None
 
     # -- lifecycle ------------------------------------------------------------
@@ -273,9 +292,15 @@ class Replica(Protocol):
         if request is not None:
             self._execute(ctx, request, rnd, plaintext is not None)
 
+    def _closes(self, payload: object) -> bool:
+        request = None if self.closes is None else Request.decode(payload)
+        return request is not None and self.closes(request)
+
     def _on_lag(self, ctx: Context) -> None:
-        """Signers that include an honest one are past our proposal
-        window (what we missed was dropped): Section 6 state transfer."""
+        """An honest-containing set of signers is provably rounds ahead
+        of our bounded proposal window: the proposals we missed were
+        dropped rather than buffered, so the only way back into the
+        round structure is Section 6 state transfer."""
         if self.recovering or self._replaying:
             return
         self.begin_recovery(ctx)
@@ -283,34 +308,47 @@ class Replica(Protocol):
     # -- crash recovery (Section 6) ---------------------------------------------
 
     def begin_recovery(self, ctx: Context) -> None:
-        """Ask peers for the executed history after a crash restart: a
-        *fresh* replica replays the agreed log to rebuild its state."""
+        """Ask peers for the executed history after a crash restart.
+
+        Meant for a *fresh* replica instance attached in place of the
+        crashed one: its volatile state is empty, and replaying the
+        agreed log through the deterministic state machine rebuilds it
+        exactly, opened ciphertexts by the plaintexts the log carries.
+        """
         self.recovering = True
         ctx.broadcast(RecoverQuery())
 
     def _on_recover_query(self, ctx: Context, sender: int) -> None:
-        if self.recovering:
-            return  # cannot help while recovering ourselves
+        if self.recovering or not is_server(sender):
+            # Cannot help while recovering ourselves; and the history
+            # holds every opened plaintext, which no client may read.
+            return
         ctx.send(sender, RecoverLog(*self.history()))
 
     def history(self) -> tuple[tuple, int]:
         """The executed history as a log, ``(payload, round)`` per entry
         and ``(payload, round, plaintext)`` per opened ciphertext, and the
-        round it is settled to: short of what the stage still holds."""
+        round it is settled to.  It ends where the stage's first held
+        entry sits in ``abc.delivered``, wherever that is: entries a
+        replayed log put behind it were executed, but the log must stay
+        a prefix of the order, in which the held one comes first."""
         held, delivered = self.stage.held(), self.abc.delivered
-        entries = tuple(delivered.items())[: len(delivered) - len(held)]
+        entries = tuple(delivered.items())
+        if held:
+            entries = entries[: list(delivered).index(held[0][0])]
         plaintexts = dict(self.stage.opened.values())
         if plaintexts:
             entries = tuple(
                 (p, r, plaintexts[p]) if p in plaintexts else (p, r) for p, r in entries
             )
-        return entries, min(self.abc.round, held[0] - 1) if held else self.abc.round
+        return entries, min(self.abc.round, held[0][1] - 1) if held else self.abc.round
 
     def _on_recover_log(self, ctx: Context, sender: int, message: RecoverLog) -> None:
         if not self.recovering:
             return
-        # Latest answer wins: peers progress while recovery is in flight,
-        # and a stale (or forged, then corrected) answer must not pin it.
+        # Latest answer wins: peers keep progressing while recovery is
+        # in flight, and a re-query must not stay pinned to a stale
+        # (or forged, then corrected) earlier reply.
         self._recovery_logs[sender] = message
         adopted = self._vouched_candidate(ctx)
         if adopted is None:
@@ -377,11 +415,15 @@ class Replica(Protocol):
             self.on_recovered()
 
     def preload_log(self, ctx: Context, entries: tuple) -> None:
-        """Replay a locally checkpointed log before recovery.
+        """Replay a locally checkpointed delivery log before recovery.
 
-        Only an *authenticated* checkpoint (HMAC under the party's own
-        key) may reach this, before :meth:`begin_recovery`: peers then
-        supply the tail it missed (``_adopt_log`` skips the rest).
+        The host calls this with an *authenticated* checkpoint (HMAC
+        verified against the party's own key material) before
+        :meth:`begin_recovery`: peers then only need to supply the tail
+        the checkpoint missed — ``_adopt_log`` skips everything already
+        delivered here.  An unauthenticated or corrupted checkpoint
+        must never reach this method; the host rejects it and falls
+        back to pure peer recovery.
         """
         self._replay_entries(ctx, entries)
         ctx.trace.bump("replica.checkpoint_preloads")

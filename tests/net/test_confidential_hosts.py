@@ -171,6 +171,48 @@ def test_a_confidential_request_behind_a_refresh_opens_in_the_new_epoch(tmp_path
     assert shares and set(shares) == {epoch_service_session(1)}
 
 
+def test_no_share_leaves_for_a_ciphertext_between_two_reconfigurations(tmp_path):
+    """One round: a signed refresh, a ciphertext, then a second
+    ``Reconfigure`` — forged, or signed and valid until the first one
+    closes the session.  Only what precedes the first reconfiguration
+    that closes the session opens in the old epoch, so no host sends a
+    share for the ciphertext on the closed session, and it executes
+    once, in the new epoch."""
+    for seed, signer in ((66, None), (67, 1)):
+        keys, network, hosts, client = _deploy(tmp_path / str(seed), seed, FifoScheduler())
+        sent = record_sends(network, sessions=True)
+        # Signed by party 0 in party 1's name (forged), or by party 1.
+        second = reconfig.reconfigure_operation(
+            "refresh", 1, 1 if signer is None else signer,
+            keys.private[0 if signer is None else signer].signing_key, random.Random(8),
+        )
+        secret = ("set", "secret", 1)
+        executed = _refresh(keys, network, hosts, client, [
+            ("refresh", None), ("confidential", secret), ("plain", second),
+        ])
+        assert executed == [("refresh", 0), (secret, 1), (second, 1)]
+        shares = [session for session, message in sent if isinstance(message, ScDecryptionShare)]
+        assert shares and set(shares) == {epoch_service_session(1)}
+
+
+def test_a_forged_reconfiguration_holds_no_round(tmp_path):
+    """A ``Reconfigure`` the membership rejects is no barrier: ahead of
+    a ciphertext and a signed refresh in one round, it executes and is
+    rejected, the ciphertext opens in the old epoch, and the refresh
+    still closes the session inside the round's delivery."""
+    keys, network, hosts, client = _deploy(tmp_path, 68, FifoScheduler())
+    forged = reconfig.reconfigure_operation(
+        "refresh", 1, 1, keys.private[0].signing_key, random.Random(8)
+    )
+    secret, public = ("set", "secret", 1), ("set", "public", 2)
+    executed = _refresh(keys, network, hosts, client, [
+        ("plain", forged), ("confidential", secret), ("refresh", None), ("plain", public),
+    ])
+    assert executed == [(forged, 0), (secret, 0), ("refresh", 0), (public, 1)]
+    for host in hosts.values():
+        assert sorted(host.replica.abc.delivered.values()) == [1, 1, 1, 2]
+
+
 def test_an_encrypted_reconfiguration_is_rejected(tmp_path):
     """A reconfiguration is public: one that arrives encrypted is
     ordered and opened like any request, and answered ``rejected``."""

@@ -4,8 +4,10 @@ from repro import codec
 from repro.core.atomic_broadcast import AbcConfig
 from repro.net.scheduler import PartitionScheduler
 from repro.smr import KeyValueStore, build_service
-from repro.smr.replica import RecoverLog, service_session
+from repro.smr.replica import RecoverLog, RecoverQuery, service_session
 from repro.smr.state_machine import Request
+
+from ..helpers import record_sends
 
 
 def _deploy(seed=51, abc_config=None):
@@ -265,3 +267,37 @@ def test_a_liar_changing_a_plaintext_is_never_adopted():
     _drain(dep)
     assert not fresh.recovering
     assert fresh.state_machine.data == {"real": 1}
+
+
+def test_a_client_reads_no_history():
+    """A log holds every opened plaintext, and clients hold channel keys
+    too: a replica answers a ``RecoverQuery`` from a server, never from
+    a client."""
+    dep, client = _deploy(seed=57)
+    dep.run_until_complete(client, [client.submit_confidential(("set", "secret", 1))])
+    _drain(dep)
+    sent = record_sends(dep.network)
+    dep.network.send(client.client_id, 0, (service_session(), RecoverQuery()))
+    _drain(dep)
+    assert not [m for m in sent if isinstance(m, RecoverLog)]
+    dep.network.send(1, 0, (service_session(), RecoverQuery()))
+    _drain(dep)
+    (log,) = [m for m in sent if isinstance(m, RecoverLog)]
+    assert [len(entry) for entry in log.entries] == [3]
+
+
+def test_a_log_ends_at_the_first_entry_the_stage_holds():
+    """``history`` cuts ``abc.delivered`` at the stage's first held
+    entry, found by the entry: one a replayed log recorded behind it
+    was executed, yet the log stops before the held one."""
+    dep, client = _deploy(seed=58)
+    dep.run_until_complete(client, [client.submit(("set", "a", 1))])
+    _drain(dep)
+    replica = dep.replicas[0]
+    (done,), rnd = replica.history()
+    held = Request(client.client_id, 90, ("set", "held", 2)).encode()
+    behind = Request(client.client_id, 91, ("set", "behind", 3)).encode()
+    replica.abc.record(held, rnd + 1)
+    replica.stage.waiting.append((held, rnd + 1, None))
+    replica.abc.record(behind, rnd + 2)
+    assert replica.history() == ((done,), rnd)
